@@ -4,7 +4,7 @@
 //! [`LossyLinkActor`] runs its inner actor honestly each round, then
 //! filters the outbox through a [`LinkPolicy`] (the same trait the
 //! threaded cluster injects at the transport layer, see
-//! `meba_net::ClusterConfig::link_policy`): per-target messages may be
+//! `meba_engine::ClusterConfig::link_policy`): per-target messages may be
 //! dropped or delayed by whole rounds. This models the adversary's power
 //! over the *network* of one process — a process that computes correctly
 //! but whose words may not arrive — inside the lockstep simulator, where

@@ -1,5 +1,5 @@
 //! E20 — the zero-copy hot path: what the borrowed codec, pooled frame
-//! buffers, primed-MAC batch verification, and calendar-queue DES buy.
+//! buffers, primed-MAC verification, and calendar-queue DES buy.
 //!
 //! Four measurements, published as `BENCH_E20_hotpath.json`:
 //!
@@ -10,9 +10,9 @@
 //!    faithfully from the retired implementations) against the zero-copy
 //!    path (reused scratch encoder, reused frame/read buffers, borrowed
 //!    decode). The acceptance bar is ≥ 2×.
-//! 2. **Signature verification** — per-share `verify` vs `verify_batch`
-//!    at certificate sizes k ∈ {5, 9, 17}, plus threshold-certificate
-//!    verifications/sec. (Both sides ride the primed-MAC states; the
+//! 2. **Signature verification** — per-share `verify` at certificate
+//!    sizes k ∈ {5, 9, 17}, plus threshold-certificate
+//!    verifications/sec. (Verification rides the primed-MAC states; the
 //!    pre-refactor per-verify key derivation measured ≈ 340k sigs/sec on
 //!    this hardware — see EXPERIMENTS.md E20.)
 //! 3. **DES n-sweep** — failure-free BB wall clock at n ∈ {257, 1025,
@@ -121,7 +121,7 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    println!("=== E20: zero-copy hot path (codec, batch verify, calendar-queue DES) ===\n");
+    println!("=== E20: zero-copy hot path (codec, signature verify, calendar-queue DES) ===\n");
     let committed = std::fs::read_to_string(JSON_PATH).ok();
 
     let cfg = SystemConfig::new(33, 7).unwrap();
@@ -190,11 +190,11 @@ fn main() {
          pipeline (got {codec_speedup:.2}x)"
     );
 
-    // 2) Verification: single vs batch at k ∈ {5, 9, 17}.
+    // 2) Verification of a certificate's k shares, k ∈ {5, 9, 17}.
     let pre = payload.signing_bytes();
-    let mut tab = Table::new(&["k", "single sigs/sec", "batch sigs/sec"]);
+    let mut tab = Table::new(&["k", "single sigs/sec"]);
     let mut verify_rows = Vec::new();
-    let mut batch_at_9 = 0.0f64;
+    let mut single_at_9 = 0.0f64;
     for k in [5usize, 9, 17] {
         let ks: Vec<_> = shares.iter().take(k).cloned().collect();
         let reps = 400_000u64 / k as u64;
@@ -205,19 +205,11 @@ fn main() {
             }
         }
         let single = per_sec(reps * k as u64, started);
-        let started = Instant::now();
-        for _ in 0..reps {
-            pki.verify_batch(&pre, &ks).unwrap();
-        }
-        let batch = per_sec(reps * k as u64, started);
         if k == 9 {
-            batch_at_9 = batch;
+            single_at_9 = single;
         }
-        tab.row(&[num(k as u64), flt(single), flt(batch)]);
-        verify_rows.push(format!(
-            "    {{\"k\": {k}, \"single_sigs_per_sec\": {single:.0}, \
-             \"batch_sigs_per_sec\": {batch:.0}}}"
-        ));
+        tab.row(&[num(k as u64), flt(single)]);
+        verify_rows.push(format!("    {{\"k\": {k}, \"single_sigs_per_sec\": {single:.0}}}"));
     }
     tab.print();
 
@@ -279,7 +271,7 @@ fn main() {
     if let Some(json) = &committed {
         let checks = [
             ("gate_codec_msgs_per_sec", after_codec),
-            ("gate_verify_sigs_per_sec", batch_at_9),
+            ("gate_verify_sigs_per_sec", single_at_9),
             ("gate_des_events_per_sec", events_1025),
         ];
         for (key, fresh) in checks {
@@ -305,7 +297,7 @@ fn main() {
             json_number(json, "gate_verify_sigs_per_sec").unwrap(),
             json_number(json, "gate_des_events_per_sec").unwrap(),
         ),
-        None => (after_codec * 0.85, batch_at_9 * 0.85, events_1025 * 0.85),
+        None => (after_codec * 0.85, single_at_9 * 0.85, events_1025 * 0.85),
     };
     let json = format!(
         "{{\n  \"experiment\": \"E20\",\n  \"msg_bytes\": {msg_bytes},\n  \

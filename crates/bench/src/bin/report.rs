@@ -374,10 +374,10 @@ fn main() {
     println!("log at a fixed outage moves them {flat:.2}x — `state_transfer`");
     println!("publishes this table as BENCH_E19_statetransfer.json.)");
 
-    section("E20 — zero-copy hot path (codec, batch verify, calendar-queue DES)");
+    section("E20 — zero-copy hot path (codec, signature verify, calendar-queue DES)");
     println!("The `hotpath` bench measures the zero-copy refactor end to end: the");
     println!("encode→frame→read→decode pipeline against the pre-refactor allocation");
-    println!("pattern, single vs batch verification over primed MAC states, and the");
+    println!("pattern, signature verification over primed MAC states, and the");
     println!("calendar-queue DES n-sweep. It publishes BENCH_E20_hotpath.json and");
     println!("enforces the regression gate (> 15% below the committed floors fails).");
     println!();
@@ -410,7 +410,7 @@ fn main() {
                 get("des_speedup_n1025_vs_binaryheap")
             );
             println!();
-            println!("(Full tables — batch-vs-single verify at k ∈ {{5, 9, 17}} and the");
+            println!("(Full tables — per-share verify at k ∈ {{5, 9, 17}} and the");
             println!("n-sweep wall clocks up to n = 4097 — live in the JSON; re-measure");
             println!("with `cargo bench -p meba-bench --bench hotpath`.)");
         }

@@ -609,7 +609,7 @@ impl WireRunStats {
 /// sockets with `f` crashed followers, measuring the byte-level cost of
 /// the word-level protocol (experiment E13).
 pub fn run_wire_bb(n: usize, f: usize, delta: std::time::Duration) -> WireRunStats {
-    use meba_net::{ClusterConfig, OverrunAction};
+    use meba_engine::{ClusterConfig, OverrunAction};
     use meba_wire::{run_tcp_cluster, TcpClusterConfig};
 
     let cfg = SystemConfig::new(n, 0).unwrap();
@@ -712,7 +712,7 @@ pub fn run_recovery_weak_ba(
     crashes: usize,
     delta: std::time::Duration,
 ) -> RecoveryRunStats {
-    use meba_net::{run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate};
+    use meba_engine::{run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate};
     use meba_testkit::{recoverable_decision, WeakBaRecoveryHarness};
     use std::sync::Arc;
 
@@ -863,7 +863,7 @@ fn current_threads() -> usize {
 /// Panics if the mesh cannot establish or no overrun-free run completes
 /// within the attempt budget.
 pub fn run_mesh_scale_bb(n: usize, delta: std::time::Duration, seed: u64) -> MeshScaleStats {
-    use meba_net::ClusterConfig;
+    use meba_engine::ClusterConfig;
     use meba_testkit::{bb_actors, bb_des, bb_report_decisions, round_budget, Fault};
     use meba_wire::{raise_nofile_limit, run_tcp_cluster, TcpClusterConfig};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -1214,7 +1214,7 @@ pub struct StateTransferStats {
 /// `⊥`-retires, any transferred slot conflicts with local agreement, or
 /// the victim fails to recover — the audits are the experiment's claim.
 pub fn run_state_transfer(n: usize, total_slots: u64, outage_slots: u64) -> StateTransferStats {
-    use meba_net::{
+    use meba_engine::{
         run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate, ProcessFateFactory,
     };
     use meba_service::{BatchPolicy, Op, ServiceConfig};

@@ -143,16 +143,6 @@ impl Pki {
         }
     }
 
-    /// Verifies a batch of individual signatures on one message — the
-    /// shape of a certificate's `k` shares. Exactly equivalent to calling
-    /// [`Pki::verify`] on each signature in slice order and returning the
-    /// first error; the batch form exists so call sites verifying a
-    /// certificate's shares go through one amortized entry point (primed
-    /// MAC states, no per-signature key derivation or pad absorption).
-    pub fn verify_batch(&self, msg: &[u8], sigs: &[Signature]) -> Result<(), CryptoError> {
-        sigs.iter().try_for_each(|sig| self.verify(msg, sig))
-    }
-
     fn thresh_tag(&self, k: usize, digest: &Digest) -> [u8; 32] {
         let mut mac = self.inner.thresh_mac.clone();
         mac.update(&(k as u64).to_be_bytes());
@@ -215,48 +205,12 @@ impl Pki {
     /// [`CryptoError::MessageMismatch`] if the certificate was issued for a
     /// different message or its tag does not verify.
     pub fn verify_threshold(&self, msg: &[u8], ts: &ThresholdSignature) -> Result<(), CryptoError> {
-        self.verify_threshold_digest(&Digest::of(msg), ts)
-    }
-
-    fn verify_threshold_digest(
-        &self,
-        digest: &Digest,
-        ts: &ThresholdSignature,
-    ) -> Result<(), CryptoError> {
-        if *digest != ts.digest {
-            return Err(CryptoError::MessageMismatch);
-        }
-        if ct_eq(&self.thresh_tag(ts.threshold, digest), &ts.tag) {
+        let digest = Digest::of(msg);
+        if digest == ts.digest && ct_eq(&self.thresh_tag(ts.threshold, &digest), &ts.tag) {
             Ok(())
         } else {
             Err(CryptoError::MessageMismatch)
         }
-    }
-
-    /// Verifies a batch of threshold certificates, each against its own
-    /// preimage. Exactly equivalent to calling [`Pki::verify_threshold`]
-    /// on each pair in order and returning the first error. Consecutive
-    /// entries certifying the same preimage — the common shape when one
-    /// round admits many copies of a certificate — share a single
-    /// message digest, on top of the primed master-MAC state every
-    /// verification reuses.
-    pub fn verify_threshold_batch(
-        &self,
-        items: &[(&[u8], &ThresholdSignature)],
-    ) -> Result<(), CryptoError> {
-        let mut memo: Option<(&[u8], Digest)> = None;
-        for &(msg, ts) in items {
-            let digest = match &memo {
-                Some((m, d)) if *m == msg => *d,
-                _ => {
-                    let d = Digest::of(msg);
-                    memo = Some((msg, d));
-                    d
-                }
-            };
-            self.verify_threshold_digest(&digest, ts)?;
-        }
-        Ok(())
     }
 
     fn agg_tag(&self, signers: &BTreeSet<ProcessId>, digest: &Digest) -> [u8; 32] {
@@ -726,44 +680,6 @@ mod tests {
         assert!(matches!(pki.aggregate(b"v", &[]), Err(CryptoError::InsufficientShares { .. })));
         let agg = pki.aggregate(b"v", &[keys[0].sign(b"v")]).unwrap();
         assert_eq!(pki.verify_aggregate(b"w", &agg), Err(CryptoError::MessageMismatch));
-    }
-
-    #[test]
-    fn verify_batch_matches_sequential_verify() {
-        let (pki, keys) = setup(6);
-        let mut shares: Vec<_> = keys.iter().take(4).map(|k| k.sign(b"v")).collect();
-        assert!(pki.verify_batch(b"v", &shares).is_ok());
-        assert!(pki.verify_batch(b"v", &[]).is_ok());
-
-        // A forged share in the middle: first error in slice order.
-        shares[2] = keys[2].sign(b"other");
-        let sequential = shares.iter().try_for_each(|s| pki.verify(b"v", s));
-        assert_eq!(pki.verify_batch(b"v", &shares), sequential);
-        assert_eq!(
-            pki.verify_batch(b"v", &shares),
-            Err(CryptoError::BadSignature { signer: ProcessId(2) })
-        );
-    }
-
-    #[test]
-    fn verify_threshold_batch_matches_sequential() {
-        let (pki, keys) = setup(5);
-        let sh_v: Vec<_> = keys.iter().take(3).map(|k| k.sign(b"v")).collect();
-        let sh_w: Vec<_> = keys.iter().take(3).map(|k| k.sign(b"w")).collect();
-        let qc_v = pki.combine(3, b"v", &sh_v).unwrap();
-        let qc_w = pki.combine(3, b"w", &sh_w).unwrap();
-
-        // Mixed preimages, including the digest-memo repeat path.
-        let items: Vec<(&[u8], &ThresholdSignature)> =
-            vec![(b"v", &qc_v), (b"v", &qc_v), (b"w", &qc_w), (b"v", &qc_v)];
-        assert!(pki.verify_threshold_batch(&items).is_ok());
-
-        let bad: Vec<(&[u8], &ThresholdSignature)> =
-            vec![(b"v", &qc_v), (b"v", &qc_w), (b"w", &qc_w)];
-        let sequential = bad.iter().try_for_each(|(m, ts)| pki.verify_threshold(m, ts));
-        assert_eq!(pki.verify_threshold_batch(&bad), sequential);
-        assert_eq!(pki.verify_threshold_batch(&bad), Err(CryptoError::MessageMismatch));
-        assert!(pki.verify_threshold_batch(&[]).is_ok());
     }
 
     #[test]

@@ -1,30 +1,15 @@
-//! Equivalence properties for the zero-copy refactor.
-//!
-//! Two families of properties pin the refactor to the semantics it
-//! replaced:
-//!
-//! 1. **Borrowed ≡ owned decoding.** The pre-refactor owned byte-string
-//!    decoder is reimplemented here verbatim as an independent reference
-//!    (`reference_owned_get_bytes`). Over valid encodings, truncations,
-//!    mutations, and raw junk, the current `get_bytes`,
-//!    `get_bytes_borrowed`, and `get_bytes_cow` must return exactly the
-//!    same bytes on accepts, exactly the same [`DecodeError`] on
-//!    rejects, and consume exactly the same number of input bytes.
-//! 2. **Batch ≡ sequential verification.** On every mixed valid/forged
-//!    subset — wrong message, tampered tag, out-of-range signer —
-//!    [`Pki::verify_batch`] must agree with folding [`Pki::verify`] over
-//!    the slice, including *which* error surfaces first; likewise
-//!    [`Pki::verify_threshold_batch`] against [`Pki::verify_threshold`].
+//! Equivalence property for the zero-copy refactor: **borrowed ≡ owned
+//! decoding.** The pre-refactor owned byte-string decoder is
+//! reimplemented here verbatim as an independent reference
+//! (`reference_owned_get_bytes`). Over valid encodings, truncations,
+//! mutations, and raw junk, the current `get_bytes`,
+//! `get_bytes_borrowed`, and `get_bytes_cow` must return exactly the
+//! same bytes on accepts, exactly the same [`DecodeError`] on rejects,
+//! and consume exactly the same number of input bytes.
 
-use meba_crypto::{
-    trusted_setup, DecodeError, Decoder, Encoder, Signature, ThresholdSignature, WireCodec,
-};
+use meba_crypto::{DecodeError, Decoder, Encoder};
 use proptest::prelude::*;
 use std::borrow::Cow;
-
-// ---------------------------------------------------------------------
-// 1. Borrowed ≡ owned decoding
-// ---------------------------------------------------------------------
 
 /// Cursor-advancing slice read, as the pre-refactor decoder performed it.
 fn ref_take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], DecodeError> {
@@ -120,101 +105,5 @@ proptest! {
         prop_assert_eq!(input.len() - owned.remaining(), ref_pos);
         prop_assert_eq!(owned.remaining(), borrowed.remaining());
         prop_assert_eq!(owned.remaining(), cow.remaining());
-    }
-}
-
-// ---------------------------------------------------------------------
-// 2. Batch ≡ sequential verification
-// ---------------------------------------------------------------------
-
-/// Flips one bit of the signature's MAC tag via its wire encoding
-/// (signer id, then the 32-byte tag as a length-prefixed byte string).
-fn tamper_tag(sig: &Signature) -> Signature {
-    let mut bytes = sig.to_wire_bytes();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x01;
-    Signature::from_wire_bytes(&bytes).expect("tampered tag still decodes")
-}
-
-/// Rewrites the claimed signer to an id outside the system (wire layout:
-/// `b'p'` + 4 big-endian id bytes at offsets 1..5).
-fn tamper_signer(sig: &Signature, n: usize) -> Signature {
-    let mut bytes = sig.to_wire_bytes();
-    bytes[1..5].copy_from_slice(&(n as u32 + 7).to_be_bytes());
-    Signature::from_wire_bytes(&bytes).expect("tampered signer still decodes")
-}
-
-proptest! {
-    #[test]
-    fn verify_batch_agrees_with_sequential_verify_on_mixed_subsets(
-        n in 2usize..10,
-        modes in proptest::collection::vec(0u8..4, 0..12),
-    ) {
-        let (pki, keys) = trusted_setup(n, 0x5eed);
-        let msg = b"batch-equivalence";
-        let sigs: Vec<Signature> = modes
-            .iter()
-            .enumerate()
-            .map(|(i, mode)| {
-                let key = &keys[i % n];
-                match mode {
-                    0 => key.sign(msg),
-                    1 => key.sign(b"a different message"),
-                    2 => tamper_tag(&key.sign(msg)),
-                    _ => tamper_signer(&key.sign(msg), n),
-                }
-            })
-            .collect();
-
-        let sequential = sigs.iter().try_for_each(|s| pki.verify(msg, s));
-        let batch = pki.verify_batch(msg, &sigs);
-        prop_assert_eq!(
-            batch.clone(), sequential,
-            "batch must return the first sequential error (or Ok)"
-        );
-        let every = sigs.iter().all(|s| pki.verify(msg, s).is_ok());
-        prop_assert_eq!(batch.is_ok(), every, "batch accepts iff every share verifies");
-    }
-
-    #[test]
-    fn verify_threshold_batch_agrees_with_sequential_verify_threshold(
-        n in 3usize..8,
-        modes in proptest::collection::vec(0u8..4, 0..10),
-    ) {
-        let (pki, keys) = trusted_setup(n, 0xcafe);
-        let k = n / 2 + 1;
-        let certify = |msg: &[u8]| -> ThresholdSignature {
-            let shares: Vec<_> = keys.iter().take(k).map(|key| key.sign(msg)).collect();
-            pki.combine(k, msg, &shares).expect("valid shares combine")
-        };
-        let msg_a: &[u8] = b"cert-preimage-a";
-        let msg_b: &[u8] = b"cert-preimage-b";
-        let qa = certify(msg_a);
-        let qb = certify(msg_b);
-        let qa_bad = {
-            let mut bytes = qa.to_wire_bytes();
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0x01;
-            ThresholdSignature::from_wire_bytes(&bytes).expect("tampered cert still decodes")
-        };
-
-        // Mixed list: valid on two distinct preimages (exercising the
-        // consecutive-same-preimage digest memo), cross-wired pairs, and
-        // a tampered tag.
-        let items: Vec<(&[u8], &ThresholdSignature)> = modes
-            .iter()
-            .map(|mode| match mode {
-                0 => (msg_a, &qa),
-                1 => (msg_b, &qb),
-                2 => (msg_b, &qa),
-                _ => (msg_a, &qa_bad),
-            })
-            .collect();
-
-        let sequential = items.iter().try_for_each(|(m, ts)| pki.verify_threshold(m, ts));
-        prop_assert_eq!(
-            pki.verify_threshold_batch(&items), sequential,
-            "threshold batch must match the sequential fold exactly"
-        );
     }
 }

@@ -1,9 +1,9 @@
 //! Threaded execution of the engine: one OS thread per process, a shared
 //! [`DeadlinePacer`], and thread 0 doubling as the coordinator.
 //!
-//! This module is the single home of the round-coordination machinery the
-//! channel and TCP runtimes used to duplicate: after finishing round `r`
-//! the coordinator publishes exactly one decision — stop after `r`
+//! This module is the single home of the round-coordination machinery of
+//! the channel and TCP runtimes: after finishing round `r` the
+//! coordinator publishes exactly one decision — stop after `r`
 //! (recording whether the run completed) or approve round `r + 1`,
 //! possibly escalating δ first. Worker threads never execute a round that
 //! was not approved, so every thread executes the same set of rounds and
@@ -11,9 +11,9 @@
 //! rather than a racy post-join recomputation.
 
 use crate::config::{ClusterConfig, ClusterReport, Escalation, OverrunAction};
-use crate::driver::RoundDriverConfig;
+use crate::driver::{RoundDriver, RoundDriverConfig};
 use crate::fate::{resolve_fates, ActorRebuilder};
-use crate::pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer, Pacer};
+use crate::pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer};
 use crate::process::{EngineProcess, StepStatus};
 use crate::transport::{SendPolicy, Transport};
 use meba_sim::{AnyActor, Message, Metrics};
@@ -74,7 +74,7 @@ struct WorkerConfig {
 /// Runs every actor on its own thread over its own transport until every
 /// correct actor is done, the round budget is exhausted, or the overrun
 /// policy stops the run. This is the generic core behind
-/// `meba_net::run_cluster` and `meba_wire::run_tcp_cluster`: the caller
+/// [`crate::run_cluster`] and `meba_wire::run_tcp_cluster`: the caller
 /// supplies one [`Transport`] and one optional [`SendPolicy`] per actor
 /// (aligned by index) and the engine does the rest — fate resolution
 /// happens exactly once, up front.
@@ -102,7 +102,7 @@ where
     for (i, a) in actors.iter().enumerate() {
         assert_eq!(a.id().index(), i, "actor {i} has id {}", a.id());
     }
-    config.driver.validate().expect("invalid round driver configuration");
+    config.driver.validate(n).expect("invalid round driver configuration");
     let fates = resolve_fates(n, config.process_fate.as_ref(), rebuilder.is_some());
 
     let ctrl = Arc::new(Control {
@@ -171,10 +171,10 @@ where
     }
 }
 
-/// One thread's life: rounds under coordinator approval, paced by the
-/// configured [`RoundDriverConfig`] — the shared [`DeadlinePacer`]
-/// schedule (lockstep) or a local quorum-or-timeout wait — with the
-/// round body delegated to [`EngineProcess::step`].
+/// One thread's life: rounds under coordinator approval, paced by its
+/// [`RoundDriver`] — the shared [`DeadlinePacer`] schedule (lockstep) or
+/// a local quorum-or-timeout wait — with the round body delegated to
+/// [`EngineProcess::step`].
 fn run_paced_process<M: Message, T: Transport<M>>(
     mut proc: EngineProcess<M>,
     mut transport: T,
@@ -184,20 +184,11 @@ fn run_paced_process<M: Message, T: Transport<M>>(
 ) -> (Box<dyn AnyActor<Msg = M>>, u64) {
     let i = proc.id().index();
     let is_coordinator = i == 0;
-    let quorum = cfg.driver.effective_quorum(cfg.n);
+    let mut driver = RoundDriver::wall_clock(&cfg.driver, cfg.n);
     // Coordinator-only escalation bookkeeping.
     let mut overruns_seen = 0u64;
     let mut consecutive_overruns = 0u32;
     let mut round = 0u64;
-    // Event-driven mode: each round's deadline is one (backed-off)
-    // timeout after the previous round's *scheduled* deadline, clamped
-    // to at most one timeout ahead of now. Anchoring on the schedule
-    // keeps early quorum advances from compressing the local grid; the
-    // clamp re-paces after a catch-up burst or a slow round. The timer
-    // doubles whenever a round admits late traffic (evidence the local
-    // δ-estimate outpaced the network).
-    let mut sched_deadline = Instant::now();
-    let mut backoff_shift = 0u32;
 
     'rounds: while round < cfg.max_rounds {
         if ctrl.stop_at.load(Ordering::SeqCst) <= round {
@@ -209,39 +200,8 @@ fn run_paced_process<M: Message, T: Transport<M>>(
                 Approval::Stop => break 'rounds,
             }
         }
-        let quorum_ready = match &cfg.driver {
-            RoundDriverConfig::Lockstep => {
-                ctrl.pacer.wait_for_round(round);
-                // The schedule is untouched by quorum state; the check
-                // only feeds the advance-cause metric. (Draining early
-                // is safe: admission partitions by `sent_round` inside
-                // the step, so *when* a delivery is pulled off the
-                // transport never changes *what* is admitted.)
-                round >= 1 && proc.ready_senders(round, &mut transport) >= quorum
-            }
-            RoundDriverConfig::QuorumOrTimeout { .. } => {
-                let timeout = cfg
-                    .driver
-                    .timeout_duration(ctrl.pacer.delta_at(round))
-                    .saturating_mul(1u32 << backoff_shift.min(crate::driver::MAX_BACKOFF_SHIFT));
-                let now = Instant::now();
-                let deadline = sched_deadline.max(now).min(now + timeout) + timeout;
-                sched_deadline = deadline;
-                let mut ready = false;
-                loop {
-                    if round >= 1 && proc.ready_senders(round, &mut transport) >= quorum {
-                        ready = true;
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    std::thread::sleep((deadline - now).min(Duration::from_micros(100)));
-                }
-                ready
-            }
-        };
+        let cause =
+            driver.wait_for_round(&ctrl.pacer, round, || proc.ready_senders(round, &mut transport));
 
         let proc_start = Instant::now();
         let status: StepStatus = proc.step(round, &mut transport, &ctrl.metrics);
@@ -266,18 +226,13 @@ fn run_paced_process<M: Message, T: Transport<M>>(
                 let mut m = ctrl.metrics.lock();
                 m.round_latency.record_us(latency_us);
                 if round >= 1 {
-                    match quorum_ready {
-                        true => m.advance.quorum += 1,
-                        false => m.advance.timeout += 1,
-                    }
+                    cause.record(&mut m.advance);
                 }
             }
             if overran {
                 ctrl.overruns.fetch_add(1, Ordering::Relaxed);
             }
-            if !cfg.driver.is_lockstep() {
-                crate::driver::update_backoff_shift(&mut backoff_shift, status.late_admitted);
-            }
+            driver.observe(status.late_admitted);
         }
         ctrl.done_flags[i].store(status.done, Ordering::SeqCst);
 
@@ -287,7 +242,8 @@ fn run_paced_process<M: Message, T: Transport<M>>(
         round += 1;
     }
     ctrl.backpressure.fetch_add(transport.backpressure(), Ordering::Relaxed);
-    transport.finish();
+    // TCP: shuts the mesh down here, on the thread that drove it.
+    drop(transport);
     (proc.finish(&ctrl.metrics), round)
 }
 

@@ -12,12 +12,12 @@
 //! `Ω(n²)` fallback crossover) at system sizes the paced runtimes cannot
 //! reach.
 //!
-//! Since the event-driven refactor the backend is *per-process-clocked*:
-//! each process owns a round counter and advances it when its
-//! [`RoundDriverConfig`] says so — at the global schedule `r · δ`
-//! (lockstep, the default), or at quorum-or-local-timeout (partial
-//! synchrony). On top of the driver the config models three timing
-//! hazards from the paper's synchrony discussion:
+//! The backend is *per-process-clocked*: each process owns a round
+//! counter and advances it when its [`RoundDriver`] says so — at the
+//! global schedule `r · δ` (lockstep, the default), or at
+//! quorum-or-local-timeout (partial synchrony). On top of the driver the
+//! config models three timing hazards from the paper's synchrony
+//! discussion:
 //!
 //! * **clock skew** ([`DesConfig::max_skew_ns`]) — seeded per-process
 //!   start offsets, so "round r" happens at different instants on
@@ -32,22 +32,23 @@
 //! Determinism: same actors, same [`DesConfig`] (including `seed`) ⇒
 //! byte-identical [`Metrics`]. Time is virtual; simultaneous events
 //! resolve arrivals first (in global send order) and then round
-//! executions in process-id order — under the lockstep driver this
-//! reproduces the pre-refactor global loop ("deliver everything due,
-//! then step processes in id order") event for event, which is why the
-//! cross-runtime equivalence suites in `meba-testkit` hold unchanged.
+//! executions in process-id order — under the lockstep driver this is
+//! a global loop ("deliver everything due, then step processes in id
+//! order") event for event, which is why the cross-runtime equivalence
+//! suites in `meba-testkit` hold.
 //! The rushing-adversary wave scheduling of `meba_sim::Simulation` is
 //! the one lockstep feature this backend does not model: corrupt actors
 //! observe a round's traffic one round later, like everyone else.
 
 use crate::calendar::{CalendarQueue, TimeKeyed};
 use crate::config::{ClusterReport, LinkPolicyFactory};
-use crate::driver::{AdvanceCause, DriverConfigError, RoundDriverConfig};
+use crate::driver::AdvanceCause::{self, QuorumReached};
+use crate::driver::{DriverConfigError, RoundDriver, RoundDriverConfig};
 use crate::fate::{resolve_fates, ActorRebuilder, ProcessFateFactory};
-use crate::pacer::VirtualPacer;
 use crate::process::EngineProcess;
 use crate::transport::{Delivery, LinkPolicySendAdapter, SendPolicy, Transport};
 use meba_crypto::ProcessId;
+use meba_sim::metrics::AdvanceStats;
 use meba_sim::{AnyActor, Message, Metrics};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -82,8 +83,8 @@ pub struct DesConfig {
     /// Process-level fault injection (crash-restart), resolved once up
     /// front like every backend.
     pub process_fate: Option<ProcessFateFactory>,
-    /// How rounds advance: [`RoundDriverConfig::Lockstep`] (default,
-    /// pre-refactor semantics) or quorum-or-timeout partial synchrony.
+    /// How rounds advance: [`RoundDriverConfig::Lockstep`] (default)
+    /// or quorum-or-timeout partial synchrony.
     pub driver: RoundDriverConfig,
     /// Maximum per-process clock skew in nanoseconds: process `i`
     /// starts its round 0 at a seeded offset in `[0, max_skew_ns]`.
@@ -222,8 +223,7 @@ impl<M> TimeKeyed for Event<M> {
 }
 
 /// A scheduled round deadline `(at_ns, process, round)`; simultaneous
-/// deadlines resolve in process-id order, matching the pre-refactor
-/// heap's tuple ordering.
+/// deadlines resolve in process-id order (tuple ordering).
 type DeadlineEntry = (u128, u64, u64);
 
 impl TimeKeyed for DeadlineEntry {
@@ -347,28 +347,20 @@ impl<M: Message> Transport<M> for DesTransport<M> {
 struct Schedule {
     lockstep: bool,
     delta_ns: u64,
-    driver: RoundDriverConfig,
-    quorum: usize,
     max_rounds: u64,
     skews: Vec<u64>,
 }
 
 impl Schedule {
-    /// Virtual deadline of round `round` for process `i`. Lockstep: the
-    /// global schedule (shifted by the process's skew). Event mode: one
-    /// (backed-off) timeout after the executed round's *scheduled* start
-    /// `prev` — not after the execution instant `now` — clamped to at
-    /// most one timeout ahead of `now`. Anchoring on the schedule keeps
-    /// quorum advancement from compressing the local grid (an early
-    /// execution must not steal the margin the next round's timer
-    /// needed); the clamp re-paces a process that just quorum-caught-up
-    /// through a backlog (its stale grid would otherwise stall it).
-    fn deadline(&self, i: usize, round: u64, prev: u128, now: u128, shift: u32) -> u128 {
+    /// Virtual deadline of round `round` for process `i`, asked at
+    /// instant `now`. Lockstep: the global schedule (shifted by the
+    /// process's skew), with no per-process driver state touched. Event
+    /// mode: the driver's local grid.
+    fn deadline(&self, i: usize, round: u64, driver: &mut RoundDriver, now: u128) -> u128 {
         if self.lockstep {
             u128::from(self.skews[i]) + u128::from(round) * u128::from(self.delta_ns)
         } else {
-            let timeout = u128::from(self.driver.backed_off_timeout_ns(self.delta_ns, shift));
-            prev.max(now).min(now + timeout) + timeout
+            driver.next_deadline(now, self.delta_ns)
         }
     }
 }
@@ -390,12 +382,10 @@ struct Running<'a, M: Message> {
     // Advance-cause tallies accumulated locally and flushed into
     // `metrics.advance` once after the loop, so per-round execution does
     // not take the metrics lock just to bump a counter.
-    adv_quorum: &'a mut u64,
-    adv_timeout: &'a mut u64,
-    backoff: &'a mut [u32],
-    // Scheduled deadline of each process's next round (event mode's
-    // local grid anchor; mirrors the live entry in `deadlines`).
-    sched_deadline: &'a mut [u128],
+    advance: &'a mut AdvanceStats,
+    // Each process's quorum, backoff shift, and local grid anchor (the
+    // anchor mirrors the live entry in `deadlines`).
+    drivers: &'a mut [RoundDriver],
     // (at_ns, process, round); entries whose round is no longer the
     // process's next are stale and skipped lazily.
     deadlines: &'a mut CalendarQueue<DeadlineEntry>,
@@ -409,21 +399,10 @@ impl<M: Message> Running<'_, M> {
         let round = self.next_round[i];
         let status = self.procs[i].step(round, &mut self.transports[i], self.metrics);
         if status.executed && round >= 1 {
-            match cause {
-                AdvanceCause::QuorumReached => *self.adv_quorum += 1,
-                AdvanceCause::TimeoutFired => *self.adv_timeout += 1,
-            }
+            cause.record(self.advance);
         }
-        if !sched.lockstep
-            && status.late_admitted > 0
-            && self.backoff[i] < crate::driver::MAX_BACKOFF_SHIFT
-        {
-            // Late traffic proves this process's local schedule outran
-            // the network (mis-estimated δ, drift from quorum
-            // advancement, or a pre-GST prefix): double the timer —
-            // once per offending round — so the estimate eventually
-            // exceeds the true bound.
-            self.backoff[i] += 1;
+        if !sched.lockstep {
+            self.drivers[i].observe(status.late_admitted);
         }
         if self.done[i] != status.done && !self.corrupt[i] {
             if status.done {
@@ -435,8 +414,7 @@ impl<M: Message> Running<'_, M> {
         self.done[i] = status.done;
         self.next_round[i] = round + 1;
         if round + 1 < sched.max_rounds {
-            let at = sched.deadline(i, round + 1, self.sched_deadline[i], now, self.backoff[i]);
-            self.sched_deadline[i] = at;
+            let at = sched.deadline(i, round + 1, &mut self.drivers[i], now);
             self.deadlines.push((at, i as u64, round + 1));
         }
     }
@@ -445,15 +423,18 @@ impl<M: Message> Running<'_, M> {
     /// prior-round senders for its next round, advance immediately.
     /// Terminates because every advance raises `next_round`, which both
     /// tightens the `sent_round + 1 ≥ round` test and is capped by
-    /// `max_rounds`.
+    /// `max_rounds` — given a quorum no process meets alone, which
+    /// [`RoundDriverConfig::validate`] guarantees.
     fn quorum_advance(&mut self, sched: &Schedule, i: usize, now: u128) {
-        while self.next_round[i] >= 1
-            && self.next_round[i] < sched.max_rounds
-            && self.procs[i].ready_senders(self.next_round[i], &mut self.transports[i])
-                >= sched.quorum
-        {
-            self.execute(sched, i, now, AdvanceCause::QuorumReached);
+        while self.next_round[i] < sched.max_rounds && self.ready_cause(i) == QuorumReached {
+            self.execute(sched, i, now, QuorumReached);
         }
+    }
+
+    /// Whether process `i` holds a quorum for its next round right now.
+    fn ready_cause(&mut self, i: usize) -> AdvanceCause {
+        let round = self.next_round[i];
+        self.drivers[i].cause(round, || self.procs[i].ready_senders(round, &mut self.transports[i]))
     }
 }
 
@@ -469,7 +450,7 @@ impl<M: Message> Running<'_, M> {
 /// latency interval `(0, δ)` holds no integer nanosecond at those sizes,
 /// so no schedule can satisfy the synchronous delivery rule. Also
 /// rejects an invalid [`RoundDriverConfig`] (non-positive or non-finite
-/// `timeout_factor`).
+/// `timeout_factor`, or an explicit quorum outside `2..=n`).
 ///
 /// # Panics
 ///
@@ -479,14 +460,16 @@ pub fn run_des_cluster<M: Message>(
     rebuilder: Option<ActorRebuilder<M>>,
     config: DesConfig,
 ) -> Result<ClusterReport<M>, DesConfigError> {
-    let pacer = VirtualPacer::new(config.delta_ns)?;
-    config.driver.validate()?;
+    if config.delta_ns < 2 {
+        return Err(DesConfigError::DeltaTooSmall { delta_ns: config.delta_ns });
+    }
     if let Some(cap) = config.link_cap_ns {
         if cap < 2 {
             return Err(DesConfigError::LinkCapTooSmall { link_cap_ns: cap });
         }
     }
     let n = actors.len();
+    config.driver.validate(n)?;
     assert!(n > 0, "cluster needs at least one actor");
     for (i, a) in actors.iter().enumerate() {
         assert_eq!(a.id().index(), i, "actor {i} has id {}", a.id());
@@ -497,9 +480,7 @@ pub fn run_des_cluster<M: Message>(
 
     let sched = Schedule {
         lockstep: config.driver.is_lockstep(),
-        delta_ns: pacer.delta_ns(),
-        driver: config.driver,
-        quorum: config.driver.effective_quorum(n),
+        delta_ns: config.delta_ns,
         max_rounds: config.max_rounds,
         skews: (0..n)
             .map(|i| {
@@ -531,16 +512,16 @@ pub fn run_des_cluster<M: Message>(
 
     let mut next_round = vec![0u64; n];
     let mut done = vec![false; n];
-    let mut backoff = vec![0u32; n];
-    let mut sched_deadline: Vec<u128> = (0..n).map(|i| u128::from(sched.skews[i])).collect();
+    let mut drivers: Vec<RoundDriver> = (0..n)
+        .map(|i| RoundDriver::virtual_time(&config.driver, n, u128::from(sched.skews[i])))
+        .collect();
     let mut deadlines: CalendarQueue<DeadlineEntry> =
         CalendarQueue::new(calendar_width_ns(sched.delta_ns));
     for i in 0..n {
         deadlines.push((u128::from(sched.skews[i]), i as u64, 0));
     }
     let mut pending_correct = corrupt.iter().filter(|c| !**c).count();
-    let mut adv_quorum = 0u64;
-    let mut adv_timeout = 0u64;
+    let mut advance = AdvanceStats::default();
     let mut completed = false;
     let mut last_instant = 0u128;
     let mut run = Running {
@@ -551,10 +532,8 @@ pub fn run_des_cluster<M: Message>(
         done: &mut done,
         corrupt: &corrupt,
         pending_correct: &mut pending_correct,
-        adv_quorum: &mut adv_quorum,
-        adv_timeout: &mut adv_timeout,
-        backoff: &mut backoff,
-        sched_deadline: &mut sched_deadline,
+        advance: &mut advance,
+        drivers: &mut drivers,
         deadlines: &mut deadlines,
     };
     loop {
@@ -562,8 +541,8 @@ pub fn run_des_cluster<M: Message>(
         // that round), then pick the earliest event. Simultaneous events
         // resolve arrivals first — in send order — then deadlines in
         // process-id order: under the lockstep driver this is exactly
-        // the pre-refactor global loop ("deliver everything due ≤ t,
-        // then step every process in id order at t").
+        // a global loop ("deliver everything due ≤ t, then step every
+        // process in id order at t").
         while let Some(&(_, i, r)) = run.deadlines.peek() {
             if run.next_round[i as usize] == r {
                 break;
@@ -603,12 +582,9 @@ pub fn run_des_cluster<M: Message>(
                 run.quorum_advance(&sched, ev.to, at);
             }
         } else {
-            let (_, i, round) = run.deadlines.pop().expect("peeked deadline");
+            let (_, i, _) = run.deadlines.pop().expect("peeked deadline");
             let i = i as usize;
-            let quorum_ready =
-                run.procs[i].ready_senders(round, &mut run.transports[i]) >= sched.quorum;
-            let cause =
-                if quorum_ready { AdvanceCause::QuorumReached } else { AdvanceCause::TimeoutFired };
+            let cause = run.ready_cause(i);
             run.execute(&sched, i, at, cause);
             if quorum_mode {
                 run.quorum_advance(&sched, i, at);
@@ -616,11 +592,7 @@ pub fn run_des_cluster<M: Message>(
         }
     }
     let _ = run;
-    {
-        let mut m = metrics.lock();
-        m.advance.quorum += adv_quorum;
-        m.advance.timeout += adv_timeout;
-    }
+    metrics.lock().advance.merge(&advance);
     if !completed && pending_correct == 0 {
         completed = true;
     }
@@ -702,16 +674,23 @@ mod tests {
     }
 
     #[test]
-    fn invalid_timeout_factor_is_rejected_typed() {
-        let cfg = DesConfig {
-            driver: RoundDriverConfig::QuorumOrTimeout { quorum: None, timeout_factor: 0.0 },
-            ..Default::default()
-        };
-        let err = run_des_cluster(echoes(3), None, cfg).unwrap_err();
-        assert_eq!(
-            err,
-            DesConfigError::Driver(DriverConfigError::TimeoutFactorInvalid { timeout_factor: 0.0 })
-        );
+    fn invalid_driver_configs_are_rejected_typed() {
+        // Quorums 0 and 1 would let every process sprint through all its
+        // rounds at one virtual instant; n + 1 could never fire.
+        let bad = [
+            (None, 0.0, DriverConfigError::TimeoutFactorInvalid { timeout_factor: 0.0 }),
+            (Some(0), 1.0, DriverConfigError::QuorumOutOfRange { quorum: 0, n: 3 }),
+            (Some(1), 1.0, DriverConfigError::QuorumOutOfRange { quorum: 1, n: 3 }),
+            (Some(4), 1.0, DriverConfigError::QuorumOutOfRange { quorum: 4, n: 3 }),
+        ];
+        for (quorum, timeout_factor, want) in bad {
+            let cfg = DesConfig {
+                driver: RoundDriverConfig::QuorumOrTimeout { quorum, timeout_factor },
+                ..Default::default()
+            };
+            let err = run_des_cluster(echoes(3), None, cfg).unwrap_err();
+            assert_eq!(err, DesConfigError::Driver(want));
+        }
     }
 
     #[test]

@@ -2,30 +2,30 @@
 //!
 //! The workspace runs the same [`meba_sim::Actor`] state machines on four
 //! backends — the lockstep simulator (`meba-sim`), a threaded wall-clock
-//! cluster (`meba-net`), a real-TCP cluster (`meba-wire`), and this
-//! crate's deterministic discrete-event backend for large n. Three of
-//! those used to hand-roll the same per-process round loop; this crate is
-//! its single home:
+//! cluster ([`run_cluster`]), a real-TCP cluster (`meba-wire`), and this
+//! crate's deterministic discrete-event backend for large n. The last
+//! three share one per-process round loop, and this crate is its home:
 //!
 //! * [`Transport`] — how bytes move: send / drain / sever / crash, with
 //!   backpressure surfaced for accounting. Implementations:
 //!   [`ChannelTransport`] (bounded crossbeam channels), `meba-wire`'s
 //!   TCP mesh, and the discrete-event queue in [`des`].
-//! * [`Pacer`] — when rounds happen: [`DeadlinePacer`] (wall clock with
-//!   δ-escalation) and [`VirtualPacer`] (discrete-event virtual time);
-//!   the lockstep simulator's barrier is the degenerate third case.
-//! * [`RoundDriverConfig`] — *why* a process advances: the lockstep
-//!   global schedule (default), or event-driven quorum-or-timeout
-//!   partial synchrony where each process advances on a quorum of
-//!   prior-round senders or its local δ-estimate timer, whichever fires
-//!   first (see [`driver`]).
+//! * [`DeadlinePacer`] — when wall-clock rounds happen, with
+//!   δ-escalation; the discrete-event backend owns a virtual clock and
+//!   the lockstep simulator's barrier needs none.
+//! * [`RoundDriver`] — *why* a process advances: the lockstep global
+//!   schedule (default), or event-driven quorum-or-timeout partial
+//!   synchrony where each process advances on a quorum of prior-round
+//!   senders or its local δ-estimate timer, whichever fires first. One
+//!   state machine, configured by [`RoundDriverConfig`], serves every
+//!   backend (see [`driver`]).
 //! * [`EngineProcess`] / [`run_live_round`] — the one per-process driver:
 //!   inbox partitioning by `sent_round`, word/byte/per-link accounting,
 //!   [`SendPolicy`] fault application, [`ProcessFate`] crash-restart
 //!   execution, and journal-replay rejoin.
 //! * [`run_threaded_cluster`] — generic thread-per-process execution with
 //!   coordinator stop decisions, overrun monitoring, and δ-escalation
-//!   (the machinery behind `meba_net::run_cluster` and
+//!   (the machinery behind [`run_cluster`] and
 //!   `meba_wire::run_tcp_cluster`).
 //! * [`run_des_cluster`] — the fourth backend: seeded virtual clock,
 //!   calendar-bucket event queue ([`calendar`]), no threads; n = 100–200
@@ -52,19 +52,16 @@ pub mod process;
 pub mod transport;
 
 pub use calendar::{CalendarQueue, TimeKeyed};
-pub use channel::{channel_mesh, ChannelTransport};
+pub use channel::{channel_mesh, run_cluster, run_cluster_with_recovery, ChannelTransport};
 pub use config::{ClusterConfig, ClusterReport, Escalation, LinkPolicyFactory, OverrunAction};
 pub use control::run_threaded_cluster;
 pub use des::{run_des_cluster, DesConfig, DesConfigError, LinkDelayFloor};
-pub use driver::{
-    default_quorum, update_backoff_shift, AdvanceCause, DriverConfigError, RoundDriverConfig,
-    MAX_BACKOFF_SHIFT,
-};
+pub use driver::{default_quorum, AdvanceCause, DriverConfigError, RoundDriver, RoundDriverConfig};
 pub use fate::{
     resolve_fate, resolve_fates, ActorRebuilder, ProcessFate, ProcessFateFactory, RebuiltActor,
     ResolvedFate,
 };
-pub use pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer, Pacer, VirtualPacer};
+pub use pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer};
 pub use process::{run_live_round, EngineProcess, LiveRoundOutcome, RoundState, StepStatus};
 pub use transport::{Delivery, LinkPolicySendAdapter, SendFate, SendPolicy, Transport};
 

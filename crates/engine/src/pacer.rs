@@ -1,21 +1,13 @@
-//! Round pacing: when a round begins and whether it overran.
+//! Wall-clock round pacing: when a round begins and whether it overran.
 //!
 //! The engine separates *what happens in a round* (the per-process driver
-//! in [`crate::process`]) from *when rounds happen* (a [`Pacer`]). Two
-//! pacers ship with the engine:
-//!
-//! * [`DeadlinePacer`] — wall-clock δ-pacing with escalation, shared by
-//!   the threaded and TCP backends. Rounds start at real instants;
-//!   processing past a deadline is a synchrony overrun.
-//! * [`VirtualPacer`] — a virtual nanosecond clock for the discrete-event
-//!   backend. Rounds are instants on a simulated timeline; nothing ever
-//!   sleeps and nothing can overrun.
-//!
-//! The lockstep simulator (`meba-sim`) is the degenerate third case: its
-//! barrier *is* the pacer (every process steps atomically), which is why
-//! it needs no wall-clock machinery at all.
+//! in [`crate::process`]) from *when rounds happen*. On the wall clock
+//! that is a [`DeadlinePacer`]: δ-pacing with escalation, shared by the
+//! threaded and TCP backends. Rounds start at real instants; processing
+//! past a deadline is a synchrony overrun. (The discrete-event backend
+//! owns a virtual clock instead — nothing there sleeps or overruns — and
+//! the lockstep simulator's barrier needs no clock at all.)
 
-use crate::des::DesConfigError;
 use parking_lot::RwLock;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -67,23 +59,6 @@ impl fmt::Display for ClusterDiagnostic {
     }
 }
 
-/// When rounds begin, backend-agnostically. Implementations decide what
-/// "time" means: real instants ([`DeadlinePacer`]) or virtual nanoseconds
-/// ([`VirtualPacer`]).
-pub trait Pacer {
-    /// Effective δ for `round`.
-    fn delta_at(&self, round: u64) -> Duration;
-    /// Blocks the caller until `round` may begin. No-op for virtual
-    /// backends, where the event loop owns the clock.
-    fn wait_for_round(&self, _round: u64) {}
-    /// Whether the current moment is already past the deadline of
-    /// `round` — i.e. a synchrony overrun. Virtual backends never
-    /// overrun.
-    fn overran(&self, _round: u64) -> bool {
-        false
-    }
-}
-
 /// One pacing regime: rounds from `from_round` on start at
 /// `offset_ns + (r - from_round) · delta_ns` nanoseconds past the cluster
 /// epoch. All arithmetic is `u128`, so no round index can truncate or
@@ -115,11 +90,20 @@ impl DeadlinePacer {
         *segments.iter().rev().find(|s| s.from_round <= round).unwrap_or(&segments[0])
     }
 
+    /// The wall-clock instant `ns` nanoseconds past the epoch.
+    pub fn instant_at(&self, ns: u128) -> Instant {
+        self.epoch + Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
+    }
+
+    /// Nanoseconds elapsed since the epoch (0 while it is still ahead).
+    pub fn elapsed_ns(&self) -> u128 {
+        Instant::now().saturating_duration_since(self.epoch).as_nanos()
+    }
+
     /// Wall-clock start of `round` (== deadline of `round - 1`).
     pub fn round_start(&self, round: u64) -> Instant {
         let s = self.segment_for(round);
-        let ns = s.offset_ns + u128::from(round - s.from_round) * s.delta_ns;
-        self.epoch + Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
+        self.instant_at(s.offset_ns + u128::from(round - s.from_round) * s.delta_ns)
     }
 
     /// Re-paces rounds from `from_round` on with `new_delta`. Rounds
@@ -132,15 +116,15 @@ impl DeadlinePacer {
         let offset_ns = last.offset_ns + u128::from(from_round - last.from_round) * last.delta_ns;
         segments.push(Segment { from_round, offset_ns, delta_ns: new_delta.as_nanos().max(1) });
     }
-}
 
-impl Pacer for DeadlinePacer {
-    fn delta_at(&self, round: u64) -> Duration {
+    /// Effective δ for `round`.
+    pub fn delta_at(&self, round: u64) -> Duration {
         let ns = self.segment_for(round).delta_ns;
         Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 
-    fn wait_for_round(&self, round: u64) {
+    /// Blocks the caller until `round` may begin.
+    pub fn wait_for_round(&self, round: u64) {
         let start = self.round_start(round);
         let now = Instant::now();
         if start > now {
@@ -148,68 +132,9 @@ impl Pacer for DeadlinePacer {
         }
     }
 
-    fn overran(&self, round: u64) -> bool {
+    /// Whether the current moment is already past the deadline of
+    /// `round` — i.e. a synchrony overrun.
+    pub fn overran(&self, round: u64) -> bool {
         Instant::now() > self.round_start(round + 1)
-    }
-}
-
-/// Virtual clock for the discrete-event backend: round `r` is the instant
-/// `r · δ` on a simulated nanosecond timeline. Escalation never happens —
-/// virtual processing is instantaneous, so synchrony can never be
-/// violated by the host machine.
-#[derive(Clone, Copy, Debug)]
-pub struct VirtualPacer {
-    delta_ns: u64,
-}
-
-impl VirtualPacer {
-    /// A virtual schedule with uniform δ of `delta_ns` nanoseconds.
-    ///
-    /// # Errors
-    ///
-    /// Rejects `delta_ns < 2` with the same typed
-    /// [`DesConfigError::DeltaTooSmall`] that [`crate::run_des_cluster`]
-    /// reports: link latency is sampled strictly inside `(0, δ)`, and on
-    /// an integer nanosecond timeline that open interval is empty for
-    /// δ ≤ 1 — so no caller can construct an invalid pacer unchecked.
-    pub fn new(delta_ns: u64) -> Result<Self, DesConfigError> {
-        if delta_ns < 2 {
-            return Err(DesConfigError::DeltaTooSmall { delta_ns });
-        }
-        Ok(VirtualPacer { delta_ns })
-    }
-
-    /// δ in virtual nanoseconds.
-    pub fn delta_ns(&self) -> u64 {
-        self.delta_ns
-    }
-
-    /// Virtual start instant of `round`.
-    pub fn round_start_ns(&self, round: u64) -> u128 {
-        u128::from(round) * u128::from(self.delta_ns)
-    }
-}
-
-impl Pacer for VirtualPacer {
-    fn delta_at(&self, _round: u64) -> Duration {
-        Duration::from_nanos(self.delta_ns)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn virtual_pacer_rejects_sub_two_deltas_typed() {
-        for bad in [0u64, 1] {
-            assert_eq!(
-                VirtualPacer::new(bad).unwrap_err(),
-                DesConfigError::DeltaTooSmall { delta_ns: bad }
-            );
-        }
-        let p = VirtualPacer::new(2).expect("2 ns is the smallest legal δ");
-        assert_eq!(p.delta_ns(), 2);
-        assert_eq!(p.round_start_ns(3), 6);
     }
 }

@@ -253,7 +253,7 @@ pub struct LiveRoundOutcome {
     /// their intended round (`sent_round + 1 < round`) — the local
     /// evidence of a δ-estimate outpacing the network that the
     /// event-driven backends feed into timeout backoff
-    /// ([`crate::RoundDriverConfig::backed_off_timeout_ns`]).
+    /// ([`crate::RoundDriver::observe`]).
     pub late_admitted: u64,
 }
 

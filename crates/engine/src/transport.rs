@@ -51,14 +51,6 @@ pub trait Transport<M: Message> {
     fn backpressure(&self) -> u64 {
         0
     }
-
-    /// Releases the transport at the end of the run (TCP: shuts the mesh
-    /// down on the owning thread).
-    fn finish(self)
-    where
-        Self: Sized,
-    {
-    }
 }
 
 /// What happens to one outbound message at the send edge.

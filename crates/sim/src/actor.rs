@@ -82,7 +82,7 @@ pub struct RoundCtx<'a, M> {
 
 impl<'a, M: Message> RoundCtx<'a, M> {
     /// Builds a context for one round. Public so alternative runtimes
-    /// (e.g. the threaded `meba-net` cluster) can drive actors; the
+    /// (e.g. the threaded `meba-engine` cluster) can drive actors; the
     /// lockstep simulator uses it internally.
     pub fn new(round: Round, me: ProcessId, n: usize, inbox: &'a [Envelope<M>]) -> Self {
         RoundCtx { round, me, n, inbox, outbox: Vec::new() }

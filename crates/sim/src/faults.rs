@@ -9,7 +9,7 @@
 //! * the **lockstep simulator** ([`crate::SimBuilder::link_policy`]) — a
 //!   run is a pure function of the seed, so lossy-link tests reproduce
 //!   exactly;
-//! * the **threaded cluster** (`meba-net`) — each sender thread owns a
+//! * the **threaded cluster** (`meba-engine`) — each sender thread owns a
 //!   policy instance for its outbound links, and the same seed yields the
 //!   same fate for the same `(link, round, nth message)` triple.
 //!

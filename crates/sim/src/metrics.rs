@@ -247,7 +247,7 @@ impl AdvanceStats {
 /// Crash-recovery accounting for one run.
 ///
 /// Populated by runtimes that inject `CrashRestart` process fates
-/// (`meba-net`'s `run_cluster_with_recovery`, `meba-wire`'s TCP twin):
+/// (`meba-engine`'s `run_cluster_with_recovery`, `meba-wire`'s TCP twin):
 /// how many processes crash-restarted, how much journal replay their
 /// recoveries cost, and whether the never-re-sign-conflicting guard ever
 /// had to refuse an equivocation attempt (it must stay 0 for correct

@@ -11,7 +11,7 @@
 //!
 //! The mux is runtime-agnostic: it is an ordinary [`Actor`], so the same
 //! code runs unchanged on the lockstep simulator and on the threaded
-//! `meba-net` cluster. Cryptographic non-interference between concurrent
+//! `meba-engine` cluster. Cryptographic non-interference between concurrent
 //! instances is the *host protocol's* job (per-session signature domain
 //! separation); the mux only provides addressing and lifecycle.
 

@@ -9,7 +9,7 @@
 //!
 //! * `*_actors` — builds the fault-wrapped actor vector, runtime-free.
 //!   Hand it to any backend: [`SimBuilder`] (lockstep),
-//!   [`meba_net::run_cluster`] (threaded), `meba_wire::run_tcp_cluster`
+//!   [`meba_engine::run_cluster`] (threaded), `meba_wire::run_tcp_cluster`
 //!   (TCP), or [`meba_engine::run_des_cluster`] (discrete-event).
 //! * `*_sim` / `*_des` — one-call runners over the lockstep simulator
 //!   and the deterministic discrete-event backend respectively. The DES

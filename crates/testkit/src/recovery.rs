@@ -17,9 +17,9 @@ use meba_core::{
     AlwaysValid, Decision, LockstepAdapter, Recoverable, SubProtocol, SystemConfig, WeakBa,
 };
 use meba_crypto::{trusted_setup, Digest, Pki, ProcessId, SecretKey, SignContext, Signable};
+use meba_engine::{ActorRebuilder, RebuiltActor};
 use meba_fallback::RecursiveBaFactory;
 use meba_journal::{Journal, MemBuffer, Record};
-use meba_net::{ActorRebuilder, RebuiltActor};
 use meba_sim::AnyActor;
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -16,9 +16,9 @@
 
 use meba_core::SystemConfig;
 use meba_crypto::{trusted_setup, Pki, ProcessId, SecretKey, WireCodec};
+use meba_engine::{ActorRebuilder, RebuiltActor};
 use meba_fallback::RecursiveBaFactory;
 use meba_journal::{Journal, MemBuffer, Record};
-use meba_net::{ActorRebuilder, RebuiltActor};
 use meba_service::{Batch, ServiceConfig, ServicePort, ServiceReplica};
 use meba_sim::{Actor, AnyActor};
 use std::collections::BTreeMap;

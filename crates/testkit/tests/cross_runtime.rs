@@ -16,7 +16,7 @@
 
 use meba_core::Decision;
 use meba_crypto::ProcessId;
-use meba_net::{run_cluster, ClusterConfig};
+use meba_engine::{run_cluster, ClusterConfig};
 use meba_testkit::{
     assert_agreement, bb_actors, bb_decisions, bb_des, bb_des_timed, bb_report_decisions, bb_sim,
     corrupt_ids, round_budget, strong_ba_decisions, strong_ba_des, strong_ba_report_decisions,

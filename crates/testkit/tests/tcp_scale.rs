@@ -17,7 +17,7 @@
 //! release, where an n = 101 run finishes in a few seconds.
 
 use meba_core::{Decision, SystemConfig};
-use meba_net::ClusterConfig;
+use meba_engine::ClusterConfig;
 use meba_testkit::{assert_agreement, bb_actors, bb_des, bb_report_decisions, round_budget, Fault};
 use meba_wire::{raise_nofile_limit, run_tcp_cluster, TcpClusterConfig, TcpClusterReport};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

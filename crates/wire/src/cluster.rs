@@ -1,6 +1,6 @@
 //! A wall-clock cluster runtime over real loopback TCP.
 //!
-//! [`run_tcp_cluster`] is the socket twin of [`meba_net::run_cluster`]:
+//! [`run_tcp_cluster`] is the socket twin of [`meba_engine::run_cluster`]:
 //! the same actor state machines, the same round coordination (thread 0
 //! approves rounds, δ-pacing with overrun escalation), the same
 //! [`ClusterConfig`] / [`ClusterReport`] surface — but every inter-process
@@ -11,12 +11,12 @@
 //! bytes, reconnects, decode errors) is reported on top in
 //! [`TcpClusterReport`].
 //!
-//! Since the engine refactor both runtimes literally share the loop:
-//! this module establishes the mesh, wraps it in a [`MeshTransport`],
-//! and hands the cluster to [`meba_engine::run_threaded_cluster`] — the
-//! identical coordinator, pacer, overrun-escalation, and crash-restart
-//! machinery that drives the channel runtime, so a scenario's timing and
-//! fate behaviour do not change when it moves to sockets.
+//! Both runtimes literally share the loop: this module establishes the
+//! mesh, wraps it in a [`MeshTransport`], and hands the cluster to
+//! [`meba_engine::run_threaded_cluster`] — the identical coordinator,
+//! pacer, overrun-escalation, and crash-restart machinery that drives
+//! the channel runtime, so a scenario's timing and fate behaviour do not
+//! change when it moves to sockets.
 //!
 //! Fault injection happens at the socket edge: a [`SocketPolicy`]
 //! (or any [`meba_sim::faults::LinkPolicy`] via
@@ -33,12 +33,12 @@ use crate::WireError;
 use meba_core::SystemConfig;
 use meba_crypto::{ProcessId, WireCodec};
 use meba_engine::{
-    run_live_round, update_backoff_shift, DeadlinePacer, Delivery, LinkPolicySendAdapter, Pacer,
-    RoundDriverConfig, RoundState, SendPolicy, Transport, MAX_BACKOFF_SHIFT,
+    run_live_round, ActorRebuilder, ClusterConfig, ClusterReport, DeadlinePacer, Delivery,
+    LinkPolicySendAdapter, RoundDriver, RoundDriverConfig, RoundState, SendPolicy, Transport,
 };
-use meba_net::{ActorRebuilder, ClusterConfig, ClusterReport};
 use meba_sim::{AnyActor, Message, Metrics};
 use parking_lot::Mutex;
+use std::borrow::Borrow;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 pub struct TcpClusterConfig {
     /// The runtime-agnostic configuration (δ, round cap, corrupt set,
     /// link policy, channel capacity, overrun policy) — the same struct
-    /// [`meba_net::run_cluster`] takes, so scenarios port unchanged.
+    /// [`meba_engine::run_cluster`] takes, so scenarios port unchanged.
     pub cluster: ClusterConfig,
     /// Socket-edge fault injection. Takes precedence over
     /// `cluster.link_policy` when both are set; use this for the
@@ -76,7 +76,7 @@ impl Default for TcpClusterConfig {
 /// Outcome of a TCP cluster run: the runtime-agnostic report plus the
 /// socket-level counters summed over all meshes.
 pub struct TcpClusterReport<M: Message> {
-    /// The same report [`meba_net::run_cluster`] produces — metrics
+    /// The same report [`meba_engine::run_cluster`] produces — metrics
     /// (words, sigs, bytes, per-link, per-session), rounds, actors,
     /// completion and abort diagnostics.
     pub report: ClusterReport<M>,
@@ -123,25 +123,30 @@ impl<M: Message> std::fmt::Debug for TcpClusterReport<M> {
 /// tears a connection down (the reconnect path re-dials lazily), and
 /// crash severs every peer link at once — real TCP teardown, so peers
 /// observe connection resets and enter their reconnect loops.
-pub struct MeshTransport<M: Message + WireCodec> {
-    mesh: TcpMesh<M>,
+///
+/// `H` is how the mesh is held: owned (`TcpMesh<M>`, the default — the
+/// mesh shuts down when the engine drops the transport on the process's
+/// own thread) or borrowed (`&TcpMesh<M>`, for [`drive_mesh`], whose
+/// caller keeps ownership and shutdown responsibility).
+pub struct MeshTransport<M: Message + WireCodec, H: Borrow<TcpMesh<M>> = TcpMesh<M>> {
+    mesh: H,
     scratch: Vec<Inbound<M>>,
 }
 
-impl<M: Message + WireCodec> MeshTransport<M> {
+impl<M: Message + WireCodec, H: Borrow<TcpMesh<M>>> MeshTransport<M, H> {
     /// Wraps an established mesh.
-    pub fn new(mesh: TcpMesh<M>) -> Self {
+    pub fn new(mesh: H) -> Self {
         MeshTransport { mesh, scratch: Vec::new() }
     }
 }
 
-impl<M: Message + WireCodec> Transport<M> for MeshTransport<M> {
+impl<M: Message + WireCodec, H: Borrow<TcpMesh<M>>> Transport<M> for MeshTransport<M, H> {
     fn send(&mut self, to: ProcessId, sent_round: u64, msg: &M) {
-        self.mesh.send(to, sent_round, msg);
+        self.mesh.borrow().send(to, sent_round, msg);
     }
 
     fn drain(&mut self, out: &mut Vec<Delivery<M>>) {
-        self.mesh.drain_into(&mut self.scratch);
+        self.mesh.borrow().drain_into(&mut self.scratch);
         out.extend(self.scratch.drain(..).map(|w| Delivery {
             from: w.from,
             sent_round: w.sent_round,
@@ -150,24 +155,21 @@ impl<M: Message + WireCodec> Transport<M> for MeshTransport<M> {
     }
 
     fn sever(&mut self, to: ProcessId) {
-        self.mesh.sever(to);
+        self.mesh.borrow().sever(to);
     }
 
     fn crash(&mut self) {
-        let me = self.mesh.me();
-        for p in 0..self.mesh.n() {
+        let mesh = self.mesh.borrow();
+        let me = mesh.me();
+        for p in 0..mesh.n() {
             if p != me.index() {
-                self.mesh.sever(ProcessId(p as u32));
+                mesh.sever(ProcessId(p as u32));
             }
         }
     }
 
     fn backpressure(&self) -> u64 {
-        self.mesh.stats().backpressure.load(Ordering::Relaxed)
-    }
-
-    fn finish(self) {
-        self.mesh.shutdown();
+        self.mesh.borrow().stats().backpressure.load(Ordering::Relaxed)
     }
 }
 
@@ -177,7 +179,7 @@ impl<M: Message + WireCodec> Transport<M> for MeshTransport<M> {
 
 /// Runs `actors` as a wall-clock cluster over loopback TCP until every
 /// correct actor is done, the round budget is exhausted, or the overrun
-/// policy stops the run. Mirrors [`meba_net::run_cluster`] exactly at
+/// policy stops the run. Mirrors [`meba_engine::run_cluster`] exactly at
 /// the API level; `system` supplies the configuration digest every link
 /// handshake must agree on.
 ///
@@ -200,7 +202,7 @@ pub fn run_tcp_cluster<M: Message + WireCodec>(
 
 /// [`run_tcp_cluster`] plus crash-recovery: when
 /// [`ClusterConfig::process_fate`] marks a process
-/// [`meba_net::ProcessFate::CrashRestart`], that process severs every
+/// [`meba_engine::ProcessFate::CrashRestart`], that process severs every
 /// peer link at the crash round (real TCP teardown — peers observe resets
 /// and enter their reconnect loops), discards all in-memory state, and —
 /// if a `rebuilder` is supplied — later rejoins with an actor rebuilt
@@ -356,32 +358,6 @@ impl Default for MeshDriveConfig {
     }
 }
 
-/// A [`Transport`] over a *borrowed* mesh, for [`drive_mesh`]: the caller
-/// keeps ownership (and shutdown responsibility) of the [`TcpMesh`].
-struct BorrowedMesh<'a, M: Message + WireCodec> {
-    mesh: &'a TcpMesh<M>,
-    scratch: Vec<Inbound<M>>,
-}
-
-impl<M: Message + WireCodec> Transport<M> for BorrowedMesh<'_, M> {
-    fn send(&mut self, to: ProcessId, sent_round: u64, msg: &M) {
-        self.mesh.send(to, sent_round, msg);
-    }
-
-    fn drain(&mut self, out: &mut Vec<Delivery<M>>) {
-        self.mesh.drain_into(&mut self.scratch);
-        out.extend(self.scratch.drain(..).map(|w| Delivery {
-            from: w.from,
-            sent_round: w.sent_round,
-            msg: w.msg,
-        }));
-    }
-
-    fn sever(&mut self, to: ProcessId) {
-        self.mesh.sever(to);
-    }
-}
-
 /// Drives one actor over an established mesh without a global
 /// coordinator: rounds are paced from a local epoch and the run stops
 /// [`MeshDriveConfig::linger_rounds`] after the actor reports done (or at
@@ -391,59 +367,31 @@ impl<M: Message + WireCodec> Transport<M> for BorrowedMesh<'_, M> {
 /// lockstep.
 ///
 /// Returns the rounds executed and the local word/byte metrics.
+///
+/// # Panics
+///
+/// Panics if [`MeshDriveConfig::driver`] is invalid for the mesh's `n`.
 pub fn drive_mesh<M: Message + WireCodec>(
     mesh: &TcpMesh<M>,
     actor: &mut dyn AnyActor<Msg = M>,
     cfg: &MeshDriveConfig,
 ) -> (u64, Metrics) {
     let n = mesh.n();
+    cfg.driver.validate(n).expect("invalid round driver configuration");
     let metrics = Mutex::new(Metrics::default());
-    let mut transport = BorrowedMesh { mesh, scratch: Vec::new() };
+    let mut transport = MeshTransport::new(mesh);
     let mut state = RoundState::new();
     let mut policy: Option<Box<dyn SendPolicy>> = None;
     let pacer = DeadlinePacer::new(Instant::now(), cfg.delta);
-    let quorum = cfg.driver.effective_quorum(n);
-    let mut sched_deadline = Instant::now();
-    let mut backoff_shift = 0u32;
+    let mut driver = RoundDriver::wall_clock(&cfg.driver, n);
     let mut linger = cfg.linger_rounds;
     let mut round = 0u64;
     while round < cfg.max_rounds {
-        let quorum_ready = match cfg.driver {
-            RoundDriverConfig::Lockstep => {
-                pacer.wait_for_round(round);
-                round >= 1 && state.ready_senders(actor.id(), round, &mut transport) >= quorum
-            }
-            RoundDriverConfig::QuorumOrTimeout { .. } => {
-                let timeout = cfg
-                    .driver
-                    .timeout_duration(cfg.delta)
-                    .saturating_mul(1u32 << backoff_shift.min(MAX_BACKOFF_SHIFT));
-                let now = Instant::now();
-                let deadline = sched_deadline.max(now).min(now + timeout) + timeout;
-                sched_deadline = deadline;
-                let mut ready = false;
-                loop {
-                    if round >= 1
-                        && state.ready_senders(actor.id(), round, &mut transport) >= quorum
-                    {
-                        ready = true;
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    std::thread::sleep((deadline - now).min(Duration::from_micros(200)));
-                }
-                ready
-            }
-        };
+        let cause = driver.wait_for_round(&pacer, round, || {
+            state.ready_senders(actor.id(), round, &mut transport)
+        });
         if round >= 1 {
-            let mut m = metrics.lock();
-            match quorum_ready {
-                true => m.advance.quorum += 1,
-                false => m.advance.timeout += 1,
-            }
+            cause.record(&mut metrics.lock().advance);
         }
         let outcome = run_live_round(
             actor,
@@ -455,14 +403,7 @@ pub fn drive_mesh<M: Message + WireCodec>(
             true,
             &metrics,
         );
-        if !cfg.driver.is_lockstep() {
-            // Late traffic: the local δ-estimate outpaced the network —
-            // double the round timer. Clean rounds halve it back, so a
-            // rejoining process's catch-up burst (every send stamped
-            // with a stale round) slows peers only while it lasts
-            // instead of ratcheting their timers to the cap for good.
-            update_backoff_shift(&mut backoff_shift, outcome.late_admitted);
-        }
+        driver.observe(outcome.late_admitted);
         let done = outcome.done;
         round += 1;
         if done {

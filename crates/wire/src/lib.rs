@@ -1,7 +1,7 @@
 //! Real TCP transport for the `meba` protocols.
 //!
 //! The lockstep simulator (`meba-sim`) and the threaded cluster
-//! (`meba-net`) move Rust values over channels; this crate puts the same
+//! (`meba-engine`) move Rust values over channels; this crate puts the same
 //! actor state machines on actual sockets, closing the loop between the
 //! paper's word model and bytes on a wire:
 //!
@@ -17,7 +17,7 @@
 //!   threads for an n-process host, not O(n²)), with bounded outboxes
 //!   and capped-backoff reconnect;
 //! * [`cluster`] — [`run_tcp_cluster`], mirroring
-//!   [`meba_net::run_cluster`]'s configuration and report so any
+//!   [`meba_engine::run_cluster`]'s configuration and report so any
 //!   scenario moves from channels to loopback TCP unchanged;
 //! * [`proxy`] — socket-edge fault injection ([`SocketFate::Sever`]
 //!   exercises reconnect, the rest mirror [`meba_sim::faults::LinkFate`]);

@@ -7,7 +7,7 @@
 //! [`crate::poller::poll`]. The calling process thread then only ever
 //! touches two ends: [`TcpMesh::send`] and [`TcpMesh::drain_into`].
 //!
-//! Design points, mirroring the threaded `meba-net` cluster:
+//! Design points, mirroring the threaded `meba-engine` cluster:
 //!
 //! * **O(n) threads** — the mesh costs one I/O thread regardless of
 //!   peer count; an n-process loopback cluster is O(n) OS threads total
@@ -373,7 +373,13 @@ impl<M: Message + WireCodec> TcpMesh<M> {
     /// the reactor. Frames still undeliverable at the deadline are
     /// counted into [`MeshStats::frames_dropped`] and reported — which
     /// is survivable: the run is over for those peers.
-    pub fn shutdown(mut self) {
+    ///
+    /// Dropping the mesh does the same; this is the explicit spelling.
+    pub fn shutdown(self) {}
+}
+
+impl<M> Drop for TcpMesh<M> {
+    fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Dropping the senders marks the command channels finished once
         // drained.

@@ -59,7 +59,7 @@ where
 }
 
 /// Per-sender factory for [`SocketPolicy`] instances, mirroring
-/// [`meba_net::LinkPolicyFactory`].
+/// [`meba_engine::LinkPolicyFactory`].
 pub type SocketPolicyFactory = Arc<dyn Fn(ProcessId) -> Box<dyn SocketPolicy> + Send + Sync>;
 
 /// Wraps a [`LinkPolicy`] as a [`SocketPolicy`], mapping each
@@ -74,9 +74,9 @@ impl SocketPolicy for LinkPolicyAdapter {
     }
 }
 
-/// Convenience: adapt a whole [`meba_net::LinkPolicyFactory`] into a
+/// Convenience: adapt a whole [`meba_engine::LinkPolicyFactory`] into a
 /// [`SocketPolicyFactory`].
-pub fn adapt_link_policy(factory: meba_net::LinkPolicyFactory) -> SocketPolicyFactory {
+pub fn adapt_link_policy(factory: meba_engine::LinkPolicyFactory) -> SocketPolicyFactory {
     Arc::new(move |me| Box::new(LinkPolicyAdapter(factory(me))) as Box<dyn SocketPolicy>)
 }
 

@@ -20,7 +20,7 @@
 //!     --peers 127.0.0.1:7400,127.0.0.1:7401,127.0.0.1:7402
 //! ```
 
-use meba::net::{ProcessFate, ProcessFateFactory};
+use meba::engine::{ProcessFate, ProcessFateFactory};
 use meba::prelude::*;
 use meba::testkit::{recoverable_decision, WeakBaRecoveryHarness};
 use meba::wire::{
@@ -61,10 +61,10 @@ fn bb_actors(
 fn loopback(n: usize, delta_ms: u64) -> Result<(), Box<dyn std::error::Error>> {
     let delta = Duration::from_millis(delta_ms);
     let tcp_config = || TcpClusterConfig {
-        cluster: meba::net::ClusterConfig {
+        cluster: meba::engine::ClusterConfig {
             delta,
             max_rounds: 5_000,
-            ..meba::net::ClusterConfig::default()
+            ..meba::engine::ClusterConfig::default()
         },
         ..TcpClusterConfig::default()
     };
@@ -147,11 +147,11 @@ fn loopback(n: usize, delta_ms: u64) -> Result<(), Box<dyn std::error::Error>> {
         Some(harness.rebuilder()),
         &harness.config(),
         TcpClusterConfig {
-            cluster: meba::net::ClusterConfig {
+            cluster: meba::engine::ClusterConfig {
                 delta: delta.max(Duration::from_millis(12)),
                 max_rounds: 5_000,
                 process_fate: Some(fate),
-                ..meba::net::ClusterConfig::default()
+                ..meba::engine::ClusterConfig::default()
             },
             domain: 0x3a,
             ..TcpClusterConfig::default()

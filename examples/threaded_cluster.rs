@@ -5,7 +5,7 @@
 //! cargo run --example threaded_cluster [n] [delta_ms]
 //! ```
 
-use meba::net::{run_cluster, ClusterConfig, OverrunAction};
+use meba::engine::{run_cluster, ClusterConfig, OverrunAction};
 use meba::prelude::*;
 use std::time::{Duration, Instant};
 

@@ -17,6 +17,9 @@ cargo clippy --workspace --all-targets --locked -- \
 echo "== tests =="
 cargo test --workspace --locked
 
+echo "== benchmark crate (its own workspace, so --workspace never compiles it) =="
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 

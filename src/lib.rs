@@ -24,7 +24,6 @@
 //! | [`service`] | `meba-service` | client front door: sessions, batching, admission control, reads |
 //! | [`testkit`] | `meba-testkit` | fault-matrix harness for adversarial testing |
 //! | [`engine`] | `meba-engine` | backend-agnostic round engine: transports, pacers, fates, discrete-event backend |
-//! | [`net`] | `meba-net` | threaded wall-clock cluster runtime |
 //! | [`wire`] | `meba-wire` | real TCP transport: canonical codec, handshake, byte accounting |
 //!
 //! # Quickstart
@@ -71,7 +70,6 @@ pub use meba_crypto as crypto;
 pub use meba_engine as engine;
 pub use meba_fallback as fallback;
 pub use meba_journal as journal;
-pub use meba_net as net;
 pub use meba_service as service;
 pub use meba_sim as sim;
 pub use meba_smr as smr;

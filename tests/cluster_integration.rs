@@ -1,11 +1,11 @@
 //! Integration tests: the same protocol state machines running on the
-//! threaded wall-clock runtime (`meba-net`) instead of the lockstep
+//! threaded wall-clock runtime (`meba-engine`) instead of the lockstep
 //! simulator — with and without injected link faults.
 
 mod common;
 
 use common::*;
-use meba::net::{run_cluster, AbortReason, ClusterConfig, LinkPolicyFactory, OverrunAction};
+use meba::engine::{run_cluster, AbortReason, ClusterConfig, LinkPolicyFactory, OverrunAction};
 use meba::prelude::*;
 use meba::sim::faults::{Link, LinkFate, LinkPolicy, OneShotPartition, PolicyStack, RandomDelay};
 use std::sync::Arc;

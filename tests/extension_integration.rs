@@ -9,7 +9,7 @@ use common::round_budget;
 use meba::adversary::EquivocatingSender;
 use meba::core::strong_ba_rotating::RotatingStrongBa;
 use meba::core::validity::FnValidity;
-use meba::net::{run_cluster, ClusterConfig};
+use meba::engine::{run_cluster, ClusterConfig};
 use meba::prelude::*;
 use std::time::Duration;
 

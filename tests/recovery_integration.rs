@@ -7,14 +7,14 @@ mod common;
 
 use common::*;
 use meba::core::weak_ba::PHASE_ROUNDS;
-use meba::net::{
+use meba::engine::{
     run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate, ProcessFateFactory,
 };
 use meba::prelude::*;
 use meba::sim::faults::Link;
 use meba::sim::RoundCtx;
 use meba::wire::{run_tcp_cluster_with_recovery, SocketFate, SocketPolicy, TcpClusterConfig};
-use meba_net::{ActorRebuilder, RebuiltActor};
+use meba_engine::{ActorRebuilder, RebuiltActor};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 

@@ -13,7 +13,7 @@
 mod common;
 
 use common::*;
-use meba::net::{
+use meba::engine::{
     run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate, ProcessFateFactory,
 };
 use meba::prelude::*;
@@ -247,12 +247,12 @@ fn scripted_actors(
 fn scripted_rebuilder(
     h: &Arc<ServiceHarness>,
     resubmit_round: u64,
-) -> meba_net::ActorRebuilder<ServiceM> {
+) -> meba_engine::ActorRebuilder<ServiceM> {
     let base = h.rebuilder();
     let port = h.port(0);
     Arc::new(move |me| {
         let rb = base(me);
-        meba_net::RebuiltActor {
+        meba_engine::RebuiltActor {
             actor: Box::new(ClientScript { inner: rb.actor, port: port.clone(), resubmit_round }),
             resume_step: rb.resume_step,
             replayed_records: rb.replayed_records,

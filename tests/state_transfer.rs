@@ -16,7 +16,7 @@ mod common;
 
 use common::*;
 use meba::adversary::transfer_attacks::LyingDonor;
-use meba::net::{
+use meba::engine::{
     run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate, ProcessFateFactory,
 };
 use meba::prelude::*;
