@@ -39,6 +39,17 @@ impl<A: Actor> Actor for CrashActor<A> {
     fn done(&self) -> bool {
         true // Byzantine actors never block termination detection.
     }
+
+    /// The inner actor's hint up to the crash, nothing after it: the one
+    /// wrapper besides `IdleActor` whose silence is structural. Every
+    /// other adversary keeps the default and ticks every round.
+    fn next_wakeup(&self, after: Round) -> Round {
+        if after >= self.crash_at {
+            Round::NEVER
+        } else {
+            self.inner.next_wakeup(after).min(self.crash_at)
+        }
+    }
 }
 
 /// Runs a correct actor but rewrites its outbox each round: drop, delay,

@@ -189,10 +189,13 @@ fn main() {
 
     section("E15 — asymptotics on the discrete-event backend (large n)");
     println!("The virtual-clock backend removes the per-round wall-clock δ, so the");
-    println!("word-complexity claims can be measured where they bite. The calendar-");
-    println!("queue engine (E20) pushes the failure-free sweep to n = 4097 (and");
-    println!("n = 10000 with MEBA_E15_STRETCH=1); the faulty columns stop at 257");
-    println!("to keep the report's runtime bounded.");
+    println!("word-complexity claims can be measured where they bite. Sparse virtual");
+    println!("time (DESIGN.md §18) makes a silent round free, so the failure-free and");
+    println!("f = 1 columns run to n = 4097 (n = 10000 with MEBA_E15_STRETCH=1) in");
+    println!("fractions of a second: their cost is the ~16n words that move, not the");
+    println!("~8n rounds that pass. The f = t column stays capped at 257 — its cost");
+    println!("is words, not ticks: ~n²/2 fallback messages wake every correct process");
+    println!("almost every round, which no schedule can skip.");
     println!();
     println!("| n | f=0 words | f=1 | f=t | f=0 words/round | Dolev-Strong f=0 |");
     println!("|---|---|---|---|---|---|");
@@ -208,10 +211,11 @@ fn main() {
         let s0 = run_des_bb(n, 0, 0xe15);
         assert!(s0.agreement, "E15 n={n}: agreement");
         free_pts.push((n as f64, s0.words as f64));
-        let (w1, wt, ds) = if n <= 257 {
-            let s1 = run_des_bb(n, 1, 0xe15);
+        let s1 = run_des_bb(n, 1, 0xe15);
+        assert!(s1.agreement, "E15 n={n}: agreement with one silent leader");
+        let (wt, ds) = if n <= 257 {
             let st = run_des_bb(n, t, 0xe15);
-            assert!(s1.agreement && st.agreement, "E15 n={n}: agreement under faults");
+            assert!(st.agreement, "E15 n={n}: agreement at f = t");
             worst_pts.push((n as f64, st.words as f64));
             // The quadratic reference only needs measuring where the
             // lockstep simulator is still fast; the growth orders carry
@@ -225,11 +229,16 @@ fn main() {
             } else {
                 "-".into()
             };
-            (s1.words.to_string(), st.words.to_string(), ds)
+            (st.words.to_string(), ds)
         } else {
-            ("-".into(), "-".into(), "-".into())
+            ("-".into(), "-".into())
         };
-        println!("| {n} | {} | {w1} | {wt} | {:.1} | {ds} |", s0.words, s0.words_per_round());
+        println!(
+            "| {n} | {} | {} | {wt} | {:.1} | {ds} |",
+            s0.words,
+            s1.words,
+            s0.words_per_round()
+        );
     }
     println!();
     println!(
@@ -377,9 +386,11 @@ fn main() {
     section("E20 — zero-copy hot path (codec, signature verify, calendar-queue DES)");
     println!("The `hotpath` bench measures the zero-copy refactor end to end: the");
     println!("encode→frame→read→decode pipeline against the pre-refactor allocation");
-    println!("pattern, signature verification over primed MAC states, and the");
-    println!("calendar-queue DES n-sweep. It publishes BENCH_E20_hotpath.json and");
-    println!("enforces the regression gate (> 15% below the committed floors fails).");
+    println!("pattern, signature verification over primed MAC states, the failure-");
+    println!("free DES n-sweep (sparse virtual time: wall seconds per row), and one");
+    println!("dense row (n = 257, f = t) whose events/sec is the calendar queue's");
+    println!("real load. It publishes BENCH_E20_hotpath.json and enforces the");
+    println!("regression gate (> 15% past a committed bound fails).");
     println!();
     let e20_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E20_hotpath.json");
     match std::fs::read_to_string(e20_path) {
@@ -406,9 +417,10 @@ fn main() {
                 get("verify_threshold_certs_per_sec")
             );
             println!(
-                "| DES speedup at n = 1025 (vs BinaryHeap engine) | {}x |",
-                get("des_speedup_n1025_vs_binaryheap")
+                "| DES failure-free n = 4097, gate ceiling | {} s |",
+                get("gate_des_seconds_n4097")
             );
+            println!("| DES dense row (n = 257, f = t) | {} events/sec |", get("events_per_sec"));
             println!();
             println!("(Full tables — per-share verify at k ∈ {{5, 9, 17}} and the");
             println!("n-sweep wall clocks up to n = 4097 — live in the JSON; re-measure");

@@ -765,6 +765,8 @@ pub struct DesRunStats {
     pub f: usize,
     /// Words sent by correct processes.
     pub words: u64,
+    /// Point-to-point messages sent by correct processes.
+    pub messages: u64,
     /// Virtual rounds to global termination.
     pub rounds: u64,
     /// Whether all correct decisions were equal.
@@ -799,6 +801,7 @@ pub fn run_des_bb(n: usize, f: usize, seed: u64) -> DesRunStats {
         n,
         f,
         words: report.metrics.correct.words,
+        messages: report.metrics.correct.messages,
         rounds: report.rounds,
         agreement: decisions.windows(2).all(|w| w[0] == w[1]),
     }

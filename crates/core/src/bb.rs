@@ -29,7 +29,7 @@
 use crate::config::SystemConfig;
 use crate::decision::Decision;
 use crate::signing::{sign_payload, verify_payload, BbIdkSig, BbValueSig, DecideProof};
-use crate::subprotocol::{FallbackFactory, SubProtocol};
+use crate::subprotocol::{next_scheduled, FallbackFactory, SubProtocol};
 use crate::validity::Validity;
 use crate::value::Value;
 use crate::weak_ba::{FallbackMsgOf, WeakBa, WeakBaMsg};
@@ -308,9 +308,13 @@ where
     factory: F,
     sender: ProcessId,
     sender_input: Option<V>,
+    validity: BbValidity,
 
     vi: Option<BbBaValue<V>>,
-    requested_phase: bool,
+    /// The vetting phase this process asked for help in as leader, read
+    /// back two rounds later — keyed by phase, not cleared per step, so
+    /// the silent rounds in between need not run.
+    requested_phase: Option<u32>,
     nonsilent_as_leader: bool,
     ba: Option<WeakBa<BbBaValue<V>, BbValidity, F>>,
     decision: Option<Decision<V>>,
@@ -337,12 +341,13 @@ where
             cfg,
             me,
             key,
+            validity: BbValidity::new(cfg, pki.clone(), sender),
             pki,
             factory,
             sender,
             sender_input: None,
             vi: None,
-            requested_phase: false,
+            requested_phase: None,
             nonsilent_as_leader: false,
             ba: None,
             decision: None,
@@ -433,10 +438,6 @@ where
         self.stalled
     }
 
-    fn validity(&self) -> BbValidity {
-        BbValidity::new(self.cfg, self.pki.clone(), self.sender)
-    }
-
     fn vet_phase_of_step(&self, step: u64) -> Option<(u32, u64)> {
         let n = self.cfg.n() as u64;
         if step >= 1 && step < 1 + n * VET_ROUNDS {
@@ -459,9 +460,8 @@ where
         match sub {
             // Round 1: a value-less leader asks for help (lines 15–16).
             0 => {
-                self.requested_phase = false;
                 if is_leader && self.vi.is_none() {
-                    self.requested_phase = true;
+                    self.requested_phase = Some(phase);
                     self.nonsilent_as_leader = true;
                     out.push((Dest::All, BbMsg::VetHelpReq { phase }));
                 }
@@ -489,10 +489,10 @@ where
             // forwarded certificate, or a fresh idk certificate
             // (lines 22–27).
             2 => {
-                if !is_leader || !self.requested_phase {
+                if !is_leader || self.requested_phase != Some(phase) {
                     return;
                 }
-                let validity = self.validity();
+                let validity = &self.validity;
                 let mut signed: Option<BbBaValue<V>> = None;
                 let mut forwarded_qc: Option<BbBaValue<V>> = None;
                 let mut idk_sigs: BTreeMap<ProcessId, Signature> = BTreeMap::new();
@@ -564,7 +564,6 @@ where
         if self.finished {
             return;
         }
-        let validity = self.validity();
 
         // --- Global handlers.
         for (from, msg) in inbox {
@@ -572,7 +571,7 @@ where
                 // Round-1 dissemination (Alg 1 lines 3–4).
                 BbMsg::SenderValue { value, sig } if *from == self.sender && step == 1 => {
                     let candidate = BbBaValue::Signed { value: value.clone(), sig: sig.clone() };
-                    if self.vi.is_none() && validity.validate(&candidate) {
+                    if self.vi.is_none() && self.validity.validate(&candidate) {
                         self.vi = Some(candidate);
                     }
                 }
@@ -582,7 +581,7 @@ where
                     if *phase >= 1
                         && *phase as usize <= self.cfg.n()
                         && *from == self.cfg.leader_of_phase(*phase)
-                        && validity.validate(value) =>
+                        && self.validity.validate(value) =>
                 {
                     self.vi = Some(value.clone());
                 }
@@ -620,7 +619,7 @@ where
                     self.me,
                     self.key.clone(),
                     self.pki.clone(),
-                    self.validity(),
+                    self.validity.clone(),
                     self.factory.clone(),
                     input,
                 ));
@@ -642,7 +641,7 @@ where
                 let ba_decision = ba.output().expect("done implies output");
                 self.decision = Some(match ba_decision {
                     Decision::Value(BbBaValue::Signed { value, sig })
-                        if validity.validate(&BbBaValue::Signed {
+                        if self.validity.validate(&BbBaValue::Signed {
                             value: value.clone(),
                             sig: sig.clone(),
                         }) =>
@@ -670,6 +669,25 @@ where
 
     fn done(&self) -> bool {
         self.finished
+    }
+
+    /// Before the embedded BA: this process's own vetting phase, and
+    /// only while it holds no value (a leader with a value is silent);
+    /// then the BA's first step, where every process acts. Afterwards
+    /// the BA's own hint. Everything else in the schedule — answering a
+    /// help request, adopting a vetted value, batching replies as leader
+    /// — happens in the round after a delivery (thresholds are ≥ 1, so
+    /// an empty inbox never completes a certificate).
+    fn next_wakeup(&self, after: u64) -> u64 {
+        if self.finished || self.stalled {
+            return u64::MAX;
+        }
+        let ba_start = Self::ba_start(&self.cfg);
+        if let Some(ba) = &self.ba {
+            return ba.next_wakeup(after - ba_start).saturating_add(ba_start);
+        }
+        let own_vet_step = 1 + (u64::from(self.cfg.phase_led_by(self.me)) - 1) * VET_ROUNDS;
+        next_scheduled(after, &[(self.vi.is_none(), own_vet_step), (true, ba_start)])
     }
 }
 
@@ -831,6 +849,47 @@ mod tests {
             sim.run_until_done(800).unwrap();
             let words = sim.metrics().correct_words();
             assert!(words <= 22 * n as u64, "n={n}: failure-free BB used {words} words");
+        }
+    }
+
+    /// The `next_wakeup` contract over whole runs: failure-free (all
+    /// vetting silent), a silent sender (one non-silent vetting phase,
+    /// `idk` certificate, `⊥`), and `f = t` silent (help round and
+    /// fallback). Every step a process sleeps through would have sent
+    /// nothing, and sleeping never changes what anyone sends or decides.
+    #[test]
+    fn hint_skips_only_silent_steps() {
+        let n = 7;
+        for crashed in [&[][..], &[0], &[2, 4, 5]] {
+            let build = || {
+                let cfg = SystemConfig::new(n, 3).unwrap();
+                let (pki, keys) = trusted_setup(n, 21);
+                keys.into_iter()
+                    .enumerate()
+                    .map(|(i, key)| {
+                        let id = ProcessId(i as u32);
+                        (!crashed.contains(&(i as u32))).then(|| match i {
+                            0 => Bb::new_sender(cfg, id, key, pki.clone(), EchoFallbackFactory, 9),
+                            _ => Bb::new(
+                                cfg,
+                                id,
+                                key,
+                                pki.clone(),
+                                EchoFallbackFactory,
+                                ProcessId(0),
+                            ),
+                        })
+                    })
+                    .collect::<Vec<Option<BbP>>>()
+            };
+            let steps = 120;
+            let skipped = crate::subprotocol::hint_contract::check(build, steps);
+            let live = (n - crashed.len()) as u64;
+            assert!(
+                skipped > live * steps / 2,
+                "crashed {crashed:?}: only {skipped} of {} process-steps were silent",
+                live * steps
+            );
         }
     }
 }

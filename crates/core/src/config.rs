@@ -138,6 +138,16 @@ impl SystemConfig {
     pub fn leader_of_phase(&self, j: u32) -> ProcessId {
         ProcessId(j % self.n as u32)
     }
+
+    /// The one phase in `1..=n` that `p` leads — the inverse of
+    /// [`Self::leader_of_phase`] over one full rotation.
+    pub fn phase_led_by(&self, p: ProcessId) -> u32 {
+        if p.0 == 0 {
+            self.n as u32
+        } else {
+            p.0
+        }
+    }
 }
 
 #[cfg(test)]
@@ -177,6 +187,9 @@ mod tests {
         let mut sorted: Vec<_> = leaders.iter().map(|p| p.0).collect();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
+        for j in 1..=5 {
+            assert_eq!(cfg.phase_led_by(cfg.leader_of_phase(j)), j);
+        }
     }
 
     #[test]

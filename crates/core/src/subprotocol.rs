@@ -14,7 +14,7 @@
 
 use crate::value::Value;
 use meba_crypto::{DecodeError, Decoder, Encoder, ProcessId, WireCodec};
-use meba_sim::{Actor, Dest, Instance, RoundCtx};
+use meba_sim::{Actor, Dest, Instance, Round, RoundCtx};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
@@ -22,6 +22,10 @@ pub use meba_sim::SubProtocol;
 
 /// Runs a [`SubProtocol`] directly as a simulator [`Actor`]
 /// (step = round): a one-instance mux without the session tagging.
+///
+/// The step is read off [`RoundCtx::round`], not counted, so a runtime
+/// that honours [`Actor::next_wakeup`] may jump over the rounds the
+/// protocol declared silent.
 ///
 /// # Examples
 ///
@@ -57,8 +61,7 @@ impl<P: SubProtocol> Actor for LockstepAdapter<P> {
             self.inst.deliver(e.from, e.msg.clone());
         }
         let mut out = Vec::new();
-        let step = self.inst.step(&mut out);
-        debug_assert_eq!(step, ctx.round().as_u64(), "lockstep: step = round");
+        self.inst.step_at(ctx.round().as_u64(), &mut out);
         for (dest, msg) in out {
             match dest {
                 Dest::To(p) => ctx.send(p, msg),
@@ -74,6 +77,25 @@ impl<P: SubProtocol> Actor for LockstepAdapter<P> {
     fn refused_equivocations(&self) -> u64 {
         self.inst.proto().refused_equivocations()
     }
+
+    fn next_wakeup(&self, after: Round) -> Round {
+        // `on_round` delivers and steps in one call, so nothing is ever
+        // left buffered in the instance between rounds.
+        Round(self.inst.proto().next_wakeup(after.as_u64()))
+    }
+}
+
+/// The earliest `armed` step of a fixed `schedule` strictly after
+/// `after`, or `u64::MAX` when none is left — the shape of a
+/// [`SubProtocol::next_wakeup`] answer for a protocol whose unprompted
+/// actions sit at known steps.
+pub(crate) fn next_scheduled(after: u64, schedule: &[(bool, u64)]) -> u64 {
+    schedule
+        .iter()
+        .filter(|&&(armed, step)| armed && step > after)
+        .map(|&(_, step)| step)
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 /// A sub-protocol message tagged with its sender's *virtual step*, used by
@@ -219,6 +241,70 @@ pub trait FallbackFactory<V: Value>: Clone + Send + 'static {
     /// system-wide schedules; the host protocols themselves just tick the
     /// instance until [`SubProtocol::done`].
     fn max_steps(&self) -> u64;
+}
+
+/// The [`SubProtocol::next_wakeup`] contract, checked by running a
+/// cluster twice in local lockstep: a twin that runs every step, and a
+/// twin whose processes only run when something was delivered or their
+/// last hint is due.
+#[cfg(test)]
+pub(crate) mod hint_contract {
+    use super::*;
+
+    /// Runs `build()`'s processes (`None` = silent from the start) for
+    /// `steps` steps both ways and asserts that every step the sparse
+    /// twin skipped sent nothing in the dense twin, and that the twins
+    /// never differ in what they send, decide, or report as done.
+    /// Returns how many process-steps were skipped.
+    pub(crate) fn check<P: SubProtocol>(build: impl Fn() -> Vec<Option<P>>, steps: u64) -> u64 {
+        let (mut dense, mut sparse) = (build(), build());
+        let n = dense.len();
+        let mut inbox_d: Vec<Vec<(ProcessId, P::Msg)>> = vec![Vec::new(); n];
+        let mut inbox_s = inbox_d.clone();
+        let mut wake = vec![0u64; n];
+        let mut skipped = 0;
+        for step in 0..steps {
+            let mut next_d: Vec<Vec<(ProcessId, P::Msg)>> = vec![Vec::new(); n];
+            let mut next_s = next_d.clone();
+            for i in 0..n {
+                let (Some(pd), Some(ps)) = (dense[i].as_mut(), sparse[i].as_mut()) else {
+                    continue;
+                };
+                let me = ProcessId(i as u32);
+                let mut out_d = Vec::new();
+                pd.on_step(step, &inbox_d[i], &mut out_d);
+                if !inbox_s[i].is_empty() || step >= wake[i] {
+                    let mut out_s = Vec::new();
+                    ps.on_step(step, &inbox_s[i], &mut out_s);
+                    assert_eq!(format!("{out_s:?}"), format!("{out_d:?}"), "{me} step {step}");
+                    wake[i] = ps.next_wakeup(step);
+                    assert!(wake[i] > step, "{me} step {step}: a hint must look forward");
+                    route(me, out_s, &mut next_s);
+                } else {
+                    assert!(out_d.is_empty(), "{me} slept through step {step}: {out_d:?}");
+                    skipped += 1;
+                }
+                route(me, out_d, &mut next_d);
+                assert_eq!(pd.done(), ps.done(), "{me} step {step}");
+                assert_eq!(
+                    format!("{:?}", pd.output()),
+                    format!("{:?}", ps.output()),
+                    "{me} step {step}"
+                );
+            }
+            (inbox_d, inbox_s) = (next_d, next_s);
+        }
+        skipped
+    }
+
+    fn route<M: Clone>(from: ProcessId, out: Vec<(Dest, M)>, next: &mut [Vec<(ProcessId, M)>]) {
+        for (dest, msg) in out {
+            match dest {
+                Dest::To(p) => next[p.index()].push((from, msg)),
+                Dest::All => next.iter_mut().for_each(|inbox| inbox.push((from, msg.clone()))),
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use crate::decision::Decision;
 use crate::signing::{
     sign_payload, verify_payload, CommitProof, DecideProof, DecideSig, HelpReqSig, VoteSig,
 };
-use crate::subprotocol::{FallbackFactory, SkewAdapter, SkewEnvelope, SubProtocol};
+use crate::subprotocol::{next_scheduled, FallbackFactory, SkewAdapter, SkewEnvelope, SubProtocol};
 use crate::validity::Validity;
 use crate::value::Value;
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, Pki, SecretKey, Signable, Signature};
@@ -304,9 +304,13 @@ pub mod cert_kind {
     pub const FALLBACK: u32 = 2;
 }
 
-/// Per-phase leader scratch state.
+/// Per-phase scratch state, keyed by the phase it belongs to: any access
+/// through [`WeakBa::scratch_of`] from a later phase starts from a clean
+/// slate, so a phase's opening round need not run just to reset it.
 #[derive(Debug)]
 struct PhaseScratch<V> {
+    /// The phase the fields below describe (0 = none yet).
+    phase: u32,
     /// Set once the first propose from the phase leader was processed.
     saw_propose: bool,
     /// The value this process proposed as leader (vote target).
@@ -318,15 +322,7 @@ struct PhaseScratch<V> {
 
 impl<V> Default for PhaseScratch<V> {
     fn default() -> Self {
-        PhaseScratch { saw_propose: false, my_proposal: None, commit_sent: None }
-    }
-}
-
-impl<V> PhaseScratch<V> {
-    fn reset(&mut self) {
-        self.saw_propose = false;
-        self.my_proposal = None;
-        self.commit_sent = None;
+        PhaseScratch { phase: 0, saw_propose: false, my_proposal: None, commit_sent: None }
     }
 }
 
@@ -608,6 +604,15 @@ where
         }
     }
 
+    /// The scratch state of `phase`, wiped first if it still describes
+    /// an earlier one.
+    fn scratch_of(&mut self, phase: u32) -> &mut PhaseScratch<V> {
+        if self.scratch.phase != phase {
+            self.scratch = PhaseScratch { phase, ..PhaseScratch::default() };
+        }
+        &mut self.scratch
+    }
+
     fn phase_of_step(&self, step: u64) -> Option<(u32, u64)> {
         let n = self.cfg.n() as u64;
         if step < n * PHASE_ROUNDS {
@@ -629,10 +634,9 @@ where
         match sub {
             // Round 1: an undecided leader proposes its value (line 31–32).
             0 => {
-                self.scratch.reset();
                 if is_leader && self.undecided() {
                     self.nonsilent_as_leader = true;
-                    self.scratch.my_proposal = Some(self.input.clone());
+                    self.scratch_of(phase).my_proposal = Some(self.input.clone());
                     out.push((Dest::All, WeakBaMsg::Propose { phase, value: self.input.clone() }));
                 }
             }
@@ -640,14 +644,14 @@ where
             // existing commit (lines 33–36).
             1 => {
                 for (from, msg) in inbox {
-                    if *from != leader || self.scratch.saw_propose {
+                    if *from != leader || self.scratch_of(phase).saw_propose {
                         continue;
                     }
                     if let WeakBaMsg::Propose { phase: p, value } = msg {
                         if *p != phase {
                             continue;
                         }
-                        self.scratch.saw_propose = true;
+                        self.scratch_of(phase).saw_propose = true;
                         match &self.commit {
                             None => {
                                 if self.validity.validate(value) {
@@ -681,10 +685,12 @@ where
             // Round 3 (leader): relay the highest-level commit, else batch
             // a fresh commit certificate from quorum votes (lines 37–42).
             2 => {
-                if !is_leader || self.scratch.my_proposal.is_none() {
+                if !is_leader {
                     return;
                 }
-                let my_value = self.scratch.my_proposal.clone().expect("proposal set");
+                let Some(my_value) = self.scratch_of(phase).my_proposal.clone() else {
+                    return;
+                };
                 let mut best_commit: Option<(V, CommitProof)> = None;
                 let mut votes: BTreeMap<ProcessId, Signature> = BTreeMap::new();
                 for (from, msg) in inbox {
@@ -718,7 +724,7 @@ where
                     }
                 }
                 if let Some((w, proof)) = best_commit {
-                    self.scratch.commit_sent = Some(w.clone());
+                    self.scratch_of(phase).commit_sent = Some(w.clone());
                     out.push((Dest::All, WeakBaMsg::CommitCert { phase, value: w, proof }));
                 } else if votes.len() >= self.cfg.quorum() {
                     let payload =
@@ -728,7 +734,7 @@ where
                         .pki
                         .combine(self.cfg.quorum(), &payload.signing_bytes(), &shares)
                         .expect("verified shares combine");
-                    self.scratch.commit_sent = Some(my_value.clone());
+                    self.scratch_of(phase).commit_sent = Some(my_value.clone());
                     out.push((
                         Dest::All,
                         WeakBaMsg::CommitCert {
@@ -773,7 +779,7 @@ where
                 if !is_leader {
                     return;
                 }
-                let Some(w) = self.scratch.commit_sent.clone() else {
+                let Some(w) = self.scratch_of(phase).commit_sent.clone() else {
                     return;
                 };
                 let payload = DecideSig { session: self.cfg.session(), value: &w, phase };
@@ -1030,6 +1036,32 @@ where
     fn drain_recovery_events(&mut self) -> Vec<RecoveryEvent> {
         std::mem::take(&mut self.recovery_events)
     }
+
+    /// The scheduled actions that fire on an empty inbox: proposing in
+    /// this process's own phase and asking for help (both only while
+    /// undecided — a decided leader is silent, which is the paper's
+    /// adaptivity), and finishing once the certificate window has
+    /// closed. While a fallback is scheduled or running every step may
+    /// act. Votes, commits, decide shares, help answers and certificate
+    /// handling all happen in the round after a delivery (thresholds
+    /// are ≥ 1, so an empty inbox never completes a certificate).
+    fn next_wakeup(&self, after: u64) -> u64 {
+        if self.finished {
+            return u64::MAX;
+        }
+        if self.fallback_start.is_some() || self.fallback.is_some() {
+            return after + 1;
+        }
+        let own_phase_step = (u64::from(self.cfg.phase_led_by(self.me)) - 1) * PHASE_ROUNDS;
+        next_scheduled(
+            after,
+            &[
+                (self.undecided(), own_phase_step),
+                (self.undecided(), Self::help_step(&self.cfg)),
+                (true, self.cert_deadline() + 1),
+            ],
+        )
+    }
 }
 
 impl<V, P, F> std::fmt::Debug for WeakBa<V, P, F>
@@ -1172,6 +1204,45 @@ mod tests {
             let words = sim.metrics().correct_words();
             // O(n(f+1)) with f=0: generously c*n with c = 16.
             assert!(words <= 16 * n as u64, "n={n}: failure-free weak BA used {words} words");
+        }
+    }
+
+    /// The `next_wakeup` contract over whole runs: unanimous inputs
+    /// (decide in phase 1, everything after is silent), split inputs,
+    /// one crash below the adaptive bound, and `f = t` crashes (help
+    /// round, fallback certificate, fallback).
+    #[test]
+    fn hint_skips_only_silent_steps() {
+        let n = 7;
+        let cases: [(&[u64], &[u32]); 4] = [
+            (&[4; 7], &[]),
+            (&[3, 1, 4, 1, 5, 9, 2], &[]),
+            (&[4; 7], &[1]),
+            (&[3, 1, 4, 1, 5, 9, 2], &[1, 2, 3]),
+        ];
+        for (inputs, crashed) in cases {
+            let build = || {
+                let cfg = SystemConfig::new(n, 7).unwrap();
+                let (pki, keys) = trusted_setup(n, 11);
+                keys.into_iter()
+                    .enumerate()
+                    .map(|(i, key)| {
+                        let id = ProcessId(i as u32);
+                        (!crashed.contains(&(i as u32))).then(|| {
+                            let factory = EchoFallbackFactory;
+                            WeakBa::new(cfg, id, key, pki.clone(), AlwaysValid, factory, inputs[i])
+                        })
+                    })
+                    .collect::<Vec<Option<Wba>>>()
+            };
+            let steps = 80;
+            let skipped = crate::subprotocol::hint_contract::check(build, steps);
+            let live = (n - crashed.len()) as u64;
+            assert!(
+                skipped > live * steps / 2,
+                "crashed {crashed:?}: only {skipped} of {} process-steps were silent",
+                live * steps
+            );
         }
     }
 

@@ -12,7 +12,10 @@
 //!    items are popped in non-decreasing time order.
 //! 2. **No past pushes**: every item is scheduled at or after the
 //!    current clock (`latency ≥ 1` for arrivals, `timeout ≥ 1` for
-//!    deadlines).
+//!    deadlines) — that is, at or after the last *popped* item. The
+//!    front may be far ahead of the clock (a sleeping process's next
+//!    deadline, see the sparse schedule in [`crate::des`]), so `peek`
+//!    must not move the window: only `pop` slides it.
 //!
 //! Layout: a ring of `NB` buckets, each `width` virtual nanoseconds
 //! wide, covering the sliding window `[base_day, base_day + NB)` of
@@ -31,7 +34,7 @@
 //! (the DES keys items by `(time, seq)` with unique `seq`), and the
 //! per-bucket sort uses that same order, so the pop sequence is
 //! *identical* to `BinaryHeap<Reverse<T>>` — property-checked against
-//! the heap in the tests below and in `tests/calendar_vs_heap.rs`.
+//! the heap in the tests below.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -193,18 +196,32 @@ impl<T: TimeKeyed> CalendarQueue<T> {
             // at `day` land in this same slot, so `slot` still fronts
             // the queue.
         }
-        if self.active_day != Some(day) {
-            self.buckets[slot].sort_unstable_by(|a, b| b.cmp(a));
-            self.active_day = Some(day);
-        }
+        self.sort_front(slot, day);
         Some(slot)
     }
 
     /// The minimum item, if any. `&mut` because the front bucket is
-    /// sorted lazily on first access.
+    /// sorted lazily on first access. Leaves the window where the last
+    /// pop put it, so an item pushed between this front and the clock
+    /// still lands in a bucket of its own. (Ring days all precede
+    /// overflow days, so the first occupied bucket fronts the queue
+    /// without sliding.)
     pub fn peek(&mut self) -> Option<&T> {
-        let slot = self.prepare_front()?;
+        if self.in_buckets == 0 {
+            return self.overflow.peek().map(|Reverse(t)| t);
+        }
+        let (slot, day) = self.first_occupied().expect("in_buckets > 0");
+        self.sort_front(slot, day);
         self.buckets[slot].last()
+    }
+
+    /// Sorts `day`'s bucket (descending, so pops are tail pops) unless
+    /// it already is the sorted front.
+    fn sort_front(&mut self, slot: usize, day: u128) {
+        if self.active_day != Some(day) {
+            self.buckets[slot].sort_unstable_by(|a, b| b.cmp(a));
+            self.active_day = Some(day);
+        }
     }
 
     /// Removes and returns the minimum item.
@@ -277,6 +294,28 @@ mod tests {
     }
 
     #[test]
+    fn peek_at_a_far_front_leaves_room_for_nearer_pushes() {
+        // The sparse DES: the only queued deadline is far ahead, the
+        // loop peeks at it, then an arrival re-arms processes to much
+        // nearer deadlines. Those must get buckets of their own, not
+        // pile into the far item's bucket.
+        let mut q = CalendarQueue::<(u128, u64)>::new(1);
+        let far = 50 * NB as u128;
+        q.push((far, 0));
+        assert_eq!(q.peek(), Some(&(far, 0)));
+        for k in 1..=5u64 {
+            q.push((u128::from(k) * 7, k));
+        }
+        assert_eq!(q.in_buckets, 5, "near items sit in the ring, the far one in overflow");
+        assert!(q.buckets.iter().all(|b| b.len() <= 1));
+        for k in 1..=5u64 {
+            assert_eq!(q.pop(), Some((u128::from(k) * 7, k)));
+        }
+        assert_eq!(q.pop(), Some((far, 0)));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
     fn matches_binary_heap_on_seeded_random_interleaving() {
         // Deterministic pseudo-random push/pop interleaving mirroring the
         // DES contract: pushes never precede the last popped time.
@@ -300,6 +339,9 @@ mod tests {
                     model.push(Reverse((t, seq)));
                     seq += 1;
                 } else {
+                    if next() % 2 == 0 {
+                        assert_eq!(q.peek(), model.peek().map(|Reverse(x)| x));
+                    }
                     let got = q.pop();
                     let want = model.pop().map(|Reverse(x)| x);
                     assert_eq!(got, want);

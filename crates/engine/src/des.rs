@@ -36,6 +36,34 @@
 //! a global loop ("deliver everything due, then step processes in id
 //! order") event for event, which is why the cross-runtime equivalence
 //! suites in `meba-testkit` hold.
+//!
+//! # Sparse virtual time
+//!
+//! Under the lockstep driver a process does not tick every round. After
+//! each executed round its next deadline is the earliest of: its actor's
+//! [`meba_sim::Actor::next_wakeup`] hint, the next round if its buffer
+//! kept early deliveries, its first pending delayed-send release, its
+//! crash or rejoin round ([`EngineProcess::next_wakeup`]), and
+//! `max_rounds − 1`; and a delivery landing in the mailbox of a process
+//! that sleeps past the round that would admit it pulls its deadline
+//! forward to that round. A run therefore costs `O(messages +
+//! wake-ups)`, not `O(n · rounds)` — the adaptive protocols' silent
+//! phases are free, as they are in the paper. Skipped rounds are
+//! invisible in the output: round numbers are the schedule's, not a
+//! count of executions ([`ClusterReport::rounds`] credits a sleeping
+//! process with every deadline up to the completing instant), and the
+//! advance-cause tallies are bumped in bulk for the live rounds jumped
+//! over, so [`Metrics`] stay byte-identical to a schedule that ticks
+//! every round. That schedule is not selectable here — there is no
+//! dense mode; tests obtain it from outside by wrapping actors so they
+//! do not forward the hint (`EveryRound` in `meba-testkit`'s
+//! `tests/cross_runtime.rs`). DESIGN.md §18
+//! has the contract and the argument.
+//!
+//! Under [`RoundDriverConfig::QuorumOrTimeout`] every round still runs:
+//! the per-process timer grid is stateful per tick (each deadline is
+//! anchored on the previous one and on that round's backoff), so the
+//! hints are not consulted there.
 //! The rushing-adversary wave scheduling of `meba_sim::Simulation` is
 //! the one lockstep feature this backend does not model: corrupt actors
 //! observe a round's traffic one round later, like everyone else.
@@ -363,6 +391,27 @@ impl Schedule {
             driver.next_deadline(now, self.delta_ns)
         }
     }
+
+    /// Lockstep only: how many of process `i`'s round deadlines fall at
+    /// or before instant `at` — the round count a process that ticked
+    /// every round would have reached by then.
+    fn rounds_due_by(&self, i: usize, at: u128) -> u64 {
+        match at.checked_sub(u128::from(self.skews[i])) {
+            None => 0,
+            Some(since) => {
+                let due = since / u128::from(self.delta_ns) + 1;
+                u64::try_from(due).unwrap_or(u64::MAX).min(self.max_rounds)
+            }
+        }
+    }
+
+    /// Lockstep only: the first round of process `i` whose deadline is
+    /// at or after instant `at` — the round that admits (or buffers) a
+    /// delivery landing at `at`.
+    fn first_round_at_or_after(&self, i: usize, at: u128) -> u64 {
+        let since = at.saturating_sub(u128::from(self.skews[i]));
+        u64::try_from(since.div_ceil(u128::from(self.delta_ns))).unwrap_or(u64::MAX)
+    }
 }
 
 /// Everything mutable the event loop threads through one round
@@ -371,7 +420,13 @@ struct Running<'a, M: Message> {
     procs: &'a mut [EngineProcess<M>],
     transports: &'a mut [DesTransport<M>],
     metrics: &'a Mutex<Metrics>,
+    // Rounds each process has been through: executed, or jumped over
+    // and accounted as if executed.
     next_round: &'a mut [u64],
+    // The round each process is scheduled to execute next (`max_rounds`
+    // once it has none left). Event mode: always `next_round`. Lockstep:
+    // possibly later — the process sleeps through the rounds between.
+    wake: &'a mut [u64],
     done: &'a mut [bool],
     corrupt: &'a [bool],
     // Count of correct processes whose `done` flag is false — the O(1)
@@ -386,17 +441,18 @@ struct Running<'a, M: Message> {
     // Each process's quorum, backoff shift, and local grid anchor (the
     // anchor mirrors the live entry in `deadlines`).
     drivers: &'a mut [RoundDriver],
-    // (at_ns, process, round); entries whose round is no longer the
-    // process's next are stale and skipped lazily.
+    // (at_ns, process, round); an entry whose round is not the process's
+    // `wake` round is stale and ignored when it surfaces.
     deadlines: &'a mut CalendarQueue<DeadlineEntry>,
 }
 
 impl<M: Message> Running<'_, M> {
-    /// Executes process `i`'s next round at virtual instant `now`,
-    /// records the advance cause, applies late-delivery backoff, and
-    /// schedules the following deadline.
-    fn execute(&mut self, sched: &Schedule, i: usize, now: u128, cause: AdvanceCause) {
-        let round = self.next_round[i];
+    /// Executes `round` for process `i` at virtual instant `now` —
+    /// accounting first for the rounds it slept through since its last
+    /// one — records the advance cause, applies late-delivery backoff,
+    /// and schedules its next deadline.
+    fn execute(&mut self, sched: &Schedule, i: usize, round: u64, now: u128, cause: AdvanceCause) {
+        self.account_skipped(i, round);
         let status = self.procs[i].step(round, &mut self.transports[i], self.metrics);
         if status.executed && round >= 1 {
             cause.record(self.advance);
@@ -413,10 +469,62 @@ impl<M: Message> Running<'_, M> {
         }
         self.done[i] = status.done;
         self.next_round[i] = round + 1;
+        self.wake[i] = sched.max_rounds;
         if round + 1 < sched.max_rounds {
-            let at = sched.deadline(i, round + 1, &mut self.drivers[i], now);
-            self.deadlines.push((at, i as u64, round + 1));
+            // Lockstep honours the wake hints; the last budgeted round
+            // always runs, so a run that never completes still ends at
+            // `max_rounds`. Event mode ticks every round: its timer grid
+            // is stateful per tick.
+            let next = if sched.lockstep {
+                self.procs[i].next_wakeup(round).min(sched.max_rounds - 1)
+            } else {
+                round + 1
+            };
+            self.schedule(sched, i, next, now);
         }
+    }
+
+    /// Makes `round` the next one process `i` executes. A deadline
+    /// already queued for another round goes stale.
+    fn schedule(&mut self, sched: &Schedule, i: usize, round: u64, now: u128) {
+        let at = sched.deadline(i, round, &mut self.drivers[i], now);
+        self.wake[i] = round;
+        self.deadlines.push((at, i as u64, round));
+    }
+
+    /// Brings process `i`'s round count up to `round`, tallying the live
+    /// rounds in between as the advances they would have been: nothing
+    /// was delivered to a sleeping process, so each saw only itself
+    /// ready. Dead rounds record nothing, slept through or not, and a
+    /// process is never asleep across its own crash or rejoin.
+    fn account_skipped(&mut self, i: usize, round: u64) {
+        let skipped = round - self.next_round[i];
+        if skipped > 0 && !self.procs[i].is_down() {
+            // Round 0 is never slept through: every process starts there.
+            self.drivers[i].cause(1, || 1).record_many(self.advance, skipped);
+        }
+        self.next_round[i] = round;
+    }
+
+    /// A delivery is about to land in process `to`'s mailbox at instant
+    /// `at`. Lockstep only: if `to` sleeps past the round that admits
+    /// it, pull its deadline forward to that round. Returns false when
+    /// the delivery must not be kept — `to` is down, and the dead round
+    /// it sleeps through would have discarded it, so a later rejoin
+    /// never sees it.
+    fn wake_for_arrival(&mut self, sched: &Schedule, to: usize, at: u128) -> bool {
+        if self.wake[to] == self.next_round[to] {
+            return true; // not sleeping: its very next round drains the mailbox
+        }
+        let round = sched.first_round_at_or_after(to, at);
+        if round >= self.wake[to] {
+            return true;
+        }
+        if self.procs[to].is_down() {
+            return false;
+        }
+        self.schedule(sched, to, round, at);
+        true
     }
 
     /// Quorum catch-up: while process `i` already holds a quorum of
@@ -426,14 +534,17 @@ impl<M: Message> Running<'_, M> {
     /// `max_rounds` — given a quorum no process meets alone, which
     /// [`RoundDriverConfig::validate`] guarantees.
     fn quorum_advance(&mut self, sched: &Schedule, i: usize, now: u128) {
-        while self.next_round[i] < sched.max_rounds && self.ready_cause(i) == QuorumReached {
-            self.execute(sched, i, now, QuorumReached);
+        while self.next_round[i] < sched.max_rounds {
+            let round = self.next_round[i];
+            if self.ready_cause(i, round) != QuorumReached {
+                break;
+            }
+            self.execute(sched, i, round, now, QuorumReached);
         }
     }
 
-    /// Whether process `i` holds a quorum for its next round right now.
-    fn ready_cause(&mut self, i: usize) -> AdvanceCause {
-        let round = self.next_round[i];
+    /// Whether process `i` holds a quorum for `round` right now.
+    fn ready_cause(&mut self, i: usize, round: u64) -> AdvanceCause {
         self.drivers[i].cause(round, || self.procs[i].ready_senders(round, &mut self.transports[i]))
     }
 }
@@ -511,6 +622,7 @@ pub fn run_des_cluster<M: Message>(
         .collect();
 
     let mut next_round = vec![0u64; n];
+    let mut wake = vec![0u64; n];
     let mut done = vec![false; n];
     let mut drivers: Vec<RoundDriver> = (0..n)
         .map(|i| RoundDriver::virtual_time(&config.driver, n, u128::from(sched.skews[i])))
@@ -529,6 +641,7 @@ pub fn run_des_cluster<M: Message>(
         transports: &mut transports,
         metrics: &metrics,
         next_round: &mut next_round,
+        wake: &mut wake,
         done: &mut done,
         corrupt: &corrupt,
         pending_correct: &mut pending_correct,
@@ -537,25 +650,21 @@ pub fn run_des_cluster<M: Message>(
         deadlines: &mut deadlines,
     };
     loop {
-        // Drop stale deadline entries (the process quorum-advanced past
-        // that round), then pick the earliest event. Simultaneous events
-        // resolve arrivals first — in send order — then deadlines in
-        // process-id order: under the lockstep driver this is exactly
-        // a global loop ("deliver everything due ≤ t, then step every
-        // process in id order at t").
-        while let Some(&(_, i, r)) = run.deadlines.peek() {
-            if run.next_round[i as usize] == r {
-                break;
-            }
-            run.deadlines.pop();
-        }
+        // Pick the earliest event. Simultaneous events resolve arrivals
+        // first — in send order — then deadlines in process-id order:
+        // under the lockstep driver this is exactly a global loop
+        // ("deliver everything due ≤ t, then step every process that is
+        // awake in id order at t"). A stale deadline (the process
+        // quorum-advanced past that round, or was re-armed to another)
+        // is popped in its turn like any event and then ignored, so the
+        // queue's window only ever slides to the clock.
         let arrival_at = net.borrow_mut().next_arrival_at();
-        let deadline_at = run.deadlines.peek().map(|&(at, i, _)| (at, i as usize));
+        let deadline_at = run.deadlines.peek().map(|&(at, _, _)| at);
         let (at, is_arrival) = match (arrival_at, deadline_at) {
             (None, None) => break,
             (Some(a), None) => (a, true),
-            (None, Some((d, _))) => (d, false),
-            (Some(a), Some((d, _))) => {
+            (None, Some(d)) => (d, false),
+            (Some(a), Some(d)) => {
                 if a <= d {
                     (a, true)
                 } else {
@@ -577,17 +686,32 @@ pub fn run_des_cluster<M: Message>(
         net.borrow_mut().now_ns = at;
         if is_arrival {
             let ev = net.borrow_mut().arrivals.pop().expect("peeked arrival");
-            net.borrow_mut().mailboxes[ev.to].push((ev.seq, ev.delivery));
+            if run.wake_for_arrival(&sched, ev.to, at) {
+                net.borrow_mut().mailboxes[ev.to].push((ev.seq, ev.delivery));
+            }
             if quorum_mode {
                 run.quorum_advance(&sched, ev.to, at);
             }
         } else {
-            let (_, i, _) = run.deadlines.pop().expect("peeked deadline");
+            let (_, i, round) = run.deadlines.pop().expect("peeked deadline");
             let i = i as usize;
-            let cause = run.ready_cause(i);
-            run.execute(&sched, i, at, cause);
+            if run.wake[i] != round {
+                continue;
+            }
+            let cause = run.ready_cause(i, round);
+            run.execute(&sched, i, round, at, cause);
             if quorum_mode {
                 run.quorum_advance(&sched, i, at);
+            }
+        }
+    }
+    if completed && sched.lockstep {
+        // The run stopped at `last_instant`; a process that ticked every
+        // round would have gone through every deadline up to it.
+        for i in 0..n {
+            let due = sched.rounds_due_by(i, last_instant);
+            if due > run.next_round[i] {
+                run.account_skipped(i, due);
             }
         }
     }

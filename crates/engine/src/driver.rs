@@ -50,9 +50,15 @@ pub enum AdvanceCause {
 impl AdvanceCause {
     /// Tallies this advance into a run's [`AdvanceStats`].
     pub fn record(self, stats: &mut AdvanceStats) {
+        self.record_many(stats, 1);
+    }
+
+    /// Tallies `count` advances with this cause at once — the rounds a
+    /// sparse schedule jumped over, which all advanced the same way.
+    pub fn record_many(self, stats: &mut AdvanceStats, count: u64) {
         match self {
-            AdvanceCause::QuorumReached => stats.quorum += 1,
-            AdvanceCause::TimeoutFired => stats.timeout += 1,
+            AdvanceCause::QuorumReached => stats.quorum += count,
+            AdvanceCause::TimeoutFired => stats.timeout += count,
         }
     }
 }

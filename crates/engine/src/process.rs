@@ -18,12 +18,11 @@ pub struct RoundState<M: Message> {
     pending: BTreeMap<u64, Vec<(ProcessId, u64, M)>>,
     // Scratch storage reused across rounds so the steady-state round
     // body allocates nothing: this round's inbox, the kept-for-later
-    // deliveries, and the distinct-sender marks of `ready_senders`
-    // (generation-stamped so clearing is a counter bump).
+    // deliveries, and the sender list `ready_senders` sorts to count
+    // distinct senders.
     inbox_scratch: Vec<Envelope<M>>,
     keep_scratch: Vec<Delivery<M>>,
-    seen_gen: u64,
-    seen_mark: Vec<u64>,
+    senders_scratch: Vec<ProcessId>,
 }
 
 impl<M: Message> RoundState<M> {
@@ -34,8 +33,7 @@ impl<M: Message> RoundState<M> {
             pending: BTreeMap::new(),
             inbox_scratch: Vec::new(),
             keep_scratch: Vec::new(),
-            seen_gen: 0,
-            seen_mark: Vec::new(),
+            senders_scratch: Vec::new(),
         }
     }
 
@@ -76,34 +74,15 @@ impl<M: Message> RoundState<M> {
         if self.buffer.is_empty() {
             return 1; // `me` always counts
         }
-        self.seen_gen += 1;
-        let gen = self.seen_gen;
-        self.mark(me, gen);
-        let mut count = 1usize;
-        for idx in 0..self.buffer.len() {
-            let d = &self.buffer[idx];
-            if d.sent_round + 1 >= round {
-                let from = d.from;
-                if self.mark(from, gen) {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
-    /// Stamps `p` with `gen`; true when `p` was not yet stamped.
-    fn mark(&mut self, p: ProcessId, gen: u64) -> bool {
-        let idx = p.index();
-        if idx >= self.seen_mark.len() {
-            self.seen_mark.resize(idx + 1, 0);
-        }
-        if self.seen_mark[idx] == gen {
-            false
-        } else {
-            self.seen_mark[idx] = gen;
-            true
-        }
+        // Memory stays O(buffered deliveries): a table indexed by process
+        // id would cost O(n) per process, O(n²) across a cluster.
+        let senders = &mut self.senders_scratch;
+        senders.clear();
+        senders.push(me);
+        senders.extend(self.buffer.iter().filter(|d| d.sent_round + 1 >= round).map(|d| d.from));
+        senders.sort_unstable();
+        senders.dedup();
+        senders.len()
     }
 }
 
@@ -336,6 +315,39 @@ impl<M: Message> EngineProcess<M> {
             return 0;
         }
         self.state.ready_senders(self.actor.id(), round, transport)
+    }
+
+    /// The earliest round after `after` (the round that just ran) this
+    /// process must execute if nothing is delivered to it before then —
+    /// the minimum over every wake source that is not an arrival:
+    ///
+    /// * the actor's own [`meba_sim::Actor::next_wakeup`] hint;
+    /// * the next round if the buffer kept early deliveries (they are
+    ///   admitted there);
+    /// * the first pending fault-delayed send's release round;
+    /// * its crash round, which only fires when executed exactly;
+    /// * while down, its rejoin round (the backend discards what
+    ///   arrives for the dead rounds before it).
+    ///
+    /// `u64::MAX` when none applies. Rounds strictly between are no-ops
+    /// for everything this type owns; see DESIGN.md §18.
+    pub fn next_wakeup(&self, after: u64) -> u64 {
+        let next = after + 1;
+        if !self.state.buffer.is_empty() {
+            return next;
+        }
+        let mut wake = self.actor.next_wakeup(Round(after)).as_u64();
+        if let Some((&release, _)) = self.state.pending.range(next..).next() {
+            wake = wake.min(release);
+        }
+        if let ResolvedFate::Crash { at_round, rejoin_at } = self.fate {
+            if self.dead {
+                wake = wake.min(rejoin_at.unwrap_or(u64::MAX));
+            } else if at_round > after {
+                wake = wake.min(at_round);
+            }
+        }
+        wake.max(next)
     }
 
     /// Executes one engine round: fate handling (crash, dead-round

@@ -169,6 +169,25 @@ pub trait Actor: Send {
     /// aware actors use it to bound which part of the schedule the
     /// outage could have touched. The default ignores the signal.
     fn on_rejoin(&mut self, _round: Round) {}
+
+    /// Sparse-time hint, asked right after [`Actor::on_round`] ran round
+    /// `after`: the earliest later round this actor needs to run *if
+    /// nothing is delivered to it before then*. Returning `w` promises
+    /// that every round in `(after, w)`, run with an empty inbox, would
+    /// send nothing and leave the actor in a state indistinguishable
+    /// from not having run it (same later outputs, same
+    /// [`Actor::done`]). A runtime may therefore skip those rounds; it
+    /// must still run the actor in the first round after any delivery,
+    /// and may run it in any skipped round anyway. [`Round::NEVER`]
+    /// means "only a delivery can make me act again".
+    ///
+    /// The default, `after + 1`, promises nothing and keeps an actor
+    /// ticking every round. Only the discrete-event backend consults the
+    /// hint (DESIGN.md §18); the wall-clock runtimes and the lockstep
+    /// simulator run every round regardless.
+    fn next_wakeup(&self, after: Round) -> Round {
+        after.next()
+    }
 }
 
 #[cfg(test)]
@@ -235,5 +254,8 @@ impl<M: Message> Actor for IdleActor<M> {
     fn on_round(&mut self, _ctx: &mut RoundCtx<'_, M>) {}
     fn done(&self) -> bool {
         true
+    }
+    fn next_wakeup(&self, _after: Round) -> Round {
+        Round::NEVER
     }
 }

@@ -24,6 +24,10 @@ pub struct Round(pub u64);
 serde::impl_serde_newtype!(Round);
 
 impl Round {
+    /// "No round": the [`crate::Actor::next_wakeup`] answer of an actor
+    /// that will never act again unless a delivery reaches it.
+    pub const NEVER: Round = Round(u64::MAX);
+
     /// The following round.
     pub fn next(self) -> Round {
         Round(self.0 + 1)

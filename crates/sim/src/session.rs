@@ -100,6 +100,17 @@ pub trait SubProtocol: Send + 'static {
     fn refused_equivocations(&self) -> u64 {
         0
     }
+
+    /// Sparse-time hint in steps — the [`Actor::next_wakeup`] contract
+    /// one layer down. Asked after step `after` ran: the earliest later
+    /// step this machine needs *if no message reaches it before then*;
+    /// every step strictly between, run on an empty inbox, would emit
+    /// nothing and change nothing observable. `u64::MAX` means "only a
+    /// message can make me act again". The default, `after + 1`,
+    /// promises nothing.
+    fn next_wakeup(&self, after: u64) -> u64 {
+        after + 1
+    }
 }
 
 /// Identifies one protocol instance among many multiplexed over the same
@@ -220,12 +231,21 @@ impl<P: SubProtocol> Instance<P> {
     /// one; returns the step index that just ran.
     pub fn step(&mut self, out: &mut Vec<(Dest, P::Msg)>) -> u64 {
         let step = self.next_step;
+        self.step_at(step, out);
+        step
+    }
+
+    /// Executes step `step` — at or after [`Instance::next_step`] — on
+    /// everything delivered since the previous one. The steps jumped
+    /// over never run; a driver may only jump where
+    /// [`SubProtocol::next_wakeup`] said they would have been no-ops.
+    pub fn step_at(&mut self, step: u64, out: &mut Vec<(Dest, P::Msg)>) {
+        debug_assert!(step >= self.next_step, "steps only move forward");
         self.proto.on_step(step, &self.inbox, out);
         // Clear rather than take: the inbox allocation is reused by the
         // next step's deliveries.
         self.inbox.clear();
         self.next_step = step + 1;
-        step
     }
 
     /// The step the next [`Instance::step`] call will execute.

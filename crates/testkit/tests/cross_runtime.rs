@@ -14,16 +14,22 @@
 //! backends do not model, so fault matrices here are restricted to
 //! scheduling-independent faults (silent processes).
 
-use meba_core::Decision;
+use meba_core::{Decision, LockstepAdapter, SubProtocol};
 use meba_crypto::ProcessId;
-use meba_engine::{run_cluster, ClusterConfig};
+use meba_engine::{
+    run_cluster, run_des_cluster, ActorRebuilder, ClusterConfig, DesConfig, LinkPolicyFactory,
+    ProcessFate, ProcessFateFactory, RebuiltActor, RoundDriverConfig,
+};
+use meba_sim::faults::RandomDelay;
+use meba_sim::{Actor, AnyActor, Message, Round, RoundCtx};
 use meba_testkit::{
     assert_agreement, bb_actors, bb_decisions, bb_des, bb_des_timed, bb_report_decisions, bb_sim,
-    corrupt_ids, round_budget, strong_ba_decisions, strong_ba_des, strong_ba_report_decisions,
-    strong_ba_sim, weak_ba_decisions, weak_ba_des, weak_ba_report_decisions, weak_ba_sim, Fault,
-    Timing,
+    corrupt_ids, round_budget, strong_ba_actors, strong_ba_decisions, strong_ba_des,
+    strong_ba_report_decisions, strong_ba_sim, weak_ba_actors, weak_ba_decisions, weak_ba_des,
+    weak_ba_report_decisions, weak_ba_sim, BbProc, Fault, SbaProc, Timing, WbaProc,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 proptest! {
@@ -290,4 +296,262 @@ fn des_silent_faults_decide_like_lockstep_matrix() {
         Decision::Value(31),
         "t-silent matrix still decides the sender's value"
     );
+}
+
+// ---------------------------------------------------------------------
+// Dense ≡ sparse: the hinted schedule against the every-round one
+// ---------------------------------------------------------------------
+
+/// Pass-through wrapper that forwards everything *except*
+/// [`Actor::next_wakeup`]: the wrapped actor answers with the default
+/// hint and the discrete-event backend ticks it every round. This is how
+/// the dense schedule is obtained — from outside, since the engine has
+/// no dense mode.
+struct EveryRound<M: Message>(Box<dyn AnyActor<Msg = M>>);
+
+impl<M: Message> Actor for EveryRound<M> {
+    type Msg = M;
+    fn id(&self) -> ProcessId {
+        self.0.id()
+    }
+    fn on_round(&mut self, ctx: &mut RoundCtx<'_, M>) {
+        self.0.on_round(ctx);
+    }
+    fn done(&self) -> bool {
+        self.0.done()
+    }
+    fn refused_equivocations(&self) -> u64 {
+        self.0.refused_equivocations()
+    }
+    fn on_rejoin(&mut self, round: Round) {
+        self.0.on_rejoin(round);
+    }
+}
+
+/// SplitMix64 stream: one proptest seed fans out into a whole scenario.
+struct Knobs(u64);
+
+impl Knobs {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut x = self.0;
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+    fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len() as u64) as usize]
+    }
+}
+
+/// One seeded DES scenario: a fault matrix plus every timing, link and
+/// process-fate hazard the backend models.
+struct Scenario {
+    faults: Vec<Fault>,
+    config: DesConfig,
+    rebuild: bool,
+}
+
+fn scenario(seed: u64) -> Scenario {
+    const DELTA: u64 = Timing::DELTA_NS;
+    let mut k = Knobs(seed);
+    // Small systems dominate (debug-build crypto makes the f = t
+    // fallback at n = 33 the slow case), large ones still appear.
+    let n = k.pick(&[5usize, 5, 7, 7, 9, 9, 11, 13, 17, 21, 33]);
+    let t = (n - 1) / 2;
+    let mut faults = vec![Fault::None; n];
+    let f = if n > 13 { k.below(3) } else { k.below(t as u64 + 1) };
+    for _ in 0..f {
+        let at = k.below(n as u64) as usize;
+        faults[at] = match k.below(4) {
+            0 => Fault::Idle,
+            1 => Fault::CrashAt(k.below(8 * n as u64)),
+            2 => Fault::Lossy(k.next()),
+            _ => Fault::Chaos(k.next()),
+        };
+    }
+    let driver = match k.below(4) {
+        0 => RoundDriverConfig::QuorumOrTimeout {
+            quorum: None,
+            timeout_factor: k.pick(&[0.5, 1.0, 2.0]),
+        },
+        _ => RoundDriverConfig::Lockstep,
+    };
+    let (gst_ns, pre_gst_delay_ns) =
+        k.pick(&[(0, 0), (0, 0), (3 * DELTA, 6 * DELTA), (40 * DELTA, 5 * DELTA / 2)]);
+    let link_policy: Option<LinkPolicyFactory> = match k.below(3) {
+        0 => {
+            let (link_seed, slow) = (k.next(), k.below(n as u64) as u32);
+            // One process behind laggy links, or all of them.
+            let everyone = k.below(2) == 0;
+            Some(Arc::new(move |p: ProcessId| {
+                let prob = if everyone || p.0 == slow { 0.3 } else { 0.0 };
+                Box::new(RandomDelay::new(link_seed ^ u64::from(p.0), prob, 3)) as _
+            }))
+        }
+        _ => None,
+    };
+    let process_fate: Option<ProcessFateFactory> = match k.below(3) {
+        0 => {
+            let victim = k.below(n as u64) as u32;
+            let at_round = k.below(6 * n as u64);
+            let rejoin_after = k.pick(&[0, 1, 2, 7, 40, u64::MAX]);
+            Some(Arc::new(move |p: ProcessId| {
+                if p.0 == victim {
+                    ProcessFate::CrashRestart { at_round, rejoin_after }
+                } else {
+                    ProcessFate::Run
+                }
+            }))
+        }
+        _ => None,
+    };
+    let config = DesConfig {
+        seed: k.next(),
+        // Mostly the full budget; sometimes one the run cannot finish in.
+        max_rounds: if k.below(6) == 0 { 3 * n as u64 } else { round_budget(n) },
+        corrupt: corrupt_ids(&faults),
+        link_policy,
+        process_fate,
+        driver,
+        max_skew_ns: k.pick(&[0, 0, DELTA / 4, DELTA / 2, 3 * DELTA / 2, 3 * DELTA]),
+        gst_ns,
+        pre_gst_delay_ns,
+        link_cap_ns: k.pick(&[None, None, Some(DELTA / 4)]),
+        ..DesConfig::default()
+    };
+    Scenario { faults, config, rebuild: k.below(2) == 0 }
+}
+
+/// Everything a run exposes, rendered for comparison: the serialized
+/// metrics, the verdict, and what each fault-free process decided when.
+fn observe<M: Message>(
+    report: &meba_engine::ClusterReport<M>,
+    faults: &[Fault],
+    decided: &dyn Fn(&dyn AnyActor<Msg = M>) -> String,
+) -> String {
+    let actors: Vec<String> = report
+        .actors
+        .iter()
+        .zip(faults)
+        .filter(|(_, f)| **f == Fault::None)
+        .map(|(a, _)| match a.as_any().downcast_ref::<EveryRound<M>>() {
+            Some(dense) => decided(dense.0.as_ref()),
+            None => decided(a.as_ref()),
+        })
+        .collect();
+    format!(
+        "rounds={} completed={} actors={actors:?} metrics={}",
+        report.rounds,
+        report.completed,
+        serde_json::to_string(&report.metrics).expect("metrics serialize")
+    )
+}
+
+/// Runs `scenario` twice — actors as built (hinted), and the same actors
+/// behind [`EveryRound`] (ticked every round) — and returns both
+/// renderings. A process fate that restarts rebuilds a factory-fresh
+/// actor (no journal): wrong for the protocol, irrelevant for the
+/// schedule equivalence under test.
+fn hinted_and_dense<M: Message>(
+    sc: &Scenario,
+    build: impl Fn() -> Vec<Box<dyn AnyActor<Msg = M>>> + Clone + Send + Sync + 'static,
+    decided: &dyn Fn(&dyn AnyActor<Msg = M>) -> String,
+) -> (String, String) {
+    let run = |dense: bool| {
+        let wrap = move |a: Box<dyn AnyActor<Msg = M>>| -> Box<dyn AnyActor<Msg = M>> {
+            if dense {
+                Box::new(EveryRound(a))
+            } else {
+                a
+            }
+        };
+        let rebuilder: Option<ActorRebuilder<M>> = sc.rebuild.then(|| {
+            let build = build.clone();
+            Arc::new(move |p: ProcessId| RebuiltActor {
+                actor: wrap(build().swap_remove(p.index())),
+                resume_step: 0,
+                replayed_records: 3,
+                journal_fsyncs: 1,
+            }) as ActorRebuilder<M>
+        });
+        let actors = build().into_iter().map(wrap).collect();
+        let report = run_des_cluster(actors, rebuilder, sc.config.clone()).expect("valid config");
+        observe(&report, &sc.faults, decided)
+    };
+    (run(false), run(true))
+}
+
+fn adapter<P: SubProtocol>(a: &dyn AnyActor<Msg = P::Msg>) -> &P {
+    a.as_any().downcast_ref::<LockstepAdapter<P>>().expect("fault-free actors are adapters").inner()
+}
+
+proptest! {
+    // BB is the fully hinted stack (its own hint, then weak BA's), so it
+    // gets the acceptance criterion's 256 scenarios.
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    // Sparse virtual time is invisible: for every hazard the DES models,
+    // BB actors that hint their silent rounds away produce the same
+    // bytes of metrics, the same round count and verdict, and the same
+    // decisions at the same steps as the same actors ticked every round.
+    #[test]
+    fn sparse_schedule_is_invisible_bb(seed in any::<u64>(), input in 1u64..1_000_000) {
+        let sc = scenario(seed);
+        let sender = (seed % sc.faults.len() as u64) as u32;
+        let faults = sc.faults.clone();
+        let (hinted, dense) = hinted_and_dense(
+            &sc,
+            move || bb_actors(sender, input, &faults),
+            &|a| {
+                let bb = adapter::<BbProc>(a);
+                format!("{:?}@{:?}", bb.output(), bb.decided_at())
+            },
+        );
+        prop_assert_eq!(hinted, dense);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    #[test]
+    fn sparse_schedule_is_invisible_weak_ba(seed in any::<u64>(), split in any::<bool>()) {
+        let sc = scenario(seed);
+        let faults = sc.faults.clone();
+        // Unanimous inputs decide in phase 1; split inputs exercise the
+        // commit-relay and help paths.
+        let inputs: Vec<u64> =
+            (0..faults.len() as u64).map(|i| if split { 1 + i % 3 } else { 7 }).collect();
+        let (hinted, dense) = hinted_and_dense(
+            &sc,
+            move || weak_ba_actors(&inputs, &faults),
+            &|a| {
+                let wba = adapter::<WbaProc>(a);
+                format!("{:?}@{:?}", wba.output(), wba.decided_at())
+            },
+        );
+        prop_assert_eq!(hinted, dense);
+    }
+
+    // Strong BA keeps the default hint; what this pins is the adapter
+    // reading its step off the round number instead of counting calls.
+    #[test]
+    fn sparse_schedule_is_invisible_strong_ba(seed in any::<u64>(), input_bits in any::<u64>()) {
+        let sc = scenario(seed);
+        let faults = sc.faults.clone();
+        let inputs: Vec<bool> = (0..faults.len()).map(|i| input_bits >> (i % 64) & 1 == 1).collect();
+        let (hinted, dense) = hinted_and_dense(
+            &sc,
+            move || strong_ba_actors(&inputs, &faults),
+            &|a| {
+                let sba = adapter::<SbaProc>(a);
+                format!("{:?}@{:?}", sba.output(), sba.decided_at())
+            },
+        );
+        prop_assert_eq!(hinted, dense);
+    }
 }

@@ -35,8 +35,11 @@ cargo test --release --locked --test recovery_integration
 echo "== example smoke (TCP cluster; includes one process killed and relaunched) =="
 cargo run --release --locked --example tcp_cluster
 
-echo "== large-n smoke (discrete-event backend: n = 65 f=0 and f=t, n = 129 and n = 4097 acceptance) =="
+echo "== large-n acceptance (sparse virtual time: n = 4097 f=0 under 2 s and f=1 in the n(f+1) envelope, n = 16,385 f=0 within 25n words; n = 65 f=t dense guard) =="
 cargo test --release --locked -p meba-testkit --test large_n -- --include-ignored
+
+echo "== benchmark smoke (E21 oracle: des_bb_n2049_f0 must report exactly 32,768 words in 16,401 rounds, every repetition) =="
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload des_bb_n2049_f0 --seconds 5 --trace 0
 
 echo "== reactor-mesh scale (real loopback sockets: n = 65 smoke, n = 101 acceptance; words vs DES, O(n) threads) =="
 cargo test --release --locked -p meba-testkit --test tcp_scale -- --include-ignored
