@@ -30,7 +30,7 @@ const LIE_BROADCAST_INTERVAL: u64 = 2;
 /// own sends) passes through untouched; inbound `FetchCommitted`
 /// requests are intercepted and answered with a fabricated batch
 /// instead of the inner replica's honest applied prefix, and every
-/// [`LIE_BROADCAST_INTERVAL`] rounds the same fabricated history is
+/// `LIE_BROADCAST_INTERVAL` (2) rounds the same fabricated history is
 /// pushed unsolicited at every peer. Odd slots get a forged
 /// *certificate* (a structurally valid threshold signature from a trust
 /// setup the cluster never ran); even slots get a bare lying claim,

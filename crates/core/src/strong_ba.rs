@@ -16,7 +16,7 @@
 
 use crate::config::SystemConfig;
 use crate::signing::{sign_payload, verify_payload, StrongDecideSig, StrongInputSig};
-use crate::subprotocol::{FallbackFactory, SkewAdapter, SkewEnvelope, SubProtocol};
+use crate::subprotocol::{FallbackFactory, FallbackHost, SkewEnvelope, SubProtocol};
 use meba_crypto::{
     DecodeError, Decoder, Encoder, Pki, ProcessId, SecretKey, Signable, Signature,
     ThresholdSignature, WireCodec, WordCost,
@@ -180,18 +180,13 @@ where
     me: ProcessId,
     key: SecretKey,
     pki: Pki,
-    factory: F,
     input: bool,
 
     decision: Option<bool>,
     proof: Option<ThresholdSignature>,
-    bu_decision: bool,
-    bu_proof: Option<ThresholdSignature>,
     sent_decide_share: bool,
-    fallback_start: Option<u64>,
-    fallback: Option<SkewAdapter<F::Protocol>>,
-    pending_fb: Vec<(ProcessId, SkewEnvelope<StrongFallbackMsgOf<F>>)>,
-    fallback_ran: bool,
+    /// The hand-off to `A_fallback` (lines 16–30).
+    host: FallbackHost<bool, ThresholdSignature, F>,
     decided_at: Option<u64>,
     finished: bool,
 }
@@ -214,17 +209,11 @@ where
             me,
             key,
             pki,
-            factory,
             input,
             decision: None,
             proof: None,
-            bu_decision: input,
-            bu_proof: None,
             sent_decide_share: false,
-            fallback_start: None,
-            fallback: None,
-            pending_fb: Vec::new(),
-            fallback_ran: false,
+            host: FallbackHost::new(me, factory, input),
             decided_at: None,
             finished: false,
         }
@@ -242,7 +231,7 @@ where
 
     /// Whether this process executed `A_fallback`.
     pub fn used_fallback(&self) -> bool {
-        self.fallback_ran
+        self.host.ran()
     }
 
     /// Step at which the decision was reached.
@@ -272,45 +261,20 @@ where
         decision: &Option<(bool, ThresholdSignature)>,
         out: &mut Vec<(Dest, StrongBaMsg<StrongFallbackMsgOf<F>>)>,
     ) {
-        if self.fallback.is_some() || step > self.fallback_deadline() {
+        if !self.host.accepts(step, self.fallback_deadline()) {
             return;
         }
         // Safety-window adoption (lines 21–24).
         if let Some((v, qc)) = decision {
             if self.decision.is_none() && self.decide_cert_valid(*v, qc) {
-                self.bu_decision = *v;
-                self.bu_proof = Some(qc.clone());
+                self.host.adopt(*v, qc.clone());
             }
         }
         // First receipt: echo and schedule (lines 25–27).
-        if self.fallback_start.is_none() {
-            let own = match (self.decision, &self.proof) {
-                (Some(v), Some(p)) => Some((v, p.clone())),
-                _ => self.bu_proof.clone().map(|p| (self.bu_decision, p)),
-            };
+        if self.host.schedule(step) {
+            let own = self.host.own_payload(self.decision.as_ref().zip(self.proof.as_ref()));
             out.push((Dest::All, StrongBaMsg::Fallback { decision: own }));
-            self.fallback_start = Some(step + 2);
         }
-    }
-
-    fn start_fallback_if_due(&mut self, step: u64) {
-        if self.fallback.is_some() {
-            return;
-        }
-        let Some(start) = self.fallback_start else { return };
-        if step != start {
-            return;
-        }
-        if let Some(v) = self.decision {
-            self.bu_decision = v; // line 19
-        }
-        let inner = self.factory.create(self.me, self.bu_decision);
-        let mut adapter = SkewAdapter::bounded(inner, start, self.factory.max_steps());
-        for (from, env) in self.pending_fb.drain(..) {
-            adapter.deliver(from, env);
-        }
-        self.fallback = Some(adapter);
-        self.fallback_ran = true;
     }
 }
 
@@ -349,25 +313,14 @@ where
                 }
             }
         }
-        let fb_msgs: Vec<Option<(bool, ThresholdSignature)>> = inbox
-            .iter()
-            .filter_map(|(_, m)| match m {
-                StrongBaMsg::Fallback { decision } => Some(decision.clone()),
-                _ => None,
-            })
-            .collect();
-        for d in fb_msgs {
-            self.handle_fallback_msg(step, &d, out);
+        for (_, msg) in inbox {
+            if let StrongBaMsg::Fallback { decision } = msg {
+                self.handle_fallback_msg(step, decision, out);
+            }
         }
         for (from, msg) in inbox {
             if let StrongBaMsg::Inner(env) = msg {
-                match &mut self.fallback {
-                    Some(ad) => ad.deliver(*from, env.clone()),
-                    None if self.fallback_start.is_some() => {
-                        self.pending_fb.push((*from, env.clone()));
-                    }
-                    None => {}
-                }
+                self.host.deliver(*from, env);
             }
         }
 
@@ -469,40 +422,18 @@ where
             // Round 5: anyone still undecided triggers the fallback
             // (lines 16–18). The decide certificate, if any, was adopted
             // by the global handler above this match.
-            4 if self.decision.is_none() && self.fallback_start.is_none() => {
+            4 if self.decision.is_none() && self.host.schedule(step) => {
                 out.push((Dest::All, StrongBaMsg::Fallback { decision: None }));
-                self.fallback_start = Some(step + 2);
             }
             _ => {}
         }
 
         // --- Fallback execution (lines 28–30).
-        self.start_fallback_if_due(step);
-        let mut finished_fb: Option<bool> = None;
-        if let Some(ad) = &mut self.fallback {
-            let mut fb_out = Vec::new();
-            ad.tick(step, &mut fb_out);
-            for (dest, env) in fb_out {
-                out.push((dest, StrongBaMsg::Inner(env)));
-            }
-            if ad.done() {
-                finished_fb = ad.inner().output();
-            }
-        }
-        if let Some(v) = finished_fb {
-            if self.decision.is_none() {
-                self.decision = Some(v);
-            }
-            self.fallback = None;
+        if let Some(v) = self.host.tick(step, self.decision.as_ref(), StrongBaMsg::Inner, out) {
+            self.decision.get_or_insert(v);
             self.finished = true;
         }
-
-        if !self.finished
-            && step > self.fallback_deadline()
-            && self.fallback.is_none()
-            && self.fallback_start.is_none_or(|s| s <= step)
-            && self.decision.is_some()
-        {
+        if self.decision.is_some() && self.host.quiescent(step, self.fallback_deadline()) {
             self.finished = true;
         }
 
@@ -533,7 +464,7 @@ where
             .field("me", &self.me)
             .field("input", &self.input)
             .field("decision", &self.decision)
-            .field("fallback_ran", &self.fallback_ran)
+            .field("fallback_ran", &self.host.ran())
             .finish_non_exhaustive()
     }
 }

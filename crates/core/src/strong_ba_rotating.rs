@@ -29,7 +29,7 @@
 use crate::config::SystemConfig;
 use crate::signing::{sign_payload, verify_payload, StrongDecideSig, StrongInputSig};
 use crate::strong_ba::{StrongBaMsg, StrongFallbackMsgOf};
-use crate::subprotocol::{FallbackFactory, SkewAdapter, SkewEnvelope, SubProtocol};
+use crate::subprotocol::{FallbackFactory, FallbackHost, SubProtocol};
 use meba_crypto::{Pki, ProcessId, SecretKey, Signable, Signature, ThresholdSignature};
 use meba_sim::Dest;
 use std::collections::BTreeMap;
@@ -48,7 +48,6 @@ where
     me: ProcessId,
     key: SecretKey,
     pki: Pki,
-    factory: F,
     input: bool,
 
     decision: Option<bool>,
@@ -56,12 +55,8 @@ where
     /// The single value this process has decide-signed (signed at most
     /// one value, ever — the global uniqueness rule).
     signed_value: Option<bool>,
-    bu_decision: bool,
-    bu_proof: Option<ThresholdSignature>,
-    fallback_start: Option<u64>,
-    fallback: Option<SkewAdapter<F::Protocol>>,
-    pending_fb: Vec<(ProcessId, SkewEnvelope<StrongFallbackMsgOf<F>>)>,
-    fallback_ran: bool,
+    /// The hand-off to `A_fallback`, as in Algorithm 5.
+    host: FallbackHost<bool, ThresholdSignature, F>,
     decided_at: Option<u64>,
     finished: bool,
 }
@@ -84,17 +79,11 @@ where
             me,
             key,
             pki,
-            factory,
             input,
             decision: None,
             proof: None,
             signed_value: None,
-            bu_decision: input,
-            bu_proof: None,
-            fallback_start: None,
-            fallback: None,
-            pending_fb: Vec::new(),
-            fallback_ran: false,
+            host: FallbackHost::new(me, factory, input),
             decided_at: None,
             finished: false,
         }
@@ -117,7 +106,7 @@ where
 
     /// Whether this process executed `A_fallback`.
     pub fn used_fallback(&self) -> bool {
-        self.fallback_ran
+        self.host.ran()
     }
 
     /// Step at which the decision was reached.
@@ -159,43 +148,18 @@ where
         decision: &Option<(bool, ThresholdSignature)>,
         out: &mut Vec<(Dest, StrongBaMsg<StrongFallbackMsgOf<F>>)>,
     ) {
-        if self.fallback.is_some() || step > self.fallback_deadline() {
+        if !self.host.accepts(step, self.fallback_deadline()) {
             return;
         }
         if let Some((v, qc)) = decision {
             if self.decision.is_none() && self.decide_cert_valid(*v, qc) {
-                self.bu_decision = *v;
-                self.bu_proof = Some(qc.clone());
+                self.host.adopt(*v, qc.clone());
             }
         }
-        if self.fallback_start.is_none() {
-            let own = match (self.decision, &self.proof) {
-                (Some(v), Some(p)) => Some((v, p.clone())),
-                _ => self.bu_proof.clone().map(|p| (self.bu_decision, p)),
-            };
+        if self.host.schedule(step) {
+            let own = self.host.own_payload(self.decision.as_ref().zip(self.proof.as_ref()));
             out.push((Dest::All, StrongBaMsg::Fallback { decision: own }));
-            self.fallback_start = Some(step + 2);
         }
-    }
-
-    fn start_fallback_if_due(&mut self, step: u64) {
-        if self.fallback.is_some() {
-            return;
-        }
-        let Some(start) = self.fallback_start else { return };
-        if step != start {
-            return;
-        }
-        if let Some(v) = self.decision {
-            self.bu_decision = v;
-        }
-        let inner = self.factory.create(self.me, self.bu_decision);
-        let mut adapter = SkewAdapter::bounded(inner, start, self.factory.max_steps());
-        for (from, env) in self.pending_fb.drain(..) {
-            adapter.deliver(from, env);
-        }
-        self.fallback = Some(adapter);
-        self.fallback_ran = true;
     }
 }
 
@@ -244,25 +208,16 @@ where
                 }
             }
         }
-        let fb_msgs: Vec<Option<(bool, ThresholdSignature)>> = inbox
-            .iter()
-            .filter_map(|(_, m)| match m {
-                StrongBaMsg::Fallback { decision } if step >= coord => Some(decision.clone()),
-                _ => None,
-            })
-            .collect();
-        for d in fb_msgs {
-            self.handle_fallback_msg(step, &d, out);
+        if step >= coord {
+            for (_, msg) in inbox {
+                if let StrongBaMsg::Fallback { decision } = msg {
+                    self.handle_fallback_msg(step, decision, out);
+                }
+            }
         }
         for (from, msg) in inbox {
             if let StrongBaMsg::Inner(env) = msg {
-                match &mut self.fallback {
-                    Some(ad) => ad.deliver(*from, env.clone()),
-                    None if self.fallback_start.is_some() => {
-                        self.pending_fb.push((*from, env.clone()));
-                    }
-                    None => {}
-                }
+                self.host.deliver(*from, env);
             }
         }
 
@@ -375,39 +330,17 @@ where
             }
         } else if step == coord {
             // Undecided processes trigger the fallback (Alg 5 line 17).
-            if self.decision.is_none() && self.fallback_start.is_none() {
+            if self.decision.is_none() && self.host.schedule(step) {
                 out.push((Dest::All, StrongBaMsg::Fallback { decision: None }));
-                self.fallback_start = Some(step + 2);
             }
         }
 
         // --- Fallback execution.
-        self.start_fallback_if_due(step);
-        let mut finished_fb: Option<bool> = None;
-        if let Some(ad) = &mut self.fallback {
-            let mut fb_out = Vec::new();
-            ad.tick(step, &mut fb_out);
-            for (dest, env) in fb_out {
-                out.push((dest, StrongBaMsg::Inner(env)));
-            }
-            if ad.done() {
-                finished_fb = ad.inner().output();
-            }
-        }
-        if let Some(v) = finished_fb {
-            if self.decision.is_none() {
-                self.decision = Some(v);
-            }
-            self.fallback = None;
+        if let Some(v) = self.host.tick(step, self.decision.as_ref(), StrongBaMsg::Inner, out) {
+            self.decision.get_or_insert(v);
             self.finished = true;
         }
-
-        if !self.finished
-            && step > self.fallback_deadline()
-            && self.fallback.is_none()
-            && self.fallback_start.is_none_or(|s| s <= step)
-            && self.decision.is_some()
-        {
+        if self.decision.is_some() && self.host.quiescent(step, self.fallback_deadline()) {
             self.finished = true;
         }
 
@@ -437,7 +370,7 @@ where
         f.debug_struct("RotatingStrongBa")
             .field("me", &self.me)
             .field("decision", &self.decision)
-            .field("fallback_ran", &self.fallback_ran)
+            .field("fallback_ran", &self.host.ran())
             .finish_non_exhaustive()
     }
 }

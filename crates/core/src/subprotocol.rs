@@ -10,7 +10,10 @@
 //! [`SkewAdapter`] embeds one with the paper's doubled-round, buffered
 //! window semantics. Both adapters are thin wrappers around the
 //! single-instance driver [`meba_sim::Instance`] — the same machinery the
-//! session-multiplexing [`meba_sim::Mux`] uses per instance.
+//! session-multiplexing [`meba_sim::Mux`] uses per instance. The
+//! crate-private `FallbackHost` is the hand-off itself — safety-window
+//! adoption, the `2δ` start delay, buffering, execution — shared by weak
+//! BA and both strong BAs.
 
 use crate::value::Value;
 use meba_crypto::{DecodeError, Decoder, Encoder, ProcessId, WireCodec};
@@ -243,6 +246,171 @@ pub trait FallbackFactory<V: Value>: Clone + Send + 'static {
     fn max_steps(&self) -> u64;
 }
 
+/// Message type of the fallback protocol `F` builds for values `V`.
+type InnerMsg<V, F> = <<F as FallbackFactory<V>>::Protocol as SubProtocol>::Msg;
+
+/// Where a [`FallbackHost`] stands in the hand-off.
+enum Handoff<P: SubProtocol> {
+    /// No fallback certificate or echo accepted yet.
+    Unscheduled,
+    /// First receipt was at `start − 2`. Peers may have started a round
+    /// earlier, so their inner traffic waits in `pending`.
+    Scheduled { start: u64, pending: Vec<(ProcessId, SkewEnvelope<P::Msg>)> },
+    /// `A_fallback` is executing with `δ' = 2δ`.
+    Running(SkewAdapter<P>),
+    /// `A_fallback` returned; its output was handed to the caller.
+    Finished,
+}
+
+/// The hand-off from an adaptive protocol to `A_fallback` (Alg 3 lines
+/// 15–29, Alg 5 lines 16–30; Lemmas 17–19), owned in one place: adopt a
+/// certified decision during the `2δ` safety window, schedule the start
+/// two rounds after the first fallback certificate or echo, buffer inner
+/// traffic that arrives in between, run `A_fallback` on the decided (else
+/// adopted, else own) value behind a bounded [`SkewAdapter`], and surface
+/// its output once.
+///
+/// The host protocol keeps what differs between Algorithms 3 and 5: which
+/// messages are admissible, how an attached `(value, proof)` is verified
+/// (the host never sees an unverified one), the acceptance deadline, and
+/// the message variants.
+pub(crate) struct FallbackHost<V: Value, Pf, F: FallbackFactory<V>> {
+    me: ProcessId,
+    factory: F,
+    /// The paper's `bu_decision` of an undecided process: its input until
+    /// a certified decision is adopted.
+    adopted: V,
+    /// The proof that came with the adopted decision.
+    adopted_proof: Option<Pf>,
+    stage: Handoff<F::Protocol>,
+}
+
+impl<V: Value, Pf: Clone, F: FallbackFactory<V>> FallbackHost<V, Pf, F> {
+    /// A host for process `me` whose own input is `input`.
+    pub(crate) fn new(me: ProcessId, factory: F, input: V) -> Self {
+        FallbackHost {
+            me,
+            factory,
+            adopted: input,
+            adopted_proof: None,
+            stage: Handoff::Unscheduled,
+        }
+    }
+
+    /// Whether `A_fallback` was started.
+    pub(crate) fn ran(&self) -> bool {
+        matches!(self.stage, Handoff::Running(_) | Handoff::Finished)
+    }
+
+    /// Whether a start has been scheduled (and possibly reached).
+    pub(crate) fn scheduled(&self) -> bool {
+        !matches!(self.stage, Handoff::Unscheduled)
+    }
+
+    /// Whether a fallback certificate or echo arriving at `step` still
+    /// counts: the caller's acceptance window is open and `A_fallback`
+    /// has not started.
+    pub(crate) fn accepts(&self, step: u64, deadline: u64) -> bool {
+        !self.ran() && step <= deadline
+    }
+
+    /// Safety-window adoption: `value`, certified by `proof` (verified by
+    /// the caller, who is undecided), becomes the fallback input. Ignored
+    /// once `A_fallback` has started.
+    pub(crate) fn adopt(&mut self, value: V, proof: Pf) {
+        if !self.ran() {
+            self.adopted = value;
+            self.adopted_proof = Some(proof);
+        }
+    }
+
+    /// First receipt at `step`: schedules `A_fallback` for `step + 2` and
+    /// returns `true` — the caller then re-broadcasts once. Later calls
+    /// change nothing and return `false`.
+    pub(crate) fn schedule(&mut self, step: u64) -> bool {
+        let first = !self.scheduled();
+        if first {
+            self.stage = Handoff::Scheduled { start: step + 2, pending: Vec::new() };
+        }
+        first
+    }
+
+    /// What to attach to an outgoing fallback certificate or echo: the
+    /// caller's own certified decision, else the adopted one.
+    pub(crate) fn own_payload(&self, decided: Option<(&V, &Pf)>) -> Option<(V, Pf)> {
+        decided
+            .or(self.adopted_proof.as_ref().map(|p| (&self.adopted, p)))
+            .map(|(v, p)| (v.clone(), p.clone()))
+    }
+
+    /// Routes one inner envelope: to the running instance, into the
+    /// buffer while scheduled, and nowhere otherwise — fallback traffic
+    /// with no certificate seen is Byzantine noise.
+    pub(crate) fn deliver(&mut self, from: ProcessId, env: &SkewEnvelope<InnerMsg<V, F>>) {
+        match &mut self.stage {
+            Handoff::Running(adapter) => adapter.deliver(from, env.clone()),
+            Handoff::Scheduled { pending, .. } => pending.push((from, env.clone())),
+            Handoff::Unscheduled | Handoff::Finished => {}
+        }
+    }
+
+    /// Runs `step`: starts `A_fallback` if it is due — on `decided`, the
+    /// caller's own decision (Alg 3 line 15), else on the adopted value —
+    /// ticks it, and pushes its traffic to `out` through `wrap`. Returns
+    /// the fallback's output at the step it completes, and `None` before
+    /// and after.
+    pub(crate) fn tick<M>(
+        &mut self,
+        step: u64,
+        decided: Option<&V>,
+        wrap: impl Fn(SkewEnvelope<InnerMsg<V, F>>) -> M,
+        out: &mut Vec<(Dest, M)>,
+    ) -> Option<V> {
+        if let Handoff::Scheduled { start, pending } = &mut self.stage {
+            if *start == step {
+                let input = decided.unwrap_or(&self.adopted).clone();
+                let inner = self.factory.create(self.me, input);
+                let mut adapter = SkewAdapter::bounded(inner, step, self.factory.max_steps());
+                for (from, env) in pending.drain(..) {
+                    adapter.deliver(from, env);
+                }
+                self.stage = Handoff::Running(adapter);
+            }
+        }
+        let Handoff::Running(adapter) = &mut self.stage else { return None };
+        let mut inner_out = Vec::new();
+        adapter.tick(step, &mut inner_out);
+        // Pushed one by one on purpose: `extend` reserves exactly, and on
+        // dense fallback traffic (benchmark `des_bb_n257_ft`) those odd
+        // capacities cost ~3 % peak RSS to allocator fragmentation.
+        for (dest, env) in inner_out {
+            out.push((dest, wrap(env)));
+        }
+        let output = if adapter.done() { adapter.inner().output() } else { None };
+        if output.is_some() {
+            self.stage = Handoff::Finished;
+        }
+        output
+    }
+
+    /// Whether a decided caller may finish at `step`: its acceptance
+    /// window has closed and no fallback is running or still to start.
+    pub(crate) fn quiescent(&self, step: u64, deadline: u64) -> bool {
+        step > deadline
+            && match &self.stage {
+                Handoff::Unscheduled | Handoff::Finished => true,
+                Handoff::Scheduled { start, .. } => *start <= step,
+                Handoff::Running(_) => false,
+            }
+    }
+
+    /// The host's term of [`SubProtocol::next_wakeup`]: while a fallback
+    /// is scheduled or running, every step may act.
+    pub(crate) fn next_wakeup(&self, after: u64) -> Option<u64> {
+        matches!(self.stage, Handoff::Scheduled { .. } | Handoff::Running(_)).then_some(after + 1)
+    }
+}
+
 /// The [`SubProtocol::next_wakeup`] contract, checked by running a
 /// cluster twice in local lockstep: a twin that runs every step, and a
 /// twin whose processes only run when something was delivered or their
@@ -310,6 +478,7 @@ pub(crate) mod hint_contract {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fallback::{EchoFallbackFactory, EchoMsg};
     use meba_sim::Message;
 
     #[derive(Clone, Debug)]
@@ -430,6 +599,199 @@ mod tests {
             ad.tick(r, &mut out);
         }
         assert_eq!(ad.inner().output(), Some(1), "step 3 consumed the step-2 message");
+    }
+
+    type Host = FallbackHost<u64, &'static str, EchoFallbackFactory>;
+
+    /// One scripted call on a [`Host`] whose own input is [`OWN`].
+    enum Op {
+        /// `adopt(value, "proof")`.
+        Adopt(u64),
+        /// `schedule(step)`, with the expected answer.
+        Schedule(u64, bool),
+        /// `deliver` an echo of `value` tagged `vstep` from `p1`.
+        Deliver { vstep: u64, value: u64 },
+        /// `tick(step, decided)`.
+        Tick(u64, Option<u64>),
+        /// Ticks every step of the range, undecided.
+        Run(std::ops::Range<u64>),
+        /// Asserts how many envelopes the host currently holds.
+        Held(usize),
+    }
+    use Op::*;
+
+    const OWN: u64 = 1;
+
+    fn held(host: &Host) -> usize {
+        match &host.stage {
+            Handoff::Scheduled { pending, .. } => pending.len(),
+            Handoff::Running(adapter) => adapter.buffer.values().map(Vec::len).sum(),
+            Handoff::Unscheduled | Handoff::Finished => 0,
+        }
+    }
+
+    /// `(step, value)` observations, in order.
+    type Seen = Vec<(u64, u64)>;
+
+    /// Runs `script`; returns the host with what it broadcast and what it
+    /// returned.
+    fn drive(name: &str, script: &[Op]) -> (Host, Seen, Seen) {
+        let mut host = Host::new(ProcessId(0), EchoFallbackFactory, OWN);
+        let (mut sent, mut returned) = (Vec::new(), Vec::new());
+        let mut tick = |host: &mut Host, step: u64, decided: Option<u64>| {
+            let mut out = Vec::new();
+            let output = host.tick(step, decided.as_ref(), |env| env, &mut out);
+            sent.extend(out.into_iter().map(|(_, env)| (step, env.msg.0)));
+            returned.extend(output.map(|v| (step, v)));
+        };
+        for op in script {
+            match op {
+                Adopt(value) => host.adopt(*value, "proof"),
+                Schedule(step, first) => assert_eq!(host.schedule(*step), *first, "{name}"),
+                Deliver { vstep, value } => host
+                    .deliver(ProcessId(1), &SkewEnvelope { vstep: *vstep, msg: EchoMsg(*value) }),
+                Tick(step, decided) => tick(&mut host, *step, *decided),
+                Run(steps) => steps.clone().for_each(|step| tick(&mut host, step, None)),
+                Held(count) => assert_eq!(held(&host), *count, "{name}"),
+            }
+        }
+        (host, sent, returned)
+    }
+
+    /// The echo fallback broadcasts its input at vstep 0 (host step
+    /// `start`) and decides at vstep 1 (`start + 2`) on the most frequent
+    /// echo it received, or on its input when it received none — so what
+    /// is sent shows the input the host chose and what is returned shows
+    /// which envelopes reached the instance.
+    #[test]
+    fn fallback_host_lifecycle() {
+        type Case = (&'static str, Vec<Op>, Seen, Seen);
+        let cases: Vec<Case> = vec![
+            ("never scheduled: nothing runs", vec![Adopt(9), Run(0..12)], vec![], vec![]),
+            (
+                "own input when nothing was adopted; output surfaces exactly once",
+                vec![Schedule(3, true), Run(0..20)],
+                vec![(5, OWN)],
+                vec![(7, OWN)],
+            ),
+            (
+                "adoption before the start feeds the fallback",
+                vec![Schedule(3, true), Adopt(9), Run(4..12)],
+                vec![(5, 9)],
+                vec![(7, 9)],
+            ),
+            (
+                "adoption after the start is ignored",
+                vec![Schedule(3, true), Run(4..6), Adopt(9), Run(6..12)],
+                vec![(5, OWN)],
+                vec![(7, OWN)],
+            ),
+            (
+                "a second schedule keeps the first start",
+                vec![Schedule(3, true), Schedule(4, false), Run(4..12)],
+                vec![(5, OWN)],
+                vec![(7, OWN)],
+            ),
+            (
+                "the decided value overrides the adopted one at the start",
+                vec![Adopt(9), Schedule(3, true), Tick(4, Some(2)), Tick(5, Some(2)), Run(6..12)],
+                vec![(5, 2)],
+                vec![(7, 2)],
+            ),
+            (
+                "envelopes buffered before the start are delivered at the start",
+                vec![
+                    Schedule(3, true),
+                    Deliver { vstep: 0, value: 4 },
+                    Held(1),
+                    Run(4..6),
+                    Held(1),
+                    Run(6..12),
+                ],
+                vec![(5, OWN)],
+                vec![(7, 4)],
+            ),
+            (
+                "envelopes with no schedule are dropped",
+                vec![Deliver { vstep: 0, value: 4 }, Held(0), Schedule(3, true), Run(4..12)],
+                vec![(5, OWN)],
+                vec![(7, OWN)],
+            ),
+            (
+                "envelopes reach the running instance directly",
+                vec![Schedule(3, true), Run(4..6), Deliver { vstep: 0, value: 4 }, Run(6..12)],
+                vec![(5, OWN)],
+                vec![(7, 4)],
+            ),
+            (
+                "far-future vsteps are rejected by the bounded adapter",
+                vec![
+                    Schedule(3, true),
+                    Deliver { vstep: 50, value: 4 },
+                    Held(1),
+                    Run(4..6),
+                    Held(0),
+                    Deliver { vstep: 3, value: 4 },
+                    Held(0),
+                    Run(6..12),
+                ],
+                vec![(5, OWN)],
+                vec![(7, OWN)],
+            ),
+        ];
+        for (name, script, sent, returned) in cases {
+            let (host, got_sent, got_returned) = drive(name, &script);
+            assert_eq!(got_sent, sent, "{name}: broadcasts");
+            assert_eq!(got_returned, returned, "{name}: outputs");
+            assert_eq!(host.ran(), !sent.is_empty(), "{name}: ran");
+        }
+    }
+
+    #[test]
+    fn fallback_host_accepts_until_the_deadline_or_the_start() {
+        // (script, step, deadline, accepts)
+        let cases: [(&[Op], u64, u64, bool); 5] = [
+            (&[], 6, 6, true),
+            (&[], 7, 6, false),
+            (&[Schedule(3, true), Run(4..5)], 5, 6, true),
+            (&[Schedule(3, true), Run(4..6)], 6, 6, false),
+            (&[Schedule(3, true), Run(4..8)], 6, 6, false),
+        ];
+        for (script, step, deadline, accepts) in cases {
+            let (host, ..) = drive("accepts", script);
+            assert_eq!(host.accepts(step, deadline), accepts, "step {step}, deadline {deadline}");
+        }
+    }
+
+    #[test]
+    fn fallback_host_is_quiescent_only_after_the_deadline_with_nothing_pending() {
+        // (script, step, deadline, quiescent, hint after `step`)
+        type Case = (&'static [Op], u64, u64, bool, Option<u64>);
+        let cases: [Case; 6] = [
+            (&[], 6, 6, false, None),
+            (&[], 7, 6, true, None),
+            (&[Schedule(6, true)], 7, 6, false, Some(8)),
+            (&[Schedule(6, true), Run(7..9)], 9, 6, false, Some(10)),
+            (&[Schedule(6, true), Run(7..11)], 11, 6, true, None),
+            // A start that was slept through (crash-recovery gap) never
+            // runs, and does not hold a decided process open.
+            (&[Schedule(3, true)], 9, 6, true, Some(10)),
+        ];
+        for (script, step, deadline, quiescent, hint) in cases {
+            let (host, ..) = drive("quiescent", script);
+            assert_eq!(host.quiescent(step, deadline), quiescent, "step {step}");
+            assert_eq!(host.next_wakeup(step), hint, "step {step}");
+        }
+    }
+
+    #[test]
+    fn fallback_host_attaches_own_decision_else_the_adopted_one() {
+        let (mut host, ..) = drive("payload", &[]);
+        assert_eq!(host.own_payload(None), None, "nothing decided, nothing adopted");
+        assert_eq!(host.own_payload(Some((&7, &"mine"))), Some((7, "mine")));
+        host.adopt(9, "theirs");
+        assert_eq!(host.own_payload(None), Some((9, "theirs")));
+        assert_eq!(host.own_payload(Some((&7, &"mine"))), Some((7, "mine")), "own decision wins");
     }
 
     #[test]

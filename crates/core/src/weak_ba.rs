@@ -33,7 +33,9 @@ use crate::decision::Decision;
 use crate::signing::{
     sign_payload, verify_payload, CommitProof, DecideProof, DecideSig, HelpReqSig, VoteSig,
 };
-use crate::subprotocol::{next_scheduled, FallbackFactory, SkewAdapter, SkewEnvelope, SubProtocol};
+use crate::subprotocol::{
+    next_scheduled, FallbackFactory, FallbackHost, SkewEnvelope, SubProtocol,
+};
 use crate::validity::Validity;
 use crate::value::Value;
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, Pki, SecretKey, Signable, Signature};
@@ -342,23 +344,18 @@ where
     key: SecretKey,
     pki: Pki,
     validity: P,
-    factory: F,
     input: V,
 
     decision: Option<Decision<V>>,
     decide_proof: Option<DecideProof>,
     commit: Option<(V, CommitProof)>,
     commit_level: u32,
-    bu_decision: V,
-    bu_proof: Option<DecideProof>,
 
     scratch: PhaseScratch<V>,
     help_sigs: BTreeMap<ProcessId, Signature>,
-    fallback_start: Option<u64>,
     fallback_cert: Option<ThresholdSignature>,
-    fallback: Option<SkewAdapter<F::Protocol>>,
-    pending_fb: Vec<(ProcessId, SkewEnvelope<FallbackMsgOf<V, F>>)>,
-    fallback_ran: bool,
+    /// The hand-off to `A_fallback` (Alg 3 lines 15–29).
+    host: FallbackHost<V, DecideProof, F>,
     nonsilent_as_leader: bool,
     no_safety_window: bool,
     decided_at: Option<u64>,
@@ -395,21 +392,15 @@ where
             key,
             pki,
             validity,
-            factory,
-            bu_decision: input.clone(),
+            host: FallbackHost::new(me, factory, input.clone()),
             input,
             decision: None,
             decide_proof: None,
             commit: None,
             commit_level: 0,
-            bu_proof: None,
             scratch: PhaseScratch::default(),
             help_sigs: BTreeMap::new(),
-            fallback_start: None,
             fallback_cert: None,
-            fallback: None,
-            pending_fb: Vec::new(),
-            fallback_ran: false,
             nonsilent_as_leader: false,
             no_safety_window: false,
             decided_at: None,
@@ -469,7 +460,7 @@ where
 
     /// Whether this process executed `A_fallback`.
     pub fn used_fallback(&self) -> bool {
-        self.fallback_ran
+        self.host.ran()
     }
 
     /// Whether this process initiated a non-silent phase as leader.
@@ -565,10 +556,7 @@ where
         decision: &Option<(V, DecideProof)>,
         out: &mut WeakBaOutbox<V, F>,
     ) {
-        if self.fallback.is_some() || step > self.cert_deadline() {
-            return;
-        }
-        if !self.fallback_qc_valid(qc) {
+        if !self.host.accepts(step, self.cert_deadline()) || !self.fallback_qc_valid(qc) {
             return;
         }
         // Safety window adoption (line 17–20): an undecided process takes
@@ -579,28 +567,24 @@ where
                 && self.validity.validate(v)
                 && proof.verify(&self.cfg, &self.pki, v)
             {
-                self.bu_decision = v.clone();
-                self.bu_proof = Some(proof.clone());
+                self.host.adopt(v.clone(), proof.clone());
             }
         }
         // First receipt: re-broadcast and schedule (lines 21–23).
-        if self.fallback_start.is_none() {
+        if self.host.schedule(step) {
             self.fallback_cert = Some(qc.clone());
-            let own = self.own_cert_payload();
+            let own = self.host.own_payload(self.certified_decision());
             out.push((Dest::All, WeakBaMsg::FallbackCert { qc: qc.clone(), decision: own }));
-            self.fallback_start = Some(step + 2);
             self.recovery_events
                 .push(RecoveryEvent::CertReceived { kind: cert_kind::FALLBACK, step });
         }
     }
 
-    fn own_cert_payload(&self) -> Option<(V, DecideProof)> {
+    /// This process's decision and the finalize certificate behind it.
+    fn certified_decision(&self) -> Option<(&V, &DecideProof)> {
         match (&self.decision, &self.decide_proof) {
-            (Some(Decision::Value(v)), Some(p)) => Some((v.clone(), p.clone())),
-            _ => match (&self.bu_proof, ()) {
-                (Some(p), ()) => Some((self.bu_decision.clone(), p.clone())),
-                _ => None,
-            },
+            (Some(Decision::Value(v)), Some(p)) => Some((v, p)),
+            _ => None,
         }
     }
 
@@ -817,28 +801,6 @@ where
             _ => unreachable!("phase has 5 rounds"),
         }
     }
-
-    fn start_fallback_if_due(&mut self, step: u64) {
-        if self.fallback.is_some() {
-            return;
-        }
-        let Some(start) = self.fallback_start else { return };
-        if step != start {
-            return;
-        }
-        // Line 15: deciders run the fallback on their decision so strong
-        // unanimity upholds agreement.
-        if let Some(Decision::Value(v)) = &self.decision {
-            self.bu_decision = v.clone();
-        }
-        let inner = self.factory.create(self.me, self.bu_decision.clone());
-        let mut adapter = SkewAdapter::bounded(inner, start, self.factory.max_steps());
-        for (from, env) in self.pending_fb.drain(..) {
-            adapter.deliver(from, env);
-        }
-        self.fallback = Some(adapter);
-        self.fallback_ran = true;
-    }
 }
 
 impl<V, P, F> SubProtocol for WeakBa<V, P, F>
@@ -888,10 +850,8 @@ where
         // empty decision) re-broadcasts the certificate with its decision
         // attached, so the 2δ safety window delivers the decided value to
         // every fallback participant before any of them starts.
-        if decided_via_help && self.fallback_start.is_some() && !self.no_safety_window {
-            if let (Some(qc), Some(Decision::Value(v)), Some(p)) =
-                (&self.fallback_cert, &self.decision, &self.decide_proof)
-            {
+        if decided_via_help && self.host.scheduled() && !self.no_safety_window {
+            if let (Some(qc), Some((v, p))) = (&self.fallback_cert, self.certified_decision()) {
                 out.push((
                     Dest::All,
                     WeakBaMsg::FallbackCert {
@@ -901,28 +861,14 @@ where
                 ));
             }
         }
-        let certs: Vec<(ThresholdSignature, Option<(V, DecideProof)>)> = inbox
-            .iter()
-            .filter_map(|(_, m)| match m {
-                WeakBaMsg::FallbackCert { qc, decision } => Some((qc.clone(), decision.clone())),
-                _ => None,
-            })
-            .collect();
-        for (qc, decision) in certs {
-            self.handle_fallback_cert(step, &qc, &decision, out);
+        for (_, msg) in inbox {
+            if let WeakBaMsg::FallbackCert { qc, decision } = msg {
+                self.handle_fallback_cert(step, qc, decision, out);
+            }
         }
         for (from, msg) in inbox {
             if let WeakBaMsg::Fallback(env) = msg {
-                match &mut self.fallback {
-                    Some(ad) => ad.deliver(*from, env.clone()),
-                    None => {
-                        if self.fallback_start.is_some() {
-                            self.pending_fb.push((*from, env.clone()));
-                        }
-                        // Fallback traffic without any certificate seen is
-                        // Byzantine noise; drop it.
-                    }
-                }
+                self.host.deliver(*from, env);
             }
         }
 
@@ -957,33 +903,23 @@ where
                     }
                 }
             }
-            if self.help_sigs.len() >= self.cfg.idk_threshold() && self.fallback_start.is_none() {
+            if self.help_sigs.len() >= self.cfg.idk_threshold() && self.host.schedule(step) {
                 let shares: Vec<Signature> = self.help_sigs.values().cloned().collect();
                 let qc = self
                     .pki
                     .combine(self.cfg.idk_threshold(), &payload.signing_bytes(), &shares)
                     .expect("verified shares combine");
                 self.fallback_cert = Some(qc.clone());
-                let own = self.own_cert_payload();
+                let own = self.host.own_payload(self.certified_decision());
                 out.push((Dest::All, WeakBaMsg::FallbackCert { qc, decision: own }));
-                self.fallback_start = Some(step + 2);
             }
         }
 
         // --- Fallback execution.
-        self.start_fallback_if_due(step);
-        let mut finished_fb: Option<V> = None;
-        if let Some(ad) = &mut self.fallback {
-            let mut fb_out = Vec::new();
-            ad.tick(step, &mut fb_out);
-            for (dest, env) in fb_out {
-                out.push((dest, WeakBaMsg::Fallback(env)));
-            }
-            if ad.done() {
-                finished_fb = ad.inner().output();
-            }
-        }
-        if let Some(fb_val) = finished_fb {
+        // Line 15: deciders run the fallback on their decision so strong
+        // unanimity upholds agreement.
+        let decided = self.decision.as_ref().and_then(Decision::value);
+        if let Some(fb_val) = self.host.tick(step, decided, WeakBaMsg::Fallback, out) {
             // Alg 3 lines 25–29.
             if self.undecided() {
                 self.decision = Some(if self.validity.validate(&fb_val) {
@@ -992,7 +928,6 @@ where
                     Decision::Bot
                 });
             }
-            self.fallback = None;
             self.finished = true;
         }
 
@@ -1011,12 +946,7 @@ where
         }
         // A decided process with no pending fallback finishes once the
         // certificate acceptance window has passed.
-        if !self.finished
-            && step > self.cert_deadline()
-            && self.fallback.is_none()
-            && self.fallback_start.is_none_or(|s| s <= step)
-            && !self.undecided()
-        {
+        if !self.undecided() && self.host.quiescent(step, self.cert_deadline()) {
             self.finished = true;
         }
     }
@@ -1049,8 +979,8 @@ where
         if self.finished {
             return u64::MAX;
         }
-        if self.fallback_start.is_some() || self.fallback.is_some() {
-            return after + 1;
+        if let Some(next) = self.host.next_wakeup(after) {
+            return next;
         }
         let own_phase_step = (u64::from(self.cfg.phase_led_by(self.me)) - 1) * PHASE_ROUNDS;
         next_scheduled(
@@ -1075,7 +1005,7 @@ where
             .field("me", &self.me)
             .field("decision", &self.decision)
             .field("commit_level", &self.commit_level)
-            .field("fallback_ran", &self.fallback_ran)
+            .field("fallback_ran", &self.host.ran())
             .finish_non_exhaustive()
     }
 }

@@ -21,8 +21,13 @@ use meba_engine::ClusterConfig;
 use meba_testkit::{assert_agreement, bb_actors, bb_des, bb_report_decisions, round_budget, Fault};
 use meba_wire::{raise_nofile_limit, run_tcp_cluster, TcpClusterConfig, TcpClusterReport};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// One scale run at a time: the harness runs this file's tests on
+/// parallel threads of one process, and two meshes together need more
+/// descriptors than a 20,000 nofile limit grants.
+static ONE_MESH_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Current OS thread count of this process (Linux: authoritative from
 /// procfs; elsewhere: 0, which disables the budget assertions).
@@ -102,6 +107,8 @@ fn fds_needed(n: usize) -> u64 {
 }
 
 fn scale_run(target_n: usize, floor_n: usize, delta: Duration, seed: u64) {
+    // A failed run poisons the lock; the other run is still worth having.
+    let _serial = ONE_MESH_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     // Ask for the full target; some sandboxes cap the *hard* nofile
     // limit below `2n(n-1)`, in which case the run sizes itself down to
     // the largest odd n the grant covers (still well past the old
