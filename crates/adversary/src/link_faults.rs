@@ -5,7 +5,8 @@
 //! filters the outbox through a [`LinkPolicy`] (the same trait the
 //! threaded cluster injects at the transport layer, see
 //! `meba_engine::ClusterConfig::link_policy`): per-target messages may be
-//! dropped or delayed by whole rounds. This models the adversary's power
+//! dropped or delayed by whole rounds (a `Sever` is a drop — the wrapper
+//! holds no connection to tear down). This models the adversary's power
 //! over the *network* of one process — a process that computes correctly
 //! but whose words may not arrive — inside the lockstep simulator, where
 //! it composes with rushing and the other Byzantine wrappers.
@@ -98,10 +99,12 @@ impl<A: Actor> Actor for LossyLinkActor<A> {
                 }
                 match self.policy.fate(Link { from: me, to: target }, round) {
                     LinkFate::Deliver => ctx.send(target, msg.clone()),
-                    LinkFate::Drop => self.dropped += 1,
+                    LinkFate::Drop | LinkFate::Sever => self.dropped += 1,
                     LinkFate::DelayRounds(k) => {
                         self.delayed += 1;
-                        self.pending.entry(round + k).or_default().push((target, msg.clone()));
+                        // A delay past the end of time is never re-sent.
+                        let due = round.saturating_add(k);
+                        self.pending.entry(due).or_default().push((target, msg.clone()));
                     }
                 }
             }
@@ -189,6 +192,42 @@ mod tests {
         let out = ctx.take_outbox();
         assert_eq!(out.len(), 1, "delayed copy released");
         assert!(matches!(out[0].0, Dest::To(ProcessId(1))));
+    }
+
+    #[test]
+    fn sever_is_a_drop_and_a_huge_delay_saturates() {
+        /// Broadcasts every round, so a send happens at a round where
+        /// `round + u64::MAX` would overflow.
+        struct Beacon(ProcessId);
+        impl Actor for Beacon {
+            type Msg = Ping;
+            fn id(&self) -> ProcessId {
+                self.0
+            }
+            fn on_round(&mut self, ctx: &mut RoundCtx<'_, Ping>) {
+                ctx.broadcast(Ping);
+            }
+            fn done(&self) -> bool {
+                false
+            }
+        }
+        let policy = |l: Link, _r: u64| {
+            if l.to == ProcessId(1) {
+                LinkFate::Sever
+            } else {
+                LinkFate::DelayRounds(u64::MAX)
+            }
+        };
+        let mut lossy = LossyLinkActor::new(Beacon(ProcessId(0)), Box::new(policy));
+        let inbox = vec![];
+        for round in 0..3 {
+            let mut ctx = RoundCtx::new(Round(round), ProcessId(0), 3, &inbox);
+            lossy.on_round(&mut ctx);
+            assert_eq!(ctx.take_outbox().len(), 1, "only the self-delivery goes out");
+        }
+        // p1's copies severed (no connection here: dropped), p2's delayed
+        // past the end of time: never re-sent, still billed as delayed.
+        assert_eq!((lossy.dropped(), lossy.delayed()), (3, 3));
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! synchrony assumption abstracts away:
 //!
 //! * **Link faults** — a per-sender [`meba_sim::faults::LinkPolicy`]
-//!   ([`ClusterConfig::link_policy`]) can drop, delay, or partition
-//!   directed links; the protocols must ride out the loss (or the caller
-//!   asserts they don't).
+//!   ([`ClusterConfig::link_policy`]), the one fault vocabulary every
+//!   backend interprets, can drop, delay, partition, or sever directed
+//!   links; the protocols must ride out the loss (or the caller asserts
+//!   they don't). Channels are not connections, so a
+//!   [`LinkFate::Sever`](meba_sim::faults::LinkFate::Sever) is a drop
+//!   here; over TCP the same plan also tears the socket down.
 //! * **Observability** — every thread records its per-round processing
 //!   latency into [`Metrics::round_latency`](meba_sim::Metrics) and every
 //!   directed link's sent/delivered/dropped/delayed counts into
@@ -34,7 +37,7 @@
 use crate::config::{ClusterConfig, ClusterReport};
 use crate::control::run_threaded_cluster;
 use crate::fate::ActorRebuilder;
-use crate::transport::{Delivery, LinkPolicySendAdapter, SendPolicy, Transport};
+use crate::transport::{Delivery, Transport};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use meba_crypto::ProcessId;
 use meba_sim::{AnyActor, Message};
@@ -129,14 +132,7 @@ pub fn run_cluster_with_recovery<M: Message>(
     let n = actors.len();
     assert!(n > 0, "cluster needs at least one actor");
     let transports = channel_mesh::<M>(n, config.channel_capacity);
-    let policies: Vec<Option<Box<dyn SendPolicy>>> = (0..n)
-        .map(|i| {
-            config.link_policy.as_ref().map(|f| {
-                Box::new(LinkPolicySendAdapter(f(ProcessId(i as u32)))) as Box<dyn SendPolicy>
-            })
-        })
-        .collect();
-    run_threaded_cluster(actors, transports, policies, rebuilder, &config)
+    run_threaded_cluster(actors, transports, rebuilder, &config)
 }
 
 #[cfg(test)]
@@ -334,6 +330,42 @@ mod tests {
         // The delayed message surfaces ≥ 2 rounds late, so the run lasts
         // strictly longer than the fault-free 2-round gossip.
         assert!(report.rounds > 2, "rounds = {}", report.rounds);
+    }
+
+    #[test]
+    fn severed_links_are_counted_drops_on_channels() {
+        use meba_sim::faults::SeverAt;
+        // Channels are not connections: the severed message is lost and
+        // billed as dropped, the link carries on.
+        let link = Link { from: ProcessId(0), to: ProcessId(1) };
+        let factory: LinkPolicyFactory = Arc::new(move |_me| Box::new(SeverAt::new(link, 0)));
+        let cfg = ClusterConfig { link_policy: Some(factory), ..Default::default() };
+        let report = run_cluster(gossips(&[2, 1]), cfg);
+        assert!(report.completed);
+        let l01 = report.metrics.link(link.from, link.to);
+        assert_eq!((l01.sent, l01.dropped, l01.delivered), (1, 1, 0));
+        let l10 = report.metrics.link(link.to, link.from);
+        assert_eq!((l10.sent, l10.dropped, l10.delivered), (1, 0, 1));
+    }
+
+    #[test]
+    fn delay_past_the_end_of_the_run_saturates() {
+        // Tickers broadcast every round, so from round 1 on `round + k`
+        // would overflow: the message is never released, and is still
+        // billed as delayed.
+        let factory: LinkPolicyFactory = Arc::new(|_me| {
+            Box::new(|_l: Link, _r: u64| LinkFate::DelayRounds(u64::MAX)) as Box<dyn LinkPolicy>
+        });
+        let cfg = ClusterConfig { link_policy: Some(factory), ..Default::default() };
+        let tickers: Vec<Box<dyn AnyActor<Msg = Ping>>> = (0..2)
+            .map(|i| {
+                Box::new(Ticker { id: ProcessId(i), rounds: 0, target: 4, rejoined_at: None }) as _
+            })
+            .collect();
+        let report = run_cluster(tickers, cfg);
+        assert!(report.completed);
+        let l01 = report.metrics.link(ProcessId(0), ProcessId(1));
+        assert_eq!((l01.sent, l01.delayed, l01.delivered), (3, 3, 0));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::driver::{RoundDriver, RoundDriverConfig};
 use crate::fate::{resolve_fates, ActorRebuilder};
 use crate::pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer};
 use crate::process::{EngineProcess, StepStatus};
-use crate::transport::{SendPolicy, Transport};
+use crate::transport::Transport;
 use meba_sim::{AnyActor, Message, Metrics};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,19 +75,19 @@ struct WorkerConfig {
 /// correct actor is done, the round budget is exhausted, or the overrun
 /// policy stops the run. This is the generic core behind
 /// [`crate::run_cluster`] and `meba_wire::run_tcp_cluster`: the caller
-/// supplies one [`Transport`] and one optional [`SendPolicy`] per actor
-/// (aligned by index) and the engine does the rest — fate resolution
-/// happens exactly once, up front.
+/// supplies one [`Transport`] per actor (aligned by index) and the engine
+/// does the rest — every process's outbound links are judged by its own
+/// [`ClusterConfig::link_policy`] instance, and fate resolution happens
+/// exactly once, up front.
 ///
 /// # Panics
 ///
 /// Panics if `actors` is empty, ids are not `p0..p(n-1)` in order, the
-/// transport/policy vectors are not aligned with `actors`, or the
+/// transport vector is not aligned with `actors`, or the
 /// [`RoundDriverConfig`] is invalid.
 pub fn run_threaded_cluster<M, T>(
     actors: Vec<Box<dyn AnyActor<Msg = M>>>,
     transports: Vec<T>,
-    policies: Vec<Option<Box<dyn SendPolicy>>>,
     rebuilder: Option<ActorRebuilder<M>>,
     config: &ClusterConfig,
 ) -> ClusterReport<M>
@@ -98,7 +98,6 @@ where
     let n = actors.len();
     assert!(n > 0, "cluster needs at least one actor");
     assert_eq!(n, transports.len(), "one transport per actor");
-    assert_eq!(n, policies.len(), "one policy slot per actor");
     for (i, a) in actors.iter().enumerate() {
         assert_eq!(a.id().index(), i, "actor {i} has id {}", a.id());
     }
@@ -120,11 +119,9 @@ where
         Arc::new((0..n).map(|i| config.corrupt.iter().any(|c| c.index() == i)).collect());
 
     let mut handles = Vec::with_capacity(n);
-    let mut policies = policies;
-    let mut fate_iter = fates.into_iter();
-    for ((actor, transport), policy) in actors.into_iter().zip(transports).zip(policies.drain(..)) {
+    for ((actor, transport), fate) in actors.into_iter().zip(transports).zip(fates) {
         let i = actor.id().index();
-        let fate = fate_iter.next().expect("one fate per actor");
+        let policy = config.link_policy.as_ref().map(|f| f(actor.id()));
         let proc = EngineProcess::new(actor, n, !corrupt[i], fate, rebuilder.clone(), policy);
         let ctrl = ctrl.clone();
         let corrupt = corrupt.clone();

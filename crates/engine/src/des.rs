@@ -74,7 +74,7 @@ use crate::driver::AdvanceCause::{self, QuorumReached};
 use crate::driver::{DriverConfigError, RoundDriver, RoundDriverConfig};
 use crate::fate::{resolve_fates, ActorRebuilder, ProcessFateFactory};
 use crate::process::EngineProcess;
-use crate::transport::{Delivery, LinkPolicySendAdapter, SendPolicy, Transport};
+use crate::transport::{Delivery, Transport};
 use meba_crypto::ProcessId;
 use meba_sim::metrics::AdvanceStats;
 use meba_sim::{AnyActor, Message, Metrics};
@@ -614,9 +614,7 @@ pub fn run_des_cluster<M: Message>(
         .into_iter()
         .enumerate()
         .map(|(i, a)| {
-            let policy = config.link_policy.as_ref().map(|f| {
-                Box::new(LinkPolicySendAdapter(f(ProcessId(i as u32)))) as Box<dyn SendPolicy>
-            });
+            let policy = config.link_policy.as_ref().map(|f| f(ProcessId(i as u32)));
             EngineProcess::new(a, n, !corrupt[i], fates[i], rebuilder.clone(), policy)
         })
         .collect();

@@ -21,7 +21,8 @@
 //!   backend (see [`driver`]).
 //! * [`EngineProcess`] / [`run_live_round`] — the one per-process driver:
 //!   inbox partitioning by `sent_round`, word/byte/per-link accounting,
-//!   [`SendPolicy`] fault application, [`ProcessFate`] crash-restart
+//!   [`meba_sim::faults::LinkPolicy`] fault application (the one fault
+//!   vocabulary, `Sever` included), [`ProcessFate`] crash-restart
 //!   execution, and journal-replay rejoin.
 //! * [`run_threaded_cluster`] — generic thread-per-process execution with
 //!   coordinator stop decisions, overrun monitoring, and δ-escalation
@@ -63,7 +64,7 @@ pub use fate::{
 };
 pub use pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer};
 pub use process::{run_live_round, EngineProcess, LiveRoundOutcome, RoundState, StepStatus};
-pub use transport::{Delivery, LinkPolicySendAdapter, SendFate, SendPolicy, Transport};
+pub use transport::{Delivery, Transport};
 
 #[cfg(test)]
 mod tests {

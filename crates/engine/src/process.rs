@@ -4,8 +4,9 @@
 //! journal-replay rejoin exist in exactly one place.
 
 use crate::fate::{ActorRebuilder, ResolvedFate};
-use crate::transport::{Delivery, SendFate, SendPolicy, Transport};
+use crate::transport::{Delivery, Transport};
 use meba_crypto::ProcessId;
+use meba_sim::faults::{Link, LinkFate, LinkPolicy};
 use meba_sim::{AnyActor, Dest, Envelope, Message, Metrics, Round, RoundCtx};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -116,7 +117,7 @@ pub fn run_live_round<M: Message>(
     actor: &mut dyn AnyActor<Msg = M>,
     transport: &mut dyn Transport<M>,
     state: &mut RoundState<M>,
-    policy: &mut Option<Box<dyn SendPolicy>>,
+    policy: &mut Option<Box<dyn LinkPolicy>>,
     round: u64,
     n: usize,
     sender_correct: bool,
@@ -191,8 +192,8 @@ pub fn run_live_round<M: Message>(
             }
             let to = ProcessId(target as u32);
             let fate = match policy {
-                Some(p) => p.fate(meba_sim::faults::Link { from: me, to }, round),
-                None => SendFate::Deliver,
+                Some(p) => p.fate(Link { from: me, to }, round),
+                None => LinkFate::Deliver,
             };
             {
                 let mut metrics = metrics.lock();
@@ -201,18 +202,21 @@ pub fn run_live_round<M: Message>(
                 stats.sent += 1;
                 stats.bytes += bytes;
                 match fate {
-                    SendFate::Deliver => {}
-                    SendFate::Drop | SendFate::Sever => stats.dropped += 1,
-                    SendFate::DelayRounds(_) => stats.delayed += 1,
+                    LinkFate::Deliver => {}
+                    LinkFate::Drop | LinkFate::Sever => stats.dropped += 1,
+                    LinkFate::DelayRounds(_) => stats.delayed += 1,
                 }
             }
             match fate {
-                SendFate::Deliver => transport.send(to, round, &msg),
-                SendFate::Drop => {}
-                SendFate::DelayRounds(k) => {
-                    state.pending.entry(round + k).or_default().push((to, round, msg.clone()));
+                LinkFate::Deliver => transport.send(to, round, &msg),
+                LinkFate::Drop => {}
+                LinkFate::DelayRounds(k) => {
+                    // A delay past the end of time is never released.
+                    let release = round.saturating_add(k);
+                    state.pending.entry(release).or_default().push((to, round, msg.clone()));
                 }
-                SendFate::Sever => transport.sever(to),
+                // Lost, and the connection with it — where there is one.
+                LinkFate::Sever => transport.sever(to),
             }
         }
     }
@@ -251,7 +255,7 @@ pub struct StepStatus {
 }
 
 /// One process as the engine drives it: the actor, its persistent round
-/// state, its send-edge policy, and its resolved crash-restart fate.
+/// state, its outbound link policy, and its resolved crash-restart fate.
 /// Backends own the pacing and the stop decision; this type owns
 /// everything that happens *inside* a round, including the fate
 /// execution and journal-replay rejoin that PR 4 previously duplicated
@@ -262,7 +266,7 @@ pub struct EngineProcess<M: Message> {
     sender_correct: bool,
     fate: ResolvedFate,
     rebuilder: Option<ActorRebuilder<M>>,
-    policy: Option<Box<dyn SendPolicy>>,
+    policy: Option<Box<dyn LinkPolicy>>,
     state: RoundState<M>,
     dead: bool,
     rejoin_round: Option<u64>,
@@ -278,7 +282,7 @@ impl<M: Message> EngineProcess<M> {
         sender_correct: bool,
         fate: ResolvedFate,
         rebuilder: Option<ActorRebuilder<M>>,
-        policy: Option<Box<dyn SendPolicy>>,
+        policy: Option<Box<dyn LinkPolicy>>,
     ) -> Self {
         debug_assert!(
             !matches!(fate, ResolvedFate::Crash { rejoin_at: Some(_), .. }) || rebuilder.is_some(),

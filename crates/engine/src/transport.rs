@@ -1,8 +1,6 @@
-//! The [`Transport`] abstraction every backend plugs into the engine, and
-//! the [`SendPolicy`] fault-injection hook applied at the send edge.
+//! The [`Transport`] abstraction every backend plugs into the engine.
 
 use meba_crypto::ProcessId;
-use meba_sim::faults::{Link, LinkFate, LinkPolicy};
 use meba_sim::Message;
 
 /// A message in flight, tagged with its authenticated sender and the
@@ -36,9 +34,10 @@ pub trait Transport<M: Message> {
     /// preserving arrival order.
     fn drain(&mut self, out: &mut Vec<Delivery<M>>);
 
-    /// Tears down the directed link to `to` (TCP: closes the socket so
-    /// the reconnect path runs). In-memory backends have nothing to tear
-    /// down.
+    /// Tears down the directed link to `to` — what the engine calls for
+    /// a [`LinkFate::Sever`](meba_sim::faults::LinkFate::Sever) (TCP:
+    /// closes the socket so the reconnect path runs). In-memory backends
+    /// have nothing to tear down, which makes a sever a plain drop there.
     fn sever(&mut self, _to: ProcessId) {}
 
     /// Full local teardown at a crash: the process lost its volatile
@@ -50,56 +49,5 @@ pub trait Transport<M: Message> {
     /// [`crate::ClusterReport::backpressure`] at the end of the run).
     fn backpressure(&self) -> u64 {
         0
-    }
-}
-
-/// What happens to one outbound message at the send edge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SendFate {
-    /// Hand the message to the transport normally.
-    Deliver,
-    /// Silently discard it (the sender still pays its words).
-    Drop,
-    /// Hold it back for this many rounds, then transmit it with its
-    /// original `sent_round` — the recipient sees it past the synchrony
-    /// bound.
-    DelayRounds(u64),
-    /// Discard it *and* tear the connection down
-    /// ([`Transport::sever`]) — TCP exercises its reconnect path;
-    /// in-memory backends treat this as a plain drop.
-    Sever,
-}
-
-impl From<LinkFate> for SendFate {
-    fn from(f: LinkFate) -> Self {
-        match f {
-            LinkFate::Deliver => SendFate::Deliver,
-            LinkFate::Drop => SendFate::Drop,
-            LinkFate::DelayRounds(k) => SendFate::DelayRounds(k),
-        }
-    }
-}
-
-/// Send-edge fault injection: judges every outbound message on a remote
-/// link. Self-links are never consulted.
-pub trait SendPolicy: Send {
-    /// The fate of one message on `link` sent during `round`.
-    fn fate(&mut self, link: Link, round: u64) -> SendFate;
-}
-
-impl<F: FnMut(Link, u64) -> SendFate + Send> SendPolicy for F {
-    fn fate(&mut self, link: Link, round: u64) -> SendFate {
-        self(link, round)
-    }
-}
-
-/// Adapts a [`LinkPolicy`] (the lockstep simulator's fault vocabulary)
-/// into a [`SendPolicy`], so every stock policy in [`meba_sim::faults`]
-/// works on every backend unchanged.
-pub struct LinkPolicySendAdapter(pub Box<dyn LinkPolicy>);
-
-impl SendPolicy for LinkPolicySendAdapter {
-    fn fate(&mut self, link: Link, round: u64) -> SendFate {
-        self.0.fate(link, round).into()
     }
 }

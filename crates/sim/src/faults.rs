@@ -1,17 +1,28 @@
 //! Link-fault injection policies.
 //!
 //! A [`LinkPolicy`] decides, per directed link and per round, whether a
-//! message is delivered on time, dropped, or delayed by `k` rounds — the
-//! network-level faults of the model (message loss, late delivery past
-//! `δ`, reordering across round boundaries, and transient partitions).
-//! The same trait drives both runtimes:
+//! message is delivered on time, dropped, delayed by `k` rounds, or lost
+//! together with the connection that carried it — the beyond-model
+//! network hazards (message loss, late delivery past `δ`, reordering
+//! across round boundaries, transient partitions, torn connections).
+//! [`LinkFate`] and [`LinkPolicy`] are the workspace's only fault
+//! vocabulary; every backend interprets them directly, so one seeded
+//! plan runs unchanged on all four:
 //!
 //! * the **lockstep simulator** ([`crate::SimBuilder::link_policy`]) — a
 //!   run is a pure function of the seed, so lossy-link tests reproduce
 //!   exactly;
-//! * the **threaded cluster** (`meba-engine`) — each sender thread owns a
-//!   policy instance for its outbound links, and the same seed yields the
-//!   same fate for the same `(link, round, nth message)` triple.
+//! * the **threaded cluster**, the **discrete-event backend** and the
+//!   **TCP cluster** (`meba-engine`'s `ClusterConfig::link_policy` /
+//!   `DesConfig::link_policy`) — each sender owns a policy instance for
+//!   its outbound links, and the same seed yields the same fate for the
+//!   same `(link, round, nth message)` triple.
+//!
+//! [`LinkFate::Sever`] tears a connection down only where there is one:
+//! over TCP the socket is closed and the link re-dials and re-handshakes
+//! before carrying further traffic; the lockstep simulator, the channel
+//! mesh, the discrete-event queue and `meba-adversary`'s
+//! `LossyLinkActor` have no connections and treat it as [`LinkFate::Drop`].
 //!
 //! Determinism: stock policies never consult ambient randomness. Every
 //! decision is a pure function of `(seed, from, to, round, seq)` where
@@ -61,8 +72,16 @@ pub enum LinkFate {
     /// Delivered `k` rounds later than `δ` allows: a message sent in round
     /// `r` reaches its recipient's inbox in round `r + 1 + k`. Because
     /// later traffic overtakes it, a positive delay also *reorders*
-    /// deliveries relative to send order.
+    /// deliveries relative to send order. A delay that would overflow the
+    /// round counter saturates: the message is never released, and is
+    /// still billed as delayed.
     DelayRounds(u64),
+    /// Lost, and the connection that carried it is torn down: the TCP
+    /// runtime closes the socket, so the link must re-dial and
+    /// re-handshake before it carries further traffic. A backend without
+    /// connections (lockstep, channels, discrete-event, `LossyLinkActor`)
+    /// treats it as [`LinkFate::Drop`].
+    Sever,
 }
 
 /// A per-link fault schedule.
@@ -266,8 +285,49 @@ impl LinkPolicy for OneShotPartition {
     }
 }
 
-/// Composes policies: the message is dropped if **any** layer drops it,
-/// and otherwise delayed by the **sum** of the layers' delays.
+/// Severs one directed link for every message sent on it in one round
+/// and delivers everything else; compose it with other policies through
+/// [`PolicyStack`]. Deterministic by construction.
+///
+/// # Examples
+///
+/// ```
+/// use meba_sim::faults::{Link, LinkFate, LinkPolicy, SeverAt};
+/// use meba_crypto::ProcessId;
+///
+/// let link = Link { from: ProcessId(3), to: ProcessId(0) };
+/// let mut p = SeverAt::new(link, 2);
+/// assert_eq!(p.fate(link, 1), LinkFate::Deliver);
+/// assert_eq!(p.fate(link, 2), LinkFate::Sever);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeverAt {
+    link: Link,
+    round: u64,
+}
+
+impl SeverAt {
+    /// Severs `link` for messages sent in `round`.
+    pub fn new(link: Link, round: u64) -> Self {
+        SeverAt { link, round }
+    }
+}
+
+impl LinkPolicy for SeverAt {
+    fn fate(&mut self, link: Link, round: u64) -> LinkFate {
+        if link == self.link && round == self.round {
+            LinkFate::Sever
+        } else {
+            LinkFate::Deliver
+        }
+    }
+}
+
+/// Composes policies: sever dominates drop dominates delay. The message
+/// is severed if **any** layer severs it, else dropped if any layer drops
+/// it, and otherwise delayed by the (saturating) **sum** of the layers'
+/// delays. Every layer is consulted for every message, so a stateful
+/// layer's sequence does not depend on what the layers before it said.
 #[derive(Default)]
 pub struct PolicyStack {
     layers: Vec<Box<dyn LinkPolicy>>,
@@ -294,18 +354,20 @@ impl PolicyStack {
 
 impl LinkPolicy for PolicyStack {
     fn fate(&mut self, link: Link, round: u64) -> LinkFate {
-        let mut delay = 0u64;
+        let (mut delay, mut dropped, mut severed) = (0u64, false, false);
         for layer in &mut self.layers {
             match layer.fate(link, round) {
                 LinkFate::Deliver => {}
-                LinkFate::Drop => return LinkFate::Drop,
-                LinkFate::DelayRounds(k) => delay += k,
+                LinkFate::Drop => dropped = true,
+                LinkFate::DelayRounds(k) => delay = delay.saturating_add(k),
+                LinkFate::Sever => severed = true,
             }
         }
-        if delay == 0 {
-            LinkFate::Deliver
-        } else {
-            LinkFate::DelayRounds(delay)
+        match (severed, dropped, delay) {
+            (true, _, _) => LinkFate::Sever,
+            (_, true, _) => LinkFate::Drop,
+            (_, _, 0) => LinkFate::Deliver,
+            (_, _, k) => LinkFate::DelayRounds(k),
         }
     }
 }
@@ -402,6 +464,54 @@ mod tests {
 
         let mut empty = PolicyStack::new();
         assert_eq!(empty.fate(link(0, 1), 0), LinkFate::Deliver);
+    }
+
+    #[test]
+    fn stack_sever_dominates_drop_dominates_delay() {
+        let sever = || Box::new(SeverAt::new(link(0, 1), 4));
+        let drop_all = || Box::new(BernoulliDrop::new(0, 1.0));
+        let delay = |k: u64| Box::new(move |_l: Link, _r: u64| LinkFate::DelayRounds(k));
+
+        // Whatever the order, the strongest fate wins.
+        let mut first = PolicyStack::new().with(sever()).with(drop_all()).with(delay(2));
+        let mut last = PolicyStack::new().with(delay(2)).with(drop_all()).with(sever());
+        for p in [&mut first, &mut last] {
+            assert_eq!(p.fate(link(0, 1), 4), LinkFate::Sever);
+            assert_eq!(p.fate(link(0, 1), 5), LinkFate::Drop, "sever is one round only");
+            assert_eq!(p.fate(link(0, 2), 4), LinkFate::Drop, "and one link only");
+        }
+    }
+
+    #[test]
+    fn stack_consults_every_layer_for_every_message() {
+        // A drop in an earlier layer must not starve a later stateful
+        // layer of its per-link sequence: the jitter layer behind a
+        // one-round partition sees the same draws as one running alone.
+        let mut stacked = PolicyStack::new()
+            .with(Box::new(OneShotPartition::new(0, 1, vec![ProcessId(0)])))
+            .with(Box::new(RandomDelay::new(5, 1.0, 3)));
+        let mut alone = RandomDelay::new(5, 1.0, 3);
+        assert_eq!(stacked.fate(link(0, 1), 0), LinkFate::Drop);
+        let _ = alone.fate(link(0, 1), 0);
+        assert_eq!(stacked.fate(link(0, 1), 1), alone.fate(link(0, 1), 1));
+    }
+
+    #[test]
+    fn stack_delay_sum_saturates() {
+        let mut p = PolicyStack::new()
+            .with(Box::new(|_l: Link, _r: u64| LinkFate::DelayRounds(u64::MAX)))
+            .with(Box::new(|_l: Link, _r: u64| LinkFate::DelayRounds(2)));
+        assert_eq!(p.fate(link(0, 1), 0), LinkFate::DelayRounds(u64::MAX));
+    }
+
+    #[test]
+    fn sever_at_fires_once_per_link_round() {
+        let (target, other) = (link(0, 2), link(0, 1));
+        let mut p = SeverAt::new(target, 5);
+        assert_eq!(p.fate(target, 4), LinkFate::Deliver);
+        assert_eq!(p.fate(target, 5), LinkFate::Sever);
+        assert_eq!(p.fate(other, 5), LinkFate::Deliver);
+        assert_eq!(p.fate(target, 6), LinkFate::Deliver);
     }
 
     #[test]

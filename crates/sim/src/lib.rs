@@ -57,7 +57,7 @@ pub mod trace;
 pub use actor::{Actor, Dest, Envelope, IdleActor, Message, RoundCtx};
 pub use faults::{
     BernoulliDrop, Link, LinkFate, LinkPolicy, OneShotPartition, PolicyStack, RandomDelay,
-    ReliableLinks,
+    ReliableLinks, SeverAt,
 };
 pub use metrics::{
     ClientStats, Counters, LatencyHistogram, LinkStats, Metrics, RecoveryStats, ServiceStats,

@@ -115,7 +115,8 @@ impl<M: crate::actor::Message> SimBuilder<M> {
     }
 
     /// Injects link faults: every non-self point-to-point delivery asks
-    /// `policy` for its [`LinkFate`] — dropped messages vanish, delayed
+    /// `policy` for its [`LinkFate`] — dropped and severed messages
+    /// vanish (the simulator has no connections to tear down), delayed
     /// messages arrive `k` rounds past the synchrony bound. While a
     /// policy is installed, per-link delivery counters are recorded into
     /// [`Metrics::per_link`]. Off by default (reliable links, zero
@@ -375,13 +376,15 @@ impl<M: crate::actor::Message> Simulation<M> {
                 stats.bytes += bytes;
                 match fate {
                     LinkFate::Deliver => stats.delivered += 1,
-                    LinkFate::Drop => {
+                    // No connection to tear down here: a sever is a drop.
+                    LinkFate::Drop | LinkFate::Sever => {
                         stats.dropped += 1;
                         return;
                     }
                     LinkFate::DelayRounds(k) => {
                         stats.delayed += 1;
-                        let due = self.round.as_u64() + 1 + k;
+                        // A delay past the end of time is never released.
+                        let due = self.round.as_u64().saturating_add(1).saturating_add(k);
                         self.delayed.entry(due).or_default().push((to.index(), env));
                         return;
                     }
@@ -655,6 +658,31 @@ mod tests {
         assert_eq!(p1.heard.len(), 2);
         assert_eq!(sim.metrics().link(ProcessId(0), ProcessId(1)).delayed, 1);
         assert_eq!(sim.metrics().link(ProcessId(0), ProcessId(1)).delivered, 1);
+    }
+
+    #[test]
+    fn link_policy_sever_is_a_counted_drop() {
+        use crate::faults::{Link, SeverAt};
+        let link = Link { from: ProcessId(0), to: ProcessId(1) };
+        let mut sim =
+            SimBuilder::new(chatters(2)).link_policy(Box::new(SeverAt::new(link, 0))).build();
+        sim.run_rounds(2);
+        let p1: &Chatter = sim.actor(ProcessId(1)).as_any().downcast_ref().unwrap();
+        assert_eq!(p1.heard.len(), 1, "the severed message never arrives");
+        let stats = sim.metrics().link(link.from, link.to);
+        assert_eq!((stats.sent, stats.dropped, stats.delivered), (1, 1, 0));
+    }
+
+    #[test]
+    fn link_policy_delay_saturates_instead_of_overflowing() {
+        use crate::faults::{Link, LinkFate};
+        let policy = |_l: Link, _r: u64| LinkFate::DelayRounds(u64::MAX);
+        let mut sim = SimBuilder::new(chatters(2)).link_policy(Box::new(policy)).build();
+        sim.run_rounds(3);
+        let p1: &Chatter = sim.actor(ProcessId(1)).as_any().downcast_ref().unwrap();
+        assert_eq!(p1.heard.len(), 1, "a delay past the end of the run is a drop");
+        let stats = sim.metrics().link(ProcessId(0), ProcessId(1));
+        assert_eq!((stats.delayed, stats.delivered), (1, 0), "billed as delayed");
     }
 
     #[test]

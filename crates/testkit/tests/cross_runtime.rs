@@ -20,8 +20,8 @@ use meba_engine::{
     run_cluster, run_des_cluster, ActorRebuilder, ClusterConfig, DesConfig, LinkPolicyFactory,
     ProcessFate, ProcessFateFactory, RebuiltActor, RoundDriverConfig,
 };
-use meba_sim::faults::RandomDelay;
-use meba_sim::{Actor, AnyActor, Message, Round, RoundCtx};
+use meba_sim::faults::{Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt};
+use meba_sim::{Actor, AnyActor, Message, Round, RoundCtx, SimBuilder};
 use meba_testkit::{
     assert_agreement, bb_actors, bb_decisions, bb_des, bb_des_timed, bb_report_decisions, bb_sim,
     corrupt_ids, round_budget, strong_ba_actors, strong_ba_decisions, strong_ba_des,
@@ -255,6 +255,119 @@ fn tcp_cluster_matches_des_decisions_and_words() {
     );
 }
 
+/// The link [`link_fault_plan`] severs.
+const SEVERED: Link = Link { from: ProcessId(3), to: ProcessId(0) };
+
+/// One seeded link-fault plan in the one fault vocabulary: p3's outbound
+/// links jittered past δ with its p3→p0 link severed in round 10 (p3's
+/// first traffic to p0 — its help request after two failed phases), p4's
+/// outbound links cut. Stock policies decide per `(seed, link, round,
+/// nth message)`, so one instance judging every link (the lockstep
+/// simulator) and one instance per sender (the engine backends) hand
+/// out the same fates.
+fn link_fault_plan() -> Box<dyn LinkPolicy> {
+    let mut jitter = RandomDelay::new(0xd3, 0.8, 3);
+    let by_sender = move |l: Link, r: u64| match l.from.0 {
+        3 => jitter.fate(l, r),
+        4 => LinkFate::Drop,
+        _ => LinkFate::Deliver,
+    };
+    let sever = SeverAt::new(SEVERED, 10);
+    Box::new(PolicyStack::new().with(Box::new(sever)).with(Box::new(by_sender)))
+}
+
+/// The send-edge view of every directed link: what was sent and what the
+/// plan did to it. (Deliveries are counted where they are admitted, which
+/// differs at the end of a run; fates are decided where they are sent.)
+fn send_edge(metrics: &meba_sim::Metrics, n: u32) -> Vec<(u64, u64, u64)> {
+    (0..n)
+        .flat_map(|a| (0..n).map(move |b| (ProcessId(a), ProcessId(b))))
+        .map(|(a, b)| {
+            let l = metrics.link(a, b);
+            (l.sent, l.dropped, l.delayed)
+        })
+        .collect()
+}
+
+/// [`link_fault_plan`], sever included, runs unchanged on all four
+/// backends. Lockstep and DES — neither has connections, so the sever is
+/// a counted drop — agree on decisions, words, rounds and every link's
+/// send-edge counters; the threaded cluster and TCP decide the same, and
+/// over TCP the same plan additionally tears the socket down and the
+/// link reconnects.
+#[test]
+fn one_link_fault_plan_runs_on_all_four_backends() {
+    use meba_core::SystemConfig;
+    use meba_wire::{run_tcp_cluster, TcpClusterConfig};
+
+    let n = 5;
+    let faults = vec![Fault::None; n];
+    let inputs = vec![7u64; n];
+    let factory: LinkPolicyFactory = Arc::new(|_me| link_fault_plan());
+
+    let mut sim =
+        SimBuilder::new(weak_ba_actors(&inputs, &faults)).link_policy(link_fault_plan()).build();
+    sim.run_until_done(round_budget(n)).unwrap();
+    let lockstep = weak_ba_decisions(&sim, &faults);
+    assert_eq!(assert_agreement(&lockstep), Decision::Value(7));
+    let severed = sim.metrics().link(SEVERED.from, SEVERED.to);
+    assert!(severed.dropped >= 1, "the severed frame is billed as a drop: {severed:?}");
+
+    let des = run_des_cluster(
+        weak_ba_actors(&inputs, &faults),
+        None,
+        DesConfig {
+            seed: 0x5e7e,
+            max_rounds: round_budget(n),
+            link_policy: Some(factory.clone()),
+            ..DesConfig::default()
+        },
+    )
+    .expect("valid config");
+    assert!(des.completed, "DES run must complete");
+    assert_eq!(weak_ba_report_decisions(&des, &faults), lockstep, "lockstep vs DES decisions");
+    assert_eq!(sim.metrics().correct.words, des.metrics.correct.words, "lockstep vs DES words");
+    assert_eq!(sim.metrics().rounds, des.rounds, "lockstep vs DES rounds");
+    assert_eq!(
+        send_edge(sim.metrics(), n as u32),
+        send_edge(&des.metrics, n as u32),
+        "lockstep vs DES per-link sent/dropped/delayed"
+    );
+
+    let threaded = clean_run("threaded weak BA under the link plan", |delta| {
+        let config = ClusterConfig {
+            delta,
+            max_rounds: round_budget(n),
+            link_policy: Some(factory.clone()),
+            ..ClusterConfig::default()
+        };
+        run_cluster(weak_ba_actors(&inputs, &faults), config)
+    });
+    // A wall-clock run stops a timing-dependent round or two after the
+    // last decision, and decided processes still answer p3's late help
+    // requests — so the smoke backends pin the decisions and the sever,
+    // not the word total.
+    assert_eq!(weak_ba_report_decisions(&threaded, &faults), lockstep, "threaded decisions");
+    assert!(threaded.metrics.link(SEVERED.from, SEVERED.to).dropped >= 1);
+
+    let system = SystemConfig::new(n, 0x3a).unwrap();
+    let config = TcpClusterConfig {
+        cluster: ClusterConfig {
+            delta: Duration::from_millis(5),
+            max_rounds: round_budget(n),
+            link_policy: Some(factory),
+            ..ClusterConfig::default()
+        },
+        ..TcpClusterConfig::default()
+    };
+    let tcp = run_tcp_cluster(weak_ba_actors(&inputs, &faults), &system, config)
+        .expect("loopback mesh establishes");
+    assert!(tcp.report.completed, "TCP run must complete");
+    assert_eq!(weak_ba_report_decisions(&tcp.report, &faults), lockstep, "TCP decisions");
+    assert!(tcp.report.metrics.link(SEVERED.from, SEVERED.to).dropped >= 1);
+    assert!(tcp.reconnects >= 1, "the severed socket must re-dial");
+}
+
 /// DES determinism: the same seed yields *byte-identical* metrics — the
 /// whole serialized struct, not just the headline counters.
 #[test]
@@ -390,6 +503,21 @@ fn scenario(seed: u64) -> Scenario {
             Some(Arc::new(move |p: ProcessId| {
                 let prob = if everyone || p.0 == slow { 0.3 } else { 0.0 };
                 Box::new(RandomDelay::new(link_seed ^ u64::from(p.0), prob, 3)) as _
+            }))
+        }
+        1 => {
+            // Everyone mildly laggy, and one directed link severed in one
+            // round — no connection on this backend, so a counted drop.
+            let link_seed = k.next();
+            let from = k.below(n as u64) as u32;
+            let to = (from + 1 + k.below(n as u64 - 1) as u32) % n as u32;
+            let severed = SeverAt::new(
+                Link { from: ProcessId(from), to: ProcessId(to) },
+                k.below(6 * n as u64),
+            );
+            Some(Arc::new(move |p: ProcessId| {
+                let jitter = RandomDelay::new(link_seed ^ u64::from(p.0), 0.2, 3);
+                Box::new(PolicyStack::new().with(Box::new(severed)).with(Box::new(jitter))) as _
             }))
         }
         _ => None,

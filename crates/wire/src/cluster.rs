@@ -18,23 +18,23 @@
 //! the channel runtime, so a scenario's timing and fate behaviour do not
 //! change when it moves to sockets.
 //!
-//! Fault injection happens at the socket edge: a [`SocketPolicy`]
-//! (or any [`meba_sim::faults::LinkPolicy`] via
-//! [`ClusterConfig::link_policy`]) judges every outbound frame, and the
-//! TCP-specific [`SocketFate::Sever`] additionally tears the connection
-//! down so the reconnect path is exercised under test.
+//! Fault injection is [`ClusterConfig::link_policy`], read exactly as
+//! every other backend reads it: the sender's
+//! [`meba_sim::faults::LinkPolicy`] judges every outbound frame at the
+//! socket edge. This is the one backend with connections, so here a
+//! [`LinkFate::Sever`](meba_sim::faults::LinkFate::Sever) loses the
+//! frame *and* closes the socket ([`TcpMesh::sever`]); the link re-dials
+//! and re-handshakes before carrying further traffic, which is how the
+//! reconnect path is exercised under test.
 
 use crate::handshake::{config_digest, Hello, PROTOCOL_VERSION};
 use crate::mesh::{Inbound, MeshConfig, MeshStats, TcpMesh};
-#[allow(unused_imports)] // doc links
-use crate::proxy::{SocketFate, SocketPolicy};
-use crate::proxy::{SocketPolicyFactory, SocketSendAdapter};
 use crate::WireError;
 use meba_core::SystemConfig;
 use meba_crypto::{ProcessId, WireCodec};
 use meba_engine::{
     run_live_round, ActorRebuilder, ClusterConfig, ClusterReport, DeadlinePacer, Delivery,
-    LinkPolicySendAdapter, RoundDriver, RoundDriverConfig, RoundState, SendPolicy, Transport,
+    RoundDriver, RoundDriverConfig, RoundState, Transport,
 };
 use meba_sim::{AnyActor, Message, Metrics};
 use parking_lot::Mutex;
@@ -51,10 +51,6 @@ pub struct TcpClusterConfig {
     /// link policy, channel capacity, overrun policy) — the same struct
     /// [`meba_engine::run_cluster`] takes, so scenarios port unchanged.
     pub cluster: ClusterConfig,
-    /// Socket-edge fault injection. Takes precedence over
-    /// `cluster.link_policy` when both are set; use this for the
-    /// TCP-only [`SocketFate::Sever`].
-    pub socket_policy: Option<SocketPolicyFactory>,
     /// Session domain stamped into every handshake. Two clusters with
     /// different domains refuse to link even on the same ports.
     pub domain: u64,
@@ -66,7 +62,6 @@ impl Default for TcpClusterConfig {
     fn default() -> Self {
         TcpClusterConfig {
             cluster: ClusterConfig::default(),
-            socket_policy: None,
             domain: 1,
             dial_timeout: Duration::from_secs(10),
         }
@@ -278,22 +273,9 @@ pub fn run_tcp_cluster_with_recovery<M: Message + WireCodec>(
     // Keep a handle on every mesh's socket counters: the transports are
     // consumed (and shut down) by the engine, but the Arcs survive.
     let mesh_stats: Vec<Arc<MeshStats>> = meshes.iter().map(|m| m.stats().clone()).collect();
-    let policies: Vec<Option<Box<dyn SendPolicy>>> = (0..n)
-        .map(|i| {
-            let me = ProcessId(i as u32);
-            match (&config.socket_policy, &config.cluster.link_policy) {
-                (Some(f), _) => Some(Box::new(SocketSendAdapter(f(me))) as Box<dyn SendPolicy>),
-                (None, Some(f)) => {
-                    Some(Box::new(LinkPolicySendAdapter(f(me))) as Box<dyn SendPolicy>)
-                }
-                (None, None) => None,
-            }
-        })
-        .collect();
     let transports: Vec<MeshTransport<M>> = meshes.into_iter().map(MeshTransport::new).collect();
 
-    let report =
-        meba_engine::run_threaded_cluster(actors, transports, policies, rebuilder, &config.cluster);
+    let report = meba_engine::run_threaded_cluster(actors, transports, rebuilder, &config.cluster);
 
     let mut frames_sent = 0;
     let mut socket_bytes = 0;
@@ -381,7 +363,6 @@ pub fn drive_mesh<M: Message + WireCodec>(
     let metrics = Mutex::new(Metrics::default());
     let mut transport = MeshTransport::new(mesh);
     let mut state = RoundState::new();
-    let mut policy: Option<Box<dyn SendPolicy>> = None;
     let pacer = DeadlinePacer::new(Instant::now(), cfg.delta);
     let mut driver = RoundDriver::wall_clock(&cfg.driver, n);
     let mut linger = cfg.linger_rounds;
@@ -393,16 +374,8 @@ pub fn drive_mesh<M: Message + WireCodec>(
         if round >= 1 {
             cause.record(&mut metrics.lock().advance);
         }
-        let outcome = run_live_round(
-            actor,
-            &mut transport,
-            &mut state,
-            &mut policy,
-            round,
-            n,
-            true,
-            &metrics,
-        );
+        let outcome =
+            run_live_round(actor, &mut transport, &mut state, &mut None, round, n, true, &metrics);
         driver.observe(outcome.late_admitted);
         let done = outcome.done;
         round += 1;

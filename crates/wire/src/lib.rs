@@ -18,9 +18,9 @@
 //!   and capped-backoff reconnect;
 //! * [`cluster`] — [`run_tcp_cluster`], mirroring
 //!   [`meba_engine::run_cluster`]'s configuration and report so any
-//!   scenario moves from channels to loopback TCP unchanged;
-//! * [`proxy`] — socket-edge fault injection ([`SocketFate::Sever`]
-//!   exercises reconnect, the rest mirror [`meba_sim::faults::LinkFate`]);
+//!   scenario — its [`meba_sim::faults::LinkPolicy`] fault plan
+//!   included — moves from channels to loopback TCP unchanged (a
+//!   `LinkFate::Sever` closes the socket here and exercises reconnect);
 //! * [`budget`] — the [`budget::BYTES_PER_WORD`] constant tying the
 //!   canonical codec's byte costs back to the paper's word costs.
 //!
@@ -40,7 +40,6 @@ pub mod handshake;
 pub mod mesh;
 pub mod poller;
 pub mod pool;
-pub mod proxy;
 pub mod reactor;
 
 pub use budget::BYTES_PER_WORD;
@@ -54,7 +53,4 @@ pub use handshake::{config_digest, Hello, PROTOCOL_VERSION};
 pub use mesh::{Inbound, MeshConfig, MeshSnapshot, MeshStats, TcpMesh};
 pub use poller::raise_nofile_limit;
 pub use pool::BufPool;
-pub use proxy::{
-    adapt_link_policy, SeverAt, SocketFate, SocketPolicy, SocketPolicyFactory, SocketSendAdapter,
-};
 pub use reactor::{dial_jitter, reconnect_delay};

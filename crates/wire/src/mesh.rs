@@ -350,7 +350,8 @@ impl<M: Message + WireCodec> TcpMesh<M> {
     }
 
     /// Tears down the connection to `to`; the next frame re-dials and
-    /// re-handshakes. Used by [`crate::proxy::SocketFate::Sever`].
+    /// re-handshakes. What a [`meba_sim::faults::LinkFate::Sever`] does
+    /// on this backend.
     pub fn sever(&self, to: ProcessId) {
         if let Some(tx) = self.links.get(to.index()).and_then(|l| l.as_ref()) {
             let _ = tx.send(Cmd::Sever);

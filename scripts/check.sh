@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
+echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}) =="
+! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy' -- crates src tests examples README.md docs || exit 1
+
 echo "== build =="
 cargo build --workspace --all-targets --locked
 

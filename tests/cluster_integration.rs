@@ -7,7 +7,9 @@ mod common;
 use common::*;
 use meba::engine::{run_cluster, AbortReason, ClusterConfig, LinkPolicyFactory, OverrunAction};
 use meba::prelude::*;
-use meba::sim::faults::{Link, LinkFate, LinkPolicy, OneShotPartition, PolicyStack, RandomDelay};
+use meba::sim::faults::{
+    Link, LinkFate, LinkPolicy, OneShotPartition, PolicyStack, RandomDelay, SeverAt,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -337,9 +339,7 @@ fn partitioned_slow_cluster_aborts_with_diagnostic() {
 // surface, so the assertions port almost verbatim.
 // ---------------------------------------------------------------------
 
-use meba::wire::{
-    run_tcp_cluster, SocketFate, SocketPolicy, SocketPolicyFactory, TcpClusterConfig,
-};
+use meba::wire::{run_tcp_cluster, TcpClusterConfig};
 
 fn tcp_config(corrupt: Vec<ProcessId>) -> TcpClusterConfig {
     TcpClusterConfig {
@@ -399,33 +399,28 @@ fn bb_over_loopback_tcp_failure_free() {
 
 #[test]
 fn weak_ba_over_tcp_decides_under_socket_faults() {
-    // The channel-runtime lossy-link scenario on sockets: p3's frames are
-    // jittered and its p3→p0 connection severed once (exercising
-    // reconnect), p4's frames are all dropped at the socket edge. The
-    // three processes on healthy links must still decide.
+    // The channel-runtime lossy-link scenario on sockets, in the same
+    // `LinkPolicy` vocabulary: p3's frames are jittered and its p3→p0
+    // connection severed once (exercising reconnect), p4's frames are all
+    // dropped at the socket edge. The three processes on healthy links
+    // must still decide.
     let n = 5usize;
-    let factory: SocketPolicyFactory = Arc::new(|me: ProcessId| -> Box<dyn SocketPolicy> {
+    let factory: LinkPolicyFactory = Arc::new(|me: ProcessId| -> Box<dyn LinkPolicy> {
         match me.0 {
-            3 => {
-                // Sever the first frame bound for p0 (forcing a re-dial
-                // when the next one comes), jitter the rest.
-                let mut severed = false;
-                let mut delay = RandomDelay::new(0xd3, 0.8, 3);
-                Box::new(move |l: Link, r: u64| {
-                    if !severed && l.to == ProcessId(0) {
-                        severed = true;
-                        SocketFate::Sever
-                    } else {
-                        delay.fate(l, r).into()
-                    }
-                })
-            }
-            4 => Box::new(|_l: Link, _r: u64| SocketFate::Drop),
-            _ => Box::new(|_l: Link, _r: u64| SocketFate::Forward),
+            // Round 10 is p3's first frame bound for p0 (its help request
+            // after two failed phases); the ones after it force a re-dial.
+            3 => Box::new(
+                PolicyStack::new()
+                    .with(Box::new(SeverAt::new(Link { from: me, to: ProcessId(0) }, 10)))
+                    .with(Box::new(RandomDelay::new(0xd3, 0.8, 3))),
+            ),
+            4 => Box::new(|_l: Link, _r: u64| LinkFate::Drop),
+            _ => Box::new(|_l: Link, _r: u64| LinkFate::Deliver),
         }
     });
     let corrupt = vec![ProcessId(3), ProcessId(4)];
-    let config = TcpClusterConfig { socket_policy: Some(factory), ..tcp_config(corrupt.clone()) };
+    let mut config = tcp_config(corrupt.clone());
+    config.cluster.link_policy = Some(factory);
     let tcp = run_tcp_cluster(weak_ba_actors(n, 7), &SystemConfig::new(n, 0x3a).unwrap(), config)
         .unwrap();
     let report = &tcp.report;
@@ -453,7 +448,9 @@ fn weak_ba_over_tcp_decides_under_socket_faults() {
     let delayed_from_p3: u64 =
         (0..n as u32).map(|q| m.link(ProcessId(3), ProcessId(q)).delayed).sum();
     assert!(delayed_from_p3 > 0, "p3's links must have delayed traffic");
-    // The sever really tore a connection down and the link re-dialed.
+    // The sever is billed as a drop, really tore a connection down, and
+    // the link re-dialed.
+    assert!(m.link(ProcessId(3), ProcessId(0)).dropped >= 1, "the severed frame is a drop");
     assert!(tcp.reconnects >= 1, "severed p3→p0 must reconnect");
 }
 

@@ -11,9 +11,9 @@ use meba::engine::{
     run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate, ProcessFateFactory,
 };
 use meba::prelude::*;
-use meba::sim::faults::Link;
+use meba::sim::faults::{Link, LinkFate, LinkPolicy};
 use meba::sim::RoundCtx;
-use meba::wire::{run_tcp_cluster_with_recovery, SocketFate, SocketPolicy, TcpClusterConfig};
+use meba::wire::{run_tcp_cluster_with_recovery, TcpClusterConfig};
 use meba_engine::{ActorRebuilder, RebuiltActor};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -187,7 +187,7 @@ fn crash_without_rejoin_is_tolerated_by_survivors() {
 }
 
 /// The TCP acceptance run: a process crash-restarts mid weak-BA while
-/// its links also suffer `Drop` and `Delay` socket faults. The restart
+/// its links also suffer `Drop` and `DelayRounds` link faults. The restart
 /// goes through real socket teardown (every link severed) and the
 /// reconnect/re-handshake machinery; catch-up rides the help path.
 #[test]
@@ -195,19 +195,19 @@ fn tcp_crash_restart_under_socket_faults() {
     struct FlakyLinks {
         victim: ProcessId,
     }
-    impl SocketPolicy for FlakyLinks {
-        fn fate(&mut self, link: Link, round: u64) -> SocketFate {
+    impl LinkPolicy for FlakyLinks {
+        fn fate(&mut self, link: Link, round: u64) -> LinkFate {
             // Rounds 2–5: traffic touching the victim is dropped or
             // delayed, so its recovery must survive a lossy rejoin.
             let touches_victim = link.from == self.victim || link.to == self.victim;
             if touches_victim && (2..=5).contains(&round) {
                 if round.is_multiple_of(2) {
-                    SocketFate::Drop
+                    LinkFate::Drop
                 } else {
-                    SocketFate::DelayRounds(2)
+                    LinkFate::DelayRounds(2)
                 }
             } else {
-                SocketFate::Forward
+                LinkFate::Deliver
             }
         }
     }
@@ -227,11 +227,9 @@ fn tcp_crash_restart_under_socket_faults() {
             process_fate: Some(crash_fate(victim.0, 3, 4)),
             reconnect_backoff_cap: Duration::from_millis(20),
             reconnect_jitter: Duration::from_millis(2),
+            link_policy: Some(Arc::new(move |_me| Box::new(FlakyLinks { victim }))),
             ..ClusterConfig::default()
         },
-        socket_policy: Some(Arc::new(move |_me| {
-            Box::new(FlakyLinks { victim }) as Box<dyn SocketPolicy>
-        })),
         domain: 14,
         ..TcpClusterConfig::default()
     };
