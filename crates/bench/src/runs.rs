@@ -4,8 +4,7 @@ use meba_adversary::{
     EquivocatingSender, LateHelperLeader, SplitVoteLeader, WastefulBbLeader, WastefulWeakLeader,
 };
 use meba_core::{
-    AlwaysValid, Bb, Decision, LockstepAdapter, RotatingStrongBa, StrongBa, SubProtocol,
-    SystemConfig, WeakBa,
+    AlwaysValid, Bb, Decision, LockstepAdapter, StrongBa, SubProtocol, SystemConfig, WeakBa,
 };
 use meba_crypto::{trusted_setup, ProcessId, SecretKey};
 use meba_fallback::{DolevStrongBb, RecursiveBa, RecursiveBaFactory};
@@ -242,27 +241,26 @@ pub fn run_weak_ba(n: usize, adversary: WbaAdversary) -> RunStats {
     stats
 }
 
-/// Runs binary strong BA (all inputs `true`) with `f` crashed followers
-/// (crash the leader instead by passing `crash_leader`).
-pub fn run_strong_ba(n: usize, f: usize, crash_leader: bool) -> RunStats {
+/// One strong BA run (all inputs `true`) with the processes in `byz`
+/// crashed from the start.
+fn run_strong(variant: meba_testkit::SbaCtor, n: usize, byz: std::ops::Range<u32>) -> RunStats {
     let cfg = SystemConfig::new(n, 0).unwrap();
     let (pki, keys) = trusted_setup(n, 0x5ba);
+    let f = byz.len();
     assert!(f <= cfg.t());
-    let byz: Vec<u32> =
-        if crash_leader { (0..f as u32).collect() } else { (1..=f as u32).collect() };
     let mut actors: Vec<Box<dyn AnyActor<Msg = SbaM>>> = Vec::new();
     for (i, key) in keys.iter().cloned().enumerate() {
         let id = ProcessId(i as u32);
-        if byz.contains(&(i as u32)) {
+        if byz.contains(&id.0) {
             actors.push(Box::new(IdleActor::new(id)));
         } else {
             let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let sba = StrongBa::new(cfg, id, key, pki.clone(), factory, true);
+            let sba = variant(cfg, id, key, pki.clone(), factory, true);
             actors.push(Box::new(LockstepAdapter::new(id, sba)));
         }
     }
     let mut b = SimBuilder::new(actors);
-    for &c in &byz {
+    for c in byz.clone() {
         b = b.corrupt(ProcessId(c));
     }
     let mut sim = b.build();
@@ -285,48 +283,18 @@ pub fn run_strong_ba(n: usize, f: usize, crash_leader: bool) -> RunStats {
     stats
 }
 
+/// Runs binary strong BA (all inputs `true`) with `f` crashed followers
+/// (crash the leader instead by passing `crash_leader`).
+pub fn run_strong_ba(n: usize, f: usize, crash_leader: bool) -> RunStats {
+    let first = u32::from(!crash_leader);
+    run_strong(StrongBa::new, n, first..first + f as u32)
+}
+
 /// Runs the rotating-leader strong BA extension (all inputs `true`) with
 /// the first `f` processes crashed (the leaders of the first `f`
 /// attempts — the hardest placement for the rotation).
 pub fn run_rotating_strong(n: usize, f: usize) -> RunStats {
-    let cfg = SystemConfig::new(n, 0).unwrap();
-    let (pki, keys) = trusted_setup(n, 0x40);
-    assert!(f <= cfg.t());
-    let byz: Vec<u32> = (0..f as u32).collect();
-    type RbaProc = RotatingStrongBa<RecursiveBaFactory>;
-    type RbaM = <RbaProc as SubProtocol>::Msg;
-    let mut actors: Vec<Box<dyn AnyActor<Msg = RbaM>>> = Vec::new();
-    for (i, key) in keys.iter().cloned().enumerate() {
-        let id = ProcessId(i as u32);
-        if byz.contains(&(i as u32)) {
-            actors.push(Box::new(IdleActor::new(id)));
-        } else {
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let rba = RotatingStrongBa::new(cfg, id, key, pki.clone(), factory, true);
-            actors.push(Box::new(LockstepAdapter::new(id, rba)));
-        }
-    }
-    let mut b = SimBuilder::new(actors);
-    for &c in &byz {
-        b = b.corrupt(ProcessId(c));
-    }
-    let mut sim = b.build();
-    sim.run_until_done(60 * n as u64 + 4_000).expect("rotating strong ba terminated");
-    let mut stats = stats_from(sim.metrics(), n, f);
-    let mut decisions = Vec::new();
-    let (mut first, mut last) = (u64::MAX, 0u64);
-    for i in (0..n as u32).filter(|i| !byz.contains(i)) {
-        let a: &LockstepAdapter<RbaProc> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-        decisions.push(a.inner().output().expect("decided"));
-        let d = a.inner().decided_at().expect("decided step");
-        first = first.min(d);
-        last = last.max(d);
-        stats.fallback_used |= a.inner().used_fallback();
-    }
-    stats.agreement = decisions.windows(2).all(|w| w[0] == w[1]);
-    stats.decided_first = first;
-    stats.decided_last = last;
-    stats
+    run_strong(StrongBa::rotating, n, 0..f as u32)
 }
 
 type LogProc = ReplicatedLog<u64, RecursiveBaFactory>;

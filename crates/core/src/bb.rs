@@ -28,7 +28,9 @@
 
 use crate::config::SystemConfig;
 use crate::decision::Decision;
-use crate::signing::{sign_payload, verify_payload, BbIdkSig, BbValueSig, DecideProof};
+use crate::signing::{
+    sign_payload, verify_payload, BbIdkSig, BbValueSig, DecideProof, ShareCollector,
+};
 use crate::subprotocol::{next_scheduled, FallbackFactory, SubProtocol};
 use crate::validity::Validity;
 use crate::value::Value;
@@ -39,7 +41,6 @@ use meba_crypto::{
     ThresholdSignature, WireCodec,
 };
 use meba_sim::{Dest, Message};
-use std::collections::BTreeMap;
 
 /// The weak BA value domain of the BB reduction: either the sender's
 /// signed value or an `idk` quorum certificate.
@@ -495,8 +496,11 @@ where
                 let validity = &self.validity;
                 let mut signed: Option<BbBaValue<V>> = None;
                 let mut forwarded_qc: Option<BbBaValue<V>> = None;
-                let mut idk_sigs: BTreeMap<ProcessId, Signature> = BTreeMap::new();
-                let payload = BbIdkSig { session: self.cfg.session(), phase };
+                let mut idk_shares = ShareCollector::new(
+                    &self.pki,
+                    &BbIdkSig { session: self.cfg.session(), phase },
+                    self.cfg.idk_threshold(),
+                );
                 for (from, msg) in inbox {
                     match msg {
                         BbMsg::VetValue { phase: p, value } if *p == phase => {
@@ -513,12 +517,8 @@ where
                                 _ => {}
                             }
                         }
-                        BbMsg::VetIdk { phase: p, sig }
-                            if *p == phase
-                                && sig.signer() == *from
-                                && verify_payload(&self.pki, &payload, sig) =>
-                        {
-                            idk_sigs.insert(*from, sig.clone());
+                        BbMsg::VetIdk { phase: p, sig } if *p == phase => {
+                            idk_shares.offer(*from, sig);
                         }
                         _ => {}
                     }
@@ -527,15 +527,7 @@ where
                     out.push((Dest::All, BbMsg::Vetted { phase, value: v }));
                 } else if let Some(v) = forwarded_qc {
                     out.push((Dest::All, BbMsg::Vetted { phase, value: v }));
-                } else if idk_sigs.len() >= self.cfg.idk_threshold() {
-                    let qc = self
-                        .pki
-                        .combine(
-                            self.cfg.idk_threshold(),
-                            &payload.signing_bytes(),
-                            &idk_sigs.into_values().collect::<Vec<_>>(),
-                        )
-                        .expect("verified shares combine");
+                } else if let Some(qc) = idk_shares.certificate() {
                     out.push((
                         Dest::All,
                         BbMsg::Vetted { phase, value: BbBaValue::IdkQuorum { phase, qc } },

@@ -6,9 +6,10 @@
 //! * [`bb`] — adaptive Byzantine Broadcast via the weak-BA reduction
 //!   (Algorithms 1–2);
 //! * [`strong_ba`] — binary strong BA, linear words when failure-free
-//!   (Algorithm 5);
-//! * [`strong_ba_rotating`] — extension toward §8's open question:
-//!   rotating leaders + the §6 quorum keep strong BA linear in more runs;
+//!   (Algorithm 5), and — as [`StrongBa::rotating`], the same state
+//!   machine on a longer schedule — an extension toward §8's open
+//!   question: rotating leaders + the §6 quorum keep strong BA linear in
+//!   more runs;
 //! * [`subprotocol`] — black-box composition (Figure 1), including the
 //!   `δ' = 2δ` skewed fallback embedding;
 //! * [`recovery`] — crash-recovery wrapper: write-ahead journaling and
@@ -31,7 +32,6 @@ mod message_costs;
 pub mod recovery;
 pub mod signing;
 pub mod strong_ba;
-pub mod strong_ba_rotating;
 pub mod subprotocol;
 pub mod validity;
 pub mod value;
@@ -45,7 +45,6 @@ pub use fallback::{EchoFallback, EchoFallbackFactory};
 pub use recovery::Recoverable;
 pub use signing::{CommitProof, DecideProof};
 pub use strong_ba::{StrongBa, StrongBaMsg};
-pub use strong_ba_rotating::RotatingStrongBa;
 pub use subprotocol::{FallbackFactory, LockstepAdapter, SkewAdapter, SkewEnvelope, SubProtocol};
 pub use validity::{AlwaysValid, FnValidity, Validity};
 pub use value::Value;

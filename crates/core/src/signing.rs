@@ -14,9 +14,10 @@
 use crate::config::SystemConfig;
 use crate::value::Value;
 use meba_crypto::{
-    DecodeError, Decoder, Encoder, Pki, SignContext, Signable, Signature, ThresholdSignature,
-    WireCodec,
+    DecodeError, Decoder, Encoder, Pki, ProcessId, SignContext, Signable, Signature,
+    ThresholdSignature, WireCodec,
 };
+use std::collections::BTreeMap;
 
 /// Builds an equivocation context (see [`SignContext`]): the domain tag
 /// plus the slot-identifying fields, excluding the value being signed.
@@ -275,6 +276,55 @@ impl DecideProof {
     }
 }
 
+/// Certificate formation: the one place signed shares on a payload become
+/// a `(k, n)` threshold certificate — `k = t+1` (idk quorum, help and
+/// propose certificates), `k = ⌈(n+t+1)/2⌉` (commit, finalize and the
+/// rotating decide certificate), `k = n` (Alg 5's decide certificate),
+/// `k = maj` (graded agreement). Callers keep only their own admission
+/// guards (phase, value, scope) and decide what to do with the result.
+#[derive(Debug)]
+pub struct ShareCollector {
+    pki: Pki,
+    preimage: Vec<u8>,
+    threshold: usize,
+    shares: BTreeMap<ProcessId, Signature>,
+}
+
+impl ShareCollector {
+    /// A collector for `threshold` shares on `payload`.
+    pub fn new(pki: &Pki, payload: &impl Signable, threshold: usize) -> Self {
+        ShareCollector {
+            pki: pki.clone(),
+            preimage: payload.signing_bytes(),
+            threshold,
+            shares: BTreeMap::new(),
+        }
+    }
+
+    /// Admits `sig` iff it is `from`'s own share (a relayed signature
+    /// does not count for its relayer) and it verifies over the payload.
+    /// Returns whether it was admissible; a signer counts once however
+    /// often it is offered.
+    pub fn offer(&mut self, from: ProcessId, sig: &Signature) -> bool {
+        let admissible = sig.signer() == from && self.pki.verify(&self.preimage, sig).is_ok();
+        if admissible {
+            self.shares.insert(from, sig.clone());
+        }
+        admissible
+    }
+
+    /// The certificate, once at least `threshold` distinct signers were
+    /// admitted.
+    pub fn certificate(self) -> Option<ThresholdSignature> {
+        (self.shares.len() >= self.threshold).then(|| {
+            let shares: Vec<Signature> = self.shares.into_values().collect();
+            self.pki
+                .combine(self.threshold, &self.preimage, &shares)
+                .expect("verified shares combine")
+        })
+    }
+}
+
 /// Convenience: sign a [`Signable`] with a secret key.
 pub fn sign_payload<S: Signable>(key: &meba_crypto::SecretKey, payload: &S) -> Signature {
     key.sign(&payload.signing_bytes())
@@ -289,6 +339,7 @@ pub fn verify_payload<S: Signable>(pki: &Pki, payload: &S, sig: &Signature) -> b
 mod tests {
     use super::*;
     use meba_crypto::trusted_setup;
+    use proptest::prelude::*;
 
     fn cfg() -> SystemConfig {
         SystemConfig::new(7, 99).unwrap()
@@ -354,6 +405,58 @@ mod tests {
         let proof = DecideProof { phase: 2, qc };
         assert!(proof.verify(&cfg, &pki, &value));
         assert!(!DecideProof { phase: 3, qc: proof.qc }.verify(&cfg, &pki, &value));
+    }
+
+    #[test]
+    fn collector_admits_only_the_senders_own_share_on_its_payload() {
+        let cfg = cfg();
+        let (pki, keys) = trusted_setup(cfg.n(), 5);
+        let payload = BbIdkSig { session: cfg.session(), phase: 4 };
+        let mut shares = ShareCollector::new(&pki, &payload, 2);
+        let own = sign_payload(&keys[2], &payload);
+        assert!(!shares.offer(keys[3].id(), &own), "relayed by p3: signer != sender");
+        let other = sign_payload(&keys[3], &BbIdkSig { session: cfg.session(), phase: 5 });
+        assert!(!shares.offer(keys[3].id(), &other), "another phase's share");
+        assert!(shares.offer(keys[2].id(), &own));
+        assert!(shares.offer(keys[2].id(), &own), "a repeat is admissible");
+        assert!(shares.certificate().is_none(), "but p2 counts once: 1 < 2");
+    }
+
+    proptest! {
+        // Whatever is offered, in whatever order and however often: a
+        // certificate exists iff `threshold` distinct signers were
+        // admitted, it verifies, and it is what `Pki::combine` makes of
+        // the same share set (surplus shares included).
+        #[test]
+        fn collector_is_combine_over_the_distinct_admitted_shares(
+            threshold in 1usize..=7,
+            offers in proptest::collection::vec(0usize..7, 0..20),
+        ) {
+            let cfg = cfg();
+            let (pki, keys) = trusted_setup(cfg.n(), 5);
+            let value = 3u64;
+            let payload = VoteSig { session: cfg.session(), value: &value, level: 1 };
+            let mut collector = ShareCollector::new(&pki, &payload, threshold);
+            let mut admitted = BTreeMap::new();
+            for i in offers {
+                let sig = sign_payload(&keys[i], &payload);
+                prop_assert!(collector.offer(keys[i].id(), &sig));
+                admitted.insert(i, sig);
+            }
+            let shares: Vec<Signature> = admitted.into_values().collect();
+            match collector.certificate() {
+                None => prop_assert!(shares.len() < threshold),
+                Some(qc) => {
+                    prop_assert!(shares.len() >= threshold);
+                    prop_assert_eq!(qc.threshold(), threshold);
+                    prop_assert!(
+                        pki.verify_threshold(&payload.signing_bytes(), &qc).is_ok()
+                    );
+                    let direct = pki.combine(threshold, &payload.signing_bytes(), &shares);
+                    prop_assert_eq!(qc, direct.unwrap());
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,28 +1,55 @@
 //! Binary strong BA with linear words in the failure-free case
-//! (Algorithm 5, §7).
+//! (Algorithm 5, §7), and its rotating-leader extension (§8 direction).
 //!
-//! A single leader collects all signed inputs. Because the domain is
-//! binary and `n = 2t + 1`, some value is proposed by `t + 1` processes
-//! (pigeonhole), so the leader can batch a `(t+1, n)` propose certificate.
-//! It then collects signed `decide` shares on the certified value; an
-//! `(n, n)` decide certificate lets every process decide. Any correct
-//! process that does not decide broadcasts a `fallback` message; everyone
-//! who hears one echoes it (with its own decision and proof attached) and
-//! runs `A_fallback` with `δ' = 2δ` after a `2δ` safety window, exactly as
-//! in the weak BA (Lemmas 17–18, 25–29).
+//! A leader collects all signed inputs. Because the domain is binary and
+//! `n = 2t + 1`, some value is proposed by `t + 1` processes (pigeonhole),
+//! so the leader can batch a `(t+1, n)` propose certificate. It then
+//! collects signed `decide` shares on the certified value; a decide
+//! certificate lets every process decide. Any correct process that does
+//! not decide broadcasts a `fallback` message; everyone who hears one
+//! echoes it (with its own decision and proof attached) and runs
+//! `A_fallback` with `δ' = 2δ` after a `2δ` safety window, exactly as in
+//! the weak BA (Lemmas 17–18, 25–29).
 //!
-//! Failure-free complexity: 4 leader rounds, `O(n)` words. Otherwise the
+//! [`StrongBa::new`] is the algorithm as printed: one attempt, leader
+//! `p0`, an `(n, n)` decide certificate. Failure-free it takes 4 leader
+//! rounds and `O(n)` words; *any* fault makes it fall back, and the
 //! fallback dominates with `O(n²)`.
+//!
+//! **Extension.** The paper leaves open whether a fully adaptive strong BA
+//! exists. [`StrongBa::rotating`] runs the same four rounds with a
+//! different schedule, assembled from the paper's own ingredients, and
+//! stays linear in more runs:
+//!
+//! * `t + 1` sequential attempts led by `p0, p1, …` (so at least one
+//!   leader is correct);
+//! * the decide certificate needs only the §6 quorum `⌈(n+t+1)/2⌉`
+//!   instead of `n`, so up to `(n−t−1)/2` absentees cannot derail a
+//!   correct leader;
+//! * decide shares bind **only the value** (not the attempt), and a
+//!   correct process decide-signs at most one value ever — so two
+//!   certificates on different values would need `2q − n > t` common
+//!   signers, i.e. a correct double-signer, which cannot exist. The
+//!   certificate value is therefore unique across all attempts, which is
+//!   exactly the paper's quorum-intersection trick. (With one attempt and
+//!   `q = n` this is Algorithm 5's own argument.)
+//!
+//! Guarantees of both: agreement, termination and strong unanimity always.
+//! The extension is linear when the honest inputs are unanimous,
+//! `f < (n−t−1)/2`, and one of the first `f + 1` leaders is correct;
+//! quadratic otherwise. With split honest inputs the `t + 1` propose
+//! certificate may be unreachable under faults and the protocol falls
+//! back — full adaptivity for strong BA remains open, as the paper says
+//! (and Elsheimy et al. later resolved).
 
 use crate::config::SystemConfig;
-use crate::signing::{sign_payload, verify_payload, StrongDecideSig, StrongInputSig};
+use crate::signing::{sign_payload, ShareCollector, StrongDecideSig, StrongInputSig};
 use crate::subprotocol::{FallbackFactory, FallbackHost, SkewEnvelope, SubProtocol};
 use meba_crypto::{
     DecodeError, Decoder, Encoder, Pki, ProcessId, SecretKey, Signable, Signature,
     ThresholdSignature, WireCodec, WordCost,
 };
 use meba_sim::{Dest, Message};
-use std::collections::BTreeMap;
 
 /// Message type of the fallback used by [`StrongBa`] instances.
 pub type StrongFallbackMsgOf<F> = <<F as FallbackFactory<bool>>::Protocol as SubProtocol>::Msg;
@@ -171,7 +198,16 @@ impl<FM: WireCodec> WireCodec for StrongBaMsg<FM> {
     }
 }
 
-/// The binary strong BA state machine (one per process).
+/// Rounds per leader attempt: inputs, propose, decide shares, decide
+/// certificate.
+const ATTEMPT_ROUNDS: u64 = 4;
+
+/// The binary strong BA state machine (one per process): `attempts`
+/// sequential leader attempts, then fallback coordination. The schedule
+/// is fixed by the constructor — [`StrongBa::new`] is Algorithm 5 as
+/// printed, [`StrongBa::rotating`] the §8 extension — and both share
+/// [`StrongBaMsg`]: attempts need no tags because every signed payload
+/// binds only the session and the value.
 pub struct StrongBa<F>
 where
     F: FallbackFactory<bool>,
@@ -181,10 +217,18 @@ where
     key: SecretKey,
     pki: Pki,
     input: bool,
+    /// Number of leader attempts; attempt `j` is led by `p_{j mod n}`.
+    attempts: u64,
+    /// Shares a decide certificate needs.
+    decide_threshold: usize,
+    /// Step at which undecided processes open fallback coordination.
+    coordination_start: u64,
 
     decision: Option<bool>,
     proof: Option<ThresholdSignature>,
-    sent_decide_share: bool,
+    /// The single value this process has decide-signed (at most one
+    /// value, ever — what makes the certificate value unique).
+    signed_value: Option<bool>,
     /// The hand-off to `A_fallback` (lines 16–30).
     host: FallbackHost<bool, ThresholdSignature, F>,
     decided_at: Option<u64>,
@@ -195,7 +239,9 @@ impl<F> StrongBa<F>
 where
     F: FallbackFactory<bool>,
 {
-    /// Creates a strong BA instance with binary input `input`.
+    /// Algorithm 5 as printed: one attempt led by `p0` (the paper's
+    /// `p_1`), an `(n, n)` decide certificate, fallback coordination from
+    /// round 5.
     pub fn new(
         cfg: SystemConfig,
         me: ProcessId,
@@ -210,18 +256,37 @@ where
             key,
             pki,
             input,
+            attempts: 1,
+            decide_threshold: cfg.n(),
+            coordination_start: ATTEMPT_ROUNDS,
             decision: None,
             proof: None,
-            sent_decide_share: false,
+            signed_value: None,
             host: FallbackHost::new(me, factory, input),
             decided_at: None,
             finished: false,
         }
     }
 
-    /// The single leader (`p_1` in the paper; `p0` here).
-    pub fn leader(&self) -> ProcessId {
-        ProcessId(0)
+    /// The rotating-leader extension (see module docs): `t + 1` attempts
+    /// so one leader is correct, the §6 quorum for the decide
+    /// certificate, and fallback coordination from the round after the
+    /// last attempt's certificate arrives.
+    pub fn rotating(
+        cfg: SystemConfig,
+        me: ProcessId,
+        key: SecretKey,
+        pki: Pki,
+        factory: F,
+        input: bool,
+    ) -> Self {
+        let attempts = cfg.t() as u64 + 1;
+        StrongBa {
+            attempts,
+            decide_threshold: cfg.quorum(),
+            coordination_start: attempts * ATTEMPT_ROUNDS + 1,
+            ..Self::new(cfg, me, key, pki, factory, input)
+        }
     }
 
     /// The decision, if reached.
@@ -239,13 +304,24 @@ where
         self.decided_at
     }
 
-    /// Last step at which fallback coordination messages are accepted.
+    fn leader_of_attempt(&self, j: u64) -> ProcessId {
+        ProcessId((j % self.cfg.n() as u64) as u32)
+    }
+
+    /// `(attempt, round within it)` while attempts are running.
+    fn attempt_of_step(&self, step: u64) -> Option<(u64, u64)> {
+        (step < self.attempts * ATTEMPT_ROUNDS)
+            .then_some((step / ATTEMPT_ROUNDS, step % ATTEMPT_ROUNDS))
+    }
+
+    /// Last step at which fallback coordination messages are accepted
+    /// (Alg 5's literal 10).
     fn fallback_deadline(&self) -> u64 {
-        10
+        self.coordination_start + 6
     }
 
     fn decide_cert_valid(&self, value: bool, qc: &ThresholdSignature) -> bool {
-        qc.threshold() == self.cfg.n()
+        qc.threshold() == self.decide_threshold
             && self
                 .pki
                 .verify_threshold(
@@ -253,6 +329,25 @@ where
                     qc,
                 )
                 .is_ok()
+    }
+
+    /// Leader rounds (lines 3–6, 9–12): batches the round's shares per
+    /// binary value and returns the first value, `false` before `true`,
+    /// that reaches `threshold`.
+    fn batch<'a, S: Signable>(
+        &self,
+        threshold: usize,
+        payload: impl Fn(bool) -> S,
+        shares: impl Iterator<Item = (ProcessId, bool, &'a Signature)>,
+    ) -> Option<(bool, ThresholdSignature)> {
+        let mut by_value =
+            [false, true].map(|v| ShareCollector::new(&self.pki, &payload(v), threshold));
+        for (from, value, sig) in shares {
+            by_value[usize::from(value)].offer(from, sig);
+        }
+        let [on_false, on_true] = by_value;
+        let certified = |value, shares: ShareCollector| Some((value, shares.certificate()?));
+        certified(false, on_false).or_else(|| certified(true, on_true))
     }
 
     fn handle_fallback_msg(
@@ -294,28 +389,37 @@ where
         if self.finished {
             return;
         }
-        let leader = self.leader();
+        let session = self.cfg.session();
 
         // --- Global handlers.
-        // Decide certificates are accepted only at their scheduled
-        // arrival (round 5, line 13). Accepting one later would let the
-        // adversary create a lone decider after fallback coordination has
-        // begun, splitting it from its peers.
-        for (from, msg) in inbox {
-            if let StrongBaMsg::DecideCert { value, qc } = msg {
-                if step == 4
-                    && *from == leader
-                    && self.decision.is_none()
-                    && self.decide_cert_valid(*value, qc)
-                {
-                    self.decision = Some(*value);
-                    self.proof = Some(qc.clone());
+        // Attempt `j`'s decide certificate is accepted only at its
+        // scheduled arrival, step 4(j+1) — four rounds after the attempt
+        // began — from that attempt's leader (round 5, line 13). Accepting one later would let the adversary
+        // create a lone decider after fallback coordination has begun,
+        // splitting it from its peers. The certificate value is unique
+        // across attempts, so arrival timing can only split processes by
+        // *whether* they decided, which the coordination handles.
+        let began = step.checked_sub(ATTEMPT_ROUNDS).and_then(|s| self.attempt_of_step(s));
+        if let Some((j, 0)) = began {
+            let cert_leader = self.leader_of_attempt(j);
+            for (from, msg) in inbox {
+                if let StrongBaMsg::DecideCert { value, qc } = msg {
+                    if *from == cert_leader
+                        && self.decision.is_none()
+                        && self.decide_cert_valid(*value, qc)
+                    {
+                        self.decision = Some(*value);
+                        self.proof = Some(qc.clone());
+                    }
                 }
             }
         }
-        for (_, msg) in inbox {
-            if let StrongBaMsg::Fallback { decision } = msg {
-                self.handle_fallback_msg(step, decision, out);
+        // No correct process coordinates before every attempt has ended.
+        if step >= self.coordination_start {
+            for (_, msg) in inbox {
+                if let StrongBaMsg::Fallback { decision } = msg {
+                    self.handle_fallback_msg(step, decision, out);
+                }
             }
         }
         for (from, msg) in inbox {
@@ -325,107 +429,83 @@ where
         }
 
         // --- Scheduled actions.
-        match step {
-            // Round 1: send the signed input to the leader (line 2).
-            0 => {
-                let sig = sign_payload(
-                    &self.key,
-                    &StrongInputSig { session: self.cfg.session(), value: self.input },
-                );
-                out.push((Dest::To(leader), StrongBaMsg::Input { value: self.input, sig }));
-            }
-            // Round 2 (leader): batch t+1 matching inputs (lines 3–6).
-            1 if self.me == leader => {
-                let mut by_value: BTreeMap<bool, BTreeMap<ProcessId, Signature>> = BTreeMap::new();
-                for (from, msg) in inbox {
-                    if let StrongBaMsg::Input { value, sig } = msg {
-                        let payload = StrongInputSig { session: self.cfg.session(), value: *value };
-                        if sig.signer() == *from && verify_payload(&self.pki, &payload, sig) {
-                            by_value.entry(*value).or_default().insert(*from, sig.clone());
-                        }
-                    }
+        if let Some((attempt, sub)) = self.attempt_of_step(step) {
+            let leader = self.leader_of_attempt(attempt);
+            match sub {
+                // Round 1: undecided processes send their signed input to
+                // the leader (line 2).
+                0 if self.decision.is_none() => {
+                    let sig =
+                        sign_payload(&self.key, &StrongInputSig { session, value: self.input });
+                    out.push((Dest::To(leader), StrongBaMsg::Input { value: self.input, sig }));
                 }
-                for (value, sigs) in by_value {
-                    if sigs.len() >= self.cfg.idk_threshold() {
-                        let payload = StrongInputSig { session: self.cfg.session(), value };
-                        let qc = self
-                            .pki
-                            .combine(
-                                self.cfg.idk_threshold(),
-                                &payload.signing_bytes(),
-                                &sigs.into_values().collect::<Vec<_>>(),
-                            )
-                            .expect("verified shares combine");
+                // Round 2 (leader): batch t+1 matching inputs (lines 3–6).
+                1 if self.me == leader && self.decision.is_none() => {
+                    let inputs = inbox.iter().filter_map(|(from, msg)| match msg {
+                        StrongBaMsg::Input { value, sig } => Some((*from, *value, sig)),
+                        _ => None,
+                    });
+                    if let Some((value, qc)) = self.batch(
+                        self.cfg.idk_threshold(),
+                        |value| StrongInputSig { session, value },
+                        inputs,
+                    ) {
                         out.push((Dest::All, StrongBaMsg::Propose { value, qc }));
-                        break;
                     }
                 }
-            }
-            // Round 3: decide-share for the first valid proposal
-            // (lines 7–8).
-            2 => {
-                for (from, msg) in inbox {
-                    if self.sent_decide_share {
-                        break;
-                    }
-                    if let StrongBaMsg::Propose { value, qc } = msg {
-                        let input_payload =
-                            StrongInputSig { session: self.cfg.session(), value: *value };
-                        let valid = *from == leader
-                            && qc.threshold() == self.cfg.idk_threshold()
-                            && self
-                                .pki
-                                .verify_threshold(&input_payload.signing_bytes(), qc)
-                                .is_ok();
-                        if valid {
-                            let sig = sign_payload(
-                                &self.key,
-                                &StrongDecideSig { session: self.cfg.session(), value: *value },
-                            );
-                            out.push((
-                                Dest::To(leader),
-                                StrongBaMsg::DecideShare { value: *value, sig },
-                            ));
-                            self.sent_decide_share = true;
+                // Round 3: decide-share for the first valid proposal
+                // (lines 7–8) — for at most one value ever; re-signing
+                // that value in a later attempt is idempotent and keeps
+                // later correct leaders supplied.
+                2 => {
+                    for (from, msg) in inbox {
+                        if let StrongBaMsg::Propose { value, qc } = msg {
+                            let valid = *from == leader
+                                && qc.threshold() == self.cfg.idk_threshold()
+                                && self
+                                    .pki
+                                    .verify_threshold(
+                                        &StrongInputSig { session, value: *value }.signing_bytes(),
+                                        qc,
+                                    )
+                                    .is_ok();
+                            if valid && self.signed_value.is_none_or(|sv| sv == *value) {
+                                self.signed_value = Some(*value);
+                                let sig = sign_payload(
+                                    &self.key,
+                                    &StrongDecideSig { session, value: *value },
+                                );
+                                out.push((
+                                    Dest::To(leader),
+                                    StrongBaMsg::DecideShare { value: *value, sig },
+                                ));
+                                break;
+                            }
                         }
                     }
                 }
-            }
-            // Round 4 (leader): batch n decide shares (lines 9–12).
-            3 if self.me == leader => {
-                let mut by_value: BTreeMap<bool, BTreeMap<ProcessId, Signature>> = BTreeMap::new();
-                for (from, msg) in inbox {
-                    if let StrongBaMsg::DecideShare { value, sig } = msg {
-                        let payload =
-                            StrongDecideSig { session: self.cfg.session(), value: *value };
-                        if sig.signer() == *from && verify_payload(&self.pki, &payload, sig) {
-                            by_value.entry(*value).or_default().insert(*from, sig.clone());
-                        }
-                    }
-                }
-                for (value, sigs) in by_value {
-                    if sigs.len() == self.cfg.n() {
-                        let payload = StrongDecideSig { session: self.cfg.session(), value };
-                        let qc = self
-                            .pki
-                            .combine(
-                                self.cfg.n(),
-                                &payload.signing_bytes(),
-                                &sigs.into_values().collect::<Vec<_>>(),
-                            )
-                            .expect("verified shares combine");
+                // Round 4 (leader): batch the decide shares (lines 9–12).
+                3 if self.me == leader => {
+                    let shares = inbox.iter().filter_map(|(from, msg)| match msg {
+                        StrongBaMsg::DecideShare { value, sig } => Some((*from, *value, sig)),
+                        _ => None,
+                    });
+                    if let Some((value, qc)) = self.batch(
+                        self.decide_threshold,
+                        |value| StrongDecideSig { session, value },
+                        shares,
+                    ) {
                         out.push((Dest::All, StrongBaMsg::DecideCert { value, qc }));
-                        break;
                     }
                 }
+                _ => {}
             }
-            // Round 5: anyone still undecided triggers the fallback
-            // (lines 16–18). The decide certificate, if any, was adopted
-            // by the global handler above this match.
-            4 if self.decision.is_none() && self.host.schedule(step) => {
-                out.push((Dest::All, StrongBaMsg::Fallback { decision: None }));
-            }
-            _ => {}
+        }
+        // Anyone still undecided once the attempts are over triggers the
+        // fallback (lines 16–18). The decide certificate, if any, was
+        // adopted by the global handler above.
+        if step == self.coordination_start && self.decision.is_none() && self.host.schedule(step) {
+            out.push((Dest::All, StrongBaMsg::Fallback { decision: None }));
         }
 
         // --- Fallback execution (lines 28–30).
@@ -463,6 +543,7 @@ where
         f.debug_struct("StrongBa")
             .field("me", &self.me)
             .field("input", &self.input)
+            .field("attempts", &self.attempts)
             .field("decision", &self.decision)
             .field("fallback_ran", &self.host.ran())
             .finish_non_exhaustive()
@@ -475,22 +556,66 @@ mod tests {
     use crate::fallback::EchoFallbackFactory;
     use crate::subprotocol::LockstepAdapter;
     use meba_crypto::trusted_setup;
-    use meba_sim::{AnyActor, IdleActor, SimBuilder, Simulation};
+    use meba_sim::{Actor, AnyActor, IdleActor, RoundCtx, SimBuilder, Simulation};
 
     type Sba = StrongBa<EchoFallbackFactory>;
     type Msg = <Sba as SubProtocol>::Msg;
+    /// `StrongBa::new` or `StrongBa::rotating`.
+    type Ctor = fn(SystemConfig, ProcessId, SecretKey, Pki, EchoFallbackFactory, bool) -> Sba;
 
-    fn make_sim(inputs: &[bool], crashed: &[u32]) -> Simulation<Msg> {
-        let n = inputs.len();
-        let cfg = SystemConfig::new(n, 5).unwrap();
+    fn setup(n: usize) -> (SystemConfig, Pki, Vec<SecretKey>) {
         let (pki, keys) = trusted_setup(n, 31);
+        (SystemConfig::new(n, 5).unwrap(), pki, keys)
+    }
+
+    /// A `threshold`-share decide certificate on `value`.
+    fn decide_cert(
+        cfg: &SystemConfig,
+        pki: &Pki,
+        keys: &[SecretKey],
+        threshold: usize,
+        value: bool,
+    ) -> Msg {
+        let payload = StrongDecideSig { session: cfg.session(), value };
+        let mut shares = ShareCollector::new(pki, &payload, threshold);
+        for key in &keys[..threshold] {
+            assert!(shares.offer(key.id(), &sign_payload(key, &payload)));
+        }
+        StrongBaMsg::DecideCert { value, qc: shares.certificate().unwrap() }
+    }
+
+    /// Byzantine: sends `msg` to `to` in round `at`, otherwise silent.
+    struct Inject {
+        me: ProcessId,
+        at: u64,
+        to: ProcessId,
+        msg: Msg,
+    }
+
+    impl Actor for Inject {
+        type Msg = Msg;
+        fn id(&self) -> ProcessId {
+            self.me
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
+            if ctx.round().as_u64() == self.at {
+                ctx.send(self.to, self.msg.clone());
+            }
+        }
+        fn done(&self) -> bool {
+            true
+        }
+    }
+
+    fn make_sim(ctor: Ctor, inputs: &[bool], crashed: &[u32]) -> Simulation<Msg> {
+        let (cfg, pki, keys) = setup(inputs.len());
         let mut actors: Vec<Box<dyn AnyActor<Msg = Msg>>> = Vec::new();
         for (i, key) in keys.into_iter().enumerate() {
             let id = ProcessId(i as u32);
             if crashed.contains(&(i as u32)) {
                 actors.push(Box::new(IdleActor::new(id)));
             } else {
-                let sba = StrongBa::new(cfg, id, key, pki.clone(), EchoFallbackFactory, inputs[i]);
+                let sba = ctor(cfg, id, key, pki.clone(), EchoFallbackFactory, inputs[i]);
                 actors.push(Box::new(LockstepAdapter::new(id, sba)));
             }
         }
@@ -501,25 +626,25 @@ mod tests {
         b.build()
     }
 
+    fn inner(sim: &Simulation<Msg>, i: u32) -> &Sba {
+        let a: &LockstepAdapter<Sba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+        a.inner()
+    }
+
     fn decisions(sim: &Simulation<Msg>, crashed: &[u32]) -> Vec<bool> {
         (0..sim.n() as u32)
             .filter(|i| !crashed.contains(i))
-            .map(|i| {
-                let a: &LockstepAdapter<Sba> =
-                    sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-                a.inner().output().expect("decided")
-            })
+            .map(|i| inner(sim, i).output().expect("decided"))
             .collect()
     }
 
     #[test]
     fn failure_free_unanimous_true() {
-        let mut sim = make_sim(&[true; 7], &[]);
+        let mut sim = make_sim(StrongBa::new, &[true; 7], &[]);
         sim.run_until_done(100).unwrap();
         assert!(decisions(&sim, &[]).iter().all(|&d| d));
         for i in 0..7u32 {
-            let a: &LockstepAdapter<Sba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-            assert!(!a.inner().used_fallback(), "Lemma 8: no fallback when f = 0");
+            assert!(!inner(&sim, i).used_fallback(), "Lemma 8: no fallback when f = 0");
         }
     }
 
@@ -528,7 +653,7 @@ mod tests {
         // Mixed inputs: 4 true, 3 false. The leader certifies whichever
         // value reaches t+1 = 4 first; all must agree.
         let inputs = [true, true, false, true, false, true, false];
-        let mut sim = make_sim(&inputs, &[]);
+        let mut sim = make_sim(StrongBa::new, &inputs, &[]);
         sim.run_until_done(100).unwrap();
         let ds = decisions(&sim, &[]);
         assert!(ds.windows(2).all(|w| w[0] == w[1]), "agreement: {ds:?}");
@@ -537,7 +662,7 @@ mod tests {
     #[test]
     fn failure_free_words_linear() {
         for n in [5usize, 9, 17, 33] {
-            let mut sim = make_sim(&vec![true; n], &[]);
+            let mut sim = make_sim(StrongBa::new, &vec![true; n], &[]);
             sim.run_until_done(100).unwrap();
             let words = sim.metrics().correct_words();
             assert!(words <= 9 * n as u64, "n={n}: {words} words");
@@ -548,15 +673,14 @@ mod tests {
     fn crashed_leader_falls_back_and_agrees() {
         let crashed = [0u32];
         let inputs = [false, true, true, true, true, true, true];
-        let mut sim = make_sim(&inputs, &crashed);
+        let mut sim = make_sim(StrongBa::new, &inputs, &crashed);
         sim.run_until_done(200).unwrap();
         let ds = decisions(&sim, &crashed);
         assert!(ds.windows(2).all(|w| w[0] == w[1]), "agreement: {ds:?}");
         // Strong unanimity among correct: all correct proposed true.
         assert!(ds.iter().all(|&d| d));
         for i in 1..7u32 {
-            let a: &LockstepAdapter<Sba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-            assert!(a.inner().used_fallback());
+            assert!(inner(&sim, i).used_fallback());
         }
     }
 
@@ -567,9 +691,166 @@ mod tests {
         // agreement and validity hold.
         let crashed = [3u32];
         let inputs = [true; 7];
-        let mut sim = make_sim(&inputs, &crashed);
+        let mut sim = make_sim(StrongBa::new, &inputs, &crashed);
         sim.run_until_done(200).unwrap();
         let ds = decisions(&sim, &crashed);
         assert!(ds.iter().all(|&d| d), "strong unanimity: {ds:?}");
+    }
+
+    #[test]
+    fn late_decide_certificate_is_not_adopted() {
+        // Alg 5 line 13: the (n, n) certificate counts at round 5 (step 4)
+        // only. Later it could create a lone decider after coordination
+        // has begun.
+        let (cfg, pki, keys) = setup(5);
+        let cert = decide_cert(&cfg, &pki, &keys, cfg.n(), true);
+        let me = ProcessId(1);
+        let run = |arrival: u64| {
+            let mut sba =
+                StrongBa::new(cfg, me, keys[1].clone(), pki.clone(), EchoFallbackFactory, false);
+            let mut out = Vec::new();
+            for step in 0..=arrival {
+                let inbox =
+                    if step == arrival { vec![(ProcessId(0), cert.clone())] } else { vec![] };
+                sba.on_step(step, &inbox, &mut out);
+            }
+            sba.decision()
+        };
+        assert_eq!(run(4), Some(true), "on time: adopted");
+        for arrival in 5..=7 {
+            assert_ne!(run(arrival), Some(true), "step {arrival}: too late");
+        }
+    }
+
+    #[test]
+    fn rotating_failure_free_decides_in_first_attempt() {
+        let mut sim = make_sim(StrongBa::rotating, &[true; 7], &[]);
+        sim.run_until_done(300).unwrap();
+        let ds = decisions(&sim, &[]);
+        assert!(ds.iter().all(|&d| d));
+        for i in 0..7u32 {
+            assert!(!inner(&sim, i).used_fallback());
+            assert_eq!(inner(&sim, i).decided_at(), Some(4), "first attempt decides");
+        }
+    }
+
+    #[test]
+    fn rotating_crashed_leader_next_attempt_decides_without_fallback() {
+        // This is exactly what Algorithm 5 cannot do: p0 (the fixed
+        // leader) is down, yet the run stays linear — attempt 2's leader
+        // p1 finishes because the quorum needs only ⌈(n+t+1)/2⌉ = 6 of 7
+        // shares (n=9: 7 of 9).
+        let crashed = [0u32];
+        let mut sim = make_sim(StrongBa::rotating, &[true; 9], &crashed);
+        sim.run_until_done(400).unwrap();
+        let ds = decisions(&sim, &crashed);
+        assert!(ds.iter().all(|&d| d), "strong unanimity");
+        for i in 1..9u32 {
+            assert!(!inner(&sim, i).used_fallback(), "p{i} must not fall back");
+            assert_eq!(inner(&sim, i).decided_at(), Some(8), "second attempt decides");
+        }
+    }
+
+    #[test]
+    fn rotating_linear_words_with_crashed_leader() {
+        let crashed = [0u32];
+        for n in [9usize, 17, 33] {
+            let mut sim = make_sim(StrongBa::rotating, &vec![true; n], &crashed);
+            sim.run_until_done(60 * n as u64).unwrap();
+            let words = sim.metrics().correct_words();
+            assert!(
+                words <= 14 * n as u64,
+                "n={n}: {words} words — must stay linear despite the crashed leader"
+            );
+        }
+    }
+
+    #[test]
+    fn rotating_beyond_bound_falls_back_and_agrees() {
+        // n=9, t=4, adaptive bound 2: crash 4 (=t) — quorum unreachable,
+        // fallback must run and unanimity must survive it.
+        let crashed = [0u32, 2, 4, 6];
+        let mut sim = make_sim(StrongBa::rotating, &[false; 9], &crashed);
+        sim.run_until_done(600).unwrap();
+        let ds = decisions(&sim, &crashed);
+        assert!(ds.iter().all(|&d| !d));
+    }
+
+    #[test]
+    fn rotating_split_inputs_still_agree() {
+        let inputs = [true, false, true, false, true, false, true];
+        let mut sim = make_sim(StrongBa::rotating, &inputs, &[]);
+        sim.run_until_done(400).unwrap();
+        let ds = decisions(&sim, &[]);
+        assert!(ds.windows(2).all(|w| w[0] == w[1]), "agreement: {ds:?}");
+    }
+
+    #[test]
+    fn rotating_split_inputs_with_crashes_agree() {
+        let inputs = [true, false, true, false, true, false, true, false, true];
+        let crashed = [1u32, 5];
+        let mut sim = make_sim(StrongBa::rotating, &inputs, &crashed);
+        sim.run_until_done(600).unwrap();
+        let ds = decisions(&sim, &crashed);
+        assert!(ds.windows(2).all(|w| w[0] == w[1]), "agreement: {ds:?}");
+    }
+
+    #[test]
+    fn rotating_certificate_for_a_nonexistent_attempt_is_ignored() {
+        // n = 5, t = 2: attempts 0..=2 are led by p0, p1, p2. The correct
+        // inputs split 2–2, so no attempt can propose and everyone reaches
+        // `coordination_start` undecided. Byzantine p3 = p_{t+1} — the
+        // "leader" of an attempt that does not exist — then delivers a
+        // valid quorum certificate to p4 alone, in that very round.
+        let (cfg, pki, keys) = setup(5);
+        let byz = ProcessId(3);
+        let coord = 4 * (cfg.t() as u64 + 1) + 1;
+        let cert = decide_cert(&cfg, &pki, &keys, cfg.quorum(), true);
+        let inputs = [true, false, true, false, false];
+
+        // p4 on its own: the certificate changes nothing, it opens the
+        // coordination without a decision like its peers.
+        let mut p4 = StrongBa::rotating(
+            cfg,
+            ProcessId(4),
+            keys[4].clone(),
+            pki.clone(),
+            EchoFallbackFactory,
+            inputs[4],
+        );
+        let mut out = Vec::new();
+        for step in 0..coord {
+            p4.on_step(step, &[], &mut out);
+        }
+        assert_eq!(p4.coordination_start, coord);
+        out.clear();
+        p4.on_step(coord, &[(byz, cert.clone())], &mut out);
+        assert_eq!(p4.decision(), None);
+        assert!(
+            matches!(out[..], [(Dest::All, StrongBaMsg::Fallback { decision: None })]),
+            "{out:?}"
+        );
+
+        // The whole system: everyone decides through the fallback, alike.
+        let mut actors: Vec<Box<dyn AnyActor<Msg = Msg>>> = Vec::new();
+        for (i, key) in keys.into_iter().enumerate() {
+            let id = ProcessId(i as u32);
+            if id == byz {
+                let msg = cert.clone();
+                actors.push(Box::new(Inject { me: id, at: coord - 1, to: ProcessId(4), msg }));
+            } else {
+                let sba =
+                    StrongBa::rotating(cfg, id, key, pki.clone(), EchoFallbackFactory, inputs[i]);
+                actors.push(Box::new(LockstepAdapter::new(id, sba)));
+            }
+        }
+        let mut sim = SimBuilder::new(actors).corrupt(byz).build();
+        sim.run_until_done(200).unwrap();
+        let ds = decisions(&sim, &[3]);
+        assert!(ds.windows(2).all(|w| w[0] == w[1]), "agreement: {ds:?}");
+        for i in [0u32, 1, 2, 4] {
+            assert!(inner(&sim, i).used_fallback(), "p{i}");
+            assert!(inner(&sim, i).decided_at() > Some(coord), "p{i} decided by certificate");
+        }
     }
 }

@@ -31,7 +31,7 @@
 use crate::config::SystemConfig;
 use crate::decision::Decision;
 use crate::signing::{
-    sign_payload, verify_payload, CommitProof, DecideProof, DecideSig, HelpReqSig, VoteSig,
+    sign_payload, CommitProof, DecideProof, DecideSig, HelpReqSig, ShareCollector, VoteSig,
 };
 use crate::subprotocol::{
     next_scheduled, FallbackFactory, FallbackHost, SkewEnvelope, SubProtocol,
@@ -41,7 +41,6 @@ use crate::value::Value;
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, Pki, SecretKey, Signable, Signature};
 use meba_crypto::{ProcessId, SignContext, ThresholdSignature, WireCodec, WordCost};
 use meba_sim::{Dest, Message, RecoveryEvent};
-use std::collections::BTreeMap;
 
 /// Message type of the fallback protocol produced by factory `F` for
 /// values `V`.
@@ -352,7 +351,6 @@ where
     commit_level: u32,
 
     scratch: PhaseScratch<V>,
-    help_sigs: BTreeMap<ProcessId, Signature>,
     fallback_cert: Option<ThresholdSignature>,
     /// The hand-off to `A_fallback` (Alg 3 lines 15–29).
     host: FallbackHost<V, DecideProof, F>,
@@ -399,7 +397,6 @@ where
             commit: None,
             commit_level: 0,
             scratch: PhaseScratch::default(),
-            help_sigs: BTreeMap::new(),
             fallback_cert: None,
             nonsilent_as_leader: false,
             no_safety_window: false,
@@ -676,7 +673,11 @@ where
                     return;
                 };
                 let mut best_commit: Option<(V, CommitProof)> = None;
-                let mut votes: BTreeMap<ProcessId, Signature> = BTreeMap::new();
+                let mut votes = ShareCollector::new(
+                    &self.pki,
+                    &VoteSig { session: self.cfg.session(), value: &my_value, level: phase },
+                    self.cfg.quorum(),
+                );
                 for (from, msg) in inbox {
                     match msg {
                         WeakBaMsg::CommitReply { phase: p, value, proof }
@@ -689,20 +690,9 @@ where
                             best_commit = Some((value.clone(), proof.clone()));
                         }
                         WeakBaMsg::Vote { phase: p, value, sig }
-                            if *p == phase
-                                && *value == my_value
-                                && sig.signer() == *from
-                                && verify_payload(
-                                    &self.pki,
-                                    &VoteSig {
-                                        session: self.cfg.session(),
-                                        value: &my_value,
-                                        level: phase,
-                                    },
-                                    sig,
-                                ) =>
+                            if *p == phase && *value == my_value =>
                         {
-                            votes.insert(*from, sig.clone());
+                            votes.offer(*from, sig);
                         }
                         _ => {}
                     }
@@ -710,14 +700,7 @@ where
                 if let Some((w, proof)) = best_commit {
                     self.scratch_of(phase).commit_sent = Some(w.clone());
                     out.push((Dest::All, WeakBaMsg::CommitCert { phase, value: w, proof }));
-                } else if votes.len() >= self.cfg.quorum() {
-                    let payload =
-                        VoteSig { session: self.cfg.session(), value: &my_value, level: phase };
-                    let shares: Vec<Signature> = votes.into_values().collect();
-                    let qc = self
-                        .pki
-                        .combine(self.cfg.quorum(), &payload.signing_bytes(), &shares)
-                        .expect("verified shares combine");
+                } else if let Some(qc) = votes.certificate() {
                     self.scratch_of(phase).commit_sent = Some(my_value.clone());
                     out.push((
                         Dest::All,
@@ -766,28 +749,19 @@ where
                 let Some(w) = self.scratch_of(phase).commit_sent.clone() else {
                     return;
                 };
-                let payload = DecideSig { session: self.cfg.session(), value: &w, phase };
-                let mut shares: BTreeMap<ProcessId, Signature> = BTreeMap::new();
+                let mut shares = ShareCollector::new(
+                    &self.pki,
+                    &DecideSig { session: self.cfg.session(), value: &w, phase },
+                    self.cfg.quorum(),
+                );
                 for (from, msg) in inbox {
                     if let WeakBaMsg::Decide { phase: p, value, sig } = msg {
-                        if *p == phase
-                            && *value == w
-                            && sig.signer() == *from
-                            && verify_payload(&self.pki, &payload, sig)
-                        {
-                            shares.insert(*from, sig.clone());
+                        if *p == phase && *value == w {
+                            shares.offer(*from, sig);
                         }
                     }
                 }
-                if shares.len() >= self.cfg.quorum() {
-                    let qc = self
-                        .pki
-                        .combine(
-                            self.cfg.quorum(),
-                            &payload.signing_bytes(),
-                            &shares.into_values().collect::<Vec<_>>(),
-                        )
-                        .expect("verified shares combine");
+                if let Some(qc) = shares.certificate() {
                     out.push((
                         Dest::All,
                         WeakBaMsg::FinalizeCert {
@@ -885,11 +859,14 @@ where
             }
         } else if step == help_step + 1 {
             // Alg 3 lines 7–12.
-            let payload = HelpReqSig { session: self.cfg.session() };
+            let mut help_reqs = ShareCollector::new(
+                &self.pki,
+                &HelpReqSig { session: self.cfg.session() },
+                self.cfg.idk_threshold(),
+            );
             for (from, msg) in inbox {
                 if let WeakBaMsg::HelpReq { sig } = msg {
-                    if sig.signer() == *from && verify_payload(&self.pki, &payload, sig) {
-                        self.help_sigs.insert(*from, sig.clone());
+                    if help_reqs.offer(*from, sig) {
                         if let (Some(Decision::Value(v)), Some(p)) =
                             (&self.decision, &self.decide_proof)
                         {
@@ -903,15 +880,12 @@ where
                     }
                 }
             }
-            if self.help_sigs.len() >= self.cfg.idk_threshold() && self.host.schedule(step) {
-                let shares: Vec<Signature> = self.help_sigs.values().cloned().collect();
-                let qc = self
-                    .pki
-                    .combine(self.cfg.idk_threshold(), &payload.signing_bytes(), &shares)
-                    .expect("verified shares combine");
-                self.fallback_cert = Some(qc.clone());
-                let own = self.host.own_payload(self.certified_decision());
-                out.push((Dest::All, WeakBaMsg::FallbackCert { qc, decision: own }));
+            if let Some(qc) = help_reqs.certificate() {
+                if self.host.schedule(step) {
+                    self.fallback_cert = Some(qc.clone());
+                    let own = self.host.own_payload(self.certified_decision());
+                    out.push((Dest::All, WeakBaMsg::FallbackCert { qc, decision: own }));
+                }
             }
         }
 

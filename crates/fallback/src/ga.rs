@@ -36,6 +36,7 @@
 
 use crate::instance::{InstanceId, Scope};
 use crate::messages::{GaInputSig, GaVoteSig, RecBaMsg};
+use meba_core::signing::ShareCollector;
 use meba_core::Value;
 use meba_crypto::{Pki, ProcessId, SecretKey, Signable, Signature, ThresholdSignature};
 use std::collections::{BTreeMap, BTreeSet};
@@ -53,9 +54,7 @@ pub struct GaInstance<V> {
     scope: Scope,
     thr: usize,
     input: V,
-    input_sigs: BTreeMap<V, BTreeMap<ProcessId, Signature>>,
     c1_seen: BTreeMap<V, ThresholdSignature>,
-    votes: BTreeMap<V, BTreeMap<ProcessId, Signature>>,
     conflicted: bool,
     tentative2: Option<V>,
     c2_seen: BTreeSet<V>,
@@ -81,9 +80,7 @@ impl<V: Value> GaInstance<V> {
             scope,
             thr: scope.majority(),
             input,
-            input_sigs: BTreeMap::new(),
             c1_seen: BTreeMap::new(),
-            votes: BTreeMap::new(),
             conflicted: false,
             tentative2: None,
             c2_seen: BTreeSet::new(),
@@ -109,6 +106,25 @@ impl<V: Value> GaInstance<V> {
             && self.pki.verify_threshold(&self.input_payload(value).signing_bytes(), c1).is_ok()
     }
 
+    /// Adds a scope member's share on `value` to that value's collector.
+    /// Graded agreement counts a share for its signer whoever delivered
+    /// it, so scope membership is the only guard on top of the
+    /// collector's.
+    fn offer<S: Signable>(
+        &self,
+        by_value: &mut BTreeMap<V, ShareCollector>,
+        value: &V,
+        payload: &S,
+        sig: &Signature,
+    ) {
+        if self.scope.contains(sig.signer()) {
+            by_value
+                .entry(value.clone())
+                .or_insert_with(|| ShareCollector::new(&self.pki, payload, self.thr))
+                .offer(sig.signer(), sig);
+        }
+    }
+
     fn note_c1(&mut self, value: &V, c1: &ThresholdSignature) {
         if self.c1_valid(value, c1) {
             self.c1_seen.entry(value.clone()).or_insert_with(|| c1.clone());
@@ -132,36 +148,20 @@ impl<V: Value> GaInstance<V> {
                 out.push(RecBaMsg::GaInput { inst: self.inst, value: self.input.clone(), sig });
             }
             1 => {
+                let mut inputs = BTreeMap::new();
                 for (_, msg) in inbox {
                     if let RecBaMsg::GaInput { inst, value, sig } = msg {
-                        if *inst == self.inst
-                            && self.scope.contains(sig.signer())
-                            && self
-                                .pki
-                                .verify(&self.input_payload(value).signing_bytes(), sig)
-                                .is_ok()
-                        {
-                            self.input_sigs
-                                .entry(value.clone())
-                                .or_default()
-                                .insert(sig.signer(), sig.clone());
+                        if *inst == self.inst {
+                            self.offer(&mut inputs, value, &self.input_payload(value), sig);
                         }
                     }
                 }
                 // Echo a certificate for every sufficiently-signed value
                 // (at most 3 can qualify; the bound keeps the word cost
                 // constant per process).
-                let certifiable: Vec<(V, Vec<Signature>)> = self
-                    .input_sigs
-                    .iter()
-                    .filter(|(_, sigs)| sigs.len() >= self.thr)
-                    .map(|(v, sigs)| (v.clone(), sigs.values().cloned().collect()))
-                    .collect();
-                for (value, shares) in certifiable.into_iter().take(3) {
-                    let c1 = self
-                        .pki
-                        .combine(self.thr, &self.input_payload(&value).signing_bytes(), &shares)
-                        .expect("verified shares combine");
+                let certified =
+                    inputs.into_iter().filter_map(|(v, shares)| Some((v, shares.certificate()?)));
+                for (value, c1) in certified.take(3) {
                     self.note_c1(&value, &c1);
                     out.push(RecBaMsg::GaEcho { inst: self.inst, value, c1 });
                 }
@@ -198,21 +198,12 @@ impl<V: Value> GaInstance<V> {
             }
             3 => {
                 let msgs: Vec<RecBaMsg<V>> = inbox.iter().map(|(_, m)| (*m).clone()).collect();
+                let mut votes = BTreeMap::new();
                 for msg in &msgs {
                     match msg {
                         RecBaMsg::GaVote { inst, value, sig, c1 } if *inst == self.inst => {
                             self.note_c1(value, c1);
-                            if self.scope.contains(sig.signer())
-                                && self
-                                    .pki
-                                    .verify(&self.vote_payload(value).signing_bytes(), sig)
-                                    .is_ok()
-                            {
-                                self.votes
-                                    .entry(value.clone())
-                                    .or_default()
-                                    .insert(sig.signer(), sig.clone());
-                            }
+                            self.offer(&mut votes, value, &self.vote_payload(value), sig);
                         }
                         RecBaMsg::GaConflict { inst, v1, c1a, v2, c1b }
                             if *inst == self.inst
@@ -226,17 +217,9 @@ impl<V: Value> GaInstance<V> {
                     }
                 }
                 let mut formed: Vec<V> = Vec::new();
-                let combinable: Vec<(V, Vec<Signature>)> = self
-                    .votes
-                    .iter()
-                    .filter(|(_, sigs)| sigs.len() >= self.thr)
-                    .map(|(v, sigs)| (v.clone(), sigs.values().cloned().collect()))
-                    .collect();
-                for (value, shares) in combinable.into_iter().take(2) {
-                    let c2 = self
-                        .pki
-                        .combine(self.thr, &self.vote_payload(&value).signing_bytes(), &shares)
-                        .expect("verified shares combine");
+                let certified =
+                    votes.into_iter().filter_map(|(v, shares)| Some((v, shares.certificate()?)));
+                for (value, c2) in certified.take(2) {
                     self.c2_seen.insert(value.clone());
                     out.push(RecBaMsg::GaCert2 { inst: self.inst, value: value.clone(), c2 });
                     formed.push(value);

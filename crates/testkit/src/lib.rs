@@ -63,7 +63,7 @@ use meba_adversary::{ChaosActor, CrashActor, LossyLinkActor};
 use meba_core::{
     AlwaysValid, Bb, Decision, LockstepAdapter, StrongBa, SubProtocol, SystemConfig, WeakBa,
 };
-use meba_crypto::{trusted_setup, ProcessId};
+use meba_crypto::{trusted_setup, Pki, ProcessId, SecretKey};
 pub use meba_engine::{default_quorum, AdvanceCause, RoundDriverConfig};
 use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
 use meba_fallback::RecursiveBaFactory;
@@ -117,6 +117,9 @@ pub type WbaM = <WbaProc as SubProtocol>::Msg;
 pub type SbaProc = StrongBa<RecursiveBaFactory>;
 /// Its wire-message type.
 pub type SbaM = <SbaProc as SubProtocol>::Msg;
+/// Which strong BA the harness builds: [`StrongBa::new`] (Algorithm 5)
+/// or [`StrongBa::rotating`] (the rotating-leader extension).
+pub type SbaCtor = fn(SystemConfig, ProcessId, SecretKey, Pki, RecursiveBaFactory, bool) -> SbaProc;
 /// The replicated-log replica the harness builds.
 pub type LogProc = ReplicatedLog<u64, RecursiveBaFactory>;
 /// Its wire-message type (session-tagged BB messages).
@@ -331,12 +334,14 @@ pub fn weak_ba_des_timed(
 ///
 /// Panics if the fault matrix or timing scenario is invalid.
 pub fn strong_ba_des_timed(
+    variant: SbaCtor,
     inputs: &[bool],
     faults: &[Fault],
     seed: u64,
     timing: &Timing,
 ) -> ClusterReport<SbaM> {
-    run_des_cluster(strong_ba_actors(inputs, faults), None, timing.apply(des_config(faults, seed)))
+    let actors = strong_ba_actors(variant, inputs, faults);
+    run_des_cluster(actors, None, timing.apply(des_config(faults, seed)))
         .expect("testkit timing scenario is valid")
 }
 
@@ -486,9 +491,13 @@ pub fn weak_ba_report_decisions(
         .collect()
 }
 
-/// Builds the fault-wrapped binary strong BA actor vector (Algorithm 5).
-/// Runtime-free.
-pub fn strong_ba_actors(inputs: &[bool], faults: &[Fault]) -> Vec<Box<dyn AnyActor<Msg = SbaM>>> {
+/// Builds the fault-wrapped binary strong BA actor vector; `variant` is
+/// `StrongBa::new` or `StrongBa::rotating`. Runtime-free.
+pub fn strong_ba_actors(
+    variant: SbaCtor,
+    inputs: &[bool],
+    faults: &[Fault],
+) -> Vec<Box<dyn AnyActor<Msg = SbaM>>> {
     let n = faults.len();
     assert_eq!(inputs.len(), n, "one input per process");
     let cfg = SystemConfig::new(n, 0x5b).unwrap();
@@ -501,20 +510,25 @@ pub fn strong_ba_actors(inputs: &[bool], faults: &[Fault]) -> Vec<Box<dyn AnyAct
             let pki = pki.clone();
             let input = inputs[i];
             apply_fault(id, faults[i], move || {
-                LockstepAdapter::new(id, StrongBa::new(cfg, id, key, pki, factory, input))
+                LockstepAdapter::new(id, variant(cfg, id, key, pki, factory, input))
             })
         })
         .collect()
 }
 
-/// Builds a binary strong BA simulation (Algorithm 5).
-pub fn strong_ba_sim(inputs: &[bool], faults: &[Fault]) -> Simulation<SbaM> {
-    apply_faults(SimBuilder::new(strong_ba_actors(inputs, faults)), faults).build()
+/// Builds a binary strong BA simulation.
+pub fn strong_ba_sim(variant: SbaCtor, inputs: &[bool], faults: &[Fault]) -> Simulation<SbaM> {
+    apply_faults(SimBuilder::new(strong_ba_actors(variant, inputs, faults)), faults).build()
 }
 
 /// Runs binary strong BA on the deterministic discrete-event backend.
-pub fn strong_ba_des(inputs: &[bool], faults: &[Fault], seed: u64) -> ClusterReport<SbaM> {
-    run_des_cluster(strong_ba_actors(inputs, faults), None, des_config(faults, seed))
+pub fn strong_ba_des(
+    variant: SbaCtor,
+    inputs: &[bool],
+    faults: &[Fault],
+    seed: u64,
+) -> ClusterReport<SbaM> {
+    run_des_cluster(strong_ba_actors(variant, inputs, faults), None, des_config(faults, seed))
         .expect("testkit DES config is valid")
 }
 
@@ -655,7 +669,7 @@ mod tests {
         wba.run_until_done(round_budget(5)).unwrap();
         assert_eq!(assert_agreement(&weak_ba_decisions(&wba, &faults)), Decision::Value(2));
 
-        let mut sba = strong_ba_sim(&[true; 5], &faults);
+        let mut sba = strong_ba_sim(StrongBa::new, &[true; 5], &faults);
         sba.run_until_done(round_budget(5)).unwrap();
         assert!(assert_agreement(&strong_ba_decisions(&sba, &faults)));
     }
@@ -671,7 +685,7 @@ mod tests {
         assert!(wba.completed);
         assert_eq!(assert_agreement(&weak_ba_report_decisions(&wba, &faults)), Decision::Value(2));
 
-        let sba = strong_ba_des(&[true; 5], &faults, 7);
+        let sba = strong_ba_des(StrongBa::new, &[true; 5], &faults, 7);
         assert!(sba.completed);
         assert!(assert_agreement(&strong_ba_report_decisions(&sba, &faults)));
     }

@@ -14,7 +14,7 @@
 //! backends do not model, so fault matrices here are restricted to
 //! scheduling-independent faults (silent processes).
 
-use meba_core::{Decision, LockstepAdapter, SubProtocol};
+use meba_core::{Decision, LockstepAdapter, StrongBa, SubProtocol};
 use meba_crypto::ProcessId;
 use meba_engine::{
     run_cluster, run_des_cluster, ActorRebuilder, ClusterConfig, DesConfig, LinkPolicyFactory,
@@ -143,11 +143,11 @@ fn strong_ba_matches_across_lockstep_and_des() {
     faults[3] = Fault::Idle;
     let inputs = vec![true; n];
 
-    let mut sim = strong_ba_sim(&inputs, &faults);
+    let mut sim = strong_ba_sim(StrongBa::new, &inputs, &faults);
     sim.run_until_done(round_budget(n)).unwrap();
     let lockstep = strong_ba_decisions(&sim, &faults);
 
-    let report = strong_ba_des(&inputs, &faults, 0xabcd);
+    let report = strong_ba_des(StrongBa::new, &inputs, &faults, 0xabcd);
     assert!(report.completed);
     let des = strong_ba_report_decisions(&report, &faults);
 
@@ -155,6 +155,43 @@ fn strong_ba_matches_across_lockstep_and_des() {
     assert!(assert_agreement(&des));
     assert_eq!(sim.metrics().correct.words, report.metrics.correct.words);
     assert_eq!(sim.metrics().rounds, report.rounds);
+}
+
+/// Rotating strong BA: lockstep ≡ DES with byte-identical `Metrics` for
+/// every latency seed — failure-free, with the first leader crashed, and
+/// at `f = t` (where the rotation gives up and the fallback runs).
+#[test]
+fn rotating_strong_ba_lockstep_and_des_metrics_are_byte_identical() {
+    let n = 7;
+    let idle = |who: &[usize]| -> Vec<Fault> {
+        (0..n).map(|i| if who.contains(&i) { Fault::Idle } else { Fault::None }).collect()
+    };
+    for faults in [idle(&[]), idle(&[0]), idle(&[0, 2, 4])] {
+        let inputs = vec![true; n];
+        let mut sim = strong_ba_sim(StrongBa::rotating, &inputs, &faults);
+        sim.run_until_done(round_budget(n)).unwrap();
+        let lockstep = serde_json::to_string(sim.metrics()).unwrap();
+        for seed in [1u64, 0xabcd, 0xfeed_f00d] {
+            let mut des = strong_ba_des(StrongBa::rotating, &inputs, &faults, seed);
+            assert!(des.completed, "{faults:?} seed {seed:#x}");
+            assert_eq!(
+                strong_ba_report_decisions(&des, &faults),
+                strong_ba_decisions(&sim, &faults),
+                "{faults:?} seed {seed:#x}"
+            );
+            assert_eq!(des.rounds, sim.metrics().rounds);
+            // Per-process round advancement, and per-link delivery without
+            // a link policy, are the two things the lockstep simulator
+            // does not account; everything else must match byte for byte.
+            des.metrics.advance = Default::default();
+            des.metrics.per_link.clear();
+            assert_eq!(
+                serde_json::to_string(&des.metrics).unwrap(),
+                lockstep,
+                "{faults:?} seed {seed:#x}"
+            );
+        }
+    }
 }
 
 /// Retries a wall-clock cluster run until it completes with zero
@@ -674,7 +711,7 @@ proptest! {
         let inputs: Vec<bool> = (0..faults.len()).map(|i| input_bits >> (i % 64) & 1 == 1).collect();
         let (hinted, dense) = hinted_and_dense(
             &sc,
-            move || strong_ba_actors(&inputs, &faults),
+            move || strong_ba_actors(StrongBa::new, &inputs, &faults),
             &|a| {
                 let sba = adapter::<SbaProc>(a);
                 format!("{:?}@{:?}", sba.output(), sba.decided_at())

@@ -6,11 +6,8 @@
 //! cargo run --example adaptive_strong_ba [n] [crashed_leaders]
 //! ```
 
-use meba::core::strong_ba_rotating::RotatingStrongBa;
 use meba::prelude::*;
-
-type Rba = RotatingStrongBa<RecursiveBaFactory>;
-type Msg = <Rba as SubProtocol>::Msg;
+use meba::testkit::{strong_ba_sim, Fault, SbaProc};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -22,34 +19,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "keep f below (n-t-1)/2 = {} for the linear path",
         cfg.adaptive_fault_bound()
     );
-    let (pki, keys) = trusted_setup(n, 8);
 
     println!("Rotating-leader strong BA: n = {n}, leaders p0..p{} crashed\n", f.saturating_sub(1));
 
-    let mut actors: Vec<Box<dyn AnyActor<Msg = Msg>>> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        if i < f {
-            actors.push(Box::new(IdleActor::new(id)));
-            continue;
-        }
-        let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-        let rba = RotatingStrongBa::new(cfg, id, key, pki.clone(), factory, true);
-        actors.push(Box::new(LockstepAdapter::new(id, rba)));
-    }
-    let mut builder = SimBuilder::new(actors);
-    for i in 0..f {
-        builder = builder.corrupt(ProcessId(i as u32));
-    }
-    let mut sim = builder.build();
+    let faults: Vec<Fault> =
+        (0..n).map(|i| if i < f { Fault::Idle } else { Fault::None }).collect();
+    let mut sim = strong_ba_sim(StrongBa::rotating, &vec![true; n], &faults);
     sim.run_until_done(10_000)?;
 
     for i in f as u32..n as u32 {
-        let a: &LockstepAdapter<Rba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+        let a: &LockstepAdapter<SbaProc> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
         assert_eq!(a.inner().output(), Some(true), "strong unanimity");
         assert!(!a.inner().used_fallback(), "must stay on the linear path");
     }
-    let sample: &LockstepAdapter<Rba> =
+    let sample: &LockstepAdapter<SbaProc> =
         sim.actor(ProcessId(f as u32)).as_any().downcast_ref().unwrap();
     let decided = sample.inner().decided_at().unwrap();
     let m = sim.metrics();

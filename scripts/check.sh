@@ -6,8 +6,11 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
-echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}) =="
-! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy' -- crates src tests examples README.md docs || exit 1
+echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa) =="
+! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating' -- crates src tests examples README.md docs || exit 1
+
+echo "== one certificate site (ShareCollector carries the only \"verified shares combine\") =="
+test "$(git grep -n 'verified shares combine' -- 'crates/*/src/*' | wc -l)" -eq 1
 
 echo "== build =="
 cargo build --workspace --all-targets --locked

@@ -80,8 +80,8 @@ pub use meba_wire as wire;
 pub mod prelude {
     pub use meba_core::{
         AlwaysValid, Bb, BbBaValue, BbMsg, BbValidity, Decision, EchoFallbackFactory,
-        FallbackFactory, LockstepAdapter, RotatingStrongBa, StrongBa, StrongBaMsg, SubProtocol,
-        SystemConfig, Validity, Value, WeakBa, WeakBaMsg,
+        FallbackFactory, LockstepAdapter, StrongBa, StrongBaMsg, SubProtocol, SystemConfig,
+        Validity, Value, WeakBa, WeakBaMsg,
     };
     pub use meba_crypto::{trusted_setup, Pki, ProcessId, SecretKey, WordCost};
     pub use meba_fallback::{DolevStrongBb, RecursiveBa, RecursiveBaFactory};

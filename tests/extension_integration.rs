@@ -5,53 +5,28 @@
 
 mod common;
 
-use common::round_budget;
+use common::{corrupt_ids, round_budget, strong_ba_actors, strong_ba_sim, Fault, SbaProc};
 use meba::adversary::EquivocatingSender;
-use meba::core::strong_ba_rotating::RotatingStrongBa;
 use meba::core::validity::FnValidity;
 use meba::engine::{run_cluster, ClusterConfig};
 use meba::prelude::*;
 use std::time::Duration;
 
-type Rba = RotatingStrongBa<RecursiveBaFactory>;
-type RbaM = <Rba as SubProtocol>::Msg;
-
-fn rotating_actors(
-    n: usize,
-    inputs: &[bool],
-    crashed: &[u32],
-) -> (Vec<Box<dyn AnyActor<Msg = RbaM>>>, SystemConfig) {
-    let cfg = SystemConfig::new(n, 0x20).unwrap();
-    let (pki, keys) = trusted_setup(n, 0x20);
-    let mut actors: Vec<Box<dyn AnyActor<Msg = RbaM>>> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        if crashed.contains(&(i as u32)) {
-            actors.push(Box::new(IdleActor::new(id)));
-        } else {
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let rba = RotatingStrongBa::new(cfg, id, key, pki.clone(), factory, inputs[i]);
-            actors.push(Box::new(LockstepAdapter::new(id, rba)));
-        }
-    }
-    (actors, cfg)
+/// `crashed` silent from the start, everyone else correct.
+fn idle(n: usize, crashed: &[usize]) -> Vec<Fault> {
+    (0..n).map(|i| if crashed.contains(&i) { Fault::Idle } else { Fault::None }).collect()
 }
 
 #[test]
 fn rotating_with_real_fallback_beyond_bound() {
     // f = t crashes: the rotation cannot finish; the *real* recursive
     // fallback must deliver unanimity.
-    let n = 9usize;
-    let crashed = [0u32, 2, 4, 6];
-    let (actors, _) = rotating_actors(n, &[true; 9], &crashed);
-    let mut b = SimBuilder::new(actors);
-    for &c in &crashed {
-        b = b.corrupt(ProcessId(c));
-    }
-    let mut sim = b.build();
-    sim.run_until_done(round_budget(n)).unwrap();
-    for i in (0..n as u32).filter(|i| !crashed.contains(i)) {
-        let a: &LockstepAdapter<Rba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+    let faults = idle(9, &[0, 2, 4, 6]);
+    let mut sim = strong_ba_sim(StrongBa::rotating, &[true; 9], &faults);
+    sim.run_until_done(round_budget(9)).unwrap();
+    for i in (0..9).filter(|&i| !faults[i].is_byzantine()) {
+        let a: &LockstepAdapter<SbaProc> =
+            sim.actor(ProcessId(i as u32)).as_any().downcast_ref().unwrap();
         assert_eq!(a.inner().output(), Some(true));
         assert!(a.inner().used_fallback());
     }
@@ -59,21 +34,20 @@ fn rotating_with_real_fallback_beyond_bound() {
 
 #[test]
 fn rotating_on_threads() {
-    let n = 7usize;
+    let faults = idle(7, &[0]);
     let crashed = ProcessId(0);
-    let (actors, _) = rotating_actors(n, &[true; 7], &[0]);
     let report = run_cluster(
-        actors,
+        strong_ba_actors(StrongBa::rotating, &[true; 7], &faults),
         ClusterConfig {
             delta: Duration::from_millis(2),
             max_rounds: 3_000,
-            corrupt: vec![crashed],
+            corrupt: corrupt_ids(&faults),
             ..ClusterConfig::default()
         },
     );
     assert!(report.completed);
     for a in report.actors.iter().filter(|a| a.id() != crashed) {
-        let l: &LockstepAdapter<Rba> = a.as_any().downcast_ref().unwrap();
+        let l: &LockstepAdapter<SbaProc> = a.as_any().downcast_ref().unwrap();
         assert_eq!(l.inner().output(), Some(true));
         assert!(!l.inner().used_fallback(), "leader rotation avoids the fallback on threads too");
     }

@@ -5,17 +5,15 @@
 //! this one pins the totals, so a change to the hand-off's timing or
 //! traffic shows up as a number, not as a still-green property.
 //!
-//! The values were recorded before the hand-off moved into the single
-//! `FallbackHost` and must not move with it.
+//! The `f = t` values were recorded before the hand-off moved into the
+//! single `FallbackHost`, the strong BA rows with zero and one idle
+//! process before Algorithm 5 and its rotating extension became one
+//! `StrongBa`; none may move with either.
 
 mod common;
 
 use common::*;
-use meba::core::strong_ba_rotating::RotatingStrongBa;
 use meba::prelude::*;
-
-type Rba = RotatingStrongBa<RecursiveBaFactory>;
-type RbaM = <Rba as SubProtocol>::Msg;
 
 /// `(correct words, rounds, max decided_at, used_fallback count)`.
 type Row = (u64, u64, u64, usize);
@@ -54,35 +52,16 @@ fn weak_ba_row(inputs: &[u64]) -> Row {
     row(weak_ba_sim(inputs, &faults), &faults, |p: &WbaProc| (p.decided_at(), p.used_fallback()))
 }
 
-fn strong_ba_row(n: usize) -> Row {
-    let faults = idle_tail(n);
-    row(strong_ba_sim(&vec![true; n], &faults), &faults, |p: &SbaProc| {
-        (p.decided_at(), p.used_fallback())
-    })
+/// Process `who`, if any, is silent from the start.
+fn idle_one(n: usize, who: Option<usize>) -> Vec<Fault> {
+    (0..n).map(|i| if Some(i) == who { Fault::Idle } else { Fault::None }).collect()
 }
 
-fn rotating_row(n: usize) -> Row {
-    let faults = idle_tail(n);
-    let cfg = SystemConfig::new(n, 0x20).unwrap();
-    let (pki, keys) = trusted_setup(n, 0x20);
-    let actors: Vec<Box<dyn AnyActor<Msg = RbaM>>> = keys
-        .into_iter()
-        .enumerate()
-        .map(|(i, key)| -> Box<dyn AnyActor<Msg = RbaM>> {
-            let id = ProcessId(i as u32);
-            if faults[i].is_byzantine() {
-                return Box::new(IdleActor::new(id));
-            }
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let rba = RotatingStrongBa::new(cfg, id, key, pki.clone(), factory, true);
-            Box::new(LockstepAdapter::new(id, rba))
-        })
-        .collect();
-    let mut b = SimBuilder::new(actors);
-    for id in corrupt_ids(&faults) {
-        b = b.corrupt(id);
-    }
-    row(b.build(), &faults, |p: &Rba| (p.decided_at(), p.used_fallback()))
+/// All inputs `true`.
+fn strong_ba_row(variant: SbaCtor, faults: &[Fault]) -> Row {
+    row(strong_ba_sim(variant, &vec![true; faults.len()], faults), faults, |p: &SbaProc| {
+        (p.decided_at(), p.used_fallback())
+    })
 }
 
 fn bb_row(n: usize) -> Row {
@@ -92,16 +71,30 @@ fn bb_row(n: usize) -> Row {
 
 #[test]
 fn fallback_paths_match_the_recorded_totals() {
-    let table: [(&str, Row, Row); 9] = [
+    let alg5 = |faults: Vec<Fault>| strong_ba_row(StrongBa::new, &faults);
+    let rotating = |faults: Vec<Fault>| strong_ba_row(StrongBa::rotating, &faults);
+    let table: [(&str, Row, Row); 21] = [
         ("weak BA n=5 unanimous", weak_ba_row(&[8; 5]), (324, 71, 70, 3)),
         ("weak BA n=9 unanimous", weak_ba_row(&[8; 9]), (1404, 129, 128, 5)),
         ("weak BA n=5 divergent", weak_ba_row(&[1, 2, 3, 4, 5]), (240, 71, 70, 3)),
-        ("strong BA n=5", strong_ba_row(5), (304, 49, 48, 3)),
-        ("strong BA n=9", strong_ba_row(9), (1316, 87, 86, 5)),
-        ("rotating strong BA n=5", rotating_row(5), (336, 58, 57, 3)),
-        ("rotating strong BA n=9", rotating_row(9), (1444, 104, 103, 5)),
+        ("strong BA n=5", alg5(idle_tail(5)), (304, 49, 48, 3)),
+        ("strong BA n=9", alg5(idle_tail(9)), (1316, 87, 86, 5)),
+        ("rotating strong BA n=5", rotating(idle_tail(5)), (336, 58, 57, 3)),
+        ("rotating strong BA n=9", rotating(idle_tail(9)), (1444, 104, 103, 5)),
         ("BB n=5", bb_row(5), (476, 87, 86, 3)),
         ("BB n=9", bb_row(9), (2042, 157, 156, 5)),
+        ("strong BA n=5 f=0", alg5(idle_one(5, None)), (32, 12, 4, 0)),
+        ("strong BA n=9 f=0", alg5(idle_one(9, None)), (64, 12, 4, 0)),
+        ("rotating strong BA n=5 f=0", rotating(idle_one(5, None)), (32, 21, 4, 0)),
+        ("rotating strong BA n=9 f=0", rotating(idle_one(9, None)), (64, 29, 4, 0)),
+        ("strong BA n=5 p0 idle", alg5(idle_one(5, Some(0))), (368, 49, 48, 4)),
+        ("strong BA n=9 p0 idle", alg5(idle_one(9, Some(0))), (1800, 87, 86, 8)),
+        ("rotating strong BA n=5 p0 idle", rotating(idle_one(5, Some(0))), (36, 21, 8, 0)),
+        ("rotating strong BA n=9 p0 idle", rotating(idle_one(9, Some(0))), (76, 29, 8, 0)),
+        ("strong BA n=5 p3 idle", alg5(idle_one(5, Some(3))), (394, 49, 48, 4)),
+        ("strong BA n=9 p3 idle", alg5(idle_one(9, Some(3))), (1842, 87, 86, 8)),
+        ("rotating strong BA n=5 p3 idle", rotating(idle_one(5, Some(3))), (28, 21, 4, 0)),
+        ("rotating strong BA n=9 p3 idle", rotating(idle_one(9, Some(3))), (60, 29, 4, 0)),
     ];
     for (label, got, want) in table {
         assert_eq!(got, want, "{label}: (words, rounds, max decided_at, used_fallback)");

@@ -116,7 +116,7 @@ proptest! {
         faults in faults_strategy(7),
         inputs in proptest::collection::vec(any::<bool>(), 7),
     ) {
-        let mut sim = strong_ba_sim(&inputs, &faults);
+        let mut sim = strong_ba_sim(StrongBa::new, &inputs, &faults);
         sim.run_until_done(round_budget(7)).unwrap();
         let ds = strong_ba_decisions(&sim, &faults);
         let d = assert_agreement(&ds);

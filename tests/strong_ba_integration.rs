@@ -12,7 +12,7 @@ fn strong_unanimity_failure_free() {
     for n in [3usize, 5, 9, 17] {
         for v in [true, false] {
             let faults = vec![Fault::None; n];
-            let mut sim = strong_ba_sim(&vec![v; n], &faults);
+            let mut sim = strong_ba_sim(StrongBa::new, &vec![v; n], &faults);
             sim.run_until_done(round_budget(n)).unwrap();
             let d = assert_agreement(&strong_ba_decisions(&sim, &faults));
             assert_eq!(d, v, "n={n}, v={v}");
@@ -25,7 +25,7 @@ fn failure_free_is_linear_words() {
     let mut series = Vec::new();
     for n in [9usize, 17, 33, 65] {
         let faults = vec![Fault::None; n];
-        let mut sim = strong_ba_sim(&vec![true; n], &faults);
+        let mut sim = strong_ba_sim(StrongBa::new, &vec![true; n], &faults);
         sim.run_until_done(round_budget(n)).unwrap();
         series.push((n, sim.metrics().correct_words()));
     }
@@ -45,7 +45,7 @@ fn strong_unanimity_with_crashed_followers() {
     // quadratic fallback — strong unanimity must still hold.
     let mut faults = vec![Fault::None; 9];
     faults[5] = Fault::Idle;
-    let mut sim = strong_ba_sim(&[false; 9], &faults);
+    let mut sim = strong_ba_sim(StrongBa::new, &[false; 9], &faults);
     sim.run_until_done(round_budget(9)).unwrap();
     let d = assert_agreement(&strong_ba_decisions(&sim, &faults));
     assert!(!d);
@@ -60,7 +60,7 @@ fn strong_unanimity_with_crashed_followers() {
 fn crashed_leader_still_agrees() {
     let mut faults = vec![Fault::None; 7];
     faults[0] = Fault::Idle;
-    let mut sim = strong_ba_sim(&[true; 7], &faults);
+    let mut sim = strong_ba_sim(StrongBa::new, &[true; 7], &faults);
     sim.run_until_done(round_budget(7)).unwrap();
     let d = assert_agreement(&strong_ba_decisions(&sim, &faults));
     assert!(d, "strong unanimity among correct processes");
@@ -73,7 +73,7 @@ fn max_crashes_agree() {
     for i in [0usize, 2, 4, 6] {
         faults[i] = Fault::Idle;
     }
-    let mut sim = strong_ba_sim(&[true; 9], &faults);
+    let mut sim = strong_ba_sim(StrongBa::new, &[true; 9], &faults);
     sim.run_until_done(round_budget(9)).unwrap();
     let d = assert_agreement(&strong_ba_decisions(&sim, &faults));
     assert!(d);
@@ -84,7 +84,7 @@ fn mixed_inputs_agree_under_crash() {
     let inputs = [true, false, true, false, true, false, true];
     let mut faults = vec![Fault::None; 7];
     faults[3] = Fault::CrashAt(2);
-    let mut sim = strong_ba_sim(&inputs, &faults);
+    let mut sim = strong_ba_sim(StrongBa::new, &inputs, &faults);
     sim.run_until_done(round_budget(7)).unwrap();
     assert_agreement(&strong_ba_decisions(&sim, &faults));
 }
@@ -127,7 +127,7 @@ fn chaos_does_not_break_strong_ba() {
     for seed in [7u64, 13, 21] {
         let mut faults = vec![Fault::None; 7];
         faults[4] = Fault::Chaos(seed);
-        let mut sim = strong_ba_sim(&[true; 7], &faults);
+        let mut sim = strong_ba_sim(StrongBa::new, &[true; 7], &faults);
         sim.run_until_done(round_budget(7)).unwrap();
         let d = assert_agreement(&strong_ba_decisions(&sim, &faults));
         assert!(d, "strong unanimity under chaos, seed {seed}");
