@@ -7,46 +7,9 @@
 //! This bench sweeps `B` and shows the cost valley — and that correctness
 //! is independent of `B` (it is a performance knob only).
 
+use meba_bench::runs::run_base_scope;
 use meba_bench::table::{flt, num, Table};
-use meba_core::{LockstepAdapter, SubProtocol, SystemConfig};
-use meba_crypto::{trusted_setup, ProcessId};
-use meba_fallback::{recursive_ba_steps_with_base, RecBaMsg, RecursiveBa};
-use meba_sim::{AnyActor, IdleActor, SimBuilder};
-
-fn run(n: usize, base: usize, crashes: usize) -> (u64, u64, bool) {
-    let cfg = SystemConfig::new(n, 0).unwrap();
-    let (pki, keys) = trusted_setup(n, 0x10);
-    let crashed: Vec<u32> = (0..crashes as u32).map(|i| 2 * i + 1).collect();
-    let mut actors: Vec<Box<dyn AnyActor<Msg = RecBaMsg<u64>>>> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        if crashed.contains(&(i as u32)) {
-            actors.push(Box::new(IdleActor::new(id)));
-        } else {
-            let rb = RecursiveBa::with_base(cfg, id, key, pki.clone(), 5u64, base);
-            actors.push(Box::new(LockstepAdapter::new(id, rb)));
-        }
-    }
-    let mut b = SimBuilder::new(actors);
-    for &c in &crashed {
-        b = b.corrupt(ProcessId(c));
-    }
-    let mut sim = b.build();
-    sim.run_until_done(100 * n as u64 + 1_000).expect("terminates");
-    let mut agree = true;
-    let mut last = None;
-    for i in (0..n as u32).filter(|i| !crashed.contains(i)) {
-        let a: &LockstepAdapter<RecursiveBa<u64>> =
-            sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-        let out = a.inner().output().expect("decided");
-        if let Some(prev) = last {
-            agree &= prev == out;
-        }
-        last = Some(out);
-    }
-    agree &= last == Some(5);
-    (sim.metrics().correct_words(), sim.metrics().rounds, agree)
-}
+use meba_fallback::recursive_ba_steps_with_base;
 
 fn main() {
     let n = 33usize;
@@ -56,8 +19,8 @@ fn main() {
     let t = (n - 1) / 2;
     let mut best: Option<(usize, u64)> = None;
     for base in [2usize, 4, 8, 16] {
-        let (w0, rounds, ok0) = run(n, base, 0);
-        let (wt, _, okt) = run(n, base, t);
+        let (w0, rounds, ok0) = run_base_scope(n, base, 0);
+        let (wt, _, okt) = run_base_scope(n, base, t);
         assert!(ok0 && okt, "correctness must be independent of B (B = {base})");
         if best.is_none_or(|(_, bw)| w0 < bw) {
             best = Some((base, w0));

@@ -1,28 +1,5 @@
 //! Least-squares helpers for reporting complexity shapes.
 
-/// Fits `y ≈ c · x` through the origin; returns `c`.
-pub fn fit_linear(points: &[(f64, f64)]) -> f64 {
-    let num: f64 = points.iter().map(|(x, y)| x * y).sum();
-    let den: f64 = points.iter().map(|(x, _)| x * x).sum();
-    if den == 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
-/// Coefficient of determination for the through-origin fit `y = c·x`.
-pub fn r_squared(points: &[(f64, f64)], c: f64) -> f64 {
-    let mean_y: f64 = points.iter().map(|(_, y)| y).sum::<f64>() / points.len() as f64;
-    let ss_tot: f64 = points.iter().map(|(_, y)| (y - mean_y).powi(2)).sum();
-    let ss_res: f64 = points.iter().map(|(x, y)| (y - c * x).powi(2)).sum();
-    if ss_tot == 0.0 {
-        1.0
-    } else {
-        1.0 - ss_res / ss_tot
-    }
-}
-
 /// Estimates the polynomial order of growth from successive `(x, y)`
 /// points: the mean of `log(y2/y1)/log(x2/x1)`.
 pub fn growth_order(points: &[(f64, f64)]) -> f64 {
@@ -44,14 +21,6 @@ pub fn growth_order(points: &[(f64, f64)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn linear_fit_exact() {
-        let pts = [(1.0, 3.0), (2.0, 6.0), (4.0, 12.0)];
-        let c = fit_linear(&pts);
-        assert!((c - 3.0).abs() < 1e-9);
-        assert!(r_squared(&pts, c) > 0.9999);
-    }
 
     #[test]
     fn growth_order_detects_quadratic() {

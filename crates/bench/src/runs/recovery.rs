@@ -1,0 +1,236 @@
+//! E14 and E19: crash-restart on the threaded runtime — journal-backed
+//! weak BA recovery, and a service replica catching up by certified
+//! state transfer.
+
+use meba_core::Decision;
+use meba_crypto::ProcessId;
+use meba_engine::{
+    run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate, ProcessFateFactory,
+};
+use meba_service::{BatchPolicy, Op, ServiceConfig};
+use meba_testkit::service::{audit_proposals, service_replica, ServiceHarness};
+use meba_testkit::{
+    agree, log_round_budget, recoverable_decision, round_budget, WeakBaRecoveryHarness,
+};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Outcome of one crash-recovery run (experiment E14).
+#[derive(Clone, Debug)]
+pub struct RecoveryRunStats {
+    /// System size.
+    pub n: usize,
+    /// Processes that crash-restarted mid-run.
+    pub crashes: usize,
+    /// Words sent by correct processes (each crash-restart counts as one
+    /// fault toward the `O(n(f+1))` budget).
+    pub words: u64,
+    /// Rounds executed.
+    pub rounds: u64,
+    /// Journal records replayed across all rejoins.
+    pub replayed_records: u64,
+    /// Journal fsyncs issued by the recovered handles.
+    pub journal_fsyncs: u64,
+    /// Rounds between rejoin and the recovered process's decision,
+    /// summed over all recoveries — the recovery latency.
+    pub recovery_rounds: u64,
+    /// Conflicting-signature attempts refused (must be 0 for honest
+    /// journal-backed recovery).
+    pub refused_equivocations: u64,
+    /// Whether every process — including the recovered ones — decided
+    /// the same value.
+    pub agreement: bool,
+}
+
+/// Runs journal-backed weak BA on the threaded cluster runtime with
+/// `crashes` processes crash-restarting at staggered rounds (experiment
+/// E14: recovery latency and word overhead vs. crash count).
+///
+/// # Panics
+///
+/// Panics if `crashes > t` or the run does not terminate.
+pub fn run_recovery_weak_ba(n: usize, crashes: usize, delta: Duration) -> RecoveryRunStats {
+    let h = Arc::new(WeakBaRecoveryHarness::new(&vec![7u64; n]));
+    assert!(crashes <= h.config().t(), "crashes={crashes} exceeds t={}", h.config().t());
+    let config = ClusterConfig {
+        delta,
+        max_rounds: round_budget(n),
+        process_fate: Some(Arc::new(move |p: ProcessId| {
+            let i = p.index();
+            if (1..=crashes).contains(&i) {
+                // Stagger the crashes across phase 1 so each exercises a
+                // different point of the schedule.
+                ProcessFate::CrashRestart { at_round: i as u64, rejoin_after: 3 }
+            } else {
+                ProcessFate::Run
+            }
+        })),
+        overrun_action: OverrunAction::Escalate {
+            multiplier: 2,
+            max_delta: Duration::from_millis(250),
+        },
+        ..ClusterConfig::default()
+    };
+    let report = run_cluster_with_recovery(h.actors(), Some(h.rebuilder()), config);
+    assert!(report.completed, "E14 n={n} crashes={crashes}: run must terminate");
+    let decisions: Vec<Decision<u64>> =
+        report.actors.iter().map(|a| recoverable_decision(a.as_ref()).expect("decided")).collect();
+    let rec = &report.metrics.recovery;
+    RecoveryRunStats {
+        n,
+        crashes,
+        words: report.metrics.correct.words,
+        rounds: report.rounds,
+        replayed_records: rec.replayed_records,
+        journal_fsyncs: rec.journal_fsyncs,
+        recovery_rounds: rec.recovery_rounds,
+        refused_equivocations: rec.refused_equivocations,
+        agreement: agree(&decisions),
+    }
+}
+
+/// Outcome of one certified-state-transfer catch-up run (experiment
+/// E19).
+#[derive(Clone, Debug)]
+pub struct StateTransferStats {
+    /// System size.
+    pub n: usize,
+    /// Total log length in slots.
+    pub slots: u64,
+    /// Consecutive slot openings the victim slept through.
+    pub outage_slots: u64,
+    /// Slots the victim adopted by transfer rather than local agreement.
+    pub slots_transferred: u64,
+    /// Transferred entries adopted against a verifying certificate.
+    pub certs_verified: u64,
+    /// Transferred entries adopted via `t + 1` matching donor claims.
+    pub vouches_accepted: u64,
+    /// Words on the `service/transfer` component, cluster-wide.
+    pub transfer_words: u64,
+    /// Canonical bytes on the `service/transfer` component.
+    pub transfer_bytes: u64,
+    /// Point-to-point messages on the `service/transfer` component.
+    pub transfer_messages: u64,
+    /// Bytes sent by correct processes across *all* components.
+    pub total_bytes: u64,
+    /// Rounds from the victim's rejoin until it finished the log — the
+    /// catch-up latency.
+    pub recovery_rounds: u64,
+    /// Rounds the whole run took.
+    pub rounds: u64,
+    /// Whether every replica holds the identical applied prefix.
+    pub agreement: bool,
+    /// `⊥`-retired slots across all replicas (0: the outage spends the
+    /// fault budget, it never burns a slot).
+    pub bot_slots: u64,
+}
+
+/// Runs one E19 cell: an `n`-replica service drives a `total_slots` log
+/// on the threaded runtime while one replica (the last, whose own
+/// proposer slots stay clear of the window) crash-restarts across
+/// `outage_slots` consecutive slot openings and catches back up by
+/// certified state transfer. Transfer traffic is read off the
+/// `service/transfer` component tag, so the cell isolates exactly the
+/// words/bytes that anti-entropy added to the run.
+///
+/// # Panics
+///
+/// Panics if the run fails to terminate, any prefix diverges, any slot
+/// `⊥`-retires, any transferred slot conflicts with local agreement, or
+/// the victim fails to recover — the audits are the experiment's claim.
+pub fn run_state_transfer(n: usize, total_slots: u64, outage_slots: u64) -> StateTransferStats {
+    let victim = n - 1;
+    assert!(
+        1 + outage_slots < victim as u64,
+        "outage window [slot 1, slot {}] must stay clear of the victim's proposer slot {victim}",
+        outage_slots
+    );
+    let service = ServiceConfig {
+        total_slots,
+        window: 2,
+        queue_capacity: 64,
+        // Batches close when a proposer slot opens, so the pre-submitted
+        // ops bind deterministically and every slot carries a real value.
+        batch: BatchPolicy { max_batch_delay: u64::MAX, ..BatchPolicy::default() },
+    };
+    let h = Arc::new(ServiceHarness::new(n, service));
+    for i in 0..n {
+        for seq in 0..2u64 {
+            let client = i as u64 + 1;
+            h.port(i)
+                .submit(Op { client, seq, key: client * 1000 + seq, value: seq + 7 })
+                .expect("capacity sized for the script");
+        }
+    }
+    let stride = {
+        let probe = h.actor(0);
+        service_replica(probe.as_ref()).log().stride()
+    };
+    // Down from 0.7 strides after slot 1 would normally open its
+    // predecessor, through `outage_slots` further openings: openings
+    // `1..=outage_slots` fall inside the window, opening
+    // `outage_slots + 1` falls after it.
+    let fate: ProcessFateFactory = Arc::new(move |p: ProcessId| {
+        if p.index() == victim {
+            ProcessFate::CrashRestart {
+                at_round: stride * 7 / 10,
+                rejoin_after: stride * outage_slots,
+            }
+        } else {
+            ProcessFate::Run
+        }
+    });
+    let config = ClusterConfig {
+        delta: Duration::from_millis(2),
+        max_rounds: log_round_budget(n, total_slots),
+        process_fate: Some(fate),
+        overrun_action: OverrunAction::Escalate {
+            multiplier: 2,
+            max_delta: Duration::from_millis(250),
+        },
+        ..ClusterConfig::default()
+    };
+    let report = run_cluster_with_recovery(h.actors(), Some(h.rebuilder()), config);
+    assert!(report.completed, "E19 cluster must terminate");
+    assert_eq!(report.metrics.recovery.crash_restarts, 1, "exactly one restart");
+
+    let replicas: Vec<_> = report.actors.iter().map(|a| service_replica(a.as_ref())).collect();
+    let reference: Vec<Option<Vec<u8>>> =
+        (0..total_slots).map(|s| replicas[0].applied_value(s).map(<[u8]>::to_vec)).collect();
+    let mut agreement = true;
+    let mut bot_slots = 0u64;
+    for (i, r) in replicas.iter().enumerate() {
+        assert_eq!(r.applied_slots(), total_slots, "E19 replica {i}: applied the whole log");
+        assert!(!r.recovering(), "E19 replica {i}: recovery must complete");
+        let st = r.stats();
+        assert_eq!(st.applied_conflicts, 0, "E19 replica {i}: no certified/local conflicts");
+        bot_slots += st.skipped_slots;
+        agreement &= (0..total_slots)
+            .all(|s| r.applied_value(s).map(<[u8]>::to_vec) == reference[s as usize]);
+        audit_proposals(h.journal_buffer(i));
+    }
+    assert!(agreement, "E19: applied prefixes diverged");
+    assert_eq!(bot_slots, 0, "E19: the outage spends the fault budget, never a slot");
+
+    let vs = replicas[victim].stats();
+    assert!(vs.slots_transferred >= outage_slots, "E19: the slept-through slots transferred");
+
+    let m = &report.metrics;
+    let transfer = m.by_component.get("service/transfer").cloned().unwrap_or_default();
+    StateTransferStats {
+        n,
+        slots: total_slots,
+        outage_slots,
+        slots_transferred: vs.slots_transferred,
+        certs_verified: vs.transfer_certs_verified,
+        vouches_accepted: vs.transfer_vouches_accepted,
+        transfer_words: transfer.words,
+        transfer_bytes: transfer.bytes,
+        transfer_messages: transfer.messages,
+        total_bytes: m.correct.bytes,
+        recovery_rounds: m.recovery.recovery_rounds,
+        rounds: report.rounds,
+        agreement,
+        bot_slots,
+    }
+}

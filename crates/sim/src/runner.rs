@@ -234,6 +234,12 @@ impl<M: crate::actor::Message> Simulation<M> {
         self.actors[id.index()].as_ref()
     }
 
+    /// All actors in process order — the same shape as a cluster
+    /// report's `actors`, so one read-back serves every backend.
+    pub fn actors(&self) -> &[Box<dyn AnyActor<Msg = M>>] {
+        &self.actors
+    }
+
     /// Executes a single synchronous round.
     pub fn step(&mut self) {
         let n = self.actors.len();

@@ -1,50 +1,93 @@
 //! Fault-matrix test harness for the `meba` protocols.
 //!
-//! Downstream users (and this workspace's own integration tests) build
-//! adversarial simulations in one call: pick a protocol, assign a
-//! [`Fault`] to each process, run, and assert. All builders wire the
-//! production [`RecursiveBaFactory`] fallback.
+//! Every experiment and integration test asks the same three questions,
+//! and each is answered in one place:
 //!
-//! Every protocol comes in two layers:
-//!
-//! * `*_actors` — builds the fault-wrapped actor vector, runtime-free.
-//!   Hand it to any backend: [`SimBuilder`] (lockstep),
-//!   [`meba_engine::run_cluster`] (threaded), `meba_wire::run_tcp_cluster`
-//!   (TCP), or [`meba_engine::run_des_cluster`] (discrete-event).
-//! * `*_sim` / `*_des` — one-call runners over the lockstep simulator
-//!   and the deterministic discrete-event backend respectively. The DES
-//!   runners are what make n = 100–200 protocol runs practical in tests
-//!   and benchmarks.
+//! * **How is an `n`-process cluster built?** [`cluster`] does the
+//!   trusted set-up once, hands every process its [`Party`] (config, id,
+//!   key, PKI, and the production [`RecursiveBaFactory`] via
+//!   [`Party::factory`]), wraps it according to its [`Fault`], and lets
+//!   the caller put a hand-written Byzantine actor at any index the
+//!   fault vector marks Byzantine. [`bb_actors`], [`weak_ba_actors`],
+//!   [`strong_ba_actors`] and [`log_actors`] are the four protocol
+//!   families as one-line constructors on it. The result is a plain
+//!   actor vector, runtime-free: hand it to any backend.
+//! * **How is it run?** [`sim`] builds the lockstep simulator, [`des`]
+//!   runs the deterministic discrete-event backend under a [`Timing`]
+//!   (default: lockstep) — the backend that makes n in the thousands
+//!   practical. [`meba_engine::run_cluster`] (threads) and
+//!   `meba_wire::run_tcp_cluster` (TCP) take the same vector with
+//!   [`corrupt_ids`].
+//! * **How are the correct processes read back?** [`outputs`] (their
+//!   decisions), [`correct`] (the actors themselves) and
+//!   [`DecisionStats::of`] (when they decided, who fell back) work on
+//!   any actor slice: [`Simulation::actors`] or a cluster report's
+//!   `actors`. [`assert_agreement`] / [`agree`] check the result.
 //!
 //! # Examples
 //!
 //! ```
-//! use meba_testkit::{assert_agreement, bb_sim, bb_decisions, round_budget, Fault};
+//! use meba_testkit::{assert_agreement, bb_actors, outputs, round_budget, sim, BbProc, Fault};
 //! use meba_core::Decision;
 //!
 //! // n = 7 adaptive BB: sender p0 broadcasts 42, p3 crashed from round 0.
 //! let mut faults = vec![Fault::None; 7];
 //! faults[3] = Fault::Idle;
-//! let mut sim = bb_sim(0, 42, &faults);
-//! sim.run_until_done(round_budget(7))?;
-//! let d = assert_agreement(&bb_decisions(&sim, &faults));
+//! let mut run = sim(bb_actors(0, 42, &faults), &faults);
+//! run.run_until_done(round_budget(7))?;
+//! let d = assert_agreement(&outputs::<BbProc>(run.actors(), &faults));
 //! assert_eq!(d, Decision::Value(42));
 //! # Ok::<(), meba_sim::RunError>(())
 //! ```
 //!
-//! The same scenario on the discrete-event backend (no lockstep rushing
+//! The same actors on the discrete-event backend (no lockstep rushing
 //! adversary, but identical decisions and word counts when the faults
 //! are scheduling-independent):
 //!
 //! ```
-//! use meba_testkit::{assert_agreement, bb_des, bb_report_decisions, Fault};
+//! use meba_testkit::{assert_agreement, bb_actors, des, outputs, BbProc, Fault, Timing};
 //! use meba_core::Decision;
 //!
 //! let faults = vec![Fault::None; 7];
-//! let report = bb_des(0, 42, &faults, 0xd15c);
+//! let report = des(bb_actors(0, 42, &faults), &faults, 0xd15c, &Timing::lockstep());
 //! assert!(report.completed);
-//! let d = assert_agreement(&bb_report_decisions(&report, &faults));
+//! let d = assert_agreement(&outputs::<BbProc>(&report.actors, &faults));
 //! assert_eq!(d, Decision::Value(42));
+//! ```
+//!
+//! A hand-written adversary: mark its index Byzantine and return the
+//! actor from the `byzantine` closure, which can reach every key of the
+//! set-up (a Byzantine cohort signs with all of its members' keys):
+//!
+//! ```
+//! use meba_testkit::{assert_agreement, cluster, outputs, round_budget, sim};
+//! use meba_testkit::{BbM, BbProc, Family, Fault};
+//! use meba_adversary::EquivocatingSender;
+//! use meba_core::{Bb, LockstepAdapter};
+//! use meba_crypto::ProcessId;
+//! use meba_sim::AnyActor;
+//!
+//! let mut faults = vec![Fault::None; 5];
+//! faults[0] = Fault::Idle; // the sender is Byzantine ...
+//! let actors = cluster(
+//!     Family::BB.config(5),
+//!     Family::BB.key_seed,
+//!     &faults,
+//!     |p| {
+//!         let factory = p.factory();
+//!         LockstepAdapter::new(p.id, Bb::new(p.cfg, p.id, p.key, p.pki, factory, ProcessId(0)))
+//!     },
+//!     // ... and signs 1 for {p1, p2} but 2 for {p3, p4}.
+//!     |p, _keys| {
+//!         let (a, b) = (vec![ProcessId(1), ProcessId(2)], vec![ProcessId(3), ProcessId(4)]);
+//!         let sender = EquivocatingSender::new(p.cfg, p.key.clone(), 1u64, 2u64, a, b);
+//!         Some(Box::new(sender) as Box<dyn AnyActor<Msg = BbM>>)
+//!     },
+//! );
+//! let mut run = sim(actors, &faults);
+//! run.run_until_done(round_budget(5))?;
+//! assert_agreement(&outputs::<BbProc>(run.actors(), &faults));
+//! # Ok::<(), meba_sim::RunError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -60,16 +103,14 @@ pub use recovery::{
 pub use service::{audit_proposals, service_replica, ServiceHarness, ServiceM, ServiceProc};
 
 use meba_adversary::{ChaosActor, CrashActor, LossyLinkActor};
-use meba_core::{
-    AlwaysValid, Bb, Decision, LockstepAdapter, StrongBa, SubProtocol, SystemConfig, WeakBa,
-};
+use meba_core::{AlwaysValid, Bb, LockstepAdapter, StrongBa, SubProtocol, SystemConfig, WeakBa};
 use meba_crypto::{trusted_setup, Pki, ProcessId, SecretKey};
 pub use meba_engine::{default_quorum, AdvanceCause, RoundDriverConfig};
 use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
 use meba_fallback::RecursiveBaFactory;
 use meba_sim::faults::BernoulliDrop;
-use meba_sim::{Actor, AnyActor, IdleActor, Round, SimBuilder, Simulation};
-use meba_smr::{LogEntry, ReplicatedLog};
+use meba_sim::{Actor, AnyActor, IdleActor, Message, Round, SimBuilder, Simulation};
+use meba_smr::ReplicatedLog;
 
 /// Per-message drop probability applied by [`Fault::Lossy`]: heavy enough
 /// that multi-round certificate collection routinely misses this
@@ -136,14 +177,57 @@ pub fn corrupt_ids(faults: &[Fault]) -> Vec<ProcessId> {
         .collect()
 }
 
-fn apply_faults<M: meba_sim::Message>(
-    mut builder: SimBuilder<M>,
-    faults: &[Fault],
-) -> SimBuilder<M> {
-    for id in corrupt_ids(faults) {
-        builder = builder.corrupt(id);
+/// One process's share of the trusted set-up: everything an honest
+/// protocol constructor (or a hand-written adversary) takes.
+#[derive(Clone, Debug)]
+pub struct Party {
+    /// The system configuration (size, resilience, session domain).
+    pub cfg: SystemConfig,
+    /// This process.
+    pub id: ProcessId,
+    /// Its signing key.
+    pub key: SecretKey,
+    /// The public verification handle.
+    pub pki: Pki,
+}
+
+impl Party {
+    /// The production fallback factory for this process — what every
+    /// testkit family wires in as `A_fallback`.
+    pub fn factory(&self) -> RecursiveBaFactory {
+        RecursiveBaFactory::new(self.cfg, self.key.clone(), self.pki.clone())
     }
-    builder
+}
+
+/// The two constants that tell one protocol family's clusters apart
+/// from another's: the session domain its signatures are bound to and
+/// the seed of its trusted set-up.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Family {
+    /// Session domain of the family's [`SystemConfig`].
+    pub session: u64,
+    /// Seed handed to [`trusted_setup`].
+    pub key_seed: u64,
+}
+
+impl Family {
+    /// Adaptive Byzantine Broadcast ([`bb_actors`]).
+    pub const BB: Family = Family { session: 0xbb, key_seed: 0x5eed };
+    /// Adaptive weak BA ([`weak_ba_actors`]).
+    pub const WEAK_BA: Family = Family { session: 0x3a, key_seed: 0xfeed };
+    /// Binary strong BA, both constructors ([`strong_ba_actors`]).
+    pub const STRONG_BA: Family = Family { session: 0x5b, key_seed: 0xdead };
+    /// The pipelined replicated log ([`log_actors`]).
+    pub const LOG: Family = Family { session: 0x109, key_seed: 0xfee1 };
+
+    /// The family's configuration for `n` processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a valid system size (odd, ≥ 3).
+    pub fn config(&self, n: usize) -> SystemConfig {
+        SystemConfig::new(n, self.session).unwrap()
+    }
 }
 
 /// Wraps one process's honest actor according to its [`Fault`]. `honest`
@@ -166,25 +250,153 @@ where
     }
 }
 
-/// A [`DesConfig`] matched to a fault matrix: the corrupt set is derived
-/// from `faults`, the round cap from [`round_budget`].
-fn des_config(faults: &[Fault], seed: u64) -> DesConfig {
-    DesConfig {
-        seed,
-        corrupt: corrupt_ids(faults),
-        max_rounds: round_budget(faults.len()),
-        ..DesConfig::default()
-    }
+/// Builds an `n = faults.len()` process cluster: one trusted set-up
+/// from `key_seed`, then for each process its [`Party`] goes to `honest`
+/// and the result is wrapped according to `faults[i]` (`honest` is only
+/// invoked for fault kinds that run the real protocol).
+///
+/// `byzantine` is asked first at every index `faults` marks Byzantine;
+/// `Some(actor)` puts that hand-written adversary there instead of the
+/// fault's stock actor. It is lent the whole key vector, because a
+/// Byzantine cohort signs with all of its members' keys. Since only
+/// marked indices are ever asked, a hand-written actor always counts
+/// toward `f` — in [`corrupt_ids`], in the metrics, and in read-back.
+/// Build the adversary only where it goes and answer `None` elsewhere
+/// (a leader-attack constructor asserts it leads its phase); pass
+/// `|_, _| None` for a cluster without one.
+///
+/// Runtime-free: hand the vector to any backend.
+///
+/// # Panics
+///
+/// Panics if `cfg` is not a configuration for `faults.len()` processes.
+pub fn cluster<M, A>(
+    cfg: SystemConfig,
+    key_seed: u64,
+    faults: &[Fault],
+    mut honest: impl FnMut(Party) -> A,
+    mut byzantine: impl FnMut(&Party, &[SecretKey]) -> Option<Box<dyn AnyActor<Msg = M>>>,
+) -> Vec<Box<dyn AnyActor<Msg = M>>>
+where
+    M: Message,
+    A: AnyActor<Msg = M> + 'static,
+{
+    let n = faults.len();
+    assert_eq!(cfg.n(), n, "one fault assignment per process");
+    let (pki, keys) = trusted_setup(n, key_seed);
+    let party = |i: usize, key| Party { cfg, id: ProcessId(i as u32), key, pki: pki.clone() };
+    // Adversaries first, while the whole key vector is still there to lend.
+    let custom: Vec<_> = (0..n)
+        .map(|i| {
+            let ask = || byzantine(&party(i, keys[i].clone()), &keys);
+            faults[i].is_byzantine().then(ask).flatten()
+        })
+        .collect();
+    (keys.into_iter().zip(custom).enumerate())
+        .map(|(i, (key, custom))| {
+            let p = party(i, key);
+            custom.unwrap_or_else(|| apply_fault(p.id, faults[i], || honest(p)))
+        })
+        .collect()
+}
+
+/// Builds the fault-wrapped adaptive-BB actor vector: `sender`
+/// broadcasts `input`; `faults[i]` applies to process `i`.
+///
+/// # Panics
+///
+/// Panics if `faults.len()` is not a valid system size (odd, ≥ 3), or if
+/// `sender` is not one of its processes (a cluster without a sender
+/// decides `⊥` everywhere and agrees vacuously).
+pub fn bb_actors(sender: u32, input: u64, faults: &[Fault]) -> Vec<Box<dyn AnyActor<Msg = BbM>>> {
+    let n = faults.len();
+    assert!((sender as usize) < n, "sender p{sender} is not one of the n = {n} processes");
+    let honest = |p: Party| {
+        let factory = p.factory();
+        let bb = if p.id.0 == sender {
+            Bb::new_sender(p.cfg, p.id, p.key, p.pki, factory, input)
+        } else {
+            Bb::new(p.cfg, p.id, p.key, p.pki, factory, ProcessId(sender))
+        };
+        LockstepAdapter::new(p.id, bb)
+    };
+    cluster(Family::BB.config(n), Family::BB.key_seed, faults, honest, |_, _| None)
+}
+
+/// Builds the fault-wrapped weak-BA actor vector over `u64` values with
+/// [`AlwaysValid`]; process `i` proposes `inputs[i]`.
+///
+/// # Panics
+///
+/// Panics if `faults.len()` is not a valid system size or `inputs` is
+/// not one per process.
+pub fn weak_ba_actors(inputs: &[u64], faults: &[Fault]) -> Vec<Box<dyn AnyActor<Msg = WbaM>>> {
+    let n = faults.len();
+    assert_eq!(inputs.len(), n, "one input per process");
+    let honest = |p: Party| {
+        let (factory, input) = (p.factory(), inputs[p.id.index()]);
+        LockstepAdapter::new(
+            p.id,
+            WeakBa::new(p.cfg, p.id, p.key, p.pki, AlwaysValid, factory, input),
+        )
+    };
+    cluster(Family::WEAK_BA.config(n), Family::WEAK_BA.key_seed, faults, honest, |_, _| None)
+}
+
+/// Builds the fault-wrapped binary strong BA actor vector; `variant` is
+/// `StrongBa::new` or `StrongBa::rotating`.
+///
+/// # Panics
+///
+/// Panics if `faults.len()` is not a valid system size or `inputs` is
+/// not one per process.
+pub fn strong_ba_actors(
+    variant: SbaCtor,
+    inputs: &[bool],
+    faults: &[Fault],
+) -> Vec<Box<dyn AnyActor<Msg = SbaM>>> {
+    let n = faults.len();
+    assert_eq!(inputs.len(), n, "one input per process");
+    let honest = |p: Party| {
+        let (factory, input) = (p.factory(), inputs[p.id.index()]);
+        LockstepAdapter::new(p.id, variant(p.cfg, p.id, p.key, p.pki, factory, input))
+    };
+    cluster(Family::STRONG_BA.config(n), Family::STRONG_BA.key_seed, faults, honest, |_, _| None)
+}
+
+/// Builds the fault-wrapped replicated-log actor vector: `slots` BB
+/// instances multiplexed with pipeline window `window` (`1` =
+/// sequential). Replica `i`'s command queue is `100·(i+1) + k` for
+/// `k = 0, 1, …`, so slot `k`'s honest proposal is recognizable; `0` is
+/// the no-op. Budget a run with [`log_round_budget`].
+///
+/// # Panics
+///
+/// Panics if `faults.len()` is not a valid system size (odd, ≥ 3).
+pub fn log_actors(slots: u64, window: u64, faults: &[Fault]) -> Vec<Box<dyn AnyActor<Msg = LogM>>> {
+    let honest = |p: Party| {
+        let commands = (0..slots).map(|k| 100 * (u64::from(p.id.0) + 1) + k).collect();
+        let factory = p.factory();
+        ReplicatedLog::new(p.cfg, p.id, p.key, p.pki, factory, slots, commands, 0)
+            .with_window(window)
+    };
+    let n = faults.len();
+    cluster(Family::LOG.config(n), Family::LOG.key_seed, faults, honest, |_, _| None)
+}
+
+/// Builds the lockstep simulator over `actors`, with the processes
+/// `faults` marks Byzantine corrupt.
+pub fn sim<M: Message>(actors: Vec<Box<dyn AnyActor<Msg = M>>>, faults: &[Fault]) -> Simulation<M> {
+    corrupt_ids(faults).into_iter().fold(SimBuilder::new(actors), SimBuilder::corrupt).build()
 }
 
 /// A timing scenario for the DES backend: the round driver plus the
 /// clock-skew and GST hazards of [`DesConfig`]. The default
-/// ([`Timing::lockstep`]) reproduces the pre-refactor global schedule
-/// exactly, so a `Timing`-parameterized run with defaults is
-/// byte-identical to the plain `*_des` runners.
+/// ([`Timing::lockstep`]) is the global lockstep schedule with aligned
+/// clocks — what [`des`] runs unless told otherwise.
 ///
 /// ```
-/// use meba_testkit::{bb_des_timed, bb_report_decisions, assert_agreement, Fault, Timing};
+/// use meba_testkit::{assert_agreement, bb_actors, des, outputs, BbProc, Fault, Timing};
 /// use meba_core::Decision;
 ///
 /// // Mis-estimated δ (timer at 0.5× the nominal δ) on a network whose
@@ -196,9 +408,10 @@ fn des_config(faults: &[Fault], seed: u64) -> DesConfig {
 ///     .with_quorum(5)
 ///     .with_link_cap(Timing::DELTA_NS / 4)
 ///     .with_skew(Timing::DELTA_NS / 8);
-/// let report = bb_des_timed(0, 7, &faults, 0x71ae, &timing);
+/// let report = des(bb_actors(0, 7, &faults), &faults, 0x71ae, &timing);
 /// assert!(report.completed);
-/// assert_eq!(assert_agreement(&bb_report_decisions(&report, &faults)), Decision::Value(7));
+/// let d = assert_agreement(&outputs::<BbProc>(&report.actors, &faults));
+/// assert_eq!(d, Decision::Value(7));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Timing {
@@ -296,343 +509,152 @@ impl Default for Timing {
     }
 }
 
-/// [`bb_des`] under an explicit [`Timing`] scenario.
+/// Runs `actors` on the deterministic discrete-event backend under
+/// `timing` — one call: run to completion (or [`round_budget`] rounds),
+/// report. `seed` drives the link-latency and skew sampling. The cap
+/// covers any single-shot protocol and a log of a few slots; a longer
+/// log wants [`run_des_cluster`] with its own `max_rounds`
+/// ([`log_round_budget`]).
 ///
 /// # Panics
 ///
-/// Panics if `faults.len()` is not a valid system size (odd, ≥ 3) or the
-/// timing scenario is invalid (e.g. a non-positive timeout factor).
-pub fn bb_des_timed(
-    sender: u32,
-    input: u64,
+/// Panics if the timing scenario is invalid (e.g. a non-positive
+/// timeout factor).
+pub fn des<M: Message>(
+    actors: Vec<Box<dyn AnyActor<Msg = M>>>,
     faults: &[Fault],
     seed: u64,
     timing: &Timing,
-) -> ClusterReport<BbM> {
-    run_des_cluster(bb_actors(sender, input, faults), None, timing.apply(des_config(faults, seed)))
-        .expect("testkit timing scenario is valid")
+) -> ClusterReport<M> {
+    let config = DesConfig {
+        seed,
+        corrupt: corrupt_ids(faults),
+        max_rounds: round_budget(faults.len()),
+        ..DesConfig::default()
+    };
+    run_des_cluster(actors, None, timing.apply(config)).expect("testkit timing scenario is valid")
 }
 
-/// [`weak_ba_des`] under an explicit [`Timing`] scenario.
+/// The correct (`Fault::None`) processes of a finished run, downcast to
+/// their concrete actor type `A` — `LockstepAdapter<P>` for the
+/// single-shot families, [`LogProc`] for the log. `actors` is
+/// [`Simulation::actors`] or a cluster report's `actors`. Faulty
+/// processes are wrapped or replaced and hold nothing comparable.
 ///
 /// # Panics
 ///
-/// Panics if the fault matrix or timing scenario is invalid.
-pub fn weak_ba_des_timed(
-    inputs: &[u64],
+/// The iterator panics at a correct process that is not an `A`.
+pub fn correct<'a, A: 'static, M: Message>(
+    actors: &'a [Box<dyn AnyActor<Msg = M>>],
+    faults: &'a [Fault],
+) -> impl Iterator<Item = &'a A> {
+    actors.iter().zip(faults).filter(|(_, f)| !f.is_byzantine()).map(|(a, _)| {
+        a.as_any().downcast_ref().unwrap_or_else(|| panic!("{} is not the expected actor", a.id()))
+    })
+}
+
+/// Decisions of the correct processes of a finished run of protocol `P`,
+/// in process order.
+///
+/// # Panics
+///
+/// Panics if a correct process has not decided — run to completion
+/// first.
+pub fn outputs<P: SubProtocol>(
+    actors: &[Box<dyn AnyActor<Msg = P::Msg>>],
     faults: &[Fault],
-    seed: u64,
-    timing: &Timing,
-) -> ClusterReport<WbaM> {
-    run_des_cluster(weak_ba_actors(inputs, faults), None, timing.apply(des_config(faults, seed)))
-        .expect("testkit timing scenario is valid")
-}
-
-/// [`strong_ba_des`] under an explicit [`Timing`] scenario.
-///
-/// # Panics
-///
-/// Panics if the fault matrix or timing scenario is invalid.
-pub fn strong_ba_des_timed(
-    variant: SbaCtor,
-    inputs: &[bool],
-    faults: &[Fault],
-    seed: u64,
-    timing: &Timing,
-) -> ClusterReport<SbaM> {
-    let actors = strong_ba_actors(variant, inputs, faults);
-    run_des_cluster(actors, None, timing.apply(des_config(faults, seed)))
-        .expect("testkit timing scenario is valid")
-}
-
-/// Builds the fault-wrapped adaptive-BB actor vector; `faults[i]`
-/// applies to process `i`. Runtime-free: hand the vector to any backend.
-///
-/// # Panics
-///
-/// Panics if `faults.len()` is not a valid system size (odd, ≥ 3).
-pub fn bb_actors(sender: u32, input: u64, faults: &[Fault]) -> Vec<Box<dyn AnyActor<Msg = BbM>>> {
-    let n = faults.len();
-    let cfg = SystemConfig::new(n, 0xbb).unwrap();
-    let (pki, keys) = trusted_setup(n, 0x5eed);
-    keys.into_iter()
-        .enumerate()
-        .map(|(i, key)| {
-            let id = ProcessId(i as u32);
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let pki = pki.clone();
-            apply_fault(id, faults[i], move || {
-                let bb = if i as u32 == sender {
-                    Bb::new_sender(cfg, id, key, pki, factory, input)
-                } else {
-                    Bb::new(cfg, id, key, pki, factory, ProcessId(sender))
-                };
-                LockstepAdapter::new(id, bb)
-            })
-        })
+) -> Vec<P::Output> {
+    correct::<LockstepAdapter<P>, _>(actors, faults)
+        .map(|a| a.inner().output().unwrap_or_else(|| panic!("{} did not decide", a.id())))
         .collect()
 }
 
-/// Builds an adaptive-BB simulation; `faults[i]` applies to process `i`.
-///
-/// # Panics
-///
-/// Panics if `faults.len()` is not a valid system size (odd, ≥ 3).
-pub fn bb_sim(sender: u32, input: u64, faults: &[Fault]) -> Simulation<BbM> {
-    apply_faults(SimBuilder::new(bb_actors(sender, input, faults)), faults).build()
+/// What the experiments read off a decided process besides its output.
+/// The three protocols expose these as inherent methods; this names
+/// them once so [`DecisionStats::of`] can fold over any of them.
+pub trait Probe: SubProtocol {
+    /// The step at which this process decided.
+    fn decided_at(&self) -> Option<u64>;
+    /// Whether it ran `A_fallback`.
+    fn used_fallback(&self) -> bool;
+    /// Whether it led a phase it could not keep silent (always `false`
+    /// for strong BA, which has no silent phases).
+    fn led_nonsilent_phase(&self) -> bool;
 }
 
-/// Runs adaptive BB on the deterministic discrete-event backend.
-/// One call: build, run to completion (or [`round_budget`]), report.
-///
-/// # Panics
-///
-/// Panics if `faults.len()` is not a valid system size (odd, ≥ 3).
-pub fn bb_des(sender: u32, input: u64, faults: &[Fault], seed: u64) -> ClusterReport<BbM> {
-    run_des_cluster(bb_actors(sender, input, faults), None, des_config(faults, seed))
-        .expect("testkit DES config is valid")
+impl Probe for BbProc {
+    fn decided_at(&self) -> Option<u64> {
+        self.decided_at()
+    }
+    fn used_fallback(&self) -> bool {
+        self.used_fallback()
+    }
+    fn led_nonsilent_phase(&self) -> bool {
+        self.led_nonsilent_phase()
+    }
 }
 
-/// Extracts the decision of one correct `LockstepAdapter<P>`-wrapped
-/// process.
-fn adapter_output<P>(a: &dyn AnyActor<Msg = P::Msg>, i: usize) -> P::Output
-where
-    P: SubProtocol,
-{
-    let l: &LockstepAdapter<P> = a.as_any().downcast_ref().unwrap();
-    l.inner().output().unwrap_or_else(|| panic!("p{i} did not decide"))
+impl Probe for WbaProc {
+    fn decided_at(&self) -> Option<u64> {
+        self.decided_at()
+    }
+    fn used_fallback(&self) -> bool {
+        self.used_fallback()
+    }
+    fn led_nonsilent_phase(&self) -> bool {
+        self.led_nonsilent_phase()
+    }
 }
 
-/// Decisions of the correct processes of a [`bb_sim`] run.
-///
-/// # Panics
-///
-/// Panics if a correct process has not decided — run the simulation to
-/// completion first.
-pub fn bb_decisions(sim: &Simulation<BbM>, faults: &[Fault]) -> Vec<Decision<u64>> {
-    (0..sim.n())
-        .filter(|&i| !faults[i].is_byzantine())
-        .map(|i| adapter_output::<BbProc>(sim.actor(ProcessId(i as u32)), i))
-        .collect()
+impl Probe for SbaProc {
+    fn decided_at(&self) -> Option<u64> {
+        self.decided_at()
+    }
+    fn used_fallback(&self) -> bool {
+        self.used_fallback()
+    }
+    fn led_nonsilent_phase(&self) -> bool {
+        false
+    }
 }
 
-/// Decisions of the correct processes of a [`bb_des`] (or any
-/// cluster-report-producing) BB run.
-///
-/// # Panics
-///
-/// Panics if a correct process has not decided.
-pub fn bb_report_decisions(report: &ClusterReport<BbM>, faults: &[Fault]) -> Vec<Decision<u64>> {
-    (0..report.actors.len())
-        .filter(|&i| !faults[i].is_byzantine())
-        .map(|i| adapter_output::<BbProc>(report.actors[i].as_ref(), i))
-        .collect()
+/// When the correct processes of a finished run decided, and how.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DecisionStats {
+    /// Earliest decision step among correct processes.
+    pub first: u64,
+    /// Latest decision step among correct processes.
+    pub last: u64,
+    /// Correct processes that ran the fallback.
+    pub fell_back: usize,
+    /// Correct processes that led a non-silent phase.
+    pub nonsilent_leaders: usize,
 }
 
-/// Builds the fault-wrapped weak-BA actor vector over `u64` values with
-/// [`AlwaysValid`]. Runtime-free.
-pub fn weak_ba_actors(inputs: &[u64], faults: &[Fault]) -> Vec<Box<dyn AnyActor<Msg = WbaM>>> {
-    let n = faults.len();
-    assert_eq!(inputs.len(), n, "one input per process");
-    let cfg = SystemConfig::new(n, 0x3a).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xfeed);
-    keys.into_iter()
-        .enumerate()
-        .map(|(i, key)| {
-            let id = ProcessId(i as u32);
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let pki = pki.clone();
-            let input = inputs[i];
-            apply_fault(id, faults[i], move || {
-                LockstepAdapter::new(
-                    id,
-                    WeakBa::new(cfg, id, key, pki, AlwaysValid, factory, input),
-                )
-            })
-        })
-        .collect()
+impl DecisionStats {
+    /// Folds the [`Probe`] readings over the correct processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a correct process has not decided.
+    pub fn of<P: Probe>(actors: &[Box<dyn AnyActor<Msg = P::Msg>>], faults: &[Fault]) -> Self {
+        let mut stats =
+            DecisionStats { first: u64::MAX, last: 0, fell_back: 0, nonsilent_leaders: 0 };
+        for a in correct::<LockstepAdapter<P>, _>(actors, faults) {
+            let p = a.inner();
+            let at = p.decided_at().unwrap_or_else(|| panic!("{} did not decide", a.id()));
+            stats.first = stats.first.min(at);
+            stats.last = stats.last.max(at);
+            stats.fell_back += usize::from(p.used_fallback());
+            stats.nonsilent_leaders += usize::from(p.led_nonsilent_phase());
+        }
+        stats
+    }
 }
 
-/// Builds a weak BA simulation over `u64` values with [`AlwaysValid`].
-pub fn weak_ba_sim(inputs: &[u64], faults: &[Fault]) -> Simulation<WbaM> {
-    apply_faults(SimBuilder::new(weak_ba_actors(inputs, faults)), faults).build()
-}
-
-/// Runs weak BA on the deterministic discrete-event backend.
-pub fn weak_ba_des(inputs: &[u64], faults: &[Fault], seed: u64) -> ClusterReport<WbaM> {
-    run_des_cluster(weak_ba_actors(inputs, faults), None, des_config(faults, seed))
-        .expect("testkit DES config is valid")
-}
-
-/// Decisions of the correct processes of a [`weak_ba_sim`] run.
-///
-/// # Panics
-///
-/// Panics if a correct process has not decided.
-pub fn weak_ba_decisions(sim: &Simulation<WbaM>, faults: &[Fault]) -> Vec<Decision<u64>> {
-    (0..sim.n())
-        .filter(|&i| !faults[i].is_byzantine())
-        .map(|i| adapter_output::<WbaProc>(sim.actor(ProcessId(i as u32)), i))
-        .collect()
-}
-
-/// Decisions of the correct processes of a [`weak_ba_des`] run.
-///
-/// # Panics
-///
-/// Panics if a correct process has not decided.
-pub fn weak_ba_report_decisions(
-    report: &ClusterReport<WbaM>,
-    faults: &[Fault],
-) -> Vec<Decision<u64>> {
-    (0..report.actors.len())
-        .filter(|&i| !faults[i].is_byzantine())
-        .map(|i| adapter_output::<WbaProc>(report.actors[i].as_ref(), i))
-        .collect()
-}
-
-/// Builds the fault-wrapped binary strong BA actor vector; `variant` is
-/// `StrongBa::new` or `StrongBa::rotating`. Runtime-free.
-pub fn strong_ba_actors(
-    variant: SbaCtor,
-    inputs: &[bool],
-    faults: &[Fault],
-) -> Vec<Box<dyn AnyActor<Msg = SbaM>>> {
-    let n = faults.len();
-    assert_eq!(inputs.len(), n, "one input per process");
-    let cfg = SystemConfig::new(n, 0x5b).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xdead);
-    keys.into_iter()
-        .enumerate()
-        .map(|(i, key)| {
-            let id = ProcessId(i as u32);
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let pki = pki.clone();
-            let input = inputs[i];
-            apply_fault(id, faults[i], move || {
-                LockstepAdapter::new(id, variant(cfg, id, key, pki, factory, input))
-            })
-        })
-        .collect()
-}
-
-/// Builds a binary strong BA simulation.
-pub fn strong_ba_sim(variant: SbaCtor, inputs: &[bool], faults: &[Fault]) -> Simulation<SbaM> {
-    apply_faults(SimBuilder::new(strong_ba_actors(variant, inputs, faults)), faults).build()
-}
-
-/// Runs binary strong BA on the deterministic discrete-event backend.
-pub fn strong_ba_des(
-    variant: SbaCtor,
-    inputs: &[bool],
-    faults: &[Fault],
-    seed: u64,
-) -> ClusterReport<SbaM> {
-    run_des_cluster(strong_ba_actors(variant, inputs, faults), None, des_config(faults, seed))
-        .expect("testkit DES config is valid")
-}
-
-/// Decisions of the correct processes of a [`strong_ba_sim`] run.
-///
-/// # Panics
-///
-/// Panics if a correct process has not decided.
-pub fn strong_ba_decisions(sim: &Simulation<SbaM>, faults: &[Fault]) -> Vec<bool> {
-    (0..sim.n())
-        .filter(|&i| !faults[i].is_byzantine())
-        .map(|i| adapter_output::<SbaProc>(sim.actor(ProcessId(i as u32)), i))
-        .collect()
-}
-
-/// Decisions of the correct processes of a [`strong_ba_des`] run.
-///
-/// # Panics
-///
-/// Panics if a correct process has not decided.
-pub fn strong_ba_report_decisions(report: &ClusterReport<SbaM>, faults: &[Fault]) -> Vec<bool> {
-    (0..report.actors.len())
-        .filter(|&i| !faults[i].is_byzantine())
-        .map(|i| adapter_output::<SbaProc>(report.actors[i].as_ref(), i))
-        .collect()
-}
-
-/// Builds the fault-wrapped replicated-log actor vector: `slots` BB
-/// instances multiplexed with pipeline window `window` (`1` =
-/// sequential). Replica `i`'s command queue is `100·(i+1) + k` for
-/// `k = 0, 1, …`, so slot `k`'s honest proposal is recognizable; `0` is
-/// the no-op. Runtime-free.
-///
-/// # Panics
-///
-/// Panics if `faults.len()` is not a valid system size (odd, ≥ 3).
-pub fn log_actors(slots: u64, window: u64, faults: &[Fault]) -> Vec<Box<dyn AnyActor<Msg = LogM>>> {
-    let n = faults.len();
-    let cfg = SystemConfig::new(n, 0x109).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xfee1);
-    keys.into_iter()
-        .enumerate()
-        .map(|(i, key)| {
-            let id = ProcessId(i as u32);
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let pki = pki.clone();
-            let commands: Vec<u64> = (0..slots).map(|k| 100 * (i as u64 + 1) + k).collect();
-            apply_fault(id, faults[i], move || {
-                ReplicatedLog::new(cfg, id, key, pki, factory, slots, commands, 0)
-                    .with_window(window)
-            })
-        })
-        .collect()
-}
-
-/// Builds a replicated-log simulation: `slots` BB instances multiplexed
-/// with pipeline window `window` (`1` = sequential).
-///
-/// # Panics
-///
-/// Panics if `faults.len()` is not a valid system size (odd, ≥ 3).
-pub fn log_sim(slots: u64, window: u64, faults: &[Fault]) -> Simulation<LogM> {
-    apply_faults(SimBuilder::new(log_actors(slots, window, faults)), faults).build()
-}
-
-/// Runs the replicated log on the deterministic discrete-event backend
-/// (round cap [`log_round_budget`]).
-pub fn log_des(slots: u64, window: u64, faults: &[Fault], seed: u64) -> ClusterReport<LogM> {
-    let config =
-        DesConfig { max_rounds: log_round_budget(faults.len(), slots), ..des_config(faults, seed) };
-    run_des_cluster(log_actors(slots, window, faults), None, config)
-        .expect("testkit DES config is valid")
-}
-
-fn log_of(a: &dyn AnyActor<Msg = LogM>) -> Vec<LogEntry<u64>> {
-    let l: &LogProc = a.as_any().downcast_ref().unwrap();
-    l.log().to_vec()
-}
-
-/// Committed logs of the fault-free replicas of a [`log_sim`] run, in
-/// process order. Only `Fault::None` replicas are inspected (the faulty
-/// ones are wrapped or replaced and hold no comparable log).
-pub fn log_entries(sim: &Simulation<LogM>, faults: &[Fault]) -> Vec<Vec<LogEntry<u64>>> {
-    (0..sim.n())
-        .filter(|&i| faults[i] == Fault::None)
-        .map(|i| log_of(sim.actor(ProcessId(i as u32))))
-        .collect()
-}
-
-/// Committed logs of the fault-free replicas of a [`log_des`] run.
-pub fn log_report_entries(
-    report: &ClusterReport<LogM>,
-    faults: &[Fault],
-) -> Vec<Vec<LogEntry<u64>>> {
-    (0..report.actors.len())
-        .filter(|&i| faults[i] == Fault::None)
-        .map(|i| log_of(report.actors[i].as_ref()))
-        .collect()
-}
-
-/// A generous round budget for a [`log_sim`] run: every slot may need
-/// its full worst-case schedule.
-pub fn log_round_budget(n: usize, slots: u64) -> u64 {
-    slots * (round_budget(n) + 10)
+/// Whether all decisions are equal (vacuously true for none).
+pub fn agree<T: PartialEq>(decisions: &[T]) -> bool {
+    decisions.windows(2).all(|w| w[0] == w[1])
 }
 
 /// Asserts all decisions are equal and returns the common one.
@@ -642,9 +664,7 @@ pub fn log_round_budget(n: usize, slots: u64) -> u64 {
 /// Panics on an empty slice or on disagreement — the point of the helper.
 pub fn assert_agreement<T: PartialEq + std::fmt::Debug + Clone>(decisions: &[T]) -> T {
     assert!(!decisions.is_empty());
-    for d in decisions {
-        assert_eq!(d, &decisions[0], "agreement violated: {decisions:?}");
-    }
+    assert!(agree(decisions), "agreement violated: {decisions:?}");
     decisions[0].clone()
 }
 
@@ -654,46 +674,110 @@ pub fn round_budget(n: usize) -> u64 {
     (70 * n as u64) + 200
 }
 
+/// A generous round budget for a [`log_actors`] run: every slot may need
+/// its full worst-case schedule.
+pub fn log_round_budget(n: usize, slots: u64) -> u64 {
+    slots * (round_budget(n) + 10)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meba_adversary::WastefulBbLeader;
+    use meba_core::Decision;
 
     #[test]
     fn harness_builds_and_runs_each_protocol() {
         let faults = vec![Fault::None, Fault::Idle, Fault::None, Fault::None, Fault::None];
-        let mut bb = bb_sim(0, 3, &faults);
+        let mut bb = sim(bb_actors(0, 3, &faults), &faults);
         bb.run_until_done(round_budget(5)).unwrap();
-        assert_eq!(assert_agreement(&bb_decisions(&bb, &faults)), Decision::Value(3));
+        let d = assert_agreement(&outputs::<BbProc>(bb.actors(), &faults));
+        assert_eq!(d, Decision::Value(3));
 
-        let mut wba = weak_ba_sim(&[2; 5], &faults);
+        let mut wba = sim(weak_ba_actors(&[2; 5], &faults), &faults);
         wba.run_until_done(round_budget(5)).unwrap();
-        assert_eq!(assert_agreement(&weak_ba_decisions(&wba, &faults)), Decision::Value(2));
+        let d = assert_agreement(&outputs::<WbaProc>(wba.actors(), &faults));
+        assert_eq!(d, Decision::Value(2));
 
-        let mut sba = strong_ba_sim(StrongBa::new, &[true; 5], &faults);
+        let mut sba = sim(strong_ba_actors(StrongBa::new, &[true; 5], &faults), &faults);
         sba.run_until_done(round_budget(5)).unwrap();
-        assert!(assert_agreement(&strong_ba_decisions(&sba, &faults)));
+        assert!(assert_agreement(&outputs::<SbaProc>(sba.actors(), &faults)));
+
+        let mut log = sim(log_actors(2, 2, &faults), &faults);
+        log.run_until_done(log_round_budget(5, 2)).unwrap();
+        let logs: Vec<_> = correct::<LogProc, _>(log.actors(), &faults).map(LogProc::log).collect();
+        assert_eq!(assert_agreement(&logs).len(), 2);
     }
 
     #[test]
-    fn des_runners_reach_the_same_decisions() {
-        let faults = vec![Fault::None; 5];
-        let bb = bb_des(0, 3, &faults, 7);
+    fn des_reaches_the_same_decisions() {
+        let (faults, lockstep) = (vec![Fault::None; 5], Timing::lockstep());
+        let bb = des(bb_actors(0, 3, &faults), &faults, 7, &lockstep);
         assert!(bb.completed);
-        assert_eq!(assert_agreement(&bb_report_decisions(&bb, &faults)), Decision::Value(3));
+        let d = assert_agreement(&outputs::<BbProc>(&bb.actors, &faults));
+        assert_eq!(d, Decision::Value(3));
 
-        let wba = weak_ba_des(&[2; 5], &faults, 7);
+        let wba = des(weak_ba_actors(&[2; 5], &faults), &faults, 7, &lockstep);
         assert!(wba.completed);
-        assert_eq!(assert_agreement(&weak_ba_report_decisions(&wba, &faults)), Decision::Value(2));
+        let d = assert_agreement(&outputs::<WbaProc>(&wba.actors, &faults));
+        assert_eq!(d, Decision::Value(2));
 
-        let sba = strong_ba_des(StrongBa::new, &[true; 5], &faults, 7);
+        let sba = des(strong_ba_actors(StrongBa::new, &[true; 5], &faults), &faults, 7, &lockstep);
         assert!(sba.completed);
-        assert!(assert_agreement(&strong_ba_report_decisions(&sba, &faults)));
+        assert!(assert_agreement(&outputs::<SbaProc>(&sba.actors, &faults)));
     }
 
     #[test]
     #[should_panic(expected = "agreement violated")]
     fn assert_agreement_panics_on_split() {
+        assert!(!agree(&[1, 1, 2]));
         assert_agreement(&[1, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sender p5 is not one of the n = 5 processes")]
+    fn bb_cluster_without_a_sender_is_refused() {
+        bb_actors(5, 3, &[Fault::None; 5]);
+    }
+
+    #[test]
+    fn hand_written_actor_counts_toward_f() {
+        // p1 leads phase 1 and wastes it; p2 is marked too but left to
+        // its stock `Idle` actor.
+        let mut faults = vec![Fault::None; 5];
+        faults[1] = Fault::Idle;
+        faults[2] = Fault::Idle;
+        let mut asked = Vec::new();
+        let actors = cluster(
+            Family::BB.config(5),
+            Family::BB.key_seed,
+            &faults,
+            |p| {
+                let factory = p.factory();
+                LockstepAdapter::new(
+                    p.id,
+                    Bb::new(p.cfg, p.id, p.key, p.pki, factory, ProcessId(0)),
+                )
+            },
+            |p, keys| {
+                assert_eq!(keys.len(), 5, "the whole key vector is lent");
+                asked.push(p.id.0);
+                let leader = || WastefulBbLeader::<u64, _>::new(p.cfg, p.id, 1);
+                (p.id.0 == 1).then(|| Box::new(leader()) as Box<dyn AnyActor<Msg = BbM>>)
+            },
+        );
+        assert_eq!(asked, [1, 2], "only marked indices are offered to the adversary");
+        let mut run = sim(actors, &faults);
+        run.run_until_done(round_budget(5)).unwrap();
+        // Read-back skips it (a `WastefulBbLeader` is no `BbProc`) ...
+        assert_eq!(outputs::<BbProc>(run.actors(), &faults).len(), 3);
+        // ... and its words are billed to the adversary, not to
+        // `Metrics::correct_words`.
+        let m = run.metrics();
+        assert!(run.is_corrupt(ProcessId(1)) && m.per_process[&1].words > 0);
+        assert_eq!(m.byzantine.words, m.per_process[&1].words);
+        let correct: u64 = [0, 3, 4].iter().map(|i| m.per_process[i].words).sum();
+        assert_eq!(m.correct_words(), correct);
     }
 
     #[test]
@@ -703,8 +787,9 @@ mod tests {
         let mut faults = vec![Fault::None; 5];
         faults[2] = Fault::Lossy(0x10);
         assert!(faults[2].is_byzantine(), "lossy processes count toward f");
-        let mut bb = bb_sim(0, 9, &faults);
+        let mut bb = sim(bb_actors(0, 9, &faults), &faults);
         bb.run_until_done(round_budget(5)).unwrap();
-        assert_eq!(assert_agreement(&bb_decisions(&bb, &faults)), Decision::Value(9));
+        let d = assert_agreement(&outputs::<BbProc>(bb.actors(), &faults));
+        assert_eq!(d, Decision::Value(9));
     }
 }

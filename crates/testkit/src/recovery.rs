@@ -11,7 +11,7 @@
 //! reports any conflict — the equivocation a crash-amnesiac restart
 //! would otherwise produce.
 
-use crate::{WbaM, WbaProc};
+use crate::{Family, WbaM, WbaProc};
 use meba_core::signing::{DecideSig, HelpReqSig, VoteSig};
 use meba_core::{
     AlwaysValid, Decision, LockstepAdapter, Recoverable, SubProtocol, SystemConfig, WeakBa,
@@ -62,8 +62,8 @@ impl WeakBaRecoveryHarness {
     /// Panics if `inputs.len()` is not a valid system size (odd, ≥ 3).
     pub fn new(inputs: &[u64]) -> Self {
         let n = inputs.len();
-        let cfg = SystemConfig::new(n, 0x3a).unwrap();
-        let (pki, keys) = trusted_setup(n, 0xfeed);
+        let cfg = Family::WEAK_BA.config(n);
+        let (pki, keys) = trusted_setup(n, Family::WEAK_BA.key_seed);
         let journals = (0..n).map(|_| MemBuffer::new()).collect();
         WeakBaRecoveryHarness { cfg, pki, keys, inputs: inputs.to_vec(), journals }
     }

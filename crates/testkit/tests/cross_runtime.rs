@@ -23,10 +23,8 @@ use meba_engine::{
 use meba_sim::faults::{Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt};
 use meba_sim::{Actor, AnyActor, Message, Round, RoundCtx, SimBuilder};
 use meba_testkit::{
-    assert_agreement, bb_actors, bb_decisions, bb_des, bb_des_timed, bb_report_decisions, bb_sim,
-    corrupt_ids, round_budget, strong_ba_actors, strong_ba_decisions, strong_ba_des,
-    strong_ba_report_decisions, strong_ba_sim, weak_ba_actors, weak_ba_decisions, weak_ba_des,
-    weak_ba_report_decisions, weak_ba_sim, BbProc, Fault, SbaProc, Timing, WbaProc,
+    assert_agreement, bb_actors, corrupt_ids, des, outputs, round_budget, sim, strong_ba_actors,
+    weak_ba_actors, BbProc, Fault, SbaProc, Timing, WbaProc,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -49,13 +47,13 @@ proptest! {
         let sender = sender_raw % n as u32;
         let faults = vec![Fault::None; n];
 
-        let mut sim = bb_sim(sender, input, &faults);
+        let mut sim = sim(bb_actors(sender, input, &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
-        let lockstep = bb_decisions(&sim, &faults);
+        let lockstep = outputs::<BbProc>(sim.actors(), &faults);
 
-        let report = bb_des(sender, input, &faults, seed);
+        let report = des(bb_actors(sender, input, &faults), &faults, seed, &Timing::lockstep());
         prop_assert!(report.completed, "DES run must complete");
-        let des = bb_report_decisions(&report, &faults);
+        let des = outputs::<BbProc>(&report.actors, &faults);
 
         prop_assert_eq!(&lockstep, &des, "decisions diverge across backends");
         prop_assert_eq!(assert_agreement(&des), Decision::Value(input));
@@ -81,13 +79,13 @@ proptest! {
         faults[(idle_raw % n as u32) as usize] = Fault::Idle;
         let inputs = vec![input; n];
 
-        let mut sim = weak_ba_sim(&inputs, &faults);
+        let mut sim = sim(weak_ba_actors(&inputs, &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
-        let lockstep = weak_ba_decisions(&sim, &faults);
+        let lockstep = outputs::<WbaProc>(sim.actors(), &faults);
 
-        let report = weak_ba_des(&inputs, &faults, seed);
+        let report = des(weak_ba_actors(&inputs, &faults), &faults, seed, &Timing::lockstep());
         prop_assert!(report.completed, "DES run must complete");
-        let des = weak_ba_report_decisions(&report, &faults);
+        let des = outputs::<WbaProc>(&report.actors, &faults);
 
         prop_assert_eq!(&lockstep, &des, "decisions diverge across backends");
         prop_assert_eq!(
@@ -98,13 +96,13 @@ proptest! {
         prop_assert_eq!(sim.metrics().rounds, report.rounds, "round counts diverge");
     }
 
-    // The event-driven refactor's compatibility contract: driving the
-    // DES backend through the explicit lockstep `RoundDriver` produces
-    // *byte-identical* serialized metrics to the pre-refactor global
-    // schedule (which `DesConfig::default()` preserves) — for every
-    // system size, sender, fault placement, and latency seed. Not just
-    // the same decisions: the same words, rounds, per-link stats, and
-    // advance causes, byte for byte.
+    // The event-driven refactor's compatibility contract: `des` under
+    // `Timing::lockstep()` (the explicit lockstep `RoundDriver`, aligned
+    // clocks, no GST) produces *byte-identical* serialized metrics to an
+    // untouched `DesConfig::default()` — the pre-refactor global
+    // schedule — for every system size, sender, fault placement, and
+    // latency seed. Not just the same decisions: the same words, rounds,
+    // per-link stats, and advance causes, byte for byte.
     #[test]
     fn lockstep_driver_is_byte_identical_to_the_global_schedule(
         pick in 0usize..3,
@@ -121,8 +119,14 @@ proptest! {
             faults[idle] = Fault::Idle;
         }
 
-        let default_run = bb_des(sender, input, &faults, seed);
-        let driven_run = bb_des_timed(sender, input, &faults, seed, &Timing::lockstep());
+        let default = DesConfig {
+            seed,
+            corrupt: corrupt_ids(&faults),
+            max_rounds: round_budget(n),
+            ..DesConfig::default()
+        };
+        let default_run = run_des_cluster(bb_actors(sender, input, &faults), None, default).unwrap();
+        let driven_run = des(bb_actors(sender, input, &faults), &faults, seed, &Timing::lockstep());
         prop_assert!(default_run.completed && driven_run.completed);
         prop_assert_eq!(default_run.rounds, driven_run.rounds);
         prop_assert_eq!(
@@ -143,13 +147,18 @@ fn strong_ba_matches_across_lockstep_and_des() {
     faults[3] = Fault::Idle;
     let inputs = vec![true; n];
 
-    let mut sim = strong_ba_sim(StrongBa::new, &inputs, &faults);
+    let mut sim = sim(strong_ba_actors(StrongBa::new, &inputs, &faults), &faults);
     sim.run_until_done(round_budget(n)).unwrap();
-    let lockstep = strong_ba_decisions(&sim, &faults);
+    let lockstep = outputs::<SbaProc>(sim.actors(), &faults);
 
-    let report = strong_ba_des(StrongBa::new, &inputs, &faults, 0xabcd);
+    let report = des(
+        strong_ba_actors(StrongBa::new, &inputs, &faults),
+        &faults,
+        0xabcd,
+        &Timing::lockstep(),
+    );
     assert!(report.completed);
-    let des = strong_ba_report_decisions(&report, &faults);
+    let des = outputs::<SbaProc>(&report.actors, &faults);
 
     assert_eq!(lockstep, des);
     assert!(assert_agreement(&des));
@@ -168,15 +177,20 @@ fn rotating_strong_ba_lockstep_and_des_metrics_are_byte_identical() {
     };
     for faults in [idle(&[]), idle(&[0]), idle(&[0, 2, 4])] {
         let inputs = vec![true; n];
-        let mut sim = strong_ba_sim(StrongBa::rotating, &inputs, &faults);
+        let mut sim = sim(strong_ba_actors(StrongBa::rotating, &inputs, &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
         let lockstep = serde_json::to_string(sim.metrics()).unwrap();
         for seed in [1u64, 0xabcd, 0xfeed_f00d] {
-            let mut des = strong_ba_des(StrongBa::rotating, &inputs, &faults, seed);
+            let mut des = des(
+                strong_ba_actors(StrongBa::rotating, &inputs, &faults),
+                &faults,
+                seed,
+                &Timing::lockstep(),
+            );
             assert!(des.completed, "{faults:?} seed {seed:#x}");
             assert_eq!(
-                strong_ba_report_decisions(&des, &faults),
-                strong_ba_decisions(&sim, &faults),
+                outputs::<SbaProc>(&des.actors, &faults),
+                outputs::<SbaProc>(sim.actors(), &faults),
                 "{faults:?} seed {seed:#x}"
             );
             assert_eq!(des.rounds, sim.metrics().rounds);
@@ -226,7 +240,7 @@ fn threaded_cluster_matches_des_decisions_and_words() {
     let faults = vec![Fault::None; n];
     let (sender, input) = (2u32, 77u64);
 
-    let des = bb_des(sender, input, &faults, 1);
+    let des = des(bb_actors(sender, input, &faults), &faults, 1, &Timing::lockstep());
     assert!(des.completed);
 
     let threaded = clean_run("threaded BB", |delta| {
@@ -240,11 +254,11 @@ fn threaded_cluster_matches_des_decisions_and_words() {
     });
 
     assert_eq!(
-        bb_report_decisions(&threaded, &faults),
-        bb_report_decisions(&des, &faults),
+        outputs::<BbProc>(&threaded.actors, &faults),
+        outputs::<BbProc>(&des.actors, &faults),
         "decisions diverge between threaded and DES"
     );
-    assert_eq!(assert_agreement(&bb_report_decisions(&des, &faults)), Decision::Value(input));
+    assert_eq!(assert_agreement(&outputs::<BbProc>(&des.actors, &faults)), Decision::Value(input));
     assert_eq!(
         threaded.metrics.correct.words, des.metrics.correct.words,
         "correct word totals diverge between threaded and DES"
@@ -263,7 +277,7 @@ fn tcp_cluster_matches_des_decisions_and_words() {
     let faults = vec![Fault::None; n];
     let (sender, input) = (0u32, 9u64);
 
-    let des = bb_des(sender, input, &faults, 2);
+    let des = des(bb_actors(sender, input, &faults), &faults, 2, &Timing::lockstep());
     assert!(des.completed);
 
     let system = SystemConfig::new(n, 0xbb).unwrap();
@@ -282,8 +296,8 @@ fn tcp_cluster_matches_des_decisions_and_words() {
     });
 
     assert_eq!(
-        bb_report_decisions(&report, &faults),
-        bb_report_decisions(&des, &faults),
+        outputs::<BbProc>(&report.actors, &faults),
+        outputs::<BbProc>(&des.actors, &faults),
         "decisions diverge between TCP and DES"
     );
     assert_eq!(
@@ -345,7 +359,7 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
     let mut sim =
         SimBuilder::new(weak_ba_actors(&inputs, &faults)).link_policy(link_fault_plan()).build();
     sim.run_until_done(round_budget(n)).unwrap();
-    let lockstep = weak_ba_decisions(&sim, &faults);
+    let lockstep = outputs::<WbaProc>(sim.actors(), &faults);
     assert_eq!(assert_agreement(&lockstep), Decision::Value(7));
     let severed = sim.metrics().link(SEVERED.from, SEVERED.to);
     assert!(severed.dropped >= 1, "the severed frame is billed as a drop: {severed:?}");
@@ -362,7 +376,7 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
     )
     .expect("valid config");
     assert!(des.completed, "DES run must complete");
-    assert_eq!(weak_ba_report_decisions(&des, &faults), lockstep, "lockstep vs DES decisions");
+    assert_eq!(outputs::<WbaProc>(&des.actors, &faults), lockstep, "lockstep vs DES decisions");
     assert_eq!(sim.metrics().correct.words, des.metrics.correct.words, "lockstep vs DES words");
     assert_eq!(sim.metrics().rounds, des.rounds, "lockstep vs DES rounds");
     assert_eq!(
@@ -384,7 +398,7 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
     // last decision, and decided processes still answer p3's late help
     // requests — so the smoke backends pin the decisions and the sever,
     // not the word total.
-    assert_eq!(weak_ba_report_decisions(&threaded, &faults), lockstep, "threaded decisions");
+    assert_eq!(outputs::<WbaProc>(&threaded.actors, &faults), lockstep, "threaded decisions");
     assert!(threaded.metrics.link(SEVERED.from, SEVERED.to).dropped >= 1);
 
     let system = SystemConfig::new(n, 0x3a).unwrap();
@@ -400,7 +414,7 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
     let tcp = run_tcp_cluster(weak_ba_actors(&inputs, &faults), &system, config)
         .expect("loopback mesh establishes");
     assert!(tcp.report.completed, "TCP run must complete");
-    assert_eq!(weak_ba_report_decisions(&tcp.report, &faults), lockstep, "TCP decisions");
+    assert_eq!(outputs::<WbaProc>(&tcp.report.actors, &faults), lockstep, "TCP decisions");
     assert!(tcp.report.metrics.link(SEVERED.from, SEVERED.to).dropped >= 1);
     assert!(tcp.reconnects >= 1, "the severed socket must re-dial");
 }
@@ -411,15 +425,15 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
 fn des_same_seed_is_byte_identical() {
     let faults = vec![Fault::None; 5];
     let run = |seed: u64| {
-        let report = bb_des(0, 42, &faults, seed);
+        let report = des(bb_actors(0, 42, &faults), &faults, seed, &Timing::lockstep());
         assert!(report.completed);
         serde_json::to_string(&report.metrics).expect("metrics serialize")
     };
     assert_eq!(run(0xfeed), run(0xfeed), "same seed must be byte-identical");
     // A different latency seed reschedules deliveries inside the round
     // window but cannot change what the protocol pays.
-    let a = bb_des(0, 42, &faults, 1);
-    let b = bb_des(0, 42, &faults, 2);
+    let a = des(bb_actors(0, 42, &faults), &faults, 1, &Timing::lockstep());
+    let b = des(bb_actors(0, 42, &faults), &faults, 2, &Timing::lockstep());
     assert_eq!(a.metrics.correct.words, b.metrics.correct.words);
     assert_eq!(a.rounds, b.rounds);
 }
@@ -438,11 +452,11 @@ fn des_silent_faults_decide_like_lockstep_matrix() {
         Fault::None,
         Fault::None,
     ];
-    let report = bb_des(0, 31, &faults, 0x5eed);
+    let report = des(bb_actors(0, 31, &faults), &faults, 0x5eed, &Timing::lockstep());
     assert!(report.completed);
     assert_eq!(ProcessId(0), report.actors[0].id());
     assert_eq!(
-        assert_agreement(&bb_report_decisions(&report, &faults)),
+        assert_agreement(&outputs::<BbProc>(&report.actors, &faults)),
         Decision::Value(31),
         "t-silent matrix still decides the sender's value"
     );

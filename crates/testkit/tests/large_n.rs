@@ -13,7 +13,7 @@
 //! hints buying next to nothing.
 
 use meba_core::Decision;
-use meba_testkit::{assert_agreement, bb_des, bb_report_decisions, Fault};
+use meba_testkit::{assert_agreement, bb_actors, des, outputs, BbProc, Fault, Timing};
 
 /// Failure-free closed-form budget from `tests/bb_integration.rs`,
 /// asserted there at small n — the engine must reproduce it at large n.
@@ -23,9 +23,9 @@ const FAILURE_FREE_WORDS_PER_N: u64 = 25;
 fn des_bb_n65_failure_free_is_linear() {
     let n = 65;
     let faults = vec![Fault::None; n];
-    let report = bb_des(0, 7, &faults, 0x41);
+    let report = des(bb_actors(0, 7, &faults), &faults, 0x41, &Timing::lockstep());
     assert!(report.completed, "n={n} failure-free BB must decide");
-    assert_eq!(assert_agreement(&bb_report_decisions(&report, &faults)), Decision::Value(7));
+    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
     let words = report.metrics.correct.words;
     assert!(
         words <= FAILURE_FREE_WORDS_PER_N * n as u64,
@@ -43,9 +43,9 @@ fn des_bb_n65_tolerates_f_equals_t() {
     for f in faults.iter_mut().skip(1).take(t) {
         *f = Fault::Idle;
     }
-    let report = bb_des(0, 7, &faults, 0x42);
+    let report = des(bb_actors(0, 7, &faults), &faults, 0x42, &Timing::lockstep());
     assert!(report.completed, "n={n} f=t BB must still decide");
-    assert_eq!(assert_agreement(&bb_report_decisions(&report, &faults)), Decision::Value(7));
+    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
     // O(n(f+1)): the budget scales with the realized failure count. The
     // constant is larger than the failure-free 25 — every silent leader
     // costs a help phase where live processes respond — but the shape is
@@ -65,10 +65,10 @@ fn des_bb_n129_failure_free_is_linear_and_fast() {
     let n = 129;
     let faults = vec![Fault::None; n];
     let started = std::time::Instant::now();
-    let report = bb_des(0, 7, &faults, 0x43);
+    let report = des(bb_actors(0, 7, &faults), &faults, 0x43, &Timing::lockstep());
     let elapsed = started.elapsed();
     assert!(report.completed, "n={n} failure-free BB must decide");
-    assert_eq!(assert_agreement(&bb_report_decisions(&report, &faults)), Decision::Value(7));
+    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
     let words = report.metrics.correct.words;
     assert!(
         words <= FAILURE_FREE_WORDS_PER_N * n as u64,
@@ -88,10 +88,10 @@ fn des_bb_n4097_failure_free_is_linear_and_fast() {
     let n = 4097;
     let faults = vec![Fault::None; n];
     let started = std::time::Instant::now();
-    let report = bb_des(0, 7, &faults, 0x44);
+    let report = des(bb_actors(0, 7, &faults), &faults, 0x44, &Timing::lockstep());
     let elapsed = started.elapsed();
     assert!(report.completed, "n={n} failure-free BB must decide");
-    assert_eq!(assert_agreement(&bb_report_decisions(&report, &faults)), Decision::Value(7));
+    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
     let words = report.metrics.correct.words;
     assert!(
         words <= FAILURE_FREE_WORDS_PER_N * n as u64,
@@ -110,9 +110,9 @@ fn des_bb_n4097_one_fault_stays_in_the_adaptive_envelope() {
     let f = 1;
     let mut faults = vec![Fault::None; n];
     faults[1] = Fault::Idle;
-    let report = bb_des(0, 7, &faults, 0x45);
+    let report = des(bb_actors(0, 7, &faults), &faults, 0x45, &Timing::lockstep());
     assert!(report.completed, "n={n} f={f} BB must decide");
-    assert_eq!(assert_agreement(&bb_report_decisions(&report, &faults)), Decision::Value(7));
+    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
     let words = report.metrics.correct.words;
     let budget = 60 * n as u64 * (f + 1);
     assert!(words <= budget, "f={f} words {words} exceed O(n(f+1)) budget {budget}");
@@ -127,9 +127,9 @@ fn des_bb_n4097_one_fault_stays_in_the_adaptive_envelope() {
 fn des_bb_n16385_failure_free_is_linear() {
     let n = 16_385;
     let faults = vec![Fault::None; n];
-    let report = bb_des(0, 7, &faults, 0x46);
+    let report = des(bb_actors(0, 7, &faults), &faults, 0x46, &Timing::lockstep());
     assert!(report.completed, "n={n} failure-free BB must decide");
-    assert_eq!(assert_agreement(&bb_report_decisions(&report, &faults)), Decision::Value(7));
+    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
     let words = report.metrics.correct.words;
     assert!(
         words <= FAILURE_FREE_WORDS_PER_N * n as u64,

@@ -18,7 +18,9 @@
 
 use meba_core::{Decision, SystemConfig};
 use meba_engine::ClusterConfig;
-use meba_testkit::{assert_agreement, bb_actors, bb_des, bb_report_decisions, round_budget, Fault};
+use meba_testkit::{
+    assert_agreement, bb_actors, des, outputs, round_budget, BbProc, Fault, Timing,
+};
 use meba_wire::{raise_nofile_limit, run_tcp_cluster, TcpClusterConfig, TcpClusterReport};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -135,19 +137,19 @@ fn scale_run(target_n: usize, floor_n: usize, delta: Duration, seed: u64) {
 
     let faults = vec![Fault::None; n];
     let (sender, input) = (0u32, 7u64);
-    let des = bb_des(sender, input, &faults, seed);
+    let des = des(bb_actors(sender, input, &faults), &faults, seed, &Timing::lockstep());
     assert!(des.completed, "n={n} DES reference run must decide");
 
     let (tcp, peak_threads) =
         with_thread_peak(|| clean_tcp_run("scale BB", n, sender, input, delta));
 
     assert_eq!(
-        assert_agreement(&bb_report_decisions(&tcp.report, &faults)),
+        assert_agreement(&outputs::<BbProc>(&tcp.report.actors, &faults)),
         Decision::Value(input)
     );
     assert_eq!(
-        bb_report_decisions(&tcp.report, &faults),
-        bb_report_decisions(&des, &faults),
+        outputs::<BbProc>(&tcp.report.actors, &faults),
+        outputs::<BbProc>(&des.actors, &faults),
         "decisions diverge between TCP and DES at n={n}"
     );
     assert_eq!(

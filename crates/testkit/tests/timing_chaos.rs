@@ -23,8 +23,7 @@
 
 use meba_core::Decision;
 use meba_testkit::{
-    assert_agreement, bb_des, bb_des_timed, bb_report_decisions, weak_ba_des_timed,
-    weak_ba_report_decisions, Fault, Timing,
+    assert_agreement, bb_actors, des, outputs, weak_ba_actors, BbProc, Fault, Timing, WbaProc,
 };
 
 const DELTA: u64 = Timing::DELTA_NS;
@@ -45,7 +44,7 @@ fn skewed_misestimated_delta_decides_within_twice_the_lockstep_words() {
     let faults = vec![Fault::None; n];
     let (sender, input, seed) = (0u32, 42u64, 0x7157_u64);
 
-    let baseline = bb_des(sender, input, &faults, seed);
+    let baseline = des(bb_actors(sender, input, &faults), &faults, seed, &Timing::lockstep());
     assert!(baseline.completed);
     let budget = 2 * baseline.metrics.correct.words;
 
@@ -55,10 +54,10 @@ fn skewed_misestimated_delta_decides_within_twice_the_lockstep_words() {
             .with_quorum(n)
             .with_link_cap(timer / 2)
             .with_skew(timer / 4);
-        let report = bb_des_timed(sender, input, &faults, seed, &timing);
+        let report = des(bb_actors(sender, input, &faults), &faults, seed, &timing);
         assert!(report.completed, "timeout_factor = {timeout_factor}: run must decide");
         assert_eq!(
-            assert_agreement(&bb_report_decisions(&report, &faults)),
+            assert_agreement(&outputs::<BbProc>(&report.actors, &faults)),
             Decision::Value(input),
             "timeout_factor = {timeout_factor}: validity under timing hazards"
         );
@@ -87,18 +86,28 @@ fn lockstep_with_skewed_clocks_stays_safe() {
     faults[4] = Fault::Idle;
     let (sender, input, seed) = (1u32, 9001u64, 0xca1f_u64);
 
-    let aligned = bb_des(sender, input, &faults, seed);
-    let skewed =
-        bb_des_timed(sender, input, &faults, seed, &Timing::lockstep().with_skew(DELTA / 2));
+    let aligned = des(bb_actors(sender, input, &faults), &faults, seed, &Timing::lockstep());
+    let skewed = des(
+        bb_actors(sender, input, &faults),
+        &faults,
+        seed,
+        &Timing::lockstep().with_skew(DELTA / 2),
+    );
     assert!(aligned.completed && skewed.completed);
-    assert_eq!(assert_agreement(&bb_report_decisions(&skewed, &faults)), Decision::Value(input));
+    assert_eq!(
+        assert_agreement(&outputs::<BbProc>(&skewed.actors, &faults)),
+        Decision::Value(input)
+    );
 
     // Skew *within* the margin left by a capped-delay network is free:
     // delay (< δ/2) + skew (≤ δ/2) stays under the round length.
     let capped = Timing::lockstep().with_link_cap(DELTA / 2).with_skew(DELTA / 2);
-    let in_bound = bb_des_timed(sender, input, &faults, seed, &capped);
+    let in_bound = des(bb_actors(sender, input, &faults), &faults, seed, &capped);
     assert!(in_bound.completed);
-    assert_eq!(assert_agreement(&bb_report_decisions(&in_bound, &faults)), Decision::Value(input));
+    assert_eq!(
+        assert_agreement(&outputs::<BbProc>(&in_bound.actors, &faults)),
+        Decision::Value(input)
+    );
     assert_eq!(
         in_bound.metrics.correct.words, aligned.metrics.correct.words,
         "in-bound skew must not change what the protocol pays"
@@ -120,9 +129,9 @@ fn pre_gst_late_messages_never_break_agreement() {
 
     for (gst_rounds, seed) in [(2u64, 0x6571_u64), (5, 0x6572), (10, 0x6573)] {
         let timing = Timing::lockstep().with_gst(gst_rounds * DELTA, 12 * DELTA);
-        let report = bb_des_timed(0, 31, &faults, seed, &timing);
+        let report = des(bb_actors(0, 31, &faults), &faults, seed, &timing);
         assert!(report.completed, "GST at {gst_rounds} rounds: run must terminate");
-        let decision = assert_agreement(&bb_report_decisions(&report, &faults));
+        let decision = assert_agreement(&outputs::<BbProc>(&report.actors, &faults));
         assert!(
             matches!(decision, Decision::Value(31) | Decision::Bot),
             "GST at {gst_rounds} rounds: unexpected decision {decision:?}"
@@ -145,9 +154,9 @@ fn combined_hazards_still_reach_weak_ba_agreement() {
         .with_quorum(n)
         .with_skew(DELTA / 2)
         .with_gst(3 * DELTA, 8 * DELTA);
-    let report = weak_ba_des_timed(&inputs, &faults, 0xbeef, &timing);
+    let report = des(weak_ba_actors(&inputs, &faults), &faults, 0xbeef, &timing);
     assert!(report.completed, "combined hazards: run must terminate");
-    let d = assert_agreement(&weak_ba_report_decisions(&report, &faults));
+    let d = assert_agreement(&outputs::<WbaProc>(&report.actors, &faults));
     assert!(
         matches!(d, Decision::Value(17) | Decision::Bot),
         "combined hazards: unexpected decision {d:?}"
@@ -162,7 +171,7 @@ fn combined_hazards_still_reach_weak_ba_agreement() {
 fn gross_overestimate_is_slow_but_safe() {
     let n = 5;
     let faults = vec![Fault::None; n];
-    let report = bb_des_timed(0, 8, &faults, 0xfade, &Timing::quorum_or_timeout(4.0));
+    let report = des(bb_actors(0, 8, &faults), &faults, 0xfade, &Timing::quorum_or_timeout(4.0));
     assert!(report.completed);
-    assert_eq!(assert_agreement(&bb_report_decisions(&report, &faults)), Decision::Value(8));
+    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(8));
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use meba::prelude::*;
-use meba::testkit::{strong_ba_sim, Fault, SbaProc};
+use meba::testkit::{correct, sim, strong_ba_actors, Fault, SbaProc};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -24,16 +24,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let faults: Vec<Fault> =
         (0..n).map(|i| if i < f { Fault::Idle } else { Fault::None }).collect();
-    let mut sim = strong_ba_sim(StrongBa::rotating, &vec![true; n], &faults);
+    let mut sim = sim(strong_ba_actors(StrongBa::rotating, &vec![true; n], &faults), &faults);
     sim.run_until_done(10_000)?;
 
-    for i in f as u32..n as u32 {
-        let a: &LockstepAdapter<SbaProc> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+    for a in correct::<LockstepAdapter<SbaProc>, _>(sim.actors(), &faults) {
         assert_eq!(a.inner().output(), Some(true), "strong unanimity");
         assert!(!a.inner().used_fallback(), "must stay on the linear path");
     }
-    let sample: &LockstepAdapter<SbaProc> =
-        sim.actor(ProcessId(f as u32)).as_any().downcast_ref().unwrap();
+    let sample = correct::<LockstepAdapter<SbaProc>, _>(sim.actors(), &faults).next().unwrap();
     let decided = sample.inner().decided_at().unwrap();
     let m = sim.metrics();
 

@@ -14,7 +14,7 @@
 //! cargo run --release --example large_n
 //! ```
 
-use meba::testkit::{log_des, log_report_entries, Fault};
+use meba::testkit::{correct, des, log_actors, Fault, LogProc, Timing};
 use std::time::Instant;
 
 const N: usize = 101;
@@ -26,14 +26,14 @@ fn main() {
 
     println!("replicated log: n = {N} (t = {}), {SLOTS} slots, window {WINDOW}", (N - 1) / 2);
     let started = Instant::now();
-    let report = log_des(SLOTS, WINDOW, &faults, 0x1009);
+    let report = des(log_actors(SLOTS, WINDOW, &faults), &faults, 0x1009, &Timing::lockstep());
     let elapsed = started.elapsed();
     assert!(report.completed, "the run must commit every slot");
 
-    let logs = log_report_entries(&report, &faults);
-    let first = &logs[0];
+    let logs: Vec<_> = correct::<LogProc, _>(&report.actors, &faults).map(LogProc::log).collect();
+    let first = logs[0];
     assert_eq!(first.len(), SLOTS as usize, "every slot committed");
-    assert!(logs.iter().all(|l| l == first), "all {N} replicas agree on the log");
+    assert!(logs.iter().all(|l| *l == first), "all {N} replicas agree on the log");
 
     println!("committed log (all replicas identical):");
     for entry in first {

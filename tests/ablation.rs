@@ -18,50 +18,56 @@ use common::*;
 use meba::adversary::{LateHelperLeader, SplitVoteLeader};
 use meba::prelude::*;
 
+/// n = 7 with {p1, p3, p5} Byzantine: p1 runs `leader` (lent the whole
+/// cohort's keys), p3 and p5 stay silent, and the correct processes run
+/// `honest` weak BA. Returns the decisions of p0, p2, p4, p6.
+fn cohort_run(
+    cfg: SystemConfig,
+    key_seed: u64,
+    honest: impl Fn(Party) -> WbaProc,
+    leader: impl Fn(&Party, Vec<SecretKey>) -> Box<dyn AnyActor<Msg = WbaM>>,
+) -> Vec<Decision<u64>> {
+    let faults: Vec<Fault> =
+        (0..7).map(|i| if i % 2 == 1 { Fault::Idle } else { Fault::None }).collect();
+    let actors = cluster(
+        cfg,
+        key_seed,
+        &faults,
+        |p| LockstepAdapter::new(p.id, honest(p)),
+        |p, keys| {
+            (p.id.0 == 1)
+                .then(|| leader(p, vec![keys[1].clone(), keys[3].clone(), keys[5].clone()]))
+        },
+    );
+    let mut sim = sim(actors, &faults);
+    sim.run_until_done(round_budget(7)).unwrap();
+    outputs::<WbaProc>(sim.actors(), &faults)
+}
+
 /// Builds the E8 scenario: n = 7, Byzantine {p1, p3, p5}, p1 leads phase 1
 /// and splits correct processes {p0, p2} / {p4, p6}.
 fn split_vote_run(cfg: SystemConfig) -> Vec<Decision<u64>> {
-    let n = 7usize;
-    let (pki, keys) = trusted_setup(n, 0xe8);
-    let byz = [1u32, 3, 5];
-    let cohort: Vec<SecretKey> = byz.iter().map(|&i| keys[i as usize].clone()).collect();
-    let mut actors: Vec<Box<dyn AnyActor<Msg = WbaM>>> = Vec::new();
-    for (i, key) in keys.iter().cloned().enumerate() {
-        let id = ProcessId(i as u32);
-        if i as u32 == 1 {
-            actors.push(Box::new(SplitVoteLeader::new(
-                cfg,
-                id,
-                pki.clone(),
-                cohort.clone(),
+    cohort_run(
+        cfg,
+        0xe8,
+        |p| {
+            let factory = p.factory();
+            WeakBa::new(p.cfg, p.id, p.key, p.pki, AlwaysValid, factory, 7u64)
+        },
+        |p, cohort| {
+            Box::new(SplitVoteLeader::new(
+                p.cfg,
+                p.id,
+                p.pki.clone(),
+                cohort,
                 1,
                 100u64,
                 200u64,
                 vec![ProcessId(0), ProcessId(2)],
                 vec![ProcessId(4), ProcessId(6)],
-            )));
-        } else if byz.contains(&(i as u32)) {
-            actors.push(Box::new(IdleActor::new(id)));
-        } else {
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let wba: WbaProc = WeakBa::new(cfg, id, key, pki.clone(), AlwaysValid, factory, 7u64);
-            actors.push(Box::new(LockstepAdapter::new(id, wba)));
-        }
-    }
-    let mut b = SimBuilder::new(actors);
-    for &c in &byz {
-        b = b.corrupt(ProcessId(c));
-    }
-    let mut sim = b.build();
-    sim.run_until_done(round_budget(n)).unwrap();
-    [0u32, 2, 4, 6]
-        .iter()
-        .map(|&i| {
-            let a: &LockstepAdapter<WbaProc> =
-                sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-            a.inner().output().expect("decided")
-        })
-        .collect()
+            ))
+        },
+    )
 }
 
 #[test]
@@ -84,50 +90,22 @@ fn e8_paper_threshold_resists_the_same_attack() {
 /// Builds the E9 scenario: n = 7, Byzantine {p1, p3, p5}; p1 secretly
 /// finalizes value 20 in phase 1 and help-answers only p0.
 fn late_help_run(disable_window: bool) -> Vec<Decision<u64>> {
-    let n = 7usize;
-    let cfg = SystemConfig::new(n, 0xe9).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xe9);
-    let byz = [1u32, 3, 5];
-    let cohort: Vec<SecretKey> = byz.iter().map(|&i| keys[i as usize].clone()).collect();
-    let mut actors: Vec<Box<dyn AnyActor<Msg = WbaM>>> = Vec::new();
-    for (i, key) in keys.iter().cloned().enumerate() {
-        let id = ProcessId(i as u32);
-        if i as u32 == 1 {
-            actors.push(Box::new(LateHelperLeader::new(
-                cfg,
-                id,
-                pki.clone(),
-                cohort.clone(),
-                1,
-                20u64,
-                ProcessId(0),
-            )));
-        } else if byz.contains(&(i as u32)) {
-            actors.push(Box::new(IdleActor::new(id)));
-        } else {
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let mut wba: WbaProc =
-                WeakBa::new(cfg, id, key, pki.clone(), AlwaysValid, factory, 10u64);
+    cohort_run(
+        SystemConfig::new(7, 0xe9).unwrap(),
+        0xe9,
+        |p| {
+            let factory = p.factory();
+            let mut wba = WeakBa::new(p.cfg, p.id, p.key, p.pki, AlwaysValid, factory, 10u64);
             if disable_window {
                 wba.disable_safety_window();
             }
-            actors.push(Box::new(LockstepAdapter::new(id, wba)));
-        }
-    }
-    let mut b = SimBuilder::new(actors);
-    for &c in &byz {
-        b = b.corrupt(ProcessId(c));
-    }
-    let mut sim = b.build();
-    sim.run_until_done(round_budget(n)).unwrap();
-    [0u32, 2, 4, 6]
-        .iter()
-        .map(|&i| {
-            let a: &LockstepAdapter<WbaProc> =
-                sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-            a.inner().output().expect("decided")
-        })
-        .collect()
+            wba
+        },
+        |p, cohort| {
+            let (pki, helped) = (p.pki.clone(), ProcessId(0));
+            Box::new(LateHelperLeader::new(p.cfg, p.id, pki, cohort, 1, 20u64, helped))
+        },
+    )
 }
 
 #[test]

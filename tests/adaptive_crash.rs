@@ -5,19 +5,11 @@
 
 mod common;
 
-use common::{round_budget, WbaM, WbaProc};
+use common::{round_budget, weak_ba_actors, Fault, WbaM, WbaProc};
 use meba::prelude::*;
 
 fn weak_ba_with_crashes(n: usize, inputs: &[u64], crashes: &[(u32, u64)]) -> Simulation<WbaM> {
-    let cfg = SystemConfig::new(n, 0x3a).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xfeed);
-    let mut actors: Vec<Box<dyn AnyActor<Msg = WbaM>>> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-        let wba: WbaProc = WeakBa::new(cfg, id, key, pki.clone(), AlwaysValid, factory, inputs[i]);
-        actors.push(Box::new(LockstepAdapter::new(id, wba)));
-    }
+    let actors = weak_ba_actors(inputs, &vec![Fault::None; n]);
     let mut b = SimBuilder::new(actors);
     for &(id, round) in crashes {
         b = b.crash_at(ProcessId(id), round);

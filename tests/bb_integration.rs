@@ -11,9 +11,9 @@ use meba::prelude::*;
 fn validity_failure_free() {
     for n in [3usize, 5, 7, 9] {
         let faults = vec![Fault::None; n];
-        let mut sim = bb_sim(0, 7, &faults);
+        let mut sim = sim(bb_actors(0, 7, &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
-        let d = assert_agreement(&bb_decisions(&sim, &faults));
+        let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
         assert_eq!(d, Decision::Value(7), "n={n}");
     }
 }
@@ -26,9 +26,9 @@ fn validity_with_every_nonsender_crash_position() {
     for victim in 1..7u32 {
         let mut faults = vec![Fault::None; 7];
         faults[victim as usize] = Fault::Idle;
-        let mut sim = bb_sim(0, 31, &faults);
+        let mut sim = sim(bb_actors(0, 31, &faults), &faults);
         sim.run_until_done(round_budget(7)).unwrap();
-        let d = assert_agreement(&bb_decisions(&sim, &faults));
+        let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
         assert_eq!(d, Decision::Value(31), "victim p{victim}");
     }
 }
@@ -40,9 +40,9 @@ fn validity_max_crashes() {
     for i in [2usize, 4, 6, 8] {
         faults[i] = Fault::Idle;
     }
-    let mut sim = bb_sim(0, 99, &faults);
+    let mut sim = sim(bb_actors(0, 99, &faults), &faults);
     sim.run_until_done(round_budget(9)).unwrap();
-    let d = assert_agreement(&bb_decisions(&sim, &faults));
+    let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
     assert_eq!(d, Decision::Value(99));
 }
 
@@ -51,42 +51,47 @@ fn agreement_with_silent_sender() {
     for n in [5usize, 9] {
         let mut faults = vec![Fault::None; n];
         faults[0] = Fault::Idle;
-        let mut sim = bb_sim(0, 1, &faults);
+        let mut sim = sim(bb_actors(0, 1, &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
-        let d = assert_agreement(&bb_decisions(&sim, &faults));
+        let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
         assert!(d.is_bot(), "silent sender must yield ⊥, got {d:?}");
     }
 }
 
+/// n = 7 BB whose sender p0 is Byzantine: it signs `a` for the processes
+/// in `to_a` and `b` for those in `to_b`, then goes silent. Returns the
+/// correct processes' decisions.
+fn byzantine_sender_run(
+    (a, to_a): (u64, Vec<ProcessId>),
+    (b, to_b): (u64, Vec<ProcessId>),
+) -> Vec<Decision<u64>> {
+    let (n, sender) = (7usize, ProcessId(0));
+    let mut faults = vec![Fault::None; n];
+    faults[0] = Fault::Idle;
+    let actors = cluster(
+        Family::BB.config(n),
+        Family::BB.key_seed,
+        &faults,
+        |p| {
+            let factory = p.factory();
+            LockstepAdapter::new(p.id, Bb::new(p.cfg, p.id, p.key, p.pki, factory, sender))
+        },
+        |p, _| {
+            let (to_a, to_b) = (to_a.clone(), to_b.clone());
+            let sender = EquivocatingSender::new(p.cfg, p.key.clone(), a, b, to_a, to_b);
+            Some(Box::new(sender) as Box<dyn AnyActor<Msg = BbM>>)
+        },
+    );
+    let mut sim = sim(actors, &faults);
+    sim.run_until_done(round_budget(n)).unwrap();
+    outputs::<BbProc>(sim.actors(), &faults)
+}
+
 #[test]
 fn agreement_with_equivocating_sender() {
-    let n = 7usize;
-    let cfg = SystemConfig::new(n, 0xbb).unwrap();
-    let (pki, keys) = trusted_setup(n, 0x5eed);
-    let sender = ProcessId(0);
-    let mut actors: Vec<Box<dyn AnyActor<Msg = BbM>>> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        if id == sender {
-            actors.push(Box::new(EquivocatingSender::new(
-                cfg,
-                key,
-                111u64,
-                222u64,
-                vec![ProcessId(1), ProcessId(2), ProcessId(3)],
-                vec![ProcessId(4), ProcessId(5), ProcessId(6)],
-            )));
-        } else {
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let bb: BbProc = Bb::new(cfg, id, key, pki.clone(), factory, sender);
-            actors.push(Box::new(LockstepAdapter::new(id, bb)));
-        }
-    }
-    let mut sim = SimBuilder::new(actors).corrupt(sender).build();
-    sim.run_until_done(round_budget(n)).unwrap();
-    let faults: Vec<Fault> =
-        (0..n).map(|i| if i == 0 { Fault::Idle } else { Fault::None }).collect();
-    let d = assert_agreement(&bb_decisions(&sim, &faults));
+    let group = |ids: [u32; 3]| ids.map(ProcessId).to_vec();
+    let ds = byzantine_sender_run((111, group([1, 2, 3])), (222, group([4, 5, 6])));
+    let d = assert_agreement(&ds);
     // A Byzantine sender permits any common decision: one of its two
     // values, or ⊥.
     assert!(
@@ -102,9 +107,9 @@ fn agreement_with_sender_crashing_mid_dissemination() {
     let n = 7usize;
     let mut faults = vec![Fault::None; n];
     faults[0] = Fault::CrashAt(1);
-    let mut sim = bb_sim(0, 64, &faults);
+    let mut sim = sim(bb_actors(0, 64, &faults), &faults);
     sim.run_until_done(round_budget(n)).unwrap();
-    let d = assert_agreement(&bb_decisions(&sim, &faults));
+    let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
     // The signed value reached everyone, so BB_valid admits only it.
     assert_eq!(d, Decision::Value(64));
 }
@@ -115,9 +120,9 @@ fn agreement_under_chaos_adversary() {
         let mut faults = vec![Fault::None; 7];
         faults[3] = Fault::Chaos(seed);
         faults[5] = Fault::Chaos(seed.wrapping_mul(7919));
-        let mut sim = bb_sim(0, 5, &faults);
+        let mut sim = sim(bb_actors(0, 5, &faults), &faults);
         sim.run_until_done(round_budget(7)).unwrap();
-        let d = assert_agreement(&bb_decisions(&sim, &faults));
+        let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
         assert_eq!(d, Decision::Value(5), "chaos replay must not break validity (seed {seed})");
     }
 }
@@ -127,7 +132,7 @@ fn adaptive_complexity_failure_free_linear() {
     // E1 envelope: failure-free BB costs O(n) words.
     for n in [5usize, 9, 17, 33] {
         let faults = vec![Fault::None; n];
-        let mut sim = bb_sim(0, 1, &faults);
+        let mut sim = sim(bb_actors(0, 1, &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
         let words = sim.metrics().correct_words();
         assert!(words <= 25 * n as u64, "n={n}: {words} words (expected O(n))");
@@ -142,13 +147,13 @@ fn crashed_followers_below_bound_cost_nothing_extra() {
     // leaders; see the wasteful-leader benches.)
     let n = 17usize;
     let faults0 = vec![Fault::None; n];
-    let mut sim0 = bb_sim(0, 1, &faults0);
+    let mut sim0 = sim(bb_actors(0, 1, &faults0), &faults0);
     sim0.run_until_done(round_budget(n)).unwrap();
     let w0 = sim0.metrics().correct_words();
 
     let mut faults1 = vec![Fault::None; n];
     faults1[4] = Fault::Idle;
-    let mut sim1 = bb_sim(0, 1, &faults1);
+    let mut sim1 = sim(bb_actors(0, 1, &faults1), &faults1);
     sim1.run_until_done(round_budget(n)).unwrap();
     let w1 = sim1.metrics().correct_words();
 
@@ -166,7 +171,7 @@ fn decide_once_under_faults() {
     // decision (output() is None until finished; decided_at is stable).
     let mut faults = vec![Fault::None; 7];
     faults[2] = Fault::Idle;
-    let mut sim = bb_sim(1, 12, &faults);
+    let mut sim = sim(bb_actors(1, 12, &faults), &faults);
     sim.run_until_done(round_budget(7)).unwrap();
     for i in (0..7).filter(|&i| i != 2) {
         let a: &LockstepAdapter<BbProc> =
@@ -183,34 +188,8 @@ fn selective_sender_value_is_recovered_by_vetting() {
     // leader has no value, asks for help, and the lone holder forwards
     // the sender-signed value — which the leader re-broadcasts, making it
     // everyone's BA input. The decision is the sender's value, not ⊥.
-    let n = 7usize;
-    let cfg = SystemConfig::new(n, 0xbb).unwrap();
-    let (pki, keys) = trusted_setup(n, 0x5eed);
-    let sender = ProcessId(0);
+    // Same value to a single recipient: a "selective" sender.
     let lucky = ProcessId(3);
-    let mut actors: Vec<Box<dyn AnyActor<Msg = BbM>>> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        if id == sender {
-            // Same value to a single recipient: a "selective" sender.
-            actors.push(Box::new(meba::adversary::EquivocatingSender::new(
-                cfg,
-                key,
-                77u64,
-                77u64,
-                vec![lucky],
-                vec![],
-            )));
-        } else {
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let bb: BbProc = Bb::new(cfg, id, key, pki.clone(), factory, sender);
-            actors.push(Box::new(LockstepAdapter::new(id, bb)));
-        }
-    }
-    let mut sim = SimBuilder::new(actors).corrupt(sender).build();
-    sim.run_until_done(round_budget(n)).unwrap();
-    let faults: Vec<Fault> =
-        (0..n).map(|i| if i == 0 { Fault::Idle } else { Fault::None }).collect();
-    let d = assert_agreement(&bb_decisions(&sim, &faults));
+    let d = assert_agreement(&byzantine_sender_run((77, vec![lucky]), (77, vec![])));
     assert_eq!(d, Decision::Value(77), "the vetting relay must spread the lone signed value");
 }

@@ -145,7 +145,7 @@ fn cluster_and_simulator_agree_on_words() {
     let n = 5usize;
     let inputs = vec![3u64; n];
     let faults = vec![Fault::None; n];
-    let mut sim = weak_ba_sim(&inputs, &faults);
+    let mut sim = sim(weak_ba_actors(&inputs, &faults), &faults);
     sim.run_until_done(round_budget(n)).unwrap();
     let sim_words = sim.metrics().correct_words();
 
@@ -163,19 +163,9 @@ fn cluster_and_simulator_agree_on_words() {
     assert_eq!(report.metrics.correct.words, sim_words);
 }
 
-/// Builds the weak-BA actors used by the lossy-link tests.
-fn weak_ba_actors(n: usize, input: u64) -> Vec<Box<dyn AnyActor<Msg = WbaM>>> {
-    let cfg = SystemConfig::new(n, 0x3a).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xfeed);
-    keys.into_iter()
-        .enumerate()
-        .map(|(i, key)| {
-            let id = ProcessId(i as u32);
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let wba: WbaProc = WeakBa::new(cfg, id, key, pki.clone(), AlwaysValid, factory, input);
-            Box::new(LockstepAdapter::new(id, wba)) as _
-        })
-        .collect()
+/// The all-correct, unanimous weak-BA actors the lossy-link tests run.
+fn unanimous_weak_ba(n: usize, input: u64) -> Vec<Box<dyn AnyActor<Msg = WbaM>>> {
+    weak_ba_actors(&vec![input; n], &vec![Fault::None; n])
 }
 
 #[test]
@@ -195,7 +185,7 @@ fn weak_ba_decides_under_drop_and_delay_links() {
     });
     let corrupt = vec![ProcessId(3), ProcessId(4)];
     let config = ClusterConfig { link_policy: Some(factory), ..cluster_config(corrupt.clone()) };
-    let report = run_cluster(weak_ba_actors(n, 7), config);
+    let report = run_cluster(unanimous_weak_ba(n, 7), config);
     assert!(report.completed, "correct processes must decide despite lossy links");
     assert!(report.aborted.is_none());
 
@@ -421,8 +411,7 @@ fn weak_ba_over_tcp_decides_under_socket_faults() {
     let corrupt = vec![ProcessId(3), ProcessId(4)];
     let mut config = tcp_config(corrupt.clone());
     config.cluster.link_policy = Some(factory);
-    let tcp = run_tcp_cluster(weak_ba_actors(n, 7), &SystemConfig::new(n, 0x3a).unwrap(), config)
-        .unwrap();
+    let tcp = run_tcp_cluster(unanimous_weak_ba(n, 7), &Family::WEAK_BA.config(n), config).unwrap();
     let report = &tcp.report;
     assert!(report.completed, "correct processes must decide despite socket faults");
     assert!(report.aborted.is_none());

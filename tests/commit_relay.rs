@@ -13,38 +13,27 @@ use meba::prelude::*;
 /// n = 7, Byzantine {p1 (leader of phase 1), p3, p5}. p1 drives a full
 /// commit round for value 20 (everyone commits), then never finalizes.
 fn planted_commit_sim() -> (Simulation<WbaM>, Vec<u32>) {
-    let n = 7usize;
-    let cfg = SystemConfig::new(n, 0xcc).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xcc);
     let byz = vec![1u32, 3, 5];
-    let cohort: Vec<SecretKey> = byz.iter().map(|&i| keys[i as usize].clone()).collect();
-    let mut actors: Vec<Box<dyn AnyActor<Msg = WbaM>>> = Vec::new();
-    for (i, key) in keys.iter().cloned().enumerate() {
-        let id = ProcessId(i as u32);
-        if i as u32 == 1 {
+    let faults: Vec<Fault> =
+        (0..7).map(|i| if byz.contains(&i) { Fault::Idle } else { Fault::None }).collect();
+    let actors = cluster(
+        SystemConfig::new(7, 0xcc).unwrap(),
+        0xcc,
+        &faults,
+        |p| {
+            let factory = p.factory();
+            let wba = WeakBa::new(p.cfg, p.id, p.key, p.pki, AlwaysValid, factory, 10u64);
+            LockstepAdapter::new(p.id, wba)
+        },
+        |p, keys| {
+            let cohort = byz.iter().map(|&i| keys[i as usize].clone()).collect();
             // Target p0 with the help answer so the run decides 20.
-            actors.push(Box::new(LateHelperLeader::new(
-                cfg,
-                id,
-                pki.clone(),
-                cohort.clone(),
-                1,
-                20u64,
-                ProcessId(0),
-            )));
-        } else if byz.contains(&(i as u32)) {
-            actors.push(Box::new(IdleActor::new(id)));
-        } else {
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let wba: WbaProc = WeakBa::new(cfg, id, key, pki.clone(), AlwaysValid, factory, 10u64);
-            actors.push(Box::new(LockstepAdapter::new(id, wba)));
-        }
-    }
-    let mut b = SimBuilder::new(actors);
-    for &c in &byz {
-        b = b.corrupt(ProcessId(c));
-    }
-    (b.build(), byz)
+            let (pki, helped) = (p.pki.clone(), ProcessId(0));
+            let leader = || LateHelperLeader::new(p.cfg, p.id, pki, cohort, 1, 20u64, helped);
+            (p.id.0 == 1).then(|| Box::new(leader()) as Box<dyn AnyActor<Msg = WbaM>>)
+        },
+    );
+    (sim(actors, &faults), byz)
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{corrupt_ids, round_budget, strong_ba_actors, strong_ba_sim, Fault, SbaProc};
+use common::{corrupt_ids, round_budget, sim, strong_ba_actors, Fault, SbaProc};
 use meba::adversary::EquivocatingSender;
 use meba::core::validity::FnValidity;
 use meba::engine::{run_cluster, ClusterConfig};
@@ -22,7 +22,7 @@ fn rotating_with_real_fallback_beyond_bound() {
     // f = t crashes: the rotation cannot finish; the *real* recursive
     // fallback must deliver unanimity.
     let faults = idle(9, &[0, 2, 4, 6]);
-    let mut sim = strong_ba_sim(StrongBa::rotating, &[true; 9], &faults);
+    let mut sim = sim(strong_ba_actors(StrongBa::rotating, &[true; 9], &faults), &faults);
     sim.run_until_done(round_budget(9)).unwrap();
     for i in (0..9).filter(|&i| !faults[i].is_byzantine()) {
         let a: &LockstepAdapter<SbaProc> =

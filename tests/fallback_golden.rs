@@ -24,32 +24,18 @@ fn idle_tail(n: usize) -> Vec<Fault> {
     (0..n).map(|i| if i < n - t { Fault::None } else { Fault::Idle }).collect()
 }
 
-/// Runs `sim` to completion and folds `probe` (`decided_at`,
-/// `used_fallback`) over the correct processes.
-fn row<P, M>(
-    mut sim: Simulation<M>,
-    faults: &[Fault],
-    probe: impl Fn(&P) -> (Option<u64>, bool),
-) -> Row
-where
-    P: SubProtocol<Msg = M> + 'static,
-    M: meba::sim::Message,
-{
+/// Runs `actors` to completion on the lockstep simulator and reads the
+/// row off the correct processes.
+fn row<P: Probe>(actors: Vec<Box<dyn AnyActor<Msg = P::Msg>>>, faults: &[Fault]) -> Row {
+    let mut sim = sim(actors, faults);
     sim.run_until_done(round_budget(faults.len())).unwrap();
-    let (mut latest, mut fell_back) = (0, 0);
-    for i in (0..faults.len()).filter(|&i| !faults[i].is_byzantine()) {
-        let a: &LockstepAdapter<P> =
-            sim.actor(ProcessId(i as u32)).as_any().downcast_ref().unwrap();
-        let (decided_at, used_fallback) = probe(a.inner());
-        latest = latest.max(decided_at.expect("decided"));
-        fell_back += usize::from(used_fallback);
-    }
-    (sim.metrics().correct_words(), sim.round().as_u64(), latest, fell_back)
+    let decided = DecisionStats::of::<P>(sim.actors(), faults);
+    (sim.metrics().correct_words(), sim.round().as_u64(), decided.last, decided.fell_back)
 }
 
 fn weak_ba_row(inputs: &[u64]) -> Row {
     let faults = idle_tail(inputs.len());
-    row(weak_ba_sim(inputs, &faults), &faults, |p: &WbaProc| (p.decided_at(), p.used_fallback()))
+    row::<WbaProc>(weak_ba_actors(inputs, &faults), &faults)
 }
 
 /// Process `who`, if any, is silent from the start.
@@ -59,14 +45,12 @@ fn idle_one(n: usize, who: Option<usize>) -> Vec<Fault> {
 
 /// All inputs `true`.
 fn strong_ba_row(variant: SbaCtor, faults: &[Fault]) -> Row {
-    row(strong_ba_sim(variant, &vec![true; faults.len()], faults), faults, |p: &SbaProc| {
-        (p.decided_at(), p.used_fallback())
-    })
+    row::<SbaProc>(strong_ba_actors(variant, &vec![true; faults.len()], faults), faults)
 }
 
 fn bb_row(n: usize) -> Row {
     let faults = idle_tail(n);
-    row(bb_sim(0, 7, &faults), &faults, |p: &BbProc| (p.decided_at(), p.used_fallback()))
+    row::<BbProc>(bb_actors(0, 7, &faults), &faults)
 }
 
 #[test]

@@ -49,9 +49,9 @@ fn bb_regression_crash_at_23_mid_relay() {
         Fault::None,
     ];
     let (sender, input) = (0u32, 0u64);
-    let mut sim = bb_sim(sender, input, &faults);
+    let mut sim = sim(bb_actors(sender, input, &faults), &faults);
     sim.run_until_done(round_budget(7)).unwrap();
-    let ds = bb_decisions(&sim, &faults);
+    let ds = outputs::<BbProc>(sim.actors(), &faults);
     let d = assert_agreement(&ds);
     assert_eq!(d, Decision::Value(input), "correct sender validity");
 }
@@ -64,9 +64,9 @@ proptest! {
         faults in faults_strategy(7),
         inputs in proptest::collection::vec(0u64..5, 7),
     ) {
-        let mut sim = weak_ba_sim(&inputs, &faults);
+        let mut sim = sim(weak_ba_actors(&inputs, &faults), &faults);
         sim.run_until_done(round_budget(7)).unwrap();
-        let ds = weak_ba_decisions(&sim, &faults);
+        let ds = outputs::<WbaProc>(sim.actors(), &faults);
         let d = assert_agreement(&ds);
         // Unique validity under AlwaysValid: a concrete decision must be
         // *some* existing value (any u64 is "valid", but the protocol only
@@ -86,9 +86,9 @@ proptest! {
         for (v, r) in victims.iter().zip(crash_rounds.iter()) {
             faults[*v] = Fault::CrashAt(*r);
         }
-        let mut sim = weak_ba_sim(&[6u64; 9], &faults);
+        let mut sim = sim(weak_ba_actors(&[6u64; 9], &faults), &faults);
         sim.run_until_done(round_budget(9)).unwrap();
-        let ds = weak_ba_decisions(&sim, &faults);
+        let ds = outputs::<WbaProc>(sim.actors(), &faults);
         let d = assert_agreement(&ds);
         // All correct processes propose 6 and the only values in the
         // system are 6 (crash faults cannot invent values), so unique
@@ -102,9 +102,9 @@ proptest! {
         sender in 0u32..7,
         input in 0u64..100,
     ) {
-        let mut sim = bb_sim(sender, input, &faults);
+        let mut sim = sim(bb_actors(sender, input, &faults), &faults);
         sim.run_until_done(round_budget(7)).unwrap();
-        let ds = bb_decisions(&sim, &faults);
+        let ds = outputs::<BbProc>(sim.actors(), &faults);
         let d = assert_agreement(&ds);
         if !faults[sender as usize].is_byzantine() {
             prop_assert_eq!(d, Decision::Value(input), "correct sender validity");
@@ -116,9 +116,9 @@ proptest! {
         faults in faults_strategy(7),
         inputs in proptest::collection::vec(any::<bool>(), 7),
     ) {
-        let mut sim = strong_ba_sim(StrongBa::new, &inputs, &faults);
+        let mut sim = sim(strong_ba_actors(StrongBa::new, &inputs, &faults), &faults);
         sim.run_until_done(round_budget(7)).unwrap();
-        let ds = strong_ba_decisions(&sim, &faults);
+        let ds = outputs::<SbaProc>(sim.actors(), &faults);
         let d = assert_agreement(&ds);
         let honest: Vec<bool> = (0..7)
             .filter(|&i| !faults[i].is_byzantine())
@@ -138,10 +138,10 @@ proptest! {
         inputs in proptest::collection::vec(0u64..9, 5),
     ) {
         let run = || {
-            let mut sim = weak_ba_sim(&inputs, &faults);
+            let mut sim = sim(weak_ba_actors(&inputs, &faults), &faults);
             sim.run_until_done(round_budget(5)).unwrap();
             (
-                weak_ba_decisions(&sim, &faults),
+                outputs::<WbaProc>(sim.actors(), &faults),
                 sim.metrics().correct_words(),
                 sim.round(),
             )
@@ -176,10 +176,10 @@ proptest! {
             faults[i] = Fault::Idle;
         }
         let logs_at = |w: u64| {
-            let mut sim = log_sim(slots, w, &faults);
+            let mut sim = sim(log_actors(slots, w, &faults), &faults);
             sim.run_until_done(log_round_budget(5, slots)).unwrap();
-            let logs = log_entries(&sim, &faults);
-            assert_agreement(&logs)
+            let logs: Vec<_> = correct::<LogProc, _>(sim.actors(), &faults).map(LogProc::log).collect();
+            assert_agreement(&logs).to_vec()
         };
         let sequential = logs_at(1);
         let pipelined = logs_at(window);

@@ -4,19 +4,11 @@
 
 mod common;
 
-use common::{round_budget, WbaM, WbaProc};
+use common::{round_budget, weak_ba_actors, Fault, WbaM};
 use meba::prelude::*;
 
 fn traced_weak_ba(n: usize, inputs: &[u64]) -> Simulation<WbaM> {
-    let cfg = SystemConfig::new(n, 0x7e).unwrap();
-    let (pki, keys) = trusted_setup(n, 0x7e);
-    let mut actors: Vec<Box<dyn AnyActor<Msg = WbaM>>> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-        let wba: WbaProc = WeakBa::new(cfg, id, key, pki.clone(), AlwaysValid, factory, inputs[i]);
-        actors.push(Box::new(LockstepAdapter::new(id, wba)));
-    }
+    let actors = weak_ba_actors(inputs, &vec![Fault::None; n]);
     SimBuilder::new(actors).trace(100_000).build()
 }
 

@@ -12,9 +12,9 @@ use meba::prelude::*;
 fn unanimity_failure_free() {
     for n in [3usize, 5, 7, 9, 11] {
         let faults = vec![Fault::None; n];
-        let mut sim = weak_ba_sim(&vec![4u64; n], &faults);
+        let mut sim = sim(weak_ba_actors(&vec![4u64; n], &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
-        let d = assert_agreement(&weak_ba_decisions(&sim, &faults));
+        let d = assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
         assert_eq!(d, Decision::Value(4), "unique validity with unanimous inputs, n={n}");
     }
 }
@@ -23,9 +23,9 @@ fn unanimity_failure_free() {
 fn agreement_mixed_inputs() {
     let inputs = [9u64, 8, 7, 6, 5, 4, 3, 2, 1];
     let faults = vec![Fault::None; 9];
-    let mut sim = weak_ba_sim(&inputs, &faults);
+    let mut sim = sim(weak_ba_actors(&inputs, &faults), &faults);
     sim.run_until_done(round_budget(9)).unwrap();
-    let d = assert_agreement(&weak_ba_decisions(&sim, &faults));
+    let d = assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
     // With AlwaysValid any of the inputs (or ⊥) is a legal outcome, but
     // with no faults the first leader's proposal must win.
     assert_eq!(d, Decision::Value(inputs[1]));
@@ -39,9 +39,9 @@ fn lemma6_no_fallback_below_bound() {
         for i in 0..f {
             faults[2 * i + 1] = Fault::Idle;
         }
-        let mut sim = weak_ba_sim(&[5u64; 13], &faults);
+        let mut sim = sim(weak_ba_actors(&[5u64; 13], &faults), &faults);
         sim.run_until_done(round_budget(13)).unwrap();
-        assert_agreement(&weak_ba_decisions(&sim, &faults));
+        assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
         for i in (0..13).filter(|&i| !faults[i].is_byzantine()) {
             let a: &LockstepAdapter<WbaProc> =
                 sim.actor(ProcessId(i as u32)).as_any().downcast_ref().unwrap();
@@ -57,9 +57,9 @@ fn max_crashes_use_fallback_and_agree() {
     for i in [1usize, 3, 5, 7] {
         faults[i] = Fault::Idle;
     }
-    let mut sim = weak_ba_sim(&[2u64; 9], &faults);
+    let mut sim = sim(weak_ba_actors(&[2u64; 9], &faults), &faults);
     sim.run_until_done(round_budget(9)).unwrap();
-    let d = assert_agreement(&weak_ba_decisions(&sim, &faults));
+    let d = assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
     assert_eq!(d, Decision::Value(2), "unanimous inputs must survive the fallback");
     for i in [0usize, 2, 4, 6, 8] {
         let a: &LockstepAdapter<WbaProc> =
@@ -74,9 +74,9 @@ fn late_crash_mid_phases_agrees() {
     let mut faults = vec![Fault::None; 9];
     faults[1] = Fault::CrashAt(7);
     faults[2] = Fault::CrashAt(12);
-    let mut sim = weak_ba_sim(&[6u64; 9], &faults);
+    let mut sim = sim(weak_ba_actors(&[6u64; 9], &faults), &faults);
     sim.run_until_done(round_budget(9)).unwrap();
-    let d = assert_agreement(&weak_ba_decisions(&sim, &faults));
+    let d = assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
     assert_eq!(d, Decision::Value(6));
 }
 
@@ -85,29 +85,25 @@ fn wasteful_leaders_realize_linear_growth_and_agreement_holds() {
     // Byzantine leaders p1..p3 each initiate a phase and withhold the
     // certificate; the first correct leader then decides everyone.
     let n = 9usize;
-    let cfg = SystemConfig::new(n, 0x3a).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xfeed);
-    let mut actors: Vec<Box<dyn AnyActor<Msg = WbaM>>> = Vec::new();
-    let byz = [1u32, 2, 3];
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        if byz.contains(&(i as u32)) {
-            actors.push(Box::new(WastefulWeakLeader::new(cfg, id, i as u32, 777u64)));
-        } else {
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let wba: WbaProc = WeakBa::new(cfg, id, key, pki.clone(), AlwaysValid, factory, 5u64);
-            actors.push(Box::new(LockstepAdapter::new(id, wba)));
-        }
-    }
-    let mut b = SimBuilder::new(actors);
-    for &c in &byz {
-        b = b.corrupt(ProcessId(c));
-    }
-    let mut sim = b.build();
-    sim.run_until_done(round_budget(n)).unwrap();
     let faults: Vec<Fault> =
-        (0..n).map(|i| if byz.contains(&(i as u32)) { Fault::Idle } else { Fault::None }).collect();
-    let d = assert_agreement(&weak_ba_decisions(&sim, &faults));
+        (0..n).map(|i| if (1..=3).contains(&i) { Fault::Idle } else { Fault::None }).collect();
+    let actors = cluster(
+        Family::WEAK_BA.config(n),
+        Family::WEAK_BA.key_seed,
+        &faults,
+        |p| {
+            let factory = p.factory();
+            let wba = WeakBa::new(p.cfg, p.id, p.key, p.pki, AlwaysValid, factory, 5u64);
+            LockstepAdapter::new(p.id, wba)
+        },
+        |p, _| {
+            let leader = WastefulWeakLeader::new(p.cfg, p.id, p.id.0, 777u64);
+            Some(Box::new(leader) as Box<dyn AnyActor<Msg = WbaM>>)
+        },
+    );
+    let mut sim = sim(actors, &faults);
+    sim.run_until_done(round_budget(n)).unwrap();
+    let d = assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
     // Wasted proposals are valid under AlwaysValid, so the decision may be
     // the attacker's value or the first correct leader's — agreement is
     // what matters; validity is trivial under AlwaysValid.
@@ -120,9 +116,9 @@ fn chaos_replays_do_not_break_agreement() {
         let mut faults = vec![Fault::None; 7];
         faults[2] = Fault::Chaos(seed);
         faults[6] = Fault::Chaos(seed ^ 0xabcd);
-        let mut sim = weak_ba_sim(&[3, 3, 0, 3, 3, 3, 0], &faults);
+        let mut sim = sim(weak_ba_actors(&[3, 3, 0, 3, 3, 3, 0], &faults), &faults);
         sim.run_until_done(round_budget(7)).unwrap();
-        assert_agreement(&weak_ba_decisions(&sim, &faults));
+        assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
     }
 }
 
@@ -130,7 +126,7 @@ fn chaos_replays_do_not_break_agreement() {
 fn complexity_envelope_failure_free() {
     for n in [5usize, 9, 17, 33] {
         let faults = vec![Fault::None; n];
-        let mut sim = weak_ba_sim(&vec![1u64; n], &faults);
+        let mut sim = sim(weak_ba_actors(&vec![1u64; n], &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
         let words = sim.metrics().correct_words();
         assert!(words <= 16 * n as u64, "n={n}: {words} words");
@@ -141,7 +137,7 @@ fn complexity_envelope_failure_free() {
 fn commit_level_machinery_engages() {
     // With unanimous inputs and no faults, commits happen in phase 1.
     let faults = vec![Fault::None; 5];
-    let mut sim = weak_ba_sim(&[8, 8, 8, 8, 8], &faults);
+    let mut sim = sim(weak_ba_actors(&[8, 8, 8, 8, 8], &faults), &faults);
     sim.run_until_done(round_budget(5)).unwrap();
     for i in 0..5 {
         let a: &LockstepAdapter<WbaProc> =
