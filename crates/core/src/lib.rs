@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bb;
-pub mod bb_via_strong;
 pub mod config;
 pub mod decision;
 pub mod fallback;
@@ -38,7 +37,6 @@ pub mod value;
 pub mod weak_ba;
 
 pub use bb::{Bb, BbBaValue, BbMsg, BbValidity};
-pub use bb_via_strong::{BbViaStrongBa, BbViaStrongMsg};
 pub use config::{ConfigError, SystemConfig};
 pub use decision::Decision;
 pub use fallback::{EchoFallback, EchoFallbackFactory};

@@ -42,7 +42,6 @@ struct Control {
     backpressure: AtomicU64,
     done_flags: Vec<AtomicBool>,
     escalations: Mutex<Vec<Escalation>>,
-    metrics: Mutex<Metrics>,
 }
 
 impl Control {
@@ -113,7 +112,6 @@ where
         backpressure: AtomicU64::new(0),
         done_flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
         escalations: Mutex::new(Vec::new()),
-        metrics: Mutex::new(Metrics::default()),
     });
     let corrupt: Arc<Vec<bool>> =
         Arc::new((0..n).map(|i| config.corrupt.iter().any(|c| c.index() == i)).collect());
@@ -137,14 +135,17 @@ where
         }));
     }
 
+    // Threads were spawned, and are joined, in process order: that is
+    // the order of `actors_back` and the order the shards fold in.
     let mut actors_back: Vec<Box<dyn AnyActor<Msg = M>>> = Vec::with_capacity(n);
+    let mut metrics = Metrics::default();
     let mut max_round = 0;
     for h in handles {
-        let (actor, rounds) = h.join().expect("cluster thread panicked");
+        let (actor, rounds, shard) = h.join().expect("cluster thread panicked");
         max_round = max_round.max(rounds);
         actors_back.push(actor);
+        metrics.merge(&shard);
     }
-    actors_back.sort_by_key(|a| a.id().index());
 
     let ctrl = Arc::try_unwrap(ctrl).unwrap_or_else(|_| panic!("cluster threads still alive"));
     let outcome = ctrl.outcome.into_inner();
@@ -154,7 +155,6 @@ where
         // belt-and-braces check before the coordinator could decide.
         None => (false, max_round, None),
     };
-    let mut metrics = ctrl.metrics.into_inner();
     metrics.rounds = rounds.max(max_round);
     ClusterReport {
         metrics,
@@ -171,15 +171,17 @@ where
 /// One thread's life: rounds under coordinator approval, paced by its
 /// [`RoundDriver`] — the shared [`DeadlinePacer`] schedule (lockstep) or
 /// a local quorum-or-timeout wait — with the round body delegated to
-/// [`EngineProcess::step`].
+/// [`EngineProcess::step`]. Everything the process is billed goes into
+/// its own [`Metrics`] shard, returned with the actor and its round count.
 fn run_paced_process<M: Message, T: Transport<M>>(
     mut proc: EngineProcess<M>,
     mut transport: T,
     ctrl: Arc<Control>,
     corrupt: Arc<Vec<bool>>,
     cfg: WorkerConfig,
-) -> (Box<dyn AnyActor<Msg = M>>, u64) {
+) -> (Box<dyn AnyActor<Msg = M>>, u64, Metrics) {
     let i = proc.id().index();
+    let mut metrics = Metrics::default();
     let is_coordinator = i == 0;
     let mut driver = RoundDriver::wall_clock(&cfg.driver, cfg.n);
     // Coordinator-only escalation bookkeeping.
@@ -201,7 +203,7 @@ fn run_paced_process<M: Message, T: Transport<M>>(
             driver.wait_for_round(&ctrl.pacer, round, || proc.ready_senders(round, &mut transport));
 
         let proc_start = Instant::now();
-        let status: StepStatus = proc.step(round, &mut transport, &ctrl.metrics);
+        let status: StepStatus = proc.step(round, &mut transport, &mut metrics);
         if status.executed {
             // Observability: per-round processing latency and synchrony
             // monitoring. Processing past the round's deadline means a
@@ -219,12 +221,9 @@ fn run_paced_process<M: Message, T: Transport<M>>(
                     proc_end.duration_since(proc_start) > ctrl.pacer.delta_at(round)
                 }
             };
-            {
-                let mut m = ctrl.metrics.lock();
-                m.round_latency.record_us(latency_us);
-                if round >= 1 {
-                    cause.record(&mut m.advance);
-                }
+            metrics.round_latency.record_us(latency_us);
+            if round >= 1 {
+                cause.record(&mut metrics.advance);
             }
             if overran {
                 ctrl.overruns.fetch_add(1, Ordering::Relaxed);
@@ -241,7 +240,7 @@ fn run_paced_process<M: Message, T: Transport<M>>(
     ctrl.backpressure.fetch_add(transport.backpressure(), Ordering::Relaxed);
     // TCP: shuts the mesh down here, on the thread that drove it.
     drop(transport);
-    (proc.finish(&ctrl.metrics), round)
+    (proc.finish(&mut metrics), round, metrics)
 }
 
 /// The coordinator's end-of-round decision: stop (exactly one recorded

@@ -76,9 +76,7 @@ use crate::fate::{resolve_fates, ActorRebuilder, ProcessFateFactory};
 use crate::process::EngineProcess;
 use crate::transport::{Delivery, Transport};
 use meba_crypto::ProcessId;
-use meba_sim::metrics::AdvanceStats;
 use meba_sim::{AnyActor, Message, Metrics};
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -419,7 +417,9 @@ impl Schedule {
 struct Running<'a, M: Message> {
     procs: &'a mut [EngineProcess<M>],
     transports: &'a mut [DesTransport<M>],
-    metrics: &'a Mutex<Metrics>,
+    // The run's one ledger: the loop is single-threaded, so every
+    // process bills straight into it.
+    metrics: &'a mut Metrics,
     // Rounds each process has been through: executed, or jumped over
     // and accounted as if executed.
     next_round: &'a mut [u64],
@@ -434,10 +434,6 @@ struct Running<'a, M: Message> {
     // `done` is only ever toggled inside `execute`, which keeps this
     // counter in sync (including done → not-done reversals).
     pending_correct: &'a mut usize,
-    // Advance-cause tallies accumulated locally and flushed into
-    // `metrics.advance` once after the loop, so per-round execution does
-    // not take the metrics lock just to bump a counter.
-    advance: &'a mut AdvanceStats,
     // Each process's quorum, backoff shift, and local grid anchor (the
     // anchor mirrors the live entry in `deadlines`).
     drivers: &'a mut [RoundDriver],
@@ -455,7 +451,7 @@ impl<M: Message> Running<'_, M> {
         self.account_skipped(i, round);
         let status = self.procs[i].step(round, &mut self.transports[i], self.metrics);
         if status.executed && round >= 1 {
-            cause.record(self.advance);
+            cause.record(&mut self.metrics.advance);
         }
         if !sched.lockstep {
             self.drivers[i].observe(status.late_admitted);
@@ -501,7 +497,7 @@ impl<M: Message> Running<'_, M> {
         let skipped = round - self.next_round[i];
         if skipped > 0 && !self.procs[i].is_down() {
             // Round 0 is never slept through: every process starts there.
-            self.drivers[i].cause(1, || 1).record_many(self.advance, skipped);
+            self.drivers[i].cause(1, || 1).record_many(&mut self.metrics.advance, skipped);
         }
         self.next_round[i] = round;
     }
@@ -609,7 +605,7 @@ pub fn run_des_cluster<M: Message>(
     let net = Rc::new(RefCell::new(DesNet::<M>::new(n, &config)));
     let mut transports: Vec<DesTransport<M>> =
         (0..n).map(|i| DesTransport { me: ProcessId(i as u32), net: net.clone() }).collect();
-    let metrics = Mutex::new(Metrics::default());
+    let mut metrics = Metrics::default();
     let mut procs: Vec<EngineProcess<M>> = actors
         .into_iter()
         .enumerate()
@@ -631,19 +627,17 @@ pub fn run_des_cluster<M: Message>(
         deadlines.push((u128::from(sched.skews[i]), i as u64, 0));
     }
     let mut pending_correct = corrupt.iter().filter(|c| !**c).count();
-    let mut advance = AdvanceStats::default();
     let mut completed = false;
     let mut last_instant = 0u128;
     let mut run = Running {
         procs: &mut procs,
         transports: &mut transports,
-        metrics: &metrics,
+        metrics: &mut metrics,
         next_round: &mut next_round,
         wake: &mut wake,
         done: &mut done,
         corrupt: &corrupt,
         pending_correct: &mut pending_correct,
-        advance: &mut advance,
         drivers: &mut drivers,
         deadlines: &mut deadlines,
     };
@@ -713,16 +707,13 @@ pub fn run_des_cluster<M: Message>(
             }
         }
     }
-    let _ = run;
-    metrics.lock().advance.merge(&advance);
     if !completed && pending_correct == 0 {
         completed = true;
     }
 
     let rounds = next_round.iter().copied().max().unwrap_or(0);
     let actors_back: Vec<Box<dyn AnyActor<Msg = M>>> =
-        procs.into_iter().map(|p| p.finish(&metrics)).collect();
-    let mut metrics = metrics.into_inner();
+        procs.into_iter().map(|p| p.finish(&mut metrics)).collect();
     metrics.rounds = rounds;
     Ok(ClusterReport {
         metrics,

@@ -20,7 +20,9 @@
 //!   state machine, configured by [`RoundDriverConfig`], serves every
 //!   backend (see [`driver`]).
 //! * [`EngineProcess`] / [`run_live_round`] — the one per-process driver:
-//!   inbox partitioning by `sent_round`, word/byte/per-link accounting,
+//!   inbox partitioning by `sent_round`, word/byte/per-link accounting
+//!   (through [`meba_sim::Metrics::bill`], into a `&mut Metrics` the
+//!   backend owns — no lock in the round body),
 //!   [`meba_sim::faults::LinkPolicy`] fault application (the one fault
 //!   vocabulary, `Sever` included), [`ProcessFate`] crash-restart
 //!   execution, and journal-replay rejoin.

@@ -7,8 +7,8 @@ use crate::fate::{ActorRebuilder, ResolvedFate};
 use crate::transport::{Delivery, Transport};
 use meba_crypto::ProcessId;
 use meba_sim::faults::{Link, LinkFate, LinkPolicy};
-use meba_sim::{AnyActor, Dest, Envelope, Message, Metrics, Round, RoundCtx};
-use parking_lot::Mutex;
+use meba_sim::metrics::{targets, MessageCost};
+use meba_sim::{AnyActor, Envelope, Message, Metrics, Round, RoundCtx};
 use std::collections::BTreeMap;
 
 /// Per-process round-loop state that persists across rounds: deliveries
@@ -104,14 +104,15 @@ impl<M: Message> Default for RoundState<M> {
 /// 3. step the actor;
 /// 4. dispatch its outbox: self-delivery is process memory (no policy, no
 ///    per-link stats, no word accounting); every remote copy is judged by
-///    `policy` and recorded (words, constituent sigs, bytes, per-link
-///    sent/dropped/delayed) whether or not it is ultimately transmitted.
+///    `policy` and billed ([`Metrics::bill`]) whether or not it is
+///    ultimately transmitted.
 ///
 /// Returns the round's [`LiveRoundOutcome`]: `actor.done()` after the
 /// step plus how many admitted deliveries had already missed their
 /// intended round. This function is the one implementation of the round
-/// body for every backend; `metrics` is locked briefly per accounting
-/// site, never across a (possibly blocking) transport send.
+/// body for every backend; `metrics` is the caller's own ledger — the
+/// whole run's on the single-threaded DES, this process's shard on a
+/// paced thread.
 #[allow(clippy::too_many_arguments)]
 pub fn run_live_round<M: Message>(
     actor: &mut dyn AnyActor<Msg = M>,
@@ -121,10 +122,9 @@ pub fn run_live_round<M: Message>(
     round: u64,
     n: usize,
     sender_correct: bool,
-    metrics: &Mutex<Metrics>,
+    metrics: &mut Metrics,
 ) -> LiveRoundOutcome {
     let me = actor.id();
-    let i = me.index();
 
     if !state.pending.is_empty() {
         if let Some(due) = state.pending.remove(&round) {
@@ -140,28 +140,22 @@ pub fn run_live_round<M: Message>(
     inbox.clear();
     keep.clear();
     let mut late_admitted = 0u64;
-    if !state.buffer.is_empty() {
-        // Lock lazily: idle rounds (no remote deliveries) must not pay
-        // for the metrics mutex.
-        let mut guard = None;
-        for d in state.buffer.drain(..) {
-            if d.sent_round < round {
-                if d.from != me {
-                    let metrics = guard.get_or_insert_with(|| metrics.lock());
-                    metrics.link_mut(d.from, me).delivered += 1;
-                    // A round-`r` message belongs in round `r + 1`;
-                    // admission later than that means the local round
-                    // counter outpaced this link (mis-estimated δ,
-                    // schedule drift, a pre-GST delay, or a fault-
-                    // delayed send — indistinguishable locally).
-                    if d.sent_round + 1 < round {
-                        late_admitted += 1;
-                    }
+    for d in state.buffer.drain(..) {
+        if d.sent_round < round {
+            if d.from != me {
+                metrics.admit(Link { from: d.from, to: me });
+                // A round-`r` message belongs in round `r + 1`;
+                // admission later than that means the local round
+                // counter outpaced this link (mis-estimated δ,
+                // schedule drift, a pre-GST delay, or a fault-
+                // delayed send — indistinguishable locally).
+                if d.sent_round + 1 < round {
+                    late_admitted += 1;
                 }
-                inbox.push(Envelope { from: d.from, msg: d.msg });
-            } else {
-                keep.push(d);
             }
+            inbox.push(Envelope { from: d.from, msg: d.msg });
+        } else {
+            keep.push(d);
         }
     }
     // Keep both allocations alive: the drained buffer becomes the next
@@ -173,40 +167,17 @@ pub fn run_live_round<M: Message>(
     actor.on_round(&mut ctx);
     let outbox = ctx.take_outbox();
     for (dest, msg) in outbox {
-        let words = msg.words().max(1);
-        let sigs = msg.constituent_sigs();
-        let bytes = msg.wire_bytes();
-        let component = msg.component();
-        let session = msg.session();
-        let targets = match dest {
-            Dest::To(p) if p.index() < n => p.index()..p.index() + 1,
-            Dest::To(_) => 0..0,
-            Dest::All => 0..n,
-        };
-        for target in targets {
-            if target == i {
+        let cost = MessageCost::of(&msg);
+        for to in targets(dest, n) {
+            if to == me {
                 // Self-delivery: process memory, not a link — no policy,
                 // no per-link stats, no word accounting.
                 transport.send(me, round, &msg);
                 continue;
             }
-            let to = ProcessId(target as u32);
-            let fate = match policy {
-                Some(p) => p.fate(Link { from: me, to }, round),
-                None => LinkFate::Deliver,
-            };
-            {
-                let mut metrics = metrics.lock();
-                metrics.record(me, sender_correct, component, session, round, words, sigs, bytes);
-                let stats = metrics.link_mut(me, to);
-                stats.sent += 1;
-                stats.bytes += bytes;
-                match fate {
-                    LinkFate::Deliver => {}
-                    LinkFate::Drop | LinkFate::Sever => stats.dropped += 1,
-                    LinkFate::DelayRounds(_) => stats.delayed += 1,
-                }
-            }
+            let link = Link { from: me, to };
+            let fate = policy.as_mut().map_or(LinkFate::Deliver, |p| p.fate(link, round));
+            metrics.bill(link, sender_correct, round, &cost, Some(fate));
             match fate {
                 LinkFate::Deliver => transport.send(to, round, &msg),
                 LinkFate::Drop => {}
@@ -360,7 +331,7 @@ impl<M: Message> EngineProcess<M> {
         &mut self,
         round: u64,
         transport: &mut T,
-        metrics: &Mutex<Metrics>,
+        metrics: &mut Metrics,
     ) -> StepStatus {
         if let ResolvedFate::Crash { at_round, rejoin_at } = self.fate {
             if !self.dead && self.rejoin_round.is_none() && round == at_round {
@@ -370,7 +341,7 @@ impl<M: Message> EngineProcess<M> {
                 self.dead = true;
                 transport.crash();
                 self.state.clear();
-                metrics.lock().recovery.crash_restarts += 1;
+                metrics.recovery.crash_restarts += 1;
             }
             if self.dead && rejoin_at.is_some_and(|rj| round >= rj) {
                 // Restart: rebuild from the durable journal, then
@@ -382,11 +353,8 @@ impl<M: Message> EngineProcess<M> {
                     self.rebuilder.as_ref().expect("rejoin_at is only resolved with a rebuilder");
                 let rb = rebuild(self.actor.id());
                 self.actor = rb.actor;
-                {
-                    let mut m = metrics.lock();
-                    m.recovery.replayed_records += rb.replayed_records;
-                    m.recovery.journal_fsyncs += rb.journal_fsyncs;
-                }
+                metrics.recovery.replayed_records += rb.replayed_records;
+                metrics.recovery.journal_fsyncs += rb.journal_fsyncs;
                 let empty: Vec<Envelope<M>> = Vec::new();
                 for r in 0..round {
                     let mut ctx = RoundCtx::new(Round(r), self.actor.id(), self.n, &empty);
@@ -420,7 +388,7 @@ impl<M: Message> EngineProcess<M> {
             // Recovery latency: rounds from rejoin until this process is
             // done.
             if let Some(rj) = self.rejoin_round.take() {
-                metrics.lock().recovery.recovery_rounds += round - rj;
+                metrics.recovery.recovery_rounds += round - rj;
             }
         }
         StepStatus { executed: true, done: outcome.done, late_admitted: outcome.late_admitted }
@@ -428,11 +396,8 @@ impl<M: Message> EngineProcess<M> {
 
     /// Ends the run for this process: harvests its equivocation-refusal
     /// counter into `metrics` and returns the actor for inspection.
-    pub fn finish(self, metrics: &Mutex<Metrics>) -> Box<dyn AnyActor<Msg = M>> {
-        let refused = self.actor.refused_equivocations();
-        if refused > 0 {
-            metrics.lock().recovery.refused_equivocations += refused;
-        }
+    pub fn finish(self, metrics: &mut Metrics) -> Box<dyn AnyActor<Msg = M>> {
+        metrics.recovery.refused_equivocations += self.actor.refused_equivocations();
         self.actor
     }
 }

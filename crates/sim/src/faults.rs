@@ -62,6 +62,20 @@ impl fmt::Display for Link {
     }
 }
 
+/// A link keys a JSON map by its [`fmt::Display`] text, `"p0->p1"`.
+impl serde::MapKey for Link {
+    fn to_key(&self) -> String {
+        self.to_string()
+    }
+
+    fn from_key(key: &str) -> Result<Self, serde::Error> {
+        let id = |s: &str| s.strip_prefix('p')?.parse().ok().map(ProcessId);
+        key.split_once("->")
+            .and_then(|(from, to)| Some(Link { from: id(from)?, to: id(to)? }))
+            .ok_or_else(|| serde::Error::msg(format!("bad link key {key:?}")))
+    }
+}
+
 /// The fate of one message on one link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkFate {

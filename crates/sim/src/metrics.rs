@@ -6,7 +6,17 @@
 //! [`Metrics::correct`], while Byzantine traffic is tracked separately for
 //! diagnostics. Constituent-signature counts reproduce the Dolev–Reischuk
 //! `Ω(nt)` signature bound (experiment E4).
+//!
+//! [`Metrics`] is plain data, written through `&mut` by whoever owns it,
+//! and the rule that turns a sent message into words lives here once:
+//! [`MessageCost::of`] (floor at 1 word), [`targets`] (who gets a copy)
+//! and [`Metrics::bill`] (a copy is billed as sent whatever its
+//! [`LinkFate`]) serve the lockstep simulator and every `meba-engine`
+//! backend; [`Metrics::merge`] folds the per-thread shards of the paced
+//! ones.
 
+use crate::actor::{Dest, Message};
+use crate::faults::{Link, LinkFate};
 use meba_crypto::ProcessId;
 use std::collections::BTreeMap;
 
@@ -138,6 +148,16 @@ pub struct LinkStats {
 
 serde::impl_serde_struct!(LinkStats { sent, delivered, dropped, delayed, bytes });
 
+impl LinkStats {
+    fn merge(&mut self, other: &LinkStats) {
+        self.sent += other.sent;
+        self.delivered += other.delivered;
+        self.dropped += other.dropped;
+        self.delayed += other.delayed;
+        self.bytes += other.bytes;
+    }
+}
+
 /// A bundle of communication counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -158,12 +178,11 @@ pub struct Counters {
 serde::impl_serde_struct!(Counters { words, messages, constituent_sigs, bytes });
 
 impl Counters {
-    /// Adds one message's costs.
-    pub fn record(&mut self, words: u64, sigs: u64, bytes: u64) {
-        self.words += words;
+    fn record(&mut self, cost: &MessageCost) {
+        self.words += cost.words;
         self.messages += 1;
-        self.constituent_sigs += sigs;
-        self.bytes += bytes;
+        self.constituent_sigs += cost.sigs;
+        self.bytes += cost.bytes;
     }
 
     /// Component-wise sum.
@@ -195,13 +214,24 @@ pub struct SessionStats {
 serde::impl_serde_struct!(SessionStats { counters, first_round, last_round });
 
 impl SessionStats {
-    fn record(&mut self, round: u64, words: u64, sigs: u64, bytes: u64) {
+    fn record(&mut self, round: u64, cost: &MessageCost) {
+        self.span(round, round);
+        self.counters.record(cost);
+    }
+
+    /// Widens the round span to cover `first..=last` (an empty session
+    /// has no span yet and takes the given one).
+    fn span(&mut self, first: u64, last: u64) {
         if self.counters.messages == 0 {
-            self.first_round = round;
+            self.first_round = first;
         }
-        self.first_round = self.first_round.min(round);
-        self.last_round = self.last_round.max(round);
-        self.counters.record(words, sigs, bytes);
+        self.first_round = self.first_round.min(first);
+        self.last_round = self.last_round.max(last);
+    }
+
+    fn merge(&mut self, other: &SessionStats) {
+        self.span(other.first_round, other.last_round);
+        self.counters.merge(&other.counters);
     }
 }
 
@@ -398,34 +428,6 @@ impl ServiceStats {
     pub fn client_mut(&mut self, client: u64) -> &mut ClientStats {
         self.per_client.entry(client).or_default()
     }
-
-    /// Component-wise sum (histograms merged bucket-wise).
-    pub fn merge(&mut self, other: &ServiceStats) {
-        self.ops_submitted += other.ops_submitted;
-        self.ops_accepted += other.ops_accepted;
-        self.ops_rejected += other.ops_rejected;
-        self.ops_committed += other.ops_committed;
-        self.ops_deduped += other.ops_deduped;
-        self.batches_proposed += other.batches_proposed;
-        self.batched_ops += other.batched_ops;
-        self.commit_latency_rounds.merge(&other.commit_latency_rounds);
-        self.session_collisions += other.session_collisions;
-        self.skipped_slots += other.skipped_slots;
-        self.slots_transferred += other.slots_transferred;
-        self.transfer_certs_verified += other.transfer_certs_verified;
-        self.transfer_certs_rejected += other.transfer_certs_rejected;
-        self.transfer_vouches_accepted += other.transfer_vouches_accepted;
-        self.transfer_bytes += other.transfer_bytes;
-        self.transfer_donor_retries += other.transfer_donor_retries;
-        self.applied_conflicts += other.applied_conflicts;
-        for (client, stats) in &other.per_client {
-            let mine = self.per_client.entry(*client).or_default();
-            mine.submitted += stats.submitted;
-            mine.accepted += stats.accepted;
-            mine.rejected += stats.rejected;
-            mine.committed += stats.committed;
-        }
-    }
 }
 
 /// Full accounting for one simulation run.
@@ -451,9 +453,9 @@ pub struct Metrics {
     /// cluster runtime; empty for lockstep runs, where rounds have no
     /// wall-clock extent.
     pub round_latency: LatencyHistogram,
-    /// Delivery accounting per directed link, keyed `"p0->p1"` (see
-    /// [`Metrics::link_key`]). Self-links are never recorded.
-    pub per_link: BTreeMap<String, LinkStats>,
+    /// Delivery accounting per directed link (a JSON key reads
+    /// `"p0->p1"`). Self-links are never recorded.
+    pub per_link: BTreeMap<Link, LinkStats>,
     /// Correct-process counters broken down by protocol instance, for
     /// session-multiplexed runs (empty when no message carries a
     /// [`crate::Message::session`] tag).
@@ -481,35 +483,138 @@ serde::impl_serde_struct!(Metrics {
     advance,
 });
 
+/// What one remote copy of a message is billed: read off the message
+/// once per outbox entry, charged once per recipient.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MessageCost {
+    /// [`Message::words`], floored at 1 — nothing travels for free.
+    pub words: u64,
+    /// [`Message::constituent_sigs`].
+    pub sigs: u64,
+    /// [`Message::wire_bytes`].
+    pub bytes: u64,
+    /// [`Message::component`].
+    pub component: &'static str,
+    /// [`Message::session`]; `None` for unmultiplexed traffic.
+    pub session: Option<u64>,
+}
+
+impl MessageCost {
+    /// The cost of each remote copy of `msg`.
+    pub fn of<M: Message>(msg: &M) -> Self {
+        MessageCost {
+            words: msg.words().max(1),
+            sigs: msg.constituent_sigs(),
+            bytes: msg.wire_bytes(),
+            component: msg.component(),
+            session: msg.session(),
+        }
+    }
+}
+
+/// The processes a message addressed to `dest` is copied to in a system
+/// of `n`. An out-of-range destination (only a Byzantine actor produces
+/// one) names nobody. The sender itself may be among them: that copy is
+/// process memory, not a link — the caller hands it over without asking a
+/// [`crate::faults::LinkPolicy`] and without calling [`Metrics::bill`].
+pub fn targets(dest: Dest, n: usize) -> impl Iterator<Item = ProcessId> {
+    let range = match dest {
+        Dest::To(p) if p.index() < n => p.index()..p.index() + 1,
+        Dest::To(_) => 0..0,
+        Dest::All => 0..n,
+    };
+    range.map(|i| ProcessId(i as u32))
+}
+
 impl Metrics {
-    /// Records one sent message. `session` is the message's instance tag
-    /// ([`crate::Message::session`]); `None` for unmultiplexed traffic.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
+    /// Bills one remote copy of a message sent in `round` over `link` —
+    /// the one place words, signatures, bytes and link counters are
+    /// charged, on every backend. The paper counts words *sent* (§2), so
+    /// the copy costs the same whatever `fate` it meets: a dropped,
+    /// delayed or severed copy was still sent.
+    ///
+    /// `fate` is `None` on a backend that keeps no link accounting for
+    /// this run (the lockstep simulator without a link policy); otherwise
+    /// the link's `sent`/`bytes` move, and `dropped` or `delayed` with
+    /// the fate.
+    pub fn bill(
         &mut self,
-        sender: ProcessId,
+        link: Link,
         sender_correct: bool,
-        component: &'static str,
-        session: Option<u64>,
         round: u64,
-        words: u64,
-        sigs: u64,
-        bytes: u64,
+        cost: &MessageCost,
+        fate: Option<LinkFate>,
     ) {
-        self.per_process.entry(sender.0).or_default().record(words, sigs, bytes);
+        debug_assert_ne!(link.from, link.to, "a self-copy is process memory, never billed");
+        self.per_process.entry(link.from.0).or_default().record(cost);
         if sender_correct {
-            self.correct.record(words, sigs, bytes);
-            self.by_component.entry(component.to_string()).or_default().record(words, sigs, bytes);
-            if let Some(s) = session {
-                self.per_session.entry(s).or_default().record(round, words, sigs, bytes);
+            self.correct.record(cost);
+            // Looked up by `&str`: the key is only allocated the first
+            // time a component is seen.
+            match self.by_component.get_mut(cost.component) {
+                Some(counters) => counters.record(cost),
+                None => {
+                    self.by_component.entry(cost.component.to_string()).or_default().record(cost)
+                }
+            }
+            if let Some(s) = cost.session {
+                self.per_session.entry(s).or_default().record(round, cost);
             }
             if self.words_per_round.len() <= round as usize {
                 self.words_per_round.resize(round as usize + 1, 0);
             }
-            self.words_per_round[round as usize] += words;
+            self.words_per_round[round as usize] += cost.words;
         } else {
-            self.byzantine.record(words, sigs, bytes);
+            self.byzantine.record(cost);
         }
+        if let Some(fate) = fate {
+            let stats = self.per_link.entry(link).or_default();
+            stats.sent += 1;
+            stats.bytes += cost.bytes;
+            match fate {
+                LinkFate::Deliver => {}
+                // A sever is a drop that also costs the connection.
+                LinkFate::Drop | LinkFate::Sever => stats.dropped += 1,
+                LinkFate::DelayRounds(_) => stats.delayed += 1,
+            }
+        }
+    }
+
+    /// Counts one message off `link` as drained into its recipient's
+    /// round inbox.
+    pub fn admit(&mut self, link: Link) {
+        self.per_link.entry(link).or_default().delivered += 1;
+    }
+
+    /// Folds another ledger of the same run into this one (the paced
+    /// backends keep one shard per process thread). Every part is a sum,
+    /// a minimum or a maximum, so the fold is independent of order and
+    /// of how the bills were split.
+    pub fn merge(&mut self, other: &Metrics) {
+        self.correct.merge(&other.correct);
+        self.byzantine.merge(&other.byzantine);
+        for (component, counters) in &other.by_component {
+            self.by_component.entry(component.clone()).or_default().merge(counters);
+        }
+        if self.words_per_round.len() < other.words_per_round.len() {
+            self.words_per_round.resize(other.words_per_round.len(), 0);
+        }
+        for (mine, words) in self.words_per_round.iter_mut().zip(&other.words_per_round) {
+            *mine += words;
+        }
+        for (process, counters) in &other.per_process {
+            self.per_process.entry(*process).or_default().merge(counters);
+        }
+        self.rounds = self.rounds.max(other.rounds);
+        self.round_latency.merge(&other.round_latency);
+        for (link, stats) in &other.per_link {
+            self.per_link.entry(*link).or_default().merge(stats);
+        }
+        for (session, stats) in &other.per_session {
+            self.per_session.entry(*session).or_default().merge(stats);
+        }
+        self.recovery.merge(&other.recovery);
+        self.advance.merge(&other.advance);
     }
 
     /// Words sent by correct processes — the paper's headline metric.
@@ -517,21 +622,10 @@ impl Metrics {
         self.correct.words
     }
 
-    /// Canonical [`Metrics::per_link`] key for the directed link
-    /// `from → to`.
-    pub fn link_key(from: ProcessId, to: ProcessId) -> String {
-        format!("{from}->{to}")
-    }
-
-    /// Mutable delivery stats for `from → to`, created on first use.
-    pub fn link_mut(&mut self, from: ProcessId, to: ProcessId) -> &mut LinkStats {
-        self.per_link.entry(Self::link_key(from, to)).or_default()
-    }
-
     /// Delivery stats for `from → to` (zeroed if the link never carried a
     /// message).
     pub fn link(&self, from: ProcessId, to: ProcessId) -> LinkStats {
-        self.per_link.get(&Self::link_key(from, to)).copied().unwrap_or_default()
+        self.per_link.get(&Link { from, to }).copied().unwrap_or_default()
     }
 
     /// Sum of `dropped` over all links.
@@ -543,27 +637,37 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn cost(component: &'static str, session: Option<u64>, words: u64, sigs: u64) -> MessageCost {
+        MessageCost { words, sigs, bytes: 32 * words, component, session }
+    }
+
+    fn link(from: u32, to: u32) -> Link {
+        Link { from: ProcessId(from), to: ProcessId(to) }
+    }
 
     #[test]
     fn correct_and_byzantine_split() {
         let mut m = Metrics::default();
-        m.record(ProcessId(0), true, "bb", None, 0, 3, 2, 96);
-        m.record(ProcessId(1), false, "bb", None, 0, 100, 50, 4_000);
+        m.bill(link(0, 1), true, 0, &cost("bb", None, 3, 2), None);
+        m.bill(link(1, 0), false, 0, &cost("bb", None, 100, 50), None);
         assert_eq!(m.correct.words, 3);
         assert_eq!(m.correct.messages, 1);
         assert_eq!(m.correct.constituent_sigs, 2);
         assert_eq!(m.correct.bytes, 96);
         assert_eq!(m.byzantine.words, 100);
-        assert_eq!(m.byzantine.bytes, 4_000);
+        assert_eq!(m.byzantine.bytes, 3_200);
         assert_eq!(m.correct_words(), 3);
+        assert!(m.per_link.is_empty(), "no fate, no link accounting");
     }
 
     #[test]
     fn component_breakdown() {
         let mut m = Metrics::default();
-        m.record(ProcessId(0), true, "bb", None, 0, 1, 0, 10);
-        m.record(ProcessId(0), true, "weak-ba", None, 1, 2, 1, 20);
-        m.record(ProcessId(2), true, "weak-ba", None, 1, 2, 1, 20);
+        m.bill(link(0, 1), true, 0, &cost("bb", None, 1, 0), None);
+        m.bill(link(0, 1), true, 1, &cost("weak-ba", None, 2, 1), None);
+        m.bill(link(2, 1), true, 1, &cost("weak-ba", None, 2, 1), None);
         assert_eq!(m.by_component["bb"].words, 1);
         assert_eq!(m.by_component["weak-ba"].words, 4);
         assert_eq!(m.by_component["weak-ba"].messages, 2);
@@ -572,13 +676,13 @@ mod tests {
     #[test]
     fn per_session_breakdown_tracks_span_and_counters() {
         let mut m = Metrics::default();
-        m.record(ProcessId(0), true, "bb", Some(0), 3, 2, 1, 64);
-        m.record(ProcessId(1), true, "bb", Some(0), 7, 4, 0, 128);
-        m.record(ProcessId(0), true, "bb", Some(1), 5, 10, 2, 0);
+        m.bill(link(0, 3), true, 3, &cost("bb", Some(0), 2, 1), None);
+        m.bill(link(1, 3), true, 7, &cost("bb", Some(0), 4, 0), None);
+        m.bill(link(0, 3), true, 5, &cost("bb", Some(1), 10, 2), None);
         // Byzantine traffic never pollutes the per-session view.
-        m.record(ProcessId(2), false, "bb", Some(0), 4, 99, 9, 1);
+        m.bill(link(2, 3), false, 4, &cost("bb", Some(0), 99, 9), None);
         // Unmultiplexed traffic has no session bucket.
-        m.record(ProcessId(0), true, "bb", None, 8, 1, 0, 0);
+        m.bill(link(0, 3), true, 8, &cost("bb", None, 1, 0), None);
         let s0 = &m.per_session[&0];
         assert_eq!(s0.counters.words, 6);
         assert_eq!(s0.counters.messages, 2);
@@ -594,7 +698,7 @@ mod tests {
     #[test]
     fn per_round_series_grows() {
         let mut m = Metrics::default();
-        m.record(ProcessId(0), true, "x", None, 4, 7, 0, 0);
+        m.bill(link(0, 1), true, 4, &cost("x", None, 7, 0), None);
         assert_eq!(m.words_per_round, vec![0, 0, 0, 0, 7]);
     }
 
@@ -646,51 +750,117 @@ mod tests {
     }
 
     #[test]
-    fn service_stats_occupancy_merge_and_clients() {
-        let mut a = ServiceStats {
-            ops_submitted: 10,
-            ops_accepted: 8,
-            ops_rejected: 2,
-            ops_committed: 8,
-            batches_proposed: 2,
-            batched_ops: 8,
-            ..Default::default()
-        };
-        a.commit_latency_rounds.record_us(40);
-        let c = a.client_mut(7);
-        c.submitted = 10;
-        c.accepted = 8;
-        c.rejected = 2;
-        c.committed = 8;
+    fn service_stats_occupancy_and_clients() {
+        let mut a = ServiceStats { batches_proposed: 2, batched_ops: 8, ..Default::default() };
+        a.client_mut(7).rejected = 2;
+        a.client_mut(7).rejected += 1;
         assert_eq!(a.mean_occupancy(), 4.0);
-        let mut b = ServiceStats {
-            ops_rejected: 1,
-            batches_proposed: 1,
-            batched_ops: 6,
-            ..Default::default()
-        };
-        b.client_mut(7).rejected = 1;
-        b.client_mut(9).accepted = 6;
-        a.merge(&b);
-        assert_eq!(a.ops_rejected, 3);
-        assert_eq!(a.batched_ops, 14);
         assert_eq!(a.per_client[&7].rejected, 3);
-        assert_eq!(a.per_client[&9].accepted, 6);
         assert_eq!(ServiceStats::default().mean_occupancy(), 0.0);
     }
 
     #[test]
     fn per_link_accounting() {
         let mut m = Metrics::default();
-        m.link_mut(ProcessId(0), ProcessId(1)).sent += 3;
-        m.link_mut(ProcessId(0), ProcessId(1)).dropped += 1;
-        m.link_mut(ProcessId(1), ProcessId(0)).delivered += 2;
-        assert_eq!(m.link(ProcessId(0), ProcessId(1)).sent, 3);
-        assert_eq!(m.link(ProcessId(0), ProcessId(1)).dropped, 1);
-        assert_eq!(m.link(ProcessId(1), ProcessId(0)).delivered, 2);
+        let c = cost("x", None, 1, 0);
+        m.bill(link(0, 1), true, 0, &c, Some(LinkFate::Deliver));
+        m.bill(link(0, 1), true, 0, &c, Some(LinkFate::DelayRounds(2)));
+        m.bill(link(0, 1), true, 0, &c, Some(LinkFate::Drop));
+        m.bill(link(0, 1), true, 0, &c, Some(LinkFate::Sever));
+        m.admit(link(0, 1));
+        m.admit(link(1, 0));
+        let l01 = LinkStats { sent: 4, delivered: 1, dropped: 2, delayed: 1, bytes: 128 };
+        assert_eq!(m.link(ProcessId(0), ProcessId(1)), l01);
+        assert_eq!(m.link(ProcessId(1), ProcessId(0)).delivered, 1);
         assert_eq!(m.link(ProcessId(2), ProcessId(0)), LinkStats::default());
-        assert_eq!(m.total_dropped(), 1);
-        assert_eq!(Metrics::link_key(ProcessId(0), ProcessId(1)), "p0->p1");
+        assert_eq!(m.total_dropped(), 2);
+        assert_eq!(m.correct.words, 4, "every copy was sent, whatever its fate");
+    }
+
+    #[test]
+    fn targets_skip_ill_formed_destinations_and_include_the_sender() {
+        let ids = |dest| targets(dest, 3).map(|p| p.0).collect::<Vec<_>>();
+        assert_eq!(ids(Dest::All), [0, 1, 2]);
+        assert_eq!(ids(Dest::To(ProcessId(2))), [2]);
+        assert_eq!(ids(Dest::To(ProcessId(3))), [0u32; 0]);
+    }
+
+    /// One billed copy, or one admission, of a generated stream.
+    #[derive(Clone, Debug)]
+    struct Entry {
+        link: Link,
+        correct: bool,
+        round: u64,
+        cost: MessageCost,
+        fate: Option<LinkFate>,
+    }
+
+    impl Entry {
+        fn apply(&self, m: &mut Metrics) {
+            m.bill(self.link, self.correct, self.round, &self.cost, self.fate);
+            if self.fate == Some(LinkFate::Deliver) {
+                m.admit(self.link);
+            }
+        }
+    }
+
+    /// Decodes one stream entry from 64 generated bits.
+    fn entry(mut bits: u64) -> Entry {
+        let mut take = |bound: u64| {
+            let v = bits % bound;
+            bits /= bound;
+            v
+        };
+        let from = take(12) as u32;
+        let to = (from + 1 + take(11) as u32) % 12;
+        let fate = [
+            None,
+            Some(LinkFate::Deliver),
+            Some(LinkFate::Drop),
+            Some(LinkFate::Sever),
+            Some(LinkFate::DelayRounds(3)),
+        ][take(5) as usize];
+        let component = ["bb/vetting", "weak-ba/phases", "fallback"][take(3) as usize];
+        let words = 1 + take(8);
+        Entry {
+            link: link(from, to),
+            correct: take(2) == 0,
+            round: take(40),
+            cost: cost(component, take(4).checked_sub(1), words, words / 2),
+            fate,
+        }
+    }
+
+    proptest! {
+        // The paced backends bill into one shard per process thread and
+        // fold the shards at the end; the DES bills into one ledger. Both
+        // must read the same, however the stream was split and in
+        // whichever order the shards are folded.
+        #[test]
+        fn shards_merged_in_any_order_equal_one_ledger(
+            stream in proptest::collection::vec(any::<u64>(), 0..120),
+            // One sort key per shard: how many there are, and the order
+            // they are folded in.
+            keys in proptest::collection::vec(any::<u64>(), 1..6),
+        ) {
+            let mut whole = Metrics::default();
+            let mut shards = vec![Metrics::default(); keys.len()];
+            for bits in stream {
+                let e = entry(bits);
+                e.apply(&mut whole);
+                e.apply(&mut shards[(bits >> 48) as usize % keys.len()]);
+            }
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let mut folded = Metrics::default();
+            for i in order {
+                folded.merge(&shards[i]);
+            }
+            prop_assert_eq!(
+                serde_json::to_string(&folded).unwrap(),
+                serde_json::to_string(&whole).unwrap()
+            );
+        }
     }
 }
 
@@ -700,17 +870,25 @@ mod serde_tests {
 
     #[test]
     fn metrics_roundtrip_through_json() {
+        let bb =
+            MessageCost { words: 3, sigs: 2, bytes: 77, component: "bb/vetting", session: Some(0) };
+        let fallback =
+            MessageCost { words: 5, sigs: 1, bytes: 33, component: "fallback", session: Some(1) };
+        let to_p1 = Link { from: ProcessId(0), to: ProcessId(1) };
+        // A two-digit id: the key text is `p10->p2`, which sorts before
+        // `p2->…` as a string and after it as a link.
+        let from_p10 = Link { from: ProcessId(10), to: ProcessId(2) };
         let mut m = Metrics::default();
-        m.record(ProcessId(0), true, "bb/vetting", Some(0), 0, 3, 2, 77);
-        m.record(ProcessId(1), false, "fallback", Some(1), 2, 5, 1, 33);
+        m.bill(to_p1, true, 0, &bb, Some(LinkFate::Drop));
+        m.bill(from_p10, false, 2, &fallback, Some(LinkFate::Deliver));
+        m.admit(from_p10);
         m.rounds = 3;
         m.round_latency.record_us(250);
-        m.link_mut(ProcessId(0), ProcessId(1)).sent = 4;
-        m.link_mut(ProcessId(0), ProcessId(1)).dropped = 1;
         m.recovery.crash_restarts = 2;
         m.recovery.replayed_records = 17;
         m.recovery.refused_equivocations = 1;
         let json = serde_json::to_string(&m).unwrap();
+        assert!(json.contains(r#""p0->p1":{"#) && json.contains(r#""p10->p2":{"#), "{json}");
         let back: Metrics = serde_json::from_str(&json).unwrap();
         assert_eq!(back.correct, m.correct);
         assert_eq!(back.recovery, m.recovery);
@@ -720,5 +898,6 @@ mod serde_tests {
         assert_eq!(back.by_component.get("bb/vetting"), m.by_component.get("bb/vetting"));
         assert_eq!(back.round_latency, m.round_latency);
         assert_eq!(back.per_link, m.per_link);
+        assert_eq!(back.link(ProcessId(10), ProcessId(2)).delivered, 1);
     }
 }

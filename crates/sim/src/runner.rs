@@ -13,7 +13,7 @@
 
 use crate::actor::{Actor, Dest, Envelope, RoundCtx};
 use crate::faults::{Link, LinkFate, LinkPolicy};
-use crate::metrics::Metrics;
+use crate::metrics::{targets, MessageCost, Metrics};
 use crate::round::Round;
 use meba_crypto::ProcessId;
 use std::any::Any;
@@ -247,7 +247,6 @@ impl<M: crate::actor::Message> Simulation<M> {
         // Fault-delayed messages surface at the start of their due round.
         if let Some(due) = self.delayed.remove(&round.as_u64()) {
             for (to, env) in due {
-                self.metrics.link_mut(env.from, ProcessId(to as u32)).delivered += 1;
                 self.inboxes[to].push(env);
             }
         }
@@ -262,6 +261,7 @@ impl<M: crate::actor::Message> Simulation<M> {
             if self.crash_at[i].is_some_and(|r| round.as_u64() >= r) {
                 continue; // network-level crash: silent from its crash round
             }
+            self.admit(i, &inboxes[i]);
             let mut ctx = RoundCtx::new(round, ProcessId(i as u32), n, &inboxes[i]);
             self.actors[i].on_round(&mut ctx);
             let out = ctx.take_outbox();
@@ -275,6 +275,7 @@ impl<M: crate::actor::Message> Simulation<M> {
             let next_round_so_far = std::mem::take(&mut self.inboxes[i]);
             let mut view: Vec<Envelope<M>> = inboxes[i].clone();
             view.append(&mut rushed[i]);
+            self.admit(i, &view);
             let mut ctx = RoundCtx::new(round, ProcessId(i as u32), n, &view);
             self.actors[i].on_round(&mut ctx);
             let out = ctx.take_outbox();
@@ -288,53 +289,54 @@ impl<M: crate::actor::Message> Simulation<M> {
         self.metrics.rounds = self.round.as_u64();
     }
 
+    /// Bills the inbox process `to` is about to consume as delivered —
+    /// where a round drains it, as on the engine backends, so a
+    /// `crash_at`-silenced receiver admits nothing. Link accounting is
+    /// only kept while a policy is installed.
+    fn admit(&mut self, to: usize, inbox: &[Envelope<M>]) {
+        if self.link_policy.is_none() {
+            return;
+        }
+        let to = ProcessId(to as u32);
+        for env in inbox.iter().filter(|env| env.from != to) {
+            self.metrics.admit(Link { from: env.from, to });
+        }
+    }
+
     fn dispatch(&mut self, from: usize, out: Vec<(Dest, M)>, rushed: &mut [Vec<Envelope<M>>]) {
         let n = self.actors.len();
         let sender = ProcessId(from as u32);
         let sender_correct = !self.corrupt[from];
+        let round = self.round.as_u64();
         for (dest, msg) in out {
-            let words = msg.words().max(1);
-            let sigs = msg.constituent_sigs();
-            let bytes = msg.wire_bytes();
-            let component = msg.component();
-            let session = msg.session();
-            match dest {
-                Dest::To(p) => {
-                    if p.index() >= n {
-                        continue; // ill-formed destination from a Byzantine actor
-                    }
-                    if p != sender {
-                        self.metrics.record(
-                            sender,
-                            sender_correct,
-                            component,
-                            session,
-                            self.round.as_u64(),
-                            words,
-                            sigs,
-                            bytes,
-                        );
-                        self.record_trace(sender, sender_correct, p, component, words);
-                    }
-                    self.deliver(sender, sender_correct, p, msg, rushed);
+            let cost = MessageCost::of(&msg);
+            for to in targets(dest, n) {
+                let env = || Envelope { from: sender, msg: msg.clone() };
+                if to == sender {
+                    // Self-delivery is process memory, not a link: never
+                    // faulted, never billed.
+                    self.inboxes[from].push(env());
+                    continue;
                 }
-                Dest::All => {
-                    for q in 0..n {
-                        let p = ProcessId(q as u32);
-                        if p != sender {
-                            self.metrics.record(
-                                sender,
-                                sender_correct,
-                                component,
-                                session,
-                                self.round.as_u64(),
-                                words,
-                                sigs,
-                                bytes,
-                            );
-                            self.record_trace(sender, sender_correct, p, component, words);
-                        }
-                        self.deliver(sender, sender_correct, p, msg.clone(), rushed);
+                let link = Link { from: sender, to };
+                let fate = self.link_policy.as_mut().map(|p| p.fate(link, round));
+                self.metrics.bill(link, sender_correct, round, &cost, fate);
+                self.record_trace(sender, sender_correct, to, cost.component, cost.words);
+                match fate.unwrap_or(LinkFate::Deliver) {
+                    // Rushing: corrupt recipients of correct traffic see
+                    // it this round (wave 2) instead of the next.
+                    LinkFate::Deliver
+                        if self.rushing && self.corrupt[to.index()] && sender_correct =>
+                    {
+                        rushed[to.index()].push(env())
+                    }
+                    LinkFate::Deliver => self.inboxes[to.index()].push(env()),
+                    // No connection to tear down here: a sever is a drop.
+                    LinkFate::Drop | LinkFate::Sever => {}
+                    LinkFate::DelayRounds(k) => {
+                        // A delay past the end of time is never released.
+                        let due = round.saturating_add(1).saturating_add(k);
+                        self.delayed.entry(due).or_default().push((to.index(), env()));
                     }
                 }
             }
@@ -359,50 +361,6 @@ impl<M: crate::actor::Message> Simulation<M> {
                 words,
                 sender_correct,
             });
-        }
-    }
-
-    fn deliver(
-        &mut self,
-        from: ProcessId,
-        from_correct: bool,
-        to: ProcessId,
-        msg: M,
-        rushed: &mut [Vec<Envelope<M>>],
-    ) {
-        let env = Envelope { from, msg };
-        // Self-delivery is process memory, not a link: never faulted, never
-        // counted in per-link stats.
-        if from != to {
-            if let Some(policy) = &mut self.link_policy {
-                let fate = policy.fate(Link { from, to }, self.round.as_u64());
-                let bytes = env.msg.wire_bytes();
-                let stats = self.metrics.link_mut(from, to);
-                stats.sent += 1;
-                stats.bytes += bytes;
-                match fate {
-                    LinkFate::Deliver => stats.delivered += 1,
-                    // No connection to tear down here: a sever is a drop.
-                    LinkFate::Drop | LinkFate::Sever => {
-                        stats.dropped += 1;
-                        return;
-                    }
-                    LinkFate::DelayRounds(k) => {
-                        stats.delayed += 1;
-                        // A delay past the end of time is never released.
-                        let due = self.round.as_u64().saturating_add(1).saturating_add(k);
-                        self.delayed.entry(due).or_default().push((to.index(), env));
-                        return;
-                    }
-                }
-            }
-        }
-        if self.rushing && self.corrupt[to.index()] && from_correct {
-            // Rushing: corrupt recipients of correct traffic see it this
-            // round (wave 2) instead of the next.
-            rushed[to.index()].push(env);
-        } else {
-            self.inboxes[to.index()].push(env);
         }
     }
 
@@ -643,6 +601,24 @@ mod tests {
         // Words still count the sends: drops do not reduce the paper's
         // sent-word complexity.
         assert_eq!(m.correct.words, 12);
+    }
+
+    #[test]
+    fn delivered_is_billed_where_a_round_consumes_the_inbox() {
+        let mut sim = SimBuilder::new(chatters(3))
+            .link_policy(Box::new(crate::faults::ReliableLinks))
+            .crash_at(ProcessId(2), 1)
+            .build();
+        sim.step();
+        let m = sim.metrics();
+        assert_eq!(m.link(ProcessId(0), ProcessId(1)).sent, 1);
+        assert_eq!(m.per_link.values().map(|l| l.delivered).sum::<u64>(), 0, "sent, not drained");
+        sim.step();
+        let m = sim.metrics();
+        assert_eq!(m.link(ProcessId(0), ProcessId(1)).delivered, 1);
+        assert_eq!(m.link(ProcessId(2), ProcessId(0)).delivered, 1);
+        // p2 is silenced from round 1 on: it drains nothing.
+        assert_eq!(m.link(ProcessId(0), ProcessId(2)).delivered, 0);
     }
 
     #[test]

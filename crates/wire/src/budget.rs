@@ -12,6 +12,7 @@
 //! accountings can never drift apart silently.
 
 use meba_crypto::WireCodec;
+use meba_sim::metrics::MessageCost;
 use meba_sim::Message;
 
 /// Upper bound on the canonical encoding of any protocol message, in
@@ -27,8 +28,8 @@ pub const BYTES_PER_WORD: u64 = 128;
 /// The outcome of checking one message against the budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BudgetCheck {
-    /// Model-level cost ([`Message::words`]), floored at 1 as the
-    /// runtimes do.
+    /// Model-level cost as the runtimes bill it ([`MessageCost::words`]:
+    /// [`Message::words`], floored at 1).
     pub words: u64,
     /// Canonical encoding length ([`WireCodec::wire_len`]).
     pub bytes: u64,
@@ -48,7 +49,7 @@ impl BudgetCheck {
 
 /// Measures `msg` against the byte budget.
 pub fn check<M: Message + WireCodec>(msg: &M) -> BudgetCheck {
-    BudgetCheck { words: msg.words().max(1), bytes: msg.wire_len() }
+    BudgetCheck { words: MessageCost::of(msg).words, bytes: msg.wire_len() }
 }
 
 /// Panics (with the message's debug form) unless `msg` encodes within

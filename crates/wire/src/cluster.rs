@@ -37,7 +37,6 @@ use meba_engine::{
     RoundDriver, RoundDriverConfig, RoundState, Transport,
 };
 use meba_sim::{AnyActor, Message, Metrics};
-use parking_lot::Mutex;
 use std::borrow::Borrow;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::Ordering;
@@ -360,7 +359,7 @@ pub fn drive_mesh<M: Message + WireCodec>(
 ) -> (u64, Metrics) {
     let n = mesh.n();
     cfg.driver.validate(n).expect("invalid round driver configuration");
-    let metrics = Mutex::new(Metrics::default());
+    let mut metrics = Metrics::default();
     let mut transport = MeshTransport::new(mesh);
     let mut state = RoundState::new();
     let pacer = DeadlinePacer::new(Instant::now(), cfg.delta);
@@ -372,10 +371,18 @@ pub fn drive_mesh<M: Message + WireCodec>(
             state.ready_senders(actor.id(), round, &mut transport)
         });
         if round >= 1 {
-            cause.record(&mut metrics.lock().advance);
+            cause.record(&mut metrics.advance);
         }
-        let outcome =
-            run_live_round(actor, &mut transport, &mut state, &mut None, round, n, true, &metrics);
+        let outcome = run_live_round(
+            actor,
+            &mut transport,
+            &mut state,
+            &mut None,
+            round,
+            n,
+            true,
+            &mut metrics,
+        );
         driver.observe(outcome.late_admitted);
         let done = outcome.done;
         round += 1;
@@ -388,7 +395,6 @@ pub fn drive_mesh<M: Message + WireCodec>(
             linger = cfg.linger_rounds;
         }
     }
-    let mut metrics = metrics.into_inner();
     metrics.rounds = round;
     (round, metrics)
 }

@@ -6,11 +6,14 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
-echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / outputs) =="
-! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b' -- crates src tests examples README.md docs || exit 1
+echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / outputs; one ledger: Metrics is plain data billed through Metrics::bill) =="
+! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b' -- crates src tests examples README.md docs || exit 1
 
 echo "== one certificate site (ShareCollector carries the only \"verified shares combine\") =="
 test "$(git grep -n 'verified shares combine' -- 'crates/*/src/*' | wc -l)" -eq 1
+
+echo "== one billing site (MessageCost::of carries the only 1-word floor; every backend bills through it) =="
+test "$(git grep -n 'words().max(1)' -- 'crates/*/src/*' | wc -l)" -eq 1
 
 echo "== one cluster builder (meba-bench builds every cluster through meba-testkit) =="
 ! git grep -n 'SimBuilder::new' -- crates/bench || exit 1
