@@ -14,10 +14,9 @@
 use crate::config::SystemConfig;
 use crate::value::Value;
 use meba_crypto::{
-    DecodeError, Decoder, Encoder, Pki, ProcessId, SignContext, Signable, Signature,
-    ThresholdSignature, WireCodec,
+    Combiner, CryptoError, DecodeError, Decoder, Encoder, Pki, ProcessId, SignContext, Signable,
+    Signature, ThresholdSignature, WireCodec,
 };
-use std::collections::BTreeMap;
 
 /// Builds an equivocation context (see [`SignContext`]): the domain tag
 /// plus the slot-identifying fields, excluding the value being signed.
@@ -284,44 +283,37 @@ impl DecideProof {
 /// guards (phase, value, scope) and decide what to do with the result.
 #[derive(Debug)]
 pub struct ShareCollector {
-    pki: Pki,
-    preimage: Vec<u8>,
-    threshold: usize,
-    shares: BTreeMap<ProcessId, Signature>,
+    combiner: Combiner,
 }
 
 impl ShareCollector {
     /// A collector for `threshold` shares on `payload`.
+    ///
+    /// # Panics
+    ///
+    /// If `threshold` is not in `1..=n`: no certificate of this system has
+    /// such a threshold.
     pub fn new(pki: &Pki, payload: &impl Signable, threshold: usize) -> Self {
-        ShareCollector {
-            pki: pki.clone(),
-            preimage: payload.signing_bytes(),
-            threshold,
-            shares: BTreeMap::new(),
-        }
+        let combiner = payload
+            .with_signing_bytes(|preimage| pki.combiner(threshold, preimage))
+            .expect("certificate threshold is within 1..=n");
+        ShareCollector { combiner }
     }
 
     /// Admits `sig` iff it is `from`'s own share (a relayed signature
-    /// does not count for its relayer) and it verifies over the payload.
-    /// Returns whether it was admissible; a signer counts once however
-    /// often it is offered.
+    /// does not count for its relayer) and it verifies over the payload —
+    /// the one verification it gets: the certificate is minted from the
+    /// admitted signers without a second pass. Returns whether it was
+    /// admissible; a signer counts once however often it is offered.
     pub fn offer(&mut self, from: ProcessId, sig: &Signature) -> bool {
-        let admissible = sig.signer() == from && self.pki.verify(&self.preimage, sig).is_ok();
-        if admissible {
-            self.shares.insert(from, sig.clone());
-        }
-        admissible
+        sig.signer() == from
+            && matches!(self.combiner.offer(sig), Ok(()) | Err(CryptoError::DuplicateSigner { .. }))
     }
 
     /// The certificate, once at least `threshold` distinct signers were
     /// admitted.
     pub fn certificate(self) -> Option<ThresholdSignature> {
-        (self.shares.len() >= self.threshold).then(|| {
-            let shares: Vec<Signature> = self.shares.into_values().collect();
-            self.pki
-                .combine(self.threshold, &self.preimage, &shares)
-                .expect("verified shares combine")
-        })
+        self.combiner.finish().ok()
     }
 }
 
@@ -340,6 +332,7 @@ mod tests {
     use super::*;
     use meba_crypto::trusted_setup;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn cfg() -> SystemConfig {
         SystemConfig::new(7, 99).unwrap()
@@ -422,38 +415,93 @@ mod tests {
         assert!(shares.certificate().is_none(), "but p2 counts once: 1 < 2");
     }
 
+    /// `Pki::combine` as it was before the combiner existed — verify each
+    /// share, then reject a repeated signer, then count — kept here as the
+    /// reference the differential test compares against. `Ok` says a
+    /// certificate would be minted.
+    fn reference_combine(
+        pki: &Pki,
+        k: usize,
+        msg: &[u8],
+        shares: &[Signature],
+    ) -> Result<(), CryptoError> {
+        if k == 0 || k > pki.n() {
+            return Err(CryptoError::BadThreshold { k, n: pki.n() });
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for s in shares {
+            pki.verify(msg, s)?;
+            if !seen.insert(s.signer()) {
+                return Err(CryptoError::DuplicateSigner { signer: s.signer() });
+            }
+        }
+        if seen.len() < k {
+            return Err(CryptoError::InsufficientShares { needed: k, got: seen.len() });
+        }
+        Ok(())
+    }
+
     proptest! {
-        // Whatever is offered, in whatever order and however often: a
+        // Whatever is offered, in whatever order and however often —
+        // valid shares, repeats, shares on another message, shares relayed
+        // by someone else, shares of a signer outside the system:
+        // `Pki::combine` and a `Combiner` fed one share at a time fail
+        // where the reference fails, with the same error; and the
+        // collector admits exactly the senders' own valid shares, its
         // certificate exists iff `threshold` distinct signers were
-        // admitted, it verifies, and it is what `Pki::combine` makes of
-        // the same share set (surplus shares included).
+        // admitted, verifies, and is what `Pki::combine` makes of one
+        // share per admitted signer.
         #[test]
-        fn collector_is_combine_over_the_distinct_admitted_shares(
+        fn collector_and_combiner_are_the_reference_combine(
             threshold in 1usize..=7,
-            offers in proptest::collection::vec(0usize..7, 0..20),
+            // One draw per offer: kind (5) x signer (7) x relay shift (6).
+            offers in proptest::collection::vec(0usize..5 * 7 * 6, 0..20),
         ) {
             let cfg = cfg();
             let (pki, keys) = trusted_setup(cfg.n(), 5);
+            let (_, outside) = trusted_setup(2 * cfg.n(), 5);
             let value = 3u64;
             let payload = VoteSig { session: cfg.session(), value: &value, level: 1 };
+            let other = VoteSig { session: cfg.session(), value: &value, level: 2 };
+            let msg = payload.signing_bytes();
+
+            // (claimed sender, share, whether the collector should admit it)
+            let offers: Vec<(ProcessId, Signature, bool)> = offers
+                .into_iter()
+                .map(|x| (x % 5, x / 5 % 7, 1 + x / 35))
+                .map(|(kind, i, shift)| match kind {
+                    0 | 1 => (keys[i].id(), sign_payload(&keys[i], &payload), true),
+                    2 => (keys[i].id(), sign_payload(&keys[i], &other), false),
+                    3 => (keys[(i + shift) % 7].id(), sign_payload(&keys[i], &payload), false),
+                    _ => (outside[7 + i].id(), sign_payload(&outside[7 + i], &payload), false),
+                })
+                .collect();
+            let shares: Vec<Signature> = offers.iter().map(|(_, sig, _)| sig.clone()).collect();
+
+            let reference = reference_combine(&pki, threshold, &msg, &shares);
+            let combined = pki.combine(threshold, &msg, &shares);
+            prop_assert_eq!(combined.as_ref().map(|_| ()), reference.as_ref().map(|_| ()));
+            let mut combiner = pki.combiner(threshold, &msg).unwrap();
+            let stepwise = shares.iter().try_for_each(|s| combiner.offer(s));
+            let stepwise = stepwise.and_then(|()| combiner.finish());
+            prop_assert_eq!(&stepwise, &combined);
+
             let mut collector = ShareCollector::new(&pki, &payload, threshold);
             let mut admitted = BTreeMap::new();
-            for i in offers {
-                let sig = sign_payload(&keys[i], &payload);
-                prop_assert!(collector.offer(keys[i].id(), &sig));
-                admitted.insert(i, sig);
+            for (from, sig, admissible) in offers {
+                prop_assert_eq!(collector.offer(from, &sig), admissible);
+                if admissible {
+                    admitted.insert(from, sig);
+                }
             }
-            let shares: Vec<Signature> = admitted.into_values().collect();
+            let distinct: Vec<Signature> = admitted.into_values().collect();
             match collector.certificate() {
-                None => prop_assert!(shares.len() < threshold),
+                None => prop_assert!(distinct.len() < threshold),
                 Some(qc) => {
-                    prop_assert!(shares.len() >= threshold);
+                    prop_assert!(distinct.len() >= threshold);
                     prop_assert_eq!(qc.threshold(), threshold);
-                    prop_assert!(
-                        pki.verify_threshold(&payload.signing_bytes(), &qc).is_ok()
-                    );
-                    let direct = pki.combine(threshold, &payload.signing_bytes(), &shares);
-                    prop_assert_eq!(qc, direct.unwrap());
+                    prop_assert!(pki.verify_threshold(&msg, &qc).is_ok());
+                    prop_assert_eq!(qc, pki.combine(threshold, &msg, &distinct).unwrap());
                 }
             }
         }

@@ -535,12 +535,21 @@ where
         }
     }
 
+    /// Whether `qc` is a `t+1` help-request certificate. Every process
+    /// re-broadcasts the same certificate bytes, and the verdict is a
+    /// function of those bytes: one byte-equal to the `fallback_cert` this
+    /// process already holds is valid without a second `verify_threshold`;
+    /// anything else is verified.
     fn fallback_qc_valid(&self, qc: &ThresholdSignature) -> bool {
-        qc.threshold() == self.cfg.idk_threshold()
-            && self
-                .pki
-                .verify_threshold(&HelpReqSig { session: self.cfg.session() }.signing_bytes(), qc)
-                .is_ok()
+        self.fallback_cert.as_ref() == Some(qc)
+            || (qc.threshold() == self.cfg.idk_threshold()
+                && self
+                    .pki
+                    .verify_threshold(
+                        &HelpReqSig { session: self.cfg.session() }.signing_bytes(),
+                        qc,
+                    )
+                    .is_ok())
     }
 
     /// Handle a fallback certificate (Alg 3 lines 16–23): adopt attached

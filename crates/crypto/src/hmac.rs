@@ -37,7 +37,9 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK],
+    /// The outer hash with `key ^ opad` already absorbed, so a clone of a
+    /// primed MAC pays one outer compression in `finalize`, not two.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -59,7 +61,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 { inner, opad_key: opad }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -70,8 +74,7 @@ impl HmacSha256 {
     /// Produces the 32-byte tag.
     pub fn finalize(self) -> [u8; 32] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(inner_digest.as_bytes());
         *outer.finalize().as_bytes()
     }

@@ -48,7 +48,9 @@ pub use encoding::{with_scratch_encoder, Decoder, Encoder, Signable, WireCodec};
 pub use error::{CryptoError, DecodeError};
 pub use guard::{EquivocationError, GuardedKey, SignContext, SignRegistry};
 pub use ids::ProcessId;
-pub use pki::{trusted_setup, AggregateSignature, Pki, SecretKey, Signature, ThresholdSignature};
+pub use pki::{
+    trusted_setup, AggregateSignature, Combiner, Pki, SecretKey, Signature, ThresholdSignature,
+};
 pub use sha256::Digest;
 pub use words::WordCost;
 

@@ -10,6 +10,11 @@
 //!   relevant secret keys and call the signing/combining API. A Byzantine
 //!   process in the simulation therefore cannot forge a certificate it
 //!   could not forge under an ideal scheme.
+//! * A threshold certificate is minted in one place, [`Combiner::finish`],
+//!   from `k` distinct signers whose shares each passed [`Pki::verify`]
+//!   when they were offered; [`Pki::combine`] is the loop over a
+//!   [`Combiner`]. A decoded certificate is inert until
+//!   [`Pki::verify_threshold`] accepts it.
 //! * Tags are HMAC-SHA256 under per-process keys derived from a master
 //!   secret held by the [`Pki`] verification handle, which exposes no key
 //!   material.
@@ -24,6 +29,7 @@ use crate::error::{CryptoError, DecodeError};
 use crate::hmac::{ct_eq, hmac_sha256, HmacSha256};
 use crate::ids::ProcessId;
 use crate::sha256::Digest;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -33,6 +39,20 @@ const DOM_SIGN: &[u8] = b"meba/sig/v1";
 const DOM_THRESH: &[u8] = b"meba/thresh/v1";
 const DOM_AGG: &[u8] = b"meba/agg/v1";
 const DOM_SK: &[u8] = b"meba/sk/v1";
+
+thread_local! {
+    static SHARE_VERIFIES: Cell<u64> = const { Cell::new(0) };
+    static CERT_VERIFIES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How often the calling thread has run `(Pki::verify,
+/// Pki::verify_threshold)`, under any `Pki`. Test instrumentation for
+/// "nothing is verified twice" assertions — difference two readings taken
+/// around the code under test; it is not part of any run's `Metrics`.
+#[doc(hidden)]
+pub fn verify_calls() -> (u64, u64) {
+    (SHARE_VERIFIES.get(), CERT_VERIFIES.get())
+}
 
 /// Runs the trusted setup: generates a PKI for `n` processes and the
 /// per-process secret keys.
@@ -57,28 +77,34 @@ pub fn trusted_setup(n: usize, seed: u64) -> (Pki, Vec<SecretKey>) {
     // sign/verify afterwards clones a primed MAC state instead of
     // re-deriving the per-signer secret and re-running key setup. The
     // resulting tags are byte-identical to the unprimed construction.
-    let sig_macs = ProcessId::all(n)
+    let primed = |domain: &[u8]| {
+        let mut mac = HmacSha256::new(&master);
+        mac.update(domain);
+        mac
+    };
+    let sk_mac = primed(DOM_SK);
+    // One secret and one key set-up per process: the verifier's primed
+    // MAC is what the process's `SecretKey` signs with.
+    let sig_macs: Vec<HmacSha256> = ProcessId::all(n)
         .map(|id| {
-            let mut mac = HmacSha256::new(&derive_secret(&master, id));
+            let mut secret = sk_mac.clone();
+            secret.update(&id.0.to_be_bytes());
+            let mut mac = HmacSha256::new(&secret.finalize());
             mac.update(DOM_SIGN);
             mac
         })
         .collect();
-    let mut thresh_mac = HmacSha256::new(&master);
-    thresh_mac.update(DOM_THRESH);
-    let mut agg_mac = HmacSha256::new(&master);
-    agg_mac.update(DOM_AGG);
-    let inner = Arc::new(PkiInner { n, sig_macs, thresh_mac, agg_mac });
-    let pki = Pki { inner };
-    let keys = ProcessId::all(n).map(|id| SecretKey::new(id, derive_secret(&master, id))).collect();
-    (pki, keys)
-}
-
-fn derive_secret(master: &[u8; 32], id: ProcessId) -> [u8; 32] {
-    let mut mac = HmacSha256::new(master);
-    mac.update(DOM_SK);
-    mac.update(&id.0.to_be_bytes());
-    mac.finalize()
+    let keys = ProcessId::all(n)
+        .zip(&sig_macs)
+        .map(|(id, primed)| SecretKey { id, primed: primed.clone() })
+        .collect();
+    let inner = Arc::new(PkiInner {
+        n,
+        sig_macs,
+        thresh_mac: primed(DOM_THRESH),
+        agg_mac: primed(DOM_AGG),
+    });
+    (Pki { inner }, keys)
 }
 
 struct PkiInner {
@@ -135,6 +161,7 @@ impl Pki {
     /// [`CryptoError::UnknownSigner`] if the claimed signer is outside the
     /// system, [`CryptoError::BadSignature`] if the tag does not verify.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), CryptoError> {
+        SHARE_VERIFIES.set(SHARE_VERIFIES.get() + 1);
         self.check_signer(sig.signer)?;
         if ct_eq(&self.sig_tag(sig.signer, msg), &sig.tag) {
             Ok(())
@@ -181,21 +208,42 @@ impl Pki {
         msg: &[u8],
         shares: &[Signature],
     ) -> Result<ThresholdSignature, CryptoError> {
+        let mut combiner = self.combiner(k, msg)?;
+        for s in shares {
+            combiner.offer(s)?;
+        }
+        combiner.finish()
+    }
+
+    /// Starts a `(k, n)` certificate on `msg` whose shares arrive one at
+    /// a time: [`Combiner::offer`] verifies and admits a share,
+    /// [`Combiner::finish`] mints the certificate. [`Pki::combine`] is the
+    /// loop over it, so a share is verified exactly once either way.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::BadThreshold`] — `k == 0` or `k > n`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use meba_crypto::pki::trusted_setup;
+    ///
+    /// let (pki, keys) = trusted_setup(5, 1);
+    /// let mut combiner = pki.combiner(2, b"v")?;
+    /// assert!(combiner.offer(&keys[0].sign(b"w")).is_err());
+    /// combiner.offer(&keys[0].sign(b"v"))?;
+    /// combiner.offer(&keys[3].sign(b"v"))?;
+    /// // The certificate does not depend on which `k` signers formed it.
+    /// let others = [keys[1].sign(b"v"), keys[2].sign(b"v")];
+    /// assert_eq!(combiner.finish()?, pki.combine(2, b"v", &others)?);
+    /// # Ok::<(), meba_crypto::CryptoError>(())
+    /// ```
+    pub fn combiner(&self, k: usize, msg: &[u8]) -> Result<Combiner, CryptoError> {
         if k == 0 || k > self.inner.n {
             return Err(CryptoError::BadThreshold { k, n: self.inner.n });
         }
-        let mut seen = BTreeSet::new();
-        for s in shares {
-            self.verify(msg, s)?;
-            if !seen.insert(s.signer) {
-                return Err(CryptoError::DuplicateSigner { signer: s.signer });
-            }
-        }
-        if seen.len() < k {
-            return Err(CryptoError::InsufficientShares { needed: k, got: seen.len() });
-        }
-        let digest = Digest::of(msg);
-        Ok(ThresholdSignature { threshold: k, digest, tag: self.thresh_tag(k, &digest) })
+        Ok(Combiner { pki: self.clone(), k, msg: msg.to_vec(), signers: BTreeSet::new() })
     }
 
     /// Verifies that `ts` certifies `msg` under its `(k, n)` scheme.
@@ -205,6 +253,7 @@ impl Pki {
     /// [`CryptoError::MessageMismatch`] if the certificate was issued for a
     /// different message or its tag does not verify.
     pub fn verify_threshold(&self, msg: &[u8], ts: &ThresholdSignature) -> Result<(), CryptoError> {
+        CERT_VERIFIES.set(CERT_VERIFIES.get() + 1);
         let digest = Digest::of(msg);
         if digest == ts.digest && ct_eq(&self.thresh_tag(ts.threshold, &digest), &ts.tag) {
             Ok(())
@@ -301,6 +350,55 @@ impl Pki {
     }
 }
 
+/// A `(k, n)` threshold certificate in formation ([`Pki::combiner`]).
+///
+/// Holds the signers whose shares verified, never an unverified share, so
+/// [`Combiner::finish`] has nothing left to check but the count.
+#[derive(Debug)]
+pub struct Combiner {
+    pki: Pki,
+    k: usize,
+    msg: Vec<u8>,
+    signers: BTreeSet<ProcessId>,
+}
+
+impl Combiner {
+    /// Verifies `share` over the message and counts its signer.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::UnknownSigner`] / [`CryptoError::BadSignature`] if the
+    /// share does not verify; otherwise [`CryptoError::DuplicateSigner`] if
+    /// its signer already counts. A rejected share changes nothing.
+    pub fn offer(&mut self, share: &Signature) -> Result<(), CryptoError> {
+        self.pki.verify(&self.msg, share)?;
+        if !self.signers.insert(share.signer) {
+            return Err(CryptoError::DuplicateSigner { signer: share.signer });
+        }
+        Ok(())
+    }
+
+    /// Mints the certificate.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::InsufficientShares`] — fewer than `k` signers admitted.
+    pub fn finish(self) -> Result<ThresholdSignature, CryptoError> {
+        if self.signers.len() < self.k {
+            return Err(CryptoError::InsufficientShares {
+                needed: self.k,
+                got: self.signers.len(),
+            });
+        }
+        let digest = Digest::of(&self.msg);
+        Ok(ThresholdSignature {
+            threshold: self.k,
+            digest,
+            tag: self.pki.thresh_tag(self.k, &digest),
+        })
+    }
+}
+
 /// Signing key of a single process.
 ///
 /// Only the trusted setup can create one; the harness hands each process
@@ -320,12 +418,6 @@ impl fmt::Debug for SecretKey {
 }
 
 impl SecretKey {
-    fn new(id: ProcessId, key: [u8; 32]) -> Self {
-        let mut primed = HmacSha256::new(&key);
-        primed.update(DOM_SIGN);
-        SecretKey { id, primed }
-    }
-
     /// The identity this key signs for.
     pub fn id(&self) -> ProcessId {
         self.id
@@ -588,6 +680,51 @@ mod tests {
         assert_eq!(s1, s2);
         assert!(pki1.verify(b"x", &s2).is_ok());
         assert!(pki2.verify(b"x", &s1).is_ok());
+    }
+
+    #[test]
+    fn tags_match_an_independent_hmac() {
+        // Computed outside this crate (Python `hmac` / `hashlib`) from the
+        // construction in the module docs: neither the outer-midstate MAC
+        // nor the single key derivation may move a tag.
+        fn hex(tag: &[u8; 32]) -> String {
+            tag.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let (pki, keys) = setup(5);
+        assert_eq!(
+            hex(&keys[2].sign(b"v").tag),
+            "0cba582be6f4b91e997d99651b257a4a64fff7dfaa67323fa9cfeba3bba864a9"
+        );
+        let shares: Vec<_> = keys.iter().take(3).map(|k| k.sign(b"v")).collect();
+        assert_eq!(
+            hex(&pki.combine(3, b"v", &shares).unwrap().tag),
+            "e7a5d9fc8ccbc0650837e8c494e4b701c591a0b842e51d16a4ba0192c8d31ef2"
+        );
+    }
+
+    #[test]
+    fn combiner_counts_only_verified_distinct_signers() {
+        let (pki, keys) = setup(5);
+        let (_, outside) = trusted_setup(8, 0xfeed);
+        let mut combiner = pki.combiner(3, b"v").unwrap();
+        assert_eq!(
+            combiner.offer(&keys[0].sign(b"w")),
+            Err(CryptoError::BadSignature { signer: ProcessId(0) })
+        );
+        assert_eq!(
+            combiner.offer(&outside[6].sign(b"v")),
+            Err(CryptoError::UnknownSigner { signer: ProcessId(6) })
+        );
+        combiner.offer(&keys[0].sign(b"v")).unwrap();
+        assert_eq!(
+            combiner.offer(&keys[0].sign(b"v")),
+            Err(CryptoError::DuplicateSigner { signer: ProcessId(0) })
+        );
+        combiner.offer(&keys[1].sign(b"v")).unwrap();
+        // Five offers, two signers admitted: a rejected share never counts.
+        assert_eq!(combiner.finish(), Err(CryptoError::InsufficientShares { needed: 3, got: 2 }));
+        assert!(matches!(pki.combiner(0, b"v"), Err(CryptoError::BadThreshold { .. })));
+        assert!(matches!(pki.combiner(6, b"v"), Err(CryptoError::BadThreshold { .. })));
     }
 
     #[test]

@@ -107,32 +107,23 @@ impl Sha256 {
     /// Finishes the hash and returns the digest, consuming the hasher.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_padding(&[0]);
+        // Padding: 0x80, zeros, 64-bit big-endian length. `update` leaves
+        // `buf_len < 64`, so the 0x80 always fits; the length spills into
+        // a second block when fewer than 8 bytes remain after it.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
-    }
-
-    /// Like `update` but does not advance `total_len` (padding bytes are not
-    /// part of the message length).
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buf[self.buf_len] = b;
-            self.buf_len += 1;
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -274,13 +265,18 @@ mod tests {
     }
 
     #[test]
-    fn nist_448_bit_boundary() {
-        // Exactly 56 bytes: padding spills into a second block.
-        let msg = [b'a'; 56];
-        let mut h = Sha256::new();
-        h.update(&msg);
-        let d = h.finalize();
-        assert_eq!(d, Digest::of(&msg));
+    fn padding_boundaries() {
+        // 55 bytes is the longest message whose padding fits its block;
+        // from 56 the length spills into a second one; 64 leaves the
+        // buffer empty.
+        for (len, hex) in [
+            (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"),
+            (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"),
+            (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"),
+            (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"),
+        ] {
+            assert_eq!(Digest::of(&vec![b'a'; len]).to_hex(), hex, "{len} bytes");
+        }
     }
 
     #[test]

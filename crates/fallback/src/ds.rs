@@ -297,7 +297,7 @@ impl<V: meba_core::Value> IcInstance<V> {
                 }
             }
         }
-        if k == self.rounds + 1 - 1 {
+        if k == self.rounds {
             // Outputs are final after the last DS round (k == rounds).
             let mut counts: BTreeMap<V, usize> = BTreeMap::new();
             for core in self.cores.values() {

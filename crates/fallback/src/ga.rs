@@ -39,7 +39,7 @@ use crate::messages::{GaInputSig, GaVoteSig, RecBaMsg};
 use meba_core::signing::ShareCollector;
 use meba_core::Value;
 use meba_crypto::{Pki, ProcessId, SecretKey, Signable, Signature, ThresholdSignature};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Number of steps a graded agreement occupies.
 pub const GA_STEPS: u64 = 5;
@@ -57,7 +57,7 @@ pub struct GaInstance<V> {
     c1_seen: BTreeMap<V, ThresholdSignature>,
     conflicted: bool,
     tentative2: Option<V>,
-    c2_seen: BTreeSet<V>,
+    c2_seen: BTreeMap<V, ThresholdSignature>,
     result: Option<(V, u8)>,
 }
 
@@ -83,7 +83,7 @@ impl<V: Value> GaInstance<V> {
             c1_seen: BTreeMap::new(),
             conflicted: false,
             tentative2: None,
-            c2_seen: BTreeSet::new(),
+            c2_seen: BTreeMap::new(),
             result: None,
         }
     }
@@ -101,9 +101,24 @@ impl<V: Value> GaInstance<V> {
         GaVoteSig { session: self.session, inst: self.inst, value }
     }
 
+    /// Whether `cert` certifies `payload` at this scope's majority. Every
+    /// member sends the same certificate bytes, and the verdict is a
+    /// function of `(payload, bytes)`: one byte-equal to a certificate this
+    /// instance already `accepted` for the same value is valid without a
+    /// second `verify_threshold`; anything else is verified.
+    fn cert_valid(
+        &self,
+        accepted: Option<&ThresholdSignature>,
+        payload: &impl Signable,
+        cert: &ThresholdSignature,
+    ) -> bool {
+        accepted == Some(cert)
+            || (cert.threshold() == self.thr
+                && payload.with_signing_bytes(|b| self.pki.verify_threshold(b, cert)).is_ok())
+    }
+
     fn c1_valid(&self, value: &V, c1: &ThresholdSignature) -> bool {
-        c1.threshold() == self.thr
-            && self.pki.verify_threshold(&self.input_payload(value).signing_bytes(), c1).is_ok()
+        self.cert_valid(self.c1_seen.get(value), &self.input_payload(value), c1)
     }
 
     /// Adds a scope member's share on `value` to that value's collector.
@@ -197,9 +212,8 @@ impl<V: Value> GaInstance<V> {
                 }
             }
             3 => {
-                let msgs: Vec<RecBaMsg<V>> = inbox.iter().map(|(_, m)| (*m).clone()).collect();
                 let mut votes = BTreeMap::new();
-                for msg in &msgs {
+                for (_, msg) in inbox {
                     match msg {
                         RecBaMsg::GaVote { inst, value, sig, c1 } if *inst == self.inst => {
                             self.note_c1(value, c1);
@@ -220,7 +234,7 @@ impl<V: Value> GaInstance<V> {
                 let certified =
                     votes.into_iter().filter_map(|(v, shares)| Some((v, shares.certificate()?)));
                 for (value, c2) in certified.take(2) {
-                    self.c2_seen.insert(value.clone());
+                    self.c2_seen.insert(value.clone(), c2.clone());
                     out.push(RecBaMsg::GaCert2 { inst: self.inst, value: value.clone(), c2 });
                     formed.push(value);
                 }
@@ -232,19 +246,19 @@ impl<V: Value> GaInstance<V> {
                 for (_, msg) in inbox {
                     if let RecBaMsg::GaCert2 { inst, value, c2 } = msg {
                         if *inst == self.inst
-                            && c2.threshold() == self.thr
-                            && self
-                                .pki
-                                .verify_threshold(&self.vote_payload(value).signing_bytes(), c2)
-                                .is_ok()
+                            && self.cert_valid(
+                                self.c2_seen.get(value),
+                                &self.vote_payload(value),
+                                c2,
+                            )
                         {
-                            self.c2_seen.insert(value.clone());
+                            self.c2_seen.entry(value.clone()).or_insert_with(|| c2.clone());
                         }
                     }
                 }
                 self.result = Some(if let Some(v) = self.tentative2.take() {
                     (v, 2)
-                } else if let Some(v) = self.c2_seen.iter().next() {
+                } else if let Some(v) = self.c2_seen.keys().next() {
                     (v.clone(), 1)
                 } else {
                     (self.input.clone(), 0)

@@ -320,7 +320,7 @@ impl<V: Value> SubProtocol for RecursiveBa<V> {
                             if *i == inst && child.contains(sig.signer()) {
                                 let payload =
                                     RecDecideSig { session: self.cfg.session(), inst, value };
-                                if self.pki.verify(&payload.signing_bytes(), sig).is_ok() {
+                                if payload.with_signing_bytes(|b| self.pki.verify(b, sig)).is_ok() {
                                     self.cert_shares
                                         .entry(value.clone())
                                         .or_default()

@@ -104,7 +104,7 @@ pub use service::{audit_proposals, service_replica, ServiceHarness, ServiceM, Se
 
 use meba_adversary::{ChaosActor, CrashActor, LossyLinkActor};
 use meba_core::{AlwaysValid, Bb, LockstepAdapter, StrongBa, SubProtocol, SystemConfig, WeakBa};
-use meba_crypto::{trusted_setup, Pki, ProcessId, SecretKey};
+use meba_crypto::{trusted_setup, Decoder, Encoder, Pki, ProcessId, SecretKey, ThresholdSignature};
 pub use meba_engine::{default_quorum, AdvanceCause, RoundDriverConfig};
 use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
 use meba_fallback::RecursiveBaFactory;
@@ -650,6 +650,16 @@ impl DecisionStats {
         }
         stats
     }
+}
+
+/// `cert` with the last byte of its tag flipped, by way of its wire
+/// encoding — the forger's nearest miss of a genuine certificate.
+pub fn with_flipped_tag(cert: &ThresholdSignature) -> ThresholdSignature {
+    let mut enc = Encoder::new();
+    cert.encode(&mut enc);
+    let mut bytes = enc.into_bytes();
+    *bytes.last_mut().expect("an encoded certificate is not empty") ^= 1;
+    ThresholdSignature::decode(&mut Decoder::new(&bytes)).expect("same shape, one tag bit off")
 }
 
 /// Whether all decisions are equal (vacuously true for none).

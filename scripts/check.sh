@@ -9,8 +9,9 @@ cargo fmt --all -- --check
 echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / outputs; one ledger: Metrics is plain data billed through Metrics::bill) =="
 ! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b' -- crates src tests examples README.md docs || exit 1
 
-echo "== one certificate site (ShareCollector carries the only \"verified shares combine\") =="
-test "$(git grep -n 'verified shares combine' -- 'crates/*/src/*' | wc -l)" -eq 1
+echo "== one certificate site (ThresholdSignature is built in pki.rs only; ShareCollector::new is the only non-test combiner() call outside it) =="
+! git grep -nE 'ThresholdSignature \{ *(threshold|\.\.)' -- crates src tests examples ':!crates/crypto/src/pki.rs' || exit 1
+test "$(git grep -n 'certificate threshold is within 1..=n' -- 'crates/*/src/*' | wc -l)" -eq 1
 
 echo "== one billing site (MessageCost::of carries the only 1-word floor; every backend bills through it) =="
 test "$(git grep -n 'words().max(1)' -- 'crates/*/src/*' | wc -l)" -eq 1
@@ -53,6 +54,9 @@ cargo test --release --locked -p meba-testkit --test large_n -- --include-ignore
 
 echo "== benchmark smoke (E21 oracle: des_bb_n2049_f0 must report exactly 32,768 words in 16,401 rounds, every repetition) =="
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload des_bb_n2049_f0 --seconds 5 --trace 0
+
+echo "== benchmark smoke, dense (E21 oracle: des_bb_n257_ft must report exactly 2,048,738 words in 4,497 rounds, every repetition) =="
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload des_bb_n257_ft --seconds 5 --trace 0
 
 echo "== reactor-mesh scale (real loopback sockets: n = 65 smoke, n = 101 acceptance; words vs DES, O(n) threads) =="
 cargo test --release --locked -p meba-testkit --test tcp_scale -- --include-ignored

@@ -247,3 +247,218 @@ fn weak_ba_with_slack_resilience() {
     }
     let _ = Fault::None; // keep the shared-harness module linked
 }
+
+/// "Verify once" (DESIGN.md §6): a graded agreement skips
+/// `verify_threshold` for a certificate byte-equal to one it already
+/// accepted for the same value. These tests hand-drive one member, p0,
+/// past the point where the genuine certificate is memoized and then
+/// feed it near-twins of that certificate: each must still be judged on
+/// its own bytes.
+mod verify_once {
+    use super::common::with_flipped_tag;
+    use super::RecM;
+    use meba::crypto::pki::verify_calls;
+    use meba::crypto::{Signable, ThresholdSignature};
+    use meba::fallback::messages::{GaInputSig, GaVoteSig};
+    use meba::fallback::{GaInstance, InstanceId, RecBaMsg, Scope, GA_STEPS};
+    use meba::prelude::*;
+
+    const M: usize = 7;
+    const SESSION: u64 = 0x6b;
+    /// Every correct member's input.
+    const V: u64 = 40;
+    /// The forger's value; smaller than `V`, so an accepted `C2(W)` would
+    /// win the grade-1 pick.
+    const W: u64 = 7;
+
+    /// p0 of a 7-member scope (majority 4); p5 and p6 are the forger's.
+    struct Member {
+        ga: GaInstance<u64>,
+        pki: Pki,
+        keys: Vec<SecretKey>,
+        inst: InstanceId,
+    }
+
+    impl Member {
+        fn new() -> Self {
+            let (pki, keys) = trusted_setup(M, 0x6b);
+            let inst = InstanceId::new(Scope::full(M), 0);
+            let ga = GaInstance::new(inst, SESSION, ProcessId(0), keys[0].clone(), pki.clone(), V);
+            Member { ga, pki, keys, inst }
+        }
+
+        /// Runs step `k` over `inbox`; returns the outbox and how many
+        /// `verify_threshold` calls the step made.
+        fn step(&mut self, k: u64, inbox: &[(ProcessId, RecM)]) -> (Vec<RecM>, u64) {
+            let borrowed: Vec<(ProcessId, &RecM)> = inbox.iter().map(|(p, m)| (*p, m)).collect();
+            let mut out = Vec::new();
+            let before = verify_calls().1;
+            self.ga.on_step(k, &borrowed, &mut out);
+            (out, verify_calls().1 - before)
+        }
+
+        fn input_sig<'a>(&self, value: &'a u64) -> GaInputSig<'a, u64> {
+            GaInputSig { session: SESSION, inst: self.inst, value }
+        }
+
+        fn vote_sig<'a>(&self, value: &'a u64) -> GaVoteSig<'a, u64> {
+            GaVoteSig { session: SESSION, inst: self.inst, value }
+        }
+
+        /// A genuinely minted `(k, n)` certificate of `signers` on `payload`.
+        fn cert(&self, k: usize, payload: &impl Signable, signers: &[usize]) -> ThresholdSignature {
+            let msg = payload.signing_bytes();
+            let shares: Vec<_> = signers.iter().map(|&i| self.keys[i].sign(&msg)).collect();
+            self.pki.combine(k, &msg, &shares).unwrap()
+        }
+
+        /// One message per member of `senders`, built by `msg`.
+        fn each_of(
+            &self,
+            senders: std::ops::Range<usize>,
+            msg: impl Fn(&SecretKey) -> RecM,
+        ) -> Vec<(ProcessId, RecM)> {
+            senders.map(|i| (self.keys[i].id(), msg(&self.keys[i]))).collect()
+        }
+
+        /// Steps 0 and 1 on unanimous inputs: p0 forms, verifies and
+        /// echoes the genuine `C1(V)`, which is returned.
+        fn past_c1() -> (Member, ThresholdSignature) {
+            let mut p0 = Member::new();
+            p0.step(0, &[]);
+            let inst = p0.inst;
+            let inputs = p0.each_of(0..M, |key| RecBaMsg::GaInput {
+                inst,
+                value: V,
+                sig: key.sign(&p0.input_sig(&V).signing_bytes()),
+            });
+            let (out, _) = p0.step(1, &inputs);
+            let [RecBaMsg::GaEcho { value: V, c1, .. }] = &out[..] else {
+                panic!("one echo of C1(V) expected, got {out:?}");
+            };
+            let c1 = c1.clone();
+            (p0, c1)
+        }
+    }
+
+    /// A forged `(value, certificate)` pair and whether judging it takes a
+    /// `verify_threshold` call (a wrong threshold is refused before one).
+    type Forgery = (&'static str, u64, ThresholdSignature, u64);
+
+    #[test]
+    fn near_twins_of_a_memoized_c1_are_still_rejected() {
+        let forgeries = |p0: &Member, c1: &ThresholdSignature| -> [Forgery; 3] {
+            [
+                ("tag byte flipped", V, with_flipped_tag(c1), 1),
+                ("another threshold", W, p0.cert(2, &p0.input_sig(&W), &[5, 6]), 0),
+                ("C1(V) attached to W", W, c1.clone(), 1),
+            ]
+        };
+        for pick in 0..3 {
+            let (mut p0, c1) = Member::past_c1();
+            let (what, value, forged, verifies) = forgeries(&p0, &c1)[pick].clone();
+            let inst = p0.inst;
+
+            // Step 2: six byte-identical echoes of C1(V) are memo hits;
+            // the forged echo is judged on its own bytes and dropped, so
+            // p0 still sees one certified value and votes for it.
+            let mut echoes =
+                p0.each_of(1..M, |_| RecBaMsg::GaEcho { inst, value: V, c1: c1.clone() });
+            echoes.push((ProcessId(6), RecBaMsg::GaEcho { inst, value, c1: forged.clone() }));
+            let (out, verified) = p0.step(2, &echoes);
+            assert_eq!(verified, verifies, "{what}: echoes");
+            assert!(
+                matches!(&out[..], [RecBaMsg::GaVote { value: V, .. }]),
+                "{what}: a forged echo raised a conflict: {out:?}"
+            );
+
+            // Step 3: the same forgery riding on p6's vote.
+            let mut votes = p0.each_of(0..M - 1, |key| RecBaMsg::GaVote {
+                inst,
+                value: V,
+                sig: key.sign(&p0.vote_sig(&V).signing_bytes()),
+                c1: c1.clone(),
+            });
+            votes.push((
+                ProcessId(6),
+                RecBaMsg::GaVote {
+                    inst,
+                    value,
+                    sig: p0.keys[6].sign(&p0.vote_sig(&value).signing_bytes()),
+                    c1: forged,
+                },
+            ));
+            let (out, verified) = p0.step(3, &votes);
+            assert_eq!(verified, verifies, "{what}: votes");
+            assert!(matches!(&out[..], [RecBaMsg::GaCert2 { value: V, .. }]), "{what}: {out:?}");
+            p0.step(4, &[]);
+            assert_eq!(p0.ga.result(), Some(&(V, 2)), "{what}: a forged C1 cost p0 its grade 2");
+        }
+    }
+
+    #[test]
+    fn near_twins_of_a_memoized_c2_are_still_rejected() {
+        for pick in 0..3 {
+            // p0 hears no votes (lost), so it forms no C2 of its own and
+            // its grade rests on the certificates step 4 accepts.
+            let (mut p0, c1) = Member::past_c1();
+            let inst = p0.inst;
+            p0.step(2, &p0.each_of(1..M, |_| RecBaMsg::GaEcho { inst, value: V, c1: c1.clone() }));
+            p0.step(3, &[]);
+            let c2 = p0.cert(4, &p0.vote_sig(&V), &[1, 2, 3, 4]);
+            let forgeries: [Forgery; 3] = [
+                ("tag byte flipped", V, with_flipped_tag(&c2), 1),
+                ("another threshold", W, p0.cert(2, &p0.vote_sig(&W), &[5, 6]), 0),
+                ("C2(V) attached to W", W, c2.clone(), 1),
+            ];
+            let (what, value, forged, verifies) = forgeries[pick].clone();
+
+            // The first genuine C2(V) is verified, the other three are
+            // memo hits, the forgery is judged on its own bytes.
+            let mut certs =
+                p0.each_of(1..5, |_| RecBaMsg::GaCert2 { inst, value: V, c2: c2.clone() });
+            certs.push((ProcessId(6), RecBaMsg::GaCert2 { inst, value, c2: forged }));
+            let (_, verified) = p0.step(4, &certs);
+            assert_eq!(verified, 1 + verifies, "{what}");
+            assert_eq!(p0.ga.result(), Some(&(V, 1)), "{what}: a forged C2 was adopted");
+        }
+    }
+
+    /// A unanimous graded agreement over m = 33: each member verifies
+    /// every input share and every vote share exactly once — `combine`
+    /// does not re-verify what `offer` admitted — and runs
+    /// `verify_threshold` at most once per distinct certificate, however
+    /// many members echo it (3·m + 1 times before the memo).
+    #[test]
+    fn unanimous_ga_verifies_each_share_and_each_certificate_once() {
+        let m = 33usize;
+        let (pki, keys) = trusted_setup(m, 0x21);
+        let inst = InstanceId::new(Scope::full(m), 0);
+        let mut members: Vec<GaInstance<u64>> = keys
+            .iter()
+            .map(|key| GaInstance::new(inst, SESSION, key.id(), key.clone(), pki.clone(), V))
+            .collect();
+        let mut calls = vec![(0u64, 0u64); m];
+        let mut pending: Vec<(ProcessId, RecM)> = Vec::new();
+        for k in 0..GA_STEPS {
+            let inbox: Vec<(ProcessId, &RecM)> = pending.iter().map(|(p, msg)| (*p, msg)).collect();
+            let mut next = Vec::new();
+            for (i, member) in members.iter_mut().enumerate() {
+                let mut out = Vec::new();
+                let before = verify_calls();
+                member.on_step(k, &inbox, &mut out);
+                let after = verify_calls();
+                calls[i].0 += after.0 - before.0;
+                calls[i].1 += after.1 - before.1;
+                next.extend(out.into_iter().map(|msg| (ProcessId(i as u32), msg)));
+            }
+            pending = next;
+        }
+        for (i, member) in members.iter().enumerate() {
+            assert_eq!(member.result(), Some(&(V, 2)));
+            let (shares, certs) = calls[i];
+            assert_eq!(shares, 2 * m as u64, "p{i}: m input shares + m vote shares");
+            assert!(certs <= 2, "p{i}: C1(V) and C2(V) at most once each, got {certs}");
+        }
+    }
+}

@@ -5,9 +5,10 @@
 
 mod common;
 
-use common::{round_budget, WbaM, WbaProc};
-use meba::core::signing::{sign_payload, CommitProof, DecideProof, DecideSig, VoteSig};
+use common::{round_budget, with_flipped_tag, WbaM, WbaProc};
+use meba::core::signing::{sign_payload, CommitProof, DecideProof, DecideSig, HelpReqSig, VoteSig};
 use meba::core::weak_ba::WeakBaMsg;
+use meba::crypto::Signable;
 use meba::prelude::*;
 use meba_sim::RoundCtx;
 
@@ -37,6 +38,16 @@ impl Actor for Injector {
 }
 
 fn run_with_injection(payload: Vec<WbaM>, at_round: u64) -> Vec<Decision<u64>> {
+    run_with_injection_and_idle(payload, at_round, &[])
+}
+
+/// Like [`run_with_injection`] with the processes in `idle` silent
+/// (crashed from the start); returns the decisions of the others.
+fn run_with_injection_and_idle(
+    payload: Vec<WbaM>,
+    at_round: u64,
+    idle: &[u32],
+) -> Vec<Decision<u64>> {
     let n = 7usize;
     let cfg = SystemConfig::new(n, 0xf0).unwrap();
     let (pki, keys) = trusted_setup(n, 0xf0);
@@ -46,16 +57,21 @@ fn run_with_injection(payload: Vec<WbaM>, at_round: u64) -> Vec<Decision<u64>> {
         let id = ProcessId(i as u32);
         if id == byz {
             actors.push(Box::new(Injector { me: id, round: at_round, payload: payload.clone() }));
+        } else if idle.contains(&id.0) {
+            actors.push(Box::new(IdleActor::new(id)));
         } else {
             let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
             let wba: WbaProc = WeakBa::new(cfg, id, key, pki.clone(), AlwaysValid, factory, 5u64);
             actors.push(Box::new(LockstepAdapter::new(id, wba)));
         }
     }
-    let mut sim = SimBuilder::new(actors).corrupt(byz).build();
+    let mut sim = idle
+        .iter()
+        .fold(SimBuilder::new(actors).corrupt(byz), |b, &i| b.corrupt(ProcessId(i)))
+        .build();
     sim.run_until_done(round_budget(n)).unwrap();
     (0..n as u32)
-        .filter(|&i| ProcessId(i) != byz)
+        .filter(|&i| ProcessId(i) != byz && !idle.contains(&i))
         .map(|i| {
             let a: &LockstepAdapter<WbaProc> =
                 sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
@@ -188,6 +204,48 @@ fn help_with_valid_looking_but_wrong_threshold_is_rejected() {
     let help_adopt = 7 * 5 + 1;
     let ds = run_with_injection(vec![msg], help_adopt);
     assert!(ds.iter().all(|d| *d == HONEST_OUTCOME), "weak help proof accepted: {ds:?}");
+}
+
+#[test]
+fn near_twins_of_the_fallback_certificate_are_still_rejected() {
+    // f = t = 3 (the injector plus two silent processes): the four correct
+    // processes cannot reach the quorum of 6, all ask for help at step 35,
+    // each batches the same t+1 help-request certificate at step 36 and
+    // holds it from then on — so the re-broadcasts that arrive at step 37
+    // are byte-equal and skip `verify_threshold` (DESIGN.md §4, "verify
+    // once"). A near-twin arriving with them must still be judged on its
+    // own bytes. Each one carries a decision on 666 with a finalize proof
+    // only this test can mint (six keys): if a twin passed, every
+    // undecided process would adopt 666 inside the safety window, enter
+    // the fallback unanimous on it and decide it.
+    let n = 7usize;
+    let cfg = SystemConfig::new(n, 0xf0).unwrap();
+    let (pki, keys) = trusted_setup(n, 0xf0);
+    // The first `k` processes' `(k, n)` certificate on `msg`.
+    let cert = |k: usize, msg: Vec<u8>| {
+        let shares: Vec<_> = keys.iter().take(k).map(|key| key.sign(&msg)).collect();
+        pki.combine(k, &msg, &shares).unwrap()
+    };
+    let help_req = |session| HelpReqSig { session }.signing_bytes();
+    let genuine = cert(cfg.idk_threshold(), help_req(cfg.session()));
+    let forged_value = 666u64;
+    let decide = DecideSig { session: cfg.session(), value: &forged_value, phase: 1 };
+    let proof = DecideProof { phase: 1, qc: cert(cfg.quorum(), decide.signing_bytes()) };
+    for (what, qc) in [
+        ("tag byte flipped", with_flipped_tag(&genuine)),
+        ("another threshold", cert(1, help_req(cfg.session()))),
+        ("another session's help requests", cert(cfg.idk_threshold(), help_req(cfg.session() + 1))),
+    ] {
+        let msg = WeakBaMsg::FallbackCert { qc, decision: Some((forged_value, proof.clone())) };
+        let ds = run_with_injection_and_idle(vec![msg], n as u64 * 5 + 1, &[2, 3]);
+        assert_eq!(ds.len(), 4);
+        assert!(ds.iter().all(|d| *d == HONEST_OUTCOME), "{what}: accepted, {ds:?}");
+    }
+    // The harness has teeth: the genuine certificate carries the planted
+    // decision through.
+    let msg = WeakBaMsg::FallbackCert { qc: genuine, decision: Some((forged_value, proof)) };
+    let ds = run_with_injection_and_idle(vec![msg], n as u64 * 5 + 1, &[2, 3]);
+    assert!(ds.iter().all(|d| *d == Decision::Value(forged_value)), "{ds:?}");
 }
 
 mod strong_ba_forgeries {
