@@ -212,3 +212,38 @@ fn des_runs_match_the_recorded_totals() {
         ],
     );
 }
+
+/// E18, the one lockstep service runner: `(accepted, rejected,
+/// committed_ops, rounds, words, latency_p50_rounds, latency_p99_rounds,
+/// session_collisions, agreement)`. Recorded before the service's slot
+/// path was collapsed onto one `apply`; none may move with it. The
+/// n = 5 row oversubscribes each port (8 offered against a queue of 6).
+#[test]
+fn service_runs_match_the_recorded_totals() {
+    let service = |n, total_ops, batch, window, capacity| {
+        let s = run_service_throughput(n, total_ops, batch, window, capacity);
+        format!(
+            "{:?}",
+            (
+                s.accepted,
+                s.rejected,
+                s.committed_ops,
+                s.rounds,
+                s.words,
+                s.latency_p50_rounds,
+                s.latency_p99_rounds,
+                s.session_collisions,
+                s.agreement,
+            )
+        )
+    };
+    check(
+        r#"
+        service n=3 ops=24 batch=4 W=2: (24, 0, 24, 153, 1272, 128, 256, 0, true)
+        service n=5 ops=40 batch=4 W=4 cap=6: (30, 10, 30, 274, 3280, 128, 512, 0, true)"#,
+        &[
+            ("service n=3 ops=24 batch=4 W=2", service(3, 24, 4, 2, 64)),
+            ("service n=5 ops=40 batch=4 W=4 cap=6", service(5, 40, 4, 4, 6)),
+        ],
+    );
+}

@@ -23,14 +23,12 @@
 
 pub mod ds;
 pub mod ga;
-pub mod gradecast;
 pub mod instance;
 pub mod messages;
 pub mod recursive;
 
 pub use ds::{ic_steps, DolevStrongBb, DsCore, IcInstance};
 pub use ga::{GaInstance, GA_STEPS};
-pub use gradecast::{Gradecast, GRADECAST_STEPS};
 pub use instance::{InstanceId, Scope};
 pub use messages::{DsBbMsg, RecBaMsg};
 pub use recursive::{

@@ -72,29 +72,6 @@ impl<V: Value> Signable for DsValSig<'_, V> {
     }
 }
 
-/// Signed payload of a gradecast sender value.
-#[derive(Debug)]
-pub struct GcValSig<'a, V> {
-    /// Session id.
-    pub session: u64,
-    /// Component instance.
-    pub inst: InstanceId,
-    /// The designated gradecast sender.
-    pub sender: ProcessId,
-    /// The broadcast value.
-    pub value: &'a V,
-}
-
-impl<V: Value> Signable for GcValSig<'_, V> {
-    const DOMAIN: &'static str = "meba/fallback/gc-val";
-    fn encode_fields(&self, enc: &mut Encoder) {
-        enc.put_u64(self.session);
-        self.inst.encode(enc);
-        enc.put_id(self.sender);
-        self.value.encode_value(enc);
-    }
-}
-
 /// Signed payload of a recursive-BA decision share for a child scope.
 #[derive(Debug)]
 pub struct RecDecideSig<'a, V> {
@@ -181,15 +158,6 @@ pub enum RecBaMsg<V> {
         /// Aggregate signature chain over [`DsValSig`].
         agg: AggregateSignature,
     },
-    /// Gradecast round 1: the designated sender's signed value.
-    GcSend {
-        /// Instance.
-        inst: InstanceId,
-        /// The sender's value.
-        value: V,
-        /// Signature over [`GcValSig`] by the designated sender.
-        sig: Signature,
-    },
     /// A child-scope member's signed decision share.
     CertShare {
         /// The child instance.
@@ -214,16 +182,15 @@ impl<V: Value> Message for RecBaMsg<V> {
             }
             RecBaMsg::GaCert2 { value, c2, .. } => value.value_words() + c2.words(),
             RecBaMsg::DsForward { value, agg, .. } => value.value_words() + agg.words(),
-            RecBaMsg::GcSend { value, sig, .. } => value.value_words() + sig.words(),
             RecBaMsg::CertShare { value, sig, .. } => value.value_words() + sig.words(),
         }
     }
 
     fn constituent_sigs(&self) -> u64 {
         match self {
-            RecBaMsg::GaInput { sig, .. }
-            | RecBaMsg::GcSend { sig, .. }
-            | RecBaMsg::CertShare { sig, .. } => sig.constituent_sigs(),
+            RecBaMsg::GaInput { sig, .. } | RecBaMsg::CertShare { sig, .. } => {
+                sig.constituent_sigs()
+            }
             RecBaMsg::GaEcho { c1, .. } => c1.constituent_sigs(),
             RecBaMsg::GaVote { sig, c1, .. } => sig.constituent_sigs() + c1.constituent_sigs(),
             RecBaMsg::GaConflict { c1a, c1b, .. } => {
@@ -286,12 +253,8 @@ impl<V: Value> WireCodec for RecBaMsg<V> {
                 value.encode_value(enc);
                 agg.encode(enc);
             }
-            RecBaMsg::GcSend { inst, value, sig } => {
-                enc.put_u32(6);
-                inst.encode(enc);
-                value.encode_value(enc);
-                sig.encode(enc);
-            }
+            // Tag 6 is retired and must not be reused: a frame from a
+            // build that still had it decodes to a typed error.
             RecBaMsg::CertShare { inst, value, sig } => {
                 enc.put_u32(7);
                 inst.encode(enc);
@@ -336,11 +299,6 @@ impl<V: Value> WireCodec for RecBaMsg<V> {
                 ds_sender: dec.get_id()?,
                 value: V::decode_value(dec)?,
                 agg: AggregateSignature::decode(dec)?,
-            }),
-            6 => Ok(RecBaMsg::GcSend {
-                inst: InstanceId::decode_wire(dec)?,
-                value: V::decode_value(dec)?,
-                sig: Signature::decode(dec)?,
             }),
             7 => Ok(RecBaMsg::CertShare {
                 inst: InstanceId::decode_wire(dec)?,
@@ -415,6 +373,29 @@ mod tests {
         let b =
             DsValSig { session: 1, inst, ds_sender: ProcessId(1), value: &5u64 }.signing_bytes();
         assert_ne!(a, b);
+    }
+
+    /// Tag 6 is retired: a frame carrying it is a typed unknown-tag
+    /// error, and `CertShare` still travels as 7.
+    #[test]
+    fn retired_tag_six_is_a_typed_decode_error() {
+        let inst = InstanceId::new(Scope::full(4), 0);
+        let (_, keys) = meba_crypto::trusted_setup(4, 1);
+        let sig = keys[0].sign(b"share");
+        let share = RecBaMsg::CertShare { inst, value: 5u64, sig };
+        let bytes = share.to_wire_bytes();
+        let tag = |t: u32| {
+            let mut enc = Encoder::new();
+            enc.put_u32(t);
+            enc.into_bytes()
+        };
+        assert!(bytes.starts_with(&tag(7)), "CertShare keeps wire tag 7");
+        assert!(RecBaMsg::<u64>::from_wire_bytes(&bytes).is_ok());
+        let retired = [tag(6), bytes[tag(7).len()..].to_vec()].concat();
+        assert_eq!(
+            RecBaMsg::<u64>::from_wire_bytes(&retired).unwrap_err(),
+            DecodeError::Invalid { what: "RecBaMsg variant tag" }
+        );
     }
 
     #[test]

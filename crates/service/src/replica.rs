@@ -29,6 +29,12 @@
 //!   [`Record::Evidence`] preserves the slot certificates this replica
 //!   holds so it can keep serving certified transfer after a restart.
 //!
+//! The commit-side records are written in one place: every slot —
+//! decided locally, adopted from a donor, or replayed from the journal —
+//! becomes state through the private `apply`, which appends and flushes
+//! first and only then touches the KV state, the dedup table, or the
+//! client (DESIGN.md §15).
+//!
 //! # State transfer
 //!
 //! A slot whose critical rounds the replica missed while down may retire
@@ -55,8 +61,8 @@ use meba_core::bb::BbBaValue;
 use meba_core::{Decision, FallbackFactory, SubProtocol, SystemConfig};
 use meba_crypto::{DecodeError, Decoder, Encoder, Pki, ProcessId, SecretKey, WireCodec};
 use meba_journal::{Journal, Record};
-use meba_sim::{Actor, Dest, Envelope, Message, Round, RoundCtx, ServiceStats};
-use meba_smr::{CommitEvidence, LogEntry, ReplicatedLog, SmrMsg};
+use meba_sim::{Actor, Dest, Message, Round, RoundCtx, ServiceStats};
+use meba_smr::{CommitEvidence, ReplicatedLog, SmrMsg};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -164,6 +170,23 @@ impl Default for ServiceConfig {
     }
 }
 
+/// Where a slot's decision reached [`ServiceReplica::apply`] from. The
+/// origin selects the journal record written and whether clients hear
+/// about the commit — nothing else; a live origin carries the round the
+/// commit-latency sample is taken at.
+#[derive(Clone, Copy)]
+enum Origin {
+    /// Retired by this replica's own log: [`Record::Committed`].
+    Local(u64),
+    /// Adopted from a donor by certificate or `t + 1` vouches:
+    /// [`Record::Transferred`].
+    Donor(u64),
+    /// Read back from this replica's own journal by
+    /// [`ServiceReplica::rebuild`]: nothing is written and no client is
+    /// told — the pre-crash incarnation already did both.
+    Replay,
+}
+
 /// One replica of the replicated service. See the module docs.
 pub struct ServiceReplica<F>
 where
@@ -180,9 +203,6 @@ where
     /// `(client, seq)` → `(slot, batch_index)` of its unique commit —
     /// the dedup table, authoritative at apply time.
     committed_at: BTreeMap<(u64, u64), (u64, u32)>,
-    /// Slots already applied (pre-crash applies replayed from the
-    /// journal stay in here so fast-forward does not re-apply them).
-    applied: BTreeSet<u64>,
     /// Next slot to apply; applies are strictly contiguous.
     apply_cursor: u64,
     /// In-flight admissions: `(client, seq)` → admit round.
@@ -192,9 +212,10 @@ where
     /// never lose a binding and re-open the equivocation window).
     journaled_proposals: BTreeMap<u64, Vec<u8>>,
     pending_reads: Vec<(ReadRequest, u64)>,
-    /// Canonical bytes of every applied slot's decision (empty = `⊥`) —
-    /// the donor-side source of truth for state transfer; rebuilt from
-    /// the journal on restart.
+    /// Canonical bytes of every applied slot's decision (empty = `⊥`),
+    /// bound once, in [`Self::apply`] — its keys are the applied slots,
+    /// and it is the donor-side source of truth for state transfer;
+    /// rebuilt from the journal on restart.
     applied_values: BTreeMap<u64, Vec<u8>>,
     /// Commit certificates this replica holds, for serving *certified*
     /// transfer (journaled as [`Record::Evidence`] to survive restarts).
@@ -277,7 +298,6 @@ where
             journal,
             kv: BTreeMap::new(),
             committed_at: BTreeMap::new(),
-            applied: BTreeSet::new(),
             apply_cursor: 0,
             admitted: BTreeMap::new(),
             journaled_proposals: BTreeMap::new(),
@@ -359,19 +379,16 @@ where
         replica.journaled_proposals = proposals.into_iter().collect();
         replica.evidence = evidence.into_iter().collect();
         for (slot, bytes) in applied {
-            replica.applied.insert(slot);
-            if bytes.is_empty() {
-                replica.stats.skipped_slots += 1;
+            let decision = if bytes.is_empty() {
+                Decision::Bot
             } else {
-                let batch =
-                    Batch::from_wire_bytes(&bytes).map_err(|_| bad("bad Committed batch"))?;
-                for (i, op) in batch.ops().iter().enumerate() {
-                    replica.replay_op(slot, i as u32, *op);
-                }
-            }
-            replica.applied_values.insert(slot, bytes);
+                Decision::Value(
+                    Batch::from_wire_bytes(&bytes).map_err(|_| bad("bad Committed batch"))?,
+                )
+            };
+            replica.apply(slot, &decision, None, Origin::Replay);
         }
-        while replica.applied.contains(&replica.apply_cursor) {
+        while replica.applied_values.contains_key(&replica.apply_cursor) {
             replica.apply_cursor += 1;
         }
         replica.recovering = true;
@@ -400,21 +417,6 @@ where
             Some(j) => j.compact(&rec, &[]),
             None => Ok(()),
         }
-    }
-
-    /// Replays one committed op during rebuild: state and dedup only, no
-    /// journal write and no client event (the pre-crash incarnation
-    /// already acked it).
-    fn replay_op(&mut self, slot: u64, idx: u32, op: Op) {
-        let dedup = (op.client, op.seq);
-        if self.committed_at.contains_key(&dedup) {
-            self.stats.ops_deduped += 1;
-            return;
-        }
-        self.committed_at.insert(dedup, (slot, idx));
-        self.kv.insert(op.key, op.value);
-        self.stats.ops_committed += 1;
-        self.stats.client_mut(op.client).committed += 1;
     }
 
     /// The replica's port (the handle gateways and test drivers share).
@@ -545,42 +547,32 @@ where
     /// Donor-confirmed slots fill the same cursor gap.
     fn apply_committed(&mut self, round: u64) {
         loop {
-            if self.applied.contains(&self.apply_cursor) {
-                // Replayed from the journal pre-crash, or transferred.
-                self.apply_cursor += 1;
-                continue;
-            }
             let cursor = self.apply_cursor;
-            let local = self
-                .log
-                .log()
-                .binary_search_by_key(&cursor, |e| e.slot)
-                .ok()
-                .map(|i| self.log.log()[i].clone());
-            let trust_local = match &local {
-                Some(e) => !self.recovering || matches!(e.entry, Decision::Value(_)),
-                None => false,
-            };
-            if trust_local {
-                let entry = local.expect("trust_local implies a local entry");
-                if let Some((transferred, _)) = self.transferred.get(&cursor) {
-                    if *transferred != entry.entry {
-                        // A certified donor decision disagreeing with our
-                        // own retirement would be a safety violation —
-                        // count it loudly (must stay zero in every run).
-                        self.stats.applied_conflicts += 1;
-                    }
-                }
-                self.apply_slot(&entry, round);
+            if self.applied_values.contains_key(&cursor) {
+                // Replayed from the journal by `rebuild`.
                 self.apply_cursor += 1;
                 continue;
             }
-            // No trusted local decision: only a donor-confirmed decision
-            // advances the cursor.
-            let Some((decision, cert)) = self.transferred.get(&cursor).cloned() else {
+            let trusted = self
+                .log
+                .entry(cursor)
+                .filter(|e| !self.recovering || matches!(e.entry, Decision::Value(_)));
+            let (decision, cert, origin) = if let Some(local) = trusted {
+                if self.transferred.get(&cursor).is_some_and(|(d, _)| *d != local.entry) {
+                    // A certified donor decision disagreeing with our
+                    // own retirement would be a safety violation —
+                    // count it loudly (must stay zero in every run).
+                    self.stats.applied_conflicts += 1;
+                }
+                (local.entry.clone(), self.log.evidence(cursor).cloned(), Origin::Local(round))
+            } else if let Some((decision, cert)) = self.transferred.remove(&cursor) {
+                // No trusted local decision: only a donor-confirmed
+                // decision advances the cursor.
+                (decision, cert, Origin::Donor(round))
+            } else {
                 break;
             };
-            self.apply_transferred(cursor, decision, cert, round);
+            self.apply(cursor, &decision, cert, origin);
             self.apply_cursor += 1;
         }
         if self.recovering
@@ -592,91 +584,73 @@ where
         }
     }
 
-    fn apply_slot(&mut self, entry: &LogEntry<Batch>, round: u64) {
-        // Journal before the client-visible ack can leave.
-        let bytes = match &entry.entry {
-            Decision::Value(b) => b.to_wire_bytes(),
-            Decision::Bot => Vec::new(),
-        };
-        self.journal_append(&Record::Committed { slot: entry.slot, value: bytes.clone() });
-        if let Some(ev) = self.log.evidence(entry.slot).cloned() {
-            self.journal_append(&Record::Evidence {
-                slot: entry.slot,
-                evidence: ev.to_wire_bytes(),
-            });
-            self.evidence.insert(entry.slot, ev);
-        }
-        self.applied.insert(entry.slot);
-        self.applied_values.insert(entry.slot, bytes);
-        self.transferred.remove(&entry.slot);
-        self.vouches.remove(&entry.slot);
-        match &entry.entry {
-            Decision::Bot => self.stats.skipped_slots += 1,
-            Decision::Value(batch) => {
-                for (i, op) in batch.ops().iter().enumerate() {
-                    self.apply_live_op(entry.slot, i as u32, *op, round);
-                }
-            }
-        }
-    }
-
-    /// Applies a donor-confirmed decision to a slot this replica could
-    /// not (or, recovering, would not) decide locally. Same WAL-before-
-    /// externalize discipline as [`Self::apply_slot`], under
-    /// [`Record::Transferred`] so a rebuild can tell the paths apart.
-    fn apply_transferred(
+    /// The one place a slot's decision becomes state — for a slot this
+    /// replica decided, adopted from a donor, or wrote to its journal in
+    /// an earlier life. In order: the origin's journal record (and the
+    /// certificate, when one came along) is appended *and flushed*;
+    /// only then is the value bound in `applied_values`, the donor
+    /// bookkeeping for the slot dropped, `⊥` counted as skipped, and
+    /// each op applied first-commit-wins — dedup table, KV write,
+    /// per-client stats — with the client told (event + commit-latency
+    /// sample) on a live origin and never on replay.
+    fn apply(
         &mut self,
         slot: u64,
-        decision: Decision<Batch>,
+        decision: &Decision<Batch>,
         cert: Option<CommitEvidence>,
-        round: u64,
+        origin: Origin,
     ) {
-        let bytes = match &decision {
-            Decision::Value(b) => b.to_wire_bytes(),
+        let bytes = match decision {
+            Decision::Value(batch) => batch.to_wire_bytes(),
             Decision::Bot => Vec::new(),
         };
-        self.journal_append(&Record::Transferred { slot, value: bytes.clone() });
+        let heard_at = match origin {
+            Origin::Local(round) => {
+                self.journal_append(&Record::Committed { slot, value: bytes.clone() });
+                Some(round)
+            }
+            Origin::Donor(round) => {
+                self.journal_append(&Record::Transferred { slot, value: bytes.clone() });
+                self.stats.slots_transferred += 1;
+                Some(round)
+            }
+            Origin::Replay => None,
+        };
         if let Some(ev) = cert {
             self.journal_append(&Record::Evidence { slot, evidence: ev.to_wire_bytes() });
             self.evidence.insert(slot, ev);
         }
-        self.applied.insert(slot);
         self.applied_values.insert(slot, bytes);
         self.transferred.remove(&slot);
         self.vouches.remove(&slot);
-        self.stats.slots_transferred += 1;
-        match &decision {
-            Decision::Bot => self.stats.skipped_slots += 1,
-            Decision::Value(batch) => {
-                for (i, op) in batch.ops().iter().enumerate() {
-                    self.apply_live_op(slot, i as u32, *op, round);
-                }
-            }
-        }
-    }
-
-    fn apply_live_op(&mut self, slot: u64, idx: u32, op: Op, round: u64) {
-        let dedup = (op.client, op.seq);
-        if self.committed_at.contains_key(&dedup) {
-            // The same (client, seq) landed in an earlier slot (e.g. a
-            // resubmission accepted by another replica): first commit
-            // wins, deterministically, on every replica.
-            self.stats.ops_deduped += 1;
+        let Decision::Value(batch) = decision else {
+            self.stats.skipped_slots += 1;
             return;
+        };
+        for (batch_index, op) in (0u32..).zip(batch.ops()) {
+            let dedup = (op.client, op.seq);
+            if self.committed_at.contains_key(&dedup) {
+                // The same (client, seq) landed in an earlier slot (e.g. a
+                // resubmission accepted by another replica): first commit
+                // wins, deterministically, on every replica.
+                self.stats.ops_deduped += 1;
+                continue;
+            }
+            self.committed_at.insert(dedup, (slot, batch_index));
+            self.kv.insert(op.key, op.value);
+            self.stats.ops_committed += 1;
+            self.stats.client_mut(op.client).committed += 1;
+            let Some(round) = heard_at else { continue };
+            if let Some(admit_round) = self.admitted.remove(&dedup) {
+                self.stats.commit_latency_rounds.record_us(round.saturating_sub(admit_round));
+            }
+            self.port.push_event(ServiceReply::Committed {
+                client: op.client,
+                seq: op.seq,
+                slot,
+                batch_index,
+            });
         }
-        self.committed_at.insert(dedup, (slot, idx));
-        self.kv.insert(op.key, op.value);
-        self.stats.ops_committed += 1;
-        self.stats.client_mut(op.client).committed += 1;
-        if let Some(admit_round) = self.admitted.remove(&dedup) {
-            self.stats.commit_latency_rounds.record_us(round.saturating_sub(admit_round));
-        }
-        self.port.push_event(ServiceReply::Committed {
-            client: op.client,
-            seq: op.seq,
-            slot,
-            batch_index: idx,
-        });
     }
 
     /// Serves a donor reply: contiguous applied slots from `from_slot`,
@@ -761,7 +735,9 @@ where
     /// tallied per donor and adopted at `t + 1` byte-identical matches.
     /// Forgeries are counted and dropped.
     fn sift_entry(&mut self, from: ProcessId, entry: &TransferEntry) {
-        if self.applied.contains(&entry.slot) || self.transferred.contains_key(&entry.slot) {
+        if self.applied_values.contains_key(&entry.slot)
+            || self.transferred.contains_key(&entry.slot)
+        {
             return;
         }
         if entry.cert.is_some() {
@@ -853,26 +829,24 @@ where
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) {
         let round = ctx.round().as_u64();
-        // Demultiplex: log traffic drives the agreement engine through a
-        // nested context, transfer traffic feeds the anti-entropy path.
-        let mut log_inbox: Vec<Envelope<ServiceMsg<F>>> = Vec::new();
-        let mut transfer_inbox: Vec<(ProcessId, TransferMsg)> = Vec::new();
-        for env in ctx.inbox() {
-            match &env.msg {
-                ReplicaMsg::Log(m) => {
-                    log_inbox.push(Envelope { from: env.from, msg: m.clone() });
-                }
-                ReplicaMsg::Transfer(t) => transfer_inbox.push((env.from, t.clone())),
-            }
-        }
         self.drain_admissions(round);
         if let Some(batch) = self.batcher.tick(round) {
             self.enqueue_batch(batch);
         }
         self.bind_due_slot(round);
-        let mut inner = RoundCtx::new(ctx.round(), ctx.me(), ctx.n(), &log_inbox);
-        self.log.on_round(&mut inner);
-        for (dest, msg) in inner.take_outbox() {
+        // Demultiplex straight from the inbox: log traffic is routed to
+        // its slot by reference (cloned once, where the instance buffers
+        // it), transfer traffic feeds the anti-entropy path.
+        let mut transfer_inbox: Vec<(ProcessId, TransferMsg)> = Vec::new();
+        for env in ctx.inbox() {
+            match &env.msg {
+                ReplicaMsg::Log(m) => self.log.route(env.from, m),
+                ReplicaMsg::Transfer(t) => transfer_inbox.push((env.from, t.clone())),
+            }
+        }
+        let mut log_out = Vec::new();
+        self.log.tick(round, &mut log_out);
+        for (dest, msg) in log_out {
             match dest {
                 Dest::To(p) => ctx.send(p, ReplicaMsg::Log(msg)),
                 Dest::All => ctx.broadcast(ReplicaMsg::Log(msg)),

@@ -5,9 +5,9 @@
 //! supplies the missing addressing layer: a [`SessionId`]-tagged envelope
 //! ([`SessionEnvelope`]) routes every message to a protocol *instance*
 //! rather than just a process, and the [`Mux`] actor hosts a dynamic set
-//! of [`SubProtocol`] instances — opening them on a host-defined schedule
-//! (or on first use, if the host opts in), stepping each one per round,
-//! and retiring them as soon as they report [`SubProtocol::done`].
+//! of [`SubProtocol`] instances — opening them on a host-defined schedule,
+//! stepping each one per round, and retiring them as soon as they report
+//! [`SubProtocol::done`].
 //!
 //! The mux is runtime-agnostic: it is an ordinary [`Actor`], so the same
 //! code runs unchanged on the lockstep simulator and on the threaded
@@ -307,24 +307,18 @@ pub trait MuxHost: Send + 'static {
 
     /// Whether the whole mux is finished (drives [`Actor::done`]).
     fn finished(&self) -> bool;
-
-    /// Whether a message for an unknown session may spawn it on first
-    /// use (step 0 at the arrival round). Off by default: lockstep
-    /// protocols require round-scheduled opens, and unsolicited spawn
-    /// hands Byzantine senders an allocation lever.
-    fn accept_unsolicited(&self, _sid: SessionId) -> bool {
-        false
-    }
 }
 
 /// An actor hosting a dynamic set of [`SubProtocol`] instances multiplexed
 /// over [`SessionEnvelope`]-tagged messages.
 ///
 /// Per round: opens the sessions the host says are due, routes each inbox
-/// envelope to its instance (dropping envelopes for retired or refused
-/// sessions), advances every live instance one step, tags and sends their
-/// output, and retires instances that are done or have exhausted their
-/// step cap.
+/// envelope to its instance ([`Mux::route`]; envelopes for retired,
+/// refused or unknown sessions are dropped — a session only ever opens on
+/// the host's schedule or through [`Mux::try_open`], never because a
+/// message named it), then [`Mux::tick`] advances every live instance
+/// one step, tags their output, and retires instances that are done or
+/// have exhausted their step cap.
 pub struct Mux<H: MuxHost> {
     me: ProcessId,
     host: H,
@@ -354,15 +348,50 @@ impl<H: MuxHost> Mux<H> {
         self.live.keys().copied().collect()
     }
 
-    /// A live instance's protocol, if `sid` is still running.
-    pub fn instance(&self, sid: SessionId) -> Option<&H::Proto> {
-        self.live.get(&sid).map(|i| i.proto())
+    fn open_due(&mut self, round: u64) {
+        for sid in self.host.due(round) {
+            // Schedule-driven opens are idempotent: hosts may re-announce
+            // a session every round, so collisions are silently ignored.
+            let _ = self.try_open(sid);
+        }
     }
 
-    fn open(&mut self, sid: SessionId) {
-        // Schedule-driven opens are idempotent: hosts may re-announce a
-        // session every round, so collisions are silently ignored here.
-        let _ = self.try_open(sid);
+    /// Hands one inbound envelope to its live instance, to be consumed
+    /// at that instance's next step — by reference: the payload is
+    /// cloned once, into the instance's inbox, and not at all when the
+    /// session is retired, refused or unknown. A session due this round
+    /// must already be open to receive (see [`Mux::tick`]).
+    pub fn route(&mut self, from: ProcessId, env: &<Self as Actor>::Msg) {
+        if let Some(inst) = self.live.get_mut(&env.session) {
+            inst.deliver(from, env.msg.clone());
+        }
+    }
+
+    /// Runs host round `round` on everything routed since the last
+    /// tick: opens the sessions due (a no-op for those a caller already
+    /// opened through [`Mux::try_open`] before routing), advances every
+    /// live instance one step, appends their session-tagged output to
+    /// `out`, and retires the instances that are done or out of steps.
+    /// [`Actor::on_round`] is due-opens, then [`Mux::route`] over the
+    /// inbox, then this.
+    pub fn tick(&mut self, round: u64, out: &mut Vec<(Dest, <Self as Actor>::Msg)>) {
+        self.open_due(round);
+        let mut stepped = Vec::new();
+        let mut to_retire = Vec::new();
+        for (&sid, inst) in self.live.iter_mut() {
+            inst.step(&mut stepped);
+            out.extend(
+                stepped.drain(..).map(|(dest, msg)| (dest, SessionEnvelope { session: sid, msg })),
+            );
+            if inst.done() || inst.next_step() >= self.host.max_steps(sid) {
+                to_retire.push(sid);
+            }
+        }
+        for sid in to_retire {
+            let inst = self.live.remove(&sid).expect("collected from live set");
+            self.retired.insert(sid);
+            self.host.retired(sid, inst.into_proto());
+        }
     }
 
     /// Explicitly spawns `sid` now, collision-checked against the live
@@ -402,41 +431,19 @@ impl<H: MuxHost> Actor for Mux<H> {
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) {
         let round = ctx.round().as_u64();
-        for sid in self.host.due(round) {
-            self.open(sid);
+        // Before routing: a message may address step 0 of a session
+        // that opens this round.
+        self.open_due(round);
+        for env in ctx.inbox() {
+            self.route(env.from, &env.msg);
         }
-        for env in ctx.inbox().iter().cloned() {
-            let sid = env.msg.session;
-            if !self.live.contains_key(&sid)
-                && !self.retired.contains(&sid)
-                && self.host.accept_unsolicited(sid)
-            {
-                self.open(sid);
+        let mut out = Vec::new();
+        self.tick(round, &mut out);
+        for (dest, msg) in out {
+            match dest {
+                Dest::To(p) => ctx.send(p, msg),
+                Dest::All => ctx.broadcast(msg),
             }
-            if let Some(inst) = self.live.get_mut(&sid) {
-                inst.deliver(env.from, env.msg.msg);
-            }
-            // else: retired/refused/unknown session — drop.
-        }
-        let mut to_retire = Vec::new();
-        for (&sid, inst) in self.live.iter_mut() {
-            let mut out = Vec::new();
-            inst.step(&mut out);
-            for (dest, msg) in out {
-                let tagged = SessionEnvelope { session: sid, msg };
-                match dest {
-                    Dest::To(p) => ctx.send(p, tagged),
-                    Dest::All => ctx.broadcast(tagged),
-                }
-            }
-            if inst.done() || inst.next_step() >= self.host.max_steps(sid) {
-                to_retire.push(sid);
-            }
-        }
-        for sid in to_retire {
-            let inst = self.live.remove(&sid).expect("collected from live set");
-            self.retired.insert(sid);
-            self.host.retired(sid, inst.into_proto());
         }
     }
 
@@ -556,7 +563,7 @@ mod tests {
         assert_eq!(out[0].1.session, SessionId(0));
         assert_eq!(mux.live_sessions(), vec![SessionId(0)]);
         // Rounds 1-2: deliver a message addressed to session 0; a message
-        // for the unknown session 7 is dropped (no unsolicited spawn).
+        // for the unknown session 7 is dropped (a message never spawns).
         let inbox = vec![
             Envelope {
                 from: ProcessId(1),

@@ -15,7 +15,9 @@ use meba_core::bb::{Bb, BbBaValue, BbMsg, BbValidity};
 use meba_core::signing::DecideProof;
 use meba_core::{Decision, FallbackFactory, SubProtocol, SystemConfig, Validity, Value};
 use meba_crypto::{Pki, ProcessId, SecretKey, WireCodec};
-use meba_sim::{Actor, Mux, MuxHost, RoundCtx, SessionEnvelope, SessionId, SessionSpawnError};
+use meba_sim::{
+    Actor, Dest, Mux, MuxHost, RoundCtx, SessionEnvelope, SessionId, SessionSpawnError,
+};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Message type of the fallback for the BB value domain.
@@ -80,13 +82,12 @@ pub fn verify_slot_evidence<V: Value>(
     if ev.proof.phase == 0 || ev.proof.phase as usize > cfg.n() {
         return None;
     }
-    let slot_cfg = slot_config(cfg, slot);
+    let domain = slot_config(cfg, slot);
     let ba_value = BbBaValue::<V>::from_wire_bytes(&ev.ba_value).ok()?;
-    if !ev.proof.verify(&slot_cfg, pki, &ba_value) {
+    if !ev.proof.verify(&domain, pki, &ba_value) {
         return None;
     }
-    let proposer = ProcessId((slot % cfg.n() as u64) as u32);
-    let validity = BbValidity::new(slot_cfg, pki.clone(), proposer);
+    let validity = BbValidity::new(domain, pki.clone(), proposer_of(cfg, slot));
     Some(match &ba_value {
         BbBaValue::Signed { value, .. }
             if Validity::<BbBaValue<V>>::validate(&validity, &ba_value) =>
@@ -97,16 +98,23 @@ pub fn verify_slot_evidence<V: Value>(
     })
 }
 
-/// The domain-separated config slot `k`'s BB instance signs under —
-/// free-function form of [`ReplicatedLog::slot_cfg`], usable without
-/// naming a fallback factory type.
+/// The domain-separated config slot `k`'s BB instance signs under: the
+/// slot index mixed into the session, so every slot's signing contexts
+/// are disjoint. The one slot-domain formula — tests and adversaries
+/// reproduce a slot's signature domain through it.
 pub fn slot_config(cfg: &SystemConfig, slot: u64) -> SystemConfig {
     cfg.with_session(cfg.session().wrapping_mul(1_000_003).wrapping_add(slot))
 }
 
+/// The designated proposer of `slot`: `p_{slot mod n}`.
+fn proposer_of(cfg: &SystemConfig, slot: u64) -> ProcessId {
+    ProcessId((slot % cfg.n() as u64) as u32)
+}
+
 /// The [`MuxHost`] half of a log replica: opens slot `k` at round
 /// `k · stride`, builds its domain-separated BB instance, and records the
-/// decision when the instance retires.
+/// decision when the instance retires. `log` is the one slot-indexed
+/// store of retired slots.
 struct LogHost<V, F>
 where
     V: Value,
@@ -122,9 +130,21 @@ where
     total_slots: u64,
     noop: V,
     pending: VecDeque<V>,
-    entries: BTreeMap<u64, LogEntry<V>>,
-    evidence: BTreeMap<u64, CommitEvidence>,
+    /// Retired slots, sorted by slot index.
     log: Vec<LogEntry<V>>,
+    evidence: BTreeMap<u64, CommitEvidence>,
+}
+
+impl<V, F> LogHost<V, F>
+where
+    V: Value,
+    F: FallbackFactory<BbBaValue<V>>,
+{
+    /// The slot scheduled to open at `round`, if any.
+    fn due_slot(&self, round: u64) -> Option<u64> {
+        let slot = round / self.stride;
+        (round.is_multiple_of(self.stride) && slot < self.total_slots).then_some(slot)
+    }
 }
 
 impl<V, F> MuxHost for LogHost<V, F>
@@ -135,11 +155,7 @@ where
     type Proto = Bb<V, F>;
 
     fn due(&mut self, round: u64) -> Vec<SessionId> {
-        if round.is_multiple_of(self.stride) && round / self.stride < self.total_slots {
-            vec![SessionId(round / self.stride)]
-        } else {
-            Vec::new()
-        }
+        self.due_slot(round).map(SessionId).into_iter().collect()
     }
 
     fn create(&mut self, sid: SessionId) -> Option<Bb<V, F>> {
@@ -147,8 +163,8 @@ where
         if slot >= self.total_slots {
             return None;
         }
-        let proposer = ProcessId((slot % self.cfg.n() as u64) as u32);
-        let cfg = ReplicatedLog::<V, F>::slot_cfg(&self.cfg, slot);
+        let proposer = proposer_of(&self.cfg, slot);
+        let cfg = slot_config(&self.cfg, slot);
         Some(if proposer == self.me {
             let cmd = self.pending.pop_front().unwrap_or_else(|| self.noop.clone());
             Bb::new_sender(
@@ -177,7 +193,7 @@ where
 
     fn retired(&mut self, sid: SessionId, bb: Bb<V, F>) {
         let slot = sid.0;
-        let proposer = ProcessId((slot % self.cfg.n() as u64) as u32);
+        let proposer = proposer_of(&self.cfg, slot);
         // A BB that did not finish inside the worst-case schedule can
         // only be a Byzantine-scheduled wrapper; a correct replica
         // records ⊥ and stays aligned with its peers.
@@ -189,14 +205,13 @@ where
             self.evidence
                 .insert(slot, CommitEvidence { ba_value: v.to_wire_bytes(), proof: proof.clone() });
         }
-        self.entries.insert(slot, LogEntry { slot, proposer, entry });
-        // Slots can retire out of order under pipelining; the BTreeMap
-        // keeps the committed view in slot order.
-        self.log = self.entries.values().cloned().collect();
+        // An append, except when a pipelined slot retires out of order.
+        let at = self.log.partition_point(|e| e.slot < slot);
+        self.log.insert(at, LogEntry { slot, proposer, entry });
     }
 
     fn finished(&self) -> bool {
-        self.entries.len() as u64 >= self.total_slots
+        self.log.len() as u64 >= self.total_slots
     }
 }
 
@@ -247,9 +262,8 @@ where
             total_slots,
             noop,
             pending: commands.into(),
-            entries: BTreeMap::new(),
-            evidence: BTreeMap::new(),
             log: Vec::new(),
+            evidence: BTreeMap::new(),
         };
         ReplicatedLog { mux: Mux::new(me, host), window: 1 }
     }
@@ -315,15 +329,13 @@ where
 
     /// The designated proposer of `slot` (`p_{slot mod n}`).
     pub fn proposer_of(&self, slot: u64) -> ProcessId {
-        ProcessId((slot % self.mux.host().cfg.n() as u64) as u32)
+        proposer_of(&self.mux.host().cfg, slot)
     }
 
     /// The slot scheduled to open at `round`, if any (`round / stride`
     /// when `round` is a stride multiple and in range).
     pub fn due_slot(&self, round: u64) -> Option<u64> {
-        let host = self.mux.host();
-        (round.is_multiple_of(host.stride) && round / host.stride < host.total_slots)
-            .then(|| round / host.stride)
+        self.mux.host().due_slot(round)
     }
 
     /// Collision-checked spawn of `slot`'s session, for dynamic
@@ -358,7 +370,8 @@ where
 
     /// The committed entry of `slot`, if this replica has retired it.
     pub fn entry(&self, slot: u64) -> Option<&LogEntry<V>> {
-        self.mux.host().entries.get(&slot)
+        let log = self.log();
+        log.binary_search_by_key(&slot, |e| e.slot).ok().map(|i| &log[i])
     }
 
     /// The transferable commit evidence this replica holds for `slot`:
@@ -373,19 +386,19 @@ where
     /// replica has retired. Under pipelining slots retire out of order,
     /// so this can trail [`ReplicatedLog::log`]'s length.
     pub fn committed_prefix(&self) -> u64 {
-        let entries = &self.mux.host().entries;
-        let mut prefix = 0u64;
-        while entries.contains_key(&prefix) {
-            prefix += 1;
-        }
-        prefix
+        self.log().iter().zip(0u64..).take_while(|(e, slot)| e.slot == *slot).count() as u64
     }
 
-    /// The domain-separated system config slot `k`'s BB instance signs
-    /// under. Exposed so tests and adversaries can reproduce a slot's
-    /// signature domain.
-    pub fn slot_cfg(cfg: &SystemConfig, slot: u64) -> SystemConfig {
-        slot_config(cfg, slot)
+    /// Hands one inbound envelope to its slot's instance by reference
+    /// ([`Mux::route`]): one clone, none for a retired or unknown slot.
+    pub fn route(&mut self, from: ProcessId, env: &<Self as Actor>::Msg) {
+        self.mux.route(from, env);
+    }
+
+    /// Runs round `round` on everything routed since the last tick and
+    /// appends the slot-tagged output to `out` ([`Mux::tick`]).
+    pub fn tick(&mut self, round: u64, out: &mut Vec<(Dest, <Self as Actor>::Msg)>) {
+        self.mux.tick(round, out);
     }
 }
 
@@ -417,7 +430,7 @@ where
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicatedLog")
             .field("me", &self.mux.id())
-            .field("committed", &self.mux.host().entries.len())
+            .field("committed", &self.log().len())
             .field("total_slots", &self.mux.host().total_slots)
             .field("window", &self.window)
             .finish_non_exhaustive()
@@ -717,7 +730,7 @@ mod tests {
     fn slot_journal_domains_are_disjoint() {
         // Crash recovery shares ONE signing registry (and one journal)
         // per process across all pipelined slots: this is safe exactly
-        // because slot_cfg's session derivation makes every slot's
+        // because slot_config's session derivation makes every slot's
         // signing contexts disjoint. Registering the full signing
         // surface of many slots must never collide; re-signing a slot's
         // context with a different preimage must still be refused.
@@ -726,7 +739,7 @@ mod tests {
         let cfg = SystemConfig::new(5, 9).unwrap();
         let mut registry = SignRegistry::new();
         for slot in 0..16u64 {
-            let session = Log::slot_cfg(&cfg, slot).session();
+            let session = slot_config(&cfg, slot).session();
             let value = 100 + slot;
             let val = BbValueSig { session, value: &value };
             assert!(
@@ -744,7 +757,7 @@ mod tests {
         }
         // Within one slot the guard still bites: a second value under
         // slot 3's sender context is the classic equivocation.
-        let session = Log::slot_cfg(&cfg, 3).session();
+        let session = slot_config(&cfg, 3).session();
         let forged = BbValueSig { session, value: &999u64 };
         assert!(registry
             .record(&forged.context_bytes(), Digest::of(&forged.signing_bytes()))

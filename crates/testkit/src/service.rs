@@ -15,7 +15,7 @@
 //! slot was bound to two different values.
 
 use meba_core::SystemConfig;
-use meba_crypto::{trusted_setup, Pki, ProcessId, SecretKey, WireCodec};
+use meba_crypto::{trusted_setup, Digest, Pki, ProcessId, SecretKey, WireCodec};
 use meba_engine::{ActorRebuilder, RebuiltActor};
 use meba_fallback::RecursiveBaFactory;
 use meba_journal::{Journal, MemBuffer, Record};
@@ -164,6 +164,33 @@ pub fn service_replica(actor: &dyn AnyActor<Msg = ServiceM>) -> &ServiceProc {
     actor.as_any().downcast_ref().expect("harness-built service replica")
 }
 
+/// The byte-exact fingerprint a seeded DES service run is pinned by:
+/// hex SHA-256 of (`state`) every replica's `(slot, applied_value)`
+/// sequence and journal bytes, (`metrics`) the run's `Metrics` JSON, and
+/// (`stats`) every replica's `ServiceStats` `{:?}`. `replicas[i]` journals
+/// into [`ServiceHarness::journal_buffer`]`(i)`.
+pub fn service_pin(h: &ServiceHarness, metrics_json: &str, replicas: &[&ServiceProc]) -> String {
+    let mut state = Vec::new();
+    let mut put = |chunk: &[u8]| {
+        state.extend_from_slice(&(chunk.len() as u64).to_le_bytes());
+        state.extend_from_slice(chunk);
+    };
+    for (i, r) in replicas.iter().enumerate() {
+        put(&r.applied_slots().to_le_bytes());
+        for slot in 0..r.log().total_slots() {
+            put(r.applied_value(slot).unwrap_or(b"unapplied"));
+        }
+        put(&h.journal_buffer(i).contents());
+    }
+    let stats: Vec<_> = replicas.iter().map(|r| r.stats()).collect();
+    format!(
+        "state={} metrics={} stats={}",
+        Digest::of(&state).to_hex(),
+        Digest::of(metrics_json.as_bytes()).to_hex(),
+        Digest::of(format!("{stats:?}").as_bytes()).to_hex()
+    )
+}
+
 /// Scans a service journal's `Proposed` records and asserts the WAL
 /// discipline held: no slot bound to two different values (the
 /// proposer-side equivocation a crash-amnesiac restart would produce).
@@ -228,8 +255,15 @@ mod tests {
         sim.run_until_done(crate::log_round_budget(3, 3)).unwrap();
         // "Crash" replica 0 by dropping the sim; its journal survives.
         drop(sim);
+        let acked = h.port(0).drain_events();
+        assert!(!acked.is_empty(), "the live commit was acknowledged");
+        let journaled = h.journal_buffer(0).len();
         let rb = h.rebuilder()(ProcessId(0));
         assert!(rb.replayed_records > 0, "bindings and commits must replay");
+        // Replay is silent: the client was told by the earlier
+        // incarnation, and nothing is journaled twice.
+        assert!(h.port(0).drain_events().is_empty(), "replay must not re-acknowledge");
+        assert_eq!(h.journal_buffer(0).len(), journaled, "replay must not write");
         let r = service_replica(rb.actor.as_ref());
         assert_eq!(r.kv().get(&5), Some(&77), "journal replay rebuilt the KV state");
         assert!(r.committed_at(9, 1).is_some(), "dedup table survives the crash");

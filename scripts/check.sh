@@ -20,6 +20,18 @@ echo "== one cluster builder (meba-bench builds every cluster through meba-testk
 ! git grep -n 'SimBuilder::new' -- crates/bench || exit 1
 ! git grep -n 'trusted_setup(' -- crates/bench/src || exit 1
 
+echo "== one slot path (retired names; a slot's decision is stored once in meba-smr and becomes state through ServiceReplica::apply only) =="
+! git grep -nE 'accept_unsolicited|Gradecast|GcSend|GcValSig|slot_cfg\b|apply_transferred|replay_op' -- crates src tests examples README.md DESIGN.md docs || exit 1
+test "$(git grep -n 'self\.kv\.insert(' -- crates/service/src | wc -l)" -eq 1
+test "$(git grep -n '&Record::Committed' -- crates/service/src | wc -l)" -eq 1
+test "$(git grep -n '&Record::Transferred' -- crates/service/src | wc -l)" -eq 1
+test "$(git grep -n 'push_event(ServiceReply::Committed' -- crates/service/src | wc -l)" -eq 2 # admit's idempotent re-ack + apply
+test "$(git grep -n '1_000_003' -- crates tests examples | wc -l)" -eq 1
+! git grep -nE 'applied: BTreeSet|entries: BTreeMap|\.values\(\)\.cloned\(\)\.collect\(\)' -- crates/service/src/replica.rs crates/smr/src/log.rs || exit 1
+
+echo "== doc paths (every crates/ tests/ examples/ scripts/ path and BENCH_*.json the docs name exists) =="
+./scripts/doc_paths.sh
+
 echo "== build =="
 cargo build --workspace --all-targets --locked
 

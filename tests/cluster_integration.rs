@@ -57,47 +57,66 @@ fn bb_on_threads_failure_free() {
     }
 }
 
-#[test]
-fn pipelined_log_on_threads() {
-    // The same mux-hosted pipelined log that runs on the lockstep
-    // simulator, driven by the threaded wall-clock runtime: sessions are
-    // routed, opened, and retired identically, and the per-session
-    // metrics breakdown is populated by the cluster too.
-    type Log = ReplicatedLog<u64, RecursiveBaFactory>;
-    type Msg = <Log as Actor>::Msg;
-    let n = 5usize;
-    let slots = 3u64;
+/// `n` replicas of the mux-hosted pipelined log (`W = 3`), replica `i`
+/// proposing `700 + i`.
+fn pipelined_log(n: usize, slots: u64) -> Vec<Box<dyn AnyActor<Msg = LogM>>> {
     let cfg = SystemConfig::new(n, 0xc7).unwrap();
     let (pki, keys) = trusted_setup(n, 0xc7);
-    let mut actors: Vec<Box<dyn AnyActor<Msg = Msg>>> = Vec::new();
+    let mut actors: Vec<Box<dyn AnyActor<Msg = LogM>>> = Vec::new();
     for (i, key) in keys.into_iter().enumerate() {
         let id = ProcessId(i as u32);
         let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-        let log: Log =
+        let log: LogProc =
             ReplicatedLog::new(cfg, id, key, pki.clone(), factory, slots, vec![700 + i as u64], 0)
                 .with_window(3);
         actors.push(Box::new(log));
     }
-    let report = run_cluster(actors, cluster_config(vec![]));
-    assert!(report.completed, "cluster must terminate");
-    let mut reference: Option<Vec<LogEntry<u64>>> = None;
-    for a in &report.actors {
-        let l: &Log = a.as_any().downcast_ref().unwrap();
-        assert_eq!(l.log().len(), slots as usize);
-        match &reference {
-            None => reference = Some(l.log().to_vec()),
-            Some(r) => assert_eq!(l.log(), &r[..], "replicas diverged on threads"),
-        }
+    actors
+}
+
+/// Every replica committed `slots` entries and all logs are equal;
+/// returns the common log.
+fn agreed_log(actors: &[Box<dyn AnyActor<Msg = LogM>>], slots: u64) -> Vec<LogEntry<u64>> {
+    let logs: Vec<&[LogEntry<u64>]> =
+        actors.iter().map(|a| a.as_any().downcast_ref::<LogProc>().unwrap().log()).collect();
+    for l in &logs {
+        assert_eq!(l.len(), slots as usize);
+        assert_eq!(l, &logs[0], "replicas diverged");
     }
+    logs[0].to_vec()
+}
+
+#[test]
+fn pipelined_log_on_threads() {
+    // The same mux-hosted pipelined log that runs on the lockstep
+    // simulator, driven by the threaded wall-clock runtime. A smoke:
+    // completion and agreement only — what the log holds, how many
+    // rounds it took and what it cost are asserted where they are
+    // exact, in `pipelined_log_on_des`.
+    let report = run_cluster(pipelined_log(5, 3), cluster_config(vec![]));
+    assert!(report.completed, "cluster must terminate");
+    agreed_log(&report.actors, 3);
+}
+
+#[test]
+fn pipelined_log_on_des() {
+    // Sessions are routed, opened and retired on an engine backend as
+    // on the simulator, and the per-session metrics breakdown is
+    // populated by the cluster report too.
+    let n = 5usize;
+    let slots = 3u64;
+    let report = des(pipelined_log(n, slots), &vec![Fault::None; n], 0xc7, &Timing::lockstep());
+    assert!(report.completed, "cluster must terminate");
     let committed: Vec<u64> =
-        reference.unwrap().iter().filter_map(|e| e.entry.value().copied()).collect();
+        agreed_log(&report.actors, slots).iter().filter_map(|e| e.entry.value().copied()).collect();
     assert_eq!(committed, vec![700, 701, 702]);
     // Pipelining: with W = 3 the whole log fits well inside two
     // sequential slot schedules.
     let slot_rounds = {
-        let (pki2, keys2) = trusted_setup(n, 0xc7);
-        let f = RecursiveBaFactory::new(cfg, keys2[0].clone(), pki2);
-        Log::slot_rounds(&cfg, &f)
+        let cfg = SystemConfig::new(n, 0xc7).unwrap();
+        let (pki, keys) = trusted_setup(n, 0xc7);
+        let f = RecursiveBaFactory::new(cfg, keys[0].clone(), pki);
+        LogProc::slot_rounds(&cfg, &f)
     };
     assert!(
         report.rounds < 2 * slot_rounds,
@@ -105,8 +124,7 @@ fn pipelined_log_on_threads() {
         report.rounds,
         slots * slot_rounds
     );
-    // Per-session accounting is populated on the threaded runtime too,
-    // one bucket per slot, each at the adaptive word cost.
+    // One accounting bucket per slot, each at the adaptive word cost.
     assert_eq!(report.metrics.per_session.len(), slots as usize);
     for stats in report.metrics.per_session.values() {
         assert!(stats.counters.words <= 22 * n as u64);
@@ -140,27 +158,23 @@ fn strong_ba_on_threads_with_crash() {
 
 #[test]
 fn cluster_and_simulator_agree_on_words() {
-    // The two runtimes implement the same accounting; a failure-free weak
-    // BA must cost identical words on both.
+    // Every runtime implements the same accounting. On the seeded DES a
+    // failure-free weak BA must cost exactly the simulator's words; the
+    // threaded run of the same actors is a smoke — completion and
+    // agreement only (wall-clock backends stop a timing-dependent round
+    // or two after the last decision, so their totals are not exact).
     let n = 5usize;
     let inputs = vec![3u64; n];
     let faults = vec![Fault::None; n];
     let mut sim = sim(weak_ba_actors(&inputs, &faults), &faults);
     sim.run_until_done(round_budget(n)).unwrap();
-    let sim_words = sim.metrics().correct_words();
+    let exact = des(weak_ba_actors(&inputs, &faults), &faults, 0x3a, &Timing::lockstep());
+    assert!(exact.completed);
+    assert_eq!(exact.metrics.correct.words, sim.metrics().correct_words());
 
-    let cfg = SystemConfig::new(n, 0x3a).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xfeed);
-    let mut actors: Vec<Box<dyn AnyActor<Msg = WbaM>>> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-        let wba: WbaProc = WeakBa::new(cfg, id, key, pki.clone(), AlwaysValid, factory, inputs[i]);
-        actors.push(Box::new(LockstepAdapter::new(id, wba)));
-    }
-    let report = run_cluster(actors, cluster_config(vec![]));
+    let report = run_cluster(weak_ba_actors(&inputs, &faults), cluster_config(vec![]));
     assert!(report.completed);
-    assert_eq!(report.metrics.correct.words, sim_words);
+    assert_agreement(&outputs::<WbaProc>(&report.actors, &faults));
 }
 
 /// The all-correct, unanimous weak-BA actors the lossy-link tests run.

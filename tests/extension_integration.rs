@@ -109,13 +109,13 @@ fn replicated_log_with_equivocating_proposer_slot() {
         let id = ProcessId(i as u32);
         if id == byz {
             // Recompute the per-slot session the honest replicas use.
-            let slot_cfg = cfg.with_session(cfg.session().wrapping_mul(1_000_003).wrapping_add(1));
+            let domain = meba::smr::slot_config(&cfg, 1);
             actors.push(Box::new(EquivocatingReplica {
                 me: id,
                 slot: 1,
                 slot_rounds,
                 inner: EquivocatingSender::new(
-                    slot_cfg,
+                    domain,
                     key,
                     111,
                     222,
@@ -241,7 +241,7 @@ fn decided_but_not_done_instance_answers_help_req_through_mux() {
     // that host round, the forged request is processed one round later —
     // the deciders' answer step.
     let help_round = Bb::<u64, RecursiveBaFactory>::ba_start(&cfg) + cfg.n() as u64 * PHASE_ROUNDS;
-    let crypto_session = Log::slot_cfg(&cfg, 0).session();
+    let crypto_session = meba::smr::slot_config(&cfg, 0).session();
     let build = |with_attack: bool| {
         let mut actors: Vec<Box<dyn AnyActor<Msg = Msg>>> = Vec::new();
         for (i, key) in keys.iter().cloned().enumerate() {

@@ -14,13 +14,16 @@ mod common;
 
 use common::*;
 use meba::engine::{
-    run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate, ProcessFateFactory,
+    run_cluster_with_recovery, run_des_cluster, ClusterConfig, DesConfig, OverrunAction,
+    ProcessFate, ProcessFateFactory,
 };
 use meba::prelude::*;
 use meba::service::SubmitError;
 use meba::sim::RoundCtx;
 use meba::wire::{run_tcp_cluster_with_recovery, TcpClusterConfig};
-use meba_testkit::service::{audit_proposals, service_replica, ServiceHarness, ServiceM};
+use meba_testkit::service::{
+    audit_proposals, service_pin, service_replica, ServiceHarness, ServiceM,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -369,4 +372,57 @@ fn crash_restart_of_serving_replica_is_exactly_once_tcp() {
     assert_eq!(report.report.metrics.recovery.crash_restarts, 1);
     assert!(report.report.metrics.recovery.replayed_records > 0);
     assert_exactly_once(&report.report.actors, &h);
+}
+
+/// The same crash script on the discrete-event backend, where it is
+/// seeded and therefore byte-exact: exactly-once as on the wall-clock
+/// backends, the same seed twice gives identical `Metrics` JSON and
+/// `ServiceStats`, and the run's fingerprint — every replica's applied
+/// bytes per slot, its journal bytes, the metrics and the stats — is
+/// the one recorded before the slot path was collapsed onto one `apply`.
+/// The rebuilt victim replays records its pre-crash incarnation wrote
+/// through the live path, so this also pins journal compatibility.
+#[test]
+fn crash_restart_of_serving_replica_is_exactly_once_des() {
+    let run = || {
+        let h = Arc::new(ServiceHarness::new(N, crash_service()));
+        let resubmit = 12;
+        let config = DesConfig {
+            seed: 0x5107,
+            max_rounds: log_round_budget(N, 6),
+            process_fate: Some(crash_fate(0, 4, 4)),
+            ..DesConfig::default()
+        };
+        let report = run_des_cluster(
+            scripted_actors(&h, resubmit),
+            Some(scripted_rebuilder(&h, resubmit)),
+            config,
+        )
+        .expect("valid config");
+        assert!(report.completed, "cluster must terminate: {report:?}");
+        assert_eq!(report.metrics.recovery.crash_restarts, 1);
+        assert!(report.metrics.recovery.replayed_records > 0, "slot 0's binding must replay");
+        assert_exactly_once(&report.actors, &h);
+        let replicas: Vec<_> = report.actors.iter().map(|a| replica_of(a.as_ref())).collect();
+        let prefix: Vec<_> = (0..6).map(|slot| replicas[1].applied_value(slot)).collect();
+        for (i, r) in replicas.iter().enumerate() {
+            assert_eq!(r.applied_slots(), 6, "replica {i}: applied the whole log");
+            assert_eq!(r.stats().applied_conflicts, 0, "replica {i}: no conflicts");
+            for (slot, want) in prefix.iter().enumerate() {
+                assert_eq!(&r.applied_value(slot as u64), want, "replica {i} slot {slot}");
+            }
+        }
+        let metrics = serde_json::to_string(&report.metrics).expect("metrics serialize");
+        let stats: Vec<_> = replicas.iter().map(|r| r.stats()).collect();
+        let pin = service_pin(&h, &metrics, &replicas);
+        (metrics, stats, pin)
+    };
+    let (first, second) = (run(), run());
+    assert_eq!(first, second, "same seed: same Metrics bytes, same ServiceStats");
+    assert_eq!(
+        first.2,
+        "state=db54a8b702e2b0ca6b624da946d219f59d5f94f99da627725f840a0cc355d31a \
+         metrics=e1376e909ceb493f337c7aee72bd1a4a8c841dfedb4df9c73509202f2e038a5e \
+         stats=efa3679037f1011290e81f91422ea295d6770a5074a4b88930c8ad68939cf8a6"
+    );
 }
