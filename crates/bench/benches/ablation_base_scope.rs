@@ -19,8 +19,9 @@ fn main() {
     let t = (n - 1) / 2;
     let mut best: Option<(usize, u64)> = None;
     for base in [2usize, 4, 8, 16] {
-        let (w0, rounds, ok0) = run_base_scope(n, base, 0);
-        let (wt, _, okt) = run_base_scope(n, base, t);
+        let (clean, ok0) = run_base_scope(n, base, 0);
+        let (faulty, okt) = run_base_scope(n, base, t);
+        let (w0, rounds, wt) = (clean.words, clean.rounds, faulty.words);
         assert!(ok0 && okt, "correctness must be independent of B (B = {base})");
         if best.is_none_or(|(_, bw)| w0 < bw) {
             best = Some((base, w0));

@@ -13,13 +13,15 @@ use meba_bench::table::Table;
 fn main() {
     println!("=== E9: 2δ safety-window ablation (n = 7, late-helper leader) ===\n");
     let mut tab = Table::new(&["safety window", "agreement", "decisions of correct processes"]);
-    let (ok_off, ds_off) = run_late_help_attack(false);
+    let (stats, ds_off) = run_late_help_attack(false);
+    let ok_off = stats.agreement;
     tab.row(&[
         "disabled".to_string(),
         if ok_off { "held".into() } else { "VIOLATED".to_string() },
         format!("{ds_off:?}"),
     ]);
-    let (ok_on, ds_on) = run_late_help_attack(true);
+    let (stats, ds_on) = run_late_help_attack(true);
+    let ok_on = stats.agreement;
     tab.row(&[
         "enabled (paper)".to_string(),
         if ok_on { "held".into() } else { "VIOLATED".to_string() },

@@ -11,13 +11,15 @@ use meba_bench::table::Table;
 fn main() {
     println!("=== E8: quorum-threshold ablation (n = 7, t = 3, split-vote leader) ===\n");
     let mut tab = Table::new(&["quorum", "agreement", "decisions of correct processes"]);
-    let (ok_naive, ds_naive) = run_split_vote_attack(true);
+    let (stats, ds_naive) = run_split_vote_attack(true);
+    let ok_naive = stats.agreement;
     tab.row(&[
         "t+1 = 4 (naive)".to_string(),
         if ok_naive { "held".into() } else { "VIOLATED".to_string() },
         format!("{ds_naive:?}"),
     ]);
-    let (ok_paper, ds_paper) = run_split_vote_attack(false);
+    let (stats, ds_paper) = run_split_vote_attack(false);
+    let ok_paper = stats.agreement;
     tab.row(&[
         "⌈(n+t+1)/2⌉ = 6 (paper)".to_string(),
         if ok_paper { "held".into() } else { "VIOLATED".to_string() },

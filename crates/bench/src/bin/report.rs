@@ -96,10 +96,10 @@ fn main() {
     }
 
     section("E8/E9 — ablations (deterministic attack outcomes)");
-    let (a8n, _) = run_split_vote_attack(true);
-    let (a8p, _) = run_split_vote_attack(false);
-    let (a9off, _) = run_late_help_attack(false);
-    let (a9on, _) = run_late_help_attack(true);
+    let a8n = run_split_vote_attack(true).0.agreement;
+    let a8p = run_split_vote_attack(false).0.agreement;
+    let a9off = run_late_help_attack(false).0.agreement;
+    let a9on = run_late_help_attack(true).0.agreement;
     println!("| ablation | weakened config | paper config |");
     println!("|---|---|---|");
     println!(

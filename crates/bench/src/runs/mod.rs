@@ -70,10 +70,10 @@ mod tests {
 
     #[test]
     fn attack_runners_reproduce_ablations() {
-        assert!(!run_split_vote_attack(true).0);
-        assert!(run_split_vote_attack(false).0);
-        assert!(!run_late_help_attack(false).0);
-        assert!(run_late_help_attack(true).0);
+        assert!(!run_split_vote_attack(true).0.agreement);
+        assert!(run_split_vote_attack(false).0.agreement);
+        assert!(!run_late_help_attack(false).0.agreement);
+        assert!(run_late_help_attack(true).0.agreement);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use meba_adversary::{
 use meba_core::{AlwaysValid, Bb, Decision, LockstepAdapter, StrongBa, SystemConfig, WeakBa};
 use meba_crypto::{ProcessId, SecretKey};
 use meba_fallback::{DolevStrongBb, RecursiveBa, BASE_SCOPE};
-use meba_sim::{AnyActor, Message, Simulation};
+use meba_sim::{AnyActor, Message, Metrics, Simulation};
 use meba_testkit::{
     agree, cluster, corrupt_ids, outputs, round_budget, sim, strong_ba_actors, BbM, BbProc,
     DecisionStats, Family, Fault, Party, Probe, SbaCtor, SbaProc, WbaM, WbaProc,
@@ -43,6 +43,9 @@ pub struct RunStats {
     pub by_component: BTreeMap<String, u64>,
     /// Count of correct processes that led a non-silent phase.
     pub nonsilent_leaders: usize,
+    /// The run's whole ledger, for readings the fields above do not
+    /// name.
+    pub metrics: Metrics,
 }
 
 /// Runs `actors` to completion on the lockstep simulator and reads the
@@ -68,6 +71,7 @@ fn run<M: Message>(
         agreement: true,
         by_component: m.by_component.iter().map(|(k, v)| (k.clone(), v.words)).collect(),
         nonsilent_leaders: 0,
+        metrics: m.clone(),
     };
     (sim, stats)
 }
@@ -264,23 +268,24 @@ pub fn run_recursive_ba(n: usize, f: usize) -> RunStats {
 }
 
 /// Runs one E10 cell: the recursive fallback BA (unanimous input 5) with
-/// base-case size `base` and `crashes` crashed processes. Returns
-/// `(correct words, rounds, every correct process decided 5)`.
-pub fn run_base_scope(n: usize, base: usize, crashes: usize) -> (u64, u64, bool) {
+/// base-case size `base` and `crashes` crashed processes. Returns the
+/// run's stats and whether every correct process decided 5.
+pub fn run_base_scope(n: usize, base: usize, crashes: usize) -> (RunStats, bool) {
     let (decisions, stats) = run_recursive(n, crashes, 5, base);
-    (stats.words, stats.rounds, decisions.iter().all(|d| *d == 5))
+    (stats, decisions.iter().all(|d| *d == 5))
 }
 
 /// The E8/E9 stage: n = 7 weak BA where the Byzantine cohort {p1, p3,
 /// p5} is led by `leader` at p1 (lent the whole cohort's keys), p3 and
-/// p5 stay silent, and the correct processes run `honest`. Returns
-/// `(agreement, decisions_of_correct)`.
+/// p5 stay silent, and the correct processes run `honest`. Returns the
+/// run's stats (`agreement` read off the decisions) and the decisions of
+/// the correct processes.
 fn run_cohort_attack(
     cfg: SystemConfig,
     key_seed: u64,
     honest: impl Fn(Party) -> WbaProc,
     leader: impl Fn(&Party, Vec<SecretKey>) -> Box<dyn AnyActor<Msg = WbaM>>,
-) -> (bool, Vec<Decision<u64>>) {
+) -> (RunStats, Vec<Decision<u64>>) {
     let faults = idle_at(7, [1, 3, 5]);
     let cohort = |keys: &[SecretKey]| [1, 3, 5].map(|i| keys[i].clone()).to_vec();
     let actors = cluster(
@@ -290,15 +295,14 @@ fn run_cohort_attack(
         |p| LockstepAdapter::new(p.id, honest(p)),
         |p, keys| (p.id.0 == 1).then(|| leader(p, cohort(keys))),
     );
-    let mut sim = sim(actors, &faults);
-    sim.run_until_done(round_budget(7)).expect("attack run terminated");
+    let (sim, stats) = run(actors, &faults);
     let decisions = outputs::<WbaProc>(sim.actors(), &faults);
-    (agree(&decisions), decisions)
+    (RunStats { agreement: agree(&decisions), ..stats }, decisions)
 }
 
-/// Runs the E8 split-vote attack and reports whether agreement held.
-/// Returns `(agreement, decisions_of_correct)`.
-pub fn run_split_vote_attack(naive_quorum: bool) -> (bool, Vec<Decision<u64>>) {
+/// Runs the E8 split-vote attack; [`RunStats::agreement`] says whether
+/// agreement held. Returns `(stats, decisions_of_correct)`.
+pub fn run_split_vote_attack(naive_quorum: bool) -> (RunStats, Vec<Decision<u64>>) {
     let mut cfg = SystemConfig::new(7, 0xe8).unwrap();
     if naive_quorum {
         cfg = cfg.unsafe_with_quorum(cfg.idk_threshold());
@@ -319,8 +323,8 @@ pub fn run_split_vote_attack(naive_quorum: bool) -> (bool, Vec<Decision<u64>>) {
 }
 
 /// Runs the E9 late-help attack; `window` controls whether the paper's
-/// 2δ safety window is active. Returns `(agreement, decisions)`.
-pub fn run_late_help_attack(window: bool) -> (bool, Vec<Decision<u64>>) {
+/// 2δ safety window is active. Returns `(stats, decisions)`.
+pub fn run_late_help_attack(window: bool) -> (RunStats, Vec<Decision<u64>>) {
     run_cohort_attack(
         SystemConfig::new(7, 0xe9).unwrap(),
         0xe9,

@@ -48,6 +48,8 @@ pub struct ServiceRunStats {
     /// Session-id collisions surfaced by the dynamic spawn path
     /// (must be 0).
     pub session_collisions: u64,
+    /// The run's whole ledger.
+    pub metrics: meba_sim::Metrics,
 }
 
 /// Runs one E18 cell: `total_ops` client ops spread round-robin over the
@@ -146,5 +148,6 @@ pub fn run_service_throughput(
         words_per_op: m.correct.words as f64 / committed_ops.max(1) as f64,
         agreement,
         session_collisions,
+        metrics: m.clone(),
     }
 }

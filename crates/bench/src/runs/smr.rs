@@ -30,6 +30,8 @@ pub struct SmrRunStats {
     pub session_words: Vec<u64>,
     /// Whether all correct replicas hold identical logs.
     pub agreement: bool,
+    /// The run's whole ledger.
+    pub metrics: meba_sim::Metrics,
 }
 
 /// Runs the session-multiplexed replicated log: `slots` BB instances,
@@ -56,5 +58,6 @@ pub fn run_smr(n: usize, slots: u64, window: u64, f: usize) -> SmrRunStats {
         words_per_slot: m.correct.words as f64 / committed.max(1) as f64,
         session_words: m.per_session.values().map(|s| s.counters.words).collect(),
         agreement: agree(&logs),
+        metrics: m.clone(),
     }
 }
