@@ -37,9 +37,9 @@
 use crate::config::{ClusterConfig, ClusterReport};
 use crate::control::run_threaded_cluster;
 use crate::fate::ActorRebuilder;
-use crate::transport::{Delivery, Transport};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use meba_crypto::ProcessId;
+use meba_sim::body::{Delivery, Transport};
 use meba_sim::{AnyActor, Message};
 
 /// One process's endpoint of a full mesh of bounded channels. A full

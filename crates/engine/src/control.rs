@@ -15,7 +15,7 @@ use crate::driver::{RoundDriver, RoundDriverConfig};
 use crate::fate::{resolve_fates, ActorRebuilder};
 use crate::pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer};
 use crate::process::{EngineProcess, StepStatus};
-use crate::transport::Transport;
+use meba_sim::body::Transport;
 use meba_sim::{AnyActor, Message, Metrics};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -64,9 +64,14 @@
 //! the per-process timer grid is stateful per tick (each deadline is
 //! anchored on the previous one and on that round's backoff), so the
 //! hints are not consulted there.
-//! The rushing-adversary wave scheduling of `meba_sim::Simulation` is
-//! the one lockstep feature this backend does not model: corrupt actors
-//! observe a round's traffic one round later, like everyone else.
+//!
+//! Each process's round is [`meba_sim::body::run_live_round`], the body
+//! `meba_sim::Simulation` runs too; only the clock and the transport
+//! differ. The one lockstep feature this backend does not model is the
+//! rushing adversary: the simulator gives its corrupt processes a
+//! [`RoundState::rushing`](meba_sim::body::RoundState::rushing)
+//! admission cut, which no process here carries — corrupt actors observe
+//! a round's traffic one round later, like everyone else.
 
 use crate::calendar::{CalendarQueue, TimeKeyed};
 use crate::config::{ClusterReport, LinkPolicyFactory};
@@ -74,8 +79,8 @@ use crate::driver::AdvanceCause::{self, QuorumReached};
 use crate::driver::{DriverConfigError, RoundDriver, RoundDriverConfig};
 use crate::fate::{resolve_fates, ActorRebuilder, ProcessFateFactory};
 use crate::process::EngineProcess;
-use crate::transport::{Delivery, Transport};
 use meba_crypto::ProcessId;
+use meba_sim::body::{Delivery, Transport};
 use meba_sim::{AnyActor, Message, Metrics};
 use std::cell::RefCell;
 use std::rc::Rc;

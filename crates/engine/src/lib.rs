@@ -3,13 +3,16 @@
 //! The workspace runs the same [`meba_sim::Actor`] state machines on four
 //! backends — the lockstep simulator (`meba-sim`), a threaded wall-clock
 //! cluster ([`run_cluster`]), a real-TCP cluster (`meba-wire`), and this
-//! crate's deterministic discrete-event backend for large n. The last
-//! three share one per-process round loop, and this crate is its home:
+//! crate's deterministic discrete-event backend for large n. All four
+//! execute a process's round through one body,
+//! [`meba_sim::body::run_live_round`], over a
+//! [`meba_sim::body::Transport`] — how bytes move: send / drain / sever /
+//! crash, with backpressure surfaced for accounting. This crate supplies
+//! the transports of the last three ([`ChannelTransport`] over bounded
+//! crossbeam channels, `meba-wire`'s TCP mesh, the discrete-event queue
+//! in [`des`]) and everything around the body that the lockstep
+//! simulator does not need:
 //!
-//! * [`Transport`] — how bytes move: send / drain / sever / crash, with
-//!   backpressure surfaced for accounting. Implementations:
-//!   [`ChannelTransport`] (bounded crossbeam channels), `meba-wire`'s
-//!   TCP mesh, and the discrete-event queue in [`des`].
 //! * [`DeadlinePacer`] — when wall-clock rounds happen, with
 //!   δ-escalation; the discrete-event backend owns a virtual clock and
 //!   the lockstep simulator's barrier needs none.
@@ -19,13 +22,12 @@
 //!   senders or its local δ-estimate timer, whichever fires first. One
 //!   state machine, configured by [`RoundDriverConfig`], serves every
 //!   backend (see [`driver`]).
-//! * [`EngineProcess`] / [`run_live_round`] — the one per-process driver:
-//!   inbox partitioning by `sent_round`, word/byte/per-link accounting
-//!   (through [`meba_sim::Metrics::bill`], into a `&mut Metrics` the
-//!   backend owns — no lock in the round body),
-//!   [`meba_sim::faults::LinkPolicy`] fault application (the one fault
-//!   vocabulary, `Sever` included), [`ProcessFate`] crash-restart
-//!   execution, and journal-replay rejoin.
+//! * [`EngineProcess`] — the per-process driver around the round body
+//!   (which does inbox partitioning by `sent_round`, word/byte/per-link
+//!   accounting into a `&mut Metrics` the backend owns, and
+//!   [`meba_sim::faults::LinkPolicy`] fault application): a per-sender
+//!   link policy, [`ProcessFate`] crash-restart execution, and
+//!   journal-replay rejoin.
 //! * [`run_threaded_cluster`] — generic thread-per-process execution with
 //!   coordinator stop decisions, overrun monitoring, and δ-escalation
 //!   (the machinery behind [`run_cluster`] and
@@ -52,7 +54,6 @@ pub mod driver;
 pub mod fate;
 pub mod pacer;
 pub mod process;
-pub mod transport;
 
 pub use calendar::{CalendarQueue, TimeKeyed};
 pub use channel::{channel_mesh, run_cluster, run_cluster_with_recovery, ChannelTransport};
@@ -65,13 +66,13 @@ pub use fate::{
     ResolvedFate,
 };
 pub use pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer};
-pub use process::{run_live_round, EngineProcess, LiveRoundOutcome, RoundState, StepStatus};
-pub use transport::{Delivery, Transport};
+pub use process::{EngineProcess, StepStatus};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use meba_crypto::ProcessId;
+    use meba_sim::body::Transport;
     use meba_sim::{Actor, AnyActor, Message, RoundCtx};
 
     #[derive(Clone, Debug)]

@@ -135,7 +135,7 @@ impl<'a, M: Message> RoundCtx<'a, M> {
 /// Correct processes implement the protocol; Byzantine processes (see the
 /// `meba-adversary` crate) implement arbitrary behaviour over the same
 /// interface — the simulator gives them no extra powers beyond the keys
-/// they hold and (optionally) rushing delivery.
+/// they hold and, on the lockstep simulator, rushing delivery.
 pub trait Actor: Send {
     /// The message type this actor exchanges.
     type Msg: Message;

@@ -4,7 +4,11 @@
 //! reliable authenticated point-to-point links, and a known delay bound
 //! `δ`, normalized to one round. Protocols are [`Actor`] state machines;
 //! Byzantine behaviour is just another `Actor` implementation (see
-//! `meba-adversary`), optionally scheduled with *rushing* delivery.
+//! `meba-adversary`), scheduled with *rushing* delivery.
+//!
+//! [`body::run_live_round`] is the round body of every backend — this
+//! crate's [`Simulation`] and `meba-engine`'s threaded, TCP and
+//! discrete-event runtimes — so one execution model underlies them all.
 //!
 //! Communication complexity is accounted exactly as the paper defines it:
 //! words sent by correct processes ([`Metrics::correct_words`]), with
@@ -47,12 +51,12 @@
 #![forbid(unsafe_code)]
 
 pub mod actor;
+pub mod body;
 pub mod faults;
 pub mod metrics;
 pub mod round;
 pub mod runner;
 pub mod session;
-pub mod trace;
 
 pub use actor::{Actor, Dest, Envelope, IdleActor, Message, RoundCtx};
 pub use faults::{
@@ -69,4 +73,3 @@ pub use session::{
     Instance, Mux, MuxHost, RecoveryEvent, SessionEnvelope, SessionId, SessionSpawnError,
     SubProtocol,
 };
-pub use trace::{Trace, TraceEvent};

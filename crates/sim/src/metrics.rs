@@ -11,9 +11,9 @@
 //! and the rule that turns a sent message into words lives here once:
 //! [`MessageCost::of`] (floor at 1 word), [`targets`] (who gets a copy)
 //! and [`Metrics::bill`] (a copy is billed as sent whatever its
-//! [`LinkFate`]) serve the lockstep simulator and every `meba-engine`
-//! backend; [`Metrics::merge`] folds the per-thread shards of the paced
-//! ones.
+//! [`LinkFate`]) serve [`crate::body::run_live_round`], the round body
+//! of all four backends; [`Metrics::merge`] folds the per-thread shards
+//! of the paced ones.
 
 use crate::actor::{Dest, Message};
 use crate::faults::{Link, LinkFate};
@@ -531,19 +531,15 @@ impl Metrics {
     /// the one place words, signatures, bytes and link counters are
     /// charged, on every backend. The paper counts words *sent* (§2), so
     /// the copy costs the same whatever `fate` it meets: a dropped,
-    /// delayed or severed copy was still sent.
-    ///
-    /// `fate` is `None` on a backend that keeps no link accounting for
-    /// this run (the lockstep simulator without a link policy); otherwise
-    /// the link's `sent`/`bytes` move, and `dropped` or `delayed` with
-    /// the fate.
+    /// delayed or severed copy was still sent. The link's `sent`/`bytes`
+    /// move, and `dropped` or `delayed` with the fate.
     pub fn bill(
         &mut self,
         link: Link,
         sender_correct: bool,
         round: u64,
         cost: &MessageCost,
-        fate: Option<LinkFate>,
+        fate: LinkFate,
     ) {
         debug_assert_ne!(link.from, link.to, "a self-copy is process memory, never billed");
         self.per_process.entry(link.from.0).or_default().record(cost);
@@ -567,16 +563,14 @@ impl Metrics {
         } else {
             self.byzantine.record(cost);
         }
-        if let Some(fate) = fate {
-            let stats = self.per_link.entry(link).or_default();
-            stats.sent += 1;
-            stats.bytes += cost.bytes;
-            match fate {
-                LinkFate::Deliver => {}
-                // A sever is a drop that also costs the connection.
-                LinkFate::Drop | LinkFate::Sever => stats.dropped += 1,
-                LinkFate::DelayRounds(_) => stats.delayed += 1,
-            }
+        let stats = self.per_link.entry(link).or_default();
+        stats.sent += 1;
+        stats.bytes += cost.bytes;
+        match fate {
+            LinkFate::Deliver => {}
+            // A sever is a drop that also costs the connection.
+            LinkFate::Drop | LinkFate::Sever => stats.dropped += 1,
+            LinkFate::DelayRounds(_) => stats.delayed += 1,
         }
     }
 
@@ -650,8 +644,8 @@ mod tests {
     #[test]
     fn correct_and_byzantine_split() {
         let mut m = Metrics::default();
-        m.bill(link(0, 1), true, 0, &cost("bb", None, 3, 2), None);
-        m.bill(link(1, 0), false, 0, &cost("bb", None, 100, 50), None);
+        m.bill(link(0, 1), true, 0, &cost("bb", None, 3, 2), LinkFate::Deliver);
+        m.bill(link(1, 0), false, 0, &cost("bb", None, 100, 50), LinkFate::Deliver);
         assert_eq!(m.correct.words, 3);
         assert_eq!(m.correct.messages, 1);
         assert_eq!(m.correct.constituent_sigs, 2);
@@ -659,15 +653,16 @@ mod tests {
         assert_eq!(m.byzantine.words, 100);
         assert_eq!(m.byzantine.bytes, 3_200);
         assert_eq!(m.correct_words(), 3);
-        assert!(m.per_link.is_empty(), "no fate, no link accounting");
+        let sent = |from, to| m.link(ProcessId(from), ProcessId(to)).sent;
+        assert_eq!((sent(0, 1), sent(1, 0)), (1, 1), "every copy is billed to its link");
     }
 
     #[test]
     fn component_breakdown() {
         let mut m = Metrics::default();
-        m.bill(link(0, 1), true, 0, &cost("bb", None, 1, 0), None);
-        m.bill(link(0, 1), true, 1, &cost("weak-ba", None, 2, 1), None);
-        m.bill(link(2, 1), true, 1, &cost("weak-ba", None, 2, 1), None);
+        m.bill(link(0, 1), true, 0, &cost("bb", None, 1, 0), LinkFate::Deliver);
+        m.bill(link(0, 1), true, 1, &cost("weak-ba", None, 2, 1), LinkFate::Deliver);
+        m.bill(link(2, 1), true, 1, &cost("weak-ba", None, 2, 1), LinkFate::Deliver);
         assert_eq!(m.by_component["bb"].words, 1);
         assert_eq!(m.by_component["weak-ba"].words, 4);
         assert_eq!(m.by_component["weak-ba"].messages, 2);
@@ -676,13 +671,13 @@ mod tests {
     #[test]
     fn per_session_breakdown_tracks_span_and_counters() {
         let mut m = Metrics::default();
-        m.bill(link(0, 3), true, 3, &cost("bb", Some(0), 2, 1), None);
-        m.bill(link(1, 3), true, 7, &cost("bb", Some(0), 4, 0), None);
-        m.bill(link(0, 3), true, 5, &cost("bb", Some(1), 10, 2), None);
+        m.bill(link(0, 3), true, 3, &cost("bb", Some(0), 2, 1), LinkFate::Deliver);
+        m.bill(link(1, 3), true, 7, &cost("bb", Some(0), 4, 0), LinkFate::Deliver);
+        m.bill(link(0, 3), true, 5, &cost("bb", Some(1), 10, 2), LinkFate::Deliver);
         // Byzantine traffic never pollutes the per-session view.
-        m.bill(link(2, 3), false, 4, &cost("bb", Some(0), 99, 9), None);
+        m.bill(link(2, 3), false, 4, &cost("bb", Some(0), 99, 9), LinkFate::Deliver);
         // Unmultiplexed traffic has no session bucket.
-        m.bill(link(0, 3), true, 8, &cost("bb", None, 1, 0), None);
+        m.bill(link(0, 3), true, 8, &cost("bb", None, 1, 0), LinkFate::Deliver);
         let s0 = &m.per_session[&0];
         assert_eq!(s0.counters.words, 6);
         assert_eq!(s0.counters.messages, 2);
@@ -698,7 +693,7 @@ mod tests {
     #[test]
     fn per_round_series_grows() {
         let mut m = Metrics::default();
-        m.bill(link(0, 1), true, 4, &cost("x", None, 7, 0), None);
+        m.bill(link(0, 1), true, 4, &cost("x", None, 7, 0), LinkFate::Deliver);
         assert_eq!(m.words_per_round, vec![0, 0, 0, 0, 7]);
     }
 
@@ -763,10 +758,10 @@ mod tests {
     fn per_link_accounting() {
         let mut m = Metrics::default();
         let c = cost("x", None, 1, 0);
-        m.bill(link(0, 1), true, 0, &c, Some(LinkFate::Deliver));
-        m.bill(link(0, 1), true, 0, &c, Some(LinkFate::DelayRounds(2)));
-        m.bill(link(0, 1), true, 0, &c, Some(LinkFate::Drop));
-        m.bill(link(0, 1), true, 0, &c, Some(LinkFate::Sever));
+        m.bill(link(0, 1), true, 0, &c, LinkFate::Deliver);
+        m.bill(link(0, 1), true, 0, &c, LinkFate::DelayRounds(2));
+        m.bill(link(0, 1), true, 0, &c, LinkFate::Drop);
+        m.bill(link(0, 1), true, 0, &c, LinkFate::Sever);
         m.admit(link(0, 1));
         m.admit(link(1, 0));
         let l01 = LinkStats { sent: 4, delivered: 1, dropped: 2, delayed: 1, bytes: 128 };
@@ -792,13 +787,13 @@ mod tests {
         correct: bool,
         round: u64,
         cost: MessageCost,
-        fate: Option<LinkFate>,
+        fate: LinkFate,
     }
 
     impl Entry {
         fn apply(&self, m: &mut Metrics) {
             m.bill(self.link, self.correct, self.round, &self.cost, self.fate);
-            if self.fate == Some(LinkFate::Deliver) {
+            if self.fate == LinkFate::Deliver {
                 m.admit(self.link);
             }
         }
@@ -813,13 +808,8 @@ mod tests {
         };
         let from = take(12) as u32;
         let to = (from + 1 + take(11) as u32) % 12;
-        let fate = [
-            None,
-            Some(LinkFate::Deliver),
-            Some(LinkFate::Drop),
-            Some(LinkFate::Sever),
-            Some(LinkFate::DelayRounds(3)),
-        ][take(5) as usize];
+        let fate = [LinkFate::Deliver, LinkFate::Drop, LinkFate::Sever, LinkFate::DelayRounds(3)]
+            [take(4) as usize];
         let component = ["bb/vetting", "weak-ba/phases", "fallback"][take(3) as usize];
         let words = 1 + take(8);
         Entry {
@@ -879,8 +869,8 @@ mod serde_tests {
         // `p2->…` as a string and after it as a link.
         let from_p10 = Link { from: ProcessId(10), to: ProcessId(2) };
         let mut m = Metrics::default();
-        m.bill(to_p1, true, 0, &bb, Some(LinkFate::Drop));
-        m.bill(from_p10, false, 2, &fallback, Some(LinkFate::Deliver));
+        m.bill(to_p1, true, 0, &bb, LinkFate::Drop);
+        m.bill(from_p10, false, 2, &fallback, LinkFate::Deliver);
         m.admit(from_p10);
         m.rounds = 3;
         m.round_latency.record_us(250);

@@ -2,22 +2,28 @@
 //!
 //! One [`Simulation`] drives `n` actors through synchronous rounds:
 //! messages sent in round `r` are delivered to correct processes in round
-//! `r + 1` (`δ = 1` round). With [`SimBuilder::rushing`] enabled (the
-//! default), Byzantine actors are scheduled *after* correct actors within a
-//! round and receive correct processes' round-`r` messages already in
-//! round `r` — the standard rushing adversary.
+//! `r + 1` (`δ = 1` round). Every process executes its round through the
+//! body all four backends share, [`run_live_round`], over an in-memory
+//! transport of per-process lanes; what stays here is the clock — one
+//! global round, correct processes stepped before corrupt ones — and the
+//! network-level crash.
+//!
+//! Byzantine actors are the *rushing* adversary: scheduled after every
+//! correct actor within a round, they admit correct processes' round-`r`
+//! messages already in round `r`. That is an admission cut of their
+//! [`RoundState`] ([`RoundState::rushing`]), not a second round body.
 //!
 //! Determinism: actors are stepped in identity order within each wave, and
 //! nothing in the loop consults ambient randomness, so a run is a pure
 //! function of the actors' initial states.
 
-use crate::actor::{Actor, Dest, Envelope, RoundCtx};
-use crate::faults::{Link, LinkFate, LinkPolicy};
-use crate::metrics::{targets, MessageCost, Metrics};
+use crate::actor::Actor;
+use crate::body::{run_live_round, Delivery, RoundState, Transport};
+use crate::faults::LinkPolicy;
+use crate::metrics::Metrics;
 use crate::round::Round;
 use meba_crypto::ProcessId;
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -62,17 +68,12 @@ pub struct SimBuilder<M: crate::actor::Message> {
     actors: Vec<Box<dyn AnyActor<Msg = M>>>,
     corrupt: Vec<bool>,
     crash_at: Vec<Option<u64>>,
-    rushing: bool,
-    trace_capacity: Option<usize>,
     link_policy: Option<Box<dyn LinkPolicy>>,
 }
 
 impl<M: crate::actor::Message> fmt::Debug for SimBuilder<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimBuilder")
-            .field("n", &self.actors.len())
-            .field("rushing", &self.rushing)
-            .finish_non_exhaustive()
+        f.debug_struct("SimBuilder").field("n", &self.actors.len()).finish_non_exhaustive()
     }
 }
 
@@ -83,44 +84,25 @@ impl<M: crate::actor::Message> SimBuilder<M> {
     /// [`SimBuilder::build`]).
     pub fn new(actors: Vec<Box<dyn AnyActor<Msg = M>>>) -> Self {
         let n = actors.len();
-        SimBuilder {
-            actors,
-            corrupt: vec![false; n],
-            crash_at: vec![None; n],
-            rushing: true,
-            trace_capacity: None,
-            link_policy: None,
-        }
+        SimBuilder { actors, corrupt: vec![false; n], crash_at: vec![None; n], link_policy: None }
     }
 
     /// Marks `id` as Byzantine: its traffic is excluded from protocol
-    /// complexity and it is scheduled in the rushing wave.
+    /// complexity and it is scheduled, rushing, after every correct
+    /// process.
     pub fn corrupt(mut self, id: ProcessId) -> Self {
         self.corrupt[id.index()] = true;
         self
     }
 
-    /// Enables or disables rushing delivery for Byzantine actors
-    /// (enabled by default).
-    pub fn rushing(mut self, rushing: bool) -> Self {
-        self.rushing = rushing;
-        self
-    }
-
-    /// Records up to `capacity` message-delivery events for post-run
-    /// inspection (see [`crate::trace::Trace`]). Off by default.
-    pub fn trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity);
-        self
-    }
-
     /// Injects link faults: every non-self point-to-point delivery asks
-    /// `policy` for its [`LinkFate`] — dropped and severed messages
-    /// vanish (the simulator has no connections to tear down), delayed
-    /// messages arrive `k` rounds past the synchrony bound. While a
-    /// policy is installed, per-link delivery counters are recorded into
-    /// [`Metrics::per_link`]. Off by default (reliable links, zero
-    /// overhead).
+    /// `policy` for its [`LinkFate`](crate::faults::LinkFate) — dropped
+    /// and severed messages vanish (the simulator has no connections to
+    /// tear down), delayed messages arrive `k` rounds past the synchrony
+    /// bound. Off by default (reliable links). One instance judges every
+    /// link; the stock policies decide per `(seed, link, round, nth
+    /// message)`, so they hand out the same fates as the per-sender
+    /// instances of the engine backends.
     ///
     /// Word accounting is unaffected: the paper counts words *sent* by
     /// correct processes, and a dropped message was still sent.
@@ -131,10 +113,11 @@ impl<M: crate::actor::Message> SimBuilder<M> {
 
     /// Crashes `id` at the start of `round`: the actor runs the honest
     /// protocol **with honest scheduling** until then, and is silenced by
-    /// the network from `round` on. This models the adaptive adversary
-    /// corrupting a process mid-run by crashing it — unlike wrapping a
-    /// Byzantine actor, the pre-crash behaviour is exactly a correct
-    /// process's (it is not rushed).
+    /// the network from `round` on — it neither sends nor drains, and
+    /// fault-delayed copies it had not yet released die with it. This
+    /// models the adaptive adversary corrupting a process mid-run by
+    /// crashing it — unlike wrapping a Byzantine actor, the pre-crash
+    /// behaviour is exactly a correct process's (it is not rushed).
     ///
     /// Words the process sends before its crash round count toward
     /// correct-process complexity (it *was* correct when it sent them);
@@ -156,17 +139,18 @@ impl<M: crate::actor::Message> SimBuilder<M> {
         for (i, a) in self.actors.iter().enumerate() {
             assert_eq!(a.id().index(), i, "actor {i} has id {}", a.id());
         }
+        let lanes = || (0..n).map(|_| Vec::new()).collect();
         Simulation {
-            inboxes: (0..n).map(|_| Vec::new()).collect(),
+            states: (self.corrupt.iter())
+                .map(|&c| if c { RoundState::rushing() } else { RoundState::new() })
+                .collect(),
+            lanes: Lanes { current: lanes(), next: lanes(), rushed: lanes() },
             actors: self.actors,
             corrupt: self.corrupt,
             crash_at: self.crash_at,
-            rushing: self.rushing,
             round: Round(0),
             metrics: Metrics::default(),
-            trace: self.trace_capacity.map(crate::trace::Trace::with_capacity),
             link_policy: self.link_policy,
-            delayed: BTreeMap::new(),
         }
     }
 }
@@ -175,15 +159,47 @@ impl<M: crate::actor::Message> SimBuilder<M> {
 pub struct Simulation<M: crate::actor::Message> {
     actors: Vec<Box<dyn AnyActor<Msg = M>>>,
     corrupt: Vec<bool>,
-    inboxes: Vec<Vec<Envelope<M>>>,
     crash_at: Vec<Option<u64>>,
-    rushing: bool,
+    states: Vec<RoundState<M>>,
+    lanes: Lanes<M>,
     round: Round,
     metrics: Metrics,
-    trace: Option<crate::trace::Trace>,
     link_policy: Option<Box<dyn LinkPolicy>>,
-    /// Fault-delayed messages, keyed by the round in which they surface.
-    delayed: BTreeMap<u64, Vec<(usize, Envelope<M>)>>,
+}
+
+/// The lockstep network, one lane per process each: what the round being
+/// executed admits (`current`), what was sent for the next one (`next`),
+/// and correct processes' copies of this round to a corrupt process
+/// (`rushed`), which it drains after its `current` lane.
+struct Lanes<M> {
+    current: Vec<Vec<Delivery<M>>>,
+    next: Vec<Vec<Delivery<M>>>,
+    rushed: Vec<Vec<Delivery<M>>>,
+}
+
+/// One process's handle on the [`Lanes`] during its turn in `round`.
+struct LaneTransport<'a, M> {
+    me: ProcessId,
+    round: u64,
+    corrupt: &'a [bool],
+    lanes: &'a mut Lanes<M>,
+}
+
+impl<M: crate::actor::Message> Transport<M> for LaneTransport<'_, M> {
+    fn send(&mut self, to: ProcessId, sent_round: u64, msg: &M) {
+        // Corrupt processes run after every correct one, so a correct
+        // process's copy of this round reaches a corrupt one in time.
+        let rushed =
+            sent_round == self.round && !self.corrupt[self.me.index()] && self.corrupt[to.index()];
+        let lane = if rushed { &mut self.lanes.rushed } else { &mut self.lanes.next };
+        lane[to.index()].push(Delivery { from: self.me, sent_round, msg: msg.clone() });
+    }
+
+    fn drain(&mut self, out: &mut Vec<Delivery<M>>) {
+        let me = self.me.index();
+        out.append(&mut self.lanes.current[me]);
+        out.append(&mut self.lanes.rushed[me]);
+    }
 }
 
 impl<M: crate::actor::Message> fmt::Debug for Simulation<M> {
@@ -211,11 +227,6 @@ impl<M: crate::actor::Message> Simulation<M> {
         &self.metrics
     }
 
-    /// The event trace, if enabled via [`SimBuilder::trace`].
-    pub fn trace(&self) -> Option<&crate::trace::Trace> {
-        self.trace.as_ref()
-    }
-
     /// Whether `id` was marked Byzantine.
     pub fn is_corrupt(&self, id: ProcessId) -> bool {
         self.corrupt[id.index()]
@@ -240,128 +251,41 @@ impl<M: crate::actor::Message> Simulation<M> {
         &self.actors
     }
 
-    /// Executes a single synchronous round.
+    /// Executes a single synchronous round: every process not yet
+    /// crashed runs [`run_live_round`], correct ones first.
     pub fn step(&mut self) {
         let n = self.actors.len();
-        let round = self.round;
-        // Fault-delayed messages surface at the start of their due round.
-        if let Some(due) = self.delayed.remove(&round.as_u64()) {
-            for (to, env) in due {
-                self.inboxes[to].push(env);
-            }
+        let round = self.round.as_u64();
+        // Last round's sends are this round's to admit; whatever a
+        // silenced process left undrained is discarded.
+        std::mem::swap(&mut self.lanes.current, &mut self.lanes.next);
+        for lane in self.lanes.next.iter_mut().chain(&mut self.lanes.rushed) {
+            lane.clear();
         }
-        let inboxes = std::mem::replace(&mut self.inboxes, (0..n).map(|_| Vec::new()).collect());
-        let mut rushed: Vec<Vec<Envelope<M>>> = (0..n).map(|_| Vec::new()).collect();
-
-        // Wave 1: correct actors (plus everyone when rushing is off).
-        let wave1: Vec<usize> = (0..n).filter(|&i| !self.rushing || !self.corrupt[i]).collect();
-        let wave2: Vec<usize> = (0..n).filter(|&i| self.rushing && self.corrupt[i]).collect();
-
-        for &i in &wave1 {
-            if self.crash_at[i].is_some_and(|r| round.as_u64() >= r) {
+        let correct = (0..n).filter(|&i| !self.corrupt[i]);
+        for i in correct.chain((0..n).filter(|&i| self.corrupt[i])) {
+            if self.crash_at[i].is_some_and(|r| round >= r) {
                 continue; // network-level crash: silent from its crash round
             }
-            self.admit(i, &inboxes[i]);
-            let mut ctx = RoundCtx::new(round, ProcessId(i as u32), n, &inboxes[i]);
-            self.actors[i].on_round(&mut ctx);
-            let out = ctx.take_outbox();
-            self.dispatch(i, out, &mut rushed);
-        }
-        // Wave 2: rushing Byzantine actors see this round's correct
-        // traffic addressed to them immediately.
-        for &i in &wave2 {
-            // `self.inboxes[i]` currently holds next-round deliveries made
-            // by wave 1; swap them out, build the rushed view, and restore.
-            let next_round_so_far = std::mem::take(&mut self.inboxes[i]);
-            let mut view: Vec<Envelope<M>> = inboxes[i].clone();
-            view.append(&mut rushed[i]);
-            self.admit(i, &view);
-            let mut ctx = RoundCtx::new(round, ProcessId(i as u32), n, &view);
-            self.actors[i].on_round(&mut ctx);
-            let out = ctx.take_outbox();
-            self.inboxes[i] = next_round_so_far;
-            self.dispatch(i, out, &mut rushed);
-        }
-        // Anything rushed to a Byzantine actor was consumed in-round and
-        // must not be redelivered; rushed messages addressed to correct
-        // actors do not exist (dispatch only rushes to corrupt targets).
-        self.round = round.next();
-        self.metrics.rounds = self.round.as_u64();
-    }
-
-    /// Bills the inbox process `to` is about to consume as delivered —
-    /// where a round drains it, as on the engine backends, so a
-    /// `crash_at`-silenced receiver admits nothing. Link accounting is
-    /// only kept while a policy is installed.
-    fn admit(&mut self, to: usize, inbox: &[Envelope<M>]) {
-        if self.link_policy.is_none() {
-            return;
-        }
-        let to = ProcessId(to as u32);
-        for env in inbox.iter().filter(|env| env.from != to) {
-            self.metrics.admit(Link { from: env.from, to });
-        }
-    }
-
-    fn dispatch(&mut self, from: usize, out: Vec<(Dest, M)>, rushed: &mut [Vec<Envelope<M>>]) {
-        let n = self.actors.len();
-        let sender = ProcessId(from as u32);
-        let sender_correct = !self.corrupt[from];
-        let round = self.round.as_u64();
-        for (dest, msg) in out {
-            let cost = MessageCost::of(&msg);
-            for to in targets(dest, n) {
-                let env = || Envelope { from: sender, msg: msg.clone() };
-                if to == sender {
-                    // Self-delivery is process memory, not a link: never
-                    // faulted, never billed.
-                    self.inboxes[from].push(env());
-                    continue;
-                }
-                let link = Link { from: sender, to };
-                let fate = self.link_policy.as_mut().map(|p| p.fate(link, round));
-                self.metrics.bill(link, sender_correct, round, &cost, fate);
-                self.record_trace(sender, sender_correct, to, cost.component, cost.words);
-                match fate.unwrap_or(LinkFate::Deliver) {
-                    // Rushing: corrupt recipients of correct traffic see
-                    // it this round (wave 2) instead of the next.
-                    LinkFate::Deliver
-                        if self.rushing && self.corrupt[to.index()] && sender_correct =>
-                    {
-                        rushed[to.index()].push(env())
-                    }
-                    LinkFate::Deliver => self.inboxes[to.index()].push(env()),
-                    // No connection to tear down here: a sever is a drop.
-                    LinkFate::Drop | LinkFate::Sever => {}
-                    LinkFate::DelayRounds(k) => {
-                        // A delay past the end of time is never released.
-                        let due = round.saturating_add(1).saturating_add(k);
-                        self.delayed.entry(due).or_default().push((to.index(), env()));
-                    }
-                }
-            }
-        }
-    }
-
-    fn record_trace(
-        &mut self,
-        from: ProcessId,
-        sender_correct: bool,
-        to: ProcessId,
-        component: &'static str,
-        words: u64,
-    ) {
-        let round = self.round.as_u64();
-        if let Some(trace) = &mut self.trace {
-            trace.record(crate::trace::TraceEvent {
+            let mut transport = LaneTransport {
+                me: ProcessId(i as u32),
                 round,
-                from,
-                to,
-                component: component.to_string(),
-                words,
-                sender_correct,
-            });
+                corrupt: &self.corrupt,
+                lanes: &mut self.lanes,
+            };
+            run_live_round(
+                self.actors[i].as_mut(),
+                &mut transport,
+                &mut self.states[i],
+                &mut self.link_policy,
+                round,
+                n,
+                !self.corrupt[i],
+                &mut self.metrics,
+            );
         }
+        self.round = self.round.next();
+        self.metrics.rounds = self.round.as_u64();
     }
 
     /// Runs until every **correct** actor reports done, or the budget runs
@@ -407,7 +331,7 @@ impl<M: crate::actor::Message> Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::Message;
+    use crate::actor::{Message, RoundCtx};
 
     #[derive(Clone, Debug)]
     enum Ping {
@@ -481,6 +405,9 @@ mod tests {
         assert_eq!(sim.metrics().correct.messages, 6);
         assert_eq!(sim.metrics().correct.constituent_sigs, 6);
         assert_eq!(sim.metrics().by_component["ping"].words, 12);
+        let l01 = sim.metrics().link(ProcessId(0), ProcessId(1));
+        assert_eq!((l01.sent, l01.bytes), (1, 0), "links are accounted without a policy");
+        assert_eq!(sim.metrics().per_link.len(), 6, "no self-links");
     }
 
     #[test]
@@ -537,19 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn without_rushing_delivery_is_next_round() {
-        let actors: Vec<Box<dyn AnyActor<Msg = Ping>>> = vec![
-            Box::new(Chatter { id: ProcessId(0), heard: vec![], rounds_seen: 0 }),
-            Box::new(RushEcho { id: ProcessId(1), echoed_at: None }),
-        ];
-        let mut sim = SimBuilder::new(actors).corrupt(ProcessId(1)).rushing(false).build();
-        sim.step();
-        sim.step();
-        let e: &RushEcho = sim.actor(ProcessId(1)).as_any().downcast_ref().unwrap();
-        assert_eq!(e.echoed_at, Some(1));
-    }
-
-    #[test]
     fn rushed_messages_not_redelivered() {
         let actors: Vec<Box<dyn AnyActor<Msg = Ping>>> = vec![
             Box::new(Chatter { id: ProcessId(0), heard: vec![], rounds_seen: 0 }),
@@ -563,6 +477,47 @@ mod tests {
         // p1 hears p0's broadcast once (rushed, round 0) and its own once
         // (self-delivery, round 1) — no duplicates.
         assert_eq!(byz.heard.len(), 2);
+    }
+
+    #[test]
+    fn a_released_copy_lands_in_send_order() {
+        use crate::faults::{Link, LinkFate};
+        // p0 → p2 is delayed one round: sent in r0, released by p0 at the
+        // start of its r1 turn — after nothing, before p1's r1 send.
+        let policy = |l: Link, r: u64| {
+            if l.from == ProcessId(0) && r == 0 {
+                LinkFate::DelayRounds(1)
+            } else {
+                LinkFate::Deliver
+            }
+        };
+        struct Every {
+            id: ProcessId,
+            heard: Vec<(u64, ProcessId)>,
+        }
+        impl Actor for Every {
+            type Msg = Ping;
+            fn id(&self) -> ProcessId {
+                self.id
+            }
+            fn on_round(&mut self, ctx: &mut RoundCtx<'_, Ping>) {
+                if ctx.round() < Round(2) && self.id != ProcessId(2) {
+                    ctx.send(ProcessId(2), Ping::Hello(ctx.round().as_u64()));
+                }
+                let r = ctx.round().as_u64();
+                self.heard.extend(ctx.inbox().iter().map(|e| (r, e.from)));
+            }
+        }
+        let actors = (0..3)
+            .map(|i| {
+                Box::new(Every { id: ProcessId(i), heard: vec![] }) as Box<dyn AnyActor<Msg = Ping>>
+            })
+            .collect();
+        let mut sim = SimBuilder::new(actors).link_policy(Box::new(policy)).build();
+        sim.run_rounds(3);
+        let p2: &Every = sim.actor(ProcessId(2)).as_any().downcast_ref().unwrap();
+        let (p0, p1) = (ProcessId(0), ProcessId(1));
+        assert_eq!(p2.heard, [(1, p1), (2, p0), (2, p0), (2, p1)]);
     }
 
     #[test]
@@ -605,10 +560,8 @@ mod tests {
 
     #[test]
     fn delivered_is_billed_where_a_round_consumes_the_inbox() {
-        let mut sim = SimBuilder::new(chatters(3))
-            .link_policy(Box::new(crate::faults::ReliableLinks))
-            .crash_at(ProcessId(2), 1)
-            .build();
+        // No policy installed: links are accounted all the same.
+        let mut sim = SimBuilder::new(chatters(3)).crash_at(ProcessId(2), 1).build();
         sim.step();
         let m = sim.metrics();
         assert_eq!(m.link(ProcessId(0), ProcessId(1)).sent, 1);

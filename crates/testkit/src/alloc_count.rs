@@ -18,24 +18,30 @@
 //! assert_eq!(allocs, 0);
 //! ```
 //!
-//! The counter is process-global (it observes every thread), so
-//! zero-allocation assertions belong in single-threaded test binaries —
-//! `crates/testkit/tests/zero_alloc.rs` is the canonical user.
+//! Only the thread that opened the section is counted: the flag is a
+//! `const`-initialised thread-local, so an allocation made meanwhile by
+//! another thread — libtest's own, or a parallel test's — is never
+//! billed to the section. `crates/testkit/tests/zero_alloc.rs` is the
+//! canonical user.
 //!
 //! This is the only module in the crate allowed to use `unsafe`: a
 //! `GlobalAlloc` impl cannot be written without it, and both functions
 //! only delegate to [`System`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so reading them
+    // never allocates — the allocator itself can consult them.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// A `#[global_allocator]` that delegates to [`System`] and, while a
-/// [`count_allocations`] section is active, counts every allocation
-/// (including `realloc` growth and zeroed allocations). Deallocations
-/// are free and uncounted.
+/// [`count_allocations`] section is active on the allocating thread,
+/// counts every allocation (including `realloc` growth and zeroed
+/// allocations). Deallocations are free and uncounted.
 #[derive(Debug, Default)]
 pub struct CountingAlloc;
 
@@ -48,8 +54,10 @@ impl CountingAlloc {
 }
 
 fn tick() {
-    if COUNTING.load(Ordering::Relaxed) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    // `try_with`: a thread being torn down has no locals left, and is
+    // not counting.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -81,13 +89,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Runs `f` with allocation counting enabled and returns
 /// `(allocations_during_f, f's result)`.
 ///
-/// Counting is process-global: allocations from *any* thread during `f`
-/// are included. Sections are not reentrant — nested calls reset the
-/// shared counter.
+/// Only allocations made on the calling thread are counted — work `f`
+/// hands to another thread is not. Sections are not reentrant — nested
+/// calls reset the counter.
 pub fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
     let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), out)
+    COUNTING.with(|c| c.set(false));
+    (ALLOCS.with(Cell::get), out)
 }

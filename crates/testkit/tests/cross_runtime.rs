@@ -2,12 +2,13 @@
 //! same decisions — and, where scheduling is equivalent, the same word
 //! and round counts — on every backend the engine drives.
 //!
-//! The contract under test is the one `meba-engine` extracts: a round is
-//! "release pending → drain → partition by `sent_round` → step → account
-//! and dispatch the outbox" on every backend, so moving a scenario from
-//! the lockstep simulator to the discrete-event queue, the threaded
-//! cluster, or real TCP sockets must not change what the protocol
-//! decides or how many words correct processes pay.
+//! The contract under test is the one round body all four backends run
+//! (`meba_sim::body::run_live_round`): a round is "release pending →
+//! drain → partition by `sent_round` → step → account and dispatch the
+//! outbox" on every backend, so moving a scenario from the lockstep
+//! simulator to the discrete-event queue, the threaded cluster, or real
+//! TCP sockets must not change what the protocol decides or how many
+//! words correct processes pay.
 //!
 //! The lockstep simulator's rushing adversary (corrupt actors observing
 //! a round's traffic early) is the one scheduling feature the other
@@ -63,6 +64,7 @@ proptest! {
             "correct word totals diverge across backends"
         );
         prop_assert_eq!(sim.metrics().rounds, report.rounds, "round counts diverge");
+        prop_assert_eq!(&sim.metrics().per_link, &report.metrics.per_link, "link counters diverge");
     }
 
     // Weak BA under silent (scheduling-independent) faults: decisions,
@@ -94,6 +96,7 @@ proptest! {
             "correct word totals diverge across backends"
         );
         prop_assert_eq!(sim.metrics().rounds, report.rounds, "round counts diverge");
+        prop_assert_eq!(&sim.metrics().per_link, &report.metrics.per_link, "link counters diverge");
     }
 
     // The event-driven refactor's compatibility contract: `des` under
@@ -194,11 +197,10 @@ fn rotating_strong_ba_lockstep_and_des_metrics_are_byte_identical() {
                 "{faults:?} seed {seed:#x}"
             );
             assert_eq!(des.rounds, sim.metrics().rounds);
-            // Per-process round advancement, and per-link delivery without
-            // a link policy, are the two things the lockstep simulator
-            // does not account; everything else must match byte for byte.
+            // Per-process round advancement is the one thing the lockstep
+            // simulator does not account; everything else, per-link
+            // counters included, must match byte for byte.
             des.metrics.advance = Default::default();
-            des.metrics.per_link.clear();
             assert_eq!(
                 serde_json::to_string(&des.metrics).unwrap(),
                 lockstep,

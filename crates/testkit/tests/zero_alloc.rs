@@ -8,8 +8,8 @@
 //! HMAC states) against regressions that would silently reintroduce a
 //! per-message allocation.
 //!
-//! The file holds exactly one `#[test]` so no parallel test thread can
-//! pollute the process-global allocation counter.
+//! The counter bills only the thread that opened the section, so
+//! libtest's own threads and any parallel test cannot pollute it.
 
 use meba_core::{signing::VoteSig, SystemConfig};
 use meba_crypto::{

@@ -9,8 +9,8 @@
 //! `String`s, as both used to be, the loop below allocates three times
 //! per copy.)
 //!
-//! The file holds exactly one `#[test]` so no parallel test thread can
-//! pollute the process-global allocation counter.
+//! The counter bills only the thread that opened the section, so
+//! libtest's own threads and any parallel test cannot pollute it.
 
 use meba_crypto::ProcessId;
 use meba_sim::faults::{Link, LinkFate};
@@ -43,7 +43,7 @@ fn broadcast(metrics: &mut Metrics, me: ProcessId, n: usize, round: u64) -> u64 
     let mut copies = 0;
     for to in targets(Dest::All, n).filter(|to| *to != me) {
         let link = Link { from: me, to };
-        metrics.bill(link, true, round, &cost, Some(LinkFate::Deliver));
+        metrics.bill(link, true, round, &cost, LinkFate::Deliver);
         metrics.admit(link);
         copies += 1;
     }

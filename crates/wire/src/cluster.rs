@@ -33,9 +33,9 @@ use crate::WireError;
 use meba_core::SystemConfig;
 use meba_crypto::{ProcessId, WireCodec};
 use meba_engine::{
-    run_live_round, ActorRebuilder, ClusterConfig, ClusterReport, DeadlinePacer, Delivery,
-    RoundDriver, RoundDriverConfig, RoundState, Transport,
+    ActorRebuilder, ClusterConfig, ClusterReport, DeadlinePacer, RoundDriver, RoundDriverConfig,
 };
+use meba_sim::body::{run_live_round, Delivery, RoundState, Transport};
 use meba_sim::{AnyActor, Message, Metrics};
 use std::borrow::Borrow;
 use std::net::{SocketAddr, TcpListener};
@@ -112,7 +112,7 @@ impl<M: Message> std::fmt::Debug for TcpClusterReport<M> {
 // The engine transport over a TCP mesh.
 // ---------------------------------------------------------------------
 
-/// A [`TcpMesh`] as a [`meba_engine::Transport`]: send encodes and frames
+/// A [`TcpMesh`] as a [`Transport`]: send encodes and frames
 /// onto the link's writer, drain surfaces decoded inbound frames, sever
 /// tears a connection down (the reconnect path re-dials lazily), and
 /// crash severs every peer link at once — real TCP teardown, so peers

@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
-echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / outputs; one ledger: Metrics is plain data billed through Metrics::bill) =="
-! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b' -- crates src tests examples README.md docs || exit 1
+echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / outputs; one ledger: Metrics is plain data billed through Metrics::bill; one round body: no sim-only Trace, rushing is not optional) =="
+! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|SimBuilder::trace' -- crates src tests examples README.md docs || exit 1
 
 echo "== one certificate site (ThresholdSignature is built in pki.rs only; ShareCollector::new is the only non-test combiner() call outside it) =="
 ! git grep -nE 'ThresholdSignature \{ *(threshold|\.\.)' -- crates src tests examples ':!crates/crypto/src/pki.rs' || exit 1
@@ -15,6 +15,10 @@ test "$(git grep -n 'certificate threshold is within 1..=n' -- 'crates/*/src/*' 
 
 echo "== one billing site (MessageCost::of carries the only 1-word floor; every backend bills through it) =="
 test "$(git grep -n 'words().max(1)' -- 'crates/*/src/*' | wc -l)" -eq 1
+
+echo "== one round body (all four backends, the lockstep simulator included, step a process only through run_live_round) =="
+test "$(git grep -n 'metrics.bill(' -- 'crates/*/src/*' | wc -l)" -eq 1
+! git grep -n 'RoundCtx::new' -- crates/sim/src/runner.rs || exit 1
 
 echo "== one cluster builder (meba-bench builds every cluster through meba-testkit) =="
 ! git grep -n 'SimBuilder::new' -- crates/bench || exit 1

@@ -203,7 +203,7 @@ fn cross_instance_replay_is_rejected_by_domain_separation() {
             actors.push(Box::new(log));
         }
     }
-    let mut sim = SimBuilder::new(actors).corrupt(byz).rushing(true).build();
+    let mut sim = SimBuilder::new(actors).corrupt(byz).build();
     sim.run_until_done(20_000).unwrap();
     assert!(sim.metrics().byzantine.words > 0, "the replay attack must actually fire");
     let mut reference: Option<Vec<LogEntry<u64>>> = None;

@@ -1,74 +1,77 @@
-//! Trace-based verification of the *silence* claims: the paper's
-//! adaptivity comes from silent phases costing nothing, which we verify
-//! at message granularity with the simulator's event trace.
+//! The *silence* claims, read off the ledger: the paper's adaptivity
+//! comes from silent phases costing nothing, which we verify per round
+//! (`words_per_round`), per component (`by_component`) and per link
+//! (`per_link`, stepped one round at a time).
 
 mod common;
 
-use common::{round_budget, weak_ba_actors, Fault, WbaM};
+use common::{round_budget, sim, weak_ba_actors, Fault, WbaM};
 use meba::prelude::*;
+use meba::sim::faults::Link;
 
-fn traced_weak_ba(n: usize, inputs: &[u64]) -> Simulation<WbaM> {
-    let actors = weak_ba_actors(inputs, &vec![Fault::None; n]);
-    SimBuilder::new(actors).trace(100_000).build()
+fn failure_free_weak_ba(n: usize, inputs: &[u64]) -> Simulation<WbaM> {
+    let faults = vec![Fault::None; n];
+    sim(weak_ba_actors(inputs, &faults), &faults)
 }
 
 #[test]
 fn failure_free_run_is_silent_after_phase_one() {
     let n = 9usize;
-    let mut sim = traced_weak_ba(n, &vec![4u64; n]);
+    let mut sim = failure_free_weak_ba(n, &vec![4u64; n]);
     sim.run_until_done(round_budget(n)).unwrap();
-    let trace = sim.trace().expect("tracing enabled");
+    let m = sim.metrics();
 
     // Phase 1 occupies rounds 0..5; the finalize broadcast goes out in
     // round 4. After that: total silence — phases 2..n are silent, no
     // help requests, no fallback.
     assert_eq!(
-        trace.last_activity("weak-ba"),
+        m.words_per_round.iter().rposition(|&w| w > 0),
         Some(4),
         "a failure-free run must not send a single word after phase 1"
     );
-    assert!(trace.component("fallback").is_empty());
-    assert!(trace.component("weak-ba/help").is_empty());
+    assert!(!m.by_component.contains_key("fallback"));
+    assert!(!m.by_component.contains_key("weak-ba/help"));
 
     // Round structure of the one non-silent phase: propose (r0), votes
     // (r1), commit cert (r2), decide shares (r3), finalize (r4).
-    for r in 0..5u64 {
-        assert!(trace.in_round(r).count() > 0, "phase-1 round {r} must be active");
+    for r in 0..5 {
+        assert!(m.words_per_round[r] > 0, "phase-1 round {r} must be active");
     }
-    // And every event was sent by a correct process.
-    assert!(trace.events().iter().all(|e| e.sender_correct));
+    // And every word was sent by a correct process.
+    assert_eq!(m.byzantine.words, 0);
 }
 
 #[test]
 fn leader_to_all_pattern_in_phase_one() {
     let n = 7usize;
-    let mut sim = traced_weak_ba(n, &vec![2u64; n]);
-    sim.run_until_done(round_budget(n)).unwrap();
-    let trace = sim.trace().unwrap();
+    let mut sim = failure_free_weak_ba(n, &vec![2u64; n]);
     let leader = ProcessId(1); // phase 1 leader: p_{1 mod n}
 
-    // Rounds 0, 2, 4 are leader broadcasts: every event's sender is the
-    // leader and it reaches the other n-1 processes.
-    for r in [0u64, 2, 4] {
-        let events: Vec<_> = trace.in_round(r).collect();
-        assert_eq!(events.len(), n - 1, "round {r}");
-        assert!(events.iter().all(|e| e.from == leader), "round {r}");
+    // The links each round sent on, read as the per-link `sent` delta
+    // across one `step`.
+    let mut before = sim.metrics().per_link.clone();
+    let mut sent_in_next_round = || {
+        sim.step();
+        let after = sim.metrics().per_link.clone();
+        let sent: Vec<(Link, u64)> = after
+            .iter()
+            .map(|(l, s)| (*l, s.sent - before.get(l).map_or(0, |b| b.sent)))
+            .filter(|(_, sent)| *sent > 0)
+            .collect();
+        before = after;
+        sent
+    };
+    for r in 0..5u64 {
+        let sent = sent_in_next_round();
+        assert_eq!(sent.len(), n - 1, "round {r}");
+        assert!(sent.iter().all(|(_, k)| *k == 1), "one message per link in round {r}");
+        if r % 2 == 0 {
+            // Rounds 0, 2, 4 are leader broadcasts: it reaches the other
+            // n - 1 processes.
+            assert!(sent.iter().all(|(l, _)| l.from == leader), "round {r}");
+        } else {
+            // Rounds 1 and 3 are all-to-leader replies.
+            assert!(sent.iter().all(|(l, _)| l.to == leader), "round {r}");
+        }
     }
-    // Rounds 1 and 3 are all-to-leader replies.
-    for r in [1u64, 3] {
-        let events: Vec<_> = trace.in_round(r).collect();
-        assert_eq!(events.len(), n - 1, "round {r}");
-        assert!(events.iter().all(|e| e.to == leader), "round {r}");
-    }
-}
-
-#[test]
-fn trace_word_totals_match_metrics() {
-    let n = 7usize;
-    let mut sim = traced_weak_ba(n, &vec![8u64; n]);
-    sim.run_until_done(round_budget(n)).unwrap();
-    let trace = sim.trace().unwrap();
-    let traced: u64 = trace.events().iter().map(|e| e.words).sum();
-    assert_eq!(traced, sim.metrics().correct_words());
-    assert_eq!(trace.dropped(), 0);
 }
