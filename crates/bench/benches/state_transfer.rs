@@ -13,9 +13,10 @@
 //! * at a fixed outage they stay **flat in the log length** — anti-
 //!   entropy asks for the missing suffix, it never replays history.
 //!
-//! Every cell asserts convergence: identical applied prefixes, zero
-//! `⊥`-retired slots, zero transferred-versus-local conflicts, the
-//! journal double-bind audit, and a victim that actually adopted the
+//! Every cell asserts convergence: `meba_testkit::oracle::service`
+//! (identical applied prefixes, exactly-once, zero
+//! transferred-versus-local conflicts, no journal double bind), zero
+//! `⊥`-retired slots, and a victim that actually adopted the
 //! slept-through slots by transfer.
 //!
 //! Results are published as `BENCH_E19_statetransfer.json` at the repo

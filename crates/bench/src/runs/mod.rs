@@ -42,13 +42,14 @@ fn idle_at(n: usize, byz: impl IntoIterator<Item = usize>) -> Vec<Fault> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meba_testkit::BB_FAILURE_FREE_WORDS_PER_N;
 
     #[test]
     fn bb_failure_free_linear() {
         let s = run_bb(9, BbAdversary::FailureFree);
         assert!(s.agreement);
         assert!(!s.fallback_used);
-        assert!(s.words <= 25 * 9);
+        assert!(s.words <= BB_FAILURE_FREE_WORDS_PER_N * 9);
     }
 
     #[test]
@@ -80,7 +81,8 @@ mod tests {
     fn des_run_matches_the_lockstep_failure_free_envelope() {
         let s = run_des_bb(33, 0, 0xe15);
         assert!(s.agreement);
-        assert!(s.words <= 25 * 33, "failure-free DES words stay linear: {}", s.words);
+        let envelope = BB_FAILURE_FREE_WORDS_PER_N * 33;
+        assert!(s.words <= envelope, "failure-free DES words stay linear: {}", s.words);
         // Same scenario, same accounting: the lockstep runner's words.
         assert_eq!(s.words, run_bb(33, BbAdversary::FailureFree).words);
     }

@@ -4,13 +4,12 @@
 
 use meba_core::Decision;
 use meba_crypto::ProcessId;
-use meba_engine::{
-    run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate, ProcessFateFactory,
-};
+use meba_engine::{run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate};
 use meba_service::{BatchPolicy, Op, ServiceConfig};
-use meba_testkit::service::{audit_proposals, service_replica, ServiceHarness};
+use meba_testkit::service::{service_replica, ServiceHarness};
 use meba_testkit::{
-    agree, log_round_budget, recoverable_decision, round_budget, WeakBaRecoveryHarness,
+    agree, crash_restart, log_round_budget, oracle, recoverable_decision, round_budget,
+    DoubleSignDetector, WeakBaRecoveryHarness,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,7 +47,9 @@ pub struct RecoveryRunStats {
 ///
 /// # Panics
 ///
-/// Panics if `crashes > t` or the run does not terminate.
+/// Panics if `crashes > t`, the run does not terminate, or
+/// [`oracle::fold_journals`] finds a signature context bound to two
+/// digests in some journal.
 pub fn run_recovery_weak_ba(n: usize, crashes: usize, delta: Duration) -> RecoveryRunStats {
     let h = Arc::new(WeakBaRecoveryHarness::new(&vec![7u64; n]));
     assert!(crashes <= h.config().t(), "crashes={crashes} exceeds t={}", h.config().t());
@@ -75,6 +76,9 @@ pub fn run_recovery_weak_ba(n: usize, crashes: usize, delta: Duration) -> Recove
     assert!(report.completed, "E14 n={n} crashes={crashes}: run must terminate");
     let decisions: Vec<Decision<u64>> =
         report.actors.iter().map(|a| recoverable_decision(a.as_ref()).expect("decided")).collect();
+    let mut det = DoubleSignDetector::new();
+    oracle::fold_journals(&mut det, &h.journals());
+    det.assert_clean();
     let rec = &report.metrics.recovery;
     RecoveryRunStats {
         n,
@@ -135,9 +139,9 @@ pub struct StateTransferStats {
 ///
 /// # Panics
 ///
-/// Panics if the run fails to terminate, any prefix diverges, any slot
-/// `⊥`-retires, any transferred slot conflicts with local agreement, or
-/// the victim fails to recover — the audits are the experiment's claim.
+/// Panics if the run fails to terminate, [`oracle::service`] finds a
+/// violation, any slot `⊥`-retires, or a replica fails to apply the
+/// whole log — the audits are the experiment's claim.
 pub fn run_state_transfer(n: usize, total_slots: u64, outage_slots: u64) -> StateTransferStats {
     let victim = n - 1;
     assert!(
@@ -162,28 +166,15 @@ pub fn run_state_transfer(n: usize, total_slots: u64, outage_slots: u64) -> Stat
                 .expect("capacity sized for the script");
         }
     }
-    let stride = {
-        let probe = h.actor(0);
-        service_replica(probe.as_ref()).log().stride()
-    };
-    // Down from 0.7 strides after slot 1 would normally open its
-    // predecessor, through `outage_slots` further openings: openings
-    // `1..=outage_slots` fall inside the window, opening
-    // `outage_slots + 1` falls after it.
-    let fate: ProcessFateFactory = Arc::new(move |p: ProcessId| {
-        if p.index() == victim {
-            ProcessFate::CrashRestart {
-                at_round: stride * 7 / 10,
-                rejoin_after: stride * outage_slots,
-            }
-        } else {
-            ProcessFate::Run
-        }
-    });
+    let stride = h.stride();
     let config = ClusterConfig {
         delta: Duration::from_millis(2),
         max_rounds: log_round_budget(n, total_slots),
-        process_fate: Some(fate),
+        // Down from 0.7 strides after slot 1 would normally open its
+        // predecessor, through `outage_slots` further openings: openings
+        // `1..=outage_slots` fall inside the window, opening
+        // `outage_slots + 1` falls after it.
+        process_fate: Some(crash_restart(victim, stride * 7 / 10, stride * outage_slots)),
         overrun_action: OverrunAction::Escalate {
             multiplier: 2,
             max_delta: Duration::from_millis(250),
@@ -195,22 +186,11 @@ pub fn run_state_transfer(n: usize, total_slots: u64, outage_slots: u64) -> Stat
     assert_eq!(report.metrics.recovery.crash_restarts, 1, "exactly one restart");
 
     let replicas: Vec<_> = report.actors.iter().map(|a| service_replica(a.as_ref())).collect();
-    let reference: Vec<Option<Vec<u8>>> =
-        (0..total_slots).map(|s| replicas[0].applied_value(s).map(<[u8]>::to_vec)).collect();
-    let mut agreement = true;
-    let mut bot_slots = 0u64;
-    for (i, r) in replicas.iter().enumerate() {
-        assert_eq!(r.applied_slots(), total_slots, "E19 replica {i}: applied the whole log");
-        assert!(!r.recovering(), "E19 replica {i}: recovery must complete");
-        let st = r.stats();
-        assert_eq!(st.applied_conflicts, 0, "E19 replica {i}: no certified/local conflicts");
-        bot_slots += st.skipped_slots;
-        agreement &= (0..total_slots)
-            .all(|s| r.applied_value(s).map(<[u8]>::to_vec) == reference[s as usize]);
-        audit_proposals(h.journal_buffer(i));
-    }
-    assert!(agreement, "E19: applied prefixes diverged");
-    assert_eq!(bot_slots, 0, "E19: the outage spends the fault budget, never a slot");
+    let verdict = oracle::service(&replicas, &h.journals());
+    verdict.assert_safe();
+    assert_eq!(verdict.applied_slots, vec![total_slots; n], "E19: every replica applied the log");
+    assert!(replicas.iter().all(|r| !r.recovering()), "E19: recovery must complete");
+    assert_eq!(verdict.bot_slots, 0, "E19: the outage spends the fault budget, never a slot");
 
     let vs = replicas[victim].stats();
     assert!(vs.slots_transferred >= outage_slots, "E19: the slept-through slots transferred");
@@ -230,7 +210,7 @@ pub fn run_state_transfer(n: usize, total_slots: u64, outage_slots: u64) -> Stat
         total_bytes: m.correct.bytes,
         recovery_rounds: m.recovery.recovery_rounds,
         rounds: report.rounds,
-        agreement,
-        bot_slots,
+        agreement: verdict.is_safe(),
+        bot_slots: verdict.bot_slots,
     }
 }

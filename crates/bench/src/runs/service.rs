@@ -2,10 +2,9 @@
 //! lockstep simulator.
 
 use meba_crypto::ProcessId;
-use meba_service::{Batch, BatchPolicy, Op, ServiceConfig};
-use meba_smr::LogEntry;
-use meba_testkit::service::{audit_proposals, service_replica, ServiceHarness};
-use meba_testkit::{agree, sim, Fault};
+use meba_service::{BatchPolicy, Op, ServiceConfig};
+use meba_testkit::service::{service_replica, ServiceHarness};
+use meba_testkit::{agree, oracle, sim, Fault};
 use std::sync::Arc;
 
 /// Outcome of one client-service throughput run (experiment E18).
@@ -56,14 +55,12 @@ pub struct ServiceRunStats {
 /// replicas' admission ports, batched under `max_batch_ops` and
 /// pipelined with window `window`, on the lockstep simulator. The slot
 /// count is sized so every accepted op fits the proposers' slots.
-/// Every replica journals; the run is audited for per-slot double
-/// binding before returning.
+/// Every replica journals; [`oracle::service`] checks the finished run.
 ///
 /// # Panics
 ///
-/// Panics if the run violates agreement, commits an op twice, or binds
-/// a slot to two different values — the audits ARE the experiment's
-/// safety claim.
+/// Panics if the oracle finds a violation or an accepted op did not
+/// commit — the audits ARE the experiment's safety claim.
 pub fn run_service_throughput(
     n: usize,
     total_ops: u64,
@@ -103,30 +100,23 @@ pub fn run_service_throughput(
     sim.run_until_done(budget).expect("service run terminated");
     let elapsed = started.elapsed().as_secs_f64();
 
-    let logs: Vec<Vec<LogEntry<Batch>>> = (0..n as u32)
-        .map(|i| service_replica(sim.actor(ProcessId(i))).log().log().to_vec())
-        .collect();
-    let agreement = agree(&logs);
+    let replicas: Vec<_> =
+        (0..n as u32).map(|i| service_replica(sim.actor(ProcessId(i)))).collect();
+    let verdict = oracle::service(&replicas, &h.journals());
+    verdict.assert_safe();
+    let committed_ops = verdict.committed_ops;
+    assert_eq!(committed_ops, accepted, "every accepted op commits");
+    let logs: Vec<_> = replicas.iter().map(|r| r.log().log()).collect();
 
-    let mut committed_ops = 0u64;
     let mut latency = meba_sim::metrics::LatencyHistogram::default();
     let mut occupancy = (0u64, 0u64);
     let mut session_collisions = 0u64;
-    for i in 0..n {
-        let r = service_replica(sim.actor(ProcessId(i as u32)));
-        let s = r.stats();
-        if i == 0 {
-            committed_ops = s.ops_committed;
-        }
-        assert_eq!(s.ops_committed, committed_ops, "replica {i}: same distinct commits");
+    for s in replicas.iter().map(|r| r.stats()) {
         latency.merge(&s.commit_latency_rounds);
         occupancy.0 += s.batched_ops;
         occupancy.1 += s.batches_proposed;
         session_collisions += s.session_collisions;
-        // The service-level double-sign audit: no slot bound twice.
-        audit_proposals(h.journal_buffer(i));
     }
-    assert_eq!(committed_ops, accepted, "every accepted op commits exactly once");
 
     let m = sim.metrics();
     ServiceRunStats {
@@ -146,7 +136,7 @@ pub fn run_service_throughput(
         mean_occupancy: occupancy.0 as f64 / occupancy.1.max(1) as f64,
         words: m.correct.words,
         words_per_op: m.correct.words as f64 / committed_ops.max(1) as f64,
-        agreement,
+        agreement: agree(&logs),
         session_collisions,
         metrics: m.clone(),
     }

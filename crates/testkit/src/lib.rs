@@ -23,7 +23,11 @@
 //!   decisions), [`correct`] (the actors themselves) and
 //!   [`DecisionStats::of`] (when they decided, who fell back) work on
 //!   any actor slice: [`Simulation::actors`] or a cluster report's
-//!   `actors`. [`assert_agreement`] / [`agree`] check the result.
+//!   `actors`. [`assert_agreement`] / [`agree`] check the result. A
+//!   service run is checked once, by [`oracle::service`] over its
+//!   replicas and journals (convergence, exactly-once, no double
+//!   binding); [`oracle::fold_journals`] is that journal scan on its
+//!   own, for the journal-backed weak BA.
 //!
 //! # Examples
 //!
@@ -97,23 +101,25 @@
 #![deny(unsafe_code)] // allowed only inside `alloc_count` (the GlobalAlloc impl)
 
 pub mod alloc_count;
+pub mod oracle;
 pub mod recovery;
 pub mod service;
 
 pub use recovery::{
     recoverable_decision, DoubleSign, DoubleSignDetector, RecWbaProc, WeakBaRecoveryHarness,
 };
-pub use service::{audit_proposals, service_replica, ServiceHarness, ServiceM, ServiceProc};
+pub use service::{service_replica, ServiceHarness, ServiceM, ServiceProc};
 
 use meba_adversary::{ChaosActor, CrashActor, LossyLinkActor};
 use meba_core::{AlwaysValid, Bb, LockstepAdapter, StrongBa, SubProtocol, SystemConfig, WeakBa};
 use meba_crypto::{trusted_setup, Decoder, Encoder, Pki, ProcessId, SecretKey, ThresholdSignature};
 pub use meba_engine::{default_quorum, AdvanceCause, RoundDriverConfig};
-use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
+use meba_engine::{run_des_cluster, ClusterReport, DesConfig, ProcessFate, ProcessFateFactory};
 use meba_fallback::RecursiveBaFactory;
 use meba_sim::faults::BernoulliDrop;
 use meba_sim::{Actor, AnyActor, IdleActor, Message, Round, SimBuilder, Simulation};
 use meba_smr::ReplicatedLog;
+use std::sync::Arc;
 
 /// Per-message drop probability applied by [`Fault::Lossy`]: heavy enough
 /// that multi-round certificate collection routinely misses this
@@ -178,6 +184,20 @@ pub fn corrupt_ids(faults: &[Fault]) -> Vec<ProcessId> {
         .filter(|(_, f)| f.is_byzantine())
         .map(|(i, _)| ProcessId(i as u32))
         .collect()
+}
+
+/// The process fates of a run in which `victim` crashes at `at_round`
+/// and rejoins `rejoin_after` rounds later (`u64::MAX`: never) while
+/// every other process runs — the `process_fate` the engine backends
+/// take.
+pub fn crash_restart(victim: usize, at_round: u64, rejoin_after: u64) -> ProcessFateFactory {
+    Arc::new(move |p: ProcessId| {
+        if p.index() == victim {
+            ProcessFate::CrashRestart { at_round, rejoin_after }
+        } else {
+            ProcessFate::Run
+        }
+    })
 }
 
 /// One process's share of the trusted set-up: everything an honest
@@ -689,6 +709,10 @@ pub fn assert_agreement<T: PartialEq + std::fmt::Debug + Clone>(decisions: &[T])
     assert!(agree(decisions), "agreement violated: {decisions:?}");
     decisions[0].clone()
 }
+
+/// The failure-free BB word envelope: a run with `f = 0` costs at most
+/// this many words per process, at any `n` and on any backend.
+pub const BB_FAILURE_FREE_WORDS_PER_N: u64 = 25;
 
 /// A generous per-run round budget: the full fixed schedule (phases, help
 /// round, doubled-round fallback) with slack.

@@ -6,10 +6,10 @@
 //! ([`MemBuffer`] survives the actor being dropped, modelling a disk
 //! surviving a crash) and hands runtimes an [`ActorRebuilder`] that
 //! replays the journal on rejoin. [`DoubleSignDetector`] then audits the
-//! run: it folds every journaled signature binding and every signature
-//! observed on the wire into one `(signer, context) → digest` map and
-//! reports any conflict — the equivocation a crash-amnesiac restart
-//! would otherwise produce.
+//! run: every signature observed on the wire and, through
+//! [`crate::oracle::fold_journals`], every journaled binding goes into
+//! one `(signer, context) → digest` map, and any conflict is reported —
+//! the equivocation a crash-amnesiac restart would otherwise produce.
 
 use crate::{Family, WbaM, WbaProc};
 use meba_core::signing::{DecideSig, HelpReqSig, VoteSig};
@@ -81,6 +81,12 @@ impl WeakBaRecoveryHarness {
     /// Process `i`'s journal buffer — the "disk" that survives its crash.
     pub fn journal_buffer(&self, i: usize) -> &MemBuffer {
         &self.journals[i]
+    }
+
+    /// Every process's journal records, in id order — the input of
+    /// [`crate::oracle::fold_journals`].
+    pub fn journals(&self) -> Vec<Vec<Record>> {
+        self.journals.iter().map(crate::oracle::records).collect()
     }
 
     fn proto(&self, i: usize) -> WbaProc {
@@ -160,10 +166,11 @@ pub struct DoubleSign {
     pub second: Digest,
 }
 
-/// Audits a run for equivocation: every signature — journaled by the
-/// signer or observed on the wire by anyone — is folded into one
-/// `(signer, context) → preimage digest` map. Two different digests in
-/// one slot is a double-sign.
+/// Audits a run for equivocation: every signature — observed on the wire
+/// by anyone, or journaled by the signer and folded in by
+/// [`crate::oracle::fold_journals`] — goes into one `(signer, context) →
+/// preimage digest` map. Two different digests in one slot is a
+/// double-sign.
 ///
 /// Re-signing the *same* preimage (the deterministic signer's behaviour
 /// on replay) is not a conflict; only a differing digest is.
@@ -171,7 +178,6 @@ pub struct DoubleSign {
 pub struct DoubleSignDetector {
     bindings: HashMap<(ProcessId, Vec<u8>), Digest>,
     conflicts: Vec<DoubleSign>,
-    observed: u64,
 }
 
 impl DoubleSignDetector {
@@ -182,7 +188,6 @@ impl DoubleSignDetector {
 
     /// Records one signature binding.
     pub fn observe(&mut self, signer: ProcessId, context: Vec<u8>, digest: Digest) {
-        self.observed += 1;
         match self.bindings.get(&(signer, context.clone())) {
             None => {
                 self.bindings.insert((signer, context), digest);
@@ -192,25 +197,6 @@ impl DoubleSignDetector {
                 self.conflicts.push(DoubleSign { signer, context, first: *first, second: digest });
             }
         }
-    }
-
-    /// Folds in every `Signed` record of `signer`'s journal. Returns the
-    /// number of signature records scanned.
-    ///
-    /// # Errors
-    ///
-    /// Propagates journal I/O errors (impossible for [`MemBuffer`]).
-    pub fn scan_journal(&mut self, signer: ProcessId, buf: &MemBuffer) -> std::io::Result<u64> {
-        let mut journal = Journal::in_memory(buf.clone());
-        let report = journal.replay()?;
-        let mut scanned = 0;
-        for rec in report.records {
-            if let Record::Signed { context, digest } = rec {
-                self.observe(signer, context, digest);
-                scanned += 1;
-            }
-        }
-        Ok(scanned)
     }
 
     /// Folds in a weak BA message observed on the wire from `from`,
@@ -236,11 +222,6 @@ impl DoubleSignDetector {
         }
     }
 
-    /// Bindings recorded so far (including idempotent repeats).
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
     /// The conflicts found.
     pub fn conflicts(&self) -> &[DoubleSign] {
         &self.conflicts
@@ -259,20 +240,6 @@ impl DoubleSignDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn detector_flags_conflicting_digest_only() {
-        let mut det = DoubleSignDetector::new();
-        let ctx = b"meba/weakba/vote:slot".to_vec();
-        det.observe(ProcessId(1), ctx.clone(), Digest::of(b"a"));
-        det.observe(ProcessId(1), ctx.clone(), Digest::of(b"a")); // idempotent
-        assert!(det.conflicts().is_empty());
-        det.observe(ProcessId(2), ctx.clone(), Digest::of(b"b")); // other signer
-        assert!(det.conflicts().is_empty());
-        det.observe(ProcessId(1), ctx, Digest::of(b"b")); // conflict
-        assert_eq!(det.conflicts().len(), 1);
-        assert_eq!(det.observed(), 4);
-    }
 
     #[test]
     fn detector_reconstructs_wire_payloads() {
@@ -304,7 +271,7 @@ mod tests {
         assert_eq!(rb.resume_step, 3);
         assert!(rb.replayed_records > 0);
         let mut det = DoubleSignDetector::new();
-        det.scan_journal(ProcessId(0), h.journal_buffer(0)).unwrap();
+        crate::oracle::fold_journals(&mut det, &h.journals());
         det.assert_clean();
     }
 }

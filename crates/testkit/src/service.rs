@@ -10,18 +10,16 @@
 //! exercise the real WAL discipline: journaled slot bindings re-bind
 //! byte-identical values, and journaled commits are never re-acked.
 //!
-//! [`audit_proposals`] is the service-level analogue of the double-sign
-//! detector: it scans a journal's `Proposed` records and fails if any
-//! slot was bound to two different values.
+//! A finished run is checked by [`crate::oracle::service`] over the
+//! replicas and [`ServiceHarness::journals`].
 
 use meba_core::SystemConfig;
-use meba_crypto::{trusted_setup, Digest, Pki, ProcessId, SecretKey, WireCodec};
+use meba_crypto::{trusted_setup, Digest, Pki, ProcessId, SecretKey};
 use meba_engine::{ActorRebuilder, RebuiltActor};
 use meba_fallback::RecursiveBaFactory;
 use meba_journal::{Journal, MemBuffer, Record};
-use meba_service::{Batch, ServiceConfig, ServicePort, ServiceReplica};
+use meba_service::{ServiceConfig, ServicePort, ServiceReplica};
 use meba_sim::{Actor, AnyActor};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The service replica the harness builds.
@@ -92,6 +90,17 @@ impl ServiceHarness {
     /// Replica `i`'s journal buffer — the "disk" that survives its crash.
     pub fn journal_buffer(&self, i: usize) -> &MemBuffer {
         &self.journals[i]
+    }
+
+    /// The rounds between two slot openings of the replicas' log — the
+    /// unit crash schedules are phrased in.
+    pub fn stride(&self) -> u64 {
+        service_replica(self.actor(0).as_ref()).log().stride()
+    }
+
+    /// Every replica's journal records, in id order — the oracle's input.
+    pub fn journals(&self) -> Vec<Vec<Record>> {
+        self.journals.iter().map(crate::oracle::records).collect()
     }
 
     /// The initial actor for replica `i`: a fresh service replica
@@ -191,37 +200,6 @@ pub fn service_pin(h: &ServiceHarness, metrics_json: &str, replicas: &[&ServiceP
     )
 }
 
-/// Scans a service journal's `Proposed` records and asserts the WAL
-/// discipline held: no slot bound to two different values (the
-/// proposer-side equivocation a crash-amnesiac restart would produce).
-/// Returns the per-slot binding map.
-///
-/// # Panics
-///
-/// Panics if any slot carries two different journaled values, or if a
-/// record fails to decode (impossible for harness-written journals).
-pub fn audit_proposals(buf: &MemBuffer) -> BTreeMap<u64, Batch> {
-    let mut journal = Journal::in_memory(buf.clone());
-    let report = journal.replay().expect("in-memory replay cannot fail");
-    let mut bindings: BTreeMap<u64, Batch> = BTreeMap::new();
-    for rec in report.records {
-        if let Record::Proposed { slot, value } = rec {
-            let batch = Batch::from_wire_bytes(&value).expect("journaled batch decodes");
-            match bindings.get(&slot) {
-                None => {
-                    bindings.insert(slot, batch);
-                }
-                Some(first) => assert_eq!(
-                    first.ops(),
-                    batch.ops(),
-                    "slot {slot} bound to two different values"
-                ),
-            }
-        }
-    }
-    bindings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,15 +213,16 @@ mod tests {
         h.port(0).submit(Op { client: 4, seq: 0, key: 2, value: 11 }).unwrap();
         let mut sim = SimBuilder::new(h.actors()).build();
         sim.run_until_done(crate::log_round_budget(3, 3)).unwrap();
-        for i in 0..3 {
-            let r = service_replica(sim.actor(ProcessId(i)));
-            assert_eq!(r.kv().get(&2), Some(&11), "replica {i}");
-            assert_eq!(r.committed_at(4, 0), r.committed_at(4, 0));
+        let replicas: Vec<_> = (0..3).map(|i| service_replica(sim.actor(ProcessId(i)))).collect();
+        // One place for op (4, 0) on every replica, and every journaled
+        // slot binding bound once.
+        let v = crate::oracle::service(&replicas, &h.journals());
+        v.assert_safe();
+        assert_eq!((v.applied_slots, v.committed_ops, v.bot_slots), (vec![3; 3], 1, 0));
+        for r in &replicas {
+            assert_eq!((r.committed_at(4, 0).is_some(), r.kv().get(&2)), (true, Some(&11)));
         }
-        // Replica 0 journaled every one of its slot bindings before
-        // spawning, and bound each slot exactly once.
-        let bindings = audit_proposals(h.journal_buffer(0));
-        assert!(!bindings.is_empty());
+        assert!(!h.journal_buffer(0).is_empty(), "replica 0 journaled its binding");
     }
 
     #[test]

@@ -19,13 +19,13 @@ use meba_core::{Decision, LockstepAdapter, StrongBa, SubProtocol};
 use meba_crypto::ProcessId;
 use meba_engine::{
     run_cluster, run_des_cluster, ActorRebuilder, ClusterConfig, DesConfig, LinkPolicyFactory,
-    ProcessFate, ProcessFateFactory, RebuiltActor, RoundDriverConfig,
+    ProcessFateFactory, RebuiltActor, RoundDriverConfig,
 };
 use meba_sim::faults::{Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt};
 use meba_sim::{Actor, AnyActor, Message, Round, RoundCtx, SimBuilder};
 use meba_testkit::{
-    assert_agreement, bb_actors, corrupt_ids, des, outputs, round_budget, sim, strong_ba_actors,
-    weak_ba_actors, BbProc, Fault, SbaProc, Timing, WbaProc,
+    assert_agreement, bb_actors, corrupt_ids, crash_restart, des, outputs, round_budget, sim,
+    strong_ba_actors, weak_ba_actors, BbProc, Fault, SbaProc, Timing, WbaProc,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -562,16 +562,10 @@ fn scenario(seed: u64) -> Scenario {
     };
     let process_fate: Option<ProcessFateFactory> = match k.below(3) {
         0 => {
-            let victim = k.below(n as u64) as u32;
+            let victim = k.below(n as u64) as usize;
             let at_round = k.below(6 * n as u64);
             let rejoin_after = k.pick(&[0, 1, 2, 7, 40, u64::MAX]);
-            Some(Arc::new(move |p: ProcessId| {
-                if p.0 == victim {
-                    ProcessFate::CrashRestart { at_round, rejoin_after }
-                } else {
-                    ProcessFate::Run
-                }
-            }))
+            Some(crash_restart(victim, at_round, rejoin_after))
         }
         _ => None,
     };

@@ -13,11 +13,11 @@
 //! hints buying next to nothing.
 
 use meba_core::Decision;
-use meba_testkit::{assert_agreement, bb_actors, des, outputs, BbProc, Fault, Timing};
-
-/// Failure-free closed-form budget from `tests/bb_integration.rs`,
-/// asserted there at small n — the engine must reproduce it at large n.
-const FAILURE_FREE_WORDS_PER_N: u64 = 25;
+// `BB_FAILURE_FREE_WORDS_PER_N` is the envelope `tests/bb_integration.rs`
+// asserts at small n — the engine must reproduce it at large n.
+use meba_testkit::{
+    assert_agreement, bb_actors, des, outputs, BbProc, Fault, Timing, BB_FAILURE_FREE_WORDS_PER_N,
+};
 
 #[test]
 fn des_bb_n65_failure_free_is_linear() {
@@ -28,7 +28,7 @@ fn des_bb_n65_failure_free_is_linear() {
     assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
     let words = report.metrics.correct.words;
     assert!(
-        words <= FAILURE_FREE_WORDS_PER_N * n as u64,
+        words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64,
         "failure-free words must stay linear: {words} > 25·{n}"
     );
 }
@@ -71,7 +71,7 @@ fn des_bb_n129_failure_free_is_linear_and_fast() {
     assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
     let words = report.metrics.correct.words;
     assert!(
-        words <= FAILURE_FREE_WORDS_PER_N * n as u64,
+        words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64,
         "failure-free words must stay linear: {words} > 25·{n}"
     );
     assert!(elapsed.as_secs() < 5, "n={n} DES run took {elapsed:?}, budget is 5s");
@@ -94,7 +94,7 @@ fn des_bb_n4097_failure_free_is_linear_and_fast() {
     assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
     let words = report.metrics.correct.words;
     assert!(
-        words <= FAILURE_FREE_WORDS_PER_N * n as u64,
+        words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64,
         "failure-free words must stay linear: {words} > 25·{n}"
     );
     assert!(elapsed.as_secs() < 2, "n={n} DES run took {elapsed:?}, budget is 2s");
@@ -132,7 +132,7 @@ fn des_bb_n16385_failure_free_is_linear() {
     assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
     let words = report.metrics.correct.words;
     assert!(
-        words <= FAILURE_FREE_WORDS_PER_N * n as u64,
+        words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64,
         "failure-free words must stay linear: {words} > 25·{n}"
     );
 }

@@ -135,7 +135,7 @@ fn adaptive_complexity_failure_free_linear() {
         let mut sim = sim(bb_actors(0, 1, &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
         let words = sim.metrics().correct_words();
-        assert!(words <= 25 * n as u64, "n={n}: {words} words (expected O(n))");
+        assert!(words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64, "n={n}: {words} words (O(n))");
     }
 }
 

@@ -46,7 +46,7 @@ fn bb_on_threads_failure_free() {
         assert_eq!(l.inner().output(), Some(Decision::Value(17)));
     }
     // Word accounting matches the simulator's O(n) failure-free envelope.
-    assert!(report.metrics.correct.words <= 25 * n as u64);
+    assert!(report.metrics.correct.words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64);
     // Observability: each thread contributed one latency sample per round,
     // and on reliable links every sent message was delivered.
     assert_eq!(report.metrics.round_latency.count(), n as u64 * report.rounds);
@@ -383,7 +383,7 @@ fn bb_over_loopback_tcp_failure_free() {
     }
     // Failure-free silent vetting survives the transport: the O(n) word
     // envelope is the same one the channel runtimes satisfy.
-    assert!(report.metrics.correct.words <= 25 * n as u64);
+    assert!(report.metrics.correct.words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64);
     // Byte accounting rides along: every correct word costs a bounded
     // number of canonical-encoding bytes.
     let m = &report.metrics.correct;

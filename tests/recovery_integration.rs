@@ -7,9 +7,7 @@ mod common;
 
 use common::*;
 use meba::core::weak_ba::PHASE_ROUNDS;
-use meba::engine::{
-    run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate, ProcessFateFactory,
-};
+use meba::engine::{run_cluster_with_recovery, ClusterConfig, OverrunAction};
 use meba::prelude::*;
 use meba::sim::faults::{Link, LinkFate, LinkPolicy};
 use meba::sim::RoundCtx;
@@ -86,23 +84,12 @@ fn decision_of(a: &dyn AnyActor<Msg = WbaM>) -> Decision<u64> {
     recoverable_decision(obs.inner.as_ref()).unwrap_or_else(|| panic!("p{} did not decide", a.id()))
 }
 
-fn crash_fate(victim: u32, at_round: u64, rejoin_after: u64) -> ProcessFateFactory {
-    Arc::new(move |p: ProcessId| {
-        if p.index() == victim as usize {
-            ProcessFate::CrashRestart { at_round, rejoin_after }
-        } else {
-            ProcessFate::Run
-        }
-    })
-}
-
-/// Scans every journal into the detector and asserts no slot is bound to
-/// two different preimages.
+/// Folds every journal into the detector that watched the wire — the
+/// oracle's one journal fold — and asserts no slot is bound to two
+/// different preimages.
 fn audit(h: &WeakBaRecoveryHarness, det: &Arc<Mutex<DoubleSignDetector>>) {
     let mut det = det.lock().unwrap();
-    for i in 0..h.n() {
-        det.scan_journal(ProcessId(i as u32), h.journal_buffer(i)).unwrap();
-    }
+    oracle::fold_journals(&mut det, &h.journals());
     det.assert_clean();
 }
 
@@ -119,7 +106,7 @@ fn crash_restart_sweep_over_phase_one() {
         let config = ClusterConfig {
             delta: Duration::from_millis(2),
             max_rounds: 3_000,
-            process_fate: Some(crash_fate(1, crash_round, 3)),
+            process_fate: Some(crash_restart(1, crash_round, 3)),
             // Stretch δ under CI load instead of missing the synchrony
             // bound — word counts, not wall-clock, are under test here.
             overrun_action: OverrunAction::Escalate {
@@ -169,7 +156,7 @@ fn crash_without_rejoin_is_tolerated_by_survivors() {
             multiplier: 2,
             max_delta: Duration::from_millis(250),
         },
-        process_fate: Some(crash_fate(2, 1, u64::MAX)),
+        process_fate: Some(crash_restart(2, 1, u64::MAX)),
         // A process that never comes back counts toward f: the
         // coordinator must not wait for its done flag.
         corrupt: vec![ProcessId(2)],
@@ -224,7 +211,7 @@ fn tcp_crash_restart_under_socket_faults() {
                 multiplier: 2,
                 max_delta: Duration::from_millis(250),
             },
-            process_fate: Some(crash_fate(victim.0, 3, 4)),
+            process_fate: Some(crash_restart(victim.index(), 3, 4)),
             reconnect_backoff_cap: Duration::from_millis(20),
             reconnect_jitter: Duration::from_millis(2),
             link_policy: Some(Arc::new(move |_me| Box::new(FlakyLinks { victim }))),

@@ -15,15 +15,13 @@ mod common;
 use common::*;
 use meba::engine::{
     run_cluster_with_recovery, run_des_cluster, ClusterConfig, DesConfig, OverrunAction,
-    ProcessFate, ProcessFateFactory,
 };
 use meba::prelude::*;
 use meba::service::SubmitError;
 use meba::sim::RoundCtx;
 use meba::wire::{run_tcp_cluster_with_recovery, TcpClusterConfig};
-use meba_testkit::service::{
-    audit_proposals, service_pin, service_replica, ServiceHarness, ServiceM,
-};
+use meba_testkit::oracle::{self, Verdict};
+use meba_testkit::service::{service_pin, service_replica, ServiceHarness, ServiceM, ServiceProc};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -79,18 +77,30 @@ proptest! {
 
         let mut sim = SimBuilder::new(h.actors()).build();
         sim.run_until_done(log_round_budget(N, 3)).unwrap();
-        for i in 0..N {
-            let r = service_replica(sim.actor(ProcessId(i as u32)));
-            prop_assert_eq!(r.stats().ops_committed, accepted, "replica {} commit count", i);
-            for seq in 0..accepted {
-                prop_assert!(r.committed_at(1, seq).is_some(), "replica {} seq {}", i, seq);
-                prop_assert_eq!(r.kv().get(&seq), Some(&(seq + 1)));
-            }
-            for seq in accepted..offered {
-                prop_assert!(r.committed_at(1, seq).is_none(), "rejected op must not commit");
-            }
+        let replicas = replicas(sim.actors());
+        let v = oracle::service(&replicas, &h.journals());
+        v.assert_safe();
+        // Every replica applied the whole log, so the oracle's one fold
+        // is every replica's: exactly the accepted prefix committed.
+        prop_assert_eq!(v.applied_slots, vec![3; N]);
+        prop_assert_eq!(v.committed_ops, accepted);
+        for seq in 0..offered {
+            let want = (seq < accepted).then_some(seq + 1);
+            prop_assert_eq!(replicas[0].kv().get(&seq).copied(), want, "seq {}", seq);
         }
     }
+}
+
+/// Every actor of a finished run as its service replica — through the
+/// [`ClientScript`] wrapper where there is one.
+fn replicas(actors: &[Box<dyn AnyActor<Msg = ServiceM>>]) -> Vec<&ServiceProc> {
+    actors
+        .iter()
+        .map(|a| match a.as_any().downcast_ref::<ClientScript>() {
+            Some(s) => service_replica(s.inner.as_ref()),
+            None => service_replica(a.as_ref()),
+        })
+        .collect()
 }
 
 /// Sustained oversubmission against a tiny window: the queue never grows
@@ -129,20 +139,12 @@ fn sustained_overload_bounds_queue_and_commits_exactly_once() {
     assert!(rejected > 0, "sustained oversubmission must hit the bound");
     assert_eq!(accepted.len() as u64 + rejected, seq, "every submit got a typed verdict");
 
-    // Exactly-once: each committed (client, seq) appears in exactly one
-    // slot of the final log, identically on every replica.
-    let logs: Vec<Vec<LogEntry<Batch>>> = (0..N)
-        .map(|i| service_replica(sim.actor(ProcessId(i as u32))).log().log().to_vec())
-        .collect();
-    for log in &logs[1..] {
-        assert_eq!(log.len(), logs[0].len(), "replicas agree on the log length");
-        for (a, b) in logs[0].iter().zip(log) {
-            assert_eq!(a.slot, b.slot);
-            assert_eq!(a.entry, b.entry, "replicas agree on slot {}", a.slot);
-        }
-    }
-    let r0 = service_replica(sim.actor(ProcessId(0)));
-    let committed = r0.stats().ops_committed as usize;
+    let replicas = replicas(sim.actors());
+    let v = oracle::service(&replicas, &h.journals());
+    v.assert_safe();
+    assert_eq!(v.applied_slots, vec![4; N], "every replica applied the whole log");
+    let r0 = replicas[0];
+    let committed = v.committed_ops as usize;
     assert!(committed > 0, "some accepted ops committed");
     assert!(committed <= accepted.len(), "only accepted ops can commit");
     // Admission and batching preserve FIFO order, so the committed set
@@ -219,16 +221,6 @@ fn crash_service() -> ServiceConfig {
     }
 }
 
-fn crash_fate(victim: u32, at_round: u64, rejoin_after: u64) -> ProcessFateFactory {
-    Arc::new(move |p: ProcessId| {
-        if p.index() == victim as usize {
-            ProcessFate::CrashRestart { at_round, rejoin_after }
-        } else {
-            ProcessFate::Run
-        }
-    })
-}
-
 fn scripted_actors(
     h: &ServiceHarness,
     resubmit_round: u64,
@@ -264,50 +256,26 @@ fn scripted_rebuilder(
     })
 }
 
-fn replica_of(a: &dyn AnyActor<Msg = ServiceM>) -> &meba_testkit::service::ServiceProc {
-    match a.as_any().downcast_ref::<ClientScript>() {
-        Some(s) => service_replica(s.inner.as_ref()),
-        None => service_replica(a),
-    }
-}
-
-/// Asserts the exactly-once outcome of a crash run.
+/// Checks a crash run: the oracle over all three replicas — the
+/// restarted victim included — and the script's liveness, every
+/// scripted op committed on every replica.
 ///
-/// The surviving quorum (replicas 1 and 2) must agree on the full log
-/// and commit every scripted op at one identical `(slot, index)`. The
-/// restarted victim counts toward `f` for the slot whose critical
+/// The restarted victim counts toward `f` for the slot whose critical
 /// rounds it missed; certified state transfer (and, before transfer
 /// closes the gap, the retry storm re-landing ops in its next proposer
-/// slot) brings its prefix back to the cluster's, so *per replica*
-/// every distinct op still commits exactly once, and the victim's
-/// journal shows each of its slots bound to exactly one value across
-/// the restart. The dedicated convergence assertions (identical
-/// applied prefixes under full rolling churn) live in
-/// `tests/state_transfer.rs`.
-fn assert_exactly_once(actors: &[Box<dyn AnyActor<Msg = ServiceM>>], h: &ServiceHarness) {
-    let pairs = script_pairs();
-    let survivors: Vec<_> = (1..N).map(|i| replica_of(actors[i].as_ref())).collect();
-    let logs: Vec<_> = survivors.iter().map(|r| r.log().log()).collect();
-    assert_eq!(logs[0], logs[1], "surviving quorum agrees on the full log");
-    for &(c, s) in &pairs {
-        let place = survivors[0].committed_at(c, s);
-        assert!(place.is_some(), "survivors committed op ({c}, {s})");
-        assert_eq!(place, survivors[1].committed_at(c, s), "one place across survivors");
-    }
-    for (i, a) in actors.iter().enumerate() {
-        let r = replica_of(a.as_ref());
-        assert_eq!(
-            r.stats().ops_committed,
-            pairs.len() as u64,
-            "replica {i}: each distinct op commits exactly once"
-        );
-        for &(c, s) in &pairs {
+/// slot) brings its prefix back to the cluster's, so the oracle's
+/// convergence and exactly-once hold for it too, and its journal shows
+/// each of its slots bound to one value across the restart.
+fn check_crash_run(actors: &[Box<dyn AnyActor<Msg = ServiceM>>], h: &ServiceHarness) -> Verdict {
+    let replicas = replicas(actors);
+    let v = oracle::service(&replicas, &h.journals());
+    v.assert_safe();
+    for (i, r) in replicas.iter().enumerate() {
+        for (c, s) in script_pairs() {
             assert!(r.committed_at(c, s).is_some(), "replica {i}: op ({c}, {s}) committed");
         }
     }
-    // The WAL discipline across the restart: the victim never bound one
-    // of its slots to two different values.
-    audit_proposals(h.journal_buffer(0));
+    v
 }
 
 /// Threaded runtime: the serving replica crashes four rounds in — after
@@ -321,7 +289,7 @@ fn crash_restart_of_serving_replica_is_exactly_once_threaded() {
     let config = ClusterConfig {
         delta: Duration::from_millis(2),
         max_rounds: log_round_budget(N, 6),
-        process_fate: Some(crash_fate(0, 4, 4)),
+        process_fate: Some(crash_restart(0, 4, 4)),
         overrun_action: OverrunAction::Escalate {
             multiplier: 2,
             max_delta: Duration::from_millis(250),
@@ -336,7 +304,7 @@ fn crash_restart_of_serving_replica_is_exactly_once_threaded() {
     assert!(report.completed, "cluster must terminate: {report:?}");
     assert_eq!(report.metrics.recovery.crash_restarts, 1);
     assert!(report.metrics.recovery.replayed_records > 0, "slot 0's binding must replay");
-    assert_exactly_once(&report.actors, &h);
+    check_crash_run(&report.actors, &h);
 }
 
 /// The same crash script over real TCP: the restart goes through socket
@@ -349,7 +317,7 @@ fn crash_restart_of_serving_replica_is_exactly_once_tcp() {
         cluster: ClusterConfig {
             delta: Duration::from_millis(8),
             max_rounds: log_round_budget(N, 6),
-            process_fate: Some(crash_fate(0, 4, 4)),
+            process_fate: Some(crash_restart(0, 4, 4)),
             overrun_action: OverrunAction::Escalate {
                 multiplier: 2,
                 max_delta: Duration::from_millis(250),
@@ -371,7 +339,7 @@ fn crash_restart_of_serving_replica_is_exactly_once_tcp() {
     assert!(report.report.completed, "TCP cluster must terminate: {report:?}");
     assert_eq!(report.report.metrics.recovery.crash_restarts, 1);
     assert!(report.report.metrics.recovery.replayed_records > 0);
-    assert_exactly_once(&report.report.actors, &h);
+    check_crash_run(&report.report.actors, &h);
 }
 
 /// The same crash script on the discrete-event backend, where it is
@@ -390,7 +358,7 @@ fn crash_restart_of_serving_replica_is_exactly_once_des() {
         let config = DesConfig {
             seed: 0x5107,
             max_rounds: log_round_budget(N, 6),
-            process_fate: Some(crash_fate(0, 4, 4)),
+            process_fate: Some(crash_restart(0, 4, 4)),
             ..DesConfig::default()
         };
         let report = run_des_cluster(
@@ -402,16 +370,9 @@ fn crash_restart_of_serving_replica_is_exactly_once_des() {
         assert!(report.completed, "cluster must terminate: {report:?}");
         assert_eq!(report.metrics.recovery.crash_restarts, 1);
         assert!(report.metrics.recovery.replayed_records > 0, "slot 0's binding must replay");
-        assert_exactly_once(&report.actors, &h);
-        let replicas: Vec<_> = report.actors.iter().map(|a| replica_of(a.as_ref())).collect();
-        let prefix: Vec<_> = (0..6).map(|slot| replicas[1].applied_value(slot)).collect();
-        for (i, r) in replicas.iter().enumerate() {
-            assert_eq!(r.applied_slots(), 6, "replica {i}: applied the whole log");
-            assert_eq!(r.stats().applied_conflicts, 0, "replica {i}: no conflicts");
-            for (slot, want) in prefix.iter().enumerate() {
-                assert_eq!(&r.applied_value(slot as u64), want, "replica {i} slot {slot}");
-            }
-        }
+        let v = check_crash_run(&report.actors, &h);
+        assert_eq!(v.applied_slots, vec![6; N], "every replica applied the whole log");
+        let replicas = replicas(&report.actors);
         let metrics = serde_json::to_string(&report.metrics).expect("metrics serialize");
         let stats: Vec<_> = replicas.iter().map(|r| r.stats()).collect();
         let pin = service_pin(&h, &metrics, &replicas);

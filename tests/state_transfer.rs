@@ -23,9 +23,8 @@ use meba::engine::{
 use meba::prelude::*;
 use meba::service::ServiceMsg;
 use meba::wire::{run_tcp_cluster_with_recovery, TcpClusterConfig};
-use meba_testkit::service::{
-    audit_proposals, service_pin, service_replica, ServiceHarness, ServiceM, ServiceProc,
-};
+use meba_testkit::oracle;
+use meba_testkit::service::{service_pin, service_replica, ServiceHarness, ServiceM, ServiceProc};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,13 +45,6 @@ fn churn_service() -> ServiceConfig {
         // ride each replica's first proposer slot deterministically.
         batch: BatchPolicy { max_batch_delay: u64::MAX, ..BatchPolicy::default() },
     }
-}
-
-/// The slot-opening stride the replicas will run under — the unit the
-/// churn schedule is phrased in.
-fn probe_stride(h: &ServiceHarness) -> u64 {
-    let probe = h.actor(0);
-    service_replica(probe.as_ref()).log().stride()
 }
 
 fn submit(port: &ServicePort, client: u64) {
@@ -100,50 +92,22 @@ fn churn_fate(s: u64, jitter: u64) -> ProcessFateFactory {
     })
 }
 
-/// The post-churn contract: identical applied prefixes, zero ⊥-retired
-/// slots, zero certified/local conflicts, zero double-signed bindings —
-/// and the catch-up visibly went through the transfer path.
-fn assert_churn_converged(actors: &[Box<dyn AnyActor<Msg = ServiceM>>], h: &ServiceHarness) {
+/// The post-churn contract: the oracle over all five replicas, and the
+/// churn's liveness — every replica applied the whole log with zero
+/// ⊥-retired slots and left recovering mode, every op committed though
+/// no client resubmitted, and the catch-up visibly went through the
+/// transfer path.
+fn check_churn(actors: &[Box<dyn AnyActor<Msg = ServiceM>>], h: &ServiceHarness) {
     let replicas: Vec<&ServiceProc> = actors.iter().map(|a| service_replica(a.as_ref())).collect();
-    let reference: Vec<Vec<u8>> = (0..SLOTS)
-        .map(|slot| replicas[0].applied_value(slot).expect("replica 0 applied every slot").to_vec())
-        .collect();
-    for (i, r) in replicas.iter().enumerate() {
-        assert_eq!(r.applied_slots(), SLOTS, "replica {i}: applied the whole log");
-        assert!(!r.recovering(), "replica {i}: recovery must complete");
-        let st = r.stats();
-        assert_eq!(st.applied_conflicts, 0, "replica {i}: no certified/local conflicts");
-        assert_eq!(st.skipped_slots, 0, "replica {i}: zero ⊥-retired slots");
-        assert_eq!(st.session_collisions, 0, "replica {i}: no session collisions");
-        for slot in 0..SLOTS {
-            let v = r
-                .applied_value(slot)
-                .unwrap_or_else(|| panic!("replica {i}: slot {slot} must be applied"));
-            assert!(!v.is_empty(), "replica {i}: slot {slot} applied as ⊥");
-            assert_eq!(
-                v,
-                &reference[slot as usize][..],
-                "replica {i}: applied prefix diverges at slot {slot}"
-            );
-        }
-        // No client ever resubmitted, yet every op is committed at the
-        // same (slot, index) everywhere — transferred slots included.
-        for client in [1u64, 2] {
-            for seq in 0..OPS_PER_CLIENT {
-                let place = r.committed_at(client, seq);
-                assert!(place.is_some(), "replica {i}: op ({client}, {seq}) committed");
-                assert_eq!(place, replicas[0].committed_at(client, seq));
-                assert_eq!(r.kv().get(&(client * 100 + seq)), Some(&(seq + 1)));
-            }
-        }
-    }
-    let transferred: u64 = replicas.iter().map(|r| r.stats().slots_transferred).sum();
-    assert!(transferred >= N as u64, "every victim slept through a slot opening: {transferred}");
-    // The WAL discipline across all five restarts: no slot was ever
-    // bound to two different values by any replica.
-    for i in 0..N {
-        audit_proposals(h.journal_buffer(i));
-    }
+    let v = oracle::service(&replicas, &h.journals());
+    v.assert_safe();
+    assert_eq!(v.applied_slots, vec![SLOTS; N], "every replica applied the whole log");
+    assert!(replicas.iter().all(|r| !r.recovering()), "recovery must complete");
+    assert_eq!(v.bot_slots, 0, "zero ⊥-retired slots");
+    // The whole log everywhere and one fold: every replica holds both
+    // clients' ops.
+    assert_eq!(v.committed_ops, 2 * OPS_PER_CLIENT);
+    assert!(v.transferred_slots >= N as u64, "every victim slept through a slot opening: {v:?}");
 }
 
 proptest! {
@@ -157,7 +121,7 @@ proptest! {
         let h = Arc::new(ServiceHarness::new(N, churn_service()));
         submit(&h.port(0), 1);
         submit(&h.port(1), 2);
-        let s = probe_stride(&h);
+        let s = h.stride();
         let config = ClusterConfig {
             delta: Duration::from_millis(2),
             max_rounds: log_round_budget(N, SLOTS),
@@ -171,7 +135,7 @@ proptest! {
         let report = run_cluster_with_recovery(h.actors(), Some(h.rebuilder()), config);
         prop_assert!(report.completed, "cluster must terminate: {:?}", report.rounds);
         prop_assert_eq!(report.metrics.recovery.crash_restarts, N as u64);
-        assert_churn_converged(&report.actors, &h);
+        check_churn(&report.actors, &h);
     }
 }
 
@@ -190,7 +154,7 @@ fn rolling_restart_churn_converges_des() {
         let h = Arc::new(ServiceHarness::new(N, churn_service()));
         submit(&h.port(0), 1);
         submit(&h.port(1), 2);
-        let s = probe_stride(&h);
+        let s = h.stride();
         let config = DesConfig {
             seed: 0xc4a2 + jitter_tenths,
             max_rounds: log_round_budget(N, SLOTS),
@@ -201,7 +165,7 @@ fn rolling_restart_churn_converges_des() {
             run_des_cluster(h.actors(), Some(h.rebuilder()), config).expect("valid config");
         assert!(report.completed, "cluster must terminate: {report:?}");
         assert_eq!(report.metrics.recovery.crash_restarts, N as u64);
-        assert_churn_converged(&report.actors, &h);
+        check_churn(&report.actors, &h);
         let replicas: Vec<_> = report.actors.iter().map(|a| service_replica(a.as_ref())).collect();
         let metrics = serde_json::to_string(&report.metrics).expect("metrics serialize");
         let stats: Vec<_> = replicas.iter().map(|r| r.stats()).collect();
@@ -231,7 +195,7 @@ fn rolling_restart_churn_converges_tcp() {
     let h = Arc::new(ServiceHarness::new(N, churn_service()));
     submit(&h.port(0), 1);
     submit(&h.port(1), 2);
-    let s = probe_stride(&h);
+    let s = h.stride();
     let config = TcpClusterConfig {
         cluster: ClusterConfig {
             delta: Duration::from_millis(8),
@@ -253,7 +217,7 @@ fn rolling_restart_churn_converges_tcp() {
             .expect("mesh establishment");
     assert!(report.report.completed, "TCP cluster must terminate");
     assert_eq!(report.report.metrics.recovery.crash_restarts, N as u64);
-    assert_churn_converged(&report.report.actors, &h);
+    check_churn(&report.report.actors, &h);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,7 +255,7 @@ fn replica_of(a: &dyn AnyActor<Msg = ServiceM>) -> &ServiceProc {
 fn lying_donor_is_rejected_and_counted_while_recovery_converges() {
     let h = Arc::new(ServiceHarness::new(N, lying_service()));
     submit(&h.port(0), 1);
-    let s = probe_stride(&h);
+    let s = h.stride();
     let actors: Vec<Box<dyn AnyActor<Msg = ServiceM>>> = (0..N)
         .map(|i| {
             let a = h.actor(i);
@@ -302,19 +266,12 @@ fn lying_donor_is_rejected_and_counted_while_recovery_converges() {
             }
         })
         .collect();
-    let fate: ProcessFateFactory = Arc::new(move |p: ProcessId| {
-        if p.index() == 0 {
-            // Down across slot 1's opening: the victim misses its
-            // critical rounds outright and must transfer it.
-            ProcessFate::CrashRestart { at_round: s / 2, rejoin_after: s }
-        } else {
-            ProcessFate::Run
-        }
-    });
     let config = ClusterConfig {
         delta: Duration::from_millis(2),
         max_rounds: log_round_budget(N, LIE_SLOTS),
-        process_fate: Some(fate),
+        // Down across slot 1's opening: the victim misses its critical
+        // rounds outright and must transfer it.
+        process_fate: Some(crash_restart(0, s / 2, s)),
         overrun_action: OverrunAction::Escalate {
             multiplier: 2,
             max_delta: Duration::from_millis(250),
@@ -325,37 +282,25 @@ fn lying_donor_is_rejected_and_counted_while_recovery_converges() {
     assert!(report.completed, "cluster must terminate");
     assert_eq!(report.metrics.recovery.crash_restarts, 1);
 
-    let victim = service_replica(report.actors[0].as_ref());
+    // The oracle over every replica (the liar agrees honestly, so its own
+    // replica is checked too): the victim's prefix is the honest one,
+    // value for value.
+    let replicas: Vec<_> = report.actors.iter().map(|a| replica_of(a.as_ref())).collect();
+    let v = oracle::service(&replicas, &h.journals());
+    v.assert_safe();
+    let victim = replicas[0];
     let st = victim.stats();
     assert!(st.transfer_certs_rejected > 0, "forged certificates rejected and counted");
     assert!(st.slots_transferred > 0, "the slot slept through arrives by transfer");
     assert!(st.transfer_certs_verified > 0, "honest certified entries do verify");
-    assert_eq!(victim.applied_slots(), LIE_SLOTS, "victim caught all the way up");
+    assert_eq!(v.applied_slots[0], LIE_SLOTS, "victim caught all the way up");
     assert!(!victim.recovering(), "recovery must complete");
     for seq in 0..OPS_PER_CLIENT {
         assert!(victim.committed_at(1, seq).is_some(), "no client resubmission needed");
     }
-
-    // Convergence came from honest donors: the victim's prefix matches
-    // an honest replica's, value for value — and the fabricated op never
-    // surfaced in any replica's state.
-    let honest = replica_of(report.actors[2].as_ref());
-    for slot in 0..LIE_SLOTS {
-        assert_eq!(
-            victim.applied_value(slot),
-            honest.applied_value(slot),
-            "victim and honest replica agree on slot {slot}"
-        );
-    }
-    for (i, a) in report.actors.iter().enumerate() {
-        let r = replica_of(a.as_ref());
-        assert_eq!(r.stats().applied_conflicts, 0, "replica {i}: no conflicts");
-        assert!(r.kv().get(&0xbad).is_none(), "replica {i}: forged op never applied");
-        for slot in 0..LIE_SLOTS {
-            assert!(r.committed_at(0xbad, slot).is_none(), "replica {i}: forged op absent");
-        }
-    }
+    // The fabricated op writes key 0xbad; the oracle's kv check makes
+    // its absence there its absence everywhere.
+    assert!(replicas.iter().all(|r| r.kv().get(&0xbad).is_none()), "forged op never applied");
     let liar = report.actors[1].as_any().downcast_ref::<Liar>().expect("liar survives the run");
     assert!(liar.lies_broadcast() > 0, "the attack actually ran");
-    audit_proposals(h.journal_buffer(0));
 }
