@@ -4,7 +4,7 @@
 use meba_crypto::ProcessId;
 use meba_service::{BatchPolicy, Op, ServiceConfig};
 use meba_testkit::service::{service_replica, ServiceHarness};
-use meba_testkit::{agree, oracle, sim, Fault};
+use meba_testkit::{oracle, sim, Fault};
 use std::sync::Arc;
 
 /// Outcome of one client-service throughput run (experiment E18).
@@ -106,7 +106,6 @@ pub fn run_service_throughput(
     verdict.assert_safe();
     let committed_ops = verdict.committed_ops;
     assert_eq!(committed_ops, accepted, "every accepted op commits");
-    let logs: Vec<_> = replicas.iter().map(|r| r.log().log()).collect();
 
     let mut latency = meba_sim::metrics::LatencyHistogram::default();
     let mut occupancy = (0u64, 0u64);
@@ -136,7 +135,7 @@ pub fn run_service_throughput(
         mean_occupancy: occupancy.0 as f64 / occupancy.1.max(1) as f64,
         words: m.correct.words,
         words_per_op: m.correct.words as f64 / committed_ops.max(1) as f64,
-        agreement: agree(&logs),
+        agreement: verdict.is_safe(),
         session_collisions,
         metrics: m.clone(),
     }

@@ -383,6 +383,11 @@ where
         Self::ba_start(cfg) + WeakBa::<BbBaValue<V>, BbValidity, F>::max_schedule(cfg, factory)
     }
 
+    /// The sender's input: `Some` on the designated sender only.
+    pub fn sender_input(&self) -> Option<&V> {
+        self.sender_input.as_ref()
+    }
+
     /// The BB decision: the sender's value, or `⊥`.
     pub fn decision(&self) -> Option<&Decision<V>> {
         self.decision.as_ref()

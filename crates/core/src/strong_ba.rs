@@ -289,6 +289,11 @@ where
         }
     }
 
+    /// The binary value this process proposes.
+    pub fn input(&self) -> bool {
+        self.input
+    }
+
     /// The decision, if reached.
     pub fn decision(&self) -> Option<bool> {
         self.decision

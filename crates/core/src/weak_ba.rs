@@ -444,6 +444,11 @@ where
         Self::help_step(&self.cfg) + 6
     }
 
+    /// The value this process proposes.
+    pub fn input(&self) -> &V {
+        &self.input
+    }
+
     /// The decision, if reached.
     pub fn decision(&self) -> Option<&Decision<V>> {
         self.decision.as_ref()

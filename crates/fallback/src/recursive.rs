@@ -111,6 +111,7 @@ pub struct RecursiveBa<V: Value> {
     me: ProcessId,
     key: SecretKey,
     pki: Pki,
+    input: V,
     plan: Vec<Segment>,
     end: u64,
     seg_idx: usize,
@@ -153,12 +154,18 @@ impl<V: Value> RecursiveBa<V> {
             plan,
             end,
             seg_idx: 0,
-            levels: vec![(Scope::full(cfg.n()), input, 0)],
+            levels: vec![(Scope::full(cfg.n()), input.clone(), 0)],
+            input,
             active_ga: None,
             active_ic: None,
             cert_shares: BTreeMap::new(),
             output: None,
         }
+    }
+
+    /// The value this participant proposed.
+    pub fn input(&self) -> &V {
+        &self.input
     }
 
     fn cert_inst(child: Scope) -> InstanceId {

@@ -1,38 +1,37 @@
 //! Fault-matrix test harness for the `meba` protocols.
 //!
-//! Every experiment and integration test asks the same three questions,
-//! and each is answered in one place:
+//! Every experiment and integration test does the same three things,
+//! and each is done in one place:
 //!
-//! * **How is an `n`-process cluster built?** [`cluster`] does the
-//!   trusted set-up once, hands every process its [`Party`] (config, id,
-//!   key, PKI, and the production [`RecursiveBaFactory`] via
-//!   [`Party::factory`]), wraps it according to its [`Fault`], and lets
-//!   the caller put a hand-written Byzantine actor at any index the
-//!   fault vector marks Byzantine. [`bb_actors`], [`weak_ba_actors`],
-//!   [`strong_ba_actors`] and [`log_actors`] are the four protocol
-//!   families as one-line constructors on it. The result is a plain
-//!   actor vector, runtime-free: hand it to any backend.
-//! * **How is it run?** [`sim`] builds the lockstep simulator
-//!   ([`sim_builder`] when a link policy or a crash is added), [`des`]
-//!   runs the deterministic discrete-event backend under a [`Timing`]
-//!   (default: lockstep) — the backend that makes n in the thousands
-//!   practical. [`meba_engine::run_cluster`] (threads) and
+//! * **Build.** [`cluster`] does the trusted set-up once, hands every
+//!   process its [`Party`] (config, id, key, PKI, and the production
+//!   [`RecursiveBaFactory`] via [`Party::factory`]), wraps it according
+//!   to its [`Fault`], and lets the caller put a hand-written Byzantine
+//!   actor at any index the fault vector marks Byzantine. [`bb_actors`],
+//!   [`weak_ba_actors`], [`strong_ba_actors`] and [`log_actors`] are the
+//!   four protocol families as one-line constructors on it. The result
+//!   is a plain actor vector, runtime-free: hand it to any backend.
+//! * **Run.** [`sim`] builds the lockstep simulator ([`sim_builder`]
+//!   when a link policy or a crash is added), [`des`] runs the
+//!   deterministic discrete-event backend under a [`Timing`] (default:
+//!   lockstep) — the backend that makes n in the thousands practical.
+//!   [`meba_engine::run_cluster`] (threads) and
 //!   `meba_wire::run_tcp_cluster` (TCP) take the same vector with
 //!   [`corrupt_ids`].
-//! * **How are the correct processes read back?** [`outputs`] (their
-//!   decisions), [`correct`] (the actors themselves) and
-//!   [`DecisionStats::of`] (when they decided, who fell back) work on
-//!   any actor slice: [`Simulation::actors`] or a cluster report's
-//!   `actors`. [`assert_agreement`] / [`agree`] check the result. A
-//!   service run is checked once, by [`oracle::service`] over its
-//!   replicas and journals (convergence, exactly-once, no double
-//!   binding); [`oracle::fold_journals`] is that journal scan on its
-//!   own, for the journal-backed weak BA.
+//! * **Check.** [`oracle::decided`] checks a finished single-shot or log
+//!   run — [`Simulation::actors`] or a cluster report's `actors`, its
+//!   ledger, and the fault vector — for termination, agreement, the
+//!   family's validity rule and its Table 1 word bound, and hands back
+//!   the decisions and when they were reached. [`correct`] reads
+//!   protocol state the oracle does not. A service run is checked by
+//!   [`oracle::service`] over its replicas and journals (convergence,
+//!   exactly-once, no double binding); [`oracle::fold_journals`] is that
+//!   journal scan on its own, for the journal-backed weak BA.
 //!
 //! # Examples
 //!
 //! ```
-//! use meba_testkit::{assert_agreement, bb_actors, outputs, round_budget, sim, BbProc, Fault};
+//! use meba_testkit::{bb_actors, oracle, round_budget, sim, BbProc, Fault};
 //! use meba_core::Decision;
 //!
 //! // n = 7 adaptive BB: sender p0 broadcasts 42, p3 crashed from round 0.
@@ -40,7 +39,7 @@
 //! faults[3] = Fault::Idle;
 //! let mut run = sim(bb_actors(0, 42, &faults), &faults);
 //! run.run_until_done(round_budget(7))?;
-//! let d = assert_agreement(&outputs::<BbProc>(run.actors(), &faults));
+//! let d = oracle::decided::<BbProc>(run.actors(), run.metrics(), &faults).assert_in_model();
 //! assert_eq!(d, Decision::Value(42));
 //! # Ok::<(), meba_sim::RunError>(())
 //! ```
@@ -52,22 +51,24 @@
 //! scheduling-independent:
 //!
 //! ```
-//! use meba_testkit::{assert_agreement, bb_actors, des, outputs, BbProc, Fault, Timing};
+//! use meba_testkit::{bb_actors, des, oracle, BbProc, Fault, Timing};
 //! use meba_core::Decision;
 //!
 //! let faults = vec![Fault::None; 7];
 //! let report = des(bb_actors(0, 42, &faults), &faults, 0xd15c, &Timing::lockstep());
 //! assert!(report.completed);
-//! let d = assert_agreement(&outputs::<BbProc>(&report.actors, &faults));
-//! assert_eq!(d, Decision::Value(42));
+//! let run = oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults);
+//! assert_eq!(run.assert_in_model(), Decision::Value(42));
+//! assert_eq!(run.fell_back, 0, "failure-free BB never falls back");
 //! ```
 //!
 //! A hand-written adversary: mark its index Byzantine and return the
 //! actor from the `byzantine` closure, which can reach every key of the
-//! set-up (a Byzantine cohort signs with all of its members' keys):
+//! set-up (a Byzantine cohort signs with all of its members' keys). A
+//! broken run is a list of violations, not a panic:
 //!
 //! ```
-//! use meba_testkit::{assert_agreement, cluster, outputs, round_budget, sim};
+//! use meba_testkit::{cluster, oracle, round_budget, sim};
 //! use meba_testkit::{BbM, BbProc, Family, Fault};
 //! use meba_adversary::EquivocatingSender;
 //! use meba_core::{Bb, LockstepAdapter};
@@ -93,7 +94,8 @@
 //! );
 //! let mut run = sim(actors, &faults);
 //! run.run_until_done(round_budget(5))?;
-//! assert_agreement(&outputs::<BbProc>(run.actors(), &faults));
+//! let checked = oracle::decided::<BbProc>(run.actors(), run.metrics(), &faults);
+//! assert!(checked.violations.is_empty(), "{:?}", checked.violations);
 //! # Ok::<(), meba_sim::RunError>(())
 //! ```
 
@@ -119,6 +121,7 @@ use meba_fallback::RecursiveBaFactory;
 use meba_sim::faults::BernoulliDrop;
 use meba_sim::{Actor, AnyActor, IdleActor, Message, Round, SimBuilder, Simulation};
 use meba_smr::ReplicatedLog;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Per-message drop probability applied by [`Fault::Lossy`]: heavy enough
@@ -428,13 +431,13 @@ pub fn sim_builder<M: Message>(
 /// clocks — what [`des`] runs unless told otherwise.
 ///
 /// ```
-/// use meba_testkit::{assert_agreement, bb_actors, des, outputs, BbProc, Fault, Timing};
+/// use meba_testkit::{bb_actors, des, oracle, BbProc, Fault, Timing};
 /// use meba_core::Decision;
 ///
 /// // Mis-estimated δ (timer at 0.5× the nominal δ) on a network whose
 /// // real delays and skew honor the paper's precondition for that
-/// // timer (delay + skew < round length): the run still decides the
-/// // sender's value.
+/// // timer (delay + skew < round length): the run is inside the model
+/// // and decides the sender's value.
 /// let faults = vec![Fault::None; 5];
 /// let timing = Timing::quorum_or_timeout(0.5)
 ///     .with_quorum(5)
@@ -442,8 +445,8 @@ pub fn sim_builder<M: Message>(
 ///     .with_skew(Timing::DELTA_NS / 8);
 /// let report = des(bb_actors(0, 7, &faults), &faults, 0x71ae, &timing);
 /// assert!(report.completed);
-/// let d = assert_agreement(&outputs::<BbProc>(&report.actors, &faults));
-/// assert_eq!(d, Decision::Value(7));
+/// let run = oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults);
+/// assert_eq!(run.assert_in_model(), Decision::Value(7));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Timing {
@@ -577,111 +580,16 @@ pub fn des<M: Message>(
 ///
 /// The iterator panics at a correct process that is not an `A`.
 pub fn correct<'a, A: 'static, M: Message>(
-    actors: &'a [Box<dyn AnyActor<Msg = M>>],
+    actors: &'a [impl Borrow<dyn AnyActor<Msg = M>>],
     faults: &'a [Fault],
 ) -> impl Iterator<Item = &'a A> {
-    actors.iter().zip(faults).filter(|(_, f)| !f.is_byzantine()).map(|(a, _)| {
-        a.as_any().downcast_ref().unwrap_or_else(|| panic!("{} is not the expected actor", a.id()))
-    })
-}
-
-/// Decisions of the correct processes of a finished run of protocol `P`,
-/// in process order.
-///
-/// # Panics
-///
-/// Panics if a correct process has not decided — run to completion
-/// first.
-pub fn outputs<P: SubProtocol>(
-    actors: &[Box<dyn AnyActor<Msg = P::Msg>>],
-    faults: &[Fault],
-) -> Vec<P::Output> {
-    correct::<LockstepAdapter<P>, _>(actors, faults)
-        .map(|a| a.inner().output().unwrap_or_else(|| panic!("{} did not decide", a.id())))
-        .collect()
-}
-
-/// What the experiments read off a decided process besides its output.
-/// The three protocols expose these as inherent methods; this names
-/// them once so [`DecisionStats::of`] can fold over any of them.
-pub trait Probe: SubProtocol {
-    /// The step at which this process decided.
-    fn decided_at(&self) -> Option<u64>;
-    /// Whether it ran `A_fallback`.
-    fn used_fallback(&self) -> bool;
-    /// Whether it led a phase it could not keep silent (always `false`
-    /// for strong BA, which has no silent phases).
-    fn led_nonsilent_phase(&self) -> bool;
-}
-
-impl Probe for BbProc {
-    fn decided_at(&self) -> Option<u64> {
-        self.decided_at()
-    }
-    fn used_fallback(&self) -> bool {
-        self.used_fallback()
-    }
-    fn led_nonsilent_phase(&self) -> bool {
-        self.led_nonsilent_phase()
-    }
-}
-
-impl Probe for WbaProc {
-    fn decided_at(&self) -> Option<u64> {
-        self.decided_at()
-    }
-    fn used_fallback(&self) -> bool {
-        self.used_fallback()
-    }
-    fn led_nonsilent_phase(&self) -> bool {
-        self.led_nonsilent_phase()
-    }
-}
-
-impl Probe for SbaProc {
-    fn decided_at(&self) -> Option<u64> {
-        self.decided_at()
-    }
-    fn used_fallback(&self) -> bool {
-        self.used_fallback()
-    }
-    fn led_nonsilent_phase(&self) -> bool {
-        false
-    }
-}
-
-/// When the correct processes of a finished run decided, and how.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DecisionStats {
-    /// Earliest decision step among correct processes.
-    pub first: u64,
-    /// Latest decision step among correct processes.
-    pub last: u64,
-    /// Correct processes that ran the fallback.
-    pub fell_back: usize,
-    /// Correct processes that led a non-silent phase.
-    pub nonsilent_leaders: usize,
-}
-
-impl DecisionStats {
-    /// Folds the [`Probe`] readings over the correct processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a correct process has not decided.
-    pub fn of<P: Probe>(actors: &[Box<dyn AnyActor<Msg = P::Msg>>], faults: &[Fault]) -> Self {
-        let mut stats =
-            DecisionStats { first: u64::MAX, last: 0, fell_back: 0, nonsilent_leaders: 0 };
-        for a in correct::<LockstepAdapter<P>, _>(actors, faults) {
-            let p = a.inner();
-            let at = p.decided_at().unwrap_or_else(|| panic!("{} did not decide", a.id()));
-            stats.first = stats.first.min(at);
-            stats.last = stats.last.max(at);
-            stats.fell_back += usize::from(p.used_fallback());
-            stats.nonsilent_leaders += usize::from(p.led_nonsilent_phase());
-        }
-        stats
-    }
+    actors.iter().map(Borrow::borrow).zip(faults).filter(|(_, f)| !f.is_byzantine()).map(
+        |(a, _)| {
+            a.as_any()
+                .downcast_ref()
+                .unwrap_or_else(|| panic!("{} is not the expected actor", a.id()))
+        },
+    )
 }
 
 /// `cert` with the last byte of its tag flipped, by way of its wire
@@ -693,26 +601,6 @@ pub fn with_flipped_tag(cert: &ThresholdSignature) -> ThresholdSignature {
     *bytes.last_mut().expect("an encoded certificate is not empty") ^= 1;
     ThresholdSignature::decode(&mut Decoder::new(&bytes)).expect("same shape, one tag bit off")
 }
-
-/// Whether all decisions are equal (vacuously true for none).
-pub fn agree<T: PartialEq>(decisions: &[T]) -> bool {
-    decisions.windows(2).all(|w| w[0] == w[1])
-}
-
-/// Asserts all decisions are equal and returns the common one.
-///
-/// # Panics
-///
-/// Panics on an empty slice or on disagreement — the point of the helper.
-pub fn assert_agreement<T: PartialEq + std::fmt::Debug + Clone>(decisions: &[T]) -> T {
-    assert!(!decisions.is_empty());
-    assert!(agree(decisions), "agreement violated: {decisions:?}");
-    decisions[0].clone()
-}
-
-/// The failure-free BB word envelope: a run with `f = 0` costs at most
-/// this many words per process, at any `n` and on any backend.
-pub const BB_FAILURE_FREE_WORDS_PER_N: u64 = 25;
 
 /// A generous per-run round budget: the full fixed schedule (phases, help
 /// round, doubled-round fallback) with slack.
@@ -737,22 +625,22 @@ mod tests {
         let faults = vec![Fault::None, Fault::Idle, Fault::None, Fault::None, Fault::None];
         let mut bb = sim(bb_actors(0, 3, &faults), &faults);
         bb.run_until_done(round_budget(5)).unwrap();
-        let d = assert_agreement(&outputs::<BbProc>(bb.actors(), &faults));
+        let d = oracle::decided::<BbProc>(bb.actors(), bb.metrics(), &faults).assert_in_model();
         assert_eq!(d, Decision::Value(3));
 
         let mut wba = sim(weak_ba_actors(&[2; 5], &faults), &faults);
         wba.run_until_done(round_budget(5)).unwrap();
-        let d = assert_agreement(&outputs::<WbaProc>(wba.actors(), &faults));
+        let d = oracle::decided::<WbaProc>(wba.actors(), wba.metrics(), &faults).assert_in_model();
         assert_eq!(d, Decision::Value(2));
 
         let mut sba = sim(strong_ba_actors(StrongBa::new, &[true; 5], &faults), &faults);
         sba.run_until_done(round_budget(5)).unwrap();
-        assert!(assert_agreement(&outputs::<SbaProc>(sba.actors(), &faults)));
+        assert!(oracle::decided::<SbaProc>(sba.actors(), sba.metrics(), &faults).assert_in_model());
 
         let mut log = sim(log_actors(2, 2, &faults), &faults);
         log.run_until_done(log_round_budget(5, 2)).unwrap();
-        let logs: Vec<_> = correct::<LogProc, _>(log.actors(), &faults).map(LogProc::log).collect();
-        assert_eq!(assert_agreement(&logs).len(), 2);
+        let d = oracle::decided::<LogProc>(log.actors(), log.metrics(), &faults).assert_in_model();
+        assert_eq!(d.len(), 2);
     }
 
     #[test]
@@ -760,24 +648,31 @@ mod tests {
         let (faults, lockstep) = (vec![Fault::None; 5], Timing::lockstep());
         let bb = des(bb_actors(0, 3, &faults), &faults, 7, &lockstep);
         assert!(bb.completed);
-        let d = assert_agreement(&outputs::<BbProc>(&bb.actors, &faults));
+        let d = oracle::decided::<BbProc>(&bb.actors, &bb.metrics, &faults).assert_in_model();
         assert_eq!(d, Decision::Value(3));
 
         let wba = des(weak_ba_actors(&[2; 5], &faults), &faults, 7, &lockstep);
         assert!(wba.completed);
-        let d = assert_agreement(&outputs::<WbaProc>(&wba.actors, &faults));
+        let d = oracle::decided::<WbaProc>(&wba.actors, &wba.metrics, &faults).assert_in_model();
         assert_eq!(d, Decision::Value(2));
 
         let sba = des(strong_ba_actors(StrongBa::new, &[true; 5], &faults), &faults, 7, &lockstep);
         assert!(sba.completed);
-        assert!(assert_agreement(&outputs::<SbaProc>(&sba.actors, &faults)));
+        assert!(oracle::decided::<SbaProc>(&sba.actors, &sba.metrics, &faults).assert_in_model());
     }
 
     #[test]
-    #[should_panic(expected = "agreement violated")]
-    fn assert_agreement_panics_on_split() {
-        assert!(!agree(&[1, 1, 2]));
-        assert_agreement(&[1, 1, 2]);
+    #[should_panic(expected = "agreement: p0 and p2 decided differently")]
+    fn assert_safe_panics_on_split() {
+        let faults = [Fault::None; 3];
+        let split = |v: u64| sim(bb_actors(0, v, &faults), &faults);
+        let (mut a, mut b) = (split(1), split(2));
+        a.run_until_done(round_budget(3)).unwrap();
+        b.run_until_done(round_budget(3)).unwrap();
+        // p2 of the second run decided another value than the first's p0, p1.
+        let mut actors = a.actors().iter().map(|x| x.as_ref()).collect::<Vec<_>>();
+        actors[2] = b.actors()[2].as_ref();
+        oracle::decided::<BbProc>(&actors, a.metrics(), &faults).assert_safe();
     }
 
     #[test]
@@ -816,7 +711,8 @@ mod tests {
         let mut run = sim(actors, &faults);
         run.run_until_done(round_budget(5)).unwrap();
         // Read-back skips it (a `WastefulBbLeader` is no `BbProc`) ...
-        assert_eq!(outputs::<BbProc>(run.actors(), &faults).len(), 3);
+        let checked = oracle::decided::<BbProc>(run.actors(), run.metrics(), &faults);
+        assert_eq!(checked.decisions.iter().flatten().count(), 3);
         // ... and its words are billed to the adversary, not to
         // `Metrics::correct_words`.
         let m = run.metrics();
@@ -835,7 +731,7 @@ mod tests {
         assert!(faults[2].is_byzantine(), "lossy processes count toward f");
         let mut bb = sim(bb_actors(0, 9, &faults), &faults);
         bb.run_until_done(round_budget(5)).unwrap();
-        let d = assert_agreement(&outputs::<BbProc>(bb.actors(), &faults));
+        let d = oracle::decided::<BbProc>(bb.actors(), bb.metrics(), &faults).assert_in_model();
         assert_eq!(d, Decision::Value(9));
     }
 }

@@ -24,8 +24,8 @@ use meba_engine::{
 use meba_sim::faults::{Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt};
 use meba_sim::{Actor, AnyActor, Message, Round, RoundCtx, SimBuilder};
 use meba_testkit::{
-    assert_agreement, bb_actors, corrupt_ids, crash_restart, des, outputs, round_budget, sim,
-    strong_ba_actors, weak_ba_actors, BbProc, Fault, SbaProc, Timing, WbaProc,
+    bb_actors, corrupt_ids, crash_restart, des, oracle, round_budget, sim, strong_ba_actors,
+    weak_ba_actors, BbProc, Fault, SbaProc, Timing, WbaProc,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -50,14 +50,14 @@ proptest! {
 
         let mut sim = sim(bb_actors(sender, input, &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
-        let lockstep = outputs::<BbProc>(sim.actors(), &faults);
+        let lockstep = oracle::decided::<BbProc>(sim.actors(), sim.metrics(), &faults);
 
         let report = des(bb_actors(sender, input, &faults), &faults, seed, &Timing::lockstep());
         prop_assert!(report.completed, "DES run must complete");
-        let des = outputs::<BbProc>(&report.actors, &faults);
+        let des = oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults);
 
-        prop_assert_eq!(&lockstep, &des, "decisions diverge across backends");
-        prop_assert_eq!(assert_agreement(&des), Decision::Value(input));
+        prop_assert_eq!(&lockstep.decisions, &des.decisions, "decisions diverge across backends");
+        des.assert_in_model();
         prop_assert_eq!(
             sim.metrics().correct.words,
             report.metrics.correct.words,
@@ -83,13 +83,14 @@ proptest! {
 
         let mut sim = sim(weak_ba_actors(&inputs, &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
-        let lockstep = outputs::<WbaProc>(sim.actors(), &faults);
+        let lockstep = oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults);
 
         let report = des(weak_ba_actors(&inputs, &faults), &faults, seed, &Timing::lockstep());
         prop_assert!(report.completed, "DES run must complete");
-        let des = outputs::<WbaProc>(&report.actors, &faults);
+        let des = oracle::decided::<WbaProc>(&report.actors, &report.metrics, &faults);
 
-        prop_assert_eq!(&lockstep, &des, "decisions diverge across backends");
+        prop_assert_eq!(&lockstep.decisions, &des.decisions, "decisions diverge across backends");
+        des.assert_in_model();
         prop_assert_eq!(
             sim.metrics().correct.words,
             report.metrics.correct.words,
@@ -131,6 +132,7 @@ proptest! {
         let default_run = run_des_cluster(bb_actors(sender, input, &faults), None, default).unwrap();
         let driven_run = des(bb_actors(sender, input, &faults), &faults, seed, &Timing::lockstep());
         prop_assert!(default_run.completed && driven_run.completed);
+        oracle::decided::<BbProc>(&driven_run.actors, &driven_run.metrics, &faults).assert_in_model();
         prop_assert_eq!(default_run.rounds, driven_run.rounds);
         prop_assert_eq!(
             serde_json::to_string(&default_run.metrics).unwrap(),
@@ -152,7 +154,7 @@ fn strong_ba_matches_across_lockstep_and_des() {
 
     let mut sim = sim(strong_ba_actors(StrongBa::new, &inputs, &faults), &faults);
     sim.run_until_done(round_budget(n)).unwrap();
-    let lockstep = outputs::<SbaProc>(sim.actors(), &faults);
+    let lockstep = oracle::decided::<SbaProc>(sim.actors(), sim.metrics(), &faults);
 
     let report = des(
         strong_ba_actors(StrongBa::new, &inputs, &faults),
@@ -161,10 +163,10 @@ fn strong_ba_matches_across_lockstep_and_des() {
         &Timing::lockstep(),
     );
     assert!(report.completed);
-    let des = outputs::<SbaProc>(&report.actors, &faults);
+    let des = oracle::decided::<SbaProc>(&report.actors, &report.metrics, &faults);
 
-    assert_eq!(lockstep, des);
-    assert!(assert_agreement(&des));
+    assert_eq!(lockstep.decisions, des.decisions);
+    des.assert_in_model();
     assert_eq!(sim.metrics().correct.words, report.metrics.correct.words);
     assert_eq!(sim.metrics().rounds, report.rounds);
 }
@@ -182,6 +184,8 @@ fn rotating_strong_ba_lockstep_and_des_metrics_are_byte_identical() {
         let inputs = vec![true; n];
         let mut sim = sim(strong_ba_actors(StrongBa::rotating, &inputs, &faults), &faults);
         sim.run_until_done(round_budget(n)).unwrap();
+        let checked = oracle::decided::<SbaProc>(sim.actors(), sim.metrics(), &faults);
+        checked.assert_in_model();
         let lockstep = serde_json::to_string(sim.metrics()).unwrap();
         for seed in [1u64, 0xabcd, 0xfeed_f00d] {
             let mut des = des(
@@ -192,8 +196,8 @@ fn rotating_strong_ba_lockstep_and_des_metrics_are_byte_identical() {
             );
             assert!(des.completed, "{faults:?} seed {seed:#x}");
             assert_eq!(
-                outputs::<SbaProc>(&des.actors, &faults),
-                outputs::<SbaProc>(sim.actors(), &faults),
+                oracle::decided::<SbaProc>(&des.actors, &des.metrics, &faults).decisions,
+                checked.decisions,
                 "{faults:?} seed {seed:#x}"
             );
             assert_eq!(des.rounds, sim.metrics().rounds);
@@ -244,6 +248,8 @@ fn threaded_cluster_matches_des_decisions_and_words() {
 
     let des = des(bb_actors(sender, input, &faults), &faults, 1, &Timing::lockstep());
     assert!(des.completed);
+    let des = oracle::decided::<BbProc>(&des.actors, &des.metrics, &faults);
+    des.assert_in_model();
 
     let threaded = clean_run("threaded BB", |delta| {
         let config = ClusterConfig {
@@ -255,16 +261,9 @@ fn threaded_cluster_matches_des_decisions_and_words() {
         run_cluster(bb_actors(sender, input, &faults), config)
     });
 
-    assert_eq!(
-        outputs::<BbProc>(&threaded.actors, &faults),
-        outputs::<BbProc>(&des.actors, &faults),
-        "decisions diverge between threaded and DES"
-    );
-    assert_eq!(assert_agreement(&outputs::<BbProc>(&des.actors, &faults)), Decision::Value(input));
-    assert_eq!(
-        threaded.metrics.correct.words, des.metrics.correct.words,
-        "correct word totals diverge between threaded and DES"
-    );
+    let threaded = oracle::decided::<BbProc>(&threaded.actors, &threaded.metrics, &faults);
+    // An overrun-free run held the synchrony bound: it is inside the model.
+    assert_eq!(threaded, des, "decisions or correct word totals diverge between threaded and DES");
 }
 
 /// Real TCP sockets: the smoke subset of the equivalence matrix. The
@@ -281,6 +280,8 @@ fn tcp_cluster_matches_des_decisions_and_words() {
 
     let des = des(bb_actors(sender, input, &faults), &faults, 2, &Timing::lockstep());
     assert!(des.completed);
+    let des = oracle::decided::<BbProc>(&des.actors, &des.metrics, &faults);
+    des.assert_in_model();
 
     let system = SystemConfig::new(n, 0xbb).unwrap();
     let report = clean_run("TCP BB", |delta| {
@@ -297,15 +298,8 @@ fn tcp_cluster_matches_des_decisions_and_words() {
             .report
     });
 
-    assert_eq!(
-        outputs::<BbProc>(&report.actors, &faults),
-        outputs::<BbProc>(&des.actors, &faults),
-        "decisions diverge between TCP and DES"
-    );
-    assert_eq!(
-        report.metrics.correct.words, des.metrics.correct.words,
-        "correct word totals diverge between TCP and DES"
-    );
+    let tcp = oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults);
+    assert_eq!(tcp, des, "decisions or correct word totals diverge between TCP and DES");
 }
 
 /// The link [`link_fault_plan`] severs.
@@ -350,8 +344,11 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
     let mut sim =
         SimBuilder::new(weak_ba_actors(&inputs, &faults)).link_policy(link_fault_plan()).build();
     sim.run_until_done(round_budget(n)).unwrap();
-    let lockstep = outputs::<WbaProc>(sim.actors(), &faults);
-    assert_eq!(assert_agreement(&lockstep), Decision::Value(7));
+    // The plan breaks the synchrony bound on p3's and p4's links without
+    // counting them toward f, so the runs are outside the model: safety.
+    let decided = |actors: &_, metrics: &_| oracle::decided::<WbaProc>(actors, metrics, &faults);
+    let lockstep = decided(sim.actors(), sim.metrics());
+    assert_eq!(lockstep.assert_safe(), Decision::Value(7));
     let severed = sim.metrics().link(SEVERED.from, SEVERED.to);
     assert!(severed.dropped >= 1, "the severed frame is billed as a drop: {severed:?}");
 
@@ -367,7 +364,12 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
     )
     .expect("valid config");
     assert!(des.completed, "DES run must complete");
-    assert_eq!(outputs::<WbaProc>(&des.actors, &faults), lockstep, "lockstep vs DES decisions");
+    let decisions = &lockstep.decisions;
+    assert_eq!(
+        &decided(&des.actors, &des.metrics).decisions,
+        decisions,
+        "lockstep vs DES decisions"
+    );
     assert_eq!(sim.metrics().correct.words, des.metrics.correct.words, "lockstep vs DES words");
     assert_eq!(sim.metrics().rounds, des.rounds, "lockstep vs DES rounds");
     assert_eq!(sim.metrics().per_link, des.metrics.per_link, "lockstep vs DES per-link counters");
@@ -385,7 +387,8 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
     // last decision, and decided processes still answer p3's late help
     // requests — so the smoke backends pin the decisions and the sever,
     // not the word total.
-    assert_eq!(outputs::<WbaProc>(&threaded.actors, &faults), lockstep, "threaded decisions");
+    let threaded_decisions = decided(&threaded.actors, &threaded.metrics).decisions;
+    assert_eq!(&threaded_decisions, decisions, "threaded decisions");
     assert!(threaded.metrics.link(SEVERED.from, SEVERED.to).dropped >= 1);
 
     let system = SystemConfig::new(n, 0x3a).unwrap();
@@ -401,7 +404,8 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
     let tcp = run_tcp_cluster(weak_ba_actors(&inputs, &faults), &system, config)
         .expect("loopback mesh establishes");
     assert!(tcp.report.completed, "TCP run must complete");
-    assert_eq!(outputs::<WbaProc>(&tcp.report.actors, &faults), lockstep, "TCP decisions");
+    let tcp_decisions = decided(&tcp.report.actors, &tcp.report.metrics).decisions;
+    assert_eq!(&tcp_decisions, decisions, "TCP decisions");
     assert!(tcp.report.metrics.link(SEVERED.from, SEVERED.to).dropped >= 1);
     assert!(tcp.reconnects >= 1, "the severed socket must re-dial");
 }
@@ -414,6 +418,7 @@ fn des_same_seed_is_byte_identical() {
     let run = |seed: u64| {
         let report = des(bb_actors(0, 42, &faults), &faults, seed, &Timing::lockstep());
         assert!(report.completed);
+        oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults).assert_in_model();
         serde_json::to_string(&report.metrics).expect("metrics serialize")
     };
     assert_eq!(run(0xfeed), run(0xfeed), "same seed must be byte-identical");
@@ -442,11 +447,8 @@ fn des_silent_faults_decide_like_lockstep_matrix() {
     let report = des(bb_actors(0, 31, &faults), &faults, 0x5eed, &Timing::lockstep());
     assert!(report.completed);
     assert_eq!(ProcessId(0), report.actors[0].id());
-    assert_eq!(
-        assert_agreement(&outputs::<BbProc>(&report.actors, &faults)),
-        Decision::Value(31),
-        "t-silent matrix still decides the sender's value"
-    );
+    // The t-silent matrix still decides the sender's value.
+    oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults).assert_in_model();
 }
 
 // ---------------------------------------------------------------------

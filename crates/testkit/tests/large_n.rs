@@ -12,25 +12,21 @@
 //! process nearly every round, so it exercises the engine with the
 //! hints buying next to nothing.
 
-use meba_core::Decision;
-// `BB_FAILURE_FREE_WORDS_PER_N` is the envelope `tests/bb_integration.rs`
-// asserts at small n — the engine must reproduce it at large n.
-use meba_testkit::{
-    assert_agreement, bb_actors, des, outputs, BbProc, Fault, Timing, BB_FAILURE_FREE_WORDS_PER_N,
-};
+use meba_testkit::{bb_actors, des, oracle, BbProc, Fault, Timing};
+
+/// BB with sender p0 broadcasting 7 under `faults` on the DES, checked by
+/// the oracle — agreement, the sender's value, and BB's word bound for
+/// the run's `n` and `f` — with the run's ledger handed back.
+fn checked_bb(faults: &[Fault], seed: u64) -> meba_sim::Metrics {
+    let report = des(bb_actors(0, 7, faults), faults, seed, &Timing::lockstep());
+    assert!(report.completed, "n={} BB must decide", faults.len());
+    oracle::decided::<BbProc>(&report.actors, &report.metrics, faults).assert_in_model();
+    report.metrics
+}
 
 #[test]
 fn des_bb_n65_failure_free_is_linear() {
-    let n = 65;
-    let faults = vec![Fault::None; n];
-    let report = des(bb_actors(0, 7, &faults), &faults, 0x41, &Timing::lockstep());
-    assert!(report.completed, "n={n} failure-free BB must decide");
-    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
-    let words = report.metrics.correct.words;
-    assert!(
-        words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64,
-        "failure-free words must stay linear: {words} > 25·{n}"
-    );
+    checked_bb(&[Fault::None; 65], 0x41);
 }
 
 #[test]
@@ -39,21 +35,13 @@ fn des_bb_n65_tolerates_f_equals_t() {
     let t = (n - 1) / 2;
     let mut faults = vec![Fault::None; n];
     // Silence the t processes after the sender: every silent leader costs
-    // a phase, the hardest crash placement for the staircase.
+    // a phase, the hardest crash placement for the staircase. The bound
+    // scales with the realized failure count — n·(f+1), not the
+    // unconditional n² of the non-adaptive fallback run at every f.
     for f in faults.iter_mut().skip(1).take(t) {
         *f = Fault::Idle;
     }
-    let report = des(bb_actors(0, 7, &faults), &faults, 0x42, &Timing::lockstep());
-    assert!(report.completed, "n={n} f=t BB must still decide");
-    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
-    // O(n(f+1)): the budget scales with the realized failure count. The
-    // constant is larger than the failure-free 25 — every silent leader
-    // costs a help phase where live processes respond — but the shape is
-    // still n·(f+1), not the unconditional n² of the non-adaptive
-    // fallback run at every f.
-    let words = report.metrics.correct.words;
-    let budget = 60 * (n as u64) * (t as u64 + 1);
-    assert!(words <= budget, "f=t words {words} exceed O(n(f+1)) budget {budget}");
+    checked_bb(&faults, 0x42);
 }
 
 /// The acceptance run: n = 129 (t = 64) failure-free BB to decision.
@@ -62,19 +50,10 @@ fn des_bb_n65_tolerates_f_equals_t() {
 #[test]
 #[ignore = "large-n acceptance run; executed in release by scripts/check.sh"]
 fn des_bb_n129_failure_free_is_linear_and_fast() {
-    let n = 129;
-    let faults = vec![Fault::None; n];
     let started = std::time::Instant::now();
-    let report = des(bb_actors(0, 7, &faults), &faults, 0x43, &Timing::lockstep());
+    checked_bb(&[Fault::None; 129], 0x43);
     let elapsed = started.elapsed();
-    assert!(report.completed, "n={n} failure-free BB must decide");
-    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
-    let words = report.metrics.correct.words;
-    assert!(
-        words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64,
-        "failure-free words must stay linear: {words} > 25·{n}"
-    );
-    assert!(elapsed.as_secs() < 5, "n={n} DES run took {elapsed:?}, budget is 5s");
+    assert!(elapsed.as_secs() < 5, "n=129 DES run took {elapsed:?}, budget is 5s");
 }
 
 /// The sparse-time acceptance run (ROADMAP item 4's target): n = 4097
@@ -85,54 +64,29 @@ fn des_bb_n129_failure_free_is_linear_and_fast() {
 #[test]
 #[ignore = "large-n acceptance run; executed in release by scripts/check.sh"]
 fn des_bb_n4097_failure_free_is_linear_and_fast() {
-    let n = 4097;
-    let faults = vec![Fault::None; n];
     let started = std::time::Instant::now();
-    let report = des(bb_actors(0, 7, &faults), &faults, 0x44, &Timing::lockstep());
+    checked_bb(&vec![Fault::None; 4097], 0x44);
     let elapsed = started.elapsed();
-    assert!(report.completed, "n={n} failure-free BB must decide");
-    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
-    let words = report.metrics.correct.words;
-    assert!(
-        words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64,
-        "failure-free words must stay linear: {words} > 25·{n}"
-    );
-    assert!(elapsed.as_secs() < 2, "n={n} DES run took {elapsed:?}, budget is 2s");
+    assert!(elapsed.as_secs() < 2, "n=4097 DES run took {elapsed:?}, budget is 2s");
 }
 
 /// One silent leader at n = 4097: the run pays for the fault it has,
-/// not for the 2048 it tolerates — the `c·n·(f+1)` envelope with the
-/// same constant the n = 65, f = t row uses.
+/// not for the 2048 it tolerates — the `c·n·(f+1)` bound with the same
+/// constant the n = 65, f = t row uses.
 #[test]
 #[ignore = "large-n acceptance run; executed in release by scripts/check.sh"]
 fn des_bb_n4097_one_fault_stays_in_the_adaptive_envelope() {
-    let n = 4097;
-    let f = 1;
-    let mut faults = vec![Fault::None; n];
+    let mut faults = vec![Fault::None; 4097];
     faults[1] = Fault::Idle;
-    let report = des(bb_actors(0, 7, &faults), &faults, 0x45, &Timing::lockstep());
-    assert!(report.completed, "n={n} f={f} BB must decide");
-    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
-    let words = report.metrics.correct.words;
-    let budget = 60 * n as u64 * (f + 1);
-    assert!(words <= budget, "f={f} words {words} exceed O(n(f+1)) budget {budget}");
-    assert!(!report.metrics.by_component.contains_key("fallback"), "f = 1 must not fall back");
+    let metrics = checked_bb(&faults, 0x45);
+    assert!(!metrics.by_component.contains_key("fallback"), "f = 1 must not fall back");
 }
 
 /// n = 16,385 (t = 8192) failure-free: 131,089 rounds × 16,385 processes
 /// would be 2.1 G ticks on a dense schedule; sparse time makes it a
-/// second or so. Words stay at the failure-free constant.
+/// second or so. Words stay inside the failure-free bound.
 #[test]
 #[ignore = "large-n acceptance run; executed in release by scripts/check.sh"]
 fn des_bb_n16385_failure_free_is_linear() {
-    let n = 16_385;
-    let faults = vec![Fault::None; n];
-    let report = des(bb_actors(0, 7, &faults), &faults, 0x46, &Timing::lockstep());
-    assert!(report.completed, "n={n} failure-free BB must decide");
-    assert_eq!(assert_agreement(&outputs::<BbProc>(&report.actors, &faults)), Decision::Value(7));
-    let words = report.metrics.correct.words;
-    assert!(
-        words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64,
-        "failure-free words must stay linear: {words} > 25·{n}"
-    );
+    checked_bb(&vec![Fault::None; 16_385], 0x46);
 }

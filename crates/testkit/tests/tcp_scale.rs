@@ -16,11 +16,9 @@
 //! Ignored in the default (debug) suite; `scripts/check.sh` runs them in
 //! release, where an n = 101 run finishes in a few seconds.
 
-use meba_core::{Decision, SystemConfig};
+use meba_core::SystemConfig;
 use meba_engine::ClusterConfig;
-use meba_testkit::{
-    assert_agreement, bb_actors, des, outputs, round_budget, BbProc, Fault, Timing,
-};
+use meba_testkit::{bb_actors, des, oracle, round_budget, BbProc, Fault, Timing};
 use meba_wire::{raise_nofile_limit, run_tcp_cluster, TcpClusterConfig, TcpClusterReport};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -139,22 +137,16 @@ fn scale_run(target_n: usize, floor_n: usize, delta: Duration, seed: u64) {
     let (sender, input) = (0u32, 7u64);
     let des = des(bb_actors(sender, input, &faults), &faults, seed, &Timing::lockstep());
     assert!(des.completed, "n={n} DES reference run must decide");
+    let des = oracle::decided::<BbProc>(&des.actors, &des.metrics, &faults);
+    des.assert_in_model();
 
     let (tcp, peak_threads) =
         with_thread_peak(|| clean_tcp_run("scale BB", n, sender, input, delta));
 
+    let socket = oracle::decided::<BbProc>(&tcp.report.actors, &tcp.report.metrics, &faults);
     assert_eq!(
-        assert_agreement(&outputs::<BbProc>(&tcp.report.actors, &faults)),
-        Decision::Value(input)
-    );
-    assert_eq!(
-        outputs::<BbProc>(&tcp.report.actors, &faults),
-        outputs::<BbProc>(&des.actors, &faults),
-        "decisions diverge between TCP and DES at n={n}"
-    );
-    assert_eq!(
-        tcp.report.metrics.correct.words, des.metrics.correct.words,
-        "correct word totals diverge between TCP and DES at n={n}"
+        socket, des,
+        "decisions or correct word totals diverge between TCP and DES at n={n}"
     );
     assert_eq!(tcp.frames_dropped, 0, "a healthy run drops nothing");
 

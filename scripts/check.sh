@@ -6,11 +6,12 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
-echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / outputs; one ledger: Metrics is plain data billed through Metrics::bill; one round body: no sim-only Trace, rushing is not optional; one oracle: meba_testkit::oracle) =="
-! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|SimBuilder::trace|audit_proposals|assert_exactly_once|assert_churn_converged' -- crates src tests examples README.md docs || exit 1
+echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / oracle::decided; one ledger: Metrics is plain data billed through Metrics::bill; one round body: no sim-only Trace, rushing is not optional; one oracle: meba_testkit::oracle) =="
+! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|SimBuilder::trace|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N' -- crates src tests examples README.md docs || exit 1
 
-echo "== one oracle (meba_testkit::oracle's journal fold is the only reader of Record::Proposed in the testkit) =="
+echo "== one oracle (meba_testkit::oracle's journal fold is the only reader of Record::Proposed in the testkit; word-bound constants live only in the Probe::word_bound impls) =="
 test "$(git grep -n 'Record::Proposed {' -- crates/testkit/src | wc -l)" -eq 1
+! git grep -nE 'words <= [0-9]+ \*' -- 'tests/*' 'crates/testkit/tests/*' 'crates/bench/src/*' || exit 1
 
 echo "== one certificate site (ThresholdSignature is built in pki.rs only; ShareCollector::new is the only non-test combiner() call outside it) =="
 ! git grep -nE 'ThresholdSignature \{ *(threshold|\.\.)' -- crates src tests examples ':!crates/crypto/src/pki.rs' || exit 1

@@ -6,15 +6,17 @@ mod common;
 use common::*;
 use meba::adversary::EquivocatingSender;
 use meba::prelude::*;
+use oracle::Decided;
+
+/// BB with sender p0 broadcasting `input` under `faults`, run and checked.
+fn bb(input: u64, faults: &[Fault]) -> Decided<Decision<u64>> {
+    checked::<BbProc>(bb_actors(0, input, faults), faults)
+}
 
 #[test]
 fn validity_failure_free() {
     for n in [3usize, 5, 7, 9] {
-        let faults = vec![Fault::None; n];
-        let mut sim = sim(bb_actors(0, 7, &faults), &faults);
-        sim.run_until_done(round_budget(n)).unwrap();
-        let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
-        assert_eq!(d, Decision::Value(7), "n={n}");
+        bb(7, &vec![Fault::None; n]).assert_in_model();
     }
 }
 
@@ -23,13 +25,10 @@ fn validity_with_every_nonsender_crash_position() {
     // n = 7: crash each single non-sender in turn; f=1 < adaptive bound
     // fails for n=7 (bound is 1), so the fallback may run — validity must
     // hold either way.
-    for victim in 1..7u32 {
+    for victim in 1..7 {
         let mut faults = vec![Fault::None; 7];
-        faults[victim as usize] = Fault::Idle;
-        let mut sim = sim(bb_actors(0, 31, &faults), &faults);
-        sim.run_until_done(round_budget(7)).unwrap();
-        let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
-        assert_eq!(d, Decision::Value(31), "victim p{victim}");
+        faults[victim] = Fault::Idle;
+        bb(31, &faults).assert_in_model();
     }
 }
 
@@ -40,10 +39,7 @@ fn validity_max_crashes() {
     for i in [2usize, 4, 6, 8] {
         faults[i] = Fault::Idle;
     }
-    let mut sim = sim(bb_actors(0, 99, &faults), &faults);
-    sim.run_until_done(round_budget(9)).unwrap();
-    let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
-    assert_eq!(d, Decision::Value(99));
+    bb(99, &faults).assert_in_model();
 }
 
 #[test]
@@ -51,20 +47,18 @@ fn agreement_with_silent_sender() {
     for n in [5usize, 9] {
         let mut faults = vec![Fault::None; n];
         faults[0] = Fault::Idle;
-        let mut sim = sim(bb_actors(0, 1, &faults), &faults);
-        sim.run_until_done(round_budget(n)).unwrap();
-        let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
+        let d = bb(1, &faults).assert_in_model();
         assert!(d.is_bot(), "silent sender must yield ⊥, got {d:?}");
     }
 }
 
 /// n = 7 BB whose sender p0 is Byzantine: it signs `a` for the processes
 /// in `to_a` and `b` for those in `to_b`, then goes silent. Returns the
-/// correct processes' decisions.
+/// checked run.
 fn byzantine_sender_run(
     (a, to_a): (u64, Vec<ProcessId>),
     (b, to_b): (u64, Vec<ProcessId>),
-) -> Vec<Decision<u64>> {
+) -> Decided<Decision<u64>> {
     let (n, sender) = (7usize, ProcessId(0));
     let mut faults = vec![Fault::None; n];
     faults[0] = Fault::Idle;
@@ -82,16 +76,14 @@ fn byzantine_sender_run(
             Some(Box::new(sender) as Box<dyn AnyActor<Msg = BbM>>)
         },
     );
-    let mut sim = sim(actors, &faults);
-    sim.run_until_done(round_budget(n)).unwrap();
-    outputs::<BbProc>(sim.actors(), &faults)
+    checked::<BbProc>(actors, &faults)
 }
 
 #[test]
 fn agreement_with_equivocating_sender() {
     let group = |ids: [u32; 3]| ids.map(ProcessId).to_vec();
-    let ds = byzantine_sender_run((111, group([1, 2, 3])), (222, group([4, 5, 6])));
-    let d = assert_agreement(&ds);
+    let d =
+        byzantine_sender_run((111, group([1, 2, 3])), (222, group([4, 5, 6]))).assert_in_model();
     // A Byzantine sender permits any common decision: one of its two
     // values, or ⊥.
     assert!(
@@ -104,14 +96,10 @@ fn agreement_with_equivocating_sender() {
 fn agreement_with_sender_crashing_mid_dissemination() {
     // Sender crashes right after round 0: its value is out but it answers
     // nothing afterwards.
-    let n = 7usize;
-    let mut faults = vec![Fault::None; n];
+    let mut faults = vec![Fault::None; 7];
     faults[0] = Fault::CrashAt(1);
-    let mut sim = sim(bb_actors(0, 64, &faults), &faults);
-    sim.run_until_done(round_budget(n)).unwrap();
-    let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
     // The signed value reached everyone, so BB_valid admits only it.
-    assert_eq!(d, Decision::Value(64));
+    assert_eq!(bb(64, &faults).assert_in_model(), Decision::Value(64));
 }
 
 #[test]
@@ -120,22 +108,15 @@ fn agreement_under_chaos_adversary() {
         let mut faults = vec![Fault::None; 7];
         faults[3] = Fault::Chaos(seed);
         faults[5] = Fault::Chaos(seed.wrapping_mul(7919));
-        let mut sim = sim(bb_actors(0, 5, &faults), &faults);
-        sim.run_until_done(round_budget(7)).unwrap();
-        let d = assert_agreement(&outputs::<BbProc>(sim.actors(), &faults));
-        assert_eq!(d, Decision::Value(5), "chaos replay must not break validity (seed {seed})");
+        bb(5, &faults).assert_in_model();
     }
 }
 
 #[test]
 fn adaptive_complexity_failure_free_linear() {
-    // E1 envelope: failure-free BB costs O(n) words.
+    // E1's failure-free row: BB's word bound at f = 0 is linear in n.
     for n in [5usize, 9, 17, 33] {
-        let faults = vec![Fault::None; n];
-        let mut sim = sim(bb_actors(0, 1, &faults), &faults);
-        sim.run_until_done(round_budget(n)).unwrap();
-        let words = sim.metrics().correct_words();
-        assert!(words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64, "n={n}: {words} words (O(n))");
+        bb(1, &vec![Fault::None; n]).assert_in_model();
     }
 }
 
@@ -146,17 +127,14 @@ fn crashed_followers_below_bound_cost_nothing_extra() {
     // (The O(n·f) growth of Table 1 is realized by *active* Byzantine
     // leaders; see the wasteful-leader benches.)
     let n = 17usize;
-    let faults0 = vec![Fault::None; n];
-    let mut sim0 = sim(bb_actors(0, 1, &faults0), &faults0);
-    sim0.run_until_done(round_budget(n)).unwrap();
-    let w0 = sim0.metrics().correct_words();
+    let free = bb(1, &vec![Fault::None; n]);
+    free.assert_in_model();
+    let mut faults = vec![Fault::None; n];
+    faults[4] = Fault::Idle;
+    let crashed = bb(1, &faults);
+    crashed.assert_in_model();
 
-    let mut faults1 = vec![Fault::None; n];
-    faults1[4] = Fault::Idle;
-    let mut sim1 = sim(bb_actors(0, 1, &faults1), &faults1);
-    sim1.run_until_done(round_budget(n)).unwrap();
-    let w1 = sim1.metrics().correct_words();
-
+    let (w0, w1) = (free.words, crashed.words);
     let lo = w0.saturating_sub(w0 / 4);
     let hi = w0 + w0 / 4;
     assert!(
@@ -168,17 +146,13 @@ fn crashed_followers_below_bound_cost_nothing_extra() {
 #[test]
 fn decide_once_under_faults() {
     // Termination implies each correct process finished with exactly one
-    // decision (output() is None until finished; decided_at is stable).
+    // decision, reached at a step inside the run.
     let mut faults = vec![Fault::None; 7];
     faults[2] = Fault::Idle;
-    let mut sim = sim(bb_actors(1, 12, &faults), &faults);
-    sim.run_until_done(round_budget(7)).unwrap();
-    for i in (0..7).filter(|&i| i != 2) {
-        let a: &LockstepAdapter<BbProc> =
-            sim.actor(ProcessId(i as u32)).as_any().downcast_ref().unwrap();
-        assert!(a.inner().decided_at().is_some());
-        assert!(a.inner().output().is_some());
-    }
+    let run = checked::<BbProc>(bb_actors(1, 12, &faults), &faults);
+    run.assert_in_model();
+    assert_eq!(run.decisions.iter().flatten().count(), 6, "p2 is the only faulty process");
+    assert!(0 < run.first && run.first <= run.last, "{run:?}");
 }
 
 #[test]
@@ -190,6 +164,6 @@ fn selective_sender_value_is_recovered_by_vetting() {
     // everyone's BA input. The decision is the sender's value, not ⊥.
     // Same value to a single recipient: a "selective" sender.
     let lucky = ProcessId(3);
-    let d = assert_agreement(&byzantine_sender_run((77, vec![lucky]), (77, vec![])));
+    let d = byzantine_sender_run((77, vec![lucky]), (77, vec![])).assert_in_model();
     assert_eq!(d, Decision::Value(77), "the vetting relay must spread the lone signed value");
 }

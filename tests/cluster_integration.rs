@@ -24,32 +24,14 @@ fn cluster_config(corrupt: Vec<ProcessId>) -> ClusterConfig {
 
 #[test]
 fn bb_on_threads_failure_free() {
-    let n = 5usize;
-    let cfg = SystemConfig::new(n, 0xc1).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xc1);
-    let sender = ProcessId(0);
-    let mut actors: Vec<Box<dyn AnyActor<Msg = BbM>>> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-        let bb: BbProc = if id == sender {
-            Bb::new_sender(cfg, id, key, pki.clone(), factory, 17u64)
-        } else {
-            Bb::new(cfg, id, key, pki.clone(), factory, sender)
-        };
-        actors.push(Box::new(LockstepAdapter::new(id, bb)));
-    }
-    let report = run_cluster(actors, cluster_config(vec![]));
+    let faults = vec![Fault::None; 5];
+    let report = run_cluster(bb_actors(0, 17, &faults), cluster_config(vec![]));
     assert!(report.completed, "cluster must terminate");
-    for a in &report.actors {
-        let l: &LockstepAdapter<BbProc> = a.as_any().downcast_ref().unwrap();
-        assert_eq!(l.inner().output(), Some(Decision::Value(17)));
-    }
-    // Word accounting matches the simulator's O(n) failure-free envelope.
-    assert!(report.metrics.correct.words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64);
+    // Word accounting matches the simulator's O(n) failure-free bound.
+    oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults).assert_in_model();
     // Observability: each thread contributed one latency sample per round,
     // and on reliable links every sent message was delivered.
-    assert_eq!(report.metrics.round_latency.count(), n as u64 * report.rounds);
+    assert_eq!(report.metrics.round_latency.count(), 5 * report.rounds);
     assert!(!report.metrics.per_link.is_empty());
     for (link, stats) in &report.metrics.per_link {
         assert_eq!(stats.dropped, 0, "{link} must not drop");
@@ -74,28 +56,17 @@ fn pipelined_log(n: usize, slots: u64) -> Vec<Box<dyn AnyActor<Msg = LogM>>> {
     actors
 }
 
-/// Every replica committed `slots` entries and all logs are equal;
-/// returns the common log.
-fn agreed_log(actors: &[Box<dyn AnyActor<Msg = LogM>>], slots: u64) -> Vec<LogEntry<u64>> {
-    let logs: Vec<&[LogEntry<u64>]> =
-        actors.iter().map(|a| a.as_any().downcast_ref::<LogProc>().unwrap().log()).collect();
-    for l in &logs {
-        assert_eq!(l.len(), slots as usize);
-        assert_eq!(l, &logs[0], "replicas diverged");
-    }
-    logs[0].to_vec()
-}
-
 #[test]
 fn pipelined_log_on_threads() {
     // The same mux-hosted pipelined log that runs on the lockstep
     // simulator, driven by the threaded wall-clock runtime. A smoke:
-    // completion and agreement only — what the log holds, how many
-    // rounds it took and what it cost are asserted where they are
-    // exact, in `pipelined_log_on_des`.
+    // completion and agreement only, since a loaded host can miss δ and
+    // leave the model — what the log holds, how many rounds it took and
+    // what it cost are asserted where they are exact, in
+    // `pipelined_log_on_des`.
     let report = run_cluster(pipelined_log(5, 3), cluster_config(vec![]));
     assert!(report.completed, "cluster must terminate");
-    agreed_log(&report.actors, 3);
+    oracle::decided::<LogProc>(&report.actors, &report.metrics, &[Fault::None; 5]).assert_safe();
 }
 
 #[test]
@@ -105,10 +76,12 @@ fn pipelined_log_on_des() {
     // populated by the cluster report too.
     let n = 5usize;
     let slots = 3u64;
-    let report = des(pipelined_log(n, slots), &vec![Fault::None; n], 0xc7, &Timing::lockstep());
+    let faults = vec![Fault::None; n];
+    let report = des(pipelined_log(n, slots), &faults, 0xc7, &Timing::lockstep());
     assert!(report.completed, "cluster must terminate");
-    let committed: Vec<u64> =
-        agreed_log(&report.actors, slots).iter().filter_map(|e| e.entry.value().copied()).collect();
+    let log =
+        oracle::decided::<LogProc>(&report.actors, &report.metrics, &faults).assert_in_model();
+    let committed: Vec<u64> = log.iter().filter_map(|e| e.entry.value().copied()).collect();
     assert_eq!(committed, vec![700, 701, 702]);
     // Pipelining: with W = 3 the whole log fits well inside two
     // sequential slot schedules.
@@ -124,36 +97,19 @@ fn pipelined_log_on_des() {
         report.rounds,
         slots * slot_rounds
     );
-    // One accounting bucket per slot, each at the adaptive word cost.
+    // One accounting bucket per slot.
     assert_eq!(report.metrics.per_session.len(), slots as usize);
-    for stats in report.metrics.per_session.values() {
-        assert!(stats.counters.words <= 22 * n as u64);
-    }
 }
 
 #[test]
 fn strong_ba_on_threads_with_crash() {
-    let n = 5usize;
-    let cfg = SystemConfig::new(n, 0xc2).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xc2);
-    let crashed = ProcessId(2);
-    let mut actors: Vec<Box<dyn AnyActor<Msg = SbaM>>> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        if id == crashed {
-            actors.push(Box::new(IdleActor::new(id)));
-        } else {
-            let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-            let sba: SbaProc = StrongBa::new(cfg, id, key, pki.clone(), factory, true);
-            actors.push(Box::new(LockstepAdapter::new(id, sba)));
-        }
-    }
-    let report = run_cluster(actors, cluster_config(vec![crashed]));
+    let mut faults = vec![Fault::None; 5];
+    faults[2] = Fault::Idle;
+    let actors = strong_ba_actors(StrongBa::new, &[true; 5], &faults);
+    let report = run_cluster(actors, cluster_config(corrupt_ids(&faults)));
     assert!(report.completed);
-    for a in report.actors.iter().filter(|a| a.id() != crashed) {
-        let l: &LockstepAdapter<SbaProc> = a.as_any().downcast_ref().unwrap();
-        assert_eq!(l.inner().output(), Some(true), "strong unanimity on threads");
-    }
+    // Strong unanimity on threads is the oracle's validity rule.
+    oracle::decided::<SbaProc>(&report.actors, &report.metrics, &faults).assert_in_model();
 }
 
 #[test]
@@ -170,16 +126,27 @@ fn cluster_and_simulator_agree_on_words() {
     sim.run_until_done(round_budget(n)).unwrap();
     let exact = des(weak_ba_actors(&inputs, &faults), &faults, 0x3a, &Timing::lockstep());
     assert!(exact.completed);
+    oracle::decided::<WbaProc>(&exact.actors, &exact.metrics, &faults).assert_in_model();
     assert_eq!(exact.metrics.correct.words, sim.metrics().correct_words());
 
     let report = run_cluster(weak_ba_actors(&inputs, &faults), cluster_config(vec![]));
     assert!(report.completed);
-    assert_agreement(&outputs::<WbaProc>(&report.actors, &faults));
+    // A loaded host can miss δ, which leaves the model: safety only.
+    oracle::decided::<WbaProc>(&report.actors, &report.metrics, &faults).assert_safe();
 }
 
 /// The all-correct, unanimous weak-BA actors the lossy-link tests run.
 fn unanimous_weak_ba(n: usize, input: u64) -> Vec<Box<dyn AnyActor<Msg = WbaM>>> {
     weak_ba_actors(&vec![input; n], &vec![Fault::None; n])
+}
+
+/// The lossy-link tests' fault vector: p3 and p4 run the honest protocol
+/// behind links that break the synchrony bound, so they count toward `f`.
+fn lossy_p3_p4() -> Vec<Fault> {
+    let mut faults = vec![Fault::None; 5];
+    faults[3] = Fault::Lossy(0);
+    faults[4] = Fault::Lossy(0);
+    faults
 }
 
 #[test]
@@ -197,22 +164,16 @@ fn weak_ba_decides_under_drop_and_delay_links() {
             _ => Box::new(|_l: Link, _r: u64| LinkFate::Deliver),
         }
     });
-    let corrupt = vec![ProcessId(3), ProcessId(4)];
-    let config = ClusterConfig { link_policy: Some(factory), ..cluster_config(corrupt.clone()) };
+    let faults = lossy_p3_p4();
+    let config =
+        ClusterConfig { link_policy: Some(factory), ..cluster_config(corrupt_ids(&faults)) };
     let report = run_cluster(unanimous_weak_ba(n, 7), config);
     assert!(report.completed, "correct processes must decide despite lossy links");
     assert!(report.aborted.is_none());
 
-    let mut decisions = Vec::new();
-    let mut any_fallback = false;
-    for a in report.actors.iter().filter(|a| !corrupt.contains(&a.id())) {
-        let l: &LockstepAdapter<WbaProc> = a.as_any().downcast_ref().unwrap();
-        decisions.push(l.inner().output().expect("correct process decided"));
-        any_fallback |= l.inner().used_fallback();
-    }
-    assert!(decisions.windows(2).all(|w| w[0] == w[1]), "agreement: {decisions:?}");
-    assert_eq!(decisions[0], Decision::Value(7), "unanimous correct inputs decide");
-    assert!(any_fallback, "dropped signatures must force the fallback path");
+    let run = oracle::decided::<WbaProc>(&report.actors, &report.metrics, &faults);
+    assert_eq!(run.assert_in_model(), Decision::Value(7), "unanimous correct inputs decide");
+    assert!(run.fell_back > 0, "dropped signatures must force the fallback path");
 
     // The injected fates are visible in the per-link counters.
     let m = &report.metrics;
@@ -359,31 +320,14 @@ fn tcp_config(corrupt: Vec<ProcessId>) -> TcpClusterConfig {
 
 #[test]
 fn bb_over_loopback_tcp_failure_free() {
-    let n = 5usize;
-    let cfg = SystemConfig::new(n, 0xc1).unwrap();
-    let (pki, keys) = trusted_setup(n, 0xc1);
-    let sender = ProcessId(0);
-    let mut actors: Vec<Box<dyn AnyActor<Msg = BbM>>> = Vec::new();
-    for (i, key) in keys.into_iter().enumerate() {
-        let id = ProcessId(i as u32);
-        let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
-        let bb: BbProc = if id == sender {
-            Bb::new_sender(cfg, id, key, pki.clone(), factory, 17u64)
-        } else {
-            Bb::new(cfg, id, key, pki.clone(), factory, sender)
-        };
-        actors.push(Box::new(LockstepAdapter::new(id, bb)));
-    }
-    let tcp = run_tcp_cluster(actors, &cfg, tcp_config(vec![])).unwrap();
+    let faults = vec![Fault::None; 5];
+    let tcp = run_tcp_cluster(bb_actors(0, 17, &faults), &Family::BB.config(5), tcp_config(vec![]))
+        .unwrap();
     let report = &tcp.report;
     assert!(report.completed, "TCP cluster must terminate");
-    for a in &report.actors {
-        let l: &LockstepAdapter<BbProc> = a.as_any().downcast_ref().unwrap();
-        assert_eq!(l.inner().output(), Some(Decision::Value(17)));
-    }
     // Failure-free silent vetting survives the transport: the O(n) word
-    // envelope is the same one the channel runtimes satisfy.
-    assert!(report.metrics.correct.words <= BB_FAILURE_FREE_WORDS_PER_N * n as u64);
+    // bound is the same one the channel runtimes satisfy.
+    oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults).assert_in_model();
     // Byte accounting rides along: every correct word costs a bounded
     // number of canonical-encoding bytes.
     let m = &report.metrics.correct;
@@ -422,21 +366,15 @@ fn weak_ba_over_tcp_decides_under_socket_faults() {
             _ => Box::new(|_l: Link, _r: u64| LinkFate::Deliver),
         }
     });
-    let corrupt = vec![ProcessId(3), ProcessId(4)];
-    let mut config = tcp_config(corrupt.clone());
+    let faults = lossy_p3_p4();
+    let mut config = tcp_config(corrupt_ids(&faults));
     config.cluster.link_policy = Some(factory);
     let tcp = run_tcp_cluster(unanimous_weak_ba(n, 7), &Family::WEAK_BA.config(n), config).unwrap();
     let report = &tcp.report;
     assert!(report.completed, "correct processes must decide despite socket faults");
     assert!(report.aborted.is_none());
-
-    let mut decisions = Vec::new();
-    for a in report.actors.iter().filter(|a| !corrupt.contains(&a.id())) {
-        let l: &LockstepAdapter<WbaProc> = a.as_any().downcast_ref().unwrap();
-        decisions.push(l.inner().output().expect("correct process decided"));
-    }
-    assert!(decisions.windows(2).all(|w| w[0] == w[1]), "agreement: {decisions:?}");
-    assert_eq!(decisions[0], Decision::Value(7), "unanimous correct inputs decide");
+    let d = oracle::decided::<WbaProc>(&report.actors, &report.metrics, &faults).assert_in_model();
+    assert_eq!(d, Decision::Value(7), "unanimous correct inputs decide");
 
     // The injected fates are visible in the same per-link counters.
     let m = &report.metrics;

@@ -12,8 +12,9 @@ use meba::prelude::*;
 
 /// n = 7, Byzantine {p1 (leader of phase 1), p3, p5}. p1 drives a full
 /// commit round for value 20 (everyone commits), then never finalizes.
-fn planted_commit_sim() -> (Simulation<WbaM>, Vec<u32>) {
-    let byz = vec![1u32, 3, 5];
+/// Returns the finished run, checked by the oracle, and its faults.
+fn planted_commit_run() -> (Simulation<WbaM>, Vec<Fault>) {
+    let byz = [1, 3, 5];
     let faults: Vec<Fault> =
         (0..7).map(|i| if byz.contains(&i) { Fault::Idle } else { Fault::None }).collect();
     let actors = cluster(
@@ -26,57 +27,49 @@ fn planted_commit_sim() -> (Simulation<WbaM>, Vec<u32>) {
             LockstepAdapter::new(p.id, wba)
         },
         |p, keys| {
-            let cohort = byz.iter().map(|&i| keys[i as usize].clone()).collect();
+            let cohort = byz.iter().map(|&i| keys[i].clone()).collect();
             // Target p0 with the help answer so the run decides 20.
             let (pki, helped) = (p.pki.clone(), ProcessId(0));
             let leader = || LateHelperLeader::new(p.cfg, p.id, pki, cohort, 1, 20u64, helped);
             (p.id.0 == 1).then(|| Box::new(leader()) as Box<dyn AnyActor<Msg = WbaM>>)
         },
     );
-    (sim(actors, &faults), byz)
+    let mut sim = sim(actors, &faults);
+    sim.run_until_done(4_000).unwrap();
+    // Agreement holds, and since a finalize certificate for 20 exists in
+    // the system (the attacker used it to help p0), Lemma 15 says no
+    // other finalize certificate can ever exist — the decision is 20.
+    let d = oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+    assert_eq!(d, Decision::Value(20));
+    (sim, faults)
 }
 
 #[test]
 fn planted_commit_is_relayed_and_level_preserved() {
-    let (mut sim, byz) = planted_commit_sim();
-    sim.run_until_done(4_000).unwrap();
-    for i in (0..7u32).filter(|i| !byz.contains(i)) {
-        let a: &LockstepAdapter<WbaProc> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+    let (sim, faults) = planted_commit_run();
+    for a in correct::<LockstepAdapter<WbaProc>, _>(sim.actors(), &faults) {
         // Every correct process committed to the planted value...
-        assert_eq!(a.inner().committed_value(), Some(&20), "p{i}");
+        assert_eq!(a.inner().committed_value(), Some(&20), "{}", a.id());
         // ...and relays preserve the ORIGINAL level (phase 1), because a
         // relayed certificate carries its own level (Alg 4 line 39).
-        assert_eq!(a.inner().commit_level(), 1, "p{i}: relayed commit keeps level 1");
+        assert_eq!(a.inner().commit_level(), 1, "{}: relayed commit keeps level 1", a.id());
     }
 }
 
 #[test]
 fn decisions_never_contradict_a_planted_commit() {
-    let (mut sim, byz) = planted_commit_sim();
-    sim.run_until_done(4_000).unwrap();
-    let mut decisions = Vec::new();
-    for i in (0..7u32).filter(|i| !byz.contains(i)) {
-        let a: &LockstepAdapter<WbaProc> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-        decisions.push(a.inner().output().expect("decided"));
-    }
-    // Agreement holds, and since a finalize certificate for 20 exists in
-    // the system (the attacker used it to help p0), Lemma 15 says no
-    // other finalize certificate can ever exist — the decision is 20.
-    assert!(decisions.windows(2).all(|w| w[0] == w[1]), "agreement: {decisions:?}");
-    assert_eq!(decisions[0], Decision::Value(20));
+    planted_commit_run();
 }
 
 #[test]
 fn trace_shows_relay_traffic_in_later_phases() {
-    let (mut sim0, byz) = planted_commit_sim();
+    let (sim, _) = planted_commit_run();
     // The per-round word series is the trace: read phase 2 off it.
-    sim0.run_until_done(4_000).unwrap();
-    let m = sim0.metrics();
+    let m = sim.metrics();
     // Phase 2 occupies rounds 5..10: correct processes answer p2's
     // propose with CommitReply and p2 relays — so phase-2 rounds carry
     // correct words even though the phase-1 leader was the proposer of
     // the only fresh certificate.
     let phase2_words: u64 = m.words_per_round[5..10.min(m.words_per_round.len())].iter().sum();
     assert!(phase2_words > 0, "phase 2 must show relay traffic");
-    let _ = byz;
 }

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{corrupt_ids, round_budget, sim, strong_ba_actors, Fault, SbaProc};
+use common::{checked, corrupt_ids, oracle, sim, strong_ba_actors, Fault, LogProc, SbaProc};
 use meba::adversary::EquivocatingSender;
 use meba::core::validity::FnValidity;
 use meba::engine::{run_cluster, ClusterConfig};
@@ -22,20 +22,15 @@ fn rotating_with_real_fallback_beyond_bound() {
     // f = t crashes: the rotation cannot finish; the *real* recursive
     // fallback must deliver unanimity.
     let faults = idle(9, &[0, 2, 4, 6]);
-    let mut sim = sim(strong_ba_actors(StrongBa::rotating, &[true; 9], &faults), &faults);
-    sim.run_until_done(round_budget(9)).unwrap();
-    for i in (0..9).filter(|&i| !faults[i].is_byzantine()) {
-        let a: &LockstepAdapter<SbaProc> =
-            sim.actor(ProcessId(i as u32)).as_any().downcast_ref().unwrap();
-        assert_eq!(a.inner().output(), Some(true));
-        assert!(a.inner().used_fallback());
-    }
+    let run =
+        checked::<SbaProc>(strong_ba_actors(StrongBa::rotating, &[true; 9], &faults), &faults);
+    run.assert_in_model();
+    assert_eq!(run.fell_back, 5, "every correct process falls back");
 }
 
 #[test]
 fn rotating_on_threads() {
     let faults = idle(7, &[0]);
-    let crashed = ProcessId(0);
     let report = run_cluster(
         strong_ba_actors(StrongBa::rotating, &[true; 7], &faults),
         ClusterConfig {
@@ -46,11 +41,9 @@ fn rotating_on_threads() {
         },
     );
     assert!(report.completed);
-    for a in report.actors.iter().filter(|a| a.id() != crashed) {
-        let l: &LockstepAdapter<SbaProc> = a.as_any().downcast_ref().unwrap();
-        assert_eq!(l.inner().output(), Some(true));
-        assert!(!l.inner().used_fallback(), "leader rotation avoids the fallback on threads too");
-    }
+    let run = oracle::decided::<SbaProc>(&report.actors, &report.metrics, &faults);
+    run.assert_in_model();
+    assert_eq!(run.fell_back, 0, "leader rotation avoids the fallback on threads too");
 }
 
 #[test]
@@ -138,19 +131,10 @@ fn replicated_log_with_equivocating_proposer_slot() {
             actors.push(Box::new(log));
         }
     }
-    let mut sim = SimBuilder::new(actors).corrupt(byz).build();
+    let faults = idle(n, &[byz.index()]);
+    let mut sim = sim(actors, &faults);
     sim.run_until_done(slot_rounds * slots + 10).unwrap();
-
-    let mut reference: Option<Vec<LogEntry<u64>>> = None;
-    for i in (0..n as u32).filter(|&i| ProcessId(i) != byz) {
-        let l: &Log = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-        assert_eq!(l.log().len(), slots as usize, "p{i} committed all slots");
-        match &reference {
-            None => reference = Some(l.log().to_vec()),
-            Some(r) => assert_eq!(l.log(), &r[..], "p{i} diverged"),
-        }
-    }
-    let log = reference.unwrap();
+    let log = oracle::decided::<LogProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
     // Slots 0 and 2 (honest proposers) committed their commands.
     assert_eq!(log[0].entry, Decision::Value(10));
     assert_eq!(log[2].entry, Decision::Value(30));
@@ -203,19 +187,11 @@ fn cross_instance_replay_is_rejected_by_domain_separation() {
             actors.push(Box::new(log));
         }
     }
-    let mut sim = SimBuilder::new(actors).corrupt(byz).build();
+    let faults = idle(n, &[byz.index()]);
+    let mut sim = sim(actors, &faults);
     sim.run_until_done(20_000).unwrap();
     assert!(sim.metrics().byzantine.words > 0, "the replay attack must actually fire");
-    let mut reference: Option<Vec<LogEntry<u64>>> = None;
-    for i in (0..n as u32).filter(|&i| ProcessId(i) != byz) {
-        let l: &Log = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-        assert_eq!(l.log().len(), slots as usize, "p{i} committed all slots");
-        match &reference {
-            None => reference = Some(l.log().to_vec()),
-            Some(r) => assert_eq!(l.log(), &r[..], "p{i} diverged"),
-        }
-    }
-    let log = reference.unwrap();
+    let log = oracle::decided::<LogProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
     assert_eq!(log[0].entry, Decision::Value(100));
     assert_eq!(log[1].entry, Decision::Value(101), "replayed slot-0 certificates rejected");
     assert_eq!(log[2].entry, Decision::Value(102));
@@ -241,6 +217,7 @@ fn decided_but_not_done_instance_answers_help_req_through_mux() {
     // that host round, the forged request is processed one round later —
     // the deciders' answer step.
     let help_round = Bb::<u64, RecursiveBaFactory>::ba_start(&cfg) + cfg.n() as u64 * PHASE_ROUNDS;
+    let faults = idle(n, &[byz.index()]);
     let crypto_session = meba::smr::slot_config(&cfg, 0).session();
     let build = |with_attack: bool| {
         let mut actors: Vec<Box<dyn AnyActor<Msg = Msg>>> = Vec::new();
@@ -271,12 +248,13 @@ fn decided_but_not_done_instance_answers_help_req_through_mux() {
                 actors.push(Box::new(log));
             }
         }
-        SimBuilder::new(actors).corrupt(byz).build()
+        sim(actors, &faults)
     };
     // Baseline: failure-free, nobody asks for help, so the help component
     // stays silent (that silence is the adaptivity argument).
     let mut baseline = build(false);
     baseline.run_until_done(20_000).unwrap();
+    oracle::decided::<LogProc>(baseline.actors(), baseline.metrics(), &faults).assert_in_model();
     let base_help =
         baseline.metrics().by_component.get("weak-ba/help").map(|c| c.words).unwrap_or(0);
     assert_eq!(base_help, 0, "no help traffic in the failure-free baseline");
@@ -286,11 +264,8 @@ fn decided_but_not_done_instance_answers_help_req_through_mux() {
     sim.run_until_done(20_000).unwrap();
     let help_words = sim.metrics().by_component.get("weak-ba/help").map(|c| c.words).unwrap_or(0);
     assert!(help_words > 0, "decided instances must answer the routed help_req");
-    for i in (0..n as u32).filter(|&i| ProcessId(i) != byz) {
-        let l: &Log = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-        assert_eq!(l.log().len(), 1);
-        assert_eq!(l.log()[0].entry, Decision::Value(100));
-    }
+    let log = oracle::decided::<LogProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+    assert_eq!(log[0].entry, Decision::Value(100));
 }
 
 #[test]
@@ -327,15 +302,10 @@ fn weak_ba_restrictive_predicate_rejects_byzantine_proposals() {
             actors.push(Box::new(LockstepAdapter::new(id, wba)));
         }
     }
-    let mut sim = SimBuilder::new(actors).corrupt(byz).build();
-    sim.run_until_done(round_budget(n)).unwrap();
-    for i in (0..n as u32).filter(|&i| ProcessId(i) != byz) {
-        let a: &LockstepAdapter<Wba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-        let d = a.inner().output().expect("decided");
-        assert_eq!(
-            d,
-            Decision::Value(8),
-            "the invalid proposal must be ignored and the correct value decided"
-        );
-    }
+    let d = checked::<Wba>(actors, &idle(n, &[byz.index()])).assert_in_model();
+    assert_eq!(
+        d,
+        Decision::Value(8),
+        "the invalid proposal must be ignored and the correct value decided"
+    );
 }

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::Fault;
+use common::{oracle, sim, Fault};
 use meba::adversary::{ChaosActor, DsEquivocatingSender, GaSplitEchoer};
 use meba::fallback::{
     DolevStrongBb, DsBbMsg, GaInstance, InstanceId, RecBaMsg, RecursiveBa, Scope, GA_STEPS,
@@ -146,33 +146,24 @@ fn recursive_ba_with_byzantine_majority_half_agrees() {
     let n = 9usize;
     let cfg = SystemConfig::new(n, 0x4e).unwrap();
     let (pki, keys) = trusted_setup(n, 0x4e);
-    let crashed = [0u32, 1, 2, 3];
+    let faults: Vec<Fault> =
+        (0..n).map(|i| if i < 4 { Fault::Idle } else { Fault::None }).collect();
     let inputs = [9u64, 9, 9, 9, 4, 5, 5, 5, 4];
     let mut actors: Vec<Box<dyn AnyActor<Msg = RecM>>> = Vec::new();
     for (i, key) in keys.into_iter().enumerate() {
         let id = ProcessId(i as u32);
-        if crashed.contains(&(i as u32)) {
+        if faults[i].is_byzantine() {
             actors.push(Box::new(IdleActor::new(id)));
         } else {
             let rb = RecursiveBa::new(cfg, id, key, pki.clone(), inputs[i]);
             actors.push(Box::new(LockstepAdapter::new(id, rb)));
         }
     }
-    let mut b = SimBuilder::new(actors);
-    for &c in &crashed {
-        b = b.corrupt(ProcessId(c));
-    }
-    let mut sim = b.build();
+    let mut sim = sim(actors, &faults);
     sim.run_until_done(1_000).unwrap();
-    let outs: Vec<u64> = (4..9u32)
-        .map(|i| {
-            let a: &LockstepAdapter<RecursiveBa<u64>> =
-                sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-            a.inner().output().expect("decided")
-        })
-        .collect();
-    assert!(outs.windows(2).all(|w| w[0] == w[1]), "agreement: {outs:?}");
-    assert!(inputs.contains(&outs[0]), "decision must be someone's input");
+    let d =
+        oracle::decided::<RecursiveBa<u64>>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+    assert!(inputs.contains(&d), "decision must be someone's input");
 }
 
 #[test]
@@ -181,32 +172,23 @@ fn recursive_ba_under_chaos_replay_agrees() {
     let cfg = SystemConfig::new(n, 0xca).unwrap();
     let (pki, keys) = trusted_setup(n, 0xca);
     for seed in [3u64, 17, 99] {
-        let byz = [2u32, 6];
+        let mut faults = vec![Fault::None; n];
+        faults[2] = Fault::Chaos(seed);
+        faults[6] = Fault::Chaos(seed);
         let mut actors: Vec<Box<dyn AnyActor<Msg = RecM>>> = Vec::new();
         for (i, key) in keys.iter().cloned().enumerate() {
             let id = ProcessId(i as u32);
-            if byz.contains(&(i as u32)) {
+            if faults[i].is_byzantine() {
                 actors.push(Box::new(ChaosActor::new(id, seed, 5)));
             } else {
                 let rb = RecursiveBa::new(cfg, id, key, pki.clone(), 7u64);
                 actors.push(Box::new(LockstepAdapter::new(id, rb)));
             }
         }
-        let mut b = SimBuilder::new(actors);
-        for &c in &byz {
-            b = b.corrupt(ProcessId(c));
-        }
-        let mut sim = b.build();
+        let mut sim = sim(actors, &faults);
         sim.run_until_done(1_000).unwrap();
-        for i in (0..n as u32).filter(|i| !byz.contains(i)) {
-            let a: &LockstepAdapter<RecursiveBa<u64>> =
-                sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-            assert_eq!(
-                a.inner().output(),
-                Some(7),
-                "strong unanimity under chaos (seed {seed}, p{i})"
-            );
-        }
+        // Strong unanimity under chaos is the oracle's recursive BA rule.
+        oracle::decided::<RecursiveBa<u64>>(sim.actors(), sim.metrics(), &faults).assert_in_model();
     }
 }
 
@@ -220,13 +202,15 @@ fn weak_ba_with_slack_resilience() {
     let cfg = SystemConfig::with_resilience(n, t, 0x51).unwrap();
     assert_eq!(cfg.adaptive_fault_bound(), 3);
     let (pki, keys) = trusted_setup(n, 0x51);
-    let crashed = [1u32, 2]; // f = 2 < 3: no fallback expected
+    // p1 and p2 crashed: f = 2 < 3, no fallback expected.
+    let faults: Vec<Fault> =
+        (0..n).map(|i| if i == 1 || i == 2 { Fault::Idle } else { Fault::None }).collect();
     type Wba = WeakBa<u64, AlwaysValid, RecursiveBaFactory>;
     type Msg = <Wba as SubProtocol>::Msg;
     let mut actors: Vec<Box<dyn AnyActor<Msg = Msg>>> = Vec::new();
     for (i, key) in keys.into_iter().enumerate() {
         let id = ProcessId(i as u32);
-        if crashed.contains(&(i as u32)) {
+        if faults[i].is_byzantine() {
             actors.push(Box::new(IdleActor::new(id)));
         } else {
             let factory = RecursiveBaFactory::new(cfg, key.clone(), pki.clone());
@@ -234,18 +218,11 @@ fn weak_ba_with_slack_resilience() {
             actors.push(Box::new(LockstepAdapter::new(id, wba)));
         }
     }
-    let mut b = SimBuilder::new(actors);
-    for &c in &crashed {
-        b = b.corrupt(ProcessId(c));
-    }
-    let mut sim = b.build();
+    let mut sim = sim(actors, &faults);
     sim.run_until_done(4_000).unwrap();
-    for i in (0..n as u32).filter(|i| !crashed.contains(i)) {
-        let a: &LockstepAdapter<Wba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-        assert_eq!(a.inner().output(), Some(Decision::Value(8)));
-        assert!(!a.inner().used_fallback(), "f=2 below the improved bound");
-    }
-    let _ = Fault::None; // keep the shared-harness module linked
+    let run = oracle::decided::<Wba>(sim.actors(), sim.metrics(), &faults);
+    assert_eq!(run.assert_in_model(), Decision::Value(8));
+    assert_eq!(run.fell_back, 0, "f=2 below the improved bound");
 }
 
 /// "Verify once" (DESIGN.md §6): a graded agreement skips

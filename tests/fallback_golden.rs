@@ -14,6 +14,7 @@ mod common;
 
 use common::*;
 use meba::prelude::*;
+use oracle::Probe;
 
 /// `(correct words, rounds, max decided_at, used_fallback count)`.
 type Row = (u64, u64, u64, usize);
@@ -24,13 +25,17 @@ fn idle_tail(n: usize) -> Vec<Fault> {
     (0..n).map(|i| if i < n - t { Fault::None } else { Fault::Idle }).collect()
 }
 
-/// Runs `actors` to completion on the lockstep simulator and reads the
-/// row off the correct processes.
-fn row<P: Probe>(actors: Vec<Box<dyn AnyActor<Msg = P::Msg>>>, faults: &[Fault]) -> Row {
+/// Runs `actors` to completion on the lockstep simulator, checks it, and
+/// reads the row off the correct processes.
+fn row<P: Probe>(
+    actors: Vec<Box<dyn AnyActor<Msg = <P::Actor as Actor>::Msg>>>,
+    faults: &[Fault],
+) -> Row {
     let mut sim = sim(actors, faults);
     sim.run_until_done(round_budget(faults.len())).unwrap();
-    let decided = DecisionStats::of::<P>(sim.actors(), faults);
-    (sim.metrics().correct_words(), sim.round().as_u64(), decided.last, decided.fell_back)
+    let run = oracle::decided::<P>(sim.actors(), sim.metrics(), faults);
+    run.assert_in_model();
+    (run.words, sim.round().as_u64(), run.last, run.fell_back)
 }
 
 fn weak_ba_row(inputs: &[u64]) -> Row {

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{round_budget, with_flipped_tag, WbaM, WbaProc};
+use common::{oracle, round_budget, sim, with_flipped_tag, Fault, WbaM, WbaProc};
 use meba::core::signing::{sign_payload, CommitProof, DecideProof, DecideSig, HelpReqSig, VoteSig};
 use meba::core::weak_ba::WeakBaMsg;
 use meba::crypto::Signable;
@@ -37,17 +37,16 @@ impl Actor for Injector {
     }
 }
 
-fn run_with_injection(payload: Vec<WbaM>, at_round: u64) -> Vec<Decision<u64>> {
+/// n = 7 weak BA (every input 5) with p1 replaced by an [`Injector`]
+/// firing `payload` at `at_round`; returns the common decision of the
+/// correct processes, with every check of the oracle.
+fn run_with_injection(payload: Vec<WbaM>, at_round: u64) -> Decision<u64> {
     run_with_injection_and_idle(payload, at_round, &[])
 }
 
 /// Like [`run_with_injection`] with the processes in `idle` silent
-/// (crashed from the start); returns the decisions of the others.
-fn run_with_injection_and_idle(
-    payload: Vec<WbaM>,
-    at_round: u64,
-    idle: &[u32],
-) -> Vec<Decision<u64>> {
+/// (crashed from the start).
+fn run_with_injection_and_idle(payload: Vec<WbaM>, at_round: u64, idle: &[u32]) -> Decision<u64> {
     let n = 7usize;
     let cfg = SystemConfig::new(n, 0xf0).unwrap();
     let (pki, keys) = trusted_setup(n, 0xf0);
@@ -65,19 +64,12 @@ fn run_with_injection_and_idle(
             actors.push(Box::new(LockstepAdapter::new(id, wba)));
         }
     }
-    let mut sim = idle
-        .iter()
-        .fold(SimBuilder::new(actors).corrupt(byz), |b, &i| b.corrupt(ProcessId(i)))
-        .build();
+    let faults: Vec<Fault> = (0..n as u32)
+        .map(|i| if i == byz.0 || idle.contains(&i) { Fault::Idle } else { Fault::None })
+        .collect();
+    let mut sim = sim(actors, &faults);
     sim.run_until_done(round_budget(n)).unwrap();
-    (0..n as u32)
-        .filter(|&i| ProcessId(i) != byz && !idle.contains(&i))
-        .map(|i| {
-            let a: &LockstepAdapter<WbaProc> =
-                sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-            a.inner().output().expect("decided")
-        })
-        .collect()
+    oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults).assert_in_model()
 }
 
 /// Note: p1 is the phase-1 leader and we replace it with the injector, so
@@ -106,8 +98,7 @@ fn underfilled_finalize_certificate_is_rejected() {
         proof: DecideProof { phase: 1, qc },
     };
     // Injected at round 4 so it arrives at the finalize-adoption step.
-    let ds = run_with_injection(vec![msg], 4);
-    assert!(ds.iter().all(|d| *d == HONEST_OUTCOME), "forged finalize accepted: {ds:?}");
+    assert_eq!(run_with_injection(vec![msg], 4), HONEST_OUTCOME, "forged finalize accepted");
 }
 
 #[test]
@@ -126,8 +117,7 @@ fn commit_certificate_with_wrong_level_is_rejected() {
         value: forged_value,
         proof: CommitProof { level: 3, qc },
     };
-    let ds = run_with_injection(vec![msg], 1);
-    assert!(ds.iter().all(|d| *d == HONEST_OUTCOME), "level-forged commit accepted: {ds:?}");
+    assert_eq!(run_with_injection(vec![msg], 1), HONEST_OUTCOME, "level-forged commit accepted");
 }
 
 #[test]
@@ -151,8 +141,7 @@ fn cross_session_certificate_is_rejected() {
         value: forged_value,
         proof: DecideProof { phase: 1, qc },
     };
-    let ds = run_with_injection(vec![msg], 4);
-    assert!(ds.iter().all(|d| *d == HONEST_OUTCOME), "cross-session cert accepted: {ds:?}");
+    assert_eq!(run_with_injection(vec![msg], 4), HONEST_OUTCOME, "cross-session cert accepted");
 }
 
 #[test]
@@ -183,8 +172,7 @@ fn phase_mismatched_finalize_is_rejected() {
             proof: DecideProof { phase: 1, qc },
         },
     ];
-    let ds = run_with_injection(msgs, 4);
-    assert!(ds.iter().all(|d| *d == HONEST_OUTCOME), "phase-mismatched cert accepted: {ds:?}");
+    assert_eq!(run_with_injection(msgs, 4), HONEST_OUTCOME, "phase-mismatched cert accepted");
 }
 
 #[test]
@@ -202,8 +190,11 @@ fn help_with_valid_looking_but_wrong_threshold_is_rejected() {
     let msg = WeakBaMsg::Help { value: forged_value, proof: DecideProof { phase: 1, qc } };
     // Injected one round before the help-adoption step (n phases × 5 + 1).
     let help_adopt = 7 * 5 + 1;
-    let ds = run_with_injection(vec![msg], help_adopt);
-    assert!(ds.iter().all(|d| *d == HONEST_OUTCOME), "weak help proof accepted: {ds:?}");
+    assert_eq!(
+        run_with_injection(vec![msg], help_adopt),
+        HONEST_OUTCOME,
+        "weak help proof accepted"
+    );
 }
 
 #[test]
@@ -237,19 +228,18 @@ fn near_twins_of_the_fallback_certificate_are_still_rejected() {
         ("another session's help requests", cert(cfg.idk_threshold(), help_req(cfg.session() + 1))),
     ] {
         let msg = WeakBaMsg::FallbackCert { qc, decision: Some((forged_value, proof.clone())) };
-        let ds = run_with_injection_and_idle(vec![msg], n as u64 * 5 + 1, &[2, 3]);
-        assert_eq!(ds.len(), 4);
-        assert!(ds.iter().all(|d| *d == HONEST_OUTCOME), "{what}: accepted, {ds:?}");
+        let d = run_with_injection_and_idle(vec![msg], n as u64 * 5 + 1, &[2, 3]);
+        assert_eq!(d, HONEST_OUTCOME, "{what}: accepted");
     }
     // The harness has teeth: the genuine certificate carries the planted
     // decision through.
     let msg = WeakBaMsg::FallbackCert { qc: genuine, decision: Some((forged_value, proof)) };
-    let ds = run_with_injection_and_idle(vec![msg], n as u64 * 5 + 1, &[2, 3]);
-    assert!(ds.iter().all(|d| *d == Decision::Value(forged_value)), "{ds:?}");
+    let d = run_with_injection_and_idle(vec![msg], n as u64 * 5 + 1, &[2, 3]);
+    assert_eq!(d, Decision::Value(forged_value));
 }
 
 mod strong_ba_forgeries {
-    use super::common::{round_budget, SbaM, SbaProc};
+    use super::common::{checked, Fault, SbaM, SbaProc};
     use meba::core::signing::{sign_payload, StrongDecideSig, StrongInputSig};
     use meba::core::strong_ba::StrongBaMsg;
     use meba::prelude::*;
@@ -279,8 +269,10 @@ mod strong_ba_forgeries {
     }
 
     /// Runs strong BA (all correct input `true`) with p3 replaced by an
-    /// injector firing `payload` at `round`.
-    fn run(payload: Vec<SbaM>, round: u64) -> Vec<bool> {
+    /// injector firing `payload` at `round`. The oracle's strong
+    /// unanimity rule then requires every correct process to decide
+    /// `true`: a forgery that flipped one would fail it.
+    fn run(payload: Vec<SbaM>, round: u64) {
         let n = 7usize;
         let cfg = SystemConfig::new(n, 0x5f).unwrap();
         let (pki, keys) = trusted_setup(n, 0x5f);
@@ -296,16 +288,9 @@ mod strong_ba_forgeries {
                 actors.push(Box::new(LockstepAdapter::new(id, sba)));
             }
         }
-        let mut sim = SimBuilder::new(actors).corrupt(byz).build();
-        sim.run_until_done(round_budget(n)).unwrap();
-        (0..n as u32)
-            .filter(|&i| ProcessId(i) != byz)
-            .map(|i| {
-                let a: &LockstepAdapter<SbaProc> =
-                    sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-                a.inner().output().expect("decided")
-            })
-            .collect()
+        let mut faults = vec![Fault::None; n];
+        faults[byz.index()] = Fault::Idle;
+        checked::<SbaProc>(actors, &faults).assert_in_model();
     }
 
     #[test]
@@ -317,10 +302,9 @@ mod strong_ba_forgeries {
         let payload = StrongDecideSig { session: cfg.session(), value: false };
         let share = sign_payload(&keys[3], &payload);
         let qc = pki.combine(1, &payload.signing_bytes(), &[share]).unwrap();
-        let ds = run(vec![StrongBaMsg::DecideCert { value: false, qc }], 3);
         // With a fault present (the injector never sends its decide
         // share) the run falls back; strong unanimity still gives true.
-        assert!(ds.iter().all(|&d| d), "forged decide cert accepted: {ds:?}");
+        run(vec![StrongBaMsg::DecideCert { value: false, qc }], 3);
     }
 
     #[test]
@@ -332,7 +316,6 @@ mod strong_ba_forgeries {
         let payload = StrongInputSig { session: cfg.session(), value: false };
         let share = sign_payload(&keys[3], &payload);
         let qc = pki.combine(1, &payload.signing_bytes(), &[share]).unwrap();
-        let ds = run(vec![StrongBaMsg::Propose { value: false, qc }], 1);
-        assert!(ds.iter().all(|&d| d), "weak propose cert accepted: {ds:?}");
+        run(vec![StrongBaMsg::Propose { value: false, qc }], 1);
     }
 }

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{round_budget, WbaM, WbaProc};
+use common::{correct, oracle, round_budget, sim, Fault, WbaM, WbaProc};
 use meba::core::signing::{sign_payload, CommitProof, VoteSig};
 use meba::core::weak_ba::WeakBaMsg;
 use meba::prelude::*;
@@ -74,20 +74,18 @@ fn leader_relays_reported_commit_instead_of_fresh_certificate() {
             actors.push(Box::new(LockstepAdapter::new(id, wba)));
         }
     }
-    let mut sim = SimBuilder::new(actors).corrupt(byz).build();
+    let mut faults = vec![Fault::None; n];
+    faults[byz.index()] = Fault::Idle;
+    let mut sim = sim(actors, &faults);
     sim.run_until_done(round_budget(n)).unwrap();
 
     // Phase 2's correct leader (p2) received p3's commit report for 40
     // alongside fresh votes for its own proposal 5. The relay must win:
     // everyone ends committed to 40 at level 1 and decides 40.
-    for i in (0..n as u32).filter(|&i| ProcessId(i) != byz) {
-        let a: &LockstepAdapter<WbaProc> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
-        assert_eq!(
-            a.inner().output(),
-            Some(Decision::Value(40)),
-            "p{i}: the reported commit must take priority over fresh votes"
-        );
-        assert_eq!(a.inner().commit_level(), 1, "p{i}: relayed level preserved");
-        assert_eq!(a.inner().committed_value(), Some(&40), "p{i}");
+    let d = oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+    assert_eq!(d, Decision::Value(40), "the reported commit must take priority over fresh votes");
+    for a in correct::<LockstepAdapter<WbaProc>, _>(sim.actors(), &faults) {
+        assert_eq!(a.inner().commit_level(), 1, "{}: relayed level preserved", a.id());
+        assert_eq!(a.inner().committed_value(), Some(&40), "{}", a.id());
     }
 }

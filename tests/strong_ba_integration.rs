@@ -6,16 +6,19 @@ mod common;
 use common::*;
 use meba::adversary::EquivocatingStrongLeader;
 use meba::prelude::*;
+use oracle::Decided;
+
+/// Algorithm 5 with process `i` proposing `inputs[i]` under `faults`, run
+/// and checked.
+fn strong_ba(inputs: &[bool], faults: &[Fault]) -> Decided<bool> {
+    checked::<SbaProc>(strong_ba_actors(StrongBa::new, inputs, faults), faults)
+}
 
 #[test]
 fn strong_unanimity_failure_free() {
     for n in [3usize, 5, 9, 17] {
         for v in [true, false] {
-            let faults = vec![Fault::None; n];
-            let mut sim = sim(strong_ba_actors(StrongBa::new, &vec![v; n], &faults), &faults);
-            sim.run_until_done(round_budget(n)).unwrap();
-            let d = assert_agreement(&outputs::<SbaProc>(sim.actors(), &faults));
-            assert_eq!(d, v, "n={n}, v={v}");
+            strong_ba(&vec![v; n], &vec![Fault::None; n]).assert_in_model();
         }
     }
 }
@@ -24,13 +27,9 @@ fn strong_unanimity_failure_free() {
 fn failure_free_is_linear_words() {
     let mut series = Vec::new();
     for n in [9usize, 17, 33, 65] {
-        let faults = vec![Fault::None; n];
-        let mut sim = sim(strong_ba_actors(StrongBa::new, &vec![true; n], &faults), &faults);
-        sim.run_until_done(round_budget(n)).unwrap();
-        series.push((n, sim.metrics().correct_words()));
-    }
-    for (n, words) in &series {
-        assert!(*words <= 9 * *n as u64, "n={n}: {words} words (expected O(n))");
+        let run = strong_ba(&vec![true; n], &vec![Fault::None; n]);
+        run.assert_in_model();
+        series.push((n, run.words));
     }
     // Doubling n roughly doubles the words — linear, not quadratic.
     for w in series.windows(2) {
@@ -45,25 +44,16 @@ fn strong_unanimity_with_crashed_followers() {
     // quadratic fallback — strong unanimity must still hold.
     let mut faults = vec![Fault::None; 9];
     faults[5] = Fault::Idle;
-    let mut sim = sim(strong_ba_actors(StrongBa::new, &[false; 9], &faults), &faults);
-    sim.run_until_done(round_budget(9)).unwrap();
-    let d = assert_agreement(&outputs::<SbaProc>(sim.actors(), &faults));
-    assert!(!d);
-    for i in (0..9).filter(|&i| i != 5) {
-        let a: &LockstepAdapter<SbaProc> =
-            sim.actor(ProcessId(i as u32)).as_any().downcast_ref().unwrap();
-        assert!(a.inner().used_fallback());
-    }
+    let run = strong_ba(&[false; 9], &faults);
+    run.assert_in_model();
+    assert_eq!(run.fell_back, 8, "every correct process falls back");
 }
 
 #[test]
 fn crashed_leader_still_agrees() {
     let mut faults = vec![Fault::None; 7];
     faults[0] = Fault::Idle;
-    let mut sim = sim(strong_ba_actors(StrongBa::new, &[true; 7], &faults), &faults);
-    sim.run_until_done(round_budget(7)).unwrap();
-    let d = assert_agreement(&outputs::<SbaProc>(sim.actors(), &faults));
-    assert!(d, "strong unanimity among correct processes");
+    strong_ba(&[true; 7], &faults).assert_in_model();
 }
 
 #[test]
@@ -73,10 +63,7 @@ fn max_crashes_agree() {
     for i in [0usize, 2, 4, 6] {
         faults[i] = Fault::Idle;
     }
-    let mut sim = sim(strong_ba_actors(StrongBa::new, &[true; 9], &faults), &faults);
-    sim.run_until_done(round_budget(9)).unwrap();
-    let d = assert_agreement(&outputs::<SbaProc>(sim.actors(), &faults));
-    assert!(d);
+    strong_ba(&[true; 9], &faults).assert_in_model();
 }
 
 #[test]
@@ -84,9 +71,7 @@ fn mixed_inputs_agree_under_crash() {
     let inputs = [true, false, true, false, true, false, true];
     let mut faults = vec![Fault::None; 7];
     faults[3] = Fault::CrashAt(2);
-    let mut sim = sim(strong_ba_actors(StrongBa::new, &inputs, &faults), &faults);
-    sim.run_until_done(round_budget(7)).unwrap();
-    assert_agreement(&outputs::<SbaProc>(sim.actors(), &faults));
+    strong_ba(&inputs, &faults).assert_in_model();
 }
 
 #[test]
@@ -117,9 +102,7 @@ fn equivocating_leader_cannot_split_decisions() {
             Some(Box::new(leader) as Box<dyn AnyActor<Msg = SbaM>>)
         },
     );
-    let mut sim = sim(actors, &faults);
-    sim.run_until_done(round_budget(n)).unwrap();
-    assert_agreement(&outputs::<SbaProc>(sim.actors(), &faults));
+    checked::<SbaProc>(actors, &faults).assert_in_model();
 }
 
 #[test]
@@ -127,9 +110,6 @@ fn chaos_does_not_break_strong_ba() {
     for seed in [7u64, 13, 21] {
         let mut faults = vec![Fault::None; 7];
         faults[4] = Fault::Chaos(seed);
-        let mut sim = sim(strong_ba_actors(StrongBa::new, &[true; 7], &faults), &faults);
-        sim.run_until_done(round_budget(7)).unwrap();
-        let d = assert_agreement(&outputs::<SbaProc>(sim.actors(), &faults));
-        assert!(d, "strong unanimity under chaos, seed {seed}");
+        strong_ba(&[true; 7], &faults).assert_in_model();
     }
 }

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{round_budget, sim, weak_ba_actors, Fault, WbaM};
+use common::{oracle, round_budget, sim, weak_ba_actors, Fault, WbaM, WbaProc};
 use meba::prelude::*;
 use meba::sim::faults::Link;
 
@@ -20,6 +20,7 @@ fn failure_free_run_is_silent_after_phase_one() {
     let mut sim = failure_free_weak_ba(n, &vec![4u64; n]);
     sim.run_until_done(round_budget(n)).unwrap();
     let m = sim.metrics();
+    oracle::decided::<WbaProc>(sim.actors(), m, &[Fault::None; 9]).assert_in_model();
 
     // Phase 1 occupies rounds 0..5; the finalize broadcast goes out in
     // round 4. After that: total silence — phases 2..n are silent, no

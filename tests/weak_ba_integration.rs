@@ -7,25 +7,25 @@ mod common;
 use common::*;
 use meba::adversary::WastefulWeakLeader;
 use meba::prelude::*;
+use oracle::Decided;
+
+/// Weak BA with process `i` proposing `inputs[i]` under `faults`, run and
+/// checked.
+fn weak_ba(inputs: &[u64], faults: &[Fault]) -> Decided<Decision<u64>> {
+    checked::<WbaProc>(weak_ba_actors(inputs, faults), faults)
+}
 
 #[test]
 fn unanimity_failure_free() {
     for n in [3usize, 5, 7, 9, 11] {
-        let faults = vec![Fault::None; n];
-        let mut sim = sim(weak_ba_actors(&vec![4u64; n], &faults), &faults);
-        sim.run_until_done(round_budget(n)).unwrap();
-        let d = assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
-        assert_eq!(d, Decision::Value(4), "unique validity with unanimous inputs, n={n}");
+        weak_ba(&vec![4u64; n], &vec![Fault::None; n]).assert_in_model();
     }
 }
 
 #[test]
 fn agreement_mixed_inputs() {
     let inputs = [9u64, 8, 7, 6, 5, 4, 3, 2, 1];
-    let faults = vec![Fault::None; 9];
-    let mut sim = sim(weak_ba_actors(&inputs, &faults), &faults);
-    sim.run_until_done(round_budget(9)).unwrap();
-    let d = assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
+    let d = weak_ba(&inputs, &[Fault::None; 9]).assert_in_model();
     // With AlwaysValid any of the inputs (or ⊥) is a legal outcome, but
     // with no faults the first leader's proposal must win.
     assert_eq!(d, Decision::Value(inputs[1]));
@@ -39,14 +39,9 @@ fn lemma6_no_fallback_below_bound() {
         for i in 0..f {
             faults[2 * i + 1] = Fault::Idle;
         }
-        let mut sim = sim(weak_ba_actors(&[5u64; 13], &faults), &faults);
-        sim.run_until_done(round_budget(13)).unwrap();
-        assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
-        for i in (0..13).filter(|&i| !faults[i].is_byzantine()) {
-            let a: &LockstepAdapter<WbaProc> =
-                sim.actor(ProcessId(i as u32)).as_any().downcast_ref().unwrap();
-            assert!(!a.inner().used_fallback(), "Lemma 6 violated at f={f}, p{i}");
-        }
+        let run = weak_ba(&[5u64; 13], &faults);
+        run.assert_in_model();
+        assert_eq!(run.fell_back, 0, "Lemma 6 violated at f={f}");
     }
 }
 
@@ -57,15 +52,10 @@ fn max_crashes_use_fallback_and_agree() {
     for i in [1usize, 3, 5, 7] {
         faults[i] = Fault::Idle;
     }
-    let mut sim = sim(weak_ba_actors(&[2u64; 9], &faults), &faults);
-    sim.run_until_done(round_budget(9)).unwrap();
-    let d = assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
-    assert_eq!(d, Decision::Value(2), "unanimous inputs must survive the fallback");
-    for i in [0usize, 2, 4, 6, 8] {
-        let a: &LockstepAdapter<WbaProc> =
-            sim.actor(ProcessId(i as u32)).as_any().downcast_ref().unwrap();
-        assert!(a.inner().used_fallback(), "p{i} should have fallen back");
-    }
+    let run = weak_ba(&[2u64; 9], &faults);
+    // Unanimous inputs must survive the fallback.
+    assert_eq!(run.assert_in_model(), Decision::Value(2));
+    assert_eq!(run.fell_back, 5, "every correct process falls back");
 }
 
 #[test]
@@ -74,10 +64,7 @@ fn late_crash_mid_phases_agrees() {
     let mut faults = vec![Fault::None; 9];
     faults[1] = Fault::CrashAt(7);
     faults[2] = Fault::CrashAt(12);
-    let mut sim = sim(weak_ba_actors(&[6u64; 9], &faults), &faults);
-    sim.run_until_done(round_budget(9)).unwrap();
-    let d = assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
-    assert_eq!(d, Decision::Value(6));
+    assert_eq!(weak_ba(&[6u64; 9], &faults).assert_in_model(), Decision::Value(6));
 }
 
 #[test]
@@ -101,9 +88,7 @@ fn wasteful_leaders_realize_linear_growth_and_agreement_holds() {
             Some(Box::new(leader) as Box<dyn AnyActor<Msg = WbaM>>)
         },
     );
-    let mut sim = sim(actors, &faults);
-    sim.run_until_done(round_budget(n)).unwrap();
-    let d = assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
+    let d = checked::<WbaProc>(actors, &faults).assert_in_model();
     // Wasted proposals are valid under AlwaysValid, so the decision may be
     // the attacker's value or the first correct leader's — agreement is
     // what matters; validity is trivial under AlwaysValid.
@@ -116,20 +101,15 @@ fn chaos_replays_do_not_break_agreement() {
         let mut faults = vec![Fault::None; 7];
         faults[2] = Fault::Chaos(seed);
         faults[6] = Fault::Chaos(seed ^ 0xabcd);
-        let mut sim = sim(weak_ba_actors(&[3, 3, 0, 3, 3, 3, 0], &faults), &faults);
-        sim.run_until_done(round_budget(7)).unwrap();
-        assert_agreement(&outputs::<WbaProc>(sim.actors(), &faults));
+        weak_ba(&[3, 3, 0, 3, 3, 3, 0], &faults).assert_in_model();
     }
 }
 
 #[test]
 fn complexity_envelope_failure_free() {
+    // E2's failure-free row: weak BA's word bound at f = 0 is linear in n.
     for n in [5usize, 9, 17, 33] {
-        let faults = vec![Fault::None; n];
-        let mut sim = sim(weak_ba_actors(&vec![1u64; n], &faults), &faults);
-        sim.run_until_done(round_budget(n)).unwrap();
-        let words = sim.metrics().correct_words();
-        assert!(words <= 16 * n as u64, "n={n}: {words} words");
+        weak_ba(&vec![1u64; n], &vec![Fault::None; n]).assert_in_model();
     }
 }
 
@@ -139,9 +119,8 @@ fn commit_level_machinery_engages() {
     let faults = vec![Fault::None; 5];
     let mut sim = sim(weak_ba_actors(&[8, 8, 8, 8, 8], &faults), &faults);
     sim.run_until_done(round_budget(5)).unwrap();
-    for i in 0..5 {
-        let a: &LockstepAdapter<WbaProc> =
-            sim.actor(ProcessId(i as u32)).as_any().downcast_ref().unwrap();
-        assert_eq!(a.inner().commit_level(), 1, "p{i} committed in phase 1");
+    oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+    for a in correct::<LockstepAdapter<WbaProc>, _>(sim.actors(), &faults) {
+        assert_eq!(a.inner().commit_level(), 1, "{} committed in phase 1", a.id());
     }
 }
