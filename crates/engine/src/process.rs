@@ -139,7 +139,11 @@ impl<M: Message> EngineProcess<M> {
                 self.dead = true;
                 transport.crash();
                 self.state.clear();
-                metrics.recovery.crash_restarts += 1;
+                // A corrupt process's crash is its fault, already
+                // counted; the ledger counts the crashes of correct ones.
+                if self.sender_correct {
+                    metrics.recovery.crash_restarts += 1;
+                }
             }
             if self.dead && rejoin_at.is_some_and(|rj| round >= rj) {
                 // Restart: rebuild from the durable journal, then

@@ -285,7 +285,9 @@ impl AdvanceStats {
 /// guard working as intended).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Processes that crashed and restarted during the run.
+    /// Correct processes that crashed during the run — each restarts if
+    /// the run has a rebuilder. A crash of a process the run counts as
+    /// corrupt is part of its fault and is not counted here.
     pub crash_restarts: u64,
     /// Journal records replayed across all recoveries.
     pub replayed_records: u64,
