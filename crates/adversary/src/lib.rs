@@ -2,13 +2,14 @@
 //!
 //! Every adversary is an ordinary [`meba_sim::Actor`]: it holds the secret
 //! keys of the corrupted processes (and nothing more), sees its inbox
-//! (a round early, under the simulator's rushing schedule), and may send
+//! (correct processes' traffic in the round it is sent, under the
+//! lockstep schedule's rushing), and may send
 //! arbitrary well-typed messages. Unforgeability is enforced by the crypto
 //! API, so these strategies express exactly the power the paper's
 //! adversary has.
 //!
-//! * [`wrappers`] — crash faults and outbox tampering over any correct
-//!   actor;
+//! * [`wrappers`] — crash faults and amnesiac (journal-less) restarts
+//!   over any correct actor;
 //! * [`link_faults`] — a correct actor behind lossy/laggy outbound links
 //!   (shared [`meba_sim::faults::LinkPolicy`] schedules);
 //! * [`chaos`] — a seeded replay fuzzer for property tests;
@@ -44,4 +45,4 @@ pub use strong_ba_attacks::EquivocatingStrongLeader;
 pub use transfer_attacks::LyingDonor;
 pub use wasteful::{WastefulBbLeader, WastefulWeakLeader};
 pub use weak_ba_attacks::{LateHelperLeader, SplitVoteLeader};
-pub use wrappers::{send_only_to, AmnesiacActor, CrashActor, TransformActor};
+pub use wrappers::{AmnesiacActor, CrashActor};

@@ -119,8 +119,9 @@ impl<A: Actor> Actor for LossyLinkActor<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meba_engine::SimBuilder;
     use meba_sim::faults::BernoulliDrop;
-    use meba_sim::{AnyActor, Message, Round, SimBuilder};
+    use meba_sim::{AnyActor, Message, Round};
 
     #[derive(Clone, Debug)]
     struct Ping;

@@ -1,7 +1,7 @@
-//! Generic Byzantine wrappers: crash faults and outbox tampering.
+//! Generic Byzantine wrappers: crash faults and amnesiac restarts.
 
 use meba_crypto::ProcessId;
-use meba_sim::{Actor, Dest, Message, Round, RoundCtx};
+use meba_sim::{Actor, Round, RoundCtx};
 
 /// Runs a correct actor until `crash_at`, then goes silent forever — the
 /// classic crash fault, with arbitrary timing.
@@ -49,56 +49,6 @@ impl<A: Actor> Actor for CrashActor<A> {
         } else {
             self.inner.next_wakeup(after).min(self.crash_at)
         }
-    }
-}
-
-/// Runs a correct actor but rewrites its outbox each round: drop, delay,
-/// duplicate, or redirect messages arbitrarily. The transform cannot forge
-/// signatures — it only rearranges what the correct logic would have sent,
-/// which models a corrupted process that follows the protocol state
-/// machine but misbehaves on the wire.
-pub struct TransformActor<A: Actor, F> {
-    inner: A,
-    transform: F,
-}
-
-impl<A, F> TransformActor<A, F>
-where
-    A: Actor,
-    F: FnMut(Round, Vec<(Dest, A::Msg)>) -> Vec<(Dest, A::Msg)> + Send,
-{
-    /// Wraps `inner` with an outbox `transform`.
-    pub fn new(inner: A, transform: F) -> Self {
-        TransformActor { inner, transform }
-    }
-}
-
-impl<A, F> Actor for TransformActor<A, F>
-where
-    A: Actor,
-    F: FnMut(Round, Vec<(Dest, A::Msg)>) -> Vec<(Dest, A::Msg)> + Send,
-{
-    type Msg = A::Msg;
-
-    fn id(&self) -> ProcessId {
-        self.inner.id()
-    }
-
-    fn on_round(&mut self, ctx: &mut RoundCtx<'_, A::Msg>) {
-        let inbox: Vec<_> = ctx.inbox().to_vec();
-        let mut shadow = RoundCtx::new(ctx.round(), ctx.me(), ctx.n(), &inbox);
-        self.inner.on_round(&mut shadow);
-        let outbox = (self.transform)(ctx.round(), shadow.take_outbox());
-        for (dest, msg) in outbox {
-            match dest {
-                Dest::To(p) => ctx.send(p, msg),
-                Dest::All => ctx.broadcast(msg),
-            }
-        }
-    }
-
-    fn done(&self) -> bool {
-        true
     }
 }
 
@@ -159,32 +109,10 @@ impl<A: Actor> Actor for AmnesiacActor<A> {
     }
 }
 
-/// A message together with the delivery restriction applied by
-/// [`send_only_to`]: broadcasts become targeted sends to the allow-list.
-pub fn send_only_to<M: Message>(
-    allowed: Vec<ProcessId>,
-) -> impl FnMut(Round, Vec<(Dest, M)>) -> Vec<(Dest, M)> + Send {
-    move |_round, outbox| {
-        let mut rewritten = Vec::new();
-        for (dest, msg) in outbox {
-            match dest {
-                Dest::To(p) if allowed.contains(&p) => rewritten.push((Dest::To(p), msg)),
-                Dest::To(_) => {}
-                Dest::All => {
-                    for &p in &allowed {
-                        rewritten.push((Dest::To(p), msg.clone()));
-                    }
-                }
-            }
-        }
-        rewritten
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meba_sim::Envelope;
+    use meba_sim::{Envelope, Message};
 
     #[derive(Clone, Debug)]
     struct Ping;
@@ -221,24 +149,6 @@ mod tests {
         }
         assert_eq!(a.inner.rounds, 2);
         assert!(a.done());
-    }
-
-    #[test]
-    fn transform_can_drop_everything() {
-        let mut a = TransformActor::new(Talker { id: ProcessId(0), rounds: 0 }, |_, _| Vec::new());
-        let inbox = vec![];
-        let mut ctx = RoundCtx::new(Round(0), ProcessId(0), 3, &inbox);
-        a.on_round(&mut ctx);
-        assert!(ctx.take_outbox().is_empty());
-        assert_eq!(a.inner.rounds, 1, "inner logic still ran");
-    }
-
-    #[test]
-    fn send_only_to_rewrites_broadcasts() {
-        let mut f = send_only_to::<Ping>(vec![ProcessId(1)]);
-        let out = f(Round(0), vec![(Dest::All, Ping), (Dest::To(ProcessId(2)), Ping)]);
-        assert_eq!(out.len(), 1);
-        assert!(matches!(out[0].0, Dest::To(ProcessId(1))));
     }
 
     #[derive(Clone, Debug)]

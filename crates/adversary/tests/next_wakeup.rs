@@ -9,8 +9,7 @@
 use meba_adversary::{
     AmnesiacActor, ChaosActor, CrashActor, DsEquivocatingSender, EquivocatingSender,
     EquivocatingStrongLeader, GaSplitEchoer, LateHelperLeader, LossyLinkActor, LyingDonor,
-    MuxHelpRequester, SessionReplayer, SplitVoteLeader, TransformActor, WastefulBbLeader,
-    WastefulWeakLeader,
+    MuxHelpRequester, SessionReplayer, SplitVoteLeader, WastefulBbLeader, WastefulWeakLeader,
 };
 use meba_core::fallback::EchoMsg;
 use meba_core::SystemConfig;
@@ -70,7 +69,6 @@ fn every_other_adversary_keeps_the_default_hint() {
     let sleeper = move || IdleActor::<Fm>::new(me);
     assert_eq!(sleeper().next_wakeup(Round(3)), Round::NEVER);
 
-    assert_ticks_every_round(&TransformActor::new(sleeper(), |_, out| out), "TransformActor");
     assert_ticks_every_round(&AmnesiacActor::new(sleeper(), Round(3), sleeper), "AmnesiacActor");
     assert_ticks_every_round(
         &LossyLinkActor::new(sleeper(), Box::new(ReliableLinks)),

@@ -8,8 +8,9 @@ use meba_adversary::{
 };
 use meba_core::{AlwaysValid, Bb, Decision, LockstepAdapter, StrongBa, SystemConfig, WeakBa};
 use meba_crypto::{ProcessId, SecretKey};
+use meba_engine::Simulation;
 use meba_fallback::{DolevStrongBb, RecursiveBa, BASE_SCOPE};
-use meba_sim::{Actor, AnyActor, Message, Metrics, Simulation};
+use meba_sim::{Actor, AnyActor, Message, Metrics};
 use meba_testkit::oracle::{self, Decided, Probe, Violation};
 use meba_testkit::{
     cluster, corrupt_ids, round_budget, sim, strong_ba_actors, BbM, BbProc, Family, Fault, Party,

@@ -708,7 +708,8 @@ mod tests {
     use crate::fallback::EchoFallbackFactory;
     use crate::subprotocol::LockstepAdapter;
     use meba_crypto::trusted_setup;
-    use meba_sim::{AnyActor, IdleActor, SimBuilder, Simulation};
+    use meba_engine::{SimBuilder, Simulation};
+    use meba_sim::{AnyActor, IdleActor};
 
     type BbP = Bb<u64, EchoFallbackFactory>;
     type Msg = <BbP as SubProtocol>::Msg;

@@ -561,7 +561,8 @@ mod tests {
     use crate::fallback::EchoFallbackFactory;
     use crate::subprotocol::LockstepAdapter;
     use meba_crypto::trusted_setup;
-    use meba_sim::{Actor, AnyActor, IdleActor, RoundCtx, SimBuilder, Simulation};
+    use meba_engine::{SimBuilder, Simulation};
+    use meba_sim::{Actor, AnyActor, IdleActor, RoundCtx};
 
     type Sba = StrongBa<EchoFallbackFactory>;
     type Msg = <Sba as SubProtocol>::Msg;

@@ -1005,7 +1005,8 @@ mod tests {
     use crate::subprotocol::LockstepAdapter;
     use crate::validity::AlwaysValid;
     use meba_crypto::trusted_setup;
-    use meba_sim::{AnyActor, IdleActor, SimBuilder, Simulation};
+    use meba_engine::{SimBuilder, Simulation};
+    use meba_sim::{AnyActor, IdleActor};
 
     type Wba = WeakBa<u64, AlwaysValid, EchoFallbackFactory>;
     type Msg = <Wba as SubProtocol>::Msg;

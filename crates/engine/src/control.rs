@@ -113,16 +113,20 @@ where
         done_flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
         escalations: Mutex::new(Vec::new()),
     });
-    let corrupt: Arc<Vec<bool>> =
-        Arc::new((0..n).map(|i| config.corrupt.iter().any(|c| c.index() == i)).collect());
+    let corrupt: Vec<bool> =
+        (0..n).map(|i| config.corrupt.iter().any(|c| c.index() == i)).collect();
+    // The coordinator waits for the correct processes that are not
+    // fated to crash for good.
+    let awaited: Arc<Vec<bool>> =
+        Arc::new((0..n).map(|i| !corrupt[i] && fates[i].awaited()).collect());
 
     let mut handles = Vec::with_capacity(n);
     for ((actor, transport), fate) in actors.into_iter().zip(transports).zip(fates) {
         let i = actor.id().index();
         let policy = config.link_policy.as_ref().map(|f| f(actor.id()));
-        let proc = EngineProcess::new(actor, n, !corrupt[i], fate, rebuilder.clone(), policy);
+        let proc = EngineProcess::new(n, !corrupt[i], false, fate, rebuilder.clone(), policy);
         let ctrl = ctrl.clone();
-        let corrupt = corrupt.clone();
+        let awaited = awaited.clone();
         let cfg = WorkerConfig {
             max_rounds: config.max_rounds,
             overrun_window: config.overrun_window,
@@ -131,7 +135,7 @@ where
             n,
         };
         handles.push(std::thread::spawn(move || {
-            run_paced_process(proc, transport, ctrl, corrupt, cfg)
+            run_paced_process(actor, proc, transport, ctrl, awaited, cfg)
         }));
     }
 
@@ -174,13 +178,15 @@ where
 /// [`EngineProcess::step`]. Everything the process is billed goes into
 /// its own [`Metrics`] shard, returned with the actor and its round count.
 fn run_paced_process<M: Message, T: Transport<M>>(
+    mut actor: Box<dyn AnyActor<Msg = M>>,
     mut proc: EngineProcess<M>,
     mut transport: T,
     ctrl: Arc<Control>,
-    corrupt: Arc<Vec<bool>>,
+    awaited: Arc<Vec<bool>>,
     cfg: WorkerConfig,
 ) -> (Box<dyn AnyActor<Msg = M>>, u64, Metrics) {
-    let i = proc.id().index();
+    let me = actor.id();
+    let i = me.index();
     let mut metrics = Metrics::default();
     let is_coordinator = i == 0;
     let mut driver = RoundDriver::wall_clock(&cfg.driver, cfg.n);
@@ -199,11 +205,11 @@ fn run_paced_process<M: Message, T: Transport<M>>(
                 Approval::Stop => break 'rounds,
             }
         }
-        let cause =
-            driver.wait_for_round(&ctrl.pacer, round, || proc.ready_senders(round, &mut transport));
+        let cause = driver
+            .wait_for_round(&ctrl.pacer, round, || proc.ready_senders(me, round, &mut transport));
 
         let proc_start = Instant::now();
-        let status: StepStatus = proc.step(round, &mut transport, &mut metrics);
+        let status: StepStatus = proc.step(&mut actor, round, &mut transport, &mut metrics);
         if status.executed {
             // Observability: per-round processing latency and synchrony
             // monitoring. Processing past the round's deadline means a
@@ -233,29 +239,29 @@ fn run_paced_process<M: Message, T: Transport<M>>(
         ctrl.done_flags[i].store(status.done, Ordering::SeqCst);
 
         if is_coordinator {
-            coordinate(&ctrl, &corrupt, &cfg, round, &mut overruns_seen, &mut consecutive_overruns);
+            coordinate(&ctrl, &awaited, &cfg, round, &mut overruns_seen, &mut consecutive_overruns);
         }
         round += 1;
     }
     ctrl.backpressure.fetch_add(transport.backpressure(), Ordering::Relaxed);
     // TCP: shuts the mesh down here, on the thread that drove it.
     drop(transport);
-    (proc.finish(&mut metrics), round, metrics)
+    metrics.recovery.refused_equivocations += actor.refused_equivocations();
+    (actor, round, metrics)
 }
 
 /// The coordinator's end-of-round decision: stop (exactly one recorded
 /// outcome) or approve the next round, possibly escalating δ first.
 fn coordinate(
     ctrl: &Control,
-    corrupt: &[bool],
+    awaited: &[bool],
     cfg: &WorkerConfig,
     round: u64,
     overruns_seen: &mut u64,
     consecutive_overruns: &mut u32,
 ) {
-    let n = corrupt.len();
-    let all_done =
-        (0..n).filter(|&j| !corrupt[j]).all(|j| ctrl.done_flags[j].load(Ordering::SeqCst));
+    let all_done = (awaited.iter().zip(&ctrl.done_flags))
+        .all(|(&awaited, done)| !awaited || done.load(Ordering::SeqCst));
     if all_done {
         ctrl.record_outcome(
             Outcome { completed: true, rounds: round + 1, aborted: None },

@@ -32,10 +32,12 @@
 //! Determinism: same actors, same [`DesConfig`] (including `seed`) ⇒
 //! byte-identical [`Metrics`]. Time is virtual; simultaneous events
 //! resolve arrivals first (in global send order) and then round
-//! executions in process-id order — under the lockstep driver this is
-//! a global loop ("deliver everything due, then step processes in id
-//! order") event for event, which is why the cross-runtime equivalence
-//! suites in `meba-testkit` hold.
+//! executions, correct processes before corrupt ones under the lockstep
+//! driver, each in process-id order — a global loop ("deliver
+//! everything due, then step the correct processes, then the corrupt
+//! ones") event for event. Under the lockstep driver with aligned clocks
+//! and no GST the latency seed moves arrivals only inside the round
+//! window, so it does not change the output at all.
 //!
 //! # Sparse virtual time
 //!
@@ -66,12 +68,22 @@
 //! hints are not consulted there.
 //!
 //! Each process's round is [`meba_sim::body::run_live_round`], the body
-//! `meba_sim::Simulation` runs too; only the clock and the transport
-//! differ. The one lockstep feature this backend does not model is the
-//! rushing adversary: the simulator gives its corrupt processes a
-//! [`RoundState::rushing`](meba_sim::body::RoundState::rushing)
-//! admission cut, which no process here carries — corrupt actors observe
-//! a round's traffic one round later, like everyone else.
+//! every backend runs; only the clock and the transport differ.
+//!
+//! # Rushing
+//!
+//! Under the lockstep driver corrupt processes are the *rushing*
+//! adversary, always — it is the model's adversary, not an option. They
+//! run on a [`RoundState::rushing`](meba_sim::body::RoundState::rushing)
+//! admission cut (`sent_round ≤ round`), after every correct process at
+//! the same instant, and a correct process's copy to one of them, sent
+//! in the round it is executing, lands at the send instant: a corrupt
+//! process hears correct round-`r` traffic in round `r`. A fault-delayed
+//! copy released later keeps its old `sent_round` and its sampled
+//! latency, so it does not rush. The lockstep
+//! [`Simulation`](crate::Simulation) is this loop, stepped one round at
+//! a time. Under [`RoundDriverConfig::QuorumOrTimeout`] nobody rushes:
+//! there is no common instant for a round to rush within.
 
 use crate::calendar::{CalendarQueue, TimeKeyed};
 use crate::config::{ClusterReport, LinkPolicyFactory};
@@ -82,8 +94,6 @@ use crate::process::EngineProcess;
 use meba_crypto::ProcessId;
 use meba_sim::body::{Delivery, Transport};
 use meba_sim::{AnyActor, Message, Metrics};
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Per-directed-link latency floor in nanoseconds, for asymmetric delay
@@ -253,9 +263,10 @@ impl<M> TimeKeyed for Event<M> {
     }
 }
 
-/// A scheduled round deadline `(at_ns, process, round)`; simultaneous
-/// deadlines resolve in process-id order (tuple ordering).
-type DeadlineEntry = (u128, u64, u64);
+/// A scheduled round deadline `(at_ns, rushing, process, round)`;
+/// simultaneous deadlines resolve correct processes first, then rushing
+/// ones, each in process-id order (tuple ordering).
+type DeadlineEntry = (u128, bool, u64, u64);
 
 impl TimeKeyed for DeadlineEntry {
     fn time_ns(&self) -> u128 {
@@ -275,6 +286,8 @@ struct DesNet<M: Message> {
     pre_gst_delay_ns: u64,
     link_floor_ns: Option<LinkDelayFloor>,
     link_cap_ns: u64,
+    // The rushing processes: the corrupt ones, under the lockstep driver.
+    rushing: Vec<bool>,
     arrivals: CalendarQueue<Event<M>>,
     mailboxes: Vec<Vec<(u64, Delivery<M>)>>,
 }
@@ -286,7 +299,7 @@ pub(crate) fn calendar_width_ns(delta_ns: u64) -> u64 {
 }
 
 impl<M: Message> DesNet<M> {
-    fn new(n: usize, config: &DesConfig) -> Self {
+    fn new(config: &DesConfig, rushing: Vec<bool>) -> Self {
         DesNet {
             now_ns: 0,
             seq: 0,
@@ -299,8 +312,9 @@ impl<M: Message> DesNet<M> {
             },
             link_floor_ns: config.link_floor_ns.clone(),
             link_cap_ns: config.link_cap_ns.unwrap_or(config.delta_ns).min(config.delta_ns),
+            mailboxes: (0..rushing.len()).map(|_| Vec::with_capacity(16)).collect(),
+            rushing,
             arrivals: CalendarQueue::new(calendar_width_ns(config.delta_ns)),
-            mailboxes: (0..n).map(|_| Vec::with_capacity(16)).collect(),
         }
     }
 
@@ -327,37 +341,43 @@ impl<M: Message> DesNet<M> {
         floor + 1 + x % (self.link_cap_ns - floor - 1).max(1)
     }
 
-    fn send(&mut self, from: ProcessId, to: ProcessId, sent_round: u64, msg: M) {
+    /// Queues `msg` from `from` to `to`. A `rushed` copy lands at the send
+    /// instant instead of after a sampled latency.
+    fn send(&mut self, from: ProcessId, to: ProcessId, sent_round: u64, msg: M, rushed: bool) {
         let seq = self.seq;
         self.seq += 1;
-        let at_ns = self.now_ns + u128::from(self.latency_ns(from, to, seq));
+        let latency = if rushed { 0 } else { self.latency_ns(from, to, seq) };
         self.arrivals.push(Event {
-            at_ns,
+            at_ns: self.now_ns + u128::from(latency),
             seq,
             to: to.index(),
             delivery: Delivery { from, sent_round, msg },
         });
     }
-
-    fn next_arrival_at(&mut self) -> Option<u128> {
-        self.arrivals.peek().map(|e| e.at_ns)
-    }
 }
 
-/// One process's handle on the shared virtual network.
-struct DesTransport<M: Message> {
+/// One process's handle on the shared virtual network while it executes
+/// `round`.
+struct DesTransport<'a, M: Message> {
     me: ProcessId,
-    net: Rc<RefCell<DesNet<M>>>,
+    round: u64,
+    net: &'a mut DesNet<M>,
 }
 
-impl<M: Message> Transport<M> for DesTransport<M> {
+impl<M: Message> Transport<M> for DesTransport<'_, M> {
     fn send(&mut self, to: ProcessId, sent_round: u64, msg: &M) {
-        self.net.borrow_mut().send(self.me, to, sent_round, msg.clone());
+        // A rushing process executes after every correct one at its
+        // deadline, so a correct process's copy of the round it is
+        // executing reaches it in time. A fault-delayed copy released
+        // later keeps its old `sent_round` and does not rush.
+        let net = &mut *self.net;
+        let rushed =
+            sent_round == self.round && net.rushing[to.index()] && !net.rushing[self.me.index()];
+        net.send(self.me, to, sent_round, msg.clone(), rushed);
     }
 
     fn drain(&mut self, out: &mut Vec<Delivery<M>>) {
-        let mut net = self.net.borrow_mut();
-        let mailbox = &mut net.mailboxes[self.me.index()];
+        let mailbox = &mut self.net.mailboxes[self.me.index()];
         // Send (`seq`) order, not arrival order: the per-round FIFO
         // order every other backend produces, so inbox order (and thus
         // any order-sensitive tie-break in an actor) is
@@ -370,7 +390,7 @@ impl<M: Message> Transport<M> for DesTransport<M> {
     fn crash(&mut self) {
         // A crashed process has no mailbox; in-flight events will land
         // and be discarded by the engine's dead-round drains.
-        self.net.borrow_mut().mailboxes[self.me.index()].clear();
+        self.net.mailboxes[self.me.index()].clear();
     }
 }
 
@@ -417,80 +437,245 @@ impl Schedule {
     }
 }
 
-/// Everything mutable the event loop threads through one round
-/// execution.
-struct Running<'a, M: Message> {
-    procs: &'a mut [EngineProcess<M>],
-    transports: &'a mut [DesTransport<M>],
+/// A discrete-event run that can be stepped: everything mutable the
+/// event loop threads through it. [`run_des_cluster`] drives it until
+/// every awaited process is done; the lockstep
+/// [`Simulation`](crate::Simulation) drives it one round at a time.
+pub(crate) struct DesRun<M: Message> {
+    sched: Schedule,
+    net: DesNet<M>,
+    pub(crate) actors: Vec<Box<dyn AnyActor<Msg = M>>>,
+    procs: Vec<EngineProcess<M>>,
     // The run's one ledger: the loop is single-threaded, so every
     // process bills straight into it.
-    metrics: &'a mut Metrics,
+    pub(crate) metrics: Metrics,
+    pub(crate) corrupt: Vec<bool>,
     // Rounds each process has been through: executed, or jumped over
     // and accounted as if executed.
-    next_round: &'a mut [u64],
+    next_round: Vec<u64>,
     // The round each process is scheduled to execute next (`max_rounds`
     // once it has none left). Event mode: always `next_round`. Lockstep:
     // possibly later — the process sleeps through the rounds between.
-    wake: &'a mut [u64],
-    done: &'a mut [bool],
-    corrupt: &'a [bool],
-    // Count of correct processes whose `done` flag is false — the O(1)
+    wake: Vec<u64>,
+    done: Vec<bool>,
+    // The processes the run waits for: correct, and not fated to crash
+    // for good.
+    awaited: Vec<bool>,
+    // Count of awaited processes whose `done` flag is false — the O(1)
     // replacement for scanning all n flags at every instant boundary.
     // `done` is only ever toggled inside `execute`, which keeps this
     // counter in sync (including done → not-done reversals).
-    pending_correct: &'a mut usize,
+    pending: usize,
     // Each process's quorum, backoff shift, and local grid anchor (the
     // anchor mirrors the live entry in `deadlines`).
-    drivers: &'a mut [RoundDriver],
-    // (at_ns, process, round); an entry whose round is not the process's
-    // `wake` round is stale and ignored when it surfaces.
-    deadlines: &'a mut CalendarQueue<DeadlineEntry>,
+    drivers: Vec<RoundDriver>,
+    // An entry whose round is not the process's `wake` round is stale
+    // and ignored when it surfaces.
+    deadlines: CalendarQueue<DeadlineEntry>,
+    // The instant of the last event that ran.
+    last_instant: u128,
 }
 
-impl<M: Message> Running<'_, M> {
+impl<M: Message> DesRun<M> {
+    /// Validates `config` and schedules every process's round 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `actors` is empty or ids are not `p0..p(n-1)` in order.
+    pub(crate) fn new(
+        actors: Vec<Box<dyn AnyActor<Msg = M>>>,
+        rebuilder: Option<ActorRebuilder<M>>,
+        config: DesConfig,
+    ) -> Result<Self, DesConfigError> {
+        if config.delta_ns < 2 {
+            return Err(DesConfigError::DeltaTooSmall { delta_ns: config.delta_ns });
+        }
+        if let Some(cap) = config.link_cap_ns {
+            if cap < 2 {
+                return Err(DesConfigError::LinkCapTooSmall { link_cap_ns: cap });
+            }
+        }
+        let n = actors.len();
+        config.driver.validate(n)?;
+        assert!(n > 0, "cluster needs at least one actor");
+        for (i, a) in actors.iter().enumerate() {
+            assert_eq!(a.id().index(), i, "actor {i} has id {}", a.id());
+        }
+        let fates = resolve_fates(n, config.process_fate.as_ref(), rebuilder.is_some());
+        let corrupt: Vec<bool> =
+            (0..n).map(|i| config.corrupt.iter().any(|c| c.index() == i)).collect();
+        let lockstep = config.driver.is_lockstep();
+        let rushing: Vec<bool> = corrupt.iter().map(|&c| c && lockstep).collect();
+        let awaited: Vec<bool> = (0..n).map(|i| !corrupt[i] && fates[i].awaited()).collect();
+
+        let sched = Schedule {
+            lockstep,
+            delta_ns: config.delta_ns,
+            max_rounds: config.max_rounds,
+            skews: (0..n)
+                .map(|i| {
+                    if config.max_skew_ns == 0 {
+                        0
+                    } else {
+                        splitmix(config.seed ^ 0x5ce3_ab1e ^ splitmix(i as u64))
+                            % (config.max_skew_ns + 1)
+                    }
+                })
+                .collect(),
+        };
+        let procs = (0..n)
+            .map(|i| {
+                let policy = config.link_policy.as_ref().map(|f| f(ProcessId(i as u32)));
+                EngineProcess::new(n, !corrupt[i], rushing[i], fates[i], rebuilder.clone(), policy)
+            })
+            .collect();
+        let drivers = (0..n)
+            .map(|i| RoundDriver::virtual_time(&config.driver, n, u128::from(sched.skews[i])))
+            .collect();
+        let mut deadlines = CalendarQueue::new(calendar_width_ns(sched.delta_ns));
+        for (i, (&skew, &rushes)) in sched.skews.iter().zip(&rushing).enumerate() {
+            deadlines.push((u128::from(skew), rushes, i as u64, 0));
+        }
+        let done: Vec<bool> = actors.iter().map(|a| a.done()).collect();
+        Ok(DesRun {
+            net: DesNet::new(&config, rushing),
+            actors,
+            procs,
+            metrics: Metrics::default(),
+            corrupt,
+            next_round: vec![0; n],
+            wake: vec![0; n],
+            pending: (0..n).filter(|&i| awaited[i] && !done[i]).count(),
+            done,
+            awaited,
+            drivers,
+            deadlines,
+            last_instant: 0,
+            sched,
+        })
+    }
+
+    /// Whether every awaited process is done.
+    pub(crate) fn all_done(&self) -> bool {
+        self.pending == 0
+    }
+
+    /// The virtual round duration δ.
+    pub(crate) fn delta_ns(&self) -> u64 {
+        self.sched.delta_ns
+    }
+
+    /// Runs events in time order until the next one is at or after
+    /// `until` — or, with `stop_when_done`, until an instant boundary at
+    /// which every awaited process is done, which it returns true for.
+    /// The verdict is taken at instant boundaries, so every process
+    /// (corrupt ones included) executing at the completing instant still
+    /// runs — as in the global loop, which stepped all n processes before
+    /// checking.
+    pub(crate) fn run_until(&mut self, until: u128, stop_when_done: bool) -> bool {
+        let quorum_mode = !self.sched.lockstep;
+        while let Some((at, is_arrival)) = self.next_event() {
+            if at >= until {
+                return false;
+            }
+            if at > self.last_instant {
+                if stop_when_done && self.all_done() {
+                    return true;
+                }
+                self.last_instant = at;
+            }
+            self.net.now_ns = at;
+            if is_arrival {
+                let ev = self.net.arrivals.pop().expect("peeked arrival");
+                if self.wake_for_arrival(ev.to, at) {
+                    self.net.mailboxes[ev.to].push((ev.seq, ev.delivery));
+                }
+                if quorum_mode {
+                    self.quorum_advance(ev.to, at);
+                }
+            } else {
+                // A stale deadline (the process quorum-advanced past that
+                // round, or was re-armed to another) is popped in its
+                // turn like any event and then ignored, so the queue's
+                // window only ever slides to the clock.
+                let (_, _, i, round) = self.deadlines.pop().expect("peeked deadline");
+                let i = i as usize;
+                if self.wake[i] != round {
+                    continue;
+                }
+                let cause = self.ready_cause(i, round);
+                self.execute(i, round, at, cause);
+                if quorum_mode {
+                    self.quorum_advance(i, at);
+                }
+            }
+        }
+        false
+    }
+
+    /// The earliest queued event: its instant, and whether it is an
+    /// arrival. Simultaneous events resolve arrivals first — in send
+    /// order — then deadlines, correct processes before rushing ones:
+    /// under the lockstep driver this is exactly a global loop ("deliver
+    /// everything due ≤ t, then step every awake correct process in id
+    /// order at t, then every awake corrupt one").
+    fn next_event(&mut self) -> Option<(u128, bool)> {
+        let arrival_at = self.net.arrivals.peek().map(|e| e.at_ns);
+        let deadline_at = self.deadlines.peek().map(|d| d.0);
+        match (arrival_at, deadline_at) {
+            (None, None) => None,
+            (Some(a), Some(d)) if a <= d => Some((a, true)),
+            (Some(a), None) => Some((a, true)),
+            (_, Some(d)) => Some((d, false)),
+        }
+    }
+
     /// Executes `round` for process `i` at virtual instant `now` —
     /// accounting first for the rounds it slept through since its last
     /// one — records the advance cause, applies late-delivery backoff,
     /// and schedules its next deadline.
-    fn execute(&mut self, sched: &Schedule, i: usize, round: u64, now: u128, cause: AdvanceCause) {
+    fn execute(&mut self, i: usize, round: u64, now: u128, cause: AdvanceCause) {
         self.account_skipped(i, round);
-        let status = self.procs[i].step(round, &mut self.transports[i], self.metrics);
+        let mut transport = DesTransport { me: ProcessId(i as u32), round, net: &mut self.net };
+        let status =
+            self.procs[i].step(&mut self.actors[i], round, &mut transport, &mut self.metrics);
         if status.executed && round >= 1 {
             cause.record(&mut self.metrics.advance);
         }
-        if !sched.lockstep {
+        if !self.sched.lockstep {
             self.drivers[i].observe(status.late_admitted);
         }
-        if self.done[i] != status.done && !self.corrupt[i] {
+        if self.done[i] != status.done && self.awaited[i] {
             if status.done {
-                *self.pending_correct -= 1;
+                self.pending -= 1;
             } else {
-                *self.pending_correct += 1;
+                self.pending += 1;
             }
         }
         self.done[i] = status.done;
         self.next_round[i] = round + 1;
-        self.wake[i] = sched.max_rounds;
-        if round + 1 < sched.max_rounds {
+        self.wake[i] = self.sched.max_rounds;
+        if round + 1 < self.sched.max_rounds {
             // Lockstep honours the wake hints; the last budgeted round
             // always runs, so a run that never completes still ends at
             // `max_rounds`. Event mode ticks every round: its timer grid
             // is stateful per tick.
-            let next = if sched.lockstep {
-                self.procs[i].next_wakeup(round).min(sched.max_rounds - 1)
+            let next = if self.sched.lockstep {
+                let hint = self.procs[i].next_wakeup(self.actors[i].as_ref(), round);
+                hint.min(self.sched.max_rounds - 1)
             } else {
                 round + 1
             };
-            self.schedule(sched, i, next, now);
+            self.schedule(i, next, now);
         }
     }
 
     /// Makes `round` the next one process `i` executes. A deadline
     /// already queued for another round goes stale.
-    fn schedule(&mut self, sched: &Schedule, i: usize, round: u64, now: u128) {
-        let at = sched.deadline(i, round, &mut self.drivers[i], now);
+    fn schedule(&mut self, i: usize, round: u64, now: u128) {
+        let at = self.sched.deadline(i, round, &mut self.drivers[i], now);
         self.wake[i] = round;
-        self.deadlines.push((at, i as u64, round));
+        self.deadlines.push((at, self.net.rushing[i], i as u64, round));
     }
 
     /// Brings process `i`'s round count up to `round`, tallying the live
@@ -513,18 +698,18 @@ impl<M: Message> Running<'_, M> {
     /// the delivery must not be kept — `to` is down, and the dead round
     /// it sleeps through would have discarded it, so a later rejoin
     /// never sees it.
-    fn wake_for_arrival(&mut self, sched: &Schedule, to: usize, at: u128) -> bool {
+    fn wake_for_arrival(&mut self, to: usize, at: u128) -> bool {
         if self.wake[to] == self.next_round[to] {
             return true; // not sleeping: its very next round drains the mailbox
         }
-        let round = sched.first_round_at_or_after(to, at);
+        let round = self.sched.first_round_at_or_after(to, at);
         if round >= self.wake[to] {
             return true;
         }
         if self.procs[to].is_down() {
             return false;
         }
-        self.schedule(sched, to, round, at);
+        self.schedule(to, round, at);
         true
     }
 
@@ -534,19 +719,52 @@ impl<M: Message> Running<'_, M> {
     /// tightens the `sent_round + 1 ≥ round` test and is capped by
     /// `max_rounds` — given a quorum no process meets alone, which
     /// [`RoundDriverConfig::validate`] guarantees.
-    fn quorum_advance(&mut self, sched: &Schedule, i: usize, now: u128) {
-        while self.next_round[i] < sched.max_rounds {
+    fn quorum_advance(&mut self, i: usize, now: u128) {
+        while self.next_round[i] < self.sched.max_rounds {
             let round = self.next_round[i];
             if self.ready_cause(i, round) != QuorumReached {
                 break;
             }
-            self.execute(sched, i, round, now, QuorumReached);
+            self.execute(i, round, now, QuorumReached);
         }
     }
 
     /// Whether process `i` holds a quorum for `round` right now.
     fn ready_cause(&mut self, i: usize, round: u64) -> AdvanceCause {
-        self.drivers[i].cause(round, || self.procs[i].ready_senders(round, &mut self.transports[i]))
+        let me = ProcessId(i as u32);
+        let (proc, net) = (&mut self.procs[i], &mut self.net);
+        self.drivers[i]
+            .cause(round, || proc.ready_senders(me, round, &mut DesTransport { me, round, net }))
+    }
+
+    /// Ends the run: under the lockstep driver a process that ticked
+    /// every round would have gone through every deadline up to the last
+    /// instant that ran, so each sleeper is credited with those rounds.
+    fn finish(mut self, completed: bool) -> ClusterReport<M> {
+        if self.sched.lockstep {
+            for i in 0..self.actors.len() {
+                let due = self.sched.rounds_due_by(i, self.last_instant);
+                if due > self.next_round[i] {
+                    self.account_skipped(i, due);
+                }
+            }
+        }
+        let rounds = self.next_round.iter().copied().max().unwrap_or(0);
+        let mut metrics = self.metrics;
+        for actor in &self.actors {
+            metrics.recovery.refused_equivocations += actor.refused_equivocations();
+        }
+        metrics.rounds = rounds;
+        ClusterReport {
+            metrics,
+            rounds,
+            actors: self.actors,
+            completed,
+            overruns: 0,
+            backpressure: 0,
+            escalations: Vec::new(),
+            aborted: None,
+        }
     }
 }
 
@@ -572,164 +790,9 @@ pub fn run_des_cluster<M: Message>(
     rebuilder: Option<ActorRebuilder<M>>,
     config: DesConfig,
 ) -> Result<ClusterReport<M>, DesConfigError> {
-    if config.delta_ns < 2 {
-        return Err(DesConfigError::DeltaTooSmall { delta_ns: config.delta_ns });
-    }
-    if let Some(cap) = config.link_cap_ns {
-        if cap < 2 {
-            return Err(DesConfigError::LinkCapTooSmall { link_cap_ns: cap });
-        }
-    }
-    let n = actors.len();
-    config.driver.validate(n)?;
-    assert!(n > 0, "cluster needs at least one actor");
-    for (i, a) in actors.iter().enumerate() {
-        assert_eq!(a.id().index(), i, "actor {i} has id {}", a.id());
-    }
-    let fates = resolve_fates(n, config.process_fate.as_ref(), rebuilder.is_some());
-    let corrupt: Vec<bool> =
-        (0..n).map(|i| config.corrupt.iter().any(|c| c.index() == i)).collect();
-
-    let sched = Schedule {
-        lockstep: config.driver.is_lockstep(),
-        delta_ns: config.delta_ns,
-        max_rounds: config.max_rounds,
-        skews: (0..n)
-            .map(|i| {
-                if config.max_skew_ns == 0 {
-                    0
-                } else {
-                    splitmix(config.seed ^ 0x5ce3_ab1e ^ splitmix(i as u64))
-                        % (config.max_skew_ns + 1)
-                }
-            })
-            .collect(),
-    };
-    let quorum_mode = !sched.lockstep;
-
-    let net = Rc::new(RefCell::new(DesNet::<M>::new(n, &config)));
-    let mut transports: Vec<DesTransport<M>> =
-        (0..n).map(|i| DesTransport { me: ProcessId(i as u32), net: net.clone() }).collect();
-    let mut metrics = Metrics::default();
-    let mut procs: Vec<EngineProcess<M>> = actors
-        .into_iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let policy = config.link_policy.as_ref().map(|f| f(ProcessId(i as u32)));
-            EngineProcess::new(a, n, !corrupt[i], fates[i], rebuilder.clone(), policy)
-        })
-        .collect();
-
-    let mut next_round = vec![0u64; n];
-    let mut wake = vec![0u64; n];
-    let mut done = vec![false; n];
-    let mut drivers: Vec<RoundDriver> = (0..n)
-        .map(|i| RoundDriver::virtual_time(&config.driver, n, u128::from(sched.skews[i])))
-        .collect();
-    let mut deadlines: CalendarQueue<DeadlineEntry> =
-        CalendarQueue::new(calendar_width_ns(sched.delta_ns));
-    for i in 0..n {
-        deadlines.push((u128::from(sched.skews[i]), i as u64, 0));
-    }
-    let mut pending_correct = corrupt.iter().filter(|c| !**c).count();
-    let mut completed = false;
-    let mut last_instant = 0u128;
-    let mut run = Running {
-        procs: &mut procs,
-        transports: &mut transports,
-        metrics: &mut metrics,
-        next_round: &mut next_round,
-        wake: &mut wake,
-        done: &mut done,
-        corrupt: &corrupt,
-        pending_correct: &mut pending_correct,
-        drivers: &mut drivers,
-        deadlines: &mut deadlines,
-    };
-    loop {
-        // Pick the earliest event. Simultaneous events resolve arrivals
-        // first — in send order — then deadlines in process-id order:
-        // under the lockstep driver this is exactly a global loop
-        // ("deliver everything due ≤ t, then step every process that is
-        // awake in id order at t"). A stale deadline (the process
-        // quorum-advanced past that round, or was re-armed to another)
-        // is popped in its turn like any event and then ignored, so the
-        // queue's window only ever slides to the clock.
-        let arrival_at = net.borrow_mut().next_arrival_at();
-        let deadline_at = run.deadlines.peek().map(|&(at, _, _)| at);
-        let (at, is_arrival) = match (arrival_at, deadline_at) {
-            (None, None) => break,
-            (Some(a), None) => (a, true),
-            (None, Some(d)) => (d, false),
-            (Some(a), Some(d)) => {
-                if a <= d {
-                    (a, true)
-                } else {
-                    (d, false)
-                }
-            }
-        };
-        // The completion verdict is evaluated at instant boundaries, so
-        // every process (corrupt ones included) executing at the
-        // completing instant still runs — as in the global loop, which
-        // stepped all n processes before checking.
-        if at > last_instant {
-            if *run.pending_correct == 0 {
-                completed = true;
-                break;
-            }
-            last_instant = at;
-        }
-        net.borrow_mut().now_ns = at;
-        if is_arrival {
-            let ev = net.borrow_mut().arrivals.pop().expect("peeked arrival");
-            if run.wake_for_arrival(&sched, ev.to, at) {
-                net.borrow_mut().mailboxes[ev.to].push((ev.seq, ev.delivery));
-            }
-            if quorum_mode {
-                run.quorum_advance(&sched, ev.to, at);
-            }
-        } else {
-            let (_, i, round) = run.deadlines.pop().expect("peeked deadline");
-            let i = i as usize;
-            if run.wake[i] != round {
-                continue;
-            }
-            let cause = run.ready_cause(i, round);
-            run.execute(&sched, i, round, at, cause);
-            if quorum_mode {
-                run.quorum_advance(&sched, i, at);
-            }
-        }
-    }
-    if completed && sched.lockstep {
-        // The run stopped at `last_instant`; a process that ticked every
-        // round would have gone through every deadline up to it.
-        for i in 0..n {
-            let due = sched.rounds_due_by(i, last_instant);
-            if due > run.next_round[i] {
-                run.account_skipped(i, due);
-            }
-        }
-    }
-    if !completed && pending_correct == 0 {
-        completed = true;
-    }
-
-    let rounds = next_round.iter().copied().max().unwrap_or(0);
-    let actors_back: Vec<Box<dyn AnyActor<Msg = M>>> =
-        procs.into_iter().map(|p| p.finish(&mut metrics)).collect();
-    metrics.rounds = rounds;
-    Ok(ClusterReport {
-        metrics,
-        rounds,
-        actors: actors_back,
-        completed,
-        overruns: 0,
-        backpressure: 0,
-        escalations: Vec::new(),
-        aborted: None,
-    })
+    let mut run = DesRun::new(actors, rebuilder, config)?;
+    let completed = run.run_until(u128::MAX, true) || run.all_done();
+    Ok(run.finish(completed))
 }
 
 #[cfg(test)]
@@ -884,6 +947,101 @@ mod tests {
         (0..n)
             .map(|i| Box::new(Latch { id: ProcessId(i as u32), heard: 0, target: n }) as _)
             .collect()
+    }
+
+    /// Records every delivery it admits as `(round, sender)`.
+    struct Ear {
+        id: ProcessId,
+        heard: Vec<(u64, ProcessId)>,
+    }
+    impl Actor for Ear {
+        type Msg = Tick;
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Tick>) {
+            let round = ctx.round().as_u64();
+            self.heard.extend(ctx.inbox().iter().map(|e| (round, e.from)));
+        }
+    }
+
+    /// Correct p0 broadcasts in round 0; corrupt p1 listens.
+    fn beacon_and_ear() -> Vec<Box<dyn AnyActor<Msg = Tick>>> {
+        vec![
+            Box::new(Latch { id: ProcessId(0), heard: 0, target: 2 }),
+            Box::new(Ear { id: ProcessId(1), heard: Vec::new() }),
+        ]
+    }
+
+    fn ear(report: &ClusterReport<Tick>) -> &[(u64, ProcessId)] {
+        &report.actors[1].as_any().downcast_ref::<Ear>().expect("p1 is the ear").heard
+    }
+
+    #[test]
+    fn a_corrupt_process_hears_correct_traffic_in_the_round_it_is_sent() {
+        let config = DesConfig { corrupt: vec![ProcessId(1)], max_rounds: 3, ..Default::default() };
+        let report = run_des_cluster(beacon_and_ear(), None, config).unwrap();
+        assert_eq!(ear(&report), [(0, ProcessId(0))], "rushed: round-0 traffic in round 0");
+        // Correct, p1 would have heard it in round 1 like everyone else.
+        let report = run_des_cluster(
+            beacon_and_ear(),
+            None,
+            DesConfig { max_rounds: 3, ..Default::default() },
+        )
+        .unwrap();
+        assert_eq!(ear(&report), [(1, ProcessId(0))]);
+    }
+
+    #[test]
+    fn a_fault_delayed_copy_to_a_corrupt_process_does_not_rush() {
+        // p0's round-0 copy to p1 is released at p0's round-1 turn. It
+        // keeps `sent_round` 0, so it is not the round p0 is executing:
+        // it takes a sampled latency and lands in the round after.
+        let delay: LinkPolicyFactory = Arc::new(|_| {
+            Box::new(|l: meba_sim::faults::Link, r: u64| {
+                if l.to == ProcessId(1) && r == 0 {
+                    meba_sim::faults::LinkFate::DelayRounds(1)
+                } else {
+                    meba_sim::faults::LinkFate::Deliver
+                }
+            })
+        });
+        let config = DesConfig {
+            corrupt: vec![ProcessId(1)],
+            link_policy: Some(delay),
+            max_rounds: 4,
+            ..Default::default()
+        };
+        let report = run_des_cluster(beacon_and_ear(), None, config).unwrap();
+        assert_eq!(ear(&report), [(2, ProcessId(0))]);
+        assert_eq!(report.metrics.link(ProcessId(0), ProcessId(1)).delayed, 1);
+    }
+
+    #[test]
+    fn a_crash_victim_leaves_the_done_check_and_keeps_its_correct_words() {
+        // p2 broadcasts in round 0 as a correct process, then is down for
+        // good from round 1: it never hears the other two, and the run
+        // completes without it.
+        let crash: ProcessFateFactory = Arc::new(|p: ProcessId| {
+            if p == ProcessId(2) {
+                crate::ProcessFate::Crash { at_round: 1 }
+            } else {
+                crate::ProcessFate::Run
+            }
+        });
+        let config = DesConfig { process_fate: Some(crash), ..Default::default() };
+        let report = run_des_cluster(latches(3), None, config).unwrap();
+        assert!(report.completed, "the victim is not awaited");
+        assert_eq!(report.rounds, 2);
+        let p2 = report.actors[2].as_any().downcast_ref::<Latch>().unwrap();
+        assert_eq!(p2.heard, 0, "down from round 1: nothing admitted");
+        assert_eq!(
+            report.metrics.correct.words, 6,
+            "3 broadcasts × 2 remote copies, p2's included"
+        );
+        assert_eq!(report.metrics.byzantine.words, 0);
+        assert_eq!(report.metrics.recovery.crash_restarts, 0, "a crash is not a restart");
+        assert_eq!(report.metrics.link(ProcessId(0), ProcessId(2)).delivered, 0);
     }
 
     #[test]

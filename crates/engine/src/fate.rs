@@ -1,5 +1,6 @@
-//! Process-level fault injection: crash-restart fates and the rebuilder
-//! hook that restores a crashed process from its durable journal.
+//! Process-level fault injection: crash and crash-restart fates, and the
+//! rebuilder hook that restores a crashed process from its durable
+//! journal.
 //!
 //! Every backend resolves each process's [`ProcessFate`] **exactly once**,
 //! before the run starts, via [`resolve_fates`]: the historical bug class
@@ -17,6 +18,18 @@ use std::sync::Arc;
 pub enum ProcessFate {
     /// Run normally for the whole run (the default).
     Run,
+    /// Correct until the start of round `at_round`, then down for good:
+    /// from that round on the process neither sends nor drains, and
+    /// fault-delayed copies it had not yet released die with it. This is
+    /// the adaptive adversary corrupting a process mid-run by crashing it,
+    /// with honest scheduling up to the crash. The words it sent before
+    /// count toward correct-process complexity (it *was* correct then),
+    /// no backend waits for it to finish, and it is not a restart, so
+    /// `recovery.crash_restarts` does not count it.
+    Crash {
+        /// First round the process is down for.
+        at_round: u64,
+    },
     /// Crash at the start of round `at_round`: all in-memory state and
     /// buffered messages are lost and inbound traffic is discarded while
     /// down. After `rejoin_after` dead rounds the process restarts via
@@ -64,9 +77,14 @@ pub type ActorRebuilder<M> = Arc<dyn Fn(ProcessId) -> RebuiltActor<M> + Send + S
 pub enum ResolvedFate {
     /// Run normally for the whole run.
     Run,
+    /// [`ProcessFate::Crash`]: down for good from the start of `at_round`.
+    Crash {
+        /// First round the process is down for.
+        at_round: u64,
+    },
     /// Crash at the start of `at_round`; rejoin at the start of
     /// `rejoin_at` (`None` = never — the crash is permanent).
-    Crash {
+    CrashRestart {
         /// First round the process is down for.
         at_round: u64,
         /// First round at which the restart fires, if the run can
@@ -83,10 +101,19 @@ pub enum ResolvedFate {
 pub fn resolve_fate(fate: ProcessFate, has_rebuilder: bool) -> ResolvedFate {
     match fate {
         ProcessFate::Run => ResolvedFate::Run,
-        ProcessFate::CrashRestart { at_round, rejoin_after } => ResolvedFate::Crash {
+        ProcessFate::Crash { at_round } => ResolvedFate::Crash { at_round },
+        ProcessFate::CrashRestart { at_round, rejoin_after } => ResolvedFate::CrashRestart {
             at_round,
             rejoin_at: has_rebuilder.then(|| at_round.saturating_add(rejoin_after)),
         },
+    }
+}
+
+impl ResolvedFate {
+    /// Whether the run waits for this process to finish: every process
+    /// except a [`ProcessFate::Crash`] victim, which is a fault of the run.
+    pub fn awaited(&self) -> bool {
+        !matches!(self, ResolvedFate::Crash { .. })
     }
 }
 
@@ -120,11 +147,24 @@ mod tests {
     #[test]
     fn crash_restart_without_rebuilder_is_rejected_up_front() {
         let fate = ProcessFate::CrashRestart { at_round: 3, rejoin_after: 2 };
-        assert_eq!(resolve_fate(fate, false), ResolvedFate::Crash { at_round: 3, rejoin_at: None });
+        assert_eq!(
+            resolve_fate(fate, false),
+            ResolvedFate::CrashRestart { at_round: 3, rejoin_at: None }
+        );
         assert_eq!(
             resolve_fate(fate, true),
-            ResolvedFate::Crash { at_round: 3, rejoin_at: Some(5) }
+            ResolvedFate::CrashRestart { at_round: 3, rejoin_at: Some(5) }
         );
+        assert!(resolve_fate(fate, false).awaited(), "a restart victim is still awaited");
+    }
+
+    #[test]
+    fn crash_is_never_a_restart_and_never_awaited() {
+        for has_rebuilder in [false, true] {
+            let fate = resolve_fate(ProcessFate::Crash { at_round: 4 }, has_rebuilder);
+            assert_eq!(fate, ResolvedFate::Crash { at_round: 4 });
+            assert!(!fate.awaited());
+        }
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! Runtime-agnostic round engine for the `meba` protocols.
 //!
-//! The workspace runs the same [`meba_sim::Actor`] state machines on four
-//! backends — the lockstep simulator (`meba-sim`), a threaded wall-clock
-//! cluster ([`run_cluster`]), a real-TCP cluster (`meba-wire`), and this
-//! crate's deterministic discrete-event backend for large n. All four
+//! The workspace runs the same [`meba_sim::Actor`] state machines on three
+//! backends — this crate's deterministic discrete-event backend, a
+//! threaded wall-clock cluster ([`run_cluster`]), and a real-TCP cluster
+//! (`meba-wire`) — and the lockstep [`Simulation`] is the first of them
+//! under its lockstep driver, stepped a round at a time. All three
 //! execute a process's round through one body,
 //! [`meba_sim::body::run_live_round`], over a
 //! [`meba_sim::body::Transport`] — how bytes move: send / drain / sever /
 //! crash, with backpressure surfaced for accounting. This crate supplies
-//! the transports of the last three ([`ChannelTransport`] over bounded
-//! crossbeam channels, `meba-wire`'s TCP mesh, the discrete-event queue
-//! in [`des`]) and everything around the body that the lockstep
-//! simulator does not need:
+//! the transports (the discrete-event queue in [`des`],
+//! [`ChannelTransport`] over bounded crossbeam channels, and the
+//! machinery `meba-wire`'s TCP mesh plugs into) and everything around
+//! the body:
 //!
 //! * [`DeadlinePacer`] — when wall-clock rounds happen, with
-//!   δ-escalation; the discrete-event backend owns a virtual clock and
-//!   the lockstep simulator's barrier needs none.
+//!   δ-escalation; the discrete-event backend owns a virtual clock.
 //! * [`RoundDriver`] — *why* a process advances: the lockstep global
 //!   schedule (default), or event-driven quorum-or-timeout partial
 //!   synchrony where each process advances on a quorum of prior-round
@@ -26,16 +26,21 @@
 //!   (which does inbox partitioning by `sent_round`, word/byte/per-link
 //!   accounting into a `&mut Metrics` the backend owns, and
 //!   [`meba_sim::faults::LinkPolicy`] fault application): a per-sender
-//!   link policy, [`ProcessFate`] crash-restart execution, and
+//!   link policy, [`ProcessFate`] crash and crash-restart execution, and
 //!   journal-replay rejoin.
 //! * [`run_threaded_cluster`] — generic thread-per-process execution with
 //!   coordinator stop decisions, overrun monitoring, and δ-escalation
 //!   (the machinery behind [`run_cluster`] and
 //!   `meba_wire::run_tcp_cluster`).
-//! * [`run_des_cluster`] — the fourth backend: seeded virtual clock,
-//!   calendar-bucket event queue ([`calendar`]), no threads; n = 100–200
-//!   runs in milliseconds for asymptotic word/round curves, and
-//!   failure-free runs scale past n = 4000.
+//! * [`run_des_cluster`] — seeded virtual clock, calendar-bucket event
+//!   queue ([`calendar`]), no threads; n = 100–200 runs in milliseconds
+//!   for asymptotic word/round curves, and failure-free runs scale past
+//!   n = 4000. Under the lockstep driver its corrupt processes are the
+//!   rushing adversary, always.
+//! * [`SimBuilder`] / [`Simulation`] — the same event loop under the
+//!   lockstep driver with aligned clocks and no round budget, stepped one
+//!   round at a time: the harness the protocol crates' unit tests and
+//!   the experiment runners drive.
 //!
 //! Fates are resolved exactly once per process, up front
 //! ([`resolve_fates`]): a `CrashRestart` without a rebuilder is rejected
@@ -54,6 +59,7 @@ pub mod driver;
 pub mod fate;
 pub mod pacer;
 pub mod process;
+pub mod simulation;
 
 pub use calendar::{CalendarQueue, TimeKeyed};
 pub use channel::{channel_mesh, run_cluster, run_cluster_with_recovery, ChannelTransport};
@@ -67,6 +73,7 @@ pub use fate::{
 };
 pub use pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer};
 pub use process::{EngineProcess, StepStatus};
+pub use simulation::{RunError, SimBuilder, Simulation};
 
 #[cfg(test)]
 mod tests {

@@ -4,9 +4,9 @@
 //! in [`crate::process`]) from *when rounds happen*. On the wall clock
 //! that is a [`DeadlinePacer`]: δ-pacing with escalation, shared by the
 //! threaded and TCP backends. Rounds start at real instants; processing
-//! past a deadline is a synchrony overrun. (The discrete-event backend
-//! owns a virtual clock instead — nothing there sleeps or overruns — and
-//! the lockstep simulator's barrier needs no clock at all.)
+//! past a deadline is a synchrony overrun. (The discrete-event backend,
+//! and the lockstep `Simulation` built on it, own a virtual clock
+//! instead — nothing there sleeps or overruns.)
 
 use parking_lot::RwLock;
 use std::fmt;

@@ -23,14 +23,14 @@ pub struct StepStatus {
     pub late_admitted: u64,
 }
 
-/// One process as the engine drives it: the actor, its persistent round
-/// state, its outbound link policy, and its resolved crash-restart fate.
+/// One process as the engine drives it: its persistent round state, its
+/// outbound link policy, and its resolved fate. The actor itself stays
+/// with the backend, which lends it to every call — so a run keeps its
+/// actors in one slice, in process order, for post-run inspection.
 /// Backends own the pacing and the stop decision; this type owns
 /// everything that happens *inside* a round, including the fate
-/// execution and journal-replay rejoin that PR 4 previously duplicated
-/// per runtime.
+/// execution and journal-replay rejoin.
 pub struct EngineProcess<M: Message> {
-    actor: Box<dyn AnyActor<Msg = M>>,
     n: usize,
     sender_correct: bool,
     fate: ResolvedFate,
@@ -42,37 +42,34 @@ pub struct EngineProcess<M: Message> {
 }
 
 impl<M: Message> EngineProcess<M> {
-    /// Wraps one actor for engine driving. `fate` must already be
-    /// resolved (see [`crate::resolve_fates`]) — the driver never
-    /// consults the rebuilder's presence mid-run.
+    /// Engine state for one process. `fate` must already be resolved
+    /// (see [`crate::resolve_fates`]) — the driver never consults the
+    /// rebuilder's presence mid-run. A `rushing` process admits the
+    /// round being executed as well as earlier ones
+    /// ([`RoundState::rushing`]).
     pub fn new(
-        actor: Box<dyn AnyActor<Msg = M>>,
         n: usize,
         sender_correct: bool,
+        rushing: bool,
         fate: ResolvedFate,
         rebuilder: Option<ActorRebuilder<M>>,
         policy: Option<Box<dyn LinkPolicy>>,
     ) -> Self {
         debug_assert!(
-            !matches!(fate, ResolvedFate::Crash { rejoin_at: Some(_), .. }) || rebuilder.is_some(),
+            !matches!(fate, ResolvedFate::CrashRestart { rejoin_at: Some(_), .. })
+                || rebuilder.is_some(),
             "a fate resolved to rejoin requires a rebuilder"
         );
         EngineProcess {
-            actor,
             n,
             sender_correct,
             fate,
             rebuilder,
             policy,
-            state: RoundState::new(),
+            state: if rushing { RoundState::rushing() } else { RoundState::new() },
             dead: false,
             rejoin_round: None,
         }
-    }
-
-    /// This process's id.
-    pub fn id(&self) -> ProcessId {
-        self.actor.id()
     }
 
     /// Whether the process is currently crashed (dead rounds discard
@@ -81,20 +78,25 @@ impl<M: Message> EngineProcess<M> {
         self.dead
     }
 
-    /// [`RoundState::ready_senders`] for this process — 0 while crashed
+    /// [`RoundState::ready_senders`] for process `me` — 0 while crashed
     /// (a dead process holds no evidence and never advances early).
-    pub fn ready_senders(&mut self, round: u64, transport: &mut dyn Transport<M>) -> usize {
+    pub fn ready_senders(
+        &mut self,
+        me: ProcessId,
+        round: u64,
+        transport: &mut dyn Transport<M>,
+    ) -> usize {
         if self.dead {
             return 0;
         }
-        self.state.ready_senders(self.actor.id(), round, transport)
+        self.state.ready_senders(me, round, transport)
     }
 
     /// The earliest round after `after` (the round that just ran) this
     /// process must execute if nothing is delivered to it before then —
     /// the minimum over every wake source that is not an arrival:
     ///
-    /// * the actor's own [`meba_sim::Actor::next_wakeup`] hint;
+    /// * `actor`'s own [`meba_sim::Actor::next_wakeup`] hint;
     /// * the next round if the buffer kept early deliveries (they are
     ///   admitted there);
     /// * the first pending fault-delayed send's release round;
@@ -104,34 +106,45 @@ impl<M: Message> EngineProcess<M> {
     ///
     /// `u64::MAX` when none applies. Rounds strictly between are no-ops
     /// for everything this type owns; see DESIGN.md §18.
-    pub fn next_wakeup(&self, after: u64) -> u64 {
+    pub fn next_wakeup(&self, actor: &dyn AnyActor<Msg = M>, after: u64) -> u64 {
         let next = after + 1;
         if self.state.has_buffered() {
             return next;
         }
-        let mut wake = self.actor.next_wakeup(Round(after)).as_u64();
+        let mut wake = actor.next_wakeup(Round(after)).as_u64();
         if let Some(release) = self.state.next_release(next) {
             wake = wake.min(release);
         }
-        if let ResolvedFate::Crash { at_round, rejoin_at } = self.fate {
-            if self.dead {
-                wake = wake.min(rejoin_at.unwrap_or(u64::MAX));
-            } else if at_round > after {
-                wake = wake.min(at_round);
-            }
+        let (at_round, rejoin_at) = self.down_at();
+        if self.dead {
+            wake = wake.min(rejoin_at.unwrap_or(u64::MAX));
+        } else if let Some(at_round) = at_round.filter(|&r| r > after) {
+            wake = wake.min(at_round);
         }
         wake.max(next)
     }
 
-    /// Executes one engine round: fate handling (crash, dead-round
-    /// discard, journal-replay rejoin) around [`run_live_round`].
+    /// The round the fate takes the process down in, and the round it
+    /// rejoins in, where there is one.
+    fn down_at(&self) -> (Option<u64>, Option<u64>) {
+        match self.fate {
+            ResolvedFate::Run => (None, None),
+            ResolvedFate::Crash { at_round } => (Some(at_round), None),
+            ResolvedFate::CrashRestart { at_round, rejoin_at } => (Some(at_round), rejoin_at),
+        }
+    }
+
+    /// Executes one engine round of `actor`: fate handling (crash,
+    /// dead-round discard, journal-replay rejoin, which replaces the
+    /// actor) around [`run_live_round`].
     pub fn step<T: Transport<M>>(
         &mut self,
+        actor: &mut Box<dyn AnyActor<Msg = M>>,
         round: u64,
         transport: &mut T,
         metrics: &mut Metrics,
     ) -> StepStatus {
-        if let ResolvedFate::Crash { at_round, rejoin_at } = self.fate {
+        if let (Some(at_round), rejoin_at) = self.down_at() {
             if !self.dead && self.rejoin_round.is_none() && round == at_round {
                 // Crash: in-memory state, buffered inbox, and pending
                 // delayed sends are all lost; the transport tears down
@@ -140,8 +153,9 @@ impl<M: Message> EngineProcess<M> {
                 transport.crash();
                 self.state.clear();
                 // A corrupt process's crash is its fault, already
-                // counted; the ledger counts the crashes of correct ones.
-                if self.sender_correct {
+                // counted, and so is a `Crash` victim's; the ledger
+                // counts the restarts of correct ones.
+                if self.sender_correct && self.fate.awaited() {
                     metrics.recovery.crash_restarts += 1;
                 }
             }
@@ -153,17 +167,17 @@ impl<M: Message> EngineProcess<M> {
                 // omissions, which the help machinery compensates for.
                 let rebuild =
                     self.rebuilder.as_ref().expect("rejoin_at is only resolved with a rebuilder");
-                let rb = rebuild(self.actor.id());
-                self.actor = rb.actor;
+                let rb = rebuild(actor.id());
+                *actor = rb.actor;
                 metrics.recovery.replayed_records += rb.replayed_records;
                 metrics.recovery.journal_fsyncs += rb.journal_fsyncs;
                 let empty: Vec<Envelope<M>> = Vec::new();
                 for r in 0..round {
-                    let mut ctx = RoundCtx::new(Round(r), self.actor.id(), self.n, &empty);
-                    self.actor.on_round(&mut ctx);
+                    let mut ctx = RoundCtx::new(Round(r), actor.id(), self.n, &empty);
+                    actor.on_round(&mut ctx);
                     drop(ctx.take_outbox());
                 }
-                self.actor.on_rejoin(Round(round));
+                actor.on_rejoin(Round(round));
                 self.dead = false;
                 self.rejoin_round = Some(round);
             }
@@ -176,7 +190,7 @@ impl<M: Message> EngineProcess<M> {
         }
 
         let outcome = run_live_round(
-            self.actor.as_mut(),
+            actor.as_mut(),
             transport,
             &mut self.state,
             &mut self.policy,
@@ -193,12 +207,5 @@ impl<M: Message> EngineProcess<M> {
             }
         }
         StepStatus { executed: true, done: outcome.done, late_admitted: outcome.late_admitted }
-    }
-
-    /// Ends the run for this process: harvests its equivocation-refusal
-    /// counter into `metrics` and returns the actor for inspection.
-    pub fn finish(self, metrics: &mut Metrics) -> Box<dyn AnyActor<Msg = M>> {
-        metrics.recovery.refused_equivocations += self.actor.refused_equivocations();
-        self.actor
     }
 }

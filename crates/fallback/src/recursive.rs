@@ -413,7 +413,8 @@ mod tests {
     use super::*;
     use meba_core::LockstepAdapter;
     use meba_crypto::trusted_setup;
-    use meba_sim::{AnyActor, IdleActor, SimBuilder, Simulation};
+    use meba_engine::{SimBuilder, Simulation};
+    use meba_sim::{AnyActor, IdleActor};
 
     type Msg = RecBaMsg<u64>;
 

@@ -3,8 +3,9 @@
 
 use meba_core::{LockstepAdapter, SubProtocol, SystemConfig};
 use meba_crypto::{trusted_setup, ProcessId};
+use meba_engine::SimBuilder;
 use meba_fallback::{GaInstance, InstanceId, RecBaMsg, RecursiveBa, Scope, GA_STEPS};
-use meba_sim::{Actor, AnyActor, IdleActor, RoundCtx, SimBuilder};
+use meba_sim::{Actor, AnyActor, IdleActor, RoundCtx};
 use proptest::prelude::*;
 
 /// Wraps a GaInstance as a lockstep actor.

@@ -33,7 +33,8 @@
 //! use meba_crypto::{trusted_setup, ProcessId};
 //! use meba_fallback::RecursiveBaFactory;
 //! use meba_service::{Op, ServiceConfig, ServicePort, ServiceReplica};
-//! use meba_sim::{AnyActor, SimBuilder};
+//! use meba_engine::SimBuilder;
+//! use meba_sim::AnyActor;
 //!
 //! // A 3-replica service; client 7 submits one op to replica 0.
 //! let n = 3;

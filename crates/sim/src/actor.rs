@@ -2,6 +2,7 @@
 
 use crate::round::Round;
 use meba_crypto::ProcessId;
+use std::any::Any;
 use std::fmt;
 
 /// A protocol message deliverable by the simulator.
@@ -81,9 +82,9 @@ pub struct RoundCtx<'a, M> {
 }
 
 impl<'a, M: Message> RoundCtx<'a, M> {
-    /// Builds a context for one round. Public so alternative runtimes
-    /// (e.g. the threaded `meba-engine` cluster) can drive actors; the
-    /// lockstep simulator uses it internally.
+    /// Builds a context for one round. Public so runtimes (the round
+    /// body, journal-replay rejoin, wrapping adversaries) can drive
+    /// actors.
     pub fn new(round: Round, me: ProcessId, n: usize, inbox: &'a [Envelope<M>]) -> Self {
         RoundCtx { round, me, n, inbox, outbox: Vec::new() }
     }
@@ -134,8 +135,8 @@ impl<'a, M: Message> RoundCtx<'a, M> {
 ///
 /// Correct processes implement the protocol; Byzantine processes (see the
 /// `meba-adversary` crate) implement arbitrary behaviour over the same
-/// interface — the simulator gives them no extra powers beyond the keys
-/// they hold and, on the lockstep simulator, rushing delivery.
+/// interface — the runtimes give them no extra powers beyond the keys
+/// they hold and, on a lockstep discrete-event run, rushing delivery.
 pub trait Actor: Send {
     /// The message type this actor exchanges.
     type Msg: Message;
@@ -183,10 +184,23 @@ pub trait Actor: Send {
     ///
     /// The default, `after + 1`, promises nothing and keeps an actor
     /// ticking every round. Only the discrete-event backend consults the
-    /// hint (DESIGN.md §18); the wall-clock runtimes and the lockstep
-    /// simulator run every round regardless.
+    /// hint, under its lockstep driver (DESIGN.md §18) — the lockstep
+    /// `Simulation` included; the wall-clock runtimes run every round
+    /// regardless.
     fn next_wakeup(&self, after: Round) -> Round {
         after.next()
+    }
+}
+
+/// A boxed actor with runtime downcasting support.
+pub trait AnyActor: Actor {
+    /// Upcasts to [`Any`] for post-run inspection.
+    fn as_any(&self) -> &dyn Any;
+}
+
+impl<T: Actor + Any> AnyActor for T {
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 

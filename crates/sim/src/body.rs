@@ -1,11 +1,11 @@
 //! The round body every backend runs: one process's round is
 //! [`run_live_round`] over a [`Transport`] — release pending → drain →
 //! partition by `sent_round` → step → bill and dispatch the outbox. The
-//! lockstep [`crate::Simulation`] and the three `meba-engine` backends
-//! (threads, TCP, discrete-event) differ only in the transport they plug
-//! in and in *when* they call it, so inbox partitioning, word/byte/link
-//! accounting and send-edge fault application exist in exactly one
-//! place.
+//! three `meba-engine` backends (discrete-event — whose lockstep
+//! configuration is the `Simulation` — threads, TCP) differ only in the
+//! transport they plug in and in *when* they call it, so inbox
+//! partitioning, word/byte/link accounting and send-edge fault
+//! application exist in exactly one place.
 
 use crate::faults::{Link, LinkFate, LinkPolicy};
 use crate::metrics::{targets, MessageCost};
@@ -27,9 +27,8 @@ pub struct Delivery<M> {
 }
 
 /// One process's view of the network: the round body is generic over
-/// this trait, and each backend (the lockstep simulator's lanes,
-/// crossbeam channels, TCP mesh, discrete-event queue) supplies its own
-/// implementation.
+/// this trait, and each backend (discrete-event queue, crossbeam
+/// channels, TCP mesh) supplies its own implementation.
 ///
 /// Implementations carry bytes; *all* word/byte accounting, link-fault
 /// application, and round bookkeeping happen in [`run_live_round`],
@@ -70,8 +69,9 @@ pub trait Transport<M: Message> {
 pub struct RoundState<M: Message> {
     buffer: Vec<Delivery<M>>,
     pending: BTreeMap<u64, Vec<(ProcessId, u64, M)>>,
-    // A rushing process (the lockstep simulator's corrupt ones) admits
-    // this round's traffic too: `sent_round ≤ round` instead of `<`.
+    // A rushing process (a corrupt one on a lockstep discrete-event run)
+    // admits this round's traffic too: `sent_round ≤ round` instead of
+    // `<`.
     rushing: bool,
     // Scratch storage reused across rounds so the steady-state round
     // body allocates nothing: this round's inbox, the kept-for-later
@@ -97,9 +97,9 @@ impl<M: Message> RoundState<M> {
 
     /// Empty state for a *rushing* process: [`run_live_round`] admits
     /// deliveries sent in the round being executed as well as earlier
-    /// ones — the rushing adversary's view of correct traffic, which the
-    /// lockstep simulator hands its corrupt processes after every correct
-    /// one has sent.
+    /// ones — the rushing adversary's view of correct traffic, which a
+    /// lockstep discrete-event run hands its corrupt processes after
+    /// every correct one has sent.
     pub fn rushing() -> Self {
         RoundState { rushing: true, ..Self::new() }
     }
@@ -195,8 +195,8 @@ impl<M: Message> Default for RoundState<M> {
 /// step plus how many admitted deliveries had already missed their
 /// intended round. This function is the one implementation of the round
 /// body for every backend; `metrics` is the caller's own ledger — the
-/// whole run's on the lockstep simulator and the single-threaded DES,
-/// this process's shard on a paced thread.
+/// whole run's on the single-threaded DES, this process's shard on a
+/// paced thread.
 #[allow(clippy::too_many_arguments)]
 pub fn run_live_round<M: Message>(
     actor: &mut dyn AnyActor<Msg = M>,

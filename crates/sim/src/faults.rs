@@ -7,22 +7,23 @@
 //! across round boundaries, transient partitions, torn connections).
 //! [`LinkFate`] and [`LinkPolicy`] are the workspace's only fault
 //! vocabulary; every backend interprets them directly, so one seeded
-//! plan runs unchanged on all four:
+//! plan runs unchanged on all of them:
 //!
-//! * the **lockstep simulator** ([`crate::SimBuilder::link_policy`]) — a
-//!   run is a pure function of the seed, so lossy-link tests reproduce
-//!   exactly;
-//! * the **threaded cluster**, the **discrete-event backend** and the
-//!   **TCP cluster** (`meba-engine`'s `ClusterConfig::link_policy` /
-//!   `DesConfig::link_policy`) — each sender owns a policy instance for
-//!   its outbound links, and the same seed yields the same fate for the
-//!   same `(link, round, nth message)` triple.
+//! * the **lockstep simulation** (`meba-engine`'s
+//!   `SimBuilder::link_policy`) — one instance judges every sender's
+//!   links, and a run is a pure function of the seed, so lossy-link tests
+//!   reproduce exactly;
+//! * the **discrete-event backend**, the **threaded cluster** and the
+//!   **TCP cluster** (`DesConfig::link_policy` /
+//!   `ClusterConfig::link_policy`) — each sender owns a policy instance
+//!   for its outbound links, and the same seed yields the same fate for
+//!   the same `(link, round, nth message)` triple.
 //!
 //! [`LinkFate::Sever`] tears a connection down only where there is one:
 //! over TCP the socket is closed and the link re-dials and re-handshakes
-//! before carrying further traffic; the lockstep simulator, the channel
-//! mesh, the discrete-event queue and `meba-adversary`'s
-//! `LossyLinkActor` have no connections and treat it as [`LinkFate::Drop`].
+//! before carrying further traffic; the channel mesh, the discrete-event
+//! queue and `meba-adversary`'s `LossyLinkActor` have no connections and
+//! treat it as [`LinkFate::Drop`].
 //!
 //! Determinism: stock policies never consult ambient randomness. Every
 //! decision is a pure function of `(seed, from, to, round, seq)` where

@@ -1,14 +1,16 @@
-//! Deterministic lockstep synchronous network simulator.
+//! The synchronous round model every `meba` backend runs.
 //!
 //! Models the paper's network (§2): a static set `Π` of `n` processes,
 //! reliable authenticated point-to-point links, and a known delay bound
 //! `δ`, normalized to one round. Protocols are [`Actor`] state machines;
 //! Byzantine behaviour is just another `Actor` implementation (see
-//! `meba-adversary`), scheduled with *rushing* delivery.
+//! `meba-adversary`).
 //!
-//! [`body::run_live_round`] is the round body of every backend — this
-//! crate's [`Simulation`] and `meba-engine`'s threaded, TCP and
-//! discrete-event runtimes — so one execution model underlies them all.
+//! [`body::run_live_round`] is the round body of every backend —
+//! `meba-engine`'s discrete-event, threaded and TCP runtimes, and the
+//! lockstep `Simulation` it builds on the discrete-event one — so one
+//! execution model underlies them all. This crate holds no clock: when a
+//! round runs is the backend's business.
 //!
 //! Communication complexity is accounted exactly as the paper defines it:
 //! words sent by correct processes ([`Metrics::correct_words`]), with
@@ -17,9 +19,12 @@
 //!
 //! # Examples
 //!
+//! One round of an actor, driven by hand — what every backend does
+//! around [`body::run_live_round`]:
+//!
 //! ```
 //! use meba_crypto::ProcessId;
-//! use meba_sim::{Actor, AnyActor, Message, Round, RoundCtx, SimBuilder};
+//! use meba_sim::{Actor, Dest, Envelope, Message, Round, RoundCtx};
 //!
 //! #[derive(Clone, Debug)]
 //! struct Hello;
@@ -38,13 +43,14 @@
 //!     fn done(&self) -> bool { self.heard >= 3 }
 //! }
 //!
-//! let actors: Vec<Box<dyn AnyActor<Msg = Hello>>> = (0..3)
-//!     .map(|i| Box::new(Node { id: ProcessId(i), heard: 0 }) as _)
-//!     .collect();
-//! let mut sim = SimBuilder::new(actors).build();
-//! sim.run_until_done(10)?;
-//! assert_eq!(sim.metrics().correct_words(), 6); // 3 broadcasts × 2 remote copies
-//! # Ok::<(), meba_sim::RunError>(())
+//! let mut node = Node { id: ProcessId(0), heard: 0 };
+//! let inbox = [Envelope { from: ProcessId(1), msg: Hello }];
+//! let mut ctx = RoundCtx::new(Round(0), node.id, 3, &inbox);
+//! node.on_round(&mut ctx);
+//! let outbox = ctx.take_outbox();
+//! assert_eq!(outbox.len(), 1);
+//! assert_eq!(outbox[0].0, Dest::All);
+//! assert_eq!(node.heard, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -55,10 +61,9 @@ pub mod body;
 pub mod faults;
 pub mod metrics;
 pub mod round;
-pub mod runner;
 pub mod session;
 
-pub use actor::{Actor, Dest, Envelope, IdleActor, Message, RoundCtx};
+pub use actor::{Actor, AnyActor, Dest, Envelope, IdleActor, Message, RoundCtx};
 pub use faults::{
     BernoulliDrop, Link, LinkFate, LinkPolicy, OneShotPartition, PolicyStack, RandomDelay,
     ReliableLinks, SeverAt,
@@ -68,7 +73,6 @@ pub use metrics::{
     SessionStats,
 };
 pub use round::Round;
-pub use runner::{AnyActor, RunError, SimBuilder, Simulation};
 pub use session::{
     Instance, Mux, MuxHost, RecoveryEvent, SessionEnvelope, SessionId, SessionSpawnError,
     SubProtocol,

@@ -12,8 +12,8 @@
 //! [`MessageCost::of`] (floor at 1 word), [`targets`] (who gets a copy)
 //! and [`Metrics::bill`] (a copy is billed as sent whatever its
 //! [`LinkFate`]) serve [`crate::body::run_live_round`], the round body
-//! of all four backends; [`Metrics::merge`] folds the per-thread shards
-//! of the paced ones.
+//! of every backend; [`Metrics::merge`] folds the per-thread shards of
+//! the paced ones.
 
 use crate::actor::{Dest, Message};
 use crate::faults::{Link, LinkFate};
@@ -245,8 +245,7 @@ impl SessionStats {
 /// driver the advance moment is the global schedule, and the cause
 /// records whether quorum was satisfied at that deadline — so a
 /// failure-free chatty run is all-quorum, while the adaptive protocols'
-/// silent rounds necessarily advance on timeout. All-zero for backends
-/// that predate cause recording (the lockstep simulator).
+/// silent rounds necessarily advance on timeout.
 ///
 /// [`quorum`]: AdvanceStats::quorum
 /// [`timeout`]: AdvanceStats::timeout
@@ -466,8 +465,7 @@ pub struct Metrics {
     /// `CrashRestart` fault injection).
     pub recovery: RecoveryStats,
     /// Round-advance causes (quorum vs timeout), summed over processes
-    /// and rounds. All-zero for the lockstep simulator, which has no
-    /// notion of per-process advancement.
+    /// and rounds.
     pub advance: AdvanceStats,
 }
 

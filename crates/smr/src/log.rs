@@ -441,8 +441,9 @@ where
 mod tests {
     use super::*;
     use meba_crypto::trusted_setup;
+    use meba_engine::{SimBuilder, Simulation};
     use meba_fallback::RecursiveBaFactory;
-    use meba_sim::{AnyActor, IdleActor, SimBuilder, Simulation};
+    use meba_sim::{AnyActor, IdleActor};
 
     type Log = ReplicatedLog<u64, RecursiveBaFactory>;
     type Msg = <Log as Actor>::Msg;

@@ -11,10 +11,11 @@
 //!   [`weak_ba_actors`], [`strong_ba_actors`] and [`log_actors`] are the
 //!   four protocol families as one-line constructors on it. The result
 //!   is a plain actor vector, runtime-free: hand it to any backend.
-//! * **Run.** [`sim`] builds the lockstep simulator ([`sim_builder`]
-//!   when a link policy or a crash is added), [`des`] runs the
-//!   deterministic discrete-event backend under a [`Timing`] (default:
-//!   lockstep) — the backend that makes n in the thousands practical.
+//! * **Run.** [`sim`] builds the lockstep [`Simulation`] ([`sim_builder`]
+//!   when a link policy or a crash is added) — the discrete-event
+//!   backend under its lockstep driver, stepped a round at a time;
+//!   [`des`] runs that backend to completion under a [`Timing`]
+//!   (default: lockstep), which makes n in the thousands practical.
 //!   [`meba_engine::run_cluster`] (threads) and
 //!   `meba_wire::run_tcp_cluster` (TCP) take the same vector with
 //!   [`corrupt_ids`].
@@ -41,14 +42,13 @@
 //! run.run_until_done(round_budget(7))?;
 //! let d = oracle::decided::<BbProc>(run.actors(), run.metrics(), &faults).assert_in_model();
 //! assert_eq!(d, Decision::Value(42));
-//! # Ok::<(), meba_sim::RunError>(())
+//! # Ok::<(), meba_engine::RunError>(())
 //! ```
 //!
-//! The same actors on the discrete-event backend — the same round body
-//! (`meba_sim::body::run_live_round`) under a virtual clock, without the
-//! lockstep simulator's rushing admission cut, so decisions, word counts
-//! and per-link counters are identical when the faults are
-//! scheduling-independent:
+//! The same actors run to completion on the discrete-event backend — the
+//! same event loop [`sim`] steps, so under the lockstep [`Timing`] the
+//! decisions, word counts and per-link counters are the same, rushing
+//! adversaries included:
 //!
 //! ```
 //! use meba_testkit::{bb_actors, des, oracle, BbProc, Fault, Timing};
@@ -96,7 +96,7 @@
 //! run.run_until_done(round_budget(5))?;
 //! let checked = oracle::decided::<BbProc>(run.actors(), run.metrics(), &faults);
 //! assert!(checked.violations.is_empty(), "{:?}", checked.violations);
-//! # Ok::<(), meba_sim::RunError>(())
+//! # Ok::<(), meba_engine::RunError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -117,9 +117,10 @@ use meba_core::{AlwaysValid, Bb, LockstepAdapter, StrongBa, SubProtocol, SystemC
 use meba_crypto::{trusted_setup, Decoder, Encoder, Pki, ProcessId, SecretKey, ThresholdSignature};
 pub use meba_engine::{default_quorum, AdvanceCause, RoundDriverConfig};
 use meba_engine::{run_des_cluster, ClusterReport, DesConfig, ProcessFate, ProcessFateFactory};
+use meba_engine::{SimBuilder, Simulation};
 use meba_fallback::RecursiveBaFactory;
 use meba_sim::faults::BernoulliDrop;
-use meba_sim::{Actor, AnyActor, IdleActor, Message, Round, SimBuilder, Simulation};
+use meba_sim::{Actor, AnyActor, IdleActor, Message, Round};
 use meba_smr::ReplicatedLog;
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -138,8 +139,8 @@ pub enum Fault {
     Idle,
     /// Runs the honest protocol under *Byzantine* (rushed) scheduling
     /// until the given round, then goes silent. For honest-until-crash
-    /// with honest scheduling, use [`meba_sim::SimBuilder::crash_at`]
-    /// instead.
+    /// with honest scheduling, use [`ProcessFate::Crash`] (on the
+    /// lockstep simulation, [`SimBuilder::crash_at`]) instead.
     CrashAt(u64),
     /// Replays observed messages at random (seeded).
     Chaos(u64),
@@ -410,8 +411,8 @@ pub fn log_actors(slots: u64, window: u64, faults: &[Fault]) -> Vec<Box<dyn AnyA
     cluster(Family::LOG.config(n), Family::LOG.key_seed, faults, honest, |_, _| None)
 }
 
-/// Builds the lockstep simulator over `actors`, with the processes
-/// `faults` marks Byzantine corrupt.
+/// Builds the lockstep simulation over `actors`, with the processes
+/// `faults` marks Byzantine corrupt (and rushing).
 pub fn sim<M: Message>(actors: Vec<Box<dyn AnyActor<Msg = M>>>, faults: &[Fault]) -> Simulation<M> {
     sim_builder(actors, faults).build()
 }

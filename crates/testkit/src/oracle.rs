@@ -437,7 +437,7 @@ fn judge<P: Probe>(correct: &[Triple<P>], f: u64, words: u64, bound: u64) -> Vec
 }
 
 /// Checks a finished run of protocol family `P`: `actors` are the run's
-/// actors ([`meba_sim::Simulation::actors`] or a cluster report's
+/// actors ([`meba_engine::Simulation::actors`] or a cluster report's
 /// `actors`), `metrics` its ledger, and `faults` the matrix that says
 /// which processes are correct. A run has `f = ` the processes `faults`
 /// marks Byzantine plus its crash-restarts, each of which counts as one
@@ -638,9 +638,9 @@ mod tests {
     use super::*;
     use crate::service::{service_replica, ServiceHarness, ServiceM};
     use crate::{log_round_budget, sim, WbaProc};
+    use meba_engine::Simulation;
     use meba_engine::{run_des_cluster, DesConfig};
     use meba_service::{Op, ServiceConfig};
-    use meba_sim::Simulation;
 
     /// A finished 3-replica, 3-slot cluster whose replica 0 was offered
     /// the one op `(client 4, seq 0)`: key 2 := `value`.

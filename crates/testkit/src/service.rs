@@ -203,8 +203,8 @@ pub fn service_pin(h: &ServiceHarness, metrics_json: &str, replicas: &[&ServiceP
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meba_engine::SimBuilder;
     use meba_service::Op;
-    use meba_sim::SimBuilder;
 
     #[test]
     fn harness_runs_and_commits_on_lockstep() {

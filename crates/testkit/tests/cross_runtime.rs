@@ -2,103 +2,104 @@
 //! same decisions — and, where scheduling is equivalent, the same word
 //! and round counts — on every backend the engine drives.
 //!
-//! The contract under test is the one round body all four backends run
+//! The contract under test is the one round body all backends run
 //! (`meba_sim::body::run_live_round`): a round is "release pending →
 //! drain → partition by `sent_round` → step → account and dispatch the
-//! outbox" on every backend, so moving a scenario from the lockstep
-//! simulator to the discrete-event queue, the threaded cluster, or real
-//! TCP sockets must not change what the protocol decides or how many
-//! words correct processes pay.
+//! outbox" on every backend, so moving a scenario from the discrete-event
+//! queue to the threaded cluster or real TCP sockets must not change what
+//! the protocol decides or how many words correct processes pay.
 //!
-//! The lockstep simulator's rushing adversary (corrupt actors observing
-//! a round's traffic early) is the one scheduling feature the other
-//! backends do not model, so fault matrices here are restricted to
-//! scheduling-independent faults (silent processes).
+//! The lockstep simulation *is* the discrete-event backend under the
+//! lockstep driver, so there is one virtual clock to check, not two: its
+//! runs must not depend on the link-latency seed, with every fault the
+//! testkit builds — the rushing adversary's included, since corrupt
+//! processes rush on every lockstep discrete-event run. Against the
+//! wall-clock backends only decisions and failure-free words are
+//! compared.
 
 use meba_core::{Decision, LockstepAdapter, StrongBa, SubProtocol};
 use meba_crypto::ProcessId;
 use meba_engine::{
     run_cluster, run_des_cluster, ActorRebuilder, ClusterConfig, DesConfig, LinkPolicyFactory,
-    ProcessFateFactory, RebuiltActor, RoundDriverConfig,
+    ProcessFateFactory, RebuiltActor, RoundDriverConfig, SimBuilder,
 };
 use meba_sim::faults::{Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt};
-use meba_sim::{Actor, AnyActor, Message, Round, RoundCtx, SimBuilder};
+use meba_sim::{Actor, AnyActor, Message, Round, RoundCtx};
 use meba_testkit::{
-    bb_actors, corrupt_ids, crash_restart, des, oracle, round_budget, sim, strong_ba_actors,
+    bb_actors, corrupt_ids, crash_restart, des, oracle, round_budget, strong_ba_actors,
     weak_ba_actors, BbProc, Fault, SbaProc, Timing, WbaProc,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// One fault the seed-invariance matrix may place: silent, honest then
+/// rushed-and-silent from a round, seeded replay, or behind lossy links.
+fn any_fault(k: &mut Knobs, n: usize) -> Fault {
+    match k.below(4) {
+        0 => Fault::Idle,
+        1 => Fault::CrashAt(k.below(8 * n as u64)),
+        2 => Fault::Lossy(k.next()),
+        _ => Fault::Chaos(k.next()),
+    }
+}
+
+/// A lockstep discrete-event run of `actors` under latency seed `seed`,
+/// checked by family `P`'s oracle and rendered whole: verdict, rounds,
+/// decisions and the serialized ledger.
+fn rendered<P: oracle::Probe>(
+    actors: Vec<Box<dyn AnyActor<Msg = <P::Actor as Actor>::Msg>>>,
+    faults: &[Fault],
+    seed: u64,
+) -> String {
+    let report = des(actors, faults, seed, &Timing::lockstep());
+    let decided = oracle::decided::<P>(&report.actors, &report.metrics, faults);
+    decided.assert_in_model();
+    let metrics = serde_json::to_string(&report.metrics).expect("metrics serialize");
+    format!("{} {} {:?} {metrics}", report.completed, report.rounds, decided.decisions)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    // The lockstep discrete-event run — what `sim` and `SimBuilder` drive
+    // — is one function of its actors: the link-latency seed only moves
+    // arrivals inside the round window, and a rushed copy lands at its
+    // send instant whatever the seed. For every family and up to t faults
+    // of every kind the testkit builds, two seeds give byte-identical
+    // `Metrics`, the same rounds and verdict, and the same decisions.
+    #[test]
+    fn lockstep_des_is_seed_invariant(
+        family in 0usize..4,
+        pick in 0usize..3,
+        knobs in any::<u64>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        let n = [5usize, 7, 9][pick];
+        let mut k = Knobs(knobs);
+        let mut faults = vec![Fault::None; n];
+        for _ in 0..k.below((n as u64 - 1) / 2 + 1) {
+            faults[k.below(n as u64) as usize] = any_fault(&mut k, n);
+        }
+        let (sender, input) = (k.below(n as u64) as u32, k.next() % 1_000);
+        let inputs: Vec<u64> = (0..n as u64).map(|i| 1 + (input + i) % 2).collect();
+        let bits: Vec<bool> = inputs.iter().map(|&v| v == 1).collect();
+        let run = |seed: u64| match family {
+            0 => rendered::<BbProc>(bb_actors(sender, input, &faults), &faults, seed),
+            1 => rendered::<WbaProc>(weak_ba_actors(&inputs, &faults), &faults, seed),
+            2 => rendered::<SbaProc>(strong_ba_actors(StrongBa::new, &bits, &faults), &faults, seed),
+            _ => {
+                let actors = strong_ba_actors(StrongBa::rotating, &bits, &faults);
+                rendered::<SbaProc>(actors, &faults, seed)
+            }
+        };
+        prop_assert_eq!(run(a), run(b), "{:?}", faults);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    // Failure-free BB: lockstep and discrete-event agree on decisions,
-    // correct words, and round count — for every system size, sender,
-    // input, and DES latency seed.
-    #[test]
-    fn bb_lockstep_and_des_are_equivalent(
-        pick in 0usize..3,
-        sender_raw in 0u32..7,
-        input in 1u64..1_000_000,
-        seed in any::<u64>(),
-    ) {
-        let n = [3usize, 5, 7][pick];
-        let sender = sender_raw % n as u32;
-        let faults = vec![Fault::None; n];
-
-        let mut sim = sim(bb_actors(sender, input, &faults), &faults);
-        sim.run_until_done(round_budget(n)).unwrap();
-        let lockstep = oracle::decided::<BbProc>(sim.actors(), sim.metrics(), &faults);
-
-        let report = des(bb_actors(sender, input, &faults), &faults, seed, &Timing::lockstep());
-        prop_assert!(report.completed, "DES run must complete");
-        let des = oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults);
-
-        prop_assert_eq!(&lockstep.decisions, &des.decisions, "decisions diverge across backends");
-        des.assert_in_model();
-        prop_assert_eq!(
-            sim.metrics().correct.words,
-            report.metrics.correct.words,
-            "correct word totals diverge across backends"
-        );
-        prop_assert_eq!(sim.metrics().rounds, report.rounds, "round counts diverge");
-        prop_assert_eq!(&sim.metrics().per_link, &report.metrics.per_link, "link counters diverge");
-    }
-
-    // Weak BA under silent (scheduling-independent) faults: decisions,
-    // words, and rounds match between lockstep and discrete-event.
-    #[test]
-    fn weak_ba_lockstep_and_des_are_equivalent(
-        pick in 0usize..2,
-        idle_raw in 0u32..7,
-        input in 1u64..1_000,
-        seed in any::<u64>(),
-    ) {
-        let n = [5usize, 7][pick];
-        let mut faults = vec![Fault::None; n];
-        faults[(idle_raw % n as u32) as usize] = Fault::Idle;
-        let inputs = vec![input; n];
-
-        let mut sim = sim(weak_ba_actors(&inputs, &faults), &faults);
-        sim.run_until_done(round_budget(n)).unwrap();
-        let lockstep = oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults);
-
-        let report = des(weak_ba_actors(&inputs, &faults), &faults, seed, &Timing::lockstep());
-        prop_assert!(report.completed, "DES run must complete");
-        let des = oracle::decided::<WbaProc>(&report.actors, &report.metrics, &faults);
-
-        prop_assert_eq!(&lockstep.decisions, &des.decisions, "decisions diverge across backends");
-        des.assert_in_model();
-        prop_assert_eq!(
-            sim.metrics().correct.words,
-            report.metrics.correct.words,
-            "correct word totals diverge across backends"
-        );
-        prop_assert_eq!(sim.metrics().rounds, report.rounds, "round counts diverge");
-        prop_assert_eq!(&sim.metrics().per_link, &report.metrics.per_link, "link counters diverge");
-    }
 
     // The event-driven refactor's compatibility contract: `des` under
     // `Timing::lockstep()` (the explicit lockstep `RoundDriver`, aligned
@@ -139,78 +140,6 @@ proptest! {
             serde_json::to_string(&driven_run.metrics).unwrap(),
             "lockstep RoundDriver must reproduce the global schedule byte-identically"
         );
-    }
-}
-
-/// Strong BA (binary, unanimous true) with one silent process: all three
-/// in-process backends decide identically and the two deterministic ones
-/// agree on words.
-#[test]
-fn strong_ba_matches_across_lockstep_and_des() {
-    let n = 5;
-    let mut faults = vec![Fault::None; n];
-    faults[3] = Fault::Idle;
-    let inputs = vec![true; n];
-
-    let mut sim = sim(strong_ba_actors(StrongBa::new, &inputs, &faults), &faults);
-    sim.run_until_done(round_budget(n)).unwrap();
-    let lockstep = oracle::decided::<SbaProc>(sim.actors(), sim.metrics(), &faults);
-
-    let report = des(
-        strong_ba_actors(StrongBa::new, &inputs, &faults),
-        &faults,
-        0xabcd,
-        &Timing::lockstep(),
-    );
-    assert!(report.completed);
-    let des = oracle::decided::<SbaProc>(&report.actors, &report.metrics, &faults);
-
-    assert_eq!(lockstep.decisions, des.decisions);
-    des.assert_in_model();
-    assert_eq!(sim.metrics().correct.words, report.metrics.correct.words);
-    assert_eq!(sim.metrics().rounds, report.rounds);
-}
-
-/// Rotating strong BA: lockstep ≡ DES with byte-identical `Metrics` for
-/// every latency seed — failure-free, with the first leader crashed, and
-/// at `f = t` (where the rotation gives up and the fallback runs).
-#[test]
-fn rotating_strong_ba_lockstep_and_des_metrics_are_byte_identical() {
-    let n = 7;
-    let idle = |who: &[usize]| -> Vec<Fault> {
-        (0..n).map(|i| if who.contains(&i) { Fault::Idle } else { Fault::None }).collect()
-    };
-    for faults in [idle(&[]), idle(&[0]), idle(&[0, 2, 4])] {
-        let inputs = vec![true; n];
-        let mut sim = sim(strong_ba_actors(StrongBa::rotating, &inputs, &faults), &faults);
-        sim.run_until_done(round_budget(n)).unwrap();
-        let checked = oracle::decided::<SbaProc>(sim.actors(), sim.metrics(), &faults);
-        checked.assert_in_model();
-        let lockstep = serde_json::to_string(sim.metrics()).unwrap();
-        for seed in [1u64, 0xabcd, 0xfeed_f00d] {
-            let mut des = des(
-                strong_ba_actors(StrongBa::rotating, &inputs, &faults),
-                &faults,
-                seed,
-                &Timing::lockstep(),
-            );
-            assert!(des.completed, "{faults:?} seed {seed:#x}");
-            assert_eq!(
-                oracle::decided::<SbaProc>(&des.actors, &des.metrics, &faults).decisions,
-                checked.decisions,
-                "{faults:?} seed {seed:#x}"
-            );
-            assert_eq!(des.rounds, sim.metrics().rounds);
-            // Per-process round advancement is the one thing the lockstep
-            // simulator does not account; everything else, per-link
-            // counters included, must match byte for byte.
-            des.metrics.advance = Default::default();
-            assert_eq!(
-                serde_json::to_string(&des.metrics).unwrap(),
-                lockstep,
-                "{faults:?} seed {seed:#x}"
-            );
-        }
     }
 }
 
@@ -428,27 +357,6 @@ fn des_same_seed_is_byte_identical() {
     let b = des(bb_actors(0, 42, &faults), &faults, 2, &Timing::lockstep());
     assert_eq!(a.metrics.correct.words, b.metrics.correct.words);
     assert_eq!(a.rounds, b.rounds);
-}
-
-/// A fault matrix that only silences processes never depends on who
-/// observes what first, so even the link-latency seed is irrelevant to
-/// the decision — spot-check with the mixed silent matrix.
-#[test]
-fn des_silent_faults_decide_like_lockstep_matrix() {
-    let faults = vec![
-        Fault::None,
-        Fault::Idle,
-        Fault::None,
-        Fault::None,
-        Fault::Idle,
-        Fault::None,
-        Fault::None,
-    ];
-    let report = des(bb_actors(0, 31, &faults), &faults, 0x5eed, &Timing::lockstep());
-    assert!(report.completed);
-    assert_eq!(ProcessId(0), report.actors[0].id());
-    // The t-silent matrix still decides the sender's value.
-    oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults).assert_in_model();
 }
 
 // ---------------------------------------------------------------------

@@ -10,9 +10,15 @@
 //! their cost is the ~16·n words that actually move. The n = 65, f = t
 //! row is the dense-traffic guard — fallback traffic wakes every correct
 //! process nearly every round, so it exercises the engine with the
-//! hints buying next to nothing.
+//! hints buying next to nothing. The n = 1025 wasteful-leader row runs
+//! the rushing attacker corpus at a size a simulation that stepped every
+//! process every round never reached.
 
-use meba_testkit::{bb_actors, des, oracle, BbProc, Fault, Timing};
+use meba_adversary::WastefulBbLeader;
+use meba_core::{Bb, LockstepAdapter};
+use meba_crypto::ProcessId;
+use meba_sim::AnyActor;
+use meba_testkit::{bb_actors, cluster, des, oracle, BbM, BbProc, Family, Fault, Timing};
 
 /// BB with sender p0 broadcasting 7 under `faults` on the DES, checked by
 /// the oracle — agreement, the sender's value, and BB's word bound for
@@ -89,4 +95,42 @@ fn des_bb_n4097_one_fault_stays_in_the_adaptive_envelope() {
 #[ignore = "large-n acceptance run; executed in release by scripts/check.sh"]
 fn des_bb_n16385_failure_free_is_linear() {
     checked_bb(&vec![Fault::None; 16_385], 0x46);
+}
+
+/// Rushing attackers at scale: p1..p8 are `WastefulBbLeader`s at n = 1025
+/// — each hears the sender's round-0 value in round 0, then wastes its
+/// vetting phase and its weak BA phase. The run stays inside BB's
+/// `60·n·(f+1)` bound; the realized constant is printed.
+#[test]
+#[ignore = "large-n acceptance run; executed in release by scripts/check.sh"]
+fn des_bb_n1025_wasteful_leaders_stay_in_the_adaptive_envelope() {
+    let (n, f) = (1025, 8);
+    let mut faults = vec![Fault::None; n];
+    for fault in faults.iter_mut().skip(1).take(f) {
+        *fault = Fault::Idle;
+    }
+    let actors = cluster(
+        Family::BB.config(n),
+        Family::BB.key_seed,
+        &faults,
+        |p| {
+            let factory = p.factory();
+            let bb = if p.id == ProcessId(0) {
+                Bb::new_sender(p.cfg, p.id, p.key, p.pki, factory, 7)
+            } else {
+                Bb::new(p.cfg, p.id, p.key, p.pki, factory, ProcessId(0))
+            };
+            LockstepAdapter::new(p.id, bb)
+        },
+        |p, _| {
+            let leader = WastefulBbLeader::<u64, _>::new(p.cfg, p.id, p.id.0);
+            Some(Box::new(leader) as Box<dyn AnyActor<Msg = BbM>>)
+        },
+    );
+    let report = des(actors, &faults, 0x1025, &Timing::lockstep());
+    assert!(report.completed, "n={n} BB must decide");
+    oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults).assert_in_model();
+    let words = report.metrics.correct_words();
+    let per = words as f64 / (n * (f + 1)) as f64;
+    println!("n = {n}, f = {f} wasteful leaders: {words} words = {per:.2} · n(f+1)");
 }

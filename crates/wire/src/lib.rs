@@ -1,7 +1,7 @@
 //! Real TCP transport for the `meba` protocols.
 //!
-//! The lockstep simulator (`meba-sim`) and the threaded cluster
-//! (`meba-engine`) move Rust values over channels; this crate puts the same
+//! The discrete-event backend and the threaded cluster (`meba-engine`)
+//! move Rust values in memory; this crate puts the same
 //! actor state machines on actual sockets, closing the loop between the
 //! paper's word model and bytes on a wire:
 //!

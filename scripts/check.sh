@@ -20,9 +20,13 @@ test "$(git grep -n 'certificate threshold is within 1..=n' -- 'crates/*/src/*' 
 echo "== one billing site (MessageCost::of carries the only 1-word floor; every backend bills through it) =="
 test "$(git grep -n 'words().max(1)' -- 'crates/*/src/*' | wc -l)" -eq 1
 
-echo "== one round body (all four backends, the lockstep simulator included, step a process only through run_live_round) =="
+echo "== one round body (every backend steps a process only through run_live_round: EngineProcess::step for the engine's, drive_mesh for a lone TCP process) =="
 test "$(git grep -n 'metrics.bill(' -- 'crates/*/src/*' | wc -l)" -eq 1
-! git grep -n 'RoundCtx::new' -- crates/sim/src/runner.rs || exit 1
+test "$(git grep -l 'run_live_round(' -- '*.rs' ':!crates/sim/src/body.rs' | tr '\n' ' ')" = "crates/engine/src/process.rs crates/wire/src/cluster.rs "
+test "$(git grep -n 'run_live_round(' -- '*.rs' ':!crates/sim/src/body.rs' | wc -l)" -eq 2
+
+echo "== one virtual clock (the lockstep Simulation is the discrete-event loop; no wave loop, no lane transport, no outbox-tampering wrappers) =="
+! git grep -nE 'LaneTransport|struct Lanes|TransformActor|send_only_to' -- crates src tests examples || exit 1
 
 echo "== one cluster builder (meba-bench builds every cluster through meba-testkit) =="
 ! git grep -n 'SimBuilder::new' -- crates/bench || exit 1
@@ -69,7 +73,7 @@ cargo test --release --locked --test recovery_integration
 echo "== example smoke (TCP cluster; includes one process killed and relaunched) =="
 cargo run --release --locked --example tcp_cluster
 
-echo "== large-n acceptance (sparse virtual time: n = 4097 f=0 under 2 s and f=1 in the n(f+1) envelope, n = 16,385 f=0 within 25n words; n = 65 f=t dense guard) =="
+echo "== large-n acceptance (sparse virtual time: n = 4097 f=0 under 2 s and f=1 in the n(f+1) envelope, n = 16,385 f=0 within 25n words; n = 65 f=t dense guard; n = 1025 rushing wasteful leaders in the envelope) =="
 cargo test --release --locked -p meba-testkit --test large_n -- --include-ignored
 
 echo "== benchmark smoke (E21 oracle: des_bb_n2049_f0 must report exactly 32,768 words in 16,401 rounds, every repetition) =="

@@ -16,14 +16,14 @@
 //! |--------|-------|----------|
 //! | [`core`] | `meba-core` | Algorithms 1–5: adaptive BB, adaptive weak BA, failure-free-linear strong BA |
 //! | [`crypto`] | `meba-crypto` | SHA-256, HMAC, PKI, individual/threshold/aggregate signatures |
-//! | [`sim`] | `meba-sim` | lockstep synchronous simulator with word accounting |
+//! | [`sim`] | `meba-sim` | the synchronous round model: actors, the shared round body, link faults, word accounting |
 //! | [`fallback`] | `meba-fallback` | recursive quadratic strong BA, Dolev–Strong baseline |
 //! | [`journal`] | `meba-journal` | crash-recovery write-ahead journal with CRC framing |
 //! | [`adversary`] | `meba-adversary` | Byzantine strategies |
 //! | [`smr`] | `meba-smr` | replicated log over repeated BB instances |
 //! | [`service`] | `meba-service` | client front door: sessions, batching, admission control, reads |
 //! | [`testkit`] | `meba-testkit` | fault-matrix harness for adversarial testing |
-//! | [`engine`] | `meba-engine` | backend-agnostic round engine: transports, pacers, fates, discrete-event backend |
+//! | [`engine`] | `meba-engine` | backend-agnostic round engine: transports, pacers, fates, discrete-event backend and the lockstep simulation on it |
 //! | [`wire`] | `meba-wire` | real TCP transport: canonical codec, handshake, byte accounting |
 //!
 //! # Quickstart
@@ -84,6 +84,7 @@ pub mod prelude {
         Validity, Value, WeakBa, WeakBaMsg,
     };
     pub use meba_crypto::{trusted_setup, Pki, ProcessId, SecretKey, WordCost};
+    pub use meba_engine::{SimBuilder, Simulation};
     pub use meba_fallback::{DolevStrongBb, RecursiveBa, RecursiveBaFactory};
     pub use meba_service::{
         Batch, BatchPolicy, Op, ServiceClient, ServiceConfig, ServiceGateway, ServicePort,
@@ -91,7 +92,7 @@ pub mod prelude {
     };
     pub use meba_sim::{
         Actor, AnyActor, IdleActor, Message, Metrics, Mux, MuxHost, Round, SessionEnvelope,
-        SessionId, SimBuilder, Simulation,
+        SessionId,
     };
     pub use meba_smr::{LogEntry, ReplicatedLog, SmrMsg};
 }

@@ -7,7 +7,8 @@
 pub use meba_testkit::*;
 
 use meba::crypto::ProcessId;
-use meba::sim::{Actor, AnyActor, Message, SimBuilder, Simulation};
+use meba::engine::{SimBuilder, Simulation};
+use meba::sim::{Actor, AnyActor, Message};
 use oracle::{Decided, Probe};
 
 /// Runs `actors` to completion on the lockstep simulator and checks the
