@@ -17,7 +17,8 @@
 
 use meba_crypto::ProcessId;
 use meba_sim::faults::{Link, LinkFate, LinkPolicy};
-use meba_sim::{Actor, Dest, RoundCtx};
+use meba_sim::metrics::targets;
+use meba_sim::{Actor, RoundCtx};
 use std::collections::BTreeMap;
 
 /// Wraps a correct actor with a [`LinkPolicy`] on its outbound links.
@@ -87,11 +88,7 @@ impl<A: Actor> Actor for LossyLinkActor<A> {
         let mut shadow = RoundCtx::new(ctx.round(), me, n, &inbox);
         self.inner.on_round(&mut shadow);
         for (dest, msg) in shadow.take_outbox() {
-            let targets: Vec<ProcessId> = match dest {
-                Dest::To(p) => vec![p],
-                Dest::All => ProcessId::all(n).collect(),
-            };
-            for target in targets {
+            for target in targets(dest, n) {
                 if target == me {
                     // Self-delivery is process memory; never faulted.
                     ctx.send(target, msg.clone());
@@ -121,7 +118,7 @@ mod tests {
     use super::*;
     use meba_engine::SimBuilder;
     use meba_sim::faults::BernoulliDrop;
-    use meba_sim::{AnyActor, Message, Round};
+    use meba_sim::{AnyActor, Dest, Message, Round};
 
     #[derive(Clone, Debug)]
     struct Ping;

@@ -13,7 +13,7 @@
 use meba_core::signing::DecideProof;
 use meba_crypto::{trusted_setup, ProcessId, WireCodec};
 use meba_service::{Batch, Op, ReplicaMsg, TransferEntry, TransferMsg};
-use meba_sim::{Actor, AnyActor, Dest, Envelope, Message, RoundCtx};
+use meba_sim::{Actor, AnyActor, Envelope, Message, RoundCtx};
 use meba_smr::CommitEvidence;
 
 /// How often (in rounds) the donor pushes unsolicited forged batches at
@@ -122,10 +122,7 @@ impl<M: Message + WireCodec> Actor for LyingDonor<M> {
         let mut inner_ctx = RoundCtx::new(ctx.round(), ctx.me(), ctx.n(), &forward);
         self.inner.on_round(&mut inner_ctx);
         for (dest, msg) in inner_ctx.take_outbox() {
-            match dest {
-                Dest::To(p) => ctx.send(p, msg),
-                Dest::All => ctx.broadcast(msg),
-            }
+            ctx.push(dest, msg);
         }
         for (to, msg) in lies {
             ctx.send(to, ReplicaMsg::Transfer(msg));

@@ -66,10 +66,7 @@ impl<P: SubProtocol> Actor for LockstepAdapter<P> {
         let mut out = Vec::new();
         self.inst.step_at(ctx.round().as_u64(), &mut out);
         for (dest, msg) in out {
-            match dest {
-                Dest::To(p) => ctx.send(p, msg),
-                Dest::All => ctx.broadcast(msg),
-            }
+            ctx.push(dest, msg);
         }
     }
 

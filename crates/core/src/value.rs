@@ -8,8 +8,9 @@ use meba_crypto::{DecodeError, Decoder, Encoder};
 use std::fmt::Debug;
 use std::hash::Hash;
 
-/// A value processes can propose, sign, and decide.
-pub trait Value: Clone + Eq + Ord + Hash + Debug + Send + 'static {
+/// A value processes can propose, sign, and decide. `Sync` because the
+/// messages carrying it are (`meba_sim::Message`).
+pub trait Value: Clone + Eq + Ord + Hash + Debug + Send + Sync + 'static {
     /// Writes the canonical encoding used inside signed messages.
     fn encode_value(&self, enc: &mut Encoder);
 

@@ -41,6 +41,7 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use meba_crypto::ProcessId;
 use meba_sim::body::{Delivery, Transport};
 use meba_sim::{AnyActor, Message};
+use std::sync::Arc;
 
 /// One process's endpoint of a full mesh of bounded channels. A full
 /// link blocks the sender (counted as backpressure) instead of
@@ -76,8 +77,8 @@ pub fn channel_mesh<M: Message>(n: usize, capacity: usize) -> Vec<ChannelTranspo
 }
 
 impl<M: Message> Transport<M> for ChannelTransport<M> {
-    fn send(&mut self, to: ProcessId, sent_round: u64, msg: &M) {
-        let delivery = Delivery { from: self.me, sent_round, msg: msg.clone() };
+    fn send(&mut self, to: ProcessId, sent_round: u64, msg: &Arc<M>) {
+        let delivery = Delivery { from: self.me, sent_round, msg: Arc::clone(msg) };
         match self.txs[to.index()].try_send(delivery) {
             Ok(()) => {}
             Err(TrySendError::Full(delivery)) => {

@@ -343,7 +343,7 @@ impl<M: Message> DesNet<M> {
 
     /// Queues `msg` from `from` to `to`. A `rushed` copy lands at the send
     /// instant instead of after a sampled latency.
-    fn send(&mut self, from: ProcessId, to: ProcessId, sent_round: u64, msg: M, rushed: bool) {
+    fn send(&mut self, from: ProcessId, to: ProcessId, sent_round: u64, msg: Arc<M>, rushed: bool) {
         let seq = self.seq;
         self.seq += 1;
         let latency = if rushed { 0 } else { self.latency_ns(from, to, seq) };
@@ -365,7 +365,7 @@ struct DesTransport<'a, M: Message> {
 }
 
 impl<M: Message> Transport<M> for DesTransport<'_, M> {
-    fn send(&mut self, to: ProcessId, sent_round: u64, msg: &M) {
+    fn send(&mut self, to: ProcessId, sent_round: u64, msg: &Arc<M>) {
         // A rushing process executes after every correct one at its
         // deadline, so a correct process's copy of the round it is
         // executing reaches it in time. A fault-delayed copy released
@@ -373,7 +373,7 @@ impl<M: Message> Transport<M> for DesTransport<'_, M> {
         let net = &mut *self.net;
         let rushed =
             sent_round == self.round && net.rushing[to.index()] && !net.rushing[self.me.index()];
-        net.send(self.me, to, sent_round, msg.clone(), rushed);
+        net.send(self.me, to, sent_round, Arc::clone(msg), rushed);
     }
 
     fn drain(&mut self, out: &mut Vec<Delivery<M>>) {

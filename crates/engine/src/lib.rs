@@ -176,8 +176,8 @@ mod tests {
     #[test]
     fn channel_mesh_is_aligned_and_self_delivering() {
         let mut mesh = channel_mesh::<Ping>(2, 8);
-        mesh[0].send(ProcessId(1), 0, &Ping(7));
-        mesh[1].send(ProcessId(1), 0, &Ping(9));
+        mesh[0].send(ProcessId(1), 0, &std::sync::Arc::new(Ping(7)));
+        mesh[1].send(ProcessId(1), 0, &std::sync::Arc::new(Ping(9)));
         let mut out = Vec::new();
         mesh[1].drain(&mut out);
         assert_eq!(out.len(), 2);

@@ -176,13 +176,22 @@ impl<V: Value> RecursiveBa<V> {
         self.levels.last_mut().expect("root level always present")
     }
 
+    /// Sends each of `msgs` to every member of `scope`. A full-system
+    /// scope is one `Dest::All` entry per message — the same copies, in
+    /// the same order, as one `Dest::To` per member, but one payload for
+    /// the runtime to share among them.
     fn scope_broadcast(
         &self,
         scope: Scope,
         msgs: Vec<RecBaMsg<V>>,
         out: &mut Vec<(Dest, RecBaMsg<V>)>,
     ) {
+        let full = scope == Scope::full(self.cfg.n());
         for msg in msgs {
+            if full {
+                out.push((Dest::All, msg));
+                continue;
+            }
             for m in scope.members() {
                 out.push((Dest::To(m), msg.clone()));
             }
@@ -464,6 +473,28 @@ mod tests {
             // Rounds are linear-ish in n (2 T(m/2) + c recursion).
             assert!(end <= 30 * n as u64);
         }
+    }
+
+    #[test]
+    fn a_full_system_step_is_one_broadcast_and_a_half_scope_step_is_per_member() {
+        let n = 9;
+        let cfg = SystemConfig::new(n, 1).unwrap();
+        let (pki, mut keys) = trusted_setup(n, 3);
+        let mut rb = RecursiveBa::new(cfg, ProcessId(0), keys.remove(0), pki, 7u64);
+        let mut out = Vec::new();
+        rb.on_step(0, &[], &mut out);
+        // GA(0) over all 9 processes: one entry for the one `GaInput`.
+        assert!(matches!(&out[..], [(Dest::All, RecBaMsg::GaInput { .. })]), "{out:?}");
+        for step in 1..=GA_STEPS {
+            out.clear();
+            rb.on_step(step, &[], &mut out);
+        }
+        // Step `GA_STEPS` opens GA(0) over the left half, p0..p4: one
+        // copy of its `GaInput` per member.
+        let dests: Vec<Dest> = out.iter().map(|(dest, _)| *dest).collect();
+        let members: Vec<Dest> = (0..5).map(|i| Dest::To(ProcessId(i))).collect();
+        assert_eq!(dests, members);
+        assert!(out.iter().all(|(_, msg)| matches!(msg, RecBaMsg::GaInput { .. })), "{out:?}");
     }
 
     #[test]

@@ -61,7 +61,7 @@ use meba_core::bb::BbBaValue;
 use meba_core::{Decision, FallbackFactory, SubProtocol, SystemConfig};
 use meba_crypto::{DecodeError, Decoder, Encoder, Pki, ProcessId, SecretKey, WireCodec};
 use meba_journal::{Journal, Record};
-use meba_sim::{Actor, Dest, Message, Round, RoundCtx, ServiceStats};
+use meba_sim::{Actor, Message, Round, RoundCtx, ServiceStats};
 use meba_smr::{CommitEvidence, ReplicatedLog, SmrMsg};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -847,10 +847,7 @@ where
         let mut log_out = Vec::new();
         self.log.tick(round, &mut log_out);
         for (dest, msg) in log_out {
-            match dest {
-                Dest::To(p) => ctx.send(p, ReplicaMsg::Log(msg)),
-                Dest::All => ctx.broadcast(ReplicaMsg::Log(msg)),
-            }
+            ctx.push(dest, ReplicaMsg::Log(msg));
         }
         for (to, msg) in self.on_transfer(round, &transfer_inbox) {
             ctx.send(to, ReplicaMsg::Transfer(msg));

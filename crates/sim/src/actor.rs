@@ -10,7 +10,11 @@ use std::fmt;
 /// `words` / `constituent_sigs` implement the paper's complexity model
 /// (§2); `component` tags the message for per-component breakdowns
 /// (experiment E5: Figure 1 composition).
-pub trait Message: Clone + fmt::Debug + Send + 'static {
+///
+/// `Sync` because a message in flight is an `Arc<M>` handle shared by
+/// every copy of one send (see [`crate::body::Transport`]), and the
+/// threaded backend moves those handles across threads.
+pub trait Message: Clone + fmt::Debug + Send + Sync + 'static {
     /// Words this message occupies (at least 1 by the model).
     fn words(&self) -> u64;
 
@@ -128,6 +132,12 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     /// Broadcasts `msg` to all `n` processes (including self).
     pub fn broadcast(&mut self, msg: M) {
         self.outbox.push((Dest::All, msg));
+    }
+
+    /// Queues `msg` for `dest` — [`RoundCtx::send`] or
+    /// [`RoundCtx::broadcast`], for a wrapper forwarding an inner outbox.
+    pub fn push(&mut self, dest: Dest, msg: M) {
+        self.outbox.push((dest, msg));
     }
 }
 

@@ -12,6 +12,7 @@ use crate::metrics::{targets, MessageCost};
 use crate::{AnyActor, Envelope, Message, Metrics, Round, RoundCtx};
 use meba_crypto::ProcessId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A message in flight, tagged with its authenticated sender and the
 /// round it was sent in. The round tag is what makes the synchronous
@@ -22,8 +23,8 @@ pub struct Delivery<M> {
     pub from: ProcessId,
     /// Round the message was sent in.
     pub sent_round: u64,
-    /// The payload.
-    pub msg: M,
+    /// The payload: a handle shared by every copy of one outbox entry.
+    pub msg: Arc<M>,
 }
 
 /// One process's view of the network: the round body is generic over
@@ -33,12 +34,19 @@ pub struct Delivery<M> {
 /// Implementations carry bytes; *all* word/byte accounting, link-fault
 /// application, and round bookkeeping happen in [`run_live_round`],
 /// once, above this trait.
+///
+/// Ownership: [`run_live_round`] wraps each outbox entry in one [`Arc`]
+/// and hands every copy of it — remote, self, fault-delayed — to
+/// [`Transport::send`] as that same handle. An in-memory transport
+/// clones the handle, never the message; a socket transport encodes
+/// from it. The receiving round body unwraps the handle into its inbox,
+/// so the last holder moves the message and the others clone it.
 pub trait Transport<M: Message> {
     /// Sends `msg` to `to`, tagged with `sent_round`. Self-sends
     /// (`to == me`) must loop back like any other delivery. May block
     /// under backpressure; may silently drop if the peer is gone (the run
     /// is over for that peer).
-    fn send(&mut self, to: ProcessId, sent_round: u64, msg: &M);
+    fn send(&mut self, to: ProcessId, sent_round: u64, msg: &Arc<M>);
 
     /// Moves every delivery that has arrived so far into `out`,
     /// preserving arrival order.
@@ -68,7 +76,7 @@ pub trait Transport<M: Message> {
 /// messages keyed by their transmit round.
 pub struct RoundState<M: Message> {
     buffer: Vec<Delivery<M>>,
-    pending: BTreeMap<u64, Vec<(ProcessId, u64, M)>>,
+    pending: BTreeMap<u64, Vec<(ProcessId, u64, Arc<M>)>>,
     // A rushing process (a corrupt one on a lockstep discrete-event run)
     // admits this round's traffic too: `sent_round ≤ round` instead of
     // `<`.
@@ -238,7 +246,7 @@ pub fn run_live_round<M: Message>(
                     late_admitted += 1;
                 }
             }
-            inbox.push(Envelope { from: d.from, msg: d.msg });
+            inbox.push(Envelope { from: d.from, msg: Arc::unwrap_or_clone(d.msg) });
         } else {
             keep.push(d);
         }
@@ -253,6 +261,7 @@ pub fn run_live_round<M: Message>(
     let outbox = ctx.take_outbox();
     for (dest, msg) in outbox {
         let cost = MessageCost::of(&msg);
+        let msg = Arc::new(msg);
         for to in targets(dest, n) {
             if to == me {
                 // Self-delivery: process memory, not a link — no policy,
@@ -269,7 +278,7 @@ pub fn run_live_round<M: Message>(
                 LinkFate::DelayRounds(k) => {
                     // A delay past the end of time is never released.
                     let release = round.saturating_add(k);
-                    state.pending.entry(release).or_default().push((to, round, msg.clone()));
+                    state.pending.entry(release).or_default().push((to, round, Arc::clone(&msg)));
                 }
                 // Lost, and the connection with it — where there is one.
                 LinkFate::Sever => transport.sever(to),
@@ -294,4 +303,83 @@ pub struct LiveRoundOutcome {
     /// event-driven backends feed into timeout backoff
     /// (`RoundDriver::observe`).
     pub late_admitted: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Actor;
+
+    #[derive(Clone, Debug)]
+    struct Tick;
+    impl Message for Tick {
+        fn words(&self) -> u64 {
+            1
+        }
+    }
+
+    /// Broadcasts once, in round 0.
+    struct Once(ProcessId);
+    impl Actor for Once {
+        type Msg = Tick;
+        fn id(&self) -> ProcessId {
+            self.0
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Tick>) {
+            if ctx.round() == Round(0) {
+                ctx.broadcast(Tick);
+            }
+        }
+    }
+
+    /// Records every handle it is given, as `(executing round, to,
+    /// handle)`; delivers nothing.
+    #[derive(Default)]
+    struct Recorder {
+        round: u64,
+        sent: Vec<(u64, ProcessId, Arc<Tick>)>,
+    }
+    impl Transport<Tick> for Recorder {
+        fn send(&mut self, to: ProcessId, _sent_round: u64, msg: &Arc<Tick>) {
+            self.sent.push((self.round, to, Arc::clone(msg)));
+        }
+        fn drain(&mut self, _out: &mut Vec<Delivery<Tick>>) {}
+    }
+
+    #[test]
+    fn every_copy_of_one_outbox_entry_is_one_handle() {
+        let n = 8;
+        let me = ProcessId(0);
+        let slow = ProcessId(3);
+        let delay = move |l: Link, _round: u64| {
+            if l.to == slow {
+                LinkFate::DelayRounds(2)
+            } else {
+                LinkFate::Deliver
+            }
+        };
+        let mut policy: Option<Box<dyn LinkPolicy>> = Some(Box::new(delay));
+        let (mut actor, mut transport) = (Once(me), Recorder::default());
+        let (mut state, mut metrics) = (RoundState::new(), Metrics::default());
+        for round in 0..3 {
+            transport.round = round;
+            run_live_round(
+                &mut actor,
+                &mut transport,
+                &mut state,
+                &mut policy,
+                round,
+                n,
+                true,
+                &mut metrics,
+            );
+        }
+        let sent = &transport.sent;
+        let to: Vec<u32> = sent.iter().map(|(_, to, _)| to.0).collect();
+        assert_eq!(to, [0, 1, 2, 4, 5, 6, 7, 3], "self first, the delayed copy last");
+        assert_eq!(sent[7].0, 2, "released two rounds later");
+        let first = &sent[0].2;
+        assert!(sent.iter().all(|(_, _, msg)| Arc::ptr_eq(msg, first)), "one payload");
+        assert_eq!(Arc::strong_count(first), n, "the recorder holds the only handles");
+    }
 }

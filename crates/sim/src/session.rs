@@ -440,10 +440,7 @@ impl<H: MuxHost> Actor for Mux<H> {
         let mut out = Vec::new();
         self.tick(round, &mut out);
         for (dest, msg) in out {
-            match dest {
-                Dest::To(p) => ctx.send(p, msg),
-                Dest::All => ctx.broadcast(msg),
-            }
+            ctx.push(dest, msg);
         }
     }
 

@@ -735,4 +735,13 @@ mod tests {
         let d = oracle::decided::<BbProc>(bb.actors(), bb.metrics(), &faults).assert_in_model();
         assert_eq!(d, Decision::Value(9));
     }
+
+    #[test]
+    fn a_copy_in_flight_is_a_handle() {
+        // Sender, round, and an 8-byte handle: every copy of a broadcast
+        // shares one payload, however large the message type is.
+        let delivery = std::mem::size_of::<meba_sim::body::Delivery<BbM>>();
+        assert!(delivery <= 24, "Delivery<BbM> is {delivery} bytes");
+        assert!(std::mem::size_of::<BbM>() > 24, "the payload would not fit a copy");
+    }
 }

@@ -135,8 +135,8 @@ impl<M: Message + WireCodec, H: Borrow<TcpMesh<M>>> MeshTransport<M, H> {
 }
 
 impl<M: Message + WireCodec, H: Borrow<TcpMesh<M>>> Transport<M> for MeshTransport<M, H> {
-    fn send(&mut self, to: ProcessId, sent_round: u64, msg: &M) {
-        self.mesh.borrow().send(to, sent_round, msg);
+    fn send(&mut self, to: ProcessId, sent_round: u64, msg: &Arc<M>) {
+        self.mesh.borrow().send(to, sent_round, &**msg);
     }
 
     fn drain(&mut self, out: &mut Vec<Delivery<M>>) {
@@ -144,7 +144,7 @@ impl<M: Message + WireCodec, H: Borrow<TcpMesh<M>>> Transport<M> for MeshTranspo
         out.extend(self.scratch.drain(..).map(|w| Delivery {
             from: w.from,
             sent_round: w.sent_round,
-            msg: w.msg,
+            msg: Arc::new(w.msg),
         }));
     }
 

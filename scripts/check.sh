@@ -25,6 +25,10 @@ test "$(git grep -n 'metrics.bill(' -- 'crates/*/src/*' | wc -l)" -eq 1
 test "$(git grep -l 'run_live_round(' -- '*.rs' ':!crates/sim/src/body.rs' | tr '\n' ' ')" = "crates/engine/src/process.rs crates/wire/src/cluster.rs "
 test "$(git grep -n 'run_live_round(' -- '*.rs' ':!crates/sim/src/body.rs' | wc -l)" -eq 2
 
+echo "== one payload per outbox entry (run_live_round wraps each entry in one Arc; the in-memory transports clone the handle, never the message) =="
+test "$(awk '/^pub fn run_live_round/,/^}/' crates/sim/src/body.rs | grep -c 'Arc::new(')" -eq 1
+! git grep -n 'msg\.clone()' -- crates/engine/src/des.rs crates/engine/src/channel.rs || exit 1
+
 echo "== one virtual clock (the lockstep Simulation is the discrete-event loop; no wave loop, no lane transport, no outbox-tampering wrappers) =="
 ! git grep -nE 'LaneTransport|struct Lanes|TransformActor|send_only_to' -- crates src tests examples || exit 1
 

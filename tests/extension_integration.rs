@@ -83,11 +83,7 @@ fn replicated_log_with_equivocating_proposer_slot() {
             let mut shadow = RoundCtx::new(Round(step), self.me, ctx.n(), &inbox);
             self.inner.on_round(&mut shadow);
             for (dest, inner) in shadow.take_outbox() {
-                let msg = SessionEnvelope { session: SessionId(self.slot), msg: inner };
-                match dest {
-                    meba::sim::Dest::To(p) => ctx.send(p, msg),
-                    meba::sim::Dest::All => ctx.broadcast(msg),
-                }
+                ctx.push(dest, SessionEnvelope { session: SessionId(self.slot), msg: inner });
             }
         }
         fn done(&self) -> bool {
