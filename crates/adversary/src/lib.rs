@@ -8,10 +8,11 @@
 //! API, so these strategies express exactly the power the paper's
 //! adversary has.
 //!
-//! * [`wrappers`] — crash faults and amnesiac (journal-less) restarts
-//!   over any correct actor;
-//! * [`link_faults`] — a correct actor behind lossy/laggy outbound links
-//!   (shared [`meba_sim::faults::LinkPolicy`] schedules);
+//! A correct machine that crashes, restarts without its journal, or sits
+//! behind lossy links is not a behaviour and has no actor here: those are
+//! engine fates and link policies (`meba_engine::ProcessFate`,
+//! [`meba_sim::faults::LinkPolicy`]), which every backend honours.
+//!
 //! * [`chaos`] — a seeded replay fuzzer for property tests;
 //! * [`weak_ba_attacks`] — vote-splitting (E8) and late-help (E9) leaders;
 //! * [`bb_attacks`] — the equivocating designated sender;
@@ -28,21 +29,17 @@
 pub mod bb_attacks;
 pub mod chaos;
 pub mod fallback_attacks;
-pub mod link_faults;
 pub mod smr_attacks;
 pub mod strong_ba_attacks;
 pub mod transfer_attacks;
 pub mod wasteful;
 pub mod weak_ba_attacks;
-pub mod wrappers;
 
 pub use bb_attacks::EquivocatingSender;
 pub use chaos::ChaosActor;
 pub use fallback_attacks::{DsEquivocatingSender, GaSplitEchoer};
-pub use link_faults::LossyLinkActor;
 pub use smr_attacks::{MuxHelpRequester, SessionReplayer};
 pub use strong_ba_attacks::EquivocatingStrongLeader;
 pub use transfer_attacks::LyingDonor;
 pub use wasteful::{WastefulBbLeader, WastefulWeakLeader};
 pub use weak_ba_attacks::{LateHelperLeader, SplitVoteLeader};
-pub use wrappers::{AmnesiacActor, CrashActor};

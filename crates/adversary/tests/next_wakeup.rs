@@ -1,15 +1,15 @@
 //! Sparse-time hints and the adversary corpus. A runtime that honours
 //! [`Actor::next_wakeup`] (the discrete-event backend) stops ticking an
 //! actor that says it has nothing to do, so a Byzantine strategy must
-//! never say so by accident: only the wrapper whose silence is
-//! structural forwards a hint, and everything else in this crate keeps
-//! the default `after + 1` — even around an inner actor that would have
-//! slept forever.
+//! never say so by accident: everything in this crate keeps the default
+//! `after + 1` — even around an inner actor that would have slept
+//! forever. (A crash is an engine fate, whose silence the engine hints
+//! itself.)
 
 use meba_adversary::{
-    AmnesiacActor, ChaosActor, CrashActor, DsEquivocatingSender, EquivocatingSender,
-    EquivocatingStrongLeader, GaSplitEchoer, LateHelperLeader, LossyLinkActor, LyingDonor,
-    MuxHelpRequester, SessionReplayer, SplitVoteLeader, WastefulBbLeader, WastefulWeakLeader,
+    ChaosActor, DsEquivocatingSender, EquivocatingSender, EquivocatingStrongLeader, GaSplitEchoer,
+    LateHelperLeader, LyingDonor, MuxHelpRequester, SessionReplayer, SplitVoteLeader,
+    WastefulBbLeader, WastefulWeakLeader,
 };
 use meba_core::fallback::EchoMsg;
 use meba_core::SystemConfig;
@@ -17,21 +17,9 @@ use meba_crypto::{trusted_setup, ProcessId};
 use meba_fallback::instance::{InstanceId, Scope};
 use meba_fallback::messages::RecBaMsg;
 use meba_service::ReplicaMsg;
-use meba_sim::faults::ReliableLinks;
-use meba_sim::{Actor, IdleActor, Round, RoundCtx, SessionId};
+use meba_sim::{Actor, IdleActor, Round, SessionId};
 
 type Fm = EchoMsg<u64>;
-
-/// An honest actor with the default hint.
-struct Ticker(ProcessId);
-
-impl Actor for Ticker {
-    type Msg = Fm;
-    fn id(&self) -> ProcessId {
-        self.0
-    }
-    fn on_round(&mut self, _ctx: &mut RoundCtx<'_, Fm>) {}
-}
 
 /// The default hint at a few rounds, early and late.
 fn assert_ticks_every_round<A: Actor>(actor: &A, name: &str) {
@@ -45,35 +33,13 @@ fn assert_ticks_every_round<A: Actor>(actor: &A, name: &str) {
 }
 
 #[test]
-fn crash_actor_forwards_the_inner_hint_until_the_crash() {
-    let me = ProcessId(1);
-    let crash = CrashActor::new(IdleActor::<Fm>::new(me), Round(5));
-    assert_eq!(crash.next_wakeup(Round(2)), Round(5), "inner hint, capped at the crash round");
-    assert_eq!(crash.next_wakeup(Round(5)), Round::NEVER, "nothing after the crash");
-    assert_eq!(crash.next_wakeup(Round(9)), Round::NEVER);
-    let crash = CrashActor::new(Ticker(me), Round(5));
-    assert_eq!(crash.next_wakeup(Round(2)), Round(3), "an inner actor that ticks keeps ticking");
-    assert_eq!(crash.next_wakeup(Round(4)), Round(5));
-}
-
-#[test]
-fn every_other_adversary_keeps_the_default_hint() {
+fn every_adversary_keeps_the_default_hint() {
     let n = 5;
     let cfg = SystemConfig::new(n, 1).unwrap();
     let (pki, keys) = trusted_setup(n, 1);
     let me = ProcessId(1);
     let key = || keys[1].clone();
     let (left, right) = (vec![ProcessId(0), ProcessId(2)], vec![ProcessId(3), ProcessId(4)]);
-    // An inner actor that would sleep forever: a wrapper that forwarded
-    // its hint would be caught answering `Round::NEVER`.
-    let sleeper = move || IdleActor::<Fm>::new(me);
-    assert_eq!(sleeper().next_wakeup(Round(3)), Round::NEVER);
-
-    assert_ticks_every_round(&AmnesiacActor::new(sleeper(), Round(3), sleeper), "AmnesiacActor");
-    assert_ticks_every_round(
-        &LossyLinkActor::new(sleeper(), Box::new(ReliableLinks)),
-        "LossyLinkActor",
-    );
     assert_ticks_every_round(&ChaosActor::<Fm>::new(me, 7, 4), "ChaosActor");
     assert_ticks_every_round(
         &WastefulWeakLeader::<u64, Fm>::new(cfg, me, 1, 9),
@@ -91,10 +57,11 @@ fn every_other_adversary_keeps_the_default_hint() {
         ),
         "EquivocatingStrongLeader",
     );
-    assert_ticks_every_round(
-        &LyingDonor::<Fm>::new(Box::new(IdleActor::<ReplicaMsg<Fm>>::new(me)), n, 4),
-        "LyingDonor",
-    );
+    // An inner actor that would sleep forever: a wrapper that forwarded
+    // its hint would be caught answering `Round::NEVER`.
+    let sleeper = IdleActor::<ReplicaMsg<Fm>>::new(me);
+    assert_eq!(sleeper.next_wakeup(Round(3)), Round::NEVER);
+    assert_ticks_every_round(&LyingDonor::<Fm>::new(Box::new(sleeper), n, 4), "LyingDonor");
     assert_ticks_every_round(
         &SessionReplayer::<Fm>::new(me, SessionId(0), SessionId(1), 2),
         "SessionReplayer",

@@ -9,16 +9,16 @@ use meba_adversary::{DsEquivocatingSender, EquivocatingStrongLeader, GaSplitEcho
 use meba_bench::runs::*;
 use meba_core::{LockstepAdapter, StrongBa};
 use meba_crypto::{Digest, ProcessId};
-use meba_engine::Simulation;
+use meba_engine::{LinkPolicyFactory, SimBuilder, Simulation};
 use meba_fallback::{DolevStrongBb, DsBbMsg, InstanceId, RecBaMsg, RecursiveBa, Scope};
 use meba_sim::faults::{
     BernoulliDrop, Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt,
 };
 use meba_sim::{AnyActor, Metrics};
 use meba_testkit::{
-    bb_actors, cluster, round_budget, sim, sim_builder, strong_ba_actors, weak_ba_actors, Family,
-    Fault, SbaM,
+    bb_actors, cluster, round_budget, sim, strong_ba_actors, weak_ba_actors, Family, Fault, SbaM,
 };
+use std::sync::Arc;
 
 /// `(f, words, messages, constituent_sigs, rounds, decided_first,
 /// decided_last, fallback_used, nonsilent_leaders, agreement,
@@ -392,13 +392,14 @@ fn scenario<M: meba_sim::Message>(sim: &mut Simulation<M>, n: usize, link_policy
     format!("{completed} {} {} {}", m.correct.words, m.rounds, ledger(m, link_policy))
 }
 
-/// A failure-free n = 5 run of `actors` behind `policy`.
+/// A failure-free n = 5 run of `actors` behind `policy`, one instance per
+/// sender.
 fn linked<M: meba_sim::Message>(
     actors: Vec<Box<dyn AnyActor<Msg = M>>>,
-    policy: Box<dyn LinkPolicy>,
+    policy: impl Fn() -> Box<dyn LinkPolicy> + Send + Sync + 'static,
 ) -> String {
-    let mut sim = sim_builder(actors, &[Fault::None; 5]).link_policy(policy).build();
-    scenario(&mut sim, 5, true)
+    let policy: LinkPolicyFactory = Arc::new(move |_| policy());
+    scenario(&mut SimBuilder::new(actors).link_policy(policy).build(), 5, true)
 }
 
 /// The cross-runtime link plan: p3's outbound links jittered past δ with
@@ -416,13 +417,13 @@ fn link_plan() -> Box<dyn LinkPolicy> {
 
 /// What the runner rows do not reach: every link-fault plan (ledger
 /// whole, `per_link` included), `SimBuilder::crash_at`, the three
-/// stock fault wrappers, and the rushing attackers no runner uses
-/// (`EquivocatingSender`, `SplitVoteLeader`, `LateHelperLeader` and the
-/// two `Wasteful*` leaders are pinned by the runner rows above).
-/// Recorded before the lockstep simulator moved onto the engine's round
-/// body. Only a row whose plan delays copies (`RandomDelay`, the stack)
-/// may move with it, and only to the DES's order: a released copy now
-/// sits in its round's inbox in send order.
+/// stock faults that are more than silence (`Chaos`, and the engine
+/// settings `Lossy` and `CrashAt`), and the rushing
+/// attackers no runner uses (`EquivocatingSender`, `SplitVoteLeader`,
+/// `LateHelperLeader` and the two `Wasteful*` leaders are pinned by the
+/// runner rows above). A `Lossy` process's link layer bills the words it
+/// drops to `byzantine`, where they were sent; the correct words and
+/// rounds of its row are those of a sender that never spent them.
 #[test]
 fn fault_plan_ledgers_match_the_recorded_digests() {
     let clean = |n| vec![Fault::None; n];
@@ -434,14 +435,15 @@ fn fault_plan_ledgers_match_the_recorded_digests() {
         faults
     };
 
-    let drop = linked(weak_ba_actors(&[7; 5], &clean(5)), Box::new(BernoulliDrop::new(0xb0, 0.05)));
+    let drop =
+        linked(weak_ba_actors(&[7; 5], &clean(5)), || Box::new(BernoulliDrop::new(0xb0, 0.05)));
     let delay =
-        linked(weak_ba_actors(&[7; 5], &clean(5)), Box::new(RandomDelay::new(0xde, 0.3, 3)));
+        linked(weak_ba_actors(&[7; 5], &clean(5)), || Box::new(RandomDelay::new(0xde, 0.3, 3)));
     let sever_at = SeverAt::new(Link { from: ProcessId(0), to: ProcessId(1) }, 0);
-    let sever = linked(bb_actors(0, 7, &clean(5)), Box::new(sever_at));
-    let stack = linked(weak_ba_actors(&[7; 5], &clean(5)), link_plan());
+    let sever = linked(bb_actors(0, 7, &clean(5)), move || Box::new(sever_at));
+    let stack = linked(weak_ba_actors(&[7; 5], &clean(5)), link_plan);
 
-    let mut crash = sim_builder(bb_actors(0, 7, &clean(7)), &clean(7))
+    let mut crash = SimBuilder::new(bb_actors(0, 7, &clean(7)))
         .crash_at(ProcessId(1), 3)
         .crash_at(ProcessId(4), 12)
         .build();
@@ -450,7 +452,7 @@ fn fault_plan_ledgers_match_the_recorded_digests() {
     let faults = with(7, &[(2, Fault::Chaos(0xc4))]);
     let chaos = scenario(&mut sim(bb_actors(0, 7, &faults), &faults), 7, false);
     let faults = with(5, &[(3, Fault::Lossy(0x10))]);
-    let lossy = scenario(&mut sim(weak_ba_actors(&[7; 5], &faults), &faults), 5, false);
+    let lossy = scenario(&mut sim(weak_ba_actors(&[7; 5], &faults), &faults), 5, true);
     let faults = with(5, &[(1, Fault::CrashAt(3))]);
     let actors = strong_ba_actors(StrongBa::new, &[true; 5], &faults);
     let crash_actor = scenario(&mut sim(actors, &faults), 5, false);
@@ -463,7 +465,7 @@ fn fault_plan_ledgers_match_the_recorded_digests() {
         weak BA n=5 PolicyStack: true 528 71 bc143e54161ea60d
         BB n=7 crash_at p1@3 p4@12: true 1167 107 4320ae37eee7e26d
         BB n=7 Chaos: true 90 65 d285302866e44025
-        weak BA n=5 Lossy: true 38 33 270b589d8821e0b9
+        weak BA n=5 Lossy: true 38 33 e21436fed2d984b2
         strong BA n=5 CrashAt(3): true 380 49 61e77e074cc81e70
         strong BA n=7 EquivocatingStrongLeader: true 618 53 b85e6da3366582f7
         recursive BA n=7 GaSplitEchoer: true 256 24 5b4ea63bb91eaeb3

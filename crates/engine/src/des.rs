@@ -1044,6 +1044,74 @@ mod tests {
         assert_eq!(report.metrics.link(ProcessId(0), ProcessId(2)).delivered, 0);
     }
 
+    #[derive(Clone, Debug)]
+    struct Num(u64);
+    impl Message for Num {
+        fn words(&self) -> u64 {
+            1
+        }
+    }
+
+    /// Signs `(slot = round, value = running sum of its inbox)` and
+    /// broadcasts 7. The shared log stands in for the signing oracle:
+    /// every binding is logged when it is signed, whether or not the send
+    /// survives.
+    struct SumSigner {
+        id: ProcessId,
+        sum: u64,
+        log: Arc<std::sync::Mutex<Vec<(ProcessId, u64, u64)>>>,
+    }
+    impl Actor for SumSigner {
+        type Msg = Num;
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Num>) {
+            self.sum += ctx.inbox().iter().map(|e| e.msg.0).sum::<u64>();
+            self.log.lock().unwrap().push((self.id, ctx.round().as_u64(), self.sum));
+            ctx.broadcast(Num(7));
+        }
+    }
+
+    #[test]
+    fn amnesiac_restart_double_binds_a_slot() {
+        // p0 crashes at round 2 and is back at once, rebuilt factory-fresh:
+        // no journal, no memory of what it signed. Its fast-forward over
+        // empty inboxes re-signs slot 1 with 0, where the first
+        // incarnation had heard 3 × 7 — an equivocation manufactured by a
+        // crash, which is why a journal-less restart counts toward f.
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let signer = {
+            let log = log.clone();
+            move |id: ProcessId| SumSigner { id, sum: 0, log: log.clone() }
+        };
+        let actors = (0..3).map(|i| Box::new(signer(ProcessId(i))) as _).collect();
+        let rebuilder: ActorRebuilder<Num> = Arc::new(move |p| crate::RebuiltActor {
+            actor: Box::new(signer(p)),
+            resume_step: 0,
+            replayed_records: 0,
+            journal_fsyncs: 0,
+        });
+        let fate: ProcessFateFactory = Arc::new(|p: ProcessId| {
+            if p == ProcessId(0) {
+                crate::ProcessFate::CrashRestart { at_round: 2, rejoin_after: 0 }
+            } else {
+                crate::ProcessFate::Run
+            }
+        });
+        let config = DesConfig { process_fate: Some(fate), max_rounds: 4, ..Default::default() };
+        let report = run_des_cluster(actors, Some(rebuilder), config).unwrap();
+        assert_eq!(report.metrics.recovery.crash_restarts, 1);
+        // Fold p0's signatures the way a double-sign detector would.
+        let log = log.lock().unwrap();
+        let mut bound = std::collections::BTreeMap::new();
+        let rebound: Vec<u64> = (log.iter().filter(|(p, ..)| *p == ProcessId(0)))
+            .filter(|&&(_, slot, value)| *bound.entry(slot).or_insert(value) != value)
+            .map(|&(_, slot, _)| slot)
+            .collect();
+        assert_eq!(rebound, [1], "the unjournaled restart re-binds slot 1: {log:?}");
+    }
+
     #[test]
     fn pre_gst_delays_defer_but_do_not_prevent_completion() {
         // Messages sent before GST can take up to 6δ; the broadcast wave

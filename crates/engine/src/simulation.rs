@@ -24,9 +24,7 @@ use crate::des::{DesConfig, DesRun};
 use crate::fate::{ProcessFate, ProcessFateFactory};
 use crate::LinkPolicyFactory;
 use meba_crypto::ProcessId;
-use meba_sim::faults::{Link, LinkFate, LinkPolicy};
 use meba_sim::{AnyActor, Message, Metrics, Round};
-use parking_lot::Mutex;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -60,21 +58,12 @@ pub struct SimBuilder<M: Message> {
     actors: Vec<Box<dyn AnyActor<Msg = M>>>,
     corrupt: Vec<ProcessId>,
     fates: Vec<ProcessFate>,
-    link_policy: Option<Box<dyn LinkPolicy>>,
+    link_policy: Option<LinkPolicyFactory>,
 }
 
 impl<M: Message> fmt::Debug for SimBuilder<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimBuilder").field("n", &self.actors.len()).finish_non_exhaustive()
-    }
-}
-
-/// The builder's one policy instance, judging every sender's links.
-struct SharedPolicy(Arc<Mutex<Box<dyn LinkPolicy>>>);
-
-impl LinkPolicy for SharedPolicy {
-    fn fate(&mut self, link: Link, round: u64) -> LinkFate {
-        self.0.lock().fate(link, round)
     }
 }
 
@@ -101,18 +90,17 @@ impl<M: Message> SimBuilder<M> {
         self
     }
 
-    /// Injects link faults: every non-self point-to-point delivery asks
-    /// `policy` for its [`LinkFate`] — dropped and severed messages
-    /// vanish (the simulation has no connections to tear down), delayed
-    /// messages arrive `k` rounds past the synchrony bound. Off by
-    /// default (reliable links). One instance judges every link, in the
-    /// order the processes send; the stock policies decide per `(seed,
-    /// link, round, nth message)`, so they hand out the same fates as
-    /// the per-sender instances of the other backends.
+    /// Injects link faults: `policy` is invoked once per sender, as on
+    /// every other backend, and every non-self point-to-point delivery
+    /// asks that sender's instance for its
+    /// [`LinkFate`](meba_sim::faults::LinkFate) — dropped and severed
+    /// messages vanish (the simulation has no connections to tear down),
+    /// delayed messages arrive `k` rounds past the synchrony bound. Off by
+    /// default (reliable links).
     ///
-    /// Word accounting is unaffected: the paper counts words *sent* by
-    /// correct processes, and a dropped message was still sent.
-    pub fn link_policy(mut self, policy: Box<dyn LinkPolicy>) -> Self {
+    /// Word accounting is unaffected: the paper counts words *sent*, and
+    /// a dropped message was still sent.
+    pub fn link_policy(mut self, policy: LinkPolicyFactory) -> Self {
         self.link_policy = Some(policy);
         self
     }
@@ -141,17 +129,12 @@ impl<M: Message> SimBuilder<M> {
     /// `p0..p(n-1)` in order — that is a harness bug, not a runtime
     /// condition.
     pub fn build(self) -> Simulation<M> {
-        let link_policy = self.link_policy.map(|policy| {
-            let shared = Arc::new(Mutex::new(policy));
-            Arc::new(move |_| Box::new(SharedPolicy(shared.clone())) as Box<dyn LinkPolicy>)
-                as LinkPolicyFactory
-        });
         let fates = self.fates;
         let process_fate: ProcessFateFactory = Arc::new(move |p: ProcessId| fates[p.index()]);
         let config = DesConfig {
             max_rounds: u64::MAX,
             corrupt: self.corrupt,
-            link_policy,
+            link_policy: self.link_policy,
             process_fate: Some(process_fate),
             ..DesConfig::default()
         };
@@ -264,7 +247,13 @@ impl<M: Message> Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meba_sim::faults::LinkPolicy;
     use meba_sim::{Actor, Message, RoundCtx};
+
+    /// A factory handing every sender its own copy of `policy`.
+    fn each(policy: impl LinkPolicy + Clone + Sync + 'static) -> LinkPolicyFactory {
+        Arc::new(move |_| Box::new(policy.clone()))
+    }
 
     #[derive(Clone, Debug)]
     enum Ping {
@@ -446,7 +435,7 @@ mod tests {
                 Box::new(Every { id: ProcessId(i), heard: vec![] }) as Box<dyn AnyActor<Msg = Ping>>
             })
             .collect();
-        let mut sim = SimBuilder::new(actors).link_policy(Box::new(policy)).build();
+        let mut sim = SimBuilder::new(actors).link_policy(each(policy)).build();
         sim.run_rounds(3);
         let p2: &Every = sim.actor(ProcessId(2)).as_any().downcast_ref().unwrap();
         let (p0, p1) = (ProcessId(0), ProcessId(1));
@@ -472,7 +461,7 @@ mod tests {
                 LinkFate::Deliver
             }
         };
-        let mut sim = SimBuilder::new(chatters(3)).link_policy(Box::new(policy)).build();
+        let mut sim = SimBuilder::new(chatters(3)).link_policy(each(policy)).build();
         sim.step();
         sim.step();
         for i in [0u32, 2] {
@@ -517,7 +506,7 @@ mod tests {
                 LinkFate::Deliver
             }
         };
-        let mut sim = SimBuilder::new(chatters(2)).link_policy(Box::new(policy)).build();
+        let mut sim = SimBuilder::new(chatters(2)).link_policy(each(policy)).build();
         sim.run_rounds(2);
         let p1: &Chatter = sim.actor(ProcessId(1)).as_any().downcast_ref().unwrap();
         assert_eq!(p1.heard.len(), 1, "only self-delivery after 2 rounds");
@@ -532,8 +521,7 @@ mod tests {
     fn link_policy_sever_is_a_counted_drop() {
         use meba_sim::faults::{Link, SeverAt};
         let link = Link { from: ProcessId(0), to: ProcessId(1) };
-        let mut sim =
-            SimBuilder::new(chatters(2)).link_policy(Box::new(SeverAt::new(link, 0))).build();
+        let mut sim = SimBuilder::new(chatters(2)).link_policy(each(SeverAt::new(link, 0))).build();
         sim.run_rounds(2);
         let p1: &Chatter = sim.actor(ProcessId(1)).as_any().downcast_ref().unwrap();
         assert_eq!(p1.heard.len(), 1, "the severed message never arrives");
@@ -545,7 +533,7 @@ mod tests {
     fn link_policy_delay_saturates_instead_of_overflowing() {
         use meba_sim::faults::{Link, LinkFate};
         let policy = |_l: Link, _r: u64| LinkFate::DelayRounds(u64::MAX);
-        let mut sim = SimBuilder::new(chatters(2)).link_policy(Box::new(policy)).build();
+        let mut sim = SimBuilder::new(chatters(2)).link_policy(each(policy)).build();
         sim.run_rounds(3);
         let p1: &Chatter = sim.actor(ProcessId(1)).as_any().downcast_ref().unwrap();
         assert_eq!(p1.heard.len(), 1, "a delay past the end of the run is a drop");
@@ -557,7 +545,7 @@ mod tests {
     fn seeded_policy_runs_reproduce_exactly() {
         let run = || {
             let mut sim = SimBuilder::new(chatters(3))
-                .link_policy(Box::new(meba_sim::faults::BernoulliDrop::new(99, 0.5)))
+                .link_policy(each(meba_sim::faults::BernoulliDrop::new(99, 0.5)))
                 .build();
             sim.run_rounds(3);
             (sim.metrics().per_link.clone(), sim.metrics().correct.words)

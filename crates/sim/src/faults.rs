@@ -7,23 +7,22 @@
 //! across round boundaries, transient partitions, torn connections).
 //! [`LinkFate`] and [`LinkPolicy`] are the workspace's only fault
 //! vocabulary; every backend interprets them directly, so one seeded
-//! plan runs unchanged on all of them:
-//!
-//! * the **lockstep simulation** (`meba-engine`'s
-//!   `SimBuilder::link_policy`) — one instance judges every sender's
-//!   links, and a run is a pure function of the seed, so lossy-link tests
-//!   reproduce exactly;
-//! * the **discrete-event backend**, the **threaded cluster** and the
-//!   **TCP cluster** (`DesConfig::link_policy` /
-//!   `ClusterConfig::link_policy`) — each sender owns a policy instance
-//!   for its outbound links, and the same seed yields the same fate for
-//!   the same `(link, round, nth message)` triple.
+//! plan runs unchanged on all of them. The discrete-event backend (the
+//! lockstep simulation is its lockstep configuration), the threaded
+//! cluster and the TCP cluster all take a factory invoked once per
+//! sender (`meba-engine`'s `LinkPolicyFactory`), so each sender owns a
+//! policy instance for its outbound links, and the same seed yields the
+//! same fate for the same `(link, round, nth message)` triple. A run on
+//! the discrete-event backend is a pure function of the seed, so lossy-
+//! link tests reproduce exactly. The words a policy drops are billed
+//! where they were sent: a faulty link is one more faulty process, not a
+//! cheaper run.
 //!
 //! [`LinkFate::Sever`] tears a connection down only where there is one:
 //! over TCP the socket is closed and the link re-dials and re-handshakes
-//! before carrying further traffic; the channel mesh, the discrete-event
-//! queue and `meba-adversary`'s `LossyLinkActor` have no connections and
-//! treat it as [`LinkFate::Drop`].
+//! before carrying further traffic; the channel mesh and the
+//! discrete-event queue have no connections and treat it as
+//! [`LinkFate::Drop`].
 //!
 //! Determinism: stock policies never consult ambient randomness. Every
 //! decision is a pure function of `(seed, from, to, round, seq)` where
@@ -94,8 +93,8 @@ pub enum LinkFate {
     /// Lost, and the connection that carried it is torn down: the TCP
     /// runtime closes the socket, so the link must re-dial and
     /// re-handshake before it carries further traffic. A backend without
-    /// connections (lockstep, channels, discrete-event, `LossyLinkActor`)
-    /// treats it as [`LinkFate::Drop`].
+    /// connections (channels, discrete-event and its lockstep
+    /// configuration) treats it as [`LinkFate::Drop`].
     Sever,
 }
 
@@ -255,7 +254,8 @@ impl LinkPolicy for RandomDelay {
 /// A transient partition: for rounds in `[from_round, from_round + duration)`
 /// every message crossing between `left` and its complement is dropped;
 /// links inside either side are untouched. The partition heals by itself —
-/// a one-shot fault.
+/// a one-shot fault — unless the end saturates past the round counter, in
+/// which case it never heals.
 ///
 /// # Examples
 ///
@@ -291,7 +291,8 @@ impl OneShotPartition {
 
 impl LinkPolicy for OneShotPartition {
     fn fate(&mut self, link: Link, round: u64) -> LinkFate {
-        let active = round >= self.from_round && round < self.from_round + self.duration;
+        let active =
+            round >= self.from_round && round < self.from_round.saturating_add(self.duration);
         if active && self.is_left(link.from) != self.is_left(link.to) {
             LinkFate::Drop
         } else {
@@ -463,6 +464,14 @@ mod tests {
         assert_eq!(p.fate(link(1, 0), 5), LinkFate::Drop); // both directions
         assert_eq!(p.fate(link(1, 2), 3), LinkFate::Deliver); // same side
         assert_eq!(p.fate(link(0, 1), 6), LinkFate::Deliver); // healed
+    }
+
+    #[test]
+    fn a_partition_that_never_heals_does_not_overflow() {
+        let mut p = OneShotPartition::new(5, u64::MAX, vec![ProcessId(0)]);
+        assert_eq!(p.fate(link(0, 1), 4), LinkFate::Deliver); // not yet
+        assert_eq!(p.fate(link(0, 1), 6), LinkFate::Drop);
+        assert_eq!(p.fate(link(0, 1), u64::MAX - 1), LinkFate::Drop, "never heals");
     }
 
     #[test]

@@ -5,18 +5,21 @@
 //!
 //! * **Build.** [`cluster`] does the trusted set-up once, hands every
 //!   process its [`Party`] (config, id, key, PKI, and the production
-//!   [`RecursiveBaFactory`] via [`Party::factory`]), wraps it according
-//!   to its [`Fault`], and lets the caller put a hand-written Byzantine
-//!   actor at any index the fault vector marks Byzantine. [`bb_actors`],
-//!   [`weak_ba_actors`], [`strong_ba_actors`] and [`log_actors`] are the
-//!   four protocol families as one-line constructors on it. The result
-//!   is a plain actor vector, runtime-free: hand it to any backend.
-//! * **Run.** [`sim`] builds the lockstep [`Simulation`] ([`sim_builder`]
-//!   when a link policy or a crash is added) — the discrete-event
-//!   backend under its lockstep driver, stepped a round at a time;
-//!   [`des`] runs that backend to completion under a [`Timing`]
-//!   (default: lockstep), which makes n in the thousands practical.
-//!   [`meba_engine::run_cluster`] (threads) and
+//!   [`RecursiveBaFactory`] via [`Party::factory`]), builds its actor
+//!   according to its [`Fault`], and lets the caller put a hand-written
+//!   Byzantine actor at any index the fault vector marks Byzantine.
+//!   [`bb_actors`], [`weak_ba_actors`], [`strong_ba_actors`] and
+//!   [`log_actors`] are the four protocol families as one-line
+//!   constructors on it. The result is a plain actor vector,
+//!   runtime-free: hand it to any backend.
+//! * **Run.** The fault vector is the run's fault plan: [`with_faults`]
+//!   reads it once into the engine's settings — the corrupt set, a
+//!   crash fate per [`Fault::CrashAt`], a drop layer per [`Fault::Lossy`]
+//!   sender. [`sim`] builds the lockstep [`Simulation`] from them — the
+//!   discrete-event backend under its lockstep driver, stepped a round
+//!   at a time; [`des`] runs that backend to completion under a
+//!   [`Timing`] (default: lockstep), which makes n in the thousands
+//!   practical. [`meba_engine::run_cluster`] (threads) and
 //!   `meba_wire::run_tcp_cluster` (TCP) take the same vector with
 //!   [`corrupt_ids`].
 //! * **Check.** [`oracle::decided`] checks a finished single-shot or log
@@ -112,15 +115,15 @@ pub use recovery::{
 };
 pub use service::{service_replica, ServiceHarness, ServiceM, ServiceProc};
 
-use meba_adversary::{ChaosActor, CrashActor, LossyLinkActor};
+use meba_adversary::ChaosActor;
 use meba_core::{AlwaysValid, Bb, LockstepAdapter, StrongBa, SubProtocol, SystemConfig, WeakBa};
 use meba_crypto::{trusted_setup, Decoder, Encoder, Pki, ProcessId, SecretKey, ThresholdSignature};
 pub use meba_engine::{default_quorum, AdvanceCause, RoundDriverConfig};
-use meba_engine::{run_des_cluster, ClusterReport, DesConfig, ProcessFate, ProcessFateFactory};
-use meba_engine::{SimBuilder, Simulation};
+use meba_engine::{run_des_cluster, ClusterReport, DesConfig, LinkPolicyFactory};
+use meba_engine::{ProcessFate, ProcessFateFactory, SimBuilder, Simulation};
 use meba_fallback::RecursiveBaFactory;
-use meba_sim::faults::BernoulliDrop;
-use meba_sim::{Actor, AnyActor, IdleActor, Message, Round};
+use meba_sim::faults::{BernoulliDrop, PolicyStack, ReliableLinks};
+use meba_sim::{Actor, AnyActor, IdleActor, Message};
 use meba_smr::ReplicatedLog;
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -130,25 +133,31 @@ use std::sync::Arc;
 /// process's traffic.
 const LOSSY_DROP_PROB: f64 = 0.75;
 
-/// Fault assignment for one process.
+/// Fault assignment for one process; a vector of them, one per process,
+/// is a run's fault plan. Every kind but `None` counts toward `f`: the
+/// process is corrupt — rushed on a lockstep run, its words billed to
+/// `byzantine`. [`cluster`] builds the actor (the honest protocol for
+/// `CrashAt` and `Lossy`); [`with_faults`] turns the vector into the
+/// engine settings every run honours.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// Correct.
     None,
     /// Crashed from the start (a silent Byzantine process).
     Idle,
-    /// Runs the honest protocol under *Byzantine* (rushed) scheduling
-    /// until the given round, then goes silent. For honest-until-crash
-    /// with honest scheduling, use [`ProcessFate::Crash`] (on the
-    /// lockstep simulation, [`SimBuilder::crash_at`]) instead.
+    /// Runs the honest protocol, rushed, until the given round, then is
+    /// down for good ([`ProcessFate::Crash`]). For honest-until-crash
+    /// with honest scheduling, give a correct process that fate instead
+    /// ([`SimBuilder::crash_at`] on the lockstep simulation).
     CrashAt(u64),
     /// Replays observed messages at random (seeded).
     Chaos(u64),
-    /// Runs the honest protocol, but each outbound message is dropped
-    /// with high probability (seeded; see
-    /// [`meba_adversary::LossyLinkActor`]). Models a correct machine on a
-    /// failing network — which the synchronous model must count toward
-    /// `f`, since its words can exceed `δ`.
+    /// Runs the honest protocol behind outbound links that drop each
+    /// message with high probability (a seeded [`BernoulliDrop`] layer on
+    /// the sender's link policy). Models a correct machine on a failing
+    /// network — which the synchronous model must count toward `f`, since
+    /// its words can exceed `δ`. The dropped words are billed where they
+    /// were sent.
     Lossy(u64),
 }
 
@@ -257,8 +266,9 @@ impl Family {
     }
 }
 
-/// Wraps one process's honest actor according to its [`Fault`]. `honest`
-/// is only invoked for fault kinds that run the real protocol.
+/// One process's actor for its [`Fault`]. `honest` is only invoked for
+/// fault kinds that run the real protocol; a crash or a lossy link is an
+/// engine setting ([`with_faults`]), not an actor.
 fn apply_fault<M, A, F>(id: ProcessId, fault: Fault, honest: F) -> Box<dyn AnyActor<Msg = M>>
 where
     M: meba_sim::Message,
@@ -266,20 +276,59 @@ where
     F: FnOnce() -> A,
 {
     match fault {
-        Fault::None => Box::new(honest()),
+        Fault::None | Fault::CrashAt(_) | Fault::Lossy(_) => Box::new(honest()),
         Fault::Idle => Box::new(IdleActor::new(id)),
-        Fault::CrashAt(r) => Box::new(CrashActor::new(honest(), Round(r))),
         Fault::Chaos(seed) => Box::new(ChaosActor::new(id, seed, 4)),
-        Fault::Lossy(seed) => Box::new(LossyLinkActor::new(
-            honest(),
-            Box::new(BernoulliDrop::new(seed, LOSSY_DROP_PROB)),
-        )),
     }
+}
+
+/// The engine settings a fault vector stands for, laid over `config` —
+/// the one reading of a fault plan, which [`sim`] and [`des`] run
+/// through:
+///
+/// * every faulty process is `corrupt` ([`corrupt_ids`]);
+/// * a [`Fault::CrashAt`] process is [`ProcessFate::Crash`], over
+///   whatever `config.process_fate` gives it;
+/// * a [`Fault::Lossy`] sender's [`BernoulliDrop`] is stacked
+///   ([`PolicyStack`]) over its instance of `config.link_policy`.
+///
+/// Every other setting passes through, so a vector without `CrashAt` or
+/// `Lossy` changes `corrupt` only.
+pub fn with_faults(faults: &[Fault], config: DesConfig) -> DesConfig {
+    let plan: Arc<[Fault]> = faults.into();
+    let process_fate = match config.process_fate {
+        under if !faults.iter().any(|f| matches!(f, Fault::CrashAt(_))) => under,
+        under => {
+            let plan = plan.clone();
+            let fate: ProcessFateFactory = Arc::new(move |p| match plan[p.index()] {
+                Fault::CrashAt(at_round) => ProcessFate::Crash { at_round },
+                _ => under.as_ref().map_or(ProcessFate::Run, |f| f(p)),
+            });
+            Some(fate)
+        }
+    };
+    let link_policy = match config.link_policy {
+        under if !faults.iter().any(|f| matches!(f, Fault::Lossy(_))) => under,
+        under => {
+            let policy: LinkPolicyFactory = Arc::new(move |p| {
+                let base = under.as_ref().map_or_else(|| Box::new(ReliableLinks) as _, |f| f(p));
+                match plan[p.index()] {
+                    Fault::Lossy(seed) => {
+                        let drop = BernoulliDrop::new(seed, LOSSY_DROP_PROB);
+                        Box::new(PolicyStack::new().with(base).with(Box::new(drop)))
+                    }
+                    _ => base,
+                }
+            });
+            Some(policy)
+        }
+    };
+    DesConfig { corrupt: corrupt_ids(faults), process_fate, link_policy, ..config }
 }
 
 /// Builds an `n = faults.len()` process cluster: one trusted set-up
 /// from `key_seed`, then for each process its [`Party`] goes to `honest`
-/// and the result is wrapped according to `faults[i]` (`honest` is only
+/// and the actor is built according to `faults[i]` (`honest` is only
 /// invoked for fault kinds that run the real protocol).
 ///
 /// `byzantine` is asked first at every index `faults` marks Byzantine;
@@ -411,19 +460,23 @@ pub fn log_actors(slots: u64, window: u64, faults: &[Fault]) -> Vec<Box<dyn AnyA
     cluster(Family::LOG.config(n), Family::LOG.key_seed, faults, honest, |_, _| None)
 }
 
-/// Builds the lockstep simulation over `actors`, with the processes
-/// `faults` marks Byzantine corrupt (and rushing).
+/// Builds the lockstep simulation over `actors` under the engine
+/// settings of `faults` ([`with_faults`]): the processes it marks
+/// Byzantine corrupt (and rushing), its crash fates and its lossy links.
 pub fn sim<M: Message>(actors: Vec<Box<dyn AnyActor<Msg = M>>>, faults: &[Fault]) -> Simulation<M> {
-    sim_builder(actors, faults).build()
-}
-
-/// [`sim`] before `build`: the corrupt set is marked, and the caller may
-/// still install a link policy or crash a process.
-pub fn sim_builder<M: Message>(
-    actors: Vec<Box<dyn AnyActor<Msg = M>>>,
-    faults: &[Fault],
-) -> SimBuilder<M> {
-    corrupt_ids(faults).into_iter().fold(SimBuilder::new(actors), SimBuilder::corrupt)
+    let plan = with_faults(faults, DesConfig::default());
+    let mut builder = plan.corrupt.into_iter().fold(SimBuilder::new(actors), SimBuilder::corrupt);
+    if let Some(fate) = plan.process_fate {
+        for id in (0..faults.len()).map(|i| ProcessId(i as u32)) {
+            if let ProcessFate::Crash { at_round } = fate(id) {
+                builder = builder.crash_at(id, at_round);
+            }
+        }
+    }
+    match plan.link_policy {
+        Some(policy) => builder.link_policy(policy).build(),
+        None => builder.build(),
+    }
 }
 
 /// A timing scenario for the DES backend: the round driver plus the
@@ -546,11 +599,11 @@ impl Default for Timing {
 }
 
 /// Runs `actors` on the deterministic discrete-event backend under
-/// `timing` — one call: run to completion (or [`round_budget`] rounds),
-/// report. `seed` drives the link-latency and skew sampling. The cap
-/// covers any single-shot protocol and a log of a few slots; a longer
-/// log wants [`run_des_cluster`] with its own `max_rounds`
-/// ([`log_round_budget`]).
+/// `timing` and the engine settings of `faults` ([`with_faults`]) — one
+/// call: run to completion (or [`round_budget`] rounds), report. `seed`
+/// drives the link-latency and skew sampling. The cap covers any
+/// single-shot protocol and a log of a few slots; a longer log wants
+/// [`run_des_cluster`] with its own `max_rounds` ([`log_round_budget`]).
 ///
 /// # Panics
 ///
@@ -562,20 +615,17 @@ pub fn des<M: Message>(
     seed: u64,
     timing: &Timing,
 ) -> ClusterReport<M> {
-    let config = DesConfig {
-        seed,
-        corrupt: corrupt_ids(faults),
-        max_rounds: round_budget(faults.len()),
-        ..DesConfig::default()
-    };
-    run_des_cluster(actors, None, timing.apply(config)).expect("testkit timing scenario is valid")
+    let config = DesConfig { seed, max_rounds: round_budget(faults.len()), ..DesConfig::default() };
+    run_des_cluster(actors, None, with_faults(faults, timing.apply(config)))
+        .expect("testkit timing scenario is valid")
 }
 
 /// The correct (`Fault::None`) processes of a finished run, downcast to
 /// their concrete actor type `A` — `LockstepAdapter<P>` for the
 /// single-shot families, [`LogProc`] for the log. `actors` is
 /// [`Simulation::actors`] or a cluster report's `actors`. Faulty
-/// processes are wrapped or replaced and hold nothing comparable.
+/// processes are skipped: an adversary holds nothing comparable, and a
+/// crashed or lossy honest machine is not a correct process.
 ///
 /// # Panics
 ///

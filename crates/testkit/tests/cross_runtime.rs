@@ -13,9 +13,10 @@
 //! lockstep driver, so there is one virtual clock to check, not two: its
 //! runs must not depend on the link-latency seed, with every fault the
 //! testkit builds — the rushing adversary's included, since corrupt
-//! processes rush on every lockstep discrete-event run. Against the
-//! wall-clock backends only decisions and failure-free words are
-//! compared.
+//! processes rush on every lockstep discrete-event run — and stepping it
+//! a round at a time must read the fault vector as running it to
+//! completion does. Against the wall-clock backends only decisions and
+//! failure-free words are compared.
 
 use meba_core::{Decision, LockstepAdapter, StrongBa, SubProtocol};
 use meba_crypto::ProcessId;
@@ -24,10 +25,10 @@ use meba_engine::{
     ProcessFateFactory, RebuiltActor, RoundDriverConfig, SimBuilder,
 };
 use meba_sim::faults::{Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt};
-use meba_sim::{Actor, AnyActor, Message, Round, RoundCtx};
+use meba_sim::{Actor, AnyActor, Message, Metrics, Round, RoundCtx};
 use meba_testkit::{
-    bb_actors, corrupt_ids, crash_restart, des, oracle, round_budget, strong_ba_actors,
-    weak_ba_actors, BbProc, Fault, SbaProc, Timing, WbaProc,
+    bb_actors, corrupt_ids, crash_restart, des, oracle, round_budget, sim, strong_ba_actors,
+    weak_ba_actors, with_faults, BbProc, Fault, SbaProc, Timing, WbaProc,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -44,30 +45,63 @@ fn any_fault(k: &mut Knobs, n: usize) -> Fault {
     }
 }
 
-/// A lockstep discrete-event run of `actors` under latency seed `seed`,
-/// checked by family `P`'s oracle and rendered whole: verdict, rounds,
-/// decisions and the serialized ledger.
+/// A finished run checked by family `P`'s oracle and rendered whole:
+/// verdict, rounds, decisions and the serialized ledger.
 fn rendered<P: oracle::Probe>(
-    actors: Vec<Box<dyn AnyActor<Msg = <P::Actor as Actor>::Msg>>>,
+    actors: &[Box<dyn AnyActor<Msg = <P::Actor as Actor>::Msg>>],
+    metrics: &Metrics,
+    completed: bool,
     faults: &[Fault],
-    seed: u64,
 ) -> String {
-    let report = des(actors, faults, seed, &Timing::lockstep());
-    let decided = oracle::decided::<P>(&report.actors, &report.metrics, faults);
+    let decided = oracle::decided::<P>(actors, metrics, faults);
     decided.assert_in_model();
-    let metrics = serde_json::to_string(&report.metrics).expect("metrics serialize");
-    format!("{} {} {:?} {metrics}", report.completed, report.rounds, decided.decisions)
+    let ledger = serde_json::to_string(metrics).expect("metrics serialize");
+    format!("{completed} {} {:?} {ledger}", metrics.rounds, decided.decisions)
+}
+
+/// `metrics` with the advance-cause tallies cleared: a run stepped a
+/// round at a time is not credited with its sleepers' last rounds, so
+/// that field says how a run was driven, not what it sent or decided.
+fn unclocked(metrics: &Metrics) -> Metrics {
+    Metrics { advance: Default::default(), ..metrics.clone() }
+}
+
+/// Three renderings of one fault vector over `build()`'s actors: `des`
+/// under latency seeds `a` and `b`, which must agree byte for byte, and
+/// `sim` stepped a round at a time, whose ledger must equal `des`'s but
+/// for `advance`.
+fn one_reading<P: oracle::Probe>(
+    build: impl Fn() -> Vec<Box<dyn AnyActor<Msg = <P::Actor as Actor>::Msg>>>,
+    faults: &[Fault],
+    [a, b]: [u64; 2],
+) {
+    let render = |seed| {
+        let report = des(build(), faults, seed, &Timing::lockstep());
+        let whole = rendered::<P>(&report.actors, &report.metrics, report.completed, faults);
+        let ledger = unclocked(&report.metrics);
+        (whole, rendered::<P>(&report.actors, &ledger, report.completed, faults))
+    };
+    let ((at_a, unclocked_a), (at_b, _)) = (render(a), render(b));
+    assert_eq!(at_a, at_b, "two latency seeds: {faults:?}");
+    let mut stepped = sim(build(), faults);
+    let completed = stepped.run_until_done(round_budget(faults.len())).is_ok();
+    let ledger = unclocked(stepped.metrics());
+    let stepped = rendered::<P>(stepped.actors(), &ledger, completed, faults);
+    assert_eq!(stepped, unclocked_a, "sim vs des: {faults:?}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     // The lockstep discrete-event run — what `sim` and `SimBuilder` drive
-    // — is one function of its actors: the link-latency seed only moves
-    // arrivals inside the round window, and a rushed copy lands at its
-    // send instant whatever the seed. For every family and up to t faults
-    // of every kind the testkit builds, two seeds give byte-identical
-    // `Metrics`, the same rounds and verdict, and the same decisions.
+    // — is one function of its actors and its fault vector: the
+    // link-latency seed only moves arrivals inside the round window, and
+    // a rushed copy lands at its send instant whatever the seed. For
+    // every family and up to t faults of every kind the testkit builds,
+    // two seeds give byte-identical `Metrics`, the same rounds and
+    // verdict, and the same decisions; and `sim`, which reads the fault
+    // vector through the same `with_faults` as `des`, gives the same
+    // ledger but for `advance`.
     #[test]
     fn lockstep_des_is_seed_invariant(
         family in 0usize..4,
@@ -85,16 +119,19 @@ proptest! {
         let (sender, input) = (k.below(n as u64) as u32, k.next() % 1_000);
         let inputs: Vec<u64> = (0..n as u64).map(|i| 1 + (input + i) % 2).collect();
         let bits: Vec<bool> = inputs.iter().map(|&v| v == 1).collect();
-        let run = |seed: u64| match family {
-            0 => rendered::<BbProc>(bb_actors(sender, input, &faults), &faults, seed),
-            1 => rendered::<WbaProc>(weak_ba_actors(&inputs, &faults), &faults, seed),
-            2 => rendered::<SbaProc>(strong_ba_actors(StrongBa::new, &bits, &faults), &faults, seed),
-            _ => {
-                let actors = strong_ba_actors(StrongBa::rotating, &bits, &faults);
-                rendered::<SbaProc>(actors, &faults, seed)
+        let seeds = [a, b];
+        match family {
+            0 => one_reading::<BbProc>(|| bb_actors(sender, input, &faults), &faults, seeds),
+            1 => one_reading::<WbaProc>(|| weak_ba_actors(&inputs, &faults), &faults, seeds),
+            2 => {
+                let build = || strong_ba_actors(StrongBa::new, &bits, &faults);
+                one_reading::<SbaProc>(build, &faults, seeds)
             }
-        };
-        prop_assert_eq!(run(a), run(b), "{:?}", faults);
+            _ => {
+                let build = || strong_ba_actors(StrongBa::rotating, &bits, &faults);
+                one_reading::<SbaProc>(build, &faults, seeds)
+            }
+        }
     }
 }
 
@@ -237,10 +274,7 @@ const SEVERED: Link = Link { from: ProcessId(3), to: ProcessId(0) };
 /// One seeded link-fault plan in the one fault vocabulary: p3's outbound
 /// links jittered past δ with its p3→p0 link severed in round 10 (p3's
 /// first traffic to p0 — its help request after two failed phases), p4's
-/// outbound links cut. Stock policies decide per `(seed, link, round,
-/// nth message)`, so one instance judging every link (the lockstep
-/// simulator) and one instance per sender (the engine backends) hand
-/// out the same fates.
+/// outbound links cut. Every backend builds one instance per sender.
 fn link_fault_plan() -> Box<dyn LinkPolicy> {
     let mut jitter = RandomDelay::new(0xd3, 0.8, 3);
     let by_sender = move |l: Link, r: u64| match l.from.0 {
@@ -271,7 +305,7 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
     let factory: LinkPolicyFactory = Arc::new(|_me| link_fault_plan());
 
     let mut sim =
-        SimBuilder::new(weak_ba_actors(&inputs, &faults)).link_policy(link_fault_plan()).build();
+        SimBuilder::new(weak_ba_actors(&inputs, &faults)).link_policy(factory.clone()).build();
     sim.run_until_done(round_budget(n)).unwrap();
     // The plan breaks the synchrony bound on p3's and p4's links without
     // counting them toward f, so the runs are outside the model: safety.
@@ -483,7 +517,6 @@ fn scenario(seed: u64) -> Scenario {
         seed: k.next(),
         // Mostly the full budget; sometimes one the run cannot finish in.
         max_rounds: if k.below(6) == 0 { 3 * n as u64 } else { round_budget(n) },
-        corrupt: corrupt_ids(&faults),
         link_policy,
         process_fate,
         driver,
@@ -493,6 +526,9 @@ fn scenario(seed: u64) -> Scenario {
         link_cap_ns: k.pick(&[None, None, Some(DELTA / 4)]),
         ..DesConfig::default()
     };
+    // The fault vector's crash fates and lossy layers go over the
+    // scenario's own.
+    let config = with_faults(&faults, config);
     Scenario { faults, config, rebuild: k.below(2) == 0 }
 }
 

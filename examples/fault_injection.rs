@@ -6,9 +6,11 @@
 //! cargo run --example fault_injection
 //! ```
 
-use meba::adversary::{ChaosActor, EquivocatingSender, LossyLinkActor, WastefulBbLeader};
+use meba::adversary::{ChaosActor, EquivocatingSender, WastefulBbLeader};
+use meba::engine::LinkPolicyFactory;
 use meba::prelude::*;
-use meba::sim::faults::BernoulliDrop;
+use meba::sim::faults::{BernoulliDrop, LinkPolicy, ReliableLinks};
+use std::sync::Arc;
 
 type BbProc = Bb<u64, RecursiveBaFactory>;
 type Msg = <BbProc as SubProtocol>::Msg;
@@ -20,6 +22,9 @@ struct Scenario {
     name: &'static str,
     /// Byzantine ids and a constructor for each.
     build_byz: ByzBuilder,
+    /// Link faults, one policy instance per sender (reliable links if
+    /// `None`).
+    links: Option<LinkPolicyFactory>,
 }
 
 fn correct_actor(
@@ -45,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sender = ProcessId(0);
 
     let scenarios: Vec<Scenario> = vec![
-        Scenario { name: "failure-free", build_byz: |_, _, _, _| vec![] },
+        Scenario { name: "failure-free", build_byz: |_, _, _, _| vec![], links: None },
         Scenario {
             name: "crashed followers (f = t)",
             build_byz: |_, _, _, _| {
@@ -56,10 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     })
                     .collect()
             },
+            links: None,
         },
         Scenario {
             name: "silent sender",
             build_byz: |_, _, _, _| vec![(0, Box::new(IdleActor::new(ProcessId(0))) as _)],
+            links: None,
         },
         Scenario {
             name: "equivocating sender",
@@ -76,6 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     )) as _,
                 )]
             },
+            links: None,
         },
         Scenario {
             name: "wasteful leaders (f = 3)",
@@ -86,6 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     })
                     .collect()
             },
+            links: None,
         },
         Scenario {
             // Correct state machines behind 80%-lossy outbound links: the
@@ -97,17 +106,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .into_iter()
                     .map(|i| {
                         let id = ProcessId(i);
-                        let key = keys[i as usize].clone();
-                        let factory = RecursiveBaFactory::new(*cfg, key.clone(), pki.clone());
-                        let bb: BbProc = Bb::new(*cfg, id, key, pki.clone(), factory, sender);
-                        let lossy = LossyLinkActor::new(
-                            LockstepAdapter::new(id, bb),
-                            Box::new(BernoulliDrop::new(0x1055_u64 ^ u64::from(i), 0.8)),
-                        );
-                        (i, Box::new(lossy) as Box<dyn AnyActor<Msg = Msg>>)
+                        (i, correct_actor(cfg, pki, keys[i as usize].clone(), id, sender, 0))
                     })
                     .collect()
             },
+            links: Some(Arc::new(|p: ProcessId| -> Box<dyn LinkPolicy> {
+                match p.0 {
+                    3 | 7 => Box::new(BernoulliDrop::new(0x1055_u64 ^ u64::from(p.0), 0.8)),
+                    _ => Box::new(ReliableLinks),
+                }
+            })),
         },
         Scenario {
             name: "chaos replayers (f = 2)",
@@ -117,6 +125,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     (7, Box::new(ChaosActor::new(ProcessId(7), 0xbeef, 4)) as _),
                 ]
             },
+            links: None,
         },
     ];
 
@@ -142,6 +151,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut builder = SimBuilder::new(actors);
         for &i in &byz_ids {
             builder = builder.corrupt(ProcessId(i));
+        }
+        if let Some(links) = sc.links {
+            builder = builder.link_policy(links);
         }
         let mut sim = builder.build();
         sim.run_until_done(20_000)?;

@@ -32,8 +32,11 @@ test "$(awk '/^pub fn run_live_round/,/^}/' crates/sim/src/body.rs | grep -c 'Ar
 echo "== one virtual clock (the lockstep Simulation is the discrete-event loop; no wave loop, no lane transport, no outbox-tampering wrappers) =="
 ! git grep -nE 'LaneTransport|struct Lanes|TransformActor|send_only_to' -- crates src tests examples || exit 1
 
-echo "== one cluster builder (meba-bench builds every cluster through meba-testkit) =="
-! git grep -n 'SimBuilder::new' -- crates/bench || exit 1
+echo "== one fault plan (CrashAt and Lossy are engine fates and link-policy layers read from the fault vector by meba_testkit::with_faults; no fault wrappers; one per-sender policy factory on every backend) =="
+! git grep -nE 'LossyLinkActor|CrashActor|AmnesiacActor|SharedPolicy|sim_builder' -- crates src tests examples README.md DESIGN.md docs || exit 1
+
+echo "== one cluster builder (meba-bench's runners build every cluster through meba-testkit; its golden test pins SimBuilder's own settings) =="
+! git grep -n 'SimBuilder::new' -- crates/bench/src || exit 1
 ! git grep -n 'trusted_setup(' -- crates/bench/src || exit 1
 
 echo "== one slot path (retired names; a slot's decision is stored once in meba-smr and becomes state through ServiceReplica::apply only) =="
