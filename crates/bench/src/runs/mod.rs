@@ -101,6 +101,24 @@ mod tests {
         assert_eq!((s.words, s.within_bound), (506_018, false));
     }
 
+    /// The same finding two doublings further (ROADMAP item 12(a)): 62.59
+    /// words per `n(f+1)` at n = 513 and 63.01 at n = 1025, increments of
+    /// 0.79 and 0.43 over n = 257's 61.80 against the previous doubling's
+    /// 1.45 — each roughly half the last.
+    #[test]
+    #[ignore = "n = 513 at f = t on the DES: seconds in release"]
+    fn e15_f_equals_t_at_n513_exceeds_the_bb_bound() {
+        let s = run_des_bb(513, 256, 0xe15);
+        assert_eq!((s.words, s.within_bound), (8_251_618, false));
+    }
+
+    #[test]
+    #[ignore = "n = 1025 at f = t on the DES: ~10 s and ~0.85 GB in release"]
+    fn e15_f_equals_t_at_n1025_exceeds_the_bb_bound() {
+        let s = run_des_bb(1025, 512, 0xe15);
+        assert_eq!((s.words, s.within_bound), (33_134_562, false));
+    }
+
     #[test]
     fn recovery_run_recovers_and_stays_adaptive() {
         let delta = std::time::Duration::from_millis(2);

@@ -301,13 +301,19 @@ impl ShareCollector {
     }
 
     /// Admits `sig` iff it is `from`'s own share (a relayed signature
-    /// does not count for its relayer) and it verifies over the payload —
-    /// the one verification it gets: the certificate is minted from the
+    /// does not count for its relayer) and it verifies over the payload's
+    /// digest, taken once in [`ShareCollector::new`] — the one
+    /// verification it gets: the certificate is minted from the
     /// admitted signers without a second pass. Returns whether it was
     /// admissible; a signer counts once however often it is offered.
     pub fn offer(&mut self, from: ProcessId, sig: &Signature) -> bool {
         sig.signer() == from
             && matches!(self.combiner.offer(sig), Ok(()) | Err(CryptoError::DuplicateSigner { .. }))
+    }
+
+    /// How many distinct signers have been admitted so far.
+    pub fn admitted(&self) -> usize {
+        self.combiner.admitted()
     }
 
     /// The certificate, once at least `threshold` distinct signers were
@@ -319,12 +325,12 @@ impl ShareCollector {
 
 /// Convenience: sign a [`Signable`] with a secret key.
 pub fn sign_payload<S: Signable>(key: &meba_crypto::SecretKey, payload: &S) -> Signature {
-    key.sign(&payload.signing_bytes())
+    key.sign_digest(&payload.signing_digest())
 }
 
 /// Convenience: verify an individual signature over a [`Signable`].
 pub fn verify_payload<S: Signable>(pki: &Pki, payload: &S, sig: &Signature) -> bool {
-    pki.verify(&payload.signing_bytes(), sig).is_ok()
+    pki.verify_digest(&payload.signing_digest(), sig).is_ok()
 }
 
 #[cfg(test)]

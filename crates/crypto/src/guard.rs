@@ -207,7 +207,8 @@ impl GuardedKey {
 
     /// Signs `payload` if doing so cannot equivocate: the payload's
     /// context is recorded first, and signing proceeds only when the
-    /// context is fresh or already bound to this exact preimage.
+    /// context is fresh or already bound to this exact preimage. The
+    /// digest recorded is the digest signed.
     ///
     /// # Errors
     ///
@@ -217,9 +218,9 @@ impl GuardedKey {
         &mut self,
         payload: &S,
     ) -> Result<Signature, EquivocationError> {
-        let preimage = payload.signing_bytes();
-        self.registry.record(&payload.context_bytes(), Digest::of(&preimage))?;
-        Ok(self.key.sign(&preimage))
+        let digest = payload.signing_digest();
+        self.registry.record(&payload.context_bytes(), digest)?;
+        Ok(self.key.sign_digest(&digest))
     }
 
     /// The guard's registry.

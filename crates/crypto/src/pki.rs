@@ -11,12 +11,19 @@
 //!   process in the simulation therefore cannot forge a certificate it
 //!   could not forge under an ideal scheme.
 //! * A threshold certificate is minted in one place, [`Combiner::finish`],
-//!   from `k` distinct signers whose shares each passed [`Pki::verify`]
-//!   when they were offered; [`Pki::combine`] is the loop over a
-//!   [`Combiner`]. A decoded certificate is inert until
+//!   from `k` distinct signers whose shares each passed
+//!   [`Pki::verify_digest`] when they were offered; [`Pki::combine`] is
+//!   the loop over a [`Combiner`]. A decoded certificate is inert until
 //!   [`Pki::verify_threshold`] accepts it.
-//! * Tags are HMAC-SHA256 under per-process keys derived from a master
-//!   secret held by the [`Pki`] verification handle, which exposes no key
+//! * Signatures are hash-then-sign: a tag is HMAC-SHA256, under a
+//!   per-process key derived from a master secret, over the domain tag and
+//!   the message's SHA-256 [`Digest`] — never over the message itself. So
+//!   a share costs the same fixed MAC whatever the message length: one
+//!   inner and one outer compression once the message is digested.
+//!   [`Pki::verify`] / [`SecretKey::sign`] digest their message and call
+//!   [`Pki::verify_digest`] / [`SecretKey::sign_digest`]; a [`Combiner`]
+//!   digests its message once, when it is created, and checks every share
+//!   against that digest. The [`Pki`] verification handle exposes no key
 //!   material.
 //!
 //! Word accounting follows the paper's model: each signature object —
@@ -34,8 +41,9 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-/// Domain-separation tags for the three schemes.
-const DOM_SIGN: &[u8] = b"meba/sig/v1";
+/// Domain-separation tags for the three schemes. `DOM_SIGN` is `v2` since
+/// individual tags MAC the message digest rather than the message.
+const DOM_SIGN: &[u8] = b"meba/sig/v2";
 const DOM_THRESH: &[u8] = b"meba/thresh/v1";
 const DOM_AGG: &[u8] = b"meba/agg/v1";
 const DOM_SK: &[u8] = b"meba/sk/v1";
@@ -45,10 +53,21 @@ thread_local! {
     static CERT_VERIFIES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// How often the calling thread has run `(Pki::verify,
-/// Pki::verify_threshold)`, under any `Pki`. Test instrumentation for
-/// "nothing is verified twice" assertions — difference two readings taken
-/// around the code under test; it is not part of any run's `Metrics`.
+/// The individual-signature tag: `primed` is a signer's MAC state with its
+/// key pads and `DOM_SIGN` absorbed, so this is the one MAC both
+/// [`SecretKey::sign_digest`] and [`Pki::verify_digest`] compute.
+fn sig_tag(primed: &HmacSha256, digest: &Digest) -> [u8; 32] {
+    let mut mac = primed.clone();
+    mac.update(digest.as_bytes());
+    mac.finalize()
+}
+
+/// How often the calling thread has run `(Pki::verify_digest,
+/// Pki::verify_threshold)`, under any `Pki` (`Pki::verify` and
+/// `Combiner::offer` each count once, through `verify_digest`). Test
+/// instrumentation for "nothing is verified twice" assertions — difference
+/// two readings taken around the code under test; it is not part of any
+/// run's `Metrics`.
 #[doc(hidden)]
 pub fn verify_calls() -> (u64, u64) {
     (SHARE_VERIFIES.get(), CERT_VERIFIES.get())
@@ -146,24 +165,28 @@ impl Pki {
         }
     }
 
-    /// Tag for a checked signer: clones the primed per-signer MAC state,
-    /// so per-verify cost is only the message absorption + finalize.
-    fn sig_tag(&self, signer: ProcessId, msg: &[u8]) -> [u8; 32] {
-        let mut mac = self.inner.sig_macs[signer.index()].clone();
-        mac.update(msg);
-        mac.finalize()
-    }
-
-    /// Verifies an individual signature on `msg`.
+    /// Verifies an individual signature on `msg`: [`Pki::verify_digest`]
+    /// over its digest.
     ///
     /// # Errors
     ///
     /// [`CryptoError::UnknownSigner`] if the claimed signer is outside the
     /// system, [`CryptoError::BadSignature`] if the tag does not verify.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), CryptoError> {
+        self.verify_digest(&Digest::of(msg), sig)
+    }
+
+    /// Verifies an individual signature on the message whose SHA-256 is
+    /// `digest`: clones the signer's primed MAC state and absorbs the 32
+    /// digest bytes, one inner and one outer compression.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pki::verify`].
+    pub fn verify_digest(&self, digest: &Digest, sig: &Signature) -> Result<(), CryptoError> {
         SHARE_VERIFIES.set(SHARE_VERIFIES.get() + 1);
         self.check_signer(sig.signer)?;
-        if ct_eq(&self.sig_tag(sig.signer, msg), &sig.tag) {
+        if ct_eq(&sig_tag(&self.inner.sig_macs[sig.signer.index()], digest), &sig.tag) {
             Ok(())
         } else {
             Err(CryptoError::BadSignature { signer: sig.signer })
@@ -243,7 +266,7 @@ impl Pki {
         if k == 0 || k > self.inner.n {
             return Err(CryptoError::BadThreshold { k, n: self.inner.n });
         }
-        Ok(Combiner { pki: self.clone(), k, msg: msg.to_vec(), signers: BTreeSet::new() })
+        Ok(Combiner { pki: self.clone(), k, digest: Digest::of(msg), signers: BTreeSet::new() })
     }
 
     /// Verifies that `ts` certifies `msg` under its `(k, n)` scheme.
@@ -287,14 +310,14 @@ impl Pki {
         if shares.is_empty() {
             return Err(CryptoError::InsufficientShares { needed: 1, got: 0 });
         }
+        let digest = Digest::of(msg);
         let mut signers = BTreeSet::new();
         for s in shares {
-            self.verify(msg, s)?;
+            self.verify_digest(&digest, s)?;
             if !signers.insert(s.signer) {
                 return Err(CryptoError::DuplicateSigner { signer: s.signer });
             }
         }
-        let digest = Digest::of(msg);
         let tag = self.agg_tag(&signers, &digest);
         Ok(AggregateSignature { signers, digest, tag })
     }
@@ -313,8 +336,9 @@ impl Pki {
         agg: &AggregateSignature,
         extra: &Signature,
     ) -> Result<AggregateSignature, CryptoError> {
-        self.verify_aggregate(msg, agg)?;
-        self.verify(msg, extra)?;
+        let digest = Digest::of(msg);
+        self.verify_aggregate_digest(&digest, agg)?;
+        self.verify_digest(&digest, extra)?;
         if agg.signers.contains(&extra.signer) {
             return Err(CryptoError::DuplicateSigner { signer: extra.signer });
         }
@@ -335,14 +359,21 @@ impl Pki {
         msg: &[u8],
         agg: &AggregateSignature,
     ) -> Result<(), CryptoError> {
+        self.verify_aggregate_digest(&Digest::of(msg), agg)
+    }
+
+    fn verify_aggregate_digest(
+        &self,
+        digest: &Digest,
+        agg: &AggregateSignature,
+    ) -> Result<(), CryptoError> {
         for &s in &agg.signers {
             self.check_signer(s)?;
         }
-        let digest = Digest::of(msg);
-        if digest != agg.digest {
+        if *digest != agg.digest {
             return Err(CryptoError::MessageMismatch);
         }
-        if ct_eq(&self.agg_tag(&agg.signers, &digest), &agg.tag) {
+        if ct_eq(&self.agg_tag(&agg.signers, digest), &agg.tag) {
             Ok(())
         } else {
             Err(CryptoError::MessageMismatch)
@@ -352,18 +383,19 @@ impl Pki {
 
 /// A `(k, n)` threshold certificate in formation ([`Pki::combiner`]).
 ///
-/// Holds the signers whose shares verified, never an unverified share, so
-/// [`Combiner::finish`] has nothing left to check but the count.
+/// Holds the message's digest, taken once when the combiner is created,
+/// and the signers whose shares verified against it — never an unverified
+/// share, so [`Combiner::finish`] has nothing left to check but the count.
 #[derive(Debug)]
 pub struct Combiner {
     pki: Pki,
     k: usize,
-    msg: Vec<u8>,
+    digest: Digest,
     signers: BTreeSet<ProcessId>,
 }
 
 impl Combiner {
-    /// Verifies `share` over the message and counts its signer.
+    /// Verifies `share` over the message's digest and counts its signer.
     ///
     /// # Errors
     ///
@@ -371,11 +403,16 @@ impl Combiner {
     /// share does not verify; otherwise [`CryptoError::DuplicateSigner`] if
     /// its signer already counts. A rejected share changes nothing.
     pub fn offer(&mut self, share: &Signature) -> Result<(), CryptoError> {
-        self.pki.verify(&self.msg, share)?;
+        self.pki.verify_digest(&self.digest, share)?;
         if !self.signers.insert(share.signer) {
             return Err(CryptoError::DuplicateSigner { signer: share.signer });
         }
         Ok(())
+    }
+
+    /// How many distinct signers have been admitted so far.
+    pub fn admitted(&self) -> usize {
+        self.signers.len()
     }
 
     /// Mints the certificate.
@@ -390,11 +427,10 @@ impl Combiner {
                 got: self.signers.len(),
             });
         }
-        let digest = Digest::of(&self.msg);
         Ok(ThresholdSignature {
             threshold: self.k,
-            digest,
-            tag: self.pki.thresh_tag(self.k, &digest),
+            digest: self.digest,
+            tag: self.pki.thresh_tag(self.k, &self.digest),
         })
     }
 }
@@ -407,7 +443,7 @@ impl Combiner {
 pub struct SecretKey {
     id: ProcessId,
     /// HMAC state with the key pads and `DOM_SIGN` pre-absorbed; each
-    /// `sign` clones it and absorbs only the message.
+    /// signature clones it and absorbs only the message digest.
     primed: HmacSha256,
 }
 
@@ -436,9 +472,24 @@ impl SecretKey {
     /// assert!(pki.verify(b"proposal", &sig).is_ok());
     /// ```
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        let mut mac = self.primed.clone();
-        mac.update(msg);
-        Signature { signer: self.id, tag: mac.finalize() }
+        self.sign_digest(&Digest::of(msg))
+    }
+
+    /// Signs the message whose SHA-256 is `digest`: the same signature as
+    /// [`SecretKey::sign`] on that message.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use meba_crypto::{pki::trusted_setup, Digest};
+    ///
+    /// let (pki, keys) = trusted_setup(3, 7);
+    /// let sig = keys[0].sign_digest(&Digest::of(b"proposal"));
+    /// assert_eq!(sig, keys[0].sign(b"proposal"));
+    /// assert!(pki.verify(b"proposal", &sig).is_ok());
+    /// ```
+    pub fn sign_digest(&self, digest: &Digest) -> Signature {
+        Signature { signer: self.id, tag: sig_tag(&self.primed, digest) }
     }
 }
 
@@ -686,14 +737,16 @@ mod tests {
     fn tags_match_an_independent_hmac() {
         // Computed outside this crate (Python `hmac` / `hashlib`) from the
         // construction in the module docs: neither the outer-midstate MAC
-        // nor the single key derivation may move a tag.
+        // nor the single key derivation may move a tag. The share is
+        // `HMAC(sk_2, b"meba/sig/v2" + sha256(b"v"))`; the certificate is
+        // `HMAC(master, b"meba/thresh/v1" + be64(3) + sha256(b"v"))`.
         fn hex(tag: &[u8; 32]) -> String {
             tag.iter().map(|b| format!("{b:02x}")).collect()
         }
         let (pki, keys) = setup(5);
         assert_eq!(
             hex(&keys[2].sign(b"v").tag),
-            "0cba582be6f4b91e997d99651b257a4a64fff7dfaa67323fa9cfeba3bba864a9"
+            "aa9ded0f81d9c239fe4c7a60961e76e77fa80cc3845a66f72ae259f9a728482c"
         );
         let shares: Vec<_> = keys.iter().take(3).map(|k| k.sign(b"v")).collect();
         assert_eq!(

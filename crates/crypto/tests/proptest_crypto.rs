@@ -1,10 +1,13 @@
 //! Property tests for the cryptographic substrate: streaming/oneshot
-//! equivalence, signature unforgeability across messages and signers, and
-//! certificate-assembly invariants.
+//! equivalence, signature unforgeability across messages and signers,
+//! hash-then-sign equivalence (raw-message sign/verify ≡ their digest
+//! forms), and certificate-assembly invariants.
 
 use meba_crypto::hmac::hmac_sha256;
 use meba_crypto::sha256::Sha256;
-use meba_crypto::{trusted_setup, CryptoError, Digest, ProcessId, Signable};
+use meba_crypto::{
+    trusted_setup, CryptoError, Decoder, Digest, Encoder, ProcessId, Signable, Signature,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -49,6 +52,80 @@ proptest! {
         prop_assert_eq!(sig.signer(), ProcessId(signer));
         if other != msg {
             prop_assert!(pki.verify(&other, &sig).is_err());
+        }
+    }
+
+    #[test]
+    fn sign_is_sign_digest_of_the_message(
+        n in 1usize..12,
+        signer in 0usize..12,
+        msg in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let (_, keys) = trusted_setup(n, 7);
+        let key = &keys[signer % n];
+        prop_assert_eq!(key.sign(&msg), key.sign_digest(&Digest::of(&msg)));
+    }
+
+    #[test]
+    fn verify_and_verify_digest_agree(
+        kind in 0usize..3,
+        signer in 0u32..12,
+        msg in proptest::collection::vec(any::<u8>(), 0..200),
+        other in proptest::collection::vec(any::<u8>(), 0..200),
+        tag in proptest::collection::vec(any::<u8>(), 32..33),
+    ) {
+        // A genuine signature on `msg`, one on `other`, or arbitrary tag
+        // bytes, claimed by a signer that may lie outside the system.
+        let (pki, _) = trusted_setup(6, 7);
+        let (_, wide) = trusted_setup(12, 7);
+        let sig = match kind {
+            0 => wide[signer as usize].sign(&msg),
+            1 => wide[signer as usize].sign(&other),
+            _ => decode_signature(ProcessId(signer), &tag),
+        };
+        prop_assert_eq!(pki.verify(&msg, &sig), pki.verify_digest(&Digest::of(&msg), &sig));
+    }
+
+    #[test]
+    fn combiner_admits_exactly_what_verify_accepts(
+        k in 1usize..=7,
+        // One draw per offer: kind (4) x signer (14).
+        offers in proptest::collection::vec(0usize..4 * 14, 0..24),
+    ) {
+        let n = 7;
+        let (pki, _) = trusted_setup(n, 5);
+        // Same master secret: ids below n sign as the system's keys, the
+        // rest are signers outside it.
+        let (_, wide) = trusted_setup(2 * n, 5);
+        let msg = b"certified";
+        let mut combiner = pki.combiner(k, msg).unwrap();
+        let mut admitted = std::collections::BTreeSet::new();
+        let mut last = None;
+        for x in offers {
+            let (kind, i) = (x % 4, x / 4 % 14);
+            let share = match kind {
+                0 => wide[i % n].sign(msg),
+                1 => wide[i % n].sign(b"another message"),
+                2 => wide[i].sign(msg),
+                // A repeat of the previous offer, whatever it was.
+                _ => last.clone().unwrap_or_else(|| wide[i % n].sign(msg)),
+            };
+            let expected = pki.verify(msg, &share).and_then(|()| {
+                if admitted.insert(share.signer()) {
+                    Ok(())
+                } else {
+                    Err(CryptoError::DuplicateSigner { signer: share.signer() })
+                }
+            });
+            prop_assert_eq!(combiner.offer(&share), expected);
+            prop_assert_eq!(combiner.admitted(), admitted.len());
+            last = Some(share);
+        }
+        let finished = combiner.finish();
+        if admitted.len() >= k {
+            prop_assert!(pki.verify_threshold(msg, &finished.unwrap()).is_ok());
+        } else {
+            prop_assert_eq!(finished, Err(CryptoError::InsufficientShares { needed: k, got: admitted.len() }));
         }
     }
 
@@ -109,6 +186,16 @@ proptest! {
         prop_assert!(pki_a.combine(2, msg, &shares).is_err());
         prop_assert!(pki_a.aggregate(msg, &shares).is_err());
     }
+}
+
+/// A signature with arbitrary tag bytes, as a decoder would read it off the
+/// wire: decoding never authenticates.
+fn decode_signature(signer: ProcessId, tag: &[u8]) -> Signature {
+    let mut enc = Encoder::new();
+    enc.put_id(signer);
+    enc.put_bytes(tag);
+    let bytes = enc.into_bytes();
+    Signature::decode(&mut Decoder::new(&bytes)).expect("a 32-byte tag decodes")
 }
 
 /// A signable with adversary-controlled fields: distinct field values must

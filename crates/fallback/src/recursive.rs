@@ -45,10 +45,11 @@ use crate::ds::{ic_steps, IcInstance};
 use crate::ga::{GaInstance, GA_STEPS};
 use crate::instance::{InstanceId, Scope};
 use crate::messages::{RecBaMsg, RecDecideSig};
+use meba_core::signing::ShareCollector;
 use meba_core::{FallbackFactory, SubProtocol, SystemConfig, Value};
 use meba_crypto::{Pki, ProcessId, SecretKey, Signable};
 use meba_sim::Dest;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Scopes of at most this many members run the interactive-consistency
 /// base case instead of recursing.
@@ -120,7 +121,7 @@ pub struct RecursiveBa<V: Value> {
     levels: Vec<(Scope, V, u8)>,
     active_ga: Option<GaInstance<V>>,
     active_ic: Option<IcInstance<V>>,
-    cert_shares: BTreeMap<V, BTreeSet<ProcessId>>,
+    cert_shares: BTreeMap<V, ShareCollector>,
     output: Option<V>,
 }
 
@@ -331,25 +332,29 @@ impl<V: Value> SubProtocol for RecursiveBa<V> {
             SegKind::Cert { child } => {
                 if k == 1 && seg.scope.contains(self.me) {
                     let inst = Self::cert_inst(child);
+                    let (session, maj, pki) = (self.cfg.session(), child.majority(), &self.pki);
+                    // As in graded agreement, a child member's share counts
+                    // for its signer whoever delivered it; each value's
+                    // collector digests its payload once.
                     for (_, msg) in inbox {
                         if let RecBaMsg::CertShare { inst: i, value, sig } = msg {
                             if *i == inst && child.contains(sig.signer()) {
-                                let payload =
-                                    RecDecideSig { session: self.cfg.session(), inst, value };
-                                if payload.with_signing_bytes(|b| self.pki.verify(b, sig)).is_ok() {
-                                    self.cert_shares
-                                        .entry(value.clone())
-                                        .or_default()
-                                        .insert(sig.signer());
-                                }
+                                self.cert_shares
+                                    .entry(value.clone())
+                                    .or_insert_with(|| {
+                                        let payload = RecDecideSig { session, inst, value };
+                                        ShareCollector::new(pki, &payload, maj)
+                                    })
+                                    .offer(sig.signer(), sig);
                             }
                         }
                     }
                     let winner = self
                         .cert_shares
                         .iter()
-                        .filter(|(_, signers)| signers.len() >= child.majority())
-                        .max_by(|a, b| a.1.len().cmp(&b.1.len()).then(b.0.cmp(a.0)))
+                        .map(|(v, shares)| (v, shares.admitted()))
+                        .filter(|&(_, admitted)| admitted >= maj)
+                        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(a.0)))
                         .map(|(v, _)| v.clone());
                     if let Some(v) = winner {
                         let top = self.top();
@@ -495,6 +500,56 @@ mod tests {
         let members: Vec<Dest> = (0..5).map(|i| Dest::To(ProcessId(i))).collect();
         assert_eq!(dests, members);
         assert!(out.iter().all(|(_, msg)| matches!(msg, RecBaMsg::GaInput { .. })), "{out:?}");
+    }
+
+    /// p0's tally of the plan's last certificate exchange — `Cert(R)` over
+    /// the whole system, `R = p5..p8`, majority 3 — fed one inbox of
+    /// `(signer, value, genuine)` shares; a share that is not genuine
+    /// carries its signer's tag on another payload. Every other step runs
+    /// on an empty inbox, so p0 reaches the exchange holding its input 0
+    /// at grade 0 and adopts whatever the tally selects.
+    fn cert_tally(shares: &[(u32, u64, bool)]) -> u64 {
+        let n = 9;
+        let cfg = SystemConfig::new(n, 1).unwrap();
+        let (pki, keys) = trusted_setup(n, 3);
+        let mut rb = RecursiveBa::new(cfg, ProcessId(0), keys[0].clone(), pki, 0u64);
+        let last = *rb.plan.last().unwrap();
+        let SegKind::Cert { child } = last.kind else { panic!("the plan ends in a Cert") };
+        assert_eq!((last.scope, child.majority()), (Scope::full(n), 3));
+        let inst = RecursiveBa::<u64>::cert_inst(child);
+        let inbox: Vec<(ProcessId, Msg)> = shares
+            .iter()
+            .map(|&(signer, value, genuine)| {
+                let payload = RecDecideSig { session: cfg.session(), inst, value: &value };
+                let signed = if genuine { payload.signing_bytes() } else { b"other".to_vec() };
+                let sig = keys[signer as usize].sign(&signed);
+                (ProcessId(signer), RecBaMsg::CertShare { inst, value, sig })
+            })
+            .collect();
+        let mut out = Vec::new();
+        for step in 0..=rb.end {
+            let msgs: &[(ProcessId, Msg)] = if step == last.start + 1 { &inbox } else { &[] };
+            rb.on_step(step, msgs, &mut out);
+        }
+        rb.output().expect("decided at the end of the plan")
+    }
+
+    #[test]
+    fn a_certificate_counts_verified_child_shares_and_a_tie_goes_to_the_smaller_value() {
+        // Three genuine child shares are a majority: adopted.
+        assert_eq!(cert_tally(&[(5, 7, true), (6, 7, true), (7, 7, true)]), 7);
+        // A forged tag, a signer outside the child scope and a repeated
+        // signer each leave two shares: no certificate, the input stays.
+        assert_eq!(cert_tally(&[(5, 7, true), (6, 7, true), (7, 7, false)]), 0);
+        assert_eq!(cert_tally(&[(5, 7, true), (6, 7, true), (1, 7, true)]), 0);
+        assert_eq!(cert_tally(&[(5, 7, true), (6, 7, true), (6, 7, true)]), 0);
+        // Equivocating child members back two values: more signers win,
+        // and a tie goes to the smaller value, whichever arrived first.
+        let nine = [(5, 9, true), (6, 9, true), (7, 9, true)];
+        let four = [(5, 4, true), (6, 4, true), (7, 4, true)];
+        assert_eq!(cert_tally(&[&four[..], &nine, &[(8, 9, true)]].concat()), 9);
+        assert_eq!(cert_tally(&[nine, four].concat()), 4);
+        assert_eq!(cert_tally(&[four, nine].concat()), 4);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! only then answers with its own hello, so a rejected client learns
 //! nothing but a closed connection while the server logs the structured
 //! [`WireError`]. **Version policy:** [`PROTOCOL_VERSION`] bumps on any
-//! change to the frame layout, the hello fields, or any message codec —
-//! there is no cross-version negotiation; mismatched peers refuse to
-//! link.
+//! change to the frame layout, the hello fields, any message codec, or
+//! the signature construction — there is no cross-version negotiation;
+//! mismatched peers refuse to link. (Were it not bumped, a peer signing
+//! under another construction would link, fail every share check and
+//! cost a correct process its quorum.)
 
 use crate::error::WireError;
 use crate::frame::{read_frame, write_frame};
@@ -25,8 +27,9 @@ use meba_core::SystemConfig;
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, ProcessId, WireCodec};
 use std::io::{Read, Write};
 
-/// Wire-format version. Bumped on any codec or framing change.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Wire-format version. Bumped on any codec, framing or signature
+/// change; 2 since individual signatures MAC the message digest.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The first (and only) handshake frame each side sends.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -174,11 +177,19 @@ mod tests {
         let (peer, _) = hello(1, 1, 7);
         assert!(validate(&ours, &peer, Some(ProcessId(1)), 5).is_ok());
 
-        let mut bad = peer.clone();
-        bad.version = 2;
+        for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+            let bad = Hello { version, ..peer };
+            assert!(matches!(
+                validate(&ours, &bad, None, 5),
+                Err(WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs }) if theirs == version
+            ));
+        }
+        // A version-1 peer MACs whole messages, so its shares would fail
+        // every check: it is refused at the hello instead.
+        let v1 = Hello { version: 1, ..peer };
         assert!(matches!(
-            validate(&ours, &bad, None, 5),
-            Err(WireError::VersionMismatch { ours: 1, theirs: 2 })
+            validate(&ours, &v1, None, 5),
+            Err(WireError::VersionMismatch { ours: 2, theirs: 1 })
         ));
 
         let (bad_cfg, _) = hello(1, 99, 7);

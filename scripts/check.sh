@@ -17,6 +17,10 @@ echo "== one certificate site (ThresholdSignature is built in pki.rs only; Share
 ! git grep -nE 'ThresholdSignature \{ *(threshold|\.\.)' -- crates src tests examples ':!crates/crypto/src/pki.rs' || exit 1
 test "$(git grep -n 'certificate threshold is within 1..=n' -- 'crates/*/src/*' | wc -l)" -eq 1
 
+echo "== one digest per share (individual tags MAC a message digest, never the message; the fallback's shares go through ShareCollector) =="
+! git grep -n 'mac.update(msg)' -- crates/crypto/src/pki.rs || exit 1
+! git grep -n 'pki.verify(' -- crates/fallback/src || exit 1
+
 echo "== one billing site (MessageCost::of carries the only 1-word floor; every backend bills through it) =="
 test "$(git grep -n 'words().max(1)' -- 'crates/*/src/*' | wc -l)" -eq 1
 

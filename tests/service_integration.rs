@@ -347,7 +347,11 @@ fn crash_restart_of_serving_replica_is_exactly_once_tcp() {
 /// backends, the same seed twice gives identical `Metrics` JSON and
 /// `ServiceStats`, and the run's fingerprint — every replica's applied
 /// bytes per slot, its journal bytes, the metrics and the stats — is
-/// the one recorded before the slot path was collapsed onto one `apply`.
+/// the one recorded before the slot path was collapsed onto one `apply`,
+/// but for the `state` half: journals embed signature tags, so it was
+/// re-recorded when signatures became hash-then-sign (same journal
+/// lengths; only tag fields and the digests of certificates over signed
+/// values moved).
 /// The rebuilt victim replays records its pre-crash incarnation wrote
 /// through the live path, so this also pins journal compatibility.
 #[test]
@@ -382,7 +386,7 @@ fn crash_restart_of_serving_replica_is_exactly_once_des() {
     assert_eq!(first, second, "same seed: same Metrics bytes, same ServiceStats");
     assert_eq!(
         first.2,
-        "state=db54a8b702e2b0ca6b624da946d219f59d5f94f99da627725f840a0cc355d31a \
+        "state=dd6ee635b459222307189312247298891971b474aa57e1f262b2a003421fb990 \
          metrics=e1376e909ceb493f337c7aee72bd1a4a8c841dfedb4df9c73509202f2e038a5e \
          stats=efa3679037f1011290e81f91422ea295d6770a5074a4b88930c8ad68939cf8a6"
     );

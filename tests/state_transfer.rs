@@ -145,9 +145,11 @@ proptest! {
 /// gives identical `Metrics` JSON and `ServiceStats`, and each run's
 /// fingerprint — applied bytes per slot, journal bytes, metrics, stats —
 /// is the one recorded before the slot path was collapsed onto one
-/// `apply`. Every victim restarts after it has journaled commits, so the
-/// rebuilt replicas replay `Committed` and `Transferred` records their
-/// earlier incarnations wrote through the live path.
+/// `apply`, but for the `state` half, re-recorded when signatures became
+/// hash-then-sign (journals embed signature tags). Every victim restarts
+/// after it has journaled commits, so the rebuilt replicas replay
+/// `Committed` and `Transferred` records their earlier incarnations wrote
+/// through the live path.
 #[test]
 fn rolling_restart_churn_converges_des() {
     let run = |jitter_tenths: u64| {
@@ -174,7 +176,7 @@ fn rolling_restart_churn_converges_des() {
     };
     // The outage phase moves the traffic (and so the metrics) but not
     // what is applied, journaled or counted.
-    const STATE: &str = "99537d8331cee7b90cbc24e242bbda01cafa867821bd3e2d59d5190d844347e5";
+    const STATE: &str = "33a0a5f985a506afc4ca0b9c9e8a94d2bad87664083f3650479202251823c03f";
     const STATS: &str = "d3bcbaad114b27030e873321a83f0278f676544b9d646c150dddee30d0666e98";
     for (jitter_tenths, metrics) in [
         (0, "c7d1e8cef432f3639936de8e8737f0d087b052ef333ffaab86f729650ba35ad4"),
