@@ -5,6 +5,7 @@
 use super::idle_at;
 use meba_testkit::oracle::{self, Violation};
 use meba_testkit::{bb_actors, des, BbProc, Fault, Timing};
+use std::collections::BTreeMap;
 
 /// Outcome of one large-n run on the discrete-event backend (experiment
 /// E15: asymptotics at system sizes the paced runtimes cannot reach).
@@ -18,6 +19,9 @@ pub struct DesRunStats {
     pub words: u64,
     /// Point-to-point messages sent by correct processes.
     pub messages: u64,
+    /// `words` split by message component tag (`Metrics::by_component`,
+    /// E5's breakdown): which part of the protocol pays them.
+    pub by_component: BTreeMap<String, u64>,
     /// Virtual rounds to global termination.
     pub rounds: u64,
     /// Whether all correct decisions were equal.
@@ -58,6 +62,9 @@ pub fn run_des_bb(n: usize, f: usize, seed: u64) -> DesRunStats {
         f,
         words: report.metrics.correct.words,
         messages: report.metrics.correct.messages,
+        by_component: (report.metrics.by_component.iter())
+            .map(|(tag, counters)| (tag.clone(), counters.words))
+            .collect(),
         rounds: report.rounds,
         agreement: true,
         within_bound: over.is_empty(),

@@ -119,6 +119,40 @@ mod tests {
         assert_eq!((s.words, s.within_bound), (33_134_562, false));
     }
 
+    /// The same finding split by component tag: the words of E15's
+    /// f = t rows at every n it has been measured at (seed `0xe15`), one
+    /// line `n: tag=words …` per row; EXPERIMENTS.md E15 has them per
+    /// `n(f+1)`.
+    #[test]
+    #[ignore = "n = 17 … 1025 at f = t on the DES: ~40 s and ~0.85 GB in release"]
+    fn e15_f_equals_t_words_by_component() {
+        let rows: String = [17, 33, 65, 129, 257, 513, 1025]
+            .into_iter()
+            .map(|n| {
+                let s = run_des_bb(n, (n - 1) / 2, 0xe15);
+                assert_eq!(s.by_component.values().sum::<u64>(), s.words, "n = {n}");
+                let tags: Vec<_> =
+                    s.by_component.iter().map(|(tag, w)| format!("{tag}={w}")).collect();
+                format!("{n}: {}\n", tags.join(" "))
+            })
+            .collect();
+        assert_eq!(rows, E15_WORDS_BY_COMPONENT, "got:\n{rows}");
+    }
+
+    /// Every row fits closed forms but one: `bb/dissemination` is
+    /// `2(n − 1)`, `weak-ba/help` `n² − 1` and `weak-ba/phases`
+    /// `7(n² − 1)/4`, so per `n(f+1)` they tend to 0, 2 and 3.5;
+    /// `bb/vetting` is silent. Only `fallback` still grows per `n(f+1)`.
+    const E15_WORDS_BY_COMPONENT: &str = "\
+17: bb/dissemination=32 fallback=6202 weak-ba/help=288 weak-ba/phases=504
+33: bb/dissemination=64 fallback=26818 weak-ba/help=1088 weak-ba/phases=1904
+65: bb/dissemination=128 fallback=112130 weak-ba/help=4224 weak-ba/phases=7392
+129: bb/dissemination=256 fallback=460002 weak-ba/help=16640 weak-ba/phases=29120
+257: bb/dissemination=512 fallback=1866594 weak-ba/help=66048 weak-ba/phases=115584
+513: bb/dissemination=1024 fallback=7526882 weak-ba/help=263168 weak-ba/phases=460544
+1025: bb/dissemination=2048 fallback=30243298 weak-ba/help=1050624 weak-ba/phases=1838592
+";
+
     #[test]
     fn recovery_run_recovers_and_stays_adaptive() {
         let delta = std::time::Duration::from_millis(2);

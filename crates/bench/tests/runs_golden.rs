@@ -16,7 +16,8 @@ use meba_sim::faults::{
 };
 use meba_sim::{AnyActor, Metrics};
 use meba_testkit::{
-    bb_actors, cluster, round_budget, sim, strong_ba_actors, weak_ba_actors, Family, Fault, SbaM,
+    bb_actors, cluster, crashes_at, round_budget, sim, strong_ba_actors, weak_ba_actors, Family,
+    Fault, SbaM,
 };
 use std::sync::Arc;
 
@@ -416,7 +417,7 @@ fn link_plan() -> Box<dyn LinkPolicy> {
 }
 
 /// What the runner rows do not reach: every link-fault plan (ledger
-/// whole, `per_link` included), `SimBuilder::crash_at`, the three
+/// whole, `per_link` included), `SimBuilder::process_fate`, the three
 /// stock faults that are more than silence (`Chaos`, and the engine
 /// settings `Lossy` and `CrashAt`), and the rushing
 /// attackers no runner uses (`EquivocatingSender`, `SplitVoteLeader`,
@@ -444,8 +445,7 @@ fn fault_plan_ledgers_match_the_recorded_digests() {
     let stack = linked(weak_ba_actors(&[7; 5], &clean(5)), link_plan);
 
     let mut crash = SimBuilder::new(bb_actors(0, 7, &clean(7)))
-        .crash_at(ProcessId(1), 3)
-        .crash_at(ProcessId(4), 12)
+        .process_fate(crashes_at(&[(1, 3), (4, 12)]))
         .build();
     let crash = scenario(&mut crash, 7, false);
 

@@ -188,19 +188,9 @@ impl<P: SubProtocol> Recoverable<P> {
         &self.registry
     }
 
-    /// Whether a journal I/O failure has silenced this process.
-    pub fn io_failed(&self) -> bool {
-        self.io_failed
-    }
-
     /// The wrapped protocol.
     pub fn inner(&self) -> &P {
         &self.inner
-    }
-
-    /// The wrapped protocol, mutably.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
     }
 
     /// Unwraps into the inner protocol, discarding the journal.

@@ -131,35 +131,22 @@ impl<M: WireCodec> WireCodec for SkewEnvelope<M> {
 /// `peer_start + 2s`, delivered one round later) always arrives before the
 /// local step `s + 1` executes at `local_start + 2(s + 1)`.
 ///
-/// Constructed via [`SkewAdapter::bounded`], the buffer also rejects
-/// vsteps beyond the protocol's schedule, so a Byzantine peer cannot grow
-/// it without bound by tagging envelopes with far-future steps.
+/// The buffer also rejects vsteps beyond the protocol's schedule, so a
+/// Byzantine peer cannot grow it without bound by tagging envelopes with
+/// far-future steps.
 pub struct SkewAdapter<P: SubProtocol> {
     inst: Instance<P>,
     start: u64,
-    max_vsteps: Option<u64>,
+    max_vsteps: u64,
     buffer: BTreeMap<u64, Vec<(ProcessId, P::Msg)>>,
 }
 
 impl<P: SubProtocol> SkewAdapter<P> {
-    /// Wraps `inner`, which starts executing at host round `start`, with
-    /// no upper bound on buffered vsteps. Prefer [`SkewAdapter::bounded`]
-    /// whenever the protocol's schedule length is known.
-    pub fn new(inner: P, start: u64) -> Self {
-        SkewAdapter { inst: Instance::new(inner), start, max_vsteps: None, buffer: BTreeMap::new() }
-    }
-
     /// Wraps `inner` (starting at host round `start`) whose schedule is at
-    /// most `max_vsteps` virtual steps: envelopes tagged further than the
-    /// remaining schedule ahead of the next local step are rejected, which
-    /// bounds the buffer at `max_vsteps` slots.
-    pub fn bounded(inner: P, start: u64, max_vsteps: u64) -> Self {
-        SkewAdapter {
-            inst: Instance::new(inner),
-            start,
-            max_vsteps: Some(max_vsteps),
-            buffer: BTreeMap::new(),
-        }
+    /// most `max_vsteps` virtual steps: envelopes tagged beyond it are
+    /// rejected, which bounds the buffer at `max_vsteps + 1` slots.
+    pub fn new(inner: P, start: u64, max_vsteps: u64) -> Self {
+        SkewAdapter { inst: Instance::new(inner), start, max_vsteps, buffer: BTreeMap::new() }
     }
 
     /// Buffers an incoming tagged message.
@@ -173,7 +160,7 @@ impl<P: SubProtocol> SkewAdapter<P> {
         // Discard messages from beyond the schedule: no correct peer ever
         // reaches those steps, so they can only be Byzantine filler sent
         // to bloat the buffer.
-        if self.max_vsteps.is_some_and(|max| env.vstep > max) {
+        if env.vstep > self.max_vsteps {
             return;
         }
         self.buffer.entry(env.vstep).or_default().push((from, env.msg));
@@ -367,7 +354,7 @@ impl<V: Value, Pf: Clone, F: FallbackFactory<V>> FallbackHost<V, Pf, F> {
             if *start == step {
                 let input = decided.unwrap_or(&self.adopted).clone();
                 let inner = self.factory.create(self.me, input);
-                let mut adapter = SkewAdapter::bounded(inner, step, self.factory.max_steps());
+                let mut adapter = SkewAdapter::new(inner, step, self.factory.max_steps());
                 for (from, env) in pending.drain(..) {
                     adapter.deliver(from, env);
                 }
@@ -522,10 +509,13 @@ mod tests {
         }
     }
 
+    /// The [`Counter`]'s schedule: 4 vsteps, 0..=3.
+    const COUNTER_VSTEPS: u64 = 3;
+
     #[test]
     fn skew_adapter_runs_every_other_round() {
         let c = Counter { received: vec![], out_value: 0, decided: None };
-        let mut ad = SkewAdapter::new(c, 4);
+        let mut ad = SkewAdapter::new(c, 4, COUNTER_VSTEPS);
         let mut out = Vec::new();
         for r in 0..12 {
             ad.tick(r, &mut out);
@@ -544,7 +534,7 @@ mod tests {
     #[test]
     fn skew_adapter_buffers_by_vstep() {
         let c = Counter { received: vec![], out_value: 0, decided: None };
-        let mut ad = SkewAdapter::new(c, 0);
+        let mut ad = SkewAdapter::new(c, 0, COUNTER_VSTEPS);
         // Deliver two step-0 messages and one step-2 message up front
         // (as if from peers one round ahead).
         ad.deliver(ProcessId(1), SkewEnvelope { vstep: 0, msg: Num(1) });
@@ -565,7 +555,7 @@ mod tests {
     #[test]
     fn skew_adapter_discards_stale_vsteps() {
         let c = Counter { received: vec![], out_value: 0, decided: None };
-        let mut ad = SkewAdapter::new(c, 0);
+        let mut ad = SkewAdapter::new(c, 0, COUNTER_VSTEPS);
         let mut out = Vec::new();
         for r in 0..6 {
             ad.tick(r, &mut out);
@@ -579,10 +569,9 @@ mod tests {
     }
 
     #[test]
-    fn bounded_skew_adapter_rejects_far_future_vsteps() {
-        // The Counter's schedule is 4 vsteps (0..=3); bound accordingly.
+    fn skew_adapter_rejects_far_future_vsteps() {
         let c = Counter { received: vec![], out_value: 0, decided: None };
-        let mut ad = SkewAdapter::bounded(c, 0, 3);
+        let mut ad = SkewAdapter::new(c, 0, COUNTER_VSTEPS);
         // A Byzantine peer floods envelopes tagged far past the schedule:
         // none may be buffered.
         for v in 4..100u64 {
@@ -795,8 +784,8 @@ mod tests {
     fn skewed_peers_stay_within_window() {
         // Two peers starting one round apart exchange all messages in time.
         let mk = |v| Counter { received: vec![], out_value: v, decided: None };
-        let mut a = SkewAdapter::new(mk(10), 4);
-        let mut b = SkewAdapter::new(mk(20), 5);
+        let mut a = SkewAdapter::new(mk(10), 4, COUNTER_VSTEPS);
+        let mut b = SkewAdapter::new(mk(20), 5, COUNTER_VSTEPS);
         for r in 0..16u64 {
             let mut out_a = Vec::new();
             let mut out_b = Vec::new();

@@ -10,13 +10,13 @@
 //! PKI signs deterministically, re-signing the same preimage yields the
 //! byte-identical signature — harmless retransmission, not equivocation.
 //!
-//! The guard is pure bookkeeping over `(context → preimage digest)`
-//! pairs; durability of those pairs across a crash is the journal's job
-//! (`meba-journal`), and wiring the two together is the `Recoverable`
-//! wrapper's job (`meba-core`).
+//! The guard, [`SignRegistry`], is pure bookkeeping over `(context →
+//! preimage digest)` pairs; durability of those pairs across a crash is
+//! the journal's job (`meba-journal`), and `meba-core`'s `Recoverable`
+//! wrapper records every signature its protocol emits into one registry
+//! and journals it before the message leaves the process.
 
 use crate::encoding::{Encoder, Signable};
-use crate::pki::{SecretKey, Signature};
 use crate::sha256::Digest;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -140,124 +140,11 @@ impl SignRegistry {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Iterates over all `(context, digest)` bindings.
-    pub fn entries(&self) -> impl Iterator<Item = (&[u8], Digest)> {
-        self.map.iter().map(|(k, v)| (k.as_slice(), *v))
-    }
-}
-
-/// A [`SecretKey`] wrapped with a [`SignRegistry`]: the signing-guard
-/// hook the crash-recovery stack builds on.
-///
-/// # Examples
-///
-/// ```
-/// use meba_crypto::{trusted_setup, Encoder, GuardedKey, Signable, SignContext};
-///
-/// struct Vote { phase: u32, value: u64 }
-/// impl Signable for Vote {
-///     const DOMAIN: &'static str = "example/vote";
-///     fn encode_fields(&self, enc: &mut Encoder) {
-///         enc.put_u32(self.phase);
-///         enc.put_u64(self.value);
-///     }
-/// }
-/// impl SignContext for Vote {
-///     fn context_bytes(&self) -> Vec<u8> {
-///         let mut enc = Encoder::new();
-///         enc.put_bytes(Self::DOMAIN.as_bytes());
-///         enc.put_u32(self.phase); // slot = (domain, phase); value excluded
-///         enc.into_bytes()
-///     }
-/// }
-///
-/// let (_, keys) = trusted_setup(3, 1);
-/// let mut guarded = GuardedKey::new(keys[0].clone());
-/// let s1 = guarded.try_sign(&Vote { phase: 1, value: 5 }).unwrap();
-/// // Deterministic re-sign of the same payload: identical signature.
-/// assert_eq!(guarded.try_sign(&Vote { phase: 1, value: 5 }).unwrap(), s1);
-/// // A different value in the same phase is equivocation: refused.
-/// assert!(guarded.try_sign(&Vote { phase: 1, value: 6 }).is_err());
-/// // A different phase is a fresh slot: fine.
-/// assert!(guarded.try_sign(&Vote { phase: 2, value: 6 }).is_ok());
-/// ```
-#[derive(Clone, Debug)]
-pub struct GuardedKey {
-    key: SecretKey,
-    registry: SignRegistry,
-}
-
-impl GuardedKey {
-    /// Wraps `key` with an empty registry (fresh process, no history).
-    pub fn new(key: SecretKey) -> Self {
-        Self::with_registry(key, SignRegistry::new())
-    }
-
-    /// Wraps `key` with a pre-populated registry (recovered from a
-    /// journal replay).
-    pub fn with_registry(key: SecretKey, registry: SignRegistry) -> Self {
-        GuardedKey { key, registry }
-    }
-
-    /// The identity this key signs for.
-    pub fn id(&self) -> crate::ids::ProcessId {
-        self.key.id()
-    }
-
-    /// Signs `payload` if doing so cannot equivocate: the payload's
-    /// context is recorded first, and signing proceeds only when the
-    /// context is fresh or already bound to this exact preimage. The
-    /// digest recorded is the digest signed.
-    ///
-    /// # Errors
-    ///
-    /// [`EquivocationError`] when the context is bound to a different
-    /// preimage; no signature is produced.
-    pub fn try_sign<S: SignContext>(
-        &mut self,
-        payload: &S,
-    ) -> Result<Signature, EquivocationError> {
-        let digest = payload.signing_digest();
-        self.registry.record(&payload.context_bytes(), digest)?;
-        Ok(self.key.sign_digest(&digest))
-    }
-
-    /// The guard's registry.
-    pub fn registry(&self) -> &SignRegistry {
-        &self.registry
-    }
-
-    /// The guard's registry, mutably (journal replay populates it here).
-    pub fn registry_mut(&mut self) -> &mut SignRegistry {
-        &mut self.registry
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pki::trusted_setup;
-
-    struct Slot {
-        slot: u64,
-        value: u64,
-    }
-    impl Signable for Slot {
-        const DOMAIN: &'static str = "test/slot";
-        fn encode_fields(&self, enc: &mut Encoder) {
-            enc.put_u64(self.slot);
-            enc.put_u64(self.value);
-        }
-    }
-    impl SignContext for Slot {
-        fn context_bytes(&self) -> Vec<u8> {
-            let mut enc = Encoder::new();
-            enc.put_bytes(Self::DOMAIN.as_bytes());
-            enc.put_u64(self.slot);
-            enc.into_bytes()
-        }
-    }
 
     #[test]
     fn registry_is_idempotent_and_refuses_conflicts() {
@@ -276,34 +163,6 @@ mod tests {
         assert_eq!(reg.lookup(b"c1"), Some(d1));
         assert!(reg.record(b"c2", d2).unwrap());
         assert_eq!(reg.len(), 2);
-    }
-
-    #[test]
-    fn guarded_key_signs_like_the_raw_key() {
-        let (pki, keys) = trusted_setup(3, 7);
-        let mut guarded = GuardedKey::new(keys[1].clone());
-        let payload = Slot { slot: 4, value: 9 };
-        let sig = guarded.try_sign(&payload).unwrap();
-        assert_eq!(sig, keys[1].sign(&payload.signing_bytes()));
-        assert!(pki.verify(&payload.signing_bytes(), &sig).is_ok());
-        assert_eq!(guarded.id(), keys[1].id());
-    }
-
-    #[test]
-    fn guarded_key_refuses_cross_restart_equivocation() {
-        // Simulate: sign before crash, replay registry into a new key
-        // wrapper, attempt a conflicting sign after restart.
-        let (_, keys) = trusted_setup(3, 7);
-        let mut before = GuardedKey::new(keys[0].clone());
-        before.try_sign(&Slot { slot: 1, value: 10 }).unwrap();
-
-        let recovered_registry = before.registry().clone();
-        let mut after = GuardedKey::with_registry(keys[0].clone(), recovered_registry);
-        // Same payload re-signs identically.
-        assert!(after.try_sign(&Slot { slot: 1, value: 10 }).is_ok());
-        // Conflicting payload is refused and counted.
-        assert!(after.try_sign(&Slot { slot: 1, value: 11 }).is_err());
-        assert_eq!(after.registry().refused(), 1);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   the type system (private constructors);
 //! * [`words`] — the paper's word-complexity accounting model;
 //! * [`encoding`] — canonical byte encoding for signable messages;
-//! * [`guard`] — the never-re-sign-conflicting signing guard that keeps
-//!   a crash-restarted process from equivocating (used by
-//!   `meba-journal`'s recovery stack).
+//! * [`guard`] — the never-re-sign-conflicting signing guard
+//!   ([`SignRegistry`]) that keeps a crash-restarted process from
+//!   equivocating (used by `meba-core`'s `Recoverable`).
 //!
 //! # Examples
 //!
@@ -46,7 +46,7 @@ pub mod words;
 
 pub use encoding::{with_scratch_encoder, Decoder, Encoder, Signable, WireCodec};
 pub use error::{CryptoError, DecodeError};
-pub use guard::{EquivocationError, GuardedKey, SignContext, SignRegistry};
+pub use guard::{EquivocationError, SignContext, SignRegistry};
 pub use ids::ProcessId;
 pub use pki::{
     trusted_setup, AggregateSignature, Combiner, Pki, SecretKey, Signature, ThresholdSignature,

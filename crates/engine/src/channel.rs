@@ -23,10 +23,9 @@
 //!   latency into [`Metrics::round_latency`](meba_sim::Metrics) and every
 //!   directed link's sent/delivered/dropped/delayed counts into
 //!   [`Metrics::per_link`](meba_sim::Metrics).
-//! * **Backpressure** — links are bounded
-//!   ([`ClusterConfig::channel_capacity`]); a full link blocks the sender
-//!   (counted in [`ClusterReport::backpressure`]) instead of ballooning
-//!   memory.
+//! * **Backpressure** — links are bounded ([`LINK_CAPACITY`]); a full
+//!   link blocks the sender (counted in [`ClusterReport::backpressure`])
+//!   instead of ballooning memory.
 //! * **Graceful degradation** — when processing overruns δ for
 //!   [`ClusterConfig::overrun_window`] consecutive rounds, the coordinator
 //!   either stretches δ ([`OverrunAction::Escalate`](crate::OverrunAction))
@@ -34,7 +33,7 @@
 //!   [`ClusterDiagnostic`](crate::ClusterDiagnostic)
 //!   ([`OverrunAction::Abort`](crate::OverrunAction)).
 
-use crate::config::{ClusterConfig, ClusterReport};
+use crate::config::{ClusterConfig, ClusterReport, LINK_CAPACITY};
 use crate::control::run_threaded_cluster;
 use crate::fate::ActorRebuilder;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
@@ -54,14 +53,15 @@ pub struct ChannelTransport<M: Message> {
     backpressure: u64,
 }
 
-/// Builds a full mesh of bounded channels for `n` processes; element `i`
-/// of the result is process `i`'s transport (it holds its own receiver
-/// and a sender to every process, itself included).
-pub fn channel_mesh<M: Message>(n: usize, capacity: usize) -> Vec<ChannelTransport<M>> {
+/// Builds a full mesh of channels bounded at [`LINK_CAPACITY`] for `n`
+/// processes; element `i` of the result is process `i`'s transport (it
+/// holds its own receiver and a sender to every process, itself
+/// included).
+pub fn channel_mesh<M: Message>(n: usize) -> Vec<ChannelTransport<M>> {
     let mut txs: Vec<Sender<Delivery<M>>> = Vec::with_capacity(n);
     let mut rxs: Vec<Receiver<Delivery<M>>> = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = bounded(capacity.max(1));
+        let (tx, rx) = bounded(LINK_CAPACITY);
         txs.push(tx);
         rxs.push(rx);
     }
@@ -132,7 +132,7 @@ pub fn run_cluster_with_recovery<M: Message>(
 ) -> ClusterReport<M> {
     let n = actors.len();
     assert!(n > 0, "cluster needs at least one actor");
-    let transports = channel_mesh::<M>(n, config.channel_capacity);
+    let transports = channel_mesh::<M>(n);
     run_threaded_cluster(actors, transports, rebuilder, &config)
 }
 

@@ -16,6 +16,14 @@ use std::time::Duration;
 /// its outbound links.
 pub type LinkPolicyFactory = Arc<dyn Fn(ProcessId) -> Box<dyn LinkPolicy> + Send + Sync>;
 
+/// Depth of every bounded link queue on the wall-clock backends: each
+/// process's inbound channel ([`channel_mesh`](crate::channel_mesh) and
+/// the TCP mesh) and each outbound socket queue. A full queue blocks the
+/// sender (counted as backpressure) rather than dropping or buffering
+/// without bound; 1024 comfortably exceeds `n ×` the per-round message
+/// volume of the protocols in this workspace.
+pub const LINK_CAPACITY: usize = 1024;
+
 /// What the coordinator does about sustained synchrony overruns (see
 /// [`ClusterConfig::overrun_window`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,12 +112,6 @@ pub struct ClusterConfig {
     /// Stock policies and determinism guarantees live in
     /// [`meba_sim::faults`]. Self-links are never consulted.
     pub link_policy: Option<LinkPolicyFactory>,
-    /// Capacity of each process's inbound channel. A full channel blocks
-    /// senders (backpressure) rather than dropping or buffering without
-    /// bound. Must comfortably exceed `n ×` the per-round message volume;
-    /// the default (1024) is generous for the protocols in this
-    /// workspace.
-    pub channel_capacity: usize,
     /// Number of consecutive overrunning coordinator rounds that triggers
     /// [`ClusterConfig::overrun_action`].
     pub overrun_window: u32,
@@ -147,7 +149,6 @@ impl fmt::Debug for ClusterConfig {
             .field("max_rounds", &self.max_rounds)
             .field("corrupt", &self.corrupt)
             .field("link_policy", &self.link_policy.as_ref().map(|_| "<factory>"))
-            .field("channel_capacity", &self.channel_capacity)
             .field("overrun_window", &self.overrun_window)
             .field("overrun_action", &self.overrun_action)
             .field("process_fate", &self.process_fate.as_ref().map(|_| "<factory>"))
@@ -165,7 +166,6 @@ impl Default for ClusterConfig {
             max_rounds: 10_000,
             corrupt: Vec::new(),
             link_policy: None,
-            channel_capacity: 1024,
             overrun_window: 3,
             overrun_action: OverrunAction::Count,
             process_fate: None,

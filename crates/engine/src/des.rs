@@ -16,7 +16,7 @@
 //! counter and advances it when its [`RoundDriver`] says so — at the
 //! global schedule `r · δ` (lockstep, the default), or at
 //! quorum-or-local-timeout (partial synchrony). On top of the driver the
-//! config models three timing hazards from the paper's synchrony
+//! config models two timing hazards from the paper's synchrony
 //! discussion:
 //!
 //! * **clock skew** ([`DesConfig::max_skew_ns`]) — seeded per-process
@@ -25,9 +25,7 @@
 //! * **GST** ([`DesConfig::gst_ns`]) — before a global stabilization
 //!   time, link latency is sampled up to
 //!   [`DesConfig::pre_gst_delay_ns`] (typically ≫ δ); after it, strictly
-//!   inside `(0, δ)`;
-//! * **asymmetric links** ([`DesConfig::link_floor_ns`]) — a per-directed-
-//!   link latency floor, so some links are systematically slower.
+//!   inside `(0, δ)`.
 //!
 //! Determinism: same actors, same [`DesConfig`] (including `seed`) ⇒
 //! byte-identical [`Metrics`]. Time is virtual; simultaneous events
@@ -96,12 +94,6 @@ use meba_sim::body::{Delivery, Transport};
 use meba_sim::{AnyActor, Message, Metrics};
 use std::sync::Arc;
 
-/// Per-directed-link latency floor in nanoseconds, for asymmetric delay
-/// scenarios: the sampled latency of `from → to` is at least
-/// `floor(from, to)` (clamped to δ − 2 so post-GST delivery still lands
-/// inside the sender's round window).
-pub type LinkDelayFloor = Arc<dyn Fn(ProcessId, ProcessId) -> u64 + Send + Sync>;
-
 /// Configuration of a [`run_des_cluster`] invocation.
 #[derive(Clone)]
 pub struct DesConfig {
@@ -141,12 +133,9 @@ pub struct DesConfig {
     /// Latency cap for pre-GST sends (only meaningful with
     /// `gst_ns > 0`; 0 falls back to δ, i.e. GST changes nothing).
     pub pre_gst_delay_ns: u64,
-    /// Asymmetric per-link delay floors; `None` (default) = uniform
-    /// links.
-    pub link_floor_ns: Option<LinkDelayFloor>,
     /// True network-delay cap for post-GST sends, in nanoseconds:
-    /// latency is sampled strictly inside `(floor, min(cap, δ))` instead
-    /// of `(floor, δ)`. `None` (default) keeps the classic sampler (cap
+    /// latency is sampled strictly inside `(0, min(cap, δ))` instead
+    /// of `(0, δ)`. `None` (default) keeps the classic sampler (cap
     /// at δ) and is byte-identical to the pre-knob behavior. Timing
     /// scenarios use it to honor the paper's synchrony precondition
     /// (delay + skew < round length) for δ-estimates *below* δ: a
@@ -167,7 +156,6 @@ impl Default for DesConfig {
             max_skew_ns: 0,
             gst_ns: 0,
             pre_gst_delay_ns: 0,
-            link_floor_ns: None,
             link_cap_ns: None,
         }
     }
@@ -284,7 +272,6 @@ struct DesNet<M: Message> {
     seed: u64,
     gst_ns: u64,
     pre_gst_delay_ns: u64,
-    link_floor_ns: Option<LinkDelayFloor>,
     link_cap_ns: u64,
     // The rushing processes: the corrupt ones, under the lockstep driver.
     rushing: Vec<bool>,
@@ -310,7 +297,6 @@ impl<M: Message> DesNet<M> {
             } else {
                 config.pre_gst_delay_ns
             },
-            link_floor_ns: config.link_floor_ns.clone(),
             link_cap_ns: config.link_cap_ns.unwrap_or(config.delta_ns).min(config.delta_ns),
             mailboxes: (0..rushing.len()).map(|_| Vec::with_capacity(16)).collect(),
             rushing,
@@ -319,9 +305,9 @@ impl<M: Message> DesNet<M> {
     }
 
     /// Seeded link latency. Post-GST (the default regime): strictly
-    /// inside `(floor, δ)`, so arrival lands in the sending round's
-    /// window and the `sent_round < round` delivery rule behaves exactly
-    /// as on the paced backends. Pre-GST: anywhere in
+    /// inside `(0, cap)` with `cap ≤ δ`, so arrival lands in the sending
+    /// round's window and the `sent_round < round` delivery rule behaves
+    /// exactly as on the paced backends. Pre-GST: anywhere in
     /// `(0, pre_gst_delay_ns]` — the adversary controls delivery up to
     /// that bound and synchrony does not hold yet.
     fn latency_ns(&self, from: ProcessId, to: ProcessId, seq: u64) -> u64 {
@@ -334,11 +320,8 @@ impl<M: Message> DesNet<M> {
         if self.now_ns < u128::from(self.gst_ns) {
             return 1 + x % self.pre_gst_delay_ns.max(1);
         }
-        let floor = match &self.link_floor_ns {
-            Some(f) => f(from, to).min(self.link_cap_ns.saturating_sub(2)),
-            None => 0,
-        };
-        floor + 1 + x % (self.link_cap_ns - floor - 1).max(1)
+        // `DesRun::new` rejects a cap below 2, so the modulus is ≥ 1.
+        1 + x % (self.link_cap_ns - 1)
     }
 
     /// Queues `msg` from `from` to `to`. A `rushed` copy lands at the send
@@ -1130,27 +1113,5 @@ mod tests {
         .unwrap();
         assert!(report.completed);
         assert!(report.rounds > 2, "late delivery must cost extra rounds, got {}", report.rounds);
-    }
-
-    #[test]
-    fn asymmetric_link_floors_are_honored_and_clamped() {
-        // A slow directed link p0 → p1 with a floor just under δ still
-        // delivers within the round window; a floor ≥ δ is clamped.
-        let floor: LinkDelayFloor = Arc::new(|from: ProcessId, to: ProcessId| {
-            if from == ProcessId(0) && to == ProcessId(1) {
-                u64::MAX // clamped to δ - 2
-            } else {
-                0
-            }
-        });
-        let report = run_des_cluster(
-            echoes(3),
-            None,
-            DesConfig { link_floor_ns: Some(floor), ..Default::default() },
-        )
-        .unwrap();
-        assert!(report.completed);
-        let l = report.metrics.link(ProcessId(0), ProcessId(1));
-        assert_eq!((l.sent, l.delivered), (1, 1), "slow link still delivers in-window");
     }
 }

@@ -63,9 +63,11 @@ pub mod simulation;
 
 pub use calendar::{CalendarQueue, TimeKeyed};
 pub use channel::{channel_mesh, run_cluster, run_cluster_with_recovery, ChannelTransport};
-pub use config::{ClusterConfig, ClusterReport, Escalation, LinkPolicyFactory, OverrunAction};
+pub use config::{
+    ClusterConfig, ClusterReport, Escalation, LinkPolicyFactory, OverrunAction, LINK_CAPACITY,
+};
 pub use control::run_threaded_cluster;
-pub use des::{run_des_cluster, DesConfig, DesConfigError, LinkDelayFloor};
+pub use des::{run_des_cluster, DesConfig, DesConfigError};
 pub use driver::{default_quorum, AdvanceCause, DriverConfigError, RoundDriver, RoundDriverConfig};
 pub use fate::{
     resolve_fate, resolve_fates, ActorRebuilder, ProcessFate, ProcessFateFactory, RebuiltActor,
@@ -175,7 +177,7 @@ mod tests {
 
     #[test]
     fn channel_mesh_is_aligned_and_self_delivering() {
-        let mut mesh = channel_mesh::<Ping>(2, 8);
+        let mut mesh = channel_mesh::<Ping>(2);
         mesh[0].send(ProcessId(1), 0, &std::sync::Arc::new(Ping(7)));
         mesh[1].send(ProcessId(1), 0, &std::sync::Arc::new(Ping(9)));
         let mut out = Vec::new();

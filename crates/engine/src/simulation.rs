@@ -21,13 +21,12 @@
 //! [`RoundState::rushing`]: meba_sim::body::RoundState::rushing
 
 use crate::des::{DesConfig, DesRun};
-use crate::fate::{ProcessFate, ProcessFateFactory};
+use crate::fate::ProcessFateFactory;
 use crate::LinkPolicyFactory;
 use meba_crypto::ProcessId;
 use meba_sim::{AnyActor, Message, Metrics, Round};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 /// Error returned when a run does not complete.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,7 +56,7 @@ impl Error for RunError {}
 pub struct SimBuilder<M: Message> {
     actors: Vec<Box<dyn AnyActor<Msg = M>>>,
     corrupt: Vec<ProcessId>,
-    fates: Vec<ProcessFate>,
+    process_fate: Option<ProcessFateFactory>,
     link_policy: Option<LinkPolicyFactory>,
 }
 
@@ -73,13 +72,7 @@ impl<M: Message> SimBuilder<M> {
     /// Actors must be supplied in identity order `p0, p1, …` (validated by
     /// [`SimBuilder::build`]).
     pub fn new(actors: Vec<Box<dyn AnyActor<Msg = M>>>) -> Self {
-        let n = actors.len();
-        SimBuilder {
-            actors,
-            corrupt: Vec::new(),
-            fates: vec![ProcessFate::Run; n],
-            link_policy: None,
-        }
+        SimBuilder { actors, corrupt: Vec::new(), process_fate: None, link_policy: None }
     }
 
     /// Marks `id` as Byzantine: its traffic is excluded from protocol
@@ -105,19 +98,22 @@ impl<M: Message> SimBuilder<M> {
         self
     }
 
-    /// Crashes `id` at the start of `round` ([`ProcessFate::Crash`]): the
-    /// actor runs the honest protocol **with honest scheduling** until
-    /// then, and from `round` on it neither sends nor drains, and
-    /// fault-delayed copies it had not yet released die with it. This
-    /// models the adaptive adversary corrupting a process mid-run by
-    /// crashing it — unlike wrapping a Byzantine actor, the pre-crash
-    /// behaviour is exactly a correct process's (it is not rushed).
-    ///
-    /// Words the process sends before its crash round count toward
-    /// correct-process complexity (it *was* correct when it sent them);
-    /// the process is excluded from termination detection.
-    pub fn crash_at(mut self, id: ProcessId, round: u64) -> Self {
-        self.fates[id.index()] = ProcessFate::Crash { at_round: round };
+    /// Injects process faults: `fate` is invoked once per process, as on
+    /// every other backend ([`crate::resolve_fates`]). A
+    /// [`Crash`](crate::ProcessFate::Crash) victim runs the honest
+    /// protocol **with honest scheduling** until its crash round, and from
+    /// then on it neither sends nor drains, and fault-delayed copies it
+    /// had not yet released die with it. This models the adaptive
+    /// adversary corrupting a process mid-run by crashing it — unlike
+    /// wrapping a Byzantine actor, the pre-crash behaviour is exactly a
+    /// correct process's (it is not rushed). Words it sends before its
+    /// crash round count toward correct-process complexity (it *was*
+    /// correct when it sent them); the process is excluded from
+    /// termination detection. The simulation has no rebuilder, so a
+    /// [`CrashRestart`](crate::ProcessFate::CrashRestart) is a permanent
+    /// crash that is still awaited. Off by default (every process runs).
+    pub fn process_fate(mut self, fate: ProcessFateFactory) -> Self {
+        self.process_fate = Some(fate);
         self
     }
 
@@ -129,13 +125,11 @@ impl<M: Message> SimBuilder<M> {
     /// `p0..p(n-1)` in order — that is a harness bug, not a runtime
     /// condition.
     pub fn build(self) -> Simulation<M> {
-        let fates = self.fates;
-        let process_fate: ProcessFateFactory = Arc::new(move |p: ProcessId| fates[p.index()]);
         let config = DesConfig {
             max_rounds: u64::MAX,
             corrupt: self.corrupt,
             link_policy: self.link_policy,
-            process_fate: Some(process_fate),
+            process_fate: self.process_fate,
             ..DesConfig::default()
         };
         let run = DesRun::new(self.actors, None, config).expect("the lockstep defaults are valid");
@@ -247,8 +241,10 @@ impl<M: Message> Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProcessFate;
     use meba_sim::faults::LinkPolicy;
     use meba_sim::{Actor, Message, RoundCtx};
+    use std::sync::Arc;
 
     /// A factory handing every sender its own copy of `policy`.
     fn each(policy: impl LinkPolicy + Clone + Sync + 'static) -> LinkPolicyFactory {
@@ -483,7 +479,11 @@ mod tests {
     #[test]
     fn delivered_is_billed_where_a_round_consumes_the_inbox() {
         // No policy installed: links are accounted all the same.
-        let mut sim = SimBuilder::new(chatters(3)).crash_at(ProcessId(2), 1).build();
+        let crash: ProcessFateFactory = Arc::new(|p| match p {
+            ProcessId(2) => ProcessFate::Crash { at_round: 1 },
+            _ => ProcessFate::Run,
+        });
+        let mut sim = SimBuilder::new(chatters(3)).process_fate(crash).build();
         sim.step();
         let m = sim.metrics();
         assert_eq!(m.link(ProcessId(0), ProcessId(1)).sent, 1);

@@ -775,11 +775,6 @@ where
         self.applied_values.get(&slot).map(Vec::as_slice)
     }
 
-    /// The commit certificate held for `slot`, if any.
-    pub fn slot_evidence(&self, slot: u64) -> Option<&CommitEvidence> {
-        self.evidence.get(&slot)
-    }
-
     /// The highest slot that has opened by `round` — a confirmed read
     /// waits until the applied prefix covers it.
     fn confirm_barrier(&self, round: u64) -> u64 {

@@ -263,11 +263,6 @@ impl<P: SubProtocol> Instance<P> {
         &self.proto
     }
 
-    /// The wrapped protocol, mutably.
-    pub fn proto_mut(&mut self) -> &mut P {
-        &mut self.proto
-    }
-
     /// Unwraps the protocol (used when retiring an instance).
     pub fn into_proto(self) -> P {
         self.proto

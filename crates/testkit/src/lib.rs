@@ -148,7 +148,7 @@ pub enum Fault {
     /// Runs the honest protocol, rushed, until the given round, then is
     /// down for good ([`ProcessFate::Crash`]). For honest-until-crash
     /// with honest scheduling, give a correct process that fate instead
-    /// ([`SimBuilder::crash_at`] on the lockstep simulation).
+    /// ([`crashes_at`], handed to `process_fate` on any backend).
     CrashAt(u64),
     /// Replays observed messages at random (seeded).
     Chaos(u64),
@@ -210,6 +210,20 @@ pub fn crash_restart(victim: usize, at_round: u64, rejoin_after: u64) -> Process
         } else {
             ProcessFate::Run
         }
+    })
+}
+
+/// The process fates of a run in which each `(victim, at_round)` of
+/// `crashes` is down for good from `at_round` ([`ProcessFate::Crash`]:
+/// honest, and honestly scheduled, until then) while every other process
+/// runs.
+pub fn crashes_at(crashes: &[(u32, u64)]) -> ProcessFateFactory {
+    let crashes = crashes.to_vec();
+    Arc::new(move |p: ProcessId| {
+        crashes
+            .iter()
+            .find(|&&(victim, _)| victim == p.0)
+            .map_or(ProcessFate::Run, |&(_, at_round)| ProcessFate::Crash { at_round })
     })
 }
 
@@ -467,16 +481,12 @@ pub fn sim<M: Message>(actors: Vec<Box<dyn AnyActor<Msg = M>>>, faults: &[Fault]
     let plan = with_faults(faults, DesConfig::default());
     let mut builder = plan.corrupt.into_iter().fold(SimBuilder::new(actors), SimBuilder::corrupt);
     if let Some(fate) = plan.process_fate {
-        for id in (0..faults.len()).map(|i| ProcessId(i as u32)) {
-            if let ProcessFate::Crash { at_round } = fate(id) {
-                builder = builder.crash_at(id, at_round);
-            }
-        }
+        builder = builder.process_fate(fate);
     }
-    match plan.link_policy {
-        Some(policy) => builder.link_policy(policy).build(),
-        None => builder.build(),
+    if let Some(policy) = plan.link_policy {
+        builder = builder.link_policy(policy);
     }
+    builder.build()
 }
 
 /// A timing scenario for the DES backend: the round driver plus the

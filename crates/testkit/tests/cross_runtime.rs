@@ -180,6 +180,30 @@ proptest! {
     }
 }
 
+/// `SimBuilder::process_fate` takes the same fate factory as every other
+/// backend, not only its `Crash` fates: a `CrashRestart` victim without a
+/// rebuilder is down for good yet still awaited, so neither run
+/// completes, and the lockstep façade's ledger equals `run_des_cluster`'s
+/// but for `advance` — the restart counted once in both.
+#[test]
+fn lockstep_facade_reads_a_crash_restart_fate_as_the_des_does() {
+    let n = 5;
+    let clean = vec![Fault::None; n];
+    let fate = crash_restart(2, 3, 2);
+    let budget = round_budget(n);
+
+    let mut stepped = SimBuilder::new(bb_actors(0, 7, &clean)).process_fate(fate.clone()).build();
+    assert!(stepped.run_until_done(budget).is_err(), "the victim never finishes");
+    let config = DesConfig { max_rounds: budget, process_fate: Some(fate), ..DesConfig::default() };
+    let des = run_des_cluster(bb_actors(0, 7, &clean), None, config).expect("valid config");
+    assert!(!des.completed);
+
+    assert_eq!(stepped.metrics().recovery.crash_restarts, 1);
+    assert_eq!(stepped.metrics().rounds, des.rounds);
+    let ledger = |m: &Metrics| serde_json::to_string(&unclocked(m)).expect("metrics serialize");
+    assert_eq!(ledger(stepped.metrics()), ledger(&des.metrics), "sim vs des ledger");
+}
+
 /// Retries a wall-clock cluster run until it completes with zero
 /// overruns — word-count equality with the deterministic backends is only
 /// promised while the synchrony assumption actually held, and under

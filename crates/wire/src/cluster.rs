@@ -33,9 +33,10 @@ use crate::WireError;
 use meba_core::SystemConfig;
 use meba_crypto::{ProcessId, WireCodec};
 use meba_engine::{
-    ActorRebuilder, ClusterConfig, ClusterReport, DeadlinePacer, RoundDriver, RoundDriverConfig,
+    ActorRebuilder, ClusterConfig, ClusterReport, DeadlinePacer, EngineProcess, ResolvedFate,
+    RoundDriver, RoundDriverConfig,
 };
-use meba_sim::body::{run_live_round, Delivery, RoundState, Transport};
+use meba_sim::body::{Delivery, Transport};
 use meba_sim::{AnyActor, Message, Metrics};
 use std::borrow::Borrow;
 use std::net::{SocketAddr, TcpListener};
@@ -47,7 +48,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone)]
 pub struct TcpClusterConfig {
     /// The runtime-agnostic configuration (δ, round cap, corrupt set,
-    /// link policy, channel capacity, overrun policy) — the same struct
+    /// link policy, overrun policy) — the same struct
     /// [`meba_engine::run_cluster`] takes, so scenarios port unchanged.
     pub cluster: ClusterConfig,
     /// Session domain stamped into every handshake. Two clusters with
@@ -244,8 +245,6 @@ pub fn run_tcp_cluster_with_recovery<M: Message + WireCodec>(
             domain: config.domain,
         };
         let mut mesh_cfg = MeshConfig::new(me, hello);
-        mesh_cfg.inbox_capacity = config.cluster.channel_capacity.max(1);
-        mesh_cfg.outbox_capacity = config.cluster.channel_capacity.max(1);
         mesh_cfg.dial_timeout = config.dial_timeout;
         mesh_cfg.reconnect_backoff_cap = config.cluster.reconnect_backoff_cap;
         mesh_cfg.reconnect_jitter = config.cluster.reconnect_jitter;
@@ -340,7 +339,9 @@ impl Default for MeshDriveConfig {
 }
 
 /// Drives one actor over an established mesh without a global
-/// coordinator: rounds are paced from a local epoch and the run stops
+/// coordinator: rounds are paced from a local epoch, each one stepped
+/// through [`EngineProcess::step`] (fate `Run`, no link policy) like
+/// every other backend's, and the run stops
 /// [`MeshDriveConfig::linger_rounds`] after the actor reports done (or at
 /// `max_rounds`). This is the building block for running a cluster as N
 /// separate OS processes — see the `tcp_cluster` example; in-process
@@ -354,37 +355,28 @@ impl Default for MeshDriveConfig {
 /// Panics if [`MeshDriveConfig::driver`] is invalid for the mesh's `n`.
 pub fn drive_mesh<M: Message + WireCodec>(
     mesh: &TcpMesh<M>,
-    actor: &mut dyn AnyActor<Msg = M>,
+    actor: &mut Box<dyn AnyActor<Msg = M>>,
     cfg: &MeshDriveConfig,
 ) -> (u64, Metrics) {
     let n = mesh.n();
     cfg.driver.validate(n).expect("invalid round driver configuration");
+    let me = actor.id();
     let mut metrics = Metrics::default();
     let mut transport = MeshTransport::new(mesh);
-    let mut state = RoundState::new();
+    let mut process = EngineProcess::new(n, true, false, ResolvedFate::Run, None, None);
     let pacer = DeadlinePacer::new(Instant::now(), cfg.delta);
     let mut driver = RoundDriver::wall_clock(&cfg.driver, n);
     let mut linger = cfg.linger_rounds;
     let mut round = 0u64;
     while round < cfg.max_rounds {
-        let cause = driver.wait_for_round(&pacer, round, || {
-            state.ready_senders(actor.id(), round, &mut transport)
-        });
+        let cause = driver
+            .wait_for_round(&pacer, round, || process.ready_senders(me, round, &mut transport));
         if round >= 1 {
             cause.record(&mut metrics.advance);
         }
-        let outcome = run_live_round(
-            actor,
-            &mut transport,
-            &mut state,
-            &mut None,
-            round,
-            n,
-            true,
-            &mut metrics,
-        );
-        driver.observe(outcome.late_admitted);
-        let done = outcome.done;
+        let status = process.step(actor, round, &mut transport, &mut metrics);
+        driver.observe(status.late_admitted);
+        let done = status.done;
         round += 1;
         if done {
             if linger == 0 {

@@ -12,10 +12,10 @@
 //! * **O(n) threads** — the mesh costs one I/O thread regardless of
 //!   peer count; an n-process loopback cluster is O(n) OS threads total
 //!   where the previous thread-per-link design needed O(n²).
-//! * **Bounded outboxes** — each link sits behind a bounded command
-//!   channel plus an equal-sized reactor-side queue; a full channel
-//!   blocks the sender and counts into [`MeshStats::backpressure`]
-//!   instead of buffering without bound.
+//! * **Bounded outboxes** — each link sits behind a command channel
+//!   bounded at [`LINK_CAPACITY`] plus an equal-sized reactor-side
+//!   queue; a full channel blocks the sender and counts into
+//!   [`MeshStats::backpressure`] instead of buffering without bound.
 //! * **Reconnect** — a failed or severed connection is re-dialed with
 //!   capped exponential backoff (1 ms doubling to the configured cap),
 //!   re-running the full handshake; [`MeshStats::reconnects`] counts
@@ -42,6 +42,7 @@ use crate::pool::BufPool;
 use crate::reactor::{Cmd, Reactor, ReactorConfig, Shared};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use meba_crypto::{with_scratch_encoder, ProcessId, WireCodec};
+use meba_engine::LINK_CAPACITY;
 use meba_sim::Message;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -127,11 +128,6 @@ pub struct MeshConfig {
     pub me: ProcessId,
     /// Our hello (identity, version, config digest, domain).
     pub hello: Hello,
-    /// Capacity of the single inbound channel all links feed.
-    pub inbox_capacity: usize,
-    /// Capacity of each per-link outbound queue (the reactor buffers up
-    /// to the same amount again internally).
-    pub outbox_capacity: usize,
     /// How long [`TcpMesh::establish`] keeps dialing an unreachable peer
     /// and waiting for inbound links before giving up.
     pub dial_timeout: Duration,
@@ -156,15 +152,13 @@ pub struct MeshConfig {
 }
 
 impl MeshConfig {
-    /// Defaults tuned for loopback clusters: 1024-deep channels, 10 s
-    /// establishment budget, 250 ms backoff cap, no jitter, 5 s
-    /// handshake deadline, 2 s shutdown flush.
+    /// Defaults tuned for loopback clusters: 10 s establishment budget,
+    /// 250 ms backoff cap, no jitter, 5 s handshake deadline, 2 s
+    /// shutdown flush.
     pub fn new(me: ProcessId, hello: Hello) -> Self {
         MeshConfig {
             me,
             hello,
-            inbox_capacity: 1024,
-            outbox_capacity: 1024,
             dial_timeout: Duration::from_secs(10),
             reconnect_backoff_cap: Duration::from_millis(250),
             reconnect_jitter: Duration::ZERO,
@@ -204,7 +198,7 @@ impl<M: Message + WireCodec> TcpMesh<M> {
         let n = addrs.len();
         let me = config.me;
         assert!(me.index() < n, "mesh identity {me} out of range for {n} peers");
-        let (inbox_tx, inbox_rx) = bounded(config.inbox_capacity.max(1));
+        let (inbox_tx, inbox_rx) = bounded(LINK_CAPACITY);
         let stats = Arc::new(MeshStats::default());
         let shared = Arc::new(Shared::new(n));
         let pool = Arc::new(BufPool::new());
@@ -216,7 +210,7 @@ impl<M: Message + WireCodec> TcpMesh<M> {
             if j == me.index() {
                 continue;
             }
-            let (tx, rx) = bounded(config.outbox_capacity.max(1));
+            let (tx, rx) = bounded(LINK_CAPACITY);
             links[j] = Some(tx);
             rxs[j] = Some(rx);
         }
@@ -226,7 +220,6 @@ impl<M: Message + WireCodec> TcpMesh<M> {
                 me,
                 hello: config.hello.clone(),
                 addrs: addrs.to_vec(),
-                outbox_capacity: config.outbox_capacity.max(1),
                 backoff_cap: config.reconnect_backoff_cap.max(Duration::from_millis(1)),
                 jitter: config.reconnect_jitter,
                 handshake_timeout: config.handshake_timeout,

@@ -35,6 +35,7 @@ use crate::mesh::{Inbound, MeshStats};
 use crate::poller::{self, PollFd, WakeFd, POLLIN, POLLOUT};
 use crossbeam::channel::{Receiver, Sender, TryRecvError, TrySendError};
 use meba_crypto::{Decoder, ProcessId, WireCodec};
+use meba_engine::LINK_CAPACITY;
 use meba_sim::Message;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -82,7 +83,6 @@ pub(crate) struct ReactorConfig {
     pub me: ProcessId,
     pub hello: Hello,
     pub addrs: Vec<SocketAddr>,
-    pub outbox_capacity: usize,
     pub backoff_cap: Duration,
     pub jitter: Duration,
     pub handshake_timeout: Duration,
@@ -512,13 +512,13 @@ impl<M: Message + WireCodec> Reactor<M> {
     }
 
     /// Moves queued commands from the handle's channels into per-link
-    /// send queues, bounded by the outbox capacity so total buffering
-    /// per link stays at most `2 × outbox_capacity` frames.
+    /// send queues, bounded by [`LINK_CAPACITY`] so total buffering per
+    /// link stays at most `2 × LINK_CAPACITY` frames.
     fn pump_commands(&mut self) {
         for link in &mut self.outs {
             let Some(rx) = self.rxs[link.peer.index()].as_ref() else { continue };
             let mut disconnected = false;
-            while link.queue.len() < self.cfg.outbox_capacity {
+            while link.queue.len() < LINK_CAPACITY {
                 match rx.try_recv() {
                     Ok(Cmd::Frame(framed)) => {
                         // `framed` includes its 4-byte length prefix.

@@ -158,7 +158,7 @@ fn replica(
         linger_rounds: if rebuild { 8 } else { 150 },
         driver: RoundDriverConfig::quorum_or_timeout(),
     };
-    let (rounds, _) = drive_mesh(&mesh, actor.as_mut(), &drive);
+    let (rounds, _) = drive_mesh(&mesh, &mut actor, &drive);
     // Let the gateway flush the final commit acks to client sockets
     // before tearing it down.
     std::thread::sleep(Duration::from_millis(200));

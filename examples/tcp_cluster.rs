@@ -205,7 +205,7 @@ fn multi_process(
         max_rounds: 5_000,
         ..MeshDriveConfig::default()
     };
-    let (rounds, metrics) = drive_mesh(&mesh, actor.as_mut(), &drive);
+    let (rounds, metrics) = drive_mesh(&mesh, &mut actor, &drive);
     mesh.shutdown();
 
     let l: &LockstepAdapter<BbProc> = actor.as_any().downcast_ref().unwrap();

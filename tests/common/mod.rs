@@ -6,7 +6,6 @@
 
 pub use meba_testkit::*;
 
-use meba::crypto::ProcessId;
 use meba::engine::{SimBuilder, Simulation};
 use meba::sim::{Actor, AnyActor, Message};
 use oracle::{Decided, Probe};
@@ -31,12 +30,10 @@ pub fn run_with_crashes<M: Message>(
     crashes: &[(u32, u64)],
 ) -> (Simulation<M>, Vec<Fault>) {
     let mut faults = vec![Fault::None; actors.len()];
-    let mut b = SimBuilder::new(actors);
     for &(id, round) in crashes {
-        b = b.crash_at(ProcessId(id), round);
         faults[id as usize] = Fault::CrashAt(round);
     }
-    let mut sim = b.build();
+    let mut sim = SimBuilder::new(actors).process_fate(crashes_at(crashes)).build();
     sim.run_until_done(round_budget(faults.len())).unwrap();
     (sim, faults)
 }
