@@ -36,9 +36,9 @@
 use crate::config::{ClusterConfig, ClusterReport, LINK_CAPACITY};
 use crate::control::run_threaded_cluster;
 use crate::fate::ActorRebuilder;
+use crate::process::{Delivery, Transport};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use meba_crypto::ProcessId;
-use meba_sim::body::{Delivery, Transport};
 use meba_sim::{AnyActor, Message};
 use std::sync::Arc;
 

@@ -14,8 +14,7 @@ use crate::config::{ClusterConfig, ClusterReport, Escalation, OverrunAction};
 use crate::driver::{RoundDriver, RoundDriverConfig};
 use crate::fate::{resolve_fates, ActorRebuilder};
 use crate::pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer};
-use crate::process::{EngineProcess, StepStatus};
-use meba_sim::body::Transport;
+use crate::process::{EngineProcess, StepStatus, Transport};
 use meba_sim::{AnyActor, Message, Metrics};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -209,7 +208,7 @@ fn run_paced_process<M: Message, T: Transport<M>>(
             .wait_for_round(&ctrl.pacer, round, || proc.ready_senders(me, round, &mut transport));
 
         let proc_start = Instant::now();
-        let status: StepStatus = proc.step(&mut actor, round, &mut transport, &mut metrics);
+        let status: StepStatus = proc.step(&mut actor, round, cause, &mut transport, &mut metrics);
         if status.executed {
             // Observability: per-round processing latency and synchrony
             // monitoring. Processing past the round's deadline means a
@@ -228,9 +227,6 @@ fn run_paced_process<M: Message, T: Transport<M>>(
                 }
             };
             metrics.round_latency.record_us(latency_us);
-            if round >= 1 {
-                cause.record(&mut metrics.advance);
-            }
             if overran {
                 ctrl.overruns.fetch_add(1, Ordering::Relaxed);
             }
@@ -246,7 +242,7 @@ fn run_paced_process<M: Message, T: Transport<M>>(
     ctrl.backpressure.fetch_add(transport.backpressure(), Ordering::Relaxed);
     // TCP: shuts the mesh down here, on the thread that drove it.
     drop(transport);
-    metrics.recovery.refused_equivocations += actor.refused_equivocations();
+    proc.finish(actor.as_ref(), &mut metrics);
     (actor, round, metrics)
 }
 

@@ -65,15 +65,15 @@
 //! anchored on the previous one and on that round's backoff), so the
 //! hints are not consulted there.
 //!
-//! Each process's round is [`meba_sim::body::run_live_round`], the body
-//! every backend runs; only the clock and the transport differ.
+//! Each process's round is [`EngineProcess::step`], the body every
+//! backend runs; only the clock and the transport differ.
 //!
 //! # Rushing
 //!
 //! Under the lockstep driver corrupt processes are the *rushing*
 //! adversary, always — it is the model's adversary, not an option. They
-//! run on a [`RoundState::rushing`](meba_sim::body::RoundState::rushing)
-//! admission cut (`sent_round ≤ round`), after every correct process at
+//! run on a rushing [`EngineProcess`]'s admission cut
+//! (`sent_round ≤ round`), after every correct process at
 //! the same instant, and a correct process's copy to one of them, sent
 //! in the round it is executing, lands at the send instant: a corrupt
 //! process hears correct round-`r` traffic in round `r`. A fault-delayed
@@ -88,9 +88,8 @@ use crate::config::{ClusterReport, LinkPolicyFactory};
 use crate::driver::AdvanceCause::{self, QuorumReached};
 use crate::driver::{DriverConfigError, RoundDriver, RoundDriverConfig};
 use crate::fate::{resolve_fates, ActorRebuilder, ProcessFateFactory};
-use crate::process::EngineProcess;
+use crate::process::{Delivery, EngineProcess, Transport};
 use meba_crypto::ProcessId;
-use meba_sim::body::{Delivery, Transport};
 use meba_sim::{AnyActor, Message, Metrics};
 use std::sync::Arc;
 
@@ -613,18 +612,20 @@ impl<M: Message> DesRun<M> {
         }
     }
 
-    /// Executes `round` for process `i` at virtual instant `now` —
-    /// accounting first for the rounds it slept through since its last
-    /// one — records the advance cause, applies late-delivery backoff,
+    /// Executes `round` for process `i` at virtual instant `now`, which it
+    /// advanced into for `cause` — accounting first for the rounds it
+    /// slept through since its last one — applies late-delivery backoff,
     /// and schedules its next deadline.
     fn execute(&mut self, i: usize, round: u64, now: u128, cause: AdvanceCause) {
         self.account_skipped(i, round);
         let mut transport = DesTransport { me: ProcessId(i as u32), round, net: &mut self.net };
-        let status =
-            self.procs[i].step(&mut self.actors[i], round, &mut transport, &mut self.metrics);
-        if status.executed && round >= 1 {
-            cause.record(&mut self.metrics.advance);
-        }
+        let status = self.procs[i].step(
+            &mut self.actors[i],
+            round,
+            cause,
+            &mut transport,
+            &mut self.metrics,
+        );
         if !self.sched.lockstep {
             self.drivers[i].observe(status.late_admitted);
         }
@@ -734,8 +735,8 @@ impl<M: Message> DesRun<M> {
         }
         let rounds = self.next_round.iter().copied().max().unwrap_or(0);
         let mut metrics = self.metrics;
-        for actor in &self.actors {
-            metrics.recovery.refused_equivocations += actor.refused_equivocations();
+        for (proc, actor) in self.procs.into_iter().zip(&self.actors) {
+            proc.finish(actor.as_ref(), &mut metrics);
         }
         metrics.rounds = rounds;
         ClusterReport {

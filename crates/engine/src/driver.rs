@@ -27,7 +27,7 @@
 //! never forges or drops information. A message sent in round `r`
 //! becomes admissible the moment its receiver's round counter exceeds
 //! `r` — the `sent_round < round` admission rule of
-//! [`meba_sim::body::run_live_round`] buffers early arrivals and admits late
+//! [`EngineProcess::step`](crate::EngineProcess::step) buffers early arrivals and admits late
 //! ones, independent of *when* either process's clock said the round
 //! happened. Quorum intersection arguments therefore survive unchanged;
 //! what degrades under a wrong δ-estimate is performance (help traffic,
@@ -235,7 +235,7 @@ impl RoundDriver {
     }
 
     /// Why a process holding deliveries from `ready_senders()` distinct
-    /// senders (see [`meba_sim::body::RoundState::ready_senders`]) may enter
+    /// senders (see [`crate::EngineProcess::ready_senders`]) may enter
     /// `round` right now. Round 0 has no prior round to hold a quorum
     /// from, so the count is not even taken there.
     pub fn cause(&self, round: u64, ready_senders: impl FnOnce() -> usize) -> AdvanceCause {
@@ -264,7 +264,7 @@ impl RoundDriver {
     /// Adapts the backoff shift after one executed round that admitted
     /// `late_admitted` deliveries which had already missed their
     /// intended round (`sent_round + 1 < round`, see
-    /// [`meba_sim::body::LiveRoundOutcome::late_admitted`]). Late
+    /// [`crate::StepStatus::late_admitted`]). Late
     /// traffic proves the local timer outpaced the network — the
     /// δ-estimate is too small, quorum advancement drifted this process
     /// ahead of a peer, or GST has not been reached — so the timer

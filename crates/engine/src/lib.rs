@@ -5,14 +5,12 @@
 //! threaded wall-clock cluster ([`run_cluster`]), and a real-TCP cluster
 //! (`meba-wire`) — and the lockstep [`Simulation`] is the first of them
 //! under its lockstep driver, stepped a round at a time. All three
-//! execute a process's round through one body,
-//! [`meba_sim::body::run_live_round`], over a
-//! [`meba_sim::body::Transport`] — how bytes move: send / drain / sever /
-//! crash, with backpressure surfaced for accounting. This crate supplies
+//! execute a process's round through one body, [`EngineProcess::step`],
+//! over a [`Transport`] — how bytes move: send / drain / sever / crash,
+//! with backpressure surfaced for accounting. This crate holds that body,
 //! the transports (the discrete-event queue in [`des`],
-//! [`ChannelTransport`] over bounded crossbeam channels, and the
-//! machinery `meba-wire`'s TCP mesh plugs into) and everything around
-//! the body:
+//! [`ChannelTransport`] over bounded crossbeam channels; `meba-wire`'s
+//! TCP mesh implements the same trait) and everything around them:
 //!
 //! * [`DeadlinePacer`] — when wall-clock rounds happen, with
 //!   δ-escalation; the discrete-event backend owns a virtual clock.
@@ -22,12 +20,12 @@
 //!   senders or its local δ-estimate timer, whichever fires first. One
 //!   state machine, configured by [`RoundDriverConfig`], serves every
 //!   backend (see [`driver`]).
-//! * [`EngineProcess`] — the per-process driver around the round body
-//!   (which does inbox partitioning by `sent_round`, word/byte/per-link
-//!   accounting into a `&mut Metrics` the backend owns, and
-//!   [`meba_sim::faults::LinkPolicy`] fault application): a per-sender
-//!   link policy, [`ProcessFate`] crash and crash-restart execution, and
-//!   journal-replay rejoin.
+//! * [`EngineProcess`] — one process and its round body: inbox
+//!   partitioning by `sent_round`, word/byte/per-link accounting into a
+//!   `&mut Metrics` the backend owns, a per-sender
+//!   [`meba_sim::faults::LinkPolicy`], [`ProcessFate`] crash and
+//!   crash-restart execution, journal-replay rejoin, the advance-cause
+//!   tally and the end-of-run refusal count.
 //! * [`run_threaded_cluster`] — generic thread-per-process execution with
 //!   coordinator stop decisions, overrun monitoring, and δ-escalation
 //!   (the machinery behind [`run_cluster`] and
@@ -74,14 +72,13 @@ pub use fate::{
     ResolvedFate,
 };
 pub use pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer};
-pub use process::{EngineProcess, StepStatus};
+pub use process::{Delivery, EngineProcess, StepStatus, Transport};
 pub use simulation::{RunError, SimBuilder, Simulation};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use meba_crypto::ProcessId;
-    use meba_sim::body::Transport;
     use meba_sim::{Actor, AnyActor, Message, RoundCtx};
 
     #[derive(Clone, Debug)]

@@ -13,12 +13,13 @@
 //! Byzantine actors are the *rushing* adversary, as they are on every
 //! lockstep discrete-event run: a correct process's round-`r` copy to a
 //! corrupt process lands at its send instant, and the corrupt process
-//! admits it already in round `r` ([`RoundState::rushing`]).
+//! admits it already in round `r` (a rushing [`EngineProcess`]'s
+//! admission cut).
 //!
 //! Determinism: nothing in the loop consults ambient randomness, so a run
 //! is a pure function of the actors' initial states.
 //!
-//! [`RoundState::rushing`]: meba_sim::body::RoundState::rushing
+//! [`EngineProcess`]: crate::EngineProcess
 
 use crate::des::{DesConfig, DesRun};
 use crate::fate::ProcessFateFactory;

@@ -12,7 +12,7 @@ use std::fmt;
 /// (experiment E5: Figure 1 composition).
 ///
 /// `Sync` because a message in flight is an `Arc<M>` handle shared by
-/// every copy of one send (see [`crate::body::Transport`]), and the
+/// every copy of one send (see `meba-engine`'s `Transport`), and the
 /// threaded backend moves those handles across threads.
 pub trait Message: Clone + fmt::Debug + Send + Sync + 'static {
     /// Words this message occupies (at least 1 by the model).

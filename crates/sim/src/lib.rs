@@ -1,16 +1,17 @@
-//! The synchronous round model every `meba` backend runs.
+//! The synchronous round model every `meba` backend runs: actors,
+//! messages, sessions, the link-fault vocabulary and the ledger.
 //!
 //! Models the paper's network (§2): a static set `Π` of `n` processes,
 //! reliable authenticated point-to-point links, and a known delay bound
-//! `δ`, normalized to one round. Protocols are [`Actor`] state machines;
-//! Byzantine behaviour is just another `Actor` implementation (see
-//! `meba-adversary`).
+//! `δ`, normalized to one round. Protocols are [`Actor`] state machines
+//! exchanging [`Message`]s; Byzantine behaviour is just another `Actor`
+//! implementation (see `meba-adversary`). [`session`] multiplexes
+//! sub-protocol instances over one actor, [`faults`] names what a link
+//! does to a copy, and [`metrics`] is the ledger a copy is billed to.
 //!
-//! [`body::run_live_round`] is the round body of every backend —
-//! `meba-engine`'s discrete-event, threaded and TCP runtimes, and the
-//! lockstep `Simulation` it builds on the discrete-event one — so one
-//! execution model underlies them all. This crate holds no clock: when a
-//! round runs is the backend's business.
+//! This crate holds neither a clock nor a round body: `meba-engine`'s
+//! `EngineProcess::step` runs a process's round on every backend, and
+//! when a round runs is the backend's business.
 //!
 //! Communication complexity is accounted exactly as the paper defines it:
 //! words sent by correct processes ([`Metrics::correct_words`]), with
@@ -19,8 +20,8 @@
 //!
 //! # Examples
 //!
-//! One round of an actor, driven by hand — what every backend does
-//! around [`body::run_live_round`]:
+//! One round of an actor, driven by hand — the core of what
+//! `EngineProcess::step` does on every backend:
 //!
 //! ```
 //! use meba_crypto::ProcessId;
@@ -57,7 +58,6 @@
 #![forbid(unsafe_code)]
 
 pub mod actor;
-pub mod body;
 pub mod faults;
 pub mod metrics;
 pub mod round;

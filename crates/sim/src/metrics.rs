@@ -11,9 +11,9 @@
 //! and the rule that turns a sent message into words lives here once:
 //! [`MessageCost::of`] (floor at 1 word), [`targets`] (who gets a copy)
 //! and [`Metrics::bill`] (a copy is billed as sent whatever its
-//! [`LinkFate`]) serve [`crate::body::run_live_round`], the round body
-//! of every backend; [`Metrics::merge`] folds the per-thread shards of
-//! the paced ones.
+//! [`LinkFate`]) serve `meba-engine`'s `EngineProcess::step`, the round
+//! body of every backend; [`Metrics::merge`] folds the per-thread shards
+//! of the paced ones.
 
 use crate::actor::{Dest, Message};
 use crate::faults::{Link, LinkFate};

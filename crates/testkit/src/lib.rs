@@ -800,7 +800,7 @@ mod tests {
     fn a_copy_in_flight_is_a_handle() {
         // Sender, round, and an 8-byte handle: every copy of a broadcast
         // shares one payload, however large the message type is.
-        let delivery = std::mem::size_of::<meba_sim::body::Delivery<BbM>>();
+        let delivery = std::mem::size_of::<meba_engine::Delivery<BbM>>();
         assert!(delivery <= 24, "Delivery<BbM> is {delivery} bytes");
         assert!(std::mem::size_of::<BbM>() > 24, "the payload would not fit a copy");
     }
