@@ -26,9 +26,8 @@ pub struct DesRunStats {
     pub rounds: u64,
     /// Whether all correct decisions were equal.
     pub agreement: bool,
-    /// Whether correct words stayed within BB's Table 1 bound. E15's
-    /// f = t rows at n ≥ 129 exceed it: an open finding
-    /// (docs/CORRECTNESS.md §16).
+    /// Whether correct words stayed within BB's word bound, the sum of
+    /// its components' bounds (docs/CORRECTNESS.md §16).
     pub within_bound: bool,
 }
 

@@ -7,8 +7,8 @@
 //! the oracle — termination, agreement, the family's validity rule and
 //! its Table 1 word bound — or the runner panics; the E8/E9 ablations
 //! and the E17 timing cells outside Lemma 18 read the oracle's
-//! violations instead, and E15 reads its word bound, which the f = t
-//! rows at n ≥ 129 exceed (an open finding, docs/CORRECTNESS.md §16).
+//! violations instead, and E15 reads its word bound into
+//! `within_bound` (docs/CORRECTNESS.md §16).
 //!
 //! | module | experiments |
 //! |---|---|
@@ -48,6 +48,8 @@ fn idle_at(n: usize, byz: impl IntoIterator<Item = usize>) -> Vec<Fault> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meba_fallback::Scope;
+    use meba_testkit::oracle;
 
     #[test]
     fn bb_failure_free_linear() {
@@ -91,37 +93,53 @@ mod tests {
         assert_eq!(s.words, run_bb(33, BbAdversary::FailureFree).words);
     }
 
-    /// The open finding of docs/CORRECTNESS.md §16, pinned: E15's f = t
-    /// row at n = 129 exceeds BB's `60·n·(f+1)`. Resolving the finding
-    /// flips this test.
+    /// E15's f = t row at n = 129, which exceeded the fitted
+    /// `60·n·(f+1)` (60.35), is inside BB's bound built from its
+    /// components (docs/CORRECTNESS.md §16).
     #[test]
     #[ignore = "n = 129 at f = t on the DES: seconds in debug"]
-    fn e15_f_equals_t_at_n129_exceeds_the_bb_bound() {
+    fn e15_f_equals_t_at_n129_is_within_the_bb_bound() {
         let s = run_des_bb(129, 64, 0xe15);
-        assert_eq!((s.words, s.within_bound), (506_018, false));
+        assert_eq!((s.words, s.within_bound), (506_018, true));
     }
 
-    /// The same finding two doublings further (ROADMAP item 12(a)): 62.59
-    /// words per `n(f+1)` at n = 513 and 63.01 at n = 1025, increments of
-    /// 0.79 and 0.43 over n = 257's 61.80 against the previous doubling's
-    /// 1.45 — each roughly half the last.
+    /// The same two doublings further: 62.59 words per `n(f+1)` at
+    /// n = 513 and 63.01 at n = 1025.
     #[test]
     #[ignore = "n = 513 at f = t on the DES: seconds in release"]
-    fn e15_f_equals_t_at_n513_exceeds_the_bb_bound() {
+    fn e15_f_equals_t_at_n513_is_within_the_bb_bound() {
         let s = run_des_bb(513, 256, 0xe15);
-        assert_eq!((s.words, s.within_bound), (8_251_618, false));
+        assert_eq!((s.words, s.within_bound), (8_251_618, true));
     }
 
     #[test]
     #[ignore = "n = 1025 at f = t on the DES: ~10 s and ~0.85 GB in release"]
-    fn e15_f_equals_t_at_n1025_exceeds_the_bb_bound() {
+    fn e15_f_equals_t_at_n1025_is_within_the_bb_bound() {
         let s = run_des_bb(1025, 512, 0xe15);
-        assert_eq!((s.words, s.within_bound), (33_134_562, false));
+        assert_eq!((s.words, s.within_bound), (33_134_562, true));
     }
 
-    /// The same finding split by component tag: the words of E15's
-    /// f = t rows at every n it has been measured at (seed `0xe15`), one
-    /// line `n: tag=words …` per row; EXPERIMENTS.md E15 has them per
+    /// The fallback's words at every E15 f = t row are the recursion of
+    /// its plan with `p1..pt` silent, exactly.
+    #[test]
+    fn e15_fallback_column_is_the_plan_recursion_with_p1_to_pt_silent() {
+        for row in E15_WORDS_BY_COMPONENT.lines() {
+            let (n, tags) = row.split_once(": ").unwrap();
+            let n: u64 = n.parse().unwrap();
+            let measured: u64 = (tags.split(' '))
+                .find_map(|tag| tag.strip_prefix("fallback="))
+                .map(|w| w.parse().unwrap())
+                .unwrap();
+            let t = (n - 1) / 2;
+            let sends =
+                |s: &Scope| s.members().filter(|p| !(1..=t).contains(&u64::from(p.0))).count();
+            assert_eq!(oracle::bb_fallback_words(n, sends), measured, "n = {n}");
+        }
+    }
+
+    /// The words of E15's f = t rows split by component tag, at every n
+    /// they have been measured at (seed `0xe15`), one line
+    /// `n: tag=words …` per row; EXPERIMENTS.md E15 has them per
     /// `n(f+1)`.
     #[test]
     #[ignore = "n = 17 … 1025 at f = t on the DES: ~40 s and ~0.85 GB in release"]
@@ -139,10 +157,10 @@ mod tests {
         assert_eq!(rows, E15_WORDS_BY_COMPONENT, "got:\n{rows}");
     }
 
-    /// Every row fits closed forms but one: `bb/dissemination` is
-    /// `2(n − 1)`, `weak-ba/help` `n² − 1` and `weak-ba/phases`
-    /// `7(n² − 1)/4`, so per `n(f+1)` they tend to 0, 2 and 3.5;
-    /// `bb/vetting` is silent. Only `fallback` still grows per `n(f+1)`.
+    /// `bb/dissemination` is `2(n − 1)`, `weak-ba/help` `n² − 1` and
+    /// `weak-ba/phases` `7(n² − 1)/4`, so per `n(f+1)` they tend to 0, 2
+    /// and 3.5; `bb/vetting` is silent; `fallback` is
+    /// [`oracle::bb_fallback_words`] with `p1..pt` silent.
     const E15_WORDS_BY_COMPONENT: &str = "\
 17: bb/dissemination=32 fallback=6202 weak-ba/help=288 weak-ba/phases=504
 33: bb/dissemination=64 fallback=26818 weak-ba/help=1088 weak-ba/phases=1904

@@ -210,8 +210,10 @@ impl<P: SubProtocol> SubProtocol for Recoverable<P> {
         out: &mut Vec<(Dest, Self::Msg)>,
     ) {
         // Steps below the resume point were already applied by replay
-        // (the runner drives a recovered actor from step 0 again).
-        if step < self.next_step {
+        // (the runner drives a recovered actor from step 0 again). After
+        // a journal I/O failure the inner state holds an inbox the
+        // journal lacks, so nothing derived from it may leave.
+        if step < self.next_step || self.io_failed {
             return;
         }
         self.next_step = step + 1;
@@ -297,7 +299,7 @@ impl<P: SubProtocol + std::fmt::Debug> std::fmt::Debug for Recoverable<P> {
 mod tests {
     use super::*;
     use meba_crypto::{DecodeError, Decoder, Digest, Encoder};
-    use meba_journal::MemBuffer;
+    use meba_journal::{MemBuffer, MemStorage, Storage};
     use meba_sim::Message;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -468,6 +470,47 @@ mod tests {
         // Non-conflicting later steps flow normally.
         r.on_step(1, &[], &mut out);
         assert_eq!(out.len(), 1);
+    }
+
+    /// In-memory storage whose append number `fail_at` (counting from
+    /// 0) fails, once; every other call succeeds.
+    struct FailOnce {
+        inner: MemStorage,
+        appends: u64,
+        fail_at: u64,
+    }
+    impl Storage for FailOnce {
+        fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.appends += 1;
+            if self.appends - 1 == self.fail_at {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.inner.append(bytes)
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.inner.sync()
+        }
+        fn read_all(&mut self) -> std::io::Result<Vec<u8>> {
+            self.inner.read_all()
+        }
+        fn reset(&mut self) -> std::io::Result<()> {
+            self.inner.reset()
+        }
+    }
+
+    #[test]
+    fn a_failed_journal_write_silences_every_later_step() {
+        // Step 0 journals its `Step` and `Signed` records (appends 0 and
+        // 1); append 2, step 1's `Step` record, fails.
+        let storage = FailOnce { inner: MemStorage::new(MemBuffer::new()), appends: 0, fail_at: 2 };
+        let mut p = Recoverable::new(Toy::new(5), Journal::new(Box::new(storage), 1));
+        let mut out = Vec::new();
+        p.on_step(0, &inbox_for(0), &mut out);
+        assert_eq!(out.len(), 1, "step 0 journaled and released");
+        for step in 1..=DECIDE_AT {
+            p.on_step(step, &inbox_for(step), &mut out);
+        }
+        assert_eq!(out.len(), 1, "nothing is sent after the failed write");
     }
 
     #[test]

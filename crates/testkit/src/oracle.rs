@@ -24,7 +24,7 @@ use crate::service::ServiceProc;
 use crate::{correct, corrupt_ids, BbProc, Fault, LogProc, RecWbaProc, SbaProc};
 use meba_core::{Decision, LockstepAdapter, SubProtocol, Validity, WeakBa};
 use meba_crypto::{Digest, ProcessId, WireCodec};
-use meba_fallback::{RecursiveBa, RecursiveBaFactory};
+use meba_fallback::{RecursiveBa, RecursiveBaFactory, Scope, BASE_SCOPE};
 use meba_journal::{Journal, MemBuffer, Record};
 use meba_service::Batch;
 use meba_sim::{Actor, AnyActor, Metrics};
@@ -88,7 +88,7 @@ fn unanimous<P: Probe>(correct: &[Triple<P>]) -> Option<&P::Proposal> {
     rest.iter().all(|(_, _, v)| v == first).then_some(first)
 }
 
-/// The `O(n(f+1))` shape of BB and weak BA: `free·n` words at `f = 0`,
+/// The `O(n(f+1))` shape of weak BA: `free·n` words at `f = 0`,
 /// `per_fault·n·(f+1)` above.
 fn adaptive(n: u64, f: u64, free: u64, per_fault: u64) -> u64 {
     if f == 0 {
@@ -98,9 +98,71 @@ fn adaptive(n: u64, f: u64, free: u64, per_fault: u64) -> u64 {
     }
 }
 
-/// BB's bound, per instance.
+/// BB's bound, per instance: `25·n` failure-free, and above that the sum
+/// of its components' bounds (docs/CORRECTNESS.md §16). Every message
+/// carries at most one BB value (2 words: the sender's value and its
+/// signature) plus one signature or certificate, and a broadcast reaches
+/// the `n − 1` others. Each of the `f` faults may be a crash-restart,
+/// billed as correct, so each may lead one vetting and one weak-BA phase
+/// non-silently and ask for help.
 fn bb_bound(n: u64, f: u64) -> u64 {
-    adaptive(n, f, 25, 60)
+    if f == 0 {
+        return 25 * n;
+    }
+    let (t, others) = ((n - 1) / 2, n - 1);
+    let dissemination = 2 * others;
+    // A non-silent phase costs at most a help request, a value or idk
+    // answer from everyone and the vetted value: 5 words per link. After
+    // the first correct leader's phase every correct process holds a
+    // value, so the other correct leaders are silent.
+    let vetting = 5 * (f + 1) * others;
+    // A non-silent phase costs at most a proposal, a vote or commit
+    // reply from everyone, the commit certificate, a decide share from
+    // everyone and the finalize certificate: 14 words per link.
+    let phase = 14 * others;
+    if f <= (n - t - 1) / 2 {
+        // Lemma 6: the first correct leader's phase decides every correct
+        // process, so at most `f + 1` phases are non-silent; the help
+        // round is a request from, and an answer to, each fault.
+        dissemination + vetting + (f + 1) * phase + 4 * f * others
+    } else {
+        // Every phase may be non-silent; everyone may ask for help
+        // (1 word), answer every request (3) and send the fallback
+        // certificate twice (4 each); then the fallback runs.
+        dissemination + vetting + n * phase + 12 * n * others + bb_fallback_words(n, Scope::len)
+    }
+}
+
+/// Words the recursive fallback BA sends inside BB, as its plan
+/// (`meba_fallback::recursive`) lays it out, when `sends(scope)` members
+/// of each scope send and every graded agreement certifies at most one
+/// value. A scope of `m > BASE_SCOPE` members runs two graded agreements
+/// and two certificate exchanges, and recurses into both halves; a base
+/// scope runs interactive consistency. Every message is 3 words (one BB
+/// value and one signature) but a vote, 4, and goes to the `m − 1`
+/// others:
+///
+/// * graded agreement: each sender signs its input; if the senders reach
+///   the scope's majority, each also echoes `C1`, votes and sends `C2` —
+///   3 or 13 words per link;
+/// * certificate exchange: each sender of the child half sends its share;
+/// * interactive consistency: each sender's value is sent by it and
+///   forwarded once by every other sender — `c²` messages.
+///
+/// The oracle's term has every member send; E15 checks it with `p1..pt`
+/// silent against the measured `fallback` column.
+pub fn bb_fallback_words(n: u64, sends: impl Fn(&Scope) -> usize) -> u64 {
+    fn words(scope: Scope, sends: &dyn Fn(&Scope) -> usize) -> u64 {
+        let (c, others) = (sends(&scope) as u64, scope.len() as u64 - 1);
+        if scope.len() <= BASE_SCOPE {
+            return 3 * c * c * others;
+        }
+        let ga = if c >= scope.majority() as u64 { 13 } else { 3 };
+        let (l, r) = scope.split();
+        let shares = (sends(&l) + sends(&r)) as u64;
+        (2 * ga * c + 3 * shares) * others + words(l, sends) + words(r, sends)
+    }
+    words(Scope::full(n as usize), &sends)
 }
 
 /// Weak BA's bound. Lemma 6 keeps the adaptive path, `O(n(f+1))`, below

@@ -3,9 +3,9 @@
 //! and round counts — on every backend the engine drives.
 //!
 //! The contract under test is the one round body all backends run
-//! (`meba_sim::body::run_live_round`): a round is "release pending →
-//! drain → partition by `sent_round` → step → account and dispatch the
-//! outbox" on every backend, so moving a scenario from the discrete-event
+//! (`meba_engine::EngineProcess::step`): a round is "fate → release
+//! pending → drain → partition by `sent_round` → step → account and
+//! dispatch the outbox" on every backend, so moving a scenario from the discrete-event
 //! queue to the threaded cluster or real TCP sockets must not change what
 //! the protocol decides or how many words correct processes pay.
 //!

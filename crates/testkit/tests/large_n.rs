@@ -77,8 +77,8 @@ fn des_bb_n4097_failure_free_is_linear_and_fast() {
 }
 
 /// One silent leader at n = 4097: the run pays for the fault it has,
-/// not for the 2048 it tolerates — the `c·n·(f+1)` bound with the same
-/// constant the n = 65, f = t row uses.
+/// not for the 2048 it tolerates — BB's bound with at most `f + 1`
+/// non-silent phases (docs/CORRECTNESS.md §16).
 #[test]
 #[ignore = "large-n acceptance run; executed in release by scripts/check.sh"]
 fn des_bb_n4097_one_fault_stays_in_the_adaptive_envelope() {
@@ -99,8 +99,8 @@ fn des_bb_n16385_failure_free_is_linear() {
 
 /// Rushing attackers at scale: p1..p8 are `WastefulBbLeader`s at n = 1025
 /// — each hears the sender's round-0 value in round 0, then wastes its
-/// vetting phase and its weak BA phase. The run stays inside BB's
-/// `60·n·(f+1)` bound; the realized constant is printed.
+/// vetting phase and its weak BA phase. The run stays inside BB's word
+/// bound; the realized words per `n(f+1)` are printed.
 #[test]
 #[ignore = "large-n acceptance run; executed in release by scripts/check.sh"]
 fn des_bb_n1025_wasteful_leaders_stay_in_the_adaptive_envelope() {

@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
-echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / oracle::decided; one ledger: Metrics is plain data billed through Metrics::bill; one round body: no sim-only Trace, rushing is not optional; one oracle: meba_testkit::oracle) =="
-! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|SimBuilder::trace|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(' -- crates src tests examples README.md docs || exit 1
+echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / oracle::decided; one ledger: Metrics is plain data billed through Metrics::bill; one round body, EngineProcess::step: no sim-only Trace, rushing is not optional, meba-sim holds no body; one oracle: meba_testkit::oracle) =="
+! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|SimBuilder::trace|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body' -- crates src tests examples README.md docs || exit 1
 
 echo "== one oracle (meba_testkit::oracle's journal fold is the only reader of Record::Proposed in the testkit; word-bound constants live only in the Probe::word_bound impls) =="
 test "$(git grep -n 'Record::Proposed {' -- crates/testkit/src | wc -l)" -eq 1
@@ -24,13 +24,14 @@ echo "== one digest per share (individual tags MAC a message digest, never the m
 echo "== one billing site (MessageCost::of carries the only 1-word floor; every backend bills through it) =="
 test "$(git grep -n 'words().max(1)' -- 'crates/*/src/*' | wc -l)" -eq 1
 
-echo "== one round body (every backend steps a process only through run_live_round, called from EngineProcess::step alone — drive_mesh's lone TCP process included) =="
+echo "== one round body (every backend steps a process only through EngineProcess::step — drive_mesh's lone TCP process included — which bills every copy, tallies the advance cause, and whose finish collects the refusals) =="
 test "$(git grep -n 'metrics.bill(' -- 'crates/*/src/*' | wc -l)" -eq 1
-test "$(git grep -l 'run_live_round(' -- '*.rs' ':!crates/sim/src/body.rs' | tr '\n' ' ')" = "crates/engine/src/process.rs "
-test "$(git grep -n 'run_live_round(' -- '*.rs' ':!crates/sim/src/body.rs' | wc -l)" -eq 1
+test "$(git grep -n 'cause.record(' -- 'crates/*/src/*' ':!crates/engine/src/driver.rs' | cut -d: -f1 | tr '\n' ' ')" = "crates/engine/src/process.rs "
+test -z "$(awk '/#\[cfg\(test\)\]/{exit} /cause.record\(/' crates/engine/src/driver.rs)"
+test "$(git grep -n 'refused_equivocations()' -- crates/engine/src crates/wire/src | cut -d: -f1 | tr '\n' ' ')" = "crates/engine/src/process.rs "
 
-echo "== one payload per outbox entry (run_live_round wraps each entry in one Arc; the in-memory transports clone the handle, never the message) =="
-test "$(awk '/^pub fn run_live_round/,/^}/' crates/sim/src/body.rs | grep -c 'Arc::new(')" -eq 1
+echo "== one payload per outbox entry (EngineProcess::dispatch wraps each entry in one Arc; the in-memory transports clone the handle, never the message) =="
+test "$(awk '/^    fn dispatch/,/^    }/' crates/engine/src/process.rs | grep -c 'Arc::new(')" -eq 1
 ! git grep -n 'msg\.clone()' -- crates/engine/src/des.rs crates/engine/src/channel.rs || exit 1
 
 echo "== one virtual clock (the lockstep Simulation is the discrete-event loop; no wave loop, no lane transport, no outbox-tampering wrappers) =="
