@@ -9,7 +9,7 @@
 //!   without it, a slot-`k` certificate would decide slot `k + 1`.
 //! * [`MuxHelpRequester`] — a correctly-signed `help_req` injected into a
 //!   chosen session at a chosen round, used to show that a
-//!   decided-but-not-done instance routed through the mux still answers
+//!   decided-but-not-done instance routed through the log still answers
 //!   help requests.
 
 use meba_core::bb::BbMsg;

@@ -9,8 +9,8 @@
 //! here); [`LockstepAdapter`] runs one as a top-level simulator actor;
 //! [`SkewAdapter`] embeds one with the paper's doubled-round, buffered
 //! window semantics. Both adapters are thin wrappers around the
-//! single-instance driver [`meba_sim::Instance`] — the same machinery the
-//! session-multiplexing [`meba_sim::Mux`] uses per instance. The
+//! single-instance driver [`meba_sim::Instance`] — the same driver the
+//! replicated log in `meba-smr` runs each slot's instance on. The
 //! crate-private `FallbackHost` is the hand-off itself — safety-window
 //! adoption, the `2δ` start delay, buffering, execution — shared by weak
 //! BA and both strong BAs.
@@ -24,7 +24,7 @@ use std::fmt::Debug;
 pub use meba_sim::SubProtocol;
 
 /// Runs a [`SubProtocol`] directly as a simulator [`Actor`]
-/// (step = round): a one-instance mux without the session tagging.
+/// (step = round): one instance, no session tagging.
 ///
 /// The step is read off [`RoundCtx::round`], not counted, so a runtime
 /// that honours [`Actor::next_wakeup`] may jump over the rounds the

@@ -5,9 +5,10 @@
 //! reliable authenticated point-to-point links, and a known delay bound
 //! `δ`, normalized to one round. Protocols are [`Actor`] state machines
 //! exchanging [`Message`]s; Byzantine behaviour is just another `Actor`
-//! implementation (see `meba-adversary`). [`session`] multiplexes
-//! sub-protocol instances over one actor, [`faults`] names what a link
-//! does to a copy, and [`metrics`] is the ledger a copy is billed to.
+//! implementation (see `meba-adversary`). [`session`] tags and drives
+//! sub-protocol instances (which ones run is their host's business),
+//! [`faults`] names what a link does to a copy, and [`metrics`] is the
+//! ledger a copy is billed to.
 //!
 //! This crate holds neither a clock nor a round body: `meba-engine`'s
 //! `EngineProcess::step` runs a process's round on every backend, and
@@ -73,7 +74,4 @@ pub use metrics::{
     SessionStats,
 };
 pub use round::Round;
-pub use session::{
-    Instance, Mux, MuxHost, RecoveryEvent, SessionEnvelope, SessionId, SessionSpawnError,
-    SubProtocol,
-};
+pub use session::{Instance, RecoveryEvent, SessionEnvelope, SessionId, SubProtocol};

@@ -363,7 +363,7 @@ pub struct ServiceStats {
     /// histogram's µs naming is cosmetic; buckets are powers of two).
     pub commit_latency_rounds: LatencyHistogram,
     /// Typed session-id collisions the dynamic spawn path surfaced
-    /// (`meba_sim::SessionSpawnError`); 0 in any healthy run.
+    /// (`meba_smr::SessionSpawnError`); 0 in any healthy run.
     pub session_collisions: u64,
     /// Slots this replica applied as `⊥` — genuine cluster-wide no-op
     /// slots (faulty proposer), plus, before state transfer existed,

@@ -1,23 +1,18 @@
-//! The session multiplexing layer: many protocol instances, one transport.
+//! Sessions: many protocol instances, one transport.
 //!
 //! Production agreement systems never run a single consensus instance —
 //! they run one per slot/height/view, all over the same links. This module
-//! supplies the missing addressing layer: a [`SessionId`]-tagged envelope
-//! ([`SessionEnvelope`]) routes every message to a protocol *instance*
-//! rather than just a process, and the [`Mux`] actor hosts a dynamic set
-//! of [`SubProtocol`] instances — opening them on a host-defined schedule,
-//! stepping each one per round, and retiring them as soon as they report
-//! [`SubProtocol::done`].
-//!
-//! The mux is runtime-agnostic: it is an ordinary [`Actor`], so the same
-//! code runs unchanged on the lockstep simulator and on the threaded
-//! `meba-engine` cluster. Cryptographic non-interference between concurrent
-//! instances is the *host protocol's* job (per-session signature domain
-//! separation); the mux only provides addressing and lifecycle.
+//! supplies the addressing and the per-instance driver: a
+//! [`SessionId`]-tagged envelope ([`SessionEnvelope`]) routes every message
+//! to a protocol *instance* rather than just a process, and an
+//! [`Instance`] steps one [`SubProtocol`] on what was delivered to it.
+//! When instances open and retire is their host's business (the
+//! replicated log in `meba-smr`, the adapters in `meba-core`).
+//! Cryptographic non-interference between concurrent instances is the
+//! host protocol's job too (per-session signature domain separation).
 
-use crate::actor::{Actor, Dest, Message, RoundCtx};
+use crate::actor::{Dest, Message};
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, ProcessId, WireCodec};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 
 /// A protocol-critical event a [`SubProtocol`] wants made durable before
@@ -59,8 +54,8 @@ pub enum RecoveryEvent {
 /// Step semantics: at step `s`, the machine consumes messages sent by
 /// peers at their step `s - 1`, and emits messages that peers consume at
 /// their step `s + 1`. Steps map to host rounds 1:1 when embedded in
-/// lockstep (via an [`Instance`] or a [`Mux`]), or 1:2 under the `2δ`
-/// skew-tolerant adapter in `meba-core`.
+/// lockstep (via an [`Instance`]), or 1:2 under the `2δ` skew-tolerant
+/// adapter in `meba-core`.
 pub trait SubProtocol: Send + 'static {
     /// Message type exchanged by this protocol. The [`WireCodec`] bound is
     /// what lets *any* sub-protocol run over the real TCP transport
@@ -101,8 +96,8 @@ pub trait SubProtocol: Send + 'static {
         0
     }
 
-    /// Sparse-time hint in steps — the [`Actor::next_wakeup`] contract
-    /// one layer down. Asked after step `after` ran: the earliest later
+    /// Sparse-time hint in steps — the [`crate::Actor::next_wakeup`]
+    /// contract one layer down. Asked after step `after` ran: the earliest later
     /// step this machine needs *if no message reaches it before then*;
     /// every step strictly between, run on an empty inbox, would emit
     /// nothing and change nothing observable. `u64::MAX` means "only a
@@ -117,40 +112,6 @@ pub trait SubProtocol: Send + 'static {
 /// process-to-process links (e.g. the slot number of a replicated log).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub u64);
-
-/// Why an explicit, collision-checked session spawn was rejected.
-///
-/// The mux's *schedule-driven* open path ([`MuxHost::due`]) is
-/// deliberately idempotent: a host may re-announce a session every round
-/// and the duplicate opens are silently ignored. A *dynamic* allocator —
-/// e.g. the `meba-service` front door binding client batches to fresh
-/// slot sessions — must instead learn that an id it computed is already
-/// taken, or a collision silently aliases two protocol instances onto
-/// one signature domain. [`Mux::try_open`] surfaces exactly that.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SessionSpawnError {
-    /// The id belongs to an instance that is currently running.
-    Live(SessionId),
-    /// The id was already retired (ran to completion, hit its step cap,
-    /// or was refused earlier) and may never be reused.
-    Retired(SessionId),
-    /// The host's [`MuxHost::create`] refused to build the instance
-    /// (e.g. out-of-range slot). The id is recorded as retired so stray
-    /// traffic cannot retrigger creation.
-    Refused(SessionId),
-}
-
-impl std::fmt::Display for SessionSpawnError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SessionSpawnError::Live(sid) => write!(f, "session {sid} is already live"),
-            SessionSpawnError::Retired(sid) => write!(f, "session {sid} was already retired"),
-            SessionSpawnError::Refused(sid) => write!(f, "host refused to create session {sid}"),
-        }
-    }
-}
-
-impl std::error::Error for SessionSpawnError {}
 
 impl std::fmt::Display for SessionId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -205,10 +166,11 @@ impl<M: WireCodec> WireCodec for SessionEnvelope<M> {
 /// One lockstep-driven instance of a [`SubProtocol`]: the protocol plus
 /// its step counter and the inbox buffered for its next step.
 ///
-/// This is the single-instance core that both the [`Mux`] and the
-/// adapters in `meba-core` (`LockstepAdapter`, `SkewAdapter`) are thin
-/// wrappers around: deliver messages with [`Instance::deliver`], then
-/// fire [`Instance::step`] once per host round (or virtual step).
+/// This is the single-instance core that the replicated log in
+/// `meba-smr` and the adapters in `meba-core` (`LockstepAdapter`,
+/// `SkewAdapter`) drive: deliver messages with [`Instance::deliver`],
+/// then fire [`Instance::step`] once per virtual step, or
+/// [`Instance::step_at`] the step a host round puts the instance at.
 #[derive(Debug)]
 pub struct Instance<P: SubProtocol> {
     proto: P,
@@ -269,196 +231,9 @@ impl<P: SubProtocol> Instance<P> {
     }
 }
 
-/// Instance lifecycle policy for a [`Mux`]: which sessions open when, how
-/// to build them, how long they may run, and what to do with them when
-/// they retire.
-///
-/// The host is the protocol-specific half of a multiplexed driver (e.g.
-/// the replicated-log scheduler in `meba-smr`); the mux is the generic
-/// routing/lifecycle half.
-pub trait MuxHost: Send + 'static {
-    /// The protocol type this host instantiates.
-    type Proto: SubProtocol;
-
-    /// Sessions scheduled to open at host round `round` (step 0 runs this
-    /// round). Lockstep protocols need all correct processes to open a
-    /// session at the same round, so opens are driven by the shared round
-    /// clock, not by message arrival.
-    fn due(&mut self, round: u64) -> Vec<SessionId>;
-
-    /// Builds the instance for `sid`; `None` refuses the session (out of
-    /// range / unknown), in which case its messages are dropped.
-    fn create(&mut self, sid: SessionId) -> Option<Self::Proto>;
-
-    /// Hard cap on the number of steps an instance may run. An instance
-    /// still not [`SubProtocol::done`] after its cap is force-retired —
-    /// this is what keeps a Byzantine-stalled instance from living
-    /// forever.
-    fn max_steps(&self, sid: SessionId) -> u64;
-
-    /// Called exactly once when `sid` retires (done, or step cap hit),
-    /// with the final protocol state.
-    fn retired(&mut self, sid: SessionId, proto: Self::Proto);
-
-    /// Whether the whole mux is finished (drives [`Actor::done`]).
-    fn finished(&self) -> bool;
-}
-
-/// An actor hosting a dynamic set of [`SubProtocol`] instances multiplexed
-/// over [`SessionEnvelope`]-tagged messages.
-///
-/// Per round: opens the sessions the host says are due, routes each inbox
-/// envelope to its instance ([`Mux::route`]; envelopes for retired,
-/// refused or unknown sessions are dropped — a session only ever opens on
-/// the host's schedule or through [`Mux::try_open`], never because a
-/// message named it), then [`Mux::tick`] advances every live instance
-/// one step, tags their output, and retires instances that are done or
-/// have exhausted their step cap.
-pub struct Mux<H: MuxHost> {
-    me: ProcessId,
-    host: H,
-    live: BTreeMap<SessionId, Instance<H::Proto>>,
-    retired: BTreeSet<SessionId>,
-}
-
-impl<H: MuxHost> Mux<H> {
-    /// Creates a mux for process `me` with the given lifecycle host.
-    pub fn new(me: ProcessId, host: H) -> Self {
-        Mux { me, host, live: BTreeMap::new(), retired: BTreeSet::new() }
-    }
-
-    /// The lifecycle host (protocol-specific state, e.g. the committed
-    /// log).
-    pub fn host(&self) -> &H {
-        &self.host
-    }
-
-    /// The lifecycle host, mutably.
-    pub fn host_mut(&mut self) -> &mut H {
-        &mut self.host
-    }
-
-    /// Sessions currently live, in id order.
-    pub fn live_sessions(&self) -> Vec<SessionId> {
-        self.live.keys().copied().collect()
-    }
-
-    fn open_due(&mut self, round: u64) {
-        for sid in self.host.due(round) {
-            // Schedule-driven opens are idempotent: hosts may re-announce
-            // a session every round, so collisions are silently ignored.
-            let _ = self.try_open(sid);
-        }
-    }
-
-    /// Hands one inbound envelope to its live instance, to be consumed
-    /// at that instance's next step — by reference: the payload is
-    /// cloned once, into the instance's inbox, and not at all when the
-    /// session is retired, refused or unknown. A session due this round
-    /// must already be open to receive (see [`Mux::tick`]).
-    pub fn route(&mut self, from: ProcessId, env: &<Self as Actor>::Msg) {
-        if let Some(inst) = self.live.get_mut(&env.session) {
-            inst.deliver(from, env.msg.clone());
-        }
-    }
-
-    /// Runs host round `round` on everything routed since the last
-    /// tick: opens the sessions due (a no-op for those a caller already
-    /// opened through [`Mux::try_open`] before routing), advances every
-    /// live instance one step, appends their session-tagged output to
-    /// `out`, and retires the instances that are done or out of steps.
-    /// [`Actor::on_round`] is due-opens, then [`Mux::route`] over the
-    /// inbox, then this.
-    pub fn tick(&mut self, round: u64, out: &mut Vec<(Dest, <Self as Actor>::Msg)>) {
-        self.open_due(round);
-        let mut stepped = Vec::new();
-        let mut to_retire = Vec::new();
-        for (&sid, inst) in self.live.iter_mut() {
-            inst.step(&mut stepped);
-            out.extend(
-                stepped.drain(..).map(|(dest, msg)| (dest, SessionEnvelope { session: sid, msg })),
-            );
-            if inst.done() || inst.next_step() >= self.host.max_steps(sid) {
-                to_retire.push(sid);
-            }
-        }
-        for sid in to_retire {
-            let inst = self.live.remove(&sid).expect("collected from live set");
-            self.retired.insert(sid);
-            self.host.retired(sid, inst.into_proto());
-        }
-    }
-
-    /// Explicitly spawns `sid` now, collision-checked against the live
-    /// and retired instance sets.
-    ///
-    /// This is the entry point for *dynamically allocated* sessions
-    /// (the `meba-service` batcher binding work to fresh slot ids):
-    /// unlike the idempotent [`MuxHost::due`] path, an id that is
-    /// already live or retired is a typed [`SessionSpawnError`], not a
-    /// silent no-op — reusing it would alias two instances onto one
-    /// per-session signature domain.
-    pub fn try_open(&mut self, sid: SessionId) -> Result<(), SessionSpawnError> {
-        if self.live.contains_key(&sid) {
-            return Err(SessionSpawnError::Live(sid));
-        }
-        if self.retired.contains(&sid) {
-            return Err(SessionSpawnError::Retired(sid));
-        }
-        if let Some(proto) = self.host.create(sid) {
-            self.live.insert(sid, Instance::new(proto));
-            Ok(())
-        } else {
-            // Refused: remember the refusal so stray traffic for this
-            // session cannot retrigger `create` every round.
-            self.retired.insert(sid);
-            Err(SessionSpawnError::Refused(sid))
-        }
-    }
-}
-
-impl<H: MuxHost> Actor for Mux<H> {
-    type Msg = SessionEnvelope<<H::Proto as SubProtocol>::Msg>;
-
-    fn id(&self) -> ProcessId {
-        self.me
-    }
-
-    fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) {
-        let round = ctx.round().as_u64();
-        // Before routing: a message may address step 0 of a session
-        // that opens this round.
-        self.open_due(round);
-        for env in ctx.inbox() {
-            self.route(env.from, &env.msg);
-        }
-        let mut out = Vec::new();
-        self.tick(round, &mut out);
-        for (dest, msg) in out {
-            ctx.push(dest, msg);
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.host.finished()
-    }
-}
-
-impl<H: MuxHost> Debug for Mux<H> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mux")
-            .field("me", &self.me)
-            .field("live", &self.live.keys().collect::<Vec<_>>())
-            .field("retired", &self.retired.len())
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::Envelope;
-    use crate::round::Round;
 
     #[derive(Clone, Debug)]
     struct Ping(#[allow(dead_code)] u64);
@@ -504,124 +279,6 @@ mod tests {
         fn done(&self) -> bool {
             self.decided.is_some()
         }
-    }
-
-    /// Opens session k at round 3k; each instance lives 3 steps.
-    struct StaggeredHost {
-        total: u64,
-        finished: Vec<(SessionId, u64)>,
-    }
-
-    impl MuxHost for StaggeredHost {
-        type Proto = Echo;
-        fn due(&mut self, round: u64) -> Vec<SessionId> {
-            if round.is_multiple_of(3) && round / 3 < self.total {
-                vec![SessionId(round / 3)]
-            } else {
-                vec![]
-            }
-        }
-        fn create(&mut self, sid: SessionId) -> Option<Echo> {
-            (sid.0 < self.total).then_some(Echo { lifetime: 3, seen: 0, decided: None })
-        }
-        fn max_steps(&self, _sid: SessionId) -> u64 {
-            10
-        }
-        fn retired(&mut self, sid: SessionId, proto: Echo) {
-            self.finished.push((sid, proto.output().expect("echo decides")));
-        }
-        fn finished(&self) -> bool {
-            self.finished.len() as u64 == self.total
-        }
-    }
-
-    fn drive(
-        mux: &mut Mux<StaggeredHost>,
-        round: u64,
-        inbox: &[Envelope<SessionEnvelope<Ping>>],
-    ) -> Vec<(Dest, SessionEnvelope<Ping>)> {
-        let mut ctx = RoundCtx::new(Round(round), mux.id(), 3, inbox);
-        mux.on_round(&mut ctx);
-        ctx.take_outbox()
-    }
-
-    #[test]
-    fn mux_opens_routes_and_retires() {
-        let host = StaggeredHost { total: 2, finished: vec![] };
-        let mut mux = Mux::new(ProcessId(0), host);
-        // Round 0: session 0 opens, runs step 0, broadcasts tagged.
-        let out = drive(&mut mux, 0, &[]);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1.session, SessionId(0));
-        assert_eq!(mux.live_sessions(), vec![SessionId(0)]);
-        // Rounds 1-2: deliver a message addressed to session 0; a message
-        // for the unknown session 7 is dropped (a message never spawns).
-        let inbox = vec![
-            Envelope {
-                from: ProcessId(1),
-                msg: SessionEnvelope { session: SessionId(0), msg: Ping(99) },
-            },
-            Envelope {
-                from: ProcessId(2),
-                msg: SessionEnvelope { session: SessionId(7), msg: Ping(1) },
-            },
-        ];
-        drive(&mut mux, 1, &inbox);
-        drive(&mut mux, 2, &[]);
-        // Round 3: session 0 hits step 3 → decides on its 1 routed message
-        // and retires; session 1 opens the same round.
-        drive(&mut mux, 3, &[]);
-        assert_eq!(mux.host().finished, vec![(SessionId(0), 1)]);
-        assert_eq!(mux.live_sessions(), vec![SessionId(1)]);
-        // A straggler for the retired session 0 is dropped, not respawned.
-        let late = vec![Envelope {
-            from: ProcessId(1),
-            msg: SessionEnvelope { session: SessionId(0), msg: Ping(5) },
-        }];
-        drive(&mut mux, 4, &late);
-        drive(&mut mux, 5, &[]);
-        drive(&mut mux, 6, &[]);
-        assert!(mux.done());
-        assert_eq!(mux.host().finished.len(), 2);
-        assert_eq!(mux.host().finished[1], (SessionId(1), 0), "late ping never reached s1");
-    }
-
-    /// Regression for the service front door's dynamic slot allocation:
-    /// an id already live or retired must surface as a typed error from
-    /// [`Mux::try_open`], never a silent dedupe — while the schedule
-    /// path (`due`) stays idempotent.
-    #[test]
-    fn dynamic_spawn_collisions_are_typed_errors() {
-        let host = StaggeredHost { total: 3, finished: vec![] };
-        let mut mux = Mux::new(ProcessId(0), host);
-        // Round 0 opens session 0 through the schedule path.
-        drive(&mut mux, 0, &[]);
-        assert_eq!(mux.live_sessions(), vec![SessionId(0)]);
-        // A dynamic allocator picking the same id gets a collision, and
-        // the instance is untouched.
-        assert_eq!(mux.try_open(SessionId(0)), Err(SessionSpawnError::Live(SessionId(0))));
-        assert_eq!(mux.live_sessions(), vec![SessionId(0)]);
-        // A fresh id spawns fine.
-        assert_eq!(mux.try_open(SessionId(1)), Ok(()));
-        assert_eq!(mux.live_sessions(), vec![SessionId(0), SessionId(1)]);
-        // An out-of-range id is refused by the host, and the refusal is
-        // sticky: the second attempt reports it as retired.
-        assert_eq!(mux.try_open(SessionId(9)), Err(SessionSpawnError::Refused(SessionId(9))));
-        assert_eq!(mux.try_open(SessionId(9)), Err(SessionSpawnError::Retired(SessionId(9))));
-        // Run session 0 to retirement; its id may never be reused.
-        for r in 1..4 {
-            drive(&mut mux, r, &[]);
-        }
-        assert!(!mux.live_sessions().contains(&SessionId(0)));
-        assert_eq!(mux.try_open(SessionId(0)), Err(SessionSpawnError::Retired(SessionId(0))));
-        // The schedule path still silently tolerates re-announcing an id
-        // it already opened (hosts re-announce every stride): session 1
-        // was due again at round 3 during the loop above while live, and
-        // it simply keeps running — one instance, one retirement.
-        drive(&mut mux, 4, &[]); // s1 reaches its lifetime and retires
-        assert_eq!(mux.host().finished.iter().filter(|(sid, _)| *sid == SessionId(1)).count(), 1);
-        let err = SessionSpawnError::Live(SessionId(1));
-        assert_eq!(format!("{err}"), "session s1 is already live");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! rotating proposer `p_{k mod n}`. Clean slots cost the adaptive
 //! `O(n(f+1))` price; a faulty proposer merely yields a `⊥` (no-op) slot.
 //!
-//! Slots are hosted as sessions of a [`meba_sim::Mux`], each tagged with
-//! its slot number on the wire ([`SmrMsg`]). The log is **pipelined**:
+//! [`ReplicatedLog`] owns its slots' instances, each tagged with its slot
+//! number on the wire ([`SmrMsg`]). The log is **pipelined**:
 //! slot `k + 1` opens a fixed stride of rounds after slot `k`
 //! (configurable window `W`, [`ReplicatedLog::with_window`]), and a slot
 //! retires as soon as its instance finishes instead of burning the
@@ -27,4 +27,7 @@
 
 pub mod log;
 
-pub use log::{slot_config, verify_slot_evidence, CommitEvidence, LogEntry, ReplicatedLog, SmrMsg};
+pub use log::{
+    slot_config, verify_slot_evidence, CommitEvidence, LogEntry, ReplicatedLog, SessionSpawnError,
+    SmrMsg,
+};

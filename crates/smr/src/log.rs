@@ -1,23 +1,21 @@
-//! The replicated log: pipelined adaptive BB instances over the session
-//! mux.
+//! The replicated log: pipelined adaptive BB instances, one per slot.
 //!
-//! Slot `k` is one BB instance with proposer `p_{k mod n}`, hosted as
-//! session `k` of a [`meba_sim::Mux`]. Slot `k + 1` opens a fixed *stride*
-//! of rounds after slot `k` (`stride = ⌈worst-case slot schedule / W⌉` for
-//! pipeline window `W`), so up to `W` instances run concurrently; each
-//! instance retires as soon as it reports [`SubProtocol::done`] instead of
-//! burning the fixed worst-case schedule. `W = 1` recovers the sequential
-//! fixed-schedule log. Per-slot signature domain separation (the session
-//! mixed into every signed payload) keeps the concurrent instances
-//! non-interfering — see `docs/CORRECTNESS.md`.
+//! Slot `k` is one BB instance with proposer `p_{k mod n}`, its messages
+//! tagged with session `k` on the wire. Slot `k + 1` opens a fixed
+//! *stride* of rounds after slot `k` (`stride = ⌈worst-case slot schedule
+//! / W⌉` for pipeline window `W`), so up to `W` instances run
+//! concurrently; each instance retires as soon as it reports
+//! [`SubProtocol::done`] instead of burning the fixed worst-case
+//! schedule. `W = 1` recovers the sequential fixed-schedule log.
+//! Per-slot signature domain separation (the session mixed into every
+//! signed payload) keeps the concurrent instances non-interfering — see
+//! `docs/CORRECTNESS.md`.
 
 use meba_core::bb::{Bb, BbBaValue, BbMsg, BbValidity};
 use meba_core::signing::DecideProof;
 use meba_core::{Decision, FallbackFactory, SubProtocol, SystemConfig, Validity, Value};
 use meba_crypto::{Pki, ProcessId, SecretKey, WireCodec};
-use meba_sim::{
-    Actor, Dest, Mux, MuxHost, RoundCtx, SessionEnvelope, SessionId, SessionSpawnError,
-};
+use meba_sim::{Actor, Dest, Instance, RoundCtx, SessionEnvelope, SessionId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Message type of the fallback for the BB value domain.
@@ -111,11 +109,48 @@ fn proposer_of(cfg: &SystemConfig, slot: u64) -> ProcessId {
     ProcessId((slot % cfg.n() as u64) as u32)
 }
 
-/// The [`MuxHost`] half of a log replica: opens slot `k` at round
-/// `k · stride`, builds its domain-separated BB instance, and records the
-/// decision when the instance retires. `log` is the one slot-indexed
-/// store of retired slots.
-struct LogHost<V, F>
+/// Why a collision-checked slot open was refused.
+///
+/// A slot id is also its signature domain ([`slot_config`]): opening an
+/// id twice would alias two BB instances onto one domain, so the open
+/// path reports a collision instead of deduplicating it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SessionSpawnError {
+    /// The slot's instance is currently running.
+    Live(SessionId),
+    /// The slot already retired (ran to completion or hit its step cap)
+    /// and may never be reused.
+    Retired(SessionId),
+    /// The slot is outside the log (`≥ total_slots`).
+    Refused(SessionId),
+}
+
+impl std::fmt::Display for SessionSpawnError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SessionSpawnError::Live(sid) => write!(f, "session {sid} is already live"),
+            SessionSpawnError::Retired(sid) => write!(f, "session {sid} was already retired"),
+            SessionSpawnError::Refused(sid) => write!(f, "log refused to open session {sid}"),
+        }
+    }
+}
+
+impl std::error::Error for SessionSpawnError {}
+
+/// One replica of the replicated log.
+///
+/// Runs `total_slots` BB instances, one per slot. The proposer of slot
+/// `k` is `p_{k mod n}`; when it is this replica's turn it proposes the
+/// next queued command (or the no-op value). [`ReplicatedLog::new`]
+/// builds the sequential (`W = 1`) log; chain
+/// [`ReplicatedLog::with_window`] for the pipelined mode.
+///
+/// A slot's lifecycle: it opens at round `k · stride` (and only then —
+/// a message naming a slot never opens it), runs step `round − k ·
+/// stride` of its instance in every round it is live, and retires when
+/// the instance is done or has run its last step under the cap
+/// ([`ReplicatedLog::slot_rounds`]), its decision appended to the log.
+pub struct ReplicatedLog<V, F>
 where
     V: Value,
     F: FallbackFactory<BbBaValue<V>>,
@@ -125,110 +160,18 @@ where
     key: SecretKey,
     pki: Pki,
     factory: F,
+    window: u64,
     stride: u64,
     slot_cap: u64,
     total_slots: u64,
     noop: V,
     pending: VecDeque<V>,
-    /// Retired slots, sorted by slot index.
+    /// Live slots' instances, by slot.
+    live: BTreeMap<u64, Instance<Bb<V, F>>>,
+    /// Retired slots, sorted by slot index: a slot is retired iff it has
+    /// an entry here.
     log: Vec<LogEntry<V>>,
     evidence: BTreeMap<u64, CommitEvidence>,
-}
-
-impl<V, F> LogHost<V, F>
-where
-    V: Value,
-    F: FallbackFactory<BbBaValue<V>>,
-{
-    /// The slot scheduled to open at `round`, if any.
-    fn due_slot(&self, round: u64) -> Option<u64> {
-        let slot = round / self.stride;
-        (round.is_multiple_of(self.stride) && slot < self.total_slots).then_some(slot)
-    }
-}
-
-impl<V, F> MuxHost for LogHost<V, F>
-where
-    V: Value,
-    F: FallbackFactory<BbBaValue<V>>,
-{
-    type Proto = Bb<V, F>;
-
-    fn due(&mut self, round: u64) -> Vec<SessionId> {
-        self.due_slot(round).map(SessionId).into_iter().collect()
-    }
-
-    fn create(&mut self, sid: SessionId) -> Option<Bb<V, F>> {
-        let slot = sid.0;
-        if slot >= self.total_slots {
-            return None;
-        }
-        let proposer = proposer_of(&self.cfg, slot);
-        let cfg = slot_config(&self.cfg, slot);
-        Some(if proposer == self.me {
-            let cmd = self.pending.pop_front().unwrap_or_else(|| self.noop.clone());
-            Bb::new_sender(
-                cfg,
-                self.me,
-                self.key.clone(),
-                self.pki.clone(),
-                self.factory.clone(),
-                cmd,
-            )
-        } else {
-            Bb::new(
-                cfg,
-                self.me,
-                self.key.clone(),
-                self.pki.clone(),
-                self.factory.clone(),
-                proposer,
-            )
-        })
-    }
-
-    fn max_steps(&self, _sid: SessionId) -> u64 {
-        self.slot_cap
-    }
-
-    fn retired(&mut self, sid: SessionId, bb: Bb<V, F>) {
-        let slot = sid.0;
-        let proposer = proposer_of(&self.cfg, slot);
-        // A BB that did not finish inside the worst-case schedule can
-        // only be a Byzantine-scheduled wrapper; a correct replica
-        // records ⊥ and stays aligned with its peers.
-        let entry = bb.output().unwrap_or(Decision::Bot);
-        // Keep the finalize certificate (when the embedded BA produced
-        // one) so this replica can later serve the slot to a recovering
-        // peer as self-verifying state transfer (DESIGN.md §16).
-        if let Some((v, proof)) = bb.commit_evidence() {
-            self.evidence
-                .insert(slot, CommitEvidence { ba_value: v.to_wire_bytes(), proof: proof.clone() });
-        }
-        // An append, except when a pipelined slot retires out of order.
-        let at = self.log.partition_point(|e| e.slot < slot);
-        self.log.insert(at, LogEntry { slot, proposer, entry });
-    }
-
-    fn finished(&self) -> bool {
-        self.log.len() as u64 >= self.total_slots
-    }
-}
-
-/// One replica of the replicated log.
-///
-/// Runs `total_slots` BB instances over a session mux. The proposer of
-/// slot `k` is `p_{k mod n}`; when it is this replica's turn it proposes
-/// the next queued command (or the no-op value). [`ReplicatedLog::new`]
-/// builds the sequential (`W = 1`) log; chain
-/// [`ReplicatedLog::with_window`] for the pipelined mode.
-pub struct ReplicatedLog<V, F>
-where
-    V: Value,
-    F: FallbackFactory<BbBaValue<V>>,
-{
-    mux: Mux<LogHost<V, F>>,
-    window: u64,
 }
 
 impl<V, F> ReplicatedLog<V, F>
@@ -251,31 +194,30 @@ where
         noop: V,
     ) -> Self {
         let slot_cap = Self::slot_rounds(&cfg, &factory);
-        let host = LogHost {
+        ReplicatedLog {
             cfg,
             me,
             key,
             pki,
             factory,
+            window: 1,
             stride: slot_cap,
             slot_cap,
             total_slots,
             noop,
             pending: commands.into(),
+            live: BTreeMap::new(),
             log: Vec::new(),
             evidence: BTreeMap::new(),
-        };
-        ReplicatedLog { mux: Mux::new(me, host), window: 1 }
+        }
     }
 
     /// Sets the pipeline window: up to `window ≥ 1` slots run
     /// concurrently, with slot `k + 1` opening [`ReplicatedLog::stride`]
     /// rounds after slot `k`. Call before the first round.
     pub fn with_window(mut self, window: u64) -> Self {
-        let window = window.max(1);
-        let host = self.mux.host_mut();
-        host.stride = host.slot_cap.div_ceil(window);
-        self.window = window;
+        self.window = window.max(1);
+        self.stride = self.slot_cap.div_ceil(self.window);
         self
     }
 
@@ -289,7 +231,7 @@ where
     /// Rounds between consecutive slot openings
     /// (`⌈slot_rounds / window⌉`).
     pub fn stride(&self) -> u64 {
-        self.mux.host().stride
+        self.stride
     }
 
     /// The pipeline window `W`.
@@ -300,8 +242,7 @@ where
     /// Worst-case total rounds the whole log needs: the last slot opens
     /// at `(total_slots − 1) · stride` and may run its full schedule.
     pub fn total_rounds(&self) -> u64 {
-        let host = self.mux.host();
-        (host.total_slots.saturating_sub(1)) * host.stride + host.slot_cap
+        self.total_slots.saturating_sub(1) * self.stride + self.slot_cap
     }
 
     /// Queues `cmd` for proposal the next time this replica is a slot
@@ -309,47 +250,68 @@ where
     /// `meba-service` batcher uses: closed client batches enter here and
     /// bind to slots as they open.
     pub fn enqueue(&mut self, cmd: V) {
-        self.mux.host_mut().pending.push_back(cmd);
+        self.pending.push_back(cmd);
     }
 
     /// Number of queued commands not yet bound to a slot.
     pub fn queued(&self) -> usize {
-        self.mux.host().pending.len()
+        self.pending.len()
     }
 
     /// The command that will bind to this replica's next proposer slot.
     pub fn queued_front(&self) -> Option<&V> {
-        self.mux.host().pending.front()
+        self.pending.front()
     }
 
     /// Total number of slots this log runs.
     pub fn total_slots(&self) -> u64 {
-        self.mux.host().total_slots
+        self.total_slots
     }
 
     /// The designated proposer of `slot` (`p_{slot mod n}`).
     pub fn proposer_of(&self, slot: u64) -> ProcessId {
-        proposer_of(&self.mux.host().cfg, slot)
+        proposer_of(&self.cfg, slot)
     }
 
     /// The slot scheduled to open at `round`, if any (`round / stride`
     /// when `round` is a stride multiple and in range).
     pub fn due_slot(&self, round: u64) -> Option<u64> {
-        self.mux.host().due_slot(round)
+        let slot = round / self.stride;
+        (round.is_multiple_of(self.stride) && slot < self.total_slots).then_some(slot)
     }
 
-    /// Collision-checked spawn of `slot`'s session, for dynamic
-    /// allocators ([`Mux::try_open`]): an id already live or retired is
-    /// a typed error, never a silent alias onto the existing instance.
-    pub fn try_open_slot(&mut self, slot: u64) -> Result<(), SessionSpawnError> {
-        self.mux.try_open(SessionId(slot))
+    /// Opens `slot` now, collision-checked: an id already live or
+    /// retired, or outside the log, is a typed error, never a silent
+    /// alias onto the existing instance. The caller opens a slot only
+    /// in its opening round ([`ReplicatedLog::spawn_due`]).
+    fn try_open_slot(&mut self, slot: u64) -> Result<(), SessionSpawnError> {
+        let sid = SessionId(slot);
+        if slot >= self.total_slots {
+            return Err(SessionSpawnError::Refused(sid));
+        }
+        if self.live.contains_key(&slot) {
+            return Err(SessionSpawnError::Live(sid));
+        }
+        if self.entry(slot).is_some() {
+            return Err(SessionSpawnError::Retired(sid));
+        }
+        let proposer = proposer_of(&self.cfg, slot);
+        let cfg = slot_config(&self.cfg, slot);
+        let (key, pki, factory) = (self.key.clone(), self.pki.clone(), self.factory.clone());
+        let bb = if proposer == self.me {
+            let cmd = self.pending.pop_front().unwrap_or_else(|| self.noop.clone());
+            Bb::new_sender(cfg, self.me, key, pki, factory, cmd)
+        } else {
+            Bb::new(cfg, self.me, key, pki, factory, proposer)
+        };
+        self.live.insert(slot, Instance::new(bb));
+        Ok(())
     }
 
-    /// Spawns the slot due at `round` (if any) through the
-    /// collision-checked path. The mux's own schedule-driven open later
-    /// in the round is idempotent, so a slot spawned here is not opened
-    /// twice; a collision — an id some other allocation already took —
-    /// surfaces as the typed error instead of silently aliasing.
+    /// Opens the slot due at `round` (if any) — the one open path,
+    /// called once per round before routing. A collision — an id some
+    /// other allocation already took — surfaces as the typed error
+    /// instead of silently aliasing.
     pub fn spawn_due(&mut self, round: u64) -> Result<(), SessionSpawnError> {
         match self.due_slot(round) {
             Some(slot) => self.try_open_slot(slot),
@@ -357,21 +319,39 @@ where
         }
     }
 
+    /// Records `slot`'s decision when its instance retires.
+    fn retire(&mut self, slot: u64, bb: Bb<V, F>) {
+        let proposer = proposer_of(&self.cfg, slot);
+        // A BB that did not finish inside the worst-case schedule can
+        // only be a Byzantine-scheduled wrapper; a correct replica
+        // records ⊥ and stays aligned with its peers.
+        let entry = bb.output().unwrap_or(Decision::Bot);
+        // Keep the finalize certificate (when the embedded BA produced
+        // one) so this replica can later serve the slot to a recovering
+        // peer as self-verifying state transfer (DESIGN.md §16).
+        if let Some((v, proof)) = bb.commit_evidence() {
+            self.evidence
+                .insert(slot, CommitEvidence { ba_value: v.to_wire_bytes(), proof: proof.clone() });
+        }
+        // An append, except when a pipelined slot retires out of order.
+        let at = self.log.partition_point(|e| e.slot < slot);
+        self.log.insert(at, LogEntry { slot, proposer, entry });
+    }
+
     /// The committed log so far, in slot order. Under pipelining slots
     /// may commit out of order; gaps close as earlier slots retire.
     pub fn log(&self) -> &[LogEntry<V>] {
-        &self.mux.host().log
+        &self.log
     }
 
     /// The committed commands (skipping `⊥` slots).
     pub fn committed(&self) -> impl Iterator<Item = &V> {
-        self.log().iter().filter_map(|e| e.entry.value())
+        self.log.iter().filter_map(|e| e.entry.value())
     }
 
     /// The committed entry of `slot`, if this replica has retired it.
     pub fn entry(&self, slot: u64) -> Option<&LogEntry<V>> {
-        let log = self.log();
-        log.binary_search_by_key(&slot, |e| e.slot).ok().map(|i| &log[i])
+        self.log.binary_search_by_key(&slot, |e| e.slot).ok().map(|i| &self.log[i])
     }
 
     /// The transferable commit evidence this replica holds for `slot`:
@@ -379,26 +359,48 @@ where
     /// [`DecideProof`] in this process's lifetime, absent for
     /// fallback-path decisions and for slots committed before a restart.
     pub fn evidence(&self, slot: u64) -> Option<&CommitEvidence> {
-        self.mux.host().evidence.get(&slot)
+        self.evidence.get(&slot)
     }
 
     /// The committed prefix: number of contiguous slots from 0 this
     /// replica has retired. Under pipelining slots retire out of order,
     /// so this can trail [`ReplicatedLog::log`]'s length.
     pub fn committed_prefix(&self) -> u64 {
-        self.log().iter().zip(0u64..).take_while(|(e, slot)| e.slot == *slot).count() as u64
+        self.log.iter().zip(0u64..).take_while(|(e, slot)| e.slot == *slot).count() as u64
     }
 
-    /// Hands one inbound envelope to its slot's instance by reference
-    /// ([`Mux::route`]): one clone, none for a retired or unknown slot.
+    /// Hands one inbound envelope to its live slot's instance, to be
+    /// consumed at that slot's next step — by reference: the payload is
+    /// cloned once, into the instance's inbox, and not at all for a
+    /// retired, unknown or not-yet-open slot.
     pub fn route(&mut self, from: ProcessId, env: &<Self as Actor>::Msg) {
-        self.mux.route(from, env);
+        if let Some(inst) = self.live.get_mut(&env.session.0) {
+            inst.deliver(from, env.msg.clone());
+        }
     }
 
-    /// Runs round `round` on everything routed since the last tick and
-    /// appends the slot-tagged output to `out` ([`Mux::tick`]).
+    /// Runs round `round` on everything routed since the last tick:
+    /// every live slot runs the step the round puts it at, its output is
+    /// appended to `out` tagged with the slot, and the slots that are
+    /// done or out of steps retire. It opens nothing: the round's due
+    /// slot opened in [`ReplicatedLog::spawn_due`], before routing.
     pub fn tick(&mut self, round: u64, out: &mut Vec<(Dest, <Self as Actor>::Msg)>) {
-        self.mux.tick(round, out);
+        let mut stepped = Vec::new();
+        let mut to_retire = Vec::new();
+        for (&slot, inst) in self.live.iter_mut() {
+            let step = round - slot * self.stride;
+            inst.step_at(step, &mut stepped);
+            for (dest, msg) in stepped.drain(..) {
+                out.push((dest, SessionEnvelope { session: SessionId(slot), msg }));
+            }
+            if inst.done() || step + 1 >= self.slot_cap {
+                to_retire.push(slot);
+            }
+        }
+        for slot in to_retire {
+            let inst = self.live.remove(&slot).expect("collected from the live set");
+            self.retire(slot, inst.into_proto());
+        }
     }
 }
 
@@ -410,15 +412,27 @@ where
     type Msg = SmrMsg<V, FbMsg<V, F>>;
 
     fn id(&self) -> ProcessId {
-        self.mux.id()
+        self.me
     }
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) {
-        self.mux.on_round(ctx);
+        let round = ctx.round().as_u64();
+        // Before routing: a message may address step 0 of the slot that
+        // opens this round. A standalone log visits each round once, so
+        // its due slot cannot collide.
+        let _ = self.spawn_due(round);
+        for env in ctx.inbox() {
+            self.route(env.from, &env.msg);
+        }
+        let mut out = Vec::new();
+        self.tick(round, &mut out);
+        for (dest, msg) in out {
+            ctx.push(dest, msg);
+        }
     }
 
     fn done(&self) -> bool {
-        self.mux.done()
+        self.log.len() as u64 >= self.total_slots
     }
 }
 
@@ -429,9 +443,10 @@ where
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicatedLog")
-            .field("me", &self.mux.id())
-            .field("committed", &self.log().len())
-            .field("total_slots", &self.mux.host().total_slots)
+            .field("me", &self.me)
+            .field("live", &self.live.keys().collect::<Vec<_>>())
+            .field("committed", &self.log.len())
+            .field("total_slots", &self.total_slots)
             .field("window", &self.window)
             .finish_non_exhaustive()
     }
@@ -443,7 +458,7 @@ mod tests {
     use meba_crypto::trusted_setup;
     use meba_engine::{SimBuilder, Simulation};
     use meba_fallback::RecursiveBaFactory;
-    use meba_sim::{AnyActor, IdleActor};
+    use meba_sim::{AnyActor, Envelope, IdleActor, Round};
 
     type Log = ReplicatedLog<u64, RecursiveBaFactory>;
     type Msg = <Log as Actor>::Msg;
@@ -644,25 +659,11 @@ mod tests {
     }
 
     /// The service-facing seam: dynamically enqueued commands bind to
-    /// proposer slots, and explicit slot spawning is collision-checked
-    /// with a typed error instead of silently aliasing the live session.
+    /// proposer slots, and slot opening is collision-checked with a typed
+    /// error instead of silently aliasing the live instance.
     #[test]
     fn enqueue_and_dynamic_spawn_seam() {
-        use meba_sim::SessionSpawnError;
-        let n = 5;
-        let cfg = SystemConfig::new(n, 9).unwrap();
-        let (pki, keys) = trusted_setup(n, 77);
-        let factory = RecursiveBaFactory::new(cfg, keys[0].clone(), pki.clone());
-        let mut log = ReplicatedLog::<u64, RecursiveBaFactory>::new(
-            cfg,
-            ProcessId(0),
-            keys[0].clone(),
-            pki,
-            factory,
-            6,
-            vec![],
-            0,
-        );
+        let mut log = lone_replica(6);
         assert_eq!(log.queued(), 0);
         log.enqueue(111);
         log.enqueue(222);
@@ -681,14 +682,81 @@ mod tests {
         assert_eq!(log.spawn_due(0), Ok(()));
         assert_eq!(log.queued(), 1, "slot 0 popped the queue head");
         assert_eq!(
-            log.try_open_slot(0),
-            Err(SessionSpawnError::Live(meba_sim::SessionId(0))),
+            log.spawn_due(0),
+            Err(SessionSpawnError::Live(SessionId(0))),
             "reusing a live slot id must surface, not alias"
         );
         assert_eq!(log.queued(), 1, "collision must not consume a command");
-        // Out-of-range slots are refused, stickily.
-        assert_eq!(log.try_open_slot(99), Err(SessionSpawnError::Refused(meba_sim::SessionId(99))));
-        assert_eq!(log.try_open_slot(99), Err(SessionSpawnError::Retired(meba_sim::SessionId(99))));
+        // Out-of-range slots are refused, every time: nothing is
+        // remembered about them.
+        assert_eq!(log.try_open_slot(99), Err(SessionSpawnError::Refused(SessionId(99))));
+        assert_eq!(log.try_open_slot(99), Err(SessionSpawnError::Refused(SessionId(99))));
+        let err = SessionSpawnError::Live(SessionId(1));
+        assert_eq!(format!("{err}"), "session s1 is already live");
+    }
+
+    /// p0's replica of a `slots`-slot sequential log with an empty
+    /// command queue.
+    fn lone_replica(slots: u64) -> Log {
+        let n = 5;
+        let cfg = SystemConfig::new(n, 9).unwrap();
+        let (pki, keys) = trusted_setup(n, 77);
+        let factory = RecursiveBaFactory::new(cfg, keys[0].clone(), pki.clone());
+        ReplicatedLog::new(cfg, ProcessId(0), keys[0].clone(), pki, factory, slots, vec![], 0)
+    }
+
+    fn drive(log: &mut Log, round: u64, inbox: &[Envelope<Msg>]) -> Vec<(Dest, Msg)> {
+        let mut ctx = RoundCtx::new(Round(round), log.id(), 5, inbox);
+        log.on_round(&mut ctx);
+        ctx.take_outbox()
+    }
+
+    fn live(log: &Log) -> Vec<u64> {
+        log.live.keys().copied().collect()
+    }
+
+    /// The slot lifecycle on one replica whose peers are all silent: the
+    /// due slot opens before routing, a message never opens a slot (not
+    /// one that has yet to open, not one outside the log, not one that
+    /// retired), and a retired id is never reused.
+    #[test]
+    fn slots_open_route_and_retire() {
+        let mut log = lone_replica(2);
+        let stride = log.stride();
+        // Round 0: slot 0 opens; p0 proposes it, its output tagged s0.
+        let out = drive(&mut log, 0, &[]);
+        assert!(!out.is_empty());
+        assert!(out.iter().all(|(_, m)| m.session == SessionId(0)));
+        assert_eq!(live(&log), vec![0]);
+        let stray = |slot| Envelope {
+            from: ProcessId(1),
+            msg: SessionEnvelope { session: SessionId(slot), msg: out[0].1.msg.clone() },
+        };
+        // Messages for slot 1 (not open yet) and slot 7 (unknown) are
+        // dropped.
+        drive(&mut log, 1, &[stray(1), stray(7)]);
+        assert_eq!(live(&log), vec![0]);
+        // Slot 0 retires by its cap round, the round before slot 1 opens.
+        for round in 2..stride {
+            drive(&mut log, round, &[]);
+        }
+        assert!(log.entry(0).is_some(), "slot 0 retired within its cap");
+        assert_eq!(live(&log), Vec::<u64>::new());
+        // A straggler for the retired slot 0 is dropped, not re-opened,
+        // in the round slot 1 opens.
+        drive(&mut log, stride, &[stray(0)]);
+        assert_eq!(live(&log), vec![1]);
+        assert_eq!(log.log().len(), 1);
+        // Live, retired and out-of-range ids are typed collisions.
+        assert_eq!(log.try_open_slot(1), Err(SessionSpawnError::Live(SessionId(1))));
+        assert_eq!(log.try_open_slot(0), Err(SessionSpawnError::Retired(SessionId(0))));
+        assert_eq!(log.try_open_slot(2), Err(SessionSpawnError::Refused(SessionId(2))));
+        for round in stride + 1..2 * stride {
+            drive(&mut log, round, &[stray(0)]);
+        }
+        assert!(log.done());
+        assert_eq!(log.log().iter().map(|e| e.slot).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(log.try_open_slot(1), Err(SessionSpawnError::Retired(SessionId(1))));
     }
 
     /// Acceptance for the state-transfer seam: every failure-free slot

@@ -5,9 +5,10 @@
 //!
 //! Unlike `state_machine_replication.rs` (which wires BB instances by
 //! hand), this uses the packaged [`ReplicatedLog`] actor: slots are
-//! mux-hosted sessions with per-slot signature domains, so overlapping
-//! instances cannot interfere. The same log is run sequentially
-//! (`W = 1`) and pipelined (`W = 3`) to show the round savings.
+//! session-tagged instances with per-slot signature domains, so
+//! overlapping instances cannot interfere. The same log is run
+//! sequentially (`W = 1`) and pipelined (`W = 3`) to show the round
+//! savings.
 //!
 //! ```text
 //! cargo run --example replicated_log

@@ -91,8 +91,7 @@ pub mod prelude {
         ServiceReplica,
     };
     pub use meba_sim::{
-        Actor, AnyActor, IdleActor, Message, Metrics, Mux, MuxHost, Round, SessionEnvelope,
-        SessionId,
+        Actor, AnyActor, IdleActor, Message, Metrics, Round, SessionEnvelope, SessionId,
     };
     pub use meba_smr::{LogEntry, ReplicatedLog, SmrMsg};
 }

@@ -39,7 +39,7 @@ fn bb_on_threads_failure_free() {
     }
 }
 
-/// `n` replicas of the mux-hosted pipelined log (`W = 3`), replica `i`
+/// `n` replicas of the pipelined log (`W = 3`), replica `i`
 /// proposing `700 + i`.
 fn pipelined_log(n: usize, slots: u64) -> Vec<Box<dyn AnyActor<Msg = LogM>>> {
     let cfg = SystemConfig::new(n, 0xc7).unwrap();
@@ -58,7 +58,7 @@ fn pipelined_log(n: usize, slots: u64) -> Vec<Box<dyn AnyActor<Msg = LogM>>> {
 
 #[test]
 fn pipelined_log_on_threads() {
-    // The same mux-hosted pipelined log that runs on the lockstep
+    // The same pipelined log that runs on the lockstep
     // simulator, driven by the threaded wall-clock runtime. A smoke:
     // completion and agreement only, since a loaded host can miss δ and
     // leave the model — what the log holds, how many rounds it took and

@@ -196,7 +196,7 @@ fn cross_instance_replay_is_rejected_by_domain_separation() {
 #[test]
 fn decided_but_not_done_instance_answers_help_req_through_mux() {
     // A decided BB instance keeps answering help requests until its
-    // schedule ends; the mux must keep it live (not retire it at the
+    // schedule ends; the log must keep it live (not retire it at the
     // decision point) and route the request to it. The Byzantine replica
     // injects a *validly signed* help_req for slot 0's signature domain
     // at exactly the step where deciders answer.
@@ -255,7 +255,7 @@ fn decided_but_not_done_instance_answers_help_req_through_mux() {
         baseline.metrics().by_component.get("weak-ba/help").map(|c| c.words).unwrap_or(0);
     assert_eq!(base_help, 0, "no help traffic in the failure-free baseline");
     // Attack run: each decided-but-not-done replica must answer the
-    // request with a Help certificate, through the mux.
+    // request with a Help certificate, through the log.
     let mut sim = build(true);
     sim.run_until_done(20_000).unwrap();
     let help_words = sim.metrics().by_component.get("weak-ba/help").map(|c| c.words).unwrap_or(0);
