@@ -775,17 +775,13 @@ where
         self.applied_values.get(&slot).map(Vec::as_slice)
     }
 
-    /// The highest slot that has opened by `round` — a confirmed read
-    /// waits until the applied prefix covers it.
-    fn confirm_barrier(&self, round: u64) -> u64 {
-        (round / self.log.stride()).min(self.log.total_slots().saturating_sub(1))
-    }
-
     fn take_reads(&mut self, round: u64) {
         for req in self.port.drain_reads() {
             let barrier = match req.mode {
                 ReadMode::Fast => 0,
-                ReadMode::Confirmed => self.confirm_barrier(round),
+                // Wait until the applied prefix covers every slot opened
+                // by now.
+                ReadMode::Confirmed => self.log.last_slot_opened_by(round),
             };
             self.pending_reads.push((req, barrier));
         }
@@ -864,8 +860,7 @@ where
         // runtime only delivers this signal on a fate-driven in-process
         // rejoin; a relaunched OS process never gets it and keeps the
         // conservative full-log horizon.
-        self.recovery_horizon =
-            Some(round.as_u64().div_ceil(self.log.stride()).min(self.log.total_slots()));
+        self.recovery_horizon = Some(self.log.first_slot_opening_from(round.as_u64()));
     }
 }
 

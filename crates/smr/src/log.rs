@@ -15,7 +15,7 @@ use meba_core::bb::{Bb, BbBaValue, BbMsg, BbValidity};
 use meba_core::signing::DecideProof;
 use meba_core::{Decision, FallbackFactory, SubProtocol, SystemConfig, Validity, Value};
 use meba_crypto::{Pki, ProcessId, SecretKey, WireCodec};
-use meba_sim::{Actor, Dest, Instance, RoundCtx, SessionEnvelope, SessionId};
+use meba_sim::{Actor, Dest, Instance, Round, RoundCtx, SessionEnvelope, SessionId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Message type of the fallback for the BB value domain.
@@ -280,6 +280,18 @@ where
         (round.is_multiple_of(self.stride) && slot < self.total_slots).then_some(slot)
     }
 
+    /// The last slot opened by `round` (clamped to the last slot): the
+    /// prefix a read issued at `round` must wait for.
+    pub fn last_slot_opened_by(&self, round: u64) -> u64 {
+        (round / self.stride).min(self.total_slots.saturating_sub(1))
+    }
+
+    /// The first slot opening at or after `round`; `total_slots` when no
+    /// slot is left to open.
+    pub fn first_slot_opening_from(&self, round: u64) -> u64 {
+        round.div_ceil(self.stride).min(self.total_slots)
+    }
+
     /// Opens `slot` now, collision-checked: an id already live or
     /// retired, or outside the log, is a typed error, never a silent
     /// alias onto the existing instance. The caller opens a slot only
@@ -433,6 +445,22 @@ where
 
     fn done(&self) -> bool {
         self.log.len() as u64 >= self.total_slots
+    }
+
+    /// The minimum of the next slot opening (while slots remain) and,
+    /// for every live slot, its instance's own hint and its cap round —
+    /// the round its last step runs and it force-retires.
+    fn next_wakeup(&self, after: Round) -> Round {
+        let after = after.as_u64();
+        let next_slot = self.first_slot_opening_from(after + 1);
+        let mut wake =
+            if next_slot < self.total_slots { next_slot * self.stride } else { u64::MAX };
+        for (&slot, inst) in &self.live {
+            let opened_at = slot * self.stride;
+            let hint = inst.proto().next_wakeup(after - opened_at).saturating_add(opened_at);
+            wake = wake.min(hint).min(opened_at + self.slot_cap - 1);
+        }
+        Round(wake)
     }
 }
 
@@ -659,8 +687,9 @@ mod tests {
     }
 
     /// The service-facing seam: dynamically enqueued commands bind to
-    /// proposer slots, and slot opening is collision-checked with a typed
-    /// error instead of silently aliasing the live instance.
+    /// proposer slots, the schedule answers which slots a round has
+    /// opened, and slot opening is collision-checked with a typed error
+    /// instead of silently aliasing the live instance.
     #[test]
     fn enqueue_and_dynamic_spawn_seam() {
         let mut log = lone_replica(6);
@@ -677,6 +706,15 @@ mod tests {
         assert_eq!(log.due_slot(1), None);
         assert_eq!(log.due_slot(stride), Some(1));
         assert_eq!(log.due_slot(6 * stride), None, "past the last slot");
+        assert_eq!(log.last_slot_opened_by(0), 0);
+        assert_eq!(log.last_slot_opened_by(stride - 1), 0);
+        assert_eq!(log.last_slot_opened_by(stride), 1);
+        assert_eq!(log.last_slot_opened_by(100 * stride), 5, "clamped to the last slot");
+        assert_eq!(log.first_slot_opening_from(0), 0);
+        assert_eq!(log.first_slot_opening_from(1), 1);
+        assert_eq!(log.first_slot_opening_from(stride), 1);
+        assert_eq!(log.first_slot_opening_from(stride + 1), 2);
+        assert_eq!(log.first_slot_opening_from(100 * stride), 6, "none left to open");
         // Spawning slot 0 binds the queue head; spawning it again is a
         // typed collision, and the queue is untouched.
         assert_eq!(log.spawn_due(0), Ok(()));

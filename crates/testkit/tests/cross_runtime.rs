@@ -27,8 +27,9 @@ use meba_engine::{
 use meba_sim::faults::{Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt};
 use meba_sim::{Actor, AnyActor, Message, Metrics, Round, RoundCtx};
 use meba_testkit::{
-    bb_actors, corrupt_ids, crash_restart, des, oracle, round_budget, sim, strong_ba_actors,
-    weak_ba_actors, with_faults, BbProc, Fault, SbaProc, Timing, WbaProc,
+    bb_actors, corrupt_ids, crash_restart, des, log_actors, log_round_budget, oracle, round_budget,
+    sim, strong_ba_actors, weak_ba_actors, with_faults, BbProc, Fault, LogProc, SbaProc, Timing,
+    WbaProc,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -681,6 +682,33 @@ proptest! {
                 let sba = adapter::<SbaProc>(a);
                 format!("{:?}@{:?}", sba.output(), sba.decided_at())
             },
+        );
+        prop_assert_eq!(hinted, dense);
+    }
+}
+
+proptest! {
+    // A log runs up to three BBs per case: 64 cases take ~22 s in a
+    // debug build.
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    // The log's hint is the minimum over its live slots' BB hints, their
+    // cap rounds and the next slot opening; a slot's step is read off
+    // the round. Pipelined or not, skipping the rounds it declares
+    // silent changes no byte, no committed entry and no round count.
+    #[test]
+    fn sparse_schedule_is_invisible_log(seed in any::<u64>(), slots in 1u64..=3, window in 1u64..=3) {
+        let mut sc = scenario(seed);
+        let n = sc.faults.len();
+        // A log needs a budget per slot; keep the scenario's short one.
+        if sc.config.max_rounds == round_budget(n) {
+            sc.config.max_rounds = log_round_budget(n, slots);
+        }
+        let faults = sc.faults.clone();
+        let (hinted, dense) = hinted_and_dense(
+            &sc,
+            move || log_actors(slots, window, &faults),
+            &|a| format!("{:?}", a.as_any().downcast_ref::<LogProc>().expect("a log").log()),
         );
         prop_assert_eq!(hinted, dense);
     }

@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
-echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / oracle::decided; one ledger: Metrics is plain data billed through Metrics::bill; one round body, EngineProcess::step: no sim-only Trace, rushing is not optional, meba-sim holds no body; one oracle: meba_testkit::oracle) =="
-! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|SimBuilder::trace|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body' -- crates src tests examples README.md docs || exit 1
+echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / oracle::decided; one ledger: Metrics is plain data billed through Metrics::bill; one round body, EngineProcess::step: no sim-only Trace, rushing is not optional, meba-sim holds no body; one oracle: meba_testkit::oracle; one slot lifecycle: ReplicatedLog, no Mux layer) =="
+! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|SimBuilder::trace|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions' -- crates src tests examples README.md docs || exit 1
 
 echo "== one oracle (meba_testkit::oracle's journal fold is the only reader of Record::Proposed in the testkit; word-bound constants live only in the Probe::word_bound impls) =="
 test "$(git grep -n 'Record::Proposed {' -- crates/testkit/src | wc -l)" -eq 1
@@ -52,6 +52,7 @@ test "$(git grep -n '&Record::Transferred' -- crates/service/src | wc -l)" -eq 1
 test "$(git grep -n 'push_event(ServiceReply::Committed' -- crates/service/src | wc -l)" -eq 2 # admit's idempotent re-ack + apply
 test "$(git grep -n '1_000_003' -- crates tests examples | wc -l)" -eq 1
 ! git grep -nE 'applied: BTreeSet|entries: BTreeMap|\.values\(\)\.cloned\(\)\.collect\(\)' -- crates/service/src/replica.rs crates/smr/src/log.rs || exit 1
+! git grep -n 'stride()' -- crates/service/src || exit 1 # the service asks the log's schedule, never re-derives it
 
 echo "== doc paths (every crates/ tests/ examples/ scripts/ path and BENCH_*.json the docs name exists) =="
 ./scripts/doc_paths.sh
