@@ -47,10 +47,10 @@ impl<M: Message> Actor for ChaosActor<M> {
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, M>) {
         for e in ctx.inbox() {
             if self.pool.len() < POOL_CAP {
-                self.pool.push(e.msg.clone());
+                self.pool.push(M::clone(&e.msg));
             } else {
                 let slot = self.rng.gen_range(0..POOL_CAP);
-                self.pool[slot] = e.msg.clone();
+                self.pool[slot] = M::clone(&e.msg);
             }
         }
         if self.pool.is_empty() {
@@ -86,6 +86,7 @@ impl<M> std::fmt::Debug for ChaosActor<M> {
 mod tests {
     use super::*;
     use meba_sim::Envelope;
+    use std::sync::Arc;
 
     #[derive(Clone, Debug)]
     struct M(#[allow(dead_code)] u8);
@@ -98,7 +99,7 @@ mod tests {
     #[test]
     fn replays_observed_messages() {
         let mut a: ChaosActor<M> = ChaosActor::new(ProcessId(1), 42, 3);
-        let inbox = vec![Envelope { from: ProcessId(0), msg: M(7) }];
+        let inbox = vec![Envelope { from: ProcessId(0), msg: Arc::new(M(7)) }];
         let mut ctx = RoundCtx::new(meba_sim::Round(0), ProcessId(1), 4, &inbox);
         a.on_round(&mut ctx);
         let out = ctx.take_outbox();
@@ -118,7 +119,7 @@ mod tests {
     fn deterministic_per_seed() {
         let run = |seed| {
             let mut a: ChaosActor<M> = ChaosActor::new(ProcessId(1), seed, 5);
-            let inbox = vec![Envelope { from: ProcessId(0), msg: M(1) }];
+            let inbox = vec![Envelope { from: ProcessId(0), msg: Arc::new(M(1)) }];
             let mut ctx = RoundCtx::new(meba_sim::Round(0), ProcessId(1), 4, &inbox);
             a.on_round(&mut ctx);
             ctx.take_outbox().into_iter().map(|(d, _)| format!("{d:?}")).collect::<Vec<_>>()

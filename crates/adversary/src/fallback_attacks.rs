@@ -135,7 +135,7 @@ impl<V: Value> Actor for GaSplitEchoer<V, RecBaMsg<V>> {
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) {
         // Collect honest input signatures as they appear.
         for e in ctx.inbox() {
-            if let RecBaMsg::GaInput { inst, value, sig } = &e.msg {
+            if let RecBaMsg::GaInput { inst, value, sig } = &*e.msg {
                 if *inst == self.inst {
                     let payload =
                         GaInputSig { session: self.cfg.session(), inst: self.inst, value };

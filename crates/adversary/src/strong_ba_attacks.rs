@@ -57,7 +57,7 @@ impl<FM: Message + WireCodec> Actor for EquivocatingStrongLeader<FM> {
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) {
         for e in ctx.inbox() {
-            if let StrongBaMsg::Input { value, sig } = &e.msg {
+            if let StrongBaMsg::Input { value, sig } = &*e.msg {
                 let payload = StrongInputSig { session: self.cfg.session(), value: *value };
                 if sig.signer() == e.from && verify_payload(&self.pki, &payload, sig) {
                     self.inputs.entry(*value).or_default().insert(e.from, sig.clone());

@@ -111,12 +111,12 @@ impl<M: Message + WireCodec> Actor for LyingDonor<M> {
         let mut forward: Vec<Envelope<ReplicaMsg<M>>> = Vec::new();
         let mut lies: Vec<(ProcessId, TransferMsg)> = Vec::new();
         for env in ctx.inbox() {
-            match &env.msg {
+            match &*env.msg {
                 ReplicaMsg::Transfer(TransferMsg::FetchCommitted { from_slot, .. }) => {
                     self.fetches_answered += 1;
                     lies.push((env.from, self.forged_batch(*from_slot)));
                 }
-                other => forward.push(Envelope { from: env.from, msg: other.clone() }),
+                _ => forward.push(env.clone()),
             }
         }
         let mut inner_ctx = RoundCtx::new(ctx.round(), ctx.me(), ctx.n(), &forward);

@@ -85,7 +85,7 @@ impl<V: Value, FM: Message + WireCodec> Actor for WastefulBbLeader<V, FM> {
         // Capture the sender's signed value for later replay.
         if self.captured.is_none() {
             for e in ctx.inbox() {
-                if let BbMsg::SenderValue { value, sig } = &e.msg {
+                if let BbMsg::SenderValue { value, sig } = &*e.msg {
                     self.captured =
                         Some(BbBaValue::Signed { value: value.clone(), sig: sig.clone() });
                     break;

@@ -33,7 +33,7 @@ fn collect_votes<V: Value, FM: Message + WireCodec>(
     store: &mut BTreeMap<ProcessId, Signature>,
 ) {
     for e in ctx.inbox() {
-        if let WeakBaMsg::Vote { phase: p, value: v, sig } = &e.msg {
+        if let WeakBaMsg::Vote { phase: p, value: v, sig } = &*e.msg {
             if *p == phase
                 && v == value
                 && sig.signer() == e.from
@@ -58,7 +58,7 @@ fn collect_decides<V: Value, FM: Message + WireCodec>(
     store: &mut BTreeMap<ProcessId, Signature>,
 ) {
     for e in ctx.inbox() {
-        if let WeakBaMsg::Decide { phase: p, value: v, sig } = &e.msg {
+        if let WeakBaMsg::Decide { phase: p, value: v, sig } = &*e.msg {
             if *p == phase
                 && v == value
                 && sig.signer() == e.from

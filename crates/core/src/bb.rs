@@ -41,6 +41,7 @@ use meba_crypto::{
     ThresholdSignature, WireCodec,
 };
 use meba_sim::{Dest, Message};
+use std::sync::{Arc, OnceLock};
 
 /// The weak BA value domain of the BB reduction: either the sender's
 /// signed value or an `idk` quorum certificate.
@@ -114,17 +115,25 @@ impl<V: Value> WireCodec for BbBaValue<V> {
 
 /// The `BB_valid` predicate (§5): signed by the sender, or signed by
 /// `t + 1` processes.
+///
+/// A correct sender signs one value, which a process checks at
+/// dissemination, in the embedded weak BA's proposals and on its
+/// decision. The first sender-signed value that verifies is remembered
+/// (its signing preimage and signature), shared by every clone of the
+/// predicate, and a byte-equal pair is valid without a second verify;
+/// any other pair is verified.
 #[derive(Clone, Debug)]
 pub struct BbValidity {
     cfg: SystemConfig,
     pki: Pki,
     sender: ProcessId,
+    verified: Arc<OnceLock<(Vec<u8>, Signature)>>,
 }
 
 impl BbValidity {
     /// Creates the predicate for a BB instance with the given sender.
     pub fn new(cfg: SystemConfig, pki: Pki, sender: ProcessId) -> Self {
-        BbValidity { cfg, pki, sender }
+        BbValidity { cfg, pki, sender, verified: Arc::default() }
     }
 }
 
@@ -132,12 +141,21 @@ impl<V: Value> Validity<BbBaValue<V>> for BbValidity {
     fn validate(&self, v: &BbBaValue<V>) -> bool {
         match v {
             BbBaValue::Signed { value, sig } => {
-                sig.signer() == self.sender
-                    && verify_payload(
-                        &self.pki,
-                        &BbValueSig { session: self.cfg.session(), value },
-                        sig,
-                    )
+                if sig.signer() != self.sender {
+                    return false;
+                }
+                let payload = BbValueSig { session: self.cfg.session(), value };
+                let remembered = self.verified.get().is_some_and(|(preimage, verified)| {
+                    verified == sig && payload.with_signing_bytes(|b| b == preimage.as_slice())
+                });
+                if remembered {
+                    return true;
+                }
+                let valid = verify_payload(&self.pki, &payload, sig);
+                if valid {
+                    let _ = self.verified.set((payload.signing_bytes(), sig.clone()));
+                }
+                valid
             }
             BbBaValue::IdkQuorum { phase, qc } => {
                 *phase >= 1
@@ -458,7 +476,7 @@ where
         &mut self,
         phase: u32,
         sub: u64,
-        inbox: &[(ProcessId, BbMsgOf<V, F>)],
+        inbox: &[(ProcessId, &BbMsgOf<V, F>)],
         out: &mut BbOutbox<V, F>,
     ) {
         let leader = self.cfg.leader_of_phase(phase);
@@ -555,7 +573,7 @@ where
     fn on_step(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, Self::Msg)],
+        inbox: &[(ProcessId, &Self::Msg)],
         out: &mut Vec<(Dest, Self::Msg)>,
     ) {
         if self.finished {
@@ -622,10 +640,10 @@ where
                 ));
             }
             let ba = self.ba.as_mut().expect("weak BA instantiated at ba_start");
-            let ba_inbox: Vec<(ProcessId, WeakBaMsg<BbBaValue<V>, _>)> = inbox
+            let ba_inbox: Vec<(ProcessId, &WeakBaMsg<BbBaValue<V>, _>)> = inbox
                 .iter()
-                .filter_map(|(from, m)| match m {
-                    BbMsg::Ba(inner) => Some((*from, inner.clone())),
+                .filter_map(|&(from, m)| match m {
+                    BbMsg::Ba(inner) => Some((from, inner)),
                     _ => None,
                 })
                 .collect();
@@ -838,6 +856,37 @@ mod tests {
         // Wrong phase claimed.
         let wrong = BbBaValue::<u64>::IdkQuorum { phase: 4, qc };
         assert!(!Validity::<BbBaValue<u64>>::validate(&validity, &wrong));
+    }
+
+    #[test]
+    fn the_sender_signature_is_verified_once_per_process() {
+        let cfg = SystemConfig::new(7, 3).unwrap();
+        let (pki, keys) = trusted_setup(7, 21);
+        let signed = |value: u64| BbBaValue::Signed {
+            value,
+            sig: sign_payload(&keys[2], &BbValueSig { session: cfg.session(), value: &value }),
+        };
+        let shares = || meba_crypto::pki::verify_calls().0;
+        let validity = BbValidity::new(cfg, pki, ProcessId(2));
+        // What `Bb` hands its weak BA: a clone sharing the verdict.
+        let handed = validity.clone();
+        let start = shares();
+        assert!(validity.validate(&signed(9)));
+        assert!(handed.validate(&signed(9)) && validity.validate(&signed(9)));
+        assert_eq!(shares() - start, 1, "one verify for the one signed value");
+        // Another value under the same signature is checked, and refused.
+        let BbBaValue::Signed { sig, .. } = signed(9) else { unreachable!() };
+        assert!(!handed.validate(&BbBaValue::Signed { value: 8u64, sig }));
+        // An equivocating sender's second value is checked every time.
+        assert!(validity.validate(&signed(7)) && handed.validate(&signed(7)));
+        assert_eq!(shares() - start, 4);
+
+        // A whole failure-free run at n = 7: 7 sender checks, and per
+        // process one vote and one decide share at the phase-1 leader.
+        let start = shares();
+        let mut sim = make_sim(7, 0, 1, &[]);
+        sim.run_until_done(400).unwrap();
+        assert_eq!(shares() - start, 3 * 7);
     }
 
     #[test]

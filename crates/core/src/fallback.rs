@@ -67,7 +67,7 @@ impl<V: Value> SubProtocol for EchoFallback<V> {
     fn on_step(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, EchoMsg<V>)],
+        inbox: &[(ProcessId, &EchoMsg<V>)],
         out: &mut Vec<(Dest, EchoMsg<V>)>,
     ) {
         match step {
@@ -134,7 +134,9 @@ mod tests {
         // Step 1: everyone receives all broadcasts.
         for node in nodes.iter_mut() {
             let mut out = Vec::new();
-            node.on_step(1, &sent, &mut out);
+            let inbox: Vec<(ProcessId, &EchoMsg<u64>)> =
+                sent.iter().map(|(p, m)| (*p, m)).collect();
+            node.on_step(1, &inbox, &mut out);
             assert!(out.is_empty());
         }
         assert_eq!(sent.len(), n);

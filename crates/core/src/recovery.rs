@@ -127,7 +127,9 @@ impl<P: SubProtocol> Recoverable<P> {
                             P::Msg::from_wire_bytes(bytes).ok().map(|m| (*from, m))
                         })
                         .collect();
-                    me.inner.on_step(*step, &decoded, &mut discard);
+                    let lent: Vec<(ProcessId, &P::Msg)> =
+                        decoded.iter().map(|(from, m)| (*from, m)).collect();
+                    me.inner.on_step(*step, &lent, &mut discard);
                     discard.clear();
                     // Re-derived events rebuild the guard; deterministic
                     // signing makes them idempotent with the journaled
@@ -206,7 +208,7 @@ impl<P: SubProtocol> SubProtocol for Recoverable<P> {
     fn on_step(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, Self::Msg)],
+        inbox: &[(ProcessId, &Self::Msg)],
         out: &mut Vec<(Dest, Self::Msg)>,
     ) {
         // Steps below the resume point were already applied by replay
@@ -346,7 +348,7 @@ mod tests {
         type Msg = Num;
         type Output = u64;
 
-        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, Num)], out: &mut Vec<(Dest, Num)>) {
+        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, &Num)], out: &mut Vec<(Dest, Num)>) {
             self.acc += inbox.iter().map(|(_, m)| m.0).sum::<u64>();
             let v = self.base + step + self.acc;
             out.push((Dest::All, Num(v)));
@@ -374,13 +376,17 @@ mod tests {
         (0..(step % 3)).map(|i| (ProcessId(i as u32), Num(step * 10 + i))).collect()
     }
 
+    fn lend(inbox: &[(ProcessId, Num)]) -> Vec<(ProcessId, &Num)> {
+        inbox.iter().map(|(from, m)| (*from, m)).collect()
+    }
+
     #[test]
     fn journal_holds_steps_and_events() {
         let disk = MemBuffer::new();
         let mut p = Recoverable::new(Toy::new(7), Journal::in_memory(disk.clone()));
         let mut out = Vec::new();
         for step in 0..3 {
-            p.on_step(step, &inbox_for(step), &mut out);
+            p.on_step(step, &lend(&inbox_for(step)), &mut out);
         }
         assert_eq!(out.len(), 3, "toy broadcasts once per step");
         let report = Journal::in_memory(disk).replay().unwrap();
@@ -397,7 +403,8 @@ mod tests {
         let mut reference = Toy::new(3);
         let mut out = Vec::new();
         for step in 0..3 {
-            let inbox = inbox_for(step);
+            let owned = inbox_for(step);
+            let inbox = lend(&owned);
             p.on_step(step, &inbox, &mut out);
             reference.on_step(step, &inbox, &mut out);
             reference.drain_recovery_events();
@@ -416,7 +423,8 @@ mod tests {
         assert_eq!(r.inner().acc, reference.acc);
         // ...and live execution continues where the crash left off.
         for step in 3..=DECIDE_AT {
-            let inbox = inbox_for(step);
+            let owned = inbox_for(step);
+            let inbox = lend(&owned);
             r.on_step(step, &inbox, &mut out2);
             reference.on_step(step, &inbox, &mut out2);
             reference.drain_recovery_events();
@@ -431,7 +439,7 @@ mod tests {
         let mut p = Recoverable::new(Toy::new(1), Journal::in_memory(disk.clone()));
         let mut out = Vec::new();
         for step in 0..4 {
-            p.on_step(step, &inbox_for(step), &mut out);
+            p.on_step(step, &lend(&inbox_for(step)), &mut out);
         }
         drop(p);
         let once = Recoverable::recover(Journal::in_memory(disk.clone()), || Toy::new(1)).unwrap();
@@ -505,10 +513,10 @@ mod tests {
         let storage = FailOnce { inner: MemStorage::new(MemBuffer::new()), appends: 0, fail_at: 2 };
         let mut p = Recoverable::new(Toy::new(5), Journal::new(Box::new(storage), 1));
         let mut out = Vec::new();
-        p.on_step(0, &inbox_for(0), &mut out);
+        p.on_step(0, &lend(&inbox_for(0)), &mut out);
         assert_eq!(out.len(), 1, "step 0 journaled and released");
         for step in 1..=DECIDE_AT {
-            p.on_step(step, &inbox_for(step), &mut out);
+            p.on_step(step, &lend(&inbox_for(step)), &mut out);
         }
         assert_eq!(out.len(), 1, "nothing is sent after the failed write");
     }
@@ -519,7 +527,7 @@ mod tests {
         let mut p = Recoverable::new(Toy::new(2), Journal::in_memory(disk.clone()));
         let mut out = Vec::new();
         for step in 0..2 {
-            p.on_step(step, &inbox_for(step), &mut out);
+            p.on_step(step, &lend(&inbox_for(step)), &mut out);
         }
         drop(p);
         // Simulate a torn final write: chop a few bytes off the tail.

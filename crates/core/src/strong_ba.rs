@@ -388,7 +388,7 @@ where
     fn on_step(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, Self::Msg)],
+        inbox: &[(ProcessId, &Self::Msg)],
         out: &mut Vec<(Dest, Self::Msg)>,
     ) {
         if self.finished {
@@ -716,8 +716,7 @@ mod tests {
                 StrongBa::new(cfg, me, keys[1].clone(), pki.clone(), EchoFallbackFactory, false);
             let mut out = Vec::new();
             for step in 0..=arrival {
-                let inbox =
-                    if step == arrival { vec![(ProcessId(0), cert.clone())] } else { vec![] };
+                let inbox = if step == arrival { vec![(ProcessId(0), &cert)] } else { vec![] };
                 sba.on_step(step, &inbox, &mut out);
             }
             sba.decision()
@@ -830,7 +829,7 @@ mod tests {
         }
         assert_eq!(p4.coordination_start, coord);
         out.clear();
-        p4.on_step(coord, &[(byz, cert.clone())], &mut out);
+        p4.on_step(coord, &[(byz, &cert)], &mut out);
         assert_eq!(p4.decision(), None);
         assert!(
             matches!(out[..], [(Dest::All, StrongBaMsg::Fallback { decision: None })]),

@@ -6,14 +6,15 @@
 //! `A_fallback` with round duration `δ' = 2δ` because correct processes may
 //! start it up to `δ` apart (Lemmas 17–18). [`SubProtocol`] is the
 //! composable state-machine interface (defined in `meba-sim`, re-exported
-//! here); [`LockstepAdapter`] runs one as a top-level simulator actor;
-//! [`SkewAdapter`] embeds one with the paper's doubled-round, buffered
-//! window semantics. Both adapters are thin wrappers around the
+//! here); [`LockstepAdapter`] runs one as a top-level simulator actor,
+//! lending it the round's inbox; [`SkewAdapter`] embeds one with the
+//! paper's doubled-round, buffered window semantics on the
 //! single-instance driver [`meba_sim::Instance`] — the same driver the
 //! replicated log in `meba-smr` runs each slot's instance on. The
 //! crate-private `FallbackHost` is the hand-off itself — safety-window
 //! adoption, the `2δ` start delay, buffering, execution — shared by weak
-//! BA and both strong BAs.
+//! BA and both strong BAs. A message is copied only where it outlives
+//! its round: once, into the fallback's buffer.
 
 use crate::value::Value;
 use meba_crypto::{DecodeError, Decoder, Encoder, ProcessId, WireCodec};
@@ -28,7 +29,8 @@ pub use meba_sim::SubProtocol;
 ///
 /// The step is read off [`RoundCtx::round`], not counted, so a runtime
 /// that honours [`Actor::next_wakeup`] may jump over the rounds the
-/// protocol declared silent.
+/// protocol declared silent. The round's inbox is lent to the protocol
+/// as it is: nothing is copied and nothing is kept between rounds.
 ///
 /// # Examples
 ///
@@ -37,18 +39,18 @@ pub use meba_sim::SubProtocol;
 /// ```
 pub struct LockstepAdapter<P: SubProtocol> {
     me: ProcessId,
-    inst: Instance<P>,
+    proto: P,
 }
 
 impl<P: SubProtocol> LockstepAdapter<P> {
     /// Wraps `inner`, which will run for process `me` from round 0.
     pub fn new(me: ProcessId, inner: P) -> Self {
-        LockstepAdapter { me, inst: Instance::new(inner) }
+        LockstepAdapter { me, proto: inner }
     }
 
     /// The wrapped protocol, for inspecting decisions after a run.
     pub fn inner(&self) -> &P {
-        self.inst.proto()
+        &self.proto
     }
 }
 
@@ -60,28 +62,25 @@ impl<P: SubProtocol> Actor for LockstepAdapter<P> {
     }
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, P::Msg>) {
-        for e in ctx.inbox() {
-            self.inst.deliver(e.from, e.msg.clone());
-        }
+        let inbox: Vec<(ProcessId, &P::Msg)> =
+            ctx.inbox().iter().map(|e| (e.from, &*e.msg)).collect();
         let mut out = Vec::new();
-        self.inst.step_at(ctx.round().as_u64(), &mut out);
+        self.proto.on_step(ctx.round().as_u64(), &inbox, &mut out);
         for (dest, msg) in out {
             ctx.push(dest, msg);
         }
     }
 
     fn done(&self) -> bool {
-        self.inst.done()
+        self.proto.done()
     }
 
     fn refused_equivocations(&self) -> u64 {
-        self.inst.proto().refused_equivocations()
+        self.proto.refused_equivocations()
     }
 
     fn next_wakeup(&self, after: Round) -> Round {
-        // `on_round` delivers and steps in one call, so nothing is ever
-        // left buffered in the instance between rounds.
-        Round(self.inst.proto().next_wakeup(after.as_u64()))
+        Round(self.proto.next_wakeup(after.as_u64()))
     }
 }
 
@@ -133,7 +132,9 @@ impl<M: WireCodec> WireCodec for SkewEnvelope<M> {
 ///
 /// The buffer also rejects vsteps beyond the protocol's schedule, so a
 /// Byzantine peer cannot grow it without bound by tagging envelopes with
-/// far-future steps.
+/// far-future steps. It owns what it holds — the caller's one copy of a
+/// message that outlives its round — and moves it into the instance at
+/// the step that consumes it.
 pub struct SkewAdapter<P: SubProtocol> {
     inst: Instance<P>,
     start: u64,
@@ -329,7 +330,8 @@ impl<V: Value, Pf: Clone, F: FallbackFactory<V>> FallbackHost<V, Pf, F> {
 
     /// Routes one inner envelope: to the running instance, into the
     /// buffer while scheduled, and nowhere otherwise — fallback traffic
-    /// with no certificate seen is Byzantine noise.
+    /// with no certificate seen is Byzantine noise. The envelope is lent;
+    /// the one clone made here is what waits for its vstep.
     pub(crate) fn deliver(&mut self, from: ProcessId, env: &SkewEnvelope<InnerMsg<V, F>>) {
         match &mut self.stage {
             Handoff::Running(adapter) => adapter.deliver(from, env.clone()),
@@ -364,12 +366,7 @@ impl<V: Value, Pf: Clone, F: FallbackFactory<V>> FallbackHost<V, Pf, F> {
         let Handoff::Running(adapter) = &mut self.stage else { return None };
         let mut inner_out = Vec::new();
         adapter.tick(step, &mut inner_out);
-        // Pushed one by one on purpose: `extend` reserves exactly, and on
-        // dense fallback traffic (benchmark `des_bb_n257_ft`) those odd
-        // capacities cost ~3 % peak RSS to allocator fragmentation.
-        for (dest, env) in inner_out {
-            out.push((dest, wrap(env)));
-        }
+        out.extend(inner_out.into_iter().map(|(dest, env)| (dest, wrap(env))));
         let output = if adapter.done() { adapter.inner().output() } else { None };
         if output.is_some() {
             self.stage = Handoff::Finished;
@@ -424,10 +421,10 @@ pub(crate) mod hint_contract {
                 };
                 let me = ProcessId(i as u32);
                 let mut out_d = Vec::new();
-                pd.on_step(step, &inbox_d[i], &mut out_d);
+                pd.on_step(step, &lend(&inbox_d[i]), &mut out_d);
                 if !inbox_s[i].is_empty() || step >= wake[i] {
                     let mut out_s = Vec::new();
-                    ps.on_step(step, &inbox_s[i], &mut out_s);
+                    ps.on_step(step, &lend(&inbox_s[i]), &mut out_s);
                     assert_eq!(format!("{out_s:?}"), format!("{out_d:?}"), "{me} step {step}");
                     wake[i] = ps.next_wakeup(step);
                     assert!(wake[i] > step, "{me} step {step}: a hint must look forward");
@@ -447,6 +444,10 @@ pub(crate) mod hint_contract {
             (inbox_d, inbox_s) = (next_d, next_s);
         }
         skipped
+    }
+
+    fn lend<M>(inbox: &[(ProcessId, M)]) -> Vec<(ProcessId, &M)> {
+        inbox.iter().map(|(p, m)| (*p, m)).collect()
     }
 
     fn route<M: Clone>(from: ProcessId, out: Vec<(Dest, M)>, next: &mut [Vec<(ProcessId, M)>]) {
@@ -492,7 +493,7 @@ mod tests {
     impl SubProtocol for Counter {
         type Msg = Num;
         type Output = u64;
-        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, Num)], out: &mut Vec<(Dest, Num)>) {
+        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, &Num)], out: &mut Vec<(Dest, Num)>) {
             self.received.push((step, inbox.len()));
             if step < 3 {
                 out.push((Dest::All, Num(self.out_value + step)));
@@ -778,6 +779,115 @@ mod tests {
         host.adopt(9, "theirs");
         assert_eq!(host.own_payload(None), Some((9, "theirs")));
         assert_eq!(host.own_payload(Some((&7, &"mine"))), Some((7, "mine")), "own decision wins");
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A message that counts its clones.
+    #[derive(Debug)]
+    struct Counted(u64);
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.set(CLONES.get() + 1);
+            Counted(self.0)
+        }
+    }
+    impl Message for Counted {
+        fn words(&self) -> u64 {
+            1
+        }
+    }
+    impl WireCodec for Counted {
+        fn encode_wire(&self, enc: &mut Encoder) {
+            enc.put_u64(self.0);
+        }
+        fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+            Ok(Counted(dec.get_u64()?))
+        }
+    }
+
+    /// Broadcasts at steps 0..3; decides at step 3 on how many messages
+    /// it was lent.
+    struct Tally(u64, Option<u64>);
+    impl SubProtocol for Tally {
+        type Msg = Counted;
+        type Output = u64;
+        fn on_step(
+            &mut self,
+            step: u64,
+            inbox: &[(ProcessId, &Counted)],
+            out: &mut Vec<(Dest, Counted)>,
+        ) {
+            self.0 += inbox.len() as u64;
+            if step < 3 {
+                out.push((Dest::All, Counted(step)));
+            } else {
+                self.1 = Some(self.0);
+            }
+        }
+        fn output(&self) -> Option<u64> {
+            self.1
+        }
+        fn done(&self) -> bool {
+            self.1.is_some()
+        }
+    }
+
+    #[derive(Clone)]
+    struct TallyFactory;
+    impl FallbackFactory<u64> for TallyFactory {
+        type Protocol = Tally;
+        fn create(&self, _me: ProcessId, _input: u64) -> Tally {
+            Tally(0, None)
+        }
+        fn max_steps(&self) -> u64 {
+            3
+        }
+    }
+
+    #[test]
+    fn the_lockstep_adapter_lends_every_delivery() {
+        use meba_engine::SimBuilder;
+        use meba_sim::AnyActor;
+        let n = 4;
+        let actors: Vec<Box<dyn AnyActor<Msg = Counted>>> = (0..n)
+            .map(|i| Box::new(LockstepAdapter::new(ProcessId(i), Tally(0, None))) as _)
+            .collect();
+        let start = CLONES.get();
+        let mut sim = SimBuilder::new(actors).build();
+        sim.run_until_done(10).unwrap();
+        for i in 0..n {
+            let a: &LockstepAdapter<Tally> =
+                sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+            assert_eq!(a.inner().output(), Some(3 * u64::from(n)), "p{i} read every broadcast");
+        }
+        assert_eq!(CLONES.get() - start, 0, "no delivery is copied on its way to the protocol");
+    }
+
+    #[test]
+    fn the_fallback_buffer_copies_each_delivery_once() {
+        let mut host: FallbackHost<u64, (), TallyFactory> =
+            FallbackHost::new(ProcessId(0), TallyFactory, 1);
+        let start = CLONES.get();
+        let mut out = Vec::new();
+        let mut tick = |host: &mut FallbackHost<u64, (), TallyFactory>, steps| {
+            for step in steps {
+                if let Some(v) = host.tick(step, None, |env| env, &mut out) {
+                    return Some(v);
+                }
+            }
+            None
+        };
+        host.schedule(3);
+        // Held while scheduled, then handed to the adapter at the start…
+        host.deliver(ProcessId(1), &SkewEnvelope { vstep: 0, msg: Counted(7) });
+        assert_eq!(tick(&mut host, 4..7), None);
+        // …and buffered by vstep once it runs.
+        host.deliver(ProcessId(1), &SkewEnvelope { vstep: 1, msg: Counted(8) });
+        assert_eq!(tick(&mut host, 7..20), Some(2), "both deliveries reached the instance");
+        assert_eq!(CLONES.get() - start, 2, "one copy per delivery, where it outlives its round");
     }
 
     #[test]

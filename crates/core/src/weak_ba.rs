@@ -621,7 +621,7 @@ where
         &mut self,
         phase: u32,
         sub: u64,
-        inbox: &[(ProcessId, WeakBaMsgOf<V, F>)],
+        inbox: &[(ProcessId, &WeakBaMsgOf<V, F>)],
         out: &mut WeakBaOutbox<V, F>,
     ) {
         let leader = self.cfg.leader_of_phase(phase);
@@ -803,7 +803,7 @@ where
     fn on_step(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, Self::Msg)],
+        inbox: &[(ProcessId, &Self::Msg)],
         out: &mut Vec<(Dest, Self::Msg)>,
     ) {
         if self.finished {

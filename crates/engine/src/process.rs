@@ -42,8 +42,9 @@ pub struct Delivery<M> {
 /// hands every copy of it — remote, self, fault-delayed — to
 /// [`Transport::send`] as that same handle. An in-memory transport
 /// clones the handle, never the message; a socket transport encodes
-/// from it. The receiving round body unwraps the handle into its inbox,
-/// so the last holder moves the message and the others clone it.
+/// from it. The receiving round body moves the handle into its inbox
+/// ([`Envelope::msg`]) and lends it to the actor, so one send is one
+/// payload however many processes read it.
 pub trait Transport<M: Message> {
     /// Sends `msg` to `to`, tagged with `sent_round`. Self-sends
     /// (`to == me`) must loop back like any other delivery. May block
@@ -337,7 +338,7 @@ impl<M: Message> EngineProcess<M> {
                         late_admitted += 1;
                     }
                 }
-                inbox.push(Envelope { from: d.from, msg: Arc::unwrap_or_clone(d.msg) });
+                inbox.push(Envelope { from: d.from, msg: d.msg });
             } else {
                 keep.push(d);
             }
@@ -524,6 +525,41 @@ mod tests {
         assert!(sent.iter().all(|(_, _, msg)| Arc::ptr_eq(msg, first)), "one payload");
         assert_eq!(Arc::strong_count(first), n, "the recorder holds the only handles");
         assert_eq!(metrics.advance.quorum, 2, "rounds 1 and 2 record their cause");
+    }
+
+    /// Keeps every handle its inbox lends it; p0 broadcasts in round 0.
+    struct Keep(ProcessId, Vec<Arc<Tick>>);
+    impl Actor for Keep {
+        type Msg = Tick;
+        fn id(&self) -> ProcessId {
+            self.0
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Tick>) {
+            if self.0 == ProcessId(0) && ctx.round() == Round(0) {
+                ctx.broadcast(Tick);
+            }
+            self.1.extend(ctx.inbox().iter().map(|e| Arc::clone(&e.msg)));
+        }
+        fn done(&self) -> bool {
+            !self.1.is_empty()
+        }
+    }
+
+    #[test]
+    fn every_inbox_holds_the_dispatched_handle() {
+        let n = 5;
+        let actors = (0..n).map(|i| Box::new(Keep(ProcessId(i as u32), Vec::new())) as _).collect();
+        let report = crate::run_des_cluster(actors, None, crate::DesConfig::default()).unwrap();
+        let held: Vec<&Arc<Tick>> = report
+            .actors
+            .iter()
+            .map(|a| match &a.as_any().downcast_ref::<Keep>().unwrap().1[..] {
+                [handle] => handle,
+                other => panic!("one delivery each, got {}", other.len()),
+            })
+            .collect();
+        assert!(held.iter().all(|h| Arc::ptr_eq(h, held[0])), "one payload in every inbox");
+        assert_eq!(Arc::strong_count(held[0]), n, "and nothing else holds it");
     }
 
     #[test]

@@ -286,7 +286,7 @@ mod tests {
                 ctx.broadcast(Ping::Hello(self.id.0 as u64));
             }
             for e in ctx.inbox() {
-                let Ping::Hello(v) = e.msg;
+                let Ping::Hello(v) = *e.msg;
                 self.heard.push((e.from, v));
             }
         }

@@ -82,13 +82,13 @@ impl<V: meba_core::Value> DsCore<V> {
         self.output.as_ref()
     }
 
-    /// Executes local step `k`; `inbox` holds `(value, chain)` pairs
+    /// Executes local step `k`; `inbox` lends the `(value, chain)` pairs
     /// addressed to this instance, `out` collects pairs to broadcast to
     /// the scope.
     pub fn on_step(
         &mut self,
         k: u64,
-        inbox: &[(V, AggregateSignature)],
+        inbox: &[(&V, &AggregateSignature)],
         out: &mut Vec<(V, AggregateSignature)>,
     ) {
         if k == 0 {
@@ -106,7 +106,7 @@ impl<V: meba_core::Value> DsCore<V> {
             return;
         }
         if k <= self.rounds {
-            for (value, agg) in inbox {
+            for &(value, agg) in inbox {
                 if self.accepted.len() >= 2 {
                     break;
                 }
@@ -178,14 +178,14 @@ impl<V: meba_core::Value> SubProtocol for DolevStrongBb<V> {
     fn on_step(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, DsBbMsg<V>)],
+        inbox: &[(ProcessId, &DsBbMsg<V>)],
         out: &mut Vec<(Dest, DsBbMsg<V>)>,
     ) {
         if self.finished {
             return;
         }
-        let pairs: Vec<(V, AggregateSignature)> =
-            inbox.iter().map(|(_, m)| (m.value.clone(), m.agg.clone())).collect();
+        let pairs: Vec<(&V, &AggregateSignature)> =
+            inbox.iter().map(|(_, m)| (&m.value, &m.agg)).collect();
         let mut core_out = Vec::new();
         self.core.on_step(step, &pairs, &mut core_out);
         for (value, agg) in core_out {
@@ -274,11 +274,12 @@ impl<V: meba_core::Value> IcInstance<V> {
     ) {
         if k <= self.rounds {
             // Demultiplex by designated sender.
-            let mut by_sender: BTreeMap<ProcessId, Vec<(V, AggregateSignature)>> = BTreeMap::new();
+            let mut by_sender: BTreeMap<ProcessId, Vec<(&V, &AggregateSignature)>> =
+                BTreeMap::new();
             for (_, msg) in inbox {
                 if let RecBaMsg::DsForward { inst, ds_sender, value, agg } = msg {
                     if *inst == self.inst {
-                        by_sender.entry(*ds_sender).or_default().push((value.clone(), agg.clone()));
+                        by_sender.entry(*ds_sender).or_default().push((value, agg));
                     }
                 }
             }
@@ -413,7 +414,8 @@ mod tests {
             .collect();
         let mut pending: Vec<(ProcessId, DsBbMsg<u64>)> = Vec::new();
         for k in 0..DolevStrongBb::<u64>::total_steps(&cfg) {
-            let inbox = pending.clone();
+            let inbox: Vec<(ProcessId, &DsBbMsg<u64>)> =
+                pending.iter().map(|(p, m)| (*p, m)).collect();
             let mut next = Vec::new();
             for (i, node) in nodes.iter_mut().enumerate() {
                 if let Some(node) = node {
@@ -498,7 +500,7 @@ mod chain_hardening_tests {
         // Chain signed by p2, p3 but not the designated sender p0.
         let msg = chain(&pki, &keys, &[2, 3], 0, 7, 5);
         let mut out = Vec::new();
-        core.on_step(2, &[msg], &mut out);
+        core.on_step(2, &[(&msg.0, &msg.1)], &mut out);
         assert!(out.is_empty(), "must not forward a senderless chain");
         core.on_step(4, &[], &mut out);
         assert_eq!(core.output(), Some(&None), "nothing extracted");
@@ -511,7 +513,7 @@ mod chain_hardening_tests {
         // the classic "withheld until the last round" attack.
         let msg = chain(&pki, &keys, &[0], 0, 7, 5);
         let mut out = Vec::new();
-        core.on_step(3, &[msg], &mut out);
+        core.on_step(3, &[(&msg.0, &msg.1)], &mut out);
         assert!(out.is_empty());
         core.on_step(4, &[], &mut out);
         assert_eq!(core.output(), Some(&None));
@@ -522,7 +524,7 @@ mod chain_hardening_tests {
         let (mut core, pki, keys) = core_at(5, 1, 0);
         let msg = chain(&pki, &keys, &[0, 2], 0, 7, 5);
         let mut out = Vec::new();
-        core.on_step(2, &[msg], &mut out);
+        core.on_step(2, &[(&msg.0, &msg.1)], &mut out);
         assert_eq!(out.len(), 1, "accepted value is forwarded");
         assert_eq!(out[0].1.len(), 3, "our signature was appended");
         assert!(out[0].1.contains(ProcessId(1)));
@@ -553,7 +555,7 @@ mod chain_hardening_tests {
             vec![keys[0].sign(&payload.signing_bytes()), keys[4].sign(&payload.signing_bytes())];
         let agg = pki.aggregate(&payload.signing_bytes(), &sigs).unwrap();
         let mut out = Vec::new();
-        core.on_step(2, &[(7, agg)], &mut out);
+        core.on_step(2, &[(&7, &agg)], &mut out);
         assert!(out.is_empty());
         assert_eq!(core.output(), Some(&None));
     }
@@ -567,7 +569,7 @@ mod chain_hardening_tests {
         let m2 = chain(&pki, &keys, &[0], 0, 2, 5);
         let m3 = chain(&pki, &keys, &[0], 0, 3, 5);
         let mut out = Vec::new();
-        core.on_step(1, &[m1, m2, m3], &mut out);
+        core.on_step(1, &[(&m1.0, &m1.1), (&m2.0, &m2.1), (&m3.0, &m3.1)], &mut out);
         assert_eq!(out.len(), 2, "only the first two values are forwarded");
         core.on_step(2, &[], &mut out);
         core.on_step(3, &[], &mut out);

@@ -124,7 +124,9 @@ impl<V: Value> GaInstance<V> {
     /// Adds a scope member's share on `value` to that value's collector.
     /// Graded agreement counts a share for its signer whoever delivered
     /// it, so scope membership is the only guard on top of the
-    /// collector's.
+    /// collector's. A value that already has `thr` signers is skipped
+    /// unverified: its certificate is minted from the payload and the
+    /// threshold alone, so one more share changes no output.
     fn offer<S: Signable>(
         &self,
         by_value: &mut BTreeMap<V, ShareCollector>,
@@ -132,11 +134,14 @@ impl<V: Value> GaInstance<V> {
         payload: &S,
         sig: &Signature,
     ) {
-        if self.scope.contains(sig.signer()) {
-            by_value
-                .entry(value.clone())
-                .or_insert_with(|| ShareCollector::new(&self.pki, payload, self.thr))
-                .offer(sig.signer(), sig);
+        if !self.scope.contains(sig.signer()) {
+            return;
+        }
+        let shares = by_value
+            .entry(value.clone())
+            .or_insert_with(|| ShareCollector::new(&self.pki, payload, self.thr));
+        if shares.admitted() < self.thr {
+            shares.offer(sig.signer(), sig);
         }
     }
 
@@ -323,6 +328,28 @@ mod tests {
         for r in out {
             assert_eq!(r, Some((9, 2)));
         }
+    }
+
+    #[test]
+    fn a_fixed_certificate_verifies_no_further_share() {
+        let n = 5;
+        let (pki, keys) = trusted_setup(n, 77);
+        let inst = InstanceId::new(Scope::full(n), 0);
+        let mut ga = GaInstance::new(inst, 0, ProcessId(0), keys[0].clone(), pki, 9u64);
+        let shares: Vec<(ProcessId, RecBaMsg<u64>)> = keys
+            .iter()
+            .map(|k| {
+                let sig = k.sign(&GaInputSig { session: 0, inst, value: &9u64 }.signing_bytes());
+                (k.id(), RecBaMsg::GaInput { inst, value: 9, sig })
+            })
+            .collect();
+        let inbox: Vec<(ProcessId, &RecBaMsg<u64>)> = shares.iter().map(|(p, m)| (*p, m)).collect();
+        let (before, _) = meba_crypto::pki::verify_calls();
+        let mut out = Vec::new();
+        ga.on_step(1, &inbox, &mut out);
+        let (after, _) = meba_crypto::pki::verify_calls();
+        assert_eq!(after - before, 3, "the majority of 5, then the certificate is fixed");
+        assert!(matches!(out[..], [RecBaMsg::GaEcho { value: 9, .. }]), "{out:?}");
     }
 
     #[test]

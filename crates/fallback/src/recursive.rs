@@ -270,7 +270,7 @@ impl<V: Value> SubProtocol for RecursiveBa<V> {
     fn on_step(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, RecBaMsg<V>)],
+        inbox: &[(ProcessId, &RecBaMsg<V>)],
         out: &mut Vec<(Dest, RecBaMsg<V>)>,
     ) {
         if self.output.is_some() {
@@ -296,12 +296,11 @@ impl<V: Value> SubProtocol for RecursiveBa<V> {
             self.enter_segment(seg, out);
         }
 
-        let borrowed: Vec<(ProcessId, &RecBaMsg<V>)> = inbox.iter().map(|(p, m)| (*p, m)).collect();
         match seg.kind {
             SegKind::Ga(_) => {
                 if let Some(ga) = &mut self.active_ga {
                     let mut msgs = Vec::new();
-                    ga.on_step(k, &borrowed, &mut msgs);
+                    ga.on_step(k, inbox, &mut msgs);
                     if k == GA_STEPS - 1 {
                         if let Some((v, g)) = ga.result().cloned() {
                             let top = self.top();
@@ -317,7 +316,7 @@ impl<V: Value> SubProtocol for RecursiveBa<V> {
             SegKind::Ic => {
                 if let Some(ic) = &mut self.active_ic {
                     let mut msgs = Vec::new();
-                    ic.on_step(k, &borrowed, &mut msgs);
+                    ic.on_step(k, inbox, &mut msgs);
                     if k == seg.len - 1 {
                         if let Some(v) = ic.decision().cloned() {
                             let top = self.top();
@@ -528,8 +527,12 @@ mod tests {
             .collect();
         let mut out = Vec::new();
         for step in 0..=rb.end {
-            let msgs: &[(ProcessId, Msg)] = if step == last.start + 1 { &inbox } else { &[] };
-            rb.on_step(step, msgs, &mut out);
+            let msgs: Vec<(ProcessId, &Msg)> = if step == last.start + 1 {
+                inbox.iter().map(|(p, m)| (*p, m)).collect()
+            } else {
+                Vec::new()
+            };
+            rb.on_step(step, &msgs, &mut out);
         }
         rb.output().expect("decided at the end of the plan")
     }

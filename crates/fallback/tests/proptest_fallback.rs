@@ -21,7 +21,7 @@ impl Actor for GaActor {
     }
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) {
         let inbox: Vec<(ProcessId, &RecBaMsg<u64>)> =
-            ctx.inbox().iter().map(|e| (e.from, &e.msg)).collect();
+            ctx.inbox().iter().map(|e| (e.from, &*e.msg)).collect();
         let mut out = Vec::new();
         self.ga.on_step(ctx.round().as_u64(), &inbox, &mut out);
         for m in out {

@@ -688,17 +688,17 @@ where
     fn on_transfer(
         &mut self,
         round: u64,
-        inbox: &[(ProcessId, TransferMsg)],
+        inbox: &[(ProcessId, &TransferMsg)],
     ) -> Vec<(ProcessId, TransferMsg)> {
         let mut out = Vec::new();
-        for (from, msg) in inbox {
+        for &(from, msg) in inbox {
             match msg {
                 TransferMsg::FetchCommitted { from_slot, budget } => {
-                    out.push((*from, self.serve_fetch(*from_slot, *budget)));
+                    out.push((from, self.serve_fetch(*from_slot, *budget)));
                 }
                 TransferMsg::CommittedBatch { entries, .. } => {
                     for entry in entries {
-                        self.sift_entry(*from, entry);
+                        self.sift_entry(from, entry);
                     }
                 }
             }
@@ -827,12 +827,12 @@ where
         self.bind_due_slot(round);
         // Demultiplex straight from the inbox: log traffic is routed to
         // its slot by reference (cloned once, where the instance buffers
-        // it), transfer traffic feeds the anti-entropy path.
-        let mut transfer_inbox: Vec<(ProcessId, TransferMsg)> = Vec::new();
+        // it), transfer traffic is lent to the anti-entropy path.
+        let mut transfer_inbox: Vec<(ProcessId, &TransferMsg)> = Vec::new();
         for env in ctx.inbox() {
-            match &env.msg {
+            match &*env.msg {
                 ReplicaMsg::Log(m) => self.log.route(env.from, m),
-                ReplicaMsg::Transfer(t) => transfer_inbox.push((env.from, t.clone())),
+                ReplicaMsg::Transfer(t) => transfer_inbox.push((env.from, t)),
             }
         }
         let mut log_out = Vec::new();

@@ -4,6 +4,7 @@ use crate::round::Round;
 use meba_crypto::ProcessId;
 use std::any::Any;
 use std::fmt;
+use std::sync::Arc;
 
 /// A protocol message deliverable by the simulator.
 ///
@@ -55,12 +56,17 @@ pub trait Message: Clone + fmt::Debug + Send + Sync + 'static {
 /// receives an envelope claiming `from = p` and `p` is correct, then `p`
 /// really sent it. The simulator enforces this by stamping envelopes
 /// itself.
+///
+/// The payload is the handle the sender's round body made for its outbox
+/// entry, moved into the inbox as it arrived: every recipient of one
+/// send holds the same allocation, and an actor reads it through
+/// `&*msg` without copying it.
 #[derive(Clone, Debug)]
 pub struct Envelope<M> {
     /// Network-level sender (unforgeable).
     pub from: ProcessId,
-    /// Payload.
-    pub msg: M,
+    /// Payload, shared by every copy of one send.
+    pub msg: Arc<M>,
 }
 
 /// Destination of an outgoing message.
@@ -114,14 +120,16 @@ impl<'a, M: Message> RoundCtx<'a, M> {
         self.n
     }
 
-    /// Messages delivered this round (sent during the previous round).
-    pub fn inbox(&self) -> &[Envelope<M>] {
+    /// Messages delivered this round (sent during the previous round),
+    /// lent for the whole round: an actor may hold them while it pushes
+    /// to the outbox.
+    pub fn inbox(&self) -> &'a [Envelope<M>] {
         self.inbox
     }
 
     /// Messages in the inbox from a specific sender.
     pub fn from(&self, p: ProcessId) -> impl Iterator<Item = &M> {
-        self.inbox.iter().filter(move |e| e.from == p).map(|e| &e.msg)
+        self.inbox.iter().filter(move |e| e.from == p).map(|e| &*e.msg)
     }
 
     /// Sends `msg` to `to` at the end of this round.
@@ -228,7 +236,7 @@ mod tests {
 
     #[test]
     fn ctx_collects_outbox() {
-        let inbox = vec![Envelope { from: ProcessId(1), msg: TestMsg(9) }];
+        let inbox = vec![Envelope { from: ProcessId(1), msg: Arc::new(TestMsg(9)) }];
         let mut ctx = RoundCtx::new(Round(0), ProcessId(0), 3, &inbox);
         assert_eq!(ctx.inbox().len(), 1);
         assert_eq!(ctx.from(ProcessId(1)).count(), 1);

@@ -27,6 +27,7 @@
 //! ```
 //! use meba_crypto::ProcessId;
 //! use meba_sim::{Actor, Dest, Envelope, Message, Round, RoundCtx};
+//! use std::sync::Arc;
 //!
 //! #[derive(Clone, Debug)]
 //! struct Hello;
@@ -46,7 +47,7 @@
 //! }
 //!
 //! let mut node = Node { id: ProcessId(0), heard: 0 };
-//! let inbox = [Envelope { from: ProcessId(1), msg: Hello }];
+//! let inbox = [Envelope { from: ProcessId(1), msg: Arc::new(Hello) }];
 //! let mut ctx = RoundCtx::new(Round(0), node.id, 3, &inbox);
 //! node.on_round(&mut ctx);
 //! let outbox = ctx.take_outbox();

@@ -53,9 +53,9 @@ pub enum RecoveryEvent {
 ///
 /// Step semantics: at step `s`, the machine consumes messages sent by
 /// peers at their step `s - 1`, and emits messages that peers consume at
-/// their step `s + 1`. Steps map to host rounds 1:1 when embedded in
-/// lockstep (via an [`Instance`]), or 1:2 under the `2δ` skew-tolerant
-/// adapter in `meba-core`.
+/// their step `s + 1`. Steps map to host rounds 1:1 in lockstep (the
+/// `LockstepAdapter` in `meba-core`, or a slot's [`Instance`]), or 1:2
+/// under the `2δ` skew-tolerant adapter in `meba-core`.
 pub trait SubProtocol: Send + 'static {
     /// Message type exchanged by this protocol. The [`WireCodec`] bound is
     /// what lets *any* sub-protocol run over the real TCP transport
@@ -64,11 +64,13 @@ pub trait SubProtocol: Send + 'static {
     /// Decision type.
     type Output: Clone + Debug + Send + 'static;
 
-    /// Executes step `s`.
+    /// Executes step `s` on a lent inbox: the messages belong to the
+    /// caller (a round's shared payloads, or a host's buffer), so a
+    /// protocol clones only what it keeps past the step.
     fn on_step(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, Self::Msg)],
+        inbox: &[(ProcessId, &Self::Msg)],
         out: &mut Vec<(Dest, Self::Msg)>,
     );
 
@@ -163,14 +165,18 @@ impl<M: WireCodec> WireCodec for SessionEnvelope<M> {
     }
 }
 
-/// One lockstep-driven instance of a [`SubProtocol`]: the protocol plus
-/// its step counter and the inbox buffered for its next step.
+/// One buffered instance of a [`SubProtocol`]: the protocol plus its
+/// step counter and the messages kept for its next step.
 ///
-/// This is the single-instance core that the replicated log in
-/// `meba-smr` and the adapters in `meba-core` (`LockstepAdapter`,
-/// `SkewAdapter`) drive: deliver messages with [`Instance::deliver`],
-/// then fire [`Instance::step`] once per virtual step, or
-/// [`Instance::step_at`] the step a host round puts the instance at.
+/// This is the driver for hosts whose messages outlive the round they
+/// arrive in — the replicated log in `meba-smr` routes a slot's traffic
+/// here, and `meba-core`'s `SkewAdapter` releases its per-vstep buffer
+/// here. Deliver owned messages with [`Instance::deliver`] (the one copy
+/// such a host makes), then fire [`Instance::step`] once per virtual
+/// step, or [`Instance::step_at`] the step a host round puts the
+/// instance at; either lends the buffer to [`SubProtocol::on_step`]. A
+/// host that steps on the round's own inbox (`LockstepAdapter`) lends
+/// that instead and needs no `Instance`.
 #[derive(Debug)]
 pub struct Instance<P: SubProtocol> {
     proto: P,
@@ -203,7 +209,8 @@ impl<P: SubProtocol> Instance<P> {
     /// [`SubProtocol::next_wakeup`] said they would have been no-ops.
     pub fn step_at(&mut self, step: u64, out: &mut Vec<(Dest, P::Msg)>) {
         debug_assert!(step >= self.next_step, "steps only move forward");
-        self.proto.on_step(step, &self.inbox, out);
+        let lent: Vec<(ProcessId, &P::Msg)> = self.inbox.iter().map(|(p, m)| (*p, m)).collect();
+        self.proto.on_step(step, &lent, out);
         // Clear rather than take: the inbox allocation is reused by the
         // next step's deliveries.
         self.inbox.clear();
@@ -265,7 +272,12 @@ mod tests {
     impl SubProtocol for Echo {
         type Msg = Ping;
         type Output = u64;
-        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, Ping)], out: &mut Vec<(Dest, Ping)>) {
+        fn on_step(
+            &mut self,
+            step: u64,
+            inbox: &[(ProcessId, &Ping)],
+            out: &mut Vec<(Dest, Ping)>,
+        ) {
             self.seen += inbox.len() as u64;
             if step >= self.lifetime {
                 self.decided = Some(self.seen);

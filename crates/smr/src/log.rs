@@ -487,6 +487,7 @@ mod tests {
     use meba_engine::{SimBuilder, Simulation};
     use meba_fallback::RecursiveBaFactory;
     use meba_sim::{AnyActor, Envelope, IdleActor, Round};
+    use std::sync::Arc;
 
     type Log = ReplicatedLog<u64, RecursiveBaFactory>;
     type Msg = <Log as Actor>::Msg;
@@ -768,7 +769,7 @@ mod tests {
         assert_eq!(live(&log), vec![0]);
         let stray = |slot| Envelope {
             from: ProcessId(1),
-            msg: SessionEnvelope { session: SessionId(slot), msg: out[0].1.msg.clone() },
+            msg: Arc::new(SessionEnvelope { session: SessionId(slot), msg: out[0].1.msg.clone() }),
         };
         // Messages for slot 1 (not open yet) and slot 7 (unknown) are
         // dropped.

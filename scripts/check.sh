@@ -30,9 +30,11 @@ test "$(git grep -n 'cause.record(' -- 'crates/*/src/*' ':!crates/engine/src/dri
 test -z "$(awk '/#\[cfg\(test\)\]/{exit} /cause.record\(/' crates/engine/src/driver.rs)"
 test "$(git grep -n 'refused_equivocations()' -- crates/engine/src crates/wire/src | cut -d: -f1 | tr '\n' ' ')" = "crates/engine/src/process.rs "
 
-echo "== one payload per outbox entry (EngineProcess::dispatch wraps each entry in one Arc; the in-memory transports clone the handle, never the message) =="
+echo "== one payload per outbox entry (EngineProcess::dispatch wraps each entry in one Arc; the in-memory transports clone the handle, never the message; the round body moves the handle into the inbox, and every SubProtocol::on_step is lent its inbox) =="
 test "$(awk '/^    fn dispatch/,/^    }/' crates/engine/src/process.rs | grep -c 'Arc::new(')" -eq 1
 ! git grep -n 'msg\.clone()' -- crates/engine/src/des.rs crates/engine/src/channel.rs || exit 1
+! git grep -n 'unwrap_or_clone' -- crates/engine/src crates/core/src || exit 1
+! git grep -n -A3 'fn on_step' -- crates src tests examples | grep -E 'inbox: &\[\(ProcessId, [^&]' || exit 1
 
 echo "== one virtual clock (the lockstep Simulation is the discrete-event loop; no wave loop, no lane transport, no outbox-tampering wrappers) =="
 ! git grep -nE 'LaneTransport|struct Lanes|TransformActor|send_only_to' -- crates src tests examples || exit 1

@@ -76,7 +76,7 @@ fn graded_agreement_survives_certificate_split() {
         }
         fn on_round(&mut self, ctx: &mut RoundCtx<'_, RecM>) {
             let inbox: Vec<(ProcessId, &RecM)> =
-                ctx.inbox().iter().map(|e| (e.from, &e.msg)).collect();
+                ctx.inbox().iter().map(|e| (e.from, &*e.msg)).collect();
             let mut out = Vec::new();
             self.ga.on_step(ctx.round().as_u64(), &inbox, &mut out);
             for m in out {
@@ -401,11 +401,12 @@ mod verify_once {
         }
     }
 
-    /// A unanimous graded agreement over m = 33: each member verifies
-    /// every input share and every vote share exactly once — `combine`
-    /// does not re-verify what `offer` admitted — and runs
-    /// `verify_threshold` at most once per distinct certificate, however
-    /// many members echo it (3·m + 1 times before the memo).
+    /// A unanimous graded agreement over m = 33: each member verifies a
+    /// majority of input shares and of vote shares, each exactly once —
+    /// `combine` does not re-verify what `offer` admitted, and a share
+    /// for a value that already has a majority is not verified at all —
+    /// and runs `verify_threshold` at most once per distinct certificate,
+    /// however many members echo it (3·m + 1 times before the memo).
     #[test]
     fn unanimous_ga_verifies_each_share_and_each_certificate_once() {
         let m = 33usize;
@@ -434,7 +435,8 @@ mod verify_once {
         for (i, member) in members.iter().enumerate() {
             assert_eq!(member.result(), Some(&(V, 2)));
             let (shares, certs) = calls[i];
-            assert_eq!(shares, 2 * m as u64, "p{i}: m input shares + m vote shares");
+            let maj = m as u64 / 2 + 1;
+            assert_eq!(shares, 2 * maj, "p{i}: maj input shares + maj vote shares");
             assert!(certs <= 2, "p{i}: C1(V) and C2(V) at most once each, got {certs}");
         }
     }
