@@ -1,7 +1,7 @@
 //! One process as the engine drives it, and the [`Transport`] every
 //! backend plugs under it. [`EngineProcess::step`] is the round body of
 //! every backend — fate, release pending → drain → partition by
-//! `sent_round` → step → bill and dispatch the outbox — so inbox
+//! `sent_round` → step → dispatch and bill the outbox — so inbox
 //! partitioning, word/byte/link accounting, send-edge fault application,
 //! crash-restart fates and the advance-cause tally exist in exactly one
 //! place. The backends (discrete-event — whose lockstep configuration is
@@ -268,8 +268,11 @@ impl<M: Message> EngineProcess<M> {
     /// 4. step the actor;
     /// 5. dispatch its outbox: self-delivery is process memory (no
     ///    policy, no per-link stats, no word accounting); every remote
-    ///    copy is judged by the link policy and billed
-    ///    ([`Metrics::bill`]) whether or not it is ultimately transmitted.
+    ///    copy is judged by the link policy and put on its link
+    ///    ([`Metrics::carry`]: `sent`, `bytes`, and `dropped` or `delayed`
+    ///    with its fate), and each entry is then billed once for all its
+    ///    remote copies ([`Metrics::bill`]), whether or not they are
+    ///    ultimately transmitted.
     ///
     /// An executed round ≥ 1 records `cause` in `metrics.advance`.
     /// `metrics` is the caller's own ledger — the whole run's on the
@@ -394,8 +397,9 @@ impl<M: Message> EngineProcess<M> {
         self.rejoin_round = Some(round);
     }
 
-    /// Bills and transmits one round's outbox; each entry becomes one
-    /// [`Arc`] shared by all its copies.
+    /// Transmits and bills one round's outbox; each entry becomes one
+    /// [`Arc`] shared by all its copies, and is billed once, after its
+    /// copy loop.
     fn dispatch(
         &mut self,
         me: ProcessId,
@@ -407,6 +411,7 @@ impl<M: Message> EngineProcess<M> {
         for (dest, msg) in outbox {
             let cost = MessageCost::of(&msg);
             let msg = Arc::new(msg);
+            let mut copies = 0;
             for to in targets(dest, self.n) {
                 if to == me {
                     // Self-delivery: process memory, not a link — no policy,
@@ -416,7 +421,8 @@ impl<M: Message> EngineProcess<M> {
                 }
                 let link = Link { from: me, to };
                 let fate = self.policy.as_mut().map_or(LinkFate::Deliver, |p| p.fate(link, round));
-                metrics.bill(link, self.sender_correct, round, &cost, fate);
+                metrics.carry(link, &cost, fate);
+                copies += 1;
                 match fate {
                     LinkFate::Deliver => transport.send(to, round, &msg),
                     LinkFate::Drop => {}
@@ -433,6 +439,7 @@ impl<M: Message> EngineProcess<M> {
                     LinkFate::Sever => transport.sever(to),
                 }
             }
+            metrics.bill(me, self.sender_correct, round, &cost, copies);
         }
     }
 

@@ -71,8 +71,8 @@ pub use faults::{
     ReliableLinks, SeverAt,
 };
 pub use metrics::{
-    ClientStats, Counters, LatencyHistogram, LinkStats, Metrics, RecoveryStats, ServiceStats,
-    SessionStats,
+    ClientStats, Counters, LatencyHistogram, LinkStats, LinkTable, Metrics, RecoveryStats,
+    ServiceStats, SessionStats,
 };
 pub use round::Round;
 pub use session::{Instance, RecoveryEvent, SessionEnvelope, SessionId, SubProtocol};

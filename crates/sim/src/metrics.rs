@@ -9,16 +9,22 @@
 //!
 //! [`Metrics`] is plain data, written through `&mut` by whoever owns it,
 //! and the rule that turns a sent message into words lives here once:
-//! [`MessageCost::of`] (floor at 1 word), [`targets`] (who gets a copy)
-//! and [`Metrics::bill`] (a copy is billed as sent whatever its
-//! [`LinkFate`]) serve `meba-engine`'s `EngineProcess::step`, the round
+//! [`MessageCost::of`] (floor at 1 word) reads an outbox entry once,
+//! [`targets`] names who gets a copy, [`Metrics::bill`] charges the entry's
+//! words, messages, signatures and bytes once for all its remote copies
+//! (a copy is sent whatever its [`LinkFate`]), and [`Metrics::carry`] and
+//! [`Metrics::admit`] move one copy's link counters at its sender and its
+//! receiver. They serve `meba-engine`'s `EngineProcess::step`, the round
 //! body of every backend; [`Metrics::merge`] folds the per-thread shards
-//! of the paced ones.
+//! of the paced ones. The link counters live in a [`LinkTable`]: one row
+//! per sender, sorted by receiver, so a copy's lookup is one probe into
+//! one short row.
 
 use crate::actor::{Dest, Message};
 use crate::faults::{Link, LinkFate};
 use meba_crypto::ProcessId;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Number of power-of-two latency buckets: bucket `i` counts samples in
 /// `[2^i, 2^(i+1))` µs (bucket 0 additionally holds sub-microsecond
@@ -95,7 +101,8 @@ impl LatencyHistogram {
 
     /// An upper bound on the `q`-quantile (`q ∈ [0, 1]`), in µs: the
     /// exclusive upper edge of the first bucket at which the cumulative
-    /// count reaches `q · count`. Returns 0 when empty.
+    /// count reaches `q · count`, or the largest sample when that bucket
+    /// is the open-ended last one. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -105,7 +112,7 @@ impl LatencyHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= target.max(1) {
-                return 1u64 << (i + 1);
+                return if i + 1 < LATENCY_BUCKETS { 1u64 << (i + 1) } else { self.max_us };
             }
         }
         self.max_us
@@ -158,6 +165,162 @@ impl LinkStats {
     }
 }
 
+/// One sender's touched links, sorted by receiver.
+type LinkRow = Vec<(Link, LinkStats)>;
+
+/// [`LinkTable::iter`]'s iterator: rows in sender order, each in receiver
+/// order.
+pub type LinkIter<'a> = std::iter::Map<
+    std::iter::Flatten<std::slice::Iter<'a, LinkRow>>,
+    fn(&'a (Link, LinkStats)) -> (&'a Link, &'a LinkStats),
+>;
+
+/// [`LinkStats`] per directed link, for the links that carried a message.
+///
+/// Each sender has one row, sorted by receiver, so a lookup is one probe
+/// into one short row: a full row (the sender reached every other
+/// process) keeps receiver `to` at index `to − [to > from]`, which is
+/// checked first; any other row is binary-searched, and a new link is
+/// inserted in order. Only touched links are stored: a table dense in
+/// `from · n + to` would hold `n²` entries for a run that touches `O(n)`
+/// links. Iteration, `{:?}` and the JSON map (keys `"p0->p1"`) run in
+/// `(from, to)` order, exactly as a `BTreeMap<Link, LinkStats>` would.
+///
+/// ```
+/// use meba_crypto::ProcessId;
+/// use meba_sim::faults::{Link, LinkFate};
+/// use meba_sim::metrics::MessageCost;
+/// use meba_sim::Metrics;
+///
+/// let cost = MessageCost { words: 1, sigs: 0, bytes: 8, component: "x", session: None };
+/// let link = |from, to| Link { from: ProcessId(from), to: ProcessId(to) };
+/// let mut m = Metrics::default();
+/// m.carry(link(2, 0), &cost, LinkFate::Deliver);
+/// m.carry(link(0, 1), &cost, LinkFate::Drop);
+/// m.admit(link(2, 0));
+/// assert_eq!(m.per_link.len(), 2);
+/// assert_eq!(m.per_link.keys().map(|l| l.to_string()).collect::<Vec<_>>(), ["p0->p1", "p2->p0"]);
+/// assert_eq!(m.per_link.get(&link(2, 0)).map(|s| s.delivered), Some(1));
+/// ```
+#[derive(Clone, Default)]
+pub struct LinkTable {
+    /// Indexed by sender; a sender that never sent has an empty row.
+    rows: Vec<LinkRow>,
+    len: usize,
+}
+
+impl LinkTable {
+    /// Number of links that carried a message.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no link carried a message.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Forgets every link.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.len = 0;
+    }
+
+    /// The counters of `link`, if it carried a message.
+    pub fn get(&self, link: &Link) -> Option<&LinkStats> {
+        let row = self.rows.get(link.from.index())?;
+        Self::find(row, link).ok().map(|i| &row[i].1)
+    }
+
+    /// Every link with its counters, in `(from, to)` order.
+    pub fn iter(&self) -> LinkIter<'_> {
+        fn pair((link, stats): &(Link, LinkStats)) -> (&Link, &LinkStats) {
+            (link, stats)
+        }
+        self.rows.iter().flatten().map(pair)
+    }
+
+    /// Every link, in `(from, to)` order.
+    pub fn keys(&self) -> impl Iterator<Item = &Link> {
+        self.iter().map(|(link, _)| link)
+    }
+
+    /// Every link's counters, in `(from, to)` order.
+    pub fn values(&self) -> impl Iterator<Item = &LinkStats> {
+        self.iter().map(|(_, stats)| stats)
+    }
+
+    /// The counters of `link`, zeroed and inserted in order if it is new.
+    fn entry(&mut self, link: Link) -> &mut LinkStats {
+        let from = link.from.index();
+        if self.rows.len() <= from {
+            self.rows.resize_with(from + 1, Vec::new);
+        }
+        let row = &mut self.rows[from];
+        let i = match Self::find(row, &link) {
+            Ok(i) => i,
+            Err(i) => {
+                row.insert(i, (link, LinkStats::default()));
+                self.len += 1;
+                i
+            }
+        };
+        &mut row[i].1
+    }
+
+    /// Where `link` is in its sender's row, or where it would be inserted.
+    fn find(row: &[(Link, LinkStats)], link: &Link) -> Result<usize, usize> {
+        let (from, to) = (link.from.index(), link.to.index());
+        let guess = to - usize::from(to > from);
+        match row.get(guess) {
+            Some((l, _)) if l.to == link.to => Ok(guess),
+            _ => row.binary_search_by_key(&link.to, |(l, _)| l.to),
+        }
+    }
+}
+
+impl PartialEq for LinkTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for LinkTable {}
+
+impl fmt::Debug for LinkTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a LinkTable {
+    type Item = (&'a Link, &'a LinkStats);
+    type IntoIter = LinkIter<'a>;
+
+    fn into_iter(self) -> LinkIter<'a> {
+        self.iter()
+    }
+}
+
+impl serde::Serialize for LinkTable {
+    fn to_value(&self) -> serde::Value {
+        use serde::MapKey;
+        serde::Value::Map(
+            self.iter().map(|(link, stats)| (link.to_key(), stats.to_value())).collect(),
+        )
+    }
+}
+
+impl serde::Deserialize for LinkTable {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let mut table = LinkTable::default();
+        for (link, stats) in BTreeMap::<Link, LinkStats>::from_value(value)? {
+            *table.entry(link) = stats;
+        }
+        Ok(table)
+    }
+}
+
 /// A bundle of communication counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -178,11 +341,12 @@ pub struct Counters {
 serde::impl_serde_struct!(Counters { words, messages, constituent_sigs, bytes });
 
 impl Counters {
-    fn record(&mut self, cost: &MessageCost) {
-        self.words += cost.words;
-        self.messages += 1;
-        self.constituent_sigs += cost.sigs;
-        self.bytes += cost.bytes;
+    /// Charges `copies` copies of one message.
+    fn record(&mut self, cost: &MessageCost, copies: u64) {
+        self.words += cost.words * copies;
+        self.messages += copies;
+        self.constituent_sigs += cost.sigs * copies;
+        self.bytes += cost.bytes * copies;
     }
 
     /// Component-wise sum.
@@ -214,9 +378,9 @@ pub struct SessionStats {
 serde::impl_serde_struct!(SessionStats { counters, first_round, last_round });
 
 impl SessionStats {
-    fn record(&mut self, round: u64, cost: &MessageCost) {
+    fn record(&mut self, round: u64, cost: &MessageCost, copies: u64) {
         self.span(round, round);
-        self.counters.record(cost);
+        self.counters.record(cost, copies);
     }
 
     /// Widens the round span to cover `first..=last` (an empty session
@@ -456,7 +620,7 @@ pub struct Metrics {
     pub round_latency: LatencyHistogram,
     /// Delivery accounting per directed link (a JSON key reads
     /// `"p0->p1"`). Self-links are never recorded.
-    pub per_link: BTreeMap<Link, LinkStats>,
+    pub per_link: LinkTable,
     /// Correct-process counters broken down by protocol instance, for
     /// session-multiplexed runs (empty when no message carries a
     /// [`crate::Message::session`] tag).
@@ -484,7 +648,7 @@ serde::impl_serde_struct!(Metrics {
 });
 
 /// What one remote copy of a message is billed: read off the message
-/// once per outbox entry, charged once per recipient.
+/// once per outbox entry, charged for all its remote copies at once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MessageCost {
     /// [`Message::words`], floored at 1 — nothing travels for free.
@@ -516,7 +680,8 @@ impl MessageCost {
 /// of `n`. An out-of-range destination (only a Byzantine actor produces
 /// one) names nobody. The sender itself may be among them: that copy is
 /// process memory, not a link — the caller hands it over without asking a
-/// [`crate::faults::LinkPolicy`] and without calling [`Metrics::bill`].
+/// [`crate::faults::LinkPolicy`], without counting it in [`Metrics::bill`]
+/// and without calling [`Metrics::carry`].
 pub fn targets(dest: Dest, n: usize) -> impl Iterator<Item = ProcessId> {
     let range = match dest {
         Dest::To(p) if p.index() < n => p.index()..p.index() + 1,
@@ -527,43 +692,55 @@ pub fn targets(dest: Dest, n: usize) -> impl Iterator<Item = ProcessId> {
 }
 
 impl Metrics {
-    /// Bills one remote copy of a message sent in `round` over `link` —
-    /// the one place words, signatures, bytes and link counters are
-    /// charged, on every backend. The paper counts words *sent* (§2), so
-    /// the copy costs the same whatever `fate` it meets: a dropped,
-    /// delayed or severed copy was still sent. The link's `sent`/`bytes`
-    /// move, and `dropped` or `delayed` with the fate.
+    /// Bills one outbox entry that `from` sent in `round` to `copies`
+    /// remote recipients — the one place words, messages, signatures and
+    /// bytes are charged, on every backend. The paper counts words *sent*
+    /// (§2), so every copy costs the same whatever fate it meets: a
+    /// dropped, delayed or severed copy was still sent, and nothing here
+    /// depends on a copy's fate. An entry with no remote copy (a self-only
+    /// send) bills nothing.
     pub fn bill(
         &mut self,
-        link: Link,
+        from: ProcessId,
         sender_correct: bool,
         round: u64,
         cost: &MessageCost,
-        fate: LinkFate,
+        copies: u64,
     ) {
-        debug_assert_ne!(link.from, link.to, "a self-copy is process memory, never billed");
-        self.per_process.entry(link.from.0).or_default().record(cost);
+        if copies == 0 {
+            return;
+        }
+        self.per_process.entry(from.0).or_default().record(cost, copies);
         if sender_correct {
-            self.correct.record(cost);
+            self.correct.record(cost, copies);
             // Looked up by `&str`: the key is only allocated the first
             // time a component is seen.
             match self.by_component.get_mut(cost.component) {
-                Some(counters) => counters.record(cost),
-                None => {
-                    self.by_component.entry(cost.component.to_string()).or_default().record(cost)
-                }
+                Some(counters) => counters.record(cost, copies),
+                None => self
+                    .by_component
+                    .entry(cost.component.to_string())
+                    .or_default()
+                    .record(cost, copies),
             }
             if let Some(s) = cost.session {
-                self.per_session.entry(s).or_default().record(round, cost);
+                self.per_session.entry(s).or_default().record(round, cost, copies);
             }
             if self.words_per_round.len() <= round as usize {
                 self.words_per_round.resize(round as usize + 1, 0);
             }
-            self.words_per_round[round as usize] += cost.words;
+            self.words_per_round[round as usize] += cost.words * copies;
         } else {
-            self.byzantine.record(cost);
+            self.byzantine.record(cost, copies);
         }
-        let stats = self.per_link.entry(link).or_default();
+    }
+
+    /// Puts one remote copy of a message on `link`: its `sent` and `bytes`
+    /// move, and `dropped` or `delayed` with the `fate` the copy met. The
+    /// copy's words are [`Metrics::bill`]'s.
+    pub fn carry(&mut self, link: Link, cost: &MessageCost, fate: LinkFate) {
+        debug_assert_ne!(link.from, link.to, "a self-copy is process memory, never carried");
+        let stats = self.per_link.entry(link);
         stats.sent += 1;
         stats.bytes += cost.bytes;
         match fate {
@@ -577,7 +754,7 @@ impl Metrics {
     /// Counts one message off `link` as drained into its recipient's
     /// round inbox.
     pub fn admit(&mut self, link: Link) {
-        self.per_link.entry(link).or_default().delivered += 1;
+        self.per_link.entry(link).delivered += 1;
     }
 
     /// Folds another ledger of the same run into this one (the paced
@@ -602,7 +779,7 @@ impl Metrics {
         self.rounds = self.rounds.max(other.rounds);
         self.round_latency.merge(&other.round_latency);
         for (link, stats) in &other.per_link {
-            self.per_link.entry(*link).or_default().merge(stats);
+            self.per_link.entry(*link).merge(stats);
         }
         for (session, stats) in &other.per_session {
             self.per_session.entry(*session).or_default().merge(stats);
@@ -641,11 +818,24 @@ mod tests {
         Link { from: ProcessId(from), to: ProcessId(to) }
     }
 
+    /// One remote copy of a message over `link`, billed on its own.
+    fn send(
+        m: &mut Metrics,
+        link: Link,
+        correct: bool,
+        round: u64,
+        cost: &MessageCost,
+        fate: LinkFate,
+    ) {
+        m.bill(link.from, correct, round, cost, 1);
+        m.carry(link, cost, fate);
+    }
+
     #[test]
     fn correct_and_byzantine_split() {
         let mut m = Metrics::default();
-        m.bill(link(0, 1), true, 0, &cost("bb", None, 3, 2), LinkFate::Deliver);
-        m.bill(link(1, 0), false, 0, &cost("bb", None, 100, 50), LinkFate::Deliver);
+        send(&mut m, link(0, 1), true, 0, &cost("bb", None, 3, 2), LinkFate::Deliver);
+        send(&mut m, link(1, 0), false, 0, &cost("bb", None, 100, 50), LinkFate::Deliver);
         assert_eq!(m.correct.words, 3);
         assert_eq!(m.correct.messages, 1);
         assert_eq!(m.correct.constituent_sigs, 2);
@@ -660,9 +850,9 @@ mod tests {
     #[test]
     fn component_breakdown() {
         let mut m = Metrics::default();
-        m.bill(link(0, 1), true, 0, &cost("bb", None, 1, 0), LinkFate::Deliver);
-        m.bill(link(0, 1), true, 1, &cost("weak-ba", None, 2, 1), LinkFate::Deliver);
-        m.bill(link(2, 1), true, 1, &cost("weak-ba", None, 2, 1), LinkFate::Deliver);
+        send(&mut m, link(0, 1), true, 0, &cost("bb", None, 1, 0), LinkFate::Deliver);
+        send(&mut m, link(0, 1), true, 1, &cost("weak-ba", None, 2, 1), LinkFate::Deliver);
+        send(&mut m, link(2, 1), true, 1, &cost("weak-ba", None, 2, 1), LinkFate::Deliver);
         assert_eq!(m.by_component["bb"].words, 1);
         assert_eq!(m.by_component["weak-ba"].words, 4);
         assert_eq!(m.by_component["weak-ba"].messages, 2);
@@ -671,13 +861,13 @@ mod tests {
     #[test]
     fn per_session_breakdown_tracks_span_and_counters() {
         let mut m = Metrics::default();
-        m.bill(link(0, 3), true, 3, &cost("bb", Some(0), 2, 1), LinkFate::Deliver);
-        m.bill(link(1, 3), true, 7, &cost("bb", Some(0), 4, 0), LinkFate::Deliver);
-        m.bill(link(0, 3), true, 5, &cost("bb", Some(1), 10, 2), LinkFate::Deliver);
+        send(&mut m, link(0, 3), true, 3, &cost("bb", Some(0), 2, 1), LinkFate::Deliver);
+        send(&mut m, link(1, 3), true, 7, &cost("bb", Some(0), 4, 0), LinkFate::Deliver);
+        send(&mut m, link(0, 3), true, 5, &cost("bb", Some(1), 10, 2), LinkFate::Deliver);
         // Byzantine traffic never pollutes the per-session view.
-        m.bill(link(2, 3), false, 4, &cost("bb", Some(0), 99, 9), LinkFate::Deliver);
+        send(&mut m, link(2, 3), false, 4, &cost("bb", Some(0), 99, 9), LinkFate::Deliver);
         // Unmultiplexed traffic has no session bucket.
-        m.bill(link(0, 3), true, 8, &cost("bb", None, 1, 0), LinkFate::Deliver);
+        send(&mut m, link(0, 3), true, 8, &cost("bb", None, 1, 0), LinkFate::Deliver);
         let s0 = &m.per_session[&0];
         assert_eq!(s0.counters.words, 6);
         assert_eq!(s0.counters.messages, 2);
@@ -693,7 +883,7 @@ mod tests {
     #[test]
     fn per_round_series_grows() {
         let mut m = Metrics::default();
-        m.bill(link(0, 1), true, 4, &cost("x", None, 7, 0), LinkFate::Deliver);
+        send(&mut m, link(0, 1), true, 4, &cost("x", None, 7, 0), LinkFate::Deliver);
         assert_eq!(m.words_per_round, vec![0, 0, 0, 0, 7]);
     }
 
@@ -729,6 +919,10 @@ mod tests {
         assert!(h.quantile(0.5) <= 512);
         assert!(h.quantile(1.0) >= 2_097_152);
         assert_eq!(LatencyHistogram::default().quantile(0.9), 0);
+        // Past 2^22 µs the open-ended bucket's bound is the largest sample.
+        let mut slow = LatencyHistogram::default();
+        slow.record_us(10_000_000);
+        assert_eq!(slow.quantile(1.0), 10_000_000);
     }
 
     #[test]
@@ -758,10 +952,10 @@ mod tests {
     fn per_link_accounting() {
         let mut m = Metrics::default();
         let c = cost("x", None, 1, 0);
-        m.bill(link(0, 1), true, 0, &c, LinkFate::Deliver);
-        m.bill(link(0, 1), true, 0, &c, LinkFate::DelayRounds(2));
-        m.bill(link(0, 1), true, 0, &c, LinkFate::Drop);
-        m.bill(link(0, 1), true, 0, &c, LinkFate::Sever);
+        send(&mut m, link(0, 1), true, 0, &c, LinkFate::Deliver);
+        send(&mut m, link(0, 1), true, 0, &c, LinkFate::DelayRounds(2));
+        send(&mut m, link(0, 1), true, 0, &c, LinkFate::Drop);
+        send(&mut m, link(0, 1), true, 0, &c, LinkFate::Sever);
         m.admit(link(0, 1));
         m.admit(link(1, 0));
         let l01 = LinkStats { sent: 4, delivered: 1, dropped: 2, delayed: 1, bytes: 128 };
@@ -780,10 +974,14 @@ mod tests {
         assert_eq!(ids(Dest::To(ProcessId(3))), [0u32; 0]);
     }
 
-    /// One billed copy, or one admission, of a generated stream.
+    /// One outbox entry of a generated stream: `copies` remote copies
+    /// from `from`, each carried and, if delivered, admitted.
     #[derive(Clone, Debug)]
     struct Entry {
-        link: Link,
+        from: u32,
+        // The first receiver, as an offset past `from`.
+        offset: u32,
+        copies: u32,
         correct: bool,
         round: u64,
         cost: MessageCost,
@@ -791,10 +989,31 @@ mod tests {
     }
 
     impl Entry {
+        /// The entry's remote copies, over distinct links.
+        fn links(&self) -> impl Iterator<Item = Link> + '_ {
+            (0..self.copies).map(|j| link(self.from, (self.from + 1 + (self.offset + j) % 11) % 12))
+        }
+
+        /// Bills the entry once for all its copies, as the round body does.
         fn apply(&self, m: &mut Metrics) {
-            m.bill(self.link, self.correct, self.round, &self.cost, self.fate);
-            if self.fate == LinkFate::Deliver {
-                m.admit(self.link);
+            m.bill(ProcessId(self.from), self.correct, self.round, &self.cost, self.copies.into());
+            self.carry(m);
+        }
+
+        /// Bills each copy on its own.
+        fn apply_per_copy(&self, m: &mut Metrics) {
+            for _ in 0..self.copies {
+                m.bill(ProcessId(self.from), self.correct, self.round, &self.cost, 1);
+            }
+            self.carry(m);
+        }
+
+        fn carry(&self, m: &mut Metrics) {
+            for l in self.links() {
+                m.carry(l, &self.cost, self.fate);
+                if self.fate == LinkFate::Deliver {
+                    m.admit(l);
+                }
             }
         }
     }
@@ -807,13 +1026,15 @@ mod tests {
             v
         };
         let from = take(12) as u32;
-        let to = (from + 1 + take(11) as u32) % 12;
+        let offset = take(11) as u32;
         let fate = [LinkFate::Deliver, LinkFate::Drop, LinkFate::Sever, LinkFate::DelayRounds(3)]
             [take(4) as usize];
         let component = ["bb/vetting", "weak-ba/phases", "fallback"][take(3) as usize];
         let words = 1 + take(8);
         Entry {
-            link: link(from, to),
+            from,
+            offset,
+            copies: 1 + take(4) as u32,
             correct: take(2) == 0,
             round: take(40),
             cost: cost(component, take(4).checked_sub(1), words, words / 2),
@@ -821,11 +1042,95 @@ mod tests {
         }
     }
 
+    /// What one generated operation does to one link.
+    #[derive(Clone, Copy)]
+    enum Touch {
+        Carry(MessageCost, LinkFate),
+        Admit,
+    }
+
+    /// Decodes one operation on a table of `n` processes from 64
+    /// generated bits: a broadcast (every other process, starting at a
+    /// random one, so a full row fills out of order), or one carried or
+    /// admitted copy, which leaves its row sparse.
+    fn table_op(mut bits: u64, n: u32) -> Vec<(Link, Touch)> {
+        let mut take = |bound: u32| {
+            let v = (bits % u64::from(bound)) as u32;
+            bits /= u64::from(bound);
+            v
+        };
+        let from = take(n);
+        let kind = take(4);
+        let fate = [LinkFate::Deliver, LinkFate::Drop, LinkFate::Sever, LinkFate::DelayRounds(1)]
+            [take(4) as usize];
+        let bytes = u64::from(take(100));
+        let carry = Touch::Carry(MessageCost { bytes, ..cost("x", None, 1, 0) }, fate);
+        match kind {
+            0 => {
+                let start = take(n);
+                (0..n)
+                    .map(|j| (start + j) % n)
+                    .filter(|&to| to != from)
+                    .map(|to| (link(from, to), carry))
+                    .collect()
+            }
+            1 => vec![(link(from, (from + 1 + take(n - 1)) % n), Touch::Admit)],
+            _ => vec![(link(from, (from + 1 + take(n - 1)) % n), carry)],
+        }
+    }
+
+    fn touch_table(m: &mut Metrics, (l, touch): (Link, Touch)) {
+        match touch {
+            Touch::Carry(c, fate) => m.carry(l, &c, fate),
+            Touch::Admit => m.admit(l),
+        }
+    }
+
+    /// The reference the table must read like: `carry` and `admit` on a
+    /// `BTreeMap`.
+    fn touch_model(model: &mut BTreeMap<Link, LinkStats>, (l, touch): (Link, Touch)) {
+        let stats = model.entry(l).or_default();
+        match touch {
+            Touch::Carry(c, fate) => {
+                stats.sent += 1;
+                stats.bytes += c.bytes;
+                match fate {
+                    LinkFate::Deliver => {}
+                    LinkFate::Drop | LinkFate::Sever => stats.dropped += 1,
+                    LinkFate::DelayRounds(_) => stats.delayed += 1,
+                }
+            }
+            Touch::Admit => stats.delivered += 1,
+        }
+    }
+
+    /// Asserts that `table` reads exactly like `model`: `{:?}`, JSON (and
+    /// back), `len`, iteration, and `get` on every link of 13 processes.
+    fn assert_reads_like(table: &LinkTable, model: &BTreeMap<Link, LinkStats>) {
+        assert_eq!(format!("{table:?}"), format!("{model:?}"));
+        let json = serde_json::to_string(table).unwrap();
+        assert_eq!(json, serde_json::to_string(model).unwrap());
+        assert_eq!(&serde_json::from_str::<LinkTable>(&json).unwrap(), table);
+        assert_eq!((table.len(), table.is_empty()), (model.len(), model.is_empty()));
+        assert!(table.iter().eq(model.iter()), "iteration order");
+        assert!(table.keys().eq(model.keys()) && table.values().eq(model.values()));
+        for from in 0..13 {
+            for to in 0..13 {
+                assert_eq!(
+                    table.get(&link(from, to)),
+                    model.get(&link(from, to)),
+                    "p{from}->p{to}"
+                );
+            }
+        }
+    }
+
     proptest! {
         // The paced backends bill into one shard per process thread and
         // fold the shards at the end; the DES bills into one ledger. Both
         // must read the same, however the stream was split and in
-        // whichever order the shards are folded.
+        // whichever order the shards are folded. And billing an entry
+        // once for its `k` copies must read the same as billing each copy.
         #[test]
         fn shards_merged_in_any_order_equal_one_ledger(
             stream in proptest::collection::vec(any::<u64>(), 0..120),
@@ -834,10 +1139,12 @@ mod tests {
             keys in proptest::collection::vec(any::<u64>(), 1..6),
         ) {
             let mut whole = Metrics::default();
+            let mut per_copy = Metrics::default();
             let mut shards = vec![Metrics::default(); keys.len()];
             for bits in stream {
                 let e = entry(bits);
                 e.apply(&mut whole);
+                e.apply_per_copy(&mut per_copy);
                 e.apply(&mut shards[(bits >> 48) as usize % keys.len()]);
             }
             let mut order: Vec<usize> = (0..keys.len()).collect();
@@ -846,10 +1153,39 @@ mod tests {
             for i in order {
                 folded.merge(&shards[i]);
             }
-            prop_assert_eq!(
-                serde_json::to_string(&folded).unwrap(),
-                serde_json::to_string(&whole).unwrap()
-            );
+            let json = serde_json::to_string(&whole).unwrap();
+            prop_assert_eq!(&serde_json::to_string(&folded).unwrap(), &json);
+            prop_assert_eq!(&serde_json::to_string(&per_copy).unwrap(), &json);
+        }
+
+        // The link table against a `BTreeMap<Link, LinkStats>` model, at
+        // n ≤ 12: rows first touched in any order, full and sparse rows,
+        // and shards folded in any order.
+        #[test]
+        fn link_table_reads_like_a_btree_map(
+            n in 2u32..13,
+            stream in proptest::collection::vec(any::<u64>(), 0..160),
+            keys in proptest::collection::vec(any::<u64>(), 1..5),
+        ) {
+            let mut model = BTreeMap::new();
+            let mut whole = Metrics::default();
+            let mut shards = vec![Metrics::default(); keys.len()];
+            for bits in stream {
+                let shard = (bits >> 56) as usize % keys.len();
+                for op in table_op(bits, n) {
+                    touch_model(&mut model, op);
+                    touch_table(&mut whole, op);
+                    touch_table(&mut shards[shard], op);
+                }
+            }
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let mut folded = Metrics::default();
+            for i in order {
+                folded.merge(&shards[i]);
+            }
+            assert_reads_like(&whole.per_link, &model);
+            assert_reads_like(&folded.per_link, &model);
         }
     }
 }
@@ -869,8 +1205,10 @@ mod serde_tests {
         // `p2->…` as a string and after it as a link.
         let from_p10 = Link { from: ProcessId(10), to: ProcessId(2) };
         let mut m = Metrics::default();
-        m.bill(to_p1, true, 0, &bb, LinkFate::Drop);
-        m.bill(from_p10, false, 2, &fallback, LinkFate::Deliver);
+        m.bill(to_p1.from, true, 0, &bb, 1);
+        m.carry(to_p1, &bb, LinkFate::Drop);
+        m.bill(from_p10.from, false, 2, &fallback, 1);
+        m.carry(from_p10, &fallback, LinkFate::Deliver);
         m.admit(from_p10);
         m.rounds = 3;
         m.round_latency.record_us(250);

@@ -1,13 +1,14 @@
 //! Zero-allocation regression for the billing path.
 //!
-//! Every remote copy of every message on every backend goes through
-//! [`MessageCost::of`], [`targets`], [`Metrics::bill`] and — where the
-//! recipient drains it — [`Metrics::admit`]. Once a ledger has seen a
-//! component, link, round and session, billing them again must not touch
-//! the heap: `per_link` is keyed by the `Copy` [`Link`], and
-//! `by_component` is looked up by `&str`. (Keyed by freshly formatted
-//! `String`s, as both used to be, the loop below allocates three times
-//! per copy.)
+//! Every outbox entry on every backend is read once by
+//! [`MessageCost::of`] and billed once by [`Metrics::bill`]; each of its
+//! remote copies ([`targets`]) is put on its link by [`Metrics::carry`]
+//! and — where the recipient drains it — counted by [`Metrics::admit`].
+//! Once a ledger has seen a component, link, round and session, billing
+//! them again must not touch the heap: `per_link` is a `LinkTable` whose
+//! rows hold every link already seen, and `by_component` is looked up by
+//! `&str`. (Keyed by freshly formatted `String`s, as both used to be, the
+//! loop below allocates three times per copy.)
 //!
 //! The counter bills only the thread that opened the section, so
 //! libtest's own threads and any parallel test cannot pollute it.
@@ -36,17 +37,18 @@ impl Message for Vote {
     }
 }
 
-/// One broadcast by `me` in `round`, billed and admitted copy by copy;
-/// returns the number of remote copies.
+/// One broadcast by `me` in `round`: carried and admitted copy by copy,
+/// then billed once; returns the number of remote copies.
 fn broadcast(metrics: &mut Metrics, me: ProcessId, n: usize, round: u64) -> u64 {
     let cost = MessageCost::of(&Vote);
     let mut copies = 0;
     for to in targets(Dest::All, n).filter(|to| *to != me) {
         let link = Link { from: me, to };
-        metrics.bill(link, true, round, &cost, LinkFate::Deliver);
+        metrics.carry(link, &cost, LinkFate::Deliver);
         metrics.admit(link);
         copies += 1;
     }
+    metrics.bill(me, true, round, &cost, copies);
     copies
 }
 

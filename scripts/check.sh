@@ -6,55 +6,8 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
-echo "== retired names (one fault vocabulary: meba_sim::faults::{LinkFate, LinkPolicy}; one StrongBa; one testkit path: cluster / sim / des / oracle::decided; one ledger: Metrics is plain data billed through Metrics::bill; one round body, EngineProcess::step: no sim-only Trace, rushing is not optional, meba-sim holds no body; one oracle: meba_testkit::oracle; one slot lifecycle: ReplicatedLog, no Mux layer) =="
-! git grep -nE 'SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|SimBuilder::trace|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions' -- crates src tests examples README.md docs || exit 1
-
-echo "== one oracle (meba_testkit::oracle's journal fold is the only reader of Record::Proposed in the testkit; word-bound constants live only in the Probe::word_bound impls) =="
-test "$(git grep -n 'Record::Proposed {' -- crates/testkit/src | wc -l)" -eq 1
-! git grep -nE 'words <= [0-9]+ \*' -- 'tests/*' 'crates/testkit/tests/*' 'crates/bench/src/*' || exit 1
-
-echo "== one certificate site (ThresholdSignature is built in pki.rs only; ShareCollector::new is the only non-test combiner() call outside it) =="
-! git grep -nE 'ThresholdSignature \{ *(threshold|\.\.)' -- crates src tests examples ':!crates/crypto/src/pki.rs' || exit 1
-test "$(git grep -n 'certificate threshold is within 1..=n' -- 'crates/*/src/*' | wc -l)" -eq 1
-
-echo "== one digest per share (individual tags MAC a message digest, never the message; the fallback's shares go through ShareCollector) =="
-! git grep -n 'mac.update(msg)' -- crates/crypto/src/pki.rs || exit 1
-! git grep -n 'pki.verify(' -- crates/fallback/src || exit 1
-
-echo "== one billing site (MessageCost::of carries the only 1-word floor; every backend bills through it) =="
-test "$(git grep -n 'words().max(1)' -- 'crates/*/src/*' | wc -l)" -eq 1
-
-echo "== one round body (every backend steps a process only through EngineProcess::step — drive_mesh's lone TCP process included — which bills every copy, tallies the advance cause, and whose finish collects the refusals) =="
-test "$(git grep -n 'metrics.bill(' -- 'crates/*/src/*' | wc -l)" -eq 1
-test "$(git grep -n 'cause.record(' -- 'crates/*/src/*' ':!crates/engine/src/driver.rs' | cut -d: -f1 | tr '\n' ' ')" = "crates/engine/src/process.rs "
-test -z "$(awk '/#\[cfg\(test\)\]/{exit} /cause.record\(/' crates/engine/src/driver.rs)"
-test "$(git grep -n 'refused_equivocations()' -- crates/engine/src crates/wire/src | cut -d: -f1 | tr '\n' ' ')" = "crates/engine/src/process.rs "
-
-echo "== one payload per outbox entry (EngineProcess::dispatch wraps each entry in one Arc; the in-memory transports clone the handle, never the message; the round body moves the handle into the inbox, and every SubProtocol::on_step is lent its inbox) =="
-test "$(awk '/^    fn dispatch/,/^    }/' crates/engine/src/process.rs | grep -c 'Arc::new(')" -eq 1
-! git grep -n 'msg\.clone()' -- crates/engine/src/des.rs crates/engine/src/channel.rs || exit 1
-! git grep -n 'unwrap_or_clone' -- crates/engine/src crates/core/src || exit 1
-! git grep -n -A3 'fn on_step' -- crates src tests examples | grep -E 'inbox: &\[\(ProcessId, [^&]' || exit 1
-
-echo "== one virtual clock (the lockstep Simulation is the discrete-event loop; no wave loop, no lane transport, no outbox-tampering wrappers) =="
-! git grep -nE 'LaneTransport|struct Lanes|TransformActor|send_only_to' -- crates src tests examples || exit 1
-
-echo "== one fault plan (CrashAt and Lossy are engine fates and link-policy layers read from the fault vector by meba_testkit::with_faults; no fault wrappers; one per-sender policy factory on every backend) =="
-! git grep -nE 'LossyLinkActor|CrashActor|AmnesiacActor|SharedPolicy|sim_builder' -- crates src tests examples README.md DESIGN.md docs || exit 1
-
-echo "== one cluster builder (meba-bench's runners build every cluster through meba-testkit; its golden test pins SimBuilder's own three settings: corrupt, process_fate, link_policy) =="
-! git grep -n 'SimBuilder::new' -- crates/bench/src || exit 1
-! git grep -n 'trusted_setup(' -- crates/bench/src || exit 1
-
-echo "== one slot path (retired names; a slot's decision is stored once in meba-smr and becomes state through ServiceReplica::apply only) =="
-! git grep -nE 'accept_unsolicited|Gradecast|GcSend|GcValSig|slot_cfg\b|apply_transferred|replay_op' -- crates src tests examples README.md DESIGN.md docs || exit 1
-test "$(git grep -n 'self\.kv\.insert(' -- crates/service/src | wc -l)" -eq 1
-test "$(git grep -n '&Record::Committed' -- crates/service/src | wc -l)" -eq 1
-test "$(git grep -n '&Record::Transferred' -- crates/service/src | wc -l)" -eq 1
-test "$(git grep -n 'push_event(ServiceReply::Committed' -- crates/service/src | wc -l)" -eq 2 # admit's idempotent re-ack + apply
-test "$(git grep -n '1_000_003' -- crates tests examples | wc -l)" -eq 1
-! git grep -nE 'applied: BTreeSet|entries: BTreeMap|\.values\(\)\.cloned\(\)\.collect\(\)' -- crates/service/src/replica.rs crates/smr/src/log.rs || exit 1
-! git grep -n 'stride()' -- crates/service/src || exit 1 # the service asks the log's schedule, never re-derives it
+echo "== architecture invariants (tests/architecture.rs: retired names, one oracle, one certificate site, one digest per share, one billing site, one round body, one ledger site, one payload per outbox entry, one virtual clock, one fault plan, one cluster builder, one slot path) =="
+cargo test --locked --test architecture
 
 echo "== doc paths (every crates/ tests/ examples/ scripts/ path and BENCH_*.json the docs name exists) =="
 ./scripts/doc_paths.sh

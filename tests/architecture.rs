@@ -1,0 +1,548 @@
+//! Architecture invariants: each test pins one seam of the design — one
+//! ledger, one round body, one oracle, one certificate site, … — by
+//! searching the sources the way `git grep` would, and a failure names
+//! every offending `path:line`.
+//!
+//! A pathspec is a file, a directory (everything under it), a glob whose
+//! `*` also matches `/`, or a `:!` exclusion. Build output (`target`) and
+//! hidden directories are never searched, and neither is this file: it
+//! spells every pattern out. Patterns are POSIX extended regular
+//! expressions, matched one line at a time by the small matcher at the
+//! end of this file (std only): literals, `\` escapes, `.`, `[…]` and
+//! `[^…]` classes, `*` `+` `?`, `(…|…)` groups, `|` and `\b`.
+
+use std::fs;
+use std::path::Path;
+
+/// The top-level entries a pathspec can reach.
+const SEARCHED: &[&str] = &["crates", "src", "tests", "examples", "docs", "README.md", "DESIGN.md"];
+
+/// The crates' library and binary sources.
+const CRATE_SOURCES: &[&str] = &["crates/*/src/*"];
+
+/// One matching source line.
+#[derive(Clone)]
+struct Hit {
+    path: String,
+    line: usize,
+    text: String,
+}
+
+/// Renders hits one `path:line: text` per line.
+fn report(hits: &[Hit]) -> String {
+    hits.iter().map(|h| format!("\n  {}:{}: {}", h.path, h.line, h.text.trim())).collect()
+}
+
+/// Every searched file, as a `/`-separated path from the repository root.
+fn all_files() -> Vec<String> {
+    fn walk(root: &Path, rel: &str, out: &mut Vec<String>) {
+        let path = root.join(rel);
+        if path.is_file() {
+            if rel != "tests/architecture.rs" {
+                out.push(rel.to_string());
+            }
+            return;
+        }
+        let Ok(entries) = fs::read_dir(&path) else { return };
+        let mut names: Vec<String> =
+            entries.filter_map(|e| e.ok()?.file_name().into_string().ok()).collect();
+        names.sort();
+        for name in names.iter().filter(|n| !n.starts_with('.') && *n != "target") {
+            walk(root, &format!("{rel}/{name}"), out);
+        }
+    }
+    let mut out = Vec::new();
+    for top in SEARCHED {
+        walk(Path::new(env!("CARGO_MANIFEST_DIR")), top, &mut out);
+    }
+    out
+}
+
+/// Whether `path` is named by `spec`: the path itself, a directory above
+/// it, or a glob matching it.
+fn named_by(spec: &str, path: &str) -> bool {
+    fn glob(pat: &[u8], s: &[u8]) -> bool {
+        match pat.split_first() {
+            None => s.is_empty(),
+            Some((b'*', rest)) => (0..=s.len()).any(|i| glob(rest, &s[i..])),
+            Some((c, rest)) => s.first() == Some(c) && glob(rest, &s[1..]),
+        }
+    }
+    path == spec
+        || path.strip_prefix(spec).is_some_and(|rest| rest.starts_with('/'))
+        || glob(spec.as_bytes(), path.as_bytes())
+}
+
+/// The files `specs` name, in path order.
+fn files(specs: &[&str]) -> Vec<String> {
+    let (exclude, include): (Vec<&str>, Vec<&str>) =
+        specs.iter().partition(|s| s.starts_with(":!"));
+    all_files()
+        .into_iter()
+        .filter(|p| include.iter().any(|s| named_by(s, p)))
+        .filter(|p| !exclude.iter().any(|s| named_by(&s[2..], p)))
+        .collect()
+}
+
+/// The lines of a file (1-based numbers).
+fn lines(path: &str) -> Vec<Hit> {
+    let bytes = fs::read(Path::new(env!("CARGO_MANIFEST_DIR")).join(path)).unwrap();
+    String::from_utf8_lossy(&bytes)
+        .lines()
+        .enumerate()
+        .map(|(i, text)| Hit { path: path.to_string(), line: i + 1, text: text.to_string() })
+        .collect()
+}
+
+/// The lines of `within` that match `pattern`.
+fn matching(within: &[Hit], pattern: &str) -> Vec<Hit> {
+    let re = Regex::new(pattern);
+    within.iter().filter(|h| re.is_match(&h.text)).cloned().collect()
+}
+
+/// Every line matching `pattern` in the files `specs` name: `git grep -nE`.
+fn grep(pattern: &str, specs: &[&str]) -> Vec<Hit> {
+    matching(&files(specs).iter().flat_map(|p| lines(p)).collect::<Vec<_>>(), pattern)
+}
+
+/// A file's lines above its first `#[cfg(test)]`: the non-test code.
+fn non_test(path: &str) -> Vec<Hit> {
+    let test_mod = Regex::new(r"#\[cfg\(test\)\]");
+    lines(path).into_iter().take_while(|h| !test_mod.is_match(&h.text)).collect()
+}
+
+/// The block that opens on the first line matching `start` in `within`
+/// and closes at the first later line that is its indentation plus `}`.
+fn block(within: &[Hit], start: &str) -> Vec<Hit> {
+    let re = Regex::new(start);
+    let at = within.iter().position(|h| re.is_match(&h.text)).expect("block start");
+    let indent = &within[at].text[..within[at].text.len() - within[at].text.trim_start().len()];
+    let close = format!("{indent}}}");
+    let len = within[at..].iter().position(|h| h.text.starts_with(&close)).expect("block end");
+    within[at..=at + len].to_vec()
+}
+
+/// `pattern` matches nowhere in `specs`.
+fn assert_none(pattern: &str, specs: &[&str]) {
+    let hits = grep(pattern, specs);
+    assert!(hits.is_empty(), "`{pattern}` must not appear in {specs:?}:{}", report(&hits));
+}
+
+/// `pattern` matches exactly `n` lines in `specs`.
+fn assert_count(pattern: &str, specs: &[&str], n: usize) {
+    let hits = grep(pattern, specs);
+    assert_eq!(hits.len(), n, "`{pattern}` must match {n} line(s) in {specs:?}:{}", report(&hits));
+}
+
+/// `pattern` matches exactly one line in `specs`, and it is in `file`.
+fn assert_one_line_in(pattern: &str, specs: &[&str], file: &str) {
+    let hits = grep(pattern, specs);
+    assert!(
+        hits.len() == 1 && hits[0].path == file,
+        "`{pattern}` must match one line in {specs:?}, in {file}:{}",
+        report(&hits)
+    );
+}
+
+/// One fault vocabulary (`meba_sim::faults::{LinkFate, LinkPolicy}`), one
+/// `StrongBa`, one testkit path (`cluster` / `sim` / `des` /
+/// `oracle::decided`), one ledger (`Metrics` is plain data), one round body
+/// (no sim-only trace; rushing is not optional; `meba-sim` holds no body),
+/// one oracle, one slot lifecycle (`ReplicatedLog`, no mux layer): the
+/// retired names stay retired.
+#[test]
+fn retired_names_stay_retired() {
+    assert_none(
+        r"SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|SimBuilder::trace|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions",
+        &["crates", "src", "tests", "examples", "README.md", "docs"],
+    );
+}
+
+/// One oracle: `meba_testkit::oracle`'s journal fold is the only reader of
+/// `Record::Proposed` in the testkit, and word-bound constants live only
+/// in the `Probe::word_bound` impls.
+#[test]
+fn one_oracle() {
+    assert_count(r"Record::Proposed \{", &["crates/testkit/src"], 1);
+    assert_none(
+        r"words <= [0-9]+ \*",
+        &["tests/*", "crates/testkit/tests/*", "crates/bench/src/*"],
+    );
+}
+
+/// One certificate site: `ThresholdSignature` is built in `pki.rs` only,
+/// and `ShareCollector::new` is the only non-test `combiner()` call
+/// outside it.
+#[test]
+fn one_certificate_site() {
+    assert_none(
+        r"ThresholdSignature \{ *(threshold|\.\.)",
+        &["crates", "src", "tests", "examples", ":!crates/crypto/src/pki.rs"],
+    );
+    assert_count(r"certificate threshold is within 1..=n", CRATE_SOURCES, 1);
+}
+
+/// One digest per share: individual tags MAC a message digest, never the
+/// message, and the fallback's shares go through `ShareCollector`.
+#[test]
+fn one_digest_per_share() {
+    assert_none(r"mac.update\(msg\)", &["crates/crypto/src/pki.rs"]);
+    assert_none(r"pki.verify\(", &["crates/fallback/src"]);
+}
+
+/// One billing site: `MessageCost::of` carries the only 1-word floor, and
+/// every backend bills through it.
+#[test]
+fn one_billing_site() {
+    assert_count(r"words\(\).max\(1\)", CRATE_SOURCES, 1);
+}
+
+/// One round body: every backend steps a process only through
+/// `EngineProcess::step` — `drive_mesh`'s lone TCP process included —
+/// which bills every outbox entry and tallies the advance cause, and
+/// whose `finish` collects the refusals.
+#[test]
+fn one_round_body() {
+    const PROCESS: &str = "crates/engine/src/process.rs";
+    assert_count(r"metrics.bill\(", CRATE_SOURCES, 1);
+    assert_one_line_in(
+        r"cause.record\(",
+        &["crates/*/src/*", ":!crates/engine/src/driver.rs"],
+        PROCESS,
+    );
+    let in_driver = matching(&non_test("crates/engine/src/driver.rs"), r"cause.record\(");
+    assert!(
+        in_driver.is_empty(),
+        "the driver's non-test code records no cause:{}",
+        report(&in_driver)
+    );
+    assert_one_line_in(
+        r"refused_equivocations\(\)",
+        &["crates/engine/src", "crates/wire/src"],
+        PROCESS,
+    );
+}
+
+/// One ledger site: the round body is the only non-test code that moves
+/// the ledger per message. `bill`, `carry` and `admit` are each called
+/// once, in `process.rs`; inside `dispatch`'s copy loop the ledger is
+/// reached only through `carry`, and `bill` charges the entry after the
+/// loop, once for all its copies.
+#[test]
+fn one_ledger_site() {
+    const PROCESS: &str = "crates/engine/src/process.rs";
+    let sources: Vec<Hit> = files(CRATE_SOURCES).iter().flat_map(|p| non_test(p)).collect();
+    for call in [r"metrics\.bill\(", r"metrics\.carry\(", r"metrics\.admit\("] {
+        let hits = matching(&sources, call);
+        assert!(
+            hits.len() == 1 && hits[0].path == PROCESS,
+            "`{call}` must be called once in non-test crate code, in {PROCESS}:{}",
+            report(&hits)
+        );
+    }
+    let dispatch = block(&non_test(PROCESS), r"^    fn dispatch");
+    let copy_loop = block(&dispatch, r"for to in targets\(");
+    let touches = matching(&copy_loop, r"metrics\.");
+    assert!(
+        touches.len() == 1 && touches[0].text.contains("metrics.carry("),
+        "the copy loop must touch the ledger once, through `carry`:{}",
+        report(&touches)
+    );
+    let loop_end = copy_loop.last().unwrap().line;
+    let billed = matching(&dispatch, r"metrics\.bill\(");
+    assert!(
+        billed.len() == 1 && billed[0].line > loop_end,
+        "`dispatch` must bill once, after its copy loop (which ends at {PROCESS}:{loop_end}):{}",
+        report(&billed)
+    );
+}
+
+/// One payload per outbox entry: `EngineProcess::dispatch` wraps each
+/// entry in one `Arc`; the in-memory transports clone the handle, never
+/// the message; the round body moves the handle into the inbox, and every
+/// `SubProtocol::on_step` is lent its inbox.
+#[test]
+fn one_payload_per_outbox_entry() {
+    let dispatch = block(&lines("crates/engine/src/process.rs"), r"^    fn dispatch");
+    let wraps = matching(&dispatch, r"Arc::new\(");
+    assert_eq!(wraps.len(), 1, "`dispatch` wraps each entry in one Arc:{}", report(&wraps));
+    assert_none(r"msg\.clone\(\)", &["crates/engine/src/des.rs", "crates/engine/src/channel.rs"]);
+    assert_none(r"unwrap_or_clone", &["crates/engine/src", "crates/core/src"]);
+    let on_step = Regex::new(r"fn on_step");
+    let owned = Regex::new(r"inbox: &\[\(ProcessId, [^&]");
+    let mut hits = Vec::new();
+    for path in files(&["crates", "src", "tests", "examples"]) {
+        let file = lines(&path);
+        // `git grep -A3`: the signature line and the three after it.
+        for (i, _) in file.iter().enumerate().filter(|(_, h)| on_step.is_match(&h.text)) {
+            let context = &file[i..file.len().min(i + 4)];
+            hits.extend(context.iter().filter(|h| owned.is_match(&h.text)).cloned());
+        }
+    }
+    assert!(hits.is_empty(), "every `on_step` is lent its inbox:{}", report(&hits));
+}
+
+/// One virtual clock: the lockstep `Simulation` is the discrete-event
+/// loop — no wave loop, no lane transport, no outbox-tampering wrappers.
+#[test]
+fn one_virtual_clock() {
+    assert_none(
+        r"LaneTransport|struct Lanes|TransformActor|send_only_to",
+        &["crates", "src", "tests", "examples"],
+    );
+}
+
+/// One fault plan: `CrashAt` and `Lossy` are engine fates and link-policy
+/// layers read from the fault vector by `meba_testkit::with_faults`; no
+/// fault wrappers; one per-sender policy factory on every backend.
+#[test]
+fn one_fault_plan() {
+    assert_none(
+        r"LossyLinkActor|CrashActor|AmnesiacActor|SharedPolicy|sim_builder",
+        &["crates", "src", "tests", "examples", "README.md", "DESIGN.md", "docs"],
+    );
+}
+
+/// One cluster builder: `meba-bench`'s runners build every cluster
+/// through `meba-testkit`; its golden test pins `SimBuilder`'s own three
+/// settings (`corrupt`, `process_fate`, `link_policy`).
+#[test]
+fn one_cluster_builder() {
+    assert_none(r"SimBuilder::new", &["crates/bench/src"]);
+    assert_none(r"trusted_setup\(", &["crates/bench/src"]);
+}
+
+/// One slot path: retired names stay retired; a slot's decision is stored
+/// once in `meba-smr` and becomes state through `ServiceReplica::apply`
+/// only; the service asks the log's schedule, never re-derives it.
+#[test]
+fn one_slot_path() {
+    assert_none(
+        r"accept_unsolicited|Gradecast|GcSend|GcValSig|slot_cfg\b|apply_transferred|replay_op",
+        &["crates", "src", "tests", "examples", "README.md", "DESIGN.md", "docs"],
+    );
+    const SERVICE: &[&str] = &["crates/service/src"];
+    assert_count(r"self\.kv\.insert\(", SERVICE, 1);
+    assert_count(r"&Record::Committed", SERVICE, 1);
+    assert_count(r"&Record::Transferred", SERVICE, 1);
+    // `admit`'s idempotent re-ack, and `apply`.
+    assert_count(r"push_event\(ServiceReply::Committed", SERVICE, 2);
+    assert_count(r"1_000_003", &["crates", "tests", "examples"], 1);
+    assert_none(
+        r"applied: BTreeSet|entries: BTreeMap|\.values\(\)\.cloned\(\)\.collect\(\)",
+        &["crates/service/src/replica.rs", "crates/smr/src/log.rs"],
+    );
+    assert_none(r"stride\(\)", SERVICE);
+}
+
+/// The matcher reads the extended-regex subset the invariants use.
+#[test]
+fn the_matcher_reads_extended_regexes() {
+    let cases = [
+        (r"\b(bb|weak_ba)_(sim|des)\b", "let x = weak_ba_des(1);", true),
+        (r"\b(bb|weak_ba)_(sim|des)\b", "let x = weak_ba_des_timed(1);", false),
+        (r"\b(bb|weak_ba)_(sim|des)\b", "let x = abb_sim;", false),
+        (r"\bMux\b", "struct Mux;", true),
+        (r"\bMux\b", "MuxHost", false),
+        (r"words <= [0-9]+ \*", "assert!(words <= 25 * n)", true),
+        (r"words <= [0-9]+ \*", "assert!(words <= n * 25)", false),
+        (r"ThresholdSignature \{ *(threshold|\.\.)", "ThresholdSignature {  ..x }", true),
+        (r"ThresholdSignature \{ *(threshold|\.\.)", "ThresholdSignature { signers }", false),
+        (r"inbox: &\[\(ProcessId, [^&]", "inbox: &[(ProcessId, Msg)],", true),
+        (r"inbox: &\[\(ProcessId, [^&]", "inbox: &[(ProcessId, &Msg)],", false),
+        (r"mac.update\(msg\)", "mac.update(msg);", true),
+        (r"slot_cfg\b", "slot_cfgs", false),
+        (r"^    fn dispatch", "    fn dispatch(", true),
+        (r"^    fn dispatch", "        fn dispatch(", false),
+        (r"a?b+c*$", "xbbb", true),
+    ];
+    for (pattern, line, expected) in cases {
+        assert_eq!(Regex::new(pattern).is_match(line), expected, "`{pattern}` on {line:?}");
+    }
+}
+
+/// A parsed extended regular expression: alternatives of sequences.
+struct Regex {
+    alts: Vec<Seq>,
+    anchored: bool,
+    /// The characters every match starts with, where the pattern says:
+    /// only those positions are tried.
+    first: Option<Vec<char>>,
+}
+
+type Seq = Vec<(Node, Rep)>;
+
+enum Node {
+    Char(char),
+    Any,
+    /// Inclusive ranges; `true` when negated.
+    Class(Vec<(char, char)>, bool),
+    Group(Vec<Seq>),
+    WordBoundary,
+    End,
+}
+
+#[derive(Clone, Copy)]
+enum Rep {
+    One,
+    Opt,
+    Star,
+    Plus,
+}
+
+impl Regex {
+    fn new(pattern: &str) -> Regex {
+        let (anchored, body) = match pattern.strip_prefix('^') {
+            Some(rest) => (true, rest),
+            None => (false, pattern),
+        };
+        let mut p = Parser { s: body.chars().collect(), i: 0 };
+        let alts = p.alternatives();
+        assert_eq!(p.i, p.s.len(), "unbalanced `)` in `{pattern}`");
+        let first = first_chars(&alts);
+        Regex { alts, anchored, first }
+    }
+
+    /// Whether the pattern matches anywhere in `line`.
+    fn is_match(&self, line: &str) -> bool {
+        let t: Vec<char> = line.chars().collect();
+        let starts = if self.anchored { 0..=0 } else { 0..=t.len() };
+        starts
+            .filter(|&i| {
+                self.first.as_ref().is_none_or(|f| t.get(i).is_some_and(|c| f.contains(c)))
+            })
+            .any(|i| self.alts.iter().any(|seq| seq_at(seq, &t, i, &mut |_| true)))
+    }
+}
+
+/// The characters a match of any of `alts` can start with, if each
+/// alternative begins (after any `\b`) with a literal or a group of them.
+fn first_chars(alts: &[Seq]) -> Option<Vec<char>> {
+    let first = |seq: &Seq| {
+        let (node, rep) = seq.iter().find(|(node, _)| !matches!(node, Node::WordBoundary))?;
+        match (node, rep) {
+            (Node::Char(c), Rep::One | Rep::Plus) => Some(vec![*c]),
+            (Node::Group(alts), Rep::One | Rep::Plus) => first_chars(alts),
+            _ => None,
+        }
+    };
+    alts.iter().map(first).collect::<Option<Vec<_>>>().map(|v| v.concat())
+}
+
+struct Parser {
+    s: Vec<char>,
+    i: usize,
+}
+
+impl Parser {
+    fn alternatives(&mut self) -> Vec<Seq> {
+        let mut alts = vec![self.sequence()];
+        while self.s.get(self.i) == Some(&'|') {
+            self.i += 1;
+            alts.push(self.sequence());
+        }
+        alts
+    }
+
+    fn sequence(&mut self) -> Seq {
+        let mut seq = Vec::new();
+        while let Some(&c) = self.s.get(self.i) {
+            if c == '|' || c == ')' {
+                break;
+            }
+            self.i += 1;
+            let node = match c {
+                '.' => Node::Any,
+                '$' => Node::End,
+                '(' => {
+                    let group = self.alternatives();
+                    assert_eq!(self.s.get(self.i), Some(&')'), "unclosed `(`");
+                    self.i += 1;
+                    Node::Group(group)
+                }
+                '[' => self.class(),
+                '\\' => {
+                    self.i += 1;
+                    match self.s[self.i - 1] {
+                        'b' => Node::WordBoundary,
+                        escaped => Node::Char(escaped),
+                    }
+                }
+                c => Node::Char(c),
+            };
+            let rep = match self.s.get(self.i) {
+                Some('?') => Rep::Opt,
+                Some('*') => Rep::Star,
+                Some('+') => Rep::Plus,
+                _ => Rep::One,
+            };
+            if !matches!(rep, Rep::One) {
+                self.i += 1;
+            }
+            seq.push((node, rep));
+        }
+        seq
+    }
+
+    fn class(&mut self) -> Node {
+        let negated = self.s.get(self.i) == Some(&'^');
+        if negated {
+            self.i += 1;
+        }
+        let mut ranges = Vec::new();
+        while let Some(&c) = self.s.get(self.i) {
+            self.i += 1;
+            if c == ']' {
+                return Node::Class(ranges, negated);
+            }
+            if self.s.get(self.i) == Some(&'-') && self.s.get(self.i + 1).is_some_and(|&e| e != ']')
+            {
+                ranges.push((c, self.s[self.i + 1]));
+                self.i += 2;
+            } else {
+                ranges.push((c, c));
+            }
+        }
+        panic!("unclosed `[`");
+    }
+}
+
+/// Matches `seq` at `i`, handing every end position to `k` until it
+/// accepts one (backtracking).
+fn seq_at(seq: &[(Node, Rep)], t: &[char], i: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
+    let Some(((node, rep), rest)) = seq.split_first() else { return k(i) };
+    match rep {
+        Rep::One => node_at(node, t, i, &mut |j| seq_at(rest, t, j, k)),
+        Rep::Opt => node_at(node, t, i, &mut |j| seq_at(rest, t, j, k)) || seq_at(rest, t, i, k),
+        Rep::Star => repeat_at(node, rest, t, i, 0, k),
+        Rep::Plus => repeat_at(node, rest, t, i, 1, k),
+    }
+}
+
+/// Greedy repetition of `node`, at least `min` times, then `rest`.
+fn repeat_at(
+    node: &Node,
+    rest: &[(Node, Rep)],
+    t: &[char],
+    i: usize,
+    min: usize,
+    k: &mut dyn FnMut(usize) -> bool,
+) -> bool {
+    node_at(node, t, i, &mut |j| j > i && repeat_at(node, rest, t, j, min.saturating_sub(1), k))
+        || (min == 0 && seq_at(rest, t, i, k))
+}
+
+fn node_at(node: &Node, t: &[char], i: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
+    let word = |c: Option<&char>| c.is_some_and(|c| c.is_alphanumeric() || *c == '_');
+    match node {
+        Node::Char(c) => t.get(i) == Some(c) && k(i + 1),
+        Node::Any => i < t.len() && k(i + 1),
+        Node::Class(ranges, negated) => {
+            t.get(i).is_some_and(|&c| ranges.iter().any(|&(a, b)| a <= c && c <= b) != *negated)
+                && k(i + 1)
+        }
+        Node::Group(alts) => alts.iter().any(|seq| seq_at(seq, t, i, k)),
+        Node::WordBoundary => (i > 0 && word(t.get(i - 1))) != word(t.get(i)) && k(i),
+        Node::End => i == t.len() && k(i),
+    }
+}
