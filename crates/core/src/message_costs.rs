@@ -18,6 +18,7 @@ use crate::weak_ba::WeakBaMsg;
 use crate::SystemConfig;
 use meba_crypto::{trusted_setup, Signable};
 use meba_sim::Message;
+use std::sync::Arc;
 
 type WbaM = WeakBaMsg<u64, EchoMsg<u64>>;
 type BbM = BbMsg<u64, EchoMsg<BbBaValue<u64>>>;
@@ -61,7 +62,7 @@ fn weak_ba_message_costs() {
         (WeakBaMsg::Help { value: v, proof: decide.clone() }, 2, cfg.quorum() as u64),
         (WeakBaMsg::FallbackCert { qc: qc.clone(), decision: None }, 1, cfg.quorum() as u64),
         (WeakBaMsg::FallbackCert { qc, decision: Some((v, decide)) }, 3, 2 * cfg.quorum() as u64),
-        (WeakBaMsg::Fallback(SkewEnvelope { vstep: 0, msg: EchoMsg(9u64) }), 1, 0),
+        (WeakBaMsg::Fallback(SkewEnvelope { vstep: 0, msg: Arc::new(EchoMsg(9u64)) }), 1, 0),
     ];
     for (msg, words, sigs) in cases {
         assert_eq!(msg.words(), words, "words of {msg:?}");

@@ -13,14 +13,17 @@
 //! replicated log in `meba-smr` runs each slot's instance on. The
 //! crate-private `FallbackHost` is the hand-off itself — safety-window
 //! adoption, the `2δ` start delay, buffering, execution — shared by weak
-//! BA and both strong BAs. A message is copied only where it outlives
-//! its round: once, into the fallback's buffer.
+//! BA and both strong BAs. A fallback message is never copied: its
+//! [`SkewEnvelope`] holds it behind an [`Arc`], and everything that keeps
+//! it past its round — the host's pending list, the adapter's per-vstep
+//! buffer, the instance's inbox — keeps that handle.
 
 use crate::value::Value;
 use meba_crypto::{DecodeError, Decoder, Encoder, ProcessId, WireCodec};
 use meba_sim::{Actor, Dest, Instance, Round, RoundCtx};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 pub use meba_sim::SubProtocol;
 
@@ -98,13 +101,15 @@ pub(crate) fn next_scheduled(after: u64, schedule: &[(bool, u64)]) -> u64 {
 }
 
 /// A sub-protocol message tagged with its sender's *virtual step*, used by
-/// the [`SkewAdapter`].
+/// the [`SkewAdapter`]. The inner message is a shared handle: cloning an
+/// envelope — once per receiver that buffers it — copies no payload. The
+/// handle is invisible to the codec and to the word count.
 #[derive(Clone, Debug)]
 pub struct SkewEnvelope<M> {
     /// Virtual step at which the message was sent.
     pub vstep: u64,
     /// The inner message.
-    pub msg: M,
+    pub msg: Arc<M>,
 }
 
 impl<M: WireCodec> WireCodec for SkewEnvelope<M> {
@@ -114,7 +119,7 @@ impl<M: WireCodec> WireCodec for SkewEnvelope<M> {
     }
     fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let vstep = dec.get_u64()?;
-        let msg = M::decode_wire(dec)?;
+        let msg = Arc::new(M::decode_wire(dec)?);
         Ok(SkewEnvelope { vstep, msg })
     }
 }
@@ -132,15 +137,18 @@ impl<M: WireCodec> WireCodec for SkewEnvelope<M> {
 ///
 /// The buffer also rejects vsteps beyond the protocol's schedule, so a
 /// Byzantine peer cannot grow it without bound by tagging envelopes with
-/// far-future steps. It owns what it holds — the caller's one copy of a
-/// message that outlives its round — and moves it into the instance at
-/// the step that consumes it.
+/// far-future steps. It holds each message by the envelope's handle and
+/// moves that handle into the instance at the step that consumes it; the
+/// inner protocol's outbox is wrapped in one handle per entry.
 pub struct SkewAdapter<P: SubProtocol> {
     inst: Instance<P>,
     start: u64,
     max_vsteps: u64,
-    buffer: BTreeMap<u64, Vec<(ProcessId, P::Msg)>>,
+    buffer: BTreeMap<u64, Held<P::Msg>>,
 }
+
+/// The messages kept for one virtual step, each by its sender's handle.
+type Held<M> = Vec<(ProcessId, Arc<M>)>;
 
 impl<P: SubProtocol> SkewAdapter<P> {
     /// Wraps `inner` (starting at host round `start`) whose schedule is at
@@ -154,8 +162,9 @@ impl<P: SubProtocol> SkewAdapter<P> {
     pub fn deliver(&mut self, from: ProcessId, env: SkewEnvelope<P::Msg>) {
         // Discard messages from virtual steps already consumed; they are
         // outside the paper's acceptance window (only a Byzantine sender
-        // can produce them, since correct skew is bounded by δ).
-        if env.vstep + 1 < self.inst.next_step() {
+        // can produce them, since correct skew is bounded by δ). The tag
+        // is the sender's, so `u64::MAX` must not overflow the test.
+        if env.vstep.saturating_add(1) < self.inst.next_step() {
             return;
         }
         // Discard messages from beyond the schedule: no correct peer ever
@@ -186,7 +195,7 @@ impl<P: SubProtocol> SkewAdapter<P> {
         let mut inner_out = Vec::new();
         self.inst.step(&mut inner_out);
         for (dest, msg) in inner_out {
-            out.push((dest, SkewEnvelope { vstep, msg }));
+            out.push((dest, SkewEnvelope { vstep, msg: Arc::new(msg) }));
         }
     }
 
@@ -331,7 +340,8 @@ impl<V: Value, Pf: Clone, F: FallbackFactory<V>> FallbackHost<V, Pf, F> {
     /// Routes one inner envelope: to the running instance, into the
     /// buffer while scheduled, and nowhere otherwise — fallback traffic
     /// with no certificate seen is Byzantine noise. The envelope is lent;
-    /// the one clone made here is what waits for its vstep.
+    /// what waits for its vstep is a clone of its handle, not of the
+    /// message.
     pub(crate) fn deliver(&mut self, from: ProcessId, env: &SkewEnvelope<InnerMsg<V, F>>) {
         match &mut self.stage {
             Handoff::Running(adapter) => adapter.deliver(from, env.clone()),
@@ -538,9 +548,9 @@ mod tests {
         let mut ad = SkewAdapter::new(c, 0, COUNTER_VSTEPS);
         // Deliver two step-0 messages and one step-2 message up front
         // (as if from peers one round ahead).
-        ad.deliver(ProcessId(1), SkewEnvelope { vstep: 0, msg: Num(1) });
-        ad.deliver(ProcessId(2), SkewEnvelope { vstep: 0, msg: Num(2) });
-        ad.deliver(ProcessId(1), SkewEnvelope { vstep: 2, msg: Num(3) });
+        ad.deliver(ProcessId(1), SkewEnvelope { vstep: 0, msg: Arc::new(Num(1)) });
+        ad.deliver(ProcessId(2), SkewEnvelope { vstep: 0, msg: Arc::new(Num(2)) });
+        ad.deliver(ProcessId(1), SkewEnvelope { vstep: 2, msg: Arc::new(Num(3)) });
         let mut out = Vec::new();
         for r in 0..8 {
             ad.tick(r, &mut out);
@@ -562,10 +572,10 @@ mod tests {
             ad.tick(r, &mut out);
         }
         // next_vstep is now 3; a vstep-0 message is stale Byzantine noise.
-        ad.deliver(ProcessId(1), SkewEnvelope { vstep: 0, msg: Num(9) });
+        ad.deliver(ProcessId(1), SkewEnvelope { vstep: 0, msg: Arc::new(Num(9)) });
         assert!(ad.buffer.is_empty());
         // vstep-2 is exactly the window edge and still accepted.
-        ad.deliver(ProcessId(1), SkewEnvelope { vstep: 2, msg: Num(9) });
+        ad.deliver(ProcessId(1), SkewEnvelope { vstep: 2, msg: Arc::new(Num(9)) });
         assert_eq!(ad.buffer.len(), 1);
     }
 
@@ -575,12 +585,16 @@ mod tests {
         let mut ad = SkewAdapter::new(c, 0, COUNTER_VSTEPS);
         // A Byzantine peer floods envelopes tagged far past the schedule:
         // none may be buffered.
-        for v in 4..100u64 {
-            ad.deliver(ProcessId(1), SkewEnvelope { vstep: v, msg: Num(v) });
+        for v in (4..100u64).chain([u64::MAX - 1, u64::MAX]) {
+            ad.deliver(ProcessId(1), SkewEnvelope { vstep: v, msg: Arc::new(Num(v)) });
         }
         assert!(ad.buffer.is_empty(), "far-future vsteps must be rejected");
+        // Also once the window has moved: `vstep + 1` must not overflow.
+        ad.tick(0, &mut Vec::new());
+        ad.deliver(ProcessId(1), SkewEnvelope { vstep: u64::MAX, msg: Arc::new(Num(0)) });
+        assert!(ad.buffer.is_empty(), "u64::MAX is past the schedule too");
         // In-schedule envelopes still work end to end.
-        ad.deliver(ProcessId(1), SkewEnvelope { vstep: 2, msg: Num(1) });
+        ad.deliver(ProcessId(1), SkewEnvelope { vstep: 2, msg: Arc::new(Num(1)) });
         let mut out = Vec::new();
         for r in 0..8 {
             ad.tick(r, &mut out);
@@ -635,8 +649,10 @@ mod tests {
             match op {
                 Adopt(value) => host.adopt(*value, "proof"),
                 Schedule(step, first) => assert_eq!(host.schedule(*step), *first, "{name}"),
-                Deliver { vstep, value } => host
-                    .deliver(ProcessId(1), &SkewEnvelope { vstep: *vstep, msg: EchoMsg(*value) }),
+                Deliver { vstep, value } => host.deliver(
+                    ProcessId(1),
+                    &SkewEnvelope { vstep: *vstep, msg: Arc::new(EchoMsg(*value)) },
+                ),
                 Tick(step, decided) => tick(&mut host, *step, *decided),
                 Run(steps) => steps.clone().for_each(|step| tick(&mut host, step, None)),
                 Held(count) => assert_eq!(held(&host), *count, "{name}"),
@@ -867,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn the_fallback_buffer_copies_each_delivery_once() {
+    fn the_fallback_buffer_holds_each_delivery_by_handle() {
         let mut host: FallbackHost<u64, (), TallyFactory> =
             FallbackHost::new(ProcessId(0), TallyFactory, 1);
         let start = CLONES.get();
@@ -882,12 +898,48 @@ mod tests {
         };
         host.schedule(3);
         // Held while scheduled, then handed to the adapter at the start…
-        host.deliver(ProcessId(1), &SkewEnvelope { vstep: 0, msg: Counted(7) });
+        host.deliver(ProcessId(1), &SkewEnvelope { vstep: 0, msg: Arc::new(Counted(7)) });
         assert_eq!(tick(&mut host, 4..7), None);
         // …and buffered by vstep once it runs.
-        host.deliver(ProcessId(1), &SkewEnvelope { vstep: 1, msg: Counted(8) });
+        host.deliver(ProcessId(1), &SkewEnvelope { vstep: 1, msg: Arc::new(Counted(8)) });
         assert_eq!(tick(&mut host, 7..20), Some(2), "both deliveries reached the instance");
-        assert_eq!(CLONES.get() - start, 2, "one copy per delivery, where it outlives its round");
+        assert_eq!(CLONES.get() - start, 0, "what outlives its round is the sender's handle");
+    }
+
+    #[test]
+    fn a_fallback_run_copies_no_fallback_message() {
+        use crate::validity::AlwaysValid;
+        use crate::weak_ba::{WeakBa, WeakBaMsg};
+        use meba_engine::{run_des_cluster, DesConfig};
+        use meba_sim::{AnyActor, IdleActor};
+        type Wba = WeakBa<u64, AlwaysValid, TallyFactory>;
+        // f = t: p4..p6 are silent, so weak BA hands off to the fallback,
+        // whose every message counts its clones.
+        let (n, t) = (7, 3);
+        let cfg = crate::SystemConfig::new(n, 7).unwrap();
+        let (pki, keys) = meba_crypto::trusted_setup(n, 11);
+        let actors: Vec<Box<dyn AnyActor<Msg = WeakBaMsg<u64, Counted>>>> = (keys.into_iter())
+            .enumerate()
+            .map(|(i, key)| {
+                let id = ProcessId(i as u32);
+                if i >= n - t {
+                    return Box::new(IdleActor::new(id)) as _;
+                }
+                let wba = Wba::new(cfg, id, key, pki.clone(), AlwaysValid, TallyFactory, 5);
+                Box::new(LockstepAdapter::new(id, wba)) as _
+            })
+            .collect();
+        let corrupt = (n - t..n).map(|i| ProcessId(i as u32)).collect();
+        let start = CLONES.get();
+        let report = run_des_cluster(actors, None, DesConfig { corrupt, ..Default::default() })
+            .expect("valid config");
+        assert!(report.completed);
+        for a in &report.actors[..n - t] {
+            let wba = a.as_any().downcast_ref::<LockstepAdapter<Wba>>().unwrap().inner();
+            assert!(wba.used_fallback(), "the fallback ran");
+        }
+        assert!(report.metrics.by_component.contains_key("protocol"), "and its messages moved");
+        assert_eq!(CLONES.get() - start, 0, "no fallback message is copied end to end");
     }
 
     #[test]

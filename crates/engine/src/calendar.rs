@@ -1,17 +1,19 @@
 //! Monotone calendar (bucket) queue for the discrete-event backend.
 //!
-//! The DES schedules two kinds of timestamped items — message arrivals
-//! and round deadlines — and consumes them strictly in virtual-time
-//! order. A general-purpose `BinaryHeap` pays `O(log n)` comparisons and
-//! pointer-chasing sift operations per push *and* pop; at n = 4097 a
-//! single broadcast round moves ~n² arrival events through the heap and
-//! the heap becomes the simulator's bottleneck. This queue exploits the
-//! two properties the DES guarantees:
+//! The DES schedules two kinds of timestamped items — round deadlines
+//! and, under the quorum-or-timeout driver, payload-free arrival pokes
+//! (one per copy; the copy itself waits in its receiver's mailbox) — and
+//! consumes them strictly in virtual-time order. A general-purpose
+//! `BinaryHeap` pays `O(log n)` comparisons and pointer-chasing sift
+//! operations per push *and* pop; at n = 4097 a quorum-mode broadcast
+//! round pushes ~n² pokes, and a lockstep run ~n deadlines per round of
+//! scattered sleepers, so the heap would be the simulator's bottleneck.
+//! This queue exploits the two properties the DES guarantees:
 //!
 //! 1. **Monotone pops**: the virtual clock never goes backwards, so
 //!    items are popped in non-decreasing time order.
 //! 2. **No past pushes**: every item is scheduled at or after the
-//!    current clock (`latency ≥ 1` for arrivals, `timeout ≥ 1` for
+//!    current clock (`latency ≥ 1` for pokes, `timeout ≥ 1` for
 //!    deadlines) — that is, at or after the last *popped* item. The
 //!    front may be far ahead of the clock (a sleeping process's next
 //!    deadline, see the sparse schedule in [`crate::des`]), so `peek`
@@ -296,7 +298,7 @@ mod tests {
     #[test]
     fn peek_at_a_far_front_leaves_room_for_nearer_pushes() {
         // The sparse DES: the only queued deadline is far ahead, the
-        // loop peeks at it, then an arrival re-arms processes to much
+        // loop peeks at it, then a send re-arms processes to much
         // nearer deadlines. Those must get buckets of their own, not
         // pile into the far item's bucket.
         let mut q = CalendarQueue::<(u128, u64)>::new(1);

@@ -2,15 +2,22 @@
 //! calendar-bucket event queue (see [`crate::calendar`]), and no
 //! threads.
 //!
-//! Every inter-process message becomes an event on a virtual nanosecond
-//! timeline with a seeded per-message link latency strictly inside
-//! `(0, δ)`, so the synchronous delivery rule ("sent in round `r`,
-//! processed in round `r + 1`") reproduces exactly — but a round of
-//! n = 200 processes costs microseconds of host time instead of a real
-//! δ of wall clock per round and two OS threads per process. This is the
-//! backend for asymptotic word/round measurements (`O(n(f+1))` vs the
-//! `Ω(n²)` fallback crossover) at system sizes the paced runtimes cannot
-//! reach.
+//! Every inter-process copy lands on a virtual nanosecond timeline after
+//! a seeded per-copy link latency strictly inside `(0, δ)`, so the
+//! synchronous delivery rule ("sent in round `r`, processed in round
+//! `r + 1`") reproduces exactly — but a round of n = 200 processes costs
+//! microseconds of host time instead of a real δ of wall clock per round
+//! and two OS threads per process. This is the backend for asymptotic
+//! word/round measurements (`O(n(f+1))` vs the `Ω(n²)` fallback
+//! crossover) at system sizes the paced runtimes cannot reach.
+//!
+//! A copy goes into its receiver's mailbox at send, stamped with the
+//! instant it lands and its global send sequence; a drain takes what has
+//! landed by the event being processed, in send order. The calendar
+//! holds round deadlines, and under
+//! [`RoundDriverConfig::QuorumOrTimeout`] one payload-free poke per copy
+//! at the instant it lands (arrivals advance rounds there); under the
+//! lockstep driver an arrival is no event at all.
 //!
 //! The backend is *per-process-clocked*: each process owns a round
 //! counter and advances it when its [`RoundDriver`] says so — at the
@@ -44,9 +51,12 @@
 //! [`meba_sim::Actor::next_wakeup`] hint, the next round if its buffer
 //! kept early deliveries, its first pending delayed-send release, its
 //! crash or rejoin round ([`EngineProcess::next_wakeup`]), and
-//! `max_rounds − 1`; and a delivery landing in the mailbox of a process
-//! that sleeps past the round that would admit it pulls its deadline
-//! forward to that round. A run therefore costs `O(messages +
+//! `max_rounds − 1`, and its earliest copy still in flight. A copy sent
+//! to a process that sleeps past the copy's *visibility round* — the
+//! receiver's first deadline at or after the instant the copy lands —
+//! pulls the receiver's deadline forward to that round when the sender's
+//! step returns, and a copy visible only in a dead round of its
+//! receiver is dropped at send. A run therefore costs `O(messages +
 //! wake-ups)`, not `O(n · rounds)` — the adaptive protocols' silent
 //! phases are free, as they are in the paper. Skipped rounds are
 //! invisible in the output: round numbers are the schedule's, not a
@@ -87,7 +97,7 @@ use crate::calendar::{CalendarQueue, TimeKeyed};
 use crate::config::{ClusterReport, LinkPolicyFactory};
 use crate::driver::AdvanceCause::{self, QuorumReached};
 use crate::driver::{DriverConfigError, RoundDriver, RoundDriverConfig};
-use crate::fate::{resolve_fates, ActorRebuilder, ProcessFateFactory};
+use crate::fate::{resolve_fates, ActorRebuilder, ProcessFateFactory, ResolvedFate};
 use crate::process::{Delivery, EngineProcess, Transport};
 use meba_crypto::ProcessId;
 use meba_sim::{AnyActor, Message, Metrics};
@@ -217,36 +227,19 @@ pub(crate) fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A delivery scheduled on the virtual timeline. Ordered by
-/// `(at_ns, seq)`; `seq` is unique, so the order is total and
-/// deterministic.
-struct Event<M> {
-    at_ns: u128,
-    seq: u64,
-    to: usize,
-    delivery: Delivery<M>,
-}
+/// A copy in its receiver's mailbox: the instant it lands, its global
+/// send sequence, and the delivery. Send order is `seq` order, so a
+/// mailbox is sorted by `seq`.
+type Mail<M> = (u128, u64, Delivery<M>);
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at_ns, self.seq) == (other.at_ns, other.seq)
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at_ns, self.seq).cmp(&(other.at_ns, other.seq))
-    }
-}
+/// `QuorumOrTimeout` only: a copy landing, as `(at_ns, seq, to)` — no
+/// payload, which waits in the mailbox. `seq` is unique, so the order is
+/// total and deterministic.
+type Poke = (u128, u64, u64);
 
-impl<M> TimeKeyed for Event<M> {
+impl TimeKeyed for Poke {
     fn time_ns(&self) -> u128 {
-        self.at_ns
+        self.0
     }
 }
 
@@ -261,12 +254,15 @@ impl TimeKeyed for DeadlineEntry {
     }
 }
 
-/// The shared virtual network: clock, in-flight arrival calendar queue,
-/// and per-process mailboxes of already-arrived deliveries (tagged with
-/// their global send sequence so drains surface send order, the
-/// per-round FIFO every other backend produces).
+/// The shared virtual network: clock, per-process mailboxes of the copies
+/// sent to each process (landed or in flight, in send order — the
+/// per-round FIFO every other backend produces), and the quorum mode's
+/// arrival pokes.
 struct DesNet<M: Message> {
-    now_ns: u128,
+    // The event being processed: its instant, and the `seq` of the copy
+    // landing there (`u64::MAX` at a deadline). A drain takes the copies
+    // at or before it.
+    cursor: (u128, u64),
     seq: u64,
     seed: u64,
     gst_ns: u64,
@@ -274,8 +270,11 @@ struct DesNet<M: Message> {
     link_cap_ns: u64,
     // The rushing processes: the corrupt ones, under the lockstep driver.
     rushing: Vec<bool>,
-    arrivals: CalendarQueue<Event<M>>,
-    mailboxes: Vec<Vec<(u64, Delivery<M>)>>,
+    pokes: CalendarQueue<Poke>,
+    mailboxes: Vec<Vec<Mail<M>>>,
+    // Lockstep: `(to, visibility round)` of the copies the running step
+    // sent to a process that sleeps past that round.
+    rearm: Vec<(usize, u64)>,
 }
 
 /// Calendar-bucket width: δ/256, so one round window spans ~256 buckets
@@ -287,7 +286,7 @@ pub(crate) fn calendar_width_ns(delta_ns: u64) -> u64 {
 impl<M: Message> DesNet<M> {
     fn new(config: &DesConfig, rushing: Vec<bool>) -> Self {
         DesNet {
-            now_ns: 0,
+            cursor: (0, u64::MAX),
             seq: 0,
             seed: config.seed,
             gst_ns: config.gst_ns,
@@ -299,7 +298,8 @@ impl<M: Message> DesNet<M> {
             link_cap_ns: config.link_cap_ns.unwrap_or(config.delta_ns).min(config.delta_ns),
             mailboxes: (0..rushing.len()).map(|_| Vec::with_capacity(16)).collect(),
             rushing,
-            arrivals: CalendarQueue::new(calendar_width_ns(config.delta_ns)),
+            pokes: CalendarQueue::new(calendar_width_ns(config.delta_ns)),
+            rearm: Vec::new(),
         }
     }
 
@@ -316,25 +316,21 @@ impl<M: Message> DesNet<M> {
                 ^ splitmix(u64::from(to.0)).rotate_left(17)
                 ^ splitmix(seq).rotate_left(34),
         );
-        if self.now_ns < u128::from(self.gst_ns) {
+        if self.cursor.0 < u128::from(self.gst_ns) {
             return 1 + x % self.pre_gst_delay_ns.max(1);
         }
         // `DesRun::new` rejects a cap below 2, so the modulus is ≥ 1.
         1 + x % (self.link_cap_ns - 1)
     }
 
-    /// Queues `msg` from `from` to `to`. A `rushed` copy lands at the send
-    /// instant instead of after a sampled latency.
-    fn send(&mut self, from: ProcessId, to: ProcessId, sent_round: u64, msg: Arc<M>, rushed: bool) {
+    /// Takes the next send sequence number for a copy from `from` to `to`
+    /// and returns it with the instant the copy lands. A `rushed` copy
+    /// lands at the send instant instead of after a sampled latency.
+    fn stamp(&mut self, from: ProcessId, to: ProcessId, rushed: bool) -> (u128, u64) {
         let seq = self.seq;
         self.seq += 1;
         let latency = if rushed { 0 } else { self.latency_ns(from, to, seq) };
-        self.arrivals.push(Event {
-            at_ns: self.now_ns + u128::from(latency),
-            seq,
-            to: to.index(),
-            delivery: Delivery { from, sent_round, msg },
-        });
+        (self.cursor.0 + u128::from(latency), seq)
     }
 }
 
@@ -344,6 +340,9 @@ struct DesTransport<'a, M: Message> {
     me: ProcessId,
     round: u64,
     net: &'a mut DesNet<M>,
+    sched: &'a Schedule,
+    // Each process's next scheduled round.
+    wake: &'a [u64],
 }
 
 impl<M: Message> Transport<M> for DesTransport<'_, M> {
@@ -353,26 +352,40 @@ impl<M: Message> Transport<M> for DesTransport<'_, M> {
         // executing reaches it in time. A fault-delayed copy released
         // later keeps its old `sent_round` and does not rush.
         let net = &mut *self.net;
-        let rushed =
-            sent_round == self.round && net.rushing[to.index()] && !net.rushing[self.me.index()];
-        net.send(self.me, to, sent_round, Arc::clone(msg), rushed);
+        let j = to.index();
+        let rushed = sent_round == self.round && net.rushing[j] && !net.rushing[self.me.index()];
+        let (at, seq) = net.stamp(self.me, to, rushed);
+        if self.sched.lockstep {
+            let visible = self.sched.first_round_at_or_after(j, at);
+            if self.sched.fates[j].dead_in(visible) {
+                return; // the dead round would discard it
+            }
+            if visible < self.wake[j] {
+                net.rearm.push((j, visible));
+            }
+        } else {
+            net.pokes.push((at, seq, j as u64));
+        }
+        let delivery = Delivery { from: self.me, sent_round, msg: Arc::clone(msg) };
+        net.mailboxes[j].push((at, seq, delivery));
     }
 
     fn drain(&mut self, out: &mut Vec<Delivery<M>>) {
-        let mailbox = &mut self.net.mailboxes[self.me.index()];
         // Send (`seq`) order, not arrival order: the per-round FIFO
         // order every other backend produces, so inbox order (and thus
         // any order-sensitive tie-break in an actor) is
-        // backend-independent. `seq` is unique, so the unstable sort is
-        // deterministic.
-        mailbox.sort_unstable_by_key(|(seq, _)| *seq);
-        out.extend(mailbox.drain(..).map(|(_, d)| d));
+        // backend-independent. The mailbox is already in that order.
+        let cursor = self.net.cursor;
+        let mailbox = &mut self.net.mailboxes[self.me.index()];
+        out.extend(mailbox.extract_if(.., |m| (m.0, m.1) <= cursor).map(|(.., d)| d));
     }
 
     fn crash(&mut self) {
-        // A crashed process has no mailbox; in-flight events will land
-        // and be discarded by the engine's dead-round drains.
-        self.net.mailboxes[self.me.index()].clear();
+        // A crashed process loses what has landed; what is still in
+        // flight lands after the crash, in a dead round that discards it
+        // or at the rejoin.
+        let cursor = self.net.cursor;
+        self.net.mailboxes[self.me.index()].retain(|m| (m.0, m.1) > cursor);
     }
 }
 
@@ -382,6 +395,7 @@ struct Schedule {
     delta_ns: u64,
     max_rounds: u64,
     skews: Vec<u64>,
+    fates: Vec<ResolvedFate>,
 }
 
 impl Schedule {
@@ -411,8 +425,8 @@ impl Schedule {
     }
 
     /// Lockstep only: the first round of process `i` whose deadline is
-    /// at or after instant `at` — the round that admits (or buffers) a
-    /// delivery landing at `at`.
+    /// at or after instant `at` — the visibility round of a copy landing
+    /// at `at`, which admits (or buffers) it.
     fn first_round_at_or_after(&self, i: usize, at: u128) -> u64 {
         let since = at.saturating_sub(u128::from(self.skews[i]));
         u64::try_from(since.div_ceil(u128::from(self.delta_ns))).unwrap_or(u64::MAX)
@@ -494,6 +508,7 @@ impl<M: Message> DesRun<M> {
             lockstep,
             delta_ns: config.delta_ns,
             max_rounds: config.max_rounds,
+            fates: fates.clone(),
             skews: (0..n)
                 .map(|i| {
                     if config.max_skew_ns == 0 {
@@ -556,7 +571,7 @@ impl<M: Message> DesRun<M> {
     /// checking.
     pub(crate) fn run_until(&mut self, until: u128, stop_when_done: bool) -> bool {
         let quorum_mode = !self.sched.lockstep;
-        while let Some((at, is_arrival)) = self.next_event() {
+        while let Some((at, is_poke)) = self.next_event() {
             if at >= until {
                 return false;
             }
@@ -566,16 +581,12 @@ impl<M: Message> DesRun<M> {
                 }
                 self.last_instant = at;
             }
-            self.net.now_ns = at;
-            if is_arrival {
-                let ev = self.net.arrivals.pop().expect("peeked arrival");
-                if self.wake_for_arrival(ev.to, at) {
-                    self.net.mailboxes[ev.to].push((ev.seq, ev.delivery));
-                }
-                if quorum_mode {
-                    self.quorum_advance(ev.to, at);
-                }
+            if is_poke {
+                let (_, seq, to) = self.net.pokes.pop().expect("peeked poke");
+                self.net.cursor = (at, seq);
+                self.quorum_advance(to as usize, at);
             } else {
+                self.net.cursor = (at, u64::MAX);
                 // A stale deadline (the process quorum-advanced past that
                 // round, or was re-armed to another) is popped in its
                 // turn like any event and then ignored, so the queue's
@@ -595,16 +606,17 @@ impl<M: Message> DesRun<M> {
         false
     }
 
-    /// The earliest queued event: its instant, and whether it is an
-    /// arrival. Simultaneous events resolve arrivals first — in send
-    /// order — then deadlines, correct processes before rushing ones:
-    /// under the lockstep driver this is exactly a global loop ("deliver
-    /// everything due ≤ t, then step every awake correct process in id
-    /// order at t, then every awake corrupt one").
+    /// The earliest queued event: its instant, and whether it is a
+    /// quorum-mode arrival poke. Simultaneous events resolve arrivals
+    /// first — in send order — then deadlines, correct processes before
+    /// rushing ones: under the lockstep driver, where a deadline drains
+    /// every copy landed by its instant, this is exactly a global loop
+    /// ("deliver everything due ≤ t, then step every awake correct
+    /// process in id order at t, then every awake corrupt one").
     fn next_event(&mut self) -> Option<(u128, bool)> {
-        let arrival_at = self.net.arrivals.peek().map(|e| e.at_ns);
+        let poke_at = self.net.pokes.peek().map(|p| p.0);
         let deadline_at = self.deadlines.peek().map(|d| d.0);
-        match (arrival_at, deadline_at) {
+        match (poke_at, deadline_at) {
             (None, None) => None,
             (Some(a), Some(d)) if a <= d => Some((a, true)),
             (Some(a), None) => Some((a, true)),
@@ -615,10 +627,17 @@ impl<M: Message> DesRun<M> {
     /// Executes `round` for process `i` at virtual instant `now`, which it
     /// advanced into for `cause` — accounting first for the rounds it
     /// slept through since its last one — applies late-delivery backoff,
-    /// and schedules its next deadline.
+    /// wakes the receivers its copies must reach, and schedules its next
+    /// deadline.
     fn execute(&mut self, i: usize, round: u64, now: u128, cause: AdvanceCause) {
         self.account_skipped(i, round);
-        let mut transport = DesTransport { me: ProcessId(i as u32), round, net: &mut self.net };
+        let mut transport = DesTransport {
+            me: ProcessId(i as u32),
+            round,
+            net: &mut self.net,
+            sched: &self.sched,
+            wake: &self.wake,
+        };
         let status = self.procs[i].step(
             &mut self.actors[i],
             round,
@@ -626,6 +645,7 @@ impl<M: Message> DesRun<M> {
             &mut transport,
             &mut self.metrics,
         );
+        self.rearm_receivers(now);
         if !self.sched.lockstep {
             self.drivers[i].observe(status.late_admitted);
         }
@@ -646,7 +666,9 @@ impl<M: Message> DesRun<M> {
             // is stateful per tick.
             let next = if self.sched.lockstep {
                 let hint = self.procs[i].next_wakeup(self.actors[i].as_ref(), round);
-                hint.min(self.sched.max_rounds - 1)
+                // Every copy still in flight is visible after `round`.
+                let in_flight = if hint > round + 1 { self.first_visible(i) } else { u64::MAX };
+                hint.min(in_flight).min(self.sched.max_rounds - 1)
             } else {
                 round + 1
             };
@@ -676,25 +698,27 @@ impl<M: Message> DesRun<M> {
         self.next_round[i] = round;
     }
 
-    /// A delivery is about to land in process `to`'s mailbox at instant
-    /// `at`. Lockstep only: if `to` sleeps past the round that admits
-    /// it, pull its deadline forward to that round. Returns false when
-    /// the delivery must not be kept — `to` is down, and the dead round
-    /// it sleeps through would have discarded it, so a later rejoin
-    /// never sees it.
-    fn wake_for_arrival(&mut self, to: usize, at: u128) -> bool {
-        if self.wake[to] == self.next_round[to] {
-            return true; // not sleeping: its very next round drains the mailbox
+    /// Lockstep only: a receiver of the step just run that sleeps past a
+    /// copy's visibility round is pulled forward to that round. A
+    /// receiver that runs later at this instant is not sleeping yet; its
+    /// own [`Self::execute`] finds the copy in flight.
+    fn rearm_receivers(&mut self, now: u128) {
+        let mut rearm = std::mem::take(&mut self.net.rearm);
+        for &(to, round) in &rearm {
+            if round < self.wake[to] {
+                self.schedule(to, round, now);
+            }
         }
-        let round = self.sched.first_round_at_or_after(to, at);
-        if round >= self.wake[to] {
-            return true;
-        }
-        if self.procs[to].is_down() {
-            return false;
-        }
-        self.schedule(to, round, at);
-        true
+        rearm.clear();
+        self.net.rearm = rearm;
+    }
+
+    /// Lockstep only: the visibility round of the earliest copy in flight
+    /// to process `i`, which has just run and drained every copy landed
+    /// so far (`u64::MAX` when none is in flight).
+    fn first_visible(&self, i: usize) -> u64 {
+        (self.net.mailboxes[i].iter().map(|m| m.0).min())
+            .map_or(u64::MAX, |at| self.sched.first_round_at_or_after(i, at))
     }
 
     /// Quorum catch-up: while process `i` already holds a quorum of
@@ -716,9 +740,9 @@ impl<M: Message> DesRun<M> {
     /// Whether process `i` holds a quorum for `round` right now.
     fn ready_cause(&mut self, i: usize, round: u64) -> AdvanceCause {
         let me = ProcessId(i as u32);
-        let (proc, net) = (&mut self.procs[i], &mut self.net);
-        self.drivers[i]
-            .cause(round, || proc.ready_senders(me, round, &mut DesTransport { me, round, net }))
+        let (proc, net, sched, wake) = (&mut self.procs[i], &mut self.net, &self.sched, &self.wake);
+        let mut transport = DesTransport { me, round, net, sched, wake };
+        self.drivers[i].cause(round, || proc.ready_senders(me, round, &mut transport))
     }
 
     /// Ends the run: under the lockstep driver a process that ticked
@@ -1094,6 +1118,226 @@ mod tests {
             .map(|&(_, slot, _)| slot)
             .collect();
         assert_eq!(rebound, [1], "the unjournaled restart re-binds slot 1: {log:?}");
+    }
+
+    /// Sends `Num(round)` to `to` in each round of `sends`; hints the
+    /// next round of `wakes` after the one that ran (or never, past the
+    /// last; every round when `wakes` is `None`), and logs each delivery
+    /// it admits as `(round, value)` into a log a rebuilt incarnation
+    /// shares.
+    struct Script {
+        id: ProcessId,
+        sends: Vec<(u64, ProcessId)>,
+        wakes: Option<Vec<u64>>,
+        heard: Arc<std::sync::Mutex<Vec<(u64, u64)>>>,
+    }
+    impl Actor for Script {
+        type Msg = Num;
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Num>) {
+            let round = ctx.round().as_u64();
+            self.heard.lock().unwrap().extend(ctx.inbox().iter().map(|e| (round, e.msg.0)));
+            for &(_, to) in self.sends.iter().filter(|(r, _)| *r == round) {
+                ctx.send(to, Num(round));
+            }
+        }
+        fn next_wakeup(&self, after: meba_sim::Round) -> meba_sim::Round {
+            match &self.wakes {
+                None => meba_sim::Round(after.as_u64() + 1),
+                Some(wakes) => wakes
+                    .iter()
+                    .find(|&&w| w > after.as_u64())
+                    .map_or(meba_sim::Round::NEVER, |&w| meba_sim::Round(w)),
+            }
+        }
+    }
+
+    /// A [`Script`] with nothing to send, never woken by its own hint.
+    fn silent(id: u32, heard: &Arc<std::sync::Mutex<Vec<(u64, u64)>>>) -> Script {
+        Script {
+            id: ProcessId(id),
+            sends: Vec::new(),
+            wakes: Some(Vec::new()),
+            heard: heard.clone(),
+        }
+    }
+
+    #[test]
+    fn a_receiver_that_ran_after_the_sender_at_that_instant_still_wakes_for_the_copy() {
+        // p0 sends to p2 in round 2; p2 also runs round 2, at the same
+        // instant and after p0, and then hints nothing at all. The copy
+        // is in flight when p2 runs, so p2 must run round 3 for it.
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let p2_heard = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let actors: Vec<Box<dyn AnyActor<Msg = Num>>> = vec![
+            Box::new(Script {
+                id: ProcessId(0),
+                sends: vec![(2, ProcessId(2))],
+                wakes: Some(vec![2]),
+                heard: log.clone(),
+            }),
+            Box::new(silent(1, &log)),
+            Box::new(Script {
+                id: ProcessId(2),
+                sends: Vec::new(),
+                wakes: Some(vec![2]),
+                heard: p2_heard.clone(),
+            }),
+        ];
+        let report =
+            run_des_cluster(actors, None, DesConfig { max_rounds: 8, ..Default::default() })
+                .unwrap();
+        assert_eq!(*p2_heard.lock().unwrap(), [(3, 2)], "round 3 admits the round-2 copy");
+        assert_eq!(report.metrics.link(ProcessId(0), ProcessId(2)).delivered, 1);
+    }
+
+    /// Visibility round of a copy landing at `at` for a process whose
+    /// clock starts at `skew`: its first deadline at or after `at`.
+    fn visible_in(at: u128, skew: u64, delta: u64) -> u64 {
+        u64::try_from(at.saturating_sub(u128::from(skew)).div_ceil(u128::from(delta))).unwrap()
+    }
+
+    /// What p1 admits, as `(round, sent round)`, when p0 sends it one copy
+    /// in each of rounds 0..=6, each landing exactly 1 ns after its send,
+    /// and p1 is down from round 3 until it rejoins in `rejoin_at`; p1
+    /// ticks every round, or only when something wakes it.
+    fn heard_across_a_restart(
+        max_skew_ns: u64,
+        seed: u64,
+        rejoin_at: u64,
+        sleeping: bool,
+    ) -> Vec<(u64, u64)> {
+        let heard = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let receiver = {
+            let heard = heard.clone();
+            move || Script {
+                id: ProcessId(1),
+                sends: Vec::new(),
+                wakes: sleeping.then(Vec::new),
+                heard: heard.clone(),
+            }
+        };
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let actors: Vec<Box<dyn AnyActor<Msg = Num>>> = vec![
+            Box::new(Script {
+                id: ProcessId(0),
+                sends: (0..=6).map(|r| (r, ProcessId(1))).collect(),
+                wakes: Some((0..=6).collect()),
+                heard: log.clone(),
+            }),
+            Box::new(receiver()),
+            Box::new(silent(2, &log)),
+        ];
+        let rebuilder: ActorRebuilder<Num> = Arc::new(move |_| crate::RebuiltActor {
+            actor: Box::new(receiver()),
+            resume_step: 0,
+            replayed_records: 0,
+            journal_fsyncs: 0,
+        });
+        let fate: ProcessFateFactory = Arc::new(move |p: ProcessId| {
+            if p == ProcessId(1) {
+                crate::ProcessFate::CrashRestart { at_round: 3, rejoin_after: rejoin_at - 3 }
+            } else {
+                crate::ProcessFate::Run
+            }
+        });
+        let config = DesConfig {
+            seed,
+            max_skew_ns,
+            link_cap_ns: Some(2),
+            process_fate: Some(fate),
+            max_rounds: 12,
+            ..Default::default()
+        };
+        run_des_cluster(actors, Some(rebuilder), config).unwrap();
+        let mut got = heard.lock().unwrap().clone();
+        got.sort_unstable();
+        got
+    }
+
+    #[test]
+    fn a_copy_visible_in_a_dead_round_is_never_admitted_and_one_visible_at_the_rejoin_is() {
+        let delta = DesConfig::default().delta_ns;
+        // Under seeds 0, 4, 1 and 6 p0's clock starts 0.64δ after p1's,
+        // 0.77δ and 1.21δ before it, and 1.41δ after it: round r's copy is
+        // visible to p1 in round r + 1, r, r − 1 and r + 2.
+        let clocks = [(0, 0), (3 * delta, 0), (3 * delta, 4), (3 * delta, 1), (3 * delta, 6)];
+        // Rejoining in round 4, p1 crashes while p0's round-3 copy, sent
+        // at the same instant, is in flight: the crash must keep it.
+        for rejoin_at in [5, 4] {
+            let dead = |round: u64| (3..rejoin_at).contains(&round);
+            for (max_skew_ns, seed) in clocks {
+                let skew = |i: u64| {
+                    if max_skew_ns == 0 {
+                        0
+                    } else {
+                        splitmix(seed ^ 0x5ce3_ab1e ^ splitmix(i)) % (max_skew_ns + 1)
+                    }
+                };
+                // Round r's copy is visible in V and admitted in the first
+                // round after r, unless a dead round from V on discards it.
+                let mut want: Vec<(u64, u64)> = (0..=6u64)
+                    .filter_map(|r| {
+                        let at = u128::from(skew(0) + r * delta) + 1;
+                        let visible = visible_in(at, skew(1), delta);
+                        let admitted = visible.max(r + 1);
+                        (!(visible..=admitted).any(dead)).then_some((admitted, r))
+                    })
+                    .collect();
+                want.sort_unstable();
+                if max_skew_ns == 0 {
+                    let aligned: &[(u64, u64)] = if rejoin_at == 5 {
+                        &[(1, 0), (2, 1), (5, 4), (6, 5), (7, 6)]
+                    } else {
+                        &[(1, 0), (2, 1), (4, 3), (5, 4), (6, 5), (7, 6)]
+                    };
+                    assert_eq!(want, aligned);
+                }
+                for sleeping in [false, true] {
+                    assert_eq!(
+                        heard_across_a_restart(max_skew_ns, seed, rejoin_at, sleeping),
+                        want,
+                        "rejoin {rejoin_at}, skew {max_skew_ns}, seed {seed}, sleeping {sleeping}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Broadcasts every round; logs the senders of each round's inbox.
+    struct Roll(ProcessId, Vec<(u64, Vec<u32>)>);
+    impl Actor for Roll {
+        type Msg = Tick;
+        fn id(&self) -> ProcessId {
+            self.0
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Tick>) {
+            self.1.push((ctx.round().as_u64(), ctx.inbox().iter().map(|e| e.from.0).collect()));
+            ctx.broadcast(Tick);
+        }
+    }
+
+    #[test]
+    fn a_quorum_met_part_way_through_an_instant_runs_on_the_senders_so_far() {
+        // Every process broadcasts at instant 0 in id order, and every
+        // copy lands at instant 1, in send order. With a quorum of 3 a
+        // process counts itself and advances at the second remote sender
+        // it hears — p0 hears itself first, so it waits for a third copy.
+        let actors = (0..4).map(|i| Box::new(Roll(ProcessId(i), Vec::new())) as _).collect();
+        let config = DesConfig {
+            driver: RoundDriverConfig::QuorumOrTimeout { quorum: Some(3), timeout_factor: 1.0 },
+            link_cap_ns: Some(2),
+            max_rounds: 2,
+            ..Default::default()
+        };
+        let report = run_des_cluster(actors, None, config).unwrap();
+        let first: Vec<&[u32]> = (report.actors.iter())
+            .map(|a| &a.as_any().downcast_ref::<Roll>().unwrap().1[1].1[..])
+            .collect();
+        assert_eq!(first, [&[0, 1, 2][..], &[0, 1, 2], &[0, 1], &[0, 1]]);
+        assert_eq!(report.metrics.advance.quorum, 4, "every round 1 advanced on its quorum");
     }
 
     #[test]

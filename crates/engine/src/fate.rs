@@ -115,6 +115,23 @@ impl ResolvedFate {
     pub fn awaited(&self) -> bool {
         !matches!(self, ResolvedFate::Crash { .. })
     }
+
+    /// The round the fate takes the process down in, and the round it
+    /// rejoins in, where there is one.
+    pub(crate) fn down_at(&self) -> (Option<u64>, Option<u64>) {
+        match *self {
+            ResolvedFate::Run => (None, None),
+            ResolvedFate::Crash { at_round } => (Some(at_round), None),
+            ResolvedFate::CrashRestart { at_round, rejoin_at } => (Some(at_round), rejoin_at),
+        }
+    }
+
+    /// Whether `round` is one of the process's dead rounds: at or after
+    /// its crash and before its rejoin.
+    pub(crate) fn dead_in(&self, round: u64) -> bool {
+        let (Some(at_round), rejoin_at) = self.down_at() else { return false };
+        at_round <= round && rejoin_at.is_none_or(|rj| round < rj)
+    }
 }
 
 /// Resolves every process's fate exactly once, before the run starts.

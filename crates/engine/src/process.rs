@@ -235,23 +235,13 @@ impl<M: Message> EngineProcess<M> {
         if let Some((&release, _)) = self.pending.range(next..).next() {
             wake = wake.min(release);
         }
-        let (at_round, rejoin_at) = self.down_at();
+        let (at_round, rejoin_at) = self.fate.down_at();
         if self.dead {
             wake = wake.min(rejoin_at.unwrap_or(u64::MAX));
         } else if let Some(at_round) = at_round.filter(|&r| r > after) {
             wake = wake.min(at_round);
         }
         wake.max(next)
-    }
-
-    /// The round the fate takes the process down in, and the round it
-    /// rejoins in, where there is one.
-    fn down_at(&self) -> (Option<u64>, Option<u64>) {
-        match self.fate {
-            ResolvedFate::Run => (None, None),
-            ResolvedFate::Crash { at_round } => (Some(at_round), None),
-            ResolvedFate::CrashRestart { at_round, rejoin_at } => (Some(at_round), rejoin_at),
-        }
     }
 
     /// Executes one engine round of `actor`, which the backend advanced
@@ -285,7 +275,7 @@ impl<M: Message> EngineProcess<M> {
         transport: &mut T,
         metrics: &mut Metrics,
     ) -> StepStatus {
-        if let (Some(at_round), rejoin_at) = self.down_at() {
+        if let (Some(at_round), rejoin_at) = self.fate.down_at() {
             if !self.dead && self.rejoin_round.is_none() && round == at_round {
                 // Crash: in-memory state, buffered inbox, and pending
                 // delayed sends are all lost; the transport tears down

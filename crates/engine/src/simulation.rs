@@ -195,7 +195,7 @@ impl<M: Message> Simulation<M> {
 
     /// Executes a single synchronous round: every event before the next
     /// round's deadline runs — this round's deadlines, correct processes
-    /// first, and the arrivals of what they sent.
+    /// first — and what they sent lands before it.
     pub fn step(&mut self) {
         self.round = self.round.next();
         let until = u128::from(self.round.as_u64()) * u128::from(self.run.delta_ns());

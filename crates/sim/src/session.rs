@@ -14,6 +14,7 @@
 use crate::actor::{Dest, Message};
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, ProcessId, WireCodec};
 use std::fmt::Debug;
+use std::sync::Arc;
 
 /// A protocol-critical event a [`SubProtocol`] wants made durable before
 /// its effects are externalized (see `meba-journal`).
@@ -171,17 +172,18 @@ impl<M: WireCodec> WireCodec for SessionEnvelope<M> {
 /// This is the driver for hosts whose messages outlive the round they
 /// arrive in — the replicated log in `meba-smr` routes a slot's traffic
 /// here, and `meba-core`'s `SkewAdapter` releases its per-vstep buffer
-/// here. Deliver owned messages with [`Instance::deliver`] (the one copy
-/// such a host makes), then fire [`Instance::step`] once per virtual
-/// step, or [`Instance::step_at`] the step a host round puts the
-/// instance at; either lends the buffer to [`SubProtocol::on_step`]. A
-/// host that steps on the round's own inbox (`LockstepAdapter`) lends
-/// that instead and needs no `Instance`.
+/// here. The buffer holds handles: deliver one with [`Instance::deliver`]
+/// (a host that has only a borrowed message wraps its one copy; a host
+/// that holds a handle already passes it on), then fire
+/// [`Instance::step`] once per virtual step, or [`Instance::step_at`] the
+/// step a host round puts the instance at; either lends the messages to
+/// [`SubProtocol::on_step`]. A host that steps on the round's own inbox
+/// (`LockstepAdapter`) lends that instead and needs no `Instance`.
 #[derive(Debug)]
 pub struct Instance<P: SubProtocol> {
     proto: P,
     next_step: u64,
-    inbox: Vec<(ProcessId, P::Msg)>,
+    inbox: Vec<(ProcessId, Arc<P::Msg>)>,
 }
 
 impl<P: SubProtocol> Instance<P> {
@@ -191,7 +193,7 @@ impl<P: SubProtocol> Instance<P> {
     }
 
     /// Buffers a message for consumption at the next step.
-    pub fn deliver(&mut self, from: ProcessId, msg: P::Msg) {
+    pub fn deliver(&mut self, from: ProcessId, msg: Arc<P::Msg>) {
         self.inbox.push((from, msg));
     }
 
@@ -209,7 +211,7 @@ impl<P: SubProtocol> Instance<P> {
     /// [`SubProtocol::next_wakeup`] said they would have been no-ops.
     pub fn step_at(&mut self, step: u64, out: &mut Vec<(Dest, P::Msg)>) {
         debug_assert!(step >= self.next_step, "steps only move forward");
-        let lent: Vec<(ProcessId, &P::Msg)> = self.inbox.iter().map(|(p, m)| (*p, m)).collect();
+        let lent: Vec<(ProcessId, &P::Msg)> = self.inbox.iter().map(|(p, m)| (*p, &**m)).collect();
         self.proto.on_step(step, &lent, out);
         // Clear rather than take: the inbox allocation is reused by the
         // next step's deliveries.
@@ -309,8 +311,8 @@ mod tests {
     #[test]
     fn instance_buffers_between_steps() {
         let mut inst = Instance::new(Echo { lifetime: 3, seen: 0, decided: None });
-        inst.deliver(ProcessId(1), Ping(0));
-        inst.deliver(ProcessId(2), Ping(0));
+        inst.deliver(ProcessId(1), Arc::new(Ping(0)));
+        inst.deliver(ProcessId(2), Arc::new(Ping(0)));
         let mut out = Vec::new();
         assert_eq!(inst.step(&mut out), 0);
         assert_eq!(inst.proto().seen, 2, "step 0 consumed both buffered messages");

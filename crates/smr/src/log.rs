@@ -17,6 +17,7 @@ use meba_core::{Decision, FallbackFactory, SubProtocol, SystemConfig, Validity, 
 use meba_crypto::{Pki, ProcessId, SecretKey, WireCodec};
 use meba_sim::{Actor, Dest, Instance, Round, RoundCtx, SessionEnvelope, SessionId};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Message type of the fallback for the BB value domain.
 type FbMsg<V, F> = <<F as FallbackFactory<BbBaValue<V>>>::Protocol as SubProtocol>::Msg;
@@ -383,11 +384,11 @@ where
 
     /// Hands one inbound envelope to its live slot's instance, to be
     /// consumed at that slot's next step — by reference: the payload is
-    /// cloned once, into the instance's inbox, and not at all for a
-    /// retired, unknown or not-yet-open slot.
+    /// cloned once, into the handle the instance's inbox keeps, and not at
+    /// all for a retired, unknown or not-yet-open slot.
     pub fn route(&mut self, from: ProcessId, env: &<Self as Actor>::Msg) {
         if let Some(inst) = self.live.get_mut(&env.session.0) {
-            inst.deliver(from, env.msg.clone());
+            inst.deliver(from, Arc::new(env.msg.clone()));
         }
     }
 

@@ -592,28 +592,37 @@ fn hinted_and_dense<M: Message>(
     build: impl Fn() -> Vec<Box<dyn AnyActor<Msg = M>>> + Clone + Send + Sync + 'static,
     decided: &dyn Fn(&dyn AnyActor<Msg = M>) -> String,
 ) -> (String, String) {
-    let run = |dense: bool| {
-        let wrap = move |a: Box<dyn AnyActor<Msg = M>>| -> Box<dyn AnyActor<Msg = M>> {
-            if dense {
-                Box::new(EveryRound(a))
-            } else {
-                a
-            }
-        };
-        let rebuilder: Option<ActorRebuilder<M>> = sc.rebuild.then(|| {
-            let build = build.clone();
-            Arc::new(move |p: ProcessId| RebuiltActor {
-                actor: wrap(build().swap_remove(p.index())),
-                resume_step: 0,
-                replayed_records: 3,
-                journal_fsyncs: 1,
-            }) as ActorRebuilder<M>
-        });
-        let actors = build().into_iter().map(wrap).collect();
-        let report = run_des_cluster(actors, rebuilder, sc.config.clone()).expect("valid config");
-        observe(&report, &sc.faults, decided)
+    (run_scenario(sc, build.clone(), decided, false), run_scenario(sc, build, decided, true))
+}
+
+/// Runs `sc` over `build()`'s actors — behind [`EveryRound`] when `dense`
+/// — and renders it with [`observe`].
+fn run_scenario<M: Message>(
+    sc: &Scenario,
+    build: impl Fn() -> Vec<Box<dyn AnyActor<Msg = M>>> + Send + Sync + 'static,
+    decided: &dyn Fn(&dyn AnyActor<Msg = M>) -> String,
+    dense: bool,
+) -> String {
+    let wrap = move |a: Box<dyn AnyActor<Msg = M>>| -> Box<dyn AnyActor<Msg = M>> {
+        if dense {
+            Box::new(EveryRound(a))
+        } else {
+            a
+        }
     };
-    (run(false), run(true))
+    let build = Arc::new(build);
+    let rebuilder: Option<ActorRebuilder<M>> = sc.rebuild.then(|| {
+        let build = Arc::clone(&build);
+        Arc::new(move |p: ProcessId| RebuiltActor {
+            actor: wrap(build().swap_remove(p.index())),
+            resume_step: 0,
+            replayed_records: 3,
+            journal_fsyncs: 1,
+        }) as ActorRebuilder<M>
+    });
+    let actors = build().into_iter().map(wrap).collect();
+    let report = run_des_cluster(actors, rebuilder, sc.config.clone()).expect("valid config");
+    observe(&report, &sc.faults, decided)
 }
 
 fn adapter<P: SubProtocol>(a: &dyn AnyActor<Msg = P::Msg>) -> &P {
@@ -712,4 +721,64 @@ proptest! {
         );
         prop_assert_eq!(hinted, dense);
     }
+}
+
+// ---------------------------------------------------------------------
+// The engine against its recorded output
+// ---------------------------------------------------------------------
+
+/// Recorded digests of [`observe`]'s rendering of a fixed list of
+/// [`scenario`]s, one `seed kind digest` line each: `bb` hinted, `bb-dense`
+/// behind [`EveryRound`], and `wba` hinted on every other seed.
+const RECORDED_DES_OUTPUT: &str = include_str!("des_recorded_output.txt");
+
+/// Scenario seeds [`RECORDED_DES_OUTPUT`] covers.
+const RECORDED_SEEDS: std::ops::Range<u64> = 0..192;
+
+/// The `sparse_schedule_is_invisible_*` properties compare two schedules
+/// of one engine; this compares the engine against the output it gave
+/// when the table was recorded, byte for byte (through a digest), over
+/// every hazard [`scenario`] draws — skew, GST, quorum mode, link delays
+/// and severs, crash-restart. An engine change that moves any rendering
+/// fails here; the failure prints the whole table as the engine now
+/// renders it.
+#[test]
+fn des_output_matches_the_parent() {
+    let mut lines = Vec::new();
+    let mut record = |seed: u64, kind: &str, rendering: String| {
+        let digest = meba_crypto::Digest::of(rendering.as_bytes()).to_hex();
+        lines.push(format!("{seed} {kind} {digest}"));
+    };
+    for seed in RECORDED_SEEDS {
+        let sc = scenario(seed);
+        let faults = sc.faults.clone();
+        let sender = (seed % faults.len() as u64) as u32;
+        let bb_decided = |a: &dyn AnyActor<Msg = _>| {
+            let bb = adapter::<BbProc>(a);
+            format!("{:?}@{:?}", bb.output(), bb.decided_at())
+        };
+        let bb = move || bb_actors(sender, 1 + seed, &faults);
+        let (hinted, dense) = hinted_and_dense(&sc, bb, &bb_decided);
+        record(seed, "bb", hinted);
+        record(seed, "bb-dense", dense);
+        if seed % 2 == 0 {
+            let faults = sc.faults.clone();
+            let inputs: Vec<u64> = (0..faults.len() as u64).map(|i| 1 + (i + seed) % 3).collect();
+            let wba = move || weak_ba_actors(&inputs, &faults);
+            let wba_decided = |a: &dyn AnyActor<Msg = _>| {
+                let wba = adapter::<WbaProc>(a);
+                format!("{:?}@{:?}", wba.output(), wba.decided_at())
+            };
+            record(seed, "wba", run_scenario(&sc, wba, &wba_decided, false));
+        }
+    }
+    let now = lines.join("\n");
+    let recorded: Vec<&str> = RECORDED_DES_OUTPUT.lines().collect();
+    let moved: Vec<&String> = lines.iter().filter(|l| !recorded.contains(&l.as_str())).collect();
+    assert!(
+        moved.is_empty() && recorded.len() == lines.len(),
+        "{} of {} renderings moved ({moved:?}); the engine now renders:\n{now}",
+        moved.len(),
+        lines.len(),
+    );
 }

@@ -78,6 +78,7 @@ mod tests {
     use meba_core::SystemConfig;
     use meba_crypto::{trusted_setup, Signable};
     use meba_sim::SessionEnvelope;
+    use std::sync::Arc;
 
     type WbaM = WeakBaMsg<u64, EchoMsg<u64>>;
     type BbM = BbMsg<u64, EchoMsg<BbBaValue<u64>>>;
@@ -114,7 +115,7 @@ mod tests {
             WeakBaMsg::Help { value: v, proof: decide.clone() },
             WeakBaMsg::FallbackCert { qc: qc.clone(), decision: None },
             WeakBaMsg::FallbackCert { qc, decision: Some((v, decide)) },
-            WeakBaMsg::Fallback(SkewEnvelope { vstep: 0, msg: EchoMsg(9u64) }),
+            WeakBaMsg::Fallback(SkewEnvelope { vstep: 0, msg: Arc::new(EchoMsg(9u64)) }),
         ];
         for msg in cases {
             assert_within_budget(&msg);

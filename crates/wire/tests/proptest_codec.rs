@@ -31,6 +31,7 @@ use meba_fallback::{InstanceId, RecBaMsg, Scope};
 use meba_sim::{SessionEnvelope, SessionId};
 use meba_wire::Hello;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 type WbaM = WeakBaMsg<u64, EchoMsg<u64>>;
 type BbM = BbMsg<u64, EchoMsg<BbBaValue<u64>>>;
@@ -67,7 +68,7 @@ fn corpus(v: u64, phase: u32, session: u64) -> Vec<Vec<u8>> {
         WeakBaMsg::Help { value: v, proof: decide.clone() },
         WeakBaMsg::FallbackCert { qc: qc.clone(), decision: None },
         WeakBaMsg::FallbackCert { qc: qc.clone(), decision: Some((v, decide)) },
-        WeakBaMsg::Fallback(SkewEnvelope { vstep: session, msg: EchoMsg(v) }),
+        WeakBaMsg::Fallback(SkewEnvelope { vstep: session, msg: Arc::new(EchoMsg(v)) }),
     ];
     out.extend(wba.iter().map(|m| m.to_wire_bytes()));
     // Session multiplexing rides on the same codec.

@@ -282,6 +282,68 @@ fn one_payload_per_outbox_entry() {
     assert!(hits.is_empty(), "every `on_step` is lent its inbox:{}", report(&hits));
 }
 
+/// No payload on the calendar: the discrete-event backend puts a copy in
+/// its receiver's mailbox at send, so every `CalendarQueue` item in
+/// `des.rs` — and the alias or struct it names — is payload-free (no
+/// `Delivery`, no message type `M`), and a drain takes the mailbox in the
+/// send order it already has, without sorting.
+#[test]
+fn no_payload_on_the_calendar() {
+    const DES: &str = "crates/engine/src/des.rs";
+    let code = non_test(DES);
+    let payload = Regex::new(r"Delivery|\bM\b");
+    let queues = matching(&code, r"CalendarQueue<");
+    assert!(!queues.is_empty(), "{DES} keeps its events on a `CalendarQueue`");
+    let mut hits = Vec::new();
+    for queue in &queues {
+        for rest in queue.text.split("CalendarQueue<").skip(1) {
+            let item = rest.split('>').next().unwrap_or(rest).trim();
+            let named =
+                [format!(r"^type {item} ="), format!(r"^(pub(\(crate\))? )?struct {item}\b")];
+            let mut defs: Vec<Hit> = matching(&code, &named[0]);
+            if !matching(&code, &named[1]).is_empty() {
+                defs.extend(block(&code, &named[1]));
+            }
+            if payload.is_match(item) {
+                hits.push(queue.clone());
+            }
+            hits.extend(defs.into_iter().filter(|h| payload.is_match(&h.text)));
+        }
+    }
+    assert!(hits.is_empty(), "a calendar item must not carry a payload:{}", report(&hits));
+    let sorts = matching(&block(&code, r"^    fn drain"), r"sort");
+    assert!(
+        sorts.is_empty(),
+        "a mailbox is in send order; `drain` must not sort:{}",
+        report(&sorts)
+    );
+}
+
+/// Fallback traffic is held by handle: `SkewEnvelope::msg` is an `Arc`,
+/// and what keeps a fallback message past its round — `FallbackHost`'s
+/// pending list, `SkewAdapter`'s per-vstep buffer, `Instance`'s inbox —
+/// stores that handle, never the message.
+#[test]
+fn fallback_traffic_is_held_by_handle() {
+    const SUB: &str = "crates/core/src/subprotocol.rs";
+    let code = non_test(SUB);
+    let session = non_test("crates/sim/src/session.rs");
+    let held = [
+        (block(&code, r"^pub struct SkewEnvelope"), r"pub msg: Arc<M>,"),
+        (block(&code, r"^pub struct SkewAdapter"), r"buffer: BTreeMap<u64, Held<P::Msg>>,"),
+        (matching(&code, r"^type Held<"), r"^type Held<M> = Vec<\(ProcessId, Arc<M>\)>;"),
+        (block(&code, r"^enum Handoff"), r"pending: Vec<\(ProcessId, SkewEnvelope<P::Msg>\)>"),
+        (block(&session, r"^pub struct Instance"), r"inbox: Vec<\(ProcessId, Arc<P::Msg>\)>"),
+    ];
+    for (within, field) in held {
+        assert!(
+            matching(&within, field).len() == 1,
+            "`{field}` must hold the handle in:{}",
+            report(&within)
+        );
+    }
+}
+
 /// One virtual clock: the lockstep `Simulation` is the discrete-event
 /// loop — no wave loop, no lane transport, no outbox-tampering wrappers.
 #[test]
