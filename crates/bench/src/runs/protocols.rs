@@ -1,6 +1,6 @@
 //! E1–E11: one run of a single-shot protocol (adaptive BB, weak BA, the
 //! two strong BAs, the Dolev–Strong and recursive-BA baselines, the two
-//! ablation attacks) on the lockstep simulator.
+//! ablation attacks) on the lockstep discrete-event backend.
 
 use super::idle_at;
 use meba_adversary::{
@@ -8,13 +8,13 @@ use meba_adversary::{
 };
 use meba_core::{AlwaysValid, Bb, Decision, LockstepAdapter, StrongBa, SystemConfig, WeakBa};
 use meba_crypto::{ProcessId, SecretKey};
-use meba_engine::Simulation;
+use meba_engine::ClusterReport;
 use meba_fallback::{DolevStrongBb, RecursiveBa, BASE_SCOPE};
 use meba_sim::{Actor, AnyActor, Message, Metrics};
 use meba_testkit::oracle::{self, Decided, Probe, Violation};
 use meba_testkit::{
-    cluster, corrupt_ids, round_budget, sim, strong_ba_actors, BbM, BbProc, Family, Fault, Party,
-    SbaCtor, SbaProc, WbaM, WbaProc,
+    cluster, corrupt_ids, des, strong_ba_actors, BbM, BbProc, Family, Fault, Party, SbaCtor,
+    SbaProc, Timing, WbaM, WbaProc,
 };
 use std::collections::BTreeMap;
 
@@ -50,16 +50,17 @@ pub struct RunStats {
     pub metrics: Metrics,
 }
 
-/// Runs `actors` to completion on the lockstep simulator and reads the
-/// traffic totals; the decision fields keep their "nothing read" values.
+/// Runs `actors` to completion on the lockstep discrete-event backend
+/// and reads the traffic totals; the decision fields keep their "nothing
+/// read" values.
 fn run<M: Message>(
     actors: Vec<Box<dyn AnyActor<Msg = M>>>,
     faults: &[Fault],
-) -> (Simulation<M>, RunStats) {
+) -> (ClusterReport<M>, RunStats) {
     let n = faults.len();
-    let mut sim = sim(actors, faults);
-    sim.run_until_done(round_budget(n)).expect("run terminated");
-    let m = sim.metrics();
+    let report = des(actors, faults, 0, &Timing::lockstep());
+    assert!(report.completed, "run terminated");
+    let m = &report.metrics;
     let stats = RunStats {
         n,
         f: corrupt_ids(faults).len(),
@@ -75,7 +76,7 @@ fn run<M: Message>(
         nonsilent_leaders: 0,
         metrics: m.clone(),
     };
-    (sim, stats)
+    (report, stats)
 }
 
 /// [`run`] of a run inside the synchrony model, which every check of
@@ -85,8 +86,8 @@ fn run_protocol<P: Probe>(
     actors: Vec<Box<dyn AnyActor<Msg = <P::Actor as Actor>::Msg>>>,
     faults: &[Fault],
 ) -> (RunStats, Decided<P::Output>) {
-    let (sim, stats) = run(actors, faults);
-    let decided = oracle::decided::<P>(sim.actors(), sim.metrics(), faults);
+    let (report, stats) = run(actors, faults);
+    let decided = oracle::decided::<P>(&report.actors, &report.metrics, faults);
     decided.assert_in_model();
     let stats = RunStats {
         decided_first: decided.first,
@@ -298,8 +299,8 @@ fn run_cohort_attack(
         |p| LockstepAdapter::new(p.id, honest(p)),
         |p, keys| (p.id.0 == 1).then(|| leader(p, cohort(keys))),
     );
-    let (sim, stats) = run(actors, &faults);
-    let decided = oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults);
+    let (report, stats) = run(actors, &faults);
+    let decided = oracle::decided::<WbaProc>(&report.actors, &report.metrics, &faults);
     let split = |v: &Violation| matches!(v, Violation::Disagreement(..));
     assert!(decided.violations.iter().all(split), "{:?}", decided.violations);
     let decisions = decided.decisions.iter().flatten().cloned().collect();

@@ -1,10 +1,10 @@
 //! E18: client-service throughput — batched, pipelined client ops on the
-//! lockstep simulator.
+//! lockstep discrete-event backend.
 
-use meba_crypto::ProcessId;
+use meba_engine::{run_des_cluster, DesConfig};
 use meba_service::{BatchPolicy, Op, ServiceConfig};
+use meba_testkit::oracle;
 use meba_testkit::service::{service_replica, ServiceHarness};
-use meba_testkit::{oracle, sim, Fault};
 use std::sync::Arc;
 
 /// Outcome of one client-service throughput run (experiment E18).
@@ -95,13 +95,13 @@ pub fn run_service_throughput(
     let probe = h.actor(0);
     let budget = service_replica(probe.as_ref()).log().total_rounds() + 64;
     drop(probe);
-    let mut sim = sim(h.actors(), &vec![Fault::None; n]);
     let started = std::time::Instant::now();
-    sim.run_until_done(budget).expect("service run terminated");
+    let config = DesConfig { max_rounds: budget, ..DesConfig::default() };
+    let report = run_des_cluster(h.actors(), None, config).expect("valid config");
+    assert!(report.completed, "service run terminated");
     let elapsed = started.elapsed().as_secs_f64();
 
-    let replicas: Vec<_> =
-        (0..n as u32).map(|i| service_replica(sim.actor(ProcessId(i)))).collect();
+    let replicas: Vec<_> = report.actors.iter().map(|a| service_replica(a.as_ref())).collect();
     let verdict = oracle::service(&replicas, &h.journals());
     verdict.assert_safe();
     let committed_ops = verdict.committed_ops;
@@ -117,7 +117,7 @@ pub fn run_service_throughput(
         session_collisions += s.session_collisions;
     }
 
-    let m = sim.metrics();
+    let m = &report.metrics;
     ServiceRunStats {
         n,
         batch_ops: max_batch_ops,

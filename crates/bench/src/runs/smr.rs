@@ -1,8 +1,9 @@
 //! E12: the session-multiplexed, pipelined replicated log on the
-//! lockstep simulator.
+//! lockstep discrete-event backend.
 
 use super::idle_at;
-use meba_testkit::{log_actors, log_round_budget, oracle, sim, LogProc};
+use meba_engine::{run_des_cluster, DesConfig};
+use meba_testkit::{log_actors, log_round_budget, oracle, with_faults, LogProc};
 
 /// Outcome of one replicated-log run (experiment E12).
 #[derive(Clone, Debug)]
@@ -40,11 +41,14 @@ pub struct SmrRunStats {
 pub fn run_smr(n: usize, slots: u64, window: u64, f: usize) -> SmrRunStats {
     assert!(f <= (n - 1) / 2);
     let faults = idle_at(n, 1..=f);
-    let mut sim = sim(log_actors(slots, window, &faults), &faults);
-    sim.run_until_done(log_round_budget(n, slots)).expect("smr run terminated");
+    let config = DesConfig { max_rounds: log_round_budget(n, slots), ..DesConfig::default() };
+    let report =
+        run_des_cluster(log_actors(slots, window, &faults), None, with_faults(&faults, config))
+            .expect("valid config");
+    assert!(report.completed, "smr run terminated");
 
-    let m = sim.metrics();
-    let log = oracle::decided::<LogProc>(sim.actors(), m, &faults).assert_in_model();
+    let m = &report.metrics;
+    let log = oracle::decided::<LogProc>(&report.actors, m, &faults).assert_in_model();
     let committed = log.iter().filter(|e| e.entry.value().is_some()).count() as u64;
     SmrRunStats {
         n,

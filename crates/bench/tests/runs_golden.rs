@@ -9,15 +9,15 @@ use meba_adversary::{DsEquivocatingSender, EquivocatingStrongLeader, GaSplitEcho
 use meba_bench::runs::*;
 use meba_core::{LockstepAdapter, StrongBa};
 use meba_crypto::{Digest, ProcessId};
-use meba_engine::{LinkPolicyFactory, SimBuilder, Simulation};
+use meba_engine::{run_des_cluster, ClusterReport, DesConfig, LinkPolicyFactory};
 use meba_fallback::{DolevStrongBb, DsBbMsg, InstanceId, RecBaMsg, RecursiveBa, Scope};
 use meba_sim::faults::{
     BernoulliDrop, Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt,
 };
 use meba_sim::{AnyActor, Metrics};
 use meba_testkit::{
-    bb_actors, cluster, crashes_at, round_budget, sim, strong_ba_actors, weak_ba_actors, Family,
-    Fault, SbaM,
+    bb_actors, cluster, crashes_at, des, round_budget, strong_ba_actors, weak_ba_actors, Family,
+    Fault, SbaM, Timing,
 };
 use std::sync::Arc;
 
@@ -387,10 +387,17 @@ fn runner_ledgers_match_the_recorded_digests() {
 }
 
 /// `(completed, correct words, rounds, ledger)` of one lockstep run.
-fn scenario<M: meba_sim::Message>(sim: &mut Simulation<M>, n: usize, link_policy: bool) -> String {
-    let completed = sim.run_until_done(round_budget(n)).is_ok();
-    let m = sim.metrics();
-    format!("{completed} {} {} {}", m.correct.words, m.rounds, ledger(m, link_policy))
+fn scenario<M: meba_sim::Message>(run: &ClusterReport<M>, link_policy: bool) -> String {
+    let m = &run.metrics;
+    format!("{} {} {} {}", run.completed, m.correct.words, m.rounds, ledger(m, link_policy))
+}
+
+/// `actors` run on the lockstep DES under `faults`' engine settings.
+fn faulted<M: meba_sim::Message>(
+    actors: Vec<Box<dyn AnyActor<Msg = M>>>,
+    faults: &[Fault],
+) -> String {
+    scenario(&des(actors, faults, 0, &Timing::lockstep()), false)
 }
 
 /// A failure-free n = 5 run of `actors` behind `policy`, one instance per
@@ -400,7 +407,12 @@ fn linked<M: meba_sim::Message>(
     policy: impl Fn() -> Box<dyn LinkPolicy> + Send + Sync + 'static,
 ) -> String {
     let policy: LinkPolicyFactory = Arc::new(move |_| policy());
-    scenario(&mut SimBuilder::new(actors).link_policy(policy).build(), 5, true)
+    let config = DesConfig {
+        max_rounds: round_budget(5),
+        link_policy: Some(policy),
+        ..DesConfig::default()
+    };
+    scenario(&run_des_cluster(actors, None, config).expect("valid config"), true)
 }
 
 /// The cross-runtime link plan: p3's outbound links jittered past δ with
@@ -417,7 +429,7 @@ fn link_plan() -> Box<dyn LinkPolicy> {
 }
 
 /// What the runner rows do not reach: every link-fault plan (ledger
-/// whole, `per_link` included), `SimBuilder::process_fate`, the three
+/// whole, `per_link` included), a `process_fate`, the three
 /// stock faults that are more than silence (`Chaos`, and the engine
 /// settings `Lossy` and `CrashAt`), and the rushing
 /// attackers no runner uses (`EquivocatingSender`, `SplitVoteLeader`,
@@ -444,18 +456,19 @@ fn fault_plan_ledgers_match_the_recorded_digests() {
     let sever = linked(bb_actors(0, 7, &clean(5)), move || Box::new(sever_at));
     let stack = linked(weak_ba_actors(&[7; 5], &clean(5)), link_plan);
 
-    let mut crash = SimBuilder::new(bb_actors(0, 7, &clean(7)))
-        .process_fate(crashes_at(&[(1, 3), (4, 12)]))
-        .build();
-    let crash = scenario(&mut crash, 7, false);
+    let fate = Some(crashes_at(&[(1, 3), (4, 12)]));
+    let config =
+        DesConfig { max_rounds: round_budget(7), process_fate: fate, ..DesConfig::default() };
+    let crash = run_des_cluster(bb_actors(0, 7, &clean(7)), None, config).expect("valid config");
+    let crash = scenario(&crash, false);
 
     let faults = with(7, &[(2, Fault::Chaos(0xc4))]);
-    let chaos = scenario(&mut sim(bb_actors(0, 7, &faults), &faults), 7, false);
+    let chaos = faulted(bb_actors(0, 7, &faults), &faults);
     let faults = with(5, &[(3, Fault::Lossy(0x10))]);
-    let lossy = scenario(&mut sim(weak_ba_actors(&[7; 5], &faults), &faults), 5, true);
+    let lossy =
+        scenario(&des(weak_ba_actors(&[7; 5], &faults), &faults, 0, &Timing::lockstep()), true);
     let faults = with(5, &[(1, Fault::CrashAt(3))]);
-    let actors = strong_ba_actors(StrongBa::new, &[true; 5], &faults);
-    let crash_actor = scenario(&mut sim(actors, &faults), 5, false);
+    let crash_actor = faulted(strong_ba_actors(StrongBa::new, &[true; 5], &faults), &faults);
 
     check(
         r#"
@@ -513,7 +526,7 @@ fn equivocating_strong_leader() -> String {
             Some(Box::new(leader) as Box<dyn AnyActor<Msg = SbaM>>)
         },
     );
-    scenario(&mut sim(actors, &faults), n, false)
+    faulted(actors, &faults)
 }
 
 /// The recursive fallback BA, n = 7, Byzantine {p1, p3, p5}: p1 echoes
@@ -552,7 +565,7 @@ fn ga_split_echoer() -> String {
             (p.id.0 == 1).then(|| Box::new(echoer()) as Box<dyn AnyActor<Msg = RecBaMsg<u64>>>)
         },
     );
-    scenario(&mut sim(actors, &faults), n, false)
+    faulted(actors, &faults)
 }
 
 /// Dolev–Strong BB, n = 7: the Byzantine sender p0 signs 1 for
@@ -576,7 +589,7 @@ fn ds_equivocating_sender() -> String {
             Some(Box::new(equivocator) as Box<dyn AnyActor<Msg = DsBbMsg<u64>>>)
         },
     );
-    scenario(&mut sim(actors, &faults), n, false)
+    faulted(actors, &faults)
 }
 
 /// An `n`-process fault vector with the processes in `byz` silent.

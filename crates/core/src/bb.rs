@@ -726,13 +726,19 @@ mod tests {
     use crate::fallback::EchoFallbackFactory;
     use crate::subprotocol::LockstepAdapter;
     use meba_crypto::trusted_setup;
-    use meba_engine::{SimBuilder, Simulation};
+    use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
     use meba_sim::{AnyActor, IdleActor};
 
     type BbP = Bb<u64, EchoFallbackFactory>;
     type Msg = <BbP as SubProtocol>::Msg;
 
-    fn make_sim(n: usize, sender: u32, input: u64, crashed: &[u32]) -> Simulation<Msg> {
+    fn lockstep(
+        n: usize,
+        sender: u32,
+        input: u64,
+        crashed: &[u32],
+        max_rounds: u64,
+    ) -> ClusterReport<Msg> {
         let cfg = SystemConfig::new(n, 3).unwrap();
         let (pki, keys) = trusted_setup(n, 21);
         let mut actors: Vec<Box<dyn AnyActor<Msg = Msg>>> = Vec::new();
@@ -749,19 +755,19 @@ mod tests {
             };
             actors.push(Box::new(LockstepAdapter::new(id, bb)));
         }
-        let mut b = SimBuilder::new(actors);
-        for &c in crashed {
-            b = b.corrupt(ProcessId(c));
-        }
-        b.build()
+        let corrupt = crashed.iter().map(|&c| ProcessId(c)).collect();
+        let config = DesConfig { max_rounds, corrupt, ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, config).unwrap();
+        assert!(run.completed, "not done within {max_rounds} rounds");
+        run
     }
 
-    fn decisions(sim: &Simulation<Msg>, crashed: &[u32]) -> Vec<Decision<u64>> {
-        (0..sim.n() as u32)
+    fn decisions(run: &ClusterReport<Msg>, crashed: &[u32]) -> Vec<Decision<u64>> {
+        (0..run.actors.len() as u32)
             .filter(|i| !crashed.contains(i))
             .map(|i| {
                 let a: &LockstepAdapter<BbP> =
-                    sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+                    run.actors[i as usize].as_any().downcast_ref().unwrap();
                 a.inner().output().expect("decided")
             })
             .collect()
@@ -769,9 +775,8 @@ mod tests {
 
     #[test]
     fn correct_sender_failure_free_delivers_value() {
-        let mut sim = make_sim(7, 0, 99, &[]);
-        sim.run_until_done(400).unwrap();
-        let ds = decisions(&sim, &[]);
+        let run = lockstep(7, 0, 99, &[], 400);
+        let ds = decisions(&run, &[]);
         assert!(ds.iter().all(|d| *d == Decision::Value(99)), "validity: {ds:?}");
     }
 
@@ -779,9 +784,8 @@ mod tests {
     fn silent_sender_decides_bot() {
         // The "sender" crashes before sending: all correct must agree on ⊥.
         let crashed = [0u32];
-        let mut sim = make_sim(7, 0, 0, &crashed);
-        sim.run_until_done(400).unwrap();
-        let ds = decisions(&sim, &crashed);
+        let run = lockstep(7, 0, 0, &crashed, 400);
+        let ds = decisions(&run, &crashed);
         assert!(ds.iter().all(|d| d.is_bot()), "expected ⊥, got {ds:?}");
     }
 
@@ -789,22 +793,20 @@ mod tests {
     fn correct_sender_with_crashes_below_bound() {
         // n=9, t=4, adaptive bound 2: one crashed non-sender.
         let crashed = [4u32];
-        let mut sim = make_sim(9, 0, 5, &crashed);
-        sim.run_until_done(600).unwrap();
-        let ds = decisions(&sim, &crashed);
+        let run = lockstep(9, 0, 5, &crashed, 600);
+        let ds = decisions(&run, &crashed);
         assert!(ds.iter().all(|d| *d == Decision::Value(5)));
         for i in (0..9u32).filter(|i| !crashed.contains(i)) {
-            let a: &LockstepAdapter<BbP> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+            let a: &LockstepAdapter<BbP> = run.actors[i as usize].as_any().downcast_ref().unwrap();
             assert!(!a.inner().used_fallback());
         }
     }
 
     #[test]
     fn failure_free_vetting_is_all_silent() {
-        let mut sim = make_sim(7, 2, 1, &[]);
-        sim.run_until_done(400).unwrap();
+        let run = lockstep(7, 2, 1, &[], 400);
         for i in 0..7u32 {
-            let a: &LockstepAdapter<BbP> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+            let a: &LockstepAdapter<BbP> = run.actors[i as usize].as_any().downcast_ref().unwrap();
             assert!(!a.inner().led_nonsilent_phase(), "p{i} should have been silent");
         }
     }
@@ -812,14 +814,13 @@ mod tests {
     #[test]
     fn silent_sender_vetting_goes_nonsilent_once() {
         let crashed = [0u32];
-        let mut sim = make_sim(7, 0, 0, &crashed);
-        sim.run_until_done(400).unwrap();
+        let run = lockstep(7, 0, 0, &crashed, 400);
         // The first correct leader (p1, phase 1) vets an idk certificate;
         // every later leader holds a value and stays silent.
         let nonsilent: Vec<u32> = (1..7u32)
             .filter(|&i| {
                 let a: &LockstepAdapter<BbP> =
-                    sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+                    run.actors[i as usize].as_any().downcast_ref().unwrap();
                 a.inner().led_nonsilent_phase()
             })
             .collect();
@@ -884,17 +885,15 @@ mod tests {
         // A whole failure-free run at n = 7: 7 sender checks, and per
         // process one vote and one decide share at the phase-1 leader.
         let start = shares();
-        let mut sim = make_sim(7, 0, 1, &[]);
-        sim.run_until_done(400).unwrap();
+        lockstep(7, 0, 1, &[], 400);
         assert_eq!(shares() - start, 3 * 7);
     }
 
     #[test]
     fn words_failure_free_linear_in_n() {
         for n in [5usize, 9, 17] {
-            let mut sim = make_sim(n, 0, 1, &[]);
-            sim.run_until_done(800).unwrap();
-            let words = sim.metrics().correct_words();
+            let run = lockstep(n, 0, 1, &[], 800);
+            let words = run.metrics.correct_words();
             assert!(words <= 22 * n as u64, "n={n}: failure-free BB used {words} words");
         }
     }

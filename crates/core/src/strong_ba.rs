@@ -561,7 +561,7 @@ mod tests {
     use crate::fallback::EchoFallbackFactory;
     use crate::subprotocol::LockstepAdapter;
     use meba_crypto::trusted_setup;
-    use meba_engine::{SimBuilder, Simulation};
+    use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
     use meba_sim::{Actor, AnyActor, IdleActor, RoundCtx};
 
     type Sba = StrongBa<EchoFallbackFactory>;
@@ -613,7 +613,12 @@ mod tests {
         }
     }
 
-    fn make_sim(ctor: Ctor, inputs: &[bool], crashed: &[u32]) -> Simulation<Msg> {
+    fn lockstep(
+        ctor: Ctor,
+        inputs: &[bool],
+        crashed: &[u32],
+        max_rounds: u64,
+    ) -> ClusterReport<Msg> {
         let (cfg, pki, keys) = setup(inputs.len());
         let mut actors: Vec<Box<dyn AnyActor<Msg = Msg>>> = Vec::new();
         for (i, key) in keys.into_iter().enumerate() {
@@ -625,32 +630,31 @@ mod tests {
                 actors.push(Box::new(LockstepAdapter::new(id, sba)));
             }
         }
-        let mut b = SimBuilder::new(actors);
-        for &c in crashed {
-            b = b.corrupt(ProcessId(c));
-        }
-        b.build()
+        let corrupt = crashed.iter().map(|&c| ProcessId(c)).collect();
+        let config = DesConfig { max_rounds, corrupt, ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, config).unwrap();
+        assert!(run.completed, "not done within {max_rounds} rounds");
+        run
     }
 
-    fn inner(sim: &Simulation<Msg>, i: u32) -> &Sba {
-        let a: &LockstepAdapter<Sba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+    fn inner(run: &ClusterReport<Msg>, i: u32) -> &Sba {
+        let a: &LockstepAdapter<Sba> = run.actors[i as usize].as_any().downcast_ref().unwrap();
         a.inner()
     }
 
-    fn decisions(sim: &Simulation<Msg>, crashed: &[u32]) -> Vec<bool> {
-        (0..sim.n() as u32)
+    fn decisions(run: &ClusterReport<Msg>, crashed: &[u32]) -> Vec<bool> {
+        (0..run.actors.len() as u32)
             .filter(|i| !crashed.contains(i))
-            .map(|i| inner(sim, i).output().expect("decided"))
+            .map(|i| inner(run, i).output().expect("decided"))
             .collect()
     }
 
     #[test]
     fn failure_free_unanimous_true() {
-        let mut sim = make_sim(StrongBa::new, &[true; 7], &[]);
-        sim.run_until_done(100).unwrap();
-        assert!(decisions(&sim, &[]).iter().all(|&d| d));
+        let run = lockstep(StrongBa::new, &[true; 7], &[], 100);
+        assert!(decisions(&run, &[]).iter().all(|&d| d));
         for i in 0..7u32 {
-            assert!(!inner(&sim, i).used_fallback(), "Lemma 8: no fallback when f = 0");
+            assert!(!inner(&run, i).used_fallback(), "Lemma 8: no fallback when f = 0");
         }
     }
 
@@ -659,18 +663,16 @@ mod tests {
         // Mixed inputs: 4 true, 3 false. The leader certifies whichever
         // value reaches t+1 = 4 first; all must agree.
         let inputs = [true, true, false, true, false, true, false];
-        let mut sim = make_sim(StrongBa::new, &inputs, &[]);
-        sim.run_until_done(100).unwrap();
-        let ds = decisions(&sim, &[]);
+        let run = lockstep(StrongBa::new, &inputs, &[], 100);
+        let ds = decisions(&run, &[]);
         assert!(ds.windows(2).all(|w| w[0] == w[1]), "agreement: {ds:?}");
     }
 
     #[test]
     fn failure_free_words_linear() {
         for n in [5usize, 9, 17, 33] {
-            let mut sim = make_sim(StrongBa::new, &vec![true; n], &[]);
-            sim.run_until_done(100).unwrap();
-            let words = sim.metrics().correct_words();
+            let run = lockstep(StrongBa::new, &vec![true; n], &[], 100);
+            let words = run.metrics.correct_words();
             assert!(words <= 9 * n as u64, "n={n}: {words} words");
         }
     }
@@ -679,14 +681,13 @@ mod tests {
     fn crashed_leader_falls_back_and_agrees() {
         let crashed = [0u32];
         let inputs = [false, true, true, true, true, true, true];
-        let mut sim = make_sim(StrongBa::new, &inputs, &crashed);
-        sim.run_until_done(200).unwrap();
-        let ds = decisions(&sim, &crashed);
+        let run = lockstep(StrongBa::new, &inputs, &crashed, 200);
+        let ds = decisions(&run, &crashed);
         assert!(ds.windows(2).all(|w| w[0] == w[1]), "agreement: {ds:?}");
         // Strong unanimity among correct: all correct proposed true.
         assert!(ds.iter().all(|&d| d));
         for i in 1..7u32 {
-            assert!(inner(&sim, i).used_fallback());
+            assert!(inner(&run, i).used_fallback());
         }
     }
 
@@ -697,9 +698,8 @@ mod tests {
         // agreement and validity hold.
         let crashed = [3u32];
         let inputs = [true; 7];
-        let mut sim = make_sim(StrongBa::new, &inputs, &crashed);
-        sim.run_until_done(200).unwrap();
-        let ds = decisions(&sim, &crashed);
+        let run = lockstep(StrongBa::new, &inputs, &crashed, 200);
+        let ds = decisions(&run, &crashed);
         assert!(ds.iter().all(|&d| d), "strong unanimity: {ds:?}");
     }
 
@@ -729,13 +729,12 @@ mod tests {
 
     #[test]
     fn rotating_failure_free_decides_in_first_attempt() {
-        let mut sim = make_sim(StrongBa::rotating, &[true; 7], &[]);
-        sim.run_until_done(300).unwrap();
-        let ds = decisions(&sim, &[]);
+        let run = lockstep(StrongBa::rotating, &[true; 7], &[], 300);
+        let ds = decisions(&run, &[]);
         assert!(ds.iter().all(|&d| d));
         for i in 0..7u32 {
-            assert!(!inner(&sim, i).used_fallback());
-            assert_eq!(inner(&sim, i).decided_at(), Some(4), "first attempt decides");
+            assert!(!inner(&run, i).used_fallback());
+            assert_eq!(inner(&run, i).decided_at(), Some(4), "first attempt decides");
         }
     }
 
@@ -746,13 +745,12 @@ mod tests {
         // p1 finishes because the quorum needs only ⌈(n+t+1)/2⌉ = 6 of 7
         // shares (n=9: 7 of 9).
         let crashed = [0u32];
-        let mut sim = make_sim(StrongBa::rotating, &[true; 9], &crashed);
-        sim.run_until_done(400).unwrap();
-        let ds = decisions(&sim, &crashed);
+        let run = lockstep(StrongBa::rotating, &[true; 9], &crashed, 400);
+        let ds = decisions(&run, &crashed);
         assert!(ds.iter().all(|&d| d), "strong unanimity");
         for i in 1..9u32 {
-            assert!(!inner(&sim, i).used_fallback(), "p{i} must not fall back");
-            assert_eq!(inner(&sim, i).decided_at(), Some(8), "second attempt decides");
+            assert!(!inner(&run, i).used_fallback(), "p{i} must not fall back");
+            assert_eq!(inner(&run, i).decided_at(), Some(8), "second attempt decides");
         }
     }
 
@@ -760,9 +758,8 @@ mod tests {
     fn rotating_linear_words_with_crashed_leader() {
         let crashed = [0u32];
         for n in [9usize, 17, 33] {
-            let mut sim = make_sim(StrongBa::rotating, &vec![true; n], &crashed);
-            sim.run_until_done(60 * n as u64).unwrap();
-            let words = sim.metrics().correct_words();
+            let run = lockstep(StrongBa::rotating, &vec![true; n], &crashed, 60 * n as u64);
+            let words = run.metrics.correct_words();
             assert!(
                 words <= 14 * n as u64,
                 "n={n}: {words} words — must stay linear despite the crashed leader"
@@ -775,18 +772,16 @@ mod tests {
         // n=9, t=4, adaptive bound 2: crash 4 (=t) — quorum unreachable,
         // fallback must run and unanimity must survive it.
         let crashed = [0u32, 2, 4, 6];
-        let mut sim = make_sim(StrongBa::rotating, &[false; 9], &crashed);
-        sim.run_until_done(600).unwrap();
-        let ds = decisions(&sim, &crashed);
+        let run = lockstep(StrongBa::rotating, &[false; 9], &crashed, 600);
+        let ds = decisions(&run, &crashed);
         assert!(ds.iter().all(|&d| !d));
     }
 
     #[test]
     fn rotating_split_inputs_still_agree() {
         let inputs = [true, false, true, false, true, false, true];
-        let mut sim = make_sim(StrongBa::rotating, &inputs, &[]);
-        sim.run_until_done(400).unwrap();
-        let ds = decisions(&sim, &[]);
+        let run = lockstep(StrongBa::rotating, &inputs, &[], 400);
+        let ds = decisions(&run, &[]);
         assert!(ds.windows(2).all(|w| w[0] == w[1]), "agreement: {ds:?}");
     }
 
@@ -794,9 +789,8 @@ mod tests {
     fn rotating_split_inputs_with_crashes_agree() {
         let inputs = [true, false, true, false, true, false, true, false, true];
         let crashed = [1u32, 5];
-        let mut sim = make_sim(StrongBa::rotating, &inputs, &crashed);
-        sim.run_until_done(600).unwrap();
-        let ds = decisions(&sim, &crashed);
+        let run = lockstep(StrongBa::rotating, &inputs, &crashed, 600);
+        let ds = decisions(&run, &crashed);
         assert!(ds.windows(2).all(|w| w[0] == w[1]), "agreement: {ds:?}");
     }
 
@@ -849,13 +843,14 @@ mod tests {
                 actors.push(Box::new(LockstepAdapter::new(id, sba)));
             }
         }
-        let mut sim = SimBuilder::new(actors).corrupt(byz).build();
-        sim.run_until_done(200).unwrap();
-        let ds = decisions(&sim, &[3]);
+        let config = DesConfig { max_rounds: 200, corrupt: vec![byz], ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, config).unwrap();
+        assert!(run.completed);
+        let ds = decisions(&run, &[3]);
         assert!(ds.windows(2).all(|w| w[0] == w[1]), "agreement: {ds:?}");
         for i in [0u32, 1, 2, 4] {
-            assert!(inner(&sim, i).used_fallback(), "p{i}");
-            assert!(inner(&sim, i).decided_at() > Some(coord), "p{i} decided by certificate");
+            assert!(inner(&run, i).used_fallback(), "p{i}");
+            assert!(inner(&run, i).decided_at() > Some(coord), "p{i} decided by certificate");
         }
     }
 }

@@ -865,18 +865,18 @@ mod tests {
 
     #[test]
     fn the_lockstep_adapter_lends_every_delivery() {
-        use meba_engine::SimBuilder;
+        use meba_engine::{run_des_cluster, DesConfig};
         use meba_sim::AnyActor;
         let n = 4;
         let actors: Vec<Box<dyn AnyActor<Msg = Counted>>> = (0..n)
             .map(|i| Box::new(LockstepAdapter::new(ProcessId(i), Tally(0, None))) as _)
             .collect();
         let start = CLONES.get();
-        let mut sim = SimBuilder::new(actors).build();
-        sim.run_until_done(10).unwrap();
-        for i in 0..n {
-            let a: &LockstepAdapter<Tally> =
-                sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+        let config = DesConfig { max_rounds: 10, ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, config).unwrap();
+        assert!(run.completed);
+        for (i, a) in run.actors.iter().enumerate() {
+            let a: &LockstepAdapter<Tally> = a.as_any().downcast_ref().unwrap();
             assert_eq!(a.inner().output(), Some(3 * u64::from(n)), "p{i} read every broadcast");
         }
         assert_eq!(CLONES.get() - start, 0, "no delivery is copied on its way to the protocol");

@@ -1005,13 +1005,13 @@ mod tests {
     use crate::subprotocol::LockstepAdapter;
     use crate::validity::AlwaysValid;
     use meba_crypto::trusted_setup;
-    use meba_engine::{SimBuilder, Simulation};
+    use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
     use meba_sim::{AnyActor, IdleActor};
 
     type Wba = WeakBa<u64, AlwaysValid, EchoFallbackFactory>;
     type Msg = <Wba as SubProtocol>::Msg;
 
-    fn make_sim(n: usize, inputs: &[u64], crashed: &[u32]) -> Simulation<Msg> {
+    fn lockstep(n: usize, inputs: &[u64], crashed: &[u32], max_rounds: u64) -> ClusterReport<Msg> {
         let cfg = SystemConfig::new(n, 7).unwrap();
         let (pki, keys) = trusted_setup(n, 11);
         let mut actors: Vec<Box<dyn AnyActor<Msg = Msg>>> = Vec::new();
@@ -1032,19 +1032,19 @@ mod tests {
                 actors.push(Box::new(LockstepAdapter::new(id, wba)));
             }
         }
-        let mut b = SimBuilder::new(actors);
-        for &c in crashed {
-            b = b.corrupt(ProcessId(c));
-        }
-        b.build()
+        let corrupt = crashed.iter().map(|&c| ProcessId(c)).collect();
+        let config = DesConfig { max_rounds, corrupt, ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, config).unwrap();
+        assert!(run.completed, "not done within {max_rounds} rounds");
+        run
     }
 
-    fn decisions(sim: &Simulation<Msg>, crashed: &[u32]) -> Vec<Decision<u64>> {
-        (0..sim.n() as u32)
+    fn decisions(run: &ClusterReport<Msg>, crashed: &[u32]) -> Vec<Decision<u64>> {
+        (0..run.actors.len() as u32)
             .filter(|i| !crashed.contains(i))
             .map(|i| {
                 let a: &LockstepAdapter<Wba> =
-                    sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+                    run.actors[i as usize].as_any().downcast_ref().unwrap();
                 a.inner().output().expect("decided")
             })
             .collect()
@@ -1053,13 +1053,12 @@ mod tests {
     #[test]
     fn unanimous_failure_free_decides_in_first_phase() {
         let n = 7;
-        let mut sim = make_sim(n, &[42; 7], &[]);
-        sim.run_until_done(200).unwrap();
-        let ds = decisions(&sim, &[]);
+        let run = lockstep(n, &[42; 7], &[], 200);
+        let ds = decisions(&run, &[]);
         assert!(ds.iter().all(|d| *d == Decision::Value(42)));
         // No fallback ran.
         for i in 0..n as u32 {
-            let a: &LockstepAdapter<Wba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+            let a: &LockstepAdapter<Wba> = run.actors[i as usize].as_any().downcast_ref().unwrap();
             assert!(!a.inner().used_fallback());
         }
     }
@@ -1067,9 +1066,8 @@ mod tests {
     #[test]
     fn mixed_inputs_failure_free_agree_on_leader_value() {
         let inputs = [3, 1, 4, 1, 5, 9, 2];
-        let mut sim = make_sim(7, &inputs, &[]);
-        sim.run_until_done(200).unwrap();
-        let ds = decisions(&sim, &[]);
+        let run = lockstep(7, &inputs, &[], 200);
+        let ds = decisions(&run, &[]);
         // Phase 1 leader is p1 (j=1, p_{1 mod 7}); its proposal wins.
         assert!(ds.iter().all(|d| *d == ds[0]));
         assert_eq!(ds[0], Decision::Value(inputs[1]));
@@ -1079,12 +1077,11 @@ mod tests {
     fn one_crash_below_adaptive_bound_no_fallback() {
         // n=9, t=4: adaptive bound = (9-4-1)/2 = 2, so f=1 is safe.
         let inputs = [7u64; 9];
-        let mut sim = make_sim(9, &inputs, &[1]);
-        sim.run_until_done(400).unwrap();
-        let ds = decisions(&sim, &[1]);
+        let run = lockstep(9, &inputs, &[1], 400);
+        let ds = decisions(&run, &[1]);
         assert!(ds.iter().all(|d| *d == Decision::Value(7)));
         for i in (0..9u32).filter(|i| *i != 1) {
-            let a: &LockstepAdapter<Wba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+            let a: &LockstepAdapter<Wba> = run.actors[i as usize].as_any().downcast_ref().unwrap();
             assert!(!a.inner().used_fallback(), "Lemma 6: no fallback below the bound");
         }
     }
@@ -1094,12 +1091,11 @@ mod tests {
         // n=5, t=2: crash 2 — quorum 4 unreachable, fallback must run.
         let inputs = [8u64; 5];
         let crashed = [3u32, 4];
-        let mut sim = make_sim(5, &inputs, &crashed);
-        sim.run_until_done(400).unwrap();
-        let ds = decisions(&sim, &crashed);
+        let run = lockstep(5, &inputs, &crashed, 400);
+        let ds = decisions(&run, &crashed);
         assert!(ds.iter().all(|d| *d == Decision::Value(8)), "strong unanimity via fallback");
         for i in 0..3u32 {
-            let a: &LockstepAdapter<Wba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+            let a: &LockstepAdapter<Wba> = run.actors[i as usize].as_any().downcast_ref().unwrap();
             assert!(a.inner().used_fallback());
         }
     }
@@ -1108,9 +1104,8 @@ mod tests {
     fn fallback_with_divergent_inputs_agrees() {
         let inputs = [1u64, 2, 3, 0, 0];
         let crashed = [3u32, 4];
-        let mut sim = make_sim(5, &inputs, &crashed);
-        sim.run_until_done(400).unwrap();
-        let ds = decisions(&sim, &crashed);
+        let run = lockstep(5, &inputs, &crashed, 400);
+        let ds = decisions(&run, &crashed);
         assert!(ds.windows(2).all(|w| w[0] == w[1]), "agreement under fallback: {ds:?}");
     }
 
@@ -1118,9 +1113,8 @@ mod tests {
     fn words_failure_free_linear_in_n() {
         for n in [5usize, 9, 17] {
             let inputs = vec![1u64; n];
-            let mut sim = make_sim(n, &inputs, &[]);
-            sim.run_until_done(600).unwrap();
-            let words = sim.metrics().correct_words();
+            let run = lockstep(n, &inputs, &[], 600);
+            let words = run.metrics.correct_words();
             // O(n(f+1)) with f=0: generously c*n with c = 16.
             assert!(words <= 16 * n as u64, "n={n}: failure-free weak BA used {words} words");
         }
@@ -1168,12 +1162,11 @@ mod tests {
     #[test]
     fn silent_phases_after_first_decision() {
         let n = 7;
-        let mut sim = make_sim(n, &[5; 7], &[]);
-        sim.run_until_done(300).unwrap();
+        let run = lockstep(n, &[5; 7], &[], 300);
         // Only the phase-1 leader should have gone non-silent.
         let mut nonsilent = 0;
         for i in 0..n as u32 {
-            let a: &LockstepAdapter<Wba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+            let a: &LockstepAdapter<Wba> = run.actors[i as usize].as_any().downcast_ref().unwrap();
             if a.inner().led_nonsilent_phase() {
                 nonsilent += 1;
             }

@@ -88,10 +88,9 @@
 //! in the round it is executing, lands at the send instant: a corrupt
 //! process hears correct round-`r` traffic in round `r`. A fault-delayed
 //! copy released later keeps its old `sent_round` and its sampled
-//! latency, so it does not rush. The lockstep
-//! [`Simulation`](crate::Simulation) is this loop, stepped one round at
-//! a time. Under [`RoundDriverConfig::QuorumOrTimeout`] nobody rushes:
-//! there is no common instant for a round to rush within.
+//! latency, so it does not rush. Every lockstep run is this loop, run to
+//! completion. Under [`RoundDriverConfig::QuorumOrTimeout`] nobody
+//! rushes: there is no common instant for a round to rush within.
 
 use crate::calendar::{CalendarQueue, TimeKeyed};
 use crate::config::{ClusterReport, LinkPolicyFactory};
@@ -433,19 +432,17 @@ impl Schedule {
     }
 }
 
-/// A discrete-event run that can be stepped: everything mutable the
-/// event loop threads through it. [`run_des_cluster`] drives it until
-/// every awaited process is done; the lockstep
-/// [`Simulation`](crate::Simulation) drives it one round at a time.
-pub(crate) struct DesRun<M: Message> {
+/// A discrete-event run: everything mutable the event loop threads
+/// through it. [`run_des_cluster`] runs it until every awaited process is
+/// done or the budget is spent.
+struct DesRun<M: Message> {
     sched: Schedule,
     net: DesNet<M>,
-    pub(crate) actors: Vec<Box<dyn AnyActor<Msg = M>>>,
+    actors: Vec<Box<dyn AnyActor<Msg = M>>>,
     procs: Vec<EngineProcess<M>>,
     // The run's one ledger: the loop is single-threaded, so every
     // process bills straight into it.
-    pub(crate) metrics: Metrics,
-    pub(crate) corrupt: Vec<bool>,
+    metrics: Metrics,
     // Rounds each process has been through: executed, or jumped over
     // and accounted as if executed.
     next_round: Vec<u64>,
@@ -478,7 +475,7 @@ impl<M: Message> DesRun<M> {
     /// # Panics
     ///
     /// Panics if `actors` is empty or ids are not `p0..p(n-1)` in order.
-    pub(crate) fn new(
+    fn new(
         actors: Vec<Box<dyn AnyActor<Msg = M>>>,
         rebuilder: Option<ActorRebuilder<M>>,
         config: DesConfig,
@@ -539,7 +536,6 @@ impl<M: Message> DesRun<M> {
             actors,
             procs,
             metrics: Metrics::default(),
-            corrupt,
             next_round: vec![0; n],
             wake: vec![0; n],
             pending: (0..n).filter(|&i| awaited[i] && !done[i]).count(),
@@ -552,31 +548,17 @@ impl<M: Message> DesRun<M> {
         })
     }
 
-    /// Whether every awaited process is done.
-    pub(crate) fn all_done(&self) -> bool {
-        self.pending == 0
-    }
-
-    /// The virtual round duration δ.
-    pub(crate) fn delta_ns(&self) -> u64 {
-        self.sched.delta_ns
-    }
-
-    /// Runs events in time order until the next one is at or after
-    /// `until` — or, with `stop_when_done`, until an instant boundary at
-    /// which every awaited process is done, which it returns true for.
-    /// The verdict is taken at instant boundaries, so every process
-    /// (corrupt ones included) executing at the completing instant still
-    /// runs — as in the global loop, which stepped all n processes before
-    /// checking.
-    pub(crate) fn run_until(&mut self, until: u128, stop_when_done: bool) -> bool {
+    /// Runs events in time order until an instant boundary at which every
+    /// awaited process is done, which it returns true for, or until none
+    /// is left. The verdict is taken at instant boundaries, so every
+    /// process (corrupt ones included) executing at the completing
+    /// instant still runs — as in the global loop, which stepped all n
+    /// processes before checking.
+    fn run(&mut self) -> bool {
         let quorum_mode = !self.sched.lockstep;
         while let Some((at, is_poke)) = self.next_event() {
-            if at >= until {
-                return false;
-            }
             if at > self.last_instant {
-                if stop_when_done && self.all_done() {
+                if self.pending == 0 {
                     return true;
                 }
                 self.last_instant = at;
@@ -603,7 +585,7 @@ impl<M: Message> DesRun<M> {
                 }
             }
         }
-        false
+        self.pending == 0
     }
 
     /// The earliest queued event: its instant, and whether it is a
@@ -799,7 +781,7 @@ pub fn run_des_cluster<M: Message>(
     config: DesConfig,
 ) -> Result<ClusterReport<M>, DesConfigError> {
     let mut run = DesRun::new(actors, rebuilder, config)?;
-    let completed = run.run_until(u128::MAX, true) || run.all_done();
+    let completed = run.run();
     Ok(run.finish(completed))
 }
 
@@ -1338,6 +1320,231 @@ mod tests {
             .collect();
         assert_eq!(first, [&[0, 1, 2][..], &[0, 1, 2], &[0, 1], &[0, 1]]);
         assert_eq!(report.metrics.advance.quorum, 4, "every round 1 advanced on its quorum");
+    }
+
+    /// Refuses [`REFUSED`] equivocations; done from round `last` on, and
+    /// from then asleep (`Round::NEVER`) if `sleeps`.
+    struct Refuser {
+        id: ProcessId,
+        last: u64,
+        ran: u64,
+        sleeps: bool,
+    }
+    const REFUSED: u64 = 3;
+    impl Actor for Refuser {
+        type Msg = Tick;
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Tick>) {
+            self.ran = ctx.round().as_u64();
+        }
+        fn done(&self) -> bool {
+            self.ran >= self.last
+        }
+        fn refused_equivocations(&self) -> u64 {
+            REFUSED
+        }
+        fn next_wakeup(&self, after: meba_sim::Round) -> meba_sim::Round {
+            if self.sleeps && self.done() {
+                meba_sim::Round::NEVER
+            } else {
+                after.next()
+            }
+        }
+    }
+
+    #[test]
+    fn the_lockstep_run_counts_refusals_and_credits_its_sleepers() {
+        // p1 and p2 are done after round 1 and sleep; p0 runs on to 6.
+        let run = |sleeps: bool| {
+            let actors = (0..3)
+                .map(|i| {
+                    let last = if i == 0 { 6 } else { 1 };
+                    let refuser =
+                        Refuser { id: ProcessId(i), last, ran: 0, sleeps: sleeps && i > 0 };
+                    Box::new(refuser) as Box<dyn AnyActor<Msg = Tick>>
+                })
+                .collect();
+            let config = DesConfig { max_rounds: 16, ..Default::default() };
+            run_des_cluster(actors, None, config).unwrap().metrics
+        };
+        let (sparse, dense) = (run(true), run(false));
+        assert_eq!(sparse.recovery.refused_equivocations, 3 * REFUSED);
+        assert_eq!(sparse.advance, dense.advance, "sleepers are credited their rounds");
+    }
+
+    /// Two words and one signature, billed to the `ping` component.
+    #[derive(Clone, Debug)]
+    struct Ping;
+    impl Message for Ping {
+        fn words(&self) -> u64 {
+            2
+        }
+        fn constituent_sigs(&self) -> u64 {
+            1
+        }
+        fn component(&self) -> &'static str {
+            "ping"
+        }
+    }
+
+    /// Broadcasts once in round 0, then records whom it hears; done once
+    /// it has heard three.
+    struct Chatter {
+        id: ProcessId,
+        heard: Vec<ProcessId>,
+    }
+    impl Actor for Chatter {
+        type Msg = Ping;
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Ping>) {
+            if ctx.round() == meba_sim::Round(0) {
+                ctx.broadcast(Ping);
+            }
+            self.heard.extend(ctx.inbox().iter().map(|e| e.from));
+        }
+        fn done(&self) -> bool {
+            self.heard.len() >= 3
+        }
+    }
+
+    fn chatters(n: usize) -> Vec<Box<dyn AnyActor<Msg = Ping>>> {
+        (0..n).map(|i| Box::new(Chatter { id: ProcessId(i as u32), heard: vec![] }) as _).collect()
+    }
+
+    fn heard(report: &ClusterReport<Ping>, i: usize) -> &[ProcessId] {
+        &report.actors[i].as_any().downcast_ref::<Chatter>().expect("a chatter").heard
+    }
+
+    /// A factory handing every sender its own copy of `policy`.
+    fn each(
+        policy: impl meba_sim::faults::LinkPolicy + Clone + Sync + 'static,
+    ) -> LinkPolicyFactory {
+        Arc::new(move |_| Box::new(policy.clone()))
+    }
+
+    /// `rounds` lockstep rounds of `actors` behind `policy`, or fewer if
+    /// every correct one is done first.
+    fn chat(
+        actors: Vec<Box<dyn AnyActor<Msg = Ping>>>,
+        rounds: u64,
+        policy: Option<LinkPolicyFactory>,
+    ) -> ClusterReport<Ping> {
+        let config = DesConfig { max_rounds: rounds, link_policy: policy, ..Default::default() };
+        run_des_cluster(actors, None, config).unwrap()
+    }
+
+    #[test]
+    fn words_exclude_self_delivery() {
+        let m = chat(chatters(3), 1, None).metrics;
+        // 3 broadcasts × 2 remote recipients × 2 words, one signature each.
+        assert_eq!((m.correct.words, m.correct.messages, m.correct.constituent_sigs), (12, 6, 6));
+        assert_eq!(m.by_component["ping"].words, 12);
+        let l01 = m.link(ProcessId(0), ProcessId(1));
+        assert_eq!((l01.sent, l01.bytes), (1, 0), "links are accounted without a policy");
+        assert_eq!(m.per_link.len(), 6, "no self-links");
+    }
+
+    #[test]
+    fn rushed_messages_not_redelivered() {
+        let config = DesConfig { corrupt: vec![ProcessId(1)], max_rounds: 3, ..Default::default() };
+        let report = run_des_cluster(chatters(2), None, config).unwrap();
+        // p1 hears p0's broadcast once (rushed, round 0) and its own once
+        // (self-delivery, round 1) — no duplicates.
+        assert_eq!(heard(&report, 1), [ProcessId(0), ProcessId(1)]);
+    }
+
+    #[test]
+    fn a_released_copy_lands_in_send_order() {
+        use meba_sim::faults::{Link, LinkFate};
+        // p0 → p2 is delayed one round: sent in r0, released by p0 at the
+        // start of its r1 turn — after nothing, before p1's r1 send.
+        let policy = |l: Link, r: u64| {
+            if l.from == ProcessId(0) && r == 0 {
+                LinkFate::DelayRounds(1)
+            } else {
+                LinkFate::Deliver
+            }
+        };
+        struct Every(ProcessId, Vec<(u64, ProcessId)>);
+        impl Actor for Every {
+            type Msg = Ping;
+            fn id(&self) -> ProcessId {
+                self.0
+            }
+            fn on_round(&mut self, ctx: &mut RoundCtx<'_, Ping>) {
+                if ctx.round() < meba_sim::Round(2) && self.0 != ProcessId(2) {
+                    ctx.send(ProcessId(2), Ping);
+                }
+                let r = ctx.round().as_u64();
+                self.1.extend(ctx.inbox().iter().map(|e| (r, e.from)));
+            }
+        }
+        let actors = (0..3).map(|i| Box::new(Every(ProcessId(i), vec![])) as _).collect();
+        let report = chat(actors, 3, Some(each(policy)));
+        let p2 = &report.actors[2].as_any().downcast_ref::<Every>().unwrap().1;
+        let (p0, p1) = (ProcessId(0), ProcessId(1));
+        assert_eq!(p2[..], [(1, p1), (2, p0), (2, p0), (2, p1)]);
+    }
+
+    #[test]
+    fn delivered_is_billed_where_a_round_consumes_the_inbox() {
+        // No policy installed: links are accounted all the same. p2 is
+        // down from round 1 on, so it drains nothing.
+        let run = |max_rounds| {
+            let crash: ProcessFateFactory = Arc::new(|p| match p {
+                ProcessId(2) => crate::ProcessFate::Crash { at_round: 1 },
+                _ => crate::ProcessFate::Run,
+            });
+            let config = DesConfig { max_rounds, process_fate: Some(crash), ..Default::default() };
+            run_des_cluster(chatters(3), None, config).unwrap().metrics
+        };
+        let m = run(1);
+        assert_eq!(m.link(ProcessId(0), ProcessId(1)).sent, 1);
+        assert_eq!(m.per_link.values().map(|l| l.delivered).sum::<u64>(), 0, "sent, not drained");
+        let m = run(2);
+        assert_eq!(m.link(ProcessId(0), ProcessId(1)).delivered, 1);
+        assert_eq!(m.link(ProcessId(2), ProcessId(0)).delivered, 1);
+        assert_eq!(m.link(ProcessId(0), ProcessId(2)).delivered, 0);
+    }
+
+    #[test]
+    fn link_policy_sever_is_a_counted_drop() {
+        use meba_sim::faults::{Link, SeverAt};
+        let link = Link { from: ProcessId(0), to: ProcessId(1) };
+        let report = chat(chatters(2), 2, Some(each(SeverAt::new(link, 0))));
+        assert_eq!(heard(&report, 1), [ProcessId(1)], "the severed message never arrives");
+        let stats = report.metrics.link(link.from, link.to);
+        assert_eq!((stats.sent, stats.dropped, stats.delivered), (1, 1, 0));
+    }
+
+    #[test]
+    fn link_policy_delay_saturates_instead_of_overflowing() {
+        use meba_sim::faults::{Link, LinkFate};
+        let policy = |_l: Link, _r: u64| LinkFate::DelayRounds(u64::MAX);
+        let report = chat(chatters(2), 3, Some(each(policy)));
+        assert_eq!(heard(&report, 1), [ProcessId(1)], "the delayed copy never lands");
+        let stats = report.metrics.link(ProcessId(0), ProcessId(1));
+        assert_eq!((stats.delayed, stats.delivered), (1, 0), "billed as delayed");
+    }
+
+    #[test]
+    fn seeded_policy_runs_reproduce_exactly() {
+        let run = || {
+            let m = chat(chatters(3), 3, Some(each(meba_sim::faults::BernoulliDrop::new(99, 0.5))))
+                .metrics;
+            (m.per_link, m.correct.words)
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    #[should_panic(expected = "actor 0 has id")]
+    fn build_validates_ids() {
+        let _ = chat(vec![Box::new(Chatter { id: ProcessId(5), heard: vec![] })], 1, None);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The workspace runs the same [`meba_sim::Actor`] state machines on three
 //! backends — this crate's deterministic discrete-event backend, a
 //! threaded wall-clock cluster ([`run_cluster`]), and a real-TCP cluster
-//! (`meba-wire`) — and the lockstep [`Simulation`] is the first of them
-//! under its lockstep driver, stepped a round at a time. All three
-//! execute a process's round through one body, [`EngineProcess::step`],
+//! (`meba-wire`) — and a lockstep run is the first of them under its
+//! lockstep driver. All three execute a process's round through one body, [`EngineProcess::step`],
 //! over a [`Transport`] — how bytes move: send / drain / sever / crash,
 //! with backpressure surfaced for accounting. This crate holds that body,
 //! the transports (the discrete-event queue in [`des`],
@@ -34,11 +33,9 @@
 //!   queue ([`calendar`]), no threads; n = 100–200 runs in milliseconds
 //!   for asymptotic word/round curves, and failure-free runs scale past
 //!   n = 4000. Under the lockstep driver its corrupt processes are the
-//!   rushing adversary, always.
-//! * [`SimBuilder`] / [`Simulation`] — the same event loop under the
-//!   lockstep driver with aligned clocks and no round budget, stepped one
-//!   round at a time: the harness the protocol crates' unit tests and
-//!   the experiment runners drive.
+//!   rushing adversary, always. It is the one way to run a lockstep
+//!   run — the protocol crates' unit tests and the experiment runners
+//!   included — and it runs to completion, with one ledger.
 //!
 //! Fates are resolved exactly once per process, up front
 //! ([`resolve_fates`]): a `CrashRestart` without a rebuilder is rejected
@@ -57,7 +54,6 @@ pub mod driver;
 pub mod fate;
 pub mod pacer;
 pub mod process;
-pub mod simulation;
 
 pub use calendar::{CalendarQueue, TimeKeyed};
 pub use channel::{channel_mesh, run_cluster, run_cluster_with_recovery, ChannelTransport};
@@ -73,7 +69,6 @@ pub use fate::{
 };
 pub use pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer};
 pub use process::{Delivery, EngineProcess, StepStatus, Transport};
-pub use simulation::{RunError, SimBuilder, Simulation};
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,8 @@
 //! that is a [`DeadlinePacer`]: δ-pacing with escalation, shared by the
 //! threaded and TCP backends. Rounds start at real instants; processing
 //! past a deadline is a synchrony overrun. (The discrete-event backend,
-//! and the lockstep `Simulation` built on it, own a virtual clock
-//! instead — nothing there sleeps or overruns.)
+//! lockstep runs included, owns a virtual clock instead — nothing there
+//! sleeps or overruns.)
 
 use parking_lot::RwLock;
 use std::fmt;

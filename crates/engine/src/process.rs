@@ -4,9 +4,8 @@
 //! `sent_round` → step → dispatch and bill the outbox — so inbox
 //! partitioning, word/byte/link accounting, send-edge fault application,
 //! crash-restart fates and the advance-cause tally exist in exactly one
-//! place. The backends (discrete-event — whose lockstep configuration is
-//! the `Simulation` — threads, TCP) differ only in the transport they
-//! plug in and in *when* they call it.
+//! place. The backends (discrete-event, threads, TCP) differ only in the
+//! transport they plug in and in *when* they call it.
 
 use crate::driver::AdvanceCause;
 use crate::fate::{ActorRebuilder, ResolvedFate};

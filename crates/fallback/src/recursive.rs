@@ -426,12 +426,12 @@ mod tests {
     use super::*;
     use meba_core::LockstepAdapter;
     use meba_crypto::trusted_setup;
-    use meba_engine::{SimBuilder, Simulation};
+    use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
     use meba_sim::{AnyActor, IdleActor};
 
     type Msg = RecBaMsg<u64>;
 
-    fn make_sim(inputs: &[u64], crashed: &[u32]) -> Simulation<Msg> {
+    fn lockstep(inputs: &[u64], crashed: &[u32], max_rounds: u64) -> ClusterReport<Msg> {
         let n = inputs.len();
         let cfg = SystemConfig::new(n, 1).unwrap();
         let (pki, keys) = trusted_setup(n, 3);
@@ -445,19 +445,19 @@ mod tests {
                 actors.push(Box::new(LockstepAdapter::new(id, rb)));
             }
         }
-        let mut b = SimBuilder::new(actors);
-        for &c in crashed {
-            b = b.corrupt(ProcessId(c));
-        }
-        b.build()
+        let corrupt = crashed.iter().map(|&c| ProcessId(c)).collect();
+        let config = DesConfig { max_rounds, corrupt, ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, config).unwrap();
+        assert!(run.completed, "not done within {max_rounds} rounds");
+        run
     }
 
-    fn outputs(sim: &Simulation<Msg>, crashed: &[u32]) -> Vec<u64> {
-        (0..sim.n() as u32)
+    fn outputs(run: &ClusterReport<Msg>, crashed: &[u32]) -> Vec<u64> {
+        (0..run.actors.len() as u32)
             .filter(|i| !crashed.contains(i))
             .map(|i| {
                 let a: &LockstepAdapter<RecursiveBa<u64>> =
-                    sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+                    run.actors[i as usize].as_any().downcast_ref().unwrap();
                 a.inner().output().expect("decided")
             })
             .collect()
@@ -557,24 +557,21 @@ mod tests {
 
     #[test]
     fn unanimous_small_system() {
-        let mut sim = make_sim(&[5, 5, 5], &[]);
-        sim.run_until_done(100).unwrap();
-        assert!(outputs(&sim, &[]).iter().all(|&v| v == 5));
+        let run = lockstep(&[5, 5, 5], &[], 100);
+        assert!(outputs(&run, &[]).iter().all(|&v| v == 5));
     }
 
     #[test]
     fn unanimous_recursive_system() {
         // n = 9 recurses: 9 -> (5, 4) -> ((3, 2), 4).
-        let mut sim = make_sim(&[7; 9], &[]);
-        sim.run_until_done(400).unwrap();
-        assert!(outputs(&sim, &[]).iter().all(|&v| v == 7), "strong unanimity");
+        let run = lockstep(&[7; 9], &[], 400);
+        assert!(outputs(&run, &[]).iter().all(|&v| v == 7), "strong unanimity");
     }
 
     #[test]
     fn mixed_inputs_agree() {
-        let mut sim = make_sim(&[1, 2, 3, 4, 5, 6, 7, 8, 9], &[]);
-        sim.run_until_done(400).unwrap();
-        let outs = outputs(&sim, &[]);
+        let run = lockstep(&[1, 2, 3, 4, 5, 6, 7, 8, 9], &[], 400);
+        let outs = outputs(&run, &[]);
         assert!(outs.windows(2).all(|w| w[0] == w[1]), "agreement: {outs:?}");
     }
 
@@ -583,17 +580,15 @@ mod tests {
         // n = 9, t = 4 crashes — the regime the adaptive protocols
         // delegate to this fallback.
         let crashed = [0u32, 2, 5, 7];
-        let mut sim = make_sim(&[3; 9], &crashed);
-        sim.run_until_done(400).unwrap();
-        assert!(outputs(&sim, &crashed).iter().all(|&v| v == 3), "strong unanimity");
+        let run = lockstep(&[3; 9], &crashed, 400);
+        assert!(outputs(&run, &crashed).iter().all(|&v| v == 3), "strong unanimity");
     }
 
     #[test]
     fn agreement_survives_max_crashes_mixed_inputs() {
         let crashed = [1u32, 3, 6, 8];
-        let mut sim = make_sim(&[2, 9, 2, 9, 2, 9, 2, 9, 2], &crashed);
-        sim.run_until_done(400).unwrap();
-        let outs = outputs(&sim, &crashed);
+        let run = lockstep(&[2, 9, 2, 9, 2, 9, 2, 9, 2], &crashed, 400);
+        let outs = outputs(&run, &crashed);
         assert!(outs.windows(2).all(|w| w[0] == w[1]), "agreement: {outs:?}");
     }
 
@@ -601,9 +596,8 @@ mod tests {
     fn words_scale_quadratically() {
         let mut words = Vec::new();
         for n in [9usize, 17, 33] {
-            let mut sim = make_sim(&vec![1u64; n], &[]);
-            sim.run_until_done(2000).unwrap();
-            words.push((n, sim.metrics().correct_words()));
+            let run = lockstep(&vec![1u64; n], &[], 2000);
+            words.push((n, run.metrics.correct_words()));
         }
         // Quadratic shape: words(2n)/words(n) should be around 4 and well
         // below the cubic ratio 8.

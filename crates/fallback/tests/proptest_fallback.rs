@@ -3,7 +3,7 @@
 
 use meba_core::{LockstepAdapter, SubProtocol, SystemConfig};
 use meba_crypto::{trusted_setup, ProcessId};
-use meba_engine::SimBuilder;
+use meba_engine::{run_des_cluster, DesConfig};
 use meba_fallback::{GaInstance, InstanceId, RecBaMsg, RecursiveBa, Scope, GA_STEPS};
 use meba_sim::{Actor, AnyActor, IdleActor, RoundCtx};
 use proptest::prelude::*;
@@ -46,18 +46,15 @@ fn run_ga(n: usize, inputs: &[u64], crashed: &[usize]) -> Vec<Option<(u64, u8)>>
             actors.push(Box::new(GaActor { me: id, ga }));
         }
     }
-    let mut b = SimBuilder::new(actors);
-    for &c in crashed {
-        b = b.corrupt(ProcessId(c as u32));
-    }
-    let mut sim = b.build();
-    sim.run_rounds(GA_STEPS + 1);
+    let corrupt = crashed.iter().map(|&c| ProcessId(c as u32)).collect();
+    let config = DesConfig { max_rounds: GA_STEPS + 1, corrupt, ..DesConfig::default() };
+    let run = run_des_cluster(actors, None, config).unwrap();
     (0..n)
         .map(|i| {
             if crashed.contains(&i) {
                 None
             } else {
-                let a: &GaActor = sim.actor(ProcessId(i as u32)).as_any().downcast_ref().unwrap();
+                let a: &GaActor = run.actors[i].as_any().downcast_ref().unwrap();
                 a.ga.result().copied()
             }
         })
@@ -126,17 +123,15 @@ proptest! {
                 actors.push(Box::new(LockstepAdapter::new(id, rb)));
             }
         }
-        let mut b = SimBuilder::new(actors);
-        for &c in &crashed {
-            b = b.corrupt(ProcessId(c as u32));
-        }
-        let mut sim = b.build();
-        sim.run_until_done(1_000).unwrap();
+        let corrupt = crashed.iter().map(|&c| ProcessId(c as u32)).collect();
+        let config = DesConfig { max_rounds: 1_000, corrupt, ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, config).unwrap();
+        prop_assert!(run.completed);
         let outs: Vec<u64> = (0..9)
             .filter(|i| !crashed.contains(i))
             .map(|i| {
                 let a: &LockstepAdapter<RecursiveBa<u64>> =
-                    sim.actor(ProcessId(i as u32)).as_any().downcast_ref().unwrap();
+                    run.actors[i].as_any().downcast_ref().unwrap();
                 a.inner().output().expect("decided")
             })
             .collect();

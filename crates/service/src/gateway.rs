@@ -119,7 +119,8 @@ fn gateway_loop(
 
         if fds[0].readable() {
             while let Ok((stream, _)) = listener.accept() {
-                if stream.set_nonblocking(true).is_ok() {
+                // No Nagle delay: a reply frame is one small segment.
+                if stream.set_nonblocking(true).and_then(|()| stream.set_nodelay(true)).is_ok() {
                     conns.push(Conn { stream, client: None, scratch: Vec::new() });
                 }
             }

@@ -33,7 +33,7 @@
 //! use meba_crypto::{trusted_setup, ProcessId};
 //! use meba_fallback::RecursiveBaFactory;
 //! use meba_service::{Op, ServiceConfig, ServicePort, ServiceReplica};
-//! use meba_engine::SimBuilder;
+//! use meba_engine::{run_des_cluster, DesConfig};
 //! use meba_sim::AnyActor;
 //!
 //! // A 3-replica service; client 7 submits one op to replica 0.
@@ -54,10 +54,9 @@
 //!     })
 //!     .collect();
 //! ports[0].submit(Op { client: 7, seq: 0, key: 1, value: 42 }).unwrap();
-//! let mut sim = SimBuilder::new(actors).build();
-//! sim.run_until_done(10_000).unwrap();
-//! let r0: &ServiceReplica<RecursiveBaFactory> =
-//!     sim.actor(ProcessId(0)).as_any().downcast_ref().unwrap();
+//! let run = run_des_cluster(actors, None, DesConfig::default()).unwrap();
+//! assert!(run.completed);
+//! let r0: &ServiceReplica<RecursiveBaFactory> = run.actors[0].as_any().downcast_ref().unwrap();
 //! assert_eq!(r0.kv().get(&1), Some(&42));
 //! assert!(r0.committed_at(7, 0).is_some());
 //! ```

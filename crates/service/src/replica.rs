@@ -6,8 +6,8 @@
 //! [`ServicePort`] while the pipeline window has room), batching, the
 //! write-ahead journal discipline, apply-with-dedup, and the read path.
 //! It is an ordinary [`Actor`] over the same wire messages as the bare
-//! log, so it runs unchanged on every backend (discrete-event — the
-//! lockstep `Simulation` included — threaded, TCP).
+//! log, so it runs unchanged on every backend (discrete-event, threaded,
+//! TCP).
 //!
 //! # Journal discipline
 //!

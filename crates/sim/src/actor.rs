@@ -165,7 +165,8 @@ pub trait Actor: Send {
     /// Executes one synchronous round.
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>);
 
-    /// Whether the actor has terminated (used for early simulation stop).
+    /// Whether the actor has terminated (a run stops once every correct
+    /// actor is).
     /// Termination in the protocols means "decided and finished its
     /// schedule", not merely "decided" — deciders may still need to answer
     /// help requests.
@@ -202,9 +203,8 @@ pub trait Actor: Send {
     ///
     /// The default, `after + 1`, promises nothing and keeps an actor
     /// ticking every round. Only the discrete-event backend consults the
-    /// hint, under its lockstep driver (DESIGN.md §18) — the lockstep
-    /// `Simulation` included; the wall-clock runtimes run every round
-    /// regardless.
+    /// hint, under its lockstep driver (DESIGN.md §18), so every lockstep
+    /// run does; the wall-clock runtimes run every round regardless.
     fn next_wakeup(&self, after: Round) -> Round {
         after.next()
     }

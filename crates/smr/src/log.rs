@@ -485,7 +485,7 @@ where
 mod tests {
     use super::*;
     use meba_crypto::trusted_setup;
-    use meba_engine::{SimBuilder, Simulation};
+    use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
     use meba_fallback::RecursiveBaFactory;
     use meba_sim::{AnyActor, Envelope, IdleActor, Round};
     use std::sync::Arc;
@@ -493,13 +493,14 @@ mod tests {
     type Log = ReplicatedLog<u64, RecursiveBaFactory>;
     type Msg = <Log as Actor>::Msg;
 
-    fn make_sim(
+    fn lockstep(
         n: usize,
         slots: u64,
         window: u64,
         commands: Vec<Vec<u64>>,
         crashed: &[u32],
-    ) -> Simulation<Msg> {
+        max_rounds: u64,
+    ) -> ClusterReport<Msg> {
         let cfg = SystemConfig::new(n, 9).unwrap();
         let (pki, keys) = trusted_setup(n, 77);
         let mut actors: Vec<Box<dyn AnyActor<Msg = Msg>>> = Vec::new();
@@ -523,18 +524,18 @@ mod tests {
             .with_window(window);
             actors.push(Box::new(log));
         }
-        let mut b = SimBuilder::new(actors);
-        for &c in crashed {
-            b = b.corrupt(ProcessId(c));
-        }
-        b.build()
+        let corrupt = crashed.iter().map(|&c| ProcessId(c)).collect();
+        let config = DesConfig { max_rounds, corrupt, ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, config).unwrap();
+        assert!(run.completed, "not done within {max_rounds} rounds");
+        run
     }
 
-    fn logs(sim: &Simulation<Msg>, crashed: &[u32]) -> Vec<Vec<LogEntry<u64>>> {
-        (0..sim.n() as u32)
+    fn logs(run: &ClusterReport<Msg>, crashed: &[u32]) -> Vec<Vec<LogEntry<u64>>> {
+        (0..run.actors.len() as u32)
             .filter(|i| !crashed.contains(i))
             .map(|i| {
-                let l: &Log = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+                let l: &Log = run.actors[i as usize].as_any().downcast_ref().unwrap();
                 l.log().to_vec()
             })
             .collect()
@@ -544,13 +545,10 @@ mod tests {
     fn failure_free_log_replicates_commands() {
         let n = 5;
         let commands: Vec<Vec<u64>> = (0..n).map(|i| vec![100 + i as u64]).collect();
-        let mut sim = make_sim(n, 3, 1, commands, &[]);
-        let budget = {
-            let l: &Log = sim.actor(ProcessId(0)).as_any().downcast_ref().unwrap();
-            l.total_rounds() + 2
-        };
-        sim.run_until_done(budget).unwrap();
-        let all = logs(&sim, &[]);
+        let run = lockstep(n, 3, 1, commands, &[], 20_000);
+        let l: &Log = run.actors[0].as_any().downcast_ref().unwrap();
+        assert!(run.rounds <= l.total_rounds() + 2, "done within the fixed schedule");
+        let all = logs(&run, &[]);
         for l in &all {
             assert_eq!(l, &all[0], "logs must be identical");
         }
@@ -565,9 +563,8 @@ mod tests {
         let commands: Vec<Vec<u64>> = (0..n).map(|i| vec![100 + i as u64]).collect();
         // p1 crashed: slot 1 must be ⊥, slots 0 and 2 commit.
         let crashed = [1u32];
-        let mut sim = make_sim(n, 3, 1, commands, &crashed);
-        sim.run_until_done(20_000).unwrap();
-        let all = logs(&sim, &crashed);
+        let run = lockstep(n, 3, 1, commands, &crashed, 20_000);
+        let all = logs(&run, &crashed);
         for l in &all {
             assert_eq!(l, &all[0], "logs must be identical");
         }
@@ -579,9 +576,8 @@ mod tests {
     #[test]
     fn empty_queue_proposes_noop() {
         let n = 5;
-        let mut sim = make_sim(n, 1, 1, vec![vec![]; n], &[]);
-        sim.run_until_done(20_000).unwrap();
-        let all = logs(&sim, &[]);
+        let run = lockstep(n, 1, 1, vec![vec![]; n], &[], 20_000);
+        let all = logs(&run, &[]);
         assert_eq!(all[0][0].entry, Decision::Value(0), "no-op committed");
     }
 
@@ -605,14 +601,13 @@ mod tests {
         let commands: Vec<Vec<u64>> =
             (0..n).map(|i| vec![100 + i as u64, 200 + i as u64]).collect();
         let run = |window: u64| {
-            let mut sim = make_sim(n, slots, window, commands.clone(), &[]);
-            sim.run_until_done(100_000).unwrap();
-            let logs = logs(&sim, &[]);
+            let run = lockstep(n, slots, window, commands.clone(), &[], 100_000);
+            let logs = logs(&run, &[]);
             for l in &logs {
                 assert_eq!(l, &logs[0], "window {window}: logs must be identical");
                 assert_eq!(l.len(), slots as usize);
             }
-            (sim.metrics().rounds, sim.metrics().clone(), logs[0].clone())
+            (run.metrics.rounds, run.metrics, logs[0].clone())
         };
         let (seq_rounds, _, seq_log) = run(1);
         let (pip_rounds, pip_metrics, pip_log) = run(2);
@@ -645,9 +640,8 @@ mod tests {
         let slots = 4u64;
         let commands: Vec<Vec<u64>> = (0..n).map(|i| vec![100 + i as u64]).collect();
         let crashed = [1u32];
-        let mut sim = make_sim(n, slots, 4, commands, &crashed);
-        sim.run_until_done(100_000).unwrap();
-        let all = logs(&sim, &crashed);
+        let run = lockstep(n, slots, 4, commands, &crashed, 100_000);
+        let all = logs(&run, &crashed);
         for l in &all {
             assert_eq!(l, &all[0], "logs must be identical");
         }
@@ -807,11 +801,10 @@ mod tests {
     fn evidence_certifies_committed_slots_and_rejects_forgeries() {
         let n = 5;
         let commands: Vec<Vec<u64>> = (0..n).map(|i| vec![100 + i as u64]).collect();
-        let mut sim = make_sim(n, 3, 1, commands, &[]);
-        sim.run_until_done(100_000).unwrap();
+        let run = lockstep(n, 3, 1, commands, &[], 100_000);
         let cfg = SystemConfig::new(n, 9).unwrap();
         let (pki, _) = trusted_setup(n, 77);
-        let l: &Log = sim.actor(ProcessId(0)).as_any().downcast_ref().unwrap();
+        let l: &Log = run.actors[0].as_any().downcast_ref().unwrap();
         assert_eq!(l.committed_prefix(), 3);
         for slot in 0..3u64 {
             let ev = l.evidence(slot).expect("fast-path slot carries evidence");

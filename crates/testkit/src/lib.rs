@@ -15,54 +15,38 @@
 //! * **Run.** The fault vector is the run's fault plan: [`with_faults`]
 //!   reads it once into the engine's settings — the corrupt set, a
 //!   crash fate per [`Fault::CrashAt`], a drop layer per [`Fault::Lossy`]
-//!   sender. [`sim`] builds the lockstep [`Simulation`] from them — the
-//!   discrete-event backend under its lockstep driver, stepped a round
-//!   at a time; [`des`] runs that backend to completion under a
-//!   [`Timing`] (default: lockstep), which makes n in the thousands
-//!   practical. [`meba_engine::run_cluster`] (threads) and
+//!   sender. [`des`] runs the actors to completion on the discrete-event
+//!   backend under them and a [`Timing`] (the lockstep one is the
+//!   synchronous model, rushing adversary included), which makes n in
+//!   the thousands practical; a run with another round budget hands
+//!   [`with_faults`]'s settings to [`run_des_cluster`] itself.
+//!   [`meba_engine::run_cluster`] (threads) and
 //!   `meba_wire::run_tcp_cluster` (TCP) take the same vector with
 //!   [`corrupt_ids`].
 //! * **Check.** [`oracle::decided`] checks a finished single-shot or log
-//!   run — [`Simulation::actors`] or a cluster report's `actors`, its
-//!   ledger, and the fault vector — for termination, agreement, the
-//!   family's validity rule and its Table 1 word bound, and hands back
-//!   the decisions and when they were reached. [`correct`] reads
-//!   protocol state the oracle does not. A service run is checked by
-//!   [`oracle::service`] over its replicas and journals (convergence,
-//!   exactly-once, no double binding); [`oracle::fold_journals`] is that
-//!   journal scan on its own, for the journal-backed weak BA.
+//!   run — a cluster report's `actors`, its ledger, and the fault
+//!   vector — for termination, agreement, the family's validity rule and
+//!   its Table 1 word bound, and hands back the decisions and when they
+//!   were reached. [`correct`] reads protocol state the oracle does not.
+//!   A service run is checked by [`oracle::service`] over its replicas
+//!   and journals (convergence, exactly-once, no double binding);
+//!   [`oracle::fold_journals`] is that journal scan on its own, for the
+//!   journal-backed weak BA.
 //!
 //! # Examples
-//!
-//! ```
-//! use meba_testkit::{bb_actors, oracle, round_budget, sim, BbProc, Fault};
-//! use meba_core::Decision;
-//!
-//! // n = 7 adaptive BB: sender p0 broadcasts 42, p3 crashed from round 0.
-//! let mut faults = vec![Fault::None; 7];
-//! faults[3] = Fault::Idle;
-//! let mut run = sim(bb_actors(0, 42, &faults), &faults);
-//! run.run_until_done(round_budget(7))?;
-//! let d = oracle::decided::<BbProc>(run.actors(), run.metrics(), &faults).assert_in_model();
-//! assert_eq!(d, Decision::Value(42));
-//! # Ok::<(), meba_engine::RunError>(())
-//! ```
-//!
-//! The same actors run to completion on the discrete-event backend — the
-//! same event loop [`sim`] steps, so under the lockstep [`Timing`] the
-//! decisions, word counts and per-link counters are the same, rushing
-//! adversaries included:
 //!
 //! ```
 //! use meba_testkit::{bb_actors, des, oracle, BbProc, Fault, Timing};
 //! use meba_core::Decision;
 //!
-//! let faults = vec![Fault::None; 7];
+//! // n = 7 adaptive BB: sender p0 broadcasts 42, p3 crashed from round 0.
+//! let mut faults = vec![Fault::None; 7];
+//! faults[3] = Fault::Idle;
 //! let report = des(bb_actors(0, 42, &faults), &faults, 0xd15c, &Timing::lockstep());
 //! assert!(report.completed);
 //! let run = oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults);
 //! assert_eq!(run.assert_in_model(), Decision::Value(42));
-//! assert_eq!(run.fell_back, 0, "failure-free BB never falls back");
+//! assert_eq!(run.fell_back, 0, "one silent follower costs no fallback");
 //! ```
 //!
 //! A hand-written adversary: mark its index Byzantine and return the
@@ -71,8 +55,7 @@
 //! broken run is a list of violations, not a panic:
 //!
 //! ```
-//! use meba_testkit::{cluster, oracle, round_budget, sim};
-//! use meba_testkit::{BbM, BbProc, Family, Fault};
+//! use meba_testkit::{cluster, des, oracle, BbM, BbProc, Family, Fault, Timing};
 //! use meba_adversary::EquivocatingSender;
 //! use meba_core::{Bb, LockstepAdapter};
 //! use meba_crypto::ProcessId;
@@ -95,11 +78,9 @@
 //!         Some(Box::new(sender) as Box<dyn AnyActor<Msg = BbM>>)
 //!     },
 //! );
-//! let mut run = sim(actors, &faults);
-//! run.run_until_done(round_budget(5))?;
-//! let checked = oracle::decided::<BbProc>(run.actors(), run.metrics(), &faults);
+//! let report = des(actors, &faults, 0xd15c, &Timing::lockstep());
+//! let checked = oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults);
 //! assert!(checked.violations.is_empty(), "{:?}", checked.violations);
-//! # Ok::<(), meba_engine::RunError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -120,7 +101,7 @@ use meba_core::{AlwaysValid, Bb, LockstepAdapter, StrongBa, SubProtocol, SystemC
 use meba_crypto::{trusted_setup, Decoder, Encoder, Pki, ProcessId, SecretKey, ThresholdSignature};
 pub use meba_engine::{default_quorum, AdvanceCause, RoundDriverConfig};
 use meba_engine::{run_des_cluster, ClusterReport, DesConfig, LinkPolicyFactory};
-use meba_engine::{ProcessFate, ProcessFateFactory, SimBuilder, Simulation};
+use meba_engine::{ProcessFate, ProcessFateFactory};
 use meba_fallback::RecursiveBaFactory;
 use meba_sim::faults::{BernoulliDrop, PolicyStack, ReliableLinks};
 use meba_sim::{Actor, AnyActor, IdleActor, Message};
@@ -297,8 +278,8 @@ where
 }
 
 /// The engine settings a fault vector stands for, laid over `config` —
-/// the one reading of a fault plan, which [`sim`] and [`des`] run
-/// through:
+/// the one reading of a fault plan, which every run goes through
+/// ([`des`], or [`run_des_cluster`] with its own budget):
 ///
 /// * every faulty process is `corrupt` ([`corrupt_ids`]);
 /// * a [`Fault::CrashAt`] process is [`ProcessFate::Crash`], over
@@ -474,21 +455,6 @@ pub fn log_actors(slots: u64, window: u64, faults: &[Fault]) -> Vec<Box<dyn AnyA
     cluster(Family::LOG.config(n), Family::LOG.key_seed, faults, honest, |_, _| None)
 }
 
-/// Builds the lockstep simulation over `actors` under the engine
-/// settings of `faults` ([`with_faults`]): the processes it marks
-/// Byzantine corrupt (and rushing), its crash fates and its lossy links.
-pub fn sim<M: Message>(actors: Vec<Box<dyn AnyActor<Msg = M>>>, faults: &[Fault]) -> Simulation<M> {
-    let plan = with_faults(faults, DesConfig::default());
-    let mut builder = plan.corrupt.into_iter().fold(SimBuilder::new(actors), SimBuilder::corrupt);
-    if let Some(fate) = plan.process_fate {
-        builder = builder.process_fate(fate);
-    }
-    if let Some(policy) = plan.link_policy {
-        builder = builder.link_policy(policy);
-    }
-    builder.build()
-}
-
 /// A timing scenario for the DES backend: the round driver plus the
 /// clock-skew and GST hazards of [`DesConfig`]. The default
 /// ([`Timing::lockstep`]) is the global lockstep schedule with aligned
@@ -632,8 +598,8 @@ pub fn des<M: Message>(
 
 /// The correct (`Fault::None`) processes of a finished run, downcast to
 /// their concrete actor type `A` — `LockstepAdapter<P>` for the
-/// single-shot families, [`LogProc`] for the log. `actors` is
-/// [`Simulation::actors`] or a cluster report's `actors`. Faulty
+/// single-shot families, [`LogProc`] for the log. `actors` is a cluster
+/// report's `actors`. Faulty
 /// processes are skipped: an adversary holds nothing comparable, and a
 /// crashed or lossy honest machine is not a correct process.
 ///
@@ -684,56 +650,35 @@ mod tests {
     #[test]
     fn harness_builds_and_runs_each_protocol() {
         let faults = vec![Fault::None, Fault::Idle, Fault::None, Fault::None, Fault::None];
-        let mut bb = sim(bb_actors(0, 3, &faults), &faults);
-        bb.run_until_done(round_budget(5)).unwrap();
-        let d = oracle::decided::<BbProc>(bb.actors(), bb.metrics(), &faults).assert_in_model();
-        assert_eq!(d, Decision::Value(3));
-
-        let mut wba = sim(weak_ba_actors(&[2; 5], &faults), &faults);
-        wba.run_until_done(round_budget(5)).unwrap();
-        let d = oracle::decided::<WbaProc>(wba.actors(), wba.metrics(), &faults).assert_in_model();
-        assert_eq!(d, Decision::Value(2));
-
-        let mut sba = sim(strong_ba_actors(StrongBa::new, &[true; 5], &faults), &faults);
-        sba.run_until_done(round_budget(5)).unwrap();
-        assert!(oracle::decided::<SbaProc>(sba.actors(), sba.metrics(), &faults).assert_in_model());
-
-        let mut log = sim(log_actors(2, 2, &faults), &faults);
-        log.run_until_done(log_round_budget(5, 2)).unwrap();
-        let d = oracle::decided::<LogProc>(log.actors(), log.metrics(), &faults).assert_in_model();
-        assert_eq!(d.len(), 2);
-    }
-
-    #[test]
-    fn des_reaches_the_same_decisions() {
-        let (faults, lockstep) = (vec![Fault::None; 5], Timing::lockstep());
+        let lockstep = Timing::lockstep();
         let bb = des(bb_actors(0, 3, &faults), &faults, 7, &lockstep);
-        assert!(bb.completed);
         let d = oracle::decided::<BbProc>(&bb.actors, &bb.metrics, &faults).assert_in_model();
         assert_eq!(d, Decision::Value(3));
 
         let wba = des(weak_ba_actors(&[2; 5], &faults), &faults, 7, &lockstep);
-        assert!(wba.completed);
         let d = oracle::decided::<WbaProc>(&wba.actors, &wba.metrics, &faults).assert_in_model();
         assert_eq!(d, Decision::Value(2));
 
         let sba = des(strong_ba_actors(StrongBa::new, &[true; 5], &faults), &faults, 7, &lockstep);
-        assert!(sba.completed);
         assert!(oracle::decided::<SbaProc>(&sba.actors, &sba.metrics, &faults).assert_in_model());
+
+        let config = DesConfig { max_rounds: log_round_budget(5, 2), ..DesConfig::default() };
+        let log =
+            run_des_cluster(log_actors(2, 2, &faults), None, with_faults(&faults, config)).unwrap();
+        let d = oracle::decided::<LogProc>(&log.actors, &log.metrics, &faults).assert_in_model();
+        assert_eq!(d.len(), 2);
     }
 
     #[test]
     #[should_panic(expected = "agreement: p0 and p2 decided differently")]
     fn assert_safe_panics_on_split() {
         let faults = [Fault::None; 3];
-        let split = |v: u64| sim(bb_actors(0, v, &faults), &faults);
-        let (mut a, mut b) = (split(1), split(2));
-        a.run_until_done(round_budget(3)).unwrap();
-        b.run_until_done(round_budget(3)).unwrap();
+        let split = |v: u64| des(bb_actors(0, v, &faults), &faults, 0, &Timing::lockstep());
+        let (a, b) = (split(1), split(2));
         // p2 of the second run decided another value than the first's p0, p1.
-        let mut actors = a.actors().iter().map(|x| x.as_ref()).collect::<Vec<_>>();
-        actors[2] = b.actors()[2].as_ref();
-        oracle::decided::<BbProc>(&actors, a.metrics(), &faults).assert_safe();
+        let mut actors = a.actors.iter().map(|x| x.as_ref()).collect::<Vec<_>>();
+        actors[2] = b.actors[2].as_ref();
+        oracle::decided::<BbProc>(&actors, &a.metrics, &faults).assert_safe();
     }
 
     #[test]
@@ -769,15 +714,14 @@ mod tests {
             },
         );
         assert_eq!(asked, [1, 2], "only marked indices are offered to the adversary");
-        let mut run = sim(actors, &faults);
-        run.run_until_done(round_budget(5)).unwrap();
+        let run = des(actors, &faults, 0, &Timing::lockstep());
         // Read-back skips it (a `WastefulBbLeader` is no `BbProc`) ...
-        let checked = oracle::decided::<BbProc>(run.actors(), run.metrics(), &faults);
+        let checked = oracle::decided::<BbProc>(&run.actors, &run.metrics, &faults);
         assert_eq!(checked.decisions.iter().flatten().count(), 3);
         // ... and its words are billed to the adversary, not to
         // `Metrics::correct_words`.
-        let m = run.metrics();
-        assert!(run.is_corrupt(ProcessId(1)) && m.per_process[&1].words > 0);
+        let m = &run.metrics;
+        assert!(m.per_process[&1].words > 0);
         assert_eq!(m.byzantine.words, m.per_process[&1].words);
         let correct: u64 = [0, 3, 4].iter().map(|i| m.per_process[i].words).sum();
         assert_eq!(m.correct_words(), correct);
@@ -790,9 +734,8 @@ mod tests {
         let mut faults = vec![Fault::None; 5];
         faults[2] = Fault::Lossy(0x10);
         assert!(faults[2].is_byzantine(), "lossy processes count toward f");
-        let mut bb = sim(bb_actors(0, 9, &faults), &faults);
-        bb.run_until_done(round_budget(5)).unwrap();
-        let d = oracle::decided::<BbProc>(bb.actors(), bb.metrics(), &faults).assert_in_model();
+        let bb = des(bb_actors(0, 9, &faults), &faults, 0, &Timing::lockstep());
+        let d = oracle::decided::<BbProc>(&bb.actors, &bb.metrics, &faults).assert_in_model();
         assert_eq!(d, Decision::Value(9));
     }
 

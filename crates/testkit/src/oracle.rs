@@ -499,9 +499,8 @@ fn judge<P: Probe>(correct: &[Triple<P>], f: u64, words: u64, bound: u64) -> Vec
 }
 
 /// Checks a finished run of protocol family `P`: `actors` are the run's
-/// actors ([`meba_engine::Simulation::actors`] or a cluster report's
-/// `actors`), `metrics` its ledger, and `faults` the matrix that says
-/// which processes are correct. A run has `f = ` the processes `faults`
+/// actors (a cluster report's `actors`), `metrics` its ledger, and
+/// `faults` the matrix that says which processes are correct. A run has `f = ` the processes `faults`
 /// marks Byzantine plus its crash-restarts, each of which counts as one
 /// fault (the runtimes count the crashes of correct processes only, so a
 /// crashed process `faults` already marks is not counted twice).
@@ -699,23 +698,23 @@ pub fn service(replicas: &[&ServiceProc], journals: &[Vec<Record>]) -> Verdict {
 mod tests {
     use super::*;
     use crate::service::{service_replica, ServiceHarness, ServiceM};
-    use crate::{log_round_budget, sim, WbaProc};
-    use meba_engine::Simulation;
-    use meba_engine::{run_des_cluster, DesConfig};
+    use crate::{des, log_round_budget, Timing, WbaProc};
+    use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
     use meba_service::{Op, ServiceConfig};
 
     /// A finished 3-replica, 3-slot cluster whose replica 0 was offered
     /// the one op `(client 4, seq 0)`: key 2 := `value`.
-    fn cluster(value: u64) -> (ServiceHarness, Simulation<ServiceM>) {
+    fn cluster(value: u64) -> (ServiceHarness, ClusterReport<ServiceM>) {
         let h = ServiceHarness::new(3, ServiceConfig { total_slots: 3, ..Default::default() });
         h.port(0).submit(Op { client: 4, seq: 0, key: 2, value }).unwrap();
-        let mut sim = sim(h.actors(), &[Fault::None; 3]);
-        sim.run_until_done(log_round_budget(3, 3)).unwrap();
-        (h, sim)
+        let config = DesConfig { max_rounds: log_round_budget(3, 3), ..DesConfig::default() };
+        let report = run_des_cluster(h.actors(), None, config).unwrap();
+        assert!(report.completed);
+        (h, report)
     }
 
-    fn replica(sim: &Simulation<ServiceM>, i: u32) -> &ServiceProc {
-        service_replica(sim.actor(ProcessId(i)))
+    fn replica(report: &ClusterReport<ServiceM>, i: usize) -> &ServiceProc {
+        service_replica(report.actors[i].as_ref())
     }
 
     #[test]
@@ -822,9 +821,8 @@ mod tests {
     #[test]
     fn a_crash_restart_counts_toward_f() {
         let (inputs, free) = ([2; 5], [Fault::None; 5]);
-        let mut lockstep = sim(crate::weak_ba_actors(&inputs, &free), &free);
-        lockstep.run_until_done(crate::round_budget(5)).unwrap();
-        let mut restarted = lockstep.metrics().clone();
+        let lockstep = des(crate::weak_ba_actors(&inputs, &free), &free, 0, &Timing::lockstep());
+        let mut restarted = lockstep.metrics.clone();
         restarted.recovery.crash_restarts = 1;
         // On the DES, p2 crashes at round 1 and never rejoins; the run
         // counts it corrupt and the oracle reads it as marked faulty.
@@ -838,8 +836,8 @@ mod tests {
         };
         let des = run_des_cluster(crate::weak_ba_actors(&inputs, &free), None, config).unwrap();
         let rows = [
-            ("failure-free", decided::<WbaProc>(lockstep.actors(), lockstep.metrics(), &free), 0),
-            ("one restart", decided::<WbaProc>(lockstep.actors(), &restarted, &free), 1),
+            ("failure-free", decided::<WbaProc>(&lockstep.actors, &lockstep.metrics, &free), 0),
+            ("one restart", decided::<WbaProc>(&lockstep.actors, &restarted, &free), 1),
             ("one marked crash", decided::<WbaProc>(&des.actors, &des.metrics, &marked), 1),
         ];
         for (label, run, f) in rows {

@@ -203,17 +203,25 @@ pub fn service_pin(h: &ServiceHarness, metrics_json: &str, replicas: &[&ServiceP
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meba_engine::SimBuilder;
+    use meba_engine::{run_des_cluster, DesConfig};
     use meba_service::Op;
+
+    /// The harness's replicas run to completion on the lockstep DES.
+    fn run(h: &ServiceHarness) -> meba_engine::ClusterReport<ServiceM> {
+        let config =
+            DesConfig { max_rounds: crate::log_round_budget(3, 3), ..DesConfig::default() };
+        let report = run_des_cluster(h.actors(), None, config).unwrap();
+        assert!(report.completed);
+        report
+    }
 
     #[test]
     fn harness_runs_and_commits_on_lockstep() {
         let service = ServiceConfig { total_slots: 3, ..ServiceConfig::default() };
         let h = Arc::new(ServiceHarness::new(3, service));
         h.port(0).submit(Op { client: 4, seq: 0, key: 2, value: 11 }).unwrap();
-        let mut sim = SimBuilder::new(h.actors()).build();
-        sim.run_until_done(crate::log_round_budget(3, 3)).unwrap();
-        let replicas: Vec<_> = (0..3).map(|i| service_replica(sim.actor(ProcessId(i)))).collect();
+        let report = run(&h);
+        let replicas: Vec<_> = report.actors.iter().map(|a| service_replica(a.as_ref())).collect();
         // One place for op (4, 0) on every replica, and every journaled
         // slot binding bound once.
         let v = crate::oracle::service(&replicas, &h.journals());
@@ -230,10 +238,8 @@ mod tests {
         let service = ServiceConfig { total_slots: 3, ..ServiceConfig::default() };
         let h = Arc::new(ServiceHarness::new(3, service));
         h.port(0).submit(Op { client: 9, seq: 1, key: 5, value: 77 }).unwrap();
-        let mut sim = SimBuilder::new(h.actors()).build();
-        sim.run_until_done(crate::log_round_budget(3, 3)).unwrap();
-        // "Crash" replica 0 by dropping the sim; its journal survives.
-        drop(sim);
+        // "Crash" replica 0 by dropping the run; its journal survives.
+        drop(run(&h));
         let acked = h.port(0).drain_events();
         assert!(!acked.is_empty(), "the live commit was acknowledged");
         let journaled = h.journal_buffer(0).len();

@@ -9,26 +9,24 @@
 //! queue to the threaded cluster or real TCP sockets must not change what
 //! the protocol decides or how many words correct processes pay.
 //!
-//! The lockstep simulation *is* the discrete-event backend under the
-//! lockstep driver, so there is one virtual clock to check, not two: its
-//! runs must not depend on the link-latency seed, with every fault the
-//! testkit builds — the rushing adversary's included, since corrupt
-//! processes rush on every lockstep discrete-event run — and stepping it
-//! a round at a time must read the fault vector as running it to
-//! completion does. Against the wall-clock backends only decisions and
-//! failure-free words are compared.
+//! A lockstep run is the discrete-event backend under the lockstep
+//! driver, so there is one virtual clock to check: its runs must not
+//! depend on the link-latency seed, with every fault the testkit builds —
+//! the rushing adversary's included, since corrupt processes rush on
+//! every lockstep discrete-event run. Against the wall-clock backends
+//! only decisions and failure-free words are compared.
 
 use meba_core::{Decision, LockstepAdapter, StrongBa, SubProtocol};
 use meba_crypto::ProcessId;
 use meba_engine::{
     run_cluster, run_des_cluster, ActorRebuilder, ClusterConfig, DesConfig, LinkPolicyFactory,
-    ProcessFateFactory, RebuiltActor, RoundDriverConfig, SimBuilder,
+    ProcessFateFactory, RebuiltActor, RoundDriverConfig,
 };
 use meba_sim::faults::{Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt};
 use meba_sim::{Actor, AnyActor, Message, Metrics, Round, RoundCtx};
 use meba_testkit::{
     bb_actors, corrupt_ids, crash_restart, des, log_actors, log_round_budget, oracle, round_budget,
-    sim, strong_ba_actors, weak_ba_actors, with_faults, BbProc, Fault, LogProc, SbaProc, Timing,
+    strong_ba_actors, weak_ba_actors, with_faults, BbProc, Fault, LogProc, SbaProc, Timing,
     WbaProc,
 };
 use proptest::prelude::*;
@@ -60,17 +58,8 @@ fn rendered<P: oracle::Probe>(
     format!("{completed} {} {:?} {ledger}", metrics.rounds, decided.decisions)
 }
 
-/// `metrics` with the advance-cause tallies cleared: a run stepped a
-/// round at a time is not credited with its sleepers' last rounds, so
-/// that field says how a run was driven, not what it sent or decided.
-fn unclocked(metrics: &Metrics) -> Metrics {
-    Metrics { advance: Default::default(), ..metrics.clone() }
-}
-
-/// Three renderings of one fault vector over `build()`'s actors: `des`
-/// under latency seeds `a` and `b`, which must agree byte for byte, and
-/// `sim` stepped a round at a time, whose ledger must equal `des`'s but
-/// for `advance`.
+/// Two renderings of one fault vector over `build()`'s actors: `des`
+/// under latency seeds `a` and `b`, which must agree byte for byte.
 fn one_reading<P: oracle::Probe>(
     build: impl Fn() -> Vec<Box<dyn AnyActor<Msg = <P::Actor as Actor>::Msg>>>,
     faults: &[Fault],
@@ -78,31 +67,20 @@ fn one_reading<P: oracle::Probe>(
 ) {
     let render = |seed| {
         let report = des(build(), faults, seed, &Timing::lockstep());
-        let whole = rendered::<P>(&report.actors, &report.metrics, report.completed, faults);
-        let ledger = unclocked(&report.metrics);
-        (whole, rendered::<P>(&report.actors, &ledger, report.completed, faults))
+        rendered::<P>(&report.actors, &report.metrics, report.completed, faults)
     };
-    let ((at_a, unclocked_a), (at_b, _)) = (render(a), render(b));
-    assert_eq!(at_a, at_b, "two latency seeds: {faults:?}");
-    let mut stepped = sim(build(), faults);
-    let completed = stepped.run_until_done(round_budget(faults.len())).is_ok();
-    let ledger = unclocked(stepped.metrics());
-    let stepped = rendered::<P>(stepped.actors(), &ledger, completed, faults);
-    assert_eq!(stepped, unclocked_a, "sim vs des: {faults:?}");
+    assert_eq!(render(a), render(b), "two latency seeds: {faults:?}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    // The lockstep discrete-event run — what `sim` and `SimBuilder` drive
-    // — is one function of its actors and its fault vector: the
-    // link-latency seed only moves arrivals inside the round window, and
-    // a rushed copy lands at its send instant whatever the seed. For
-    // every family and up to t faults of every kind the testkit builds,
-    // two seeds give byte-identical `Metrics`, the same rounds and
-    // verdict, and the same decisions; and `sim`, which reads the fault
-    // vector through the same `with_faults` as `des`, gives the same
-    // ledger but for `advance`.
+    // The lockstep discrete-event run is one function of its actors and
+    // its fault vector: the link-latency seed only moves arrivals inside
+    // the round window, and a rushed copy lands at its send instant
+    // whatever the seed. For every family and up to t faults of every
+    // kind the testkit builds, two seeds give byte-identical `Metrics`,
+    // the same rounds and verdict, and the same decisions.
     #[test]
     fn lockstep_des_is_seed_invariant(
         family in 0usize..4,
@@ -179,30 +157,6 @@ proptest! {
             "lockstep RoundDriver must reproduce the global schedule byte-identically"
         );
     }
-}
-
-/// `SimBuilder::process_fate` takes the same fate factory as every other
-/// backend, not only its `Crash` fates: a `CrashRestart` victim without a
-/// rebuilder is down for good yet still awaited, so neither run
-/// completes, and the lockstep façade's ledger equals `run_des_cluster`'s
-/// but for `advance` — the restart counted once in both.
-#[test]
-fn lockstep_facade_reads_a_crash_restart_fate_as_the_des_does() {
-    let n = 5;
-    let clean = vec![Fault::None; n];
-    let fate = crash_restart(2, 3, 2);
-    let budget = round_budget(n);
-
-    let mut stepped = SimBuilder::new(bb_actors(0, 7, &clean)).process_fate(fate.clone()).build();
-    assert!(stepped.run_until_done(budget).is_err(), "the victim never finishes");
-    let config = DesConfig { max_rounds: budget, process_fate: Some(fate), ..DesConfig::default() };
-    let des = run_des_cluster(bb_actors(0, 7, &clean), None, config).expect("valid config");
-    assert!(!des.completed);
-
-    assert_eq!(stepped.metrics().recovery.crash_restarts, 1);
-    assert_eq!(stepped.metrics().rounds, des.rounds);
-    let ledger = |m: &Metrics| serde_json::to_string(&unclocked(m)).expect("metrics serialize");
-    assert_eq!(ledger(stepped.metrics()), ledger(&des.metrics), "sim vs des ledger");
 }
 
 /// Retries a wall-clock cluster run until it completes with zero
@@ -311,16 +265,13 @@ fn link_fault_plan() -> Box<dyn LinkPolicy> {
     Box::new(PolicyStack::new().with(Box::new(sever)).with(Box::new(by_sender)))
 }
 
-/// [`link_fault_plan`], sever included, runs unchanged on all four
-/// backends. Lockstep and DES — neither has connections, so the sever is
-/// a counted drop — agree on decisions, words, rounds and every counter
-/// of every link (both bill `delivered` where a round drains the inbox,
-/// and both stop before the last round's traffic is drained); the
-/// threaded cluster and TCP decide the same, and
-/// over TCP the same plan additionally tears the socket down and the
-/// link reconnects.
+/// [`link_fault_plan`], sever included, runs unchanged on every
+/// backend. On the DES — no connections, so the sever is a counted drop
+/// — it decides; the threaded cluster and TCP decide the same, and over
+/// TCP the same plan additionally tears the socket down and the link
+/// reconnects.
 #[test]
-fn one_link_fault_plan_runs_on_all_four_backends() {
+fn one_link_fault_plan_runs_on_every_backend() {
     use meba_core::SystemConfig;
     use meba_wire::{run_tcp_cluster, TcpClusterConfig};
 
@@ -329,22 +280,10 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
     let inputs = vec![7u64; n];
     let factory: LinkPolicyFactory = Arc::new(|_me| link_fault_plan());
 
-    let mut sim =
-        SimBuilder::new(weak_ba_actors(&inputs, &faults)).link_policy(factory.clone()).build();
-    sim.run_until_done(round_budget(n)).unwrap();
-    // The plan breaks the synchrony bound on p3's and p4's links without
-    // counting them toward f, so the runs are outside the model: safety.
-    let decided = |actors: &_, metrics: &_| oracle::decided::<WbaProc>(actors, metrics, &faults);
-    let lockstep = decided(sim.actors(), sim.metrics());
-    assert_eq!(lockstep.assert_safe(), Decision::Value(7));
-    let severed = sim.metrics().link(SEVERED.from, SEVERED.to);
-    assert!(severed.dropped >= 1, "the severed frame is billed as a drop: {severed:?}");
-
     let des = run_des_cluster(
         weak_ba_actors(&inputs, &faults),
         None,
         DesConfig {
-            seed: 0x5e7e,
             max_rounds: round_budget(n),
             link_policy: Some(factory.clone()),
             ..DesConfig::default()
@@ -352,15 +291,14 @@ fn one_link_fault_plan_runs_on_all_four_backends() {
     )
     .expect("valid config");
     assert!(des.completed, "DES run must complete");
+    // The plan breaks the synchrony bound on p3's and p4's links without
+    // counting them toward f, so the runs are outside the model: safety.
+    let decided = |actors: &_, metrics: &_| oracle::decided::<WbaProc>(actors, metrics, &faults);
+    let lockstep = decided(&des.actors, &des.metrics);
+    assert_eq!(lockstep.assert_safe(), Decision::Value(7));
+    let severed = des.metrics.link(SEVERED.from, SEVERED.to);
+    assert!(severed.dropped >= 1, "the severed frame is billed as a drop: {severed:?}");
     let decisions = &lockstep.decisions;
-    assert_eq!(
-        &decided(&des.actors, &des.metrics).decisions,
-        decisions,
-        "lockstep vs DES decisions"
-    );
-    assert_eq!(sim.metrics().correct.words, des.metrics.correct.words, "lockstep vs DES words");
-    assert_eq!(sim.metrics().rounds, des.rounds, "lockstep vs DES rounds");
-    assert_eq!(sim.metrics().per_link, des.metrics.per_link, "lockstep vs DES per-link counters");
 
     let threaded = clean_run("threaded weak BA under the link plan", |delta| {
         let config = ClusterConfig {

@@ -7,7 +7,7 @@
 //! announcing a huge frame.
 
 use crate::error::WireError;
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Hard cap on a frame payload (1 MiB).
 ///
@@ -16,14 +16,25 @@ use std::io::{Read, Write};
 /// robustness guard against garbage length prefixes.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// Writes one frame (`4-byte BE length ‖ payload`) and flushes.
+/// Writes one frame (`4-byte BE length ‖ payload`) and flushes. The
+/// length prefix and the payload go down in one vectored write, so on a
+/// `TCP_NODELAY` socket a frame is one segment, not a 4-byte one and
+/// then the rest; a short write is resumed where it stopped.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(WireError::FrameTooLarge { len: payload.len(), max: MAX_FRAME_BYTES });
     }
-    let len = u32::try_from(payload.len()).expect("cap fits in u32");
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let len = u32::try_from(payload.len()).expect("cap fits in u32").to_be_bytes();
+    let mut frame = [IoSlice::new(&len), IoSlice::new(payload)];
+    let mut rest = &mut frame[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -113,6 +124,35 @@ mod tests {
         let mut r = &buf[..];
         let mut payload = Vec::new();
         assert!(matches!(read_frame(&mut r, &mut payload), Err(WireError::PeerClosed)));
+    }
+
+    /// A socket-like sink that counts the writes it is handed: each one
+    /// is a syscall, and on a `TCP_NODELAY` socket a segment.
+    #[derive(Default)]
+    struct Syscalls {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+    impl Write for Syscalls {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.write(buf)
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.write_vectored(bufs)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut sink = Syscalls::default();
+        write_frame(&mut sink, b"reply").unwrap();
+        assert_eq!(sink.writes, 1, "length prefix and payload in one write");
+        assert_eq!(sink.bytes, b"\0\0\0\x05reply");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use meba::prelude::*;
-use meba::testkit::{correct, sim, strong_ba_actors, Fault, SbaProc};
+use meba::testkit::{correct, des, strong_ba_actors, Fault, SbaProc, Timing};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -24,16 +24,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let faults: Vec<Fault> =
         (0..n).map(|i| if i < f { Fault::Idle } else { Fault::None }).collect();
-    let mut sim = sim(strong_ba_actors(StrongBa::rotating, &vec![true; n], &faults), &faults);
-    sim.run_until_done(10_000)?;
+    let actors = strong_ba_actors(StrongBa::rotating, &vec![true; n], &faults);
+    let run = des(actors, &faults, 0, &Timing::lockstep());
+    assert!(run.completed, "every correct process finished its schedule");
 
-    for a in correct::<LockstepAdapter<SbaProc>, _>(sim.actors(), &faults) {
+    for a in correct::<LockstepAdapter<SbaProc>, _>(&run.actors, &faults) {
         assert_eq!(a.inner().output(), Some(true), "strong unanimity");
         assert!(!a.inner().used_fallback(), "must stay on the linear path");
     }
-    let sample = correct::<LockstepAdapter<SbaProc>, _>(sim.actors(), &faults).next().unwrap();
+    let sample = correct::<LockstepAdapter<SbaProc>, _>(&run.actors, &faults).next().unwrap();
     let decided = sample.inner().decided_at().unwrap();
-    let m = sim.metrics();
+    let m = &run.metrics;
 
     println!("all correct processes decided `true` at round {decided}");
     println!(

@@ -36,19 +36,13 @@ mod meba_bench_free {
             };
             actors.push(Box::new(LockstepAdapter::new(id, bb)));
         }
-        let mut b = SimBuilder::new(actors);
-        for i in 1..=crash {
-            b = b.corrupt(ProcessId(i as u32));
-        }
-        let mut sim = b.build();
-        sim.run_until_done(100_000).unwrap();
-        let fb = (0..n as u32).any(|i| {
-            sim.actor(ProcessId(i))
-                .as_any()
+        let run = run_to_end(actors, crash);
+        let fb = run.actors.iter().any(|a| {
+            a.as_any()
                 .downcast_ref::<LockstepAdapter<P>>()
                 .is_some_and(|a| a.inner().used_fallback())
         });
-        (sim.metrics().correct_words(), fb)
+        (run.metrics.correct_words(), fb)
     }
 
     pub fn words_strong(n: usize, crash: usize) -> (u64, bool) {
@@ -67,19 +61,13 @@ mod meba_bench_free {
             let sba = StrongBa::new(cfg, id, key, pki.clone(), factory, true);
             actors.push(Box::new(LockstepAdapter::new(id, sba)));
         }
-        let mut b = SimBuilder::new(actors);
-        for i in 1..=crash {
-            b = b.corrupt(ProcessId(i as u32));
-        }
-        let mut sim = b.build();
-        sim.run_until_done(100_000).unwrap();
-        let fb = (0..n as u32).any(|i| {
-            sim.actor(ProcessId(i))
-                .as_any()
+        let run = run_to_end(actors, crash);
+        let fb = run.actors.iter().any(|a| {
+            a.as_any()
                 .downcast_ref::<LockstepAdapter<P>>()
                 .is_some_and(|a| a.inner().used_fallback())
         });
-        (sim.metrics().correct_words(), fb)
+        (run.metrics.correct_words(), fb)
     }
 
     pub fn words_ds(n: usize) -> u64 {
@@ -94,9 +82,20 @@ mod meba_bench_free {
             let ds = DolevStrongBb::new(&cfg, ProcessId(0), id, key, pki.clone(), input);
             actors.push(Box::new(LockstepAdapter::new(id, ds)));
         }
-        let mut sim = SimBuilder::new(actors).build();
-        sim.run_until_done(10_000).unwrap();
-        sim.metrics().correct_words()
+        run_to_end(actors, 0).metrics.correct_words()
+    }
+
+    /// Runs `actors` to completion on the lockstep discrete-event
+    /// backend, `p1..=p{crash}` corrupt.
+    fn run_to_end<M: Message>(
+        actors: Vec<Box<dyn AnyActor<Msg = M>>>,
+        crash: usize,
+    ) -> ClusterReport<M> {
+        let corrupt = (1..=crash).map(|i| ProcessId(i as u32)).collect();
+        let config = DesConfig { max_rounds: 100_000, corrupt, ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, config).unwrap();
+        assert!(run.completed);
+        run
     }
 }
 

@@ -148,21 +148,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 actors.push(correct_actor(&cfg, &pki, key, ProcessId(i as u32), sender, value));
             }
         }
-        let mut builder = SimBuilder::new(actors);
-        for &i in &byz_ids {
-            builder = builder.corrupt(ProcessId(i));
-        }
-        if let Some(links) = sc.links {
-            builder = builder.link_policy(links);
-        }
-        let mut sim = builder.build();
-        sim.run_until_done(20_000)?;
+        let config = DesConfig {
+            max_rounds: 20_000,
+            corrupt: byz_ids.iter().map(|&i| ProcessId(i)).collect(),
+            link_policy: sc.links,
+            ..DesConfig::default()
+        };
+        let run = run_des_cluster(actors, None, config)?;
+        assert!(run.completed, "every correct process finished its schedule");
 
         // Collect decisions of correct processes and check agreement.
         let mut decisions = Vec::new();
         for i in (0..n as u32).filter(|i| !byz_ids.contains(i)) {
             let a: &LockstepAdapter<BbProc> =
-                sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+                run.actors[i as usize].as_any().downcast_ref().unwrap();
             decisions.push(a.inner().output().expect("correct process decided"));
         }
         assert!(decisions.windows(2).all(|w| w[0] == w[1]), "agreement violated!");
@@ -174,7 +173,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Decision::Value(v) => format!("all decide {v}"),
             Decision::Bot => "all decide ⊥".to_string(),
         };
-        let m = sim.metrics();
+        let m = &run.metrics;
         println!(
             "{:<28} {:>7} {:>9} {:>8}  {}",
             sc.name, m.correct.words, m.correct.messages, m.rounds, outcome

@@ -34,12 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         actors.push(Box::new(LockstepAdapter::new(id, bb)));
     }
 
-    let mut sim = SimBuilder::new(actors).build();
-    sim.run_until_done(10_000)?;
+    let run = run_des_cluster(actors, None, DesConfig::default())?;
+    assert!(run.completed, "every process finished its schedule");
 
     println!("\nDecisions:");
-    for i in 0..n as u32 {
-        let a: &LockstepAdapter<BbProc> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+    for (i, a) in run.actors.iter().enumerate() {
+        let a: &LockstepAdapter<BbProc> = a.as_any().downcast_ref().unwrap();
         println!(
             "  p{i}: {:?} (decided at round {})",
             a.inner().output().unwrap(),
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let m = sim.metrics();
+    let m = &run.metrics;
     println!("\nComplexity:");
     println!("  rounds                  : {}", m.rounds);
     println!("  words (correct)         : {}", m.correct.words);

@@ -24,8 +24,8 @@ const N: usize = 5;
 const SLOTS: u64 = 5;
 
 /// Builds the cluster (p2 crashed) at the given pipeline window and runs
-/// it to completion, returning the finished simulation.
-fn run(window: u64) -> Result<Simulation<Msg>, Box<dyn std::error::Error>> {
+/// it to completion, returning the finished run.
+fn run(window: u64) -> Result<ClusterReport<Msg>, Box<dyn std::error::Error>> {
     let cfg = SystemConfig::new(N, 0)?;
     let (pki, keys) = trusted_setup(N, 2024);
     let crashed = ProcessId(2); // slot 2's proposer will be down
@@ -43,17 +43,18 @@ fn run(window: u64) -> Result<Simulation<Msg>, Box<dyn std::error::Error>> {
             .with_window(window);
         actors.push(Box::new(log));
     }
-    let mut sim = SimBuilder::new(actors).corrupt(crashed).build();
-    sim.run_until_done(100_000)?;
-    Ok(sim)
+    let config = DesConfig { max_rounds: 100_000, corrupt: vec![crashed], ..DesConfig::default() };
+    let run = run_des_cluster(actors, None, config)?;
+    assert!(run.completed, "every live replica finished the log");
+    Ok(run)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sequential = run(1)?;
-    let sim = run(3)?;
+    let pipelined = run(3)?;
 
     println!("Pipelined replicated log over {SLOTS} adaptive-BB slots (n = {N}, p2 crashed)\n");
-    let reference: &Log = sim.actor(ProcessId(0)).as_any().downcast_ref().unwrap();
+    let reference: &Log = pipelined.actors[0].as_any().downcast_ref().unwrap();
     println!(
         "window W = {} → a new slot opens every {} rounds (slot schedule: {})",
         reference.window(),
@@ -72,24 +73,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every live replica holds the identical log, and the pipelined run
     // commits exactly what the sequential run commits — only sooner.
     let crashed = ProcessId(2);
-    for i in (0..N as u32).filter(|&i| ProcessId(i) != crashed) {
-        let l: &Log = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+    for i in (0..N).filter(|&i| i != crashed.index()) {
+        let l: &Log = pipelined.actors[i].as_any().downcast_ref().unwrap();
         assert_eq!(l.log(), reference.log(), "replica p{i} diverged");
     }
-    let seq_ref: &Log = sequential.actor(ProcessId(0)).as_any().downcast_ref().unwrap();
+    let seq_ref: &Log = sequential.actors[0].as_any().downcast_ref().unwrap();
     assert_eq!(seq_ref.log(), reference.log(), "pipelining changed the log");
-    assert!(sim.metrics().rounds < sequential.metrics().rounds);
+    assert!(pipelined.rounds < sequential.rounds);
 
     let committed: Vec<u64> = reference.committed().copied().collect();
     println!("\ncommitted commands : {committed:?}");
     println!(
         "rounds             : {} pipelined vs {} sequential",
-        sim.metrics().rounds,
-        sequential.metrics().rounds
+        pipelined.rounds, sequential.rounds
     );
-    println!("total words        : {}", sim.metrics().correct_words());
+    println!("total words        : {}", pipelined.metrics.correct_words());
     println!("\nper-slot word bill (session metrics):");
-    for (session, s) in &sim.metrics().per_session {
+    for (session, s) in &pipelined.metrics.per_session {
         println!(
             "  slot {session}: {:>4} words over rounds {}..={}",
             s.counters.words, s.first_round, s.last_round

@@ -69,12 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             };
             actors.push(Box::new(LockstepAdapter::new(id, bb)));
         }
-        let mut builder = SimBuilder::new(actors);
-        if proposer_crashed {
-            builder = builder.corrupt(proposer);
-        }
-        let mut sim = builder.build();
-        sim.run_until_done(20_000)?;
+        let corrupt = if proposer_crashed { vec![proposer] } else { Vec::new() };
+        let config = DesConfig { max_rounds: 20_000, corrupt, ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, config)?;
+        assert!(run.completed, "every live replica decided the slot");
 
         // Apply the slot's decision at every live replica.
         let mut slot_decision: Option<Decision<Vec<u8>>> = None;
@@ -83,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
             let a: &LockstepAdapter<BbProc> =
-                sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+                run.actors[i as usize].as_any().downcast_ref().unwrap();
             let d = a.inner().output().expect("replica decided");
             if let Some(prev) = &slot_decision {
                 assert_eq!(prev, &d, "replicas diverged!");
@@ -109,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             slot,
             format!("p{}{}", proposer.0, if proposer_crashed { "✗" } else { "" }),
             format!("set {key} {val}"),
-            sim.metrics().correct_words(),
+            run.metrics.correct_words(),
             result
         );
     }

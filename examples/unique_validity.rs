@@ -108,16 +108,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let wba = WeakBa::new(cfg, id, key, pki.clone(), validity.clone(), factory, input.clone());
         actors.push(Box::new(LockstepAdapter::new(id, wba)));
     }
-    let mut builder = SimBuilder::new(actors);
-    for &c in &crashed {
-        builder = builder.corrupt(ProcessId(c));
-    }
-    let mut sim = builder.build();
-    sim.run_until_done(10_000)?;
+    let corrupt = crashed.iter().map(|&c| ProcessId(c)).collect();
+    let run = run_des_cluster(actors, None, DesConfig { corrupt, ..DesConfig::default() })?;
+    assert!(run.completed, "every correct process finished its schedule");
 
     println!("weak BA over attested values (n = {n}, 2 crashed):");
     for i in (0..n as u32).filter(|i| !crashed.contains(i)) {
-        let a: &LockstepAdapter<Wba> = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+        let a: &LockstepAdapter<Wba> = run.actors[i as usize].as_any().downcast_ref().unwrap();
         let d = a.inner().output().unwrap();
         match &d {
             Decision::Value(att) => println!("  p{i}: decided attested value {}", att.value),

@@ -23,7 +23,7 @@
 //! | [`smr`] | `meba-smr` | replicated log over repeated BB instances |
 //! | [`service`] | `meba-service` | client front door: sessions, batching, admission control, reads |
 //! | [`testkit`] | `meba-testkit` | fault-matrix harness for adversarial testing |
-//! | [`engine`] | `meba-engine` | backend-agnostic round engine: transports, pacers, fates, discrete-event backend and the lockstep simulation on it |
+//! | [`engine`] | `meba-engine` | backend-agnostic round engine: transports, pacers, fates, and the discrete-event backend every lockstep run goes through |
 //! | [`wire`] | `meba-wire` | real TCP transport: canonical codec, handshake, byte accounting |
 //!
 //! # Quickstart
@@ -49,13 +49,13 @@
 //!     };
 //!     actors.push(Box::new(LockstepAdapter::new(id, bb)));
 //! }
-//! let mut sim = SimBuilder::new(actors).build();
-//! sim.run_until_done(1_000)?;
+//! let run = run_des_cluster(actors, None, DesConfig { max_rounds: 1_000, ..DesConfig::default() })?;
+//! assert!(run.completed);
 //!
 //! // Every process decided the sender's value, in O(n) words (f = 0).
-//! for i in 0..n as u32 {
+//! for actor in &run.actors {
 //!     let actor: &LockstepAdapter<Bb<u64, RecursiveBaFactory>> =
-//!         sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+//!         actor.as_any().downcast_ref().unwrap();
 //!     assert_eq!(actor.inner().output(), Some(Decision::Value(42)));
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -84,7 +84,7 @@ pub mod prelude {
         Validity, Value, WeakBa, WeakBaMsg,
     };
     pub use meba_crypto::{trusted_setup, Pki, ProcessId, SecretKey, WordCost};
-    pub use meba_engine::{SimBuilder, Simulation};
+    pub use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
     pub use meba_fallback::{DolevStrongBb, RecursiveBa, RecursiveBaFactory};
     pub use meba_service::{
         Batch, BatchPolicy, Op, ServiceClient, ServiceConfig, ServiceGateway, ServicePort,

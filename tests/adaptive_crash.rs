@@ -10,14 +10,17 @@ use meba::prelude::*;
 
 /// Weak BA over `inputs` with the simulator crashing each `(id, round)`
 /// of `crashes`, run to the end.
-fn weak_ba_with_crashes(inputs: &[u64], crashes: &[(u32, u64)]) -> (Simulation<WbaM>, Vec<Fault>) {
+fn weak_ba_with_crashes(
+    inputs: &[u64],
+    crashes: &[(u32, u64)],
+) -> (ClusterReport<WbaM>, Vec<Fault>) {
     run_with_crashes(weak_ba_actors(inputs, &vec![Fault::None; inputs.len()]), crashes)
 }
 
 /// The survivors' common decision, with every check of the oracle.
 fn survivors_decide(inputs: &[u64], crashes: &[(u32, u64)]) -> Decision<u64> {
-    let (sim, faults) = weak_ba_with_crashes(inputs, crashes);
-    oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults).assert_in_model()
+    let (run, faults) = weak_ba_with_crashes(inputs, crashes);
+    oracle::decided::<WbaProc>(&run.actors, &run.metrics, &faults).assert_in_model()
 }
 
 /// Agreement among *survivors* must hold no matter when crashes land.
@@ -39,10 +42,10 @@ fn leader_crash_between_commit_and_finalize() {
     // Phase 1 occupies rounds 0..5; the leader sends CommitCert in round
     // 2 and FinalizeCert in round 4. Crash it at round 4 (cert formed but
     // never sent... actually: crash before its round-4 send).
-    let (sim, faults) = weak_ba_with_crashes(&[9; 7], &[(1, 4)]);
-    let d = oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+    let (run, faults) = weak_ba_with_crashes(&[9; 7], &[(1, 4)]);
+    let d = oracle::decided::<WbaProc>(&run.actors, &run.metrics, &faults).assert_in_model();
     assert_eq!(d, Decision::Value(9), "the committed value must win");
-    for a in common::correct::<LockstepAdapter<WbaProc>, _>(sim.actors(), &faults) {
+    for a in common::correct::<LockstepAdapter<WbaProc>, _>(&run.actors, &faults) {
         // Everyone committed in phase 1 (the commit cert went out in
         // round 2) with level 1 preserved through relays.
         assert_eq!(a.inner().committed_value(), Some(&9), "{}", a.id());

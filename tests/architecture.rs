@@ -145,7 +145,7 @@ fn assert_one_line_in(pattern: &str, specs: &[&str], file: &str) {
 }
 
 /// One fault vocabulary (`meba_sim::faults::{LinkFate, LinkPolicy}`), one
-/// `StrongBa`, one testkit path (`cluster` / `sim` / `des` /
+/// `StrongBa`, one testkit path (`cluster` / `des` /
 /// `oracle::decided`), one ledger (`Metrics` is plain data), one round body
 /// (no sim-only trace; rushing is not optional; `meba-sim` holds no body),
 /// one oracle, one slot lifecycle (`ReplicatedLog`, no mux layer): the
@@ -153,7 +153,7 @@ fn assert_one_line_in(pattern: &str, specs: &[&str], file: &str) {
 #[test]
 fn retired_names_stay_retired() {
     assert_none(
-        r"SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|SimBuilder::trace|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions",
+        r"SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions",
         &["crates", "src", "tests", "examples", "README.md", "docs"],
     );
 }
@@ -344,8 +344,8 @@ fn fallback_traffic_is_held_by_handle() {
     }
 }
 
-/// One virtual clock: the lockstep `Simulation` is the discrete-event
-/// loop — no wave loop, no lane transport, no outbox-tampering wrappers.
+/// One virtual clock: a lockstep run is the discrete-event loop — no wave
+/// loop, no lane transport, no outbox-tampering wrappers.
 #[test]
 fn one_virtual_clock() {
     assert_none(
@@ -366,12 +366,22 @@ fn one_fault_plan() {
 }
 
 /// One cluster builder: `meba-bench`'s runners build every cluster
-/// through `meba-testkit`; its golden test pins `SimBuilder`'s own three
-/// settings (`corrupt`, `process_fate`, `link_policy`).
+/// through `meba-testkit`; its golden test pins the three engine
+/// settings a fault plan sets (`corrupt`, `process_fate`, `link_policy`).
 #[test]
 fn one_cluster_builder() {
-    assert_none(r"SimBuilder::new", &["crates/bench/src"]);
     assert_none(r"trusted_setup\(", &["crates/bench/src"]);
+}
+
+/// One lockstep entry: every lockstep run goes through `run_des_cluster`
+/// (or the testkit's `des`) and runs to completion — no stepped façade,
+/// no second builder of the run settings `DesConfig` holds.
+#[test]
+fn one_lockstep_entry() {
+    assert_none(
+        r"\b(SimBuilder|Simulation|RunError)\b|run_until_done|testkit::sim\(",
+        &["crates", "src", "tests", "examples", "README.md", "DESIGN.md"],
+    );
 }
 
 /// One slot path: retired names stay retired; a slot's decision is stored

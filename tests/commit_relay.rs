@@ -13,7 +13,7 @@ use meba::prelude::*;
 /// n = 7, Byzantine {p1 (leader of phase 1), p3, p5}. p1 drives a full
 /// commit round for value 20 (everyone commits), then never finalizes.
 /// Returns the finished run, checked by the oracle, and its faults.
-fn planted_commit_run() -> (Simulation<WbaM>, Vec<Fault>) {
+fn planted_commit_run() -> (ClusterReport<WbaM>, Vec<Fault>) {
     let byz = [1, 3, 5];
     let faults: Vec<Fault> =
         (0..7).map(|i| if byz.contains(&i) { Fault::Idle } else { Fault::None }).collect();
@@ -34,20 +34,21 @@ fn planted_commit_run() -> (Simulation<WbaM>, Vec<Fault>) {
             (p.id.0 == 1).then(|| Box::new(leader()) as Box<dyn AnyActor<Msg = WbaM>>)
         },
     );
-    let mut sim = sim(actors, &faults);
-    sim.run_until_done(4_000).unwrap();
+    let config = DesConfig { max_rounds: 4_000, ..DesConfig::default() };
+    let run = run_des_cluster(actors, None, with_faults(&faults, config)).unwrap();
+    assert!(run.completed);
     // Agreement holds, and since a finalize certificate for 20 exists in
     // the system (the attacker used it to help p0), Lemma 15 says no
     // other finalize certificate can ever exist — the decision is 20.
-    let d = oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+    let d = oracle::decided::<WbaProc>(&run.actors, &run.metrics, &faults).assert_in_model();
     assert_eq!(d, Decision::Value(20));
-    (sim, faults)
+    (run, faults)
 }
 
 #[test]
 fn planted_commit_is_relayed_and_level_preserved() {
-    let (sim, faults) = planted_commit_run();
-    for a in correct::<LockstepAdapter<WbaProc>, _>(sim.actors(), &faults) {
+    let (run, faults) = planted_commit_run();
+    for a in correct::<LockstepAdapter<WbaProc>, _>(&run.actors, &faults) {
         // Every correct process committed to the planted value...
         assert_eq!(a.inner().committed_value(), Some(&20), "{}", a.id());
         // ...and relays preserve the ORIGINAL level (phase 1), because a
@@ -63,9 +64,9 @@ fn decisions_never_contradict_a_planted_commit() {
 
 #[test]
 fn trace_shows_relay_traffic_in_later_phases() {
-    let (sim, _) = planted_commit_run();
+    let (run, _) = planted_commit_run();
     // The per-round word series is the trace: read phase 2 off it.
-    let m = sim.metrics();
+    let m = &run.metrics;
     // Phase 2 occupies rounds 5..10: correct processes answer p2's
     // propose with CommitReply and p2 relays — so phase-2 rounds carry
     // correct words even though the phase-1 leader was the proposer of

@@ -6,34 +6,41 @@
 
 pub use meba_testkit::*;
 
-use meba::engine::{SimBuilder, Simulation};
+use meba::engine::{run_des_cluster, ClusterReport, DesConfig};
 use meba::sim::{Actor, AnyActor, Message};
 use oracle::{Decided, Probe};
 
-/// Runs `actors` to completion on the lockstep simulator and checks the
-/// finished run with family `P`'s oracle.
+/// Runs `actors` to completion on the lockstep discrete-event backend and
+/// checks the finished run with family `P`'s oracle.
 pub fn checked<P: Probe>(
     actors: Vec<Box<dyn AnyActor<Msg = <P::Actor as Actor>::Msg>>>,
     faults: &[Fault],
 ) -> Decided<P::Output> {
-    let mut sim = sim(actors, faults);
-    sim.run_until_done(round_budget(faults.len())).unwrap();
-    oracle::decided::<P>(sim.actors(), sim.metrics(), faults)
+    let report = des(actors, faults, 0, &Timing::lockstep());
+    assert!(report.completed, "not done within the round budget");
+    oracle::decided::<P>(&report.actors, &report.metrics, faults)
 }
 
-/// Runs `actors` to the end on the lockstep simulator with each `(id,
-/// round)` of `crashes` crashed there at that round — honest, and
-/// honestly scheduled, until then. Returns the run and the fault vector
-/// the oracle reads it with, in which each victim counts toward `f`.
+/// Runs `actors` to the end on the lockstep discrete-event backend with
+/// each `(id, round)` of `crashes` crashed there at that round — honest,
+/// and honestly scheduled, until then. Returns the run and the fault
+/// vector the oracle reads it with, in which each victim counts toward
+/// `f`.
 pub fn run_with_crashes<M: Message>(
     actors: Vec<Box<dyn AnyActor<Msg = M>>>,
     crashes: &[(u32, u64)],
-) -> (Simulation<M>, Vec<Fault>) {
+) -> (ClusterReport<M>, Vec<Fault>) {
     let mut faults = vec![Fault::None; actors.len()];
     for &(id, round) in crashes {
         faults[id as usize] = Fault::CrashAt(round);
     }
-    let mut sim = SimBuilder::new(actors).process_fate(crashes_at(crashes)).build();
-    sim.run_until_done(round_budget(faults.len())).unwrap();
-    (sim, faults)
+    let fate = Some(crashes_at(crashes));
+    let config = DesConfig {
+        max_rounds: round_budget(faults.len()),
+        process_fate: fate,
+        ..DesConfig::default()
+    };
+    let report = run_des_cluster(actors, None, config).expect("valid config");
+    assert!(report.completed, "not done within the round budget");
+    (report, faults)
 }

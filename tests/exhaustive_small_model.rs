@@ -14,8 +14,8 @@ use meba::prelude::*;
 /// oracle.
 fn run_weak_ba(inputs: &[u64], crashes: &[(u32, u64)]) -> Decision<u64> {
     let actors = weak_ba_actors(inputs, &vec![Fault::None; inputs.len()]);
-    let (sim, faults) = run_with_crashes(actors, crashes);
-    oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults).assert_in_model()
+    let (run, faults) = run_with_crashes(actors, crashes);
+    oracle::decided::<WbaProc>(&run.actors, &run.metrics, &faults).assert_in_model()
 }
 
 /// n = 3, t = 1: every single-victim crash at every round through the

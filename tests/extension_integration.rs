@@ -5,7 +5,9 @@
 
 mod common;
 
-use common::{checked, corrupt_ids, oracle, sim, strong_ba_actors, Fault, LogProc, SbaProc};
+use common::{
+    checked, corrupt_ids, oracle, strong_ba_actors, with_faults, Fault, LogProc, SbaProc,
+};
 use meba::adversary::EquivocatingSender;
 use meba::core::validity::FnValidity;
 use meba::engine::{run_cluster, ClusterConfig};
@@ -128,9 +130,10 @@ fn replicated_log_with_equivocating_proposer_slot() {
         }
     }
     let faults = idle(n, &[byz.index()]);
-    let mut sim = sim(actors, &faults);
-    sim.run_until_done(slot_rounds * slots + 10).unwrap();
-    let log = oracle::decided::<LogProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+    let config = DesConfig { max_rounds: slot_rounds * slots + 10, ..DesConfig::default() };
+    let run = run_des_cluster(actors, None, with_faults(&faults, config)).unwrap();
+    assert!(run.completed);
+    let log = oracle::decided::<LogProc>(&run.actors, &run.metrics, &faults).assert_in_model();
     // Slots 0 and 2 (honest proposers) committed their commands.
     assert_eq!(log[0].entry, Decision::Value(10));
     assert_eq!(log[2].entry, Decision::Value(30));
@@ -184,10 +187,11 @@ fn cross_instance_replay_is_rejected_by_domain_separation() {
         }
     }
     let faults = idle(n, &[byz.index()]);
-    let mut sim = sim(actors, &faults);
-    sim.run_until_done(20_000).unwrap();
-    assert!(sim.metrics().byzantine.words > 0, "the replay attack must actually fire");
-    let log = oracle::decided::<LogProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+    let config = DesConfig { max_rounds: 20_000, ..DesConfig::default() };
+    let run = run_des_cluster(actors, None, with_faults(&faults, config)).unwrap();
+    assert!(run.completed);
+    assert!(run.metrics.byzantine.words > 0, "the replay attack must actually fire");
+    let log = oracle::decided::<LogProc>(&run.actors, &run.metrics, &faults).assert_in_model();
     assert_eq!(log[0].entry, Decision::Value(100));
     assert_eq!(log[1].entry, Decision::Value(101), "replayed slot-0 certificates rejected");
     assert_eq!(log[2].entry, Decision::Value(102));
@@ -244,23 +248,23 @@ fn decided_but_not_done_instance_answers_help_req_through_mux() {
                 actors.push(Box::new(log));
             }
         }
-        sim(actors, &faults)
+        let config = DesConfig { max_rounds: 20_000, ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, with_faults(&faults, config)).unwrap();
+        assert!(run.completed);
+        run
     };
     // Baseline: failure-free, nobody asks for help, so the help component
     // stays silent (that silence is the adaptivity argument).
-    let mut baseline = build(false);
-    baseline.run_until_done(20_000).unwrap();
-    oracle::decided::<LogProc>(baseline.actors(), baseline.metrics(), &faults).assert_in_model();
-    let base_help =
-        baseline.metrics().by_component.get("weak-ba/help").map(|c| c.words).unwrap_or(0);
+    let baseline = build(false);
+    oracle::decided::<LogProc>(&baseline.actors, &baseline.metrics, &faults).assert_in_model();
+    let base_help = baseline.metrics.by_component.get("weak-ba/help").map(|c| c.words).unwrap_or(0);
     assert_eq!(base_help, 0, "no help traffic in the failure-free baseline");
     // Attack run: each decided-but-not-done replica must answer the
     // request with a Help certificate, through the log.
-    let mut sim = build(true);
-    sim.run_until_done(20_000).unwrap();
-    let help_words = sim.metrics().by_component.get("weak-ba/help").map(|c| c.words).unwrap_or(0);
+    let run = build(true);
+    let help_words = run.metrics.by_component.get("weak-ba/help").map(|c| c.words).unwrap_or(0);
     assert!(help_words > 0, "decided instances must answer the routed help_req");
-    let log = oracle::decided::<LogProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+    let log = oracle::decided::<LogProc>(&run.actors, &run.metrics, &faults).assert_in_model();
     assert_eq!(log[0].entry, Decision::Value(100));
 }
 

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{oracle, sim, Fault};
+use common::{oracle, with_faults, Fault};
 use meba::adversary::{ChaosActor, DsEquivocatingSender, GaSplitEchoer};
 use meba::fallback::{
     DolevStrongBb, DsBbMsg, GaInstance, InstanceId, RecBaMsg, RecursiveBa, Scope, GA_STEPS,
@@ -39,11 +39,11 @@ fn dolev_strong_equivocating_sender_yields_bot() {
             actors.push(Box::new(LockstepAdapter::new(id, ds)));
         }
     }
-    let mut sim = SimBuilder::new(actors).corrupt(sender).build();
-    sim.run_until_done(100).unwrap();
-    for i in 1..n as u32 {
-        let a: &LockstepAdapter<DolevStrongBb<u64>> =
-            sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+    let config = DesConfig { max_rounds: 100, corrupt: vec![sender], ..DesConfig::default() };
+    let run = run_des_cluster(actors, None, config).unwrap();
+    assert!(run.completed);
+    for (i, a) in run.actors.iter().enumerate().skip(1) {
+        let a: &LockstepAdapter<DolevStrongBb<u64>> = a.as_any().downcast_ref().unwrap();
         let d = a.inner().output().expect("decided");
         assert!(d.is_bot(), "cross-forwarded chains must expose the equivocation (p{i} got {d:?})");
     }
@@ -111,17 +111,14 @@ fn graded_agreement_survives_certificate_split() {
             actors.push(Box::new(GaActor { me: id, ga }));
         }
     }
-    let mut b = SimBuilder::new(actors);
-    for &c in &byz {
-        b = b.corrupt(ProcessId(c));
-    }
-    let mut sim = b.build();
-    sim.run_rounds(GA_STEPS + 1);
+    let corrupt = byz.map(ProcessId).to_vec();
+    let config = DesConfig { max_rounds: GA_STEPS + 1, corrupt, ..DesConfig::default() };
+    let run = run_des_cluster(actors, None, config).unwrap();
 
-    let results: Vec<(u64, u8)> = [0u32, 2, 4, 6]
+    let results: Vec<(u64, u8)> = [0, 2, 4, 6]
         .iter()
         .map(|&i| {
-            let a: &GaActor = sim.actor(ProcessId(i)).as_any().downcast_ref().unwrap();
+            let a: &GaActor = run.actors[i].as_any().downcast_ref().unwrap();
             *a.ga.result().expect("graded")
         })
         .collect();
@@ -159,10 +156,11 @@ fn recursive_ba_with_byzantine_majority_half_agrees() {
             actors.push(Box::new(LockstepAdapter::new(id, rb)));
         }
     }
-    let mut sim = sim(actors, &faults);
-    sim.run_until_done(1_000).unwrap();
+    let config = DesConfig { max_rounds: 1_000, ..DesConfig::default() };
+    let run = run_des_cluster(actors, None, with_faults(&faults, config)).unwrap();
+    assert!(run.completed);
     let d =
-        oracle::decided::<RecursiveBa<u64>>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+        oracle::decided::<RecursiveBa<u64>>(&run.actors, &run.metrics, &faults).assert_in_model();
     assert!(inputs.contains(&d), "decision must be someone's input");
 }
 
@@ -185,10 +183,11 @@ fn recursive_ba_under_chaos_replay_agrees() {
                 actors.push(Box::new(LockstepAdapter::new(id, rb)));
             }
         }
-        let mut sim = sim(actors, &faults);
-        sim.run_until_done(1_000).unwrap();
+        let config = DesConfig { max_rounds: 1_000, ..DesConfig::default() };
+        let run = run_des_cluster(actors, None, with_faults(&faults, config)).unwrap();
+        assert!(run.completed);
         // Strong unanimity under chaos is the oracle's recursive BA rule.
-        oracle::decided::<RecursiveBa<u64>>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+        oracle::decided::<RecursiveBa<u64>>(&run.actors, &run.metrics, &faults).assert_in_model();
     }
 }
 
@@ -218,9 +217,10 @@ fn weak_ba_with_slack_resilience() {
             actors.push(Box::new(LockstepAdapter::new(id, wba)));
         }
     }
-    let mut sim = sim(actors, &faults);
-    sim.run_until_done(4_000).unwrap();
-    let run = oracle::decided::<Wba>(sim.actors(), sim.metrics(), &faults);
+    let config = DesConfig { max_rounds: 4_000, ..DesConfig::default() };
+    let run = run_des_cluster(actors, None, with_faults(&faults, config)).unwrap();
+    assert!(run.completed);
+    let run = oracle::decided::<Wba>(&run.actors, &run.metrics, &faults);
     assert_eq!(run.assert_in_model(), Decision::Value(8));
     assert_eq!(run.fell_back, 0, "f=2 below the improved bound");
 }

@@ -25,17 +25,17 @@ fn idle_tail(n: usize) -> Vec<Fault> {
     (0..n).map(|i| if i < n - t { Fault::None } else { Fault::Idle }).collect()
 }
 
-/// Runs `actors` to completion on the lockstep simulator, checks it, and
+/// Runs `actors` to completion on the lockstep DES, checks it, and
 /// reads the row off the correct processes.
 fn row<P: Probe>(
     actors: Vec<Box<dyn AnyActor<Msg = <P::Actor as Actor>::Msg>>>,
     faults: &[Fault],
 ) -> Row {
-    let mut sim = sim(actors, faults);
-    sim.run_until_done(round_budget(faults.len())).unwrap();
-    let run = oracle::decided::<P>(sim.actors(), sim.metrics(), faults);
+    let report = des(actors, faults, 0, &Timing::lockstep());
+    assert!(report.completed);
+    let run = oracle::decided::<P>(&report.actors, &report.metrics, faults);
     run.assert_in_model();
-    (run.words, sim.round().as_u64(), run.last, run.fell_back)
+    (run.words, report.rounds, run.last, run.fell_back)
 }
 
 fn weak_ba_row(inputs: &[u64]) -> Row {

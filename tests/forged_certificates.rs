@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{oracle, round_budget, sim, with_flipped_tag, Fault, WbaM, WbaProc};
+use common::{des, oracle, with_flipped_tag, Fault, Timing, WbaM, WbaProc};
 use meba::core::signing::{sign_payload, CommitProof, DecideProof, DecideSig, HelpReqSig, VoteSig};
 use meba::core::weak_ba::WeakBaMsg;
 use meba::crypto::Signable;
@@ -67,9 +67,9 @@ fn run_with_injection_and_idle(payload: Vec<WbaM>, at_round: u64, idle: &[u32]) 
     let faults: Vec<Fault> = (0..n as u32)
         .map(|i| if i == byz.0 || idle.contains(&i) { Fault::Idle } else { Fault::None })
         .collect();
-    let mut sim = sim(actors, &faults);
-    sim.run_until_done(round_budget(n)).unwrap();
-    oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults).assert_in_model()
+    let run = des(actors, &faults, 0, &Timing::lockstep());
+    assert!(run.completed);
+    oracle::decided::<WbaProc>(&run.actors, &run.metrics, &faults).assert_in_model()
 }
 
 /// Note: p1 is the phase-1 leader and we replace it with the injector, so

@@ -111,9 +111,9 @@ proptest! {
         inputs in proptest::collection::vec(0u64..9, 5),
     ) {
         let run = || {
-            let mut sim = sim(weak_ba_actors(&inputs, &faults), &faults);
-            sim.run_until_done(round_budget(5)).unwrap();
-            (oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults), sim.round())
+            let run = des(weak_ba_actors(&inputs, &faults), &faults, 0, &Timing::lockstep());
+            assert!(run.completed);
+            (oracle::decided::<WbaProc>(&run.actors, &run.metrics, &faults), run.rounds)
         };
         let a = run();
         let b = run();
@@ -144,9 +144,10 @@ proptest! {
             faults[i] = Fault::Idle;
         }
         let logs_at = |w: u64| {
-            let mut sim = sim(log_actors(slots, w, &faults), &faults);
-            sim.run_until_done(log_round_budget(5, slots)).unwrap();
-            oracle::decided::<LogProc>(sim.actors(), sim.metrics(), &faults).assert_in_model()
+            let config = DesConfig { max_rounds: log_round_budget(5, slots), ..DesConfig::default() };
+            let run = run_des_cluster(log_actors(slots, w, &faults), None, with_faults(&faults, config)).unwrap();
+            assert!(run.completed);
+            oracle::decided::<LogProc>(&run.actors, &run.metrics, &faults).assert_in_model()
         };
         let sequential = logs_at(1);
         let pipelined = logs_at(window);

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{correct, oracle, round_budget, sim, Fault, WbaM, WbaProc};
+use common::{correct, des, oracle, Fault, Timing, WbaM, WbaProc};
 use meba::core::signing::{sign_payload, CommitProof, VoteSig};
 use meba::core::weak_ba::WeakBaMsg;
 use meba::prelude::*;
@@ -76,15 +76,15 @@ fn leader_relays_reported_commit_instead_of_fresh_certificate() {
     }
     let mut faults = vec![Fault::None; n];
     faults[byz.index()] = Fault::Idle;
-    let mut sim = sim(actors, &faults);
-    sim.run_until_done(round_budget(n)).unwrap();
+    let run = des(actors, &faults, 0, &Timing::lockstep());
+    assert!(run.completed);
 
     // Phase 2's correct leader (p2) received p3's commit report for 40
     // alongside fresh votes for its own proposal 5. The relay must win:
     // everyone ends committed to 40 at level 1 and decides 40.
-    let d = oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
+    let d = oracle::decided::<WbaProc>(&run.actors, &run.metrics, &faults).assert_in_model();
     assert_eq!(d, Decision::Value(40), "the reported commit must take priority over fresh votes");
-    for a in correct::<LockstepAdapter<WbaProc>, _>(sim.actors(), &faults) {
+    for a in correct::<LockstepAdapter<WbaProc>, _>(&run.actors, &faults) {
         assert_eq!(a.inner().commit_level(), 1, "{}: relayed level preserved", a.id());
         assert_eq!(a.inner().committed_value(), Some(&40), "{}", a.id());
     }

@@ -75,9 +75,10 @@ proptest! {
         prop_assert_eq!(c.submitted, offered);
         prop_assert_eq!(c.accepted + c.rejected, c.submitted);
 
-        let mut sim = SimBuilder::new(h.actors()).build();
-        sim.run_until_done(log_round_budget(N, 3)).unwrap();
-        let replicas = replicas(sim.actors());
+        let config = DesConfig { max_rounds: log_round_budget(N, 3), ..DesConfig::default() };
+        let run = run_des_cluster(h.actors(), None, config).expect("valid config");
+        prop_assert!(run.completed);
+        let replicas = replicas(&run.actors);
         let v = oracle::service(&replicas, &h.journals());
         v.assert_safe();
         // Every replica applied the whole log, so the oracle's one fold
@@ -92,15 +93,54 @@ proptest! {
 }
 
 /// Every actor of a finished run as its service replica — through the
-/// [`ClientScript`] wrapper where there is one.
+/// [`ClientScript`] or [`Overload`] wrapper where there is one.
 fn replicas(actors: &[Box<dyn AnyActor<Msg = ServiceM>>]) -> Vec<&ServiceProc> {
     actors
         .iter()
-        .map(|a| match a.as_any().downcast_ref::<ClientScript>() {
-            Some(s) => service_replica(s.inner.as_ref()),
-            None => service_replica(a.as_ref()),
+        .map(|a| {
+            let any = a.as_any();
+            let script = any.downcast_ref::<ClientScript>().map(|s| &s.inner);
+            let inner = script.or_else(|| any.downcast_ref::<Overload>().map(|o| &o.inner));
+            service_replica(inner.unwrap_or(a).as_ref())
         })
         .collect()
+}
+
+/// A replica behind a client that offers three ops against its port in
+/// every round it runs, from inside the round loop, and tallies the
+/// verdicts.
+struct Overload {
+    inner: Box<dyn AnyActor<Msg = ServiceM>>,
+    port: Arc<ServicePort>,
+    accepted: Vec<u64>,
+    rejected: u64,
+    seq: u64,
+}
+
+impl Actor for Overload {
+    type Msg = ServiceM;
+    fn id(&self) -> ProcessId {
+        self.inner.id()
+    }
+    fn on_round(&mut self, ctx: &mut RoundCtx<'_, ServiceM>) {
+        for _ in 0..3 {
+            let seq = self.seq;
+            match self.port.submit(Op { client: 2, seq, key: 7, value: seq }) {
+                Ok(()) => self.accepted.push(seq),
+                Err(SubmitError::Overloaded { queue_len, capacity }) => {
+                    assert_eq!(capacity, 2);
+                    assert!(queue_len <= capacity, "queue never exceeds its bound");
+                    self.rejected += 1;
+                }
+            }
+            self.seq += 1;
+        }
+        assert!(self.port.queue_len() <= 2, "backpressure holds mid-run");
+        self.inner.on_round(ctx);
+    }
+    fn done(&self) -> bool {
+        self.inner.done()
+    }
 }
 
 /// Sustained oversubmission against a tiny window: the queue never grows
@@ -112,34 +152,18 @@ fn sustained_overload_bounds_queue_and_commits_exactly_once() {
     let service =
         ServiceConfig { total_slots: 4, window: 1, queue_capacity: 2, ..ServiceConfig::default() };
     let h = Arc::new(ServiceHarness::new(N, service));
-    let port = h.port(0);
-    let mut sim = SimBuilder::new(h.actors()).build();
-    let mut accepted: Vec<u64> = Vec::new();
-    let mut rejected = 0u64;
-    let mut seq = 0u64;
-    for _ in 0..log_round_budget(N, 4) {
-        if sim.correct_done() {
-            break;
-        }
-        // Three ops per round against a queue of two.
-        for _ in 0..3 {
-            match port.submit(Op { client: 2, seq, key: 7, value: seq }) {
-                Ok(()) => accepted.push(seq),
-                Err(SubmitError::Overloaded { queue_len, capacity }) => {
-                    assert_eq!(capacity, 2);
-                    assert!(queue_len <= capacity, "queue never exceeds its bound");
-                    rejected += 1;
-                }
-            }
-            seq += 1;
-        }
-        assert!(port.queue_len() <= 2, "backpressure holds mid-run");
-        sim.step();
-    }
-    assert!(rejected > 0, "sustained oversubmission must hit the bound");
-    assert_eq!(accepted.len() as u64 + rejected, seq, "every submit got a typed verdict");
+    let mut actors = h.actors();
+    // Three ops per round against a queue of two.
+    let inner = actors.remove(0);
+    let client = Overload { inner, port: h.port(0), accepted: Vec::new(), rejected: 0, seq: 0 };
+    actors.insert(0, Box::new(client));
+    let config = DesConfig { max_rounds: log_round_budget(N, 4), ..DesConfig::default() };
+    let run = run_des_cluster(actors, None, config).expect("valid config");
+    let Overload { accepted, rejected, seq, .. } = run.actors[0].as_any().downcast_ref().unwrap();
+    assert!(*rejected > 0, "sustained oversubmission must hit the bound");
+    assert_eq!(accepted.len() as u64 + rejected, *seq, "every submit got a typed verdict");
 
-    let replicas = replicas(sim.actors());
+    let replicas = replicas(&run.actors);
     let v = oracle::service(&replicas, &h.journals());
     v.assert_safe();
     assert_eq!(v.applied_slots, vec![4; N], "every replica applied the whole log");

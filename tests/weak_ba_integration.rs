@@ -117,10 +117,10 @@ fn complexity_envelope_failure_free() {
 fn commit_level_machinery_engages() {
     // With unanimous inputs and no faults, commits happen in phase 1.
     let faults = vec![Fault::None; 5];
-    let mut sim = sim(weak_ba_actors(&[8, 8, 8, 8, 8], &faults), &faults);
-    sim.run_until_done(round_budget(5)).unwrap();
-    oracle::decided::<WbaProc>(sim.actors(), sim.metrics(), &faults).assert_in_model();
-    for a in correct::<LockstepAdapter<WbaProc>, _>(sim.actors(), &faults) {
+    let run = des(weak_ba_actors(&[8, 8, 8, 8, 8], &faults), &faults, 0, &Timing::lockstep());
+    assert!(run.completed);
+    oracle::decided::<WbaProc>(&run.actors, &run.metrics, &faults).assert_in_model();
+    for a in correct::<LockstepAdapter<WbaProc>, _>(&run.actors, &faults) {
         assert_eq!(a.inner().commit_level(), 1, "{} committed in phase 1", a.id());
     }
 }
