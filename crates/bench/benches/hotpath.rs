@@ -1,5 +1,5 @@
 //! E20 — the zero-copy hot path: what the borrowed codec, pooled frame
-//! buffers, primed-MAC verification, and calendar-queue DES buy.
+//! buffers, primed-MAC verification, and the event-queue DES buy.
 //!
 //! Four measurements, published as `BENCH_E20_hotpath.json`:
 //!
@@ -25,7 +25,7 @@
 //!    silent, ~1 M messages of fallback traffic that wake every correct
 //!    process almost every round — keeps an events/sec figure that
 //!    means something: deliveries plus live process-rounds per second,
-//!    the calendar queue's real load.
+//!    the DES event queue's real load.
 //! 4. **Regression gate** — before overwriting the JSON, the committed
 //!    `gate_*` bounds are parsed back and each fresh measurement must
 //!    stay on the right side of its bound. Bounds are committed at 15%
@@ -237,7 +237,7 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    println!("=== E20: zero-copy hot path (codec, signature verify, calendar-queue DES) ===\n");
+    println!("=== E20: zero-copy hot path (codec, signature verify, event-queue DES) ===\n");
     let committed = std::fs::read_to_string(JSON_PATH).ok();
 
     let cfg = SystemConfig::new(33, 7).unwrap();

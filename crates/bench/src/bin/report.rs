@@ -383,12 +383,12 @@ fn main() {
     println!("log at a fixed outage moves them {flat:.2}x — `state_transfer`");
     println!("publishes this table as BENCH_E19_statetransfer.json.)");
 
-    section("E20 — zero-copy hot path (codec, signature verify, calendar-queue DES)");
+    section("E20 — zero-copy hot path (codec, signature verify, event-queue DES)");
     println!("The `hotpath` bench measures the zero-copy refactor end to end: the");
     println!("encode→frame→read→decode pipeline against the pre-refactor allocation");
     println!("pattern, signature verification over primed MAC states, the failure-");
     println!("free DES n-sweep (sparse virtual time: wall seconds per row), and one");
-    println!("dense row (n = 257, f = t) whose events/sec is the calendar queue's");
+    println!("dense row (n = 257, f = t) whose events/sec is the DES event queue's");
     println!("real load. It publishes BENCH_E20_hotpath.json and enforces the");
     println!("regression gate (> 15% past a committed bound fails).");
     println!();

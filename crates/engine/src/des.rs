@@ -1,6 +1,5 @@
-//! Deterministic discrete-event backend: a seeded virtual clock, a
-//! calendar-bucket event queue (see [`crate::calendar`]), and no
-//! threads.
+//! Deterministic discrete-event backend: a seeded virtual clock, one
+//! event queue of per-instant buckets, and no threads.
 //!
 //! Every inter-process copy lands on a virtual nanosecond timeline after
 //! a seeded per-copy link latency strictly inside `(0, δ)`, so the
@@ -13,11 +12,11 @@
 //!
 //! A copy goes into its receiver's mailbox at send, stamped with the
 //! instant it lands and its global send sequence; a drain takes what has
-//! landed by the event being processed, in send order. The calendar
+//! landed by the event being processed, in send order. The event queue
 //! holds round deadlines, and under
-//! [`RoundDriverConfig::QuorumOrTimeout`] one payload-free poke per copy
-//! at the instant it lands (arrivals advance rounds there); under the
-//! lockstep driver an arrival is no event at all.
+//! [`RoundDriverConfig::QuorumOrTimeout`] one payload-free arrival per
+//! copy at the instant it lands (arrivals advance rounds there); under
+//! the lockstep driver an arrival is no event at all.
 //!
 //! The backend is *per-process-clocked*: each process owns a round
 //! counter and advances it when its [`RoundDriver`] says so — at the
@@ -92,7 +91,6 @@
 //! completion. Under [`RoundDriverConfig::QuorumOrTimeout`] nobody
 //! rushes: there is no common instant for a round to rush within.
 
-use crate::calendar::{CalendarQueue, TimeKeyed};
 use crate::config::{ClusterReport, LinkPolicyFactory};
 use crate::driver::AdvanceCause::{self, QuorumReached};
 use crate::driver::{DriverConfigError, RoundDriver, RoundDriverConfig};
@@ -100,6 +98,7 @@ use crate::fate::{resolve_fates, ActorRebuilder, ProcessFateFactory, ResolvedFat
 use crate::process::{Delivery, EngineProcess, Transport};
 use meba_crypto::ProcessId;
 use meba_sim::{AnyActor, Message, Metrics};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Configuration of a [`run_des_cluster`] invocation.
@@ -231,32 +230,61 @@ pub(crate) fn splitmix(mut x: u64) -> u64 {
 /// mailbox is sorted by `seq`.
 type Mail<M> = (u128, u64, Delivery<M>);
 
-/// `QuorumOrTimeout` only: a copy landing, as `(at_ns, seq, to)` — no
-/// payload, which waits in the mailbox. `seq` is unique, so the order is
-/// total and deterministic.
-type Poke = (u128, u64, u64);
+/// A scheduled event. At one instant the derived order pops arrivals
+/// first, in send order, then deadlines, correct processes before
+/// rushing ones, each in process-id order: under the lockstep driver,
+/// where a deadline drains every copy landed by its instant, exactly a
+/// global loop ("deliver everything due ≤ t, then step every awake
+/// correct process in id order at t, then every awake corrupt one").
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// `QuorumOrTimeout` only: the copy with send sequence `seq` lands
+    /// at process `to`. No payload, which waits in the mailbox; `seq` is
+    /// unique, so the order is total.
+    Arrival { seq: u64, to: usize },
+    /// Process `process`'s deadline for `round`.
+    Deadline { rushing: bool, process: usize, round: u64 },
+}
 
-impl TimeKeyed for Poke {
-    fn time_ns(&self) -> u128 {
-        self.0
+/// The run's one event queue: a bucket per virtual instant. The earliest
+/// bucket is held out of the map, sorted descending once, so a pop is a
+/// `Vec::pop` and a push at that instant a sorted insert. Every push is
+/// at or after the instant last popped (latencies and timeouts are ≥ 1;
+/// only a rushed copy re-arms its receiver at the current instant), so a
+/// bucket is sorted once. DESIGN.md §17 "The event queue" has the numbers.
+#[derive(Default)]
+struct EventQueue {
+    // The instant last popped, and its events not popped yet, sorted
+    // descending.
+    now: u128,
+    front: Vec<Event>,
+    later: BTreeMap<u128, Vec<Event>>,
+}
+
+impl EventQueue {
+    fn push(&mut self, at: u128, event: Event) {
+        if at == self.now && !self.front.is_empty() {
+            let pos = self.front.partition_point(|e| *e > event);
+            self.front.insert(pos, event);
+        } else {
+            self.later.entry(at).or_default().push(event);
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u128, Event)> {
+        if self.front.is_empty() {
+            let (at, mut bucket) = self.later.pop_first()?;
+            bucket.sort_unstable_by(|a, b| b.cmp(a));
+            self.now = at;
+            self.front = bucket;
+        }
+        self.front.pop().map(|e| (self.now, e))
     }
 }
 
-/// A scheduled round deadline `(at_ns, rushing, process, round)`;
-/// simultaneous deadlines resolve correct processes first, then rushing
-/// ones, each in process-id order (tuple ordering).
-type DeadlineEntry = (u128, bool, u64, u64);
-
-impl TimeKeyed for DeadlineEntry {
-    fn time_ns(&self) -> u128 {
-        self.0
-    }
-}
-
-/// The shared virtual network: clock, per-process mailboxes of the copies
-/// sent to each process (landed or in flight, in send order — the
-/// per-round FIFO every other backend produces), and the quorum mode's
-/// arrival pokes.
+/// The shared virtual network: clock, the event queue, and per-process
+/// mailboxes of the copies sent to each process (landed or in flight, in
+/// send order — the per-round FIFO every other backend produces).
 struct DesNet<M: Message> {
     // The event being processed: its instant, and the `seq` of the copy
     // landing there (`u64::MAX` at a deadline). A drain takes the copies
@@ -269,17 +297,11 @@ struct DesNet<M: Message> {
     link_cap_ns: u64,
     // The rushing processes: the corrupt ones, under the lockstep driver.
     rushing: Vec<bool>,
-    pokes: CalendarQueue<Poke>,
+    events: EventQueue,
     mailboxes: Vec<Vec<Mail<M>>>,
     // Lockstep: `(to, visibility round)` of the copies the running step
     // sent to a process that sleeps past that round.
     rearm: Vec<(usize, u64)>,
-}
-
-/// Calendar-bucket width: δ/256, so one round window spans ~256 buckets
-/// and the queue's ring (1024 buckets) covers 4δ of schedule.
-pub(crate) fn calendar_width_ns(delta_ns: u64) -> u64 {
-    (delta_ns / 256).max(1)
 }
 
 impl<M: Message> DesNet<M> {
@@ -297,7 +319,7 @@ impl<M: Message> DesNet<M> {
             link_cap_ns: config.link_cap_ns.unwrap_or(config.delta_ns).min(config.delta_ns),
             mailboxes: (0..rushing.len()).map(|_| Vec::with_capacity(16)).collect(),
             rushing,
-            pokes: CalendarQueue::new(calendar_width_ns(config.delta_ns)),
+            events: EventQueue::default(),
             rearm: Vec::new(),
         }
     }
@@ -363,7 +385,7 @@ impl<M: Message> Transport<M> for DesTransport<'_, M> {
                 net.rearm.push((j, visible));
             }
         } else {
-            net.pokes.push((at, seq, j as u64));
+            net.events.push(at, Event::Arrival { seq, to: j });
         }
         let delivery = Delivery { from: self.me, sent_round, msg: Arc::clone(msg) };
         net.mailboxes[j].push((at, seq, delivery));
@@ -398,6 +420,28 @@ struct Schedule {
 }
 
 impl Schedule {
+    /// The schedule of `config` for processes with `fates`: process `i`'s
+    /// clock starts at a seeded offset in `[0, max_skew_ns]`.
+    fn new(config: &DesConfig, fates: Vec<ResolvedFate>) -> Self {
+        let skews = (0..fates.len())
+            .map(|i| {
+                if config.max_skew_ns == 0 {
+                    0
+                } else {
+                    splitmix(config.seed ^ 0x5ce3_ab1e ^ splitmix(i as u64))
+                        % (config.max_skew_ns + 1)
+                }
+            })
+            .collect();
+        Schedule {
+            lockstep: config.driver.is_lockstep(),
+            delta_ns: config.delta_ns,
+            max_rounds: config.max_rounds,
+            skews,
+            fates,
+        }
+    }
+
     /// Virtual deadline of round `round` for process `i`, asked at
     /// instant `now`. Lockstep: the global schedule (shifted by the
     /// process's skew), with no per-process driver state touched. Event
@@ -460,11 +504,8 @@ struct DesRun<M: Message> {
     // counter in sync (including done → not-done reversals).
     pending: usize,
     // Each process's quorum, backoff shift, and local grid anchor (the
-    // anchor mirrors the live entry in `deadlines`).
+    // anchor mirrors its live deadline in the event queue).
     drivers: Vec<RoundDriver>,
-    // An entry whose round is not the process's `wake` round is stale
-    // and ignored when it surfaces.
-    deadlines: CalendarQueue<DeadlineEntry>,
     // The instant of the last event that ran.
     last_instant: u128,
 }
@@ -501,22 +542,7 @@ impl<M: Message> DesRun<M> {
         let rushing: Vec<bool> = corrupt.iter().map(|&c| c && lockstep).collect();
         let awaited: Vec<bool> = (0..n).map(|i| !corrupt[i] && fates[i].awaited()).collect();
 
-        let sched = Schedule {
-            lockstep,
-            delta_ns: config.delta_ns,
-            max_rounds: config.max_rounds,
-            fates: fates.clone(),
-            skews: (0..n)
-                .map(|i| {
-                    if config.max_skew_ns == 0 {
-                        0
-                    } else {
-                        splitmix(config.seed ^ 0x5ce3_ab1e ^ splitmix(i as u64))
-                            % (config.max_skew_ns + 1)
-                    }
-                })
-                .collect(),
-        };
+        let sched = Schedule::new(&config, fates.clone());
         let procs = (0..n)
             .map(|i| {
                 let policy = config.link_policy.as_ref().map(|f| f(ProcessId(i as u32)));
@@ -526,13 +552,14 @@ impl<M: Message> DesRun<M> {
         let drivers = (0..n)
             .map(|i| RoundDriver::virtual_time(&config.driver, n, u128::from(sched.skews[i])))
             .collect();
-        let mut deadlines = CalendarQueue::new(calendar_width_ns(sched.delta_ns));
-        for (i, (&skew, &rushes)) in sched.skews.iter().zip(&rushing).enumerate() {
-            deadlines.push((u128::from(skew), rushes, i as u64, 0));
+        let mut net = DesNet::new(&config, rushing);
+        for (i, &skew) in sched.skews.iter().enumerate() {
+            let rushing = net.rushing[i];
+            net.events.push(u128::from(skew), Event::Deadline { rushing, process: i, round: 0 });
         }
         let done: Vec<bool> = actors.iter().map(|a| a.done()).collect();
         Ok(DesRun {
-            net: DesNet::new(&config, rushing),
+            net,
             actors,
             procs,
             metrics: Metrics::default(),
@@ -542,7 +569,6 @@ impl<M: Message> DesRun<M> {
             done,
             awaited,
             drivers,
-            deadlines,
             last_instant: 0,
             sched,
         })
@@ -556,54 +582,35 @@ impl<M: Message> DesRun<M> {
     /// processes before checking.
     fn run(&mut self) -> bool {
         let quorum_mode = !self.sched.lockstep;
-        while let Some((at, is_poke)) = self.next_event() {
+        while let Some((at, event)) = self.net.events.pop() {
             if at > self.last_instant {
                 if self.pending == 0 {
                     return true;
                 }
                 self.last_instant = at;
             }
-            if is_poke {
-                let (_, seq, to) = self.net.pokes.pop().expect("peeked poke");
-                self.net.cursor = (at, seq);
-                self.quorum_advance(to as usize, at);
-            } else {
-                self.net.cursor = (at, u64::MAX);
-                // A stale deadline (the process quorum-advanced past that
-                // round, or was re-armed to another) is popped in its
-                // turn like any event and then ignored, so the queue's
-                // window only ever slides to the clock.
-                let (_, _, i, round) = self.deadlines.pop().expect("peeked deadline");
-                let i = i as usize;
-                if self.wake[i] != round {
-                    continue;
+            match event {
+                Event::Arrival { seq, to } => {
+                    self.net.cursor = (at, seq);
+                    self.quorum_advance(to, at);
                 }
-                let cause = self.ready_cause(i, round);
-                self.execute(i, round, at, cause);
-                if quorum_mode {
-                    self.quorum_advance(i, at);
+                // A stale deadline (the process quorum-advanced past that
+                // round, or was re-armed to another) is popped in its turn
+                // like any event and then ignored.
+                Event::Deadline { process: i, round, .. } => {
+                    self.net.cursor = (at, u64::MAX);
+                    if self.wake[i] != round {
+                        continue;
+                    }
+                    let cause = self.ready_cause(i, round);
+                    self.execute(i, round, at, cause);
+                    if quorum_mode {
+                        self.quorum_advance(i, at);
+                    }
                 }
             }
         }
         self.pending == 0
-    }
-
-    /// The earliest queued event: its instant, and whether it is a
-    /// quorum-mode arrival poke. Simultaneous events resolve arrivals
-    /// first — in send order — then deadlines, correct processes before
-    /// rushing ones: under the lockstep driver, where a deadline drains
-    /// every copy landed by its instant, this is exactly a global loop
-    /// ("deliver everything due ≤ t, then step every awake correct
-    /// process in id order at t, then every awake corrupt one").
-    fn next_event(&mut self) -> Option<(u128, bool)> {
-        let poke_at = self.net.pokes.peek().map(|p| p.0);
-        let deadline_at = self.deadlines.peek().map(|d| d.0);
-        match (poke_at, deadline_at) {
-            (None, None) => None,
-            (Some(a), Some(d)) if a <= d => Some((a, true)),
-            (Some(a), None) => Some((a, true)),
-            (_, Some(d)) => Some((d, false)),
-        }
     }
 
     /// Executes `round` for process `i` at virtual instant `now`, which it
@@ -663,7 +670,8 @@ impl<M: Message> DesRun<M> {
     fn schedule(&mut self, i: usize, round: u64, now: u128) {
         let at = self.sched.deadline(i, round, &mut self.drivers[i], now);
         self.wake[i] = round;
-        self.deadlines.push((at, self.net.rushing[i], i as u64, round));
+        let rushing = self.net.rushing[i];
+        self.net.events.push(at, Event::Deadline { rushing, process: i, round });
     }
 
     /// Brings process `i`'s round count up to `round`, tallying the live
@@ -1175,10 +1183,11 @@ mod tests {
         assert_eq!(report.metrics.link(ProcessId(0), ProcessId(2)).delivered, 1);
     }
 
-    /// Visibility round of a copy landing at `at` for a process whose
-    /// clock starts at `skew`: its first deadline at or after `at`.
-    fn visible_in(at: u128, skew: u64, delta: u64) -> u64 {
-        u64::try_from(at.saturating_sub(u128::from(skew)).div_ceil(u128::from(delta))).unwrap()
+    /// The lockstep schedule of `config` for `n` processes that all run,
+    /// and a driver to ask it through (lockstep leaves it untouched).
+    fn lockstep_schedule(config: &DesConfig, n: usize) -> (Schedule, RoundDriver) {
+        let driver = RoundDriver::virtual_time(&RoundDriverConfig::Lockstep, n, 0);
+        (Schedule::new(config, vec![ResolvedFate::Run; n]), driver)
     }
 
     /// What p1 admits, as `(round, sent round)`, when p0 sends it one copy
@@ -1251,19 +1260,14 @@ mod tests {
         for rejoin_at in [5, 4] {
             let dead = |round: u64| (3..rejoin_at).contains(&round);
             for (max_skew_ns, seed) in clocks {
-                let skew = |i: u64| {
-                    if max_skew_ns == 0 {
-                        0
-                    } else {
-                        splitmix(seed ^ 0x5ce3_ab1e ^ splitmix(i)) % (max_skew_ns + 1)
-                    }
-                };
+                let config = DesConfig { seed, max_skew_ns, ..Default::default() };
+                let (sched, mut driver) = lockstep_schedule(&config, 3);
                 // Round r's copy is visible in V and admitted in the first
                 // round after r, unless a dead round from V on discards it.
                 let mut want: Vec<(u64, u64)> = (0..=6u64)
                     .filter_map(|r| {
-                        let at = u128::from(skew(0) + r * delta) + 1;
-                        let visible = visible_in(at, skew(1), delta);
+                        let at = sched.deadline(0, r, &mut driver, 0) + 1;
+                        let visible = sched.first_round_at_or_after(1, at);
                         let admitted = visible.max(r + 1);
                         (!(visible..=admitted).any(dead)).then_some((admitted, r))
                     })
@@ -1565,5 +1569,92 @@ mod tests {
         .unwrap();
         assert!(report.completed);
         assert!(report.rounds > 2, "late delivery must cost extra rounds, got {}", report.rounds);
+    }
+    /// A seeded xorshift stream.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    #[test]
+    fn the_lockstep_schedule_maps_rounds_and_instants_consistently() {
+        let mut next = xorshift(0x5ced_u64);
+        for _ in 0..64 {
+            let delta_ns = 2 + next() % 5_000;
+            let max_skew_ns = [0, next() % (4 * delta_ns)][(next() % 2) as usize];
+            let max_rounds = 1 + next() % 40;
+            let seed = next();
+            let config =
+                DesConfig { delta_ns, max_skew_ns, max_rounds, seed, ..Default::default() };
+            let case = (delta_ns, max_skew_ns, max_rounds, seed);
+            let n = 5;
+            let (sched, mut driver) = lockstep_schedule(&config, n);
+            for i in 0..n {
+                let mut deadline = |r| sched.deadline(i, r, &mut driver, 0);
+                let mut before = 0;
+                for r in 0..max_rounds + 2 {
+                    let at = deadline(r);
+                    assert_eq!(sched.first_round_at_or_after(i, at), r, "{case:?}");
+                    assert_eq!(sched.rounds_due_by(i, at), (r + 1).min(max_rounds), "{case:?}");
+                    // Every instant in (deadline(r − 1), deadline(r)] maps to
+                    // r; round 0 takes every instant up to its deadline.
+                    let first = if r == 0 { 0 } else { before + 1 };
+                    for t in [first, first + u128::from(next()) % (at - first + 1), at] {
+                        assert_eq!(sched.first_round_at_or_after(i, t), r, "{case:?} at {t}");
+                    }
+                    before = at;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_event_queue_pops_like_a_binary_heap() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        // Each case picks a push's instant from the last popped one: many
+        // events per instant (the lockstep grid), about one per instant
+        // (skew, quorum-mode arrivals), and pushes at the instant whose
+        // bucket is being popped (the rushed re-arm).
+        type Instant = fn(u128, u64) -> u128;
+        let cases: [(&str, Instant); 3] = [
+            ("grid", |now, r| (now / 1000 + u128::from(r % 4)) * 1000),
+            ("sparse", |now, r| now + 1 + u128::from(r % (1 << 40))),
+            (
+                "same instant",
+                |now, r| if r.is_multiple_of(3) { now } else { now + u128::from(r % 5) },
+            ),
+        ];
+        for (case, instant) in cases {
+            let mut next = xorshift(0x5eed_cafe);
+            let (mut queue, mut model) = (EventQueue::default(), BinaryHeap::new());
+            let (mut now, mut seq) = (0u128, 0u64);
+            for _ in 0..6_000 {
+                if !next().is_multiple_of(3) || model.is_empty() {
+                    let at = instant(now, next());
+                    let r = next();
+                    let event = if r.is_multiple_of(2) {
+                        seq += 1;
+                        Event::Arrival { seq, to: (r >> 8) as usize % 9 }
+                    } else {
+                        let (process, round) = ((r >> 8) as usize % 9, (r >> 16) % 5);
+                        Event::Deadline { rushing: r & 2 != 0, process, round }
+                    };
+                    queue.push(at, event);
+                    model.push(Reverse((at, event)));
+                } else {
+                    let got = queue.pop();
+                    assert_eq!(got, model.pop().map(|Reverse(e)| e), "{case}");
+                    now = got.map_or(now, |(at, _)| at);
+                }
+            }
+            let rest: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
+            let want: Vec<_> = std::iter::from_fn(|| model.pop().map(|Reverse(e)| e)).collect();
+            assert_eq!(rest, want, "{case}");
+        }
     }
 }

@@ -29,8 +29,8 @@
 //!   coordinator stop decisions, overrun monitoring, and δ-escalation
 //!   (the machinery behind [`run_cluster`] and
 //!   `meba_wire::run_tcp_cluster`).
-//! * [`run_des_cluster`] — seeded virtual clock, calendar-bucket event
-//!   queue ([`calendar`]), no threads; n = 100–200 runs in milliseconds
+//! * [`run_des_cluster`] — seeded virtual clock, one event queue of
+//!   per-instant buckets, no threads; n = 100–200 runs in milliseconds
 //!   for asymptotic word/round curves, and failure-free runs scale past
 //!   n = 4000. Under the lockstep driver its corrupt processes are the
 //!   rushing adversary, always. It is the one way to run a lockstep
@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod calendar;
 pub mod channel;
 pub mod config;
 pub mod control;
@@ -55,7 +54,6 @@ pub mod fate;
 pub mod pacer;
 pub mod process;
 
-pub use calendar::{CalendarQueue, TimeKeyed};
 pub use channel::{channel_mesh, run_cluster, run_cluster_with_recovery, ChannelTransport};
 pub use config::{
     ClusterConfig, ClusterReport, Escalation, LinkPolicyFactory, OverrunAction, LINK_CAPACITY,

@@ -136,7 +136,7 @@ impl<M: Message + WireCodec, H: Borrow<TcpMesh<M>>> MeshTransport<M, H> {
 
 impl<M: Message + WireCodec, H: Borrow<TcpMesh<M>>> Transport<M> for MeshTransport<M, H> {
     fn send(&mut self, to: ProcessId, sent_round: u64, msg: &Arc<M>) {
-        self.mesh.borrow().send(to, sent_round, &**msg);
+        self.mesh.borrow().send(to, sent_round, msg);
     }
 
     fn drain(&mut self, out: &mut Vec<Delivery<M>>) {
@@ -144,7 +144,7 @@ impl<M: Message + WireCodec, H: Borrow<TcpMesh<M>>> Transport<M> for MeshTranspo
         out.extend(self.scratch.drain(..).map(|w| Delivery {
             from: w.from,
             sent_round: w.sent_round,
-            msg: Arc::new(w.msg),
+            msg: w.msg,
         }));
     }
 
@@ -426,8 +426,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drive_mesh_counts_the_refusals() {
+    /// A one-process mesh on a loopback port: p0, alone.
+    fn lone_mesh<M: Message + WireCodec>() -> TcpMesh<M> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addrs = [listener.local_addr().unwrap()];
         let cfg = SystemConfig::new(3, 1).unwrap();
@@ -437,8 +437,57 @@ mod tests {
             config_digest: config_digest(&cfg),
             domain: 1,
         };
-        let mesh: TcpMesh<Num> =
-            TcpMesh::establish(MeshConfig::new(ProcessId(0), hello), listener, &addrs).unwrap();
+        TcpMesh::establish(MeshConfig::new(ProcessId(0), hello), listener, &addrs).unwrap()
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A message whose every deep copy is counted.
+    #[derive(Debug)]
+    struct Counted(u64);
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.set(CLONES.get() + 1);
+            Counted(self.0)
+        }
+    }
+    impl Message for Counted {
+        fn words(&self) -> u64 {
+            1
+        }
+    }
+    impl WireCodec for Counted {
+        fn encode_wire(&self, enc: &mut Encoder) {
+            enc.put_u64(self.0);
+        }
+        fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+            Ok(Counted(dec.get_u64()?))
+        }
+    }
+
+    #[test]
+    fn a_self_send_passes_the_handle_through_the_mesh() {
+        let mesh: TcpMesh<Counted> = lone_mesh();
+        let mut transport = MeshTransport::new(&mesh);
+        let msg = Arc::new(Counted(7));
+        let before = CLONES.get();
+        for round in 0..3 {
+            transport.send(ProcessId(0), round, &msg);
+        }
+        let mut out = Vec::new();
+        transport.drain(&mut out);
+        let copies = CLONES.get() - before;
+        mesh.shutdown();
+        assert_eq!(copies, 0, "a self-send deep-copies nothing");
+        assert_eq!(out.len(), 3);
+        assert!(out.iter().all(|d| Arc::ptr_eq(&d.msg, &msg)), "every copy is the sent handle");
+    }
+
+    #[test]
+    fn drive_mesh_counts_the_refusals() {
+        let mesh: TcpMesh<Num> = lone_mesh();
         let mut actor: Box<dyn AnyActor<Msg = Num>> = Box::new(Refuser);
         let drive = MeshDriveConfig {
             delta: Duration::from_millis(1),

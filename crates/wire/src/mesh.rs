@@ -117,8 +117,9 @@ pub struct Inbound<M> {
     pub from: ProcessId,
     /// Round the sender stamped into the frame.
     pub sent_round: u64,
-    /// Decoded payload.
-    pub msg: M,
+    /// Decoded payload, wrapped once: a self-send passes on the sender's
+    /// handle, and the reactor wraps each decoded frame.
+    pub msg: Arc<M>,
 }
 
 /// Mesh construction parameters.
@@ -303,16 +304,17 @@ impl<M: Message + WireCodec> TcpMesh<M> {
     }
 
     /// Sends `msg` stamped with `sent_round` to `to`. Self-sends bypass
-    /// the sockets (process memory cannot fail); remote sends encode one
-    /// frame and hand it to the reactor, blocking (and counting
-    /// backpressure) when the link's outbox is full.
+    /// the sockets (process memory cannot fail) and pass on the handle,
+    /// not a copy; remote sends encode one frame and hand it to the
+    /// reactor, blocking (and counting backpressure) when the link's
+    /// outbox is full.
     ///
     /// The frame (`4-byte BE length ‖ sent_round ‖ message`) is built in
     /// a pooled buffer via the thread-local scratch encoder: steady-state
     /// sends allocate nothing once the pool has warmed up.
-    pub fn send(&self, to: ProcessId, sent_round: u64, msg: &M) {
+    pub fn send(&self, to: ProcessId, sent_round: u64, msg: &Arc<M>) {
         if to == self.me {
-            let _ = self.loopback.send(Inbound { from: self.me, sent_round, msg: msg.clone() });
+            let _ = self.loopback.send(Inbound { from: self.me, sent_round, msg: Arc::clone(msg) });
             return;
         }
         let Some(tx) = self.links.get(to.index()).and_then(|l| l.as_ref()) else {
@@ -467,17 +469,17 @@ mod tests {
     #[test]
     fn three_process_mesh_delivers_frames() {
         let meshes = meshes(3, 0xaa);
-        meshes[0].send(ProcessId(1), 7, &Num(41));
-        meshes[0].send(ProcessId(0), 7, &Num(42)); // self: loopback
+        meshes[0].send(ProcessId(1), 7, &Arc::new(Num(41)));
+        meshes[0].send(ProcessId(0), 7, &Arc::new(Num(42))); // self: loopback
         let got = recv_one(&meshes[1], Duration::from_secs(5));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].from, ProcessId(0));
         assert_eq!(got[0].sent_round, 7);
-        assert_eq!(got[0].msg, Num(41));
+        assert_eq!(*got[0].msg, Num(41));
         let mut own = Vec::new();
         meshes[0].drain_into(&mut own);
         assert_eq!(own.len(), 1);
-        assert_eq!(own[0].msg, Num(42));
+        assert_eq!(*own[0].msg, Num(42));
         let snap = meshes[0].stats().snapshot();
         assert_eq!(snap.frames_sent, 1, "self-delivery must not touch a socket");
         // frame = 4-byte prefix + 9-byte round + 9-byte Num encoding
@@ -491,14 +493,14 @@ mod tests {
     #[test]
     fn severed_link_reconnects_and_delivers_again() {
         let meshes = meshes(2, 0xbb);
-        meshes[0].send(ProcessId(1), 0, &Num(1));
+        meshes[0].send(ProcessId(1), 0, &Arc::new(Num(1)));
         assert_eq!(recv_one(&meshes[1], Duration::from_secs(5)).len(), 1);
         meshes[0].sever(ProcessId(1));
         // The next frame must trigger a re-dial + re-handshake.
-        meshes[0].send(ProcessId(1), 1, &Num(2));
+        meshes[0].send(ProcessId(1), 1, &Arc::new(Num(2)));
         let got = recv_one(&meshes[1], Duration::from_secs(5));
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].msg, Num(2));
+        assert_eq!(*got[0].msg, Num(2));
         assert_eq!(meshes[0].stats().snapshot().reconnects, 1);
         for m in meshes {
             m.shutdown();
@@ -511,13 +513,13 @@ mod tests {
         // that still need a re-dial to be delivered (e.g. decide
         // certificates queued behind backpressure when the link dropped).
         let mut meshes = meshes(2, 0xcc);
-        meshes[0].send(ProcessId(1), 0, &Num(1));
+        meshes[0].send(ProcessId(1), 0, &Arc::new(Num(1)));
         assert_eq!(recv_one(&meshes[1], Duration::from_secs(5)).len(), 1);
         // Kill the socket, then queue frames that can only go out after a
         // reconnect, then shut down immediately.
         meshes[0].sever(ProcessId(1));
         for k in 0..5u64 {
-            meshes[0].send(ProcessId(1), 1, &Num(100 + k));
+            meshes[0].send(ProcessId(1), 1, &Arc::new(Num(100 + k)));
         }
         let receiver = meshes.pop().unwrap();
         let sender = meshes.pop().unwrap();
@@ -548,7 +550,7 @@ mod tests {
         receiver.shutdown();
         // Queue frames that can never be delivered again.
         for k in 0..3u64 {
-            sender.send(ProcessId(1), 2, &Num(k));
+            sender.send(ProcessId(1), 2, &Arc::new(Num(k)));
         }
         // Second failure: every re-dial during the flush fails too.
         let stats = sender.stats().clone();
@@ -629,9 +631,9 @@ mod tests {
         loris.write_all(&[0x00, 0x00]).unwrap();
 
         // Healthy traffic keeps flowing both ways while the loris sits.
-        m1.send(ProcessId(0), 1, &Num(5));
+        m1.send(ProcessId(0), 1, &Arc::new(Num(5)));
         assert_eq!(recv_one(&m0, Duration::from_secs(5)).len(), 1);
-        m0.send(ProcessId(1), 1, &Num(6));
+        m0.send(ProcessId(1), 1, &Arc::new(Num(6)));
         assert_eq!(recv_one(&m1, Duration::from_secs(5)).len(), 1);
 
         // After the deadline the loris is reaped and counted.
@@ -644,7 +646,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         // Mesh still live afterwards.
-        m1.send(ProcessId(0), 2, &Num(9));
+        m1.send(ProcessId(0), 2, &Arc::new(Num(9)));
         assert_eq!(recv_one(&m0, Duration::from_secs(5)).len(), 1);
         drop(loris);
         m0.shutdown();

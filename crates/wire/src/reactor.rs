@@ -1028,6 +1028,7 @@ impl<M: Message + WireCodec> Reactor<M> {
                                     .and_then(|ok| dec.finish().map(|()| ok));
                                 match decoded {
                                     Ok((sent_round, msg)) => {
+                                        let msg = Arc::new(msg);
                                         let inbound = Inbound { from: *peer, sent_round, msg };
                                         match self.inbox.try_send(inbound) {
                                             Ok(()) => {}

@@ -6,11 +6,8 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
-echo "== architecture invariants (tests/architecture.rs: retired names, one oracle, one certificate site, one digest per share, one billing site, one round body, one ledger site, one payload per outbox entry, one virtual clock, one fault plan, one cluster builder, one slot path) =="
+echo "== architecture invariants (tests/architecture.rs: retired names, one oracle, one certificate site, one digest per share, one billing site, one round body, one ledger site, one payload per outbox entry, one virtual clock, one fault plan, one cluster builder, one slot path, no payload on the event queue, doc paths exist) =="
 cargo test --locked --test architecture
-
-echo "== doc paths (every crates/ tests/ examples/ scripts/ path and BENCH_*.json the docs name exists) =="
-./scripts/doc_paths.sh
 
 echo "== build =="
 cargo build --workspace --all-targets --locked

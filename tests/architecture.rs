@@ -148,12 +148,12 @@ fn assert_one_line_in(pattern: &str, specs: &[&str], file: &str) {
 /// `StrongBa`, one testkit path (`cluster` / `des` /
 /// `oracle::decided`), one ledger (`Metrics` is plain data), one round body
 /// (no sim-only trace; rushing is not optional; `meba-sim` holds no body),
-/// one oracle, one slot lifecycle (`ReplicatedLog`, no mux layer): the
-/// retired names stay retired.
+/// one oracle, one slot lifecycle (`ReplicatedLog`, no mux layer), one
+/// DES event queue (no calendar queue): the retired names stay retired.
 #[test]
 fn retired_names_stay_retired() {
     assert_none(
-        r"SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions",
+        r"SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions|CalendarQueue|TimeKeyed|calendar_width_ns",
         &["crates", "src", "tests", "examples", "README.md", "docs"],
     );
 }
@@ -282,41 +282,119 @@ fn one_payload_per_outbox_entry() {
     assert!(hits.is_empty(), "every `on_step` is lent its inbox:{}", report(&hits));
 }
 
-/// No payload on the calendar: the discrete-event backend puts a copy in
-/// its receiver's mailbox at send, so every `CalendarQueue` item in
-/// `des.rs` — and the alias or struct it names — is payload-free (no
-/// `Delivery`, no message type `M`), and a drain takes the mailbox in the
-/// send order it already has, without sorting.
+/// No payload on the event queue: the discrete-event backend puts a copy
+/// in its receiver's mailbox at send, so `des.rs`'s `Event` — and the
+/// queue holding it, and every type either names — is payload-free (no
+/// `Delivery`, no message type `M`, no `Arc`); `des.rs` keeps one
+/// event-queue field; and a drain takes the mailbox in the send order it
+/// already has, without sorting.
 #[test]
-fn no_payload_on_the_calendar() {
+fn no_payload_on_the_event_queue() {
     const DES: &str = "crates/engine/src/des.rs";
-    let code = non_test(DES);
-    let payload = Regex::new(r"Delivery|\bM\b");
-    let queues = matching(&code, r"CalendarQueue<");
-    assert!(!queues.is_empty(), "{DES} keeps its events on a `CalendarQueue`");
+    let code: Vec<Hit> =
+        non_test(DES).into_iter().filter(|h| !h.text.trim_start().starts_with("//")).collect();
+    let payload = Regex::new(r"Delivery|\bM\b|\bArc\b");
+    let type_name = Regex::new(r"^[A-Z][A-Za-z0-9_]*$");
+    let mut seen = vec!["Event".to_string(), "EventQueue".to_string()];
+    let mut todo = seen.clone();
     let mut hits = Vec::new();
-    for queue in &queues {
-        for rest in queue.text.split("CalendarQueue<").skip(1) {
-            let item = rest.split('>').next().unwrap_or(rest).trim();
-            let named =
-                [format!(r"^type {item} ="), format!(r"^(pub(\(crate\))? )?struct {item}\b")];
-            let mut defs: Vec<Hit> = matching(&code, &named[0]);
-            if !matching(&code, &named[1]).is_empty() {
-                defs.extend(block(&code, &named[1]));
+    while let Some(name) = todo.pop() {
+        let def = format!(r"^(pub(\(crate\))? )?(type|struct|enum) {name}\b");
+        let Some(first) = matching(&code, &def).into_iter().next() else {
+            assert!(!["Event", "EventQueue"].contains(&name.as_str()), "{DES} defines `{name}`");
+            continue;
+        };
+        let lines = if first.text.contains("type ") { vec![first] } else { block(&code, &def) };
+        hits.extend(lines.iter().filter(|h| payload.is_match(&h.text)).cloned());
+        let named =
+            lines.iter().flat_map(|h| h.text.split(|c: char| !c.is_alphanumeric() && c != '_'));
+        for word in named.filter(|w| type_name.is_match(w)) {
+            if !seen.iter().any(|s| s == word) {
+                seen.push(word.to_string());
+                todo.push(word.to_string());
             }
-            if payload.is_match(item) {
-                hits.push(queue.clone());
-            }
-            hits.extend(defs.into_iter().filter(|h| payload.is_match(&h.text)));
         }
     }
-    assert!(hits.is_empty(), "a calendar item must not carry a payload:{}", report(&hits));
+    assert!(hits.is_empty(), "an event must not carry a payload:{}", report(&hits));
+    let queue = block(&code, r"^struct EventQueue\b");
+    let queue_lines = queue.first().unwrap().line..=queue.last().unwrap().line;
+    let fields: Vec<Hit> = matching(
+        &code,
+        r"^ +(pub(\(crate\))? )?[a-z_]+: (EventQueue|BinaryHeap|BTreeMap<u128|BTreeSet|VecDeque)(<.*>)?,$",
+    )
+    .into_iter()
+    .filter(|h| !queue_lines.contains(&h.line))
+    .collect();
+    assert!(
+        fields.len() == 1 && fields[0].text.contains(": EventQueue,"),
+        "{DES} declares exactly one event-queue field, an `EventQueue`:{}",
+        report(&fields)
+    );
     let sorts = matching(&block(&code, r"^    fn drain"), r"sort");
     assert!(
         sorts.is_empty(),
         "a mailbox is in send order; `drain` must not sort:{}",
         report(&sorts)
     );
+}
+
+/// Every repository path the docs name exists: each `crates/…`,
+/// `tests/…`, `examples/…`, `scripts/…` path and `BENCH_*.json` in
+/// README.md, DESIGN.md, docs/CORRECTNESS.md and EXPERIMENTS.md. Only
+/// repo-rooted spellings are seen (`meba-x/src/…` is not, nor a path
+/// right after a word character, `/`, `.` or `-`), so write paths the
+/// way `ls` would.
+#[test]
+fn doc_paths_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut missing = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "docs/CORRECTNESS.md", "EXPERIMENTS.md"] {
+        for path in doc_paths(&fs::read_to_string(root.join(doc)).unwrap()) {
+            if !root.join(&path).exists() && !missing.contains(&path) {
+                missing.push(path);
+            }
+        }
+    }
+    assert!(missing.is_empty(), "named in the docs but missing: {missing:?}");
+}
+
+/// The repository paths `text` names, in order: `(?<![\w/.-])` followed
+/// by `(crates|tests|examples|scripts)/[\w./-]*\w` or `BENCH_\w+\.json`,
+/// read left to right without overlaps, as `grep -oP` would.
+fn doc_paths(text: &str) -> Vec<String> {
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let chars: Vec<char> = text.chars().collect();
+    let len_at = |i: usize| -> Option<usize> {
+        let rest: String = chars[i..chars.len().min(i + 10)].iter().collect();
+        let run = |from: usize, ok: &dyn Fn(char) -> bool| {
+            chars[from..].iter().take_while(|&&c| ok(c)).count()
+        };
+        if let Some(top) = ["crates/", "tests/", "examples/", "scripts/"]
+            .into_iter()
+            .find(|top| rest.starts_with(top))
+        {
+            let from = i + top.len();
+            let body = run(from, &|c| word(c) || "./-".contains(c));
+            let end = (from..from + body).rev().find(|&j| word(chars[j]))?;
+            return Some(end + 1 - i);
+        }
+        let stem = rest.strip_prefix("BENCH_").map(|_| run(i + 6, &word))?;
+        let tail: String = chars[i + 6 + stem..].iter().take(5).collect();
+        (stem > 0 && tail == ".json").then_some(6 + stem + 5)
+    };
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        let free = i == 0 || !(word(chars[i - 1]) || "/.-".contains(chars[i - 1]));
+        match free.then(|| len_at(i)).flatten() {
+            Some(len) => {
+                out.push(chars[i..i + len].iter().collect());
+                i += len;
+            }
+            None => i += 1,
+        }
+    }
+    out
 }
 
 /// Fallback traffic is held by handle: `SkewEnvelope::msg` is an `Arc`,
