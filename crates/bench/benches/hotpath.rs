@@ -15,11 +15,10 @@
 //!    verifications/sec. (Verification rides the primed-MAC states; the
 //!    pre-refactor per-verify key derivation measured ≈ 340k sigs/sec on
 //!    this hardware — see EXPERIMENTS.md E20.)
-//! 3. **DES** — failure-free BB wall clock at n ∈ {257, 1025, 4097}
-//!    (and n = 10⁴ when `MEBA_E20_STRETCH=1`), trusted set-up included,
-//!    best of [`DES_REPS`]. Under sparse virtual time (DESIGN.md §18) a
-//!    failure-free run executes a handful of rounds per process out of
-//!    ~8·n, so `n × rounds / seconds` counts ticks that never happen and
+//! 3. **DES** — failure-free BB wall clock at n ∈ {257, 1025, 4097},
+//!    trusted set-up included, best of [`DES_REPS`]. Under sparse
+//!    virtual time (DESIGN.md §18) a failure-free run executes a handful
+//!    of rounds per process out of ~8·n, so `n × rounds / seconds` counts ticks that never happen and
 //!    grows without bound; wall seconds per row is what a user waits for
 //!    and what the gate holds. One **dense row** (median of [`SLICES`]) — n = 257 with f = t
 //!    silent, ~1 M messages of fallback traffic that wake every correct
@@ -349,11 +348,6 @@ fn main() {
     println!("threshold certificates: {certs:.0} verifies/sec\n");
 
     // 3) DES: failure-free sweep (sparse time) and one dense row.
-    let stretch = std::env::var("MEBA_E20_STRETCH").is_ok_and(|v| v == "1");
-    let mut ns = vec![257usize, 1025, 4097];
-    if stretch {
-        ns.push(10_000);
-    }
     let mut gates = vec![
         Gate {
             key: "gate_codec_msgs_per_sec".into(),
@@ -368,7 +362,7 @@ fn main() {
     ];
     let mut tab = Table::new(&["n", "seconds", "words", "words/n", "rounds"]);
     let mut sweep_rows = Vec::new();
-    for n in ns {
+    for n in [257usize, 1025, 4097] {
         let (secs, s) = best_des_run(n);
         tab.row(&[
             num(n as u64),
@@ -381,13 +375,11 @@ fn main() {
             "    {{\"n\": {n}, \"seconds\": {secs:.4}, \"words\": {}, \"rounds\": {}}}",
             s.words, s.rounds
         ));
-        if n <= 4097 {
-            gates.push(Gate {
-                key: format!("gate_des_seconds_n{n}"),
-                fresh: secs,
-                higher_is_better: false,
-            });
-        }
+        gates.push(Gate {
+            key: format!("gate_des_seconds_n{n}"),
+            fresh: secs,
+            higher_is_better: false,
+        });
     }
     tab.print();
     println!("(failure-free, best of {DES_REPS}, trusted set-up included)\n");

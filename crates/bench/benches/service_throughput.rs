@@ -18,34 +18,6 @@ use meba_bench::table::{flt, num, Table};
 
 const JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E18_service.json");
 
-fn json_entry(s: &ServiceRunStats) -> String {
-    format!(
-        "  {{\"n\": {}, \"batch_ops\": {}, \"window\": {}, \"slots\": {}, \"offered\": {}, \
-         \"accepted\": {}, \"rejected\": {}, \"committed_ops\": {}, \"rounds\": {}, \
-         \"ops_per_round\": {:.4}, \"ops_per_sec\": {:.1}, \"latency_p50_rounds\": {}, \
-         \"latency_p99_rounds\": {}, \"mean_occupancy\": {:.2}, \"words\": {}, \
-         \"words_per_op\": {:.1}, \"agreement\": {}, \"session_collisions\": {}}}",
-        s.n,
-        s.batch_ops,
-        s.window,
-        s.slots,
-        s.offered,
-        s.accepted,
-        s.rejected,
-        s.committed_ops,
-        s.rounds,
-        s.ops_per_round,
-        s.ops_per_sec,
-        s.latency_p50_rounds,
-        s.latency_p99_rounds,
-        s.mean_occupancy,
-        s.words,
-        s.words_per_op,
-        s.agreement,
-        s.session_collisions
-    )
-}
-
 fn main() {
     let (n, total_ops) = (9usize, 256u64);
     println!("=== E18: client-service throughput (n = {n}, f = 0, {total_ops} ops) ===\n");
@@ -62,7 +34,6 @@ fn main() {
         "occupancy",
         "words/op",
     ]);
-    let mut entries = Vec::new();
     let mut cells: Vec<ServiceRunStats> = Vec::new();
     for &batch in &[1usize, 16, 64, 256] {
         for &w in &[1u64, 4] {
@@ -80,7 +51,6 @@ fn main() {
                 flt(s.mean_occupancy),
                 flt(s.words_per_op),
             ]);
-            entries.push(json_entry(&s));
             cells.push(s);
         }
     }
@@ -110,9 +80,8 @@ fn main() {
         "\noverload (capacity 8/port): offered {} accepted {} rejected {} — typed, no drop",
         over.offered, over.accepted, over.rejected
     );
-    entries.push(json_entry(&over));
+    cells.push(over);
 
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    std::fs::write(JSON_PATH, &json).expect("write BENCH_E18_service.json");
-    println!("\nwrote {} entries to BENCH_E18_service.json", entries.len());
+    serde_json::publish(JSON_PATH, &cells).expect("write BENCH_E18_service.json");
+    println!("\nwrote {} entries to BENCH_E18_service.json", cells.len());
 }

@@ -41,14 +41,15 @@ fn main() {
     println!("\npipelining is a latency optimization only: identical logs, same words,");
     println!("strictly fewer rounds once W ≥ 2.");
 
-    println!("\n=== E12: adaptivity under multiplexing (n = 9, 6 slots, W = 3) ===\n");
+    println!("\n=== E12: adaptivity under multiplexing (n = 9, 6 slots, f ∈ {{0, t}}) ===\n");
     let t = (n - 1) / 2;
-    let mut t2 = Table::new(&["f", "committed", "rounds", "words/slot", "agreement"]);
+    let mut t2 = Table::new(&["W", "f", "committed", "rounds", "words/slot", "agreement"]);
     let clean = run_smr(n, slots, 3, 0);
-    for f in [0usize, t] {
-        let s = if f == 0 { clean.clone() } else { run_smr(n, slots, 3, f) };
-        assert!(s.agreement, "agreement at f={f}");
+    for (w, f) in [(3u64, 0usize), (1, t), (3, t)] {
+        let s = if f == 0 { clean.clone() } else { run_smr(n, slots, w, f) };
+        assert!(s.agreement, "agreement at W={w} f={f}");
         t2.row(&[
+            num(w),
             num(f as u64),
             num(s.committed),
             num(s.rounds),

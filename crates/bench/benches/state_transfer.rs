@@ -27,29 +27,6 @@ use meba_bench::table::{flt, num, Table};
 
 const JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E19_statetransfer.json");
 
-fn json_entry(s: &StateTransferStats) -> String {
-    format!(
-        "  {{\"n\": {}, \"slots\": {}, \"outage_slots\": {}, \"slots_transferred\": {}, \
-         \"certs_verified\": {}, \"vouches_accepted\": {}, \"transfer_words\": {}, \
-         \"transfer_bytes\": {}, \"transfer_messages\": {}, \"total_bytes\": {}, \
-         \"recovery_rounds\": {}, \"rounds\": {}, \"agreement\": {}, \"bot_slots\": {}}}",
-        s.n,
-        s.slots,
-        s.outage_slots,
-        s.slots_transferred,
-        s.certs_verified,
-        s.vouches_accepted,
-        s.transfer_words,
-        s.transfer_bytes,
-        s.transfer_messages,
-        s.total_bytes,
-        s.recovery_rounds,
-        s.rounds,
-        s.agreement,
-        s.bot_slots
-    )
-}
-
 fn main() {
     let n = 9usize;
     println!("=== E19: certified state transfer (n = {n}, one restarted replica) ===\n");
@@ -65,12 +42,13 @@ fn main() {
         "xfer share",
         "recovery rounds",
     ]);
-    let mut entries = Vec::new();
-
-    // Axis 1: outage length at a fixed 18-slot log.
-    let mut outage_cells: Vec<StateTransferStats> = Vec::new();
-    for &outage in &[1u64, 2, 4, 6] {
-        let s = run_state_transfer(n, 18, outage);
+    // Axis 1: outage length at a fixed 18-slot log; axis 2: log length
+    // at a fixed 2-opening outage.
+    let outages = [(18u64, 1u64), (18, 2), (18, 4), (18, 6)];
+    let logs = [(18u64, 2u64), (27, 2), (36, 2)];
+    let mut cells: Vec<StateTransferStats> = Vec::new();
+    for &(slots, outage) in outages.iter().chain(&logs) {
+        let s = run_state_transfer(n, slots, outage);
         tab.row(&[
             num(s.slots),
             num(s.outage_slots),
@@ -82,31 +60,12 @@ fn main() {
             flt(s.transfer_bytes as f64 / s.total_bytes.max(1) as f64),
             num(s.recovery_rounds),
         ]);
-        entries.push(json_entry(&s));
-        outage_cells.push(s);
-    }
-
-    // Axis 2: log length at a fixed 2-opening outage.
-    let mut log_cells: Vec<StateTransferStats> = Vec::new();
-    for &slots in &[18u64, 27, 36] {
-        let s = run_state_transfer(n, slots, 2);
-        tab.row(&[
-            num(s.slots),
-            num(s.outage_slots),
-            num(s.slots_transferred),
-            num(s.certs_verified),
-            num(s.vouches_accepted),
-            num(s.transfer_words),
-            num(s.transfer_bytes),
-            flt(s.transfer_bytes as f64 / s.total_bytes.max(1) as f64),
-            num(s.recovery_rounds),
-        ]);
-        entries.push(json_entry(&s));
-        log_cells.push(s);
+        cells.push(s);
     }
     tab.print();
 
     // Acceptance: transfer bytes grow with the outage…
+    let (outage_cells, log_cells) = cells.split_at(outages.len());
     let short = &outage_cells[0];
     let long = outage_cells.last().unwrap();
     let outage_growth = long.transfer_bytes as f64 / short.transfer_bytes.max(1) as f64;
@@ -134,7 +93,6 @@ fn main() {
         "E19: transfer bytes must not scale with log length (got {log_growth:.2}x over a 2x log)"
     );
 
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    std::fs::write(JSON_PATH, &json).expect("write BENCH_E19_statetransfer.json");
-    println!("\nwrote {} entries to BENCH_E19_statetransfer.json", entries.len());
+    serde_json::publish(JSON_PATH, &cells).expect("write BENCH_E19_statetransfer.json");
+    println!("\nwrote {} entries to BENCH_E19_statetransfer.json", cells.len());
 }

@@ -10,30 +10,12 @@
 //! pays for it in help words). Results are published as
 //! `BENCH_E17_timing.json` at the repo root for the figure pipeline.
 
-use meba_bench::runs::{run_timing_sweep, TimingSweepStats};
+use meba_bench::runs::run_timing_sweep;
 use meba_bench::table::{flt, num, Table};
 
 const JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_E17_timing.json");
 
 const FACTORS: [f64; 6] = [0.25, 0.5, 0.75, 1.0, 2.0, 4.0];
-
-fn json_entry(s: &TimingSweepStats) -> String {
-    format!(
-        "  {{\"timeout_factor\": {}, \"full_inbox_quorum\": {}, \"completed\": {}, \
-         \"agreement\": {}, \"decided_input\": {}, \"rounds\": {}, \"words\": {}, \"baseline_words\": {}, \
-         \"quorum_advances\": {}, \"timeout_advances\": {}}}",
-        s.timeout_factor,
-        s.full_inbox_quorum,
-        s.completed,
-        s.agreement,
-        s.decided_input,
-        s.rounds,
-        s.words,
-        s.baseline_words,
-        s.quorum_advances,
-        s.timeout_advances
-    )
-}
 
 fn main() {
     println!("=== E17: δ-estimate sweep (failure-free BB, DES, delay < δ/2, skew ≤ δ/8) ===");
@@ -49,7 +31,7 @@ fn main() {
         "quorum adv",
         "timeout adv",
     ]);
-    let mut entries = Vec::new();
+    let mut rows = Vec::new();
     for (i, &tf) in FACTORS.iter().enumerate() {
         for full_inbox in [true, false] {
             let s = run_timing_sweep(tf, full_inbox, 0xe17 + i as u64);
@@ -74,12 +56,11 @@ fn main() {
                 num(s.quorum_advances),
                 num(s.timeout_advances),
             ]);
-            entries.push(json_entry(&s));
+            rows.push(s);
         }
     }
     tab.print();
 
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    std::fs::write(JSON_PATH, &json).expect("write BENCH_E17_timing.json");
-    println!("\nwrote {} entries to BENCH_E17_timing.json", entries.len());
+    serde_json::publish(JSON_PATH, &rows).expect("write BENCH_E17_timing.json");
+    println!("\nwrote {} entries to BENCH_E17_timing.json", rows.len());
 }

@@ -103,6 +103,19 @@ pub struct TimingSweepStats {
     pub timeout_advances: u64,
 }
 
+serde::impl_serde_struct!(TimingSweepStats {
+    timeout_factor,
+    full_inbox_quorum,
+    completed,
+    agreement,
+    decided_input,
+    rounds,
+    words,
+    baseline_words,
+    quorum_advances,
+    timeout_advances,
+});
+
 /// Runs one E17 cell: failure-free BB (n = 5, sender `p0`, value 7) on
 /// the DES backend under the quorum-or-timeout driver with a local timer
 /// of `timeout_factor · δ`, against a *fixed* network truth — real link

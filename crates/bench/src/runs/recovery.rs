@@ -129,6 +129,23 @@ pub struct StateTransferStats {
     pub bot_slots: u64,
 }
 
+serde::impl_serde_struct!(StateTransferStats {
+    n,
+    slots,
+    outage_slots,
+    slots_transferred,
+    certs_verified,
+    vouches_accepted,
+    transfer_words,
+    transfer_bytes,
+    transfer_messages,
+    total_bytes,
+    recovery_rounds,
+    rounds,
+    agreement,
+    bot_slots,
+});
+
 /// Runs one E19 cell: an `n`-replica service drives a `total_slots` log
 /// on the threaded runtime while one replica (the last, whose own
 /// proposer slots stay clear of the window) crash-restarts across

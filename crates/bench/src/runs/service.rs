@@ -51,6 +51,27 @@ pub struct ServiceRunStats {
     pub metrics: meba_sim::Metrics,
 }
 
+serde::impl_serde_struct!(ServiceRunStats {
+    n,
+    batch_ops,
+    window,
+    slots,
+    offered,
+    accepted,
+    rejected,
+    committed_ops,
+    rounds,
+    ops_per_round,
+    ops_per_sec,
+    latency_p50_rounds,
+    latency_p99_rounds,
+    mean_occupancy,
+    words,
+    words_per_op,
+    agreement,
+    session_collisions,
+} skip { metrics });
+
 /// Runs one E18 cell: `total_ops` client ops spread round-robin over the
 /// replicas' admission ports, batched under `max_batch_ops` and
 /// pipelined with window `window`, on the lockstep simulator. The slot

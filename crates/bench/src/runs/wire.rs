@@ -101,6 +101,12 @@ pub struct MeshScaleStats {
     pub rounds: u64,
     /// Protocol rounds per wall-clock second of the TCP run.
     pub rounds_per_sec: f64,
+    /// The δ of the reported run, in milliseconds: the requested δ, times
+    /// 4 for each earlier attempt that overran or did not complete.
+    pub delta_ms: u64,
+    /// Runs it took to get one that completed overrun-free (1 = the
+    /// requested δ held).
+    pub attempts: u32,
     /// Peak OS threads observed in this process while the cluster was
     /// live (0 when procfs is unavailable).
     pub peak_threads: usize,
@@ -111,6 +117,19 @@ pub struct MeshScaleStats {
     /// Whether every process decided the sender's value.
     pub agreement: bool,
 }
+
+serde::impl_serde_struct!(MeshScaleStats {
+    n,
+    words,
+    des_words,
+    rounds,
+    rounds_per_sec,
+    delta_ms,
+    attempts,
+    peak_threads,
+    old_design_threads,
+    agreement,
+});
 
 /// Current OS thread count of this process (Linux procfs; 0 elsewhere).
 fn current_threads() -> usize {
@@ -134,9 +153,9 @@ fn current_threads() -> usize {
 /// E16). The DES reference run with the same scenario provides the word
 /// total the socket run must reproduce.
 ///
-/// Wall-clock runs retry with a widening δ until one completes
-/// overrun-free, since word equality is only promised while the synchrony
-/// assumption held.
+/// Wall-clock runs retry with δ × 4 until one completes overrun-free,
+/// since word equality is only promised while the synchrony assumption
+/// held; the stats name the δ and attempt count of the reported run.
 ///
 /// # Panics
 ///
@@ -168,7 +187,7 @@ pub fn run_mesh_scale_bb(n: usize, delta: Duration, seed: u64) -> MeshScaleStats
 
     let mut delta = delta;
     let mut outcome = None;
-    for _ in 0..5 {
+    for attempt in 1..=5u32 {
         let config = TcpClusterConfig {
             cluster: ClusterConfig {
                 delta,
@@ -183,14 +202,14 @@ pub fn run_mesh_scale_bb(n: usize, delta: Duration, seed: u64) -> MeshScaleStats
             .expect("loopback mesh establishes");
         let elapsed = started.elapsed();
         if tcp.report.completed && tcp.report.overruns == 0 {
-            outcome = Some((tcp, elapsed));
+            outcome = Some((tcp, elapsed, delta, attempt));
             break;
         }
         delta *= 4;
     }
     stop.store(true, Ordering::Relaxed);
     monitor.join().expect("thread monitor");
-    let (tcp, elapsed) =
+    let (tcp, elapsed, delta, attempts) =
         outcome.unwrap_or_else(|| panic!("E16 n={n}: no overrun-free run in the attempt budget"));
 
     // An overrun-free run held the synchrony bound: it is inside the model,
@@ -203,6 +222,8 @@ pub fn run_mesh_scale_bb(n: usize, delta: Duration, seed: u64) -> MeshScaleStats
         des_words: des.metrics.correct.words,
         rounds: tcp.report.rounds,
         rounds_per_sec: tcp.report.rounds as f64 / elapsed.as_secs_f64().max(1e-9),
+        delta_ms: delta.as_millis() as u64,
+        attempts,
         peak_threads: peak.load(Ordering::Relaxed),
         old_design_threads: n * (2 * (n - 1) + 1) + n,
         agreement: true,

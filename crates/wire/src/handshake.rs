@@ -13,8 +13,9 @@
 //!
 //! The dialer (client) sends first; the acceptor (server) validates and
 //! only then answers with its own hello, so a rejected client learns
-//! nothing but a closed connection while the server logs the structured
-//! [`WireError`]. **Version policy:** [`PROTOCOL_VERSION`] bumps on any
+//! nothing but a closed connection while the server counts the reject
+//! ([`crate::MeshStats::handshake_rejects`]). Both sides run inside the
+//! reactor's nonblocking link state machines ([`crate::reactor`]). **Version policy:** [`PROTOCOL_VERSION`] bumps on any
 //! change to the frame layout, the hello fields, any message codec, or
 //! the signature construction — there is no cross-version negotiation;
 //! mismatched peers refuse to link. (Were it not bumped, a peer signing
@@ -22,10 +23,8 @@
 //! cost a correct process its quorum.)
 
 use crate::error::WireError;
-use crate::frame::{read_frame, write_frame};
 use meba_core::SystemConfig;
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, ProcessId, WireCodec};
-use std::io::{Read, Write};
 
 /// Wire-format version. Bumped on any codec, framing or signature
 /// change; 2 since individual signatures MAC the message digest.
@@ -76,9 +75,9 @@ pub fn config_digest(cfg: &SystemConfig) -> Digest {
 
 /// Validates a received hello against ours. `expect_peer` pins the
 /// identity when the caller dialed a specific slot; acceptors pass
-/// `None` and only range-check. Shared with the reactor's buffered
-/// (nonblocking) handshake, which cannot use the blocking
-/// [`client_handshake`]/[`server_handshake`] entry points.
+/// `None` and only range-check. The reactor's nonblocking link state
+/// machines (`crate::reactor`) are the one caller, on the dialing and the
+/// accepting side alike.
 pub(crate) fn validate(
     ours: &Hello,
     theirs: &Hello,
@@ -106,38 +105,6 @@ pub(crate) fn validate(
         }
     }
     Ok(())
-}
-
-/// Dialer side: send our hello, then validate the acceptor's reply.
-/// Returns the peer's hello on success.
-pub fn client_handshake<S: Read + Write>(
-    stream: &mut S,
-    ours: &Hello,
-    expect_peer: ProcessId,
-    n: usize,
-) -> Result<Hello, WireError> {
-    write_frame(stream, &ours.to_wire_bytes())?;
-    let mut reply = Vec::new();
-    read_frame(stream, &mut reply)?;
-    let theirs = Hello::from_wire_bytes(&reply)?;
-    validate(ours, &theirs, Some(expect_peer), n)?;
-    Ok(theirs)
-}
-
-/// Acceptor side: read the dialer's hello, validate it, and only then
-/// answer with ours. A rejected dialer sees a closed connection; the
-/// structured error stays with the acceptor.
-pub fn server_handshake<S: Read + Write>(
-    stream: &mut S,
-    ours: &Hello,
-    n: usize,
-) -> Result<Hello, WireError> {
-    let mut first = Vec::new();
-    read_frame(stream, &mut first)?;
-    let theirs = Hello::from_wire_bytes(&first)?;
-    validate(ours, &theirs, None, n)?;
-    write_frame(stream, &ours.to_wire_bytes())?;
-    Ok(theirs)
 }
 
 #[cfg(test)]

@@ -296,7 +296,9 @@ impl<K: MapKey, V: Deserialize> Deserialize for BTreeMap<K, V> {
 }
 
 /// Implements [`Serialize`]/[`Deserialize`] for a struct with named
-/// fields, equivalent to `#[derive(Serialize, Deserialize)]`.
+/// fields, equivalent to `#[derive(Serialize, Deserialize)]`. Fields
+/// listed after `skip` behave as under `#[serde(skip)]`: they are not
+/// written, and read back as `Default::default()`.
 ///
 /// ```
 /// #[derive(Default, PartialEq, Debug)]
@@ -310,6 +312,9 @@ impl<K: MapKey, V: Deserialize> Deserialize for BTreeMap<K, V> {
 #[macro_export]
 macro_rules! impl_serde_struct {
     ($ty:ident { $($field:ident),+ $(,)? }) => {
+        $crate::impl_serde_struct!($ty { $($field),+ } skip {});
+    };
+    ($ty:ident { $($field:ident),+ $(,)? } skip { $($skip:ident),* $(,)? }) => {
         impl $crate::Serialize for $ty {
             fn to_value(&self) -> $crate::Value {
                 $crate::Value::Map(vec![
@@ -329,6 +334,7 @@ macro_rules! impl_serde_struct {
                             })?,
                         )?,
                     )+
+                    $( $skip: ::std::default::Default::default(), )*
                 })
             }
         }
@@ -394,6 +400,20 @@ mod tests {
         assert_eq!(v.get("inner").and_then(|i| i.get("a")), Some(&Value::U64(7)));
         let back = Outer::from_value(&v).unwrap();
         assert_eq!(back, outer);
+    }
+
+    #[derive(Debug, PartialEq, Default)]
+    struct Partial {
+        kept: u64,
+        ledger: Vec<u64>,
+    }
+    impl_serde_struct!(Partial { kept } skip { ledger });
+
+    #[test]
+    fn skipped_fields_are_not_written_and_read_back_as_default() {
+        let v = Partial { kept: 3, ledger: vec![1, 2] }.to_value();
+        assert_eq!(v, Value::Map(vec![("kept".into(), Value::U64(3))]));
+        assert_eq!(Partial::from_value(&v).unwrap(), Partial { kept: 3, ledger: vec![] });
     }
 
     #[test]

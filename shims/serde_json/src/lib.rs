@@ -1,6 +1,7 @@
 //! Offline shim for the subset of `serde_json` this workspace uses:
 //! [`to_string`] / [`to_string_pretty`] / [`from_str`] over the serde
-//! shim's [`serde::Value`] tree.
+//! shim's [`serde::Value`] tree, plus [`publish`], which writes a table
+//! of rows as a JSON array with one compact row per line.
 
 #![forbid(unsafe_code)]
 
@@ -18,6 +19,23 @@ pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String, Error>
     let mut out = String::new();
     write_value_pretty(&value.to_value(), 0, &mut out);
     Ok(out)
+}
+
+/// Writes `rows` to `path` as a JSON array, one compact row per line, so
+/// a regenerated table diffs row by row.
+pub fn publish<T: serde::Serialize>(
+    path: impl AsRef<std::path::Path>,
+    rows: &[T],
+) -> std::io::Result<()> {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            let mut out = String::from("  ");
+            write_value(&row.to_value(), &mut out);
+            out
+        })
+        .collect();
+    std::fs::write(path, format!("[\n{}\n]\n", rows.join(",\n")))
 }
 
 /// Parses JSON text into a value.
@@ -378,6 +396,21 @@ mod tests {
         assert!(from_str::<u64>("12 34").is_err());
         assert!(from_str::<u64>("").is_err());
         assert!(from_str::<Vec<u64>>("[1,2").is_err());
+    }
+
+    #[test]
+    fn published_rows_are_one_per_line_and_parse_back() {
+        let rows = vec![
+            Stats { words: 1, tags: vec![], per: BTreeMap::new(), ok: true },
+            Stats { words: 2, tags: vec!["t".into()], per: BTreeMap::new(), ok: false },
+        ];
+        let path = std::env::temp_dir().join(format!("publish-{}.json", std::process::id()));
+        publish(&path, &rows).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(text.lines().count(), 4, "{text}");
+        assert!(text.lines().nth(1).unwrap().starts_with("  {\"words\":1,"), "{text}");
+        assert_eq!(from_str::<Vec<Stats>>(&text).unwrap(), rows);
     }
 
     #[test]

@@ -15,7 +15,8 @@ use std::fs;
 use std::path::Path;
 
 /// The top-level entries a pathspec can reach.
-const SEARCHED: &[&str] = &["crates", "src", "tests", "examples", "docs", "README.md", "DESIGN.md"];
+const SEARCHED: &[&str] =
+    &["crates", "src", "tests", "examples", "docs", "README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
 /// The crates' library and binary sources.
 const CRATE_SOURCES: &[&str] = &["crates/*/src/*"];
@@ -149,11 +150,13 @@ fn assert_one_line_in(pattern: &str, specs: &[&str], file: &str) {
 /// `oracle::decided`), one ledger (`Metrics` is plain data), one round body
 /// (no sim-only trace; rushing is not optional; `meba-sim` holds no body),
 /// one oracle, one slot lifecycle (`ReplicatedLog`, no mux layer), one
-/// DES event queue (no calendar queue): the retired names stay retired.
+/// DES event queue (no calendar queue), one handshake (the reactor's), one
+/// definition per experiment (no report binary, no stretch knobs): the
+/// retired names stay retired.
 #[test]
 fn retired_names_stay_retired() {
     assert_none(
-        r"SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions|CalendarQueue|TimeKeyed|calendar_width_ns",
+        r"SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions|CalendarQueue|TimeKeyed|calendar_width_ns|--bin report|client_handshake|server_handshake|MEBA_E15_STRETCH|MEBA_E20_STRETCH",
         &["crates", "src", "tests", "examples", "README.md", "docs"],
     );
 }
@@ -339,11 +342,11 @@ fn no_payload_on_the_event_queue() {
 }
 
 /// Every repository path the docs name exists: each `crates/…`,
-/// `tests/…`, `examples/…`, `scripts/…` path and `BENCH_*.json` in
-/// README.md, DESIGN.md, docs/CORRECTNESS.md and EXPERIMENTS.md. Only
-/// repo-rooted spellings are seen (`meba-x/src/…` is not, nor a path
-/// right after a word character, `/`, `.` or `-`), so write paths the
-/// way `ls` would.
+/// `tests/…`, `examples/…`, `scripts/…` path, each crate-relative
+/// `meba-<crate>/…` path (read as `crates/<crate>/…`) and each
+/// `BENCH_*.json` in README.md, DESIGN.md, docs/CORRECTNESS.md and
+/// EXPERIMENTS.md. A path right after a word character, `/`, `.` or `-`
+/// is not seen.
 #[test]
 fn doc_paths_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -359,42 +362,106 @@ fn doc_paths_exist() {
 }
 
 /// The repository paths `text` names, in order: `(?<![\w/.-])` followed
-/// by `(crates|tests|examples|scripts)/[\w./-]*\w` or `BENCH_\w+\.json`,
-/// read left to right without overlaps, as `grep -oP` would.
+/// by `(crates|tests|examples|scripts)/[\w./-]*\w`, `meba-[a-z]+/[\w./-]*\w`
+/// (returned as `crates/[a-z]+/…`) or `BENCH_\w+\.json`, read left to
+/// right without overlaps, as `grep -oP` would.
 fn doc_paths(text: &str) -> Vec<String> {
     let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let chars: Vec<char> = text.chars().collect();
-    let len_at = |i: usize| -> Option<usize> {
-        let rest: String = chars[i..chars.len().min(i + 10)].iter().collect();
-        let run = |from: usize, ok: &dyn Fn(char) -> bool| {
-            chars[from..].iter().take_while(|&&c| ok(c)).count()
-        };
+    let run = |from: usize, ok: &dyn Fn(char) -> bool| {
+        chars[from.min(chars.len())..].iter().take_while(|&&c| ok(c)).count()
+    };
+    let text_of = |from: usize, len: usize| -> String { chars[from..from + len].iter().collect() };
+    // The length of the path body at `from`: word characters and `./-`,
+    // ending on a word character.
+    let body = |from: usize| -> Option<usize> {
+        let len = run(from, &|c| word(c) || "./-".contains(c));
+        (from..from + len).rev().find(|&j| word(chars[j])).map(|end| end + 1 - from)
+    };
+    // The characters a path at `i` spans, and the path it names.
+    let path_at = |i: usize| -> Option<(usize, String)> {
+        let rest = text_of(i, (chars.len() - i).min(10));
         if let Some(top) = ["crates/", "tests/", "examples/", "scripts/"]
             .into_iter()
             .find(|top| rest.starts_with(top))
         {
-            let from = i + top.len();
-            let body = run(from, &|c| word(c) || "./-".contains(c));
-            let end = (from..from + body).rev().find(|&j| word(chars[j]))?;
-            return Some(end + 1 - i);
+            let len = top.len() + body(i + top.len())?;
+            return Some((len, text_of(i, len)));
+        }
+        if rest.starts_with("meba-") {
+            let name = run(i + 5, &|c| c.is_ascii_lowercase());
+            let from = i + 5 + name + 1;
+            if name == 0 || chars.get(from - 1) != Some(&'/') {
+                return None;
+            }
+            let len = body(from)?;
+            return Some((
+                from + len - i,
+                format!("crates/{}/{}", text_of(i + 5, name), text_of(from, len)),
+            ));
         }
         let stem = rest.strip_prefix("BENCH_").map(|_| run(i + 6, &word))?;
         let tail: String = chars[i + 6 + stem..].iter().take(5).collect();
-        (stem > 0 && tail == ".json").then_some(6 + stem + 5)
+        (stem > 0 && tail == ".json").then(|| (6 + stem + 5, text_of(i, 6 + stem + 5)))
     };
     let mut out = Vec::new();
     let mut i = 0;
     while i < chars.len() {
         let free = i == 0 || !(word(chars[i - 1]) || "/.-".contains(chars[i - 1]));
-        match free.then(|| len_at(i)).flatten() {
-            Some(len) => {
-                out.push(chars[i..i + len].iter().collect());
+        match free.then(|| path_at(i)).flatten() {
+            Some((len, path)) => {
+                out.push(path);
                 i += len;
             }
             None => i += 1,
         }
     }
     out
+}
+
+/// One definition per experiment: every `## E<k>` heading of
+/// EXPERIMENTS.md names, in its "(bench: …)" suffix, the one file under
+/// `crates/bench/benches/` whose first line is `//! E<k> — …`; each
+/// `E<k>` heads at most one file there and every head has a heading; and
+/// no second runner re-declares the grids (`crates/bench/src/bin` is gone).
+#[test]
+fn one_definition_per_experiment() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert!(!root.join("crates/bench/src/bin").exists(), "crates/bench/src/bin must stay gone");
+    let id = |text: &str, prefix: &str| -> Option<String> {
+        let rest = text.strip_prefix(prefix)?;
+        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        (!digits.is_empty() && rest[digits.len()..].starts_with(" —")).then(|| format!("E{digits}"))
+    };
+    let mut heads: Vec<(String, String)> = files(&["crates/bench/benches"])
+        .into_iter()
+        .filter_map(|path| id(&lines(&path)[0].text, "//! E").map(|e| (e, path)))
+        .collect();
+    heads.sort();
+    for pair in heads.windows(2) {
+        assert_ne!(
+            pair[0].0, pair[1].0,
+            "{} heads both {} and {}",
+            pair[0].0, pair[0].1, pair[1].1
+        );
+    }
+    let mut documented = Vec::new();
+    for h in lines("EXPERIMENTS.md") {
+        let Some(e) = id(&h.text, "## E") else { continue };
+        let bench = h.text.split("(bench: `").nth(1).and_then(|b| b.split('`').next());
+        let path = format!("crates/bench/benches/{}.rs", bench.unwrap_or("?"));
+        assert!(
+            heads.iter().any(|(head, p)| *head == e && *p == path),
+            "EXPERIMENTS.md:{}: {e} must name the bench it heads, not {path}",
+            h.line
+        );
+        documented.push(e);
+    }
+    let undocumented: Vec<_> = heads.iter().filter(|(e, _)| !documented.contains(e)).collect();
+    assert!(
+        undocumented.is_empty(),
+        "bench heads without an EXPERIMENTS.md section: {undocumented:?}"
+    );
 }
 
 /// Fallback traffic is held by handle: `SkewEnvelope::msg` is an `Arc`,

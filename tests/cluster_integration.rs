@@ -392,61 +392,85 @@ fn weak_ba_over_tcp_decides_under_socket_faults() {
     assert!(tcp.reconnects >= 1, "severed p3→p0 must reconnect");
 }
 
+/// A raw dialer sends a framed stale, misconfigured or wrong-domain
+/// `Hello` to a live two-process mesh: the reactor refuses each one,
+/// counts it in `handshake_rejects`, closes the socket without answering,
+/// and the mesh keeps carrying traffic.
 #[test]
 fn handshake_rejects_version_and_config_mismatch() {
-    use meba::wire::handshake::{client_handshake, server_handshake};
-    use meba::wire::{config_digest, Hello, WireError, PROTOCOL_VERSION};
-    use std::net::{TcpListener, TcpStream};
+    use meba::crypto::WireCodec;
+    use meba::service::TransferMsg;
+    use meba::wire::frame::write_frame;
+    use meba::wire::{config_digest, Hello, MeshConfig, TcpMesh, PROTOCOL_VERSION};
+    use std::io::Read;
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use std::time::Instant;
 
-    let n = 5usize;
-    let ours_cfg = SystemConfig::new(n, 0xc1).unwrap();
-    let ours = Hello {
+    let ours_cfg = SystemConfig::new(3, 0xc1).unwrap();
+    let hello = |id: u32| Hello {
         version: PROTOCOL_VERSION,
-        id: ProcessId(0),
+        id: ProcessId(id),
         config_digest: config_digest(&ours_cfg),
         domain: 9,
     };
-
-    let run = |client_hello: Hello| -> WireError {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let ours = ours.clone();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            server_handshake::<TcpStream>(&mut stream, &ours, n)
-        });
-        let mut stream = TcpStream::connect(addr).unwrap();
-        // The dialer only learns the connection died; the structured
-        // diagnostic stays with the acceptor that rejected it.
-        let client = client_handshake(&mut stream, &client_hello, ProcessId(0), n);
-        assert!(client.is_err());
-        server.join().unwrap().expect_err("server must reject the hello")
+    let listeners: Vec<TcpListener> =
+        (0..2).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+    let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    // Both ends establish at once: each waits for the other's dial.
+    let mut establishing = Vec::new();
+    for (i, listener) in listeners.into_iter().enumerate() {
+        let (addrs, config) =
+            (addrs.clone(), MeshConfig::new(ProcessId(i as u32), hello(i as u32)));
+        establishing.push(std::thread::spawn(move || {
+            TcpMesh::<TransferMsg>::establish(config, listener, &addrs)
+        }));
+    }
+    let meshes: Vec<TcpMesh<TransferMsg>> =
+        establishing.into_iter().map(|h| h.join().unwrap().unwrap()).collect();
+    let delivers = |from: usize, to: usize, slot: u64| {
+        let msg = TransferMsg::FetchCommitted { from_slot: slot, budget: 1 };
+        meshes[from].send(ProcessId(to as u32), slot, &Arc::new(msg.clone()));
+        let (start, mut got) = (Instant::now(), Vec::new());
+        while got.is_empty() && start.elapsed() < Duration::from_secs(5) {
+            meshes[to].drain_into(&mut got);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(got.len(), 1, "p{from} → p{to} must still deliver");
+        assert_eq!((got[0].from, &*got[0].msg), (ProcessId(from as u32), &msg));
     };
+    delivers(1, 0, 1);
 
-    let stale = Hello { version: PROTOCOL_VERSION + 1, id: ProcessId(1), ..ours.clone() };
-    match run(stale) {
-        WireError::VersionMismatch { ours: v_ours, theirs } => {
-            assert_eq!(v_ours, PROTOCOL_VERSION);
-            assert_eq!(theirs, PROTOCOL_VERSION + 1);
+    let other_cfg = SystemConfig::new(3, 0xdead).unwrap();
+    let refused = [
+        Hello { version: PROTOCOL_VERSION + 1, ..hello(1) },
+        Hello { config_digest: config_digest(&other_cfg), ..hello(1) },
+        Hello { domain: 10, ..hello(1) },
+    ];
+    for (k, bad) in refused.into_iter().enumerate() {
+        let mut dialer = TcpStream::connect(addrs[0]).unwrap();
+        write_frame(&mut dialer, &bad.to_wire_bytes()).unwrap();
+        // A rejected dialer learns only that the connection closed: no
+        // reply hello, no diagnostic.
+        dialer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reply = Vec::new();
+        assert!(
+            matches!(dialer.read_to_end(&mut reply), Ok(0) | Err(_)) && reply.is_empty(),
+            "{bad:?} must be answered with a closed connection, got {reply:?}"
+        );
+        let start = Instant::now();
+        while meshes[0].stats().snapshot().handshake_rejects < k as u64 + 1 {
+            assert!(start.elapsed() < Duration::from_secs(5), "{bad:?} was never counted");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        other => panic!("expected VersionMismatch, got {other}"),
     }
+    assert_eq!(meshes[0].stats().snapshot().handshake_rejects, 3);
+    assert_eq!(meshes[1].stats().snapshot().handshake_rejects, 0);
 
-    let other_cfg = SystemConfig::new(n, 0xdead).unwrap();
-    let misconfigured =
-        Hello { id: ProcessId(1), config_digest: config_digest(&other_cfg), ..ours.clone() };
-    match run(misconfigured) {
-        WireError::ConfigMismatch { ours: d_ours, theirs } => {
-            assert_eq!(d_ours, config_digest(&ours_cfg));
-            assert_eq!(theirs, config_digest(&other_cfg));
-        }
-        other => panic!("expected ConfigMismatch, got {other}"),
-    }
-
-    let wrong_domain = Hello { id: ProcessId(1), domain: 10, ..ours.clone() };
-    match run(wrong_domain) {
-        WireError::DomainMismatch { ours: 9, theirs: 10 } => {}
-        other => panic!("expected DomainMismatch, got {other}"),
+    // The refused dials touched neither established link.
+    delivers(1, 0, 2);
+    delivers(0, 1, 3);
+    for mesh in meshes {
+        mesh.shutdown();
     }
 }
 
