@@ -3,12 +3,12 @@
 //! state transfer.
 
 use meba_crypto::ProcessId;
-use meba_engine::{run_cluster_with_recovery, ClusterConfig, OverrunAction, ProcessFate};
+use meba_engine::{run_cluster_with_recovery, ClusterConfig, ClusterReport, ProcessFate};
 use meba_service::{BatchPolicy, Op, ServiceConfig};
 use meba_testkit::service::{service_replica, ServiceHarness};
 use meba_testkit::{
-    crash_restart, log_round_budget, oracle, round_budget, DoubleSignDetector, Fault, RecWbaProc,
-    WeakBaRecoveryHarness,
+    crash_restart, log_round_budget, oracle, overrun_free, round_budget, DoubleSignDetector, Fault,
+    RecWbaProc, WeakBaRecoveryHarness,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,39 +46,41 @@ pub struct RecoveryRunStats {
 ///
 /// # Panics
 ///
-/// Panics if `crashes > t`, the run does not terminate, the oracle finds
-/// a violation (each crash-restart counts as one fault), or
-/// [`oracle::fold_journals`] finds a signature context bound to two
-/// digests in some journal.
+/// Panics if `crashes > t`, [`overrun_free`] finds no completed
+/// overrun-free run, the oracle finds a violation (each crash-restart
+/// counts as one fault), or [`oracle::fold_journals`] finds a signature
+/// context bound to two digests in some journal (on any attempt).
 pub fn run_recovery_weak_ba(n: usize, crashes: usize, delta: Duration) -> RecoveryRunStats {
-    let h = Arc::new(WeakBaRecoveryHarness::new(&vec![7u64; n]));
-    assert!(crashes <= h.config().t(), "crashes={crashes} exceeds t={}", h.config().t());
-    let config = ClusterConfig {
-        delta,
-        max_rounds: round_budget(n),
-        process_fate: Some(Arc::new(move |p: ProcessId| {
-            let i = p.index();
-            if (1..=crashes).contains(&i) {
-                // Stagger the crashes across phase 1 so each exercises a
-                // different point of the schedule.
-                ProcessFate::CrashRestart { at_round: i as u64, rejoin_after: 3 }
-            } else {
-                ProcessFate::Run
-            }
-        })),
-        overrun_action: OverrunAction::Escalate {
-            multiplier: 2,
-            max_delta: Duration::from_millis(250),
-        },
-        ..ClusterConfig::default()
-    };
-    let report = run_cluster_with_recovery(h.actors(), Some(h.rebuilder()), config);
-    assert!(report.completed, "E14 n={n} crashes={crashes}: run must terminate");
-    oracle::decided::<RecWbaProc>(&report.actors, &report.metrics, &vec![Fault::None; n])
-        .assert_in_model();
-    let mut det = DoubleSignDetector::new();
-    oracle::fold_journals(&mut det, &h.journals());
-    det.assert_clean();
+    let faults = vec![Fault::None; n];
+    let decided =
+        |r: &ClusterReport<_>| oracle::decided::<RecWbaProc>(&r.actors, &r.metrics, &faults);
+    let report = overrun_free(&format!("E14 n={n} crashes={crashes}"), delta, |delta| {
+        let h = Arc::new(WeakBaRecoveryHarness::new(&vec![7u64; n]));
+        assert!(crashes <= h.config().t(), "crashes={crashes} exceeds t={}", h.config().t());
+        let config = ClusterConfig {
+            delta,
+            max_rounds: round_budget(n),
+            process_fate: Some(Arc::new(move |p: ProcessId| {
+                let i = p.index();
+                if (1..=crashes).contains(&i) {
+                    // Stagger the crashes across phase 1 so each exercises
+                    // a different point of the schedule.
+                    ProcessFate::CrashRestart { at_round: i as u64, rejoin_after: 3 }
+                } else {
+                    ProcessFate::Run
+                }
+            })),
+            ..ClusterConfig::default()
+        };
+        let report = run_cluster_with_recovery(h.actors(), Some(h.rebuilder()), config);
+        decided(&report).assert_safe();
+        let mut det = DoubleSignDetector::new();
+        oracle::fold_journals(&mut det, &h.journals());
+        det.assert_clean();
+        report
+    })
+    .report;
+    decided(&report).assert_in_model();
     let rec = &report.metrics.recovery;
     RecoveryRunStats {
         n,
@@ -156,9 +158,9 @@ serde::impl_serde_struct!(StateTransferStats {
 ///
 /// # Panics
 ///
-/// Panics if the run fails to terminate, [`oracle::service`] finds a
-/// violation, any slot `⊥`-retires, or a replica fails to apply the
-/// whole log — the audits are the experiment's claim.
+/// Panics if [`overrun_free`] finds no completed overrun-free run,
+/// [`oracle::service`] finds a violation (on any attempt), any slot
+/// `⊥`-retires, or a replica fails to apply the whole log.
 pub fn run_state_transfer(n: usize, total_slots: u64, outage_slots: u64) -> StateTransferStats {
     let victim = n - 1;
     assert!(
@@ -174,37 +176,37 @@ pub fn run_state_transfer(n: usize, total_slots: u64, outage_slots: u64) -> Stat
         // ops bind deterministically and every slot carries a real value.
         batch: BatchPolicy { max_batch_delay: u64::MAX, ..BatchPolicy::default() },
     };
-    let h = Arc::new(ServiceHarness::new(n, service));
-    for i in 0..n {
-        for seq in 0..2u64 {
-            let client = i as u64 + 1;
-            h.port(i)
-                .submit(Op { client, seq, key: client * 1000 + seq, value: seq + 7 })
-                .expect("capacity sized for the script");
+    let label = format!("E19 n={n} slots={total_slots} outage={outage_slots}");
+    let (report, verdict) = overrun_free(&label, Duration::from_millis(2), |delta| {
+        let h = Arc::new(ServiceHarness::new(n, service));
+        for i in 0..n {
+            for seq in 0..2u64 {
+                let client = i as u64 + 1;
+                h.port(i)
+                    .submit(Op { client, seq, key: client * 1000 + seq, value: seq + 7 })
+                    .expect("capacity sized for the script");
+            }
         }
-    }
-    let stride = h.stride();
-    let config = ClusterConfig {
-        delta: Duration::from_millis(2),
-        max_rounds: log_round_budget(n, total_slots),
-        // Down from 0.7 strides after slot 1 would normally open its
-        // predecessor, through `outage_slots` further openings: openings
-        // `1..=outage_slots` fall inside the window, opening
-        // `outage_slots + 1` falls after it.
-        process_fate: Some(crash_restart(victim, stride * 7 / 10, stride * outage_slots)),
-        overrun_action: OverrunAction::Escalate {
-            multiplier: 2,
-            max_delta: Duration::from_millis(250),
-        },
-        ..ClusterConfig::default()
-    };
-    let report = run_cluster_with_recovery(h.actors(), Some(h.rebuilder()), config);
-    assert!(report.completed, "E19 cluster must terminate");
+        let stride = h.stride();
+        let config = ClusterConfig {
+            delta,
+            max_rounds: log_round_budget(n, total_slots),
+            // Down from 0.7 strides after slot 1 would normally open its
+            // predecessor, through `outage_slots` further openings:
+            // openings `1..=outage_slots` fall inside the window, opening
+            // `outage_slots + 1` falls after it.
+            process_fate: Some(crash_restart(victim, stride * 7 / 10, stride * outage_slots)),
+            ..ClusterConfig::default()
+        };
+        let report = run_cluster_with_recovery(h.actors(), Some(h.rebuilder()), config);
+        let replicas: Vec<_> = report.actors.iter().map(|a| service_replica(a.as_ref())).collect();
+        let verdict = oracle::service(&replicas, &h.journals());
+        verdict.assert_safe();
+        (report, verdict)
+    })
+    .report;
     assert_eq!(report.metrics.recovery.crash_restarts, 1, "exactly one restart");
-
     let replicas: Vec<_> = report.actors.iter().map(|a| service_replica(a.as_ref())).collect();
-    let verdict = oracle::service(&replicas, &h.journals());
-    verdict.assert_safe();
     assert_eq!(verdict.applied_slots, vec![total_slots; n], "E19: every replica applied the log");
     assert!(replicas.iter().all(|r| !r.recovering()), "E19: recovery must complete");
     assert_eq!(verdict.bot_slots, 0, "E19: the outage spends the fault budget, never a slot");

@@ -4,13 +4,12 @@
 
 use super::idle_at;
 use meba_core::SystemConfig;
-use meba_engine::{ClusterConfig, OverrunAction};
+use meba_engine::{ClusterConfig, ClusterReport};
 use meba_testkit::{
-    bb_actors, corrupt_ids, des, oracle, round_budget, BbProc, Family, Fault, Timing,
+    bb_actors, corrupt_ids, des, oracle, overrun_free, round_budget, with_thread_peak, BbProc,
+    Family, Fault, Timing,
 };
 use meba_wire::{raise_nofile_limit, run_tcp_cluster, TcpClusterConfig};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Outcome of one loopback-TCP run (experiment E13).
@@ -48,30 +47,32 @@ impl WireRunStats {
 
 /// Runs adaptive BB (sender `p0`, value 7) over real loopback TCP
 /// sockets with `f` crashed followers, measuring the byte-level cost of
-/// the word-level protocol (experiment E13).
+/// the word-level protocol (experiment E13). The run goes through
+/// [`overrun_free`], so `delta` is the first δ tried.
 pub fn run_wire_bb(n: usize, f: usize, delta: Duration) -> WireRunStats {
     let cfg = Family::BB.config(n);
     assert!(f <= cfg.t(), "f={f} exceeds t={}", cfg.t());
     let faults = idle_at(n, 1..=f);
-    let config = TcpClusterConfig {
-        cluster: ClusterConfig {
-            delta,
-            max_rounds: round_budget(n),
-            corrupt: corrupt_ids(&faults),
-            overrun_action: OverrunAction::Escalate {
-                multiplier: 2,
-                max_delta: Duration::from_millis(250),
+    let decided = |r: &ClusterReport<_>| oracle::decided::<BbProc>(&r.actors, &r.metrics, &faults);
+    let tcp = overrun_free(&format!("E13 n={n} f={f}"), delta, |delta| {
+        let config = TcpClusterConfig {
+            cluster: ClusterConfig {
+                delta,
+                max_rounds: round_budget(n),
+                corrupt: corrupt_ids(&faults),
+                ..ClusterConfig::default()
             },
-            ..ClusterConfig::default()
-        },
-        ..TcpClusterConfig::default()
-    };
-    let tcp = run_tcp_cluster(bb_actors(0, 7, &faults), &cfg, config)
-        .expect("loopback TCP cluster established");
+            ..TcpClusterConfig::default()
+        };
+        let tcp = run_tcp_cluster(bb_actors(0, 7, &faults), &cfg, config)
+            .expect("loopback TCP cluster established");
+        decided(&tcp.report).assert_safe();
+        tcp
+    })
+    .report;
     let report = &tcp.report;
-    assert!(report.completed, "wire run terminated");
-    // δ escalates rather than overrunning, so the run stays in the model.
-    oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults).assert_in_model();
+    // An overrun-free run held the synchrony bound: it is inside the model.
+    decided(report).assert_in_model();
     WireRunStats {
         n,
         f,
@@ -102,10 +103,9 @@ pub struct MeshScaleStats {
     /// Protocol rounds per wall-clock second of the TCP run.
     pub rounds_per_sec: f64,
     /// The δ of the reported run, in milliseconds: the requested δ, times
-    /// 4 for each earlier attempt that overran or did not complete.
+    /// 4 for each earlier attempt that overran.
     pub delta_ms: u64,
-    /// Runs it took to get one that completed overrun-free (1 = the
-    /// requested δ held).
+    /// Runs it took to get one overrun-free (1 = the requested δ held).
     pub attempts: u32,
     /// Peak OS threads observed in this process while the cluster was
     /// live (0 when procfs is unavailable).
@@ -131,36 +131,20 @@ serde::impl_serde_struct!(MeshScaleStats {
     agreement,
 });
 
-/// Current OS thread count of this process (Linux procfs; 0 elsewhere).
-fn current_threads() -> usize {
-    if cfg!(target_os = "linux") {
-        std::fs::read_to_string("/proc/self/status")
-            .ok()
-            .and_then(|s| {
-                s.lines()
-                    .find_map(|l| l.strip_prefix("Threads:").map(|v| v.trim().parse().ok()))
-                    .flatten()
-            })
-            .unwrap_or(0)
-    } else {
-        0
-    }
-}
-
 /// Runs failure-free adaptive BB (sender `p0`, value 7) over real
 /// loopback TCP sockets on the readiness-driven mesh, sampling the
 /// process's peak OS thread count while the cluster is live (experiment
 /// E16). The DES reference run with the same scenario provides the word
 /// total the socket run must reproduce.
 ///
-/// Wall-clock runs retry with δ × 4 until one completes overrun-free,
-/// since word equality is only promised while the synchrony assumption
-/// held; the stats name the δ and attempt count of the reported run.
+/// The socket run goes through [`overrun_free`], since word equality is
+/// only promised while the synchrony assumption held; the stats name the
+/// δ and attempt count of the reported run.
 ///
 /// # Panics
 ///
-/// Panics if the mesh cannot establish or no overrun-free run completes
-/// within the attempt budget.
+/// Panics if the mesh cannot establish or [`overrun_free`] finds no
+/// completed overrun-free run.
 pub fn run_mesh_scale_bb(n: usize, delta: Duration, seed: u64) -> MeshScaleStats {
     // Every directed link is a socket on both ends, plus a listener and
     // a wake pipe per process and harness slack.
@@ -173,58 +157,41 @@ pub fn run_mesh_scale_bb(n: usize, delta: Duration, seed: u64) -> MeshScaleStats
     oracle::decided::<BbProc>(&des.actors, &des.metrics, &faults).assert_in_model();
 
     let system = SystemConfig::new(n, 0xe16).unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
-    let peak = Arc::new(AtomicUsize::new(current_threads()));
-    let monitor = {
-        let (stop, peak) = (stop.clone(), peak.clone());
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                peak.fetch_max(current_threads(), Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(5));
-            }
+    let decided = |r: &ClusterReport<_>| oracle::decided::<BbProc>(&r.actors, &r.metrics, &faults);
+    let (kept, peak_threads) = with_thread_peak(|| {
+        overrun_free(&format!("E16 n={n}"), delta, |delta| {
+            let config = TcpClusterConfig {
+                cluster: ClusterConfig {
+                    delta,
+                    max_rounds: round_budget(n),
+                    ..ClusterConfig::default()
+                },
+                dial_timeout: Duration::from_secs(120),
+                ..TcpClusterConfig::default()
+            };
+            let started = Instant::now();
+            let tcp = run_tcp_cluster(bb_actors(sender, input, &faults), &system, config)
+                .expect("loopback mesh establishes");
+            let elapsed = started.elapsed();
+            decided(&tcp.report).assert_safe();
+            (tcp, elapsed)
         })
-    };
-
-    let mut delta = delta;
-    let mut outcome = None;
-    for attempt in 1..=5u32 {
-        let config = TcpClusterConfig {
-            cluster: ClusterConfig {
-                delta,
-                max_rounds: round_budget(n),
-                ..ClusterConfig::default()
-            },
-            dial_timeout: Duration::from_secs(120),
-            ..TcpClusterConfig::default()
-        };
-        let started = Instant::now();
-        let tcp = run_tcp_cluster(bb_actors(sender, input, &faults), &system, config)
-            .expect("loopback mesh establishes");
-        let elapsed = started.elapsed();
-        if tcp.report.completed && tcp.report.overruns == 0 {
-            outcome = Some((tcp, elapsed, delta, attempt));
-            break;
-        }
-        delta *= 4;
-    }
-    stop.store(true, Ordering::Relaxed);
-    monitor.join().expect("thread monitor");
-    let (tcp, elapsed, delta, attempts) =
-        outcome.unwrap_or_else(|| panic!("E16 n={n}: no overrun-free run in the attempt budget"));
+    });
+    let (tcp, elapsed) = kept.report;
 
     // An overrun-free run held the synchrony bound: it is inside the model,
     // where BB's validity rule is "every process decides the sender's
     // value".
-    oracle::decided::<BbProc>(&tcp.report.actors, &tcp.report.metrics, &faults).assert_in_model();
+    decided(&tcp.report).assert_in_model();
     MeshScaleStats {
         n,
         words: tcp.report.metrics.correct.words,
         des_words: des.metrics.correct.words,
         rounds: tcp.report.rounds,
         rounds_per_sec: tcp.report.rounds as f64 / elapsed.as_secs_f64().max(1e-9),
-        delta_ms: delta.as_millis() as u64,
-        attempts,
-        peak_threads: peak.load(Ordering::Relaxed),
+        delta_ms: kept.delta.as_millis() as u64,
+        attempts: kept.attempts,
+        peak_threads,
         old_design_threads: n * (2 * (n - 1) + 1) + n,
         agreement: true,
     }

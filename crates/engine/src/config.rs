@@ -25,32 +25,15 @@ pub type LinkPolicyFactory = Arc<dyn Fn(ProcessId) -> Box<dyn LinkPolicy> + Send
 pub const LINK_CAPACITY: usize = 1024;
 
 /// What the coordinator does about sustained synchrony overruns (see
-/// [`ClusterConfig::overrun_window`]).
+/// [`ClusterConfig::overrun_window`]). Neither action repairs a run: δ
+/// never changes mid-run, and a run with any overrun is outside the
+/// model whichever action it ran under.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OverrunAction {
     /// Keep running and only count overruns (the default).
     Count,
-    /// Multiply δ by `multiplier` (capped at `max_delta`) and keep going —
-    /// the run trades latency for restored synchrony.
-    Escalate {
-        /// Factor applied to the current δ on each escalation.
-        multiplier: u32,
-        /// Upper bound on the escalated δ.
-        max_delta: Duration,
-    },
     /// Stop the run and report a [`ClusterDiagnostic`].
     Abort,
-}
-
-/// One δ-escalation event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Escalation {
-    /// First round paced with the new δ.
-    pub at_round: u64,
-    /// δ before the escalation.
-    pub old_delta: Duration,
-    /// δ after the escalation.
-    pub new_delta: Duration,
 }
 
 /// Outcome of a cluster run.
@@ -75,8 +58,6 @@ pub struct ClusterReport<M: Message> {
     /// Times a sender blocked on a full link (bounded-channel or socket
     /// outbox backpressure).
     pub backpressure: u64,
-    /// δ-escalations performed under [`OverrunAction::Escalate`].
-    pub escalations: Vec<Escalation>,
     /// Present iff the run was stopped early by the overrun policy or a
     /// coordinator stall.
     pub aborted: Option<ClusterDiagnostic>,
@@ -90,7 +71,6 @@ impl<M: Message> fmt::Debug for ClusterReport<M> {
             .field("correct_words", &self.metrics.correct.words)
             .field("overruns", &self.overruns)
             .field("backpressure", &self.backpressure)
-            .field("escalations", &self.escalations.len())
             .field("aborted", &self.aborted)
             .finish_non_exhaustive()
     }

@@ -4,13 +4,13 @@
 //! This module is the single home of the round-coordination machinery of
 //! the channel and TCP runtimes: after finishing round `r` the
 //! coordinator publishes exactly one decision — stop after `r`
-//! (recording whether the run completed) or approve round `r + 1`,
-//! possibly escalating δ first. Worker threads never execute a round that
-//! was not approved, so every thread executes the same set of rounds and
+//! (recording whether the run completed) or approve round `r + 1`.
+//! Worker threads never execute a round that was not approved, so every
+//! thread executes the same set of rounds and
 //! [`ClusterReport::completed`] is the coordinator's own recorded verdict
 //! rather than a racy post-join recomputation.
 
-use crate::config::{ClusterConfig, ClusterReport, Escalation, OverrunAction};
+use crate::config::{ClusterConfig, ClusterReport, OverrunAction};
 use crate::driver::{RoundDriver, RoundDriverConfig};
 use crate::fate::{resolve_fates, ActorRebuilder};
 use crate::pacer::{AbortReason, ClusterDiagnostic, DeadlinePacer};
@@ -40,7 +40,6 @@ struct Control {
     overruns: AtomicU64,
     backpressure: AtomicU64,
     done_flags: Vec<AtomicBool>,
-    escalations: Mutex<Vec<Escalation>>,
 }
 
 impl Control {
@@ -64,7 +63,7 @@ enum Approval {
 struct WorkerConfig {
     max_rounds: u64,
     overrun_window: u32,
-    overrun_action: OverrunAction,
+    abort_on_overruns: bool,
     driver: RoundDriverConfig,
     n: usize,
 }
@@ -110,7 +109,6 @@ where
         overruns: AtomicU64::new(0),
         backpressure: AtomicU64::new(0),
         done_flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        escalations: Mutex::new(Vec::new()),
     });
     let corrupt: Vec<bool> =
         (0..n).map(|i| config.corrupt.iter().any(|c| c.index() == i)).collect();
@@ -129,7 +127,7 @@ where
         let cfg = WorkerConfig {
             max_rounds: config.max_rounds,
             overrun_window: config.overrun_window,
-            overrun_action: config.overrun_action.clone(),
+            abort_on_overruns: config.overrun_action == OverrunAction::Abort,
             driver: config.driver,
             n,
         };
@@ -166,7 +164,6 @@ where
         completed,
         overruns: ctrl.overruns.into_inner(),
         backpressure: ctrl.backpressure.into_inner(),
-        escalations: ctrl.escalations.into_inner(),
         aborted,
     }
 }
@@ -189,7 +186,7 @@ fn run_paced_process<M: Message, T: Transport<M>>(
     let mut metrics = Metrics::default();
     let is_coordinator = i == 0;
     let mut driver = RoundDriver::wall_clock(&cfg.driver, cfg.n);
-    // Coordinator-only escalation bookkeeping.
+    // Coordinator-only overrun-window bookkeeping.
     let mut overruns_seen = 0u64;
     let mut consecutive_overruns = 0u32;
     let mut round = 0u64;
@@ -223,7 +220,7 @@ fn run_paced_process<M: Message, T: Transport<M>>(
                 // Event-driven: there is no global deadline; an overrun
                 // is processing that outlasts the effective δ itself.
                 RoundDriverConfig::QuorumOrTimeout { .. } => {
-                    proc_end.duration_since(proc_start) > ctrl.pacer.delta_at(round)
+                    proc_end.duration_since(proc_start) > ctrl.pacer.delta()
                 }
             };
             metrics.round_latency.record_us(latency_us);
@@ -247,7 +244,7 @@ fn run_paced_process<M: Message, T: Transport<M>>(
 }
 
 /// The coordinator's end-of-round decision: stop (exactly one recorded
-/// outcome) or approve the next round, possibly escalating δ first.
+/// outcome) or approve the next round.
 fn coordinate(
     ctrl: &Control,
     awaited: &[bool],
@@ -256,21 +253,13 @@ fn coordinate(
     overruns_seen: &mut u64,
     consecutive_overruns: &mut u32,
 ) {
+    let stop = |completed, aborted| {
+        ctrl.record_outcome(Outcome { completed, rounds: round + 1, aborted }, round + 1);
+    };
     let all_done = (awaited.iter().zip(&ctrl.done_flags))
         .all(|(&awaited, done)| !awaited || done.load(Ordering::SeqCst));
-    if all_done {
-        ctrl.record_outcome(
-            Outcome { completed: true, rounds: round + 1, aborted: None },
-            round + 1,
-        );
-        return;
-    }
-    if round + 1 >= cfg.max_rounds {
-        ctrl.record_outcome(
-            Outcome { completed: false, rounds: round + 1, aborted: None },
-            round + 1,
-        );
-        return;
+    if all_done || round + 1 >= cfg.max_rounds {
+        return stop(all_done, None);
     }
 
     // Overrun bookkeeping: "this round overran" means the global counter
@@ -278,51 +267,20 @@ fn coordinate(
     // attribute an overrun to the next coordinator round — the window is
     // a sustained-degradation heuristic, not an exact per-round flag.)
     let overruns_now = ctrl.overruns.load(Ordering::Relaxed);
-    if overruns_now > *overruns_seen {
-        *consecutive_overruns += 1;
-    } else {
-        *consecutive_overruns = 0;
-    }
+    *consecutive_overruns =
+        if overruns_now > *overruns_seen { *consecutive_overruns + 1 } else { 0 };
     *overruns_seen = overruns_now;
 
-    if *consecutive_overruns >= cfg.overrun_window {
-        match &cfg.overrun_action {
-            OverrunAction::Count => {}
-            OverrunAction::Escalate { multiplier, max_delta } => {
-                let old_delta = ctrl.pacer.delta_at(round + 1);
-                let new_delta = old_delta.saturating_mul((*multiplier).max(2)).min(*max_delta);
-                if new_delta > old_delta {
-                    // Round r+1 is already approved under the old pacing;
-                    // the new δ takes effect at r+2.
-                    ctrl.pacer.escalate(round + 2, new_delta);
-                    ctrl.escalations.lock().push(Escalation {
-                        at_round: round + 2,
-                        old_delta,
-                        new_delta,
-                    });
-                }
-                *consecutive_overruns = 0;
-            }
-            OverrunAction::Abort => {
-                ctrl.record_outcome(
-                    Outcome {
-                        completed: false,
-                        rounds: round + 1,
-                        aborted: Some(ClusterDiagnostic {
-                            reason: AbortReason::SustainedOverruns {
-                                consecutive: *consecutive_overruns,
-                                window: cfg.overrun_window,
-                            },
-                            round,
-                            overruns: overruns_now,
-                            delta: ctrl.pacer.delta_at(round),
-                        }),
-                    },
-                    round + 1,
-                );
-                return;
-            }
-        }
+    if cfg.abort_on_overruns && *consecutive_overruns >= cfg.overrun_window {
+        let reason = AbortReason::SustainedOverruns {
+            consecutive: *consecutive_overruns,
+            window: cfg.overrun_window,
+        };
+        let delta = ctrl.pacer.delta();
+        return stop(
+            false,
+            Some(ClusterDiagnostic { reason, round, overruns: overruns_now, delta }),
+        );
     }
     ctrl.approved.store(round + 2, Ordering::SeqCst);
 }
@@ -332,7 +290,7 @@ fn coordinate(
 /// stops the cluster with a [`AbortReason::CoordinatorStalled`]
 /// diagnostic instead of spinning forever.
 fn wait_for_approval(ctrl: &Control, round: u64) -> Approval {
-    let stall_after = ctrl.pacer.delta_at(round).saturating_mul(64).max(Duration::from_secs(60));
+    let stall_after = ctrl.pacer.delta().saturating_mul(64).max(Duration::from_secs(60));
     let wait_start = Instant::now();
     loop {
         if ctrl.stop_at.load(Ordering::SeqCst) <= round {
@@ -350,7 +308,7 @@ fn wait_for_approval(ctrl: &Control, round: u64) -> Approval {
                         reason: AbortReason::CoordinatorStalled,
                         round,
                         overruns: ctrl.overruns.load(Ordering::Relaxed),
-                        delta: ctrl.pacer.delta_at(round),
+                        delta: ctrl.pacer.delta(),
                     }),
                 },
                 round,

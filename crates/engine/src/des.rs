@@ -760,7 +760,6 @@ impl<M: Message> DesRun<M> {
             completed,
             overruns: 0,
             backpressure: 0,
-            escalations: Vec::new(),
             aborted: None,
         }
     }

@@ -316,7 +316,7 @@ impl RoundDriver {
             pacer.wait_for_round(round);
             return self.cause(round, ready_senders);
         }
-        let delta_ns = u64::try_from(pacer.delta_at(round).as_nanos()).unwrap_or(u64::MAX);
+        let delta_ns = u64::try_from(pacer.delta().as_nanos()).unwrap_or(u64::MAX);
         let deadline = pacer.instant_at(self.next_deadline(pacer.elapsed_ns(), delta_ns));
         loop {
             if self.cause(round, &mut ready_senders) == AdvanceCause::QuorumReached {

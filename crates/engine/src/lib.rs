@@ -11,8 +11,8 @@
 //! [`ChannelTransport`] over bounded crossbeam channels; `meba-wire`'s
 //! TCP mesh implements the same trait) and everything around them:
 //!
-//! * [`DeadlinePacer`] — when wall-clock rounds happen, with
-//!   δ-escalation; the discrete-event backend owns a virtual clock.
+//! * [`DeadlinePacer`] — when wall-clock rounds happen, one fixed δ
+//!   apart; the discrete-event backend owns a virtual clock.
 //! * [`RoundDriver`] — *why* a process advances: the lockstep global
 //!   schedule (default), or event-driven quorum-or-timeout partial
 //!   synchrony where each process advances on a quorum of prior-round
@@ -26,8 +26,8 @@
 //!   crash-restart execution, journal-replay rejoin, the advance-cause
 //!   tally and the end-of-run refusal count.
 //! * [`run_threaded_cluster`] — generic thread-per-process execution with
-//!   coordinator stop decisions, overrun monitoring, and δ-escalation
-//!   (the machinery behind [`run_cluster`] and
+//!   coordinator stop decisions and overrun counting (the machinery
+//!   behind [`run_cluster`] and
 //!   `meba_wire::run_tcp_cluster`).
 //! * [`run_des_cluster`] — seeded virtual clock, one event queue of
 //!   per-instant buckets, no threads; n = 100–200 runs in milliseconds
@@ -55,9 +55,7 @@ pub mod pacer;
 pub mod process;
 
 pub use channel::{channel_mesh, run_cluster, run_cluster_with_recovery, ChannelTransport};
-pub use config::{
-    ClusterConfig, ClusterReport, Escalation, LinkPolicyFactory, OverrunAction, LINK_CAPACITY,
-};
+pub use config::{ClusterConfig, ClusterReport, LinkPolicyFactory, OverrunAction, LINK_CAPACITY};
 pub use control::run_threaded_cluster;
 pub use des::{run_des_cluster, DesConfig, DesConfigError};
 pub use driver::{default_quorum, AdvanceCause, DriverConfigError, RoundDriver, RoundDriverConfig};

@@ -2,13 +2,15 @@
 //!
 //! The engine separates *what happens in a round* (the per-process driver
 //! in [`crate::process`]) from *when rounds happen*. On the wall clock
-//! that is a [`DeadlinePacer`]: δ-pacing with escalation, shared by the
-//! threaded and TCP backends. Rounds start at real instants; processing
-//! past a deadline is a synchrony overrun. (The discrete-event backend,
+//! that is a [`DeadlinePacer`]: one fixed δ, shared by the threaded and
+//! TCP backends. Rounds start at real instants; processing past a
+//! deadline is a synchrony overrun, which the run counts and never
+//! repairs: a run with any overrun left Lemma 18's `delay + skew <
+//! round`, and only a rerun at a wider δ is back inside the model (see
+//! `meba_testkit::overrun_free`). (The discrete-event backend,
 //! lockstep runs included, owns a virtual clock instead — nothing there
 //! sleeps or overruns.)
 
-use parking_lot::RwLock;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -37,7 +39,7 @@ pub struct ClusterDiagnostic {
     pub round: u64,
     /// Total overruns observed at the time of the abort.
     pub overruns: u64,
-    /// Effective δ when the run stopped.
+    /// The run's δ.
     pub delta: Duration,
 }
 
@@ -59,35 +61,24 @@ impl fmt::Display for ClusterDiagnostic {
     }
 }
 
-/// One pacing regime: rounds from `from_round` on start at
-/// `offset_ns + (r - from_round) · delta_ns` nanoseconds past the cluster
-/// epoch. All arithmetic is `u128`, so no round index can truncate or
-/// wrap the schedule.
-#[derive(Clone, Copy)]
-struct Segment {
-    from_round: u64,
-    offset_ns: u128,
-    delta_ns: u128,
-}
-
-/// Wall-clock deadline schedule shared by all threads of a paced run;
-/// escalations append segments.
+/// Wall-clock deadline schedule shared by all threads of a paced run:
+/// round `r` starts `r · δ` past the epoch, in `u128` nanoseconds, so no
+/// round index can truncate or wrap the schedule.
 pub struct DeadlinePacer {
     epoch: Instant,
-    segments: RwLock<Vec<Segment>>,
+    delta: Duration,
 }
 
 impl DeadlinePacer {
-    /// A schedule whose round 0 starts at `epoch`, with uniform δ until
-    /// the first escalation.
+    /// A schedule whose round 0 starts at `epoch`, one round every
+    /// `delta` (at least 1 ns).
     pub fn new(epoch: Instant, delta: Duration) -> Self {
-        let seg = Segment { from_round: 0, offset_ns: 0, delta_ns: delta.as_nanos().max(1) };
-        DeadlinePacer { epoch, segments: RwLock::new(vec![seg]) }
+        DeadlinePacer { epoch, delta: delta.max(Duration::from_nanos(1)) }
     }
 
-    fn segment_for(&self, round: u64) -> Segment {
-        let segments = self.segments.read();
-        *segments.iter().rev().find(|s| s.from_round <= round).unwrap_or(&segments[0])
+    /// The round duration δ.
+    pub fn delta(&self) -> Duration {
+        self.delta
     }
 
     /// The wall-clock instant `ns` nanoseconds past the epoch.
@@ -102,25 +93,7 @@ impl DeadlinePacer {
 
     /// Wall-clock start of `round` (== deadline of `round - 1`).
     pub fn round_start(&self, round: u64) -> Instant {
-        let s = self.segment_for(round);
-        self.instant_at(s.offset_ns + u128::from(round - s.from_round) * s.delta_ns)
-    }
-
-    /// Re-paces rounds from `from_round` on with `new_delta`. Rounds
-    /// before `from_round` keep their schedule, so already-approved
-    /// deadlines never move.
-    pub fn escalate(&self, from_round: u64, new_delta: Duration) {
-        let mut segments = self.segments.write();
-        let last = *segments.last().expect("pacer always has a segment");
-        debug_assert!(from_round >= last.from_round);
-        let offset_ns = last.offset_ns + u128::from(from_round - last.from_round) * last.delta_ns;
-        segments.push(Segment { from_round, offset_ns, delta_ns: new_delta.as_nanos().max(1) });
-    }
-
-    /// Effective δ for `round`.
-    pub fn delta_at(&self, round: u64) -> Duration {
-        let ns = self.segment_for(round).delta_ns;
-        Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
+        self.instant_at(u128::from(round) * self.delta.as_nanos())
     }
 
     /// Blocks the caller until `round` may begin.

@@ -22,7 +22,8 @@
 //!   [`with_faults`]'s settings to [`run_des_cluster`] itself.
 //!   [`meba_engine::run_cluster`] (threads) and
 //!   `meba_wire::run_tcp_cluster` (TCP) take the same vector with
-//!   [`corrupt_ids`].
+//!   [`corrupt_ids`]; [`overrun_free`] reruns such a wall-clock run until
+//!   one held the synchrony bound, the only way it is inside the model.
 //! * **Check.** [`oracle::decided`] checks a finished single-shot or log
 //!   run — a cluster report's `actors`, its ledger, and the fault
 //!   vector — for termination, agreement, the family's validity rule and
@@ -90,11 +91,13 @@ pub mod alloc_count;
 pub mod oracle;
 pub mod recovery;
 pub mod service;
+pub mod wall_clock;
 
 pub use recovery::{
     recoverable_decision, DoubleSign, DoubleSignDetector, RecWbaProc, WeakBaRecoveryHarness,
 };
 pub use service::{service_replica, ServiceHarness, ServiceM, ServiceProc};
+pub use wall_clock::{overrun_free, with_thread_peak, OverrunFree, WallClockRun};
 
 use meba_adversary::ChaosActor;
 use meba_core::{AlwaysValid, Bb, LockstepAdapter, StrongBa, SubProtocol, SystemConfig, WeakBa};

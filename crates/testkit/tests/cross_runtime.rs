@@ -19,15 +19,15 @@
 use meba_core::{Decision, LockstepAdapter, StrongBa, SubProtocol};
 use meba_crypto::ProcessId;
 use meba_engine::{
-    run_cluster, run_des_cluster, ActorRebuilder, ClusterConfig, DesConfig, LinkPolicyFactory,
-    ProcessFateFactory, RebuiltActor, RoundDriverConfig,
+    run_cluster, run_des_cluster, ActorRebuilder, ClusterConfig, ClusterReport, DesConfig,
+    LinkPolicyFactory, ProcessFateFactory, RebuiltActor, RoundDriverConfig,
 };
 use meba_sim::faults::{Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt};
 use meba_sim::{Actor, AnyActor, Message, Metrics, Round, RoundCtx};
 use meba_testkit::{
-    bb_actors, corrupt_ids, crash_restart, des, log_actors, log_round_budget, oracle, round_budget,
-    strong_ba_actors, weak_ba_actors, with_faults, BbProc, Fault, LogProc, SbaProc, Timing,
-    WbaProc,
+    bb_actors, corrupt_ids, crash_restart, des, log_actors, log_round_budget, oracle, overrun_free,
+    round_budget, strong_ba_actors, weak_ba_actors, with_faults, BbProc, Fault, LogProc, SbaProc,
+    Timing, WbaProc,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -159,29 +159,6 @@ proptest! {
     }
 }
 
-/// Retries a wall-clock cluster run until it completes with zero
-/// overruns — word-count equality with the deterministic backends is only
-/// promised while the synchrony assumption actually held, and under
-/// parallel test-suite load a δ of a few milliseconds can be missed.
-/// Panics if no clean run happens within the attempt budget.
-fn clean_run<M, F>(label: &str, mut run: F) -> meba_engine::ClusterReport<M>
-where
-    M: meba_sim::Message,
-    F: FnMut(Duration) -> meba_engine::ClusterReport<M>,
-{
-    let mut delta = Duration::from_millis(2);
-    for _ in 0..5 {
-        let report = run(delta);
-        if report.completed && report.overruns == 0 {
-            return report;
-        }
-        // A loaded machine missed the deadline schedule: widen δ and
-        // try again rather than comparing a desynchronized run.
-        delta *= 4;
-    }
-    panic!("{label}: no overrun-free run within the attempt budget");
-}
-
 /// The threaded wall-clock cluster — same engine, channel transport —
 /// reaches the same decisions and pays the same correct words as the
 /// discrete-event backend on a failure-free BB run.
@@ -196,18 +173,20 @@ fn threaded_cluster_matches_des_decisions_and_words() {
     let des = oracle::decided::<BbProc>(&des.actors, &des.metrics, &faults);
     des.assert_in_model();
 
-    let threaded = clean_run("threaded BB", |delta| {
+    let decided = |r: &ClusterReport<_>| oracle::decided::<BbProc>(&r.actors, &r.metrics, &faults);
+    let threaded = overrun_free("threaded BB", Duration::from_millis(2), |delta| {
         let config = ClusterConfig {
             delta,
             max_rounds: round_budget(n),
             corrupt: corrupt_ids(&faults),
             ..ClusterConfig::default()
         };
-        run_cluster(bb_actors(sender, input, &faults), config)
+        let report = run_cluster(bb_actors(sender, input, &faults), config);
+        decided(&report).assert_safe();
+        report
     });
-
-    let threaded = oracle::decided::<BbProc>(&threaded.actors, &threaded.metrics, &faults);
     // An overrun-free run held the synchrony bound: it is inside the model.
+    let threaded = decided(&threaded.report);
     assert_eq!(threaded, des, "decisions or correct word totals diverge between threaded and DES");
 }
 
@@ -229,21 +208,22 @@ fn tcp_cluster_matches_des_decisions_and_words() {
     des.assert_in_model();
 
     let system = SystemConfig::new(n, 0xbb).unwrap();
-    let report = clean_run("TCP BB", |delta| {
+    let decided = |r: &ClusterReport<_>| oracle::decided::<BbProc>(&r.actors, &r.metrics, &faults);
+    let tcp = overrun_free("TCP BB", Duration::from_millis(5), |delta| {
         let config = TcpClusterConfig {
             cluster: ClusterConfig {
-                delta: delta.max(Duration::from_millis(5)),
+                delta,
                 max_rounds: round_budget(n),
                 ..ClusterConfig::default()
             },
             ..TcpClusterConfig::default()
         };
-        run_tcp_cluster(bb_actors(sender, input, &faults), &system, config)
-            .expect("loopback mesh establishes")
-            .report
+        let tcp = run_tcp_cluster(bb_actors(sender, input, &faults), &system, config)
+            .expect("loopback mesh establishes");
+        decided(&tcp.report).assert_safe();
+        tcp
     });
-
-    let tcp = oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults);
+    let tcp = decided(&tcp.report.report);
     assert_eq!(tcp, des, "decisions or correct word totals diverge between TCP and DES");
 }
 
@@ -300,15 +280,19 @@ fn one_link_fault_plan_runs_on_every_backend() {
     assert!(severed.dropped >= 1, "the severed frame is billed as a drop: {severed:?}");
     let decisions = &lockstep.decisions;
 
-    let threaded = clean_run("threaded weak BA under the link plan", |delta| {
-        let config = ClusterConfig {
-            delta,
-            max_rounds: round_budget(n),
-            link_policy: Some(factory.clone()),
-            ..ClusterConfig::default()
-        };
-        run_cluster(weak_ba_actors(&inputs, &faults), config)
-    });
+    let threaded =
+        overrun_free("threaded weak BA under the link plan", Duration::from_millis(2), |delta| {
+            let config = ClusterConfig {
+                delta,
+                max_rounds: round_budget(n),
+                link_policy: Some(factory.clone()),
+                ..ClusterConfig::default()
+            };
+            let report = run_cluster(weak_ba_actors(&inputs, &faults), config);
+            decided(&report.actors, &report.metrics).assert_safe();
+            report
+        })
+        .report;
     // A wall-clock run stops a timing-dependent round or two after the
     // last decision, and decided processes still answer p3's late help
     // requests — so the smoke backends pin the decisions and the sever,

@@ -17,87 +17,18 @@
 //! release, where an n = 101 run finishes in a few seconds.
 
 use meba_core::SystemConfig;
-use meba_engine::ClusterConfig;
-use meba_testkit::{bb_actors, des, oracle, round_budget, BbProc, Fault, Timing};
-use meba_wire::{raise_nofile_limit, run_tcp_cluster, TcpClusterConfig, TcpClusterReport};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use meba_engine::{ClusterConfig, ClusterReport};
+use meba_testkit::{
+    bb_actors, des, oracle, overrun_free, round_budget, with_thread_peak, BbProc, Fault, Timing,
+};
+use meba_wire::{raise_nofile_limit, run_tcp_cluster, TcpClusterConfig};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// One scale run at a time: the harness runs this file's tests on
 /// parallel threads of one process, and two meshes together need more
 /// descriptors than a 20,000 nofile limit grants.
 static ONE_MESH_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-/// Current OS thread count of this process (Linux: authoritative from
-/// procfs; elsewhere: 0, which disables the budget assertions).
-fn current_threads() -> usize {
-    if cfg!(target_os = "linux") {
-        std::fs::read_to_string("/proc/self/status")
-            .ok()
-            .and_then(|s| {
-                s.lines()
-                    .find_map(|l| l.strip_prefix("Threads:").map(|v| v.trim().parse().ok()))
-                    .flatten()
-            })
-            .unwrap_or(0)
-    } else {
-        0
-    }
-}
-
-/// Samples the process's thread count every few milliseconds while `f`
-/// runs and returns `(f's result, peak thread count observed)`.
-fn with_thread_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let peak = Arc::new(AtomicUsize::new(current_threads()));
-    let monitor = {
-        let stop = stop.clone();
-        let peak = peak.clone();
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                peak.fetch_max(current_threads(), Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        })
-    };
-    let out = f();
-    stop.store(true, Ordering::Relaxed);
-    monitor.join().expect("thread monitor");
-    (out, peak.load(Ordering::Relaxed))
-}
-
-/// Retries a wall-clock TCP run with a widening δ until it completes
-/// overrun-free (word equality with DES is only promised while the
-/// synchrony assumption held — see `cross_runtime.rs`).
-fn clean_tcp_run(
-    label: &str,
-    n: usize,
-    sender: u32,
-    input: u64,
-    mut delta: Duration,
-) -> TcpClusterReport<meba_testkit::BbM> {
-    let faults = vec![Fault::None; n];
-    let system = SystemConfig::new(n, 0x5ca1e).unwrap();
-    for _ in 0..5 {
-        let config = TcpClusterConfig {
-            cluster: ClusterConfig {
-                delta,
-                max_rounds: round_budget(n),
-                ..ClusterConfig::default()
-            },
-            dial_timeout: Duration::from_secs(120),
-            ..TcpClusterConfig::default()
-        };
-        let report = run_tcp_cluster(bb_actors(sender, input, &faults), &system, config)
-            .expect("loopback mesh establishes");
-        if report.report.completed && report.report.overruns == 0 {
-            return report;
-        }
-        delta *= 4;
-    }
-    panic!("{label}: no overrun-free run within the attempt budget");
-}
 
 /// Descriptors an n-process in-host cluster holds: every directed link
 /// is a socket on both ends (`2n(n-1)`), plus a listener and a wake pipe
@@ -140,10 +71,29 @@ fn scale_run(target_n: usize, floor_n: usize, delta: Duration, seed: u64) {
     let des = oracle::decided::<BbProc>(&des.actors, &des.metrics, &faults);
     des.assert_in_model();
 
-    let (tcp, peak_threads) =
-        with_thread_peak(|| clean_tcp_run("scale BB", n, sender, input, delta));
+    let system = SystemConfig::new(n, 0x5ca1e).unwrap();
+    let decided = |r: &ClusterReport<_>| oracle::decided::<BbProc>(&r.actors, &r.metrics, &faults);
+    let (tcp, peak_threads) = with_thread_peak(|| {
+        overrun_free("scale BB", delta, |delta| {
+            let config = TcpClusterConfig {
+                cluster: ClusterConfig {
+                    delta,
+                    max_rounds: round_budget(n),
+                    ..ClusterConfig::default()
+                },
+                dial_timeout: Duration::from_secs(120),
+                ..TcpClusterConfig::default()
+            };
+            let tcp = run_tcp_cluster(bb_actors(sender, input, &faults), &system, config)
+                .expect("loopback mesh establishes");
+            decided(&tcp.report).assert_safe();
+            tcp
+        })
+        .report
+    });
 
-    let socket = oracle::decided::<BbProc>(&tcp.report.actors, &tcp.report.metrics, &faults);
+    // An overrun-free run held the synchrony bound: it is inside the model.
+    let socket = decided(&tcp.report);
     assert_eq!(
         socket, des,
         "decisions or correct word totals diverge between TCP and DES at n={n}"

@@ -2,7 +2,7 @@
 //!
 //! [`run_tcp_cluster`] is the socket twin of [`meba_engine::run_cluster`]:
 //! the same actor state machines, the same round coordination (thread 0
-//! approves rounds, δ-pacing with overrun escalation), the same
+//! approves rounds, fixed-δ pacing with overrun counting), the same
 //! [`ClusterConfig`] / [`ClusterReport`] surface — but every inter-process
 //! message is canonically encoded, framed, and carried over a handshaked
 //! [`TcpMesh`] link instead of a crossbeam channel. Word/byte accounting
@@ -14,7 +14,7 @@
 //! Both runtimes literally share the loop: this module establishes the
 //! mesh, wraps it in a [`MeshTransport`], and hands the cluster to
 //! [`meba_engine::run_threaded_cluster`] — the identical coordinator,
-//! pacer, overrun-escalation, and crash-restart machinery that drives
+//! pacer, overrun counting, and crash-restart machinery that drives
 //! the channel runtime, so a scenario's timing and fate behaviour do not
 //! change when it moves to sockets.
 //!

@@ -151,12 +151,13 @@ fn assert_one_line_in(pattern: &str, specs: &[&str], file: &str) {
 /// (no sim-only trace; rushing is not optional; `meba-sim` holds no body),
 /// one oracle, one slot lifecycle (`ReplicatedLog`, no mux layer), one
 /// DES event queue (no calendar queue), one handshake (the reactor's), one
-/// definition per experiment (no report binary, no stretch knobs): the
-/// retired names stay retired.
+/// definition per experiment (no report binary, no stretch knobs), one
+/// fixed δ per wall-clock run (no in-run escalation, no hand-rolled
+/// overrun retry): the retired names stay retired.
 #[test]
 fn retired_names_stay_retired() {
     assert_none(
-        r"SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions|CalendarQueue|TimeKeyed|calendar_width_ns|--bin report|client_handshake|server_handshake|MEBA_E15_STRETCH|MEBA_E20_STRETCH",
+        r"SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions|CalendarQueue|TimeKeyed|calendar_width_ns|--bin report|client_handshake|server_handshake|MEBA_E15_STRETCH|MEBA_E20_STRETCH|OverrunAction::Escalate|Escalation\b|escalations|delta_at|clean_run|clean_tcp_run",
         &["crates", "src", "tests", "examples", "README.md", "docs"],
     );
 }
@@ -550,6 +551,17 @@ fn one_slot_path() {
         &["crates/service/src/replica.rs", "crates/smr/src/log.rs"],
     );
     assert_none(r"stride\(\)", SERVICE);
+}
+
+/// One overrun-free rerun: only `meba_testkit::overrun_free` reads a
+/// wall-clock run's zero overrun count as "inside the model".
+#[test]
+fn one_overrun_free_rerun() {
+    assert_one_line_in(
+        r"overruns == 0",
+        &["crates", "tests", "examples"],
+        "crates/testkit/src/wall_clock.rs",
+    );
 }
 
 /// The matcher reads the extended-regex subset the invariants use.

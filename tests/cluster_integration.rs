@@ -5,7 +5,9 @@
 mod common;
 
 use common::*;
-use meba::engine::{run_cluster, AbortReason, ClusterConfig, LinkPolicyFactory, OverrunAction};
+use meba::engine::{
+    run_cluster, AbortReason, ClusterConfig, ClusterReport, LinkPolicyFactory, OverrunAction,
+};
 use meba::prelude::*;
 use meba::sim::faults::{
     Link, LinkFate, LinkPolicy, OneShotPartition, PolicyStack, RandomDelay, SeverAt,
@@ -13,22 +15,27 @@ use meba::sim::faults::{
 use std::sync::Arc;
 use std::time::Duration;
 
-fn cluster_config(corrupt: Vec<ProcessId>) -> ClusterConfig {
-    ClusterConfig {
-        delta: Duration::from_millis(2),
-        max_rounds: 3_000,
-        corrupt,
-        ..ClusterConfig::default()
-    }
+/// The first δ a threaded run tries, and a TCP run's: socket round trips
+/// need a few milliseconds more. [`overrun_free`] widens either.
+const DELTA: Duration = Duration::from_millis(2);
+const TCP_DELTA: Duration = Duration::from_millis(5);
+
+fn cluster_config(delta: Duration, corrupt: Vec<ProcessId>) -> ClusterConfig {
+    ClusterConfig { delta, max_rounds: 3_000, corrupt, ..ClusterConfig::default() }
 }
 
 #[test]
 fn bb_on_threads_failure_free() {
     let faults = vec![Fault::None; 5];
-    let report = run_cluster(bb_actors(0, 17, &faults), cluster_config(vec![]));
-    assert!(report.completed, "cluster must terminate");
+    let decided = |r: &ClusterReport<_>| oracle::decided::<BbProc>(&r.actors, &r.metrics, &faults);
+    let report = overrun_free("threaded BB", DELTA, |delta| {
+        let report = run_cluster(bb_actors(0, 17, &faults), cluster_config(delta, vec![]));
+        decided(&report).assert_safe();
+        report
+    })
+    .report;
     // Word accounting matches the simulator's O(n) failure-free bound.
-    oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults).assert_in_model();
+    decided(&report).assert_in_model();
     // Observability: each thread contributed one latency sample per round,
     // and on reliable links every sent message was delivered.
     assert_eq!(report.metrics.round_latency.count(), 5 * report.rounds);
@@ -64,7 +71,7 @@ fn pipelined_log_on_threads() {
     // leave the model — what the log holds, how many rounds it took and
     // what it cost are asserted where they are exact, in
     // `pipelined_log_on_des`.
-    let report = run_cluster(pipelined_log(5, 3), cluster_config(vec![]));
+    let report = run_cluster(pipelined_log(5, 3), cluster_config(DELTA, vec![]));
     assert!(report.completed, "cluster must terminate");
     oracle::decided::<LogProc>(&report.actors, &report.metrics, &[Fault::None; 5]).assert_safe();
 }
@@ -105,11 +112,16 @@ fn pipelined_log_on_des() {
 fn strong_ba_on_threads_with_crash() {
     let mut faults = vec![Fault::None; 5];
     faults[2] = Fault::Idle;
-    let actors = strong_ba_actors(StrongBa::new, &[true; 5], &faults);
-    let report = run_cluster(actors, cluster_config(corrupt_ids(&faults)));
-    assert!(report.completed);
+    let decided = |r: &ClusterReport<_>| oracle::decided::<SbaProc>(&r.actors, &r.metrics, &faults);
+    let report = overrun_free("threaded strong BA", DELTA, |delta| {
+        let actors = strong_ba_actors(StrongBa::new, &[true; 5], &faults);
+        let report = run_cluster(actors, cluster_config(delta, corrupt_ids(&faults)));
+        decided(&report).assert_safe();
+        report
+    })
+    .report;
     // Strong unanimity on threads is the oracle's validity rule.
-    oracle::decided::<SbaProc>(&report.actors, &report.metrics, &faults).assert_in_model();
+    decided(&report).assert_in_model();
 }
 
 #[test]
@@ -126,7 +138,7 @@ fn cluster_and_simulator_agree_on_words() {
     assert!(exact.completed);
     oracle::decided::<WbaProc>(&exact.actors, &exact.metrics, &faults).assert_in_model();
 
-    let report = run_cluster(weak_ba_actors(&inputs, &faults), cluster_config(vec![]));
+    let report = run_cluster(weak_ba_actors(&inputs, &faults), cluster_config(DELTA, vec![]));
     assert!(report.completed);
     // A loaded host can miss δ, which leaves the model: safety only.
     oracle::decided::<WbaProc>(&report.actors, &report.metrics, &faults).assert_safe();
@@ -162,13 +174,18 @@ fn weak_ba_decides_under_drop_and_delay_links() {
         }
     });
     let faults = lossy_p3_p4();
-    let config =
-        ClusterConfig { link_policy: Some(factory), ..cluster_config(corrupt_ids(&faults)) };
-    let report = run_cluster(unanimous_weak_ba(n, 7), config);
-    assert!(report.completed, "correct processes must decide despite lossy links");
+    let decided = |r: &ClusterReport<_>| oracle::decided::<WbaProc>(&r.actors, &r.metrics, &faults);
+    let report = overrun_free("threaded weak BA under lossy links", DELTA, |delta| {
+        let link_policy = Some(factory.clone());
+        let config = ClusterConfig { link_policy, ..cluster_config(delta, corrupt_ids(&faults)) };
+        let report = run_cluster(unanimous_weak_ba(n, 7), config);
+        decided(&report).assert_safe();
+        report
+    })
+    .report;
     assert!(report.aborted.is_none());
 
-    let run = oracle::decided::<WbaProc>(&report.actors, &report.metrics, &faults);
+    let run = decided(&report);
     assert_eq!(run.assert_in_model(), Decision::Value(7), "unanimous correct inputs decide");
     assert!(run.fell_back > 0, "dropped signatures must force the fallback path");
 
@@ -248,7 +265,7 @@ fn partition_heals_and_cluster_completes() {
     let factory: LinkPolicyFactory = Arc::new(move |_me: ProcessId| -> Box<dyn LinkPolicy> {
         Box::new(OneShotPartition::new(1, 5, left.clone()))
     });
-    let config = ClusterConfig { link_policy: Some(factory), ..cluster_config(vec![]) };
+    let config = ClusterConfig { link_policy: Some(factory), ..cluster_config(DELTA, vec![]) };
     let report = run_cluster(chatties(n, 25, None), config);
     assert!(report.completed, "the partition heals; the cluster must finish");
     assert!(report.aborted.is_none());
@@ -303,14 +320,9 @@ fn partitioned_slow_cluster_aborts_with_diagnostic() {
 
 use meba::wire::{run_tcp_cluster, TcpClusterConfig};
 
-fn tcp_config(corrupt: Vec<ProcessId>) -> TcpClusterConfig {
+fn tcp_config(delta: Duration, corrupt: Vec<ProcessId>) -> TcpClusterConfig {
     TcpClusterConfig {
-        cluster: ClusterConfig {
-            delta: Duration::from_millis(5),
-            max_rounds: 3_000,
-            corrupt,
-            ..ClusterConfig::default()
-        },
+        cluster: ClusterConfig { delta, max_rounds: 3_000, corrupt, ..ClusterConfig::default() },
         ..TcpClusterConfig::default()
     }
 }
@@ -318,13 +330,19 @@ fn tcp_config(corrupt: Vec<ProcessId>) -> TcpClusterConfig {
 #[test]
 fn bb_over_loopback_tcp_failure_free() {
     let faults = vec![Fault::None; 5];
-    let tcp = run_tcp_cluster(bb_actors(0, 17, &faults), &Family::BB.config(5), tcp_config(vec![]))
-        .unwrap();
+    let decided = |r: &ClusterReport<_>| oracle::decided::<BbProc>(&r.actors, &r.metrics, &faults);
+    let tcp = overrun_free("TCP BB", TCP_DELTA, |delta| {
+        let config = tcp_config(delta, vec![]);
+        let tcp =
+            run_tcp_cluster(bb_actors(0, 17, &faults), &Family::BB.config(5), config).unwrap();
+        decided(&tcp.report).assert_safe();
+        tcp
+    })
+    .report;
     let report = &tcp.report;
-    assert!(report.completed, "TCP cluster must terminate");
     // Failure-free silent vetting survives the transport: the O(n) word
     // bound is the same one the channel runtimes satisfy.
-    oracle::decided::<BbProc>(&report.actors, &report.metrics, &faults).assert_in_model();
+    decided(report).assert_in_model();
     // Byte accounting rides along: every correct word costs a bounded
     // number of canonical-encoding bytes.
     let m = &report.metrics.correct;
@@ -364,13 +382,19 @@ fn weak_ba_over_tcp_decides_under_socket_faults() {
         }
     });
     let faults = lossy_p3_p4();
-    let mut config = tcp_config(corrupt_ids(&faults));
-    config.cluster.link_policy = Some(factory);
-    let tcp = run_tcp_cluster(unanimous_weak_ba(n, 7), &Family::WEAK_BA.config(n), config).unwrap();
+    let decided = |r: &ClusterReport<_>| oracle::decided::<WbaProc>(&r.actors, &r.metrics, &faults);
+    let tcp = overrun_free("TCP weak BA under socket faults", TCP_DELTA, |delta| {
+        let mut config = tcp_config(delta, corrupt_ids(&faults));
+        config.cluster.link_policy = Some(factory.clone());
+        let system = Family::WEAK_BA.config(n);
+        let tcp = run_tcp_cluster(unanimous_weak_ba(n, 7), &system, config).unwrap();
+        decided(&tcp.report).assert_safe();
+        tcp
+    })
+    .report;
     let report = &tcp.report;
-    assert!(report.completed, "correct processes must decide despite socket faults");
     assert!(report.aborted.is_none());
-    let d = oracle::decided::<WbaProc>(&report.actors, &report.metrics, &faults).assert_in_model();
+    let d = decided(report).assert_in_model();
     assert_eq!(d, Decision::Value(7), "unanimous correct inputs decide");
 
     // The injected fates are visible in the same per-link counters.
@@ -472,25 +496,4 @@ fn handshake_rejects_version_and_config_mismatch() {
     for mesh in meshes {
         mesh.shutdown();
     }
-}
-
-#[test]
-fn escalation_recovers_a_slow_cluster() {
-    // Same slow actors, but the Escalate policy stretches δ until rounds
-    // fit, so the run completes instead of aborting.
-    let n = 3usize;
-    let config = ClusterConfig {
-        delta: Duration::from_millis(1),
-        max_rounds: 500,
-        overrun_window: 2,
-        overrun_action: OverrunAction::Escalate {
-            multiplier: 4,
-            max_delta: Duration::from_millis(64),
-        },
-        ..ClusterConfig::default()
-    };
-    let report = run_cluster(chatties(n, 20, Some(Duration::from_millis(3))), config);
-    assert!(report.completed, "escalated δ must let the cluster finish");
-    assert!(!report.escalations.is_empty());
-    assert!(report.escalations.iter().all(|e| e.new_delta > e.old_delta));
 }

@@ -6,11 +6,12 @@
 mod common;
 
 use common::{
-    checked, corrupt_ids, oracle, strong_ba_actors, with_faults, Fault, LogProc, SbaProc,
+    checked, corrupt_ids, oracle, overrun_free, strong_ba_actors, with_faults, Fault, LogProc,
+    SbaProc,
 };
 use meba::adversary::EquivocatingSender;
 use meba::core::validity::FnValidity;
-use meba::engine::{run_cluster, ClusterConfig};
+use meba::engine::{run_cluster, ClusterConfig, ClusterReport};
 use meba::prelude::*;
 use std::time::Duration;
 
@@ -33,17 +34,17 @@ fn rotating_with_real_fallback_beyond_bound() {
 #[test]
 fn rotating_on_threads() {
     let faults = idle(7, &[0]);
-    let report = run_cluster(
-        strong_ba_actors(StrongBa::rotating, &[true; 7], &faults),
-        ClusterConfig {
-            delta: Duration::from_millis(2),
-            max_rounds: 3_000,
-            corrupt: corrupt_ids(&faults),
-            ..ClusterConfig::default()
-        },
-    );
-    assert!(report.completed);
-    let run = oracle::decided::<SbaProc>(&report.actors, &report.metrics, &faults);
+    let decided = |r: &ClusterReport<_>| oracle::decided::<SbaProc>(&r.actors, &r.metrics, &faults);
+    let report = overrun_free("rotating strong BA on threads", Duration::from_millis(2), |delta| {
+        let corrupt = corrupt_ids(&faults);
+        let config =
+            ClusterConfig { delta, max_rounds: 3_000, corrupt, ..ClusterConfig::default() };
+        let report = run_cluster(strong_ba_actors(StrongBa::rotating, &[true; 7], &faults), config);
+        decided(&report).assert_safe();
+        report
+    })
+    .report;
+    let run = decided(&report);
     run.assert_in_model();
     assert_eq!(run.fell_back, 0, "leader rotation avoids the fallback on threads too");
 }

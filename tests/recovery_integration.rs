@@ -7,7 +7,7 @@ mod common;
 
 use common::*;
 use meba::core::weak_ba::PHASE_ROUNDS;
-use meba::engine::{run_cluster_with_recovery, ClusterConfig, OverrunAction};
+use meba::engine::{run_cluster_with_recovery, ClusterConfig};
 use meba::prelude::*;
 use meba::sim::faults::{Link, LinkFate, LinkPolicy};
 use meba::sim::{Metrics, RoundCtx};
@@ -93,13 +93,26 @@ fn decided(
     oracle::decided::<RecWbaProc>(&inner, metrics, faults)
 }
 
-/// Folds every journal into the detector that watched the wire — the
-/// oracle's one journal fold — and asserts no slot is bound to two
-/// different preimages.
-fn audit(h: &WeakBaRecoveryHarness, det: &Arc<Mutex<DoubleSignDetector>>) {
+/// One run of a fresh journal-backed weak BA, every process proposing
+/// `input`, under `run`, with what holds at any timing checked: agreement,
+/// no refused equivocation, and — every journal folded into the detector
+/// that watched the wire, the oracle's one journal fold — no slot bound to
+/// two different preimages.
+fn audited<R: WallClockRun<Msg = WbaM>>(
+    input: u64,
+    faults: &[Fault],
+    run: impl FnOnce(&Arc<WeakBaRecoveryHarness>, &Arc<Mutex<DoubleSignDetector>>) -> R,
+) -> R {
+    let h = Arc::new(WeakBaRecoveryHarness::new(&vec![input; faults.len()]));
+    let det = Arc::new(Mutex::new(DoubleSignDetector::new()));
+    let out = run(&h, &det);
+    let r = out.cluster_report();
+    decided(&r.actors, &r.metrics, faults).assert_safe();
+    assert_eq!(r.metrics.recovery.refused_equivocations, 0, "honest recovery never conflicts");
     let mut det = det.lock().unwrap();
     oracle::fold_journals(&mut det, &h.journals());
     det.assert_clean();
+    out
 }
 
 /// The acceptance sweep: crash the same process at *every* round of
@@ -108,37 +121,32 @@ fn audit(h: &WeakBaRecoveryHarness, det: &Arc<Mutex<DoubleSignDetector>>) {
 /// (the crash-restart counts as `f = 1`).
 #[test]
 fn crash_restart_sweep_over_phase_one() {
-    let n = 5usize;
+    let faults = [Fault::None; 5];
     for crash_round in 0..PHASE_ROUNDS {
-        let h = Arc::new(WeakBaRecoveryHarness::new(&vec![7u64; n]));
-        let det = Arc::new(Mutex::new(DoubleSignDetector::new()));
-        let config = ClusterConfig {
-            delta: Duration::from_millis(2),
-            max_rounds: 3_000,
-            process_fate: Some(crash_restart(1, crash_round, 3)),
-            // Stretch δ under CI load instead of missing the synchrony
-            // bound — word counts, not wall-clock, are under test here.
-            overrun_action: OverrunAction::Escalate {
-                multiplier: 2,
-                max_delta: Duration::from_millis(250),
-            },
-            ..ClusterConfig::default()
-        };
-        let report = run_cluster_with_recovery(
-            observed_actors(&h, &det),
-            Some(observed_rebuilder(&h, &det)),
-            config,
-        );
-        assert!(report.completed, "crash at round {crash_round}: cluster must terminate");
-        let d = decided(&report.actors, &report.metrics, &[Fault::None; 5]).assert_in_model();
-        assert_eq!(d, Decision::Value(7), "crash at round {crash_round}");
+        let label = format!("crash at round {crash_round}");
+        let report = overrun_free(&label, Duration::from_millis(2), |delta| {
+            audited(7, &faults, |h, det| {
+                let config = ClusterConfig {
+                    delta,
+                    max_rounds: 3_000,
+                    process_fate: Some(crash_restart(1, crash_round, 3)),
+                    ..ClusterConfig::default()
+                };
+                run_cluster_with_recovery(
+                    observed_actors(h, det),
+                    Some(observed_rebuilder(h, det)),
+                    config,
+                )
+            })
+        })
+        .report;
+        let d = decided(&report.actors, &report.metrics, &faults).assert_in_model();
+        assert_eq!(d, Decision::Value(7), "{label}");
         let rec = &report.metrics.recovery;
-        assert_eq!(rec.crash_restarts, 1, "crash at round {crash_round}");
-        assert_eq!(rec.refused_equivocations, 0, "honest recovery never conflicts");
+        assert_eq!(rec.crash_restarts, 1, "{label}");
         if crash_round > 0 {
-            assert!(rec.replayed_records > 0, "crash at round {crash_round} had state to replay");
+            assert!(rec.replayed_records > 0, "{label} had state to replay");
         }
-        audit(&h, &det);
     }
 }
 
@@ -146,32 +154,28 @@ fn crash_restart_sweep_over_phase_one() {
 /// the survivors' journals still audit clean.
 #[test]
 fn crash_without_rejoin_is_tolerated_by_survivors() {
-    let n = 5usize;
-    let h = Arc::new(WeakBaRecoveryHarness::new(&vec![3u64; n]));
-    let det = Arc::new(Mutex::new(DoubleSignDetector::new()));
-    let config = ClusterConfig {
-        delta: Duration::from_millis(2),
-        max_rounds: 3_000,
-        overrun_action: OverrunAction::Escalate {
-            multiplier: 2,
-            max_delta: Duration::from_millis(250),
-        },
-        process_fate: Some(crash_restart(2, 1, u64::MAX)),
-        // A process that never comes back counts toward f: the
-        // coordinator must not wait for its done flag.
-        corrupt: vec![ProcessId(2)],
-        ..ClusterConfig::default()
-    };
-    let report = run_cluster_with_recovery(observed_actors(&h, &det), None, config);
-    assert!(report.completed, "survivors must terminate without the victim");
-    let mut faults = vec![Fault::None; n];
+    let mut faults = vec![Fault::None; 5];
     faults[2] = Fault::CrashAt(1);
+    let report = overrun_free("permanent crash", Duration::from_millis(2), |delta| {
+        audited(3, &faults, |h, det| {
+            let config = ClusterConfig {
+                delta,
+                max_rounds: 3_000,
+                process_fate: Some(crash_restart(2, 1, u64::MAX)),
+                // A process that never comes back counts toward f: the
+                // coordinator must not wait for its done flag.
+                corrupt: vec![ProcessId(2)],
+                ..ClusterConfig::default()
+            };
+            run_cluster_with_recovery(observed_actors(h, det), None, config)
+        })
+    })
+    .report;
     let d = decided(&report.actors, &report.metrics, &faults).assert_in_model();
     assert_eq!(d, Decision::Value(3));
     // The victim's crash is its fault: counted in `faults`, not again as
     // a crash-restart, so the oracle reads f = 1.
     assert_eq!(report.metrics.recovery.crash_restarts, 0);
-    audit(&h, &det);
 }
 
 /// The TCP acceptance run: a process crash-restarts mid weak-BA while
@@ -200,42 +204,33 @@ fn tcp_crash_restart_under_socket_faults() {
         }
     }
 
-    let n = 5usize;
-    let h = Arc::new(WeakBaRecoveryHarness::new(&vec![9u64; n]));
-    let det = Arc::new(Mutex::new(DoubleSignDetector::new()));
+    let faults = [Fault::None; 5];
     let victim = ProcessId(1);
-    let config = TcpClusterConfig {
-        cluster: ClusterConfig {
-            delta: Duration::from_millis(12),
-            max_rounds: 600,
-            overrun_action: OverrunAction::Escalate {
-                multiplier: 2,
-                max_delta: Duration::from_millis(250),
-            },
-            process_fate: Some(crash_restart(victim.index(), 3, 4)),
-            reconnect_backoff_cap: Duration::from_millis(20),
-            reconnect_jitter: Duration::from_millis(2),
-            link_policy: Some(Arc::new(move |_me| Box::new(FlakyLinks { victim }))),
-            ..ClusterConfig::default()
-        },
-        domain: 14,
-        ..TcpClusterConfig::default()
-    };
-    let report = run_tcp_cluster_with_recovery(
-        observed_actors(&h, &det),
-        Some(observed_rebuilder(&h, &det)),
-        &h.config(),
-        config,
-    )
-    .expect("mesh establishment");
-    assert!(report.report.completed, "TCP cluster must terminate: {report:?}");
-    let r = &report.report;
-    let d = decided(&r.actors, &r.metrics, &[Fault::None; 5]).assert_in_model();
+    let tcp = overrun_free("TCP crash-restart", Duration::from_millis(12), |delta| {
+        audited(9, &faults, |h, det| {
+            let config = TcpClusterConfig {
+                cluster: ClusterConfig {
+                    delta,
+                    max_rounds: 600,
+                    process_fate: Some(crash_restart(victim.index(), 3, 4)),
+                    reconnect_backoff_cap: Duration::from_millis(20),
+                    reconnect_jitter: Duration::from_millis(2),
+                    link_policy: Some(Arc::new(move |_me| Box::new(FlakyLinks { victim }))),
+                    ..ClusterConfig::default()
+                },
+                domain: 14,
+                ..TcpClusterConfig::default()
+            };
+            let rebuilder = Some(observed_rebuilder(h, det));
+            run_tcp_cluster_with_recovery(observed_actors(h, det), rebuilder, &h.config(), config)
+                .expect("mesh establishment")
+        })
+    })
+    .report;
+    let r = &tcp.report;
+    let d = decided(&r.actors, &r.metrics, &faults).assert_in_model();
     assert_eq!(d, Decision::Value(9));
-    let rec = &report.report.metrics.recovery;
-    assert_eq!(rec.crash_restarts, 1);
-    assert_eq!(rec.refused_equivocations, 0);
-    assert!(rec.replayed_records > 0, "three executed rounds must replay");
-    assert!(report.reconnects > 0, "severed links must re-handshake on rejoin");
-    audit(&h, &det);
+    assert_eq!(r.metrics.recovery.crash_restarts, 1);
+    assert!(r.metrics.recovery.replayed_records > 0, "three executed rounds must replay");
+    assert!(tcp.reconnects > 0, "severed links must re-handshake on rejoin");
 }

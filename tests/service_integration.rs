@@ -13,9 +13,7 @@
 mod common;
 
 use common::*;
-use meba::engine::{
-    run_cluster_with_recovery, run_des_cluster, ClusterConfig, DesConfig, OverrunAction,
-};
+use meba::engine::{run_cluster_with_recovery, run_des_cluster, ClusterConfig, DesConfig};
 use meba::prelude::*;
 use meba::service::SubmitError;
 use meba::sim::RoundCtx;
@@ -280,9 +278,8 @@ fn scripted_rebuilder(
     })
 }
 
-/// Checks a crash run: the oracle over all three replicas — the
-/// restarted victim included — and the script's liveness, every
-/// scripted op committed on every replica.
+/// Checks what holds in a crash run at any timing: the oracle over all
+/// three replicas — the restarted victim included.
 ///
 /// The restarted victim counts toward `f` for the slot whose critical
 /// rounds it missed; certified state transfer (and, before transfer
@@ -291,15 +288,31 @@ fn scripted_rebuilder(
 /// convergence and exactly-once hold for it too, and its journal shows
 /// each of its slots bound to one value across the restart.
 fn check_crash_run(actors: &[Box<dyn AnyActor<Msg = ServiceM>>], h: &ServiceHarness) -> Verdict {
-    let replicas = replicas(actors);
-    let v = oracle::service(&replicas, &h.journals());
+    let v = oracle::service(&replicas(actors), &h.journals());
     v.assert_safe();
-    for (i, r) in replicas.iter().enumerate() {
+    v
+}
+
+/// The script's liveness, inside the model: every scripted op committed
+/// on every replica.
+fn assert_script_committed(actors: &[Box<dyn AnyActor<Msg = ServiceM>>]) {
+    for (i, r) in replicas(actors).iter().enumerate() {
         for (c, s) in script_pairs() {
             assert!(r.committed_at(c, s).is_some(), "replica {i}: op ({c}, {s}) committed");
         }
     }
-    v
+}
+
+/// One crash-script run of a fresh three-replica service under `run`
+/// (given the harness and the script's resubmit round), its safety
+/// checked.
+fn crash_script<R: WallClockRun<Msg = ServiceM>>(
+    run: impl FnOnce(&Arc<ServiceHarness>, u64) -> R,
+) -> (R, Verdict) {
+    let h = Arc::new(ServiceHarness::new(N, crash_service()));
+    let out = run(&h, 12);
+    let v = check_crash_run(&out.cluster_report().actors, &h);
+    (out, v)
 }
 
 /// Threaded runtime: the serving replica crashes four rounds in — after
@@ -308,62 +321,52 @@ fn check_crash_run(actors: &[Box<dyn AnyActor<Msg = ServiceM>>], h: &ServiceHarn
 /// op commits exactly once on every replica, including the rebuilt one.
 #[test]
 fn crash_restart_of_serving_replica_is_exactly_once_threaded() {
-    let h = Arc::new(ServiceHarness::new(N, crash_service()));
-    let resubmit = 12;
-    let config = ClusterConfig {
-        delta: Duration::from_millis(2),
-        max_rounds: log_round_budget(N, 6),
-        process_fate: Some(crash_restart(0, 4, 4)),
-        overrun_action: OverrunAction::Escalate {
-            multiplier: 2,
-            max_delta: Duration::from_millis(250),
-        },
-        ..ClusterConfig::default()
-    };
-    let report = run_cluster_with_recovery(
-        scripted_actors(&h, resubmit),
-        Some(scripted_rebuilder(&h, resubmit)),
-        config,
-    );
-    assert!(report.completed, "cluster must terminate: {report:?}");
+    let (report, _) = overrun_free("threaded crash script", Duration::from_millis(2), |delta| {
+        crash_script(|h, resubmit| {
+            let config = ClusterConfig {
+                delta,
+                max_rounds: log_round_budget(N, 6),
+                process_fate: Some(crash_restart(0, 4, 4)),
+                ..ClusterConfig::default()
+            };
+            let rebuilder = Some(scripted_rebuilder(h, resubmit));
+            run_cluster_with_recovery(scripted_actors(h, resubmit), rebuilder, config)
+        })
+    })
+    .report;
     assert_eq!(report.metrics.recovery.crash_restarts, 1);
     assert!(report.metrics.recovery.replayed_records > 0, "slot 0's binding must replay");
-    check_crash_run(&report.actors, &h);
+    assert_script_committed(&report.actors);
 }
 
 /// The same crash script over real TCP: the restart goes through socket
 /// teardown and re-handshake, and the exactly-once guarantee holds.
 #[test]
 fn crash_restart_of_serving_replica_is_exactly_once_tcp() {
-    let h = Arc::new(ServiceHarness::new(N, crash_service()));
-    let resubmit = 12;
-    let config = TcpClusterConfig {
-        cluster: ClusterConfig {
-            delta: Duration::from_millis(8),
-            max_rounds: log_round_budget(N, 6),
-            process_fate: Some(crash_restart(0, 4, 4)),
-            overrun_action: OverrunAction::Escalate {
-                multiplier: 2,
-                max_delta: Duration::from_millis(250),
-            },
-            reconnect_backoff_cap: Duration::from_millis(20),
-            reconnect_jitter: Duration::from_millis(2),
-            ..ClusterConfig::default()
-        },
-        domain: 18,
-        ..TcpClusterConfig::default()
-    };
-    let report = run_tcp_cluster_with_recovery(
-        scripted_actors(&h, resubmit),
-        Some(scripted_rebuilder(&h, resubmit)),
-        &h.config(),
-        config,
-    )
-    .expect("mesh establishment");
-    assert!(report.report.completed, "TCP cluster must terminate: {report:?}");
-    assert_eq!(report.report.metrics.recovery.crash_restarts, 1);
-    assert!(report.report.metrics.recovery.replayed_records > 0);
-    check_crash_run(&report.report.actors, &h);
+    let (tcp, _) = overrun_free("TCP crash script", Duration::from_millis(8), |delta| {
+        crash_script(|h, resubmit| {
+            let config = TcpClusterConfig {
+                cluster: ClusterConfig {
+                    delta,
+                    max_rounds: log_round_budget(N, 6),
+                    process_fate: Some(crash_restart(0, 4, 4)),
+                    reconnect_backoff_cap: Duration::from_millis(20),
+                    reconnect_jitter: Duration::from_millis(2),
+                    ..ClusterConfig::default()
+                },
+                domain: 18,
+                ..TcpClusterConfig::default()
+            };
+            let actors = scripted_actors(h, resubmit);
+            let rebuilder = Some(scripted_rebuilder(h, resubmit));
+            run_tcp_cluster_with_recovery(actors, rebuilder, &h.config(), config)
+                .expect("mesh establishment")
+        })
+    })
+    .report;
+    assert_eq!(tcp.report.metrics.recovery.crash_restarts, 1);
+    assert!(tcp.report.metrics.recovery.replayed_records > 0);
+    assert_script_committed(&tcp.report.actors);
 }
 
 /// The same crash script on the discrete-event backend, where it is
@@ -381,29 +384,26 @@ fn crash_restart_of_serving_replica_is_exactly_once_tcp() {
 #[test]
 fn crash_restart_of_serving_replica_is_exactly_once_des() {
     let run = || {
-        let h = Arc::new(ServiceHarness::new(N, crash_service()));
-        let resubmit = 12;
-        let config = DesConfig {
-            seed: 0x5107,
-            max_rounds: log_round_budget(N, 6),
-            process_fate: Some(crash_restart(0, 4, 4)),
-            ..DesConfig::default()
-        };
-        let report = run_des_cluster(
-            scripted_actors(&h, resubmit),
-            Some(scripted_rebuilder(&h, resubmit)),
-            config,
-        )
-        .expect("valid config");
+        let ((report, (metrics, pin)), v) = crash_script(|h, resubmit| {
+            let config = DesConfig {
+                seed: 0x5107,
+                max_rounds: log_round_budget(N, 6),
+                process_fate: Some(crash_restart(0, 4, 4)),
+                ..DesConfig::default()
+            };
+            let rebuilder = Some(scripted_rebuilder(h, resubmit));
+            let report = run_des_cluster(scripted_actors(h, resubmit), rebuilder, config)
+                .expect("valid config");
+            let metrics = serde_json::to_string(&report.metrics).expect("metrics serialize");
+            let pin = service_pin(h, &metrics, &replicas(&report.actors));
+            (report, (metrics, pin))
+        });
         assert!(report.completed, "cluster must terminate: {report:?}");
         assert_eq!(report.metrics.recovery.crash_restarts, 1);
         assert!(report.metrics.recovery.replayed_records > 0, "slot 0's binding must replay");
-        let v = check_crash_run(&report.actors, &h);
+        assert_script_committed(&report.actors);
         assert_eq!(v.applied_slots, vec![6; N], "every replica applied the whole log");
-        let replicas = replicas(&report.actors);
-        let metrics = serde_json::to_string(&report.metrics).expect("metrics serialize");
-        let stats: Vec<_> = replicas.iter().map(|r| r.stats()).collect();
-        let pin = service_pin(&h, &metrics, &replicas);
+        let stats: Vec<_> = replicas(&report.actors).iter().map(|r| r.stats()).collect();
         (metrics, stats, pin)
     };
     let (first, second) = (run(), run());

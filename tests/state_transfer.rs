@@ -17,13 +17,13 @@ mod common;
 use common::*;
 use meba::adversary::transfer_attacks::LyingDonor;
 use meba::engine::{
-    run_cluster_with_recovery, run_des_cluster, ClusterConfig, DesConfig, OverrunAction,
-    ProcessFate, ProcessFateFactory,
+    run_cluster_with_recovery, run_des_cluster, ClusterConfig, DesConfig, ProcessFate,
+    ProcessFateFactory,
 };
 use meba::prelude::*;
 use meba::service::ServiceMsg;
 use meba::wire::{run_tcp_cluster_with_recovery, TcpClusterConfig};
-use meba_testkit::oracle;
+use meba_testkit::oracle::{self, Verdict};
 use meba_testkit::service::{service_pin, service_replica, ServiceHarness, ServiceM, ServiceProc};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -92,15 +92,33 @@ fn churn_fate(s: u64, jitter: u64) -> ProcessFateFactory {
     })
 }
 
-/// The post-churn contract: the oracle over all five replicas, and the
-/// churn's liveness — every replica applied the whole log with zero
-/// ⊥-retired slots and left recovering mode, every op committed though
-/// no client resubmitted, and the catch-up visibly went through the
-/// transfer path.
-fn check_churn(actors: &[Box<dyn AnyActor<Msg = ServiceM>>], h: &ServiceHarness) {
-    let replicas: Vec<&ServiceProc> = actors.iter().map(|a| service_replica(a.as_ref())).collect();
-    let v = oracle::service(&replicas, &h.journals());
+/// One churn run of a fresh service, both clients' ops pre-submitted,
+/// under `run` (given the harness and the churn fate), with what holds at
+/// any timing checked: the oracle over all five replicas.
+fn churn<R: WallClockRun<Msg = ServiceM>>(
+    jitter_tenths: u64,
+    run: impl FnOnce(&Arc<ServiceHarness>, ProcessFateFactory) -> R,
+) -> (R, Verdict) {
+    let h = Arc::new(ServiceHarness::new(N, churn_service()));
+    submit(&h.port(0), 1);
+    submit(&h.port(1), 2);
+    let s = h.stride();
+    let out = run(&h, churn_fate(s, s * jitter_tenths / 100));
+    let v = oracle::service(&replicas(&out.cluster_report().actors), &h.journals());
     v.assert_safe();
+    (out, v)
+}
+
+fn replicas(actors: &[Box<dyn AnyActor<Msg = ServiceM>>]) -> Vec<&ServiceProc> {
+    actors.iter().map(|a| service_replica(a.as_ref())).collect()
+}
+
+/// The churn's liveness, inside the model — every replica applied the
+/// whole log with zero ⊥-retired slots and left recovering mode, every
+/// op committed though no client resubmitted, and the catch-up visibly
+/// went through the transfer path.
+fn check_churn(actors: &[Box<dyn AnyActor<Msg = ServiceM>>], v: &Verdict) {
+    let replicas = replicas(actors);
     assert_eq!(v.applied_slots, vec![SLOTS; N], "every replica applied the whole log");
     assert!(replicas.iter().all(|r| !r.recovering()), "recovery must complete");
     assert_eq!(v.bot_slots, 0, "zero ⊥-retired slots");
@@ -118,24 +136,21 @@ proptest! {
     // 0.1 stride), and the cluster converges to one ⊥-free prefix.
     #[test]
     fn rolling_restart_churn_converges_threaded(jitter_tenths in 0u64..10) {
-        let h = Arc::new(ServiceHarness::new(N, churn_service()));
-        submit(&h.port(0), 1);
-        submit(&h.port(1), 2);
-        let s = h.stride();
-        let config = ClusterConfig {
-            delta: Duration::from_millis(2),
-            max_rounds: log_round_budget(N, SLOTS),
-            process_fate: Some(churn_fate(s, s * jitter_tenths / 100)),
-            overrun_action: OverrunAction::Escalate {
-                multiplier: 2,
-                max_delta: Duration::from_millis(250),
-            },
-            ..ClusterConfig::default()
-        };
-        let report = run_cluster_with_recovery(h.actors(), Some(h.rebuilder()), config);
-        prop_assert!(report.completed, "cluster must terminate: {:?}", report.rounds);
+        let label = format!("threaded churn, jitter {jitter_tenths}");
+        let (report, v) = overrun_free(&label, Duration::from_millis(2), |delta| {
+            churn(jitter_tenths, |h, fate| {
+                let config = ClusterConfig {
+                    delta,
+                    max_rounds: log_round_budget(N, SLOTS),
+                    process_fate: Some(fate),
+                    ..ClusterConfig::default()
+                };
+                run_cluster_with_recovery(h.actors(), Some(h.rebuilder()), config)
+            })
+        })
+        .report;
         prop_assert_eq!(report.metrics.recovery.crash_restarts, N as u64);
-        check_churn(&report.actors, &h);
+        check_churn(&report.actors, &v);
     }
 }
 
@@ -153,25 +168,23 @@ proptest! {
 #[test]
 fn rolling_restart_churn_converges_des() {
     let run = |jitter_tenths: u64| {
-        let h = Arc::new(ServiceHarness::new(N, churn_service()));
-        submit(&h.port(0), 1);
-        submit(&h.port(1), 2);
-        let s = h.stride();
-        let config = DesConfig {
-            seed: 0xc4a2 + jitter_tenths,
-            max_rounds: log_round_budget(N, SLOTS),
-            process_fate: Some(churn_fate(s, s * jitter_tenths / 100)),
-            ..DesConfig::default()
-        };
-        let report =
-            run_des_cluster(h.actors(), Some(h.rebuilder()), config).expect("valid config");
+        let ((report, (metrics, pin)), v) = churn(jitter_tenths, |h, fate| {
+            let config = DesConfig {
+                seed: 0xc4a2 + jitter_tenths,
+                max_rounds: log_round_budget(N, SLOTS),
+                process_fate: Some(fate),
+                ..DesConfig::default()
+            };
+            let report =
+                run_des_cluster(h.actors(), Some(h.rebuilder()), config).expect("valid config");
+            let metrics = serde_json::to_string(&report.metrics).expect("metrics serialize");
+            let pin = service_pin(h, &metrics, &replicas(&report.actors));
+            (report, (metrics, pin))
+        });
         assert!(report.completed, "cluster must terminate: {report:?}");
         assert_eq!(report.metrics.recovery.crash_restarts, N as u64);
-        check_churn(&report.actors, &h);
-        let replicas: Vec<_> = report.actors.iter().map(|a| service_replica(a.as_ref())).collect();
-        let metrics = serde_json::to_string(&report.metrics).expect("metrics serialize");
-        let stats: Vec<_> = replicas.iter().map(|r| r.stats()).collect();
-        let pin = service_pin(&h, &metrics, &replicas);
+        check_churn(&report.actors, &v);
+        let stats: Vec<_> = replicas(&report.actors).iter().map(|r| r.stats()).collect();
         (metrics, stats, pin)
     };
     // The outage phase moves the traffic (and so the metrics) but not
@@ -194,32 +207,27 @@ fn rolling_restart_churn_converges_des() {
 /// the converged-⊥-free-prefix contract still holds.
 #[test]
 fn rolling_restart_churn_converges_tcp() {
-    let h = Arc::new(ServiceHarness::new(N, churn_service()));
-    submit(&h.port(0), 1);
-    submit(&h.port(1), 2);
-    let s = h.stride();
-    let config = TcpClusterConfig {
-        cluster: ClusterConfig {
-            delta: Duration::from_millis(8),
-            max_rounds: log_round_budget(N, SLOTS),
-            process_fate: Some(churn_fate(s, 0)),
-            overrun_action: OverrunAction::Escalate {
-                multiplier: 2,
-                max_delta: Duration::from_millis(250),
-            },
-            reconnect_backoff_cap: Duration::from_millis(20),
-            reconnect_jitter: Duration::from_millis(2),
-            ..ClusterConfig::default()
-        },
-        domain: 19,
-        ..TcpClusterConfig::default()
-    };
-    let report =
-        run_tcp_cluster_with_recovery(h.actors(), Some(h.rebuilder()), &h.config(), config)
-            .expect("mesh establishment");
-    assert!(report.report.completed, "TCP cluster must terminate");
-    assert_eq!(report.report.metrics.recovery.crash_restarts, N as u64);
-    check_churn(&report.report.actors, &h);
+    let (tcp, v) = overrun_free("TCP churn", Duration::from_millis(8), |delta| {
+        churn(0, |h, fate| {
+            let config = TcpClusterConfig {
+                cluster: ClusterConfig {
+                    delta,
+                    max_rounds: log_round_budget(N, SLOTS),
+                    process_fate: Some(fate),
+                    reconnect_backoff_cap: Duration::from_millis(20),
+                    reconnect_jitter: Duration::from_millis(2),
+                    ..ClusterConfig::default()
+                },
+                domain: 19,
+                ..TcpClusterConfig::default()
+            };
+            run_tcp_cluster_with_recovery(h.actors(), Some(h.rebuilder()), &h.config(), config)
+                .expect("mesh establishment")
+        })
+    })
+    .report;
+    assert_eq!(tcp.report.metrics.recovery.crash_restarts, N as u64);
+    check_churn(&tcp.report.actors, &v);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,41 +263,40 @@ fn replica_of(a: &dyn AnyActor<Msg = ServiceM>) -> &ServiceProc {
 /// the honest donors — without any client resubmission.
 #[test]
 fn lying_donor_is_rejected_and_counted_while_recovery_converges() {
-    let h = Arc::new(ServiceHarness::new(N, lying_service()));
-    submit(&h.port(0), 1);
-    let s = h.stride();
-    let actors: Vec<Box<dyn AnyActor<Msg = ServiceM>>> = (0..N)
-        .map(|i| {
-            let a = h.actor(i);
-            if i == 1 {
-                Box::new(Liar::new(a, N, LIE_SLOTS)) as Box<dyn AnyActor<Msg = ServiceM>>
-            } else {
-                a
-            }
-        })
-        .collect();
-    let config = ClusterConfig {
-        delta: Duration::from_millis(2),
-        max_rounds: log_round_budget(N, LIE_SLOTS),
-        // Down across slot 1's opening: the victim misses its critical
-        // rounds outright and must transfer it.
-        process_fate: Some(crash_restart(0, s / 2, s)),
-        overrun_action: OverrunAction::Escalate {
-            multiplier: 2,
-            max_delta: Duration::from_millis(250),
-        },
-        ..ClusterConfig::default()
-    };
-    let report = run_cluster_with_recovery(actors, Some(h.rebuilder()), config);
-    assert!(report.completed, "cluster must terminate");
+    let (report, v) = overrun_free("lying donor", Duration::from_millis(2), |delta| {
+        let h = Arc::new(ServiceHarness::new(N, lying_service()));
+        submit(&h.port(0), 1);
+        let s = h.stride();
+        let actors: Vec<Box<dyn AnyActor<Msg = ServiceM>>> = (0..N)
+            .map(|i| {
+                let a = h.actor(i);
+                if i == 1 {
+                    Box::new(Liar::new(a, N, LIE_SLOTS)) as Box<dyn AnyActor<Msg = ServiceM>>
+                } else {
+                    a
+                }
+            })
+            .collect();
+        let config = ClusterConfig {
+            delta,
+            max_rounds: log_round_budget(N, LIE_SLOTS),
+            // Down across slot 1's opening: the victim misses its critical
+            // rounds outright and must transfer it.
+            process_fate: Some(crash_restart(0, s / 2, s)),
+            ..ClusterConfig::default()
+        };
+        let report = run_cluster_with_recovery(actors, Some(h.rebuilder()), config);
+        // The oracle over every replica (the liar agrees honestly, so its
+        // own replica is checked too): the victim's prefix is the honest
+        // one, value for value.
+        let replicas: Vec<_> = report.actors.iter().map(|a| replica_of(a.as_ref())).collect();
+        let v = oracle::service(&replicas, &h.journals());
+        v.assert_safe();
+        (report, v)
+    })
+    .report;
     assert_eq!(report.metrics.recovery.crash_restarts, 1);
-
-    // The oracle over every replica (the liar agrees honestly, so its own
-    // replica is checked too): the victim's prefix is the honest one,
-    // value for value.
     let replicas: Vec<_> = report.actors.iter().map(|a| replica_of(a.as_ref())).collect();
-    let v = oracle::service(&replicas, &h.journals());
-    v.assert_safe();
     let victim = replicas[0];
     let st = victim.stats();
     assert!(st.transfer_certs_rejected > 0, "forged certificates rejected and counted");
