@@ -137,3 +137,74 @@ fn bb_ba_value_words() {
     let quorum = BbBaValue::<u64>::IdkQuorum { phase: 1, qc };
     assert_eq!(quorum.value_words(), 1);
 }
+
+#[test]
+fn every_variant_bills_its_component() {
+    let (_, pki, keys) = fixtures();
+    let sig = keys[0].sign(b"m");
+    let shares: Vec<_> = keys.iter().take(4).map(|k| k.sign(b"m")).collect();
+    let qc = pki.combine(4, b"m", &shares).unwrap();
+    let decide = DecideProof { phase: 1, qc: qc.clone() };
+    let commit = CommitProof { level: 1, qc: qc.clone() };
+    fn echo<V>(v: V) -> SkewEnvelope<EchoMsg<V>> {
+        SkewEnvelope { vstep: 0, msg: Arc::new(EchoMsg(v)) }
+    }
+
+    let wba: Vec<(WbaM, &str)> = vec![
+        (WeakBaMsg::Propose { phase: 1, value: 5 }, "weak-ba/phases"),
+        (WeakBaMsg::Vote { phase: 1, value: 5, sig: sig.clone() }, "weak-ba/phases"),
+        (WeakBaMsg::CommitReply { phase: 1, value: 5, proof: commit.clone() }, "weak-ba/phases"),
+        (WeakBaMsg::CommitCert { phase: 1, value: 5, proof: commit }, "weak-ba/phases"),
+        (WeakBaMsg::Decide { phase: 1, value: 5, sig: sig.clone() }, "weak-ba/phases"),
+        (WeakBaMsg::FinalizeCert { phase: 1, value: 5, proof: decide.clone() }, "weak-ba/phases"),
+        (WeakBaMsg::HelpReq { sig: sig.clone() }, "weak-ba/help"),
+        (WeakBaMsg::Help { value: 5, proof: decide }, "weak-ba/help"),
+        (WeakBaMsg::FallbackCert { qc: qc.clone(), decision: None }, "weak-ba/help"),
+        (WeakBaMsg::Fallback(echo(5)), "fallback"),
+    ];
+    for (msg, component) in wba {
+        assert_eq!(msg.component(), component, "component of {msg:?}");
+    }
+
+    let signed = BbBaValue::Signed { value: 9u64, sig: sig.clone() };
+    let bb: Vec<(BbM, &str)> = vec![
+        (BbMsg::SenderValue { value: 9, sig: sig.clone() }, "bb/dissemination"),
+        (BbMsg::VetHelpReq { phase: 2 }, "bb/vetting"),
+        (BbMsg::VetValue { phase: 2, value: signed.clone() }, "bb/vetting"),
+        (BbMsg::VetIdk { phase: 2, sig: sig.clone() }, "bb/vetting"),
+        (BbMsg::Vetted { phase: 2, value: signed.clone() }, "bb/vetting"),
+        (BbMsg::Ba(WeakBaMsg::Propose { phase: 1, value: signed.clone() }), "weak-ba/phases"),
+        (BbMsg::Ba(WeakBaMsg::HelpReq { sig: sig.clone() }), "weak-ba/help"),
+        (BbMsg::Ba(WeakBaMsg::Fallback(echo(signed))), "fallback"),
+    ];
+    for (msg, component) in bb {
+        assert_eq!(msg.component(), component, "component of {msg:?}");
+    }
+
+    let sba: Vec<(SbaM, &str)> = vec![
+        (StrongBaMsg::Input { value: true, sig: sig.clone() }, "strong-ba/fast-path"),
+        (StrongBaMsg::Propose { value: true, qc: qc.clone() }, "strong-ba/fast-path"),
+        (StrongBaMsg::DecideShare { value: true, sig }, "strong-ba/fast-path"),
+        (StrongBaMsg::DecideCert { value: true, qc }, "strong-ba/fast-path"),
+        (StrongBaMsg::Fallback { decision: None }, "strong-ba/fallback-coord"),
+        (StrongBaMsg::Inner(echo(true)), "fallback"),
+    ];
+    for (msg, component) in sba {
+        assert_eq!(msg.component(), component, "component of {msg:?}");
+    }
+}
+
+/// A weak BA value that carries a signature is billed its words but not
+/// its signature: a field of the generic value type counts
+/// `value_words()` and no constituent signature, while BB's vetting
+/// messages, typed with [`BbBaValue`], count the one inside.
+#[test]
+fn embedded_value_signatures_are_not_counted() {
+    let (_, _, keys) = fixtures();
+    let sig = keys[0].sign(b"m");
+    let signed = BbBaValue::Signed { value: 9u64, sig: sig.clone() };
+    let vote: BbM = BbMsg::Ba(WeakBaMsg::Vote { phase: 1, value: signed.clone(), sig });
+    assert_eq!((vote.words(), vote.constituent_sigs()), (3, 1));
+    let vetted: BbM = BbMsg::Vetted { phase: 1, value: signed };
+    assert_eq!((vetted.words(), vetted.constituent_sigs()), (2, 1));
+}

@@ -398,6 +398,49 @@ mod tests {
         );
     }
 
+    /// Word-cost audit of every fallback wire variant, in the style of
+    /// `meba-core`'s `message_costs`: each value, signature, threshold
+    /// signature and aggregate costs one word, instance ids and process
+    /// ids cost nothing, and a certificate counts its signers.
+    #[test]
+    fn fallback_message_costs() {
+        use meba_core::fallback::EchoMsg;
+        let inst = InstanceId::new(Scope::full(7), 0);
+        let (pki, keys) = meba_crypto::trusted_setup(7, 1);
+        let sig = keys[0].sign(b"m");
+        let shares: Vec<_> = keys.iter().take(4).map(|k| k.sign(b"m")).collect();
+        let qc = pki.combine(4, b"m", &shares).unwrap();
+        let agg = pki.aggregate(b"m", &shares[..3]).unwrap();
+        let v = 5u64;
+
+        let cases: Vec<(RecBaMsg<u64>, u64, u64)> = vec![
+            (RecBaMsg::GaInput { inst, value: v, sig: sig.clone() }, 2, 1),
+            (RecBaMsg::GaEcho { inst, value: v, c1: qc.clone() }, 2, 4),
+            (RecBaMsg::GaVote { inst, value: v, sig: sig.clone(), c1: qc.clone() }, 3, 5),
+            (RecBaMsg::GaConflict { inst, v1: v, c1a: qc.clone(), v2: 6, c1b: qc.clone() }, 4, 8),
+            (RecBaMsg::GaCert2 { inst, value: v, c2: qc }, 2, 4),
+            (
+                RecBaMsg::DsForward { inst, ds_sender: ProcessId(1), value: v, agg: agg.clone() },
+                2,
+                3,
+            ),
+            (RecBaMsg::CertShare { inst, value: v, sig }, 2, 1),
+        ];
+        for (msg, words, sigs) in cases {
+            assert_eq!(msg.words(), words, "words of {msg:?}");
+            assert_eq!(msg.constituent_sigs(), sigs, "sigs of {msg:?}");
+            assert_eq!(msg.component(), "fallback", "component of {msg:?}");
+        }
+
+        let long = String::from("seventeen bytes!!");
+        let ds = DsBbMsg { value: long.clone(), agg };
+        assert_eq!((ds.words(), ds.constituent_sigs(), ds.component()), (4, 3, "dolev-strong"));
+        let echo = EchoMsg(long);
+        assert_eq!((echo.words(), echo.constituent_sigs(), echo.component()), (3, 0, "fallback"));
+        let echo = EchoMsg(true);
+        assert_eq!((echo.words(), echo.constituent_sigs()), (1, 0));
+    }
+
     #[test]
     fn instance_separates_payloads() {
         let i1 = InstanceId::new(Scope { lo: 0, hi: 4 }, 0);

@@ -18,6 +18,9 @@
 //!    buffer — same [`DecodeError`] on rejects, byte-identical
 //!    re-encodes on accepts — over the full message-family corpus plus
 //!    its truncations and mutations.
+//!
+//! A fifth, `wire_format_is_pinned`, fixes the bytes themselves: one
+//! digest per family over the corpus at fixed scalars.
 
 use meba_core::bb::{BbBaValue, BbMsg};
 use meba_core::fallback::EchoMsg;
@@ -26,8 +29,8 @@ use meba_core::strong_ba::StrongBaMsg;
 use meba_core::subprotocol::SkewEnvelope;
 use meba_core::weak_ba::WeakBaMsg;
 use meba_core::SystemConfig;
-use meba_crypto::{trusted_setup, DecodeError, Decoder, Encoder, Signable, WireCodec};
-use meba_fallback::{InstanceId, RecBaMsg, Scope};
+use meba_crypto::{trusted_setup, DecodeError, Decoder, Digest, Encoder, Signable, WireCodec};
+use meba_fallback::{DsBbMsg, InstanceId, RecBaMsg, Scope};
 use meba_sim::{SessionEnvelope, SessionId};
 use meba_wire::Hello;
 use proptest::prelude::*;
@@ -42,6 +45,16 @@ type RecM = RecBaMsg<u64>;
 /// the generated scalars so the search space covers varying field
 /// values, not just varying variants.
 fn corpus(v: u64, phase: u32, session: u64) -> Vec<Vec<u8>> {
+    sized_corpus(v, phase, session).into_iter().map(|(bytes, _)| bytes).collect()
+}
+
+/// A message's encoding and the length its `wire_len` reports.
+fn sized<M: WireCodec>(m: &M) -> (Vec<u8>, u64) {
+    (m.to_wire_bytes(), m.wire_len())
+}
+
+/// The [`corpus`], each encoding next to its message's `wire_len`.
+fn sized_corpus(v: u64, phase: u32, session: u64) -> Vec<(Vec<u8>, u64)> {
     let cfg = SystemConfig::new(7, 1).unwrap();
     let (pki, keys) = trusted_setup(7, 1);
     let sig = sign_payload(&keys[0], &VoteSig { session, value: &v, level: 1 });
@@ -56,7 +69,7 @@ fn corpus(v: u64, phase: u32, session: u64) -> Vec<Vec<u8>> {
     let agg = pki.aggregate(&payload.signing_bytes(), &agg_shares).unwrap();
     let inst = InstanceId::new(Scope::full(7), (phase % 8) as u8);
 
-    let mut out: Vec<Vec<u8>> = Vec::new();
+    let mut out: Vec<(Vec<u8>, u64)> = Vec::new();
     let wba: Vec<WbaM> = vec![
         WeakBaMsg::Propose { phase, value: v },
         WeakBaMsg::Vote { phase, value: v, sig: sig.clone() },
@@ -70,11 +83,10 @@ fn corpus(v: u64, phase: u32, session: u64) -> Vec<Vec<u8>> {
         WeakBaMsg::FallbackCert { qc: qc.clone(), decision: Some((v, decide)) },
         WeakBaMsg::Fallback(SkewEnvelope { vstep: session, msg: Arc::new(EchoMsg(v)) }),
     ];
-    out.extend(wba.iter().map(|m| m.to_wire_bytes()));
+    out.extend(wba.iter().map(sized));
     // Session multiplexing rides on the same codec.
     out.extend(
-        wba.into_iter()
-            .map(|msg| SessionEnvelope { session: SessionId(session), msg }.to_wire_bytes()),
+        wba.into_iter().map(|msg| sized(&SessionEnvelope { session: SessionId(session), msg })),
     );
 
     let signed = BbBaValue::Signed { value: v, sig: sig.clone() };
@@ -87,7 +99,7 @@ fn corpus(v: u64, phase: u32, session: u64) -> Vec<Vec<u8>> {
         BbMsg::Vetted { phase, value: quorum_v },
         BbMsg::Ba(WeakBaMsg::Propose { phase, value: signed }),
     ];
-    out.extend(bb.iter().map(|m| m.to_wire_bytes()));
+    out.extend(bb.iter().map(sized));
 
     let sba: Vec<SbaM> = vec![
         StrongBaMsg::Input { value: v.is_multiple_of(2), sig: sig.clone() },
@@ -97,7 +109,7 @@ fn corpus(v: u64, phase: u32, session: u64) -> Vec<Vec<u8>> {
         StrongBaMsg::Fallback { decision: None },
         StrongBaMsg::Fallback { decision: Some((v % 2 == 1, qc.clone())) },
     ];
-    out.extend(sba.iter().map(|m| m.to_wire_bytes()));
+    out.extend(sba.iter().map(sized));
 
     let rec: Vec<RecM> = vec![
         RecBaMsg::GaInput { inst, value: v, sig: sig.clone() },
@@ -114,17 +126,14 @@ fn corpus(v: u64, phase: u32, session: u64) -> Vec<Vec<u8>> {
         RecBaMsg::DsForward { inst, ds_sender: keys[1].id(), value: v, agg },
         RecBaMsg::CertShare { inst, value: v, sig },
     ];
-    out.extend(rec.iter().map(|m| m.to_wire_bytes()));
+    out.extend(rec.iter().map(sized));
 
-    out.push(
-        Hello {
-            version: 1,
-            id: keys[2].id(),
-            config_digest: meba_wire::config_digest(&cfg),
-            domain: session,
-        }
-        .to_wire_bytes(),
-    );
+    out.push(sized(&Hello {
+        version: 1,
+        id: keys[2].id(),
+        config_digest: meba_wire::config_digest(&cfg),
+        domain: session,
+    }));
     out
 }
 
@@ -195,9 +204,9 @@ proptest! {
         phase in 1u32..64,
         session in any::<u64>(),
     ) {
-        let corpus = corpus(v, phase, session);
+        let corpus = sized_corpus(v, phase, session);
         prop_assert_eq!(corpus.len(), 42);
-        for (i, bytes) in corpus.iter().enumerate() {
+        for (i, (bytes, wire_len)) in corpus.iter().enumerate() {
             let re = redecode(i, bytes);
             prop_assert_eq!(
                 re.as_deref(),
@@ -205,6 +214,7 @@ proptest! {
                 "family {} must decode and re-encode to identical bytes",
                 i
             );
+            prop_assert_eq!(*wire_len, bytes.len() as u64, "family {}: wire_len", i);
         }
     }
 
@@ -296,6 +306,52 @@ proptest! {
                 i, bit
             );
         }
+    }
+}
+
+/// Every wire byte of every family, pinned: one SHA-256 per family over
+/// the concatenated encodings of its corpus entries at fixed scalars
+/// (plus the Dolev–Strong baseline's message, which the corpus lacks).
+/// A codec change that moves any byte fails here even when it still
+/// round-trips.
+#[test]
+fn wire_format_is_pinned() {
+    let corpus = corpus(0x0123_4567_89ab_cdef, 7, 42);
+    let hex = |range: std::ops::RangeInclusive<usize>| Digest::of(&corpus[range].concat()).to_hex();
+    let (pki, keys) = trusted_setup(7, 1);
+    let shares: Vec<_> = keys.iter().take(3).map(|k| k.sign(b"ds")).collect();
+    let ds = DsBbMsg { value: 9u64, agg: pki.aggregate(b"ds", &shares).unwrap() };
+    let pins = [
+        (
+            "WeakBaMsg",
+            hex(0..=10),
+            "d1948b6be4f69d8ba11c004c3d8dd68b11aaff93bf08e7b1246d471a52fe51e3",
+        ),
+        (
+            "SessionEnvelope<WeakBaMsg>",
+            hex(11..=21),
+            "a9e3e21b77f0c1a5b804accd3daeec7c48aec47b4be5d68fe1bb2d977e7f6822",
+        ),
+        ("BbMsg", hex(22..=27), "655937fb4523103595dcf66a9839b3bde42811dc45f88d8b88bed7ad4cb57b2b"),
+        (
+            "StrongBaMsg",
+            hex(28..=33),
+            "ba9b639ee4bf55670462f01e15aef73785d81da4565a4c1a17e006e6247821b2",
+        ),
+        (
+            "RecBaMsg",
+            hex(34..=40),
+            "d671652d2a0ea8af88520f9ebca6f1665dbc6e340a3be3cec84456f3036f24fe",
+        ),
+        ("Hello", hex(41..=41), "52d708e06f38902d7b1aec179b9d74c54b2d063ef5b75340e5682fcf2ee4d7bc"),
+        (
+            "DsBbMsg",
+            Digest::of(&ds.to_wire_bytes()).to_hex(),
+            "d9faf2501d1c1f06da97659c5982194c2355dfea23d7f6cceecd221f3eee77da",
+        ),
+    ];
+    for (family, got, pinned) in pins {
+        assert_eq!(got, pinned, "{family}: wire bytes moved");
     }
 }
 
