@@ -28,6 +28,7 @@
 
 use crate::config::SystemConfig;
 use crate::decision::Decision;
+use crate::schema::{Meta, Signed};
 use crate::signing::{
     sign_payload, verify_payload, BbIdkSig, BbValueSig, DecideProof, ShareCollector,
 };
@@ -43,73 +44,42 @@ use meba_crypto::{
 use meba_sim::{Dest, Message};
 use std::sync::{Arc, OnceLock};
 
-/// The weak BA value domain of the BB reduction: either the sender's
-/// signed value or an `idk` quorum certificate.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum BbBaValue<V> {
-    /// `⟨v⟩_sender`.
-    Signed {
-        /// The sender's value.
-        value: V,
-        /// The sender's signature over [`BbValueSig`].
-        sig: Signature,
-    },
-    /// `QC_idk` from vetting phase `phase`: proof that `t + 1` processes
-    /// had no value.
-    IdkQuorum {
-        /// The phase whose `idk` shares were batched.
-        phase: u32,
-        /// `(t+1, n)`-threshold certificate over [`BbIdkSig`].
-        qc: ThresholdSignature,
-    },
+crate::wire_schema! {
+    /// The weak BA value domain of the BB reduction: either the sender's
+    /// signed value or an `idk` quorum certificate.
+    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub enum BbBaValue<V: Value>: WordCost {
+        /// `⟨v⟩_sender`.
+        0 => Signed {
+            /// The sender's value.
+            value: V,
+            /// The sender's signature over [`BbValueSig`].
+            sig: Signature,
+        },
+        /// `QC_idk` from vetting phase `phase`: proof that `t + 1` processes
+        /// had no value.
+        1 => IdkQuorum {
+            /// The phase whose `idk` shares were batched.
+            phase: u32 as Meta,
+            /// `(t+1, n)`-threshold certificate over [`BbIdkSig`].
+            qc: ThresholdSignature,
+        },
+    }
 }
 
+/// As a weak BA value, a `BbBaValue` is its schema encoding and costs.
 impl<V: Value> Value for BbBaValue<V> {
     fn encode_value(&self, enc: &mut Encoder) {
-        match self {
-            BbBaValue::Signed { value, sig } => {
-                enc.put_u32(0);
-                value.encode_value(enc);
-                sig.encode(enc);
-            }
-            BbBaValue::IdkQuorum { phase, qc } => {
-                enc.put_u32(1);
-                enc.put_u32(*phase);
-                qc.encode(enc);
-            }
-        }
+        self.encode_wire(enc);
     }
-
     fn decode_value(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u32()? {
-            0 => {
-                let value = V::decode_value(dec)?;
-                let sig = Signature::decode(dec)?;
-                Ok(BbBaValue::Signed { value, sig })
-            }
-            1 => {
-                let phase = dec.get_u32()?;
-                let qc = ThresholdSignature::decode(dec)?;
-                Ok(BbBaValue::IdkQuorum { phase, qc })
-            }
-            _ => Err(DecodeError::Invalid { what: "BbBaValue variant tag" }),
-        }
+        Self::decode_wire(dec)
     }
-
     fn value_words(&self) -> u64 {
-        match self {
-            BbBaValue::Signed { value, sig } => value.value_words() + sig.words(),
-            BbBaValue::IdkQuorum { qc, .. } => qc.words(),
-        }
+        WordCost::words(self)
     }
-}
-
-impl<V: Value> WireCodec for BbBaValue<V> {
-    fn encode_wire(&self, enc: &mut Encoder) {
-        self.encode_value(enc);
-    }
-    fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Self::decode_value(dec)
+    fn value_len(&self) -> u64 {
+        self.wire_len()
     }
 }
 
@@ -174,134 +144,45 @@ impl<V: Value> Validity<BbBaValue<V>> for BbValidity {
     }
 }
 
-/// Wire messages of the BB protocol. `FM` is the fallback message type.
-#[derive(Clone, Debug)]
-pub enum BbMsg<V, FM> {
-    /// `⟨v⟩_sender` broadcast in round 1 (Alg 1 line 2).
-    SenderValue {
-        /// The sender's value.
-        value: V,
-        /// Signature over [`BbValueSig`].
-        sig: Signature,
-    },
-    /// `⟨help_req, j⟩_leader` (Alg 2 line 16).
-    VetHelpReq {
-        /// Vetting phase.
-        phase: u32,
-    },
-    /// `⟨v_i, j⟩` forwarded to the leader (line 19).
-    VetValue {
-        /// Vetting phase.
-        phase: u32,
-        /// The responder's current BA value.
-        value: BbBaValue<V>,
-    },
-    /// `⟨idk, j⟩_p` (line 21).
-    VetIdk {
-        /// Vetting phase.
-        phase: u32,
-        /// Signature over [`BbIdkSig`].
-        sig: Signature,
-    },
-    /// The leader's vetting broadcast (lines 24 / 27).
-    Vetted {
-        /// Vetting phase.
-        phase: u32,
-        /// The vetted value.
-        value: BbBaValue<V>,
-    },
-    /// Embedded weak BA traffic (Alg 1 line 9).
-    Ba(WeakBaMsg<BbBaValue<V>, FM>),
-}
-
-impl<V: Value, FM: Message + WireCodec> Message for BbMsg<V, FM> {
-    fn words(&self) -> u64 {
-        match self {
-            BbMsg::SenderValue { value, sig } => value.value_words() + sig.words(),
-            BbMsg::VetHelpReq { .. } => 1,
-            BbMsg::VetValue { value, .. } | BbMsg::Vetted { value, .. } => value.value_words(),
-            BbMsg::VetIdk { sig, .. } => sig.words(),
-            BbMsg::Ba(m) => m.words(),
-        }
-    }
-
-    fn constituent_sigs(&self) -> u64 {
-        match self {
-            BbMsg::SenderValue { sig, .. } | BbMsg::VetIdk { sig, .. } => sig.constituent_sigs(),
-            BbMsg::VetHelpReq { .. } => 0,
-            BbMsg::VetValue { value, .. } | BbMsg::Vetted { value, .. } => match value {
-                BbBaValue::Signed { sig, .. } => sig.constituent_sigs(),
-                BbBaValue::IdkQuorum { qc, .. } => qc.constituent_sigs(),
-            },
-            BbMsg::Ba(m) => m.constituent_sigs(),
-        }
-    }
-
-    fn component(&self) -> &'static str {
-        match self {
-            BbMsg::SenderValue { .. } => "bb/dissemination",
-            BbMsg::VetHelpReq { .. }
-            | BbMsg::VetValue { .. }
-            | BbMsg::VetIdk { .. }
-            | BbMsg::Vetted { .. } => "bb/vetting",
-            BbMsg::Ba(m) => m.component(),
-        }
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        self.wire_len()
-    }
-}
-
-impl<V: Value, FM: WireCodec> WireCodec for BbMsg<V, FM> {
-    fn encode_wire(&self, enc: &mut Encoder) {
-        match self {
-            BbMsg::SenderValue { value, sig } => {
-                enc.put_u32(0);
-                value.encode_value(enc);
-                sig.encode(enc);
-            }
-            BbMsg::VetHelpReq { phase } => {
-                enc.put_u32(1);
-                enc.put_u32(*phase);
-            }
-            BbMsg::VetValue { phase, value } => {
-                enc.put_u32(2);
-                enc.put_u32(*phase);
-                value.encode_value(enc);
-            }
-            BbMsg::VetIdk { phase, sig } => {
-                enc.put_u32(3);
-                enc.put_u32(*phase);
-                sig.encode(enc);
-            }
-            BbMsg::Vetted { phase, value } => {
-                enc.put_u32(4);
-                enc.put_u32(*phase);
-                value.encode_value(enc);
-            }
-            BbMsg::Ba(m) => {
-                enc.put_u32(5);
-                m.encode_wire(enc);
-            }
-        }
-    }
-
-    fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u32()? {
-            0 => Ok(BbMsg::SenderValue {
-                value: V::decode_value(dec)?,
-                sig: Signature::decode(dec)?,
-            }),
-            1 => Ok(BbMsg::VetHelpReq { phase: dec.get_u32()? }),
-            2 => {
-                Ok(BbMsg::VetValue { phase: dec.get_u32()?, value: BbBaValue::decode_value(dec)? })
-            }
-            3 => Ok(BbMsg::VetIdk { phase: dec.get_u32()?, sig: Signature::decode(dec)? }),
-            4 => Ok(BbMsg::Vetted { phase: dec.get_u32()?, value: BbBaValue::decode_value(dec)? }),
-            5 => Ok(BbMsg::Ba(WeakBaMsg::decode_wire(dec)?)),
-            _ => Err(DecodeError::Invalid { what: "BbMsg variant tag" }),
-        }
+crate::wire_schema! {
+    /// Wire messages of the BB protocol. `FM` is the fallback message type.
+    #[derive(Clone, Debug)]
+    pub enum BbMsg<V: Value, FM: Message + WireCodec>: Message {
+        /// `⟨v⟩_sender` broadcast in round 1 (Alg 1 line 2).
+        0 => SenderValue {
+            /// The sender's value.
+            value: V,
+            /// Signature over [`BbValueSig`].
+            sig: Signature,
+        } in "bb/dissemination",
+        /// `⟨help_req, j⟩_leader` (Alg 2 line 16).
+        1 => VetHelpReq {
+            /// Vetting phase.
+            phase: u32 as Meta,
+        } in "bb/vetting",
+        /// `⟨v_i, j⟩` forwarded to the leader (line 19).
+        2 => VetValue {
+            /// Vetting phase.
+            phase: u32 as Meta,
+            /// The responder's current BA value.
+            value: BbBaValue<V> as Signed,
+        } in "bb/vetting",
+        /// `⟨idk, j⟩_p` (line 21).
+        3 => VetIdk {
+            /// Vetting phase.
+            phase: u32 as Meta,
+            /// Signature over [`BbIdkSig`].
+            sig: Signature,
+        } in "bb/vetting",
+        /// The leader's vetting broadcast (lines 24 / 27).
+        4 => Vetted {
+            /// Vetting phase.
+            phase: u32 as Meta,
+            /// The vetted value.
+            value: BbBaValue<V> as Signed,
+        } in "bb/vetting",
+        /// Embedded weak BA traffic (Alg 1 line 9).
+        5 => Ba(WeakBaMsg<BbBaValue<V>, FM>),
     }
 }
 

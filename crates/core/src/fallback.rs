@@ -11,33 +11,14 @@
 
 use crate::subprotocol::{FallbackFactory, SubProtocol};
 use crate::value::Value;
-use meba_crypto::{DecodeError, Decoder, Encoder, ProcessId, WireCodec};
-use meba_sim::{Dest, Message};
+use meba_crypto::ProcessId;
+use meba_sim::Dest;
 use std::collections::BTreeMap;
 
-/// Message of [`EchoFallback`]: the sender's initial value.
-#[derive(Clone, Debug)]
-pub struct EchoMsg<V>(pub V);
-
-impl<V: Value> Message for EchoMsg<V> {
-    fn words(&self) -> u64 {
-        self.0.value_words()
-    }
-    fn component(&self) -> &'static str {
-        "fallback"
-    }
-    fn wire_bytes(&self) -> u64 {
-        self.wire_len()
-    }
-}
-
-impl<V: Value> WireCodec for EchoMsg<V> {
-    fn encode_wire(&self, enc: &mut Encoder) {
-        self.0.encode_value(enc);
-    }
-    fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(EchoMsg(V::decode_value(dec)?))
-    }
+crate::wire_schema! {
+    /// Message of [`EchoFallback`]: the sender's initial value.
+    #[derive(Clone, Debug)]
+    pub struct EchoMsg<V: Value>(pub V): Message in "fallback";
 }
 
 /// Crash-fault-only strong BA: broadcast inputs, decide the most frequent

@@ -29,6 +29,7 @@ pub mod decision;
 pub mod fallback;
 mod message_costs;
 pub mod recovery;
+pub mod schema;
 pub mod signing;
 pub mod strong_ba;
 pub mod subprotocol;

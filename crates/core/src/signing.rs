@@ -12,10 +12,11 @@
 //!   replayed as fresh ones.
 
 use crate::config::SystemConfig;
+use crate::schema::Meta;
 use crate::value::Value;
 use meba_crypto::{
-    Combiner, CryptoError, DecodeError, Decoder, Encoder, Pki, ProcessId, SignContext, Signable,
-    Signature, ThresholdSignature, WireCodec,
+    Combiner, CryptoError, Encoder, Pki, ProcessId, SignContext, Signable, Signature,
+    ThresholdSignature,
 };
 
 /// Builds an equivocation context (see [`SignContext`]): the domain tag
@@ -205,25 +206,15 @@ impl SignContext for StrongDecideSig {
     }
 }
 
-/// A weak BA commit certificate: `⌈(n+t+1)/2⌉` votes on `(value, level)`
-/// (Alg 4 lines 40–42).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CommitProof {
-    /// The phase in which the votes were cast (the commit level).
-    pub level: u32,
-    /// Quorum certificate over [`VoteSig`] with the quorum threshold.
-    pub qc: ThresholdSignature,
-}
-
-impl WireCodec for CommitProof {
-    fn encode_wire(&self, enc: &mut Encoder) {
-        enc.put_u32(self.level);
-        self.qc.encode(enc);
-    }
-    fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let level = dec.get_u32()?;
-        let qc = ThresholdSignature::decode(dec)?;
-        Ok(CommitProof { level, qc })
+crate::wire_schema! {
+    /// A weak BA commit certificate: `⌈(n+t+1)/2⌉` votes on `(value, level)`
+    /// (Alg 4 lines 40–42).
+    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct CommitProof: WordCost {
+        /// The phase in which the votes were cast (the commit level).
+        pub level: u32 as Meta,
+        /// Quorum certificate over [`VoteSig`] with the quorum threshold.
+        pub qc: ThresholdSignature,
     }
 }
 
@@ -240,25 +231,15 @@ impl CommitProof {
     }
 }
 
-/// A weak BA finalize certificate: `⌈(n+t+1)/2⌉` decide shares on
-/// `(value, phase)` (Alg 4 lines 49–51). Stored as `decide_proof`.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DecideProof {
-    /// The phase that finalized.
-    pub phase: u32,
-    /// Quorum certificate over [`DecideSig`].
-    pub qc: ThresholdSignature,
-}
-
-impl WireCodec for DecideProof {
-    fn encode_wire(&self, enc: &mut Encoder) {
-        enc.put_u32(self.phase);
-        self.qc.encode(enc);
-    }
-    fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let phase = dec.get_u32()?;
-        let qc = ThresholdSignature::decode(dec)?;
-        Ok(DecideProof { phase, qc })
+crate::wire_schema! {
+    /// A weak BA finalize certificate: `⌈(n+t+1)/2⌉` decide shares on
+    /// `(value, phase)` (Alg 4 lines 49–51). Stored as `decide_proof`.
+    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct DecideProof: WordCost {
+        /// The phase that finalized.
+        pub phase: u32 as Meta,
+        /// Quorum certificate over [`DecideSig`].
+        pub qc: ThresholdSignature,
     }
 }
 

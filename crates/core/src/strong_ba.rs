@@ -45,156 +45,51 @@
 use crate::config::SystemConfig;
 use crate::signing::{sign_payload, ShareCollector, StrongDecideSig, StrongInputSig};
 use crate::subprotocol::{FallbackFactory, FallbackHost, SkewEnvelope, SubProtocol};
-use meba_crypto::{
-    DecodeError, Decoder, Encoder, Pki, ProcessId, SecretKey, Signable, Signature,
-    ThresholdSignature, WireCodec, WordCost,
-};
+use meba_crypto::{Pki, ProcessId, SecretKey, Signable, Signature, ThresholdSignature, WireCodec};
 use meba_sim::{Dest, Message};
 
 /// Message type of the fallback used by [`StrongBa`] instances.
 pub type StrongFallbackMsgOf<F> = <<F as FallbackFactory<bool>>::Protocol as SubProtocol>::Msg;
 
-/// Wire messages of binary strong BA.
-#[derive(Clone, Debug)]
-pub enum StrongBaMsg<FM> {
-    /// `⟨v_i⟩_p` to the leader (line 2).
-    Input {
-        /// The binary input.
-        value: bool,
-        /// Signature over [`StrongInputSig`].
-        sig: Signature,
-    },
-    /// `⟨propose, v, QC⟩_leader` broadcast (line 6).
-    Propose {
-        /// The certified value.
-        value: bool,
-        /// `(t+1, n)` certificate over [`StrongInputSig`].
-        qc: ThresholdSignature,
-    },
-    /// `⟨decide, v⟩_p` to the leader (line 8).
-    DecideShare {
-        /// The value.
-        value: bool,
-        /// Signature over [`StrongDecideSig`].
-        sig: Signature,
-    },
-    /// `⟨decide, v, QC⟩_leader` broadcast (line 12).
-    DecideCert {
-        /// The decided value.
-        value: bool,
-        /// `(n, n)` certificate over [`StrongDecideSig`].
-        qc: ThresholdSignature,
-    },
-    /// `⟨fallback, v?, proof?⟩` broadcast (lines 17 / 26).
-    Fallback {
-        /// The sender's decision and its `(n, n)` proof, if any.
-        decision: Option<(bool, ThresholdSignature)>,
-    },
-    /// Inner `A_fallback` traffic.
-    Inner(SkewEnvelope<FM>),
-}
-
-impl<FM: Message + WireCodec> Message for StrongBaMsg<FM> {
-    fn words(&self) -> u64 {
-        match self {
-            StrongBaMsg::Input { sig, .. } | StrongBaMsg::DecideShare { sig, .. } => {
-                1 + sig.words()
-            }
-            StrongBaMsg::Propose { qc, .. } | StrongBaMsg::DecideCert { qc, .. } => 1 + qc.words(),
-            StrongBaMsg::Fallback { decision } => {
-                1 + decision.as_ref().map_or(0, |(_, qc)| qc.words())
-            }
-            StrongBaMsg::Inner(env) => env.msg.words(),
-        }
-    }
-
-    fn constituent_sigs(&self) -> u64 {
-        match self {
-            StrongBaMsg::Input { sig, .. } | StrongBaMsg::DecideShare { sig, .. } => {
-                sig.constituent_sigs()
-            }
-            StrongBaMsg::Propose { qc, .. } | StrongBaMsg::DecideCert { qc, .. } => {
-                qc.constituent_sigs()
-            }
-            StrongBaMsg::Fallback { decision } => {
-                decision.as_ref().map_or(0, |(_, qc)| qc.constituent_sigs())
-            }
-            StrongBaMsg::Inner(env) => env.msg.constituent_sigs(),
-        }
-    }
-
-    fn component(&self) -> &'static str {
-        match self {
-            StrongBaMsg::Inner(env) => env.msg.component(),
-            StrongBaMsg::Fallback { .. } => "strong-ba/fallback-coord",
-            _ => "strong-ba/fast-path",
-        }
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        self.wire_len()
-    }
-}
-
-impl<FM: WireCodec> WireCodec for StrongBaMsg<FM> {
-    fn encode_wire(&self, enc: &mut Encoder) {
-        match self {
-            StrongBaMsg::Input { value, sig } => {
-                enc.put_u32(0);
-                enc.put_bool(*value);
-                sig.encode(enc);
-            }
-            StrongBaMsg::Propose { value, qc } => {
-                enc.put_u32(1);
-                enc.put_bool(*value);
-                qc.encode(enc);
-            }
-            StrongBaMsg::DecideShare { value, sig } => {
-                enc.put_u32(2);
-                enc.put_bool(*value);
-                sig.encode(enc);
-            }
-            StrongBaMsg::DecideCert { value, qc } => {
-                enc.put_u32(3);
-                enc.put_bool(*value);
-                qc.encode(enc);
-            }
-            StrongBaMsg::Fallback { decision } => {
-                enc.put_u32(4);
-                enc.put_option(decision, |e, (v, qc)| {
-                    e.put_bool(*v);
-                    qc.encode(e);
-                });
-            }
-            StrongBaMsg::Inner(env) => {
-                enc.put_u32(5);
-                env.encode_wire(enc);
-            }
-        }
-    }
-
-    fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u32()? {
-            0 => Ok(StrongBaMsg::Input { value: dec.get_bool()?, sig: Signature::decode(dec)? }),
-            1 => Ok(StrongBaMsg::Propose {
-                value: dec.get_bool()?,
-                qc: ThresholdSignature::decode(dec)?,
-            }),
-            2 => Ok(StrongBaMsg::DecideShare {
-                value: dec.get_bool()?,
-                sig: Signature::decode(dec)?,
-            }),
-            3 => Ok(StrongBaMsg::DecideCert {
-                value: dec.get_bool()?,
-                qc: ThresholdSignature::decode(dec)?,
-            }),
-            4 => Ok(StrongBaMsg::Fallback {
-                decision: dec
-                    .get_option(|d| Ok((d.get_bool()?, ThresholdSignature::decode(d)?)))?,
-            }),
-            5 => Ok(StrongBaMsg::Inner(SkewEnvelope::decode_wire(dec)?)),
-            _ => Err(DecodeError::Invalid { what: "StrongBaMsg variant tag" }),
-        }
+crate::wire_schema! {
+    /// Wire messages of binary strong BA.
+    #[derive(Clone, Debug)]
+    pub enum StrongBaMsg<FM: Message + WireCodec>: Message {
+        /// `⟨v_i⟩_p` to the leader (line 2).
+        0 => Input {
+            /// The binary input.
+            value: bool,
+            /// Signature over [`StrongInputSig`].
+            sig: Signature,
+        } in "strong-ba/fast-path",
+        /// `⟨propose, v, QC⟩_leader` broadcast (line 6).
+        1 => Propose {
+            /// The certified value.
+            value: bool,
+            /// `(t+1, n)` certificate over [`StrongInputSig`].
+            qc: ThresholdSignature,
+        } in "strong-ba/fast-path",
+        /// `⟨decide, v⟩_p` to the leader (line 8).
+        2 => DecideShare {
+            /// The value.
+            value: bool,
+            /// Signature over [`StrongDecideSig`].
+            sig: Signature,
+        } in "strong-ba/fast-path",
+        /// `⟨decide, v, QC⟩_leader` broadcast (line 12).
+        3 => DecideCert {
+            /// The decided value.
+            value: bool,
+            /// `(n, n)` certificate over [`StrongDecideSig`].
+            qc: ThresholdSignature,
+        } in "strong-ba/fast-path",
+        /// `⟨fallback, v?, proof?⟩` broadcast (lines 17 / 26).
+        4 => Fallback {
+            /// The sender's decision and its `(n, n)` proof, if any.
+            decision: Option<(bool, ThresholdSignature)>,
+        } in "strong-ba/fallback-coord",
+        /// Inner `A_fallback` traffic.
+        5 => Inner(SkewEnvelope<FM>),
     }
 }
 

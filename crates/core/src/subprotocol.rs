@@ -18,9 +18,10 @@
 //! it past its round — the host's pending list, the adapter's per-vstep
 //! buffer, the instance's inbox — keeps that handle.
 
+use crate::schema::Meta;
 use crate::value::Value;
-use meba_crypto::{DecodeError, Decoder, Encoder, ProcessId, WireCodec};
-use meba_sim::{Actor, Dest, Instance, Round, RoundCtx};
+use meba_crypto::{ProcessId, WireCodec};
+use meba_sim::{Actor, Dest, Instance, Message, Round, RoundCtx};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -100,28 +101,19 @@ pub(crate) fn next_scheduled(after: u64, schedule: &[(bool, u64)]) -> u64 {
         .unwrap_or(u64::MAX)
 }
 
-/// A sub-protocol message tagged with its sender's *virtual step*, used by
-/// the [`SkewAdapter`]. The inner message is a shared handle: cloning an
-/// envelope — once per receiver that buffers it — copies no payload. The
-/// handle is invisible to the codec and to the word count.
-#[derive(Clone, Debug)]
-pub struct SkewEnvelope<M> {
-    /// Virtual step at which the message was sent.
-    pub vstep: u64,
-    /// The inner message.
-    pub msg: Arc<M>,
-}
-
-impl<M: WireCodec> WireCodec for SkewEnvelope<M> {
-    fn encode_wire(&self, enc: &mut Encoder) {
-        enc.put_u64(self.vstep);
-        self.msg.encode_wire(enc);
-    }
-    fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let vstep = dec.get_u64()?;
-        let msg = Arc::new(M::decode_wire(dec)?);
-        Ok(SkewEnvelope { vstep, msg })
-    }
+crate::wire_schema! {
+    /// A sub-protocol message tagged with its sender's *virtual step*, used
+    /// by the [`SkewAdapter`]. The inner message is a shared handle:
+    /// cloning an envelope — once per receiver that buffers it — copies no
+    /// payload. The handle is invisible to the codec and to the word count:
+    /// an envelope costs what its message costs.
+    #[derive(Clone, Debug)]
+    pub struct SkewEnvelope<M: Message + WireCodec>: Message {
+        /// Virtual step at which the message was sent.
+        pub vstep: u64 as Meta,
+        /// The inner message.
+        pub msg: Arc<M>,
+    } in msg
 }
 
 /// Embeds a [`SubProtocol`] whose participants may start up to `δ` (one
@@ -474,7 +466,7 @@ pub(crate) mod hint_contract {
 mod tests {
     use super::*;
     use crate::fallback::{EchoFallbackFactory, EchoMsg};
-    use meba_sim::Message;
+    use meba_crypto::{DecodeError, Decoder, Encoder};
 
     #[derive(Clone, Debug)]
     struct Num(#[allow(dead_code)] u64);

@@ -4,7 +4,8 @@
 //! canonically encodable (so signatures over it are well-defined words) and
 //! totally ordered (for deterministic tie-breaking in baselines).
 
-use meba_crypto::{DecodeError, Decoder, Encoder};
+use meba_crypto::encoding::len;
+use meba_crypto::{with_scratch_encoder, DecodeError, Decoder, Encoder};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -24,6 +25,16 @@ pub trait Value: Clone + Eq + Ord + Hash + Debug + Send + Sync + 'static {
     fn value_words(&self) -> u64 {
         1
     }
+
+    /// Length of [`Value::encode_value`]'s output in bytes. The default
+    /// encodes into the thread-local scratch buffer to measure; the
+    /// values here compute it.
+    fn value_len(&self) -> u64 {
+        with_scratch_encoder(|enc| {
+            self.encode_value(enc);
+            enc.len() as u64
+        })
+    }
 }
 
 impl Value for bool {
@@ -32,6 +43,9 @@ impl Value for bool {
     }
     fn decode_value(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         dec.get_bool()
+    }
+    fn value_len(&self) -> u64 {
+        len::BOOL
     }
 }
 
@@ -42,6 +56,9 @@ impl Value for u32 {
     fn decode_value(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         dec.get_u32()
     }
+    fn value_len(&self) -> u64 {
+        len::U32
+    }
 }
 
 impl Value for u64 {
@@ -50,6 +67,9 @@ impl Value for u64 {
     }
     fn decode_value(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         dec.get_u64()
+    }
+    fn value_len(&self) -> u64 {
+        len::U64
     }
 }
 
@@ -65,6 +85,9 @@ impl Value for String {
         // One word per 8 bytes of payload, at least one.
         (self.len() as u64).div_ceil(8).max(1)
     }
+    fn value_len(&self) -> u64 {
+        len::bytes(self.len())
+    }
 }
 
 impl Value for Vec<u8> {
@@ -76,6 +99,9 @@ impl Value for Vec<u8> {
     }
     fn value_words(&self) -> u64 {
         (self.len() as u64).div_ceil(8).max(1)
+    }
+    fn value_len(&self) -> u64 {
+        len::bytes(self.len())
     }
 }
 
@@ -106,6 +132,7 @@ mod tests {
     fn values_round_trip_through_decode() {
         fn rt<V: Value>(v: &V) {
             let bytes = enc(v);
+            assert_eq!(v.value_len(), bytes.len() as u64);
             let mut dec = Decoder::new(&bytes);
             let back = V::decode_value(&mut dec).unwrap();
             dec.finish().unwrap();

@@ -30,6 +30,7 @@
 
 use crate::config::SystemConfig;
 use crate::decision::Decision;
+use crate::schema::Meta;
 use crate::signing::{
     sign_payload, CommitProof, DecideProof, DecideSig, HelpReqSig, ShareCollector, VoteSig,
 };
@@ -38,8 +39,8 @@ use crate::subprotocol::{
 };
 use crate::validity::Validity;
 use crate::value::Value;
-use meba_crypto::{DecodeError, Decoder, Digest, Encoder, Pki, SecretKey, Signable, Signature};
-use meba_crypto::{ProcessId, SignContext, ThresholdSignature, WireCodec, WordCost};
+use meba_crypto::{Digest, Encoder, Pki, SecretKey, Signable, Signature};
+use meba_crypto::{ProcessId, SignContext, ThresholdSignature, WireCodec};
 use meba_sim::{Dest, Message, RecoveryEvent};
 
 /// Message type of the fallback protocol produced by factory `F` for
@@ -52,240 +53,84 @@ pub type WeakBaMsgOf<V, F> = WeakBaMsg<V, FallbackMsgOf<V, F>>;
 /// An addressed outgoing message batch of a [`WeakBa`].
 pub type WeakBaOutbox<V, F> = Vec<(Dest, WeakBaMsgOf<V, F>)>;
 
-/// Wire messages of weak BA. `FM` is the fallback's message type.
-#[derive(Clone, Debug)]
-pub enum WeakBaMsg<V, FM> {
-    /// `⟨propose, v, j⟩_leader` (Alg 4 line 32).
-    Propose {
-        /// Phase number (1-based).
-        phase: u32,
-        /// The leader's value.
-        value: V,
-    },
-    /// `⟨vote, v, j⟩_p` to the leader (line 34).
-    Vote {
-        /// Phase.
-        phase: u32,
-        /// Voted value.
-        value: V,
-        /// Signature over [`VoteSig`].
-        sig: Signature,
-    },
-    /// `⟨commit, w, QC, level, j⟩_p` to the leader (line 36).
-    CommitReply {
-        /// Phase.
-        phase: u32,
-        /// Previously committed value.
-        value: V,
-        /// Its commit certificate and level.
-        proof: CommitProof,
-    },
-    /// `⟨commit, v, QC, level, j⟩_leader` broadcast (lines 39 / 42).
-    CommitCert {
-        /// Phase.
-        phase: u32,
-        /// Committed value.
-        value: V,
-        /// Certificate; `proof.level == phase` for fresh commits, older
-        /// for relays.
-        proof: CommitProof,
-    },
-    /// `⟨decide, v, j⟩_p` to the leader (line 44).
-    Decide {
-        /// Phase.
-        phase: u32,
-        /// Value being finalized.
-        value: V,
-        /// Signature over [`DecideSig`].
-        sig: Signature,
-    },
-    /// `⟨finalized, v, QC, j⟩_leader` broadcast (line 51).
-    FinalizeCert {
-        /// Phase.
-        phase: u32,
-        /// Finalized value.
-        value: V,
-        /// Finalize certificate.
-        proof: DecideProof,
-    },
-    /// `⟨help_req⟩_p` broadcast (Alg 3 line 6).
-    HelpReq {
-        /// Signature over [`HelpReqSig`].
-        sig: Signature,
-    },
-    /// `⟨help, v, decide_proof⟩` to a requester (line 8).
-    Help {
-        /// The sender's decision.
-        value: V,
-        /// Its finalize certificate.
-        proof: DecideProof,
-    },
-    /// `⟨fallback, QC_fallback, v?, proof?⟩` broadcast (lines 11 / 22).
-    FallbackCert {
-        /// `(t+1, n)`-threshold certificate over `help_req`s.
-        qc: ThresholdSignature,
-        /// The sender's decision and proof, if it has one.
-        decision: Option<(V, DecideProof)>,
-    },
-    /// A message of the inner `A_fallback`, tagged with its virtual step.
-    Fallback(SkewEnvelope<FM>),
-}
-
-impl<V: Value, FM: Message + WireCodec> Message for WeakBaMsg<V, FM> {
-    fn words(&self) -> u64 {
-        match self {
-            WeakBaMsg::Propose { value, .. } => value.value_words(),
-            WeakBaMsg::Vote { value, sig, .. } => value.value_words() + sig.words(),
-            WeakBaMsg::CommitReply { value, proof, .. }
-            | WeakBaMsg::CommitCert { value, proof, .. } => value.value_words() + proof.qc.words(),
-            WeakBaMsg::Decide { value, sig, .. } => value.value_words() + sig.words(),
-            WeakBaMsg::FinalizeCert { value, proof, .. } => value.value_words() + proof.qc.words(),
-            WeakBaMsg::HelpReq { sig } => sig.words(),
-            WeakBaMsg::Help { value, proof } => value.value_words() + proof.qc.words(),
-            WeakBaMsg::FallbackCert { qc, decision } => {
-                qc.words() + decision.as_ref().map_or(0, |(v, p)| v.value_words() + p.qc.words())
-            }
-            WeakBaMsg::Fallback(env) => env.msg.words(),
-        }
-    }
-
-    fn constituent_sigs(&self) -> u64 {
-        match self {
-            WeakBaMsg::Propose { .. } => 0,
-            WeakBaMsg::Vote { sig, .. } | WeakBaMsg::Decide { sig, .. } => sig.constituent_sigs(),
-            WeakBaMsg::CommitReply { proof, .. } | WeakBaMsg::CommitCert { proof, .. } => {
-                proof.qc.constituent_sigs()
-            }
-            WeakBaMsg::FinalizeCert { proof, .. } | WeakBaMsg::Help { proof, .. } => {
-                proof.qc.constituent_sigs()
-            }
-            WeakBaMsg::HelpReq { sig } => sig.constituent_sigs(),
-            WeakBaMsg::FallbackCert { qc, decision } => {
-                qc.constituent_sigs()
-                    + decision.as_ref().map_or(0, |(_, p)| p.qc.constituent_sigs())
-            }
-            WeakBaMsg::Fallback(env) => env.msg.constituent_sigs(),
-        }
-    }
-
-    fn component(&self) -> &'static str {
-        match self {
-            WeakBaMsg::HelpReq { .. } | WeakBaMsg::Help { .. } | WeakBaMsg::FallbackCert { .. } => {
-                "weak-ba/help"
-            }
-            WeakBaMsg::Fallback(env) => env.msg.component(),
-            _ => "weak-ba/phases",
-        }
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        self.wire_len()
-    }
-}
-
-impl<V: Value, FM: WireCodec> WireCodec for WeakBaMsg<V, FM> {
-    fn encode_wire(&self, enc: &mut Encoder) {
-        match self {
-            WeakBaMsg::Propose { phase, value } => {
-                enc.put_u32(0);
-                enc.put_u32(*phase);
-                value.encode_value(enc);
-            }
-            WeakBaMsg::Vote { phase, value, sig } => {
-                enc.put_u32(1);
-                enc.put_u32(*phase);
-                value.encode_value(enc);
-                sig.encode(enc);
-            }
-            WeakBaMsg::CommitReply { phase, value, proof } => {
-                enc.put_u32(2);
-                enc.put_u32(*phase);
-                value.encode_value(enc);
-                proof.encode_wire(enc);
-            }
-            WeakBaMsg::CommitCert { phase, value, proof } => {
-                enc.put_u32(3);
-                enc.put_u32(*phase);
-                value.encode_value(enc);
-                proof.encode_wire(enc);
-            }
-            WeakBaMsg::Decide { phase, value, sig } => {
-                enc.put_u32(4);
-                enc.put_u32(*phase);
-                value.encode_value(enc);
-                sig.encode(enc);
-            }
-            WeakBaMsg::FinalizeCert { phase, value, proof } => {
-                enc.put_u32(5);
-                enc.put_u32(*phase);
-                value.encode_value(enc);
-                proof.encode_wire(enc);
-            }
-            WeakBaMsg::HelpReq { sig } => {
-                enc.put_u32(6);
-                sig.encode(enc);
-            }
-            WeakBaMsg::Help { value, proof } => {
-                enc.put_u32(7);
-                value.encode_value(enc);
-                proof.encode_wire(enc);
-            }
-            WeakBaMsg::FallbackCert { qc, decision } => {
-                enc.put_u32(8);
-                qc.encode(enc);
-                enc.put_option(decision, |e, (v, p)| {
-                    v.encode_value(e);
-                    p.encode_wire(e);
-                });
-            }
-            WeakBaMsg::Fallback(env) => {
-                enc.put_u32(9);
-                env.encode_wire(enc);
-            }
-        }
-    }
-
-    fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u32()? {
-            0 => Ok(WeakBaMsg::Propose { phase: dec.get_u32()?, value: V::decode_value(dec)? }),
-            1 => Ok(WeakBaMsg::Vote {
-                phase: dec.get_u32()?,
-                value: V::decode_value(dec)?,
-                sig: Signature::decode(dec)?,
-            }),
-            2 => Ok(WeakBaMsg::CommitReply {
-                phase: dec.get_u32()?,
-                value: V::decode_value(dec)?,
-                proof: CommitProof::decode_wire(dec)?,
-            }),
-            3 => Ok(WeakBaMsg::CommitCert {
-                phase: dec.get_u32()?,
-                value: V::decode_value(dec)?,
-                proof: CommitProof::decode_wire(dec)?,
-            }),
-            4 => Ok(WeakBaMsg::Decide {
-                phase: dec.get_u32()?,
-                value: V::decode_value(dec)?,
-                sig: Signature::decode(dec)?,
-            }),
-            5 => Ok(WeakBaMsg::FinalizeCert {
-                phase: dec.get_u32()?,
-                value: V::decode_value(dec)?,
-                proof: DecideProof::decode_wire(dec)?,
-            }),
-            6 => Ok(WeakBaMsg::HelpReq { sig: Signature::decode(dec)? }),
-            7 => Ok(WeakBaMsg::Help {
-                value: V::decode_value(dec)?,
-                proof: DecideProof::decode_wire(dec)?,
-            }),
-            8 => Ok(WeakBaMsg::FallbackCert {
-                qc: ThresholdSignature::decode(dec)?,
-                decision: dec
-                    .get_option(|d| Ok((V::decode_value(d)?, DecideProof::decode_wire(d)?)))?,
-            }),
-            9 => Ok(WeakBaMsg::Fallback(SkewEnvelope::decode_wire(dec)?)),
-            _ => Err(DecodeError::Invalid { what: "WeakBaMsg variant tag" }),
-        }
+crate::wire_schema! {
+    /// Wire messages of weak BA. `FM` is the fallback's message type.
+    #[derive(Clone, Debug)]
+    pub enum WeakBaMsg<V: Value, FM: Message + WireCodec>: Message {
+        /// `⟨propose, v, j⟩_leader` (Alg 4 line 32).
+        0 => Propose {
+            /// Phase number (1-based).
+            phase: u32 as Meta,
+            /// The leader's value.
+            value: V,
+        } in "weak-ba/phases",
+        /// `⟨vote, v, j⟩_p` to the leader (line 34).
+        1 => Vote {
+            /// Phase.
+            phase: u32 as Meta,
+            /// Voted value.
+            value: V,
+            /// Signature over [`VoteSig`].
+            sig: Signature,
+        } in "weak-ba/phases",
+        /// `⟨commit, w, QC, level, j⟩_p` to the leader (line 36).
+        2 => CommitReply {
+            /// Phase.
+            phase: u32 as Meta,
+            /// Previously committed value.
+            value: V,
+            /// Its commit certificate and level.
+            proof: CommitProof,
+        } in "weak-ba/phases",
+        /// `⟨commit, v, QC, level, j⟩_leader` broadcast (lines 39 / 42).
+        3 => CommitCert {
+            /// Phase.
+            phase: u32 as Meta,
+            /// Committed value.
+            value: V,
+            /// Certificate; `proof.level == phase` for fresh commits, older
+            /// for relays.
+            proof: CommitProof,
+        } in "weak-ba/phases",
+        /// `⟨decide, v, j⟩_p` to the leader (line 44).
+        4 => Decide {
+            /// Phase.
+            phase: u32 as Meta,
+            /// Value being finalized.
+            value: V,
+            /// Signature over [`DecideSig`].
+            sig: Signature,
+        } in "weak-ba/phases",
+        /// `⟨finalized, v, QC, j⟩_leader` broadcast (line 51).
+        5 => FinalizeCert {
+            /// Phase.
+            phase: u32 as Meta,
+            /// Finalized value.
+            value: V,
+            /// Finalize certificate.
+            proof: DecideProof,
+        } in "weak-ba/phases",
+        /// `⟨help_req⟩_p` broadcast (Alg 3 line 6).
+        6 => HelpReq {
+            /// Signature over [`HelpReqSig`].
+            sig: Signature,
+        } in "weak-ba/help",
+        /// `⟨help, v, decide_proof⟩` to a requester (line 8).
+        7 => Help {
+            /// The sender's decision.
+            value: V,
+            /// Its finalize certificate.
+            proof: DecideProof,
+        } in "weak-ba/help",
+        /// `⟨fallback, QC_fallback, v?, proof?⟩` broadcast (lines 11 / 22).
+        8 => FallbackCert {
+            /// `(t+1, n)`-threshold certificate over `help_req`s.
+            qc: ThresholdSignature,
+            /// The sender's decision and proof, if it has one.
+            decision: Option<(V, DecideProof)>,
+        } in "weak-ba/help",
+        /// A message of the inner `A_fallback`, tagged with its virtual step.
+        9 => Fallback(SkewEnvelope<FM>),
     }
 }
 

@@ -131,6 +131,28 @@ impl Encoder {
     }
 }
 
+/// Encoded lengths of the [`Encoder`]'s fields, type tag included, so a
+/// codec can size a message without encoding it.
+pub mod len {
+    /// [`Encoder::put_u32`](super::Encoder::put_u32).
+    pub const U32: u64 = 5;
+    /// [`Encoder::put_u64`](super::Encoder::put_u64).
+    pub const U64: u64 = 9;
+    /// [`Encoder::put_bool`](super::Encoder::put_bool).
+    pub const BOOL: u64 = 2;
+    /// [`Encoder::put_id`](super::Encoder::put_id).
+    pub const ID: u64 = 5;
+    /// [`Encoder::put_digest`](super::Encoder::put_digest).
+    pub const DIGEST: u64 = 33;
+    /// An option's presence byte ([`Encoder::put_option`](super::Encoder::put_option)).
+    pub const PRESENCE: u64 = 1;
+
+    /// [`Encoder::put_bytes`](super::Encoder::put_bytes) of `n` bytes.
+    pub const fn bytes(n: usize) -> u64 {
+        9 + n as u64
+    }
+}
+
 thread_local! {
     /// Per-thread scratch buffer behind [`with_scratch_encoder`]. A `Cell`
     /// (not `RefCell`) so reentrant use degrades to a fresh allocation
@@ -493,6 +515,22 @@ mod tests {
         assert_eq!(dec.get_option(|d| d.get_u32()).unwrap(), Some(11));
         assert_eq!(dec.get_option(|d| d.get_u32()).unwrap(), None);
         dec.finish().unwrap();
+    }
+
+    #[test]
+    fn fixed_lengths_match_the_encoder() {
+        let measure = |f: &dyn Fn(&mut Encoder)| {
+            let mut enc = Encoder::new();
+            f(&mut enc);
+            enc.len() as u64
+        };
+        assert_eq!(measure(&|e| e.put_u32(7)), len::U32);
+        assert_eq!(measure(&|e| e.put_u64(7)), len::U64);
+        assert_eq!(measure(&|e| e.put_bool(true)), len::BOOL);
+        assert_eq!(measure(&|e| e.put_id(ProcessId(7))), len::ID);
+        assert_eq!(measure(&|e| e.put_digest(&Digest::of(b"x"))), len::DIGEST);
+        assert_eq!(measure(&|e| e.put_option(&Some(()), |_, _| ())), len::PRESENCE);
+        assert_eq!(measure(&|e| e.put_bytes(b"seven b")), len::bytes(7));
     }
 
     #[test]

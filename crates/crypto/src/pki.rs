@@ -32,6 +32,7 @@
 //! (used by experiment E4 to reproduce the Dolev–Reischuk `Ω(nt)`
 //! signature bound) is `1`, `k`, and `|signers|` respectively.
 
+use crate::encoding::len;
 use crate::error::{CryptoError, DecodeError};
 use crate::hmac::{ct_eq, hmac_sha256, HmacSha256};
 use crate::ids::ProcessId;
@@ -535,6 +536,9 @@ impl crate::encoding::WireCodec for Signature {
     fn decode_wire(dec: &mut crate::encoding::Decoder<'_>) -> Result<Self, DecodeError> {
         Signature::decode(dec)
     }
+    fn wire_len(&self) -> u64 {
+        len::ID + len::bytes(self.tag.len())
+    }
 }
 
 impl fmt::Debug for Signature {
@@ -591,6 +595,9 @@ impl crate::encoding::WireCodec for ThresholdSignature {
     }
     fn decode_wire(dec: &mut crate::encoding::Decoder<'_>) -> Result<Self, DecodeError> {
         ThresholdSignature::decode(dec)
+    }
+    fn wire_len(&self) -> u64 {
+        len::U64 + len::DIGEST + len::bytes(self.tag.len())
     }
 }
 
@@ -679,6 +686,9 @@ impl crate::encoding::WireCodec for AggregateSignature {
     fn decode_wire(dec: &mut crate::encoding::Decoder<'_>) -> Result<Self, DecodeError> {
         AggregateSignature::decode(dec)
     }
+    fn wire_len(&self) -> u64 {
+        len::U64 + len::ID * self.signers.len() as u64 + len::DIGEST + len::bytes(self.tag.len())
+    }
 }
 
 impl fmt::Debug for AggregateSignature {
@@ -693,6 +703,18 @@ mod tests {
 
     fn setup(n: usize) -> (Pki, Vec<SecretKey>) {
         trusted_setup(n, 0xfeed)
+    }
+
+    #[test]
+    fn wire_len_is_the_encoded_length() {
+        use crate::encoding::WireCodec;
+        let (pki, keys) = setup(5);
+        let shares: Vec<_> = keys.iter().take(3).map(|k| k.sign(b"m")).collect();
+        let qc = pki.combine(3, b"m", &shares).unwrap();
+        let agg = pki.aggregate(b"m", &shares).unwrap();
+        assert_eq!(shares[0].wire_len(), shares[0].to_wire_bytes().len() as u64);
+        assert_eq!(qc.wire_len(), qc.to_wire_bytes().len() as u64);
+        assert_eq!(agg.wire_len(), agg.to_wire_bytes().len() as u64);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! Every signature binds its instance id, so shares from one subset or
 //! iteration cannot be replayed in another.
 
+use meba_core::schema::{Field, Meta};
+use meba_crypto::encoding::len;
 use meba_crypto::{DecodeError, Decoder, Encoder, ProcessId, WireCodec};
 use std::fmt;
 
@@ -126,6 +128,23 @@ impl WireCodec for InstanceId {
         let seq =
             u8::try_from(seq).map_err(|_| DecodeError::Invalid { what: "instance seq > 255" })?;
         Ok(InstanceId { scope, seq })
+    }
+    fn wire_len(&self) -> u64 {
+        3 * len::U32
+    }
+}
+
+/// An instance id names a component run, as a phase names a round: in a
+/// message it costs no word.
+impl Field<Meta> for InstanceId {
+    fn put_field(&self, enc: &mut Encoder) {
+        self.encode(enc);
+    }
+    fn get_field(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Self::decode_wire(dec)
+    }
+    fn field_len(&self) -> u64 {
+        self.wire_len()
     }
 }
 

@@ -475,7 +475,7 @@ fn fallback_traffic_is_held_by_handle() {
     let code = non_test(SUB);
     let session = non_test("crates/sim/src/session.rs");
     let held = [
-        (block(&code, r"^pub struct SkewEnvelope"), r"pub msg: Arc<M>,"),
+        (block(&code, r"^ *pub struct SkewEnvelope"), r"pub msg: Arc<M>,"),
         (block(&code, r"^pub struct SkewAdapter"), r"buffer: BTreeMap<u64, Held<P::Msg>>,"),
         (matching(&code, r"^type Held<"), r"^type Held<M> = Vec<\(ProcessId, Arc<M>\)>;"),
         (block(&code, r"^enum Handoff"), r"pending: Vec<\(ProcessId, SkewEnvelope<P::Msg>\)>"),
@@ -562,6 +562,59 @@ fn one_overrun_free_rerun() {
         &["crates", "tests", "examples"],
         "crates/testkit/src/wall_clock.rs",
     );
+}
+
+/// One declaration per message: each protocol family's words, signatures,
+/// component and codec are derived by `wire_schema!` from its one
+/// declaration, and no hand-written copy sits beside it.
+#[test]
+fn one_declaration_per_message() {
+    let families = [
+        "crates/core/src/bb.rs",
+        "crates/core/src/weak_ba.rs",
+        "crates/core/src/strong_ba.rs",
+        "crates/core/src/fallback.rs",
+        "crates/core/src/signing.rs",
+        "crates/core/src/subprotocol.rs",
+        "crates/fallback/src/messages.rs",
+    ];
+    let code: Vec<Hit> = families.iter().flat_map(|f| non_test(f)).collect();
+    let hits = matching(
+        &code,
+        r"fn (words|constituent_sigs|component|encode_wire|decode_wire|wire_bytes)\b",
+    );
+    assert!(hits.is_empty(), "hand-written message impls beside the schema:{}", report(&hits));
+    assert_count(r"fn words\(&self\) -> u64 \{", &["crates", "src", "tests", "examples"], 32);
+}
+
+/// CHANGES.md is a log, not a report: from PR 46 on an entry is at most
+/// 4,000 bytes, and longer evidence goes to EXPERIMENTS.md.
+#[test]
+fn changes_entries_stay_short() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("CHANGES.md");
+    let text = fs::read_to_string(path).unwrap();
+    // An item opens with `- `, `FOUND:` or `MENDED:` and runs until the
+    // next one; an entry is an item that opens with `- PR <n>`.
+    let mut entries: Vec<(Option<u32>, usize)> = Vec::new();
+    for line in text.lines() {
+        let opens = ["- ", "FOUND:", "MENDED:"].iter().any(|p| line.starts_with(p));
+        match entries.last_mut() {
+            Some((_, bytes)) if !opens => *bytes += 1 + line.len(),
+            _ => {
+                let pr = line.strip_prefix("- PR ").and_then(|rest| {
+                    rest.split(|c: char| !c.is_ascii_digit()).next()?.parse().ok()
+                });
+                entries.push((pr, line.len()));
+            }
+        }
+    }
+    let long: Vec<String> = entries
+        .iter()
+        .filter_map(|&(pr, bytes)| Some((pr?, bytes)))
+        .filter(|&(pr, bytes)| pr >= 46 && bytes > 4000)
+        .map(|(pr, bytes)| format!("\n  PR {pr}: {bytes} bytes"))
+        .collect();
+    assert!(long.is_empty(), "CHANGES.md entries over 4,000 bytes:{}", long.concat());
 }
 
 /// The matcher reads the extended-regex subset the invariants use.
