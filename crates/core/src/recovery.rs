@@ -300,24 +300,13 @@ impl<P: SubProtocol + std::fmt::Debug> std::fmt::Debug for Recoverable<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meba_crypto::{DecodeError, Decoder, Digest, Encoder};
+    use crate::schema::Meta;
+    use meba_crypto::{Digest, Encoder};
     use meba_journal::{MemBuffer, MemStorage, Storage};
-    use meba_sim::Message;
 
-    #[derive(Clone, Debug, PartialEq)]
-    struct Num(u64);
-    impl Message for Num {
-        fn words(&self) -> u64 {
-            1
-        }
-    }
-    impl WireCodec for Num {
-        fn encode_wire(&self, enc: &mut Encoder) {
-            enc.put_u64(self.0);
-        }
-        fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-            Ok(Num(dec.get_u64()?))
-        }
+    crate::wire_schema! {
+        #[derive(Clone, Debug, PartialEq)]
+        struct Num(u64 as Meta): Message in "protocol";
     }
 
     /// Deterministic toy protocol: each step broadcasts `base + step +

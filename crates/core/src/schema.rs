@@ -12,29 +12,20 @@
 //! # The cost rule
 //!
 //! The paper's model (§2): a word is a constant number of signatures and
-//! values, and every message costs at least one. Each field has a
-//! *role*, and the role decides what it bills:
-//!
-//! | role       | fields                                         | words            | signatures     |
-//! |------------|------------------------------------------------|------------------|----------------|
-//! | [`Meta`]   | phase, level, instance, `ProcessId`, `vstep`   | 0                | 0              |
-//! | [`Val`]    | a [`Value`]: `V`, `bool`                       | `value_words()`  | 0              |
-//! | [`Signed`] | signature, threshold signature, aggregate, and | its words        | its signers    |
-//! |            | the certificates and proofs declared here      |                  |                |
-//! | [`Msg`]    | an embedded message (`Arc<M>`)                 | the message's    | the message's  |
-//!
-//! A message costs `max(1, Σ fields)` words and `Σ fields` signatures; a
-//! delegating variant costs what its inner message costs. An `Option`
-//! costs its content when present, a pair the sum of its halves.
+//! values, and every message costs at least one. A message costs
+//! `max(1, Σ fields)` words and `Σ fields` signatures, each field billed
+//! by its role: [`Meta`], [`Val`], [`Signed`] or [`Msg`]. A delegating
+//! variant costs what its inner message costs; an `Option` costs its
+//! content when present, a pair the sum of its halves.
 //!
 //! A field's role follows from its type. Where the type alone is
-//! ambiguous the declaration names the role with `as`: a `u32` or `u64`
-//! is both a [`Value`] and a counter, so a phase is `phase: u32 as Meta`;
-//! a [`BbBaValue`](crate::BbBaValue) is a [`Value`] and carries a
-//! signature, so BB's vetting messages bill it `as Signed`. A field
-//! typed by a protocol's generic value `V` is always [`Val`]: a
-//! signature inside a weak BA value is billed its word but not counted
-//! as a signature.
+//! ambiguous the declaration must name the role with `as`, or the field
+//! does not compile: a `u32` or `u64` is both a [`Value`] and a counter,
+//! so a phase is `phase: u32 as Meta`; a [`BbBaValue`](crate::BbBaValue)
+//! is a [`Value`] and carries a signature, so BB's vetting messages bill
+//! it `as Signed`. A field typed by a protocol's generic value `V` is
+//! always [`Val`]: a signature inside a weak BA value is billed its word
+//! but not counted as a signature.
 
 use crate::value::Value;
 use meba_crypto::encoding::len;
@@ -42,21 +33,21 @@ use meba_crypto::{DecodeError, Decoder, Encoder, ProcessId, WireCodec, WordCost}
 use meba_sim::Message;
 use std::sync::Arc;
 
-/// Role of a field that identifies rather than carries: it costs nothing.
-#[derive(Debug)]
+/// Role of a field that identifies rather than carries (a phase, level,
+/// instance, `ProcessId` or `vstep`): it costs nothing.
 pub struct Meta;
 
-/// Role of an agreement value: it costs `value_words()` and no signature.
-#[derive(Debug)]
+/// Role of an agreement value (`V`, `bool`): it costs `value_words()` and
+/// no signature.
 pub struct Val;
 
-/// Role of a signature or of a type that carries signatures: it costs its
-/// [`WordCost`].
-#[derive(Debug)]
+/// Role of a signature, threshold signature or aggregate, or of a
+/// certificate or proof declared here: it costs its [`WordCost`], one
+/// word and its constituent signatures.
 pub struct Signed;
 
-/// Role of an embedded message: it costs what the message costs.
-#[derive(Debug)]
+/// Role of an embedded message (`Arc<M>`): it costs what the message
+/// costs.
 pub struct Msg;
 
 /// How a field of role `R` is encoded, sized and billed. The one trait
@@ -256,8 +247,8 @@ macro_rules! wire_schema {
 
     // The cost impl, from `words`, `constituent_sigs` and `component`
     // bodies written over the binding `$this` of `&self`.
-    (@cost Message [$($impl:tt)*] [$($ty:tt)*] $this:ident $words:tt $sigs:tt $comp:tt) => {
-        impl $($impl)* $crate::schema::rt::Message for $($ty)* {
+    (@cost $kind:ident [$($impl:tt)*] [$($ty:tt)*] $this:ident $words:tt $sigs:tt $comp:tt) => {
+        impl $($impl)* $crate::schema::rt::$kind for $($ty)* {
             fn words(&self) -> u64 {
                 let $this = self;
                 $words
@@ -266,27 +257,54 @@ macro_rules! wire_schema {
                 let $this = self;
                 $sigs
             }
-            fn component(&self) -> &'static str {
-                #[allow(unused_variables)]
-                let $this = self;
-                $comp
-            }
-            fn wire_bytes(&self) -> u64 {
-                $crate::schema::rt::WireCodec::wire_len(self)
-            }
+            $crate::wire_schema!(@message $kind $this $comp);
         }
     };
-    (@cost WordCost [$($impl:tt)*] [$($ty:tt)*] $this:ident $words:tt $sigs:tt $comp:tt) => {
-        impl $($impl)* $crate::schema::rt::WordCost for $($ty)* {
-            fn words(&self) -> u64 {
-                let $this = self;
-                $words
+    (@message WordCost $this:ident $comp:tt) => {};
+    (@message Message $this:ident $comp:tt) => {
+        fn component(&self) -> &'static str {
+            #[allow(unused_variables)]
+            let $this = self;
+            $comp
+        }
+        fn wire_bytes(&self) -> u64 {
+            $crate::schema::rt::WireCodec::wire_len(self)
+        }
+    };
+
+    // A struct's impls, its fields listed as `name binding: type [role]`.
+    (@struct [$($impl:tt)*] [$($ty:tt)*] $kind:ident
+        [$($f:tt $x:ident : $t:ty [$($r:ty)?])*] $($comp:tt)?
+    ) => {
+        impl $($impl)* $crate::schema::rt::WireCodec for $($ty)* {
+            fn encode_wire(&self, enc: &mut $crate::schema::rt::Encoder) {
+                let Self { $($f: $x),* } = self;
+                $crate::wire_schema!(@put enc $(, $x: $t [$($r)?])*);
             }
-            fn constituent_sigs(&self) -> u64 {
-                let $this = self;
-                $sigs
+
+            fn decode_wire(
+                dec: &mut $crate::schema::rt::Decoder<'_>,
+            ) -> Result<Self, $crate::schema::rt::DecodeError> {
+                Ok(Self { $($f: $crate::wire_schema!(@get dec, $t [$($r)?])),* })
+            }
+
+            fn wire_len(&self) -> u64 {
+                let Self { $($f: $x),* } = self;
+                $crate::wire_schema!(@sum field_len $(, $x: $t [$($r)?])*)
             }
         }
+
+        $crate::wire_schema!(@cost $kind [$($impl)*] [$($ty)*] this
+            {
+                let Self { $($f: $x),* } = this;
+                ::core::cmp::max(1, $crate::wire_schema!(@sum field_words $(, $x: $t [$($r)?])*))
+            }
+            {
+                let Self { $($f: $x),* } = this;
+                $crate::wire_schema!(@sum field_sigs $(, $x: $t [$($r)?])*)
+            }
+            { $($crate::wire_schema!(@component this $comp))? }
+        );
     };
 
     // A tagged union.
@@ -412,38 +430,9 @@ macro_rules! wire_schema {
             $($(#[$fattr])* $fvis $field: $fty),*
         }
 
-        impl $(<$($g: $($b0 $(+ $b)*)?),+>)? $crate::schema::rt::WireCodec for $name $(<$($g),+>)? {
-            fn encode_wire(&self, enc: &mut $crate::schema::rt::Encoder) {
-                let Self { $($field),* } = self;
-                $crate::wire_schema!(@put enc $(, $field: $fty [$($role)?])*);
-            }
-
-            fn decode_wire(
-                dec: &mut $crate::schema::rt::Decoder<'_>,
-            ) -> Result<Self, $crate::schema::rt::DecodeError> {
-                Ok(Self { $($field: $crate::wire_schema!(@get dec, $fty [$($role)?])),* })
-            }
-
-            fn wire_len(&self) -> u64 {
-                let Self { $($field),* } = self;
-                $crate::wire_schema!(@sum field_len $(, $field: $fty [$($role)?])*)
-            }
-        }
-
-        $crate::wire_schema!(@cost $kind
-            [$(<$($g: $($b0 $(+ $b)*)?),+>)?] [$name $(<$($g),+>)?] this
-            {
-                let Self { $($field),* } = this;
-                ::core::cmp::max(
-                    1,
-                    $crate::wire_schema!(@sum field_words $(, $field: $fty [$($role)?])*),
-                )
-            }
-            {
-                let Self { $($field),* } = this;
-                $crate::wire_schema!(@sum field_sigs $(, $field: $fty [$($role)?])*)
-            }
-            { $($crate::wire_schema!(@component this $comp))? }
+        $crate::wire_schema!(@struct
+            [$(<$($g: $($b0 $(+ $b)*)?),+>)?] [$name $(<$($g),+>)?] $kind
+            [$($field $field: $fty [$($role)?])*] $($comp)?
         );
     };
 
@@ -457,35 +446,9 @@ macro_rules! wire_schema {
         $(#[$attr])*
         $vis struct $name $(<$($g),+>)? ($(#[$fattr])* $fvis $fty);
 
-        impl $(<$($g: $($b0 $(+ $b)*)?),+>)? $crate::schema::rt::WireCodec for $name $(<$($g),+>)? {
-            fn encode_wire(&self, enc: &mut $crate::schema::rt::Encoder) {
-                let Self(inner) = self;
-                $crate::wire_schema!(@put enc, inner: $fty [$($role)?]);
-            }
-
-            fn decode_wire(
-                dec: &mut $crate::schema::rt::Decoder<'_>,
-            ) -> Result<Self, $crate::schema::rt::DecodeError> {
-                Ok(Self($crate::wire_schema!(@get dec, $fty [$($role)?])))
-            }
-
-            fn wire_len(&self) -> u64 {
-                let Self(inner) = self;
-                $crate::wire_schema!(@sum field_len, inner: $fty [$($role)?])
-            }
-        }
-
-        $crate::wire_schema!(@cost $kind
-            [$(<$($g: $($b0 $(+ $b)*)?),+>)?] [$name $(<$($g),+>)?] this
-            {
-                let Self(inner) = this;
-                ::core::cmp::max(1, $crate::wire_schema!(@sum field_words, inner: $fty [$($role)?]))
-            }
-            {
-                let Self(inner) = this;
-                $crate::wire_schema!(@sum field_sigs, inner: $fty [$($role)?])
-            }
-            { $($comp)? }
+        $crate::wire_schema!(@struct
+            [$(<$($g: $($b0 $(+ $b)*)?),+>)?] [$name $(<$($g),+>)?] $kind
+            [0 inner: $fty [$($role)?]] $($comp)?
         );
     };
 }

@@ -466,22 +466,10 @@ pub(crate) mod hint_contract {
 mod tests {
     use super::*;
     use crate::fallback::{EchoFallbackFactory, EchoMsg};
-    use meba_crypto::{DecodeError, Decoder, Encoder};
 
-    #[derive(Clone, Debug)]
-    struct Num(#[allow(dead_code)] u64);
-    impl Message for Num {
-        fn words(&self) -> u64 {
-            1
-        }
-    }
-    impl WireCodec for Num {
-        fn encode_wire(&self, enc: &mut Encoder) {
-            enc.put_u64(self.0);
-        }
-        fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-            Ok(Num(dec.get_u64()?))
-        }
+    crate::wire_schema! {
+        #[derive(Clone, Debug)]
+        struct Num(u64 as Meta): Message in "protocol";
     }
 
     /// Echoes its step count; decides after 3 steps on the count of
@@ -793,26 +781,15 @@ mod tests {
         static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
-    /// A message that counts its clones.
-    #[derive(Debug)]
-    struct Counted(u64);
+    crate::wire_schema! {
+        /// A message that counts its clones.
+        #[derive(Debug)]
+        struct Counted(u64 as Meta): Message in "protocol";
+    }
     impl Clone for Counted {
         fn clone(&self) -> Self {
             CLONES.set(CLONES.get() + 1);
             Counted(self.0)
-        }
-    }
-    impl Message for Counted {
-        fn words(&self) -> u64 {
-            1
-        }
-    }
-    impl WireCodec for Counted {
-        fn encode_wire(&self, enc: &mut Encoder) {
-            enc.put_u64(self.0);
-        }
-        fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-            Ok(Counted(dec.get_u64()?))
         }
     }
 

@@ -518,22 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_lengths_match_the_encoder() {
-        let measure = |f: &dyn Fn(&mut Encoder)| {
-            let mut enc = Encoder::new();
-            f(&mut enc);
-            enc.len() as u64
-        };
-        assert_eq!(measure(&|e| e.put_u32(7)), len::U32);
-        assert_eq!(measure(&|e| e.put_u64(7)), len::U64);
-        assert_eq!(measure(&|e| e.put_bool(true)), len::BOOL);
-        assert_eq!(measure(&|e| e.put_id(ProcessId(7))), len::ID);
-        assert_eq!(measure(&|e| e.put_digest(&Digest::of(b"x"))), len::DIGEST);
-        assert_eq!(measure(&|e| e.put_option(&Some(()), |_, _| ())), len::PRESENCE);
-        assert_eq!(measure(&|e| e.put_bytes(b"seven b")), len::bytes(7));
-    }
-
-    #[test]
     fn decoder_rejects_wrong_tag() {
         let mut enc = Encoder::new();
         enc.put_u64(5);

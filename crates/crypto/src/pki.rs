@@ -706,18 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_len_is_the_encoded_length() {
-        use crate::encoding::WireCodec;
-        let (pki, keys) = setup(5);
-        let shares: Vec<_> = keys.iter().take(3).map(|k| k.sign(b"m")).collect();
-        let qc = pki.combine(3, b"m", &shares).unwrap();
-        let agg = pki.aggregate(b"m", &shares).unwrap();
-        assert_eq!(shares[0].wire_len(), shares[0].to_wire_bytes().len() as u64);
-        assert_eq!(qc.wire_len(), qc.to_wire_bytes().len() as u64);
-        assert_eq!(agg.wire_len(), agg.to_wire_bytes().len() as u64);
-    }
-
-    #[test]
     fn sign_verify_roundtrip() {
         let (pki, keys) = setup(4);
         for k in &keys {

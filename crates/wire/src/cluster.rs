@@ -391,23 +391,12 @@ pub fn drive_mesh<M: Message + WireCodec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meba_crypto::{DecodeError, Decoder, Encoder};
+    use meba_core::schema::Meta;
     use meba_sim::{Actor, RoundCtx};
 
-    #[derive(Clone, Debug)]
-    struct Num(u64);
-    impl Message for Num {
-        fn words(&self) -> u64 {
-            1
-        }
-    }
-    impl WireCodec for Num {
-        fn encode_wire(&self, enc: &mut Encoder) {
-            enc.put_u64(self.0);
-        }
-        fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-            Ok(Num(dec.get_u64()?))
-        }
+    meba_core::wire_schema! {
+        #[derive(Clone, Debug)]
+        struct Num(u64 as Meta): Message in "protocol";
     }
 
     /// Done from the start, having refused to sign three equivocations.
@@ -444,26 +433,15 @@ mod tests {
         static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
-    /// A message whose every deep copy is counted.
-    #[derive(Debug)]
-    struct Counted(u64);
+    meba_core::wire_schema! {
+        /// A message whose every deep copy is counted.
+        #[derive(Debug)]
+        struct Counted(u64 as Meta): Message in "protocol";
+    }
     impl Clone for Counted {
         fn clone(&self) -> Self {
             CLONES.set(CLONES.get() + 1);
             Counted(self.0)
-        }
-    }
-    impl Message for Counted {
-        fn words(&self) -> u64 {
-            1
-        }
-    }
-    impl WireCodec for Counted {
-        fn encode_wire(&self, enc: &mut Encoder) {
-            enc.put_u64(self.0);
-        }
-        fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-            Ok(Counted(dec.get_u64()?))
         }
     }
 

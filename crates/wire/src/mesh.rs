@@ -393,28 +393,14 @@ impl<M> Drop for TcpMesh<M> {
 mod tests {
     use super::*;
     use crate::handshake::{config_digest, PROTOCOL_VERSION};
+    use meba_core::schema::Meta;
     use meba_core::SystemConfig;
-    use meba_crypto::{DecodeError, Decoder, Encoder};
     use std::io::Write as _;
     use std::net::TcpStream;
 
-    #[derive(Clone, Debug, PartialEq)]
-    struct Num(u64);
-    impl Message for Num {
-        fn words(&self) -> u64 {
-            1
-        }
-        fn wire_bytes(&self) -> u64 {
-            self.wire_len()
-        }
-    }
-    impl WireCodec for Num {
-        fn encode_wire(&self, enc: &mut Encoder) {
-            enc.put_u64(self.0);
-        }
-        fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-            Ok(Num(dec.get_u64()?))
-        }
+    meba_core::wire_schema! {
+        #[derive(Clone, Debug, PartialEq)]
+        struct Num(u64 as Meta): Message in "protocol";
     }
 
     fn meshes_with(

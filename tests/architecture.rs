@@ -584,7 +584,7 @@ fn one_declaration_per_message() {
         r"fn (words|constituent_sigs|component|encode_wire|decode_wire|wire_bytes)\b",
     );
     assert!(hits.is_empty(), "hand-written message impls beside the schema:{}", report(&hits));
-    assert_count(r"fn words\(&self\) -> u64 \{", &["crates", "src", "tests", "examples"], 32);
+    assert_count(r"fn words\(&self\) -> u64 \{", &["crates", "src", "tests", "examples"], 22);
 }
 
 /// CHANGES.md is a log, not a report: from PR 46 on an entry is at most
