@@ -28,7 +28,6 @@
 
 use crate::config::SystemConfig;
 use crate::decision::Decision;
-use crate::schema::{Meta, Signed};
 use crate::signing::{
     sign_payload, verify_payload, BbIdkSig, BbValueSig, DecideProof, ShareCollector,
 };

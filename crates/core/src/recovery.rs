@@ -300,7 +300,6 @@ impl<P: SubProtocol + std::fmt::Debug> std::fmt::Debug for Recoverable<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Meta;
     use meba_crypto::{Digest, Encoder};
     use meba_journal::{MemBuffer, MemStorage, Storage};
 

@@ -2,39 +2,35 @@
 //!
 //! A message family is declared once, inside the schema: its type
 //! definition with docs, each variant's wire tag, its fields in wire
-//! order, and either its component string or the one inner message it
-//! delegates to. The schema derives the rest from that declaration:
-//! [`WireCodec`] (encode, decode, and `wire_len` summed per field, with
-//! no encoding) and either [`Message`] (`words`, `constituent_sigs`,
-//! `component`, `wire_bytes`) or, for a type that travels inside
-//! messages, [`WordCost`].
+//! order, and its component string or the inner message it delegates to.
 //!
 //! # The cost rule
 //!
 //! The paper's model (§2): a word is a constant number of signatures and
 //! values, and every message costs at least one. A message costs
 //! `max(1, Σ fields)` words and `Σ fields` signatures, each field billed
-//! by its role: [`Meta`], [`Val`], [`Signed`] or [`Msg`]. A delegating
-//! variant costs what its inner message costs; an `Option` costs its
-//! content when present, a pair the sum of its halves.
+//! by its role: [`Meta`], [`Val`], [`Signed`] or [`Msg`]; an optional
+//! pair costs its halves when present.
 //!
 //! A field's role follows from its type. Where the type alone is
-//! ambiguous the declaration must name the role with `as`, or the field
-//! does not compile: a `u32` or `u64` is both a [`Value`] and a counter,
-//! so a phase is `phase: u32 as Meta`; a [`BbBaValue`](crate::BbBaValue)
-//! is a [`Value`] and carries a signature, so BB's vetting messages bill
-//! it `as Signed`. A field typed by a protocol's generic value `V` is
-//! always [`Val`]: a signature inside a weak BA value is billed its word
-//! but not counted as a signature.
+//! ambiguous the declaration names the role with `as`, or the field does
+//! not compile: a `u32` or `u64` is both a [`Value`] and a counter, so a
+//! phase is `phase: u32 as Meta`; a [`BbBaValue`](crate::BbBaValue) is a
+//! [`Value`] that carries a signature, so BB's vetting messages bill it
+//! `as Signed`. A field typed by a protocol's generic value `V` is always
+//! [`Val`]: a signature inside a weak BA value is billed its word but not
+//! counted as a signature.
 
 use crate::value::Value;
-use meba_crypto::encoding::len;
-use meba_crypto::{DecodeError, Decoder, Encoder, ProcessId, WireCodec, WordCost};
-use meba_sim::Message;
 use std::sync::Arc;
 
+#[doc(hidden)]
+pub use meba_crypto::{encoding::len, DecodeError, Decoder, Encoder, WireCodec, WordCost};
+#[doc(hidden)]
+pub use meba_sim::Message;
+
 /// Role of a field that identifies rather than carries (a phase, level,
-/// instance, `ProcessId` or `vstep`): it costs nothing.
+/// instance, `ProcessId`, `vstep` or wire tag): it costs nothing.
 pub struct Meta;
 
 /// Role of an agreement value (`V`, `bool`): it costs `value_words()` and
@@ -42,12 +38,12 @@ pub struct Meta;
 pub struct Val;
 
 /// Role of a signature, threshold signature or aggregate, or of a
-/// certificate or proof declared here: it costs its [`WordCost`], one
-/// word and its constituent signatures.
+/// certificate declared here: it costs its [`WordCost`], one word and its
+/// constituent signatures.
 pub struct Signed;
 
-/// Role of an embedded message (`Arc<M>`): it costs what the message
-/// costs.
+/// Role of an embedded message, inline or behind an `Arc`: it costs what
+/// the message costs.
 pub struct Msg;
 
 /// How a field of role `R` is encoded, sized and billed. The one trait
@@ -90,7 +86,7 @@ macro_rules! meta_field {
 meta_field! {
     u32: put_u32, get_u32, len::U32;
     u64: put_u64, get_u64, len::U64;
-    ProcessId: put_id, get_id, len::ID;
+    meba_crypto::ProcessId: put_id, get_id, len::ID;
 }
 
 impl<V: Value> Field<Val> for V {
@@ -126,76 +122,72 @@ impl<T: WordCost + WireCodec> Field<Signed> for T {
     }
 }
 
-/// The handle is invisible to the codec and to the word count.
-impl<M: Message + WireCodec> Field<Msg> for Arc<M> {
+impl<M: Message + WireCodec> Field<Msg> for M {
     fn put_field(&self, enc: &mut Encoder) {
         self.encode_wire(enc);
     }
     fn get_field(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Arc::new(M::decode_wire(dec)?))
+        M::decode_wire(dec)
     }
     fn field_len(&self) -> u64 {
-        M::wire_len(self)
+        self.wire_len()
     }
     fn field_words(&self) -> u64 {
-        Message::words(&**self)
+        Message::words(self)
     }
     fn field_sigs(&self) -> u64 {
-        Message::constituent_sigs(&**self)
+        Message::constituent_sigs(self)
     }
 }
 
-impl<R, T: Field<R>> Field<Option<R>> for Option<T> {
+/// The handle is invisible to the codec and to the word count.
+impl<R, T: Field<R>> Field<Arc<R>> for Arc<T> {
     fn put_field(&self, enc: &mut Encoder) {
-        enc.put_option(self, |e, v| v.put_field(e));
+        T::put_field(self, enc);
     }
     fn get_field(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        dec.get_option(T::get_field)
+        T::get_field(dec).map(Arc::new)
     }
     fn field_len(&self) -> u64 {
-        len::PRESENCE + self.as_ref().map_or(0, T::field_len)
+        T::field_len(self)
     }
     fn field_words(&self) -> u64 {
-        self.as_ref().map_or(0, T::field_words)
+        T::field_words(self)
     }
     fn field_sigs(&self) -> u64 {
-        self.as_ref().map_or(0, T::field_sigs)
+        T::field_sigs(self)
     }
 }
 
-impl<RA, RB, A: Field<RA>, B: Field<RB>> Field<(RA, RB)> for (A, B) {
+/// A decision and its proof, if the sender has one.
+impl<RA, RB, A: Field<RA>, B: Field<RB>> Field<Option<(RA, RB)>> for Option<(A, B)> {
     fn put_field(&self, enc: &mut Encoder) {
-        self.0.put_field(enc);
-        self.1.put_field(enc);
+        enc.put_option(self, |e, (a, b)| {
+            a.put_field(e);
+            b.put_field(e);
+        });
     }
     fn get_field(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok((A::get_field(dec)?, B::get_field(dec)?))
+        dec.get_option(|d| Ok((A::get_field(d)?, B::get_field(d)?)))
     }
     fn field_len(&self) -> u64 {
-        self.0.field_len() + self.1.field_len()
+        len::PRESENCE + self.as_ref().map_or(0, |(a, b)| a.field_len() + b.field_len())
     }
     fn field_words(&self) -> u64 {
-        self.0.field_words() + self.1.field_words()
+        self.as_ref().map_or(0, |(a, b)| a.field_words() + b.field_words())
     }
     fn field_sigs(&self) -> u64 {
-        self.0.field_sigs() + self.1.field_sigs()
+        self.as_ref().map_or(0, |(a, b)| a.field_sigs() + b.field_sigs())
     }
-}
-
-/// What the expansion of [`wire_schema!`](crate::wire_schema) names, by a
-/// path that resolves in any crate.
-#[doc(hidden)]
-pub mod rt {
-    pub use meba_crypto::encoding::len;
-    pub use meba_crypto::{DecodeError, Decoder, Encoder, WireCodec, WordCost};
-    pub use meba_sim::Message;
 }
 
 /// Declares a wire type once and derives its codec and its cost.
 ///
-/// Three shapes, each headed by the trait its cost is derived as:
-/// `Message` for a message family, `WordCost` for a type carried inside
-/// messages (see the [module docs](crate::schema) for the cost rule).
+/// Derives [`WireCodec`], with `wire_len` summed per field and no
+/// encoding, and the cost trait the declaration is headed by: `Message`
+/// for a message family, `WordCost` for a type carried inside messages
+/// (see the [module docs](crate::schema) for the cost rule). A role is
+/// named bare, `as Meta`, with nothing to import.
 ///
 /// ```text
 /// wire_schema! {
@@ -214,97 +206,105 @@ pub mod rt {
 ///
 /// An enum encodes its variant's tag as a `u32`, then the fields in
 /// order; an unknown tag decodes to `DecodeError::Invalid` naming the
-/// enum. A struct encodes its fields only. A struct's component is a
-/// string, or the name of an `Arc<M>` field whose message it delegates
-/// to.
+/// enum. A struct encodes its fields only; its component is a string or
+/// the name of the `Arc<M>` field whose message it delegates to.
 #[macro_export]
 macro_rules! wire_schema {
-    // The role a field is billed in: the declared one, or the one its
-    // type has.
+    // The role a field is billed in: the declared one, or its type's.
     (@role) => { _ };
-    (@role $r:ty) => { $r };
+    (@role $r:ident) => { $crate::schema::$r };
 
-    // Σ of one `Field` method over bound fields.
-    (@sum $m:ident $(, $x:ident : $t:ty [$($r:ty)?])*) => {
-        0 $(+ <$t as $crate::schema::Field<$crate::wire_schema!(@role $($r)?)>>::$m($x))*
+    // Calls one `Field` method of a field of type `$t`.
+    (@f $m:ident ($($arg:tt)*) $t:ty [$($r:ident)?]) => {
+        <$t as $crate::schema::Field<$crate::wire_schema!(@role $($r)?)>>::$m($($arg)*)
     };
 
-    // Writes bound fields in order.
-    (@put $enc:ident $(, $x:ident : $t:ty [$($r:ty)?])*) => {
-        $(<$t as $crate::schema::Field<$crate::wire_schema!(@role $($r)?)>>::put_field($x, $enc);)*
-    };
+    // A component: a string, or the one held by the message bound to `$x`.
+    (@component $c:literal) => { $c };
+    (@component $x:ident) => {{
+        #[allow(unused_imports)]
+        use $crate::schema::Message as _;
+        $x.component()
+    }};
 
-    // Reads one field.
-    (@get $dec:ident, $t:ty [$($r:ty)?]) => {
-        <$t as $crate::schema::Field<$crate::wire_schema!(@role $($r)?)>>::get_field($dec)?
+    // A struct decodes its fields; an enum its tag first.
+    (@decode $dec:ident $name:ident [$($p:tt)+] { $($f:tt $t:ty [$($r:ident)?]),* }) => {
+        Ok($($p)+ { $($f: $crate::wire_schema!(@f get_field ($dec) $t [$($r)?])?),* })
     };
-
-    // A struct's component: a string, or the message behind a field.
-    (@component $this:ident $c:literal) => { $c };
-    (@component $this:ident $f:ident) => {
-        $crate::schema::rt::Message::component(&*$this.$f)
-    };
-
-    // The cost impl, from `words`, `constituent_sigs` and `component`
-    // bodies written over the binding `$this` of `&self`.
-    (@cost $kind:ident [$($impl:tt)*] [$($ty:tt)*] $this:ident $words:tt $sigs:tt $comp:tt) => {
-        impl $($impl)* $crate::schema::rt::$kind for $($ty)* {
-            fn words(&self) -> u64 {
-                let $this = self;
-                $words
-            }
-            fn constituent_sigs(&self) -> u64 {
-                let $this = self;
-                $sigs
-            }
-            $crate::wire_schema!(@message $kind $this $comp);
+    (@decode $dec:ident $name:ident
+        $([$($p:tt)+] $tag:literal { $($f:tt $t:ty [$($r:ident)?]),* })+
+    ) => {
+        match $dec.get_u32()? {
+            $($tag => Ok($($p)+ { $($f: $crate::wire_schema!(@f get_field ($dec) $t [$($r)?])?),* }),)+
+            _ => Err($crate::schema::DecodeError::Invalid {
+                what: concat!(stringify!($name), " variant tag"),
+            }),
         }
     };
-    (@message WordCost $this:ident $comp:tt) => {};
-    (@message Message $this:ident $comp:tt) => {
+
+    (@message WordCost $($arm:tt)*) => {};
+    (@message Message $([$($p:tt)+] { $($f:tt: $x:ident),* } ($c:tt))+) => {
+        #[allow(unused_variables)]
         fn component(&self) -> &'static str {
-            #[allow(unused_variables)]
-            let $this = self;
-            $comp
+            match self {
+                $($($p)+ { $($f: $x),* } => $crate::wire_schema!(@component $c),)+
+            }
         }
         fn wire_bytes(&self) -> u64 {
-            $crate::schema::rt::WireCodec::wire_len(self)
+            $crate::schema::WireCodec::wire_len(self)
         }
     };
 
-    // A struct's impls, its fields listed as `name binding: type [role]`.
-    (@struct [$($impl:tt)*] [$($ty:tt)*] $kind:ident
-        [$($f:tt $x:ident : $t:ty [$($r:ty)?])*] $($comp:tt)?
+    // Every shape ends here, one arm per variant (one for a struct):
+    // `[pattern path] tag? { field binding: type [role], … } (component?)`.
+    (@impl [$($g:tt)*] [$($ty:tt)*] $kind:ident $name:ident
+        $([$($p:tt)+] $($tag:literal)? { $($f:tt $x:ident: $t:ty [$($r:ident)?]),* } ($($c:tt)?))+
     ) => {
-        impl $($impl)* $crate::schema::rt::WireCodec for $($ty)* {
-            fn encode_wire(&self, enc: &mut $crate::schema::rt::Encoder) {
-                let Self { $($f: $x),* } = self;
-                $crate::wire_schema!(@put enc $(, $x: $t [$($r)?])*);
+        impl $($g)* $crate::schema::WireCodec for $($ty)* {
+            fn encode_wire(&self, enc: &mut $crate::schema::Encoder) {
+                match self {$(
+                    $($p)+ { $($f: $x),* } => {
+                        $(enc.put_u32($tag);)?
+                        $($crate::wire_schema!(@f put_field ($x, enc) $t [$($r)?]);)*
+                    }
+                )+}
             }
 
             fn decode_wire(
-                dec: &mut $crate::schema::rt::Decoder<'_>,
-            ) -> Result<Self, $crate::schema::rt::DecodeError> {
-                Ok(Self { $($f: $crate::wire_schema!(@get dec, $t [$($r)?])),* })
+                dec: &mut $crate::schema::Decoder<'_>,
+            ) -> Result<Self, $crate::schema::DecodeError> {
+                $crate::wire_schema!(@decode dec $name
+                    $([$($p)+] $($tag)? { $($f $t [$($r)?]),* })+)
             }
 
             fn wire_len(&self) -> u64 {
-                let Self { $($f: $x),* } = self;
-                $crate::wire_schema!(@sum field_len $(, $x: $t [$($r)?])*)
+                match self {$(
+                    $($p)+ { $($f: $x),* } => 0
+                        $(+ $crate::wire_schema!(@f field_len (&$tag) u32 [Meta]))?
+                        $(+ $crate::wire_schema!(@f field_len ($x) $t [$($r)?]))*,
+                )+}
             }
         }
 
-        $crate::wire_schema!(@cost $kind [$($impl)*] [$($ty)*] this
-            {
-                let Self { $($f: $x),* } = this;
-                ::core::cmp::max(1, $crate::wire_schema!(@sum field_words $(, $x: $t [$($r)?])*))
+        impl $($g)* $crate::schema::$kind for $($ty)* {
+            fn words(&self) -> u64 {
+                match self {$(
+                    $($p)+ { $($f: $x),* } => ::core::cmp::max(
+                        1,
+                        0 $(+ $crate::wire_schema!(@f field_words ($x) $t [$($r)?]))*,
+                    ),
+                )+}
             }
-            {
-                let Self { $($f: $x),* } = this;
-                $crate::wire_schema!(@sum field_sigs $(, $x: $t [$($r)?])*)
+
+            fn constituent_sigs(&self) -> u64 {
+                match self {$(
+                    $($p)+ { $($f: $x),* } => 0
+                        $(+ $crate::wire_schema!(@f field_sigs ($x) $t [$($r)?]))*,
+                )+}
             }
-            { $($crate::wire_schema!(@component this $comp))? }
-        );
+
+            $crate::wire_schema!(@message $kind $([$($p)+] { $($f: $x),* } ($($c)?))+);
+        }
     };
 
     // A tagged union.
@@ -314,7 +314,7 @@ macro_rules! wire_schema {
             $(
                 $(#[$vattr:meta])*
                 $tag:literal => $variant:ident
-                $({ $($(#[$fattr:meta])* $field:ident : $fty:ty $(as $role:ty)?),* $(,)? }
+                $({ $($(#[$fattr:meta])* $field:ident : $fty:ty $(as $role:ident)?),* $(,)? }
                     $(in $comp:literal)?)?
                 $(($inner:ty))?
             ),* $(,)?
@@ -328,92 +328,12 @@ macro_rules! wire_schema {
             )*
         }
 
-        impl $(<$($g: $($b0 $(+ $b)*)?),+>)? $crate::schema::rt::WireCodec for $name $(<$($g),+>)? {
-            fn encode_wire(&self, enc: &mut $crate::schema::rt::Encoder) {
-                match self {
-                    $(
-                        $(Self::$variant { $($field),* } => {
-                            enc.put_u32($tag);
-                            $crate::wire_schema!(@put enc $(, $field: $fty [$($role)?])*);
-                        })?
-                        $(Self::$variant(inner) => {
-                            enc.put_u32($tag);
-                            <$inner as $crate::schema::rt::WireCodec>::encode_wire(inner, enc);
-                        })?
-                    )*
-                }
-            }
-
-            fn decode_wire(
-                dec: &mut $crate::schema::rt::Decoder<'_>,
-            ) -> Result<Self, $crate::schema::rt::DecodeError> {
-                match dec.get_u32()? {
-                    $(
-                        $($tag => Ok(Self::$variant {
-                            $($field: $crate::wire_schema!(@get dec, $fty [$($role)?])),*
-                        }),)?
-                        $($tag => Ok(Self::$variant(
-                            <$inner as $crate::schema::rt::WireCodec>::decode_wire(dec)?,
-                        )),)?
-                    )*
-                    _ => Err($crate::schema::rt::DecodeError::Invalid {
-                        what: concat!(stringify!($name), " variant tag"),
-                    }),
-                }
-            }
-
-            fn wire_len(&self) -> u64 {
-                $crate::schema::rt::len::U32
-                    + match self {
-                        $(
-                            $(Self::$variant { $($field),* } => {
-                                $crate::wire_schema!(@sum field_len $(, $field: $fty [$($role)?])*)
-                            })?
-                            $(Self::$variant(inner) => {
-                                <$inner as $crate::schema::rt::WireCodec>::wire_len(inner)
-                            })?
-                        )*
-                    }
-            }
-        }
-
-        $crate::wire_schema!(@cost $kind
-            [$(<$($g: $($b0 $(+ $b)*)?),+>)?] [$name $(<$($g),+>)?] this
-            {
-                match this {
-                    $(
-                        $(Self::$variant { $($field),* } => ::core::cmp::max(
-                            1,
-                            $crate::wire_schema!(@sum field_words $(, $field: $fty [$($role)?])*),
-                        ),)?
-                        $(Self::$variant(inner) => {
-                            <$inner as $crate::schema::rt::Message>::words(inner)
-                        })?
-                    )*
-                }
-            }
-            {
-                match this {
-                    $(
-                        $(Self::$variant { $($field),* } => {
-                            $crate::wire_schema!(@sum field_sigs $(, $field: $fty [$($role)?])*)
-                        })?
-                        $(Self::$variant(inner) => {
-                            <$inner as $crate::schema::rt::Message>::constituent_sigs(inner)
-                        })?
-                    )*
-                }
-            }
-            {
-                match this {
-                    $(
-                        $(Self::$variant { .. } => $($comp)?,)?
-                        $(Self::$variant(inner) => {
-                            <$inner as $crate::schema::rt::Message>::component(inner)
-                        })?
-                    )*
-                }
-            }
+        $crate::wire_schema!(@impl
+            [$(<$($g: $($b0 $(+ $b)*)?),+>)?] [$name $(<$($g),+>)?] $kind $name
+            $(
+                $([Self::$variant] $tag { $($field $field: $fty [$($role)?]),* } ($($comp)?))?
+                $([Self::$variant] $tag { 0 inner: $inner [Msg] } (inner))?
+            )*
         );
     };
 
@@ -421,7 +341,7 @@ macro_rules! wire_schema {
     (
         $(#[$attr:meta])*
         $vis:vis struct $name:ident $(<$($g:ident $(: $b0:ident $(+ $b:ident)*)?),+>)? : $kind:ident {
-            $($(#[$fattr:meta])* $fvis:vis $field:ident : $fty:ty $(as $role:ty)?),* $(,)?
+            $($(#[$fattr:meta])* $fvis:vis $field:ident : $fty:ty $(as $role:ident)?),* $(,)?
         }
         $(in $comp:tt)?
     ) => {
@@ -430,9 +350,9 @@ macro_rules! wire_schema {
             $($(#[$fattr])* $fvis $field: $fty),*
         }
 
-        $crate::wire_schema!(@struct
-            [$(<$($g: $($b0 $(+ $b)*)?),+>)?] [$name $(<$($g),+>)?] $kind
-            [$($field $field: $fty [$($role)?])*] $($comp)?
+        $crate::wire_schema!(@impl
+            [$(<$($g: $($b0 $(+ $b)*)?),+>)?] [$name $(<$($g),+>)?] $kind $name
+            [Self] { $($field $field: $fty [$($role)?]),* } ($($comp)?)
         );
     };
 
@@ -440,15 +360,15 @@ macro_rules! wire_schema {
     (
         $(#[$attr:meta])*
         $vis:vis struct $name:ident $(<$($g:ident $(: $b0:ident $(+ $b:ident)*)?),+>)?
-            ($(#[$fattr:meta])* $fvis:vis $fty:ty $(as $role:ty)?) : $kind:ident
+            ($(#[$fattr:meta])* $fvis:vis $fty:ty $(as $role:ident)?) : $kind:ident
         $(in $comp:literal)?;
     ) => {
         $(#[$attr])*
         $vis struct $name $(<$($g),+>)? ($(#[$fattr])* $fvis $fty);
 
-        $crate::wire_schema!(@struct
-            [$(<$($g: $($b0 $(+ $b)*)?),+>)?] [$name $(<$($g),+>)?] $kind
-            [0 inner: $fty [$($role)?]] $($comp)?
+        $crate::wire_schema!(@impl
+            [$(<$($g: $($b0 $(+ $b)*)?),+>)?] [$name $(<$($g),+>)?] $kind $name
+            [Self] { 0 inner: $fty [$($role)?] } ($($comp)?)
         );
     };
 }

@@ -12,7 +12,6 @@
 //!   replayed as fresh ones.
 
 use crate::config::SystemConfig;
-use crate::schema::Meta;
 use crate::value::Value;
 use meba_crypto::{
     Combiner, CryptoError, Encoder, Pki, ProcessId, SignContext, Signable, Signature,

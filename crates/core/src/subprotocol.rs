@@ -18,7 +18,6 @@
 //! it past its round — the host's pending list, the adapter's per-vstep
 //! buffer, the instance's inbox — keeps that handle.
 
-use crate::schema::Meta;
 use crate::value::Value;
 use meba_crypto::{ProcessId, WireCodec};
 use meba_sim::{Actor, Dest, Instance, Message, Round, RoundCtx};

@@ -37,40 +37,27 @@ pub trait Value: Clone + Eq + Ord + Hash + Debug + Send + Sync + 'static {
     }
 }
 
-impl Value for bool {
-    fn encode_value(&self, enc: &mut Encoder) {
-        enc.put_bool(*self);
-    }
-    fn decode_value(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        dec.get_bool()
-    }
-    fn value_len(&self) -> u64 {
-        len::BOOL
-    }
+/// Fixed-size values, one encoder field each.
+macro_rules! fixed_value {
+    ($($t:ty: $put:ident, $get:ident, $len:expr;)*) => {$(
+        impl Value for $t {
+            fn encode_value(&self, enc: &mut Encoder) {
+                enc.$put(*self);
+            }
+            fn decode_value(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+                dec.$get()
+            }
+            fn value_len(&self) -> u64 {
+                $len
+            }
+        }
+    )*};
 }
 
-impl Value for u32 {
-    fn encode_value(&self, enc: &mut Encoder) {
-        enc.put_u32(*self);
-    }
-    fn decode_value(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        dec.get_u32()
-    }
-    fn value_len(&self) -> u64 {
-        len::U32
-    }
-}
-
-impl Value for u64 {
-    fn encode_value(&self, enc: &mut Encoder) {
-        enc.put_u64(*self);
-    }
-    fn decode_value(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        dec.get_u64()
-    }
-    fn value_len(&self) -> u64 {
-        len::U64
-    }
+fixed_value! {
+    bool: put_bool, get_bool, len::BOOL;
+    u32: put_u32, get_u32, len::U32;
+    u64: put_u64, get_u64, len::U64;
 }
 
 impl Value for String {

@@ -30,7 +30,6 @@
 
 use crate::config::SystemConfig;
 use crate::decision::Decision;
-use crate::schema::Meta;
 use crate::signing::{
     sign_payload, CommitProof, DecideProof, DecideSig, HelpReqSig, ShareCollector, VoteSig,
 };

@@ -129,9 +129,6 @@ impl WireCodec for InstanceId {
             u8::try_from(seq).map_err(|_| DecodeError::Invalid { what: "instance seq > 255" })?;
         Ok(InstanceId { scope, seq })
     }
-    fn wire_len(&self) -> u64 {
-        3 * len::U32
-    }
 }
 
 /// An instance id names a component run, as a phase names a round: in a
@@ -144,7 +141,7 @@ impl Field<Meta> for InstanceId {
         Self::decode_wire(dec)
     }
     fn field_len(&self) -> u64 {
-        self.wire_len()
+        3 * len::U32
     }
 }
 

@@ -391,7 +391,6 @@ pub fn drive_mesh<M: Message + WireCodec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meba_core::schema::Meta;
     use meba_sim::{Actor, RoundCtx};
 
     meba_core::wire_schema! {

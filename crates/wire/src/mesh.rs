@@ -393,7 +393,6 @@ impl<M> Drop for TcpMesh<M> {
 mod tests {
     use super::*;
     use crate::handshake::{config_digest, PROTOCOL_VERSION};
-    use meba_core::schema::Meta;
     use meba_core::SystemConfig;
     use std::io::Write as _;
     use std::net::TcpStream;
