@@ -13,40 +13,27 @@
 
 use meba_core::{signing::VoteSig, SystemConfig};
 use meba_crypto::{
-    trusted_setup, DecodeError, Decoder, Encoder, Pki, ProcessId, Signable, Signature, WireCodec,
+    trusted_setup, Decoder, Encoder, Pki, ProcessId, Signable, Signature, WireCodec,
 };
+use meba_sim::Message;
 use meba_testkit::alloc_count::{count_allocations, CountingAlloc};
 use meba_wire::frame::{read_frame, write_frame};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// A round's vote as it crosses a link: header fields plus the sender's
-/// signature share. All fields are fixed-size, so decoding borrows from
-/// the frame and allocates nothing.
-#[derive(Clone, Debug, PartialEq)]
-struct Vote {
-    round: u64,
-    from: ProcessId,
-    value: u64,
-    share: Signature,
-}
-
-impl WireCodec for Vote {
-    fn encode_wire(&self, enc: &mut Encoder) {
-        enc.put_u64(self.round);
-        enc.put_id(self.from);
-        enc.put_u64(self.value);
-        self.share.encode_wire(enc);
-    }
-    fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Vote {
-            round: dec.get_u64()?,
-            from: dec.get_id()?,
-            value: dec.get_u64()?,
-            share: Signature::decode_wire(dec)?,
-        })
-    }
+meba_core::wire_schema! {
+    /// A round's vote as it crosses a link: header fields plus the sender's
+    /// signature share, declared like every protocol message. All fields
+    /// are fixed-size, so decoding borrows from the frame and allocates
+    /// nothing, and its length is summed without encoding.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Vote: Message {
+        round: u64 as Meta,
+        from: ProcessId,
+        value: u64 as Val,
+        share: Signature,
+    } in "weak-ba/phases"
 }
 
 /// One steady-state cycle: encode → frame → read → decode → verify.
@@ -61,6 +48,7 @@ fn cycle(
     payload: &mut Vec<u8>,
 ) -> u64 {
     msg.encode_wire_into(enc);
+    assert_eq!(msg.wire_bytes(), enc.as_bytes().len() as u64);
     wire.clear();
     write_frame(wire, enc.as_bytes()).expect("frame fits");
     let mut r = &wire[..];
