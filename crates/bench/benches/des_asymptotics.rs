@@ -5,9 +5,10 @@
 //! sparse virtual time (DESIGN.md §18) makes a silent round free, so the
 //! failure-free and f = 1 (one silent leader) columns run to n = 4097 in
 //! fractions of a second: their cost is the ~16n words that move, not the
-//! ~8n rounds that pass. The f = t column stays capped at n = 257: ~n²/2
-//! fallback messages wake every correct process almost every round, which
-//! no schedule can skip. The Dolev–Strong column anchors the quadratic
+//! ~8n rounds that pass. The f = t column stays capped at n = 257: its
+//! ~n²/2 fallback messages are work no schedule can skip, even though a
+//! process sleeps through the fallback segments of scopes it is not in.
+//! The Dolev–Strong column anchors the quadratic
 //! reference where the lockstep baseline is still fast (n ≤ 65). The
 //! bench asserts agreement in every cell and both growth orders: ~linear
 //! failure-free, ~quadratic at f = t.

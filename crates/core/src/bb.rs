@@ -421,7 +421,7 @@ where
                             }
                         }
                         BbMsg::VetIdk { phase: p, sig } if *p == phase => {
-                            idk_shares.offer(*from, sig);
+                            idk_shares.defer(*from, sig);
                         }
                         _ => {}
                     }
@@ -762,11 +762,12 @@ mod tests {
         assert!(validity.validate(&signed(7)) && handed.validate(&signed(7)));
         assert_eq!(shares() - start, 4);
 
-        // A whole failure-free run at n = 7: 7 sender checks, and per
-        // process one vote and one decide share at the phase-1 leader.
+        // A whole failure-free run at n = 7: 7 sender checks, and at the
+        // phase-1 leader a quorum of votes and a quorum of decide shares
+        // (the rest are offered, but no certificate needs them).
         let start = shares();
         lockstep(7, 0, 1, &[], 400);
-        assert_eq!(shares() - start, 3 * 7);
+        assert_eq!(shares() - start, 7 + 2 * cfg.quorum() as u64);
     }
 
     #[test]

@@ -17,6 +17,8 @@ use meba_crypto::{
     Combiner, CryptoError, Encoder, Pki, ProcessId, SignContext, Signable, Signature,
     ThresholdSignature,
 };
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 /// Builds an equivocation context (see [`SignContext`]): the domain tag
 /// plus the slot-identifying fields, excluding the value being signed.
@@ -261,9 +263,24 @@ impl DecideProof {
 /// rotating decide certificate), `k = n` (Alg 5's decide certificate),
 /// `k = maj` (graded agreement). Callers keep only their own admission
 /// guards (phase, value, scope) and decide what to do with the result.
+///
+/// A share enters one of two ways. [`ShareCollector::offer`] verifies it
+/// at once, for a caller that acts on that one share's verdict.
+/// [`ShareCollector::defer`] records it unverified; it is verified when a
+/// result is asked for, in offer order and only until `threshold`
+/// signers are admitted — the rest could change no output. Either way
+/// the certificate is minted by the [`Combiner`] from verified signers
+/// only.
 #[derive(Debug)]
 pub struct ShareCollector {
     combiner: Combiner,
+    threshold: usize,
+    /// Every signer [`ShareCollector::defer`] recorded: `true` once
+    /// admitted, `false` while its shares wait in `deferred`.
+    signers: BTreeMap<ProcessId, bool>,
+    /// Own shares recorded by [`ShareCollector::defer`] and not verified
+    /// yet, in offer order.
+    deferred: Vec<Signature>,
 }
 
 impl ShareCollector {
@@ -277,7 +294,7 @@ impl ShareCollector {
         let combiner = payload
             .with_signing_bytes(|preimage| pki.combiner(threshold, preimage))
             .expect("certificate threshold is within 1..=n");
-        ShareCollector { combiner }
+        ShareCollector { combiner, threshold, signers: BTreeMap::new(), deferred: Vec::new() }
     }
 
     /// Admits `sig` iff it is `from`'s own share (a relayed signature
@@ -291,14 +308,65 @@ impl ShareCollector {
             && matches!(self.combiner.offer(sig), Ok(()) | Err(CryptoError::DuplicateSigner { .. }))
     }
 
-    /// How many distinct signers have been admitted so far.
-    pub fn admitted(&self) -> usize {
+    /// Records `sig`, unverified, iff it is `from`'s own share. A share of
+    /// an admitted signer and an exact repeat are dropped: neither can
+    /// change a result. Another share of a signer still waiting is kept,
+    /// since at most one of them verifies and it may be the later one.
+    pub fn defer(&mut self, from: ProcessId, sig: &Signature) {
+        if sig.signer() != from {
+            return;
+        }
+        match self.signers.entry(from) {
+            Entry::Vacant(signer) => {
+                signer.insert(false);
+            }
+            Entry::Occupied(signer) if *signer.get() || self.deferred.contains(sig) => return,
+            Entry::Occupied(_) => {}
+        }
+        self.deferred.push(sig.clone());
+    }
+
+    /// Verifies deferred shares in offer order, skipping signers already
+    /// admitted, until `limit` signers are admitted or none is left.
+    fn settle(&mut self, limit: usize) {
+        let mut verified = 0;
+        for sig in &self.deferred {
+            if self.combiner.admitted() >= limit {
+                break;
+            }
+            verified += 1;
+            let admitted = self.signers.get_mut(&sig.signer()).expect("deferred signers are kept");
+            if !*admitted && self.combiner.offer(sig).is_ok() {
+                *admitted = true;
+            }
+        }
+        self.deferred.drain(..verified);
+    }
+
+    /// Whether `threshold` distinct signers' shares verify. Fewer distinct
+    /// signers offered answers `false` with no verification; otherwise
+    /// deferred shares are verified until the threshold is met.
+    pub fn reached(&mut self) -> bool {
+        // No more signers than these can be admitted.
+        if self.signers.len() + self.combiner.admitted() >= self.threshold {
+            self.settle(self.threshold);
+        }
+        self.combiner.admitted() >= self.threshold
+    }
+
+    /// How many distinct signers' shares verify — every deferred share
+    /// is verified for the exact count.
+    pub fn admitted(&mut self) -> usize {
+        self.settle(usize::MAX);
         self.combiner.admitted()
     }
 
-    /// The certificate, once at least `threshold` distinct signers were
-    /// admitted.
-    pub fn certificate(self) -> Option<ThresholdSignature> {
+    /// The certificate, once at least `threshold` distinct signers'
+    /// shares verify (see [`ShareCollector::reached`]).
+    pub fn certificate(mut self) -> Option<ThresholdSignature> {
+        if !self.reached() {
+            return None;
+        }
         self.combiner.finish().ok()
     }
 }
@@ -489,6 +557,75 @@ mod tests {
                     prop_assert!(pki.verify_threshold(&msg, &qc).is_ok());
                     prop_assert_eq!(qc, pki.combine(threshold, &msg, &distinct).unwrap());
                 }
+            }
+        }
+    }
+
+    proptest! {
+        // The deferred path is the eager one, checked later and less: for
+        // any offers — genuine shares and their repeats, shares on
+        // another payload, relayed shares, outside signers, and a
+        // Byzantine signer's forged share followed by its genuine one
+        // (which must count once) — `defer` then `admitted()` or
+        // `certificate()` gives what `offer` then the same call gives,
+        // verifying no more shares, and none at all for a certificate
+        // that fewer than `threshold` distinct signers were offered for.
+        #[test]
+        fn deferred_collection_is_eager_collection(
+            threshold in 1usize..=7,
+            // One draw per offer: kind (6) x signer (7) x relay shift (6).
+            offers in proptest::collection::vec(0usize..6 * 7 * 6, 0..20),
+            count_first in any::<bool>(),
+        ) {
+            let cfg = cfg();
+            let (pki, keys) = trusted_setup(cfg.n(), 5);
+            let (_, outside) = trusted_setup(2 * cfg.n(), 5);
+            let value = 3u64;
+            let payload = VoteSig { session: cfg.session(), value: &value, level: 1 };
+            let other = VoteSig { session: cfg.session(), value: &value, level: 2 };
+
+            let offers: Vec<(ProcessId, Signature)> = offers
+                .into_iter()
+                .map(|x| (x % 6, x / 6 % 7, 1 + x / 42))
+                .flat_map(|(kind, i, shift)| {
+                    let own = (keys[i].id(), sign_payload(&keys[i], &payload));
+                    let forged = (keys[i].id(), sign_payload(&keys[i], &other));
+                    match kind {
+                        0 | 1 => vec![own],
+                        2 => vec![forged],
+                        3 => vec![(keys[(i + shift) % 7].id(), own.1)],
+                        4 => vec![(outside[7 + i].id(), sign_payload(&outside[7 + i], &payload))],
+                        _ => vec![forged, own],
+                    }
+                })
+                .collect();
+            let distinct: std::collections::BTreeSet<ProcessId> = (offers.iter())
+                .filter(|(from, sig)| sig.signer() == *from)
+                .map(|(from, _)| *from)
+                .collect();
+
+            let shares = || meba_crypto::pki::verify_calls().0;
+            let collect = |deferred: bool| {
+                let start = shares();
+                let mut collector = ShareCollector::new(&pki, &payload, threshold);
+                for (from, sig) in &offers {
+                    if deferred {
+                        collector.defer(*from, sig);
+                    } else {
+                        collector.offer(*from, sig);
+                    }
+                }
+                let count = count_first.then(|| collector.admitted());
+                let certificate = collector.certificate();
+                (count, certificate, shares() - start)
+            };
+            let (eager_count, eager_cert, eager_verifies) = collect(false);
+            let (lazy_count, lazy_cert, lazy_verifies) = collect(true);
+            prop_assert_eq!(lazy_count, eager_count);
+            prop_assert_eq!(&lazy_cert, &eager_cert);
+            prop_assert!(lazy_verifies <= eager_verifies, "{lazy_verifies} > {eager_verifies}");
+            if !count_first && distinct.len() < threshold {
+                prop_assert_eq!(lazy_verifies, 0);
             }
         }
     }

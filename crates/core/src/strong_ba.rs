@@ -243,7 +243,7 @@ where
         let mut by_value =
             [false, true].map(|v| ShareCollector::new(&self.pki, &payload(v), threshold));
         for (from, value, sig) in shares {
-            by_value[usize::from(value)].offer(from, sig);
+            by_value[usize::from(value)].defer(from, sig);
         }
         let [on_false, on_true] = by_value;
         let certified = |value, shares: ShareCollector| Some((value, shares.certificate()?));

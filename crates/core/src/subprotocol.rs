@@ -167,27 +167,49 @@ impl<P: SubProtocol> SkewAdapter<P> {
         self.buffer.entry(env.vstep).or_default().push((from, env.msg));
     }
 
-    /// Advances the adapter by one host round; emits tagged outgoing
-    /// messages when a virtual step fires.
+    /// Advances the adapter to host round `host_round`; emits tagged
+    /// outgoing messages when a virtual step fires. A host that slept
+    /// through rounds (see [`SkewAdapter::next_wakeup`]) lands on a later
+    /// step directly: the steps it jumped would have run on empty inboxes.
     pub fn tick(&mut self, host_round: u64, out: &mut Vec<(Dest, SkewEnvelope<P::Msg>)>) {
         if host_round < self.start || !(host_round - self.start).is_multiple_of(2) {
             return;
         }
         let vstep = (host_round - self.start) / 2;
-        if vstep != self.inst.next_step() || self.inst.done() {
+        if vstep < self.inst.next_step() || self.inst.done() {
             return;
         }
-        // Step s consumes messages tagged s - 1.
-        if vstep > 0 {
-            for (from, msg) in self.buffer.remove(&(vstep - 1)).unwrap_or_default() {
-                self.inst.deliver(from, msg);
+        // Step s consumes messages tagged s - 1. A lower tag still held
+        // arrived after the round of the step that would have consumed
+        // it, where a host ticking every round drops it as stale.
+        while let Some(held) = self.buffer.first_entry().filter(|held| *held.key() < vstep) {
+            let (tag, msgs) = held.remove_entry();
+            if tag + 1 == vstep {
+                msgs.into_iter().for_each(|(from, msg)| self.inst.deliver(from, msg));
             }
         }
         let mut inner_out = Vec::new();
-        self.inst.step(&mut inner_out);
+        self.inst.step_at(vstep, &mut inner_out);
         for (dest, msg) in inner_out {
             out.push((dest, SkewEnvelope { vstep, msg: Arc::new(msg) }));
         }
+    }
+
+    /// The adapter's [`SubProtocol::next_wakeup`] in host rounds, asked
+    /// after `after`: the round of the inner protocol's next hinted step,
+    /// or of the step that consumes the earliest buffered tag, whichever
+    /// is sooner; `u64::MAX` once the protocol is done.
+    pub fn next_wakeup(&self, after: u64) -> u64 {
+        if self.inst.done() {
+            return u64::MAX;
+        }
+        let hinted = match self.inst.next_step() {
+            0 => 0,
+            next => self.inst.proto().next_wakeup(next - 1),
+        };
+        let round = |vstep: u64| vstep.saturating_mul(2).saturating_add(self.start);
+        let buffered = self.buffer.keys().map(|tag| round(tag + 1)).find(|&r| r > after);
+        buffered.map_or(round(hinted), |r| r.min(round(hinted))).max(after + 1)
     }
 
     /// Whether the inner protocol has finished.
@@ -386,19 +408,25 @@ impl<V: Value, Pf: Clone, F: FallbackFactory<V>> FallbackHost<V, Pf, F> {
             }
     }
 
-    /// The host's term of [`SubProtocol::next_wakeup`]: while a fallback
-    /// is scheduled or running, every step may act.
+    /// The host's term of [`SubProtocol::next_wakeup`]: the start while
+    /// a fallback is scheduled (the step after `after` once it is due),
+    /// and the running adapter's own hint; `None` before and after.
     pub(crate) fn next_wakeup(&self, after: u64) -> Option<u64> {
-        matches!(self.stage, Handoff::Scheduled { .. } | Handoff::Running(_)).then_some(after + 1)
+        match &self.stage {
+            Handoff::Scheduled { start, .. } => Some((*start).max(after + 1)),
+            Handoff::Running(adapter) => Some(adapter.next_wakeup(after)),
+            Handoff::Unscheduled | Handoff::Finished => None,
+        }
     }
 }
 
 /// The [`SubProtocol::next_wakeup`] contract, checked by running a
 /// cluster twice in local lockstep: a twin that runs every step, and a
 /// twin whose processes only run when something was delivered or their
-/// last hint is due.
-#[cfg(test)]
-pub(crate) mod hint_contract {
+/// last hint is due. Test support, public so that the protocols that plug
+/// into these hosts (the fallbacks) check their hints with it too.
+#[doc(hidden)]
+pub mod hint_contract {
     use super::*;
 
     /// Runs `build()`'s processes (`None` = silent from the start) for
@@ -406,7 +434,7 @@ pub(crate) mod hint_contract {
     /// twin skipped sent nothing in the dense twin, and that the twins
     /// never differ in what they send, decide, or report as done.
     /// Returns how many process-steps were skipped.
-    pub(crate) fn check<P: SubProtocol>(build: impl Fn() -> Vec<Option<P>>, steps: u64) -> u64 {
+    pub fn check<P: SubProtocol>(build: impl Fn() -> Vec<Option<P>>, steps: u64) -> u64 {
         let (mut dense, mut sparse) = (build(), build());
         let n = dense.len();
         let mut inbox_d: Vec<Vec<(ProcessId, P::Msg)>> = vec![Vec::new(); n];
@@ -579,6 +607,64 @@ mod tests {
             ad.tick(r, &mut out);
         }
         assert_eq!(ad.inner().output(), Some(1), "step 3 consumed the step-2 message");
+    }
+
+    /// Acts at steps 0 and 3 only, and hints so; decides at step 5 on
+    /// how many messages it was lent. Records `(step, lent)` per step.
+    #[derive(Default)]
+    struct Sparse {
+        lent: Vec<(u64, usize)>,
+        decided: Option<u64>,
+    }
+
+    impl SubProtocol for Sparse {
+        type Msg = Num;
+        type Output = u64;
+        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, &Num)], out: &mut Vec<(Dest, Num)>) {
+            self.lent.push((step, inbox.len()));
+            if step == 0 || step == 3 {
+                out.push((Dest::All, Num(step)));
+            }
+            if step == 5 {
+                self.decided = Some(self.lent.iter().map(|&(_, lent)| lent as u64).sum());
+            }
+        }
+        fn output(&self) -> Option<u64> {
+            self.decided
+        }
+        fn done(&self) -> bool {
+            self.decided.is_some()
+        }
+        fn next_wakeup(&self, after: u64) -> u64 {
+            next_scheduled(after, &[(true, 0), (true, 3), (true, 5)])
+        }
+    }
+
+    #[test]
+    fn skew_adapter_sleeps_until_a_hinted_step_or_a_buffered_tag_is_due() {
+        let mut ad = SkewAdapter::new(Sparse::default(), 4, 5);
+        let mut out = Vec::new();
+        let env = |vstep| SkewEnvelope { vstep, msg: Arc::new(Num(vstep)) };
+        assert_eq!(ad.next_wakeup(3), 4, "step 0 at the start");
+        ad.tick(4, &mut out);
+        assert_eq!(ad.next_wakeup(4), 10, "then step 3, at 4 + 2·3");
+        // A peer's tag-0 message is for step 1, at round 6.
+        ad.deliver(ProcessId(1), env(0));
+        assert_eq!(ad.next_wakeup(5), 6);
+        ad.tick(6, &mut out);
+        assert_eq!(ad.next_wakeup(6), 10);
+        // A tag-1 message that arrives at round 9, after step 2's round,
+        // is one a host ticking every round drops as stale: it wakes
+        // nobody, and step 3 is not lent it.
+        ad.deliver(ProcessId(1), env(1));
+        assert_eq!(ad.next_wakeup(9), 10);
+        ad.tick(10, &mut out);
+        assert_eq!(ad.next_wakeup(10), 14);
+        ad.tick(14, &mut out);
+        assert_eq!(ad.inner().lent, [(0, 0), (1, 1), (3, 0), (5, 0)]);
+        assert_eq!((ad.inner().output(), ad.next_wakeup(14)), (Some(1), u64::MAX));
+        let vsteps: Vec<u64> = out.iter().map(|(_, env)| env.vstep).collect();
+        assert_eq!(vsteps, [0, 3]);
     }
 
     type Host = FallbackHost<u64, &'static str, EchoFallbackFactory>;

@@ -550,7 +550,7 @@ where
                         WeakBaMsg::Vote { phase: p, value, sig }
                             if *p == phase && *value == my_value =>
                         {
-                            votes.offer(*from, sig);
+                            votes.defer(*from, sig);
                         }
                         _ => {}
                     }
@@ -615,7 +615,7 @@ where
                 for (from, msg) in inbox {
                     if let WeakBaMsg::Decide { phase: p, value, sig } = msg {
                         if *p == phase && *value == w {
-                            shares.offer(*from, sig);
+                            shares.defer(*from, sig);
                         }
                     }
                 }
@@ -803,26 +803,26 @@ where
     /// this process's own phase and asking for help (both only while
     /// undecided — a decided leader is silent, which is the paper's
     /// adaptivity), and finishing once the certificate window has
-    /// closed. While a fallback is scheduled or running every step may
-    /// act. Votes, commits, decide shares, help answers and certificate
-    /// handling all happen in the round after a delivery (thresholds
-    /// are ≥ 1, so an empty inbox never completes a certificate).
+    /// closed; while a fallback is scheduled or running, also the
+    /// fallback host's hint (its start, then the steps `A_fallback`
+    /// itself hints). Votes, commits, decide shares, help answers and
+    /// certificate handling all happen in the round after a delivery
+    /// (thresholds are ≥ 1, so an empty inbox never completes a
+    /// certificate).
     fn next_wakeup(&self, after: u64) -> u64 {
         if self.finished {
             return u64::MAX;
         }
-        if let Some(next) = self.host.next_wakeup(after) {
-            return next;
-        }
         let own_phase_step = (u64::from(self.cfg.phase_led_by(self.me)) - 1) * PHASE_ROUNDS;
-        next_scheduled(
+        let own = next_scheduled(
             after,
             &[
                 (self.undecided(), own_phase_step),
                 (self.undecided(), Self::help_step(&self.cfg)),
                 (true, self.cert_deadline() + 1),
             ],
-        )
+        );
+        self.host.next_wakeup(after).map_or(own, |host| host.min(own))
     }
 }
 

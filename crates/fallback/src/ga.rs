@@ -121,12 +121,12 @@ impl<V: Value> GaInstance<V> {
         self.cert_valid(self.c1_seen.get(value), &self.input_payload(value), c1)
     }
 
-    /// Adds a scope member's share on `value` to that value's collector.
-    /// Graded agreement counts a share for its signer whoever delivered
-    /// it, so scope membership is the only guard on top of the
-    /// collector's. A value that already has `thr` signers is skipped
-    /// unverified: its certificate is minted from the payload and the
-    /// threshold alone, so one more share changes no output.
+    /// Records a scope member's share on `value` in that value's
+    /// collector, unverified. Graded agreement counts a share for its
+    /// signer whoever delivered it, so scope membership is the only guard
+    /// on top of the collector's. A certificate is minted from the
+    /// payload and the threshold alone, so the collector verifies only
+    /// the first `thr` signers' shares.
     fn offer<S: Signable>(
         &self,
         by_value: &mut BTreeMap<V, ShareCollector>,
@@ -137,12 +137,10 @@ impl<V: Value> GaInstance<V> {
         if !self.scope.contains(sig.signer()) {
             return;
         }
-        let shares = by_value
+        by_value
             .entry(value.clone())
-            .or_insert_with(|| ShareCollector::new(&self.pki, payload, self.thr));
-        if shares.admitted() < self.thr {
-            shares.offer(sig.signer(), sig);
-        }
+            .or_insert_with(|| ShareCollector::new(&self.pki, payload, self.thr))
+            .defer(sig.signer(), sig);
     }
 
     fn note_c1(&mut self, value: &V, c1: &ThresholdSignature) {

@@ -9,6 +9,7 @@
 //! comes first.
 
 use meba_core::Value;
+use meba_crypto::encoding::len;
 use meba_crypto::{DecodeError, Decoder, Encoder, WireCodec};
 
 /// Words one [`Op`] occupies on the wire (client, seq, key, value).
@@ -43,6 +44,10 @@ impl WireCodec for Op {
             key: dec.get_u64()?,
             value: dec.get_u64()?,
         })
+    }
+
+    fn wire_len(&self) -> u64 {
+        4 * len::U64
     }
 }
 
@@ -96,6 +101,10 @@ impl Value for Batch {
     fn value_words(&self) -> u64 {
         (self.0.len() as u64 * OP_WORDS).max(1)
     }
+
+    fn value_len(&self) -> u64 {
+        len::U64 + self.0.iter().map(Op::wire_len).sum::<u64>()
+    }
 }
 
 impl WireCodec for Batch {
@@ -105,6 +114,10 @@ impl WireCodec for Batch {
 
     fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Self::decode_value(dec)
+    }
+
+    fn wire_len(&self) -> u64 {
+        self.value_len()
     }
 }
 

@@ -59,6 +59,7 @@ use crate::transfer::{
 };
 use meba_core::bb::BbBaValue;
 use meba_core::{Decision, FallbackFactory, SubProtocol, SystemConfig};
+use meba_crypto::encoding::len;
 use meba_crypto::{DecodeError, Decoder, Encoder, Pki, ProcessId, SecretKey, WireCodec};
 use meba_journal::{Journal, Record};
 use meba_sim::{Actor, Message, Round, RoundCtx, ServiceStats};
@@ -143,6 +144,13 @@ impl<M: WireCodec> WireCodec for ReplicaMsg<M> {
             REPLICA_MSG_TRANSFER => Ok(ReplicaMsg::Transfer(TransferMsg::decode_wire(dec)?)),
             _ => Err(DecodeError::Invalid { what: "unknown replica message tag" }),
         }
+    }
+    fn wire_len(&self) -> u64 {
+        len::U32
+            + match self {
+                ReplicaMsg::Log(m) => m.wire_len(),
+                ReplicaMsg::Transfer(t) => t.wire_len(),
+            }
     }
 }
 

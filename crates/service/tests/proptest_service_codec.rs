@@ -7,6 +7,8 @@
 //! 3. **Bit flips are total and canonical**: a mutated encoding either
 //!    errors or decodes to a message that re-encodes to exactly the
 //!    mutated bytes — the decoder accepts only canonical encodings.
+//! 4. **Sizing without encoding is exact**: every message's `wire_len`
+//!    is the length of its encoding.
 
 use meba_core::DecideProof;
 use meba_crypto::{trusted_setup, Digest, ProcessId, WireCodec};
@@ -113,8 +115,15 @@ const FAMILIES: usize = 18;
 /// Decodes `bytes` with the family that produced corpus index `i`,
 /// returning the re-encoding if decoding succeeded.
 fn redecode(i: usize, bytes: &[u8]) -> Option<Vec<u8>> {
-    fn via<M: WireCodec>(bytes: &[u8]) -> Option<Vec<u8>> {
-        M::from_wire_bytes(bytes).ok().map(|m| m.to_wire_bytes())
+    read(i, bytes).map(|(re, _)| re)
+}
+
+/// Decodes `bytes` with the family that produced corpus index `i`,
+/// returning the re-encoding and the length the message reports without
+/// encoding, if decoding succeeded.
+fn read(i: usize, bytes: &[u8]) -> Option<(Vec<u8>, u64)> {
+    fn via<M: WireCodec>(bytes: &[u8]) -> Option<(Vec<u8>, u64)> {
+        M::from_wire_bytes(bytes).ok().map(|m| (m.to_wire_bytes(), m.wire_len()))
     }
     match i {
         0 => via::<ClientHello>(bytes),
@@ -150,6 +159,21 @@ proptest! {
                 "family {} must decode and re-encode to identical bytes",
                 i
             );
+        }
+    }
+
+    #[test]
+    fn every_frame_reports_its_encoded_length(
+        client in any::<u64>(),
+        seq in any::<u64>(),
+        key in any::<u64>(),
+        value in any::<u64>(),
+        ops in 0usize..16,
+    ) {
+        let corpus = corpus(client, seq, key, value, ops);
+        for (i, bytes) in corpus.iter().enumerate() {
+            let (_, wire_len) = read(i, bytes).expect("every corpus frame decodes");
+            prop_assert_eq!(wire_len, bytes.len() as u64, "family {}", i);
         }
     }
 

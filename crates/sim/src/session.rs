@@ -12,6 +12,7 @@
 //! host protocol's job too (per-session signature domain separation).
 
 use crate::actor::{Dest, Message};
+use meba_crypto::encoding::len;
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, ProcessId, WireCodec};
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -164,6 +165,9 @@ impl<M: WireCodec> WireCodec for SessionEnvelope<M> {
         let msg = M::decode_wire(dec)?;
         Ok(SessionEnvelope { session, msg })
     }
+    fn wire_len(&self) -> u64 {
+        len::U64 + self.msg.wire_len()
+    }
 }
 
 /// One buffered instance of a [`SubProtocol`]: the protocol plus its
@@ -175,9 +179,9 @@ impl<M: WireCodec> WireCodec for SessionEnvelope<M> {
 /// here. The buffer holds handles: deliver one with [`Instance::deliver`]
 /// (a host that has only a borrowed message wraps its one copy; a host
 /// that holds a handle already passes it on), then fire
-/// [`Instance::step`] once per virtual step, or [`Instance::step_at`] the
-/// step a host round puts the instance at; either lends the messages to
-/// [`SubProtocol::on_step`]. A host that steps on the round's own inbox
+/// [`Instance::step_at`] at the step a host round puts the instance at,
+/// which lends the messages to [`SubProtocol::on_step`]. A host that
+/// steps on the round's own inbox
 /// (`LockstepAdapter`) lends that instead and needs no `Instance`.
 #[derive(Debug)]
 pub struct Instance<P: SubProtocol> {
@@ -197,14 +201,6 @@ impl<P: SubProtocol> Instance<P> {
         self.inbox.push((from, msg));
     }
 
-    /// Executes the next step on everything delivered since the previous
-    /// one; returns the step index that just ran.
-    pub fn step(&mut self, out: &mut Vec<(Dest, P::Msg)>) -> u64 {
-        let step = self.next_step;
-        self.step_at(step, out);
-        step
-    }
-
     /// Executes step `step` — at or after [`Instance::next_step`] — on
     /// everything delivered since the previous one. The steps jumped
     /// over never run; a driver may only jump where
@@ -219,7 +215,7 @@ impl<P: SubProtocol> Instance<P> {
         self.next_step = step + 1;
     }
 
-    /// The step the next [`Instance::step`] call will execute.
+    /// The first step [`Instance::step_at`] may execute next.
     pub fn next_step(&self) -> u64 {
         self.next_step
     }
@@ -303,6 +299,7 @@ mod tests {
         assert_eq!(env.session(), Some(4));
         // Envelope bytes = 9-byte session framing + inner encoding.
         assert_eq!(env.wire_bytes(), 9 + env.msg.wire_len());
+        assert_eq!(env.wire_len(), env.to_wire_bytes().len() as u64, "sized without encoding");
         let back = SessionEnvelope::<Ping>::from_wire_bytes(&env.to_wire_bytes()).unwrap();
         assert_eq!(back.session, SessionId(4));
         assert_eq!(format!("{}", env.session), "s4");
@@ -314,10 +311,10 @@ mod tests {
         inst.deliver(ProcessId(1), Arc::new(Ping(0)));
         inst.deliver(ProcessId(2), Arc::new(Ping(0)));
         let mut out = Vec::new();
-        assert_eq!(inst.step(&mut out), 0);
+        inst.step_at(0, &mut out);
         assert_eq!(inst.proto().seen, 2, "step 0 consumed both buffered messages");
         assert_eq!(inst.next_step(), 1);
-        assert_eq!(inst.step(&mut out), 1);
+        inst.step_at(1, &mut out);
         assert_eq!(inst.proto().seen, 2, "nothing new delivered");
         assert!(!inst.done());
     }

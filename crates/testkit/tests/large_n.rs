@@ -8,9 +8,9 @@
 //! asymptotics actually show. The failure-free and f = 1 rows ride on
 //! sparse virtual time (DESIGN.md §18): a silent round costs nothing, so
 //! their cost is the ~16·n words that actually move. The n = 65, f = t
-//! row is the dense-traffic guard — fallback traffic wakes every correct
-//! process nearly every round, so it exercises the engine with the
-//! hints buying next to nothing. The n = 1025 wasteful-leader row runs
+//! row is the dense-traffic guard — quadratic fallback traffic, where a
+//! process sleeps only through the segments of scopes it is not in. The
+//! n = 1025 wasteful-leader row runs
 //! the rushing attacker corpus at a size a simulation that stepped every
 //! process every round never reached.
 
