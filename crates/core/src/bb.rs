@@ -40,7 +40,7 @@ use meba_crypto::{
     DecodeError, Decoder, Encoder, Pki, ProcessId, SecretKey, Signable, Signature,
     ThresholdSignature, WireCodec,
 };
-use meba_sim::{Dest, Message};
+use meba_sim::{Dest, Message, Outbox};
 use std::sync::{Arc, OnceLock};
 
 crate::wire_schema! {
@@ -192,7 +192,7 @@ pub const VET_ROUNDS: u64 = 3;
 pub type BbMsgOf<V, F> = BbMsg<V, FallbackMsgOf<BbBaValue<V>, F>>;
 
 /// An addressed outgoing message batch of a [`Bb`].
-pub type BbOutbox<V, F> = Vec<(Dest, BbMsgOf<V, F>)>;
+pub type BbOutbox<V, F> = Outbox<BbMsgOf<V, F>>;
 
 /// The adaptive Byzantine Broadcast state machine (one per process).
 pub struct Bb<V, F>
@@ -367,7 +367,7 @@ where
                 if is_leader && self.vi.is_none() {
                     self.requested_phase = Some(phase);
                     self.nonsilent_as_leader = true;
-                    out.push((Dest::All, BbMsg::VetHelpReq { phase }));
+                    out.push(Dest::All, BbMsg::VetHelpReq { phase });
                 }
             }
             // Round 2: answer the leader (lines 17–21).
@@ -377,14 +377,15 @@ where
                 });
                 if asked {
                     match &self.vi {
-                        Some(v) => out
-                            .push((Dest::To(leader), BbMsg::VetValue { phase, value: v.clone() })),
+                        Some(v) => {
+                            out.push(Dest::To(leader), BbMsg::VetValue { phase, value: v.clone() })
+                        }
                         None => {
                             let sig = sign_payload(
                                 &self.key,
                                 &BbIdkSig { session: self.cfg.session(), phase },
                             );
-                            out.push((Dest::To(leader), BbMsg::VetIdk { phase, sig }));
+                            out.push(Dest::To(leader), BbMsg::VetIdk { phase, sig });
                         }
                     }
                 }
@@ -427,14 +428,14 @@ where
                     }
                 }
                 if let Some(v) = signed {
-                    out.push((Dest::All, BbMsg::Vetted { phase, value: v }));
+                    out.push(Dest::All, BbMsg::Vetted { phase, value: v });
                 } else if let Some(v) = forwarded_qc {
-                    out.push((Dest::All, BbMsg::Vetted { phase, value: v }));
+                    out.push(Dest::All, BbMsg::Vetted { phase, value: v });
                 } else if let Some(qc) = idk_shares.certificate() {
-                    out.push((
+                    out.push(
                         Dest::All,
                         BbMsg::Vetted { phase, value: BbBaValue::IdkQuorum { phase, qc } },
-                    ));
+                    );
                 }
             }
             _ => unreachable!("vetting phase has 3 rounds"),
@@ -454,7 +455,7 @@ where
         &mut self,
         step: u64,
         inbox: &[(ProcessId, &Self::Msg)],
-        out: &mut Vec<(Dest, Self::Msg)>,
+        out: &mut Outbox<Self::Msg>,
     ) {
         if self.finished {
             return;
@@ -489,7 +490,7 @@ where
             if let Some(v) = &self.sender_input {
                 let sig =
                     sign_payload(&self.key, &BbValueSig { session: self.cfg.session(), value: v });
-                out.push((Dest::All, BbMsg::SenderValue { value: v.clone(), sig }));
+                out.push(Dest::All, BbMsg::SenderValue { value: v.clone(), sig });
             }
         } else if let Some((phase, sub)) = self.vet_phase_of_step(step) {
             self.run_vet_step(phase, sub, inbox, out);
@@ -527,11 +528,9 @@ where
                     _ => None,
                 })
                 .collect();
-            let mut ba_out = Vec::new();
+            let mut ba_out = Outbox::new();
             ba.on_step(step - ba_start, &ba_inbox, &mut ba_out);
-            for (dest, m) in ba_out {
-                out.push((dest, BbMsg::Ba(m)));
-            }
+            out.forward(ba_out, BbMsg::Ba);
             if ba.done() {
                 let ba_decision = ba.output().expect("done implies output");
                 self.decision = Some(match ba_decision {

@@ -12,7 +12,7 @@
 use crate::subprotocol::{FallbackFactory, SubProtocol};
 use crate::value::Value;
 use meba_crypto::ProcessId;
-use meba_sim::Dest;
+use meba_sim::{Dest, Outbox};
 use std::collections::BTreeMap;
 
 crate::wire_schema! {
@@ -49,10 +49,10 @@ impl<V: Value> SubProtocol for EchoFallback<V> {
         &mut self,
         step: u64,
         inbox: &[(ProcessId, &EchoMsg<V>)],
-        out: &mut Vec<(Dest, EchoMsg<V>)>,
+        out: &mut Outbox<EchoMsg<V>>,
     ) {
         match step {
-            0 => out.push((Dest::All, EchoMsg(self.input.clone()))),
+            0 => out.push(Dest::All, EchoMsg(self.input.clone())),
             1 => {
                 self.received.extend(inbox.iter().map(|(_, m)| m.0.clone()));
                 let mut counts: BTreeMap<&V, usize> = BTreeMap::new();
@@ -106,7 +106,7 @@ mod tests {
         // Step 0: everyone broadcasts.
         let mut sent: Vec<(ProcessId, EchoMsg<u64>)> = Vec::new();
         for (i, node) in nodes.iter_mut().enumerate() {
-            let mut out = Vec::new();
+            let mut out = Outbox::new();
             node.on_step(0, &[], &mut out);
             for (_, m) in out {
                 sent.push((ProcessId(i as u32), m));
@@ -114,7 +114,7 @@ mod tests {
         }
         // Step 1: everyone receives all broadcasts.
         for node in nodes.iter_mut() {
-            let mut out = Vec::new();
+            let mut out = Outbox::new();
             let inbox: Vec<(ProcessId, &EchoMsg<u64>)> =
                 sent.iter().map(|(p, m)| (*p, m)).collect();
             node.on_step(1, &inbox, &mut out);

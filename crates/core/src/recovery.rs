@@ -41,7 +41,7 @@
 use crate::subprotocol::SubProtocol;
 use meba_crypto::{ProcessId, SignRegistry, WireCodec};
 use meba_journal::{Journal, JournalStats, Record};
-use meba_sim::{Dest, RecoveryEvent};
+use meba_sim::{Outbox, RecoveryEvent};
 
 /// Converts a drained [`RecoveryEvent`] into its journal [`Record`].
 fn record_of(ev: &RecoveryEvent) -> Record {
@@ -112,7 +112,6 @@ impl<P: SubProtocol> Recoverable<P> {
             torn_bytes: report.torn_bytes,
             io_failed: false,
         };
-        let mut discard = Vec::new();
         for rec in &report.records {
             me.replayed += 1;
             match rec {
@@ -129,8 +128,7 @@ impl<P: SubProtocol> Recoverable<P> {
                         .collect();
                     let lent: Vec<(ProcessId, &P::Msg)> =
                         decoded.iter().map(|(from, m)| (*from, m)).collect();
-                    me.inner.on_step(*step, &lent, &mut discard);
-                    discard.clear();
+                    me.inner.on_step(*step, &lent, &mut Outbox::new());
                     // Re-derived events rebuild the guard; deterministic
                     // signing makes them idempotent with the journaled
                     // `Signed` records below.
@@ -209,7 +207,7 @@ impl<P: SubProtocol> SubProtocol for Recoverable<P> {
         &mut self,
         step: u64,
         inbox: &[(ProcessId, &Self::Msg)],
-        out: &mut Vec<(Dest, Self::Msg)>,
+        out: &mut Outbox<Self::Msg>,
     ) {
         // Steps below the resume point were already applied by replay
         // (the runner drives a recovered actor from step 0 again). After
@@ -221,7 +219,7 @@ impl<P: SubProtocol> SubProtocol for Recoverable<P> {
         self.next_step = step + 1;
 
         // 1. Run the inner protocol against a *staged* outbox.
-        let mut staged = Vec::new();
+        let mut staged = Outbox::new();
         self.inner.on_step(step, inbox, &mut staged);
         let events = self.inner.drain_recovery_events();
 
@@ -263,7 +261,7 @@ impl<P: SubProtocol> SubProtocol for Recoverable<P> {
             self.io_failed = true;
             return;
         }
-        out.extend(staged);
+        out.forward(staged, |msg| msg);
     }
 
     fn output(&self) -> Option<Self::Output> {
@@ -302,6 +300,7 @@ mod tests {
     use super::*;
     use meba_crypto::{Digest, Encoder};
     use meba_journal::{MemBuffer, MemStorage, Storage};
+    use meba_sim::Dest;
 
     crate::wire_schema! {
         #[derive(Clone, Debug, PartialEq)]
@@ -336,10 +335,10 @@ mod tests {
         type Msg = Num;
         type Output = u64;
 
-        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, &Num)], out: &mut Vec<(Dest, Num)>) {
+        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, &Num)], out: &mut Outbox<Num>) {
             self.acc += inbox.iter().map(|(_, m)| m.0).sum::<u64>();
             let v = self.base + step + self.acc;
-            out.push((Dest::All, Num(v)));
+            out.push(Dest::All, Num(v));
             self.events.push(RecoveryEvent::Signed {
                 context: Toy::context(step),
                 digest: Digest::of(&v.to_be_bytes()),
@@ -372,7 +371,7 @@ mod tests {
     fn journal_holds_steps_and_events() {
         let disk = MemBuffer::new();
         let mut p = Recoverable::new(Toy::new(7), Journal::in_memory(disk.clone()));
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         for step in 0..3 {
             p.on_step(step, &lend(&inbox_for(step)), &mut out);
         }
@@ -389,7 +388,7 @@ mod tests {
         let disk = MemBuffer::new();
         let mut p = Recoverable::new(Toy::new(3), Journal::in_memory(disk.clone()));
         let mut reference = Toy::new(3);
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         for step in 0..3 {
             let owned = inbox_for(step);
             let inbox = lend(&owned);
@@ -405,7 +404,7 @@ mod tests {
         assert_eq!(r.inner().acc, reference.acc, "replay reconstructs state");
 
         // Steps below the resume point are ignored (already applied)...
-        let mut out2 = Vec::new();
+        let mut out2 = Outbox::new();
         r.on_step(0, &[], &mut out2);
         assert!(out2.is_empty());
         assert_eq!(r.inner().acc, reference.acc);
@@ -425,7 +424,7 @@ mod tests {
     fn replay_is_idempotent() {
         let disk = MemBuffer::new();
         let mut p = Recoverable::new(Toy::new(1), Journal::in_memory(disk.clone()));
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         for step in 0..4 {
             p.on_step(step, &lend(&inbox_for(step)), &mut out);
         }
@@ -459,7 +458,7 @@ mod tests {
             j.flush().unwrap();
         }
         let mut r = Recoverable::recover(Journal::in_memory(disk), || Toy::new(9)).unwrap();
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         r.on_step(0, &[], &mut out);
         assert!(out.is_empty(), "conflicting signature must not be externalized");
         assert_eq!(r.refused_equivocations(), 1);
@@ -500,7 +499,7 @@ mod tests {
         // 1); append 2, step 1's `Step` record, fails.
         let storage = FailOnce { inner: MemStorage::new(MemBuffer::new()), appends: 0, fail_at: 2 };
         let mut p = Recoverable::new(Toy::new(5), Journal::new(Box::new(storage), 1));
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         p.on_step(0, &lend(&inbox_for(0)), &mut out);
         assert_eq!(out.len(), 1, "step 0 journaled and released");
         for step in 1..=DECIDE_AT {
@@ -513,7 +512,7 @@ mod tests {
     fn torn_tail_is_ignored_and_counted() {
         let disk = MemBuffer::new();
         let mut p = Recoverable::new(Toy::new(2), Journal::in_memory(disk.clone()));
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         for step in 0..2 {
             p.on_step(step, &lend(&inbox_for(step)), &mut out);
         }

@@ -46,7 +46,7 @@ use crate::config::SystemConfig;
 use crate::signing::{sign_payload, ShareCollector, StrongDecideSig, StrongInputSig};
 use crate::subprotocol::{FallbackFactory, FallbackHost, SkewEnvelope, SubProtocol};
 use meba_crypto::{Pki, ProcessId, SecretKey, Signable, Signature, ThresholdSignature, WireCodec};
-use meba_sim::{Dest, Message};
+use meba_sim::{Dest, Message, Outbox};
 
 /// Message type of the fallback used by [`StrongBa`] instances.
 pub type StrongFallbackMsgOf<F> = <<F as FallbackFactory<bool>>::Protocol as SubProtocol>::Msg;
@@ -254,7 +254,7 @@ where
         &mut self,
         step: u64,
         decision: &Option<(bool, ThresholdSignature)>,
-        out: &mut Vec<(Dest, StrongBaMsg<StrongFallbackMsgOf<F>>)>,
+        out: &mut Outbox<StrongBaMsg<StrongFallbackMsgOf<F>>>,
     ) {
         if !self.host.accepts(step, self.fallback_deadline()) {
             return;
@@ -268,7 +268,7 @@ where
         // First receipt: echo and schedule (lines 25–27).
         if self.host.schedule(step) {
             let own = self.host.own_payload(self.decision.as_ref().zip(self.proof.as_ref()));
-            out.push((Dest::All, StrongBaMsg::Fallback { decision: own }));
+            out.push(Dest::All, StrongBaMsg::Fallback { decision: own });
         }
     }
 }
@@ -284,7 +284,7 @@ where
         &mut self,
         step: u64,
         inbox: &[(ProcessId, &Self::Msg)],
-        out: &mut Vec<(Dest, Self::Msg)>,
+        out: &mut Outbox<Self::Msg>,
     ) {
         if self.finished {
             return;
@@ -337,7 +337,7 @@ where
                 0 if self.decision.is_none() => {
                     let sig =
                         sign_payload(&self.key, &StrongInputSig { session, value: self.input });
-                    out.push((Dest::To(leader), StrongBaMsg::Input { value: self.input, sig }));
+                    out.push(Dest::To(leader), StrongBaMsg::Input { value: self.input, sig });
                 }
                 // Round 2 (leader): batch t+1 matching inputs (lines 3–6).
                 1 if self.me == leader && self.decision.is_none() => {
@@ -350,7 +350,7 @@ where
                         |value| StrongInputSig { session, value },
                         inputs,
                     ) {
-                        out.push((Dest::All, StrongBaMsg::Propose { value, qc }));
+                        out.push(Dest::All, StrongBaMsg::Propose { value, qc });
                     }
                 }
                 // Round 3: decide-share for the first valid proposal
@@ -375,10 +375,10 @@ where
                                     &self.key,
                                     &StrongDecideSig { session, value: *value },
                                 );
-                                out.push((
+                                out.push(
                                     Dest::To(leader),
                                     StrongBaMsg::DecideShare { value: *value, sig },
-                                ));
+                                );
                                 break;
                             }
                         }
@@ -395,7 +395,7 @@ where
                         |value| StrongDecideSig { session, value },
                         shares,
                     ) {
-                        out.push((Dest::All, StrongBaMsg::DecideCert { value, qc }));
+                        out.push(Dest::All, StrongBaMsg::DecideCert { value, qc });
                     }
                 }
                 _ => {}
@@ -405,7 +405,7 @@ where
         // fallback (lines 16–18). The decide certificate, if any, was
         // adopted by the global handler above.
         if step == self.coordination_start && self.decision.is_none() && self.host.schedule(step) {
-            out.push((Dest::All, StrongBaMsg::Fallback { decision: None }));
+            out.push(Dest::All, StrongBaMsg::Fallback { decision: None });
         }
 
         // --- Fallback execution (lines 28–30).
@@ -457,7 +457,7 @@ mod tests {
     use crate::subprotocol::LockstepAdapter;
     use meba_crypto::trusted_setup;
     use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
-    use meba_sim::{Actor, AnyActor, IdleActor, RoundCtx};
+    use meba_sim::{Actor, AnyActor, IdleActor, Recipients, RoundCtx};
 
     type Sba = StrongBa<EchoFallbackFactory>;
     type Msg = <Sba as SubProtocol>::Msg;
@@ -609,7 +609,7 @@ mod tests {
         let run = |arrival: u64| {
             let mut sba =
                 StrongBa::new(cfg, me, keys[1].clone(), pki.clone(), EchoFallbackFactory, false);
-            let mut out = Vec::new();
+            let mut out = Outbox::new();
             for step in 0..=arrival {
                 let inbox = if step == arrival { vec![(ProcessId(0), &cert)] } else { vec![] };
                 sba.on_step(step, &inbox, &mut out);
@@ -712,16 +712,16 @@ mod tests {
             EchoFallbackFactory,
             inputs[4],
         );
-        let mut out = Vec::new();
         for step in 0..coord {
-            p4.on_step(step, &[], &mut out);
+            p4.on_step(step, &[], &mut Outbox::new());
         }
         assert_eq!(p4.coordination_start, coord);
-        out.clear();
+        let mut out = Outbox::new();
         p4.on_step(coord, &[(byz, &cert)], &mut out);
         assert_eq!(p4.decision(), None);
+        let all = Recipients::Dest(Dest::All);
         assert!(
-            matches!(out[..], [(Dest::All, StrongBaMsg::Fallback { decision: None })]),
+            matches!(&out[..], [(to, StrongBaMsg::Fallback { decision: None })] if *to == all),
             "{out:?}"
         );
 

@@ -20,7 +20,7 @@
 
 use crate::value::Value;
 use meba_crypto::{ProcessId, WireCodec};
-use meba_sim::{Actor, Dest, Instance, Message, Round, RoundCtx};
+use meba_sim::{Actor, Instance, Message, Outbox, Round, RoundCtx};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -67,11 +67,7 @@ impl<P: SubProtocol> Actor for LockstepAdapter<P> {
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, P::Msg>) {
         let inbox: Vec<(ProcessId, &P::Msg)> =
             ctx.inbox().iter().map(|e| (e.from, &*e.msg)).collect();
-        let mut out = Vec::new();
-        self.proto.on_step(ctx.round().as_u64(), &inbox, &mut out);
-        for (dest, msg) in out {
-            ctx.push(dest, msg);
-        }
+        self.proto.on_step(ctx.round().as_u64(), &inbox, ctx.outbox());
     }
 
     fn done(&self) -> bool {
@@ -130,7 +126,8 @@ crate::wire_schema! {
 /// Byzantine peer cannot grow it without bound by tagging envelopes with
 /// far-future steps. It holds each message by the envelope's handle and
 /// moves that handle into the instance at the step that consumes it; the
-/// inner protocol's outbox is wrapped in one handle per entry.
+/// inner protocol's outbox is wrapped in one handle per entry, which is
+/// one per payload: a multicast keeps its recipients.
 pub struct SkewAdapter<P: SubProtocol> {
     inst: Instance<P>,
     start: u64,
@@ -171,7 +168,7 @@ impl<P: SubProtocol> SkewAdapter<P> {
     /// outgoing messages when a virtual step fires. A host that slept
     /// through rounds (see [`SkewAdapter::next_wakeup`]) lands on a later
     /// step directly: the steps it jumped would have run on empty inboxes.
-    pub fn tick(&mut self, host_round: u64, out: &mut Vec<(Dest, SkewEnvelope<P::Msg>)>) {
+    pub fn tick(&mut self, host_round: u64, out: &mut Outbox<SkewEnvelope<P::Msg>>) {
         if host_round < self.start || !(host_round - self.start).is_multiple_of(2) {
             return;
         }
@@ -188,11 +185,9 @@ impl<P: SubProtocol> SkewAdapter<P> {
                 msgs.into_iter().for_each(|(from, msg)| self.inst.deliver(from, msg));
             }
         }
-        let mut inner_out = Vec::new();
+        let mut inner_out = Outbox::new();
         self.inst.step_at(vstep, &mut inner_out);
-        for (dest, msg) in inner_out {
-            out.push((dest, SkewEnvelope { vstep, msg: Arc::new(msg) }));
-        }
+        out.forward(inner_out, |msg| SkewEnvelope { vstep, msg: Arc::new(msg) });
     }
 
     /// The adapter's [`SubProtocol::next_wakeup`] in host rounds, asked
@@ -373,7 +368,7 @@ impl<V: Value, Pf: Clone, F: FallbackFactory<V>> FallbackHost<V, Pf, F> {
         step: u64,
         decided: Option<&V>,
         wrap: impl Fn(SkewEnvelope<InnerMsg<V, F>>) -> M,
-        out: &mut Vec<(Dest, M)>,
+        out: &mut Outbox<M>,
     ) -> Option<V> {
         if let Handoff::Scheduled { start, pending } = &mut self.stage {
             if *start == step {
@@ -387,9 +382,9 @@ impl<V: Value, Pf: Clone, F: FallbackFactory<V>> FallbackHost<V, Pf, F> {
             }
         }
         let Handoff::Running(adapter) = &mut self.stage else { return None };
-        let mut inner_out = Vec::new();
+        let mut inner_out = Outbox::new();
         adapter.tick(step, &mut inner_out);
-        out.extend(inner_out.into_iter().map(|(dest, env)| (dest, wrap(env))));
+        out.forward(inner_out, wrap);
         let output = if adapter.done() { adapter.inner().output() } else { None };
         if output.is_some() {
             self.stage = Handoff::Finished;
@@ -428,6 +423,7 @@ impl<V: Value, Pf: Clone, F: FallbackFactory<V>> FallbackHost<V, Pf, F> {
 #[doc(hidden)]
 pub mod hint_contract {
     use super::*;
+    use meba_sim::metrics::targets;
 
     /// Runs `build()`'s processes (`None` = silent from the start) for
     /// `steps` steps both ways and asserts that every step the sparse
@@ -449,10 +445,10 @@ pub mod hint_contract {
                     continue;
                 };
                 let me = ProcessId(i as u32);
-                let mut out_d = Vec::new();
+                let mut out_d = Outbox::new();
                 pd.on_step(step, &lend(&inbox_d[i]), &mut out_d);
                 if !inbox_s[i].is_empty() || step >= wake[i] {
-                    let mut out_s = Vec::new();
+                    let mut out_s = Outbox::new();
                     ps.on_step(step, &lend(&inbox_s[i]), &mut out_s);
                     assert_eq!(format!("{out_s:?}"), format!("{out_d:?}"), "{me} step {step}");
                     wake[i] = ps.next_wakeup(step);
@@ -479,12 +475,10 @@ pub mod hint_contract {
         inbox.iter().map(|(p, m)| (*p, m)).collect()
     }
 
-    fn route<M: Clone>(from: ProcessId, out: Vec<(Dest, M)>, next: &mut [Vec<(ProcessId, M)>]) {
-        for (dest, msg) in out {
-            match dest {
-                Dest::To(p) => next[p.index()].push((from, msg)),
-                Dest::All => next.iter_mut().for_each(|inbox| inbox.push((from, msg.clone()))),
-            }
+    fn route<M: Clone>(from: ProcessId, out: Outbox<M>, next: &mut [Vec<(ProcessId, M)>]) {
+        let n = next.len();
+        for (to, msg) in out {
+            targets(to, n).for_each(|p| next[p.index()].push((from, msg.clone())));
         }
     }
 }
@@ -493,6 +487,7 @@ pub mod hint_contract {
 mod tests {
     use super::*;
     use crate::fallback::{EchoFallbackFactory, EchoMsg};
+    use meba_sim::Dest;
 
     crate::wire_schema! {
         #[derive(Clone, Debug)]
@@ -510,10 +505,10 @@ mod tests {
     impl SubProtocol for Counter {
         type Msg = Num;
         type Output = u64;
-        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, &Num)], out: &mut Vec<(Dest, Num)>) {
+        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, &Num)], out: &mut Outbox<Num>) {
             self.received.push((step, inbox.len()));
             if step < 3 {
-                out.push((Dest::All, Num(self.out_value + step)));
+                out.push(Dest::All, Num(self.out_value + step));
             }
             if step == 3 {
                 self.decided = Some(inbox.len() as u64);
@@ -534,7 +529,7 @@ mod tests {
     fn skew_adapter_runs_every_other_round() {
         let c = Counter { received: vec![], out_value: 0, decided: None };
         let mut ad = SkewAdapter::new(c, 4, COUNTER_VSTEPS);
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         for r in 0..12 {
             ad.tick(r, &mut out);
         }
@@ -558,7 +553,7 @@ mod tests {
         ad.deliver(ProcessId(1), SkewEnvelope { vstep: 0, msg: Arc::new(Num(1)) });
         ad.deliver(ProcessId(2), SkewEnvelope { vstep: 0, msg: Arc::new(Num(2)) });
         ad.deliver(ProcessId(1), SkewEnvelope { vstep: 2, msg: Arc::new(Num(3)) });
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         for r in 0..8 {
             ad.tick(r, &mut out);
         }
@@ -574,7 +569,7 @@ mod tests {
     fn skew_adapter_discards_stale_vsteps() {
         let c = Counter { received: vec![], out_value: 0, decided: None };
         let mut ad = SkewAdapter::new(c, 0, COUNTER_VSTEPS);
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         for r in 0..6 {
             ad.tick(r, &mut out);
         }
@@ -597,22 +592,24 @@ mod tests {
         }
         assert!(ad.buffer.is_empty(), "far-future vsteps must be rejected");
         // Also once the window has moved: `vstep + 1` must not overflow.
-        ad.tick(0, &mut Vec::new());
+        ad.tick(0, &mut Outbox::new());
         ad.deliver(ProcessId(1), SkewEnvelope { vstep: u64::MAX, msg: Arc::new(Num(0)) });
         assert!(ad.buffer.is_empty(), "u64::MAX is past the schedule too");
         // In-schedule envelopes still work end to end.
         ad.deliver(ProcessId(1), SkewEnvelope { vstep: 2, msg: Arc::new(Num(1)) });
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         for r in 0..8 {
             ad.tick(r, &mut out);
         }
         assert_eq!(ad.inner().output(), Some(1), "step 3 consumed the step-2 message");
     }
 
-    /// Acts at steps 0 and 3 only, and hints so; decides at step 5 on
-    /// how many messages it was lent. Records `(step, lent)` per step.
+    /// Acts at steps 0 (unless `quiet`) and 3 only, and hints so;
+    /// decides at step 5 on how many messages it was lent. Records
+    /// `(step, lent)` per step.
     #[derive(Default)]
     struct Sparse {
+        quiet: bool,
         lent: Vec<(u64, usize)>,
         decided: Option<u64>,
     }
@@ -620,10 +617,10 @@ mod tests {
     impl SubProtocol for Sparse {
         type Msg = Num;
         type Output = u64;
-        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, &Num)], out: &mut Vec<(Dest, Num)>) {
+        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, &Num)], out: &mut Outbox<Num>) {
             self.lent.push((step, inbox.len()));
-            if step == 0 || step == 3 {
-                out.push((Dest::All, Num(step)));
+            if (step == 0 && !self.quiet) || step == 3 {
+                out.push(Dest::All, Num(step));
             }
             if step == 5 {
                 self.decided = Some(self.lent.iter().map(|&(_, lent)| lent as u64).sum());
@@ -636,14 +633,14 @@ mod tests {
             self.decided.is_some()
         }
         fn next_wakeup(&self, after: u64) -> u64 {
-            next_scheduled(after, &[(true, 0), (true, 3), (true, 5)])
+            next_scheduled(after, &[(!self.quiet, 0), (true, 3), (true, 5)])
         }
     }
 
     #[test]
     fn skew_adapter_sleeps_until_a_hinted_step_or_a_buffered_tag_is_due() {
         let mut ad = SkewAdapter::new(Sparse::default(), 4, 5);
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         let env = |vstep| SkewEnvelope { vstep, msg: Arc::new(Num(vstep)) };
         assert_eq!(ad.next_wakeup(3), 4, "step 0 at the start");
         ad.tick(4, &mut out);
@@ -705,7 +702,7 @@ mod tests {
         let mut host = Host::new(ProcessId(0), EchoFallbackFactory, OWN);
         let (mut sent, mut returned) = (Vec::new(), Vec::new());
         let mut tick = |host: &mut Host, step: u64, decided: Option<u64>| {
-            let mut out = Vec::new();
+            let mut out = Outbox::new();
             let output = host.tick(step, decided.as_ref(), |env| env, &mut out);
             sent.extend(out.into_iter().map(|(_, env)| (step, env.msg.0)));
             returned.extend(output.map(|v| (step, v)));
@@ -888,11 +885,11 @@ mod tests {
             &mut self,
             step: u64,
             inbox: &[(ProcessId, &Counted)],
-            out: &mut Vec<(Dest, Counted)>,
+            out: &mut Outbox<Counted>,
         ) {
             self.0 += inbox.len() as u64;
             if step < 3 {
-                out.push((Dest::All, Counted(step)));
+                out.push(Dest::All, Counted(step));
             } else {
                 self.1 = Some(self.0);
             }
@@ -915,6 +912,57 @@ mod tests {
         fn max_steps(&self) -> u64 {
             3
         }
+    }
+
+    /// Multicasts to p0 and p1 at steps 0..3; decides at step 3.
+    struct Spread(Option<u64>);
+    impl SubProtocol for Spread {
+        type Msg = Counted;
+        type Output = u64;
+        fn on_step(&mut self, step: u64, _: &[(ProcessId, &Counted)], out: &mut Outbox<Counted>) {
+            if step < 3 {
+                out.multicast(0..2, Counted(step));
+            } else {
+                self.0 = Some(step);
+            }
+        }
+        fn output(&self) -> Option<u64> {
+            self.0
+        }
+        fn done(&self) -> bool {
+            self.0.is_some()
+        }
+    }
+
+    #[derive(Clone)]
+    struct SpreadFactory;
+    impl FallbackFactory<u64> for SpreadFactory {
+        type Protocol = Spread;
+        fn create(&self, _me: ProcessId, _input: u64) -> Spread {
+            Spread(None)
+        }
+        fn max_steps(&self) -> u64 {
+            3
+        }
+    }
+
+    #[test]
+    fn a_fallback_multicast_leaves_its_host_as_one_entry_and_one_handle() {
+        let mut host: FallbackHost<u64, (), SpreadFactory> =
+            FallbackHost::new(ProcessId(0), SpreadFactory, 1);
+        host.schedule(3);
+        let start = CLONES.get();
+        let mut out = Outbox::new();
+        let outputs: Vec<u64> =
+            (4..20).filter_map(|step| host.tick(step, None, |env| env, &mut out)).collect();
+        assert_eq!(outputs, [3]);
+        assert_eq!(CLONES.get() - start, 0, "no multicast is copied on the send side");
+        let span = meba_sim::Recipients::Span { lo: 0, hi: 2 };
+        assert_eq!(out.len(), 3, "one entry per multicast");
+        assert!(
+            out.iter().all(|(to, env)| *to == span && Arc::strong_count(&env.msg) == 1),
+            "each names its span and holds the payload's only handle: {out:?}"
+        );
     }
 
     #[test]
@@ -941,7 +989,7 @@ mod tests {
         let mut host: FallbackHost<u64, (), TallyFactory> =
             FallbackHost::new(ProcessId(0), TallyFactory, 1);
         let start = CLONES.get();
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         let mut tick = |host: &mut FallbackHost<u64, (), TallyFactory>, steps| {
             for step in steps {
                 if let Some(v) = host.tick(step, None, |env| env, &mut out) {
@@ -996,6 +1044,125 @@ mod tests {
         assert_eq!(CLONES.get() - start, 0, "no fallback message is copied end to end");
     }
 
+    #[derive(Clone)]
+    struct SparseFactory;
+    impl FallbackFactory<u64> for SparseFactory {
+        type Protocol = Sparse;
+        fn create(&self, _me: ProcessId, _input: u64) -> Sparse {
+            Sparse { quiet: true, ..Sparse::default() }
+        }
+        fn max_steps(&self) -> u64 {
+            5
+        }
+    }
+
+    type SparseWba = crate::weak_ba::WeakBa<u64, crate::validity::AlwaysValid, SparseFactory>;
+    type SparseWbaMsg = crate::weak_ba::WeakBaMsg<u64, Num>;
+
+    /// A Byzantine peer that sends every process one fallback envelope
+    /// per `(round, tag)` of its script.
+    struct Tagger(ProcessId, Vec<(u64, u64)>);
+    impl Actor for Tagger {
+        type Msg = SparseWbaMsg;
+        fn id(&self) -> ProcessId {
+            self.0
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, SparseWbaMsg>) {
+            let round = ctx.round().as_u64();
+            for &(_, vstep) in self.1.iter().filter(|(at, _)| *at == round) {
+                let env = SkewEnvelope { vstep, msg: Arc::new(Num(100 + vstep)) };
+                ctx.broadcast(crate::weak_ba::WeakBaMsg::Fallback(env));
+            }
+        }
+        fn done(&self) -> bool {
+            true
+        }
+    }
+
+    /// A weak BA process ticked every round: it answers the default hint.
+    struct Dense(LockstepAdapter<SparseWba>);
+    impl Actor for Dense {
+        type Msg = SparseWbaMsg;
+        fn id(&self) -> ProcessId {
+            self.0.id()
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, SparseWbaMsg>) {
+            self.0.on_round(ctx);
+        }
+        fn done(&self) -> bool {
+            self.0.done()
+        }
+    }
+
+    /// The skew adapter's two sparse-time paths, end to end on the
+    /// discrete-event backend: weak BA at n = 7 with p4, p5 silent hands
+    /// off to a quiet [`Sparse`] fallback, which acts at vstep 3 only, and
+    /// p6 sends every process one envelope tagged 0 that arrives after
+    /// vstep 1's round (late: dropped, though a process that slept
+    /// through vstep 1 still buffers it) and one tagged 3 that arrives the
+    /// round before vstep 4's (early: it wakes the process for vstep 4).
+    /// The fallback decides on how many messages it was lent, so a
+    /// process that consumed the late tag or slept through the early one
+    /// decides otherwise than its twin ticked every round.
+    #[test]
+    fn a_sleeping_fallback_wakes_for_early_tags_and_drops_late_ones() {
+        use meba_engine::{run_des_cluster, DesConfig};
+        use meba_sim::{AnyActor, IdleActor};
+        let (n, t) = (7, 3);
+        let cfg = crate::SystemConfig::new(n, 7).unwrap();
+        // Help certificate at `help_step + 1`, fallback start two later.
+        let start = SparseWba::help_step(&cfg) + 3;
+        let decisions = |dense: bool| {
+            let (pki, keys) = meba_crypto::trusted_setup(n, 11);
+            let actors: Vec<Box<dyn AnyActor<Msg = SparseWbaMsg>>> = (keys.into_iter())
+                .enumerate()
+                .map(|(i, key)| {
+                    let id = ProcessId(i as u32);
+                    if i == n - 1 {
+                        return Box::new(Tagger(id, vec![(start + 2, 0), (start + 6, 3)])) as _;
+                    }
+                    if i >= n - t {
+                        return Box::new(IdleActor::new(id)) as _;
+                    }
+                    let wba = SparseWba::new(
+                        cfg,
+                        id,
+                        key,
+                        pki.clone(),
+                        crate::validity::AlwaysValid,
+                        SparseFactory,
+                        5,
+                    );
+                    let adapter = LockstepAdapter::new(id, wba);
+                    if dense {
+                        Box::new(Dense(adapter)) as _
+                    } else {
+                        Box::new(adapter) as _
+                    }
+                })
+                .collect();
+            let corrupt = (n - t..n).map(|i| ProcessId(i as u32)).collect();
+            let config = DesConfig { corrupt, ..Default::default() };
+            let report = run_des_cluster(actors, None, config).expect("valid config");
+            assert!(report.completed);
+            (report.actors[..n - t].iter())
+                .map(|a| match a.as_any().downcast_ref::<Dense>() {
+                    Some(dense) => dense.0.inner().output(),
+                    None => a
+                        .as_any()
+                        .downcast_ref::<LockstepAdapter<SparseWba>>()
+                        .unwrap()
+                        .inner()
+                        .output(),
+                })
+                .collect::<Vec<_>>()
+        };
+        // Four correct envelopes at vstep 4, and p6's early one.
+        let lent = Some(crate::Decision::Value(4 + 1));
+        assert_eq!(decisions(true), vec![lent; n - t], "ticked every round");
+        assert_eq!(decisions(false), vec![lent; n - t], "sleeping between hints");
+    }
+
     #[test]
     fn skewed_peers_stay_within_window() {
         // Two peers starting one round apart exchange all messages in time.
@@ -1003,8 +1170,8 @@ mod tests {
         let mut a = SkewAdapter::new(mk(10), 4, COUNTER_VSTEPS);
         let mut b = SkewAdapter::new(mk(20), 5, COUNTER_VSTEPS);
         for r in 0..16u64 {
-            let mut out_a = Vec::new();
-            let mut out_b = Vec::new();
+            let mut out_a = Outbox::new();
+            let mut out_b = Outbox::new();
             a.tick(r, &mut out_a);
             b.tick(r, &mut out_b);
             // Deliver next round (δ = 1): here we just deliver immediately

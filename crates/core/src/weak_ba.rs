@@ -30,17 +30,15 @@
 
 use crate::config::SystemConfig;
 use crate::decision::Decision;
-use crate::signing::{
-    sign_payload, CommitProof, DecideProof, DecideSig, HelpReqSig, ShareCollector, VoteSig,
-};
+use crate::signing::{CommitProof, DecideProof, DecideSig, HelpReqSig, ShareCollector, VoteSig};
 use crate::subprotocol::{
     next_scheduled, FallbackFactory, FallbackHost, SkewEnvelope, SubProtocol,
 };
 use crate::validity::Validity;
 use crate::value::Value;
-use meba_crypto::{Digest, Encoder, Pki, SecretKey, Signable, Signature};
+use meba_crypto::{Encoder, Pki, SecretKey, Signable, Signature};
 use meba_crypto::{ProcessId, SignContext, ThresholdSignature, WireCodec};
-use meba_sim::{Dest, Message, RecoveryEvent};
+use meba_sim::{Dest, Message, Outbox, RecoveryEvent};
 
 /// Message type of the fallback protocol produced by factory `F` for
 /// values `V`.
@@ -50,7 +48,7 @@ pub type FallbackMsgOf<V, F> = <<F as FallbackFactory<V>>::Protocol as SubProtoc
 pub type WeakBaMsgOf<V, F> = WeakBaMsg<V, FallbackMsgOf<V, F>>;
 
 /// An addressed outgoing message batch of a [`WeakBa`].
-pub type WeakBaOutbox<V, F> = Vec<(Dest, WeakBaMsgOf<V, F>)>;
+pub type WeakBaOutbox<V, F> = Outbox<WeakBaMsgOf<V, F>>;
 
 crate::wire_schema! {
     /// Wire messages of weak BA. `FM` is the fallback's message type.
@@ -250,12 +248,14 @@ where
         }
     }
 
-    /// Records a signature production event for the recovery journal.
-    fn note_signed<S: SignContext>(&mut self, payload: &S) {
-        self.recovery_events.push(RecoveryEvent::Signed {
-            context: payload.context_bytes(),
-            digest: Digest::of(&payload.signing_bytes()),
-        });
+    /// Signs `payload` and records the signature for the recovery
+    /// journal: one digest of the preimage serves both.
+    fn sign_noted<S: SignContext>(&mut self, payload: &S) -> Signature {
+        let digest = payload.signing_digest();
+        let sig = self.key.sign_digest(&digest);
+        self.recovery_events
+            .push(RecoveryEvent::Signed { context: payload.context_bytes(), digest });
+        sig
     }
 
     /// **Ablation only (experiment E9):** disables the paper's 2δ safety
@@ -429,7 +429,7 @@ where
         if self.host.schedule(step) {
             self.fallback_cert = Some(qc.clone());
             let own = self.host.own_payload(self.certified_decision());
-            out.push((Dest::All, WeakBaMsg::FallbackCert { qc: qc.clone(), decision: own }));
+            out.push(Dest::All, WeakBaMsg::FallbackCert { qc: qc.clone(), decision: own });
             self.recovery_events
                 .push(RecoveryEvent::CertReceived { kind: cert_kind::FALLBACK, step });
         }
@@ -476,7 +476,7 @@ where
                 if is_leader && self.undecided() {
                     self.nonsilent_as_leader = true;
                     self.scratch_of(phase).my_proposal = Some(self.input.clone());
-                    out.push((Dest::All, WeakBaMsg::Propose { phase, value: self.input.clone() }));
+                    out.push(Dest::All, WeakBaMsg::Propose { phase, value: self.input.clone() });
                 }
             }
             // Round 2: vote for the first valid proposal, or report an
@@ -499,23 +499,22 @@ where
                                         value,
                                         level: phase,
                                     };
-                                    let sig = sign_payload(&self.key, &payload);
-                                    self.note_signed(&payload);
-                                    out.push((
+                                    let sig = self.sign_noted(&payload);
+                                    out.push(
                                         Dest::To(leader),
                                         WeakBaMsg::Vote { phase, value: value.clone(), sig },
-                                    ));
+                                    );
                                 }
                             }
                             Some((w, proof)) => {
-                                out.push((
+                                out.push(
                                     Dest::To(leader),
                                     WeakBaMsg::CommitReply {
                                         phase,
                                         value: w.clone(),
                                         proof: proof.clone(),
                                     },
-                                ));
+                                );
                             }
                         }
                     }
@@ -557,17 +556,17 @@ where
                 }
                 if let Some((w, proof)) = best_commit {
                     self.scratch_of(phase).commit_sent = Some(w.clone());
-                    out.push((Dest::All, WeakBaMsg::CommitCert { phase, value: w, proof }));
+                    out.push(Dest::All, WeakBaMsg::CommitCert { phase, value: w, proof });
                 } else if let Some(qc) = votes.certificate() {
                     self.scratch_of(phase).commit_sent = Some(my_value.clone());
-                    out.push((
+                    out.push(
                         Dest::All,
                         WeakBaMsg::CommitCert {
                             phase,
                             value: my_value,
                             proof: CommitProof { level: phase, qc },
                         },
-                    ));
+                    );
                 }
             }
             // Round 4: accept the leader's commit certificate if its level
@@ -585,12 +584,11 @@ where
                             continue;
                         }
                         let payload = DecideSig { session: self.cfg.session(), value, phase };
-                        let sig = sign_payload(&self.key, &payload);
-                        self.note_signed(&payload);
-                        out.push((
+                        let sig = self.sign_noted(&payload);
+                        out.push(
                             Dest::To(leader),
                             WeakBaMsg::Decide { phase, value: value.clone(), sig },
-                        ));
+                        );
                         self.commit = Some((value.clone(), proof.clone()));
                         self.commit_level = proof.level;
                         self.recovery_events.push(RecoveryEvent::CommitLevel(proof.level as u64));
@@ -620,14 +618,14 @@ where
                     }
                 }
                 if let Some(qc) = shares.certificate() {
-                    out.push((
+                    out.push(
                         Dest::All,
                         WeakBaMsg::FinalizeCert {
                             phase,
                             value: w,
                             proof: DecideProof { phase, qc },
                         },
-                    ));
+                    );
                 }
             }
             _ => unreachable!("phase has 5 rounds"),
@@ -648,7 +646,7 @@ where
         &mut self,
         step: u64,
         inbox: &[(ProcessId, &Self::Msg)],
-        out: &mut Vec<(Dest, Self::Msg)>,
+        out: &mut Outbox<Self::Msg>,
     ) {
         if self.finished {
             return;
@@ -684,13 +682,13 @@ where
         // every fallback participant before any of them starts.
         if decided_via_help && self.host.scheduled() && !self.no_safety_window {
             if let (Some(qc), Some((v, p))) = (&self.fallback_cert, self.certified_decision()) {
-                out.push((
+                out.push(
                     Dest::All,
                     WeakBaMsg::FallbackCert {
                         qc: qc.clone(),
                         decision: Some((v.clone(), p.clone())),
                     },
-                ));
+                );
             }
         }
         for (_, msg) in inbox {
@@ -711,9 +709,8 @@ where
             // Alg 3 lines 5–6.
             if self.undecided() {
                 let payload = HelpReqSig { session: self.cfg.session() };
-                let sig = sign_payload(&self.key, &payload);
-                self.note_signed(&payload);
-                out.push((Dest::All, WeakBaMsg::HelpReq { sig }));
+                let sig = self.sign_noted(&payload);
+                out.push(Dest::All, WeakBaMsg::HelpReq { sig });
             }
         } else if step == help_step + 1 {
             // Alg 3 lines 7–12.
@@ -729,10 +726,10 @@ where
                             (&self.decision, &self.decide_proof)
                         {
                             if *from != self.me {
-                                out.push((
+                                out.push(
                                     Dest::To(*from),
                                     WeakBaMsg::Help { value: v.clone(), proof: p.clone() },
-                                ));
+                                );
                             }
                         }
                     }
@@ -742,7 +739,7 @@ where
                 if self.host.schedule(step) {
                     self.fallback_cert = Some(qc.clone());
                     let own = self.host.own_payload(self.certified_decision());
-                    out.push((Dest::All, WeakBaMsg::FallbackCert { qc, decision: own }));
+                    out.push(Dest::All, WeakBaMsg::FallbackCert { qc, decision: own });
                 }
             }
         }

@@ -12,7 +12,7 @@ use crate::fate::{ActorRebuilder, ResolvedFate};
 use meba_crypto::ProcessId;
 use meba_sim::faults::{Link, LinkFate, LinkPolicy};
 use meba_sim::metrics::{targets, MessageCost};
-use meba_sim::{AnyActor, Dest, Envelope, Message, Metrics, Round, RoundCtx};
+use meba_sim::{AnyActor, Envelope, Message, Metrics, Outbox, Round, RoundCtx};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -342,7 +342,7 @@ impl<M: Message> EngineProcess<M> {
 
         let mut ctx = RoundCtx::new(Round(round), me, self.n, &inbox);
         actor.on_round(&mut ctx);
-        self.dispatch(me, round, ctx.take_outbox(), transport, metrics);
+        self.dispatch(me, round, ctx.into_outbox(), transport, metrics);
         // Return the inbox's allocation for the next round (its envelopes
         // were only borrowed by the actor through `RoundCtx`).
         inbox.clear();
@@ -377,31 +377,29 @@ impl<M: Message> EngineProcess<M> {
         metrics.recovery.journal_fsyncs += rb.journal_fsyncs;
         let empty: Vec<Envelope<M>> = Vec::new();
         for r in 0..round {
-            let mut ctx = RoundCtx::new(Round(r), actor.id(), self.n, &empty);
-            actor.on_round(&mut ctx);
-            drop(ctx.take_outbox());
+            actor.on_round(&mut RoundCtx::new(Round(r), actor.id(), self.n, &empty));
         }
         actor.on_rejoin(Round(round));
         self.dead = false;
         self.rejoin_round = Some(round);
     }
 
-    /// Transmits and bills one round's outbox; each entry becomes one
-    /// [`Arc`] shared by all its copies, and is billed once, after its
-    /// copy loop.
+    /// Transmits and bills one round's outbox; each entry — one payload,
+    /// however many processes it names — becomes one [`Arc`] shared by
+    /// all its copies, and is billed once, after its copy loop.
     fn dispatch(
         &mut self,
         me: ProcessId,
         round: u64,
-        outbox: Vec<(Dest, M)>,
+        outbox: Outbox<M>,
         transport: &mut dyn Transport<M>,
         metrics: &mut Metrics,
     ) {
-        for (dest, msg) in outbox {
+        for (recipients, msg) in outbox {
             let cost = MessageCost::of(&msg);
             let msg = Arc::new(msg);
             let mut copies = 0;
-            for to in targets(dest, self.n) {
+            for to in targets(recipients, self.n) {
                 if to == me {
                     // Self-delivery: process memory, not a link — no policy,
                     // no per-link stats, no word accounting.
@@ -521,6 +519,34 @@ mod tests {
         assert!(sent.iter().all(|(_, _, msg)| Arc::ptr_eq(msg, first)), "one payload");
         assert_eq!(Arc::strong_count(first), n, "the recorder holds the only handles");
         assert_eq!(metrics.advance.quorum, 2, "rounds 1 and 2 record their cause");
+    }
+
+    /// Multicasts to p2..p5 in round 0.
+    struct Span(ProcessId);
+    impl Actor for Span {
+        type Msg = Tick;
+        fn id(&self) -> ProcessId {
+            self.0
+        }
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Tick>) {
+            if ctx.round() == Round(0) {
+                ctx.outbox().multicast(2..6, Tick);
+            }
+        }
+    }
+
+    #[test]
+    fn a_multicast_is_one_handle_and_one_bill_for_its_members() {
+        let mut proc = EngineProcess::new(8, true, false, ResolvedFate::Run, None, None);
+        let mut actor: Box<dyn AnyActor<Msg = Tick>> = Box::new(Span(ProcessId(0)));
+        let (mut transport, mut metrics) = (Recorder::default(), Metrics::default());
+        proc.step(&mut actor, 0, QuorumReached, &mut transport, &mut metrics);
+        let to: Vec<u32> = transport.sent.iter().map(|(_, to, _)| to.0).collect();
+        assert_eq!(to, [2, 3, 4, 5], "the members, in id order");
+        let first = &transport.sent[0].2;
+        assert!(transport.sent.iter().all(|(_, _, msg)| Arc::ptr_eq(msg, first)), "one payload");
+        assert_eq!((metrics.correct.messages, metrics.correct.words), (4, 4), "a copy each");
+        assert_eq!(metrics.link(ProcessId(0), ProcessId(5)).sent, 1);
     }
 
     /// Keeps every handle its inbox lends it; p0 broadcasts in round 0.

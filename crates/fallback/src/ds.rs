@@ -23,7 +23,7 @@ use crate::instance::{InstanceId, Scope};
 use crate::messages::{DsBbMsg, DsValSig, RecBaMsg};
 use meba_core::{Decision, SubProtocol, SystemConfig};
 use meba_crypto::{AggregateSignature, Pki, ProcessId, SecretKey, Signable};
-use meba_sim::Dest;
+use meba_sim::{Dest, Outbox};
 use std::collections::BTreeMap;
 
 /// The Dolev–Strong forwarding engine for a single designated sender.
@@ -179,7 +179,7 @@ impl<V: meba_core::Value> SubProtocol for DolevStrongBb<V> {
         &mut self,
         step: u64,
         inbox: &[(ProcessId, &DsBbMsg<V>)],
-        out: &mut Vec<(Dest, DsBbMsg<V>)>,
+        out: &mut Outbox<DsBbMsg<V>>,
     ) {
         if self.finished {
             return;
@@ -189,7 +189,7 @@ impl<V: meba_core::Value> SubProtocol for DolevStrongBb<V> {
         let mut core_out = Vec::new();
         self.core.on_step(step, &pairs, &mut core_out);
         for (value, agg) in core_out {
-            out.push((Dest::All, DsBbMsg { value, agg }));
+            out.push(Dest::All, DsBbMsg { value, agg });
         }
         if step >= self.rounds {
             self.finished = true;
@@ -419,7 +419,7 @@ mod tests {
             let mut next = Vec::new();
             for (i, node) in nodes.iter_mut().enumerate() {
                 if let Some(node) = node {
-                    let mut out = Vec::new();
+                    let mut out = Outbox::new();
                     node.on_step(k, &inbox, &mut out);
                     for (_, m) in out {
                         next.push((ProcessId(i as u32), m));

@@ -48,7 +48,7 @@ use crate::messages::{RecBaMsg, RecDecideSig};
 use meba_core::signing::ShareCollector;
 use meba_core::{FallbackFactory, SubProtocol, SystemConfig, Value};
 use meba_crypto::{Pki, ProcessId, SecretKey, Signable};
-use meba_sim::Dest;
+use meba_sim::{Dest, Outbox};
 use std::collections::BTreeMap;
 
 /// Scopes of at most this many members run the interactive-consistency
@@ -177,29 +177,22 @@ impl<V: Value> RecursiveBa<V> {
         self.levels.last_mut().expect("root level always present")
     }
 
-    /// Sends each of `msgs` to every member of `scope`. A full-system
-    /// scope is one `Dest::All` entry per message — the same copies, in
-    /// the same order, as one `Dest::To` per member, but one payload for
-    /// the runtime to share among them.
-    fn scope_broadcast(
-        &self,
-        scope: Scope,
-        msgs: Vec<RecBaMsg<V>>,
-        out: &mut Vec<(Dest, RecBaMsg<V>)>,
-    ) {
+    /// Sends each of `msgs` to every member of `scope`, as one entry per
+    /// message: `Dest::All` for the full system, the span of members
+    /// otherwise — the same copies, in the same order, as one `Dest::To`
+    /// per member, but one payload for the runtime to share among them.
+    fn scope_broadcast(&self, scope: Scope, msgs: Vec<RecBaMsg<V>>, out: &mut Outbox<RecBaMsg<V>>) {
         let full = scope == Scope::full(self.cfg.n());
         for msg in msgs {
             if full {
-                out.push((Dest::All, msg));
-                continue;
-            }
-            for m in scope.members() {
-                out.push((Dest::To(m), msg.clone()));
+                out.push(Dest::All, msg);
+            } else {
+                out.multicast(scope.lo..scope.hi, msg);
             }
         }
     }
 
-    fn enter_segment(&mut self, seg: Segment, out: &mut Vec<(Dest, RecBaMsg<V>)>) {
+    fn enter_segment(&mut self, seg: Segment, out: &mut Outbox<RecBaMsg<V>>) {
         // Descend one recursion level when a child segment begins.
         if seg.scope.contains(self.me) {
             let (top_scope, top_value, _) = self.top().clone();
@@ -271,7 +264,7 @@ impl<V: Value> SubProtocol for RecursiveBa<V> {
         &mut self,
         step: u64,
         inbox: &[(ProcessId, &RecBaMsg<V>)],
-        out: &mut Vec<(Dest, RecBaMsg<V>)>,
+        out: &mut Outbox<RecBaMsg<V>>,
     ) {
         if self.output.is_some() {
             return;
@@ -454,7 +447,7 @@ mod tests {
     use meba_core::LockstepAdapter;
     use meba_crypto::trusted_setup;
     use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
-    use meba_sim::{AnyActor, IdleActor};
+    use meba_sim::{AnyActor, IdleActor, Recipients};
 
     type Msg = RecBaMsg<u64>;
 
@@ -507,25 +500,36 @@ mod tests {
     }
 
     #[test]
-    fn a_full_system_step_is_one_broadcast_and_a_half_scope_step_is_per_member() {
+    fn every_scope_step_is_one_entry_per_message() {
         let n = 9;
         let cfg = SystemConfig::new(n, 1).unwrap();
         let (pki, mut keys) = trusted_setup(n, 3);
         let mut rb = RecursiveBa::new(cfg, ProcessId(0), keys.remove(0), pki, 7u64);
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         rb.on_step(0, &[], &mut out);
         // GA(0) over all 9 processes: one entry for the one `GaInput`.
-        assert!(matches!(&out[..], [(Dest::All, RecBaMsg::GaInput { .. })]), "{out:?}");
+        let all = Recipients::Dest(Dest::All);
+        assert!(matches!(&out[..], [(to, RecBaMsg::GaInput { .. })] if *to == all), "{out:?}");
         for step in 1..=GA_STEPS {
-            out.clear();
+            out = Outbox::new();
             rb.on_step(step, &[], &mut out);
         }
         // Step `GA_STEPS` opens GA(0) over the left half, p0..p4: one
-        // copy of its `GaInput` per member.
-        let dests: Vec<Dest> = out.iter().map(|(dest, _)| *dest).collect();
-        let members: Vec<Dest> = (0..5).map(|i| Dest::To(ProcessId(i))).collect();
-        assert_eq!(dests, members);
-        assert!(out.iter().all(|(_, msg)| matches!(msg, RecBaMsg::GaInput { .. })), "{out:?}");
+        // entry for its `GaInput` too, naming the half.
+        let half = Recipients::Span { lo: 0, hi: 5 };
+        assert!(matches!(&out[..], [(to, RecBaMsg::GaInput { .. })] if *to == half), "{out:?}");
+        // And so at every step of the plan: whatever p0 sends, each
+        // message is one entry for the whole scope of its segment.
+        for step in GA_STEPS + 1..rb.end {
+            out = Outbox::new();
+            rb.on_step(step, &[], &mut out);
+            let seg = rb.plan[rb.seg_idx];
+            let scope = match seg.scope {
+                scope if scope == Scope::full(n) => all,
+                Scope { lo, hi } => Recipients::Span { lo, hi },
+            };
+            assert!(out.iter().all(|(to, _)| *to == scope), "step {step}: {out:?}");
+        }
     }
 
     /// p0's tally of the plan's last certificate exchange — `Cert(R)` over
@@ -552,7 +556,7 @@ mod tests {
                 (ProcessId(signer), RecBaMsg::CertShare { inst, value, sig })
             })
             .collect();
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         for step in 0..=rb.end {
             let msgs: Vec<(ProcessId, &Msg)> = if step == last.start + 1 {
                 inbox.iter().map(|(p, m)| (*p, m)).collect()

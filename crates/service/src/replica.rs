@@ -62,7 +62,7 @@ use meba_core::{Decision, FallbackFactory, SubProtocol, SystemConfig};
 use meba_crypto::encoding::len;
 use meba_crypto::{DecodeError, Decoder, Encoder, Pki, ProcessId, SecretKey, WireCodec};
 use meba_journal::{Journal, Record};
-use meba_sim::{Actor, Message, Round, RoundCtx, ServiceStats};
+use meba_sim::{Actor, Message, Outbox, Round, RoundCtx, ServiceStats};
 use meba_smr::{CommitEvidence, ReplicatedLog, SmrMsg};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -843,11 +843,9 @@ where
                 ReplicaMsg::Transfer(t) => transfer_inbox.push((env.from, t)),
             }
         }
-        let mut log_out = Vec::new();
+        let mut log_out = Outbox::new();
         self.log.tick(round, &mut log_out);
-        for (dest, msg) in log_out {
-            ctx.push(dest, ReplicaMsg::Log(msg));
-        }
+        ctx.outbox().forward(log_out, ReplicaMsg::Log);
         for (to, msg) in self.on_transfer(round, &transfer_inbox) {
             ctx.send(to, ReplicaMsg::Transfer(msg));
         }

@@ -1,9 +1,11 @@
 //! The actor model: protocol state machines driven by synchronous rounds.
 
+use crate::metrics::targets;
 use crate::round::Round;
 use meba_crypto::ProcessId;
 use std::any::Any;
 use std::fmt;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// A protocol message deliverable by the simulator.
@@ -78,6 +80,86 @@ pub enum Dest {
     All,
 }
 
+/// Who one [`Outbox`] entry is for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Recipients {
+    /// One process, or every process.
+    Dest(Dest),
+    /// Every process whose id lies in `lo..hi`: a multicast to a
+    /// contiguous sub-scope.
+    Span {
+        /// The first member.
+        lo: u32,
+        /// One past the last member.
+        hi: u32,
+    },
+}
+
+impl From<Dest> for Recipients {
+    fn from(dest: Dest) -> Self {
+        Recipients::Dest(dest)
+    }
+}
+
+/// What an actor's round, or a sub-protocol's step, sends: an ordered
+/// list of entries, each one payload and the processes it is for.
+///
+/// A multicast is one entry however many processes it names, so the
+/// round body (`meba-engine`'s `EngineProcess::step`) wraps it in one
+/// handle and bills it once; a host that embeds a protocol re-wraps each
+/// payload and keeps its recipients ([`Outbox::forward`]). Entries are
+/// read through the slice the outbox dereferences to.
+#[derive(Clone, Debug)]
+pub struct Outbox<M> {
+    entries: Vec<(Recipients, M)>,
+}
+
+impl<M> Default for Outbox<M> {
+    fn default() -> Self {
+        Outbox { entries: Vec::new() }
+    }
+}
+
+impl<M> Outbox<M> {
+    /// An empty outbox.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Queues `msg` for `dest`.
+    pub fn push(&mut self, dest: Dest, msg: M) {
+        self.entries.push((Recipients::Dest(dest), msg));
+    }
+
+    /// Queues one copy of `msg` for every process whose id lies in
+    /// `members`, in id order.
+    pub fn multicast(&mut self, members: Range<u32>, msg: M) {
+        self.entries.push((Recipients::Span { lo: members.start, hi: members.end }, msg));
+    }
+
+    /// Appends `inner`'s entries in order, each payload wrapped by `wrap`
+    /// and its recipients kept: how a host passes on the outbox of a
+    /// protocol it embeds.
+    pub fn forward<N>(&mut self, inner: Outbox<N>, mut wrap: impl FnMut(N) -> M) {
+        self.entries.extend(inner.entries.into_iter().map(|(to, msg)| (to, wrap(msg))));
+    }
+}
+
+impl<M> Deref for Outbox<M> {
+    type Target = [(Recipients, M)];
+    fn deref(&self) -> &Self::Target {
+        &self.entries
+    }
+}
+
+impl<M> IntoIterator for Outbox<M> {
+    type Item = (Recipients, M);
+    type IntoIter = std::vec::IntoIter<(Recipients, M)>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.into_iter()
+    }
+}
+
 /// Per-round execution context handed to an actor.
 ///
 /// Provides this round's inbox and collects outgoing messages. Messages
@@ -88,7 +170,7 @@ pub struct RoundCtx<'a, M> {
     me: ProcessId,
     n: usize,
     inbox: &'a [Envelope<M>],
-    outbox: Vec<(Dest, M)>,
+    outbox: Outbox<M>,
 }
 
 impl<'a, M: Message> RoundCtx<'a, M> {
@@ -96,13 +178,38 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     /// body, journal-replay rejoin, wrapping adversaries) can drive
     /// actors.
     pub fn new(round: Round, me: ProcessId, n: usize, inbox: &'a [Envelope<M>]) -> Self {
-        RoundCtx { round, me, n, inbox, outbox: Vec::new() }
+        RoundCtx { round, me, n, inbox, outbox: Outbox::new() }
     }
 
-    /// Consumes the context, returning the collected outgoing messages.
-    /// Counterpart of [`RoundCtx::new`] for alternative runtimes.
+    /// Consumes the context, returning the collected outgoing messages
+    /// one destination each, in order: a multicast entry becomes one
+    /// [`Dest::To`] clone per member, in id order, so a wrapper that
+    /// forwards them through [`RoundCtx::send`] and
+    /// [`RoundCtx::broadcast`] sends the same copies. Counterpart of
+    /// [`RoundCtx::new`] for wrapping actors; the round body reads the
+    /// entries themselves ([`RoundCtx::into_outbox`]).
     pub fn take_outbox(self) -> Vec<(Dest, M)> {
+        let mut expanded = Vec::with_capacity(self.outbox.len());
+        for (to, msg) in self.outbox {
+            match to {
+                Recipients::Dest(dest) => expanded.push((dest, msg)),
+                Recipients::Span { .. } => {
+                    expanded.extend(targets(to, self.n).map(|p| (Dest::To(p), msg.clone())));
+                }
+            }
+        }
+        expanded
+    }
+
+    /// Consumes the context, returning its outbox as collected: one entry
+    /// per payload.
+    pub fn into_outbox(self) -> Outbox<M> {
         self.outbox
+    }
+
+    /// The outbox, for a host that lends it to an embedded protocol.
+    pub fn outbox(&mut self) -> &mut Outbox<M> {
+        &mut self.outbox
     }
 
     /// Current round.
@@ -134,18 +241,18 @@ impl<'a, M: Message> RoundCtx<'a, M> {
 
     /// Sends `msg` to `to` at the end of this round.
     pub fn send(&mut self, to: ProcessId, msg: M) {
-        self.outbox.push((Dest::To(to), msg));
+        self.outbox.push(Dest::To(to), msg);
     }
 
     /// Broadcasts `msg` to all `n` processes (including self).
     pub fn broadcast(&mut self, msg: M) {
-        self.outbox.push((Dest::All, msg));
+        self.outbox.push(Dest::All, msg);
     }
 
     /// Queues `msg` for `dest` — [`RoundCtx::send`] or
     /// [`RoundCtx::broadcast`], for a wrapper forwarding an inner outbox.
     pub fn push(&mut self, dest: Dest, msg: M) {
-        self.outbox.push((dest, msg));
+        self.outbox.push(dest, msg);
     }
 }
 
@@ -247,6 +354,24 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].0, Dest::To(ProcessId(2)));
         assert_eq!(out[1].0, Dest::All);
+    }
+
+    #[test]
+    fn a_multicast_expands_to_per_member_sends_in_order() {
+        let n = 6;
+        let mut multicast = RoundCtx::new(Round(0), ProcessId(0), n, &[]);
+        multicast.send(ProcessId(5), TestMsg(0));
+        multicast.outbox().multicast(1..4, TestMsg(1));
+        multicast.broadcast(TestMsg(2));
+        // A span past the system names only its members below `n`.
+        multicast.outbox().multicast(4..9, TestMsg(3));
+        assert_eq!(multicast.outbox().len(), 4, "one entry per payload");
+        let mut sends = RoundCtx::new(Round(0), ProcessId(0), n, &[]);
+        sends.send(ProcessId(5), TestMsg(0));
+        (1..4).for_each(|p| sends.send(ProcessId(p), TestMsg(1)));
+        sends.broadcast(TestMsg(2));
+        (4..6).for_each(|p| sends.send(ProcessId(p), TestMsg(3)));
+        assert_eq!(multicast.take_outbox(), sends.take_outbox());
     }
 }
 

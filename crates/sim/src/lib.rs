@@ -65,7 +65,9 @@ pub mod metrics;
 pub mod round;
 pub mod session;
 
-pub use actor::{Actor, AnyActor, Dest, Envelope, IdleActor, Message, RoundCtx};
+pub use actor::{
+    Actor, AnyActor, Dest, Envelope, IdleActor, Message, Outbox, Recipients, RoundCtx,
+};
 pub use faults::{
     BernoulliDrop, Link, LinkFate, LinkPolicy, OneShotPartition, PolicyStack, RandomDelay,
     ReliableLinks, SeverAt,

@@ -20,7 +20,7 @@
 //! per sender, sorted by receiver, so a copy's lookup is one probe into
 //! one short row.
 
-use crate::actor::{Dest, Message};
+use crate::actor::{Dest, Message, Recipients};
 use crate::faults::{Link, LinkFate};
 use meba_crypto::ProcessId;
 use std::collections::BTreeMap;
@@ -676,17 +676,18 @@ impl MessageCost {
     }
 }
 
-/// The processes a message addressed to `dest` is copied to in a system
-/// of `n`. An out-of-range destination (only a Byzantine actor produces
-/// one) names nobody. The sender itself may be among them: that copy is
+/// The processes a message addressed to `to` is copied to in a system of
+/// `n`, in id order. Members at or past `n` (only a Byzantine actor names
+/// one) are nobody. The sender itself may be among them: that copy is
 /// process memory, not a link — the caller hands it over without asking a
 /// [`crate::faults::LinkPolicy`], without counting it in [`Metrics::bill`]
 /// and without calling [`Metrics::carry`].
-pub fn targets(dest: Dest, n: usize) -> impl Iterator<Item = ProcessId> {
-    let range = match dest {
-        Dest::To(p) if p.index() < n => p.index()..p.index() + 1,
-        Dest::To(_) => 0..0,
-        Dest::All => 0..n,
+pub fn targets(to: impl Into<Recipients>, n: usize) -> impl Iterator<Item = ProcessId> {
+    let range = match to.into() {
+        Recipients::Dest(Dest::To(p)) if p.index() < n => p.index()..p.index() + 1,
+        Recipients::Dest(Dest::To(_)) => 0..0,
+        Recipients::Dest(Dest::All) => 0..n,
+        Recipients::Span { lo, hi } => (lo as usize).min(n)..(hi as usize).min(n),
     };
     range.map(|i| ProcessId(i as u32))
 }
@@ -972,6 +973,11 @@ mod tests {
         assert_eq!(ids(Dest::All), [0, 1, 2]);
         assert_eq!(ids(Dest::To(ProcessId(2))), [2]);
         assert_eq!(ids(Dest::To(ProcessId(3))), [0u32; 0]);
+        let span =
+            |lo, hi| targets(Recipients::Span { lo, hi }, 3).map(|p| p.0).collect::<Vec<_>>();
+        assert_eq!(span(1, 3), [1, 2]);
+        assert_eq!(span(2, 7), [2], "members past the system are nobody");
+        assert_eq!(span(2, 1), [0u32; 0]);
     }
 
     /// One outbox entry of a generated stream: `copies` remote copies

@@ -11,7 +11,7 @@
 //! Cryptographic non-interference between concurrent instances is the
 //! host protocol's job too (per-session signature domain separation).
 
-use crate::actor::{Dest, Message};
+use crate::actor::{Message, Outbox};
 use meba_crypto::encoding::len;
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, ProcessId, WireCodec};
 use std::fmt::Debug;
@@ -68,12 +68,14 @@ pub trait SubProtocol: Send + 'static {
 
     /// Executes step `s` on a lent inbox: the messages belong to the
     /// caller (a round's shared payloads, or a host's buffer), so a
-    /// protocol clones only what it keeps past the step.
+    /// protocol clones only what it keeps past the step. What it sends
+    /// goes to `out`, one entry per payload however many processes it
+    /// is for.
     fn on_step(
         &mut self,
         step: u64,
         inbox: &[(ProcessId, &Self::Msg)],
-        out: &mut Vec<(Dest, Self::Msg)>,
+        out: &mut Outbox<Self::Msg>,
     );
 
     /// The decision, once reached.
@@ -205,7 +207,7 @@ impl<P: SubProtocol> Instance<P> {
     /// everything delivered since the previous one. The steps jumped
     /// over never run; a driver may only jump where
     /// [`SubProtocol::next_wakeup`] said they would have been no-ops.
-    pub fn step_at(&mut self, step: u64, out: &mut Vec<(Dest, P::Msg)>) {
+    pub fn step_at(&mut self, step: u64, out: &mut Outbox<P::Msg>) {
         debug_assert!(step >= self.next_step, "steps only move forward");
         let lent: Vec<(ProcessId, &P::Msg)> = self.inbox.iter().map(|(p, m)| (*p, &**m)).collect();
         self.proto.on_step(step, &lent, out);
@@ -239,6 +241,7 @@ impl<P: SubProtocol> Instance<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::Dest;
 
     #[derive(Clone, Debug)]
     struct Ping(#[allow(dead_code)] u64);
@@ -270,17 +273,12 @@ mod tests {
     impl SubProtocol for Echo {
         type Msg = Ping;
         type Output = u64;
-        fn on_step(
-            &mut self,
-            step: u64,
-            inbox: &[(ProcessId, &Ping)],
-            out: &mut Vec<(Dest, Ping)>,
-        ) {
+        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, &Ping)], out: &mut Outbox<Ping>) {
             self.seen += inbox.len() as u64;
             if step >= self.lifetime {
                 self.decided = Some(self.seen);
             } else {
-                out.push((Dest::All, Ping(step)));
+                out.push(Dest::All, Ping(step));
             }
         }
         fn output(&self) -> Option<u64> {
@@ -310,7 +308,7 @@ mod tests {
         let mut inst = Instance::new(Echo { lifetime: 3, seen: 0, decided: None });
         inst.deliver(ProcessId(1), Arc::new(Ping(0)));
         inst.deliver(ProcessId(2), Arc::new(Ping(0)));
-        let mut out = Vec::new();
+        let mut out = Outbox::new();
         inst.step_at(0, &mut out);
         assert_eq!(inst.proto().seen, 2, "step 0 consumed both buffered messages");
         assert_eq!(inst.next_step(), 1);

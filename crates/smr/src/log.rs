@@ -15,7 +15,7 @@ use meba_core::bb::{Bb, BbBaValue, BbMsg, BbValidity};
 use meba_core::signing::DecideProof;
 use meba_core::{Decision, FallbackFactory, SubProtocol, SystemConfig, Validity, Value};
 use meba_crypto::{Pki, ProcessId, SecretKey, WireCodec};
-use meba_sim::{Actor, Dest, Instance, Round, RoundCtx, SessionEnvelope, SessionId};
+use meba_sim::{Actor, Instance, Outbox, Round, RoundCtx, SessionEnvelope, SessionId};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -397,15 +397,13 @@ where
     /// appended to `out` tagged with the slot, and the slots that are
     /// done or out of steps retire. It opens nothing: the round's due
     /// slot opened in [`ReplicatedLog::spawn_due`], before routing.
-    pub fn tick(&mut self, round: u64, out: &mut Vec<(Dest, <Self as Actor>::Msg)>) {
-        let mut stepped = Vec::new();
+    pub fn tick(&mut self, round: u64, out: &mut Outbox<<Self as Actor>::Msg>) {
         let mut to_retire = Vec::new();
         for (&slot, inst) in self.live.iter_mut() {
             let step = round - slot * self.stride;
+            let mut stepped = Outbox::new();
             inst.step_at(step, &mut stepped);
-            for (dest, msg) in stepped.drain(..) {
-                out.push((dest, SessionEnvelope { session: SessionId(slot), msg }));
-            }
+            out.forward(stepped, |msg| SessionEnvelope { session: SessionId(slot), msg });
             if inst.done() || step + 1 >= self.slot_cap {
                 to_retire.push(slot);
             }
@@ -437,11 +435,7 @@ where
         for env in ctx.inbox() {
             self.route(env.from, &env.msg);
         }
-        let mut out = Vec::new();
-        self.tick(round, &mut out);
-        for (dest, msg) in out {
-            ctx.push(dest, msg);
-        }
+        self.tick(round, ctx.outbox());
     }
 
     fn done(&self) -> bool {
@@ -487,7 +481,7 @@ mod tests {
     use meba_crypto::trusted_setup;
     use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
     use meba_fallback::RecursiveBaFactory;
-    use meba_sim::{AnyActor, Envelope, IdleActor, Round};
+    use meba_sim::{AnyActor, Dest, Envelope, IdleActor, Round};
     use std::sync::Arc;
 
     type Log = ReplicatedLog<u64, RecursiveBaFactory>;

@@ -23,11 +23,11 @@ use meba_engine::{
     LinkPolicyFactory, ProcessFateFactory, RebuiltActor, RoundDriverConfig,
 };
 use meba_sim::faults::{Link, LinkFate, LinkPolicy, PolicyStack, RandomDelay, SeverAt};
-use meba_sim::{Actor, AnyActor, Message, Metrics, Round, RoundCtx};
+use meba_sim::{Actor, AnyActor, Dest, Message, Metrics, Round, RoundCtx};
 use meba_testkit::{
     bb_actors, corrupt_ids, crash_restart, des, log_actors, log_round_budget, oracle, overrun_free,
-    round_budget, strong_ba_actors, weak_ba_actors, with_faults, BbProc, Fault, LogProc, SbaProc,
-    Timing, WbaProc,
+    round_budget, strong_ba_actors, weak_ba_actors, with_faults, BbM, BbProc, Fault, LogProc,
+    SbaProc, Timing, WbaProc,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -753,4 +753,84 @@ fn des_output_matches_the_parent() {
         moved.len(),
         lines.len(),
     );
+}
+
+// ---------------------------------------------------------------------
+// The wrapper view: `take_outbox`'s expansion ≡ the compact entries
+// ---------------------------------------------------------------------
+
+/// Pass-through wrapper that runs its actor on a context of its own and
+/// forwards what [`RoundCtx::take_outbox`] returns through `send` and
+/// `broadcast`, as a tracing wrapper does; everything else, the hint
+/// included, is forwarded as it is.
+struct Expanding<M: Message>(Box<dyn AnyActor<Msg = M>>);
+
+impl<M: Message> Actor for Expanding<M> {
+    type Msg = M;
+    fn id(&self) -> ProcessId {
+        self.0.id()
+    }
+    fn on_round(&mut self, ctx: &mut RoundCtx<'_, M>) {
+        let mut nested = RoundCtx::new(ctx.round(), ctx.me(), ctx.n(), ctx.inbox());
+        self.0.on_round(&mut nested);
+        for (dest, msg) in nested.take_outbox() {
+            match dest {
+                Dest::To(p) => ctx.send(p, msg),
+                Dest::All => ctx.broadcast(msg),
+            }
+        }
+    }
+    fn done(&self) -> bool {
+        self.0.done()
+    }
+    fn refused_equivocations(&self) -> u64 {
+        self.0.refused_equivocations()
+    }
+    fn on_rejoin(&mut self, round: Round) {
+        self.0.on_rejoin(round);
+    }
+    fn next_wakeup(&self, after: Round) -> Round {
+        self.0.next_wakeup(after)
+    }
+}
+
+/// A fallback's sub-scope multicast is one outbox entry; a wrapper sees
+/// it as one `Dest::To` per member. BB at f = t, every correct process
+/// behind [`Expanding`], must leave the same ledger — `correct`,
+/// `byzantine`, `by_component`, `per_link` and the rest — the same
+/// rounds and the same decisions at the same steps as the unwrapped run.
+#[test]
+fn a_wrapper_that_expands_the_outbox_sends_what_the_round_body_does() {
+    for n in [17, 33] {
+        let t = (n - 1) / 2;
+        let faults: Vec<Fault> =
+            (0..n).map(|i| if (1..=t).contains(&i) { Fault::Idle } else { Fault::None }).collect();
+        let run = |expand: bool| {
+            let actors = (bb_actors(0, 7, &faults).into_iter().zip(&faults))
+                .map(|(actor, fault)| match fault {
+                    Fault::None if expand => Box::new(Expanding(actor)) as _,
+                    _ => actor,
+                })
+                .collect();
+            let report = des(actors, &faults, 0x21, &Timing::lockstep());
+            assert!(report.completed, "n = {n}: BB must decide");
+            let fallback = report.metrics.by_component.get("fallback").map_or(0, |c| c.words);
+            assert!(fallback > 0, "n = {n}: the fallback ran");
+            let decided: Vec<String> = (report.actors.iter().zip(&faults))
+                .filter(|(_, fault)| matches!(fault, Fault::None))
+                .map(|(a, _)| {
+                    let a =
+                        a.as_any().downcast_ref::<Expanding<BbM>>().map_or(a.as_ref(), |e| &*e.0);
+                    let bb = adapter::<BbProc>(a);
+                    format!("{:?}@{:?}", bb.output(), bb.decided_at())
+                })
+                .collect();
+            (
+                serde_json::to_string(&report.metrics).expect("metrics serialize"),
+                report.rounds,
+                decided,
+            )
+        };
+        assert_eq!(run(true), run(false), "n = {n}");
+    }
 }

@@ -286,6 +286,25 @@ fn one_payload_per_outbox_entry() {
     assert!(hits.is_empty(), "every `on_step` is lent its inbox:{}", report(&hits));
 }
 
+/// One entry per multicast: from `RecursiveBa` to the round body, an
+/// outbox entry is one payload and its recipients (`meba_sim::Outbox`).
+/// A list with one destination per entry, `Vec<(Dest, …)>`, appears in
+/// non-test crate code only as `RoundCtx::take_outbox`'s return type —
+/// the expanded view a wrapping actor forwards — so no layer re-expands
+/// a multicast into per-member entries.
+#[test]
+fn one_entry_per_multicast() {
+    let sources: Vec<Hit> = files(CRATE_SOURCES).iter().flat_map(|p| non_test(p)).collect();
+    let hits = matching(&sources, r"Vec<\(Dest,");
+    assert!(
+        hits.len() == 1
+            && hits[0].path == "crates/sim/src/actor.rs"
+            && hits[0].text.contains("pub fn take_outbox(self)"),
+        "`Vec<(Dest,` must appear in non-test crate code only as `take_outbox`'s return type:{}",
+        report(&hits)
+    );
+}
+
 /// No payload on the event queue: the discrete-event backend puts a copy
 /// in its receiver's mailbox at send, so `des.rs`'s `Event` — and the
 /// queue holding it, and every type either names — is payload-free (no
