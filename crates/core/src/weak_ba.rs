@@ -248,6 +248,12 @@ where
         }
     }
 
+    /// How many recovery events wait for a drain.
+    #[cfg(test)]
+    pub(crate) fn undrained_recovery_events(&self) -> usize {
+        self.recovery_events.len()
+    }
+
     /// Signs `payload` and records the signature for the recovery
     /// journal: one digest of the preimage serves both.
     fn sign_noted<S: SignContext>(&mut self, payload: &S) -> Signature {

@@ -14,6 +14,33 @@
 use crate::sha256::Sha256;
 
 const BLOCK: usize = 64;
+const IPAD: u8 = 0x36;
+const OPAD: u8 = 0x5c;
+
+/// SHA-256 with the block `key ⊕ pad` absorbed: one compression. `key` is
+/// zero-padded to a block, or hashed first if it is longer (RFC 2104).
+fn keyed(key: &[u8], pad: u8) -> Sha256 {
+    let mut block = [0u8; BLOCK];
+    if key.len() > BLOCK {
+        block[..32].copy_from_slice(crate::sha256::Digest::of(key).as_bytes());
+    } else {
+        block[..key.len()].copy_from_slice(key);
+    }
+    for b in &mut block {
+        *b ^= pad;
+    }
+    let mut h = Sha256::new();
+    h.update(&block);
+    h
+}
+
+/// HMAC's keyed inner hash alone: SHA-256 with `key ⊕ ipad` absorbed.
+/// [`crate::pki`] finishes it over one fixed-length block to tag a share
+/// or a certificate, where the outer hash would add a compression and no
+/// security (see that module's docs).
+pub(crate) fn keyed_inner(key: &[u8]) -> Sha256 {
+    keyed(key, IPAD)
+}
 
 /// Computes `HMAC-SHA256(key, msg)`.
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
@@ -46,24 +73,7 @@ impl HmacSha256 {
     /// Creates a MAC keyed with `key` (any length; longer than one block is
     /// hashed first, per RFC 2104).
     pub fn new(key: &[u8]) -> Self {
-        let mut k = [0u8; BLOCK];
-        if key.len() > BLOCK {
-            let d = crate::sha256::Digest::of(key);
-            k[..32].copy_from_slice(d.as_bytes());
-        } else {
-            k[..key.len()].copy_from_slice(key);
-        }
-        let mut ipad = [0u8; BLOCK];
-        let mut opad = [0u8; BLOCK];
-        for i in 0..BLOCK {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        let mut outer = Sha256::new();
-        outer.update(&opad);
-        HmacSha256 { inner, outer }
+        HmacSha256 { inner: keyed(key, IPAD), outer: keyed(key, OPAD) }
     }
 
     /// Absorbs message bytes.
@@ -136,6 +146,15 @@ mod tests {
         mac.update(b"split ");
         mac.update(b"message");
         assert_eq!(mac.finalize(), hmac_sha256(b"secret", b"split message"));
+    }
+
+    #[test]
+    fn the_keyed_inner_hash_is_hmac_without_its_outer_hash() {
+        let mut inner = keyed_inner(b"secret");
+        inner.update(b"message");
+        let mut outer = keyed(b"secret", OPAD);
+        outer.update(inner.finalize().as_bytes());
+        assert_eq!(*outer.finalize().as_bytes(), hmac_sha256(b"secret", b"message"));
     }
 
     #[test]

@@ -24,10 +24,11 @@ use crate::service::ServiceProc;
 use crate::{correct, corrupt_ids, BbProc, Fault, LogProc, RecWbaProc, SbaProc};
 use meba_core::{Decision, LockstepAdapter, SubProtocol, Validity, WeakBa};
 use meba_crypto::{Digest, ProcessId, WireCodec};
+use meba_engine::ClusterReport;
 use meba_fallback::{RecursiveBa, RecursiveBaFactory, Scope, BASE_SCOPE};
 use meba_journal::{Journal, MemBuffer, Record};
 use meba_service::Batch;
-use meba_sim::{Actor, AnyActor, Metrics};
+use meba_sim::{Actor, AnyActor, Message, Metrics};
 use meba_smr::LogEntry;
 use std::borrow::Borrow;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -574,8 +575,27 @@ impl Verdict {
     ///
     /// Panics with every violation listed.
     pub fn assert_safe(&self) {
+        self.assert_safe_noting("");
+    }
+
+    /// [`Verdict::assert_safe`] on a wall-clock attempt: a violation also
+    /// names the attempt's `overruns` and whether it `completed`, so a run
+    /// outside Lemma 18's timing can be told from a bug without
+    /// instrumenting.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the attempt's counts and every violation listed.
+    pub fn assert_safe_in<M: Message>(&self, attempt: &ClusterReport<M>) {
+        let (overruns, completed) = (attempt.overruns, attempt.completed);
+        self.assert_safe_noting(&format!(
+            " in an attempt with {overruns} overrun(s), completed {completed}"
+        ));
+    }
+
+    fn assert_safe_noting(&self, attempt: &str) {
         let (count, lines) = (self.violations.len(), self.violations.join("\n"));
-        assert!(self.is_safe(), "{count} safety violation(s):\n{lines}");
+        assert!(self.is_safe(), "{count} safety violation(s){attempt}:\n{lines}");
     }
 }
 
@@ -722,6 +742,20 @@ mod tests {
         let ((_, a), (_, b)) = (cluster(11), cluster(12));
         let v = service(&[replica(&a, 1), replica(&b, 1)], &[]);
         assert!(v.violations.iter().any(|l| l.starts_with("slot 0 diverges")), "{v:?}");
+    }
+
+    #[test]
+    fn a_divergent_attempt_names_its_overruns_and_completion() {
+        let ((_, a), (_, mut b)) = (cluster(11), cluster(12));
+        let v = service(&[replica(&a, 1), replica(&b, 1)], &[]);
+        (b.overruns, b.completed) = (426, false);
+        let attempt = std::panic::AssertUnwindSafe(|| v.assert_safe_in(&b));
+        let err = std::panic::catch_unwind(attempt).expect_err("must panic");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            msg.starts_with("1 safety violation(s) in an attempt with 426 overrun(s), completed false:\nslot 0 diverges"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use meba_engine::ClusterReport;
 use meba_sim::Message;
 use meba_wire::TcpClusterReport;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -68,15 +69,26 @@ pub struct OverrunFree<R> {
 /// # Panics
 ///
 /// Panics, naming `label`, if an overrun-free attempt did not complete or
-/// no attempt was overrun-free; a panic of `run` — a safety check failing
-/// on an attempt about to be discarded included — propagates at once.
+/// no attempt was overrun-free. A panic of `run` — a safety check failing
+/// on an attempt about to be discarded included — is raised again at once,
+/// its message prefixed with `label`, the attempt number and δ.
 pub fn overrun_free<R: WallClockRun>(
     label: &str,
     mut delta: Duration,
     mut run: impl FnMut(Duration) -> R,
 ) -> OverrunFree<R> {
     for attempts in 1..=ATTEMPTS {
-        let report = run(delta);
+        let report = match catch_unwind(AssertUnwindSafe(|| run(delta))) {
+            Ok(report) => report,
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("(a non-string panic)");
+                panic!("{label}: attempt {attempts} at δ = {delta:?} panicked: {msg}");
+            }
+        };
         let r = report.cluster_report();
         if r.overruns == 0 {
             assert!(r.completed, "{label}: an overrun-free run at δ = {delta:?} did not complete");
@@ -120,7 +132,6 @@ mod tests {
     use super::*;
     use crate::BbM;
     use meba_sim::Metrics;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const BASE: Duration = Duration::from_millis(2);
 
@@ -174,7 +185,27 @@ mod tests {
             assert!(agreed, "agreement: p0 and p2 decided differently");
             attempt
         });
-        assert_eq!((calls, msg.as_str()), (1, "agreement: p0 and p2 decided differently"));
+        assert_eq!(
+            (calls, msg.as_str()),
+            (1, "fake: attempt 1 at δ = 2ms panicked: agreement: p0 and p2 decided differently")
+        );
+    }
+
+    #[test]
+    fn a_panicking_attempt_is_named_by_its_label_number_and_delta() {
+        let mut overruns = [5, 2].into_iter();
+        let (calls, msg) = panics("E99 n=5", || {
+            let Some(overruns) = overruns.next() else {
+                panic!("slot {} diverges: replica 2 applied another value than 1", 3)
+            };
+            report(true, overruns)
+        });
+        assert_eq!(calls, 3);
+        assert_eq!(
+            msg,
+            "E99 n=5: attempt 3 at δ = 32ms panicked: slot 3 diverges: replica 2 applied \
+             another value than 1"
+        );
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Exact work counts of one seeded run that no output shows.
 //!
 //! Words, rounds and decisions are pinned elsewhere (`runs_golden`,
-//! `fallback_golden`, `des_recorded_output.txt`). Two kinds of work
+//! `fallback_golden`, `des_recorded_output.txt`). Three kinds of work
 //! change none of them: a process-round executed on an empty inbox that
-//! sends nothing, and a share verified beyond the threshold of the
-//! certificate it could join. This file pins both for BB at n = 33 with
-//! f = t silent, the quadratic fallback's regime, so that an idle tick or
-//! an eager check that comes back moves a number here.
+//! sends nothing, a share verified beyond the threshold of the
+//! certificate it could join, and a SHA-256 compression a tag does not
+//! need. This file pins all three for BB at n = 33 with f = t silent, the
+//! quadratic fallback's regime, so that an idle tick, an eager check or a
+//! second compression per tag that comes back moves a number here.
 
 use meba_core::{Decision, LockstepAdapter, SubProtocol};
 use meba_crypto::pki::verify_calls;
+use meba_crypto::sha256::compressions;
 use meba_crypto::ProcessId;
 use meba_sim::{Actor, AnyActor, Message, Round, RoundCtx};
 use meba_testkit::{bb_actors, des, BbM, BbProc, Fault, Timing};
@@ -44,8 +46,9 @@ impl<M: Message> Actor for Counting<M> {
     }
 }
 
-/// Share verifies and executed correct process-rounds of one BB run:
-/// sender p0 broadcasts 7, `p1..pt` are silent (the benchmark's layout).
+/// Share verifies, executed correct process-rounds and SHA-256
+/// compressions (set-up excluded) of one BB run: sender p0 broadcasts 7,
+/// `p1..pt` are silent (the benchmark's layout).
 #[test]
 fn bb_at_f_equals_t_does_the_recorded_work() {
     let n = 33;
@@ -60,9 +63,9 @@ fn bb_at_f_equals_t_does_the_recorded_work() {
             _ => actor,
         })
         .collect();
-    let before = verify_calls().0;
+    let (before, hashed) = (verify_calls().0, compressions());
     let report = des(actors, &faults, 0x21, &Timing::lockstep());
-    let shares = verify_calls().0 - before;
+    let (shares, hashed) = (verify_calls().0 - before, compressions() - hashed);
     assert!(report.completed, "BB must decide");
 
     let mut rounds = 0;
@@ -77,4 +80,7 @@ fn bb_at_f_equals_t_does_the_recorded_work() {
     // scheduled or running fallback woke its host every round.
     assert_eq!(shares, 2_423, "share verifies");
     assert_eq!(rounds, 1_786, "executed correct process-rounds");
+    // 10,012 while a share or certificate tag was a full HMAC: an inner
+    // and an outer compression where one keyed block now does.
+    assert_eq!(hashed, 6_652, "SHA-256 compressions");
 }

@@ -321,27 +321,31 @@ fn wire_format_is_pinned() {
     let (pki, keys) = trusted_setup(7, 1);
     let shares: Vec<_> = keys.iter().take(3).map(|k| k.sign(b"ds")).collect();
     let ds = DsBbMsg { value: 9u64, agg: pki.aggregate(b"ds", &shares).unwrap() };
+    // The five families that carry a share or certificate tag were
+    // re-recorded when a tag became one keyed block: only their 32-byte
+    // tag fields moved. `Hello` carries no tag, and `DsBbMsg`'s aggregate
+    // tag is still a full HMAC.
     let pins = [
         (
             "WeakBaMsg",
             hex(0..=10),
-            "d1948b6be4f69d8ba11c004c3d8dd68b11aaff93bf08e7b1246d471a52fe51e3",
+            "4721c21017e12bb2b75e449b1be8fdcdf7e5c2bd0ba32383e4510b4ecfe98425",
         ),
         (
             "SessionEnvelope<WeakBaMsg>",
             hex(11..=21),
-            "a9e3e21b77f0c1a5b804accd3daeec7c48aec47b4be5d68fe1bb2d977e7f6822",
+            "bc7ce459b10f0caa49f64c569a2879be46a3281756c6e55a3bc1694375ade7b2",
         ),
-        ("BbMsg", hex(22..=27), "655937fb4523103595dcf66a9839b3bde42811dc45f88d8b88bed7ad4cb57b2b"),
+        ("BbMsg", hex(22..=27), "6bde93567d8d4a0e94fd7edb193b6304c3c5fccad9070523e3809504d50ee5d4"),
         (
             "StrongBaMsg",
             hex(28..=33),
-            "ba9b639ee4bf55670462f01e15aef73785d81da4565a4c1a17e006e6247821b2",
+            "2a12cb808e7c4231ffb5c47e1ed045f114247152701aa2ea8a94cf2171a6d266",
         ),
         (
             "RecBaMsg",
             hex(34..=40),
-            "d671652d2a0ea8af88520f9ebca6f1665dbc6e340a3be3cec84456f3036f24fe",
+            "e1a12c616aa933c4f9add687f9f299e5dc6c8934f837eb5c598f7d97401ef81d",
         ),
         ("Hello", hex(41..=41), "52d708e06f38902d7b1aec179b9d74c54b2d063ef5b75340e5682fcf2ee4d7bc"),
         (

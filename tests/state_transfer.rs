@@ -105,7 +105,7 @@ fn churn<R: WallClockRun<Msg = ServiceM>>(
     let s = h.stride();
     let out = run(&h, churn_fate(s, s * jitter_tenths / 100));
     let v = oracle::service(&replicas(&out.cluster_report().actors), &h.journals());
-    v.assert_safe();
+    v.assert_safe_in(out.cluster_report());
     (out, v)
 }
 
@@ -161,7 +161,8 @@ proptest! {
 /// fingerprint — applied bytes per slot, journal bytes, metrics, stats —
 /// is the one recorded before the slot path was collapsed onto one
 /// `apply`, but for the `state` half, re-recorded when signatures became
-/// hash-then-sign (journals embed signature tags). Every victim restarts
+/// hash-then-sign and again when a tag became one keyed block (journals
+/// embed signature tags). Every victim restarts
 /// after it has journaled commits, so the rebuilt replicas replay
 /// `Committed` and `Transferred` records their earlier incarnations wrote
 /// through the live path.
@@ -189,7 +190,7 @@ fn rolling_restart_churn_converges_des() {
     };
     // The outage phase moves the traffic (and so the metrics) but not
     // what is applied, journaled or counted.
-    const STATE: &str = "33a0a5f985a506afc4ca0b9c9e8a94d2bad87664083f3650479202251823c03f";
+    const STATE: &str = "9ae8c3154621e220935c494a31b330eef75a1e832109d838b0c69c32086f501c";
     const STATS: &str = "d3bcbaad114b27030e873321a83f0278f676544b9d646c150dddee30d0666e98";
     for (jitter_tenths, metrics) in [
         (0, "c7d1e8cef432f3639936de8e8737f0d087b052ef333ffaab86f729650ba35ad4"),
@@ -291,7 +292,7 @@ fn lying_donor_is_rejected_and_counted_while_recovery_converges() {
         // one, value for value.
         let replicas: Vec<_> = report.actors.iter().map(|a| replica_of(a.as_ref())).collect();
         let v = oracle::service(&replicas, &h.journals());
-        v.assert_safe();
+        v.assert_safe_in(&report);
         (report, v)
     })
     .report;
