@@ -27,8 +27,9 @@ use meba_core::SystemConfig;
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, ProcessId, WireCodec};
 
 /// Wire-format version. Bumped on any codec, framing or signature
-/// change; 2 since individual signatures MAC the message digest.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// change; 2 since individual signatures MAC the message digest, 3 since
+/// share and certificate tags are one keyed SHA-256 compression.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// The first (and only) handshake frame each side sends.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -151,13 +152,16 @@ mod tests {
                 Err(WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs }) if theirs == version
             ));
         }
-        // A version-1 peer MACs whole messages, so its shares would fail
-        // every check: it is refused at the hello instead.
-        let v1 = Hello { version: 1, ..peer };
-        assert!(matches!(
-            validate(&ours, &v1, None, 5),
-            Err(WireError::VersionMismatch { ours: 2, theirs: 1 })
-        ));
+        // A version-1 peer MACs whole messages and a version-2 peer tags
+        // with a full two-compression HMAC, so their shares would fail
+        // every check: they are refused at the hello instead.
+        for theirs in [1, 2] {
+            let old = Hello { version: theirs, ..peer };
+            assert!(matches!(
+                validate(&ours, &old, None, 5),
+                Err(WireError::VersionMismatch { ours: 3, theirs: t }) if t == theirs
+            ));
+        }
 
         let (bad_cfg, _) = hello(1, 99, 7);
         assert!(matches!(
