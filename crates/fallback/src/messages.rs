@@ -3,7 +3,7 @@
 use crate::instance::InstanceId;
 use meba_core::{wire_schema, Value};
 use meba_crypto::{
-    AggregateSignature, Encoder, ProcessId, Signable, Signature, ThresholdSignature,
+    AggregateSignature, Encoder, ProcessId, Signable, Signature, ThresholdSignature, WireCodec,
 };
 
 /// Signed payload of a graded-agreement input share.
@@ -21,7 +21,7 @@ impl<V: Value> Signable for GaInputSig<'_, V> {
     const DOMAIN: &'static str = "meba/fallback/ga-input";
     fn encode_fields(&self, enc: &mut Encoder) {
         enc.put_u64(self.session);
-        self.inst.encode(enc);
+        self.inst.encode_wire(enc);
         self.value.encode_value(enc);
     }
 }
@@ -41,7 +41,7 @@ impl<V: Value> Signable for GaVoteSig<'_, V> {
     const DOMAIN: &'static str = "meba/fallback/ga-vote";
     fn encode_fields(&self, enc: &mut Encoder) {
         enc.put_u64(self.session);
-        self.inst.encode(enc);
+        self.inst.encode_wire(enc);
         self.value.encode_value(enc);
     }
 }
@@ -64,7 +64,7 @@ impl<V: Value> Signable for DsValSig<'_, V> {
     const DOMAIN: &'static str = "meba/fallback/ds-val";
     fn encode_fields(&self, enc: &mut Encoder) {
         enc.put_u64(self.session);
-        self.inst.encode(enc);
+        self.inst.encode_wire(enc);
         enc.put_id(self.ds_sender);
         self.value.encode_value(enc);
     }
@@ -85,7 +85,7 @@ impl<V: Value> Signable for RecDecideSig<'_, V> {
     const DOMAIN: &'static str = "meba/fallback/rec-decide";
     fn encode_fields(&self, enc: &mut Encoder) {
         enc.put_u64(self.session);
-        self.inst.encode(enc);
+        self.inst.encode_wire(enc);
         self.value.encode_value(enc);
     }
 }

@@ -8,53 +8,34 @@
 //! reaches the size/byte policy or ages past the delay bound, whichever
 //! comes first.
 
-use meba_core::Value;
-use meba_crypto::encoding::len;
+use meba_core::{wire_schema, Value};
 use meba_crypto::{DecodeError, Decoder, Encoder, WireCodec};
 
 /// Words one [`Op`] occupies on the wire (client, seq, key, value).
 pub const OP_WORDS: u64 = 4;
 
-/// One client operation: a keyed 64-bit write, identified by the
-/// client-assigned `(client, seq)` pair the service dedups on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Op {
-    /// Submitting client's identity.
-    pub client: u64,
-    /// Client-assigned sequence number; `(client, seq)` is the dedup key.
-    pub seq: u64,
-    /// Key written.
-    pub key: u64,
-    /// Value written.
-    pub value: u64,
-}
-
-impl WireCodec for Op {
-    fn encode_wire(&self, enc: &mut Encoder) {
-        enc.put_u64(self.client);
-        enc.put_u64(self.seq);
-        enc.put_u64(self.key);
-        enc.put_u64(self.value);
-    }
-
-    fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Op {
-            client: dec.get_u64()?,
-            seq: dec.get_u64()?,
-            key: dec.get_u64()?,
-            value: dec.get_u64()?,
-        })
-    }
-
-    fn wire_len(&self) -> u64 {
-        4 * len::U64
+wire_schema! {
+    /// One client operation: a keyed 64-bit write, identified by the
+    /// client-assigned `(client, seq)` pair the service dedups on.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct Op: WireCodec {
+        /// Submitting client's identity.
+        pub client: u64 as Meta,
+        /// Client-assigned sequence number; `(client, seq)` is the dedup key.
+        pub seq: u64 as Meta,
+        /// Key written.
+        pub key: u64 as Meta,
+        /// Value written.
+        pub value: u64 as Meta,
     }
 }
 
-/// A slot value: the ordered client operations one BB instance agrees on.
-/// The empty batch is the log's no-op.
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Batch(pub Vec<Op>);
+wire_schema! {
+    /// A slot value: the ordered client operations one BB instance agrees
+    /// on. The empty batch is the log's no-op.
+    #[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct Batch(pub Vec<Op>): WireCodec;
+}
 
 impl Batch {
     /// The empty batch — the value a proposer binds when it has nothing
@@ -79,23 +60,15 @@ impl Batch {
     }
 }
 
+/// As a slot value, a batch is its schema encoding, and it costs
+/// [`OP_WORDS`] per operation.
 impl Value for Batch {
     fn encode_value(&self, enc: &mut Encoder) {
-        enc.put_u64(self.0.len() as u64);
-        for op in &self.0 {
-            op.encode_wire(enc);
-        }
+        self.encode_wire(enc);
     }
 
     fn decode_value(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let len = dec.get_u64()?;
-        let len = usize::try_from(len)
-            .map_err(|_| DecodeError::Invalid { what: "batch length overflows usize" })?;
-        let mut ops = Vec::new();
-        for _ in 0..len {
-            ops.push(Op::decode_wire(dec)?);
-        }
-        Ok(Batch(ops))
+        Self::decode_wire(dec)
     }
 
     fn value_words(&self) -> u64 {
@@ -103,21 +76,7 @@ impl Value for Batch {
     }
 
     fn value_len(&self) -> u64 {
-        len::U64 + self.0.iter().map(Op::wire_len).sum::<u64>()
-    }
-}
-
-impl WireCodec for Batch {
-    fn encode_wire(&self, enc: &mut Encoder) {
-        self.encode_value(enc);
-    }
-
-    fn decode_wire(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Self::decode_value(dec)
-    }
-
-    fn wire_len(&self) -> u64 {
-        self.value_len()
+        self.wire_len()
     }
 }
 

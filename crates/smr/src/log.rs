@@ -36,31 +36,21 @@ pub struct LogEntry<V> {
     pub entry: Decision<V>,
 }
 
-/// Transferable commit evidence for a retired slot: the encoded BA-level
-/// [`BbBaValue`] the slot's embedded weak BA finalized, plus the quorum
-/// [`DecideProof`] over it. A third party re-derives the slot's decision
-/// from the pair alone via [`verify_slot_evidence`] — no trust in the
-/// donor required. Slots that settled through the fallback path carry no
-/// proof and are absent from the evidence map; state transfer falls back
-/// to `t + 1` matching donors for those.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommitEvidence {
-    /// Canonical wire bytes of the decided [`BbBaValue`].
-    pub ba_value: Vec<u8>,
-    /// The finalize certificate over those bytes, under the slot's
-    /// domain-separated session.
-    pub proof: DecideProof,
-}
-
-impl meba_crypto::WireCodec for CommitEvidence {
-    fn encode_wire(&self, enc: &mut meba_crypto::Encoder) {
-        enc.put_bytes(&self.ba_value);
-        self.proof.encode_wire(enc);
-    }
-    fn decode_wire(dec: &mut meba_crypto::Decoder<'_>) -> Result<Self, meba_crypto::DecodeError> {
-        let ba_value = dec.get_bytes()?;
-        let proof = DecideProof::decode_wire(dec)?;
-        Ok(CommitEvidence { ba_value, proof })
+meba_core::wire_schema! {
+    /// Transferable commit evidence for a retired slot: the encoded BA-level
+    /// [`BbBaValue`] the slot's embedded weak BA finalized, plus the quorum
+    /// [`DecideProof`] over it. A third party re-derives the slot's decision
+    /// from the pair alone via [`verify_slot_evidence`] — no trust in the
+    /// donor required. Slots that settled through the fallback path carry no
+    /// proof and are absent from the evidence map; state transfer falls back
+    /// to `t + 1` matching donors for those.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CommitEvidence: WordCost {
+        /// Canonical wire bytes of the decided [`BbBaValue`].
+        pub ba_value: Vec<u8> as Bytes,
+        /// The finalize certificate over those bytes, under the slot's
+        /// domain-separated session.
+        pub proof: DecideProof,
     }
 }
 

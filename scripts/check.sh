@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
-echo "== architecture invariants (tests/architecture.rs: retired names, one oracle, one certificate site, one digest per share, one billing site, one round body, one ledger site, one payload per outbox entry, one virtual clock, one fault plan, one cluster builder, one slot path, no payload on the event queue, doc paths exist) =="
+echo "== architecture invariants (every test in tests/architecture.rs; the newest are one declaration per wire type with its allowlist of hand-written codecs, one overrun-free rerun, one lockstep entry and short CHANGES entries) =="
 cargo test --locked --test architecture
 
 echo "== build =="
