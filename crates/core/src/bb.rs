@@ -40,7 +40,7 @@ use meba_crypto::{
     DecodeError, Decoder, Encoder, Pki, ProcessId, SecretKey, Signable, Signature,
     ThresholdSignature, WireCodec,
 };
-use meba_sim::{Dest, Message, Outbox};
+use meba_sim::{Dest, Inbox, Message, Sink};
 use std::sync::{Arc, OnceLock};
 
 crate::wire_schema! {
@@ -190,9 +190,6 @@ pub const VET_ROUNDS: u64 = 3;
 
 /// The full wire-message type of a [`Bb`] built with factory `F`.
 pub type BbMsgOf<V, F> = BbMsg<V, FallbackMsgOf<BbBaValue<V>, F>>;
-
-/// An addressed outgoing message batch of a [`Bb`].
-pub type BbOutbox<V, F> = Outbox<BbMsgOf<V, F>>;
 
 /// The adaptive Byzantine Broadcast state machine (one per process).
 pub struct Bb<V, F>
@@ -352,12 +349,12 @@ where
         }
     }
 
-    fn run_vet_step(
+    fn run_vet_step<'a>(
         &mut self,
         phase: u32,
         sub: u64,
-        inbox: &[(ProcessId, &BbMsgOf<V, F>)],
-        out: &mut BbOutbox<V, F>,
+        mut inbox: impl Inbox<'a, BbMsgOf<V, F>>,
+        out: &mut dyn Sink<BbMsgOf<V, F>>,
     ) {
         let leader = self.cfg.leader_of_phase(phase);
         let is_leader = leader == self.me;
@@ -372,8 +369,8 @@ where
             }
             // Round 2: answer the leader (lines 17–21).
             1 => {
-                let asked = inbox.iter().any(|(from, m)| {
-                    *from == leader && matches!(m, BbMsg::VetHelpReq { phase: p } if *p == phase)
+                let asked = inbox.any(|(from, m)| {
+                    from == leader && matches!(m, BbMsg::VetHelpReq { phase: p } if *p == phase)
                 });
                 if asked {
                     match &self.vi {
@@ -422,7 +419,7 @@ where
                             }
                         }
                         BbMsg::VetIdk { phase: p, sig } if *p == phase => {
-                            idk_shares.defer(*from, sig);
+                            idk_shares.defer(from, sig);
                         }
                         _ => {}
                     }
@@ -451,21 +448,21 @@ where
     type Msg = BbMsg<V, FallbackMsgOf<BbBaValue<V>, F>>;
     type Output = Decision<V>;
 
-    fn on_step(
+    fn on_step<'a>(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, &Self::Msg)],
-        out: &mut Outbox<Self::Msg>,
+        inbox: impl Inbox<'a, Self::Msg>,
+        out: &mut dyn Sink<Self::Msg>,
     ) {
         if self.finished {
             return;
         }
 
         // --- Global handlers.
-        for (from, msg) in inbox {
+        for (from, msg) in inbox.clone() {
             match msg {
                 // Round-1 dissemination (Alg 1 lines 3–4).
-                BbMsg::SenderValue { value, sig } if *from == self.sender && step == 1 => {
+                BbMsg::SenderValue { value, sig } if from == self.sender && step == 1 => {
                     let candidate = BbBaValue::Signed { value: value.clone(), sig: sig.clone() };
                     if self.vi.is_none() && self.validity.validate(&candidate) {
                         self.vi = Some(candidate);
@@ -476,7 +473,7 @@ where
                 BbMsg::Vetted { phase, value }
                     if *phase >= 1
                         && *phase as usize <= self.cfg.n()
-                        && *from == self.cfg.leader_of_phase(*phase)
+                        && from == self.cfg.leader_of_phase(*phase)
                         && self.validity.validate(value) =>
                 {
                     self.vi = Some(value.clone());
@@ -493,7 +490,7 @@ where
                 out.push(Dest::All, BbMsg::SenderValue { value: v.clone(), sig });
             }
         } else if let Some((phase, sub)) = self.vet_phase_of_step(step) {
-            self.run_vet_step(phase, sub, inbox, out);
+            self.run_vet_step(phase, sub, inbox.clone(), out);
         }
 
         // --- Embedded weak BA (Alg 1 lines 9–13).
@@ -521,19 +518,14 @@ where
                 ));
             }
             let ba = self.ba.as_mut().expect("weak BA instantiated at ba_start");
-            let ba_inbox: Vec<(ProcessId, &WeakBaMsg<BbBaValue<V>, _>)> = inbox
-                .iter()
-                .filter_map(|&(from, m)| match m {
-                    BbMsg::Ba(inner) => Some((from, inner)),
-                    _ => None,
-                })
-                .collect();
-            let mut ba_out = Outbox::new();
-            ba.on_step(step - ba_start, &ba_inbox, &mut ba_out);
+            let ba_inbox = inbox.filter_map(|(from, m)| match m {
+                BbMsg::Ba(inner) => Some((from, inner)),
+                _ => None,
+            });
+            ba.on_step(step - ba_start, ba_inbox, &mut out.map(BbMsg::Ba));
             // No host journals a BB's weak BA: drop its recovery events
             // each step rather than keep them for the whole run.
             ba.drain_recovery_events();
-            out.forward(ba_out, BbMsg::Ba);
             if ba.done() {
                 let ba_decision = ba.output().expect("done implies output");
                 self.decision = Some(match ba_decision {

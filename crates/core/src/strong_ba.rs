@@ -46,7 +46,7 @@ use crate::config::SystemConfig;
 use crate::signing::{sign_payload, ShareCollector, StrongDecideSig, StrongInputSig};
 use crate::subprotocol::{FallbackFactory, FallbackHost, SkewEnvelope, SubProtocol};
 use meba_crypto::{Pki, ProcessId, SecretKey, Signable, Signature, ThresholdSignature, WireCodec};
-use meba_sim::{Dest, Message, Outbox};
+use meba_sim::{Dest, Inbox, Message, Sink};
 
 /// Message type of the fallback used by [`StrongBa`] instances.
 pub type StrongFallbackMsgOf<F> = <<F as FallbackFactory<bool>>::Protocol as SubProtocol>::Msg;
@@ -254,7 +254,7 @@ where
         &mut self,
         step: u64,
         decision: &Option<(bool, ThresholdSignature)>,
-        out: &mut Outbox<StrongBaMsg<StrongFallbackMsgOf<F>>>,
+        out: &mut dyn Sink<StrongBaMsg<StrongFallbackMsgOf<F>>>,
     ) {
         if !self.host.accepts(step, self.fallback_deadline()) {
             return;
@@ -280,11 +280,11 @@ where
     type Msg = StrongBaMsg<StrongFallbackMsgOf<F>>;
     type Output = bool;
 
-    fn on_step(
+    fn on_step<'a>(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, &Self::Msg)],
-        out: &mut Outbox<Self::Msg>,
+        inbox: impl Inbox<'a, Self::Msg>,
+        out: &mut dyn Sink<Self::Msg>,
     ) {
         if self.finished {
             return;
@@ -302,9 +302,9 @@ where
         let began = step.checked_sub(ATTEMPT_ROUNDS).and_then(|s| self.attempt_of_step(s));
         if let Some((j, 0)) = began {
             let cert_leader = self.leader_of_attempt(j);
-            for (from, msg) in inbox {
+            for (from, msg) in inbox.clone() {
                 if let StrongBaMsg::DecideCert { value, qc } = msg {
-                    if *from == cert_leader
+                    if from == cert_leader
                         && self.decision.is_none()
                         && self.decide_cert_valid(*value, qc)
                     {
@@ -316,15 +316,15 @@ where
         }
         // No correct process coordinates before every attempt has ended.
         if step >= self.coordination_start {
-            for (_, msg) in inbox {
+            for (_, msg) in inbox.clone() {
                 if let StrongBaMsg::Fallback { decision } = msg {
                     self.handle_fallback_msg(step, decision, out);
                 }
             }
         }
-        for (from, msg) in inbox {
+        for (from, msg) in inbox.clone() {
             if let StrongBaMsg::Inner(env) = msg {
-                self.host.deliver(*from, env);
+                self.host.deliver(from, env);
             }
         }
 
@@ -341,8 +341,8 @@ where
                 }
                 // Round 2 (leader): batch t+1 matching inputs (lines 3–6).
                 1 if self.me == leader && self.decision.is_none() => {
-                    let inputs = inbox.iter().filter_map(|(from, msg)| match msg {
-                        StrongBaMsg::Input { value, sig } => Some((*from, *value, sig)),
+                    let inputs = inbox.filter_map(|(from, msg)| match msg {
+                        StrongBaMsg::Input { value, sig } => Some((from, *value, sig)),
                         _ => None,
                     });
                     if let Some((value, qc)) = self.batch(
@@ -360,7 +360,7 @@ where
                 2 => {
                     for (from, msg) in inbox {
                         if let StrongBaMsg::Propose { value, qc } = msg {
-                            let valid = *from == leader
+                            let valid = from == leader
                                 && qc.threshold() == self.cfg.idk_threshold()
                                 && self
                                     .pki
@@ -386,8 +386,8 @@ where
                 }
                 // Round 4 (leader): batch the decide shares (lines 9–12).
                 3 if self.me == leader => {
-                    let shares = inbox.iter().filter_map(|(from, msg)| match msg {
-                        StrongBaMsg::DecideShare { value, sig } => Some((*from, *value, sig)),
+                    let shares = inbox.filter_map(|(from, msg)| match msg {
+                        StrongBaMsg::DecideShare { value, sig } => Some((from, *value, sig)),
                         _ => None,
                     });
                     if let Some((value, qc)) = self.batch(
@@ -409,7 +409,9 @@ where
         }
 
         // --- Fallback execution (lines 28–30).
-        if let Some(v) = self.host.tick(step, self.decision.as_ref(), StrongBaMsg::Inner, out) {
+        if let Some(v) =
+            self.host.tick(step, self.decision.as_ref(), &mut out.map(StrongBaMsg::Inner))
+        {
             self.decision.get_or_insert(v);
             self.finished = true;
         }
@@ -457,7 +459,7 @@ mod tests {
     use crate::subprotocol::LockstepAdapter;
     use meba_crypto::trusted_setup;
     use meba_engine::{run_des_cluster, ClusterReport, DesConfig};
-    use meba_sim::{Actor, AnyActor, IdleActor, Recipients, RoundCtx};
+    use meba_sim::{Actor, AnyActor, IdleActor, Outbox, Recipients, RoundCtx};
 
     type Sba = StrongBa<EchoFallbackFactory>;
     type Msg = <Sba as SubProtocol>::Msg;
@@ -612,7 +614,7 @@ mod tests {
             let mut out = Outbox::new();
             for step in 0..=arrival {
                 let inbox = if step == arrival { vec![(ProcessId(0), &cert)] } else { vec![] };
-                sba.on_step(step, &inbox, &mut out);
+                sba.on_step(step, inbox.into_iter(), &mut out);
             }
             sba.decision()
         };
@@ -713,11 +715,11 @@ mod tests {
             inputs[4],
         );
         for step in 0..coord {
-            p4.on_step(step, &[], &mut Outbox::new());
+            p4.on_step(step, std::iter::empty(), &mut Outbox::new());
         }
         assert_eq!(p4.coordination_start, coord);
         let mut out = Outbox::new();
-        p4.on_step(coord, &[(byz, &cert)], &mut out);
+        p4.on_step(coord, [(byz, &cert)].into_iter(), &mut out);
         assert_eq!(p4.decision(), None);
         let all = Recipients::Dest(Dest::All);
         assert!(

@@ -38,7 +38,7 @@ use crate::validity::Validity;
 use crate::value::Value;
 use meba_crypto::{Encoder, Pki, SecretKey, Signable, Signature};
 use meba_crypto::{ProcessId, SignContext, ThresholdSignature, WireCodec};
-use meba_sim::{Dest, Message, Outbox, RecoveryEvent};
+use meba_sim::{Dest, Inbox, Message, RecoveryEvent, Sink};
 
 /// Message type of the fallback protocol produced by factory `F` for
 /// values `V`.
@@ -46,9 +46,6 @@ pub type FallbackMsgOf<V, F> = <<F as FallbackFactory<V>>::Protocol as SubProtoc
 
 /// The full wire-message type of a [`WeakBa`] built with factory `F`.
 pub type WeakBaMsgOf<V, F> = WeakBaMsg<V, FallbackMsgOf<V, F>>;
-
-/// An addressed outgoing message batch of a [`WeakBa`].
-pub type WeakBaOutbox<V, F> = Outbox<WeakBaMsgOf<V, F>>;
 
 crate::wire_schema! {
     /// Wire messages of weak BA. `FM` is the fallback's message type.
@@ -415,7 +412,7 @@ where
         step: u64,
         qc: &ThresholdSignature,
         decision: &Option<(V, DecideProof)>,
-        out: &mut WeakBaOutbox<V, F>,
+        out: &mut dyn Sink<WeakBaMsgOf<V, F>>,
     ) {
         if !self.host.accepts(step, self.cert_deadline()) || !self.fallback_qc_valid(qc) {
             return;
@@ -467,12 +464,12 @@ where
         }
     }
 
-    fn run_phase_step(
+    fn run_phase_step<'a>(
         &mut self,
         phase: u32,
         sub: u64,
-        inbox: &[(ProcessId, &WeakBaMsgOf<V, F>)],
-        out: &mut WeakBaOutbox<V, F>,
+        inbox: impl Inbox<'a, WeakBaMsgOf<V, F>>,
+        out: &mut dyn Sink<WeakBaMsgOf<V, F>>,
     ) {
         let leader = self.cfg.leader_of_phase(phase);
         let is_leader = leader == self.me;
@@ -489,7 +486,7 @@ where
             // existing commit (lines 33–36).
             1 => {
                 for (from, msg) in inbox {
-                    if *from != leader || self.scratch_of(phase).saw_propose {
+                    if from != leader || self.scratch_of(phase).saw_propose {
                         continue;
                     }
                     if let WeakBaMsg::Propose { phase: p, value } = msg {
@@ -555,7 +552,7 @@ where
                         WeakBaMsg::Vote { phase: p, value, sig }
                             if *p == phase && *value == my_value =>
                         {
-                            votes.defer(*from, sig);
+                            votes.defer(from, sig);
                         }
                         _ => {}
                     }
@@ -579,7 +576,7 @@ where
             // is not older than ours; send a decide share (lines 43–47).
             3 => {
                 for (from, msg) in inbox {
-                    if *from != leader {
+                    if from != leader {
                         continue;
                     }
                     if let WeakBaMsg::CommitCert { phase: p, value, proof } = msg {
@@ -619,7 +616,7 @@ where
                 for (from, msg) in inbox {
                     if let WeakBaMsg::Decide { phase: p, value, sig } = msg {
                         if *p == phase && *value == w {
-                            shares.defer(*from, sig);
+                            shares.defer(from, sig);
                         }
                     }
                 }
@@ -648,11 +645,11 @@ where
     type Msg = WeakBaMsg<V, FallbackMsgOf<V, F>>;
     type Output = Decision<V>;
 
-    fn on_step(
+    fn on_step<'a>(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, &Self::Msg)],
-        out: &mut Outbox<Self::Msg>,
+        inbox: impl Inbox<'a, Self::Msg>,
+        out: &mut dyn Sink<Self::Msg>,
     ) {
         if self.finished {
             return;
@@ -663,10 +660,10 @@ where
         // fallback certificates, fallback traffic. Run before scheduled
         // actions so a finalize arriving "now" suppresses a help_req.
         let mut decided_via_help = false;
-        for (from, msg) in inbox {
+        for (from, msg) in inbox.clone() {
             match msg {
                 WeakBaMsg::FinalizeCert { phase, value, proof } => {
-                    self.try_adopt_finalize(step, *from, *phase, value, proof);
+                    self.try_adopt_finalize(step, from, *phase, value, proof);
                 }
                 WeakBaMsg::Help { value, proof }
                     // Exactly round 3 of the help phase (Alg 3 line 13);
@@ -697,14 +694,14 @@ where
                 );
             }
         }
-        for (_, msg) in inbox {
+        for (_, msg) in inbox.clone() {
             if let WeakBaMsg::FallbackCert { qc, decision } = msg {
                 self.handle_fallback_cert(step, qc, decision, out);
             }
         }
-        for (from, msg) in inbox {
+        for (from, msg) in inbox.clone() {
             if let WeakBaMsg::Fallback(env) = msg {
-                self.host.deliver(*from, env);
+                self.host.deliver(from, env);
             }
         }
 
@@ -727,13 +724,13 @@ where
             );
             for (from, msg) in inbox {
                 if let WeakBaMsg::HelpReq { sig } = msg {
-                    if help_reqs.offer(*from, sig) {
+                    if help_reqs.offer(from, sig) {
                         if let (Some(Decision::Value(v)), Some(p)) =
                             (&self.decision, &self.decide_proof)
                         {
-                            if *from != self.me {
+                            if from != self.me {
                                 out.push(
-                                    Dest::To(*from),
+                                    Dest::To(from),
                                     WeakBaMsg::Help { value: v.clone(), proof: p.clone() },
                                 );
                             }
@@ -754,7 +751,7 @@ where
         // Line 15: deciders run the fallback on their decision so strong
         // unanimity upholds agreement.
         let decided = self.decision.as_ref().and_then(Decision::value);
-        if let Some(fb_val) = self.host.tick(step, decided, WeakBaMsg::Fallback, out) {
+        if let Some(fb_val) = self.host.tick(step, decided, &mut out.map(WeakBaMsg::Fallback)) {
             // Alg 3 lines 25–29.
             if self.undecided() {
                 self.decision = Some(if self.validity.validate(&fb_val) {

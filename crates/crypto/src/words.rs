@@ -56,33 +56,6 @@ impl WordCost for Digest {
     }
 }
 
-impl<T: WordCost> WordCost for Option<T> {
-    fn words(&self) -> u64 {
-        self.as_ref().map_or(0, WordCost::words)
-    }
-    fn constituent_sigs(&self) -> u64 {
-        self.as_ref().map_or(0, WordCost::constituent_sigs)
-    }
-}
-
-impl<T: WordCost> WordCost for &T {
-    fn words(&self) -> u64 {
-        (**self).words()
-    }
-    fn constituent_sigs(&self) -> u64 {
-        (**self).constituent_sigs()
-    }
-}
-
-impl<T: WordCost> WordCost for Vec<T> {
-    fn words(&self) -> u64 {
-        self.iter().map(WordCost::words).sum()
-    }
-    fn constituent_sigs(&self) -> u64 {
-        self.iter().map(WordCost::constituent_sigs).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,14 +77,5 @@ mod tests {
         let agg = pki.aggregate(b"v", &shares).unwrap();
         assert_eq!(agg.words(), 1);
         assert_eq!(agg.constituent_sigs(), 3);
-    }
-
-    #[test]
-    fn option_and_vec_sum() {
-        let (_, keys) = trusted_setup(2, 3);
-        let s = keys[0].sign(b"m");
-        assert_eq!(Some(s.clone()).words(), 1);
-        assert_eq!(None::<Signature>.words(), 0);
-        assert_eq!(vec![s.clone(), s].words(), 2);
     }
 }

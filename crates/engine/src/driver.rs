@@ -282,9 +282,10 @@ impl RoundDriver {
     /// * **Virtual time: ratchet only.** With decay, the DES's 4×
     ///   overestimate scenario (`timing_chaos`) no longer completes.
     ///
-    /// Neither rule is known to be right for both; the real fix belongs
-    /// to ROADMAP item 5 (E17's non-monotone completion), which owns
-    /// characterising the liveness envelope. Until then the rule is
+    /// Neither rule is known to be right for both; the real fix is to
+    /// characterise the liveness envelope, starting from E17's
+    /// non-monotone completion (EXPERIMENTS.md, E17, measured by
+    /// `crates/bench/benches/timing_sweep.rs`). Until then the rule is
     /// chosen here, by constructor, and nowhere else. (Under lockstep
     /// the shift is inert: nothing asks for a local deadline, because
     /// lateness against the global schedule is the scenario under test,

@@ -441,7 +441,7 @@ impl<M: Message> EngineProcess<M> {
 mod tests {
     use super::*;
     use crate::driver::AdvanceCause::QuorumReached;
-    use meba_sim::Actor;
+    use meba_sim::{Actor, Recipients, Sink};
 
     #[derive(Clone, Debug)]
     struct Tick;
@@ -530,7 +530,7 @@ mod tests {
         }
         fn on_round(&mut self, ctx: &mut RoundCtx<'_, Tick>) {
             if ctx.round() == Round(0) {
-                ctx.outbox().multicast(2..6, Tick);
+                ctx.outbox().put(Recipients::Span { lo: 2, hi: 6 }, Tick);
             }
         }
     }

@@ -20,13 +20,8 @@ impl Actor for GaActor {
         self.me
     }
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) {
-        let inbox: Vec<(ProcessId, &RecBaMsg<u64>)> =
-            ctx.inbox().iter().map(|e| (e.from, &*e.msg)).collect();
-        let mut out = Vec::new();
-        self.ga.on_step(ctx.round().as_u64(), &inbox, &mut out);
-        for m in out {
-            ctx.broadcast(m);
-        }
+        let inbox = ctx.inbox().iter().map(|e| (e.from, &*e.msg));
+        self.ga.on_step(ctx.round().as_u64(), inbox, ctx.outbox());
     }
     fn done(&self) -> bool {
         self.ga.result().is_some()

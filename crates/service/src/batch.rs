@@ -118,11 +118,6 @@ impl Batcher {
         &self.policy
     }
 
-    /// Operations in the open (not yet closed) batch.
-    pub fn open_len(&self) -> usize {
-        self.open.len()
-    }
-
     /// Adds `op` at `round`; returns the closed batch when the push
     /// reaches the op-count or byte policy.
     pub fn push(&mut self, op: Op, round: u64) -> Option<Batch> {
@@ -191,7 +186,6 @@ mod tests {
         assert!(b.push(op(1), 0).is_none());
         let closed = b.push(op(2), 0).expect("third op closes");
         assert_eq!(closed.len(), 3);
-        assert_eq!(b.open_len(), 0);
     }
 
     #[test]

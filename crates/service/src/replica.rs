@@ -61,7 +61,7 @@ use meba_core::bb::BbBaValue;
 use meba_core::{wire_schema, Decision, FallbackFactory, SubProtocol, SystemConfig};
 use meba_crypto::{Pki, ProcessId, SecretKey, WireCodec};
 use meba_journal::{Journal, Record};
-use meba_sim::{Actor, Message, Outbox, Round, RoundCtx, ServiceStats};
+use meba_sim::{Actor, Dest, Inbox, Message, Round, RoundCtx, ServiceStats, Sink};
 use meba_smr::{CommitEvidence, ReplicatedLog, SmrMsg};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -632,18 +632,17 @@ where
     /// One round of the anti-entropy protocol: answer incoming fetches
     /// from our applied prefix, sift incoming donor batches through the
     /// certificate / `t + 1`-vouch filters, and (when recovering and
-    /// stalled) ask the next donor for our missing range. Returns the
-    /// outgoing transfer messages.
-    fn on_transfer(
+    /// stalled) ask the next donor for our missing range, into `out`.
+    fn on_transfer<'a>(
         &mut self,
         round: u64,
-        inbox: &[(ProcessId, &TransferMsg)],
-    ) -> Vec<(ProcessId, TransferMsg)> {
-        let mut out = Vec::new();
-        for &(from, msg) in inbox {
+        inbox: impl Inbox<'a, TransferMsg>,
+        out: &mut dyn Sink<TransferMsg>,
+    ) {
+        for (from, msg) in inbox {
             match msg {
                 TransferMsg::FetchCommitted { from_slot, budget } => {
-                    out.push((from, self.serve_fetch(*from_slot, *budget)));
+                    out.push(Dest::To(from), self.serve_fetch(*from_slot, *budget));
                 }
                 TransferMsg::CommittedBatch { entries, .. } => {
                     for entry in entries {
@@ -666,17 +665,16 @@ where
             let peers = n - 1;
             let donor = ProcessId((((me + 1) + self.donor_cursor % peers) % n) as u32);
             debug_assert_ne!(donor, self.log.id());
-            out.push((
-                donor,
+            out.push(
+                Dest::To(donor),
                 TransferMsg::FetchCommitted {
                     from_slot: self.apply_cursor,
                     budget: DEFAULT_FETCH_BUDGET,
                 },
-            ));
+            );
             self.last_fetch_round = Some(round);
             self.last_fetch_cursor = self.apply_cursor;
         }
-        out
     }
 
     /// Filters one donor-claimed slot. Certified claims are adopted iff
@@ -777,19 +775,18 @@ where
         // Demultiplex straight from the inbox: log traffic is routed to
         // its slot by reference (cloned once, where the instance buffers
         // it), transfer traffic is lent to the anti-entropy path.
-        let mut transfer_inbox: Vec<(ProcessId, &TransferMsg)> = Vec::new();
         for env in ctx.inbox() {
-            match &*env.msg {
-                ReplicaMsg::Log(m) => self.log.route(env.from, m),
-                ReplicaMsg::Transfer(t) => transfer_inbox.push((env.from, t)),
+            if let ReplicaMsg::Log(m) = &*env.msg {
+                self.log.route(env.from, m);
             }
         }
-        let mut log_out = Outbox::new();
-        self.log.tick(round, &mut log_out);
-        ctx.outbox().forward(log_out, ReplicaMsg::Log);
-        for (to, msg) in self.on_transfer(round, &transfer_inbox) {
-            ctx.send(to, ReplicaMsg::Transfer(msg));
-        }
+        let transfer_inbox = ctx.inbox().iter().filter_map(|env| match &*env.msg {
+            ReplicaMsg::Transfer(t) => Some((env.from, t)),
+            ReplicaMsg::Log(_) => None,
+        });
+        let out: &mut dyn Sink<Self::Msg> = ctx.outbox();
+        self.log.tick(round, &mut out.map(ReplicaMsg::Log));
+        self.on_transfer(round, transfer_inbox, &mut out.map(ReplicaMsg::Transfer));
         self.apply_committed(round);
         self.take_reads(round);
         self.serve_reads();

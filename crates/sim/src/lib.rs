@@ -66,7 +66,7 @@ pub mod round;
 pub mod session;
 
 pub use actor::{
-    Actor, AnyActor, Dest, Envelope, IdleActor, Message, Outbox, Recipients, RoundCtx,
+    Actor, AnyActor, Dest, Envelope, IdleActor, Mapped, Message, Outbox, Recipients, RoundCtx, Sink,
 };
 pub use faults::{
     BernoulliDrop, Link, LinkFate, LinkPolicy, OneShotPartition, PolicyStack, RandomDelay,
@@ -77,4 +77,4 @@ pub use metrics::{
     ServiceStats, SessionStats,
 };
 pub use round::Round;
-pub use session::{Instance, RecoveryEvent, SessionEnvelope, SessionId, SubProtocol};
+pub use session::{Inbox, Instance, RecoveryEvent, SessionEnvelope, SessionId, SubProtocol};

@@ -89,11 +89,6 @@ impl LatencyHistogram {
         self.max_us
     }
 
-    /// Mean sample, in µs (0 when empty).
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us.checked_div(self.count).unwrap_or(0)
-    }
-
     /// Raw bucket counts; bucket `i` covers `[2^i, 2^(i+1))` µs.
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
@@ -936,7 +931,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.max_us(), 100);
-        assert_eq!(a.mean_us(), 39);
     }
 
     #[test]

@@ -10,8 +10,14 @@
 //! replicated log in `meba-smr`, the adapters in `meba-core`).
 //! Cryptographic non-interference between concurrent instances is the
 //! host protocol's job too (per-session signature domain separation).
+//!
+//! Every layer below the round body steps with one shape: it is lent an
+//! [`Inbox`], a re-iterable projection of its caller's messages, and
+//! sends into a [`Sink`], which a host maps onto its own
+//! (`out.map(BbMsg::Ba)`). Nothing is copied into a per-step buffer on
+//! the way down or re-wrapped on the way up.
 
-use crate::actor::{Message, Outbox};
+use crate::actor::{Message, Sink};
 use meba_crypto::encoding::len;
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, ProcessId, WireCodec};
 use std::fmt::Debug;
@@ -51,6 +57,15 @@ pub enum RecoveryEvent {
     Decided(Vec<u8>),
 }
 
+/// A step's lent inbox: `(sender, message)` pairs, projected by the
+/// caller from its own buffer — a round's envelopes, an instance's
+/// handles, or the caller's own inbox filtered to the variants that
+/// carry this protocol's messages. A protocol that reads it more than
+/// once iterates a clone.
+pub trait Inbox<'a, M: 'a>: Iterator<Item = (ProcessId, &'a M)> + Clone {}
+
+impl<'a, M: 'a, I: Iterator<Item = (ProcessId, &'a M)> + Clone> Inbox<'a, M> for I {}
+
 /// A synchronous protocol state machine, advanced one *step* at a time.
 ///
 /// Step semantics: at step `s`, the machine consumes messages sent by
@@ -71,11 +86,11 @@ pub trait SubProtocol: Send + 'static {
     /// protocol clones only what it keeps past the step. What it sends
     /// goes to `out`, one entry per payload however many processes it
     /// is for.
-    fn on_step(
+    fn on_step<'a>(
         &mut self,
         step: u64,
-        inbox: &[(ProcessId, &Self::Msg)],
-        out: &mut Outbox<Self::Msg>,
+        inbox: impl Inbox<'a, Self::Msg>,
+        out: &mut dyn Sink<Self::Msg>,
     );
 
     /// The decision, once reached.
@@ -182,9 +197,9 @@ impl<M: WireCodec> WireCodec for SessionEnvelope<M> {
 /// (a host that has only a borrowed message wraps its one copy; a host
 /// that holds a handle already passes it on), then fire
 /// [`Instance::step_at`] at the step a host round puts the instance at,
-/// which lends the messages to [`SubProtocol::on_step`]. A host that
-/// steps on the round's own inbox
-/// (`LockstepAdapter`) lends that instead and needs no `Instance`.
+/// which lends the buffer to [`SubProtocol::on_step`] as a projection.
+/// A host that steps on the round's own inbox (`LockstepAdapter`) lends
+/// that instead and needs no `Instance`.
 #[derive(Debug)]
 pub struct Instance<P: SubProtocol> {
     proto: P,
@@ -207,10 +222,9 @@ impl<P: SubProtocol> Instance<P> {
     /// everything delivered since the previous one. The steps jumped
     /// over never run; a driver may only jump where
     /// [`SubProtocol::next_wakeup`] said they would have been no-ops.
-    pub fn step_at(&mut self, step: u64, out: &mut Outbox<P::Msg>) {
+    pub fn step_at(&mut self, step: u64, out: &mut dyn Sink<P::Msg>) {
         debug_assert!(step >= self.next_step, "steps only move forward");
-        let lent: Vec<(ProcessId, &P::Msg)> = self.inbox.iter().map(|(p, m)| (*p, &**m)).collect();
-        self.proto.on_step(step, &lent, out);
+        self.proto.on_step(step, self.inbox.iter().map(|(p, m)| (*p, &**m)), out);
         // Clear rather than take: the inbox allocation is reused by the
         // next step's deliveries.
         self.inbox.clear();
@@ -241,7 +255,7 @@ impl<P: SubProtocol> Instance<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::Dest;
+    use crate::actor::{Dest, Outbox};
 
     #[derive(Clone, Debug)]
     struct Ping(#[allow(dead_code)] u64);
@@ -273,8 +287,13 @@ mod tests {
     impl SubProtocol for Echo {
         type Msg = Ping;
         type Output = u64;
-        fn on_step(&mut self, step: u64, inbox: &[(ProcessId, &Ping)], out: &mut Outbox<Ping>) {
-            self.seen += inbox.len() as u64;
+        fn on_step<'a>(
+            &mut self,
+            step: u64,
+            inbox: impl Inbox<'a, Ping>,
+            out: &mut dyn Sink<Ping>,
+        ) {
+            self.seen += inbox.count() as u64;
             if step >= self.lifetime {
                 self.decided = Some(self.seen);
             } else {

@@ -15,7 +15,7 @@ use meba_core::bb::{Bb, BbBaValue, BbMsg, BbValidity};
 use meba_core::signing::DecideProof;
 use meba_core::{Decision, FallbackFactory, SubProtocol, SystemConfig, Validity, Value};
 use meba_crypto::{Pki, ProcessId, SecretKey, WireCodec};
-use meba_sim::{Actor, Instance, Outbox, Round, RoundCtx, SessionEnvelope, SessionId};
+use meba_sim::{Actor, Instance, Round, RoundCtx, SessionEnvelope, SessionId, Sink};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -365,13 +365,6 @@ where
         self.evidence.get(&slot)
     }
 
-    /// The committed prefix: number of contiguous slots from 0 this
-    /// replica has retired. Under pipelining slots retire out of order,
-    /// so this can trail [`ReplicatedLog::log`]'s length.
-    pub fn committed_prefix(&self) -> u64 {
-        self.log.iter().zip(0u64..).take_while(|(e, slot)| e.slot == *slot).count() as u64
-    }
-
     /// Hands one inbound envelope to its live slot's instance, to be
     /// consumed at that slot's next step — by reference: the payload is
     /// cloned once, into the handle the instance's inbox keeps, and not at
@@ -383,17 +376,18 @@ where
     }
 
     /// Runs round `round` on everything routed since the last tick:
-    /// every live slot runs the step the round puts it at, its output is
-    /// appended to `out` tagged with the slot, and the slots that are
-    /// done or out of steps retire. It opens nothing: the round's due
-    /// slot opened in [`ReplicatedLog::spawn_due`], before routing.
-    pub fn tick(&mut self, round: u64, out: &mut Outbox<<Self as Actor>::Msg>) {
+    /// every live slot runs the step the round puts it at and sends into
+    /// `out` tagged with the slot, and the slots that are done or out of
+    /// steps retire. It opens nothing: the round's due slot opened in
+    /// [`ReplicatedLog::spawn_due`], before routing.
+    pub fn tick(&mut self, round: u64, out: &mut dyn Sink<<Self as Actor>::Msg>) {
         let mut to_retire = Vec::new();
         for (&slot, inst) in self.live.iter_mut() {
             let step = round - slot * self.stride;
-            let mut stepped = Outbox::new();
-            inst.step_at(step, &mut stepped);
-            out.forward(stepped, |msg| SessionEnvelope { session: SessionId(slot), msg });
+            inst.step_at(
+                step,
+                &mut out.map(|msg| SessionEnvelope { session: SessionId(slot), msg }),
+            );
             if inst.done() || step + 1 >= self.slot_cap {
                 to_retire.push(slot);
             }
@@ -789,7 +783,6 @@ mod tests {
         let cfg = SystemConfig::new(n, 9).unwrap();
         let (pki, _) = trusted_setup(n, 77);
         let l: &Log = run.actors[0].as_any().downcast_ref().unwrap();
-        assert_eq!(l.committed_prefix(), 3);
         for slot in 0..3u64 {
             let ev = l.evidence(slot).expect("fast-path slot carries evidence");
             let d = verify_slot_evidence::<u64>(&cfg, &pki, slot, ev)

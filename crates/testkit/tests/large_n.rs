@@ -62,7 +62,7 @@ fn des_bb_n129_failure_free_is_linear_and_fast() {
     assert!(elapsed.as_secs() < 5, "n=129 DES run took {elapsed:?}, budget is 5s");
 }
 
-/// The sparse-time acceptance run (ROADMAP item 4's target): n = 4097
+/// The sparse-time acceptance run (DESIGN.md §18): n = 4097
 /// (t = 2048) failure-free BB to decision — 32,785 rounds, of which a
 /// process runs about seven — in under 2 s of release wall clock,
 /// trusted set-up included, with the word total still linear in n.

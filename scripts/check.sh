@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
-echo "== architecture invariants (every test in tests/architecture.rs; the newest are one declaration per wire type with its allowlist of hand-written codecs, one overrun-free rerun, one lockstep entry and short CHANGES entries) =="
+echo "== architecture invariants (every test in tests/architecture.rs; the newest are one step signature below the round body, one declaration per wire type with its allowlist of hand-written codecs, one overrun-free rerun, one lockstep entry and short CHANGES entries) =="
 cargo test --locked --test architecture
 
 echo "== build =="
