@@ -130,6 +130,58 @@ proptest! {
     }
 
     #[test]
+    fn combiner_offer_is_verify_digest_and_a_tag_streams_its_preimage(
+        msg in proptest::collection::vec(any::<u8>(), 0..200),
+        other in proptest::collection::vec(any::<u8>(), 0..200),
+        // One draw per offer: kind (4) x signer (14) x tag bit (256).
+        offers in proptest::collection::vec(0usize..4 * 14 * 256, 1..24),
+    ) {
+        let (n, seed) = (7, 11);
+        let (pki, _) = trusted_setup(n, seed);
+        // Same master secret: ids below n sign as the system's keys, the
+        // rest are signers outside it.
+        let (_, wide) = trusted_setup(2 * n, seed);
+        let digest = Digest::of(&msg);
+        let mut combiner = pki.combiner(n, &msg).unwrap();
+        let mut admitted = std::collections::BTreeSet::new();
+        for x in offers {
+            let (kind, i, bit) = (x % 4, x / 4 % 14, x / 56);
+            let share = match kind {
+                0 => wide[i % n].sign_digest(&digest),
+                1 => wide[i % n].sign_digest(&Digest::of(&other)),
+                2 => wide[i].sign_digest(&digest),
+                _ => {
+                    let mut tag = tag_of(&wide[i % n].sign_digest(&digest));
+                    tag[bit / 8] ^= 1 << (bit % 8);
+                    decode_signature(ProcessId((i % n) as u32), &tag)
+                }
+            };
+            // The combiner's verdict is `verify_digest`'s, variant and
+            // all; only a repeated signer adds its own error.
+            let expected = pki.verify_digest(&digest, &share).and_then(|()| {
+                if admitted.insert(share.signer()) {
+                    Ok(())
+                } else {
+                    Err(CryptoError::DuplicateSigner { signer: share.signer() })
+                }
+            });
+            prop_assert_eq!(combiner.offer(&share), expected);
+            // A share's tag is SHA-256 streamed over `(sk ⊕ ipad) ‖
+            // "meba/sig/v3" ‖ digest`, with `sk` derived as the trusted
+            // setup documents it.
+            let mut key_block = [0x36u8; 64];
+            for (b, k) in key_block.iter_mut().zip(secret_key(seed, i as u32)) {
+                *b ^= k;
+            }
+            let mut h = Sha256::new();
+            h.update(&key_block);
+            h.update(b"meba/sig/v3");
+            h.update(digest.as_bytes());
+            prop_assert_eq!(tag_of(&wide[i].sign_digest(&digest)), h.finalize().0);
+        }
+    }
+
+    #[test]
     fn combine_threshold_boundary(n in 3usize..14, k in 1usize..14, have in 0usize..14) {
         let k = k.min(n);
         let have = have.min(n);
@@ -196,6 +248,23 @@ fn decode_signature(signer: ProcessId, tag: &[u8]) -> Signature {
     enc.put_bytes(tag);
     let bytes = enc.into_bytes();
     Signature::decode(&mut Decoder::new(&bytes)).expect("a 32-byte tag decodes")
+}
+
+/// The tag bytes of `sig`: the last 32 bytes of its wire encoding.
+fn tag_of(sig: &Signature) -> [u8; 32] {
+    let mut enc = Encoder::new();
+    sig.encode(&mut enc);
+    enc.as_bytes()[enc.len() - 32..].try_into().expect("a signature ends in its tag")
+}
+
+/// Process `id`'s signing key under `seed`, derived outside the crate:
+/// `HMAC(master, "meba/sk/v1" ‖ be32(id))` with
+/// `master = HMAC(be64(seed), "meba master secret")`.
+fn secret_key(seed: u64, id: u32) -> [u8; 32] {
+    let master = hmac_sha256(&seed.to_be_bytes(), b"meba master secret");
+    let mut input = b"meba/sk/v1".to_vec();
+    input.extend_from_slice(&id.to_be_bytes());
+    hmac_sha256(&master, &input)
 }
 
 /// A signable with adversary-controlled fields: distinct field values must
