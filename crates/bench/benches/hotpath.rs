@@ -1,5 +1,5 @@
 //! E20 — the zero-copy hot path: what the borrowed codec, pooled frame
-//! buffers, primed-MAC verification, and the event-queue DES buy.
+//! buffers, one-block keyed tags, and the event-queue DES buy.
 //!
 //! Four measurements, published as `BENCH_E20_hotpath.json`:
 //!
@@ -10,11 +10,16 @@
 //!    faithfully from the retired implementations) against the zero-copy
 //!    path (reused scratch encoder, reused frame/read buffers, borrowed
 //!    decode). The acceptance bar is ≥ 2×.
-//! 2. **Signature verification** — per-share `verify` at certificate
-//!    sizes k ∈ {5, 9, 17}, plus threshold-certificate
-//!    verifications/sec. (Verification rides the primed-MAC states; the
-//!    pre-refactor per-verify key derivation measured ≈ 340k sigs/sec on
-//!    this hardware — see EXPERIMENTS.md E20.)
+//! 2. **Signature verification** — a certificate's k shares, k ∈
+//!    {5, 9, 17}, verified two ways: each alone through `verify`, which
+//!    digests the preimage and expands the share block on every call, and
+//!    all k offered to one `Combiner`, as the protocols verify them — the
+//!    preimage digested and the share block expanded once per
+//!    certificate, the combiner's creation included in the rate. Plus
+//!    threshold-certificate verifications/sec. (A share tag is one
+//!    compression from the signer's keyed midstate; the pre-refactor
+//!    per-verify key derivation measured ≈ 340k sigs/sec on this
+//!    hardware — see EXPERIMENTS.md E20.)
 //! 3. **DES** — failure-free BB wall clock at n ∈ {257, 1025, 4097},
 //!    trusted set-up included, best of [`DES_REPS`]. Under sparse
 //!    virtual time (DESIGN.md §18) a failure-free run executes a handful
@@ -33,8 +38,8 @@
 //!    slack from the baseline measurement (0.85× for rates, 1.15× plus
 //!    5 ms for seconds — the small rows run for milliseconds), so a
 //!    regression beyond 15% fails `cargo bench`; a bound the committed
-//!    file does not have yet is established by this run. The three
-//!    throughput gates (codec, verify, dense row) compare
+//!    file does not have yet is established by this run. The four
+//!    throughput gates (codec, verify, combiner, dense row) compare
 //!    **host-normalised** rates: each loop runs as [`SLICES`] slices with a fixed compute kernel
 //!    ([`host_index`]) timed between them, every slice's rate is scaled
 //!    by how much slower than [`NOMINAL_INDEX_S`] the host ran the kernel
@@ -313,11 +318,18 @@ fn main() {
          pipeline (got {codec_speedup:.2}x)"
     );
 
-    // 2) Verification of a certificate's k shares, k ∈ {5, 9, 17}.
+    // 2) Verification of a certificate's k shares, k ∈ {5, 9, 17}: one
+    // `verify` per share, and one `Combiner` per certificate.
     let pre = payload.signing_bytes();
-    let mut tab = Table::new(&["k", "single sigs/sec", "host-normalised"]);
+    let mut tab = Table::new(&[
+        "k",
+        "single sigs/sec",
+        "host-normalised",
+        "combiner sigs/sec",
+        "host-normalised",
+    ]);
     let mut verify_rows = Vec::new();
-    let mut single_at_9_norm = 0.0f64;
+    let (mut single_at_9_norm, mut combined_at_9_norm) = (0.0f64, 0.0f64);
     for k in [5usize, 9, 17] {
         let ks: Vec<_> = shares.iter().take(k).cloned().collect();
         let reps = 400_000u64 / k as u64 / SLICES as u64;
@@ -330,13 +342,27 @@ fn main() {
             }
             per_sec(reps * k as u64, started)
         });
+        let (combined, combined_norm) = normalised_rate(|| {
+            let started = Instant::now();
+            for _ in 0..reps {
+                let mut combiner = pki.combiner(k, &pre).unwrap();
+                for s in &ks {
+                    combiner.offer(s).unwrap();
+                }
+                std::hint::black_box(combiner.admitted());
+            }
+            per_sec(reps * k as u64, started)
+        });
         if k == 9 {
             single_at_9_norm = single_norm;
+            combined_at_9_norm = combined_norm;
         }
-        tab.row(&[num(k as u64), flt(single), flt(single_norm)]);
+        tab.row(&[num(k as u64), flt(single), flt(single_norm), flt(combined), flt(combined_norm)]);
         verify_rows.push(format!(
             "    {{\"k\": {k}, \"single_sigs_per_sec\": {single:.0}, \
-             \"norm_sigs_per_sec\": {single_norm:.0}}}"
+             \"norm_sigs_per_sec\": {single_norm:.0}, \
+             \"combiner_sigs_per_sec\": {combined:.0}, \
+             \"norm_combiner_sigs_per_sec\": {combined_norm:.0}}}"
         ));
     }
     tab.print();
@@ -359,6 +385,11 @@ fn main() {
         Gate {
             key: "gate_verify_sigs_per_sec".into(),
             fresh: single_at_9_norm,
+            higher_is_better: true,
+        },
+        Gate {
+            key: "gate_combiner_sigs_per_sec".into(),
+            fresh: combined_at_9_norm,
             higher_is_better: true,
         },
     ];
@@ -390,7 +421,7 @@ fn main() {
     // Deliveries plus the correct processes' nominal process-rounds
     // (`(n − f) × rounds`; most of them are slept through).
     // Seconds-long and memory-heavy, this row feels the host's slow
-    // phases most, so it is sliced and normalised like the two loops
+    // phases most, so it is sliced and normalised like the loops
     // above: one run per slice, the median gated.
     let mut dense = None;
     let (dense_events_per_sec, dense_events_per_sec_norm) = normalised_rate(|| {

@@ -34,12 +34,12 @@ fn keyed(key: &[u8], pad: u8) -> Sha256 {
     h
 }
 
-/// HMAC's keyed inner hash alone: SHA-256 with `key ⊕ ipad` absorbed.
-/// [`crate::pki`] finishes it over one fixed-length block to tag a share
-/// or a certificate, where the outer hash would add a compression and no
-/// security (see that module's docs).
-pub(crate) fn keyed_inner(key: &[u8]) -> Sha256 {
-    keyed(key, IPAD)
+/// HMAC's keyed inner midstate alone: SHA-256's chaining value after
+/// `key ⊕ ipad`. [`crate::pki`] runs one fixed-length block from it to
+/// tag a share or a certificate, where the outer hash would add a
+/// compression and no security (see that module's docs).
+pub(crate) fn keyed_inner(key: &[u8]) -> [u32; 8] {
+    keyed(key, IPAD).midstate()
 }
 
 /// Computes `HMAC-SHA256(key, msg)`.
@@ -150,7 +150,8 @@ mod tests {
 
     #[test]
     fn the_keyed_inner_hash_is_hmac_without_its_outer_hash() {
-        let mut inner = keyed_inner(b"secret");
+        let midstate = crate::sha256::Digest(crate::sha256::state_bytes(&keyed_inner(b"secret")));
+        let mut inner = Sha256::resume(&midstate, 64);
         inner.update(b"message");
         let mut outer = keyed(b"secret", OPAD);
         outer.update(inner.finalize().as_bytes());

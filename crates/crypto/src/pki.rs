@@ -23,8 +23,8 @@
 //!   tag" below). [`Pki::verify`] / [`SecretKey::sign`] digest their message and call
 //!   [`Pki::verify_digest`] / [`SecretKey::sign_digest`]; a [`Combiner`]
 //!   digests its message once, when it is created, and checks every share
-//!   against that digest. The [`Pki`] verification handle exposes no key
-//!   material.
+//!   against that digest (see "One schedule per certificate" below). The
+//!   [`Pki`] verification handle exposes no key material.
 //!
 //! Word accounting follows the paper's model: each signature object —
 //! individual, threshold, or aggregate — costs **one word** (see
@@ -38,12 +38,12 @@
 //! `SHA-256((sk_p ⊕ ipad) ‖ "meba/sig/v3" ‖ d)` and a `(k, n)`
 //! certificate's is `SHA-256((master ⊕ ipad) ‖ "meba/thresh/v2" ‖ be64(k) ‖ d)`:
 //! HMAC's keyed inner hash, without its outer hash. [`trusted_setup`]
-//! absorbs each key block once (the midstate); what follows it is 43 or
-//! 54 bytes, which fits one final block with its padding, so a sign or a
-//! verify — a clone of the primed state, the digest absorbed, then
-//! `finalize` — is one compression where HMAC takes two. Aggregate tags,
-//! whose input grows with the signer set, and the key derivation stay
-//! full HMAC.
+//! compresses each key block once and keeps the 8-word chaining value
+//! (the midstate); what follows it is 43 or 54 bytes, which fits one
+//! final block with its padding. So a sign or a verify builds that padded
+//! block directly and runs it from the midstate: one compression where
+//! HMAC takes two. Aggregate tags, whose input grows with the signer set,
+//! and the key derivation stay full HMAC.
 //!
 //! Why this is as strong as HMAC here: HMAC's PRF proof (Bellare,
 //! CRYPTO 2006) rests on SHA-256's compression function being a PRF when
@@ -63,12 +63,26 @@
 //! and a share tag never verifies as a certificate, nor the reverse. The
 //! domain tags moved from `meba/sig/v2` and `meba/thresh/v1`, so a tag
 //! made by the two-compression MAC can never verify.
+//!
+//! # One schedule per certificate
+//!
+//! A compression is two steps: `Schedule::of` expands the block into
+//! its 64 message words, and `Schedule::compress` runs the 64 rounds
+//! over a chaining value. Every share of one certificate has the same
+//! block — `DOM_SIGN ‖ d` padded — and differs only in its signer's
+//! midstate, so a [`Combiner`] expands that block once, when it is
+//! created, and each [`Combiner::offer`] runs only the rounds, about 40 %
+//! of a share check saved. [`Pki::verify_digest`] and
+//! [`SecretKey::sign_digest`] expand the block per call and run the same
+//! one tag function. The schedule is a function of public bytes — domain
+//! tag, digest, length — so sharing it changes no tag and reveals no key;
+//! each offer still counts one share verify and one compression.
 
 use crate::encoding::len;
 use crate::error::{CryptoError, DecodeError};
 use crate::hmac::{ct_eq, hmac_sha256, keyed_inner, HmacSha256};
 use crate::ids::ProcessId;
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{last_block, state_bytes, Digest, Schedule};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -90,19 +104,28 @@ thread_local! {
     static CERT_VERIFIES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The individual-signature tag: `primed` is a signer's keyed midstate
-/// with `DOM_SIGN` buffered, so this is the one tag both
-/// [`SecretKey::sign_digest`] and [`Pki::verify_digest`] compute, in one
-/// compression.
-fn sig_tag(primed: &Sha256, digest: &Digest) -> [u8; 32] {
-    let mut h = primed.clone();
-    h.update(digest.as_bytes());
-    h.finalize().0
+/// The schedule of a tag's one block: `parts` after the 64-byte key
+/// block, then SHA-256's padding.
+fn tag_schedule(parts: &[&[u8]]) -> Schedule {
+    Schedule::of(&last_block(64, parts))
+}
+
+/// The schedule of every share over `digest`, whoever signs it.
+fn share_schedule(digest: &Digest) -> Schedule {
+    tag_schedule(&[DOM_SIGN, digest.as_bytes()])
+}
+
+/// Every share and certificate tag: the 64 rounds of its block's
+/// `schedule` from a keyed `midstate`, one compression.
+fn tag(midstate: &[u32; 8], schedule: &Schedule) -> [u8; 32] {
+    let mut state = *midstate;
+    schedule.compress(&mut state);
+    state_bytes(&state)
 }
 
 /// How often the calling thread has run `(Pki::verify_digest,
 /// Pki::verify_threshold)`, under any `Pki` (`Pki::verify` and
-/// `Combiner::offer` each count once, through `verify_digest`). Test
+/// `Combiner::offer` each count as one share verify). Test
 /// instrumentation for "nothing is verified twice" assertions — difference
 /// two readings taken around the code under test; it is not part of any
 /// run's `Metrics`.
@@ -130,42 +153,36 @@ pub fn verify_calls() -> (u64, u64) {
 pub fn trusted_setup(n: usize, seed: u64) -> (Pki, Vec<SecretKey>) {
     assert!(n > 0, "a system needs at least one process");
     let master = hmac_sha256(&seed.to_be_bytes(), b"meba master secret");
-    // Absorb each key block and buffer its domain tag once, so every
-    // sign/verify afterwards finishes one block from a primed state
-    // instead of re-deriving the per-signer secret and its midstate.
-    let primed = |key: &[u8], domain: &[u8]| {
-        let mut h = keyed_inner(key);
-        h.update(domain);
-        h
-    };
     let mut sk_mac = HmacSha256::new(&master);
     sk_mac.update(DOM_SK);
-    // One secret and one midstate per process: the verifier's primed
-    // state is what the process's `SecretKey` signs with.
-    let sig_keys: Vec<Sha256> = ProcessId::all(n)
+    // Compress each key block once, so every sign/verify afterwards runs
+    // one block from its midstate instead of re-deriving the per-signer
+    // secret. The verifier's midstate is what the process's `SecretKey`
+    // signs with.
+    let sig_keys: Vec<[u32; 8]> = ProcessId::all(n)
         .map(|id| {
             let mut secret = sk_mac.clone();
             secret.update(&id.0.to_be_bytes());
-            primed(&secret.finalize(), DOM_SIGN)
+            keyed_inner(&secret.finalize())
         })
         .collect();
     let keys = ProcessId::all(n)
         .zip(&sig_keys)
-        .map(|(id, primed)| SecretKey { id, primed: primed.clone() })
+        .map(|(id, &midstate)| SecretKey { id, midstate })
         .collect();
     let mut agg_mac = HmacSha256::new(&master);
     agg_mac.update(DOM_AGG);
-    let inner =
-        Arc::new(PkiInner { n, sig_keys, thresh_key: primed(&master, DOM_THRESH), agg_mac });
+    let inner = Arc::new(PkiInner { n, sig_keys, thresh_key: keyed_inner(&master), agg_mac });
     (Pki { inner }, keys)
 }
 
 struct PkiInner {
     n: usize,
-    /// Per-signer keyed midstates with `DOM_SIGN` buffered.
-    sig_keys: Vec<Sha256>,
-    /// The master key's midstate with `DOM_THRESH` buffered.
-    thresh_key: Sha256,
+    /// Per-signer keyed midstates: SHA-256's chaining value after
+    /// `sk_p ⊕ ipad`.
+    sig_keys: Vec<[u32; 8]>,
+    /// The master key's midstate.
+    thresh_key: [u32; 8],
     /// Master-keyed HMAC state with `DOM_AGG` absorbed.
     agg_mac: HmacSha256,
 }
@@ -211,29 +228,33 @@ impl Pki {
     }
 
     /// Verifies an individual signature on the message whose SHA-256 is
-    /// `digest`: finishes the signer's primed midstate over the 32 digest
-    /// bytes, one compression.
+    /// `digest`: expands the share block over `digest` and runs it from
+    /// the signer's midstate, one compression.
     ///
     /// # Errors
     ///
     /// As [`Pki::verify`].
     pub fn verify_digest(&self, digest: &Digest, sig: &Signature) -> Result<(), CryptoError> {
+        self.verify_share(&share_schedule(digest), sig)
+    }
+
+    /// The one share check, against the share block's `schedule`:
+    /// [`Pki::verify_digest`] expands it per call, a [`Combiner`] once.
+    fn verify_share(&self, schedule: &Schedule, sig: &Signature) -> Result<(), CryptoError> {
         SHARE_VERIFIES.set(SHARE_VERIFIES.get() + 1);
         self.check_signer(sig.signer)?;
-        if ct_eq(&sig_tag(&self.inner.sig_keys[sig.signer.index()], digest), &sig.tag) {
+        if ct_eq(&tag(&self.inner.sig_keys[sig.signer.index()], schedule), &sig.tag) {
             Ok(())
         } else {
             Err(CryptoError::BadSignature { signer: sig.signer })
         }
     }
 
-    /// The certificate tag: the master midstate with `DOM_THRESH` buffered,
-    /// finished over `be64(k) ‖ digest` in one compression.
+    /// The certificate tag: `DOM_THRESH ‖ be64(k) ‖ digest` from the
+    /// master midstate, one compression.
     fn thresh_tag(&self, k: usize, digest: &Digest) -> [u8; 32] {
-        let mut h = self.inner.thresh_key.clone();
-        h.update(&(k as u64).to_be_bytes());
-        h.update(digest.as_bytes());
-        h.finalize().0
+        let be_k = (k as u64).to_be_bytes();
+        tag(&self.inner.thresh_key, &tag_schedule(&[DOM_THRESH, &be_k, digest.as_bytes()]))
     }
 
     /// Batches `k` (or more) unique valid signatures on `msg` into a
@@ -302,7 +323,9 @@ impl Pki {
         if k == 0 || k > self.inner.n {
             return Err(CryptoError::BadThreshold { k, n: self.inner.n });
         }
-        Ok(Combiner { pki: self.clone(), k, digest: Digest::of(msg), signers: BTreeSet::new() })
+        let digest = Digest::of(msg);
+        let schedule = share_schedule(&digest);
+        Ok(Combiner { pki: self.clone(), k, digest, schedule, signers: BTreeSet::new() })
     }
 
     /// Verifies that `ts` certifies `msg` under its `(k, n)` scheme.
@@ -419,19 +442,24 @@ impl Pki {
 
 /// A `(k, n)` threshold certificate in formation ([`Pki::combiner`]).
 ///
-/// Holds the message's digest, taken once when the combiner is created,
-/// and the signers whose shares verified against it — never an unverified
-/// share, so [`Combiner::finish`] has nothing left to check but the count.
+/// Holds the message's digest and its share block's schedule, both taken
+/// once when the combiner is created, and the signers whose shares
+/// verified against them — never an unverified share, so
+/// [`Combiner::finish`] has nothing left to check but the count.
 #[derive(Debug)]
 pub struct Combiner {
     pki: Pki,
     k: usize,
     digest: Digest,
+    /// Every share's block is the same, `DOM_SIGN ‖ digest` padded; only
+    /// the signer's midstate differs.
+    schedule: Schedule,
     signers: BTreeSet<ProcessId>,
 }
 
 impl Combiner {
-    /// Verifies `share` over the message's digest and counts its signer.
+    /// Verifies `share` over the message's digest — [`Pki::verify_digest`]
+    /// without re-expanding the share block — and counts its signer.
     ///
     /// # Errors
     ///
@@ -439,7 +467,7 @@ impl Combiner {
     /// share does not verify; otherwise [`CryptoError::DuplicateSigner`] if
     /// its signer already counts. A rejected share changes nothing.
     pub fn offer(&mut self, share: &Signature) -> Result<(), CryptoError> {
-        self.pki.verify_digest(&self.digest, share)?;
+        self.pki.verify_share(&self.schedule, share)?;
         if !self.signers.insert(share.signer) {
             return Err(CryptoError::DuplicateSigner { signer: share.signer });
         }
@@ -478,9 +506,9 @@ impl Combiner {
 #[derive(Clone)]
 pub struct SecretKey {
     id: ProcessId,
-    /// Keyed midstate with `DOM_SIGN` buffered; each signature finishes it
-    /// over the message digest.
-    primed: Sha256,
+    /// Keyed midstate; each signature runs the share block over the
+    /// message digest from it.
+    midstate: [u32; 8],
 }
 
 impl fmt::Debug for SecretKey {
@@ -525,7 +553,7 @@ impl SecretKey {
     /// assert!(pki.verify(b"proposal", &sig).is_ok());
     /// ```
     pub fn sign_digest(&self, digest: &Digest) -> Signature {
-        Signature { signer: self.id, tag: sig_tag(&self.primed, digest) }
+        Signature { signer: self.id, tag: tag(&self.midstate, &share_schedule(digest)) }
     }
 }
 
@@ -735,6 +763,7 @@ impl fmt::Debug for AggregateSignature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::Sha256;
 
     fn setup(n: usize) -> (Pki, Vec<SecretKey>) {
         trusted_setup(n, 0xfeed)
@@ -892,7 +921,8 @@ mod tests {
         let forged = extend(&share.tag);
         // It is a genuine extension — the keyed hash of the padded share
         // input followed by the extension — ...
-        let mut keyed = keys[2].primed.clone();
+        let mut keyed = Sha256::resume(&Digest(state_bytes(&keys[2].midstate)), 64);
+        keyed.update(DOM_SIGN);
         keyed.update(digest.as_bytes());
         keyed.update(&md_padding(64 + 43));
         keyed.update(extension);
@@ -908,7 +938,8 @@ mod tests {
 
         let shares: Vec<_> = keys.iter().take(3).map(|k| k.sign_digest(&digest)).collect();
         let forged = extend(&pki.combine(3, b"v", &shares).unwrap().tag);
-        let mut keyed = pki.inner.thresh_key.clone();
+        let mut keyed = Sha256::resume(&Digest(state_bytes(&pki.inner.thresh_key)), 64);
+        keyed.update(DOM_THRESH);
         keyed.update(&3u64.to_be_bytes());
         keyed.update(digest.as_bytes());
         keyed.update(&md_padding(64 + 54));

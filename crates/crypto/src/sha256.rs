@@ -133,11 +133,18 @@ impl Sha256 {
         }
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        Digest(state_bytes(&self.state))
+    }
+
+    /// The chaining value after the whole blocks absorbed so far — a
+    /// keyed midstate, when they are a key block.
+    ///
+    /// # Panics
+    ///
+    /// If a partial block is buffered: the state does not cover it yet.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        assert_eq!(self.buf_len, 0, "a midstate follows whole blocks");
+        self.state
     }
 
     /// A hasher resumed from a digest as its chaining value, as if
@@ -154,42 +161,110 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        COMPRESSIONS.set(COMPRESSIONS.get() + 1);
+        Schedule::of(block).compress(&mut self.state);
+    }
+}
+
+/// A block's message schedule: its 64 expanded words, each with its round
+/// constant already added. It is everything a compression takes from the
+/// block, so one block hashed from many chaining values — a certificate's
+/// shares, each from its signer's keyed midstate — is expanded once and
+/// [`Schedule::compress`]ed from each. It is a function of the block's
+/// bytes alone. [`Sha256`] compresses every block through it.
+#[derive(Clone)]
+pub(crate) struct Schedule([u32; 64]);
+
+impl fmt::Debug for Schedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Schedule(..)")
+    }
+}
+
+impl Schedule {
+    /// Expands `block`.
+    pub(crate) fn of(block: &[u8; 64]) -> Schedule {
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
             let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
             w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+        for (word, k) in w.iter_mut().zip(K) {
+            *word = word.wrapping_add(k);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        Schedule(w)
     }
+
+    /// One compression: the 64 rounds over the chaining value `state`,
+    /// then the feed-forward into it. The rounds are unrolled, each one
+    /// naming the eight working variables in rotated order instead of
+    /// shifting them.
+    pub(crate) fn compress(&self, state: &mut [u32; 8]) {
+        COMPRESSIONS.set(COMPRESSIONS.get() + 1);
+        let w = &self.0;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+                let t1 = $h
+                    .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                    .wrapping_add(($e & $f) ^ (!$e & $g))
+                    .wrapping_add(w[$i]);
+                $d = $d.wrapping_add(t1);
+                $h = t1
+                    .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                    .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+            };
+        }
+        macro_rules! eight_rounds {
+            ($($i:expr),*) => {$(
+                round!(a, b, c, d, e, f, g, h, $i);
+                round!(h, a, b, c, d, e, f, g, $i + 1);
+                round!(g, h, a, b, c, d, e, f, $i + 2);
+                round!(f, g, h, a, b, c, d, e, $i + 3);
+                round!(e, f, g, h, a, b, c, d, $i + 4);
+                round!(d, e, f, g, h, a, b, c, $i + 5);
+                round!(c, d, e, f, g, h, a, b, $i + 6);
+                round!(b, c, d, e, f, g, h, a, $i + 7);
+            )*};
+        }
+        eight_rounds!(0, 8, 16, 24, 32, 40, 48, 56);
+        for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(v);
+        }
+    }
+}
+
+/// The padded block that ends a message of `absorbed` bytes — whole
+/// blocks, already in a chaining value — followed by `tail`: the tail's
+/// bytes, `0x80`, zeros and the message's bit length.
+///
+/// # Panics
+///
+/// If `tail` is longer than 55 bytes and its padding would spill into a
+/// second block.
+pub(crate) fn last_block(absorbed: u64, tail: &[&[u8]]) -> [u8; 64] {
+    let mut block = [0u8; 64];
+    let mut len = 0;
+    for part in tail {
+        block[len..len + part.len()].copy_from_slice(part);
+        len += part.len();
+    }
+    assert!(len <= 55, "a {len}-byte tail does not fit one block with its padding");
+    block[len] = 0x80;
+    block[56..].copy_from_slice(&((absorbed + len as u64) * 8).to_be_bytes());
+    block
+}
+
+/// A chaining value as SHA-256 outputs it: its words, big-endian.
+pub(crate) fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// A 256-bit SHA-256 digest.

@@ -259,11 +259,6 @@ impl<'a, M: Message> RoundCtx<'a, M> {
         self.inbox
     }
 
-    /// Messages in the inbox from a specific sender.
-    pub fn from(&self, p: ProcessId) -> impl Iterator<Item = &M> {
-        self.inbox.iter().filter(move |e| e.from == p).map(|e| &*e.msg)
-    }
-
     /// Sends `msg` to `to` at the end of this round.
     pub fn send(&mut self, to: ProcessId, msg: M) {
         self.outbox.push(Dest::To(to), msg);
@@ -371,8 +366,6 @@ mod tests {
         let inbox = vec![Envelope { from: ProcessId(1), msg: Arc::new(TestMsg(9)) }];
         let mut ctx = RoundCtx::new(Round(0), ProcessId(0), 3, &inbox);
         assert_eq!(ctx.inbox().len(), 1);
-        assert_eq!(ctx.from(ProcessId(1)).count(), 1);
-        assert_eq!(ctx.from(ProcessId(2)).count(), 0);
         ctx.send(ProcessId(2), TestMsg(1));
         ctx.broadcast(TestMsg(2));
         let out = ctx.take_outbox();
