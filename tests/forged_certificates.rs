@@ -319,3 +319,169 @@ mod strong_ba_forgeries {
         run(vec![StrongBaMsg::Propose { value: false, qc }], 1);
     }
 }
+
+/// One correct process of an n = 7 weak BA, driven step by step: p3
+/// votes for 5 on the phase-1 leader's proposal (step 1), checks the
+/// leader's commit certificate (step 3) and, once it sent a decide share
+/// on 5, the leader's finalize certificate (step 5).
+mod own_share_certificates {
+    use super::common::{with_flipped_tag, WbaM, WbaProc};
+    use meba::core::signing::{sign_payload, CommitProof, DecideProof, DecideSig, VoteSig};
+    use meba::core::weak_ba::WeakBaMsg;
+    use meba::crypto::pki::verify_calls;
+    use meba::crypto::{Signable, ThresholdSignature};
+    use meba::prelude::*;
+    use meba_sim::Outbox;
+
+    const VOTED: u64 = 5;
+    const OTHER: u64 = 6;
+
+    struct Setup {
+        cfg: SystemConfig,
+        pki: Pki,
+        keys: Vec<SecretKey>,
+        leader: ProcessId,
+    }
+
+    impl Setup {
+        fn new() -> Self {
+            let cfg = SystemConfig::new(7, 0xf0).unwrap();
+            let (pki, keys) = trusted_setup(cfg.n(), 0xf0);
+            Setup { leader: cfg.leader_of_phase(1), cfg, pki, keys }
+        }
+
+        /// The last `k` processes' `(k, n)` certificate on `payload`.
+        fn cert(&self, k: usize, payload: &impl Signable) -> ThresholdSignature {
+            let signers = self.keys.iter().rev().take(k);
+            let shares: Vec<_> = signers.map(|key| sign_payload(key, payload)).collect();
+            self.pki.combine(k, &payload.signing_bytes(), &shares).unwrap()
+        }
+
+        fn vote(&self, value: &u64, level: u32, k: usize) -> CommitProof {
+            CommitProof {
+                level,
+                qc: self.cert(k, &VoteSig { session: self.cfg.session(), value, level }),
+            }
+        }
+
+        fn decide(&self, value: &u64, phase: u32, k: usize) -> DecideProof {
+            DecideProof {
+                phase,
+                qc: self.cert(k, &DecideSig { session: self.cfg.session(), value, phase }),
+            }
+        }
+
+        /// p3 with its steps before `step` run, the leader's proposal of
+        /// [`VOTED`] in step 1 and `commit` in step 3.
+        fn process_before(&self, step: u64, commit: &CommitProof) -> WbaProc {
+            let me = ProcessId(3);
+            let key = self.keys[me.index()].clone();
+            let factory = RecursiveBaFactory::new(self.cfg, key.clone(), self.pki.clone());
+            let mut p = WeakBa::new(self.cfg, me, key, self.pki.clone(), AlwaysValid, factory, 9);
+            let propose: WbaM = WeakBaMsg::Propose { phase: 1, value: VOTED };
+            let commit: WbaM =
+                WeakBaMsg::CommitCert { phase: 1, value: VOTED, proof: commit.clone() };
+            for s in 0..step {
+                let mut out = Outbox::new();
+                let inbox = match s {
+                    1 => Some(&propose),
+                    3 => Some(&commit),
+                    _ => None,
+                };
+                p.on_step(s, inbox.map(|m| (self.leader, m)).into_iter(), &mut out);
+                if s == 1 {
+                    assert!(matches!(&out[..], [(_, WeakBaMsg::Vote { value: VOTED, .. })]));
+                }
+            }
+            p
+        }
+
+        /// Runs `step` of `p` on `msg` from the leader and returns the
+        /// outbox and the certificate checks it counted.
+        fn step(&self, p: &mut WbaProc, step: u64, msg: WbaM) -> (Outbox<WbaM>, u64) {
+            let mut out = Outbox::new();
+            let before = verify_calls().1;
+            p.on_step(step, [(self.leader, &msg)].into_iter(), &mut out);
+            (out, verify_calls().1 - before)
+        }
+    }
+
+    /// The certificate checks `check` counts.
+    fn cert_verifies(check: impl FnOnce() -> bool) -> (bool, u64) {
+        let before = verify_calls().1;
+        (check(), verify_calls().1 - before)
+    }
+
+    #[test]
+    fn commit_certificates_are_judged_as_their_proof_verifies() {
+        let s = Setup::new();
+        let (q, low) = (s.cfg.quorum(), s.cfg.t() + 1);
+        let genuine = s.vote(&VOTED, 1, q);
+        let cases = [
+            ("the voted value and level", VOTED, genuine.clone()),
+            ("another value", OTHER, s.vote(&OTHER, 1, q)),
+            ("the voted value at another level", VOTED, s.vote(&VOTED, 2, q)),
+            (
+                "a level-2 certificate relabelled 1",
+                VOTED,
+                CommitProof { level: 1, ..s.vote(&VOTED, 2, q) },
+            ),
+            (
+                "a level-1 certificate relabelled 2",
+                VOTED,
+                CommitProof { level: 2, ..genuine.clone() },
+            ),
+            (
+                "a flipped tag bit",
+                VOTED,
+                CommitProof { level: 1, qc: with_flipped_tag(&genuine.qc) },
+            ),
+            ("the wrong threshold", VOTED, s.vote(&VOTED, 1, low)),
+        ];
+        for (what, value, proof) in cases {
+            let (valid, checks) = cert_verifies(|| proof.verify(&s.cfg, &s.pki, &value));
+            let mut p = s.process_before(3, &genuine);
+            let msg = WeakBaMsg::CommitCert { phase: 1, value, proof: proof.clone() };
+            let (out, counted) = s.step(&mut p, 3, msg);
+            let decided = matches!(&out[..], [(_, WeakBaMsg::Decide { value: v, phase: 1, .. })] if *v == value);
+            assert_eq!(decided, valid, "{what}: decide share sent iff the proof verifies");
+            assert_eq!(p.commit_level(), if valid { proof.level } else { 0 }, "{what}");
+            assert_eq!(p.committed_value(), valid.then_some(&value), "{what}");
+            assert_eq!(counted, checks, "{what}: certificate checks");
+        }
+    }
+
+    #[test]
+    fn finalize_certificates_are_judged_as_their_proof_verifies() {
+        let s = Setup::new();
+        let (q, low) = (s.cfg.quorum(), s.cfg.t() + 1);
+        let commit = s.vote(&VOTED, 1, q);
+        let genuine = s.decide(&VOTED, 1, q);
+        let cases = [
+            ("the decided value and phase", VOTED, genuine.clone()),
+            ("another value", OTHER, s.decide(&OTHER, 1, q)),
+            (
+                "a phase-2 certificate relabelled 1",
+                VOTED,
+                DecideProof { phase: 1, ..s.decide(&VOTED, 2, q) },
+            ),
+            (
+                "a flipped tag bit",
+                VOTED,
+                DecideProof { phase: 1, qc: with_flipped_tag(&genuine.qc) },
+            ),
+            ("the wrong threshold", VOTED, s.decide(&VOTED, 1, low)),
+        ];
+        for (what, value, proof) in cases {
+            let (valid, checks) = cert_verifies(|| proof.verify(&s.cfg, &s.pki, &value));
+            let mut p = s.process_before(5, &commit);
+            assert_eq!(p.committed_value(), Some(&VOTED), "p3 sent a decide share on {VOTED}");
+            let msg = WeakBaMsg::FinalizeCert { phase: 1, value, proof };
+            let (_, counted) = s.step(&mut p, 5, msg);
+            let decided = p.decision() == Some(&Decision::Value(value));
+            assert_eq!(decided, valid, "{what}: adopted iff the proof verifies");
+            assert!(decided || p.decision().is_none(), "{what}: {:?}", p.decision());
+            assert_eq!(counted, checks, "{what}: certificate checks");
+        }
+    }
+}
