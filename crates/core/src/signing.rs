@@ -14,7 +14,7 @@
 use crate::config::SystemConfig;
 use crate::value::Value;
 use meba_crypto::{
-    Combiner, CryptoError, Encoder, Pki, ProcessId, SignContext, Signable, Signature,
+    Combiner, CryptoError, Digest, Encoder, Pki, ProcessId, SignContext, Signable, Signature,
     ThresholdSignature,
 };
 use std::collections::btree_map::Entry;
@@ -222,13 +222,15 @@ crate::wire_schema! {
 impl CommitProof {
     /// Verifies that this proof commits `value` at its level.
     pub fn verify<V: Value>(&self, cfg: &SystemConfig, pki: &Pki, value: &V) -> bool {
-        self.qc.threshold() == cfg.quorum()
-            && pki
-                .verify_threshold(
-                    &VoteSig { session: cfg.session(), value, level: self.level }.signing_bytes(),
-                    &self.qc,
-                )
-                .is_ok()
+        quorum_certifies(cfg, pki, &self.qc, || {
+            VoteSig { session: cfg.session(), value, level: self.level }.signing_digest()
+        })
+    }
+
+    /// [`CommitProof::verify`] for a caller that holds `digest`, the
+    /// signing digest of the vote on its value at `self.level`.
+    pub fn verify_digest(&self, cfg: &SystemConfig, pki: &Pki, digest: &Digest) -> bool {
+        quorum_certifies(cfg, pki, &self.qc, || *digest)
     }
 }
 
@@ -247,14 +249,29 @@ crate::wire_schema! {
 impl DecideProof {
     /// Verifies that this proof finalizes `value`.
     pub fn verify<V: Value>(&self, cfg: &SystemConfig, pki: &Pki, value: &V) -> bool {
-        self.qc.threshold() == cfg.quorum()
-            && pki
-                .verify_threshold(
-                    &DecideSig { session: cfg.session(), value, phase: self.phase }.signing_bytes(),
-                    &self.qc,
-                )
-                .is_ok()
+        quorum_certifies(cfg, pki, &self.qc, || {
+            DecideSig { session: cfg.session(), value, phase: self.phase }.signing_digest()
+        })
     }
+
+    /// [`DecideProof::verify`] for a caller that holds `digest`, the
+    /// signing digest of the decide share on its value at `self.phase`.
+    pub fn verify_digest(&self, cfg: &SystemConfig, pki: &Pki, digest: &Digest) -> bool {
+        quorum_certifies(cfg, pki, &self.qc, || *digest)
+    }
+}
+
+/// The one check behind both proofs: `qc` has the quorum threshold and
+/// certifies the payload whose signing digest `digest` yields. The
+/// threshold comes first, so a certificate of another threshold is
+/// refused without hashing.
+fn quorum_certifies(
+    cfg: &SystemConfig,
+    pki: &Pki,
+    qc: &ThresholdSignature,
+    digest: impl FnOnce() -> Digest,
+) -> bool {
+    qc.threshold() == cfg.quorum() && pki.verify_threshold_digest(&digest(), qc).is_ok()
 }
 
 /// Certificate formation: the one place signed shares on a payload become

@@ -36,7 +36,7 @@ use crate::subprotocol::{
 };
 use crate::validity::Validity;
 use crate::value::Value;
-use meba_crypto::{Encoder, Pki, SecretKey, Signable, Signature};
+use meba_crypto::{Digest, Encoder, Pki, SecretKey, Signable, Signature};
 use meba_crypto::{ProcessId, SignContext, ThresholdSignature, WireCodec};
 use meba_sim::{Dest, Inbox, Message, RecoveryEvent, Sink};
 
@@ -166,6 +166,24 @@ impl<V> Default for PhaseScratch<V> {
     }
 }
 
+/// The last share of one kind this process signed: the level (vote) or
+/// phase (decide share) it binds, its value and its signing digest. A
+/// certificate over that same payload is checked against the digest
+/// instead of hashing the payload again.
+#[derive(Debug)]
+struct OwnShare<V> {
+    at: u32,
+    value: V,
+    digest: Digest,
+}
+
+impl<V: PartialEq> OwnShare<V> {
+    /// The signing digest, if this share is on `value` at `at`.
+    fn digest_of(own: &Option<Self>, at: u32, value: &V) -> Option<Digest> {
+        own.as_ref().filter(|own| own.at == at && own.value == *value).map(|own| own.digest)
+    }
+}
+
 /// The adaptive weak BA state machine (one per process).
 ///
 /// Implements [`SubProtocol`] so it can run standalone (via
@@ -188,6 +206,8 @@ where
     decide_proof: Option<DecideProof>,
     commit: Option<(V, CommitProof)>,
     commit_level: u32,
+    own_vote: Option<OwnShare<V>>,
+    own_decide: Option<OwnShare<V>>,
 
     scratch: PhaseScratch<V>,
     fallback_cert: Option<ThresholdSignature>,
@@ -235,6 +255,8 @@ where
             decide_proof: None,
             commit: None,
             commit_level: 0,
+            own_vote: None,
+            own_decide: None,
             scratch: PhaseScratch::default(),
             fallback_cert: None,
             nonsilent_as_leader: false,
@@ -252,13 +274,33 @@ where
     }
 
     /// Signs `payload` and records the signature for the recovery
-    /// journal: one digest of the preimage serves both.
-    fn sign_noted<S: SignContext>(&mut self, payload: &S) -> Signature {
+    /// journal: one digest of the preimage serves both, and is returned
+    /// with the signature.
+    fn sign_noted<S: SignContext>(&mut self, payload: &S) -> (Signature, Digest) {
         let digest = payload.signing_digest();
         let sig = self.key.sign_digest(&digest);
         self.recovery_events
             .push(RecoveryEvent::Signed { context: payload.context_bytes(), digest });
-        sig
+        (sig, digest)
+    }
+
+    /// Whether `proof` commits `value`, checked against this process's
+    /// own vote digest when it voted for `value` at `proof.level`.
+    fn commit_valid(&self, value: &V, proof: &CommitProof) -> bool {
+        match OwnShare::digest_of(&self.own_vote, proof.level, value) {
+            Some(digest) => proof.verify_digest(&self.cfg, &self.pki, &digest),
+            None => proof.verify(&self.cfg, &self.pki, value),
+        }
+    }
+
+    /// Whether `proof` finalizes `value`, checked against this process's
+    /// own decide-share digest when it sent one on `value` at
+    /// `proof.phase`.
+    fn finalize_valid(&self, value: &V, proof: &DecideProof) -> bool {
+        match OwnShare::digest_of(&self.own_decide, proof.phase, value) {
+            Some(digest) => proof.verify_digest(&self.cfg, &self.pki, &digest),
+            None => proof.verify(&self.cfg, &self.pki, value),
+        }
     }
 
     /// **Ablation only (experiment E9):** disables the paper's 2δ safety
@@ -364,7 +406,7 @@ where
         if from != self.cfg.leader_of_phase(phase) || proof.phase != phase {
             return;
         }
-        if proof.verify(&self.cfg, &self.pki, value) {
+        if self.finalize_valid(value, proof) {
             self.decision = Some(Decision::Value(value.clone()));
             self.decide_proof = Some(proof.clone());
             self.recovery_events
@@ -502,7 +544,9 @@ where
                                         value,
                                         level: phase,
                                     };
-                                    let sig = self.sign_noted(&payload);
+                                    let (sig, digest) = self.sign_noted(&payload);
+                                    self.own_vote =
+                                        Some(OwnShare { at: phase, value: value.clone(), digest });
                                     out.push(
                                         Dest::To(leader),
                                         WeakBaMsg::Vote { phase, value: value.clone(), sig },
@@ -582,12 +626,14 @@ where
                     if let WeakBaMsg::CommitCert { phase: p, value, proof } = msg {
                         if *p != phase
                             || proof.level < self.commit_level
-                            || !proof.verify(&self.cfg, &self.pki, value)
+                            || !self.commit_valid(value, proof)
                         {
                             continue;
                         }
                         let payload = DecideSig { session: self.cfg.session(), value, phase };
-                        let sig = self.sign_noted(&payload);
+                        let (sig, digest) = self.sign_noted(&payload);
+                        self.own_decide =
+                            Some(OwnShare { at: phase, value: value.clone(), digest });
                         out.push(
                             Dest::To(leader),
                             WeakBaMsg::Decide { phase, value: value.clone(), sig },
@@ -712,7 +758,7 @@ where
             // Alg 3 lines 5–6.
             if self.undecided() {
                 let payload = HelpReqSig { session: self.cfg.session() };
-                let sig = self.sign_noted(&payload);
+                let (sig, _) = self.sign_noted(&payload);
                 out.push(Dest::All, WeakBaMsg::HelpReq { sig });
             }
         } else if step == help_step + 1 {

@@ -124,8 +124,9 @@ fn tag(midstate: &[u32; 8], schedule: &Schedule) -> [u8; 32] {
 }
 
 /// How often the calling thread has run `(Pki::verify_digest,
-/// Pki::verify_threshold)`, under any `Pki` (`Pki::verify` and
-/// `Combiner::offer` each count as one share verify). Test
+/// Pki::verify_threshold_digest)`, under any `Pki` (`Pki::verify` and
+/// `Combiner::offer` each count as one share verify,
+/// `Pki::verify_threshold` as one certificate verify). Test
 /// instrumentation for "nothing is verified twice" assertions — difference
 /// two readings taken around the code under test; it is not part of any
 /// run's `Metrics`.
@@ -328,16 +329,31 @@ impl Pki {
         Ok(Combiner { pki: self.clone(), k, digest, schedule, signers: BTreeSet::new() })
     }
 
-    /// Verifies that `ts` certifies `msg` under its `(k, n)` scheme.
+    /// Verifies that `ts` certifies `msg` under its `(k, n)` scheme:
+    /// [`Pki::verify_threshold_digest`] over its digest.
     ///
     /// # Errors
     ///
     /// [`CryptoError::MessageMismatch`] if the certificate was issued for a
     /// different message or its tag does not verify.
     pub fn verify_threshold(&self, msg: &[u8], ts: &ThresholdSignature) -> Result<(), CryptoError> {
+        self.verify_threshold_digest(&Digest::of(msg), ts)
+    }
+
+    /// Verifies that `ts` certifies the message whose SHA-256 is `digest`
+    /// under its `(k, n)` scheme, one compression: the certificate check
+    /// for a caller that already holds the digest.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pki::verify_threshold`].
+    pub fn verify_threshold_digest(
+        &self,
+        digest: &Digest,
+        ts: &ThresholdSignature,
+    ) -> Result<(), CryptoError> {
         CERT_VERIFIES.set(CERT_VERIFIES.get() + 1);
-        let digest = Digest::of(msg);
-        if digest == ts.digest && ct_eq(&self.thresh_tag(ts.threshold, &digest), &ts.tag) {
+        if *digest == ts.digest && ct_eq(&self.thresh_tag(ts.threshold, digest), &ts.tag) {
             Ok(())
         } else {
             Err(CryptoError::MessageMismatch)

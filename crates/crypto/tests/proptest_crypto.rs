@@ -4,9 +4,11 @@
 //! forms), and certificate-assembly invariants.
 
 use meba_crypto::hmac::hmac_sha256;
+use meba_crypto::pki::verify_calls;
 use meba_crypto::sha256::Sha256;
 use meba_crypto::{
     trusted_setup, CryptoError, Decoder, Digest, Encoder, ProcessId, Signable, Signature,
+    ThresholdSignature,
 };
 use proptest::prelude::*;
 
@@ -182,6 +184,44 @@ proptest! {
     }
 
     #[test]
+    fn verify_threshold_digest_is_verify_threshold_over_the_digest(
+        msg in proptest::collection::vec(any::<u8>(), 0..200),
+        other in proptest::collection::vec(any::<u8>(), 0..200),
+        k in 1usize..=7,
+        posed_k in 1usize..=7,
+        kind in 0usize..4,
+        bit in 0usize..256,
+    ) {
+        let (pki, keys) = trusted_setup(7, 11);
+        let certify = |m: &[u8]| {
+            let shares: Vec<_> = keys.iter().take(k).map(|key| key.sign(m)).collect();
+            pki.combine(k, m, &shares).unwrap()
+        };
+        let genuine = certify(&msg);
+        let mut tag = cert_tag_of(&genuine);
+        let qc = match kind {
+            0 => genuine.clone(),
+            1 => certify(&other),
+            2 => {
+                tag[bit / 8] ^= 1 << (bit % 8);
+                decode_certificate(k, genuine.digest(), &tag)
+            }
+            _ => decode_certificate(posed_k, genuine.digest(), &tag),
+        };
+        // Over the certified message's digest and another one, the
+        // verdict is `verify_threshold`'s, and each call counts as one
+        // certificate verify.
+        for m in [&msg, &other] {
+            let before = verify_calls().1;
+            let by_digest = pki.verify_threshold_digest(&Digest::of(m), &qc);
+            prop_assert_eq!(verify_calls().1 - before, 1);
+            prop_assert_eq!(by_digest, pki.verify_threshold(m, &qc));
+        }
+        let certifies_msg = qc == genuine || (kind == 1 && other == msg);
+        prop_assert_eq!(pki.verify_threshold_digest(&Digest::of(&msg), &qc).is_ok(), certifies_msg);
+    }
+
+    #[test]
     fn combine_threshold_boundary(n in 3usize..14, k in 1usize..14, have in 0usize..14) {
         let k = k.min(n);
         let have = have.min(n);
@@ -255,6 +295,24 @@ fn tag_of(sig: &Signature) -> [u8; 32] {
     let mut enc = Encoder::new();
     sig.encode(&mut enc);
     enc.as_bytes()[enc.len() - 32..].try_into().expect("a signature ends in its tag")
+}
+
+/// A certificate with arbitrary threshold, digest and tag, as a decoder
+/// would read it off the wire: decoding never authenticates.
+fn decode_certificate(threshold: usize, digest: Digest, tag: &[u8]) -> ThresholdSignature {
+    let mut enc = Encoder::new();
+    enc.put_u64(threshold as u64);
+    enc.put_digest(&digest);
+    enc.put_bytes(tag);
+    let bytes = enc.into_bytes();
+    ThresholdSignature::decode(&mut Decoder::new(&bytes)).expect("a 32-byte tag decodes")
+}
+
+/// The tag bytes of `qc`: the last 32 bytes of its wire encoding.
+fn cert_tag_of(qc: &ThresholdSignature) -> [u8; 32] {
+    let mut enc = Encoder::new();
+    qc.encode(&mut enc);
+    enc.as_bytes()[enc.len() - 32..].try_into().expect("a certificate ends in its tag")
 }
 
 /// Process `id`'s signing key under `seed`, derived outside the crate:

@@ -396,9 +396,17 @@ impl<M: Message> Transport<M> for DesTransport<'_, M> {
         // order every other backend produces, so inbox order (and thus
         // any order-sensitive tie-break in an actor) is
         // backend-independent. The mailbox is already in that order.
+        // Copies usually land in send order, so the landed ones are a
+        // prefix, moved in one step; a later copy that overtook an
+        // earlier one is picked out of the rest.
         let cursor = self.net.cursor;
+        let landed = |m: &Mail<M>| (m.0, m.1) <= cursor;
         let mailbox = &mut self.net.mailboxes[self.me.index()];
-        out.extend(mailbox.extract_if(.., |m| (m.0, m.1) <= cursor).map(|(.., d)| d));
+        let prefix = mailbox.iter().position(|m| !landed(m)).unwrap_or(mailbox.len());
+        out.extend(mailbox.drain(..prefix).map(|(.., d)| d));
+        if mailbox.iter().any(landed) {
+            out.extend(mailbox.extract_if(.., |m| landed(m)).map(|(.., d)| d));
+        }
     }
 
     fn crash(&mut self) {

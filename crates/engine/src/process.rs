@@ -202,13 +202,16 @@ impl<M: Message> EngineProcess<M> {
         }
         // Memory stays O(buffered deliveries): a table indexed by process
         // id would cost O(n) per process, O(n²) across a cluster.
+        // In lockstep the buffer arrives in id order, so the sort is
+        // usually skipped.
         let senders = &mut self.senders_scratch;
         senders.clear();
-        senders.push(me);
         senders.extend(self.buffer.iter().filter(|d| d.sent_round + 1 >= round).map(|d| d.from));
-        senders.sort_unstable();
+        if !senders.is_sorted() {
+            senders.sort_unstable();
+        }
         senders.dedup();
-        senders.len()
+        senders.len() + usize::from(senders.binary_search(&me).is_err())
     }
 
     /// The earliest round after `after` (the round that just ran) this

@@ -8,7 +8,9 @@
 //! and a heap allocation a step does not need. This file pins all four
 //! for BB at n = 33 with f = t silent, the quadratic fallback's regime,
 //! so that an idle tick, an eager check, a second compression per tag or
-//! a per-step buffer that comes back moves a number here.
+//! a per-step buffer that comes back moves a number here; and the
+//! verifies and compressions of the failure-free run, so that a process
+//! hashing its own signed payload a second time moves one too.
 
 use meba_core::{Decision, LockstepAdapter, SubProtocol};
 use meba_crypto::pki::verify_calls;
@@ -91,8 +93,32 @@ fn bb_at_f_equals_t_does_the_recorded_work() {
     // A process's first run also makes its lazily built statics, so the
     // second one is counted. 18,151 while every host layer copied its
     // inbox into a lent `Vec` and stepped its protocol into an outbox of
-    // its own each step.
+    // its own each step; 12,316 while the DES moved a process's landed
+    // copies into its buffer one at a time, growing it without knowing
+    // how many would come.
     let again = bb_actors(0, 7, &faults);
     let (allocs, _) = count_allocations(|| des(again, &faults, 0x21, &Timing::lockstep()));
-    assert_eq!(allocs, 12_316, "heap allocations");
+    assert_eq!(allocs, 12_183, "heap allocations");
+}
+
+/// Words, verify calls and SHA-256 compressions of the failure-free run
+/// (the other benchmark layout): sender p0 broadcasts 7 and every
+/// process is correct, so weak BA decides in its first phase and each
+/// process checks one commit and one finalize certificate over payloads
+/// it signed itself.
+#[test]
+fn bb_at_f_equals_0_does_the_recorded_work() {
+    let n = 33;
+    let faults = vec![Fault::None; n];
+    let actors = bb_actors(0, 7, &faults);
+    let (before, hashed) = (verify_calls(), compressions());
+    let report = des(actors, &faults, 0x21, &Timing::lockstep());
+    let after = verify_calls();
+    let (verifies, hashed) = ((after.0 - before.0, after.1 - before.1), compressions() - hashed);
+    assert!(report.completed, "BB must decide");
+    assert_eq!(report.metrics.correct_words(), 512, "words");
+    assert_eq!(verifies, (83, 66), "share and certificate verifies");
+    // 520 while a process re-hashed its own shares to check their
+    // certificates.
+    assert_eq!(hashed, 388, "SHA-256 compressions");
 }
