@@ -94,7 +94,8 @@ pub mod service;
 pub mod wall_clock;
 
 pub use recovery::{
-    recoverable_decision, DoubleSign, DoubleSignDetector, RecWbaProc, WeakBaRecoveryHarness,
+    recoverable_decision, weak_ba_binding, DoubleSign, DoubleSignDetector, RecWbaProc,
+    WeakBaRecoveryHarness,
 };
 pub use service::{service_replica, ServiceHarness, ServiceM, ServiceProc};
 pub use wall_clock::{overrun_free, with_thread_peak, OverrunFree, WallClockRun};

@@ -16,7 +16,7 @@ use meba_core::signing::{DecideSig, HelpReqSig, VoteSig};
 use meba_core::{
     AlwaysValid, Decision, LockstepAdapter, Recoverable, SubProtocol, SystemConfig, WeakBa,
 };
-use meba_crypto::{trusted_setup, Digest, Pki, ProcessId, SecretKey, SignContext, Signable};
+use meba_crypto::{trusted_setup, Digest, Pki, ProcessId, SecretKey, SignContext};
 use meba_engine::{ActorRebuilder, RebuiltActor};
 use meba_fallback::RecursiveBaFactory;
 use meba_journal::{Journal, MemBuffer, Record};
@@ -199,26 +199,11 @@ impl DoubleSignDetector {
         }
     }
 
-    /// Folds in a weak BA message observed on the wire from `from`,
-    /// reconstructing the signing payload the sender must have produced
-    /// (votes, decide shares, and help requests carry individual
-    /// signatures; certificate messages aggregate shares already audited
-    /// at their source).
+    /// Folds in a weak BA message observed on the wire from `from`, by
+    /// the binding [`weak_ba_binding`] reconstructs from it.
     pub fn observe_weak_ba_msg(&mut self, session: u64, from: ProcessId, msg: &WbaM) {
-        match msg {
-            meba_core::WeakBaMsg::Vote { phase, value, .. } => {
-                let payload = VoteSig { session, value, level: *phase };
-                self.observe(from, payload.context_bytes(), Digest::of(&payload.signing_bytes()));
-            }
-            meba_core::WeakBaMsg::Decide { phase, value, .. } => {
-                let payload = DecideSig { session, value, phase: *phase };
-                self.observe(from, payload.context_bytes(), Digest::of(&payload.signing_bytes()));
-            }
-            meba_core::WeakBaMsg::HelpReq { .. } => {
-                let payload = HelpReqSig { session };
-                self.observe(from, payload.context_bytes(), Digest::of(&payload.signing_bytes()));
-            }
-            _ => {}
+        if let Some((context, digest)) = weak_ba_binding(session, msg) {
+            self.observe(from, context, digest);
         }
     }
 
@@ -234,6 +219,27 @@ impl DoubleSignDetector {
     /// Panics with the conflict list if any slot was double-bound.
     pub fn assert_clean(&self) {
         assert!(self.conflicts.is_empty(), "double-sign detected: {:?}", self.conflicts);
+    }
+}
+
+/// The `(context, preimage digest)` binding the sender of a weak BA
+/// message must have signed, reconstructed from the message alone: votes,
+/// decide shares and help requests carry an individual signature;
+/// certificate messages aggregate shares already audited at their source
+/// and yield `None`, as does every other message.
+pub fn weak_ba_binding(session: u64, msg: &WbaM) -> Option<(Vec<u8>, Digest)> {
+    fn bound(payload: &impl SignContext) -> (Vec<u8>, Digest) {
+        (payload.context_bytes(), Digest::of(&payload.signing_bytes()))
+    }
+    match msg {
+        meba_core::WeakBaMsg::Vote { phase, value, .. } => {
+            Some(bound(&VoteSig { session, value, level: *phase }))
+        }
+        meba_core::WeakBaMsg::Decide { phase, value, .. } => {
+            Some(bound(&DecideSig { session, value, phase: *phase }))
+        }
+        meba_core::WeakBaMsg::HelpReq { .. } => Some(bound(&HelpReqSig { session })),
+        _ => None,
     }
 }
 

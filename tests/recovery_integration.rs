@@ -1,18 +1,22 @@
 //! Crash-recovery integration: journal-backed weak BA processes that die
 //! and rejoin mid-protocol on both cluster runtimes, audited for
 //! equivocation by a double-sign detector over every journaled and
-//! every wire-observed signature.
+//! every wire-observed signature; and, on the discrete-event backend,
+//! each process's journaled signatures against the ones it sent.
 
 mod common;
 
 use common::*;
 use meba::core::weak_ba::PHASE_ROUNDS;
-use meba::engine::{run_cluster_with_recovery, ClusterConfig};
+use meba::crypto::Digest;
+use meba::engine::{run_cluster_with_recovery, run_des_cluster, ClusterConfig, DesConfig};
+use meba::journal::Record;
 use meba::prelude::*;
 use meba::sim::faults::{Link, LinkFate, LinkPolicy};
-use meba::sim::{Metrics, RoundCtx};
+use meba::sim::{Metrics, Round, RoundCtx};
 use meba::wire::{run_tcp_cluster_with_recovery, TcpClusterConfig};
-use meba_engine::{ActorRebuilder, RebuiltActor};
+use meba_engine::{ActorRebuilder, ProcessFateFactory, RebuiltActor};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -233,4 +237,99 @@ fn tcp_crash_restart_under_socket_faults() {
     assert_eq!(r.metrics.recovery.crash_restarts, 1);
     assert!(r.metrics.recovery.replayed_records > 0, "three executed rounds must replay");
     assert!(tcp.reconnects > 0, "severed links must re-handshake on rejoin");
+}
+
+/// One `(context, preimage digest)` set per process.
+type Bindings = Vec<BTreeSet<(Vec<u8>, Digest)>>;
+
+/// Wraps an actor and records, for every weak BA message it sends, the
+/// signature binding the double-sign detector reconstructs from it.
+struct SendLog {
+    inner: Box<dyn AnyActor<Msg = WbaM>>,
+    sent: Arc<Mutex<Bindings>>,
+    session: u64,
+}
+
+impl Actor for SendLog {
+    type Msg = WbaM;
+    fn id(&self) -> ProcessId {
+        self.inner.id()
+    }
+    fn on_round(&mut self, ctx: &mut RoundCtx<'_, WbaM>) {
+        self.inner.on_round(ctx);
+        let mut sent = self.sent.lock().unwrap();
+        for (_, msg) in ctx.outbox().iter() {
+            if let Some(binding) = weak_ba_binding(self.session, msg) {
+                sent[self.inner.id().index()].insert(binding);
+            }
+        }
+    }
+    fn done(&self) -> bool {
+        self.inner.done()
+    }
+    fn refused_equivocations(&self) -> u64 {
+        self.inner.refused_equivocations()
+    }
+    fn on_rejoin(&mut self, round: Round) {
+        self.inner.on_rejoin(round);
+    }
+    fn next_wakeup(&self, after: Round) -> Round {
+        self.inner.next_wakeup(after)
+    }
+}
+
+/// One DES run of journal-backed weak BA at n = 5 under `fate`: what each
+/// process sent, and the `Record::Signed` bindings its journal holds.
+fn sent_and_journaled(fate: Option<ProcessFateFactory>) -> (Bindings, Bindings, u64) {
+    let n = 5;
+    let h = Arc::new(WeakBaRecoveryHarness::new(&[4; 5]));
+    let session = h.config().session();
+    let sent = Arc::new(Mutex::new(vec![BTreeSet::new(); n]));
+    let logged = {
+        let sent = sent.clone();
+        move |inner| Box::new(SendLog { inner, sent: sent.clone(), session }) as Box<_>
+    };
+    let actors = h.actors().into_iter().map(&logged).collect();
+    let base = h.rebuilder();
+    let rebuilder: ActorRebuilder<WbaM> = Arc::new(move |me| {
+        let rb = base(me);
+        RebuiltActor { actor: logged(rb.actor), ..rb }
+    });
+    let config = DesConfig { max_rounds: 1_000, process_fate: fate, ..DesConfig::default() };
+    let report = run_des_cluster(actors, Some(rebuilder), config).expect("valid DES config");
+    assert!(report.completed, "weak BA must finish");
+    assert_eq!(report.metrics.recovery.refused_equivocations, 0);
+    let journaled = (h.journals().into_iter())
+        .map(|records| {
+            (records.into_iter())
+                .filter_map(|r| match r {
+                    Record::Signed { context, digest } => Some((context, digest)),
+                    _ => None,
+                })
+                .collect()
+        })
+        .collect();
+    let sent = sent.lock().unwrap().clone();
+    (sent, journaled, report.metrics.recovery.crash_restarts)
+}
+
+/// CORRECTNESS §10's invariant (1) on a real protocol: every signature a
+/// process sent is in its journal. Failure-free, the journal holds
+/// exactly what was sent; across a crash and a journal replay, what was
+/// sent — by either incarnation — is still a subset of what was
+/// journaled.
+#[test]
+fn every_sent_signature_is_journaled() {
+    let (sent, journaled, restarts) = sent_and_journaled(None);
+    assert_eq!(restarts, 0);
+    for (i, (sent, journaled)) in sent.iter().zip(&journaled).enumerate() {
+        assert!(!sent.is_empty(), "p{i} signed a vote and a decide share");
+        assert_eq!(sent, journaled, "p{i}: failure-free, journal = wire");
+    }
+
+    let (sent, journaled, restarts) = sent_and_journaled(Some(crash_restart(1, 2, 3)));
+    assert_eq!(restarts, 1);
+    for (i, (sent, journaled)) in sent.iter().zip(&journaled).enumerate() {
+        assert!(sent.is_subset(journaled), "p{i}: sent {sent:?}, journaled {journaled:?}");
+    }
 }
