@@ -523,9 +523,6 @@ where
                 _ => None,
             });
             ba.on_step(step - ba_start, ba_inbox, &mut out.map(BbMsg::Ba));
-            // No host journals a BB's weak BA: drop its recovery events
-            // each step rather than keep them for the whole run.
-            ba.drain_recovery_events();
             if ba.done() {
                 let ba_decision = ba.output().expect("done implies output");
                 self.decision = Some(match ba_decision {
@@ -762,21 +759,6 @@ mod tests {
         let start = shares();
         lockstep(7, 0, 1, &[], 400);
         assert_eq!(shares() - start, 7 + 2 * cfg.quorum() as u64);
-    }
-
-    #[test]
-    fn no_recovery_event_is_left_in_the_weak_ba() {
-        // Failure-free, and f = t silent with the fallback running: the
-        // weak BA signs, accepts certificates and decides in both.
-        for crashed in [&[][..], &[1, 2, 3]] {
-            let run = lockstep(7, 0, 9, crashed, 400);
-            for i in (0..7u32).filter(|i| !crashed.contains(i)) {
-                let a: &LockstepAdapter<BbP> =
-                    run.actors[i as usize].as_any().downcast_ref().unwrap();
-                let ba = a.inner().ba.as_ref().expect("the weak BA ran");
-                assert_eq!(ba.undrained_recovery_events(), 0, "p{i}, crashed {crashed:?}");
-            }
-        }
     }
 
     #[test]

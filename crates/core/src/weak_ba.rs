@@ -36,9 +36,9 @@ use crate::subprotocol::{
 };
 use crate::validity::Validity;
 use crate::value::Value;
-use meba_crypto::{Digest, Encoder, Pki, SecretKey, Signable, Signature};
+use meba_crypto::{Digest, Pki, SecretKey, Signable, Signature};
 use meba_crypto::{ProcessId, SignContext, ThresholdSignature, WireCodec};
-use meba_sim::{Dest, Inbox, Message, RecoveryEvent, Sink};
+use meba_sim::{Dest, Inbox, Message, Sink};
 
 /// Message type of the fallback protocol produced by factory `F` for
 /// values `V`.
@@ -131,19 +131,6 @@ crate::wire_schema! {
 /// Rounds per phase (Alg 4 has 5 rounds).
 pub const PHASE_ROUNDS: u64 = 5;
 
-/// `kind` tags of the [`RecoveryEvent::CertReceived`] events weak BA
-/// emits for the crash-recovery journal (`meba-journal`).
-pub mod cert_kind {
-    /// A finalize certificate adopted from a phase leader (Alg 4
-    /// lines 52–54).
-    pub const FINALIZE: u32 = 0;
-    /// A help answer's finalize certificate (Alg 3 lines 13–14).
-    pub const HELP: u32 = 1;
-    /// A fallback certificate that scheduled `A_fallback` (Alg 3
-    /// lines 21–23).
-    pub const FALLBACK: u32 = 2;
-}
-
 /// Per-phase scratch state, keyed by the phase it belongs to: any access
 /// through [`WeakBa::scratch_of`] from a later phase starts from a clean
 /// slate, so a phase's opening round need not run just to reset it.
@@ -217,10 +204,6 @@ where
     no_safety_window: bool,
     decided_at: Option<u64>,
     finished: bool,
-    /// Protocol-critical events since the last drain, consumed by the
-    /// crash-recovery wrapper (`Recoverable`) which journals them
-    /// *before* the step's outbox is externalized.
-    recovery_events: Vec<RecoveryEvent>,
 }
 
 impl<V, P, F> WeakBa<V, P, F>
@@ -263,24 +246,21 @@ where
             no_safety_window: false,
             decided_at: None,
             finished: false,
-            recovery_events: Vec::new(),
         }
     }
 
-    /// How many recovery events wait for a drain.
-    #[cfg(test)]
-    pub(crate) fn undrained_recovery_events(&self) -> usize {
-        self.recovery_events.len()
-    }
-
-    /// Signs `payload` and records the signature for the recovery
-    /// journal: one digest of the preimage serves both, and is returned
-    /// with the signature.
-    fn sign_noted<S: SignContext>(&mut self, payload: &S) -> (Signature, Digest) {
+    /// Signs `payload` and reports the binding to `out` before anything
+    /// carrying the signature is sent: one digest of the preimage serves
+    /// both, and is returned with the signature. The context is built
+    /// only by a sink that journals it.
+    fn sign_noted<S: SignContext>(
+        &self,
+        payload: &S,
+        out: &mut dyn Sink<WeakBaMsgOf<V, F>>,
+    ) -> (Signature, Digest) {
         let digest = payload.signing_digest();
         let sig = self.key.sign_digest(&digest);
-        self.recovery_events
-            .push(RecoveryEvent::Signed { context: payload.context_bytes(), digest });
+        out.signed(&|| payload.context_bytes(), digest);
         (sig, digest)
     }
 
@@ -409,13 +389,11 @@ where
         if self.finalize_valid(value, proof) {
             self.decision = Some(Decision::Value(value.clone()));
             self.decide_proof = Some(proof.clone());
-            self.recovery_events
-                .push(RecoveryEvent::CertReceived { kind: cert_kind::FINALIZE, step });
         }
     }
 
     /// Adopt a help answer (Alg 3 lines 13–14).
-    fn try_adopt_help(&mut self, step: u64, value: &V, proof: &DecideProof) {
+    fn try_adopt_help(&mut self, value: &V, proof: &DecideProof) {
         if !self.undecided() {
             return;
         }
@@ -425,7 +403,6 @@ where
         if self.validity.validate(value) && proof.verify(&self.cfg, &self.pki, value) {
             self.decision = Some(Decision::Value(value.clone()));
             self.decide_proof = Some(proof.clone());
-            self.recovery_events.push(RecoveryEvent::CertReceived { kind: cert_kind::HELP, step });
         }
     }
 
@@ -475,8 +452,6 @@ where
             self.fallback_cert = Some(qc.clone());
             let own = self.host.own_payload(self.certified_decision());
             out.push(Dest::All, WeakBaMsg::FallbackCert { qc: qc.clone(), decision: own });
-            self.recovery_events
-                .push(RecoveryEvent::CertReceived { kind: cert_kind::FALLBACK, step });
         }
     }
 
@@ -544,7 +519,7 @@ where
                                         value,
                                         level: phase,
                                     };
-                                    let (sig, digest) = self.sign_noted(&payload);
+                                    let (sig, digest) = self.sign_noted(&payload, out);
                                     self.own_vote =
                                         Some(OwnShare { at: phase, value: value.clone(), digest });
                                     out.push(
@@ -631,7 +606,7 @@ where
                             continue;
                         }
                         let payload = DecideSig { session: self.cfg.session(), value, phase };
-                        let (sig, digest) = self.sign_noted(&payload);
+                        let (sig, digest) = self.sign_noted(&payload, out);
                         self.own_decide =
                             Some(OwnShare { at: phase, value: value.clone(), digest });
                         out.push(
@@ -640,7 +615,6 @@ where
                         );
                         self.commit = Some((value.clone(), proof.clone()));
                         self.commit_level = proof.level;
-                        self.recovery_events.push(RecoveryEvent::CommitLevel(proof.level as u64));
                         break;
                     }
                 }
@@ -717,7 +691,7 @@ where
                     // after fallback coordination has begun.
                     if step == help_step + 2 => {
                         let was = self.undecided();
-                        self.try_adopt_help(step, value, proof);
+                        self.try_adopt_help(value, proof);
                         decided_via_help = was && !self.undecided();
                     }
                 _ => {}
@@ -758,7 +732,7 @@ where
             // Alg 3 lines 5–6.
             if self.undecided() {
                 let payload = HelpReqSig { session: self.cfg.session() };
-                let (sig, _) = self.sign_noted(&payload);
+                let (sig, _) = self.sign_noted(&payload, out);
                 out.push(Dest::All, WeakBaMsg::HelpReq { sig });
             }
         } else if step == help_step + 1 {
@@ -809,18 +783,8 @@ where
             self.finished = true;
         }
 
-        if let (Some(decision), None) = (self.decision.as_ref(), self.decided_at) {
+        if self.decision.is_some() && self.decided_at.is_none() {
             self.decided_at = Some(step);
-            let bytes = match decision {
-                Decision::Value(v) => {
-                    let mut enc = Encoder::new();
-                    v.encode_value(&mut enc);
-                    enc.into_bytes()
-                }
-                // ⊥ journals as an empty value.
-                Decision::Bot => Vec::new(),
-            };
-            self.recovery_events.push(RecoveryEvent::Decided(bytes));
         }
         // A decided process with no pending fallback finishes once the
         // certificate acceptance window has passed.
@@ -839,10 +803,6 @@ where
 
     fn done(&self) -> bool {
         self.finished
-    }
-
-    fn drain_recovery_events(&mut self) -> Vec<RecoveryEvent> {
-        std::mem::take(&mut self.recovery_events)
     }
 
     /// The scheduled actions that fire on an empty inbox: proposing in

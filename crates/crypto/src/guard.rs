@@ -12,9 +12,12 @@
 //!
 //! The guard, [`SignRegistry`], is pure bookkeeping over `(context →
 //! preimage digest)` pairs; durability of those pairs across a crash is
-//! the journal's job (`meba-journal`), and `meba-core`'s `Recoverable`
-//! wrapper records every signature its protocol emits into one registry
-//! and journals it before the message leaves the process.
+//! the journal's job (`meba-journal`). `meba-core`'s `Recoverable`
+//! wrapper steps its protocol into a staging sink, which keeps every
+//! signature the protocol reports there (`meba-sim`'s `Sink::signed`);
+//! it records each into one registry and journals it before the step's
+//! messages leave the process, and on restart rebuilds the registry
+//! from the journal.
 
 use crate::encoding::{Encoder, Signable};
 use crate::sha256::Digest;

@@ -47,7 +47,7 @@ use crate::instance::{InstanceId, Scope};
 use crate::messages::{RecBaMsg, RecDecideSig};
 use meba_core::signing::ShareCollector;
 use meba_core::{FallbackFactory, SubProtocol, SystemConfig, Value};
-use meba_crypto::{Pki, ProcessId, SecretKey, Signable};
+use meba_crypto::{Digest, Pki, ProcessId, SecretKey, Signable};
 use meba_sim::{Dest, Inbox, Recipients, Sink};
 use std::collections::BTreeMap;
 
@@ -396,6 +396,10 @@ impl<V: Value> Sink<RecBaMsg<V>> for ToScope<'_, V> {
     fn put(&mut self, to: Recipients, msg: RecBaMsg<V>) {
         assert_eq!(to, Recipients::Dest(Dest::All), "a scope's instance only broadcasts");
         self.out.put(self.members, msg);
+    }
+
+    fn signed(&mut self, context: &dyn Fn() -> Vec<u8>, digest: Digest) {
+        self.out.signed(context, digest);
     }
 }
 

@@ -7,8 +7,8 @@
 //! Byzantine fault. This crate closes that gap:
 //!
 //! * [`Record`] — the journal vocabulary: per-step inboxes (sufficient to
-//!   replay a deterministic protocol exactly), signatures produced,
-//!   certificates received, `commit_level` transitions, and decisions;
+//!   replay a deterministic protocol exactly), the signatures produced,
+//!   and the service layer's slot bindings, applied slots and evidence;
 //! * [`Journal`] — append-only, CRC-checked, fsync-batched framing over
 //!   a pluggable [`Storage`] backend ([`MemBuffer`]/[`MemStorage`] for
 //!   simulated crashes, [`FileStorage`] for real files);

@@ -1,22 +1,24 @@
 //! The journal's record vocabulary.
 //!
-//! Every protocol-critical event is journaled *before* it is
-//! externalized (DESIGN.md §11). Records reuse the workspace's canonical
-//! [`WireCodec`] encoding, so the journal inherits the codec's
-//! canonicality guarantees: one record, one byte representation.
+//! A record is journaled *before* anything that depends on it leaves the
+//! process (DESIGN.md §11), and every record is one a restart reads.
+//! Records reuse the workspace's canonical [`WireCodec`] encoding, so the
+//! journal inherits the codec's canonicality guarantees: one record, one
+//! byte representation.
 
 use meba_crypto::{DecodeError, Decoder, Digest, Encoder, ProcessId, WireCodec};
 
 /// One durable journal entry.
 ///
-/// The [`Record::Step`] entries alone reconstruct a deterministic
-/// protocol exactly (replaying the same inboxes through the same state
-/// machine reproduces the same state *and the same signatures*, since
-/// the PKI signs deterministically). The event records — signatures,
-/// certificates, commit levels, decisions — are belt-and-braces
-/// metadata: they rebuild the never-re-sign-conflicting guard without
-/// re-running the protocol and let auditors inspect what a process
-/// committed to without decoding protocol messages.
+/// A protocol instance's journal is [`Record::Step`] and
+/// [`Record::Signed`] entries. The steps alone reconstruct a
+/// deterministic protocol exactly (replaying the same inboxes through the
+/// same state machine reproduces the same state *and the same
+/// signatures*, since the PKI signs deterministically); the signatures
+/// rebuild the never-re-sign-conflicting guard as the authoritative set
+/// of what the process may have sent (docs/CORRECTNESS.md §10). The other
+/// four records are the service layer's (`meba-service`), which replays
+/// them itself.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Record {
     /// One protocol step and the exact inbox it consumed, with each
@@ -36,24 +38,6 @@ pub enum Record {
         context: Vec<u8>,
         /// Digest of the full signing preimage actually signed.
         digest: Digest,
-    },
-    /// A certificate (threshold/aggregate quorum) this process received
-    /// and accepted.
-    CertReceived {
-        /// Kind discriminant (protocol-defined, e.g. commit vs. decide).
-        kind: u32,
-        /// Step at which the certificate was accepted.
-        step: u64,
-    },
-    /// A `commit_level` transition.
-    CommitLevel {
-        /// The new commit level.
-        level: u64,
-    },
-    /// A decision, terminal for the instance.
-    Decided {
-        /// Canonical encoding of the decided value.
-        value: Vec<u8>,
     },
     /// A service-level proposal bound to a log slot, journaled before
     /// the slot's instance may externalize it (`meba-service`): after a
@@ -97,28 +81,16 @@ pub enum Record {
         /// Canonical encoding of the slot's `CommitEvidence`.
         evidence: Vec<u8>,
     },
-    /// A compaction point: the opaque service snapshot covering every
-    /// slot below `upto_slot`. Written by `Journal::compact` as the
-    /// first record of the rewritten log; replay seeds state from it
-    /// and earlier per-slot records are gone.
-    Snapshot {
-        /// Slots `< upto_slot` are covered by `state`.
-        upto_slot: u64,
-        /// Opaque service-encoded state (KV, dedup table, watermarks).
-        state: Vec<u8>,
-    },
 }
 
+// Tags 2–4 and 9 are unassigned: replay ends at one, as at any
+// undecodable frame.
 const TAG_STEP: u32 = 0;
 const TAG_SIGNED: u32 = 1;
-const TAG_CERT: u32 = 2;
-const TAG_COMMIT: u32 = 3;
-const TAG_DECIDED: u32 = 4;
 const TAG_PROPOSED: u32 = 5;
 const TAG_COMMITTED: u32 = 6;
 const TAG_TRANSFERRED: u32 = 7;
 const TAG_EVIDENCE: u32 = 8;
-const TAG_SNAPSHOT: u32 = 9;
 
 impl WireCodec for Record {
     fn encode_wire(&self, enc: &mut Encoder) {
@@ -136,19 +108,6 @@ impl WireCodec for Record {
                 enc.put_u32(TAG_SIGNED);
                 enc.put_bytes(context);
                 enc.put_digest(digest);
-            }
-            Record::CertReceived { kind, step } => {
-                enc.put_u32(TAG_CERT);
-                enc.put_u32(*kind);
-                enc.put_u64(*step);
-            }
-            Record::CommitLevel { level } => {
-                enc.put_u32(TAG_COMMIT);
-                enc.put_u64(*level);
-            }
-            Record::Decided { value } => {
-                enc.put_u32(TAG_DECIDED);
-                enc.put_bytes(value);
             }
             Record::Proposed { slot, value } => {
                 enc.put_u32(TAG_PROPOSED);
@@ -169,11 +128,6 @@ impl WireCodec for Record {
                 enc.put_u32(TAG_EVIDENCE);
                 enc.put_u64(*slot);
                 enc.put_bytes(evidence);
-            }
-            Record::Snapshot { upto_slot, state } => {
-                enc.put_u32(TAG_SNAPSHOT);
-                enc.put_u64(*upto_slot);
-                enc.put_bytes(state);
             }
         }
     }
@@ -198,13 +152,6 @@ impl WireCodec for Record {
                 let digest = dec.get_digest()?;
                 Ok(Record::Signed { context, digest })
             }
-            TAG_CERT => {
-                let kind = dec.get_u32()?;
-                let step = dec.get_u64()?;
-                Ok(Record::CertReceived { kind, step })
-            }
-            TAG_COMMIT => Ok(Record::CommitLevel { level: dec.get_u64()? }),
-            TAG_DECIDED => Ok(Record::Decided { value: dec.get_bytes()? }),
             TAG_PROPOSED => {
                 let slot = dec.get_u64()?;
                 let value = dec.get_bytes()?;
@@ -225,11 +172,6 @@ impl WireCodec for Record {
                 let evidence = dec.get_bytes()?;
                 Ok(Record::Evidence { slot, evidence })
             }
-            TAG_SNAPSHOT => {
-                let upto_slot = dec.get_u64()?;
-                let state = dec.get_bytes()?;
-                Ok(Record::Snapshot { upto_slot, state })
-            }
             _ => Err(DecodeError::Invalid { what: "unknown journal record tag" }),
         }
     }
@@ -247,15 +189,11 @@ mod tests {
                 inbox: vec![(ProcessId(1), vec![1, 2, 3]), (ProcessId(4), vec![])],
             },
             Record::Signed { context: b"meba/weakba/vote".to_vec(), digest: Digest::of(b"v") },
-            Record::CertReceived { kind: 2, step: 9 },
-            Record::CommitLevel { level: 3 },
-            Record::Decided { value: vec![0xAA; 16] },
             Record::Proposed { slot: 4, value: vec![1, 2, 3, 4] },
             Record::Committed { slot: 4, value: vec![1, 2, 3, 4] },
             Record::Transferred { slot: 5, value: vec![7, 7] },
             Record::Transferred { slot: 6, value: vec![] },
             Record::Evidence { slot: 5, evidence: vec![0xC0; 40] },
-            Record::Snapshot { upto_slot: 7, state: vec![9, 8, 7] },
         ]
     }
 

@@ -30,8 +30,8 @@ pub trait Storage: Send {
     fn sync(&mut self) -> io::Result<()>;
     /// Reads the entire current contents.
     fn read_all(&mut self) -> io::Result<Vec<u8>>;
-    /// Discards everything, leaving an empty log ([`Journal::compact`]'s
-    /// rewrite step).
+    /// Discards everything, leaving an empty log. The journal itself
+    /// never calls it.
     fn reset(&mut self) -> io::Result<()>;
 }
 
@@ -180,18 +180,20 @@ pub struct ReplayReport {
 /// # Examples
 ///
 /// ```
+/// use meba_crypto::Digest;
 /// use meba_journal::{Journal, MemBuffer, Record};
 ///
 /// let disk = MemBuffer::new();
 /// let mut j = Journal::in_memory(disk.clone());
-/// j.append(&Record::CommitLevel { level: 2 }).unwrap();
+/// let signed = Record::Signed { context: b"vote/1".to_vec(), digest: Digest::of(b"v") };
+/// j.append(&signed).unwrap();
 /// j.flush().unwrap();
 ///
 /// // "Crash": drop the journal handle; the buffer (the disk) survives.
 /// drop(j);
 /// let mut j2 = Journal::in_memory(disk);
 /// let replay = j2.replay().unwrap();
-/// assert_eq!(replay.records, vec![Record::CommitLevel { level: 2 }]);
+/// assert_eq!(replay.records, vec![signed]);
 /// assert_eq!(replay.torn_bytes, 0);
 /// ```
 pub struct Journal {
@@ -292,34 +294,6 @@ impl Journal {
         Ok(())
     }
 
-    /// Compacts the journal to a snapshot point: rewrites the log as
-    /// `[snapshot, tail...]` and syncs. Everything the snapshot covers
-    /// (per-slot `Proposed`/`Committed`/`Transferred` records below its
-    /// `upto_slot`) is dropped by the caller choosing `tail`; replay
-    /// afterwards sees the snapshot first and seeds state from it.
-    ///
-    /// The rewrite is not crash-atomic: a crash between the reset and
-    /// the final sync can leave a shorter (or empty) log. That is safe
-    /// for the service's use — the snapshot only covers state every
-    /// correct replica already committed, so a replica that loses it
-    /// re-converges through certified state transfer rather than by
-    /// re-externalizing anything. A production WAL would shadow-write
-    /// and rename instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors; on error the journal contents are
-    /// unspecified but replay still yields only intact frames.
-    pub fn compact(&mut self, snapshot: &Record, tail: &[Record]) -> io::Result<()> {
-        self.storage.reset()?;
-        self.unsynced = 0;
-        self.append(snapshot)?;
-        for rec in tail {
-            self.append(rec)?;
-        }
-        self.flush()
-    }
-
     /// Scans the journal from the start, CRC-checking every frame, and
     /// returns the intact prefix. A truncated length/CRC header, a
     /// payload shorter than its length prefix, a CRC mismatch, or an
@@ -363,8 +337,8 @@ mod tests {
             Record::Step { step: 0, inbox: vec![] },
             Record::Signed { context: b"ctx".to_vec(), digest: Digest::of(b"p") },
             Record::Step { step: 1, inbox: vec![(ProcessId(2), vec![7, 7])] },
-            Record::CommitLevel { level: 1 },
-            Record::Decided { value: vec![42] },
+            Record::Proposed { slot: 1, value: vec![42] },
+            Record::Committed { slot: 1, value: vec![42] },
         ]
     }
 
@@ -385,7 +359,7 @@ mod tests {
     fn fsyncs_are_batched() {
         let mut j = Journal::new(Box::new(MemStorage::new(MemBuffer::new())), 4);
         for _ in 0..10 {
-            j.append(&Record::CommitLevel { level: 0 }).unwrap();
+            j.append(&Record::Step { step: 0, inbox: vec![] }).unwrap();
         }
         // 10 appends at batch 4 → syncs after 4 and 8.
         assert_eq!(j.stats().appended, 10);
@@ -442,30 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_rewrites_to_snapshot_plus_tail() {
-        let disk = MemBuffer::new();
-        let mut j = Journal::in_memory(disk.clone());
-        for r in sample_records() {
-            j.append(&r).unwrap();
-        }
-        j.flush().unwrap();
-        let before = disk.len();
-        let snapshot = Record::Snapshot { upto_slot: 4, state: vec![1, 2, 3] };
-        let tail = [Record::Committed { slot: 4, value: vec![9] }];
-        j.compact(&snapshot, &tail).unwrap();
-        assert!(disk.len() < before, "compaction must shrink the log");
-        let report = Journal::in_memory(disk.clone()).replay().unwrap();
-        assert_eq!(report.records, vec![snapshot.clone(), tail[0].clone()]);
-        assert_eq!(report.torn_bytes, 0);
-        // Appends after compaction land after the retained tail.
-        j.append(&Record::CommitLevel { level: 5 }).unwrap();
-        j.flush().unwrap();
-        let report = Journal::in_memory(disk).replay().unwrap();
-        assert_eq!(report.records.len(), 3);
-        assert_eq!(report.records[0], snapshot);
-    }
-
-    #[test]
     fn file_storage_roundtrips_and_survives_reopen() {
         let dir = std::env::temp_dir().join(format!("meba-journal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -482,7 +432,7 @@ mod tests {
         let report = reopened.replay().unwrap();
         assert_eq!(report.records, sample_records());
         // And appends after reopen land at the end.
-        reopened.append(&Record::CommitLevel { level: 9 }).unwrap();
+        reopened.append(&Record::Step { step: 2, inbox: vec![] }).unwrap();
         reopened.flush().unwrap();
         let report = reopened.replay().unwrap();
         assert_eq!(report.records.len(), sample_records().len() + 1);

@@ -6,21 +6,22 @@ use meba_crypto::Digest;
 use meba_journal::{Journal, MemBuffer, MemStorage, Record};
 use proptest::prelude::*;
 
-/// Decodes a compact `(kind, a)` generator pair into one of the five
+/// Decodes a compact `(kind, a)` generator pair into one of the six
 /// record kinds, with a payload derived from `a` so two different pairs
 /// yield two different records.
 fn record_from(kind: u8, a: u64) -> Record {
     let bytes: Vec<u8> =
         a.to_be_bytes().iter().cycle().take(4 + (a % 13) as usize).copied().collect();
-    match kind % 5 {
+    match kind % 6 {
         0 => Record::Step {
             step: a,
             inbox: vec![(meba_crypto::ProcessId(u32::try_from(a % 7).unwrap()), bytes)],
         },
         1 => Record::Signed { context: bytes, digest: Digest::of(&a.to_be_bytes()) },
-        2 => Record::CertReceived { kind: u32::try_from(a % 9).unwrap(), step: a },
-        3 => Record::CommitLevel { level: a },
-        _ => Record::Decided { value: bytes },
+        2 => Record::Proposed { slot: a, value: bytes },
+        3 => Record::Committed { slot: a, value: bytes },
+        4 => Record::Transferred { slot: a, value: bytes },
+        _ => Record::Evidence { slot: a, evidence: bytes },
     }
 }
 

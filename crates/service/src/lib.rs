@@ -82,6 +82,5 @@ pub use protocol::{
 };
 pub use replica::{ReplicaMsg, ServiceConfig, ServiceFbMsg, ServiceMsg, ServiceReplica};
 pub use transfer::{
-    claimed_decision, verify_certified, ServiceSnapshot, TransferEntry, TransferMsg,
-    DEFAULT_FETCH_BUDGET,
+    claimed_decision, verify_certified, TransferEntry, TransferMsg, DEFAULT_FETCH_BUDGET,
 };

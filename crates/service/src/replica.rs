@@ -54,8 +54,7 @@ use crate::admission::{ReadRequest, ServicePort};
 use crate::batch::{Batch, BatchPolicy, Batcher, Op};
 use crate::protocol::{ReadMode, ServiceReply};
 use crate::transfer::{
-    claimed_decision, verify_certified, ServiceSnapshot, TransferEntry, TransferMsg,
-    DEFAULT_FETCH_BUDGET,
+    claimed_decision, verify_certified, TransferEntry, TransferMsg, DEFAULT_FETCH_BUDGET,
 };
 use meba_core::bb::BbBaValue;
 use meba_core::{wire_schema, Decision, FallbackFactory, SubProtocol, SystemConfig};
@@ -156,10 +155,8 @@ where
     apply_cursor: u64,
     /// In-flight admissions: `(client, seq)` → admit round.
     admitted: BTreeMap<(u64, u64), u64>,
-    /// Slots whose binding this replica has already journaled, with the
-    /// exact journaled bytes (carried into snapshots so compaction can
-    /// never lose a binding and re-open the equivocation window).
-    journaled_proposals: BTreeMap<u64, Vec<u8>>,
+    /// Slots whose binding this replica has already journaled.
+    journaled_proposals: BTreeSet<u64>,
     pending_reads: Vec<(ReadRequest, u64)>,
     /// Canonical bytes of every applied slot's decision (empty = `⊥`),
     /// bound once, in [`Self::apply`] — its keys are the applied slots,
@@ -249,7 +246,7 @@ where
             committed_at: BTreeMap::new(),
             apply_cursor: 0,
             admitted: BTreeMap::new(),
-            journaled_proposals: BTreeMap::new(),
+            journaled_proposals: BTreeSet::new(),
             pending_reads: Vec::new(),
             applied_values: BTreeMap::new(),
             evidence: BTreeMap::new(),
@@ -269,9 +266,7 @@ where
     /// and the dedup table, [`Record::Proposed`] into the log's initial
     /// command queue so fast-forward re-binds byte-identical values to
     /// the same slots, and [`Record::Evidence`] into the certificate
-    /// store so this replica keeps serving certified transfer. A
-    /// [`Record::Snapshot`] (written by [`Self::compact_journal`]) seeds
-    /// all of the above before the remaining records replay on top.
+    /// store so this replica keeps serving certified transfer.
     ///
     /// The rebuilt replica is in *recovering* mode: locally `⊥`-retired
     /// slots are held back until donor-confirmed (see module docs).
@@ -300,13 +295,6 @@ where
         let mut evidence: Vec<(u64, CommitEvidence)> = Vec::new();
         for rec in report.records {
             match rec {
-                Record::Snapshot { upto_slot: _, state } => {
-                    let snap = ServiceSnapshot::from_wire_bytes(&state)
-                        .map_err(|_| bad("bad Snapshot state"))?;
-                    proposals = snap.proposals;
-                    applied = snap.applied;
-                    evidence = snap.evidence;
-                }
                 Record::Proposed { slot, value } => proposals.push((slot, value)),
                 Record::Committed { slot, value } | Record::Transferred { slot, value } => {
                     applied.push((slot, value));
@@ -325,7 +313,7 @@ where
             .collect::<Result<_, _>>()?;
         let mut replica =
             Self::with_commands(cfg, me, key, pki, factory, service, port, Some(journal), commands);
-        replica.journaled_proposals = proposals.into_iter().collect();
+        replica.journaled_proposals = proposals.into_iter().map(|(slot, _)| slot).collect();
         replica.evidence = evidence.into_iter().collect();
         for (slot, bytes) in applied {
             let decision = if bytes.is_empty() {
@@ -342,30 +330,6 @@ where
         }
         replica.recovering = true;
         Ok((replica, replayed))
-    }
-
-    /// Compacts the journal to a [`Record::Snapshot`] covering every
-    /// applied slot (KV, dedup, applied decisions, slot bindings, and
-    /// commit certificates all re-seed from it on the next rebuild). The
-    /// per-slot records it subsumes are dropped; slot bindings are
-    /// carried inside the snapshot, so compaction can never re-open the
-    /// equivocation window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates journal I/O errors. No-op without a journal.
-    pub fn compact_journal(&mut self) -> std::io::Result<()> {
-        let snap = ServiceSnapshot {
-            upto_slot: self.apply_cursor,
-            applied: self.applied_values.iter().map(|(s, v)| (*s, v.clone())).collect(),
-            proposals: self.journaled_proposals.iter().map(|(s, v)| (*s, v.clone())).collect(),
-            evidence: self.evidence.iter().map(|(s, e)| (*s, e.clone())).collect(),
-        };
-        let rec = Record::Snapshot { upto_slot: self.apply_cursor, state: snap.to_wire_bytes() };
-        match &mut self.journal {
-            Some(j) => j.compact(&rec, &[]),
-            None => Ok(()),
-        }
     }
 
     /// The replica's port (the handle gateways and test drivers share).
@@ -423,8 +387,7 @@ where
     /// collision-checked path.
     fn bind_due_slot(&mut self, round: u64) {
         let Some(slot) = self.log.due_slot(round) else { return };
-        if self.log.proposer_of(slot) == self.log.id()
-            && !self.journaled_proposals.contains_key(&slot)
+        if self.log.proposer_of(slot) == self.log.id() && !self.journaled_proposals.contains(&slot)
         {
             // Don't waste our proposer slot on a no-op while ops sit in
             // the open batch: close it early so the slot carries them.
@@ -434,9 +397,8 @@ where
                 }
             }
             let value = self.log.queued_front().cloned().unwrap_or_else(Batch::noop);
-            let bytes = value.to_wire_bytes();
-            self.journal_append(&Record::Proposed { slot, value: bytes.clone() });
-            self.journaled_proposals.insert(slot, bytes);
+            self.journal_append(&Record::Proposed { slot, value: value.to_wire_bytes() });
+            self.journaled_proposals.insert(slot);
         }
         if self.log.spawn_due(round).is_err() {
             self.stats.session_collisions += 1;

@@ -80,30 +80,6 @@ wire_schema! {
     }
 }
 
-wire_schema! {
-    /// The compaction snapshot a replica writes as
-    /// [`meba_journal::Record::Snapshot`] state: everything a rebuild needs
-    /// that the dropped per-slot records used to carry. KV state and the
-    /// dedup table are *not* stored — both re-derive deterministically by
-    /// replaying `applied` in slot order.
-    ///
-    /// `proposals` must travel with the snapshot: dropping a journaled slot
-    /// binding would let a restarted replica re-bind a different value to
-    /// the same slot, i.e. equivocate on the wire.
-    #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    pub struct ServiceSnapshot: WireCodec {
-        /// The applied prefix is `[0, upto_slot)`.
-        pub upto_slot: u64 as Meta,
-        /// Applied decisions, `(slot, canonical batch bytes)`; empty bytes
-        /// encode `⊥`.
-        pub applied: Vec<(u64, Vec<u8>)> as Vec<(Meta, Bytes)>,
-        /// Journaled slot bindings, `(slot, canonical batch bytes)`.
-        pub proposals: Vec<(u64, Vec<u8>)> as Vec<(Meta, Bytes)>,
-        /// Commit certificates held, `(slot, evidence)`.
-        pub evidence: Vec<(u64, CommitEvidence)> as Vec<(Meta, Signed)>,
-    }
-}
-
 /// The claimed decision of a [`TransferEntry`], decoded: empty bytes are
 /// `⊥`, anything else must be a canonical [`Batch`].
 ///

@@ -23,8 +23,8 @@ use meba_core::{DecideProof, Value};
 use meba_crypto::{trusted_setup, DecodeError, Digest, Encoder, ProcessId, WireCodec, WordCost};
 use meba_fallback::{InstanceId, Scope};
 use meba_service::{
-    Batch, ClientHello, ClientRequest, Op, ReadMode, ReplicaMsg, ServiceReply, ServiceSnapshot,
-    TransferEntry, TransferMsg, SERVICE_VERSION,
+    Batch, ClientHello, ClientRequest, Op, ReadMode, ReplicaMsg, ServiceReply, TransferEntry,
+    TransferMsg, SERVICE_VERSION,
 };
 use meba_sim::{Message, SessionEnvelope, SessionId};
 use meba_smr::CommitEvidence;
@@ -91,8 +91,7 @@ fn corpus(client: u64, seq: u64, key: u64, value: u64, ops: usize) -> Vec<Vec<u8
 
     // The anti-entropy (state transfer) frame families: the fetch
     // request, a donor batch mixing bare and certified entries, the two
-    // entry shapes on their own, the journal-compaction snapshot, and
-    // both arms of the replica envelope that multiplexes log and
+    // entry shapes on their own, and both arms of the replica envelope that multiplexes log and
     // transfer traffic over one link. Its log traffic is a message, here
     // `EchoMsg<Batch>`, whose bytes are the batch's.
     let bare = TransferEntry { slot: key, value: batch.to_wire_bytes(), cert: None };
@@ -110,19 +109,12 @@ fn corpus(client: u64, seq: u64, key: u64, value: u64, ops: usize) -> Vec<Vec<u8
     out.push(donor_batch.to_wire_bytes());
     out.push(bare.to_wire_bytes());
     out.push(certified.to_wire_bytes());
-    let snapshot = ServiceSnapshot {
-        upto_slot: seq,
-        applied: vec![(key, batch.to_wire_bytes()), (key.wrapping_add(1), Vec::new())],
-        proposals: vec![(key, batch.to_wire_bytes())],
-        evidence: vec![(key, dummy_cert(value))],
-    };
-    out.push(snapshot.to_wire_bytes());
     out.push(ReplicaMsg::Log(EchoMsg(batch)).to_wire_bytes());
     out.push(ReplicaMsg::<EchoMsg<Batch>>::Transfer(fetch).to_wire_bytes());
     out
 }
 
-const FAMILIES: usize = 18;
+const FAMILIES: usize = 17;
 
 /// Decodes `bytes` with the family that produced corpus index `i`,
 /// returning the re-encoding if decoding succeeded.
@@ -144,8 +136,7 @@ fn read(i: usize, bytes: &[u8]) -> Option<(Vec<u8>, u64)> {
         10 => via::<Batch>(bytes),
         11 | 12 => via::<TransferMsg>(bytes),
         13 | 14 => via::<TransferEntry>(bytes),
-        15 => via::<ServiceSnapshot>(bytes),
-        16 | 17 => via::<ReplicaMsg<EchoMsg<Batch>>>(bytes),
+        15 | 16 => via::<ReplicaMsg<EchoMsg<Batch>>>(bytes),
         _ => unreachable!("corpus has {FAMILIES} entries"),
     }
 }
@@ -272,13 +263,8 @@ fn service_wire_format_is_pinned() {
             "fb5a6b543369dbd97d7f4bf1e5846cfcc3e309687cec76de5098a1d57cfae6d5",
         ),
         (
-            "ServiceSnapshot",
-            hex(15..=15),
-            "65acdd479d595e4d28cd445e8f62886211ffd6b722fcc569b8efbb4b4a7aa647",
-        ),
-        (
             "ReplicaMsg",
-            hex(16..=17),
+            hex(15..=16),
             "96b85b0f4e22adaeb2d78c49d3fccc4b4dc0df01152f3caa07a3e74df3b731d0",
         ),
     ];
@@ -344,7 +330,7 @@ fn transfer_costs_are_pinned() {
     // batch's from_slot, a bare entry of 5 ops (189 value bytes) and a
     // certified entry with an 8-byte BA value.
     assert_eq!(priced, 2 + 1 + (1 + 24) + (1 + 1 + 1 + 1));
-    for i in [16, 17] {
+    for i in [15, 16] {
         let m = Replica::from_wire_bytes(&corpus[i]).expect("replica frame decodes");
         let (words, sigs, component) = match &m {
             ReplicaMsg::Log(EchoMsg(batch)) => (batch.value_words(), 0, "fallback"),
@@ -377,10 +363,6 @@ fn claims_entries(head: impl Fn(&mut Encoder), count: u64, entry: &[u8]) -> Vec<
 #[test]
 fn hostile_vector_counts_are_refused_without_reserving() {
     let entry = TransferEntry { slot: 3, value: vec![1, 2, 3], cert: None }.to_wire_bytes();
-    let mut applied = Encoder::new();
-    applied.put_u64(3);
-    applied.put_bytes(&[1, 2, 3]);
-    let applied = applied.into_bytes();
     for count in [u64::MAX, 1 << 40] {
         let batch = claims_entries(
             |e| {
@@ -391,9 +373,6 @@ fn hostile_vector_counts_are_refused_without_reserving() {
             &entry,
         );
         let err = TransferMsg::from_wire_bytes(&batch).expect_err("CommittedBatch");
-        assert!(!matches!(err, DecodeError::TrailingBytes { .. }), "{count}: {err:?}");
-        let snapshot = claims_entries(|e| e.put_u64(9), count, &applied);
-        let err = ServiceSnapshot::from_wire_bytes(&snapshot).expect_err("ServiceSnapshot");
         assert!(!matches!(err, DecodeError::TrailingBytes { .. }), "{count}: {err:?}");
     }
 }

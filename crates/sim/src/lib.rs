@@ -77,4 +77,4 @@ pub use metrics::{
     ServiceStats, SessionStats,
 };
 pub use round::Round;
-pub use session::{Inbox, Instance, RecoveryEvent, SessionEnvelope, SessionId, SubProtocol};
+pub use session::{Inbox, Instance, SessionEnvelope, SessionId, SubProtocol};

@@ -15,47 +15,15 @@
 //! [`Inbox`], a re-iterable projection of its caller's messages, and
 //! sends into a [`Sink`], which a host maps onto its own
 //! (`out.map(BbMsg::Ba)`). Nothing is copied into a per-step buffer on
-//! the way down or re-wrapped on the way up.
+//! the way down or re-wrapped on the way up. A step reports the
+//! signatures it makes into the same sink ([`Sink::signed`]), so a
+//! write-ahead wrapper sees them and no other layer keeps them.
 
 use crate::actor::{Message, Sink};
 use meba_crypto::encoding::len;
-use meba_crypto::{DecodeError, Decoder, Digest, Encoder, ProcessId, WireCodec};
+use meba_crypto::{DecodeError, Decoder, Encoder, ProcessId, WireCodec};
 use std::fmt::Debug;
 use std::sync::Arc;
-
-/// A protocol-critical event a [`SubProtocol`] wants made durable before
-/// its effects are externalized (see `meba-journal`).
-///
-/// Protocols emit these from [`SubProtocol::on_step`] and a recovery
-/// wrapper drains them via [`SubProtocol::drain_recovery_events`] — the
-/// wrapper journals them, enforces the never-re-sign-conflicting guard
-/// on [`RecoveryEvent::Signed`], and only then releases the step's
-/// outbox. Protocols without recovery support emit nothing (the default)
-/// and are still replayable from their per-step inboxes alone.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecoveryEvent {
-    /// A signature was produced. `context` identifies the signing slot
-    /// (domain + session + phase — everything but the value); `digest`
-    /// commits to the exact preimage signed.
-    Signed {
-        /// Equivocation context of the signing slot.
-        context: Vec<u8>,
-        /// Digest of the full signing preimage.
-        digest: Digest,
-    },
-    /// A quorum certificate was received and accepted.
-    CertReceived {
-        /// Protocol-defined kind discriminant (e.g. commit vs. finalize).
-        kind: u32,
-        /// Step at which the certificate was accepted.
-        step: u64,
-    },
-    /// The protocol's `commit_level` advanced.
-    CommitLevel(u64),
-    /// The protocol decided; the payload is the decision's canonical
-    /// encoding (or any stable digest of it).
-    Decided(Vec<u8>),
-}
 
 /// A step's lent inbox: `(sender, message)` pairs, projected by the
 /// caller from its own buffer — a round's envelopes, an instance's
@@ -99,16 +67,6 @@ pub trait SubProtocol: Send + 'static {
     /// Whether the machine has completed its entire schedule (it may keep
     /// answering messages until then even after deciding).
     fn done(&self) -> bool;
-
-    /// Drains the protocol-critical events accumulated since the last
-    /// drain (signatures produced, certificates accepted, commit-level
-    /// transitions, decisions). A recovery wrapper calls this after every
-    /// [`SubProtocol::on_step`] and journals the events *before*
-    /// releasing the step's messages. The default — no events — is
-    /// correct for protocols without crash-recovery support.
-    fn drain_recovery_events(&mut self) -> Vec<RecoveryEvent> {
-        Vec::new()
-    }
 
     /// How many externalization refusals a recovery guard has issued for
     /// this protocol (always 0 without a recovery wrapper). Surfaced so

@@ -160,6 +160,13 @@ fn retired_names_stay_retired() {
         r"SendFate|SocketFate|SendPolicy|SocketPolicy|socket_policy|LinkPolicySendAdapter|adapt_link_policy|RotatingStrongBa|strong_ba_rotating|Mutex<Metrics>|link_key|BbViaStrong|bb_via_strong|\b(bb|weak_ba|strong_ba)_(sim|des|des_timed|decisions|report_decisions)\b|\blog_(sim|des|entries|report_entries)\b|TraceEvent|trace::Trace|record_trace|\.rushing\(|audit_proposals|assert_exactly_once|assert_churn_converged|assert_agreement|\bagree\(|outputs::<|DecisionStats|BB_FAILURE_FREE_WORDS_PER_N|GuardedKey|LinkDelayFloor|link_floor_ns|channel_capacity|inbox_capacity|outbox_capacity|\.crash_at\(|run_live_round|RoundState|LiveRoundOutcome|meba_sim::body|\bMux\b|MuxHost|LogHost|live_sessions|CalendarQueue|TimeKeyed|calendar_width_ns|--bin report|client_handshake|server_handshake|MEBA_E15_STRETCH|MEBA_E20_STRETCH|OverrunAction::Escalate|Escalation\b|escalations|delta_at|clean_run|clean_tcp_run",
         &["crates", "src", "tests", "examples", "README.md", "docs"],
     );
+    // The journal holds only what a restart reads: step inboxes and
+    // signature bindings (plus the service's records). A step reports a
+    // signature through its sink, and nothing compacts the journal.
+    assert_none(
+        r"RecoveryEvent|recovery_events|cert_kind|CertReceived|CommitLevel|Record::Decided|Record::Snapshot|compact_journal|Journal::compact|fn compact\b|ServiceSnapshot",
+        &["crates", "src", "tests", "examples", "README.md", "docs", "DESIGN.md"],
+    );
 }
 
 /// One oracle: `meba_testkit::oracle`'s journal fold is the only reader of
@@ -300,8 +307,7 @@ fn one_step_signature() {
     let allowed = [
         ("crates/sim/src/actor.rs", "RoundCtx { round, me, n, inbox, outbox: Outbox::new() }"),
         ("crates/sim/src/actor.rs", "entries: Vec<(Recipients, M)>,"),
-        ("crates/core/src/recovery.rs", "let mut staged = Outbox::new();"),
-        ("crates/core/src/recovery.rs", "me.inner.on_step(*step, lent, &mut Outbox::new());"),
+        ("crates/core/src/recovery.rs", "Staged { sends: Outbox::new(), signed: Vec::new() }"),
         (
             "crates/core/src/subprotocol.rs",
             "let (mut out_d, mut out_s) = (Outbox::new(), Outbox::new());",
